@@ -7,10 +7,14 @@ quantiser-code distributions and pins the perf trajectory:
 
 * the table-driven Huffman decoder must beat the seed per-bit decoder
   (kept as ``HuffmanCodec.decode_bitloop``) by >= 5x on a 1M-symbol
-  stream;
+  stream, and by >= 8x on a 32 768-symbol stream — one 32^3 block, the
+  size the blocked pipeline actually decodes (the per-symbol LUT walk
+  this floor replaced managed 6-11x there);
 * the interleaved rANS decoder must beat the Huffman LUT decoder
-  measured in the same run by >= 2x on every distribution, at a
-  comparable (usually better) compression ratio;
+  measured in the same run by >= 2x on the tight stream, 1.75x on the
+  moderate and 1.25x on the skewed one (the pointer-jumping Huffman
+  decoder pays per *bit position*, so it closes most of the gap at ~2
+  bits/symbol), at a comparable (usually better) compression ratio;
 * the vectorised LZ77 encoder must beat the seed bytewise encoder (kept
   as ``LZ77Codec.encode_bytewise``) by >= 10x on the structured corpus,
   with decode-identical output — so the *encode* trendline is regressed
@@ -58,6 +62,10 @@ BENCH_JSON = Path(__file__).parent / "BENCH_codec.json"
 #: The decode-speedup floor the tentpole must hold on a 1M-symbol stream.
 MIN_DECODE_SPEEDUP = 5.0
 
+#: The same floor at block size (32^3 = 32 768 symbols), where one-off
+#: costs are not amortised.  A quiet machine sees 12-18x.
+MIN_BLOCK_DECODE_SPEEDUP = 8.0
+
 #: Vectorised LZ77 encode vs the retained bytewise encoder.  The floor is
 #: relative (the absolute MB/s on a throttled CI runner swings 2x), and
 #: far below the ~80x a quiet machine measures — it trips on a real
@@ -65,9 +73,11 @@ MIN_DECODE_SPEEDUP = 5.0
 MIN_ENCODE_SPEEDUP = 10.0
 
 #: Interleaved rANS decode vs the Huffman LUT decode measured in the
-#: same run (so runner throttling cancels out).  A quiet machine sees
-#: 2.9-4.5x; 2x trips on a real regression.
-MIN_RANS_DECODE_SPEEDUP = 2.0
+#: same run (so runner throttling cancels out), per distribution: the
+#: Huffman decoder's cost scales with bits, rANS's with symbols.  This
+#: machine sees 1.7-2.1x / 2.4-2.9x / 3.0-3.3x; the floors trip on a real
+#: regression.
+MIN_RANS_DECODE_SPEEDUP = {"skewed eb": 1.25, "moderate eb": 1.75, "tight eb": 2.0}
 
 #: Absolute shared-codebook pipeline compress floors per entropy stage.
 #: Huffman (the default) must hold 1.5x the 7.5 MB/s this harness
@@ -181,6 +191,39 @@ class TestHuffmanThroughput:
                 f"{row['speedup']:.1f}x the seed per-bit decoder"
             )
 
+    def test_block_sized_decode_beats_seed_bitloop_by_8x(self):
+        """The same comparison at the size the pipeline decodes: one 32^3 block."""
+        codec = HuffmanCodec()
+        rows = []
+        block_results = {}
+        for label, scale in [("skewed eb", 0.8), ("tight eb", 12.0)]:
+            symbols = quantiser_stream(32_768, scale)
+            payload, codebook, count = codec.encode(symbols)
+            np.testing.assert_array_equal(codec.decode(payload, codebook, count), symbols)
+            decode_s = _time(lambda: codec.decode(payload, codebook, count), repeats=9)
+            bitloop_s = _time(lambda: codec.decode_bitloop(payload, codebook, count))
+            rows.append(
+                {
+                    "distribution": label,
+                    "bits/symbol": 8 * len(payload) / count,
+                    "decode ms": decode_s * 1e3,
+                    "decode MB/s": _mbps(symbols.nbytes, decode_s),
+                    "speedup": bitloop_s / decode_s,
+                }
+            )
+            block_results[label] = {
+                "symbols": int(count),
+                "decode_MBps": round(_mbps(symbols.nbytes, decode_s), 2),
+                "decode_speedup": round(bitloop_s / decode_s, 2),
+            }
+        print_table("Huffman decode of one 32^3 block (32 768 symbols)", rows)
+        _RESULTS["huffman_block"] = block_results
+        for row in rows:
+            assert row["speedup"] >= MIN_BLOCK_DECODE_SPEEDUP, (
+                f"{row['distribution']}: block-sized decode only "
+                f"{row['speedup']:.1f}x the seed per-bit decoder"
+            )
+
     def test_shared_codebook_amortises_encode(self):
         """Encoding blocks against a shared book skips per-block rebuilds."""
         from repro.compression.encoders.huffman import (
@@ -221,10 +264,12 @@ class TestHuffmanThroughput:
 
 class TestRansThroughput:
     def test_rans_decode_beats_huffman_lut_by_2x(self):
-        """Interleaved rANS decode >= 2x the Huffman LUT decode.
+        """Interleaved rANS decode >= 2x the Huffman LUT decode on tight bounds.
 
         Both codecs run on the same streams in the same process, so the
-        comparison is immune to absolute runner speed.  The payloads must
+        comparison is immune to absolute runner speed; streams with fewer
+        bits per symbol carry lower floors, see
+        ``MIN_RANS_DECODE_SPEEDUP``.  The payloads must
         also stay within a few percent of Huffman's (rANS's fractional-bit
         packing usually wins; its 6-byte/symbol table always undercuts the
         16-byte/symbol codebook).
@@ -272,9 +317,10 @@ class TestRansThroughput:
         print_table("rANS codec throughput (1M-symbol quantiser streams)", rows)
         _RESULTS["rans"] = rans_results
         for row in rows:
-            assert row["speedup"] >= MIN_RANS_DECODE_SPEEDUP, (
+            floor = MIN_RANS_DECODE_SPEEDUP[row["distribution"]]
+            assert row["speedup"] >= floor, (
                 f"{row['distribution']}: rANS decode only {row['speedup']:.2f}x "
-                f"the Huffman LUT decoder (floor {MIN_RANS_DECODE_SPEEDUP}x)"
+                f"the Huffman LUT decoder (floor {floor}x)"
             )
             assert row["bytes vs huffman"] <= 1.05, (
                 f"{row['distribution']}: rANS output {row['bytes vs huffman']:.3f}x "
@@ -430,6 +476,7 @@ class TestPipelineThroughput:
 
         payload = {
             "min_decode_speedup": MIN_DECODE_SPEEDUP,
+            "min_block_decode_speedup": MIN_BLOCK_DECODE_SPEEDUP,
             "min_encode_speedup": MIN_ENCODE_SPEEDUP,
             "min_rans_decode_speedup": MIN_RANS_DECODE_SPEEDUP,
             "min_pipeline_compress_MBps": MIN_PIPELINE_COMPRESS_MBPS,

@@ -16,14 +16,20 @@ The codec itself is table-driven and vectorised:
   with ``np.repeat`` + ``np.packbits`` instead of a per-symbol Python
   accumulator loop.
 * **Decoding** builds a flat ``2**max_len`` lookup table mapping every
-  possible ``max_len``-bit window to ``(symbol, code length)``, computes
-  the window value at every bit offset in a handful of vectorised
-  passes, and then walks the stream with one table probe per *symbol*
-  (the seed implementation probed a dict once per *bit*).  The seed
-  per-bit decoder is retained as :meth:`HuffmanCodec.decode_bitloop` —
-  it is the fallback for legacy codebooks whose unlimited code lengths
-  exceed the LUT budget, and the reference the throughput benchmark
-  measures the table-driven path against.
+  possible ``max_len``-bit window to ``(symbol, code length)`` and
+  resolves the serial "where does the next code start" chain by
+  *pointer jumping* (:class:`_LutDecoder`): per segment of the payload
+  it computes, for every bit position at once, where a code starting
+  there would end, squares that map a few times so one hop skips 16
+  symbols, walks only every 16th code start in Python and fills the
+  rest back in with gathers.  Cost is a handful of array passes per bit
+  position instead of an interpreter iteration per symbol (the seed
+  implementation probed a dict once per *bit*), and transient memory is
+  bounded by the segment, not the stream.  The seed per-bit decoder is
+  retained as :meth:`HuffmanCodec.decode_bitloop` — it is the fallback
+  for legacy codebooks whose unlimited code lengths exceed the LUT
+  budget, and the reference the tests and the throughput benchmark
+  measure the table-driven path against.
 
 Codebooks serialise exactly as before ((symbol, length) int64 pairs), so
 blobs written by earlier revisions decode unchanged and new blobs remain
@@ -310,21 +316,34 @@ def _canonical_codes(lengths: Dict[int, int]) -> Dict[int, int]:
     return codes
 
 
-#: Streams at least this long decode through the multi-symbol LUT (its
-#: one-off build cost only pays for itself on long streams).
-_MULTI_EMIT_MIN = 1 << 16
+#: Payload bytes decoded per pointer-jumping pass.  The pass holds
+#: ``_JUMP_LEVELS + 1`` position maps of ``8 * _SEGMENT_BYTES`` entries, so
+#: 8 KiB keeps the working set (~2.5 MB) around L2 and the decoder's
+#: transient memory independent of the stream length.
+_SEGMENT_BYTES = 1 << 13
+
+#: Squarings of the position map: the serial walk visits every
+#: ``2**_JUMP_LEVELS``-th symbol.  Each level costs one gather over the
+#: segment's bit positions and halves the walk; 4 sits on the flat part
+#: of that trade from ~2 to ~8 bits per symbol.
+_JUMP_LEVELS = 4
 
 
 class _LutDecoder:
-    """Flat-table canonical Huffman decoder.
+    """Flat-table canonical Huffman decoder with a data-parallel walk.
 
-    Maps every possible ``max_len``-bit window to the symbol whose code
-    prefixes it and that code's length, so decoding consumes one table
-    probe per symbol instead of one dict probe per bit.  Long streams
-    additionally use a *multi-symbol* table: every complete code inside
-    the window is emitted in one probe, collapsing the serial walk by
-    the average number of codes per window (large for the skewed,
-    short-code streams the quantiser produces).
+    The table maps every possible ``max_len``-bit window to the symbol
+    whose code prefixes it and that code's length.  Where the codes start
+    is inherently serial (each start depends on the previous length), so
+    instead of probing the table once per symbol in Python the decoder
+    *pointer-jumps*: for every bit position of a segment it computes
+    where a code starting there would end (``jump[0][p] = p + length``),
+    squares that map ``_JUMP_LEVELS`` times with one gather each
+    (``jump[k] = jump[k-1][jump[k-1]]`` skips ``2**k`` symbols), walks
+    only every ``2**_JUMP_LEVELS``-th code start in Python, and fills the
+    starts in between back in with one interleaving gather per level.
+    Positions past the segment map to themselves, so a chain that leaves
+    the segment parks on its exit position, which seeds the next segment.
     """
 
     def __init__(self, book: HuffmanCodebook) -> None:
@@ -344,162 +363,102 @@ class _LutDecoder:
             self.symbols[start:end] = sym
             self.step[start:end] = length
         self._complete = not bool(np.any(self.step == 0))
-        self._multi: Optional[tuple] = None
 
-    def _windows(self, payload: bytes) -> Tuple[np.ndarray, int]:
-        """The ``max_len``-bit window value at every bit offset.
+    def _windows(
+        self, data: np.ndarray, first: int, nbytes: int, windows: np.ndarray
+    ) -> np.ndarray:
+        """Fill ``windows`` from ``nbytes`` bytes of ``data`` starting at ``first``.
 
-        Built byte-wise: a big-endian 32-bit word is assembled at every
-        byte offset (4 vectorised passes over the byte array) and the 8
-        bit-phase shifts are broadcast from it, instead of OR-ing
-        ``max_len`` per-bit planes.
+        Row ``r`` receives the ``max_len``-bit window at bit ``r`` of
+        every byte: a big-endian 32-bit word is assembled at each byte
+        offset (zero padded past the end of the stream) and shifted once
+        per bit phase, so every pass runs over a long contiguous row.
         """
-        data = np.frombuffer(payload, dtype=np.uint8)
-        total_bits = data.size * 8
-        L = self.max_len
-        padded = np.concatenate([data, np.zeros(3, dtype=np.uint8)]).astype(np.uint32)
-        w32 = (
-            (padded[:-3] << np.uint32(24))
-            | (padded[1:-2] << np.uint32(16))
-            | (padded[2:-1] << np.uint32(8))
-            | padded[3:]
+        chunk = data[first : first + nbytes + 3]
+        padded = np.zeros(nbytes + 3, dtype=np.intp)
+        padded[: chunk.size] = chunk
+        words = (
+            (padded[:-3] << 24) | (padded[1:-2] << 16) | (padded[2:-1] << 8) | padded[3:]
         )
-        shifts = (32 - L - np.arange(8)).astype(np.uint32)
-        mask = np.uint32((1 << L) - 1)
-        windows = ((w32[:, None] >> shifts[None, :]) & mask).ravel()
-        return windows, total_bits
-
-    def _multi_tables(self) -> tuple:
-        """Build (lazily) the multi-symbol emission tables.
-
-        For every window value: how many complete codes it contains
-        (``n_syms``), the bits they span (``n_bits``), and their symbols
-        and code lengths flattened into ``flat_syms`` / ``flat_lens``
-        addressed by ``flat_start``.  Construction is fully vectorised —
-        one gather round per emitted code position.
-        """
-        if self._multi is not None:
-            return self._multi
-        L = self.max_len
-        size = 1 << L
-        w = np.arange(size, dtype=np.uint32)
-        first_len = self.step.astype(np.int32)
-        sym_cols = [self.symbols]
-        len_cols = [first_len]
-        consumed = first_len.copy()
-        n_syms = (first_len > 0).astype(np.int64)
-        active = first_len > 0
-        while True:
-            remaining = L - consumed
-            nxt = (w << consumed.astype(np.uint32)) & np.uint32(size - 1)
-            nxt_len = self.step[nxt].astype(np.int32)
-            can = active & (nxt_len > 0) & (nxt_len <= remaining)
-            if not bool(can.any()):
-                break
-            sym_cols.append(np.where(can, self.symbols[nxt], 0))
-            len_cols.append(np.where(can, nxt_len, 0))
-            consumed = consumed + np.where(can, nxt_len, 0)
-            n_syms += can
-            active = can
-        stacked_syms = np.stack(sym_cols, axis=1)
-        stacked_lens = np.stack(len_cols, axis=1)
-        # Emitted codes occupy the leading columns of each row.
-        prefix = np.arange(stacked_syms.shape[1])[None, :] < n_syms[:, None]
-        flat_syms = stacked_syms[prefix]
-        flat_lens = stacked_lens[prefix].astype(np.int64)
-        flat_start = np.cumsum(n_syms) - n_syms
-        self._multi = (
-            n_syms,
-            consumed.astype(np.int64),
-            flat_start,
-            flat_syms,
-            flat_lens,
-            n_syms.tolist(),
-            consumed.tolist(),
-        )
-        return self._multi
+        for phase in range(8):
+            np.right_shift(words, 32 - self.max_len - phase, out=windows[phase])
+        windows &= (1 << self.max_len) - 1
+        return windows
 
     def decode(self, payload: bytes, count: int) -> np.ndarray:
         """Decode ``count`` symbols from ``payload``."""
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
-        # Legacy codebooks between MAX_CODE_LENGTH and the LUT budget
-        # would need multi-emit tables over 2**max_len windows — hundreds
-        # of MB for 20-bit codes — so only length-limited books take the
-        # grouped path.
-        if count >= _MULTI_EMIT_MIN and self.max_len <= MAX_CODE_LENGTH:
-            return self._decode_multi(payload, count)
-        windows, total_bits = self._windows(payload)
-        return self._decode_single(windows, total_bits, count)
-
-    def _decode_single(
-        self, windows: np.ndarray, total_bits: int, count: int
-    ) -> np.ndarray:
-        step_at = self.step[windows]
-        step_list = step_at.tolist()
-        visited: List[int] = []
-        append = visited.append
-        pos = 0
-        try:
-            for _ in range(count):
-                append(pos)
-                pos += step_list[pos]
-        except IndexError:
-            raise EncodingError(
-                "Huffman stream exhausted before all symbols decoded"
-            ) from None
-        if pos > total_bits:
-            raise EncodingError("Huffman stream exhausted before all symbols decoded")
-        positions = np.array(visited, dtype=np.int64)
-        if not self._complete and not step_at[positions].all():
-            raise EncodingError("invalid Huffman code encountered during decode")
-        return self.symbols[windows[positions]]
-
-    def _decode_multi(self, payload: bytes, count: int) -> np.ndarray:
-        n_syms, n_bits, flat_start, flat_syms, flat_lens, nsyms_list, nbits_list = (
-            self._multi_tables()
-        )
         data = np.frombuffer(payload, dtype=np.uint8)
-        total_bits = data.size * 8
-        # 32-bit big-endian word at every *byte* offset; the walk derives
-        # each probed window from it in Python instead of materialising
-        # (and converting) a per-bit window array 8x the size.
-        padded = np.concatenate([data, np.zeros(3, dtype=np.uint8)]).astype(np.uint32)
-        word_list = (
-            (padded[:-3] << np.uint32(24))
-            | (padded[1:-2] << np.uint32(16))
-            | (padded[2:-1] << np.uint32(8))
-            | padded[3:]
-        ).tolist()
-        base_shift = 32 - self.max_len
-        mask = (1 << self.max_len) - 1
-        visited: List[int] = []
-        append = visited.append
-        pos = 0
+        # Every code is at least one bit long: asking for more symbols than
+        # that must fail, and how is settled within the first excess one.
+        count = min(count, data.size * 8 + 1)
+        out = np.empty(count, dtype=np.int64)
+        stride = 1 << _JUMP_LEVELS
+        # Scratch shared by every segment: transient memory is O(segment)
+        # and the pages are touched for the first time only once per call.
+        segment_bits = 8 * min(_SEGMENT_BYTES, data.size)
+        positions = np.arange(segment_bits + self.max_len)
+        window_buf = np.empty(segment_bits, dtype=np.intp)
+        jump_buf = np.empty((_JUMP_LEVELS + 1) * positions.size, dtype=np.intp)
         emitted = 0
-        while emitted < count:
-            if pos >= total_bits:
-                raise EncodingError("Huffman stream exhausted before all symbols decoded")
-            value = (word_list[pos >> 3] >> (base_shift - (pos & 7))) & mask
-            group = nsyms_list[value]
-            if group == 0:
+        entry = 0  # where the next code starts, in bits from the segment start
+        end = 0  # where the last decoded code ends, in bits from the stream start
+        for first in range(0, data.size, _SEGMENT_BYTES):
+            if emitted == count:
+                break
+            nbytes = min(_SEGMENT_BYTES, data.size - first)
+            nbits = nbytes * 8
+            if entry >= nbits:  # a code spans this whole (tiny) segment
+                entry -= nbits
+                continue
+            windows = self._windows(
+                data, first, nbytes, window_buf[:nbits].reshape(8, nbytes)
+            )
+            reach = nbits + self.max_len  # the tail entries absorb chains that exit
+            jump = jump_buf[: (_JUMP_LEVELS + 1) * reach].reshape(-1, reach)
+            np.add(
+                positions[:nbits].reshape(nbytes, 8),
+                self.step.take(windows).T,
+                out=jump[0, :nbits].reshape(nbytes, 8),
+            )
+            jump[0, nbits:] = positions[nbits:reach]
+            for level in range(_JUMP_LEVELS):
+                # Entries are in range by construction; a non-raising mode
+                # lets ``take`` write straight into ``out``.
+                np.take(jump[level], jump[level], out=jump[level + 1], mode="wrap")
+            remaining = count - emitted
+            # A hop skips ``stride`` codes of at least one bit each, so
+            # ``nbits // stride + 1`` hops cover the segment; the cap also
+            # ends a walk stuck on an invalid window (a zero step).
+            hops = memoryview(jump[_JUMP_LEVELS, :nbits])
+            anchors: List[int] = []
+            pos = entry
+            try:
+                for _ in range(min(-(-remaining // stride), nbits // stride + 1)):
+                    anchors.append(pos)
+                    pos = hops[pos]
+            except IndexError:  # left the segment
+                pass
+            starts = np.array(anchors, dtype=np.intp)
+            for level in range(_JUMP_LEVELS - 1, -1, -1):
+                pairs = np.empty((starts.size, 2), dtype=np.intp)
+                pairs[:, 0] = starts
+                pairs[:, 1] = jump[level].take(starts)
+                starts = pairs.ravel()
+            # Starts are non-decreasing; those parked past the segment
+            # belong to the next one.
+            starts = starts[: min(int(np.searchsorted(starts, nbits)), remaining)]
+            codes = windows[starts & 7, starts >> 3]
+            if not self._complete and not self.step.take(codes).all():
                 raise EncodingError("invalid Huffman code encountered during decode")
-            append(value)
-            emitted += group
-            pos += nbits_list[value]
-        wins = np.array(visited, dtype=np.int64)
-        counts = n_syms[wins]
-        total = int(counts.sum())
-        base = np.cumsum(counts) - counts
-        idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(base, counts)
-            + np.repeat(flat_start[wins], counts)
-        )
-        lens_out = flat_lens[idx[:count]]
-        if int(lens_out.sum()) > total_bits:
+            np.take(
+                self.symbols, codes, out=out[emitted : emitted + starts.size], mode="wrap"
+            )
+            emitted += starts.size
+            entry = int(jump[0, starts[-1]]) - nbits
+            end = first * 8 + nbits + entry
+        if emitted < count or end > data.size * 8:
             raise EncodingError("Huffman stream exhausted before all symbols decoded")
-        return flat_syms[idx[:count]]
+        return out
 
 
 class HuffmanCodec:

@@ -18,6 +18,7 @@ reader.
 from __future__ import annotations
 
 import base64
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -62,6 +63,15 @@ SharedBook = Any
 #: blocked compress path upgrades itself to the executor's process pool
 #: (see :meth:`PredictionPipelineCompressor._encode_blocks_process`).
 BlockMapper = Callable[[Callable[[Any], Any], Sequence[Any]], List[Any]]
+
+#: Fewest elements a block must hold for the thread fan-out to pay.  A
+#: block task is a chain of NumPy calls that each release and retake the
+#: GIL; on small blocks those hand-offs cost more than the overlap wins
+#: (through a 2-thread pool Miranda fields compress 26-42 % *slower* at
+#: 32^3 = 32 768 elements, level at 48^3, 9 % faster at 64^3 = 262 144 —
+#: table in ARCHITECTURE.md, "Parallel execution"), so blocks below the
+#: grain run inline whatever ``block_workers`` says.
+_POOL_GRAIN_ELEMENTS = 1 << 17
 
 
 # ---------------------------------------------------------------------- #
@@ -346,13 +356,28 @@ class PredictionPipelineCompressor(Compressor):
             description["adaptive_predictor"] = self.adaptive_predictor
             description["adaptive_entropy"] = self._entropy_choice_active()
             description["shared_codebook"] = self._shared_codebook_active()
+            # An integer block size applies per axis and the rank is only
+            # known at compress time; 3-D (the paper's fields) is assumed.
+            shape = self.block_shape
+            if isinstance(shape, (int, np.integer)):
+                shape = (shape,) * 3
+            description["block_fanout"] = self._block_fanout(math.prod(shape))
         return description
 
     # ------------------------------------------------------------------ #
     # Blocked mode (blob format v2)
     # ------------------------------------------------------------------ #
-    def _map_blocks(self, func: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        if self.block_executor is not None and len(items) > 1:
+    def _block_fanout(self, block_elements: int) -> str:
+        """``"pool"`` when blocks this large go to ``block_executor``."""
+        if self.block_executor is not None and block_elements >= _POOL_GRAIN_ELEMENTS:
+            return "pool"
+        return "inline"
+
+    def _map_blocks(
+        self, func: Callable[[Any], Any], items: Sequence[Any], block_elements: int
+    ) -> List[Any]:
+        """Run ``func`` over per-block ``items``; ``block_elements`` sizes a block."""
+        if len(items) > 1 and self._block_fanout(block_elements) == "pool":
             return list(self.block_executor(func, items))
         return [func(item) for item in items]
 
@@ -1060,6 +1085,7 @@ class PredictionPipelineCompressor(Compressor):
             shared_book, rep_results = encoded
         else:
             shared_book = None
+            block_elements = math.prod(plan.block_shape)
             if self._shared_codebook_active():
                 # Phase A: choose a predictor and encode every distinct
                 # block (in parallel), pooling exact symbol frequencies.
@@ -1071,6 +1097,7 @@ class PredictionPipelineCompressor(Compressor):
                         plan.extract(arr, spec), error_bound_abs
                     ),
                     reps,
+                    block_elements,
                 )
                 frequencies: Dict[int, int] = {}
                 for spec, (_, encoding, _, _) in zip(reps, chosen):
@@ -1092,13 +1119,16 @@ class PredictionPipelineCompressor(Compressor):
                         self._compress_lossless(inner),
                     )
 
-                rep_results = self._map_blocks(finish, list(zip(reps, chosen)))
+                rep_results = self._map_blocks(
+                    finish, list(zip(reps, chosen)), block_elements
+                )
             else:
                 rep_results = self._map_blocks(
                     lambda spec: self._encode_or_reuse_block(
                         arr, plan, spec, error_bound_abs, digests
                     ),
                     reps,
+                    block_elements,
                 )
         header = self.blocked_header(arr, plan, error_bound_abs, shared_book=shared_book)
         results = self._expand_aliases(plan, reps, rep_results, alias_of)
@@ -1126,8 +1156,12 @@ class PredictionPipelineCompressor(Compressor):
             raise
 
     def _decode_block_entry(
-        self, blob: CompressedBlob, entry: Dict[str, Any], backend: LosslessBackend
-    ) -> Tuple[BlockSpec, np.ndarray]:
+        self,
+        blob: CompressedBlob,
+        entry: Dict[str, Any],
+        spec: BlockSpec,
+        backend: LosslessBackend,
+    ) -> np.ndarray:
         """Decode one block section of ``blob`` into its reconstruction."""
         inner_bytes = backend.decompress(blob.container.get_section(entry["section"]))
         inner = SectionContainer.from_bytes(inner_bytes)
@@ -1135,11 +1169,9 @@ class PredictionPipelineCompressor(Compressor):
             inner, shared_codebook=blob.shared_codebook_bytes
         )
         predictor = self._predictor_for(entry["predictor"], meta)
-        spec = BlockSpec.from_dict(entry)
-        recon = predictor.decode_block(
+        return predictor.decode_block(
             codes, mask, literals, aux, meta, spec.shape, blob.error_bound_abs
         )
-        return spec, recon
 
     def decompress_block(self, blob: CompressedBlob, block_id: int) -> np.ndarray:
         """Random-access decode of a single block of a v2 blob.
@@ -1152,7 +1184,9 @@ class PredictionPipelineCompressor(Compressor):
             raise CompressionError("random-access decode requires a blocked (v2) blob")
         entry = blob.block_entry(block_id)
         backend = self._backend_for(blob)
-        _, recon = self._decode_block_entry(blob, entry, backend)
+        recon = self._decode_block_entry(
+            blob, entry, BlockSpec.from_dict(entry), backend
+        )
         return recon.astype(np.dtype(blob.dtype), copy=False)
 
     def _decompress_blocked(self, blob: CompressedBlob) -> np.ndarray:
@@ -1165,21 +1199,25 @@ class PredictionPipelineCompressor(Compressor):
         # fan-out needs no lock.
         decoded: Dict[str, np.ndarray] = {}
 
-        def decode_block(entry):
+        def decode_block(item: Tuple[Dict[str, Any], BlockSpec]) -> None:
+            entry, spec = item
             recon = decoded.get(entry["section"])
             if recon is None:
-                _, recon = self._decode_block_entry(blob, entry, backend)
+                recon = self._decode_block_entry(blob, entry, spec, backend)
                 decoded[entry["section"]] = recon
-            spec = BlockSpec.from_dict(entry)
             # Each block writes a disjoint region of the output, so the
             # per-block tasks can run concurrently without locking.
             out[spec.slices()] = recon
-            return spec.block_id
 
         index = blob.block_index
         if not index:
             raise CompressionError("blocked blob is missing its block index")
-        self._map_blocks(decode_block, index)
+        specs = [BlockSpec.from_dict(entry) for entry in index]
+        self._map_blocks(
+            decode_block,
+            list(zip(index, specs)),
+            max(spec.num_elements for spec in specs),
+        )
         return out.astype(np.dtype(blob.dtype), copy=False)
 
     # ------------------------------------------------------------------ #

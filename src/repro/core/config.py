@@ -70,7 +70,13 @@ class OcelotConfig:
             independently (blob format v2); ``None`` keeps the whole-array
             pipeline.
         block_workers: local workers used to (de)compress the blocks of
-            one file concurrently.
+            one file concurrently.  Thread workers only receive blocks of
+            at least 131 072 elements (``_POOL_GRAIN_ELEMENTS`` in
+            ``compression/sz/pipeline.py``: a 64^3 block qualifies, a 32^3
+            one does not); smaller blocks run inline because the GIL
+            hand-offs cost more than the overlap wins.
+            ``PredictionPipelineCompressor.describe()["block_fanout"]``
+            says which applies.
         worker_backend: how block workers run — ``thread`` (default)
             shares the GIL but starts instantly; ``process`` fans blocks
             out over worker processes (input shipped via shared memory)

@@ -51,7 +51,7 @@ def mean_squared_error(original: np.ndarray, reconstructed: np.ndarray) -> float
         raise FeatureExtractionError(
             f"shape mismatch: {a.shape} vs {b.shape} when computing MSE"
         )
-    diff = a.astype(np.float64) - b.astype(np.float64)
+    diff = a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)
     return float(np.mean(diff * diff))
 
 

@@ -312,18 +312,60 @@ class TestParallelBlocks:
 
     def test_blocked_compression_through_executor_matches_serial(self):
         rng = np.random.default_rng(17)
-        data = rng.standard_normal((64, 64)).cumsum(axis=0)
         bound = ErrorBound(value=1e-3, mode="abs")
-        serial = create_compressor("sz-lorenzo-fast").configure_blocks(block_shape=16)
-        threaded = create_compressor("sz-lorenzo-fast").configure_blocks(
-            block_shape=16,
-            block_executor=ParallelExecutor(block_workers=4).map_blocks,
-        )
-        blob_s = serial.compress(data, bound).blob
-        blob_t = threaded.compress(data, bound).blob
-        assert blob_s.to_bytes() == blob_t.to_bytes()
-        recon = threaded.decompress(CompressedBlob.from_bytes(blob_t.to_bytes()))
-        assert np.abs(data - recon).max() <= 1e-3 * (1 + 1e-9)
+        # 16^2 blocks run inline whatever the executor; 128x1024 blocks sit
+        # on the pool grain, so the second case really crosses threads.
+        for shape, block_shape, fanout in [
+            ((64, 64), 16, "inline"),
+            ((512, 1024), (128, 1024), "pool"),
+        ]:
+            data = rng.standard_normal(shape).cumsum(axis=0)
+            serial = create_compressor("sz-lorenzo-fast").configure_blocks(
+                block_shape=block_shape
+            )
+            threaded = create_compressor("sz-lorenzo-fast").configure_blocks(
+                block_shape=block_shape,
+                block_executor=ParallelExecutor(block_workers=4).map_blocks,
+            )
+            assert serial.describe()["block_fanout"] == "inline"
+            assert threaded.describe()["block_fanout"] == fanout
+            blob_s = serial.compress(data, bound).blob
+            blob_t = threaded.compress(data, bound).blob
+            assert blob_s.to_bytes() == blob_t.to_bytes()
+            recon = threaded.decompress(CompressedBlob.from_bytes(blob_t.to_bytes()))
+            assert np.abs(data - recon).max() <= 1e-3 * (1 + 1e-9)
+
+    def test_executor_only_sees_blocks_at_or_above_the_grain(self):
+        from repro.compression.sz.pipeline import _POOL_GRAIN_ELEMENTS
+
+        calls = []
+
+        def spy(func, items):
+            calls.append(len(items))
+            return [func(item) for item in items]
+
+        rng = np.random.default_rng(3)
+        bound = ErrorBound(value=1e-3, mode="abs")
+        assert 32**3 < _POOL_GRAIN_ELEMENTS <= 64**3
+        cube = rng.standard_normal((64, 64, 64)).cumsum(axis=0)
+        for block_shape in (16, 32, (32, 64, 63)):  # the last is one row short
+            small = create_compressor("sz3").configure_blocks(
+                block_shape=block_shape, block_executor=spy
+            )
+            blob = small.compress(cube, bound).blob
+            small.decompress(blob)
+            assert blob.num_blocks > 1
+            assert small.describe()["block_fanout"] == "inline"
+        assert calls == []
+        slab = rng.standard_normal((128, 64, 64)).cumsum(axis=0)
+        large = create_compressor("sz3").configure_blocks(block_shape=64, block_executor=spy)
+        assert large.describe()["block_fanout"] == "pool"
+        blob = large.compress(slab, bound).blob
+        assert calls and set(calls) == {2}  # both shared-codebook phases
+        del calls[:]
+        recon = large.decompress(blob)
+        assert calls == [2]
+        assert np.abs(slab - recon).max() <= 1e-3 * (1 + 1e-9)
 
     def test_config_rejects_inconsistent_block_knobs(self):
         from repro.errors import ConfigurationError

@@ -178,6 +178,21 @@ class TestProcessPoolEquivalence:
         )
         assert _compress_blob_bytes("process", shared=True) == expected
 
+    def test_process_backend_reaches_the_pool_below_the_thread_grain(self, monkeypatch):
+        """16^2 blocks are far below the grain that keeps *threads* idle;
+        the explicit process backend must still be handed them."""
+        opened = []
+        real = ParallelExecutor.open_block_pool
+
+        def spy(self, payload):
+            opened.append(payload["block_shape"])
+            return real(self, payload)
+
+        monkeypatch.setattr(ParallelExecutor, "open_block_pool", spy)
+        _compress_blob_bytes("process", shared=True)
+        _compress_blob_bytes("thread", shared=True)
+        assert opened == [16]
+
     def test_stage_timings_collection_still_byte_identical(self):
         rng = np.random.default_rng(7)
         data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.compression.encoders import huffman
 from repro.compression.encoders.huffman import (
     MAX_CODE_LENGTH,
     HuffmanCodebook,
     HuffmanCodec,
+    _pack_codes,
     huffman_code_lengths,
     length_limited_code_lengths,
     symbol_frequencies,
@@ -200,22 +204,25 @@ class TestLutPath:
         assert count == 0
         assert codec.decode(payload, book, 0).size == 0
 
-    def test_multi_emit_path_round_trips(self):
-        # Streams past the multi-emit threshold take the grouped-window
-        # walk; heavily skewed data maximises symbols emitted per probe.
+    def test_multi_segment_stream_round_trips(self):
+        # Long streams are decoded one segment at a time with the exit
+        # position carried over; heavily skewed data packs the most code
+        # starts into each segment.
         rng = np.random.default_rng(11)
         symbols = np.where(
             rng.uniform(size=70000) < 0.93, 0, rng.integers(-6, 6, 70000)
         ).astype(np.int64)
         codec = HuffmanCodec()
         payload, book, count = codec.encode(symbols)
+        assert len(payload) > huffman._SEGMENT_BYTES
         np.testing.assert_array_equal(codec.decode(payload, book, count), symbols)
 
-    def test_multi_emit_truncated_payload_raises(self):
+    def test_multi_segment_truncated_payload_raises(self):
         rng = np.random.default_rng(13)
         symbols = rng.integers(-40, 40, 70000)
         codec = HuffmanCodec()
         payload, book, count = codec.encode(symbols)
+        assert len(payload) // 3 > huffman._SEGMENT_BYTES
         with pytest.raises(EncodingError):
             codec.decode(payload[: len(payload) // 3], book, count)
 
@@ -229,11 +236,185 @@ class TestLutPath:
         rng = np.random.default_rng(3)
         symbols = rng.choice(np.array(sorted(freqs)), size=500)
         codes, lens = book.lookup(np.asarray(symbols, dtype=np.int64))
-        from repro.compression.encoders.huffman import _pack_codes
-
         payload = _pack_codes(codes, lens)
         decoded = HuffmanCodec().decode(payload, book.serialize(), symbols.size)
         np.testing.assert_array_equal(decoded, symbols)
+
+
+def _skewed_stream(alphabet: int, ratio: float, length: int, seed: int) -> np.ndarray:
+    """``length`` symbols over ``alphabet`` values, geometric weights ``ratio**i``."""
+    rng = np.random.default_rng(seed)
+    values = rng.permutation(np.arange(-(alphabet // 2), alphabet - alphabet // 2))
+    weights = ratio ** np.arange(alphabet, dtype=np.float64)
+    return rng.choice(values, size=length, p=weights / weights.sum()).astype(np.int64)
+
+
+def _outcome(decode, payload, book, count):
+    """Decoded symbols, or the error class a decoder raised."""
+    try:
+        return decode(payload, book, count).tolist()
+    except EncodingError as exc:
+        return type(exc)
+
+
+class TestPointerJumpingDecoder:
+    """The one LUT decode path, against the per-bit reference decoder."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(
+        alphabet=st.integers(min_value=1, max_value=600),
+        ratio=st.sampled_from([0.3, 0.7, 0.9, 0.98, 1.0]),
+        length=st.sampled_from([1, 2, 15, 16, 17, 1000, 40_000, 1_050_000]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_bitloop_over_alphabets_skews_and_lengths(
+        self, alphabet, ratio, length, seed
+    ):
+        symbols = _skewed_stream(alphabet, ratio, length, seed)
+        codec = HuffmanCodec()
+        payload, book, count = codec.encode(symbols)
+        decoded = codec.decode(payload, book, count)
+        np.testing.assert_array_equal(decoded, symbols)
+        np.testing.assert_array_equal(decoded, codec.decode_bitloop(payload, book, count))
+
+    @pytest.mark.parametrize("segment_bytes", [1, 2, 3, 7, 64])
+    def test_tiny_segments_carry_codes_across_every_boundary(
+        self, monkeypatch, segment_bytes
+    ):
+        # With segments this small, 16-bit codes straddle (and span) whole
+        # segments and every phase of the exit carry is exercised.
+        monkeypatch.setattr(huffman, "_SEGMENT_BYTES", segment_bytes)
+        codec = HuffmanCodec()
+        for alphabet, ratio, length in [(2, 1.0, 64), (40, 0.8, 500), (300, 0.97, 3000)]:
+            symbols = _skewed_stream(alphabet, ratio, length, seed=alphabet)
+            payload, book, count = codec.encode(symbols)
+            np.testing.assert_array_equal(codec.decode(payload, book, count), symbols)
+            for bad in (payload[:-1], payload[: len(payload) // 2]):
+                with pytest.raises(EncodingError):
+                    codec.decode(bad, book, count)
+            with pytest.raises(EncodingError):
+                codec.decode(payload, book, count + 9)
+        assert len(payload) > 4 * segment_bytes
+
+    def test_long_codes_straddling_segments_match_bitloop(self, monkeypatch):
+        monkeypatch.setattr(huffman, "_SEGMENT_BYTES", 2)
+        book = HuffmanCodebook.from_frequencies(
+            _fibonacci_frequencies(30), max_length=MAX_CODE_LENGTH
+        )
+        assert book.max_length() == MAX_CODE_LENGTH
+        # Drawn uniformly, so the 16-bit codes (eight segments long) are common.
+        symbols = np.random.default_rng(4).choice(np.arange(30), size=800)
+        codec = HuffmanCodec()
+        payload = codec.encode_with_book(symbols, book)
+        assert len(payload) * 8 > 10 * symbols.size
+        decoded = codec.decode(payload, book.serialize(), symbols.size)
+        np.testing.assert_array_equal(decoded, symbols)
+        np.testing.assert_array_equal(
+            codec.decode_bitloop(payload, book.serialize(), symbols.size), symbols
+        )
+
+    @pytest.mark.parametrize("segment_bytes", [4, huffman._SEGMENT_BYTES])
+    def test_last_code_ending_on_the_final_bit(self, monkeypatch, segment_bytes):
+        monkeypatch.setattr(huffman, "_SEGMENT_BYTES", segment_bytes)
+        symbols = _skewed_stream(12, 0.7, 400, seed=8)
+        codec = HuffmanCodec()
+        _, book, _ = codec.encode(symbols)
+        lengths = HuffmanCodebook.deserialize(book).lengths
+        bits = np.cumsum([lengths[int(sym)] for sym in symbols])
+        keep = int(np.flatnonzero(bits % 8 == 0)[-1]) + 1  # no padding bits
+        payload = codec.encode_with_book(symbols[:keep], HuffmanCodebook.deserialize(book))
+        assert len(payload) * 8 == bits[keep - 1]
+        np.testing.assert_array_equal(codec.decode(payload, book, keep), symbols[:keep])
+        with pytest.raises(EncodingError, match="exhausted"):
+            codec.decode(payload, book, keep + 1)
+
+    def test_legacy_17_to_20_bit_codebook_uses_the_lut(self):
+        # Unlimited lengths past MAX_CODE_LENGTH but inside the LUT budget.
+        book = HuffmanCodebook.from_frequencies(_fibonacci_frequencies(20))
+        assert MAX_CODE_LENGTH < book.max_length() <= 20
+        symbols = np.random.default_rng(6).choice(np.arange(20), size=5000)
+        codes, lens = book.lookup(symbols.astype(np.int64))
+        payload = _pack_codes(codes, lens)
+        codec = HuffmanCodec()
+        decoded = codec.decode(payload, book.serialize(), symbols.size)
+        np.testing.assert_array_equal(decoded, symbols)
+        assert book.serialize() in codec._decoders  # not the bit-loop fallback
+
+    def test_over_count_raises(self):
+        codec = HuffmanCodec()
+        for length in (50, 70_000):
+            payload, book, count = codec.encode(_skewed_stream(30, 0.8, length, seed=1))
+            with pytest.raises(EncodingError, match="exhausted"):
+                codec.decode(payload, book, count + 8)
+            with pytest.raises(EncodingError, match="exhausted"):
+                codec.decode(payload, book, 10**15)  # must not size a buffer first
+
+    def test_incomplete_codebook_round_trips_and_rejects_invalid_codes(self):
+        # Every code one bit longer than needed: Kraft sum 1/2, so half of
+        # all windows prefix no code.
+        symbols = _skewed_stream(20, 0.8, 5000, seed=2)
+        tight = HuffmanCodebook.from_frequencies(symbol_frequencies(symbols))
+        loose = HuffmanCodebook.from_lengths({s: n + 1 for s, n in tight.lengths.items()})
+        assert sum(2.0 ** -n for n in loose.lengths.values()) < 1.0
+        codec = HuffmanCodec()
+        payload = codec.encode_with_book(symbols, loose)
+        book = loose.serialize()
+        np.testing.assert_array_equal(codec.decode(payload, book, symbols.size), symbols)
+        corrupt = bytearray(payload)
+        corrupt[len(corrupt) // 2] = 0xFF  # the all-ones window has no code
+        with pytest.raises(EncodingError, match="invalid Huffman code"):
+            codec.decode(bytes(corrupt), book, symbols.size)
+        with pytest.raises(EncodingError):
+            codec.decode_bitloop(bytes(corrupt), book, symbols.size)
+
+    def test_flipped_byte_in_single_symbol_stream_raises(self):
+        codec = HuffmanCodec()
+        payload, book, count = codec.encode(np.full(4000, 3))
+        corrupt = bytearray(payload)
+        corrupt[100] ^= 0x10
+        with pytest.raises(EncodingError, match="invalid Huffman code"):
+            codec.decode(bytes(corrupt), book, count)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=list(HealthCheck))
+    @given(
+        alphabet=st.integers(min_value=2, max_value=80),
+        where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        value=st.integers(min_value=0, max_value=255),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_corrupted_streams_fare_as_in_the_bitloop(self, alphabet, where, value, seed):
+        # A complete code decodes *any* bit string, so a flipped byte
+        # either yields other symbols or runs the stream dry; whichever
+        # it is, both decoders must agree.
+        symbols = _skewed_stream(alphabet, 0.85, 600, seed)
+        codec = HuffmanCodec()
+        payload, book, count = codec.encode(symbols)
+        corrupt = bytearray(payload)
+        corrupt[int(where * len(corrupt))] = value
+        assert _outcome(codec.decode, bytes(corrupt), book, count) == _outcome(
+            codec.decode_bitloop, bytes(corrupt), book, count
+        )
+
+    def test_transient_memory_is_bounded_by_the_segment(self):
+        symbols = _skewed_stream(60, 0.85, 4_000_000, seed=3)
+        codec = HuffmanCodec()
+        payload, book, count = codec.encode(symbols)
+        assert len(payload) > 100 * huffman._SEGMENT_BYTES
+        codec.decode(payload[:4096], book, 100)  # build the LUT outside the trace
+        tracemalloc.start()
+        try:
+            decoded = codec.decode(payload, book, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(decoded, symbols)
+        # The per-call scratch: positions, windows and the jump levels, one
+        # 8-byte entry per bit position of a segment each (plus change).
+        scratch = 8 * (huffman._JUMP_LEVELS + 3) * 8 * huffman._SEGMENT_BYTES
+        assert peak - decoded.nbytes < 2 * scratch
+        # ... where one window per bit position of the whole stream would
+        # alone be 8 * 8 * len(payload) bytes.
+        assert 2 * scratch < 8 * 8 * len(payload) / 10
 
 
 class TestSharedBookEncoding:
