@@ -10,11 +10,11 @@ quantiser-code distributions and pins the perf trajectory:
   stream, and by >= 8x on a 32 768-symbol stream — one 32^3 block, the
   size the blocked pipeline actually decodes (the per-symbol LUT walk
   this floor replaced managed 6-11x there);
-* the interleaved rANS decoder must beat the Huffman LUT decoder
-  measured in the same run by >= 2x on the tight stream, 1.75x on the
-  moderate and 1.25x on the skewed one (the pointer-jumping Huffman
-  decoder pays per *bit position*, so it closes most of the gap at ~2
-  bits/symbol), at a comparable (usually better) compression ratio;
+* the interleaved rANS decoder must hold the gate PR 9 set — 2x the
+  Huffman LUT decoder of that day — expressed against the anchor no
+  decoder PR moves: >= 20x ``decode_bitloop`` measured in the same run
+  (that LUT ran 10x the bit loop), at a comparable (usually better)
+  compression ratio; the rANS/LUT ratio is still recorded;
 * the vectorised LZ77 encoder must beat the seed bytewise encoder (kept
   as ``LZ77Codec.encode_bytewise``) by >= 10x on the structured corpus,
   with decode-identical output — so the *encode* trendline is regressed
@@ -72,12 +72,18 @@ MIN_BLOCK_DECODE_SPEEDUP = 8.0
 #: regression, not on noise.
 MIN_ENCODE_SPEEDUP = 10.0
 
-#: Interleaved rANS decode vs the Huffman LUT decode measured in the
-#: same run (so runner throttling cancels out), per distribution: the
-#: Huffman decoder's cost scales with bits, rANS's with symbols.  This
-#: machine sees 1.7-2.1x / 2.4-2.9x / 3.0-3.3x; the floors trip on a real
-#: regression.
-MIN_RANS_DECODE_SPEEDUP = {"skewed eb": 1.25, "moderate eb": 1.75, "tight eb": 2.0}
+#: Interleaved rANS decode floor: 2x the Huffman LUT decoder, as PR 9
+#: set it.  The LUT decoder it was set against ran 8-10x the per-bit
+#: loop (``RANS_GATE_LUT_SPEEDUP``) and has since been made faster, so
+#: comparing against today's LUT would loosen or tighten this gate with
+#: every Huffman change.  The gate is therefore held against the bit
+#: loop measured in the same run (runner throttling cancels out): rANS
+#: >= 2 x 10 = 20x ``decode_bitloop``.  rANS measured 34x / 57x / 69x
+#: (skewed / moderate / tight) when the gate was written, i.e. 1.7x
+#: headroom at the tightest point — the same 1.65x the original
+#: comparison had (3.3x measured against the 2x floor).
+MIN_RANS_DECODE_SPEEDUP = 2.0
+RANS_GATE_LUT_SPEEDUP = 10.0
 
 #: Absolute shared-codebook pipeline compress floors per entropy stage.
 #: Huffman (the default) must hold 1.5x the 7.5 MB/s this harness
@@ -264,12 +270,13 @@ class TestHuffmanThroughput:
 
 class TestRansThroughput:
     def test_rans_decode_beats_huffman_lut_by_2x(self):
-        """Interleaved rANS decode >= 2x the Huffman LUT decode on tight bounds.
+        """Interleaved rANS decode >= 2x the Huffman LUT decode PR 9 measured.
 
-        Both codecs run on the same streams in the same process, so the
-        comparison is immune to absolute runner speed; streams with fewer
-        bits per symbol carry lower floors, see
-        ``MIN_RANS_DECODE_SPEEDUP``.  The payloads must
+        That LUT ran 10x ``decode_bitloop``, so the gate reads rANS >=
+        20x the bit loop — an anchor Huffman decoder work does not move
+        (see ``MIN_RANS_DECODE_SPEEDUP``).  Everything runs on the same
+        streams in the same process, so the comparison is immune to
+        absolute runner speed.  The payloads must
         also stay within a few percent of Huffman's (rANS's fractional-bit
         packing usually wins; its 6-byte/symbol table always undercuts the
         16-byte/symbol codebook).
@@ -291,6 +298,9 @@ class TestRansThroughput:
             h_payload, h_book, h_count = huffman.encode(symbols)
             h_decode_s = _time(lambda: huffman.decode(h_payload, h_book, h_count))
             speedup = h_decode_s / decode_s
+            bitloop_s = _time(
+                lambda: huffman.decode_bitloop(h_payload, h_book, h_count), repeats=1
+            )
 
             rans_bytes = len(payload) + len(table_bytes)
             rows.append(
@@ -300,6 +310,7 @@ class TestRansThroughput:
                     "decode MB/s": _mbps(stream_bytes, decode_s),
                     "huffman decode MB/s": _mbps(stream_bytes, h_decode_s),
                     "speedup": speedup,
+                    "vs bit loop": bitloop_s / decode_s,
                     "bytes vs huffman": rans_bytes / len(h_payload),
                 }
             )
@@ -312,15 +323,17 @@ class TestRansThroughput:
                 "decode_MBps": round(_mbps(stream_bytes, decode_s), 2),
                 "huffman_decode_MBps": round(_mbps(stream_bytes, h_decode_s), 2),
                 "decode_speedup_vs_huffman": round(speedup, 2),
+                "decode_speedup_vs_bitloop": round(bitloop_s / decode_s, 2),
                 "bytes_vs_huffman": round(rans_bytes / len(h_payload), 4),
             }
         print_table("rANS codec throughput (1M-symbol quantiser streams)", rows)
         _RESULTS["rans"] = rans_results
         for row in rows:
-            floor = MIN_RANS_DECODE_SPEEDUP[row["distribution"]]
-            assert row["speedup"] >= floor, (
-                f"{row['distribution']}: rANS decode only {row['speedup']:.2f}x "
-                f"the Huffman LUT decoder (floor {floor}x)"
+            floor = MIN_RANS_DECODE_SPEEDUP * RANS_GATE_LUT_SPEEDUP
+            assert row["vs bit loop"] >= floor, (
+                f"{row['distribution']}: rANS decode only {row['vs bit loop']:.1f}x "
+                f"the per-bit Huffman decoder (floor {floor:.0f}x = "
+                f"{MIN_RANS_DECODE_SPEEDUP}x a {RANS_GATE_LUT_SPEEDUP:.0f}x LUT)"
             )
             assert row["bytes vs huffman"] <= 1.05, (
                 f"{row['distribution']}: rANS output {row['bytes vs huffman']:.3f}x "
@@ -479,6 +492,7 @@ class TestPipelineThroughput:
             "min_block_decode_speedup": MIN_BLOCK_DECODE_SPEEDUP,
             "min_encode_speedup": MIN_ENCODE_SPEEDUP,
             "min_rans_decode_speedup": MIN_RANS_DECODE_SPEEDUP,
+            "rans_gate_lut_speedup": RANS_GATE_LUT_SPEEDUP,
             "min_pipeline_compress_MBps": MIN_PIPELINE_COMPRESS_MBPS,
             "worker_backend": WORKER_BACKEND,
             "entropy_stage": ENTROPY_STAGE,

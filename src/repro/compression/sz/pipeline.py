@@ -356,17 +356,29 @@ class PredictionPipelineCompressor(Compressor):
             description["adaptive_predictor"] = self.adaptive_predictor
             description["adaptive_entropy"] = self._entropy_choice_active()
             description["shared_codebook"] = self._shared_codebook_active()
-            # An integer block size applies per axis and the rank is only
-            # known at compress time; 3-D (the paper's fields) is assumed.
-            shape = self.block_shape
-            if isinstance(shape, (int, np.integer)):
-                shape = (shape,) * 3
-            description["block_fanout"] = self._block_fanout(math.prod(shape))
+            description["block_fanout"] = self._configured_fanout()
         return description
 
     # ------------------------------------------------------------------ #
     # Blocked mode (blob format v2)
     # ------------------------------------------------------------------ #
+    def _configured_fanout(self) -> str:
+        """The fan-out of the configured block shape, for :meth:`describe`.
+
+        An integer block size applies per axis and the rank is only known
+        at compress time, so below the grain it reads ``"pool at rank >=
+        k"`` (lower-rank data runs inline) rather than guessing a rank.
+        """
+        shape = self.block_shape
+        if not isinstance(shape, (int, np.integer)):
+            return self._block_fanout(math.prod(shape))
+        if self.block_executor is None or shape < 2:
+            return "inline"
+        rank = 1
+        while int(shape) ** rank < _POOL_GRAIN_ELEMENTS:
+            rank += 1
+        return "pool" if rank == 1 else f"pool at rank >= {rank}"
+
     def _block_fanout(self, block_elements: int) -> str:
         """``"pool"`` when blocks this large go to ``block_executor``."""
         if self.block_executor is not None and block_elements >= _POOL_GRAIN_ELEMENTS:

@@ -76,7 +76,8 @@ class OcelotConfig:
             one does not); smaller blocks run inline because the GIL
             hand-offs cost more than the overlap wins.
             ``PredictionPipelineCompressor.describe()["block_fanout"]``
-            says which applies.
+            says which applies (for an integer ``block_size``, from which
+            data rank on the blocks reach the pool).
         worker_backend: how block workers run — ``thread`` (default)
             shares the GIL but starts instantly; ``process`` fans blocks
             out over worker processes (input shipped via shared memory)

@@ -316,7 +316,7 @@ class TestParallelBlocks:
         # 16^2 blocks run inline whatever the executor; 128x1024 blocks sit
         # on the pool grain, so the second case really crosses threads.
         for shape, block_shape, fanout in [
-            ((64, 64), 16, "inline"),
+            ((64, 64), (16, 16), "inline"),
             ((512, 1024), (128, 1024), "pool"),
         ]:
             data = rng.standard_normal(shape).cumsum(axis=0)
@@ -348,18 +348,29 @@ class TestParallelBlocks:
         bound = ErrorBound(value=1e-3, mode="abs")
         assert 32**3 < _POOL_GRAIN_ELEMENTS <= 64**3
         cube = rng.standard_normal((64, 64, 64)).cumsum(axis=0)
-        for block_shape in (16, 32, (32, 64, 63)):  # the last is one row short
+        # An integer size applies per axis, so its fan-out depends on the
+        # rank of the data and describe() says from which rank on.
+        for block_shape, fanout in [
+            (16, "pool at rank >= 5"),
+            (32, "pool at rank >= 4"),
+            ((32, 64, 63), "inline"),  # one row short of the grain
+        ]:
             small = create_compressor("sz3").configure_blocks(
                 block_shape=block_shape, block_executor=spy
             )
             blob = small.compress(cube, bound).blob
             small.decompress(blob)
             assert blob.num_blocks > 1
-            assert small.describe()["block_fanout"] == "inline"
+            assert small.describe()["block_fanout"] == fanout
+        # 64 per axis reaches the grain on 3-D data only: 64^2 blocks of a
+        # 2-D field stay inline under the same configuration.
+        large = create_compressor("sz3").configure_blocks(block_shape=64, block_executor=spy)
+        assert large.describe()["block_fanout"] == "pool at rank >= 3"
+        flat = large.compress(cube[0].repeat(2, axis=0), bound).blob
+        large.decompress(flat)
+        assert flat.num_blocks > 1
         assert calls == []
         slab = rng.standard_normal((128, 64, 64)).cumsum(axis=0)
-        large = create_compressor("sz3").configure_blocks(block_shape=64, block_executor=spy)
-        assert large.describe()["block_fanout"] == "pool"
         blob = large.compress(slab, bound).blob
         assert calls and set(calls) == {2}  # both shared-codebook phases
         del calls[:]

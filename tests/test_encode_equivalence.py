@@ -15,6 +15,8 @@ end.  These tests pin that contract —
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from repro.compression import create_blocked_compressor
 from repro.compression.encoders.lz77 import LZ77Codec
 from repro.compression.errorbound import ErrorBound
+from repro.compression.sz import pipeline as sz_pipeline
 from repro.core.parallel import ParallelExecutor
 from repro.errors import ConfigurationError
 
@@ -111,12 +114,24 @@ class TestLZ77Equivalence:
         assert codec.decode(codec.encode_bytewise(data)) == data
 
 
+def _pool_grain(elements: int = 1):
+    """Lower the thread fan-out grain so the tiny blocks here cross threads.
+
+    The blocks these tests use (12^2, 16^2) are far below the production
+    grain and would run inline; the contracts under test — shared
+    codebook, adaptive choice, rANS tables and the ``decoded`` memo under
+    *concurrent* block tasks — need the thread backend to really fan out.
+    """
+    return mock.patch.object(sz_pipeline, "_POOL_GRAIN_ELEMENTS", elements)
+
+
 def _compress_blob_bytes(
     backend: str,
     shared: bool,
     adaptive: bool = False,
     entropy: str = None,
     block_policy=None,
+    pool_grain: int = 1,
 ) -> bytes:
     rng = np.random.default_rng(7)
     data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
@@ -130,8 +145,9 @@ def _compress_blob_bytes(
         entropy_stage=entropy,
         block_policy=block_policy,
     )
-    result = compressor.compress(data, ErrorBound.relative(1e-3))
-    recon = compressor.decompress(result.blob)
+    with _pool_grain(pool_grain):
+        result = compressor.compress(data, ErrorBound.relative(1e-3))
+        recon = compressor.decompress(result.blob)
     assert np.isfinite(recon).all()
     return result.blob.to_bytes()
 
@@ -189,9 +205,27 @@ class TestProcessPoolEquivalence:
             return real(self, payload)
 
         monkeypatch.setattr(ParallelExecutor, "open_block_pool", spy)
-        _compress_blob_bytes("process", shared=True)
-        _compress_blob_bytes("thread", shared=True)
+        grain = sz_pipeline._POOL_GRAIN_ELEMENTS
+        assert grain > 16 * 16
+        _compress_blob_bytes("process", shared=True, pool_grain=grain)
+        _compress_blob_bytes("thread", shared=True, pool_grain=grain)
         assert opened == [16]
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    def test_thread_side_of_these_comparisons_crosses_threads(self, monkeypatch, adaptive):
+        """The thread blobs above come from a real fan-out, not the inline
+        path: every blocked phase of compress and decompress reaches
+        ``map_blocks`` with all nine blocks."""
+        fanned = []
+        real = ParallelExecutor.map_blocks
+
+        def spy(self, func, items):
+            fanned.append(len(items))
+            return real(self, func, items)
+
+        monkeypatch.setattr(ParallelExecutor, "map_blocks", spy)
+        _compress_blob_bytes("thread", shared=True, adaptive=adaptive)
+        assert fanned == [9, 9, 9]  # choose + finish, then decode
 
     def test_stage_timings_collection_still_byte_identical(self):
         rng = np.random.default_rng(7)
@@ -304,7 +338,8 @@ class TestEntropyStageRoundTrip:
             entropy_stage=entropy,
         )
         bound = ErrorBound(value=1e-3, mode="abs")
-        recon = compressor.decompress(compressor.compress(data, bound).blob)
+        with _pool_grain():
+            recon = compressor.decompress(compressor.compress(data, bound).blob)
         slack = 1e-3 * (1 + 1e-9) + np.finfo(np.float32).eps * float(
             np.max(np.abs(data))
         )
