@@ -12,7 +12,10 @@ costs plumbing, not results:
   same spec — scheduling through the gateway moves timelines, never
   numbers;
 * one job's event feed fans out over SSE to many simultaneous
-  subscribers, each receiving the complete, identical timeline.
+  subscribers, each receiving the complete, identical timeline;
+* serving cost does not grow with the jobs the gateway retains: over
+  400 closed-loop jobs the last quarter's median latency stays within
+  1.3x the first quarter's (``latency_drift_ratio``).
 
 Results merge into ``BENCH_gateway.json``; CI runs this file and
 uploads the JSON as an artifact alongside the other BENCH files.
@@ -21,6 +24,7 @@ uploads the JSON as an artifact alongside the other BENCH files.
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import threading
 import time
@@ -60,6 +64,18 @@ SSE_SUBSCRIBERS = 16
 #: multiple of the best-of-N in-process equivalent.  Generous — shared
 #: CI runners jitter — but a lock-contention regression blows past it.
 MAX_HTTP_OVERHEAD_RATIO = 5.0
+#: Closed-loop jobs (and the clients pushing them) behind the drift ratio.
+DRIFT_JOBS = 400
+DRIFT_CLIENTS = 2
+#: CI ceiling on p50 latency of the last quarter of ``DRIFT_JOBS`` over
+#: the first quarter.  Flat serving reads ~1.0; a per-step or per-submit
+#: walk over the retained jobs read 1.6-2.9 over 600 jobs.
+MAX_LATENCY_DRIFT_RATIO = 1.3
+#: Seconds of request ping-pong run before the drift loop is timed.  A
+#: box that has sat idle serves its first second or so of thread
+#: hand-offs about twice as fast as the steady state (measured on bare
+#: ``/healthz`` requests, no jobs involved), which would read as drift.
+SETTLE_S = 2.0
 #: Wall-clock trials per path; best-of filters scheduler hiccups (the
 #: walls are fractions of a second, so a single preemption would
 #: otherwise dominate the ratio).
@@ -176,6 +192,55 @@ def _http_batch():
     return wall_s, reports, metrics
 
 
+def _drift_trial():
+    """``DRIFT_JOBS`` closed-loop POST+wait jobs on a fresh gateway.
+
+    Returns the p50 latency of the first and of the last quarter of the
+    jobs (in submission order) and the wall of the timed loop.
+    """
+    latencies = [0.0] * DRIFT_JOBS
+    errors = []
+    gateway = create_gateway(config=_config()).start()
+
+    def client(slot: int, jobs: int):
+        try:
+            for i in range(slot, jobs, DRIFT_CLIENTS):
+                sent = time.perf_counter()
+                record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+                final = _get(gateway.url,
+                             f"/v1/jobs/{record['job_id']}/wait?timeout=120")
+                latencies[i] = time.perf_counter() - sent
+                assert final["status"] == "completed", final
+        except Exception as exc:  # noqa: BLE001 - fail the bench
+            errors.append(exc)
+
+    def settle(slot: int):
+        until = time.perf_counter() + SETTLE_S
+        while time.perf_counter() < until:
+            _get(gateway.url, "/healthz")
+
+    def run_clients(target, *args: int):
+        threads = [threading.Thread(target=target, args=(slot, *args))
+                   for slot in range(DRIFT_CLIENTS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not errors, errors
+
+    try:
+        run_clients(client, 16)  # imports and caches warm
+        run_clients(settle)
+        start = time.perf_counter()
+        run_clients(client, DRIFT_JOBS)  # overwrites the warm-up's latencies
+        wall_s = time.perf_counter() - start
+    finally:
+        gateway.stop()
+    quarter = DRIFT_JOBS // 4
+    return (statistics.median(latencies[:quarter]),
+            statistics.median(latencies[-quarter:]), wall_s)
+
+
 class TestGatewayThroughput:
     def test_http_submit_overhead_has_a_ceiling(self):
         """REST submit+complete vs in-process submit+drain, 32 jobs each."""
@@ -220,6 +285,38 @@ class TestGatewayThroughput:
                 "http_jobs_per_sec_wall": GROUP_JOBS / http_wall,
                 "simulated_jobs_per_sec": metrics["jobs_per_sec"]["simulated"],
                 "bus_events_published": metrics["bus"]["published"],
+            }
+        )
+
+    def test_latency_stays_flat_as_jobs_accumulate(self):
+        """Closed-loop POST+wait jobs: late jobs cost what early ones did."""
+        # Best of up to TRIALS, stopping at the first under the ceiling:
+        # a host hiccup in one quarter passes on a rerun, a cost that
+        # grows with the retained jobs fails every trial.
+        for _ in range(TRIALS):
+            first, last, wall_s = _drift_trial()
+            drift = last / first
+            if drift <= MAX_LATENCY_DRIFT_RATIO:
+                break
+        print_table(
+            f"Gateway: latency drift over {DRIFT_JOBS} closed-loop jobs",
+            [{"clients": DRIFT_CLIENTS, "jobs": DRIFT_JOBS,
+              "first_quarter_p50_ms": round(first * 1e3, 2),
+              "last_quarter_p50_ms": round(last * 1e3, 2),
+              "latency_drift_ratio": round(drift, 3),
+              "jobs_per_sec_wall": round(DRIFT_JOBS / wall_s, 1)}],
+        )
+        print(f"latency drift: {drift:.2f}x (ceiling {MAX_LATENCY_DRIFT_RATIO}x)")
+        assert drift <= MAX_LATENCY_DRIFT_RATIO
+
+        _merge_bench(
+            {
+                "drift_jobs": DRIFT_JOBS,
+                "drift_clients": DRIFT_CLIENTS,
+                "drift_first_quarter_p50_ms": first * 1e3,
+                "drift_last_quarter_p50_ms": last * 1e3,
+                "latency_drift_ratio": drift,
+                "drift_jobs_per_sec_wall": DRIFT_JOBS / wall_s,
             }
         )
 

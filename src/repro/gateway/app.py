@@ -24,7 +24,8 @@ Error mapping is structural, not string-matched: every
 that lands in the JSON error body — :class:`~repro.errors.AdmissionError`
 maps to HTTP 429, any other library error raised while handling a
 request (they are all boundary validation) to HTTP 400, unknown
-job/group ids to 404, and everything unexpected to 500.
+job/group ids to 404, and everything unexpected to 500.  The server
+refuses a body over :data:`MAX_BODY_BYTES` with 413 before reading it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ _DATASET_KEYS = frozenset(
 MAX_GROUP_SIZE = 256
 #: Longest ``/wait`` hold (seconds) one request may ask for.
 MAX_WAIT_S = 300.0
+#: Largest request body (bytes) the server will read; a longer
+#: ``Content-Length`` is answered 413 without reading it.  A full plan
+#: group of ``MAX_GROUP_SIZE`` specs is well under a tenth of this.
+MAX_BODY_BYTES = 1 << 20
 
 
 def spec_from_payload(payload: object) -> TransferSpec:
@@ -205,7 +210,7 @@ class GatewayAPI:
             if method != "GET":
                 return _method_not_allowed(method)
             self.count_request("GET /v1/jobs/{id}/wait")
-            timeout = min(float(_first(query, "timeout") or 30.0), MAX_WAIT_S)
+            timeout = _wait_timeout(_first(query, "timeout"))
             finished = self.driver.wait(job_id, timeout=timeout)
             record = self.driver.record(job_id, full=False)
             record["timed_out"] = not finished
@@ -263,6 +268,20 @@ def _parse_json(body: bytes) -> object:
 def _first(query: Dict[str, List[str]], key: str) -> Optional[str]:
     values = query.get(key)
     return values[0] if values else None
+
+
+def _wait_timeout(raw: Optional[str]) -> float:
+    """Seconds a ``/wait`` may hold; ``ValueError`` (400) unless a number >= 0."""
+    if raw is None:
+        return 30.0
+    try:
+        timeout = float(raw)
+        if not timeout >= 0.0:  # negative or NaN
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"bad timeout {raw!r}: expected seconds as a number >= 0") from None
+    return min(timeout, MAX_WAIT_S)
 
 
 def _method_not_allowed(method: str) -> Response:

@@ -15,12 +15,19 @@ the opposite shape — many request threads arriving at once — so the
   behind it, and when the queue drains the shared simulation clock is
   advanced to the combined makespan exactly like
   ``JobScheduler.drain()`` does;
-* after every step the driver publishes newly-emitted
-  :class:`~repro.service.events.JobEvent` records to the
-  :class:`~repro.gateway.bus.EventBus` (each event exactly once, in
-  feed order) and signals per-job completion events that
-  :meth:`wait` blocks on — HTTP handlers never run scheduler code in
-  a request thread.
+* **one event path**: the driver installs itself as the scheduler's
+  ``on_event`` listener, so every
+  :class:`~repro.service.events.JobEvent` a job emits — ``submitted``
+  included, and whichever job a step, a submit or a cancel touches —
+  is pushed straight to the :class:`~repro.gateway.bus.EventBus`, and
+  a terminal event releases the waiters :meth:`wait` parked.  One
+  emit is one publish, under the driver's lock, so delivery is
+  exactly-once and in feed order by construction; nothing scans the
+  retained jobs to find out what is new.  A step costs what the
+  scheduler charges (O(log live jobs)), a submit O(live jobs), a
+  cancel or a wait O(1) — none depends on how many finished jobs the
+  service retains.  HTTP handlers never run scheduler code in a
+  request thread.
 
 Plan groups (the batch submit endpoint) also live here: *every* spec of
 a group is validated — including the typed admission check — before
@@ -33,6 +40,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -41,8 +49,6 @@ from ..service.events import JobEvent
 from .bus import EventBus
 
 __all__ = ["GatewayDriver", "PlanGroup", "UnknownJobError", "UnknownGroupError"]
-
-_SUMMARY_DROP = ("events", "timeline")
 
 
 class UnknownJobError(KeyError):
@@ -101,9 +107,7 @@ class GatewayDriver:
         self._kick = threading.Event()
         self._stopped = threading.Event()
         self._paused = False
-        #: Per-job count of events already published to the bus.
-        self._published: Dict[str, int] = {}
-        #: Per-job completion signals for :meth:`wait`.
+        #: Completion signals of the jobs somebody is :meth:`wait`-ing on.
         self._done: Dict[str, threading.Event] = {}
         self._groups: Dict[str, PlanGroup] = {}
         self._group_counter = itertools.count(1)
@@ -111,6 +115,7 @@ class GatewayDriver:
         self._clock_dirty = False
         self._started_wall = time.monotonic()
         self._thread: Optional[threading.Thread] = None
+        service.scheduler.on_event = self._on_event
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -126,12 +131,15 @@ class GatewayDriver:
         return self
 
     def stop(self) -> None:
-        """Stop the scheduler thread and close the bus."""
+        """Stop the scheduler thread, detach from the feed, close the bus."""
         self._stopped.set()
         self._kick.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        scheduler = self.service.scheduler
+        if scheduler.on_event == self._on_event:
+            scheduler.on_event = None
         self.bus.close()
 
     @property
@@ -156,9 +164,7 @@ class GatewayDriver:
             with self._lock:
                 if not self._paused:
                     progressed = self.service.scheduler.step()
-                    if progressed:
-                        self._flush()
-                    elif self._clock_dirty:
+                    if not progressed and self._clock_dirty:
                         # Queue drained: sync the shared clock to the
                         # combined makespan, as JobScheduler.drain() does.
                         self.service.testbed.clock.advance_to(
@@ -170,19 +176,15 @@ class GatewayDriver:
                 self._kick.clear()
 
     # ------------------------------------------------------------------ #
-    # Event plumbing (callers hold the lock)
+    # Event plumbing
     # ------------------------------------------------------------------ #
-    def _flush(self) -> None:
-        """Publish newly-emitted events; signal newly-terminal jobs."""
-        for handle in self.service.jobs():
-            feed = handle.events()
-            seen = self._published.get(handle.job_id, 0)
-            if len(feed) > seen:
-                self.bus.publish_all(feed[seen:])
-                self._published[handle.job_id] = len(feed)
-            if handle.status.is_terminal:
-                done = self._done.get(handle.job_id)
-                if done is not None and not done.is_set():
+    def _on_event(self, event: JobEvent) -> None:
+        """The scheduler's listener: publish; release waiters at the end."""
+        with self._lock:
+            self.bus.publish(event)
+            if event.is_terminal:
+                done = self._done.pop(event.job_id, None)
+                if done is not None:
                     done.set()
 
     def _handle(self, job_id: str) -> JobHandle:
@@ -196,11 +198,8 @@ class GatewayDriver:
     def submit(self, spec: TransferSpec) -> Dict[str, object]:
         """Validate + enqueue one spec; returns the job's summary record."""
         with self._lock:
-            handle = self.service.submit(spec)
-            self._done[handle.job_id] = threading.Event()
+            record = self.service.submit(spec).summary()
             self._clock_dirty = True
-            self._flush()
-            record = self._summary(handle)
         self._kick.set()
         return record
 
@@ -232,12 +231,9 @@ class GatewayDriver:
                 submitted_at=self.service.testbed.clock.now,
             )
             for spec in specs:
-                handle = self.service.submit(spec)
-                self._done[handle.job_id] = threading.Event()
-                group.job_ids.append(handle.job_id)
+                group.job_ids.append(self.service.submit(spec).job_id)
             self._groups[group.group_id] = group
             self._clock_dirty = True
-            self._flush()
             record = group.as_dict(self._statuses(group))
         self._kick.set()
         return record
@@ -247,20 +243,13 @@ class GatewayDriver:
         with self._lock:
             handle = self._handle(job_id)
             cancelled = handle.cancel()
-            self._flush()
-            record = self._summary(handle)
+            record = handle.summary()
             record["cancelled"] = cancelled
         return record
 
     # ------------------------------------------------------------------ #
     # Observation
     # ------------------------------------------------------------------ #
-    def _summary(self, handle: JobHandle) -> Dict[str, object]:
-        record = handle.as_dict()
-        for key in _SUMMARY_DROP:
-            record.pop(key, None)
-        return record
-
     def _statuses(self, group: PlanGroup) -> Dict[str, str]:
         return {
             job_id: self.service.job(job_id).status.value
@@ -272,13 +261,13 @@ class GatewayDriver:
         """One job's JSON record (``full`` adds events + timeline)."""
         with self._lock:
             handle = self._handle(job_id)
-            return handle.as_dict() if full else self._summary(handle)
+            return handle.as_dict() if full else handle.summary()
 
     def records(self, tenant: Optional[str] = None) -> List[Dict[str, object]]:
         """Summary records of every retained job, in submission order."""
         with self._lock:
             return [
-                self._summary(handle)
+                handle.summary()
                 for handle in self.service.jobs()
                 if tenant is None or handle.tenant == tenant
             ]
@@ -322,17 +311,15 @@ class GatewayDriver:
         """The ``/metricsz`` snapshot: queues, tenants, throughput, bus."""
         with self._lock:
             scheduler = self.service.scheduler
-            status_counts: Dict[str, int] = {}
-            for handle in self.service.jobs():
-                status = handle.status.value
-                status_counts[status] = status_counts.get(status, 0) + 1
+            handles = self.service.jobs()
+            status_counts = Counter(handle.status.value for handle in handles)
             completed = status_counts.get("completed", 0)
             uptime = max(time.monotonic() - self._started_wall, 1e-9)
             makespan = scheduler.makespan_s
             admission = scheduler.admission_depths()
             return {
                 "uptime_s": round(uptime, 3),
-                "jobs": {"total": len(self.service.jobs()), **status_counts},
+                "jobs": {"total": len(handles), **status_counts},
                 "queue_depths": {
                     "active": status_counts.get("pending", 0)
                     + status_counts.get("running", 0),

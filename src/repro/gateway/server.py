@@ -26,6 +26,7 @@ Streams close after delivering the job's terminal event.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
@@ -34,7 +35,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..core.config import OcelotConfig
 from ..service import OcelotService, TenantQuota
 from ..service.events import JobEvent
-from .app import GatewayAPI, error_response
+from .app import MAX_BODY_BYTES, GatewayAPI, error_response
 from .bus import CLOSED
 from .driver import GatewayDriver, UnknownJobError
 
@@ -49,9 +50,19 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # The stdlib's listen backlog of 5 overflows when a dozen clients
+    # connect at once (an SSE fan-out); each dropped SYN costs its
+    # client the kernel's 1 s retransmit timer.
+    request_queue_size = 128
 
     api: GatewayAPI
     driver: GatewayDriver
+
+    def handle_error(self, request: object, client_address: object) -> None:
+        # A client that went away before its (buffered) response did is
+        # not worth a traceback on stderr; the socket is closed either way.
+        if not isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            super().handle_error(request, client_address)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -59,6 +70,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server: _GatewayHTTPServer
+    # A response leaves in one segment: headers and body share a buffer
+    # that the stdlib handler flushes once per request, and Nagle is off.
+    # Two small writes with Nagle on cost a keep-alive client the peer's
+    # delayed-ACK timer (~40 ms) on every response.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # The stdlib handler logs every request to stderr; a gateway under
     # benchmark load would drown the terminal.
@@ -66,16 +83,18 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # ------------------------------------------------------------------ #
-    def _send_json(self, status: int, payload: Dict[str, object]) -> None:
+    def _send_json(self, status: int, payload: Dict[str, object],
+                   close: bool = False) -> None:
         body = json.dumps(payload, indent=2, default=str).encode("utf-8") + b"\n"
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # The request body was left unread, so the connection cannot
+            # carry another request.
+            self.send_header("Connection", "close")
         self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+        self.wfile.write(body)
 
     def _query(self) -> Tuple[str, Dict[str, List[str]]]:
         parsed = urlsplit(self.path)
@@ -92,7 +111,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler API
         path, query = self._query()
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, {"error": f"bad Content-Length {raw_length!r}",
+                                  "code": "bad_request"}, close=True)
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {
+                "error": f"request body of {length} bytes exceeds the "
+                         f"{MAX_BODY_BYTES}-byte limit",
+                "code": "payload_too_large"}, close=True)
+            return
         body = self.rfile.read(length) if length > 0 else b""
         status, payload = self.server.api.dispatch("POST", path, query, body)
         self._send_json(status, payload)
@@ -133,6 +166,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
             self.close_connection = True
             self.end_headers()
+            self.wfile.flush()  # a quiet live stream still answers at once
             for event in replay:
                 self._write_event(event)
                 last = event.seq

@@ -154,12 +154,9 @@ class OcelotService:
         # one tenant's writes clobber another's between phase steps (and
         # a job decode a different tenant's blobs).  Scope this job's
         # paths when its dataset name collides with a live job's.
-        live_names = {
-            getattr(queued.spec.dataset, "name", None)
-            for queued in self.scheduler.jobs()
-            if not queued.status.is_terminal
-        }
-        if getattr(spec.dataset, "name", None) in live_names:
+        name = getattr(spec.dataset, "name", None)
+        if any(getattr(live.spec.dataset, "name", None) == name
+               for live in self.scheduler.live_jobs()):
             orchestrator.artifact_scope = f"@{job_id}"
         job = TransferJob(
             job_id=job_id,
@@ -170,6 +167,7 @@ class OcelotService:
             tenant=tenant,
             priority=priority,
             priority_class=priority_class(priority),
+            scheduler=self.scheduler,
         )
         # Creating the generator runs nothing: staging starts only when
         # the scheduler first resumes the job.

@@ -97,15 +97,27 @@ class TransferJob:
     #: When admission control admitted the job (equals ``submitted_at``
     #: unless the job sat in the admission queue first).
     admitted_at: Optional[float] = None
+    #: The scheduler whose ``on_event`` listener hears this job's feed.
+    scheduler: Optional["JobScheduler"] = field(default=None, repr=False, compare=False)
 
     def emit(self, kind: str, time_s: float, phase: str = "",
              detail: Optional[Dict[str, object]] = None) -> JobEvent:
-        """Append one event to the job's feed (assigning its ``seq``)."""
+        """Append one event to the job's feed and push it to the listener.
+
+        This is the one event path: the feed assigns ``seq``, and the
+        scheduler's ``on_event`` listener — looked up now, not when the
+        job was created, so a gateway attached later still hears jobs
+        that already exist — receives each event exactly once, in feed
+        order.  Nobody has to scan feeds to find what is new.
+        """
         event = JobEvent(
             time_s=time_s, job_id=self.job_id, kind=kind, phase=phase,
             detail=dict(detail or {}), seq=len(self.events) + 1,
         )
         self.events.append(event)
+        listener = self.scheduler.on_event if self.scheduler is not None else None
+        if listener is not None:
+            listener(event)
         return event
 
     @property
@@ -226,8 +238,8 @@ class JobHandle:
         return self._scheduler.cancel(self._job)
 
     # ------------------------------------------------------------------ #
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly record of the job (for the CLI state file)."""
+    def summary(self) -> Dict[str, object]:
+        """JSON-friendly record of the job without its feed and timeline."""
         record: Dict[str, object] = {
             "job_id": self.job_id,
             "status": self.status.value,
@@ -246,6 +258,12 @@ class JobHandle:
             record["report"] = self._job.report.as_dict()
         if self._job.error is not None:
             record["error"] = str(self._job.error)
+        return record
+
+    def as_dict(self) -> Dict[str, object]:
+        """The full record (the CLI state file's form): :meth:`summary`
+        plus the event feed and the timeline."""
+        record = self.summary()
         record["events"] = [event.as_dict() for event in self._job.events]
         record["timeline"] = [span.as_dict() for span in self._job.timeline]
         return record

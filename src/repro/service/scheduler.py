@@ -45,10 +45,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..core.phases import PhaseStep
 from ..errors import AdmissionError
+from .events import JobEvent
 from .jobs import JobStatus, PhaseSpan, TransferJob
 from .quotas import TenantQuota
 
@@ -140,6 +141,10 @@ class JobScheduler:
         #: Called with each job as it reaches a terminal state (the
         #: service uses this to append to the durable job store).
         self.on_terminal: Optional[Callable[[TransferJob], None]] = None
+        #: Called with every event any job of this scheduler emits, as
+        #: it is emitted (``TransferJob.emit`` reads this hook at emit
+        #: time).  The gateway driver installs its bus publisher here.
+        self.on_event: Optional[Callable[[JobEvent], None]] = None
 
     # ------------------------------------------------------------------ #
     # Resource pools
@@ -326,6 +331,15 @@ class JobScheduler:
     def jobs(self) -> List[TransferJob]:
         """All currently retained jobs, in submission order."""
         return list(self._jobs.values())
+
+    def live_jobs(self) -> Iterator[TransferJob]:
+        """Jobs not yet terminal: admitted ones, then admission-queued.
+
+        Reads the active and admission registries only, so the cost is
+        the number of jobs in flight however many finished jobs the
+        service still retains.
+        """
+        return itertools.chain(self._active.values(), *self._admission.values())
 
     def get(self, job_id: str) -> Optional[TransferJob]:
         """O(1) lookup of a retained job by id."""

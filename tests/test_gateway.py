@@ -14,14 +14,22 @@ contracts:
 * the SSE stream reproduces a job's full ``JobEvent`` timeline (live
   and after the fact) and resumes from ``Last-Event-ID``;
 * the per-job event ``seq`` / ``events(since_seq=...)`` satellite and
-  the CLI's gateway-aware ``jobs --url`` / failed-status exit code.
+  the CLI's gateway-aware ``jobs --url`` / failed-status exit code;
+* push delivery — every emitted event reaches the bus exactly once with
+  no scan of the retained jobs, whichever job a step, submit or cancel
+  touched;
+* keep-alive connections answer without the delayed-ACK stall, and
+  oversized or malformed requests get typed 413/400 bodies.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -31,9 +39,11 @@ from repro.cli import main as cli_main
 from repro.core import OcelotConfig
 from repro.datasets import generate_application
 from repro.errors import AdmissionError, ConfigurationError, OrchestrationError
-from repro.gateway import EventBus, create_gateway, spec_from_payload
-from repro.service import OcelotService, TenantQuota, TransferSpec
+from repro.gateway import EventBus, GatewayDriver, create_gateway, spec_from_payload
+from repro.gateway.app import MAX_BODY_BYTES
+from repro.service import JobHandle, OcelotService, TenantQuota, TransferSpec
 from repro.service.events import JobEvent
+from repro.service.scheduler import JobScheduler
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -239,6 +249,262 @@ class TestRestJobControl:
         assert "in_flight" in metrics["tenants"]
         assert metrics["bus"]["published"] > 0
         assert metrics["http"]["requests"]["POST /v1/jobs"] == 1
+
+
+def _drain(subscription) -> list:
+    """Everything a bus subscription has received so far."""
+    events = []
+    while (item := subscription.get(timeout=0.05)) is not None:
+        events.append(item)
+    return events
+
+
+class TestPushDelivery:
+    """Events reach the bus from ``TransferJob.emit``, not from a scan."""
+
+    def test_step_and_submit_never_visit_retained_jobs(self, monkeypatch):
+        service = OcelotService(_config())
+        dataset = generate_application(**RECIPE)
+        spec = TransferSpec(dataset=dataset, source="anvil", destination="cori")
+        for _ in range(500):
+            service.submit(spec).cancel()
+        assert len(service.jobs()) == 500
+        assert list(service.scheduler.live_jobs()) == []
+
+        calls = {"service.jobs": 0, "scheduler.jobs": 0, "handle.events": 0}
+
+        def spy(owner, attr, key):
+            real = getattr(owner, attr)
+
+            def counted(self, *args, **kwargs):
+                calls[key] += 1
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        spy(OcelotService, "jobs", "service.jobs")
+        spy(JobScheduler, "jobs", "scheduler.jobs")
+        spy(JobHandle, "events", "handle.events")
+
+        driver = GatewayDriver(service)
+        heard = driver.bus.subscribe()
+        try:
+            first = driver.submit(spec)["job_id"]
+            second = driver.submit(spec)["job_id"]
+            assert driver.cancel(second)["cancelled"] is True
+            driver.start()
+            assert driver.wait(first, timeout=60) is True
+            assert driver.record(first)["status"] == "completed"
+        finally:
+            driver.stop()
+        assert calls == {"service.jobs": 0, "scheduler.jobs": 0, "handle.events": 0}
+        # ... and nothing was missed for lack of the scan.
+        feeds = {job_id: service.job(job_id).events() for job_id in (first, second)}
+        events = [item for item in _drain(heard) if isinstance(item, JobEvent)]
+        for job_id, feed in feeds.items():
+            assert [e for e in events if e.job_id == job_id] == feed
+        assert len(events) == sum(len(feed) for feed in feeds.values())
+
+    def test_seq_contiguous_exactly_once_under_concurrent_submitters(self, gateway):
+        heard = gateway.bus.subscribe(maxsize=100_000)
+        job_ids, errors = [], []
+
+        def submitter():
+            try:
+                for _ in range(6):
+                    _, record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+                    job_ids.append(record["job_id"])
+                    _get(gateway.url,
+                         f"/v1/jobs/{record['job_id']}/wait?timeout=120", 130.0)
+            except Exception as exc:  # noqa: BLE001 - surfaced by the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=submitter) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        _, doomed = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+        _post(gateway.url, f"/v1/jobs/{doomed['job_id']}/cancel")
+        for thread in threads:
+            thread.join(timeout=180)
+        assert not errors and not any(t.is_alive() for t in threads)
+        _get(gateway.url, f"/v1/jobs/{doomed['job_id']}/wait?timeout=60")
+        job_ids.append(doomed["job_id"])
+        assert len(job_ids) == 13
+
+        events = _drain(heard)
+        for job_id in job_ids:
+            feed = gateway.driver.events_since(job_id)
+            mine = [event for event in events if event.job_id == job_id]
+            assert [event.seq for event in mine] == list(range(1, len(feed) + 1))
+            assert mine == feed and mine[-1].is_terminal
+        assert len(events) == sum(
+            len(gateway.driver.events_since(job_id)) for job_id in job_ids)
+        assert heard.dropped == 0
+
+    def test_metricsz_published_equals_sum_of_feed_lengths(self, gateway):
+        job_ids = []
+        for _ in range(3):
+            _, record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+            job_ids.append(record["job_id"])
+        _post(gateway.url, f"/v1/jobs/{job_ids[-1]}/cancel")
+        feed_lengths = 0
+        for job_id in job_ids:
+            _get(gateway.url, f"/v1/jobs/{job_id}/wait?timeout=60")
+            _, full = _get(gateway.url, f"/v1/jobs/{job_id}")
+            feed_lengths += len(full["events"])
+        _, metrics = _get(gateway.url, "/metricsz")
+        assert metrics["bus"]["published"] == feed_lengths
+        assert metrics["bus"]["dropped"] == 0
+
+    def test_admission_events_of_other_jobs_reach_bus_and_release_wait(self):
+        gw = create_gateway(
+            config=_config(), quotas={"small": TenantQuota(max_in_flight=1)},
+        ).start()
+        try:
+            gw.driver.pause()
+            spec = {**SPEC_JSON, "tenant": "small"}
+            _, running = _post(gw.url, "/v1/jobs", spec)
+            _, parked = _post(gw.url, "/v1/jobs", spec)
+            _, doomed = _post(gw.url, "/v1/jobs", spec)
+            assert parked["status"] == doomed["status"] == "queued_admission"
+            heard = {record["job_id"]: gw.bus.subscribe(record["job_id"])
+                     for record in (parked, doomed)}
+
+            # A cancel of a job that never left the admission queue
+            # releases a waiter parked on it, with the driver idle.
+            released = []
+            waiter = threading.Thread(target=lambda: released.append(_get(
+                gw.url, f"/v1/jobs/{doomed['job_id']}/wait?timeout=60", 70.0)))
+            waiter.start()
+            time.sleep(0.1)  # let the waiter park
+            _post(gw.url, f"/v1/jobs/{doomed['job_id']}/cancel")
+            waiter.join(timeout=30)
+            assert not waiter.is_alive()
+            assert released[0][0] == 200 and released[0][1]["status"] == "cancelled"
+            assert [e.kind for e in _drain(heard[doomed["job_id"]])] == ["cancelled"]
+
+            # `admitted` lands on the parked job inside the step that
+            # completes the running one; it and what follows reach the bus.
+            gw.driver.resume()
+            status, final = _get(
+                gw.url, f"/v1/jobs/{parked['job_id']}/wait?timeout=60", 70.0)
+            assert status == 200 and final["status"] == "completed"
+            _get(gw.url, f"/v1/jobs/{running['job_id']}/wait?timeout=60")
+            feed = gw.driver.events_since(parked["job_id"])
+            assert [e.kind for e in feed[:3]] == [
+                "submitted", "queued_admission", "admitted"]
+            assert _drain(heard[parked["job_id"]]) == feed[2:]
+        finally:
+            gw.stop()
+
+    def test_job_submitted_before_the_gateway_attached(self):
+        service = OcelotService(_config())
+        handle = service.submit(spec_from_payload(SPEC_JSON))
+        gw = create_gateway(service=service)
+        heard = gw.bus.subscribe(handle.job_id)
+        gw.start()
+        try:
+            status, final = _get(
+                gw.url, f"/v1/jobs/{handle.job_id}/wait?timeout=60", 70.0)
+            assert status == 200 and final["status"] == "completed"
+            feed = handle.events()
+            # `submitted` predates the listener: it is history, which the
+            # SSE stream replays from the feed; the rest was pushed live.
+            assert _drain(heard) == feed[1:]
+            frames = _sse(gw.url, f"/v1/jobs/{handle.job_id}/events")
+            assert [int(frame["id"]) for frame in frames] == [e.seq for e in feed]
+        finally:
+            gw.stop()
+        # A stopped gateway no longer listens to the service it wrapped.
+        assert service.scheduler.on_event is None
+
+
+class TestConnectionHandling:
+    def test_keep_alive_round_trips_do_not_stall(self, gateway):
+        """POST+wait over one reused connection: no delayed-ACK wait."""
+        connection = http.client.HTTPConnection(gateway.host, gateway.port, timeout=60)
+        body = json.dumps(SPEC_JSON)
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("POST", "/v1/jobs", body=body,
+                                   headers={"Content-Type": "application/json"})
+                record = json.load(connection.getresponse())
+                connection.request(
+                    "GET", f"/v1/jobs/{record['job_id']}/wait?timeout=60")
+                response = connection.getresponse()
+                final = json.load(response)
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200 and final["status"] == "completed"
+        finally:
+            connection.close()
+        # Two responses per job: one 40 ms delayed-ACK timer on either
+        # would already put the median over the line.
+        assert statistics.median(latencies) < 0.040
+
+    def test_simultaneous_connects_do_not_wait_out_a_syn_retransmit(self, gateway):
+        """48 clients connecting at once all fit the listen backlog."""
+        clients = 48
+        barrier = threading.Barrier(clients)
+        walls, errors = [], []
+
+        def connect():
+            try:
+                barrier.wait(timeout=30)
+                start = time.perf_counter()
+                status, _ = _get(gateway.url, "/healthz")
+                walls.append(time.perf_counter() - start)
+                assert status == 200
+            except Exception as exc:  # noqa: BLE001 - surfaced by the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=connect) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors and len(walls) == clients
+        # A SYN dropped by a full backlog is retransmitted after 1 s.
+        assert max(walls) < 0.9
+
+    def _raw_post(self, gateway, content_length: str, body: bytes = b""):
+        connection = http.client.HTTPConnection(gateway.host, gateway.port, timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", content_length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return response.status, response.getheader("Connection"), json.load(response)
+        finally:
+            connection.close()
+
+    def test_oversized_body_is_413_without_reading_it(self, gateway):
+        # Only the headers are sent: a server that tried to read the
+        # declared body would block until the client's timeout.
+        status, connection, payload = self._raw_post(gateway, str(MAX_BODY_BYTES + 1))
+        assert status == 413 and payload["code"] == "payload_too_large"
+        assert connection == "close"
+        status, _, _ = self._raw_post(
+            gateway, str(len(json.dumps(SPEC_JSON))), json.dumps(SPEC_JSON).encode())
+        assert status == 201  # the limit is on size, not on POSTs
+
+    @pytest.mark.parametrize("content_length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, gateway, content_length):
+        status, connection, payload = self._raw_post(gateway, content_length)
+        assert status == 400 and payload["code"] == "bad_request"
+        assert connection == "close"
+
+    @pytest.mark.parametrize("timeout", ["abc", "nan", "-1"])
+    def test_bad_wait_timeout_is_400(self, gateway, timeout):
+        _, record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+        payload = _expect_error(
+            lambda: _get(gateway.url,
+                         f"/v1/jobs/{record['job_id']}/wait?timeout={timeout}"),
+            code="bad_request", status=400,
+        )
+        assert "timeout" in payload["error"]
 
 
 class TestErrorMapping:
