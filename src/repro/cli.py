@@ -62,9 +62,10 @@ def _add_block_arguments(sub: argparse.ArgumentParser) -> None:
                           "elements (64^3 yes, 32^3 no), smaller blocks run "
                           "inline because GIL hand-offs outweigh the overlap")
     sub.add_argument("--worker-backend", default="thread", choices=["thread", "process"],
-                     help="how block workers run: GIL-sharing threads (default) "
-                          "or worker processes fed via shared memory; process "
-                          "mode falls back to threads when no pool can start")
+                     help="how block encode workers run: GIL-sharing threads "
+                          "(default) or worker processes forked per compress "
+                          "call; process needs the fork start method and has "
+                          "no fallback (an error without it)")
     sub.add_argument("--adaptive-predictor", action="store_true",
                      help="per-block SZ3-style predictor selection "
                           "(Lorenzo vs. interpolation, keep the smaller); "
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(predict+quantize / entropy / lossless), print "
                                "them, and stamp them into the blob metadata so "
                                "'ocelot inspect' can report them later "
-                               "(forces the thread worker backend)")
+                               "(the block encode then runs inline)")
     compress.add_argument("--output", default=None, metavar="PATH",
                           help="also write the serialized blob to PATH "
                                "(inspect it with 'ocelot inspect')")

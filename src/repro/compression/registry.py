@@ -61,7 +61,6 @@ def create_blocked_compressor(
     block_cache=None,
     block_cache_tag: str = "",
     entropy_stage: Optional[str] = None,
-    adaptive_entropy: Optional[bool] = None,
     **kwargs,
 ) -> Compressor:
     """Instantiate a compressor and wire up blocked-mode execution.
@@ -75,8 +74,8 @@ def create_blocked_compressor(
     ``shared_codebook`` toggles the per-file entropy codebook (``None``
     keeps the pipeline's default of sharing).  ``entropy_stage``
     overrides the pipeline's configured entropy codec (``huffman`` /
-    ``rans`` / ``none``) and ``adaptive_entropy`` toggles per-block codec
-    selection (``None`` lets it follow adaptive predictor selection).
+    ``rans`` / ``none``); per-block codec selection follows
+    ``adaptive_predictor`` wherever blocks carry their own entropy model.
     ``block_cache`` (a :class:`~repro.cache.BlobCache`) lets blocked
     compression reuse identical self-contained block payloads across
     files, jobs and tenants, with ``block_cache_tag`` folded into the
@@ -97,7 +96,6 @@ def create_blocked_compressor(
             shared_codebook=shared_codebook,
             block_cache=block_cache,
             block_cache_tag=block_cache_tag,
-            adaptive_entropy=adaptive_entropy,
         )
         if block_shape:
             compressor.configure_blocks(

@@ -9,11 +9,10 @@ separately as ``sz-lorenzo`` and is used by the Lorenzo-variant ablation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from ..blocking import BlockShapeLike
 from ..predictors.regression import RegressionPredictor
-from .pipeline import BlockMapper, PipelineConfig, PredictionPipelineCompressor
+from .pipeline import PipelineConfig, PredictionPipelineCompressor
 
 __all__ = ["SZ2Compressor"]
 
@@ -21,9 +20,9 @@ __all__ = ["SZ2Compressor"]
 class SZ2Compressor(PredictionPipelineCompressor):
     """Block-regression prediction pipeline (SZ2-style).
 
-    ``block_size`` is the regression predictor's fit window;
-    ``block_shape`` (when set) is the coarser chunk grid the pipeline
-    encodes independently and in parallel.
+    ``block_size`` is the regression predictor's fit window; the
+    ``block_shape`` block option (when set) is the coarser chunk grid the
+    pipeline encodes independently and in parallel.
     """
 
     name = "sz2"
@@ -32,15 +31,10 @@ class SZ2Compressor(PredictionPipelineCompressor):
         self,
         block_size: int = 8,
         config: Optional[PipelineConfig] = None,
-        block_shape: Optional[BlockShapeLike] = None,
-        adaptive_predictor: bool = False,
-        block_executor: Optional[BlockMapper] = None,
+        **block_options: Any,
     ) -> None:
         super().__init__(
             predictor=RegressionPredictor(block_size=block_size),
             config=config,
-            name=self.name,
-            block_shape=block_shape,
-            adaptive_predictor=adaptive_predictor,
-            block_executor=block_executor,
+            **block_options,
         )

@@ -8,12 +8,11 @@ ablations and as the feature-extraction reference.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from ..blocking import BlockShapeLike
 from ..predictors.interpolation import InterpolationPredictor
 from ..predictors.lorenzo import LorenzoPredictor
-from .pipeline import BlockMapper, PipelineConfig, PredictionPipelineCompressor
+from .pipeline import PipelineConfig, PredictionPipelineCompressor
 
 __all__ = ["SZ3Compressor", "SZ3LorenzoCompressor"]
 
@@ -27,17 +26,13 @@ class SZ3Compressor(PredictionPipelineCompressor):
         self,
         order: str = "cubic",
         config: Optional[PipelineConfig] = None,
-        block_shape: Optional[BlockShapeLike] = None,
-        adaptive_predictor: bool = False,
-        block_executor: Optional[BlockMapper] = None,
+        **block_options: Any,
     ) -> None:
         super().__init__(
             predictor=InterpolationPredictor(order=order),
             config=config,
             name=self.name if order == "cubic" else f"sz3-{order}",
-            block_shape=block_shape,
-            adaptive_predictor=adaptive_predictor,
-            block_executor=block_executor,
+            **block_options,
         )
 
 
@@ -46,18 +41,5 @@ class SZ3LorenzoCompressor(PredictionPipelineCompressor):
 
     name = "sz-lorenzo"
 
-    def __init__(
-        self,
-        config: Optional[PipelineConfig] = None,
-        block_shape: Optional[BlockShapeLike] = None,
-        adaptive_predictor: bool = False,
-        block_executor: Optional[BlockMapper] = None,
-    ) -> None:
-        super().__init__(
-            predictor=LorenzoPredictor(),
-            config=config,
-            name=self.name,
-            block_shape=block_shape,
-            adaptive_predictor=adaptive_predictor,
-            block_executor=block_executor,
-        )
+    def __init__(self, config: Optional[PipelineConfig] = None, **block_options: Any) -> None:
+        super().__init__(predictor=LorenzoPredictor(), config=config, **block_options)

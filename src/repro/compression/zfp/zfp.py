@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from ..blocking import BlockShapeLike
-from ..sz.pipeline import BlockMapper, PipelineConfig, PredictionPipelineCompressor
+from ..sz.pipeline import PipelineConfig, PredictionPipelineCompressor
 from .transform import BlockTransformPredictor
 
 __all__ = ["ZFPLikeCompressor"]
@@ -14,8 +13,9 @@ __all__ = ["ZFPLikeCompressor"]
 class ZFPLikeCompressor(PredictionPipelineCompressor):
     """Transform-based baseline compressor (ZFP-like, fixed-accuracy mode).
 
-    ``block_size`` is the DCT transform block; ``block_shape`` (when set)
-    is the coarser chunk grid encoded independently and in parallel.
+    ``block_size`` is the DCT transform block; the ``block_shape`` block
+    option (when set) is the coarser chunk grid encoded independently and
+    in parallel.
     """
 
     name = "zfp-like"
@@ -24,15 +24,10 @@ class ZFPLikeCompressor(PredictionPipelineCompressor):
         self,
         block_size: int = 4,
         config: Optional[PipelineConfig] = None,
-        block_shape: Optional[BlockShapeLike] = None,
-        adaptive_predictor: bool = False,
-        block_executor: Optional[BlockMapper] = None,
+        **block_options: Any,
     ) -> None:
         super().__init__(
             predictor=BlockTransformPredictor(block_size=block_size),
             config=config,
-            name=self.name,
-            block_shape=block_shape,
-            adaptive_predictor=adaptive_predictor,
-            block_executor=block_executor,
+            **block_options,
         )

@@ -78,11 +78,15 @@ class OcelotConfig:
             ``PredictionPipelineCompressor.describe()["block_fanout"]``
             says which applies (for an integer ``block_size``, from which
             data rank on the blocks reach the pool).
-        worker_backend: how block workers run — ``thread`` (default)
-            shares the GIL but starts instantly; ``process`` fans blocks
-            out over worker processes (input shipped via shared memory)
-            so the pure-Python parts of the encode path scale past the
-            GIL, falling back to threads when a pool cannot start.
+        worker_backend: how block *encode* workers run — ``thread``
+            (default) shares the GIL; ``process`` forks worker processes
+            per compress call (they inherit the input copy-on-write and
+            take blocks of any size).  ``process`` needs the ``fork``
+            start method and has no fallback: without it the executor
+            raises ``ConfigurationError``.  Measured at 0.6-0.9x inline
+            with the default shared codebook; it wins only with
+            per-block codebooks (ROADMAP, "One block path").  Decode
+            always uses threads.
         adaptive_predictor: per-block SZ3-style predictor selection (try
             Lorenzo vs. interpolation per block, keep the smaller).
         entropy_stage: entropy codec override for pipeline compressors —

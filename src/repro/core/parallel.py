@@ -21,70 +21,36 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigurationError
-from ..utils.logging import get_logger
 
 __all__ = [
     "ParallelCostModel",
     "MakespanEstimate",
     "ParallelExecutor",
-    "BlockProcessPool",
     "VALID_WORKER_BACKENDS",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: How per-block work is dispatched.  ``thread`` keeps the classic GIL-
-#: sharing pool (the hot kernels release the GIL); ``process`` fans
-#: blocks out over worker *processes* so the remaining pure-Python parts
-#: of the encode path scale past the GIL too.
+#: How per-block *encode* work is dispatched.  ``thread`` shares the GIL
+#: (the hot kernels release it); ``process`` forks worker processes per
+#: compress call (:meth:`ParallelExecutor.forked_map`), so it needs the
+#: ``fork`` start method and there is no fallback to threads.
 VALID_WORKER_BACKENDS: Tuple[str, ...] = ("thread", "process")
 
-#: Per-worker payload installed by the pool initializer.  Module level so
-#: each mapped task only ships its (small) item over the pipe — the
-#: payload (array descriptor, codec configuration, …) crosses the
-#: process boundary exactly once per worker.
-_WORKER_PAYLOAD: Any = None
+#: ``(func, items)`` of the forked map this *worker* process serves;
+#: written only inside workers, by their pool initializer.
+_FORKED_CALL: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
 
 
-def _store_worker_payload(payload: Any) -> None:
-    global _WORKER_PAYLOAD
-    _WORKER_PAYLOAD = payload
+def _serve_forked_call(func: Callable[[Any], Any], items: Sequence[Any]) -> None:
+    global _FORKED_CALL
+    _FORKED_CALL = (func, items)
 
 
-def _invoke_worker(task: Tuple[Callable[[Any, Any], Any], Any]) -> Any:
-    worker, item = task
-    return worker(_WORKER_PAYLOAD, item)
-
-
-def _probe_worker(_payload: Any, _item: Any) -> bool:
-    return True
-
-
-class BlockProcessPool:
-    """A process pool primed with a per-worker payload.
-
-    :meth:`map` dispatches ``worker(payload, item)`` over the pool and
-    returns results in item order (``ProcessPoolExecutor.map`` preserves
-    ordering, which blob assembly relies on).  ``worker`` must be a
-    module-level function so it pickles by reference.
-    """
-
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self._pool = pool
-
-    def map(self, worker: Callable[[Any, T], R], items: Sequence[T]) -> List[R]:
-        return list(self._pool.map(_invoke_worker, [(worker, item) for item in items]))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "BlockProcessPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self.close()
-        return False
+def _run_forked_item(index: int) -> Any:
+    func, items = _FORKED_CALL
+    return func(items[index])
 
 
 @dataclass
@@ -173,6 +139,11 @@ class ParallelExecutor:
                 f"worker_backend must be one of {VALID_WORKER_BACKENDS}, "
                 f"got {worker_backend!r}"
             )
+        if worker_backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigurationError(
+                "worker_backend='process' needs the fork start method, which "
+                "this platform does not offer; use worker_backend='thread'"
+            )
         self.cost_model = cost_model or ParallelCostModel()
         self.local_workers = local_workers
         self.block_workers = block_workers
@@ -191,17 +162,11 @@ class ParallelExecutor:
     def map_blocks(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Apply per-block work concurrently on the block thread pool.
 
-        This is the fan-out the blocked compression pipelines dispatch
-        through: the hot kernels (NumPy ufuncs, deflate) release the GIL,
-        so blocks of one file genuinely overlap on multicore hosts.
-        Results are returned in item order.
-
-        Always thread-based — ``func`` may be an arbitrary closure, which
-        cannot cross a process boundary.  A process-backed executor
-        additionally offers :meth:`open_block_pool`, and callers that can
-        express their work as module-level functions (the prediction
-        pipelines) use it; everything else, decompression included, keeps
-        working through this method unchanged.
+        The hot kernels (NumPy ufuncs, deflate) release the GIL, so blocks
+        of one file genuinely overlap on multicore hosts.  Results are
+        returned in item order.  Always threads, whatever the backend:
+        ``func`` may write shared state (blocked decode fills one output
+        array), which only threads can see.
         """
         if self.block_workers == 1 or len(items) <= 1:
             return [func(item) for item in items]
@@ -209,57 +174,27 @@ class ParallelExecutor:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, items))
 
-    def open_block_pool(self, payload: Any) -> Optional[BlockProcessPool]:
-        """Start a process pool primed with ``payload`` (process mode only).
+    def forked_map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        """:meth:`map_blocks` over worker processes forked for this one call.
 
-        Returns ``None`` — and the caller falls back to the thread path —
-        when the executor is not in process mode, there is no block
-        parallelism to exploit, or the host cannot start worker processes
-        at all (fork disabled, ``/dev/shm`` missing, …).  Unlike
-        :meth:`map_blocks`, the mapped worker must be a *module-level*
-        function: closures don't cross process boundaries, which is why
-        the pipelines ship an explicit payload instead of capturing state.
-
-        A probe task runs eagerly because ``ProcessPoolExecutor`` spawns
-        workers lazily; "the pool cannot start" should surface here, where
-        falling back is cheap, not halfway through a compression.
+        The workers are forked once ``func`` and ``items`` exist and
+        inherit both copy-on-write, so ``func`` may be any closure and
+        nothing is pickled on the way in: only item indices are sent, and
+        one pickled result per item comes back, in item order.  ``func``
+        must therefore *return* its result — whatever it writes dies with
+        its worker.  An exception ``func`` raises is re-raised here.
         """
-        if self.worker_backend != "process" or self.block_workers < 2:
-            return None
-        log = get_logger(__name__)
-        try:
-            # Fork start-up is ~100x cheaper than spawn and inherits the
-            # payload without pickling; use it wherever the platform offers it.
-            if "fork" in multiprocessing.get_all_start_methods():
-                ctx = multiprocessing.get_context("fork")
-            else:
-                ctx = multiprocessing.get_context()
-            pool = ProcessPoolExecutor(
-                max_workers=self.block_workers,
-                mp_context=ctx,
-                initializer=_store_worker_payload,
-                initargs=(payload,),
-            )
-        except (OSError, ValueError, ImportError) as exc:
-            log.warning(
-                "cannot create a worker process pool (%s: %s); "
-                "falling back to threads",
-                type(exc).__name__,
-                exc,
-            )
-            return None
-        try:
-            pool.submit(_invoke_worker, (_probe_worker, None)).result()
-        except BaseException as exc:
-            pool.shutdown(wait=False)
-            log.warning(
-                "worker process pool failed its probe task (%s: %s); "
-                "falling back to threads",
-                type(exc).__name__,
-                exc,
-            )
-            return None
-        return BlockProcessPool(pool)
+        if self.block_workers == 1 or len(items) <= 1:
+            return [func(item) for item in items]
+        workers = min(self.block_workers, len(items))
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_serve_forked_call,
+            initargs=(func, items),
+        ) as pool:
+            chunk = max(1, len(items) // (4 * workers))
+            return list(pool.map(_run_forked_item, range(len(items)), chunksize=chunk))
 
     # ------------------------------------------------------------------ #
     # Cluster makespan models

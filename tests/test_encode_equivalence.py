@@ -1,6 +1,6 @@
 """Equivalence tests for the vectorised encode path.
 
-The vectorised LZ77 matcher and the process-pool block workers are pure
+The vectorised LZ77 matcher and the forked block workers are pure
 performance work: neither is allowed to change what comes out the other
 end.  These tests pin that contract —
 
@@ -9,12 +9,15 @@ end.  These tests pin that contract —
   both must decode back to the exact input bytes;
 * window-boundary matches must respect ``window_size`` (the regression
   for the stale-``window_start`` pruning bug);
-* process-pool blocked compression must produce blobs *byte-identical*
-  to thread-pool blocked compression, in every codebook mode.
+* blocked compression on forked worker processes must produce blobs
+  *byte-identical* to thread-pool blocked compression, in every codebook
+  mode — both run the same closures, which these tests hold them to.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -168,48 +171,15 @@ class TestProcessPoolEquivalence:
         with pytest.raises(ConfigurationError):
             ParallelExecutor(worker_backend="greenlet")
 
-    def test_thread_backend_opens_no_pool(self):
-        executor = ParallelExecutor(block_workers=4, worker_backend="thread")
-        assert executor.open_block_pool({"x": 1}) is None
-
-    def test_single_worker_opens_no_pool(self):
-        executor = ParallelExecutor(block_workers=1, worker_backend="process")
-        assert executor.open_block_pool({"x": 1}) is None
-
-    def test_process_pool_maps_in_item_order(self):
-        executor = ParallelExecutor(block_workers=2, worker_backend="process")
-        pool = executor.open_block_pool({"base": 100})
-        if pool is None:
-            pytest.skip("host cannot start worker processes")
-        with pool:
-            out = pool.map(_offset_item, list(range(16)))
-        assert out == [100 + i for i in range(16)]
-
-    def test_pipeline_falls_back_when_pool_cannot_start(self, monkeypatch):
-        """A process-backed executor whose pool cannot start must fall
-        back to the thread path and still produce the canonical blob."""
-        expected = _compress_blob_bytes("thread", shared=True)
-        monkeypatch.setattr(
-            ParallelExecutor, "open_block_pool", lambda self, payload: None
-        )
-        assert _compress_blob_bytes("process", shared=True) == expected
-
     def test_process_backend_reaches_the_pool_below_the_thread_grain(self, monkeypatch):
         """16^2 blocks are far below the grain that keeps *threads* idle;
         the explicit process backend must still be handed them."""
-        opened = []
-        real = ParallelExecutor.open_block_pool
-
-        def spy(self, payload):
-            opened.append(payload["block_shape"])
-            return real(self, payload)
-
-        monkeypatch.setattr(ParallelExecutor, "open_block_pool", spy)
+        forked = _spy_on_forked_map(monkeypatch)
         grain = sz_pipeline._POOL_GRAIN_ELEMENTS
         assert grain > 16 * 16
         _compress_blob_bytes("process", shared=True, pool_grain=grain)
         _compress_blob_bytes("thread", shared=True, pool_grain=grain)
-        assert opened == [16]
+        assert forked == [9, 9]  # choose + finish of the process blob only
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
     def test_thread_side_of_these_comparisons_crosses_threads(self, monkeypatch, adaptive):
@@ -244,8 +214,136 @@ class TestProcessPoolEquivalence:
         assert timed.to_bytes() == baseline.to_bytes()
 
 
-def _offset_item(payload, item):
-    return payload["base"] + item
+def _spy_on_forked_map(monkeypatch) -> list:
+    """Record the item count of every ``ParallelExecutor.forked_map`` call."""
+    calls = []
+    real = ParallelExecutor.forked_map
+
+    def spy(self, func, items):
+        calls.append(len(items))
+        return real(self, func, items)
+
+    monkeypatch.setattr(ParallelExecutor, "forked_map", spy)
+    return calls
+
+
+class _BrokenPolicy:
+    """A block policy whose model always fails."""
+
+    chooses_entropy = True
+
+    def choose_for_block(self, block, error_bound_abs, compressor=None):
+        raise ValueError("feature mismatch")
+
+    choose_entropy_for_block = choose_for_block
+
+
+class TestForkedMapContract:
+    """``worker_backend="process"`` is the executor's forked map and nothing else."""
+
+    def test_item_order_kept_and_closures_cross_the_fork(self):
+        executor = ParallelExecutor(block_workers=2, worker_backend="process")
+        base = 100
+        pids = set()
+
+        def work(item):
+            pids.add(os.getpid())  # dies with the worker
+            return base + item, os.getpid()
+
+        out = executor.forked_map(work, list(range(16)))
+        assert [value for value, _ in out] == [100 + i for i in range(16)]
+        assert os.getpid() not in {pid for _, pid in out}
+        assert not pids
+
+    def test_worker_exceptions_are_raised_in_the_parent(self):
+        executor = ParallelExecutor(block_workers=2, worker_backend="process")
+        with pytest.raises(ZeroDivisionError):
+            executor.forked_map(lambda item: 1 // item, [1, 0, 2])
+
+    def test_no_fork_start_method_is_a_configuration_error(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(ConfigurationError, match="fork"):
+            ParallelExecutor(block_workers=2, worker_backend="process")
+        ParallelExecutor(block_workers=2, worker_backend="thread")  # unaffected
+
+    def test_block_policy_runs_in_worker_processes(self, monkeypatch):
+        """A learned policy no longer drops the process backend to threads."""
+        from repro.prediction.block_policy import train_block_policy
+
+        rng = np.random.default_rng(5)
+        smooth = np.add.outer(
+            np.sin(np.linspace(0, 6, 48)), np.cos(np.linspace(0, 4, 48))
+        ).astype(np.float64)
+        noisy = (smooth + rng.normal(0, 0.3, smooth.shape)).astype(np.float64)
+        policy, _ = train_block_policy(
+            [smooth, noisy], 1e-3, compressor="sz3", block_shape=16
+        )
+        forked = _spy_on_forked_map(monkeypatch)
+        blob = _compress_blob_bytes(
+            "process", shared=False, adaptive=True, block_policy=policy
+        )
+        assert forked == [9]
+        assert blob == _compress_blob_bytes(
+            "thread", shared=False, adaptive=True, block_policy=policy
+        )
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
+    def test_failing_policy_still_yields_the_thread_blob(self, shared):
+        expected = _compress_blob_bytes("thread", shared, adaptive=True)
+        for backend in ("thread", "process"):
+            assert expected == _compress_blob_bytes(
+                backend, shared, adaptive=True, block_policy=_BrokenPolicy()
+            )
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_stage_timings_run_the_encode_inline(self, monkeypatch, backend):
+        forked = _spy_on_forked_map(monkeypatch)
+        threaded = []
+        real = ParallelExecutor.map_blocks
+        monkeypatch.setattr(
+            ParallelExecutor,
+            "map_blocks",
+            lambda self, func, items: threaded.append(len(items)) or real(self, func, items),
+        )
+        rng = np.random.default_rng(7)
+        data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
+        executor = ParallelExecutor(block_workers=2, worker_backend=backend)
+        compressor = create_blocked_compressor(
+            "sz3", block_shape=16, block_executor=executor.map_blocks
+        )
+        compressor.collect_stage_timings = True
+        with _pool_grain():
+            blob = compressor.compress(data, ErrorBound.relative(1e-3)).blob
+        assert forked == [] and threaded == []
+        assert compressor.last_stage_timings["entropy_s"] > 0
+        blob.metadata.pop("stage_timings")
+        assert blob.to_bytes() == _compress_blob_bytes(backend, shared=True)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_block_store_is_read_and_written_in_the_parent(self, tmp_path, backend):
+        """Hits and puts show up in this process's counters, so they
+        happened here — a worker's would have died with it."""
+        from repro.cache import BlobCache
+
+        cache = BlobCache(str(tmp_path))
+        rng = np.random.default_rng(7)
+        data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
+        executor = ParallelExecutor(block_workers=2, worker_backend=backend)
+        compressor = create_blocked_compressor(
+            "sz3",
+            block_shape=16,
+            block_executor=executor.map_blocks,
+            shared_codebook=False,
+            block_cache=cache,
+        )
+        with _pool_grain():
+            cold = compressor.compress(data, ErrorBound.relative(1e-3)).blob.to_bytes()
+            assert (cache.stats.block_misses, cache.stats.puts) == (9, 9)
+            warm = compressor.compress(data, ErrorBound.relative(1e-3)).blob.to_bytes()
+        assert (cache.stats.block_hits, cache.stats.puts) == (9, 9)
+        assert warm == cold == _compress_blob_bytes(backend, shared=False)
 
 
 class TestEntropyStageEquivalence:
