@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -112,6 +112,37 @@ def _cache_config_kwargs(args: argparse.Namespace) -> dict:
         "cache_mode": mode,
         "cache_max_bytes": args.cache_max_bytes,
     }
+
+
+def _add_service_arguments(sub: argparse.ArgumentParser) -> None:
+    """The per-job configuration ``submit`` and ``serve`` both build."""
+    sub.add_argument("--compressor", default="sz3-fast", choices=available_compressors())
+    sub.add_argument("--error-bound", type=float, default=1e-3)
+    sub.add_argument("--size-scale", type=float, default=1.0)
+    sub.add_argument("--compression-nodes", type=_positive_int, default=4,
+                     help="nodes each job requests for compression (small "
+                          "requests let concurrent jobs overlap on the partition)")
+    sub.add_argument("--decompression-nodes", type=_positive_int, default=4)
+    _add_cache_arguments(sub)
+
+
+def _service_config(args: argparse.Namespace) -> OcelotConfig:
+    """The :class:`OcelotConfig` of :func:`_add_service_arguments` (plus ``--mode``)."""
+    return OcelotConfig(
+        error_bound=args.error_bound,
+        compressor=args.compressor,
+        mode=args.mode,
+        size_scale=args.size_scale,
+        compression_nodes=args.compression_nodes,
+        decompression_nodes=args.decompression_nodes,
+        sentinel_enabled=False,
+        **_cache_config_kwargs(args),
+    )
+
+
+def _emit_json(payload: Any) -> None:
+    json.dump(payload, sys.stdout, indent=2)
+    print()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,22 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--destination", default="cori")
     submit.add_argument("--mode", default="compressed",
                         choices=["direct", "compressed", "grouped"])
-    submit.add_argument("--compressor", default="sz3-fast", choices=available_compressors())
-    submit.add_argument("--error-bound", type=float, default=1e-3)
     submit.add_argument("--snapshots", type=int, default=1)
     submit.add_argument("--scale", type=float, default=0.03)
-    submit.add_argument("--size-scale", type=float, default=1.0)
-    submit.add_argument("--compression-nodes", type=_positive_int, default=4,
-                        help="nodes each job requests for compression (small "
-                             "requests let concurrent jobs overlap on the partition)")
-    submit.add_argument("--decompression-nodes", type=_positive_int, default=4)
+    _add_service_arguments(submit)
     submit.add_argument("--tenant", default=None, metavar="NAME",
                         help="tenant the jobs are scheduled under (the unit of "
                              "weighted fair queueing and admission quotas)")
     submit.add_argument("--priority", default=None, choices=["low", "normal", "high"],
                         help="strict scheduler priority class (higher classes "
                              "dispatch before lower ones)")
-    _add_cache_arguments(submit)
     submit.add_argument("--state", default=".ocelot-jobs.json", metavar="PATH",
                         help="job-state file shared by submit/jobs/status")
     submit.add_argument("--events", action="store_true",
@@ -248,12 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--mode", default="compressed",
                        choices=["direct", "compressed", "grouped"],
                        help="default transfer mode for submitted jobs")
-    serve.add_argument("--compressor", default="sz3-fast", choices=available_compressors())
-    serve.add_argument("--error-bound", type=float, default=1e-3)
-    serve.add_argument("--size-scale", type=float, default=1.0)
-    serve.add_argument("--compression-nodes", type=_positive_int, default=4)
-    serve.add_argument("--decompression-nodes", type=_positive_int, default=4)
-    _add_cache_arguments(serve)
+    _add_service_arguments(serve)
 
     cache = sub.add_parser(
         "cache", help="inspect or clear the content-addressed blob/block cache"
@@ -309,8 +328,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             }
         )
     if args.json:
-        json.dump(rows, sys.stdout, indent=2)
-        print()
+        _emit_json(rows)
     else:
         print(f"{'field':20s} {'eb':>8s} {'CR':>8s} {'P-CR':>8s} {'PSNR':>8s} {'P-PSNR':>8s}")
         for row in rows:
@@ -393,8 +411,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     if stage_timings:
         payload["stage_timings"] = stage_timings
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        _emit_json(payload)
     else:
         print(f"compressed {label} with {args.compressor} @ {bound.describe()}")
         print(f"  size: {format_bytes(payload['original_bytes'])} -> "
@@ -428,12 +445,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         dataset, args.source, args.destination, modes=tuple(args.modes)
     )
     if args.json:
-        json.dump(
-            {mode: report.as_dict() for mode, report in comparison.reports.items()},
-            sys.stdout,
-            indent=2,
-        )
-        print()
+        _emit_json({mode: report.as_dict() for mode, report in comparison.reports.items()})
     else:
         for mode, report in comparison.reports.items():
             print(report.summary())
@@ -559,8 +571,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if stage_timings:
         payload["stage_timings"] = stage_timings
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        _emit_json(payload)
         return 0
     print(f"{args.blob}: Ocelot blob v{payload['format_version']}")
     print(f"  compressor: {payload['compressor']}  dtype: {payload['dtype']}"
@@ -637,8 +648,7 @@ def _cmd_train_policy(args: argparse.Namespace) -> int:
     if "entropy_agreement" in summary:
         payload["entropy_agreement"] = round(summary["entropy_agreement"], 3)
     if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        _emit_json(payload)
     else:
         print(f"trained block policy on {payload['samples']} blocks "
               f"({payload['agreement']:.0%} agreement with brute force)")
@@ -717,18 +727,8 @@ def _jobs_summary(records: List[dict]) -> str:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from .service import OcelotService, TransferSpec
 
-    config = OcelotConfig(
-        error_bound=args.error_bound,
-        compressor=args.compressor,
-        mode=args.mode,
-        size_scale=args.size_scale,
-        compression_nodes=args.compression_nodes,
-        decompression_nodes=args.decompression_nodes,
-        sentinel_enabled=False,
-        **_cache_config_kwargs(args),
-    )
     state = _load_job_state(args.state)
-    service = OcelotService(config, first_job_number=len(state["jobs"]) + 1)
+    service = OcelotService(_service_config(args), first_job_number=len(state["jobs"]) + 1)
     handles = []
     for app in args.application:
         dataset = generate_application(app, snapshots=args.snapshots, scale=args.scale)
@@ -752,12 +752,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     state["combined_makespan_s"] = service.makespan_s
     _save_job_state(args.state, state)
     if args.json:
-        json.dump(
-            {"jobs": records, "combined_makespan_s": service.makespan_s},
-            sys.stdout,
-            indent=2,
-        )
-        print()
+        _emit_json({"jobs": records, "combined_makespan_s": service.makespan_s})
         return 0
     print(_JOB_HEADER)
     for record in records:
@@ -818,8 +813,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         payload["jobs"] = records
         if records:
             payload["summary"] = _jobs_summary(records)
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        _emit_json(payload)
         return 0
     if not records:
         scope = f" for tenant {args.tenant!r}" if args.tenant else ""
@@ -856,8 +850,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     # non-zero, so scripts can gate on it without parsing output.
     exit_code = 2 if record.get("status") == "failed" else 0
     if args.json:
-        json.dump(record, sys.stdout, indent=2)
-        print()
+        _emit_json(record)
         return exit_code
     print(_job_row(record))
     report = record.get("report")
@@ -882,17 +875,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .gateway import create_gateway
 
-    config = OcelotConfig(
-        error_bound=args.error_bound,
-        compressor=args.compressor,
-        mode=args.mode,
-        size_scale=args.size_scale,
-        compression_nodes=args.compression_nodes,
-        decompression_nodes=args.decompression_nodes,
-        sentinel_enabled=False,
-        **_cache_config_kwargs(args),
-    )
-    gateway = create_gateway(config=config, host=args.host, port=args.port)
+    gateway = create_gateway(config=_service_config(args), host=args.host, port=args.port)
     print(f"ocelot gateway listening on {gateway.url}", flush=True)
     print("routes: POST /v1/jobs | GET /v1/jobs[?tenant=] | GET /v1/jobs/{id} "
           "| GET /v1/jobs/{id}/wait | POST /v1/jobs/{id}/cancel "
@@ -913,8 +896,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "clear":
         removed = cache.clear(args.tier)
         if args.json:
-            json.dump({"cache_dir": args.cache_dir, "removed": removed}, sys.stdout, indent=2)
-            print()
+            _emit_json({"cache_dir": args.cache_dir, "removed": removed})
         else:
             scope = f"{args.tier} tier" if args.tier else "both tiers"
             print(f"removed {removed} entries ({scope}) from {args.cache_dir}")
@@ -923,8 +905,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.tier:
         summary["tiers"] = {args.tier: summary["tiers"][args.tier]}
     if args.json:
-        json.dump(summary, sys.stdout, indent=2)
-        print()
+        _emit_json(summary)
         return 0
     print(f"{args.cache_dir}: {summary['total_entries']} entries, "
           f"{format_bytes(summary['total_bytes'])}"

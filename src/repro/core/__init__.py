@@ -11,7 +11,7 @@ from .phases import PhaseStep
 from .planner import CompressionPlan, CompressionPlanner
 from .reporting import ModeComparison, PhaseTimings, TransferReport
 from .sentinel import Sentinel, SentinelDecision
-from .streaming import StreamedFileResult, StreamingOutcome, StreamingPipeline
+from .streaming import StreamingOutcome, StreamingPipeline
 
 __all__ = [
     "Ocelot",
@@ -32,7 +32,6 @@ __all__ = [
     "SentinelDecision",
     "StreamingPipeline",
     "StreamingOutcome",
-    "StreamedFileResult",
     "PhaseTimings",
     "TransferReport",
     "ModeComparison",

@@ -274,3 +274,17 @@ class OcelotConfig:
         the same factor (compression cost is roughly linear in elements).
         """
         return float(self.work_time_scale if self.work_time_scale is not None else self.size_scale)
+
+    def simulated_compute_s(
+        self, measured_s: float, nominal_bytes: int, assumed_mbps: Optional[float]
+    ) -> float:
+        """Cluster-scale seconds of one (de)compression task.
+
+        ``assumed_mbps`` is the configured native-compressor throughput
+        for the task's direction: when set, the task costs its nominal
+        bytes at that rate; otherwise its measured wall time is scaled
+        by :meth:`resolved_work_time_scale`.
+        """
+        if assumed_mbps:
+            return nominal_bytes / (assumed_mbps * 1e6)
+        return measured_s * self.resolved_work_time_scale()

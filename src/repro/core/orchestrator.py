@@ -13,7 +13,7 @@ counts, queue waits, WAN bandwidth) comes from the simulation substrates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -24,23 +24,27 @@ from ..cache import (
     build_blob_cache,
     pipeline_fingerprint,
 )
-from ..compression import CompressedBlob, Compressor, create_blocked_compressor
+from ..compression import Compressor, create_blocked_compressor
 from ..datasets.base import Field, ScientificDataset
 from ..errors import OrchestrationError
 from ..faas.service import FuncXService, build_faas_service
 from ..prediction.quality_model import QualityPredictor
 from ..transfer.gridftp import GridFTPEngine
-from ..transfer.service import TransferRequest
 from ..transfer.testbed import Testbed, build_testbed
-from ..utils.stats import psnr as compute_psnr
 from .config import OcelotConfig
 from .grouping import FileGrouper
 from .parallel import ParallelCostModel, ParallelExecutor
-from .phases import PhaseStep
+from .phases import (
+    MODE_PHASES,
+    PHASES,
+    CompressionOutcome,
+    PhaseStep,
+    TransferRun,
+    release_nodes,
+)
 from .planner import CompressionPlan, CompressionPlanner
-from .reporting import PhaseTimings, TransferReport
+from .reporting import TransferReport
 from .sentinel import Sentinel
-from .streaming import StreamingPipeline
 
 __all__ = ["OcelotOrchestrator", "StagedFile", "PhaseStep"]
 
@@ -68,34 +72,6 @@ class _CacheProbe:
     key: str
     #: Stored blob bytes on a hit; ``None`` on a miss.
     payload: Optional[bytes] = None
-
-
-@dataclass
-class _CompressionOutcome:
-    """Results of really compressing a batch of staged files."""
-
-    blobs: List[Tuple[str, bytes]] = field(default_factory=list)
-    per_file_times_s: List[float] = field(default_factory=list)
-    per_file_output_bytes: List[int] = field(default_factory=list)
-    original_bytes: int = 0
-    #: Distinct entropy stages stamped into the freshly compressed blobs'
-    #: metadata (insertion-ordered), and the per-codec block counts
-    #: aggregated across those blobs — what ``ocelot inspect`` shows per
-    #: blob, summed per job for the completed-job event.
-    entropy_stages: List[str] = field(default_factory=list)
-    block_codecs: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def compressed_bytes(self) -> int:
-        """Total compressed output size."""
-        return sum(self.per_file_output_bytes)
-
-    @property
-    def ratio(self) -> float:
-        """Compression ratio over the compressed subset."""
-        if self.compressed_bytes == 0:
-            return float("inf")
-        return self.original_bytes / self.compressed_bytes
 
 
 class OcelotOrchestrator:
@@ -152,19 +128,14 @@ class OcelotOrchestrator:
         staged: List[StagedFile] = []
         for data_field in dataset:
             path = f"{prefix}/{data_field.filename}"
+            size = int(data_field.nbytes * self.config.size_scale)
             if not endpoint.filesystem.exists(path):
                 endpoint.filesystem.write(
                     path,
-                    size_bytes=int(data_field.nbytes * self.config.size_scale),
+                    size_bytes=size,
                     metadata={"field": data_field.name, "snapshot": str(data_field.snapshot)},
                 )
-            staged.append(
-                StagedFile(
-                    path=path,
-                    field=data_field,
-                    size_bytes=int(data_field.nbytes * self.config.size_scale),
-                )
-            )
+            staged.append(StagedFile(path=path, field=data_field, size_bytes=size))
         if not staged:
             raise OrchestrationError(f"dataset {dataset.name!r} contains no files to stage")
         return staged
@@ -205,43 +176,64 @@ class OcelotOrchestrator:
     ) -> "Generator[PhaseStep, None, TransferReport]":
         """Run the transfer as a generator of resumable phase steps.
 
-        Each yielded :class:`PhaseStep` marks a completed phase (the real
-        work — staging, compression, file movement — has already
-        happened) together with its simulated duration and the resources
-        it occupied.  With ``advance_clock=True`` the shared simulation
-        clock advances exactly as the classic blocking path did; the
-        multi-job :class:`~repro.service.JobScheduler` passes ``False``
-        and does its own interleaved time accounting instead.
+        The mode's entry in :data:`~repro.core.phases.MODE_PHASES` names
+        the phases; each does its real work on the run record, then its
+        :class:`PhaseStep` — simulated duration and resources occupied —
+        is yielded.  With ``advance_clock=True`` the shared simulation
+        clock advances as the phases complete; the multi-job
+        :class:`~repro.service.JobScheduler` passes ``False`` and does
+        its own interleaved time accounting instead.
 
-        The generator's return value is the finished
-        :class:`TransferReport`.
+        However the run ends — finished, failed inside a phase, or
+        cancelled by closing the generator at a yield — the compression
+        job's nodes go back to the pool in the ``finally`` below.  The
+        generator's return value is the finished :class:`TransferReport`.
         """
         mode = mode or self.config.mode
-        if mode not in ("direct", "compressed", "grouped"):
+        if mode not in MODE_PHASES:
             raise OrchestrationError(f"unknown transfer mode {mode!r}")
-        staged = self.stage(dataset, source)
-        yield PhaseStep(
-            "stage",
-            endpoint=source,
-            detail={
-                "files": len(staged),
-                "bytes": sum(f.size_bytes for f in staged),
-            },
-        )
-        direct_estimate_s = self._estimate_direct_transfer(staged, source, destination)
-        if mode == "direct":
-            report = yield from self._phases_direct(
-                dataset, staged, source, destination, direct_estimate_s, advance_clock
-            )
-            return report
-        report = yield from self._phases_compressed(
-            dataset, staged, source, destination, mode, direct_estimate_s, advance_clock
-        )
-        return report
+        run = TransferRun(dataset, source, destination, mode, advance_clock)
+        try:
+            for name in MODE_PHASES[mode]:
+                step = PHASES[name](self, run)
+                if step is not None:
+                    yield step
+            return self._report(run)
+        finally:
+            release_nodes(self, run)
 
-    # ------------------------------------------------------------------ #
-    # Direct (NP) transfers
-    # ------------------------------------------------------------------ #
+    def _report(self, run: TransferRun) -> TransferReport:
+        """The one place a run record becomes a :class:`TransferReport`."""
+        plan = run.plan
+        return TransferReport(
+            dataset=run.dataset.name,
+            mode=run.mode,
+            source=run.source,
+            destination=run.destination,
+            file_count=len(run.staged),
+            total_bytes=run.total_bytes,
+            transferred_files=run.shipped_files,
+            transferred_bytes=run.shipped_bytes,
+            compression_ratio=run.ratio,
+            timings=run.timings,
+            direct_transfer_s=self._estimate_direct_transfer(
+                run.staged, run.source, run.destination
+            ),
+            compressor=plan.compressor if plan else "",
+            error_bound=plan.error_bound.describe() if plan else "",
+            transfer_mode="streamed" if run.streamed else "bulk",
+            predicted_quality=plan.predicted.as_dict() if plan and plan.predicted else None,
+            measured_psnr_db=run.quality.get("psnr"),
+            max_abs_error=run.quality.get("max_abs_error"),
+            notes=run.notes,
+            # Files probed and not served count as misses whichever way
+            # the run then shipped them (both zero with the cache off).
+            cache_hits=len(run.hits),
+            cache_misses=len(run.probes or ()) - len(run.hits),
+            entropy_stage=",".join(run.outcome.entropy_stages),
+            block_codecs=dict(run.outcome.block_codecs) or None,
+        )
+
     def _estimate_direct_transfer(
         self, staged: List[StagedFile], source: str, destination: str
     ) -> float:
@@ -256,488 +248,6 @@ class OcelotOrchestrator:
             storage_write_bps=dst.storage_write_bps * dst.dtn_count,
         )
         return estimate.duration_s
-
-    def _phases_direct(
-        self,
-        dataset: ScientificDataset,
-        staged: List[StagedFile],
-        source: str,
-        destination: str,
-        direct_estimate_s: float,
-        advance_clock: bool,
-    ) -> Generator[PhaseStep, None, TransferReport]:
-        task = self.testbed.service.submit(
-            TransferRequest(
-                source_endpoint=source,
-                destination_endpoint=destination,
-                paths=[f.path for f in staged],
-                destination_prefix=self.config.destination_prefix,
-                label=f"{dataset.name}:direct",
-            ),
-            advance_clock=advance_clock,
-        )
-        yield PhaseStep(
-            "transfer",
-            duration_s=task.duration_s,
-            link=(source, destination),
-            detail={
-                "bytes_shipped": task.bytes_transferred,
-                "files": len(staged),
-            },
-        )
-        timings = PhaseTimings(transfer_s=task.duration_s)
-        return TransferReport(
-            dataset=dataset.name,
-            mode="direct",
-            source=source,
-            destination=destination,
-            file_count=len(staged),
-            total_bytes=sum(f.size_bytes for f in staged),
-            transferred_files=len(staged),
-            transferred_bytes=task.bytes_transferred,
-            compression_ratio=1.0,
-            timings=timings,
-            direct_transfer_s=direct_estimate_s,
-            compressor="",
-            error_bound="",
-        )
-
-    # ------------------------------------------------------------------ #
-    # Compressed (CP) and grouped (OP) transfers
-    # ------------------------------------------------------------------ #
-    def _phases_compressed(
-        self,
-        dataset: ScientificDataset,
-        staged: List[StagedFile],
-        source: str,
-        destination: str,
-        mode: str,
-        direct_estimate_s: float,
-        advance_clock: bool,
-    ) -> Generator[PhaseStep, None, TransferReport]:
-        src_endpoint = self.testbed.endpoint(source)
-        dst_endpoint = self.testbed.endpoint(destination)
-        link = self.testbed.service.topology.link(source, destination)
-        timings = PhaseTimings()
-        notes: List[str] = []
-
-        # 1. Plan the compression configuration.
-        plan_start = time.perf_counter()
-        plan = self.planner.plan(representative=staged[0].field)
-        timings.planning_s = time.perf_counter() - plan_start if plan.used_predictor else 0.0
-        yield PhaseStep(
-            "plan",
-            duration_s=timings.planning_s,
-            detail={
-                "compressor": plan.compressor,
-                "error_bound": plan.error_bound.describe(),
-                "used_predictor": plan.used_predictor,
-            },
-        )
-
-        # 1b. Consult the content-addressed blob cache: files whose
-        # compressed bytes are already stored skip compression entirely.
-        probes = self._consult_blob_cache(staged, plan)
-        streamed = self.config.transfer_mode == "streamed" and mode == "compressed"
-        hit_probes: List[_CacheProbe] = [
-            p for p in (probes or []) if p.payload is not None
-        ]
-        if streamed and hit_probes and len(hit_probes) < len(probes or []):
-            # A partial hit cannot join a streamed run (blocks stream from
-            # freshly encoded files only), so those hits are set aside and
-            # their files stream uncached.
-            notes.append(
-                f"streamed run bypassed {len(hit_probes)} partial blob-cache hits"
-            )
-            for probe in hit_probes:
-                probe.payload = None
-            hit_probes = []
-        if probes is None:
-            miss_files = list(staged)
-        else:
-            miss_files = [p.file for p in probes if p.payload is None]
-        full_hit = probes is not None and not miss_files
-        if full_hit and streamed:
-            # Nothing left to encode: short-circuit to a bulk ship of the
-            # cached blobs (transfer billing stays on the same clock rules).
-            streamed = False
-            notes.append("full blob-cache hit: streamed run shipped cached blobs in bulk")
-        if hit_probes:
-            notes.append(
-                f"blob cache served {len(hit_probes)}/{len(staged)} files "
-                f"(mode {self.config.cache_mode})"
-            )
-
-        # 2. Request compute nodes for the compression job (capped at the
-        # size of the source site's partition).  A full cache hit skips
-        # the batch-scheduler request entirely — those nodes stay free for
-        # cold jobs.
-        scheduler = self.faas.endpoint(source).scheduler
-        compression_nodes = min(self.config.compression_nodes, scheduler.total_nodes)
-        allocation = None
-        if not full_hit:
-            # In scheduler mode (advance_clock=False) node occupancy is
-            # charged by the job scheduler's timeline pools, so the batch
-            # scheduler contributes only its sampled queue wait — charging
-            # its backfill deficit too would count the same contention twice.
-            allocation = scheduler.request(
-                compression_nodes,
-                now=self.testbed.clock.now,
-                include_backfill=advance_clock,
-            )
-            timings.node_wait_s = allocation.wait_s
-        # A streamed run drives the shared clock itself (the transfer
-        # stream stamps per-chunk wire times against it), so it always
-        # advances for real; the bulk path only advances when this
-        # generator is the sole owner of the clock.
-        try:
-            # 3. Sentinel: transfer raw files while waiting for nodes.
-            # Cache-hit files are never shipped raw — their compressed
-            # bytes already exist, so only the miss set is eligible.
-            raw_paths: List[str] = []
-            to_compress = list(miss_files)
-            if (
-                allocation is not None
-                and self.config.sentinel_enabled
-                and allocation.wait_s > self.config.sentinel_wait_threshold_s
-            ):
-                decision = self.sentinel.plan(
-                    [(f.path, f.size_bytes) for f in miss_files],
-                    wait_s=allocation.wait_s,
-                    link=link,
-                    threshold_s=self.config.sentinel_wait_threshold_s,
-                )
-                raw_paths = decision.raw_paths
-                timings.raw_transfer_s = decision.raw_transfer_s
-                raw_set = set(raw_paths)
-                to_compress = [f for f in miss_files if f.path not in raw_set]
-                if raw_paths:
-                    dst_endpoint.filesystem.copy_from(src_endpoint.filesystem, raw_paths)
-                    notes.append(
-                        f"sentinel transferred {len(raw_paths)} files raw during a "
-                        f"{allocation.wait_s:.0f}s node wait"
-                    )
-            if advance_clock or streamed:
-                self.testbed.clock.advance(max(timings.node_wait_s, timings.raw_transfer_s))
-            yield PhaseStep(
-                "wait",
-                duration_s=max(timings.node_wait_s, timings.raw_transfer_s),
-                endpoint=source,
-                detail={
-                    "node_wait_s": timings.node_wait_s,
-                    "raw_files": len(raw_paths),
-                    "raw_transfer_s": timings.raw_transfer_s,
-                },
-            )
-
-            # 3b. Streamed transfer: overlap compress → WAN → decode instead
-            # of serialising the phases.  Grouped mode keeps the bulk path
-            # (groups bundle whole compressed files, which defeats per-block
-            # streaming).
-            if streamed:
-                stream_start = self.testbed.clock.now
-                report = self._run_streamed(
-                    self._scoped(dataset.name),
-                    dataset,
-                    staged,
-                    to_compress,
-                    raw_paths,
-                    plan,
-                    timings,
-                    notes,
-                    source,
-                    destination,
-                    direct_estimate_s,
-                    scheduler,
-                    allocation,
-                    compression_nodes,
-                )
-                yield PhaseStep(
-                    "stream",
-                    duration_s=max(0.0, self.testbed.clock.now - stream_start),
-                    endpoint=source,
-                    nodes=compression_nodes,
-                    link=(source, destination),
-                    detail={
-                        "bytes_shipped": report.transferred_bytes,
-                        "chunks": timings.streaming_s > 0,
-                    },
-                )
-                return report
-            if self.config.transfer_mode == "streamed" and mode == "grouped":
-                notes.append(
-                    "grouped mode keeps the bulk path; use mode='compressed' "
-                    "for streamed block transfer"
-                )
-
-            # 4. Really compress the remaining files.  Cluster-scale timing
-            # uses either the measured per-file times (scaled by
-            # work_time_scale) or an assumed native-compressor throughput
-            # when configured.
-            probe_map = {p.file.path: p for p in probes} if probes is not None else None
-            outcome = self._compress_files(to_compress, plan, source, probe_map)
-            if allocation is not None:
-                if self.config.assumed_compression_throughput_mbps:
-                    throughput = self.config.assumed_compression_throughput_mbps * 1e6
-                    per_file_times = [f.size_bytes / throughput for f in to_compress]
-                    time_scale = 1.0
-                else:
-                    per_file_times = outcome.per_file_times_s
-                    time_scale = self.config.resolved_work_time_scale()
-                makespan = self.executor.compression_makespan(
-                    per_file_times,
-                    outcome.per_file_output_bytes,
-                    nodes=compression_nodes,
-                    cores_per_node=self.config.cores_per_node,
-                    time_scale=time_scale,
-                )
-                timings.compression_s = makespan.makespan_s
-            # Cached blobs are read off the parallel filesystem instead of
-            # being recomputed; billing that read keeps warm runs honest
-            # (tiny, but never free).
-            cache_read_s = 0.0
-            for probe in hit_probes:
-                payload = probe.payload or b""
-                outcome.blobs.append((probe.file.field.filename, payload))
-                outcome.per_file_output_bytes.append(
-                    int(len(payload) * self.config.size_scale)
-                )
-                outcome.original_bytes += probe.file.size_bytes
-                cache_read_s += (
-                    len(payload) * self.config.size_scale
-                    / self.executor.cost_model.pfs_read_bps
-                )
-            timings.compression_s += cache_read_s
-            if advance_clock:
-                self.testbed.clock.advance(timings.compression_s)
-        finally:
-            # Normal exit from the compression phase and a cancelled job
-            # closing this generator mid-phase both land here: the nodes
-            # go back to the pool (release is idempotent, so the streamed
-            # branch having already released is fine; a full cache hit
-            # never requested any).
-            if allocation is not None:
-                scheduler.release(allocation)
-        hit_names = {p.file.field.filename for p in hit_probes}
-        files_detail = []
-        for (name, _), size in zip(outcome.blobs, outcome.per_file_output_bytes):
-            entry: Dict[str, Any] = {"name": name, "bytes": size}
-            if probes is not None:
-                entry["cache"] = "hit" if name in hit_names else "miss"
-            files_detail.append(entry)
-        compress_detail: Dict[str, Any] = {
-            "files": files_detail,
-            "bytes_compressed": outcome.compressed_bytes,
-            "original_bytes": outcome.original_bytes,
-            "ratio": outcome.ratio if outcome.blobs else 1.0,
-        }
-        cache_hits = len(hit_probes)
-        cache_misses = len(probes) - cache_hits if probes is not None else 0
-        if probes is not None:
-            compress_detail["cache"] = {
-                "mode": self.config.cache_mode,
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": cache_hits / len(probes) if probes else 0.0,
-            }
-        yield PhaseStep(
-            "compress",
-            duration_s=timings.compression_s,
-            endpoint=source,
-            # A full cache hit ran on zero compute nodes: the scheduler's
-            # per-endpoint node pool must not bill this phase.
-            nodes=compression_nodes if allocation is not None else 0,
-            detail=compress_detail,
-        )
-
-        # 5. Optionally group the compressed files.
-        if mode == "grouped" and outcome.blobs:
-            group_prefix = f"/groups/{self._scoped(dataset.name)}"
-            groups, plan_info = self.grouper.build_groups(
-                outcome.blobs,
-                world_size=None if self.config.group_target_bytes else self.config.group_world_size,
-                target_bytes=self.config.group_target_bytes,
-                prefix=f"{dataset.name}",
-            )
-            grouped_bytes = 0
-            transfer_paths = []
-            for group in groups:
-                path = f"{group_prefix}/{group.name}"
-                src_endpoint.filesystem.write(
-                    path,
-                    data=group.payload,
-                    size_bytes=int(group.size_bytes * self.config.size_scale),
-                )
-                transfer_paths.append(path)
-                grouped_bytes += int(group.size_bytes * self.config.size_scale)
-            metadata_path = f"{group_prefix}/metadata.txt"
-            src_endpoint.filesystem.write(
-                metadata_path, data=plan_info.metadata_text().encode("utf-8")
-            )
-            transfer_paths.append(metadata_path)
-            timings.grouping_s = grouped_bytes / self.executor.cost_model.pfs_write_bps * 2.0
-            notes.append(f"grouped {len(outcome.blobs)} compressed files into {len(groups)} groups")
-            yield PhaseStep(
-                "group",
-                duration_s=timings.grouping_s,
-                endpoint=source,
-                detail={"groups": len(groups), "grouped_bytes": grouped_bytes},
-            )
-        elif outcome.blobs:
-            transfer_paths = []
-            for name, payload in outcome.blobs:
-                path = f"/compressed/{self._scoped(dataset.name)}/{name}.sz"
-                src_endpoint.filesystem.write(
-                    path, data=payload, size_bytes=int(len(payload) * self.config.size_scale)
-                )
-                transfer_paths.append(path)
-        else:
-            transfer_paths = []
-
-        # 6. Transfer the compressed artefacts over the WAN.
-        transferred_bytes = 0
-        if transfer_paths:
-            task = self.testbed.service.submit(
-                TransferRequest(
-                    source_endpoint=source,
-                    destination_endpoint=destination,
-                    paths=transfer_paths,
-                    destination_prefix=self.config.destination_prefix,
-                    label=f"{dataset.name}:{mode}",
-                ),
-                advance_clock=advance_clock,
-            )
-            timings.transfer_s = task.duration_s
-            transferred_bytes = task.bytes_transferred
-        raw_path_set = set(raw_paths)
-        transferred_bytes += sum(
-            f.size_bytes for f in staged if f.path in raw_path_set
-        )
-        yield PhaseStep(
-            "transfer",
-            duration_s=timings.transfer_s,
-            link=(source, destination),
-            detail={
-                "bytes_shipped": transferred_bytes,
-                "files": len(transfer_paths) + len(raw_paths),
-            },
-        )
-
-        # 7. Decompress at the destination.  Cache-hit files decode like
-        # any other blob, and their originals participate in the quality
-        # check — a warm run must report the same PSNR as the cold run
-        # that populated the cache.
-        quality = self._decompress_and_verify(
-            dataset,
-            to_compress + [p.file for p in hit_probes],
-            transfer_paths,
-            destination,
-            mode,
-            timings,
-            advance_clock=advance_clock,
-        )
-        yield PhaseStep(
-            "decompress",
-            duration_s=timings.decompression_s,
-            endpoint=destination,
-            nodes=min(
-                self.config.decompression_nodes,
-                self.faas.endpoint(destination).scheduler.total_nodes,
-            ),
-            detail={k: v for k, v in quality.items()},
-        )
-
-        original_bytes = sum(f.size_bytes for f in staged)
-        ratio = outcome.ratio if outcome.blobs else 1.0
-        report = TransferReport(
-            dataset=dataset.name,
-            mode=mode,
-            source=source,
-            destination=destination,
-            file_count=len(staged),
-            total_bytes=original_bytes,
-            transferred_files=len(transfer_paths) + len(raw_paths),
-            transferred_bytes=transferred_bytes,
-            compression_ratio=ratio,
-            timings=timings,
-            direct_transfer_s=direct_estimate_s,
-            compressor=plan.compressor,
-            error_bound=plan.error_bound.describe(),
-            predicted_quality=plan.predicted.as_dict() if plan.predicted else None,
-            measured_psnr_db=quality.get("psnr"),
-            max_abs_error=quality.get("max_abs_error"),
-            notes=notes,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            entropy_stage=",".join(outcome.entropy_stages),
-            block_codecs=dict(outcome.block_codecs) or None,
-        )
-        return report
-
-    # ------------------------------------------------------------------ #
-    def _run_streamed(
-        self,
-        scoped_name: str,
-        dataset: ScientificDataset,
-        staged: List[StagedFile],
-        to_compress: List[StagedFile],
-        raw_paths: List[str],
-        plan: CompressionPlan,
-        timings: PhaseTimings,
-        notes: List[str],
-        source: str,
-        destination: str,
-        direct_estimate_s: float,
-        scheduler,
-        allocation,
-        compression_nodes: int,
-    ) -> TransferReport:
-        """Finish a compressed-mode run through the streaming pipeline."""
-        streamer = StreamingPipeline(
-            self.config,
-            self.testbed,
-            self._build_compressor,
-            compression_nodes=compression_nodes,
-            cost_model=self.executor.cost_model,
-        )
-        outcome = streamer.run(scoped_name, to_compress, plan, source, destination)
-        scheduler.release(allocation)
-        timings.compression_s = outcome.compression_s
-        timings.transfer_s = outcome.transfer_s
-        timings.decompression_s = outcome.decompression_s
-        timings.streaming_s = outcome.streaming_s
-        raw_path_set = set(raw_paths)
-        transferred_bytes = outcome.transferred_bytes + sum(
-            f.size_bytes for f in staged if f.path in raw_path_set
-        )
-        quality = outcome.quality()
-        if outcome.chunk_count:
-            notes.append(
-                f"streamed {outcome.chunk_count} block chunks "
-                f"(window {self.config.stream_window}); overlap saved "
-                f"{outcome.overlap_savings_s:.1f}s vs serialised phases"
-            )
-        original_bytes = sum(f.size_bytes for f in staged)
-        return TransferReport(
-            dataset=dataset.name,
-            mode="compressed",
-            source=source,
-            destination=destination,
-            file_count=len(staged),
-            total_bytes=original_bytes,
-            transferred_files=len(outcome.files) + len(raw_paths),
-            transferred_bytes=transferred_bytes,
-            compression_ratio=outcome.ratio if outcome.files else 1.0,
-            timings=timings,
-            direct_transfer_s=direct_estimate_s,
-            compressor=plan.compressor,
-            error_bound=plan.error_bound.describe(),
-            transfer_mode="streamed",
-            predicted_quality=plan.predicted.as_dict() if plan.predicted else None,
-            measured_psnr_db=quality.get("psnr"),
-            max_abs_error=quality.get("max_abs_error"),
-            notes=notes,
-        )
 
     # ------------------------------------------------------------------ #
     def _load_block_policy(self):
@@ -836,25 +346,24 @@ class OcelotOrchestrator:
         self,
         staged: List[StagedFile],
         plan: CompressionPlan,
-        source: str,
-        probes: Optional[Dict[str, _CacheProbe]] = None,
-    ) -> _CompressionOutcome:
+        probes: Dict[str, _CacheProbe],
+    ) -> CompressionOutcome:
         """Compress staged files for real, recording per-file cost.
 
         Each file's blocks fan out through :meth:`ParallelExecutor.map_blocks`
         (when blocked mode is on), so the per-file wall time already
         accounts for local multi-core execution.  With caching on,
-        ``probes`` carries each file's content digest and cache key: they
+        ``probes`` maps each path to its content digest and cache key: they
         are stamped into the blob metadata (so operators can correlate
         blobs with cache entries) and freshly compressed blobs are stored
         back into the whole-blob tier.
         """
-        outcome = _CompressionOutcome()
+        outcome = CompressionOutcome()
         if not staged:
             return outcome
         compressor = self._build_compressor(plan.compressor)
         for staged_file in staged:
-            probe = (probes or {}).get(staged_file.path)
+            probe = probes.get(staged_file.path)
             start = time.perf_counter()
             result = compressor.compress(
                 staged_file.field.data,
@@ -883,91 +392,13 @@ class OcelotOrchestrator:
                     },
                 )
             outcome.blobs.append((staged_file.field.filename, payload))
-            outcome.per_file_times_s.append(elapsed)
+            outcome.per_file_times_s.append(
+                self.config.simulated_compute_s(
+                    elapsed,
+                    staged_file.size_bytes,
+                    self.config.assumed_compression_throughput_mbps,
+                )
+            )
             outcome.per_file_output_bytes.append(int(len(payload) * self.config.size_scale))
             outcome.original_bytes += staged_file.size_bytes
         return outcome
-
-    def _decompress_and_verify(
-        self,
-        dataset: ScientificDataset,
-        compressed_files: List[StagedFile],
-        transfer_paths: List[str],
-        destination: str,
-        mode: str,
-        timings: PhaseTimings,
-        advance_clock: bool = True,
-    ) -> Dict[str, float]:
-        """Really decompress at the destination; fill in decompression timing."""
-        if not transfer_paths:
-            return {}
-        dst_endpoint = self.testbed.endpoint(destination)
-        originals: Dict[str, Field] = {f.field.filename: f.field for f in compressed_files}
-        per_file_times: List[float] = []
-        per_file_output_bytes: List[int] = []
-        psnr_values: List[float] = []
-        max_errors: List[float] = []
-        blobs: List[Tuple[str, bytes]] = []
-        for path in transfer_paths:
-            entry = dst_endpoint.filesystem.stat(path)
-            if entry.data is None:
-                continue
-            if path.endswith("metadata.txt"):
-                continue
-            if mode == "grouped":
-                blobs.extend(self.grouper.unpack(entry.data))
-            else:
-                name = path.rsplit("/", 1)[-1]
-                if name.endswith(".sz"):
-                    name = name[:-3]
-                blobs.append((name, entry.data))
-        decompressors: Dict[str, Compressor] = {}
-        for name, payload in blobs:
-            start = time.perf_counter()
-            blob = CompressedBlob.from_bytes(payload)
-            compressor = decompressors.get(blob.compressor)
-            if compressor is None:
-                compressor = self._build_compressor(blob.compressor)
-                decompressors[blob.compressor] = compressor
-            recon = compressor.decompress(blob)
-            elapsed = time.perf_counter() - start
-            per_file_times.append(elapsed)
-            per_file_output_bytes.append(int(recon.nbytes * self.config.size_scale))
-            original = originals.get(name)
-            if original is not None:
-                data = np.asarray(original.data, dtype=np.float64)
-                recon64 = np.asarray(recon, dtype=np.float64)
-                psnr_values.append(compute_psnr(data, recon64))
-                max_errors.append(float(np.max(np.abs(data - recon64))))
-            dst_endpoint.filesystem.write(
-                f"/decompressed/{self._scoped(dataset.name)}/{name}",
-                size_bytes=int(recon.nbytes * self.config.size_scale),
-            )
-        if per_file_times:
-            if self.config.assumed_decompression_throughput_mbps:
-                throughput = self.config.assumed_decompression_throughput_mbps * 1e6
-                per_file_times = [size / throughput for size in per_file_output_bytes]
-                time_scale = 1.0
-            else:
-                time_scale = self.config.resolved_work_time_scale()
-            decompression_nodes = min(
-                self.config.decompression_nodes,
-                self.faas.endpoint(destination).scheduler.total_nodes,
-            )
-            makespan = self.executor.decompression_makespan(
-                per_file_times,
-                per_file_output_bytes,
-                nodes=decompression_nodes,
-                cores_per_node=self.config.cores_per_node,
-                time_scale=time_scale,
-            )
-            timings.decompression_s = makespan.makespan_s
-            if advance_clock:
-                self.testbed.clock.advance(timings.decompression_s)
-        finite_psnr = [p for p in psnr_values if np.isfinite(p)]
-        quality: Dict[str, float] = {}
-        if finite_psnr:
-            quality["psnr"] = float(np.mean(finite_psnr))
-        if max_errors:
-            quality["max_abs_error"] = float(np.max(max_errors))
-        return quality

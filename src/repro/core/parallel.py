@@ -199,7 +199,7 @@ class ParallelExecutor:
     # ------------------------------------------------------------------ #
     # Cluster makespan models
     # ------------------------------------------------------------------ #
-    def compression_makespan(
+    def _makespan(
         self,
         per_file_times_s: Sequence[float],
         per_file_output_bytes: Sequence[int],
@@ -207,12 +207,17 @@ class ParallelExecutor:
         cores_per_node: int,
         time_scale: float = 1.0,
     ) -> MakespanEstimate:
-        """Makespan of a parallel compression job.
+        """Makespan of a parallel compression or decompression job.
 
-        Reads are cheap relative to compression compute, so the model is
-        compute-bound: LPT scheduling of the per-file times over the
-        effective core count, plus node start-up and the (rarely binding)
-        output-write time.
+        LPT scheduling of the per-file times over the effective core
+        count, plus node start-up and the write of every file's output to
+        the shared parallel filesystem, where each active core is a
+        writer.  One model serves both directions; what separates them is
+        the output.  Compression writes compressed bytes, so it is
+        compute-bound and the write term rarely binds.  Decompression
+        writes full-size reconstructions, so write contention grows with
+        the active cores: beyond a few nodes the I/O term dominates and
+        adding nodes makes the job slower (Fig. 9 right).
         """
         times = [t * time_scale for t in per_file_times_s]
         if nodes < 1 or cores_per_node < 1:
@@ -220,8 +225,7 @@ class ParallelExecutor:
         effective_cores = max(1, int(nodes * cores_per_node * self.cost_model.parallel_efficiency))
         cores_used = min(effective_cores, max(1, len(times)))
         compute = _lpt_makespan(times, effective_cores)
-        writers = min(cores_used, len(times)) if times else 1
-        io_time = sum(per_file_output_bytes) / self.cost_model.write_bandwidth(writers)
+        io_time = sum(per_file_output_bytes) / self.cost_model.write_bandwidth(cores_used)
         makespan = compute + io_time + self.cost_model.startup_s_per_node * nodes
         return MakespanEstimate(
             makespan_s=float(makespan),
@@ -232,35 +236,5 @@ class ParallelExecutor:
             files=len(times),
         )
 
-    def decompression_makespan(
-        self,
-        per_file_times_s: Sequence[float],
-        per_file_output_bytes: Sequence[int],
-        nodes: int,
-        cores_per_node: int,
-        time_scale: float = 1.0,
-    ) -> MakespanEstimate:
-        """Makespan of a parallel decompression job.
-
-        Every worker writes its reconstructed (full-size) output back to
-        the shared parallel filesystem, so write contention grows with the
-        number of active cores; beyond a few nodes the I/O term dominates
-        and adding nodes makes the job slower (Fig. 9 right).
-        """
-        times = [t * time_scale for t in per_file_times_s]
-        if nodes < 1 or cores_per_node < 1:
-            raise ConfigurationError("nodes and cores_per_node must be >= 1")
-        effective_cores = max(1, int(nodes * cores_per_node * self.cost_model.parallel_efficiency))
-        cores_used = min(effective_cores, max(1, len(times)))
-        compute = _lpt_makespan(times, effective_cores)
-        writers = cores_used
-        io_time = sum(per_file_output_bytes) / self.cost_model.write_bandwidth(writers)
-        makespan = compute + io_time + self.cost_model.startup_s_per_node * nodes
-        return MakespanEstimate(
-            makespan_s=float(makespan),
-            compute_s=float(sum(times)),
-            io_s=float(io_time),
-            cores_used=cores_used,
-            nodes=nodes,
-            files=len(times),
-        )
+    compression_makespan = _makespan
+    decompression_makespan = _makespan

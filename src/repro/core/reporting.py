@@ -11,9 +11,42 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Optional
 
-from ..utils.sizes import format_bytes, format_duration, format_rate
+import numpy as np
 
-__all__ = ["PhaseTimings", "TransferReport", "ModeComparison"]
+from ..utils.sizes import format_bytes, format_duration, format_rate
+from ..utils.stats import psnr as compute_psnr
+
+__all__ = ["PhaseTimings", "QualityTally", "TransferReport", "ModeComparison"]
+
+
+class QualityTally:
+    """Reconstruction quality of a transfer, one decoded file at a time.
+
+    The bulk decompress phase and the streaming pipeline both measure
+    their reconstructions here, so a report's PSNR / max error mean the
+    same thing whichever way the bytes travelled.
+    """
+
+    def __init__(self) -> None:
+        self._psnr_db: List[float] = []
+        self._max_abs_error: List[float] = []
+
+    def add(self, original: np.ndarray, recon: np.ndarray) -> None:
+        """Measure one reconstruction against its original."""
+        data = np.asarray(original, dtype=np.float64)
+        recon64 = np.asarray(recon, dtype=np.float64)
+        self._psnr_db.append(compute_psnr(data, recon64))
+        self._max_abs_error.append(float(np.max(np.abs(data - recon64))))
+
+    def summary(self) -> Dict[str, float]:
+        """Mean finite PSNR and worst absolute error (absent when empty)."""
+        finite = [p for p in self._psnr_db if np.isfinite(p)]
+        out: Dict[str, float] = {}
+        if finite:
+            out["psnr"] = float(np.mean(finite))
+        if self._max_abs_error:
+            out["max_abs_error"] = float(np.max(self._max_abs_error))
+        return out
 
 
 @dataclass
@@ -34,6 +67,11 @@ class PhaseTimings:
     streaming_s: float = 0.0
 
     @property
+    def serialized_s(self) -> float:
+        """Compression, transfer and decompression run one after another."""
+        return self.compression_s + self.transfer_s + self.decompression_s
+
+    @property
     def total_s(self) -> float:
         """End-to-end duration.
 
@@ -44,10 +82,7 @@ class PhaseTimings:
         keeps the paper's sequential Total T accounting.
         """
         waiting = max(self.node_wait_s, self.raw_transfer_s)
-        if self.streaming_s > 0:
-            pipeline = self.streaming_s
-        else:
-            pipeline = self.compression_s + self.transfer_s + self.decompression_s
+        pipeline = self.streaming_s if self.streaming_s > 0 else self.serialized_s
         return waiting + self.planning_s + self.grouping_s + pipeline
 
     def as_dict(self) -> Dict[str, float]:
@@ -180,14 +215,9 @@ class TransferReport:
             f"  effective: {format_rate(self.effective_speed_bps)}",
         ]
         if self.timings.streaming_s > 0:
-            serialized = (
-                self.timings.compression_s
-                + self.timings.transfer_s
-                + self.timings.decompression_s
-            )
             lines.append(
                 f"  streamed makespan: {format_duration(self.timings.streaming_s)}"
-                f" (phases serialised would take {format_duration(serialized)})"
+                f" (phases serialised would take {format_duration(self.timings.serialized_s)})"
             )
         if self.direct_transfer_s is not None:
             gain = self.gain_vs_direct or 0.0

@@ -15,6 +15,13 @@ end-to-end win.
 Real work still happens: blocks are genuinely encoded and decoded, the
 destination assembles a valid v2 blob from the received sections, and
 reconstruction quality is measured against the originals.
+
+A streamed run reads the whole-blob cache tier but never writes it: the
+blob header ships before the first block, so its shared codebook is
+seeded from a block sample rather than pooled over every block, and the
+assembled bytes differ from the bulk encode that the same pipeline
+fingerprint keys.  Storing them would hand a later bulk run different
+bytes than it would have produced.
 """
 
 from __future__ import annotations
@@ -31,23 +38,11 @@ from ..compression.blocking import BlockSpec
 from ..compression.sz.pipeline import PredictionPipelineCompressor
 from ..errors import OrchestrationError
 from ..transfer.service import TransferStream
-from ..utils.stats import psnr as compute_psnr
 from .config import OcelotConfig
 from .parallel import ParallelCostModel, _lpt_makespan
+from .reporting import QualityTally
 
-__all__ = ["StreamedFileResult", "StreamingOutcome", "StreamingPipeline"]
-
-
-@dataclass
-class StreamedFileResult:
-    """Outcome of streaming one file end to end."""
-
-    name: str
-    path: str
-    blob_bytes: int
-    num_blocks: int
-    psnr_db: Optional[float] = None
-    max_abs_error: Optional[float] = None
+__all__ = ["StreamingOutcome", "StreamingPipeline"]
 
 
 @dataclass
@@ -59,7 +54,6 @@ class StreamingOutcome:
     path sums); ``streaming_s`` is the overlapped end-to-end makespan.
     """
 
-    files: List[StreamedFileResult] = field(default_factory=list)
     chunk_count: int = 0
     compression_s: float = 0.0
     transfer_s: float = 0.0
@@ -68,7 +62,8 @@ class StreamingOutcome:
     original_bytes: int = 0
     compressed_bytes: int = 0
     transferred_bytes: int = 0
-    stalled_s: float = 0.0
+    #: :meth:`QualityTally.summary` over the streamed files.
+    quality: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ratio(self) -> float:
@@ -77,38 +72,20 @@ class StreamingOutcome:
             return float("inf")
         return self.original_bytes / self.compressed_bytes
 
-    @property
-    def serialized_sum_s(self) -> float:
-        """What the same phases would cost run one after another."""
-        return self.compression_s + self.transfer_s + self.decompression_s
-
-    @property
-    def overlap_savings_s(self) -> float:
-        """Simulated time saved versus running the phases serially."""
-        return max(0.0, self.serialized_sum_s - self.streaming_s)
-
-    def quality(self) -> Dict[str, float]:
-        """Aggregate reconstruction quality across streamed files."""
-        psnrs = [f.psnr_db for f in self.files if f.psnr_db is not None and np.isfinite(f.psnr_db)]
-        errors = [f.max_abs_error for f in self.files if f.max_abs_error is not None]
-        out: Dict[str, float] = {}
-        if psnrs:
-            out["psnr"] = float(np.mean(psnrs))
-        if errors:
-            out["max_abs_error"] = float(np.max(errors))
-        return out
-
 
 @dataclass
 class _PendingBlock:
     """One block travelling through the pipeline."""
 
-    file_index: int
     entry: Dict[str, Any]
     payload: bytes
-    encode_s: float
-    ready_at: float = 0.0
-    arrived_at: float = 0.0
+    #: Uncompressed size of the block at the run's ``size_scale``.
+    nominal_bytes: int
+    arrived_at: float
+
+
+#: One streamed file on the wire: its blob header and blocks in send order.
+_SentFile = Tuple[Dict[str, Any], List[_PendingBlock]]
 
 
 class StreamingPipeline:
@@ -142,14 +119,7 @@ class StreamingPipeline:
             int(nodes * self.config.cores_per_node * self.cost_model.parallel_efficiency),
         )
 
-    def _scaled_encode_time(self, measured_s: float, nominal_bytes: int) -> float:
-        if self.config.assumed_compression_throughput_mbps:
-            return nominal_bytes / (self.config.assumed_compression_throughput_mbps * 1e6)
-        return measured_s * self.config.resolved_work_time_scale()
-
-    def _scaled_decode_time(
-        self, measured_s: float, nominal_bytes: int, writers: int = 1
-    ) -> float:
+    def _scaled_decode_time(self, measured_s: float, nominal_bytes: int, writers: int) -> float:
         """Simulated cost of decoding one block, including the PFS write-back.
 
         Every decoded block is written to the destination's shared parallel
@@ -159,10 +129,9 @@ class StreamingPipeline:
         writers share, so one block moving concurrently with ``writers - 1``
         others gets a 1/``writers`` fair share of it.
         """
-        if self.config.assumed_decompression_throughput_mbps:
-            compute = nominal_bytes / (self.config.assumed_decompression_throughput_mbps * 1e6)
-        else:
-            compute = measured_s * self.config.resolved_work_time_scale()
+        compute = self.config.simulated_compute_s(
+            measured_s, nominal_bytes, self.config.assumed_decompression_throughput_mbps
+        )
         share = self.cost_model.write_bandwidth(writers) / max(1, writers)
         return compute + nominal_bytes / share
 
@@ -185,54 +154,94 @@ class StreamingPipeline:
             return StreamingOutcome()
         clock = self.testbed.clock
         t_origin = clock.now
-        outcome = StreamingOutcome()
         stream: TransferStream = self.testbed.service.open_stream(
             source,
             destination,
             destination_prefix=self.config.destination_prefix,
             label=f"{dataset_name}:streamed",
         )
-
         # Compute nodes pay the same start-up cost as the bulk makespan
         # models before the first block can encode/decode.
-        produce_start = t_origin + self.cost_model.startup_s_per_node * self._compression_nodes
+        startup_s = self.cost_model.startup_s_per_node
+        produce_start = t_origin + startup_s * self._compression_nodes
+        consume_start = t_origin + startup_s * self.config.decompression_nodes
         producer_workers = self._worker_count(self._compression_nodes)
-        producers = [produce_start] * producer_workers
+        decode_workers = self._worker_count(self.config.decompression_nodes)
+
+        sent, chunks, encode_times = self._produce(
+            stream, dataset_name, staged, plan, produce_start, producer_workers
+        )
+        stream.close(materialize=False)
+        outcome = StreamingOutcome(
+            chunk_count=len(chunks),
+            original_bytes=sum(f.size_bytes for f in staged),
+            transferred_bytes=stream.task.bytes_transferred,
+        )
+        last_decode_s, decode_times = self._consume(
+            dataset_name, staged, sent, source, destination, consume_start, decode_workers, outcome
+        )
+        makespan_end = max(stream.last_completion_s, last_decode_s)
+
+        # Phase-equivalent spans.  Mirror the bulk compression makespan's
+        # accounting (compute + the PFS write of the compressed output +
+        # node start-up) so the streamed and bulk compression_s columns
+        # are comparable.
+        compress_writers = max(1, min(producer_workers, len(chunks)))
+        compress_io = outcome.transferred_bytes / self.cost_model.write_bandwidth(
+            compress_writers
+        )
+        outcome.compression_s = (
+            (produce_start - t_origin)
+            + _lpt_makespan(encode_times, producer_workers)
+            + compress_io
+        )
+        first_start = min((c.started_at for c in chunks), default=t_origin)
+        outcome.transfer_s = max(0.0, stream.last_completion_s - first_start)
+        outcome.decompression_s = (consume_start - t_origin) + _lpt_makespan(
+            decode_times, decode_workers
+        )
+        outcome.streaming_s = max(0.0, makespan_end - t_origin)
+        clock.advance_to(makespan_end)
+        clock.record(f"streamed:done:{dataset_name}")
+        return outcome
+
+    def _produce(
+        self,
+        stream: TransferStream,
+        dataset_name: str,
+        staged,
+        plan,
+        produce_start: float,
+        workers: int,
+    ) -> Tuple[List[_SentFile], List[Any], List[float]]:
+        """Encode every block and hand it to the stream as it becomes ready.
+
+        Returns the sent files, every chunk in send order and the
+        simulated encode time of each.
+        """
+        producers = [produce_start] * workers
         heapq.heapify(producers)
-
-        src_endpoint = self.testbed.endpoint(source)
         window = max(1, self.config.stream_window)
-        sent_chunks: List[Any] = []
-        headers: List[Dict[str, Any]] = []
-        file_blocks: List[List[_PendingBlock]] = []
+        sent: List[_SentFile] = []
+        chunks: List[Any] = []
         encode_times: List[float] = []
-        stall_s = 0.0
-
-        # ---------------- produce + ship ------------------------------- #
-        for file_index, staged_file in enumerate(staged):
+        for staged_file in staged:
             compressor = self._build_compressor(plan.compressor)
             arr = np.asarray(staged_file.field.data)
             if not np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(np.float32)
             eb_abs = plan.error_bound.absolute_for(arr)
-            per_file: List[_PendingBlock] = []
-            for entry, payload, encode_s, header in self._encode_file(
-                compressor, arr, eb_abs
-            ):
-                nominal = int(
-                    spec_nbytes(entry, arr.dtype) * self.config.size_scale
+            blocks: List[_PendingBlock] = []
+            for entry, payload, encode_s, header in self._encode_file(compressor, arr, eb_abs):
+                nominal = int(spec_nbytes(entry, arr.dtype) * self.config.size_scale)
+                scaled_encode = self.config.simulated_compute_s(
+                    encode_s, nominal, self.config.assumed_compression_throughput_mbps
                 )
-                scaled_encode = self._scaled_encode_time(encode_s, nominal)
                 encode_times.append(scaled_encode)
                 # Back-pressure: block k may not start encoding until the
                 # (k - window)-th chunk has fully left the wire.
-                gate = 0.0
-                if len(sent_chunks) >= window:
-                    gate = sent_chunks[len(sent_chunks) - window].completed_at
-                worker_free = heapq.heappop(producers)
-                start = max(worker_free, gate, produce_start)
-                stall_s += max(0.0, gate - worker_free)
-                ready = start + scaled_encode
+                gate = chunks[len(chunks) - window].completed_at if len(chunks) >= window else 0.0
+                ready = max(heapq.heappop(producers), gate, produce_start) + scaled_encode
                 heapq.heappush(producers, ready)
 
                 # Only the chunk's wire size matters to the simulation; the
@@ -246,102 +255,56 @@ class StreamingPipeline:
                     size_bytes=int(message_size * self.config.size_scale),
                     available_at=ready,
                 )
-                sent_chunks.append(chunk)
-                pending = _PendingBlock(
-                    file_index=file_index,
-                    entry=entry,
-                    payload=payload,
-                    encode_s=scaled_encode,
-                    ready_at=ready,
-                    arrived_at=chunk.completed_at,
-                )
-                per_file.append(pending)
-            headers.append(header)
-            file_blocks.append(per_file)
-            outcome.original_bytes += staged_file.size_bytes
-        stream.close(materialize=False)
-        task = stream.task
-        outcome.chunk_count = len(sent_chunks)
-        outcome.transferred_bytes = task.bytes_transferred
-        outcome.stalled_s = stall_s
+                chunks.append(chunk)
+                blocks.append(_PendingBlock(entry, payload, nominal, chunk.completed_at))
+            sent.append((header, blocks))
+        return sent, chunks, encode_times
 
-        # ---------------- consume: assemble + random-access decode ----- #
-        dst_endpoint = self.testbed.endpoint(destination)
-        decode_workers = self._worker_count(self.config.decompression_nodes)
-        consume_start = (
-            t_origin + self.cost_model.startup_s_per_node * self.config.decompression_nodes
-        )
-        consumers = [consume_start] * decode_workers
+    def _consume(
+        self,
+        dataset_name: str,
+        staged,
+        sent: List[_SentFile],
+        source: str,
+        destination: str,
+        consume_start: float,
+        workers: int,
+        outcome: StreamingOutcome,
+    ) -> Tuple[float, List[float]]:
+        """Assemble, decode and measure each file as its blocks arrive.
+
+        Fills ``outcome``'s compressed size and quality; returns when the
+        last block finishes decoding and every simulated decode time.
+        """
+        src_fs = self.testbed.endpoint(source).filesystem
+        dst_fs = self.testbed.endpoint(destination).filesystem
+        consumers = [consume_start] * workers
         heapq.heapify(consumers)
         decode_times: List[float] = []
-        makespan_end = stream.last_completion_s
-
-        for file_index, staged_file in enumerate(staged):
-            per_file = file_blocks[file_index]
-            header = headers[file_index]
-            blob, recon, file_decode_times = self._consume_file(
-                header, per_file, writers=decode_workers
-            )
+        tally = QualityTally()
+        for staged_file, (header, blocks) in zip(staged, sent):
+            blob, recon, file_decode_times = self._consume_file(header, blocks, writers=workers)
             decode_times.extend(file_decode_times)
-            for pending, decode_s in zip(per_file, file_decode_times):
-                consumer_free = heapq.heappop(consumers)
-                start = max(consumer_free, pending.arrived_at)
-                finish = start + decode_s
+            for pending, decode_s in zip(blocks, file_decode_times):
+                finish = max(heapq.heappop(consumers), pending.arrived_at) + decode_s
                 heapq.heappush(consumers, finish)
-                makespan_end = max(makespan_end, finish)
 
             payload = blob.to_bytes()
             path = f"/compressed/{dataset_name}/{staged_file.field.filename}.sz"
             scaled_len = int(len(payload) * self.config.size_scale)
-            src_endpoint.filesystem.write(path, data=payload, size_bytes=scaled_len)
-            dst_endpoint.filesystem.write(
-                f"{self.config.destination_prefix}{path}"
-                if self.config.destination_prefix
-                else path,
-                data=payload,
-                size_bytes=scaled_len,
+            src_fs.write(path, data=payload, size_bytes=scaled_len)
+            dst_fs.write(
+                f"{self.config.destination_prefix}{path}", data=payload, size_bytes=scaled_len
             )
             outcome.compressed_bytes += scaled_len
-
-            result = StreamedFileResult(
-                name=staged_file.field.filename,
-                path=path,
-                blob_bytes=scaled_len,
-                num_blocks=len(per_file),
-            )
-            original = np.asarray(staged_file.field.data, dtype=np.float64)
-            if recon is not None and original.shape == recon.shape:
-                recon64 = np.asarray(recon, dtype=np.float64)
-                result.psnr_db = compute_psnr(original, recon64)
-                result.max_abs_error = float(np.max(np.abs(original - recon64)))
-            dst_endpoint.filesystem.write(
+            tally.add(staged_file.field.data, recon)
+            dst_fs.write(
                 f"/decompressed/{dataset_name}/{staged_file.field.filename}",
                 size_bytes=int(recon.nbytes * self.config.size_scale),
             )
-            outcome.files.append(result)
-
-        # ---------------- phase-equivalent spans ----------------------- #
-        # Mirror the bulk compression makespan's accounting (compute + the
-        # PFS write of the compressed output + node start-up) so the
-        # streamed and bulk compression_s columns are comparable.
-        compress_writers = max(1, min(producer_workers, len(sent_chunks)))
-        compress_io = outcome.transferred_bytes / self.cost_model.write_bandwidth(
-            compress_writers
-        )
-        outcome.compression_s = (
-            (produce_start - t_origin)
-            + _lpt_makespan(encode_times, producer_workers)
-            + compress_io
-        )
-        first_start = min((c.started_at for c in sent_chunks), default=t_origin)
-        outcome.transfer_s = max(0.0, stream.last_completion_s - first_start)
-        outcome.decompression_s = (consume_start - t_origin) + _lpt_makespan(
-            decode_times, decode_workers
-        )
-        outcome.streaming_s = max(0.0, makespan_end - t_origin)
-        clock.advance_to(makespan_end)
-        clock.record(f"streamed:done:{dataset_name}")
-        return outcome
+        outcome.quality = tally.summary()
+        # A worker's clock only moves forward, so the latest finish is still queued.
+        return max(consumers), decode_times
 
     # ------------------------------------------------------------------ #
     def _encode_file(self, compressor: Compressor, arr: np.ndarray, eb_abs: float):
@@ -389,27 +352,21 @@ class StreamingPipeline:
             yield entry, payload, elapsed, header
 
     def _consume_file(
-        self, header: Dict[str, Any], per_file: List[_PendingBlock], writers: int = 1
+        self, header: Dict[str, Any], per_file: List[_PendingBlock], writers: int
     ) -> Tuple[CompressedBlob, np.ndarray, List[float]]:
         """Assemble the destination-side blob and decode it block by block.
 
         Returns the assembled blob, the full reconstruction, and the
         measured (scaled) per-block decode times.
         """
-        decode_times: List[float] = []
         if header.get("whole_blob"):
-            payload = per_file[0].payload
+            whole = per_file[0]
             start = time.perf_counter()
-            blob = CompressedBlob.from_bytes(payload)
+            blob = CompressedBlob.from_bytes(whole.payload)
             decompressor = self._build_compressor(blob.compressor)
             recon = decompressor.decompress(blob)
             elapsed = time.perf_counter() - start
-            decode_times.append(
-                self._scaled_decode_time(
-                    elapsed, int(recon.nbytes * self.config.size_scale), writers
-                )
-            )
-            return blob, recon, decode_times
+            return blob, recon, [self._scaled_decode_time(elapsed, whole.nominal_bytes, writers)]
         blob = CompressedBlob.assemble(
             header, [(p.entry, p.payload) for p in per_file]
         )
@@ -419,19 +376,14 @@ class StreamingPipeline:
                 f"streamed blob produced by {blob.compressor!r} cannot be decoded per block"
             )
         out = np.empty(blob.shape, dtype=np.float64)
+        decode_times: List[float] = []
         for pending in per_file:
             spec = BlockSpec.from_dict(pending.entry)
             start = time.perf_counter()
             recon = decompressor.decompress_block(blob, spec.block_id)
             elapsed = time.perf_counter() - start
             out[spec.slices()] = recon
-            decode_times.append(
-                self._scaled_decode_time(
-                    elapsed,
-                    int(spec.num_elements * np.dtype(blob.dtype).itemsize * self.config.size_scale),
-                    writers,
-                )
-            )
+            decode_times.append(self._scaled_decode_time(elapsed, pending.nominal_bytes, writers))
         return blob, out.astype(np.dtype(blob.dtype), copy=False), decode_times
 
 

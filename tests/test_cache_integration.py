@@ -133,6 +133,21 @@ class TestWarmRuns:
         assert warm.timings.streaming_s == 0.0
         assert any("shipped cached blobs in bulk" in note for note in warm.notes)
 
+    def test_streamed_run_counts_the_files_it_probed(self, tmp_path):
+        """A streamed run reads the blob tier without writing it, and every
+        file it probed and was not served is a miss — as on a bulk run."""
+        dataset = _dataset()
+        streamed = _config(tmp_path, block_size=16, transfer_mode="streamed")
+        first = Ocelot(streamed).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+        again = Ocelot(streamed).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+        bulk = Ocelot(_config(tmp_path, block_size=16)).transfer_dataset(
+            dataset, "anvil", "cori", mode="compressed"
+        )
+        for report in (first, again, bulk):  # the streamed runs stored nothing
+            assert (report.cache_hits, report.cache_misses) == (0, dataset.file_count)
+            assert report.cache_hit_rate == 0.0
+        assert first.transfer_mode == again.transfer_mode == "streamed"
+
 
 class TestKeySeparation:
     @pytest.mark.parametrize(

@@ -1,0 +1,87 @@
+"""A fault or a cancel at any phase leaves nothing held and nobody hurt.
+
+``OcelotOrchestrator.iter_phases`` is one loop over ``PHASES`` with one
+``finally``, so one seam covers every phase of every mode: replace a
+phase (here, never in ``src/``) with one that raises for a single job,
+and that job must end ``FAILED`` with one ``failed`` event, the batch
+scheduler must get its nodes back, and a neighbour submitted alongside
+must finish with the report it produces on its own.
+"""
+
+from __future__ import annotations
+
+import pytest
+from test_service_api import _config, _dicts_close, _spec
+
+from repro.core.phases import MODE_PHASES, PHASES
+from repro.datasets import generate_application
+from repro.service import JobStatus, OcelotService
+
+#: Per-job overrides of the runs whose every phase is faulted / cancelled.
+RUNS = {
+    "compressed": {"mode": "compressed"},
+    "grouped": {"mode": "grouped"},
+    "streamed": {"mode": "compressed", "transfer_mode": "streamed", "block_size": 8},
+}
+CASES = [(run, phase) for run, overrides in RUNS.items() for phase in MODE_PHASES[overrides["mode"]]]
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate_application(
+        "miranda", snapshots=1, scale=0.03, seed=4, fields=["density", "pressure", "velocityx"]
+    )
+
+
+def _service() -> OcelotService:
+    return OcelotService(_config())  # assumed throughputs: no wall time in a report
+
+
+@pytest.fixture(scope="module")
+def solo_report(dataset):
+    return _service().submit(_spec(dataset)).result().as_dict()
+
+
+@pytest.mark.parametrize("run, phase", CASES)
+def test_a_raising_phase_fails_one_job_and_frees_its_nodes(
+    monkeypatch, dataset, solo_report, run, phase
+):
+    real = PHASES[phase]
+
+    def faulty(orchestrator, record):
+        if orchestrator.config.tenant == "victim":
+            raise RuntimeError(f"injected fault in {phase}")
+        return real(orchestrator, record)
+
+    monkeypatch.setitem(PHASES, phase, faulty)
+    service = _service()
+    victim = service.submit(_spec(dataset, overrides={"tenant": "victim", **RUNS[run]}))
+    neighbour = service.submit(_spec(dataset))
+    service.run_pending()
+
+    assert victim.status is JobStatus.FAILED
+    failed = [event for event in victim.events() if event.kind == "failed"]
+    assert [event.detail["error"] for event in failed] == [f"injected fault in {phase}"]
+    assert service.faas.endpoint("anvil").scheduler.busy_nodes == 0
+    assert neighbour.status is JobStatus.COMPLETED
+    assert _dicts_close(neighbour.result().as_dict(), solo_report)
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_cancel_at_every_phase_boundary_frees_the_nodes(dataset, run):
+    boundary = 0
+    while True:
+        boundary += 1
+        service = _service()
+        batch_scheduler = service.faas.endpoint("anvil").scheduler
+        handle = service.submit(_spec(dataset, overrides=RUNS[run]))
+        for _ in range(boundary):
+            assert service.scheduler.step()
+        if handle.status.is_terminal:  # stepped past the last boundary
+            break
+        assert handle.cancel() is True
+        assert handle.status is JobStatus.CANCELLED
+        assert batch_scheduler.busy_nodes == 0
+    assert handle.status is JobStatus.COMPLETED and batch_scheduler.busy_nodes == 0
+    # stage, plan, wait, then one step per remaining phase that applies.
+    assert boundary - 1 == {"compressed": 6, "grouped": 7, "streamed": 4}[run]

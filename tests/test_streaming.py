@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Ocelot, OcelotConfig
+import re
+
+from repro.core import Ocelot, OcelotConfig, OcelotOrchestrator
 from repro.datasets import generate_application
 from repro.errors import ConfigurationError, TransferError
 from repro.transfer import TransferStatus
@@ -166,6 +168,23 @@ class TestStreamedOrchestration:
             timings.compression_s, timings.transfer_s, timings.decompression_s
         ) - 1e-9
         assert "streamed" in " ".join(streamed_report.notes)
+
+    def test_stream_step_publishes_the_chunk_count(self, dataset):
+        """``chunks`` in the job event feed is the count the report's note
+        states (it was once ``streaming_s > 0``, a bool)."""
+        config = _streamed_config(transfer_mode="streamed", block_size=8)
+        phases = OcelotOrchestrator(config).iter_phases(dataset, "anvil", "cori")
+        steps = {}
+        while True:
+            try:
+                step = next(phases)
+            except StopIteration as stop:
+                report = stop.value
+                break
+            steps[step.name] = step
+        noted = re.search(r"streamed (\d+) block chunks", " ".join(report.notes))
+        chunks = steps["stream"].detail["chunks"]
+        assert type(chunks) is int and chunks == int(noted.group(1)) > dataset.file_count
 
     def test_tight_window_throttles_but_still_completes(self, dataset):
         config = _streamed_config(transfer_mode="streamed", stream_window=1)
