@@ -5,11 +5,21 @@ synthetic testbed.  The helpers here keep the benchmarks short: dataset
 generation at benchmark scale, quality-record sweeps, simple statistics
 (Pearson correlation), and row printing so each benchmark emits the same
 rows/series the paper reports.
+
+Tests here are of two kinds.  **Deterministic** tests assert only values
+two runs reproduce exactly (ratios, PSNR, byte/block/hit/step counts,
+simulated seconds).  **Same-run ratio** tests time a paper-facing
+overhead, or a kernel against an in-tree reference implementation no PR
+is meant to speed up, both sides through :func:`best_of` in one test.
+Absolute MB/s and wall ratios between two production configurations are
+``bench/``'s job (medians, quartiles, alternating pairs); nothing here
+stores a number.  ``tests/test_benchmarks_ratchet.py`` enforces it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+import time
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,17 +30,17 @@ from repro.prediction.records import QualityRecord
 
 #: Linear scale applied to the paper's full-resolution dimensions in the
 #: benchmark suite (documented in EXPERIMENTS.md).
-BENCH_SCALE = 0.05
+SWEEP_SCALE = 0.05
 
 #: Error bounds used for benchmark sweeps (subset of the paper's 11-point sweep).
-BENCH_ERROR_BOUNDS: Tuple[float, ...] = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
+SWEEP_ERROR_BOUNDS: Tuple[float, ...] = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
 #: Compressor used for benchmark sweeps (deflate-backed SZ3 pipeline).
-BENCH_COMPRESSOR = "sz3-fast"
+SWEEP_COMPRESSOR = "sz3-fast"
 
 
 def bench_fields(app: str, snapshots: int = 1, max_fields: int | None = None,
-                 scale: float = BENCH_SCALE, seed: int = 0) -> List[Field]:
+                 scale: float = SWEEP_SCALE, seed: int = 0) -> List[Field]:
     """Generate benchmark-scale fields for an application."""
     dataset = generate_application(app, snapshots=snapshots, scale=scale, seed=seed)
     fields = dataset.fields
@@ -40,8 +50,8 @@ def bench_fields(app: str, snapshots: int = 1, max_fields: int | None = None,
 
 
 def bench_records(apps: Iterable[str], snapshots: int = 1, max_fields: int | None = None,
-                  error_bounds: Sequence[float] = BENCH_ERROR_BOUNDS,
-                  compressor: str = BENCH_COMPRESSOR, seed: int = 0) -> List[QualityRecord]:
+                  error_bounds: Sequence[float] = SWEEP_ERROR_BOUNDS,
+                  compressor: str = SWEEP_COMPRESSOR, seed: int = 0) -> List[QualityRecord]:
     """Measured quality records for a set of applications."""
     fields: List[Field] = []
     for app in apps:
@@ -55,6 +65,21 @@ def fit_predictor(records: List[QualityRecord], train_fraction: float = 0.3,
     train, test = train_test_split_records(records, train_fraction=train_fraction, seed=seed)
     predictor = QualityPredictor().fit(train)
     return predictor, test
+
+
+def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
+    """Best-of-``repeats`` wall seconds of ``fn()`` — the suite's only clock.
+
+    The minimum discards one-off table builds and descheduled slices,
+    which only ever add time; a same-run ratio of two minima is what the
+    (R) gates compare.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

@@ -1,45 +1,37 @@
-"""Gateway throughput — HTTP overhead, plan-group fan-out, SSE fan-out.
+"""Gateway throughput — what HTTP may not change, and what each job costs.
 
 The gateway's claim is that putting HTTP in front of the job service
-costs plumbing, not results:
+costs plumbing, not results.  (D) deterministic, all four:
 
-* submitting over REST adds bounded wall-clock overhead versus calling
-  ``OcelotService.submit()`` in-process (the driver thread + JSON + TCP
-  round-trips), and the overhead ratio gets a CI ceiling so a future
-  lock-contention regression fails loudly;
-* a 32-job plan group submitted by concurrent HTTP clients completes
-  with per-job reports *identical* to direct in-process runs of the
-  same spec — scheduling through the gateway moves timelines, never
-  numbers;
+* a 32-job batch submitted by 8 concurrent HTTP clients reports what
+  ``OcelotService.submit()`` reports in-process for the same spec —
+  scheduling through the gateway moves timelines, never numbers;
+* a 32-job plan group completes with per-job reports *identical* to
+  direct in-process runs of the same spec;
 * one job's event feed fans out over SSE to many simultaneous
   subscribers, each receiving the complete, identical timeline;
-* serving cost does not grow with the jobs the gateway retains: over
-  400 closed-loop jobs the last quarter's median latency stays within
-  1.3x the first quarter's (``latency_drift_ratio``).
+* work per job does not grow with the jobs the gateway retains: over
+  64 closed-loop jobs every feed has the first job's length, the bus
+  published exactly their sum and dropped nothing, and the server
+  answered exactly two requests per job.
 
-Results merge into ``BENCH_gateway.json``; CI runs this file and
-uploads the JSON as an artifact alongside the other BENCH files.
+How long the plumbing takes is ``bench/``'s ``gateway_small_jobs``
+workload: ``gateway.http_overhead_ratio`` (HTTP loop / in-process
+drain), ``gateway.latency_drift_ratio`` (last / first quarter p50),
+``jobs_per_s``, ``gateway.sse_replay_events_per_s``.
 """
 
 from __future__ import annotations
 
 import json
-import statistics
-import sys
 import threading
-import time
 import urllib.request
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+from common import print_table
 
-from common import print_table  # noqa: E402
-
-from repro.core import OcelotConfig  # noqa: E402
-from repro.gateway import create_gateway, spec_from_payload  # noqa: E402
-from repro.service import OcelotService  # noqa: E402
-
-BENCH_JSON = Path(__file__).parent / "BENCH_gateway.json"
+from repro.core import OcelotConfig
+from repro.gateway import create_gateway, spec_from_payload
+from repro.service import OcelotService
 
 RECIPE = {
     "application": "miranda",
@@ -60,26 +52,10 @@ GROUP_JOBS = 32
 HTTP_CLIENTS = 8
 #: Simultaneous SSE subscribers on one job's feed.
 SSE_SUBSCRIBERS = 16
-#: CI ceiling: the best-of-N HTTP submit+wait wall may cost at most this
-#: multiple of the best-of-N in-process equivalent.  Generous — shared
-#: CI runners jitter — but a lock-contention regression blows past it.
-MAX_HTTP_OVERHEAD_RATIO = 5.0
-#: Closed-loop jobs (and the clients pushing them) behind the drift ratio.
-DRIFT_JOBS = 400
-DRIFT_CLIENTS = 2
-#: CI ceiling on p50 latency of the last quarter of ``DRIFT_JOBS`` over
-#: the first quarter.  Flat serving reads ~1.0; a per-step or per-submit
-#: walk over the retained jobs read 1.6-2.9 over 600 jobs.
-MAX_LATENCY_DRIFT_RATIO = 1.3
-#: Seconds of request ping-pong run before the drift loop is timed.  A
-#: box that has sat idle serves its first second or so of thread
-#: hand-offs about twice as fast as the steady state (measured on bare
-#: ``/healthz`` requests, no jobs involved), which would read as drift.
-SETTLE_S = 2.0
-#: Wall-clock trials per path; best-of filters scheduler hiccups (the
-#: walls are fractions of a second, so a single preemption would
-#: otherwise dominate the ratio).
-TRIALS = 3
+#: Closed-loop jobs (and the clients pushing them) the gateway retains
+#: while the per-job work is counted.
+RETAINED_JOBS = 64
+CLOSED_LOOP_CLIENTS = 2
 
 
 def _reports_close(a, b, rel=1e-9):
@@ -96,18 +72,6 @@ def _reports_close(a, b, rel=1e-9):
     if isinstance(a, float) and isinstance(b, float):
         return a == b or abs(a - b) <= rel * max(abs(a), abs(b), 1e-12)
     return a == b
-
-
-def _merge_bench(update: dict) -> None:
-    """Merge new measurements into BENCH_gateway.json (all tests write)."""
-    payload = {}
-    if BENCH_JSON.exists():
-        try:
-            payload = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(update)
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _config() -> OcelotConfig:
@@ -141,44 +105,48 @@ def _get(base: str, path: str, timeout: float = 120.0):
         return json.load(response)
 
 
-def _inprocess_batch(n_jobs: int):
-    """Baseline: submit+drain the same specs without any HTTP in the way."""
+def _inprocess_report() -> dict:
+    """Baseline: the same spec submitted and drained with no HTTP in the way."""
     service = OcelotService(_config())
-    start = time.perf_counter()
-    handles = [service.submit(spec_from_payload(SPEC_JSON)) for _ in range(n_jobs)]
+    handle = service.submit(spec_from_payload(SPEC_JSON))
     service.run_pending()
-    wall_s = time.perf_counter() - start
-    reports = [handle.result().as_dict() for handle in handles]
-    return wall_s, reports
+    return handle.result().as_dict()
+
+
+def _run_clients(client, count: int, before_join=lambda: None) -> None:
+    """Run ``client(slot)`` on ``count`` threads; any exception fails the bench."""
+    errors = []
+
+    def guarded(slot: int):
+        try:
+            client(slot)
+        except Exception as exc:  # noqa: BLE001 - fail the bench
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(slot,)) for slot in range(count)]
+    for thread in threads:
+        thread.start()
+    before_join()
+    for thread in threads:
+        thread.join(timeout=300)
+    assert not errors and not any(thread.is_alive() for thread in threads), errors
 
 
 def _http_batch():
-    """One HTTP trial: 8 clients submit+wait 32 jobs on a fresh gateway."""
+    """8 clients submit+wait 32 jobs on a fresh gateway."""
     gateway = create_gateway(config=_config()).start()
     try:
         job_ids = [[] for _ in range(HTTP_CLIENTS)]
-        errors = []
         per_client = GROUP_JOBS // HTTP_CLIENTS
 
         def client(slot: int):
-            try:
-                for _ in range(per_client):
-                    record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
-                    job_ids[slot].append(record["job_id"])
-                for job_id in job_ids[slot]:
-                    _get(gateway.url, f"/v1/jobs/{job_id}/wait?timeout=120")
-            except Exception as exc:  # noqa: BLE001 - fail the bench
-                errors.append(exc)
+            for _ in range(per_client):
+                record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+                job_ids[slot].append(record["job_id"])
+            for job_id in job_ids[slot]:
+                _get(gateway.url, f"/v1/jobs/{job_id}/wait?timeout=120")
 
-        start = time.perf_counter()
-        threads = [threading.Thread(target=client, args=(slot,))
-                   for slot in range(HTTP_CLIENTS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-        wall_s = time.perf_counter() - start
-        assert not errors, errors
+        _run_clients(client, HTTP_CLIENTS)
 
         flat_ids = [job_id for slot in job_ids for job_id in slot]
         assert len(flat_ids) == GROUP_JOBS
@@ -189,145 +157,87 @@ def _http_batch():
         metrics = _get(gateway.url, "/metricsz")
     finally:
         gateway.stop()
-    return wall_s, reports, metrics
+    return reports, metrics
 
 
-def _drift_trial():
-    """``DRIFT_JOBS`` closed-loop POST+wait jobs on a fresh gateway.
+def _closed_loop():
+    """``RETAINED_JOBS`` closed-loop POST+wait jobs on a fresh gateway.
 
-    Returns the p50 latency of the first and of the last quarter of the
-    jobs (in submission order) and the wall of the timed loop.
+    Returns every job's record in submission order and the final
+    ``/metricsz`` snapshot.
     """
-    latencies = [0.0] * DRIFT_JOBS
-    errors = []
+    job_ids = [None] * RETAINED_JOBS
     gateway = create_gateway(config=_config()).start()
 
-    def client(slot: int, jobs: int):
-        try:
-            for i in range(slot, jobs, DRIFT_CLIENTS):
-                sent = time.perf_counter()
-                record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
-                final = _get(gateway.url,
-                             f"/v1/jobs/{record['job_id']}/wait?timeout=120")
-                latencies[i] = time.perf_counter() - sent
-                assert final["status"] == "completed", final
-        except Exception as exc:  # noqa: BLE001 - fail the bench
-            errors.append(exc)
-
-    def settle(slot: int):
-        until = time.perf_counter() + SETTLE_S
-        while time.perf_counter() < until:
-            _get(gateway.url, "/healthz")
-
-    def run_clients(target, *args: int):
-        threads = [threading.Thread(target=target, args=(slot, *args))
-                   for slot in range(DRIFT_CLIENTS)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-        assert not errors, errors
+    def client(slot: int):
+        for i in range(slot, RETAINED_JOBS, CLOSED_LOOP_CLIENTS):
+            record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+            final = _get(gateway.url,
+                         f"/v1/jobs/{record['job_id']}/wait?timeout=120")
+            assert final["status"] == "completed", final
+            job_ids[i] = record["job_id"]
 
     try:
-        run_clients(client, 16)  # imports and caches warm
-        run_clients(settle)
-        start = time.perf_counter()
-        run_clients(client, DRIFT_JOBS)  # overwrites the warm-up's latencies
-        wall_s = time.perf_counter() - start
+        _run_clients(client, CLOSED_LOOP_CLIENTS)
+        metrics = _get(gateway.url, "/metricsz")
+        records = [_get(gateway.url, f"/v1/jobs/{job_id}") for job_id in job_ids]
     finally:
         gateway.stop()
-    quarter = DRIFT_JOBS // 4
-    return (statistics.median(latencies[:quarter]),
-            statistics.median(latencies[-quarter:]), wall_s)
+    return records, metrics
 
 
 class TestGatewayThroughput:
-    def test_http_submit_overhead_has_a_ceiling(self):
-        """REST submit+complete vs in-process submit+drain, 32 jobs each."""
-        inproc_wall, inproc_reports = min(
-            (_inprocess_batch(GROUP_JOBS) for _ in range(TRIALS)),
-            key=lambda trial: trial[0],
-        )
-        http_wall, http_reports, metrics = min(
-            (_http_batch() for _ in range(TRIALS)),
-            key=lambda trial: trial[0],
-        )
+    def test_http_reports_match_in_process(self):
+        """32 jobs over REST from 8 clients report what in-process runs do."""
+        inproc_report = _inprocess_report()
+        http_reports, metrics = _http_batch()
 
         # Reports through HTTP match the in-process baseline
         # (scheduling through the gateway moves timelines, not numbers).
         for report in http_reports:
-            assert _reports_close(report, inproc_reports[0]), (
+            assert _reports_close(report, inproc_report), (
                 "HTTP report diverged from in-process:\n"
-                f"{report}\nvs\n{inproc_reports[0]}"
+                f"{report}\nvs\n{inproc_report}"
             )
-
-        overhead = http_wall / max(inproc_wall, 1e-9)
-        rows = [
-            {"path": "in-process", "jobs": GROUP_JOBS,
-             "wall_s": round(inproc_wall, 3),
-             "jobs_per_sec_wall": round(GROUP_JOBS / inproc_wall, 2)},
-            {"path": f"http x{HTTP_CLIENTS} clients", "jobs": GROUP_JOBS,
-             "wall_s": round(http_wall, 3),
-             "jobs_per_sec_wall": round(GROUP_JOBS / http_wall, 2)},
-        ]
-        print_table("Gateway: HTTP submit overhead vs in-process", rows)
-        print(f"http/in-process wall ratio: {overhead:.2f}x "
-              f"(ceiling {MAX_HTTP_OVERHEAD_RATIO}x)")
-        assert overhead <= MAX_HTTP_OVERHEAD_RATIO
-
-        _merge_bench(
-            {
-                "jobs": GROUP_JOBS,
-                "http_clients": HTTP_CLIENTS,
-                "inprocess_wall_s": inproc_wall,
-                "http_wall_s": http_wall,
-                "http_overhead_ratio": overhead,
-                "http_jobs_per_sec_wall": GROUP_JOBS / http_wall,
-                "simulated_jobs_per_sec": metrics["jobs_per_sec"]["simulated"],
-                "bus_events_published": metrics["bus"]["published"],
-            }
-        )
-
-    def test_latency_stays_flat_as_jobs_accumulate(self):
-        """Closed-loop POST+wait jobs: late jobs cost what early ones did."""
-        # Best of up to TRIALS, stopping at the first under the ceiling:
-        # a host hiccup in one quarter passes on a rerun, a cost that
-        # grows with the retained jobs fails every trial.
-        for _ in range(TRIALS):
-            first, last, wall_s = _drift_trial()
-            drift = last / first
-            if drift <= MAX_LATENCY_DRIFT_RATIO:
-                break
+        assert metrics["jobs"] == {"total": GROUP_JOBS, "completed": GROUP_JOBS}
+        assert metrics["bus"]["dropped"] == 0
         print_table(
-            f"Gateway: latency drift over {DRIFT_JOBS} closed-loop jobs",
-            [{"clients": DRIFT_CLIENTS, "jobs": DRIFT_JOBS,
-              "first_quarter_p50_ms": round(first * 1e3, 2),
-              "last_quarter_p50_ms": round(last * 1e3, 2),
-              "latency_drift_ratio": round(drift, 3),
-              "jobs_per_sec_wall": round(DRIFT_JOBS / wall_s, 1)}],
+            "Gateway: HTTP batch vs in-process",
+            [{"clients": HTTP_CLIENTS, "jobs": GROUP_JOBS,
+              "reports_equal_in_process": len(http_reports),
+              "bus_events_published": metrics["bus"]["published"]}],
         )
-        print(f"latency drift: {drift:.2f}x (ceiling {MAX_LATENCY_DRIFT_RATIO}x)")
-        assert drift <= MAX_LATENCY_DRIFT_RATIO
 
-        _merge_bench(
-            {
-                "drift_jobs": DRIFT_JOBS,
-                "drift_clients": DRIFT_CLIENTS,
-                "drift_first_quarter_p50_ms": first * 1e3,
-                "drift_last_quarter_p50_ms": last * 1e3,
-                "latency_drift_ratio": drift,
-                "drift_jobs_per_sec_wall": DRIFT_JOBS / wall_s,
-            }
+    def test_work_per_job_stays_flat_as_jobs_accumulate(self):
+        """Closed-loop POST+wait jobs: late jobs cost what early ones did, counted."""
+        records, metrics = _closed_loop()
+        feed_lengths = [len(record["events"]) for record in records]
+        print_table(
+            f"Gateway: work per job over {RETAINED_JOBS} closed-loop jobs",
+            [{"clients": CLOSED_LOOP_CLIENTS, "jobs": RETAINED_JOBS,
+              "events_first_job": feed_lengths[0],
+              "events_last_job": feed_lengths[-1],
+              "bus_published": metrics["bus"]["published"],
+              "bus_dropped": metrics["bus"]["dropped"]}],
         )
+        assert metrics["jobs"] == {"total": RETAINED_JOBS, "completed": RETAINED_JOBS}
+        # Job 64 emitted, published and was asked for exactly what job 1 was.
+        assert feed_lengths == [feed_lengths[0]] * RETAINED_JOBS
+        assert metrics["bus"]["published"] == sum(feed_lengths)
+        assert metrics["bus"]["dropped"] == 0
+        assert metrics["http"]["requests"] == {
+            "POST /v1/jobs": RETAINED_JOBS,
+            "GET /v1/jobs/{id}/wait": RETAINED_JOBS,
+            "GET /metricsz": 1,
+        }
+        assert _reports_close(records[-1]["report"], records[0]["report"])
 
     def test_plan_group_fan_out_matches_direct_runs(self):
         """One 32-spec plan group; per-job reports equal direct runs."""
-        _, inproc_reports = _inprocess_batch(1)
-        solo_report = inproc_reports[0]
+        solo_report = _inprocess_report()
 
         gateway = create_gateway(config=_config()).start()
         try:
-            start = time.perf_counter()
             group = _post(
                 gateway.url, "/v1/plan-groups",
                 {"jobs": [SPEC_JSON] * GROUP_JOBS, "label": "bench"},
@@ -335,7 +245,6 @@ class TestGatewayThroughput:
             for job_id in group["jobs"]:
                 _get(gateway.url, f"/v1/jobs/{job_id}/wait?timeout=300",
                      timeout=310.0)
-            wall_s = time.perf_counter() - start
             final = _get(gateway.url, f"/v1/plan-groups/{group['group_id']}")
             reports = [
                 _get(gateway.url, f"/v1/jobs/{job_id}")["report"]
@@ -350,11 +259,8 @@ class TestGatewayThroughput:
 
         print_table(
             f"Gateway: {GROUP_JOBS}-job plan group",
-            [{"jobs": GROUP_JOBS, "wall_s": round(wall_s, 3),
-              "status": final["status"]}],
-        )
-        _merge_bench(
-            {"plan_group_jobs": GROUP_JOBS, "plan_group_wall_s": wall_s}
+            [{"jobs": GROUP_JOBS, "status": final["status"],
+              "reports_equal_solo": len(reports)}],
         )
 
     def test_sse_fan_out(self):
@@ -365,26 +271,13 @@ class TestGatewayThroughput:
             record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
             job_id = record["job_id"]
             feeds = [None] * SSE_SUBSCRIBERS
-            errors = []
 
             def subscribe(slot: int):
-                try:
-                    url = f"{gateway.url}/v1/jobs/{job_id}/events"
-                    with urllib.request.urlopen(url, timeout=120) as response:
-                        feeds[slot] = response.read().decode()
-                except Exception as exc:  # noqa: BLE001 - fail the bench
-                    errors.append(exc)
+                url = f"{gateway.url}/v1/jobs/{job_id}/events"
+                with urllib.request.urlopen(url, timeout=120) as response:
+                    feeds[slot] = response.read().decode()
 
-            threads = [threading.Thread(target=subscribe, args=(slot,))
-                       for slot in range(SSE_SUBSCRIBERS)]
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            gateway.driver.resume()
-            for thread in threads:
-                thread.join(timeout=180)
-            wall_s = time.perf_counter() - start
-            assert not errors, errors
+            _run_clients(subscribe, SSE_SUBSCRIBERS, before_join=gateway.driver.resume)
             events = gateway.driver.events_since(job_id)
         finally:
             gateway.stop()
@@ -404,18 +297,8 @@ class TestGatewayThroughput:
             assert [chunk for chunk in feed.split("\n\n")
                     if not chunk.startswith(":")] == canonical
 
-        events_per_sec = SSE_SUBSCRIBERS * len(events) / max(wall_s, 1e-9)
         print_table(
             f"Gateway: SSE fan-out to {SSE_SUBSCRIBERS} subscribers",
             [{"subscribers": SSE_SUBSCRIBERS, "events_each": len(events),
-              "wall_s": round(wall_s, 3),
-              "delivered_events_per_sec": round(events_per_sec, 1)}],
-        )
-        _merge_bench(
-            {
-                "sse_subscribers": SSE_SUBSCRIBERS,
-                "sse_events_each": len(events),
-                "sse_wall_s": wall_s,
-                "sse_delivered_events_per_sec": events_per_sec,
-            }
+              "identical_feeds": len(feeds)}],
         )

@@ -8,38 +8,33 @@ The job scheduler's claim is architectural, in two parts:
   batch lands well below the serial sum while every per-job report
   stays identical to a solo run;
 * the event-driven core (min-heap ready queues, dict registries, WFQ
-  across tenants) makes ``step()`` O(log n), so draining hundreds of
-  queued jobs costs near-linear wall-clock time instead of the old
-  O(N² · phases) scan.
+  across tenants) makes ``step()`` O(log n), so draining twice the jobs
+  takes exactly twice the steps and emits exactly twice the events —
+  no step is spent rescanning the queue.
 
 This benchmark measures both: a 1-vs-8 overlap run, and a 100/200-job
 tenant-scale run across all three WAN routes recording simulated
 jobs/sec, p50/p99 queue wait, per-tenant fairness (Jain's index) and
-the wall-clock drain time.  Results merge into ``BENCH_service.json``
-so future PRs have a perf trajectory for the orchestration layer (CI
-uploads it as an artifact alongside ``BENCH_codec.json`` and asserts
-the scalability floor below).
+the scheduler steps and events of each drain.
+
+(D) deterministic: every second below is simulated.  What one step
+costs in wall time is ``bench/``'s ``service.step_ms_p50`` /
+``service.inprocess_jobs_per_s`` on ``gateway_small_jobs``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+import pytest
 
-from common import print_table  # noqa: E402
+from common import print_table
 
-from repro.core import OcelotConfig  # noqa: E402
-from repro.datasets import generate_application  # noqa: E402
-from repro.faas import NodeWaitModel, build_faas_service  # noqa: E402
-from repro.service import JobStatus, OcelotService, TransferSpec  # noqa: E402
-from repro.transfer import build_testbed  # noqa: E402
-
-BENCH_JSON = Path(__file__).parent / "BENCH_service.json"
+from repro.core import OcelotConfig
+from repro.datasets import generate_application
+from repro.faas import NodeWaitModel, build_faas_service
+from repro.service import JobStatus, OcelotService, TransferSpec
+from repro.transfer import build_testbed
 
 APPLICATION = "miranda"
 SCALE = 0.03
@@ -61,22 +56,10 @@ SCALE_JOBS = 100
 SCALE_JOBS_2X = 200
 #: Regression floor: jobs/sec at 100 jobs must beat 10x a solo run's.
 MIN_SCALE_SPEEDUP = 10.0
-#: Near-linear drain: wall-clock drain of 200 jobs vs 100 jobs.
-MAX_DRAIN_RATIO = 2.5
+#: Simulated makespans of the 100- and 200-job drains, pinned.
+SCALE_MAKESPAN_S = {SCALE_JOBS: 27.0748, SCALE_JOBS_2X: 52.0515}
 #: Per-tenant fairness floor (Jain's index over mean turnaround).
 MIN_JAIN_INDEX = 0.9
-
-
-def _merge_bench(update: dict) -> None:
-    """Merge new measurements into BENCH_service.json (both tests write)."""
-    payload = {}
-    if BENCH_JSON.exists():
-        try:
-            payload = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(update)
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _config() -> OcelotConfig:
@@ -148,20 +131,6 @@ class TestServiceThroughput:
 
         assert batch_makespan < serial_sum
         assert speedup >= MIN_AGGREGATE_SPEEDUP
-
-        _merge_bench(
-            {
-                "application": APPLICATION,
-                "size_scale": SIZE_SCALE,
-                "concurrent_jobs": CONCURRENT_JOBS,
-                "solo_makespan_s": solo_makespan,
-                "batch_makespan_s": batch_makespan,
-                "serial_sum_s": serial_sum,
-                "aggregate_speedup": speedup,
-                "jobs_per_sec_1": 1.0 / solo_makespan,
-                "jobs_per_sec_8": CONCURRENT_JOBS / batch_makespan,
-            }
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -247,12 +216,13 @@ def _jain_index(values) -> float:
 
 
 def _drain(service: OcelotService, handles):
-    """Drain the queue, returning (wall_s, simulated makespan)."""
-    start = time.perf_counter()
-    service.run_pending()
-    wall_s = time.perf_counter() - start
+    """Drain the queue, returning (scheduler steps, simulated makespan)."""
+    steps = 0
+    while service.scheduler.step():
+        steps += 1
+    service.run_pending()  # nothing left to step: syncs the clock
     assert all(handle.status is JobStatus.COMPLETED for handle in handles)
-    return wall_s, service.makespan_s
+    return steps, service.makespan_s
 
 
 class TestTenantScale:
@@ -264,14 +234,14 @@ class TestTenantScale:
         # Solo baseline on the first route with the identical per-job config.
         solo_service = _scaling_service()
         solo_handles = _submit_scale_batch(solo_service, dataset, 1)
-        _, solo_makespan = _drain(solo_service, solo_handles)
+        solo_steps, solo_makespan = _drain(solo_service, solo_handles)
         jobs_per_sec_1 = 1.0 / solo_makespan
 
         results = {}
         for n_jobs in (SCALE_JOBS, SCALE_JOBS_2X):
             service = _scaling_service()
             handles = _submit_scale_batch(service, dataset, n_jobs)
-            wall_s, makespan = _drain(service, handles)
+            steps, makespan = _drain(service, handles)
             waits = [_queued_s(handle) for handle in handles]
             turnaround = {tenant: [] for tenant in TENANTS}
             for handle in handles:
@@ -281,22 +251,21 @@ class TestTenantScale:
             ]
             results[n_jobs] = {
                 "jobs": n_jobs,
-                "drain_wall_s": wall_s,
+                "steps": steps,
+                "events": sum(len(handle.events()) for handle in handles),
                 "makespan_s": makespan,
                 "jobs_per_sec": n_jobs / makespan,
-                "wait_p50_s": _percentile(waits, 0.50),
                 "wait_p99_s": _percentile(waits, 0.99),
                 "jain_fairness": _jain_index(per_tenant_mean),
             }
 
-        hundred = results[SCALE_JOBS]
-        double = results[SCALE_JOBS_2X]
-        drain_ratio = double["drain_wall_s"] / hundred["drain_wall_s"]
-        scale_speedup = hundred["jobs_per_sec"] / jobs_per_sec_1
+        scale_speedup = results[SCALE_JOBS]["jobs_per_sec"] / jobs_per_sec_1
 
         rows = [
             {
                 "jobs": 1,
+                "steps": solo_steps,
+                "events": len(solo_handles[0].events()),
                 "makespan_s": round(solo_makespan, 2),
                 "jobs_per_sec": round(jobs_per_sec_1, 4),
                 "wait_p99_s": 0.0,
@@ -305,6 +274,8 @@ class TestTenantScale:
         ] + [
             {
                 "jobs": row["jobs"],
+                "steps": row["steps"],
+                "events": row["events"],
                 "makespan_s": round(row["makespan_s"], 2),
                 "jobs_per_sec": round(row["jobs_per_sec"], 4),
                 "wait_p99_s": round(row["wait_p99_s"], 2),
@@ -314,24 +285,15 @@ class TestTenantScale:
         ]
         print_table("Tenant scale: 1 / 100 / 200 jobs over 3 WAN routes", rows)
         print(f"jobs/sec speedup at {SCALE_JOBS} jobs: {scale_speedup:.1f}x "
-              f"(floor {MIN_SCALE_SPEEDUP}x); wall drain "
-              f"{hundred['drain_wall_s']:.2f}s -> {double['drain_wall_s']:.2f}s "
-              f"(ratio {drain_ratio:.2f}, ceiling {MAX_DRAIN_RATIO})")
+              f"(floor {MIN_SCALE_SPEEDUP}x)")
 
-        # The scheduler's scalability floors (CI trendline).
+        # The scheduler's scalability floors.
         assert scale_speedup >= MIN_SCALE_SPEEDUP
-        assert drain_ratio < MAX_DRAIN_RATIO
         for row in results.values():
             assert row["jain_fairness"] >= MIN_JAIN_INDEX
-
-        _merge_bench(
-            {
-                "scale_routes": ["->".join(route) for route in ROUTES],
-                "scale_tenants": list(TENANTS),
-                "scale_jobs_per_sec_1": jobs_per_sec_1,
-                "scale_solo_makespan_s": solo_makespan,
-                "scale_runs": [results[n] for n in (SCALE_JOBS, SCALE_JOBS_2X)],
-                "scale_speedup_100": scale_speedup,
-                "drain_wall_ratio_200_over_100": drain_ratio,
-            }
-        )
+            assert row["makespan_s"] == pytest.approx(SCALE_MAKESPAN_S[row["jobs"]], abs=5e-5)
+            # Linear drain, exactly: a job costs the steps and events of
+            # a solo run however many others are queued beside it, so 200
+            # jobs take twice the steps and events of 100.
+            assert row["steps"] == row["jobs"] * solo_steps
+            assert row["events"] == row["jobs"] * len(solo_handles[0].events())

@@ -9,14 +9,18 @@ simulated Anvil→Cori route and records both timelines; the acceptance
 bar is ``streamed total < bulk compress_s + transfer_s`` (strictly —
 before even counting the bulk path's decompression).
 
-A second benchmark measures the random-access property the stream relies
-on: decoding one block of a lazily parsed blob must not materialise (or
-pay for) the other block sections.
+A second benchmark pins the random-access property the stream relies
+on: decoding one block of a lazily parsed blob must not materialise the
+other block sections.
+
+(D) deterministic: both timelines are simulated seconds, and the same
+comparison run twice in-process gives identical reports.  What a
+single-block decode costs in wall time is ``bench/``'s
+``pipeline.decompress_MBps`` on ``streamed_rans_adaptive``, which is made
+of per-block ``decompress_block`` calls.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -79,6 +83,9 @@ def test_streamed_makespan_beats_serialized_phases(benchmark):
         return bulk, streamed
 
     bulk, streamed = benchmark.pedantic(run, rounds=1, iterations=1)
+    # Nothing in either timeline is measured wall: a second run agrees to
+    # the last digit.
+    assert [report.as_dict() for report in run()] == [bulk.as_dict(), streamed.as_dict()]
     rows = [_row("bulk (serialised)", bulk), _row("streamed (overlapped)", streamed)]
     rows[1]["total_s"] = round(streamed.timings.streaming_s, 3)
     print_table(
@@ -97,7 +104,7 @@ def test_streamed_makespan_beats_serialized_phases(benchmark):
 
 @pytest.mark.benchmark(group="streaming-transfer")
 def test_random_access_decode_skips_other_blocks(benchmark):
-    """One block decodes without parsing — or paying for — its neighbours."""
+    """One block decodes without parsing its neighbours."""
     rng = np.random.default_rng(9)
     x = np.linspace(0, 6 * np.pi, 1024)
     data = (np.sin(x)[:, None] * np.cos(x)[None, :]).astype(np.float32)
@@ -106,30 +113,21 @@ def test_random_access_decode_skips_other_blocks(benchmark):
     payload = compressor.compress(data, ErrorBound(value=1e-3, mode="abs")).blob.to_bytes()
 
     def run():
-        t0 = time.perf_counter()
-        full_blob = CompressedBlob.from_bytes(payload)
-        full = create_compressor("sz3-fast").decompress(full_blob)
-        full_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        full = create_compressor("sz3-fast").decompress(CompressedBlob.from_bytes(payload))
         lazy_blob = CompressedBlob.from_bytes(payload, lazy=True)
         block = create_compressor("sz3-fast").decompress_block(lazy_blob, 0)
-        single_s = time.perf_counter() - t0
-        return full, full_s, lazy_blob, block, single_s
+        return full, lazy_blob, block
 
-    full, full_s, lazy_blob, block, single_s = benchmark.pedantic(run, rounds=1, iterations=1)
-    num_blocks = lazy_blob.num_blocks
+    full, lazy_blob, block = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
-        f"Random access: 1 of {num_blocks} blocks (1024x1024 float32, block 128)",
+        "Random access: one block of a lazily parsed blob (1024x1024 float32, block 128)",
         [{
-            "full_decode_s": round(full_s, 4),
-            "single_block_s": round(single_s, 4),
-            "speedup": round(full_s / single_s, 1),
+            "blocks": lazy_blob.num_blocks,
             "sections_materialised": len(lazy_blob.container.loaded_section_names()),
         }],
     )
+    assert lazy_blob.num_blocks == 64
     # Correctness: the random-access block equals the full decode's region.
     np.testing.assert_array_equal(block, full[:128, :128])
     # The proof: exactly one of the 64 block sections was ever parsed.
     assert lazy_blob.container.loaded_section_names() == ["block:0"]
-    # And the cost scales with one block, not the whole blob.
-    assert single_s < full_s / 4

@@ -163,7 +163,6 @@ class OcelotConfig:
     work_time_scale: Optional[float] = None
     assumed_compression_throughput_mbps: Optional[float] = None
     assumed_decompression_throughput_mbps: Optional[float] = None
-    destination_prefix: str = ""
 
     def __post_init__(self) -> None:
         if self.mode not in VALID_MODES:
@@ -261,10 +260,6 @@ class OcelotConfig:
     def total_compression_cores(self) -> int:
         """Cores available to the parallel compression job."""
         return self.compression_nodes * self.cores_per_node
-
-    def total_decompression_cores(self) -> int:
-        """Cores available to the parallel decompression job."""
-        return self.decompression_nodes * self.cores_per_node
 
     def resolved_work_time_scale(self) -> float:
         """Scale applied to measured per-file (de)compression times.

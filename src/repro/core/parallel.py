@@ -101,11 +101,6 @@ class ParallelCostModel:
         ratio = max(0.0, writers / self.writer_saturation_cores)
         return self.pfs_write_bps / (1.0 + ratio**self.io_contention_gamma)
 
-    def read_bandwidth(self, readers: int) -> float:
-        """Aggregate read bandwidth achieved by ``readers`` concurrent readers."""
-        ratio = max(0.0, readers / (self.writer_saturation_cores * 4))
-        return self.pfs_read_bps / (1.0 + ratio**self.io_contention_gamma)
-
 
 def _lpt_makespan(times: Sequence[float], workers: int) -> float:
     """Longest-processing-time greedy schedule makespan."""
@@ -126,12 +121,9 @@ class ParallelExecutor:
     def __init__(
         self,
         cost_model: Optional[ParallelCostModel] = None,
-        local_workers: int = 1,
         block_workers: int = 1,
         worker_backend: str = "thread",
     ) -> None:
-        if local_workers < 1:
-            raise ConfigurationError("local_workers must be >= 1")
         if block_workers < 1:
             raise ConfigurationError("block_workers must be >= 1")
         if worker_backend not in VALID_WORKER_BACKENDS:
@@ -145,20 +137,12 @@ class ParallelExecutor:
                 "this platform does not offer; use worker_backend='thread'"
             )
         self.cost_model = cost_model or ParallelCostModel()
-        self.local_workers = local_workers
         self.block_workers = block_workers
         self.worker_backend = worker_backend
 
     # ------------------------------------------------------------------ #
     # Real execution
     # ------------------------------------------------------------------ #
-    def map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``func`` to every item, optionally with local worker threads."""
-        if self.local_workers == 1 or len(items) <= 1:
-            return [func(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.local_workers) as pool:
-            return list(pool.map(func, items))
-
     def map_blocks(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Apply per-block work concurrently on the block thread pool.
 

@@ -472,7 +472,6 @@ def _transfer(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
                 source_endpoint=run.source,
                 destination_endpoint=run.destination,
                 paths=run.transfer_paths,
-                destination_prefix=orch.config.destination_prefix,
                 label=f"{run.dataset.name}:{run.mode}",
             ),
             advance_clock=run.advance_clock,

@@ -157,7 +157,6 @@ class StreamingPipeline:
         stream: TransferStream = self.testbed.service.open_stream(
             source,
             destination,
-            destination_prefix=self.config.destination_prefix,
             label=f"{dataset_name}:streamed",
         )
         # Compute nodes pay the same start-up cost as the bulk makespan
@@ -293,9 +292,7 @@ class StreamingPipeline:
             path = f"/compressed/{dataset_name}/{staged_file.field.filename}.sz"
             scaled_len = int(len(payload) * self.config.size_scale)
             src_fs.write(path, data=payload, size_bytes=scaled_len)
-            dst_fs.write(
-                f"{self.config.destination_prefix}{path}", data=payload, size_bytes=scaled_len
-            )
+            dst_fs.write(path, data=payload, size_bytes=scaled_len)
             outcome.compressed_bytes += scaled_len
             tally.add(staged_file.field.data, recon)
             dst_fs.write(

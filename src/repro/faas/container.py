@@ -9,7 +9,7 @@ state and reports the start-up cost the executor should charge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 __all__ = ["ContainerPool"]
 
@@ -46,7 +46,3 @@ class ContainerPool:
     def invalidate(self, container: str) -> None:
         """Force a container cold (e.g. endpoint restart)."""
         self._warm.discard(container)
-
-    def warm_containers(self) -> Tuple[str, ...]:
-        """Currently warm containers (unordered)."""
-        return tuple(self._warm)

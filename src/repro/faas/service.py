@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import FaaSError
 from ..utils.clock import SimulationClock
+from ..utils.rng import derive_seed
 from .batch_scheduler import BatchScheduler, NodeWaitModel
 from .endpoint import FaaSEndpoint, FaaSExecution
 from .function import FunctionRegistry
@@ -153,7 +154,9 @@ def build_faas_service(
         scheduler = BatchScheduler(
             total_nodes=nodes[name],
             wait_model=wait_models.get(name, NodeWaitModel()),
-            seed=seed + hash(name) % 1000,
+            # Not ``hash(name)``: str hashes are salted per process, which
+            # made every sampled queue wait differ from run to run.
+            seed=derive_seed(seed, name),
         )
         service.register_endpoint(
             FaaSEndpoint(name=name, scheduler=scheduler, cores_per_node=cores_per_node[name])

@@ -93,12 +93,6 @@ class EventBus:
             except ValueError:
                 pass
 
-    @property
-    def subscriber_count(self) -> int:
-        """Live subscriptions (metrics view)."""
-        with self._lock:
-            return len(self._subscribers)
-
     # ------------------------------------------------------------------ #
     def publish(self, event: JobEvent) -> None:
         """Deliver one event to every matching subscriber, never blocking.

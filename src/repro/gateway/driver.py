@@ -277,11 +277,6 @@ class GatewayDriver:
         with self._lock:
             return self._handle(job_id).events(since_seq=since_seq)
 
-    def job_status(self, job_id: str) -> str:
-        """Current lifecycle state of one job."""
-        with self._lock:
-            return self._handle(job_id).status.value
-
     def group(self, group_id: str) -> Dict[str, object]:
         """One plan group's record with live per-job status counts."""
         with self._lock:

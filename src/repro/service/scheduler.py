@@ -86,11 +86,6 @@ class UnitPool:
         for _ in range(units):
             heapq.heappush(self._free, finish)
 
-    @property
-    def horizon_s(self) -> float:
-        """Latest committed finish time across all units."""
-        return max(self._free)
-
 
 class _Flow:
     """One ``(priority class, tenant)`` dispatch queue with an SFQ tag.
@@ -199,10 +194,6 @@ class JobScheduler:
                 f"nodes but the job requests {nodes}; shrink the request or "
                 "raise the quota"
             )
-
-    def tenant_in_flight(self, tenant: str) -> int:
-        """Admitted, non-terminal jobs the tenant currently holds."""
-        return self._tenant_in_flight.get(tenant, 0)
 
     def in_flight(self) -> Dict[str, int]:
         """Admitted, non-terminal job counts per tenant (metrics view)."""

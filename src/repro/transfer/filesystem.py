@@ -35,11 +35,6 @@ class FileEntry:
         if self.size_bytes < 0:
             raise TransferError(f"file {self.path!r} has negative size")
 
-    @property
-    def has_payload(self) -> bool:
-        """Whether the file carries real bytes (vs size-only)."""
-        return self.data is not None
-
 
 def _normalize(path: str) -> str:
     cleaned = "/".join(part for part in path.replace("\\", "/").split("/") if part)
@@ -68,17 +63,6 @@ class SimulatedFileSystem:
         )
         self._files[norm] = entry
         return entry
-
-    def write_entry(self, entry: FileEntry) -> FileEntry:
-        """Store a copy of an existing entry (used when transferring)."""
-        copy = FileEntry(
-            path=_normalize(entry.path),
-            size_bytes=entry.size_bytes,
-            data=entry.data,
-            metadata=dict(entry.metadata),
-        )
-        self._files[copy.path] = copy
-        return copy
 
     def read(self, path: str) -> bytes:
         """Return the payload bytes of a file (error if size-only)."""
@@ -135,16 +119,14 @@ class SimulatedFileSystem:
             del self._files[path]
         return len(doomed)
 
-    def copy_from(self, other: "SimulatedFileSystem", paths: Iterable[str],
-                  dest_prefix: str = "") -> List[FileEntry]:
+    def copy_from(self, other: "SimulatedFileSystem", paths: Iterable[str]) -> List[FileEntry]:
         """Copy entries from another filesystem (used by the transfer service)."""
         copied = []
         for path in paths:
             entry = other.stat(path)
-            dest_path = _normalize(dest_prefix + entry.path) if dest_prefix else entry.path
             copied.append(
                 self.write(
-                    dest_path,
+                    entry.path,
                     data=entry.data,
                     size_bytes=entry.size_bytes,
                     metadata=entry.metadata,

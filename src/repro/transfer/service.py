@@ -57,7 +57,6 @@ class TransferRequest:
     source_endpoint: str
     destination_endpoint: str
     paths: Sequence[str]
-    destination_prefix: str = ""
     label: str = ""
     settings: Optional[GridFTPSettings] = None
     delete_source: bool = False
@@ -81,11 +80,6 @@ class StreamChunk:
     started_at: float
     completed_at: float
     payload: Optional[bytes] = field(default=None, repr=False)
-
-    @property
-    def wire_s(self) -> float:
-        """Time the chunk spent on the wire."""
-        return max(0.0, self.completed_at - self.started_at)
 
     @property
     def wait_s(self) -> float:
@@ -262,22 +256,19 @@ class TransferStream:
         """Finish the stream: land the files, advance the clock, seal the task.
 
         With ``materialize=True`` every chunk that carried payload (or a
-        size) is written to the destination filesystem under the request's
-        ``destination_prefix``.  Callers doing their own destination-side
-        assembly (e.g. rebuilding a blocked blob from its sections) pass
-        ``materialize=False`` and write the assembled artefact themselves.
+        size) is written to the destination filesystem.  Callers doing
+        their own destination-side assembly (e.g. rebuilding a blocked
+        blob from its sections) pass ``materialize=False`` and write the
+        assembled artefact themselves.
         """
         if self._closed:
             raise TransferError(f"stream {self.task.task_id} is already closed")
         self._closed = True
         task = self.task
-        prefix = task.request.destination_prefix
         if materialize:
             for chunk in task.chunks:
                 self._destination.filesystem.write(
-                    f"{prefix}{chunk.name}" if prefix else chunk.name,
-                    data=chunk.payload,
-                    size_bytes=chunk.size_bytes,
+                    chunk.name, data=chunk.payload, size_bytes=chunk.size_bytes
                 )
         task.request.paths = [chunk.name for chunk in task.chunks]
         first_start = min((c.started_at for c in task.chunks), default=self.opened_at)
@@ -365,9 +356,7 @@ class TransferService:
             self.clock.record(f"transfer:start:{task.task_id}")
             if advance_clock:
                 self.clock.advance(estimate.duration_s)
-            destination.filesystem.copy_from(
-                source.filesystem, request.paths, dest_prefix=request.destination_prefix
-            )
+            destination.filesystem.copy_from(source.filesystem, request.paths)
             if request.delete_source:
                 for path in request.paths:
                     source.filesystem.delete(path)
@@ -386,7 +375,6 @@ class TransferService:
         self,
         source_endpoint: str,
         destination_endpoint: str,
-        destination_prefix: str = "",
         label: str = "",
         settings: Optional[GridFTPSettings] = None,
     ) -> TransferStream:
@@ -408,7 +396,6 @@ class TransferService:
                 source_endpoint=source_endpoint,
                 destination_endpoint=destination_endpoint,
                 paths=[],
-                destination_prefix=destination_prefix,
                 label=label or "stream",
                 settings=settings,
             ),

@@ -1,4 +1,4 @@
-"""Shared utilities: statistics, sampling, bit I/O, clocks and logging."""
+"""Shared utilities: statistics, sampling, clocks and logging."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .stats import (
     summarize,
 )
 from .sampling import strided_sample, block_sample, sample_indices
-from .bitstream import BitReader, BitWriter
 from .clock import SimulationClock, WallClock
 from .sizes import format_bytes, format_duration, format_rate
 from .rng import rng_from_seed, derive_seed
@@ -30,8 +29,6 @@ __all__ = [
     "strided_sample",
     "block_sample",
     "sample_indices",
-    "BitReader",
-    "BitWriter",
     "SimulationClock",
     "WallClock",
     "format_bytes",

@@ -62,10 +62,3 @@ def block_sample(data: np.ndarray, block: int = 8, fraction: float = 0.01) -> np
     starts = np.arange(0, n_blocks_total, stride) * block
     pieces = [flat[s : s + block] for s in starts]
     return np.concatenate(pieces) if pieces else flat[:block]
-
-
-def sampling_overhead_fraction(sample_size: int, full_size: int) -> float:
-    """Fraction of full-data work represented by a sample of ``sample_size``."""
-    if full_size <= 0:
-        raise FeatureExtractionError("full_size must be positive")
-    return float(sample_size) / float(full_size)

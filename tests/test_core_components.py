@@ -111,10 +111,6 @@ class TestParallelExecutor:
         with pytest.raises(ConfigurationError):
             ParallelExecutor().compression_makespan([1.0], [1], nodes=0, cores_per_node=1)
 
-    def test_map_runs_function(self):
-        executor = ParallelExecutor(local_workers=2)
-        assert executor.map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-
     def test_cost_model_validation(self):
         with pytest.raises(ConfigurationError):
             ParallelCostModel(parallel_efficiency=0.0)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import FaaSError, FunctionNotRegisteredError, SchedulingError
@@ -207,6 +211,23 @@ class TestFaaSEndpointAndService:
         anvil_wait = service.endpoint("anvil").scheduler.wait_model
         assert anvil_wait.kind == "immediate"
         assert service.endpoint("bebop").scheduler.wait_model.kind == "bimodal"
+
+    def test_sampled_queue_waits_do_not_depend_on_the_hash_salt(self):
+        """Two processes sample the same waits (``hash(str)`` is salted per process)."""
+        script = (
+            "from repro.faas import build_faas_service\n"
+            "service = build_faas_service()\n"
+            "print([service.endpoint(name).scheduler.request(1).wait_s\n"
+            "       for name in ('bebop', 'cori') for _ in range(3)])\n"
+        )
+        waits = {
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": salt},
+            ).stdout
+            for salt in ("1", "2")
+        }
+        assert len(waits) == 1
 
     def test_tasks_are_recorded(self):
         service = build_faas_service()

@@ -527,6 +527,12 @@ class TestErrorMapping:
         _, listing = _get(gateway.url, "/v1/jobs")
         assert listing["count"] == 0
 
+    def test_removed_destination_prefix_override_is_400(self, gateway):
+        """The knob failed every bulk run it was set on; it is gone, loudly."""
+        spec = {**SPEC_JSON, "overrides": {"destination_prefix": "/x"}}
+        _expect_error(lambda: _post(gateway.url, "/v1/jobs", spec),
+                      code="invalid_config", status=400)
+
     def test_bad_json_body_is_400(self, gateway):
         request = urllib.request.Request(
             gateway.url + "/v1/jobs", data=b"{not json", method="POST",

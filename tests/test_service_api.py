@@ -91,6 +91,10 @@ class TestConfigOverrides:
         with pytest.raises(ConfigurationError, match="unknown OcelotConfig override"):
             _config().with_overrides(warp_factor=9)
 
+    def test_removed_destination_prefix_knob_is_unknown(self):
+        with pytest.raises(ConfigurationError, match="unknown OcelotConfig override"):
+            OcelotConfig().with_overrides(destination_prefix="/x")
+
     def test_with_overrides_revalidates(self):
         with pytest.raises(ConfigurationError):
             _config().with_overrides(block_workers=0)
