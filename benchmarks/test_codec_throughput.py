@@ -11,6 +11,10 @@ runner speed cancels:
   ``HuffmanCodec.decode_bitloop``: >= 5x on a 1M-symbol stream and >= 8x
   on a 32 768-symbol stream — one 32^3 block, the size the blocked
   pipeline actually decodes;
+* (R) the lockstep lane decoder vs the in-tree pointer-jumping decoder on
+  a file-shaped batch (18 streams of 32 768 symbols, one shared book,
+  ~7 bits/symbol): >= 2x; (D) the sync index it needs costs <= 1 % of
+  the payload bytes at that entropy and is absent at <= K symbols;
 * (R) the interleaved rANS decoder vs the same ``decode_bitloop``:
   >= 20x (the gate PR 9 set as 2x a Huffman LUT that ran 10x the bit
   loop, restated against the anchor Huffman work does not move), at a
@@ -37,8 +41,10 @@ from common import best_of, print_table
 from repro.compression import ErrorBound, create_blocked_compressor
 from repro.compression.encoders.huffman import (
     MAX_CODE_LENGTH,
+    SYNC_INTERVAL,
     HuffmanCodebook,
     HuffmanCodec,
+    HuffmanStream,
     _pack_codes,
     _pack_codes_16,
     symbol_frequencies,
@@ -54,6 +60,12 @@ MIN_DECODE_SPEEDUP = 5.0
 #: The same at block size (32^3 = 32 768 symbols), where one-off costs
 #: are not amortised.  Measured 22x / 29x (20x / 28x loaded): 2.5x headroom.
 MIN_BLOCK_DECODE_SPEEDUP = 8.0
+
+#: Lockstep lanes vs pointer jumping on one file's worth of streams (18 x
+#: 32^3 symbols, one shared book, 7.1 bits/symbol; 2304 lanes).  Measured
+#: 5.3x-7.2x over 9 quiet runs (6.0x-9.0x in 4 runs with ``bench/run.py
+#: --quick`` looping beside it): 2.6x headroom at the lowest reading.
+MIN_LOCKSTEP_SPEEDUP = 2.0
 
 #: Vectorised LZ77 encode vs ``encode_bytewise``.  Measured 52x (54x
 #: loaded; lowest of 16 readings 33x): 5.2x headroom.
@@ -152,6 +164,54 @@ class TestHuffmanThroughput:
                 f"{row['distribution']}: block-sized decode only "
                 f"{row['speedup']:.1f}x the seed per-bit decoder"
             )
+
+    def test_lockstep_file_decode_beats_pointer_jumping_by_2x(self):
+        """Every sync point of a file's blocks as a lane, vs one walk per block."""
+        blocks = [quantiser_stream(32_768, 24.0, seed=seed) for seed in range(18)]
+        book = HuffmanCodebook.from_frequencies(
+            symbol_frequencies(np.concatenate(blocks)), max_length=MAX_CODE_LENGTH
+        )
+        codec = HuffmanCodec()
+        payloads = [codec.encode_with_book(block, book) for block in blocks]
+        streams = [
+            HuffmanStream(bytes(payload), block.size, payload.sync, SYNC_INTERVAL)
+            for payload, block in zip(payloads, blocks)
+        ]
+        book_bytes = book.serialize()
+
+        def pointer_jumping():
+            return [codec.decode(s.payload, book_bytes, s.count) for s in streams]
+
+        for lanes, walked, block in zip(
+            codec.decode_streams(streams, book_bytes), pointer_jumping(), blocks
+        ):
+            np.testing.assert_array_equal(lanes, block)
+            np.testing.assert_array_equal(walked, block)
+        lockstep_s = best_of(lambda: codec.decode_streams(streams, book_bytes), repeats=9)
+        jumping_s = best_of(pointer_jumping, repeats=5)
+
+        # (D) What the index costs, before the lossless stage sees it.
+        payload_bytes = sum(len(s.payload) for s in streams)
+        index_bytes = sum(2 * s.sync.size for s in streams)
+        short = codec.encode_with_book(blocks[0][:SYNC_INTERVAL], book)
+        symbol_bytes = sum(block.nbytes for block in blocks)
+        print_table(
+            "Huffman decode of one file: 18 blocks of 32^3 symbols, one shared book",
+            [{
+                "bits/symbol": 8 * payload_bytes / (18 * 32_768),
+                "lanes": sum(s.sync.size + 1 for s in streams),
+                "lockstep MB/s": _mbps(symbol_bytes, lockstep_s),
+                "pointer-jumping MB/s": _mbps(symbol_bytes, jumping_s),
+                "speedup": jumping_s / lockstep_s,
+                "index / payload": index_bytes / payload_bytes,
+            }],
+        )
+        assert all(s.sync.size == 32_768 // SYNC_INTERVAL - 1 for s in streams)
+        assert index_bytes <= 0.01 * payload_bytes
+        assert not hasattr(short, "sync")  # one lane: nothing to index
+        assert jumping_s / lockstep_s >= MIN_LOCKSTEP_SPEEDUP, (
+            f"lockstep decode only {jumping_s / lockstep_s:.1f}x pointer jumping"
+        )
 
     def test_shared_codebook_amortises_encode(self):
         """(D) One file-wide book costs fewer bytes than a book per block."""

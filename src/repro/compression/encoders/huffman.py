@@ -13,27 +13,26 @@ The codec itself is table-driven and vectorised:
   has a bounded alphabet), builds a *length-limited* canonical codebook
   (codes capped at :data:`MAX_CODE_LENGTH` bits), gathers per-symbol
   codes/lengths through dense lookup tables, and packs the bit stream
-  with ``np.repeat`` + ``np.packbits`` instead of a per-symbol Python
-  accumulator loop.
-* **Decoding** builds a flat ``2**max_len`` lookup table mapping every
-  possible ``max_len``-bit window to ``(symbol, code length)`` and
-  resolves the serial "where does the next code start" chain by
-  *pointer jumping* (:class:`_LutDecoder`): per segment of the payload
-  it computes, for every bit position at once, where a code starting
-  there would end, squares that map a few times so one hop skips 16
-  symbols, walks only every 16th code start in Python and fills the
-  rest back in with gathers.  Cost is a handful of array passes per bit
-  position instead of an interpreter iteration per symbol (the seed
-  implementation probed a dict once per *bit*), and transient memory is
-  bounded by the segment, not the stream.  The seed per-bit decoder is
-  retained as :meth:`HuffmanCodec.decode_bitloop` — it is the fallback
-  for legacy codebooks whose unlimited code lengths exceed the LUT
-  budget, and the reference the tests and the throughput benchmark
-  measure the table-driven path against.
+  from cumulative bit offsets: three ``np.bincount`` byte sums for codes
+  of <= 16 bits (:func:`_pack_codes_16`), ``np.repeat`` + ``np.packbits``
+  otherwise (:func:`_pack_codes`).  The same offsets say where symbols
+  ``K, 2K, 3K, ...`` start (K = :data:`SYNC_INTERVAL`): a stream of more
+  than K symbols comes back as a :class:`SyncedPayload` carrying those
+  distances, the *sync index* the decoder cannot recover on its own.
+* **Decoding** lives in :mod:`.huffman_decode`: one flat ``2**max_len``
+  lookup table and two walks over it, selected by what the input holds —
+  *lockstep lanes* over the sync points of every stream in a batch (a
+  cost per symbol), *pointer jumping* for streams without an index and
+  batches too small to fill the lanes (a cost per bit position).  The
+  seed per-bit decoder is retained as :meth:`HuffmanCodec.decode_bitloop`
+  — the fallback for legacy codebooks whose unlimited code lengths exceed
+  the LUT budget, and the reference the tests and the throughput
+  benchmark measure against.
 
 Codebooks serialise exactly as before ((symbol, length) int64 pairs), so
 blobs written by earlier revisions decode unchanged and new blobs remain
-readable by the canonical-code definition alone.
+readable by the canonical-code definition alone; ``codes_payload`` is
+bit for bit what earlier revisions wrote, the index rides beside it.
 """
 
 from __future__ import annotations
@@ -41,18 +40,24 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import EncodingError
+from .huffman_decode import _LUT_MAX_BITS, HuffmanStream, LutDecoder
+from .huffman_decode import decode_bitloop as _decode_bitloop
 
 __all__ = [
     "HuffmanCodebook",
     "HuffmanCodec",
+    "HuffmanStream",
+    "SYNC_INTERVAL",
+    "SyncedPayload",
     "huffman_code_lengths",
     "length_limited_code_lengths",
     "symbol_frequencies",
+    "pooled_symbol_frequencies",
     "MAX_CODE_LENGTH",
 ]
 
@@ -61,9 +66,24 @@ __all__ = [
 #: symbols raise the cap to ``ceil(log2(n))`` so a prefix code exists.
 MAX_CODE_LENGTH = 16
 
-#: Widest LUT the decoder will materialise (bits).  Legacy codebooks with
-#: longer (unlimited) codes fall back to the per-bit reference decoder.
-_LUT_MAX_BITS = 20
+#: Symbols between sync points (K).  A stream longer than this is written
+#: with the bit distance between the starts of symbols K, 2K, 3K, ...
+#: (:class:`SyncedPayload`): the packer has them for free, and each is a
+#: lane of the lockstep decoder.  Smaller K means more lanes per file and
+#: a larger index.  One file of the bulk benchmark (18 blocks of 32^3
+#: symbols, 7.2 bits/symbol, one shared book; pointer jumping 47 ms):
+#:
+#:   K      lanes   lockstep decode   compression ratio (4.3565 without)
+#:   128    4608    8.7 ms            4.3093  (-1.08 %)
+#:   256    2304    8.9 ms            4.3272  (-0.67 %)
+#:   512    1152    10.5 ms           4.3365  (-0.46 %)
+#:   1024   576     14.2 ms           4.3429  (-0.31 %)
+#:
+#: 256 is the knee: halving it buys no speed, doubling it costs 18 %.
+#: The stream records the K it was written with, so this can change
+#: without stranding stored blobs; K times the longest code (<= 255 bits,
+#: lengths are uint8) must fit the uint16 a distance is stored in.
+SYNC_INTERVAL = 256
 
 #: Alphabets whose value span exceeds this fall back to ``np.unique``
 #: frequency counting instead of a dense ``np.bincount``.
@@ -169,6 +189,32 @@ def symbol_frequencies(arr: np.ndarray) -> Dict[int, int]:
         return {int(sym + lo): int(counts[sym]) for sym in present}
     uniques, counts = np.unique(arr, return_counts=True)
     return {int(s): int(c) for s, c in zip(uniques, counts)}
+
+
+def pooled_symbol_frequencies(
+    streams: Sequence[np.ndarray], weights: Sequence[int]
+) -> Dict[int, int]:
+    """:func:`symbol_frequencies` of several streams, each counted ``weight`` times.
+
+    One histogram over the pooled value span and one dict at the end,
+    instead of a dict per stream merged key by key.
+    """
+    arrays = (np.asarray(stream, dtype=np.int64).ravel() for stream in streams)
+    pooled = [(arr, weight) for arr, weight in zip(arrays, weights) if arr.size]
+    if not pooled:
+        return {}
+    lo = min(int(arr.min()) for arr, _ in pooled)
+    span = max(int(arr.max()) for arr, _ in pooled) - lo + 1
+    if span > _DENSE_SPAN_LIMIT:
+        frequencies: Dict[int, int] = {}
+        for arr, weight in pooled:
+            for sym, freq in symbol_frequencies(arr).items():
+                frequencies[sym] = frequencies.get(sym, 0) + freq * weight
+        return frequencies
+    counts = np.zeros(span, dtype=np.int64)
+    for arr, weight in pooled:
+        counts += weight * np.bincount(arr - lo, minlength=span)
+    return {int(sym) + lo: int(counts[sym]) for sym in np.flatnonzero(counts)}
 
 
 @dataclass
@@ -316,151 +362,6 @@ def _canonical_codes(lengths: Dict[int, int]) -> Dict[int, int]:
     return codes
 
 
-#: Payload bytes decoded per pointer-jumping pass.  The pass holds
-#: ``_JUMP_LEVELS + 1`` position maps of ``8 * _SEGMENT_BYTES`` entries, so
-#: 8 KiB keeps the working set (~2.5 MB) around L2 and the decoder's
-#: transient memory independent of the stream length.
-_SEGMENT_BYTES = 1 << 13
-
-#: Squarings of the position map: the serial walk visits every
-#: ``2**_JUMP_LEVELS``-th symbol.  Each level costs one gather over the
-#: segment's bit positions and halves the walk; 4 sits on the flat part
-#: of that trade from ~2 to ~8 bits per symbol.
-_JUMP_LEVELS = 4
-
-
-class _LutDecoder:
-    """Flat-table canonical Huffman decoder with a data-parallel walk.
-
-    The table maps every possible ``max_len``-bit window to the symbol
-    whose code prefixes it and that code's length.  Where the codes start
-    is inherently serial (each start depends on the previous length), so
-    instead of probing the table once per symbol in Python the decoder
-    *pointer-jumps*: for every bit position of a segment it computes
-    where a code starting there would end (``jump[0][p] = p + length``),
-    squares that map ``_JUMP_LEVELS`` times with one gather each
-    (``jump[k] = jump[k-1][jump[k-1]]`` skips ``2**k`` symbols), walks
-    only every ``2**_JUMP_LEVELS``-th code start in Python, and fills the
-    starts in between back in with one interleaving gather per level.
-    Positions past the segment map to themselves, so a chain that leaves
-    the segment parks on its exit position, which seeds the next segment.
-    """
-
-    def __init__(self, book: HuffmanCodebook) -> None:
-        self.max_len = book.max_length()
-        if not 0 < self.max_len <= _LUT_MAX_BITS:
-            raise EncodingError(
-                f"code lengths up to {self.max_len} bits exceed the LUT budget"
-            )
-        size = 1 << self.max_len
-        self.symbols = np.zeros(size, dtype=np.int64)
-        # 0 marks windows no code prefixes (possible when Kraft sum < 1):
-        # hitting one during decode means the stream is corrupt.
-        self.step = np.zeros(size, dtype=np.uint8)
-        for sym, length in book.lengths.items():
-            start = book.codes[sym] << (self.max_len - length)
-            end = start + (1 << (self.max_len - length))
-            self.symbols[start:end] = sym
-            self.step[start:end] = length
-        self._complete = not bool(np.any(self.step == 0))
-
-    def _windows(
-        self, data: np.ndarray, first: int, nbytes: int, windows: np.ndarray
-    ) -> np.ndarray:
-        """Fill ``windows`` from ``nbytes`` bytes of ``data`` starting at ``first``.
-
-        Row ``r`` receives the ``max_len``-bit window at bit ``r`` of
-        every byte: a big-endian 32-bit word is assembled at each byte
-        offset (zero padded past the end of the stream) and shifted once
-        per bit phase, so every pass runs over a long contiguous row.
-        """
-        chunk = data[first : first + nbytes + 3]
-        padded = np.zeros(nbytes + 3, dtype=np.intp)
-        padded[: chunk.size] = chunk
-        words = (
-            (padded[:-3] << 24) | (padded[1:-2] << 16) | (padded[2:-1] << 8) | padded[3:]
-        )
-        for phase in range(8):
-            np.right_shift(words, 32 - self.max_len - phase, out=windows[phase])
-        windows &= (1 << self.max_len) - 1
-        return windows
-
-    def decode(self, payload: bytes, count: int) -> np.ndarray:
-        """Decode ``count`` symbols from ``payload``."""
-        data = np.frombuffer(payload, dtype=np.uint8)
-        # Every code is at least one bit long: asking for more symbols than
-        # that must fail, and how is settled within the first excess one.
-        count = min(count, data.size * 8 + 1)
-        out = np.empty(count, dtype=np.int64)
-        stride = 1 << _JUMP_LEVELS
-        # Scratch shared by every segment: transient memory is O(segment)
-        # and the pages are touched for the first time only once per call.
-        segment_bits = 8 * min(_SEGMENT_BYTES, data.size)
-        positions = np.arange(segment_bits + self.max_len)
-        window_buf = np.empty(segment_bits, dtype=np.intp)
-        jump_buf = np.empty((_JUMP_LEVELS + 1) * positions.size, dtype=np.intp)
-        emitted = 0
-        entry = 0  # where the next code starts, in bits from the segment start
-        end = 0  # where the last decoded code ends, in bits from the stream start
-        for first in range(0, data.size, _SEGMENT_BYTES):
-            if emitted == count:
-                break
-            nbytes = min(_SEGMENT_BYTES, data.size - first)
-            nbits = nbytes * 8
-            if entry >= nbits:  # a code spans this whole (tiny) segment
-                entry -= nbits
-                continue
-            windows = self._windows(
-                data, first, nbytes, window_buf[:nbits].reshape(8, nbytes)
-            )
-            reach = nbits + self.max_len  # the tail entries absorb chains that exit
-            jump = jump_buf[: (_JUMP_LEVELS + 1) * reach].reshape(-1, reach)
-            np.add(
-                positions[:nbits].reshape(nbytes, 8),
-                self.step.take(windows).T,
-                out=jump[0, :nbits].reshape(nbytes, 8),
-            )
-            jump[0, nbits:] = positions[nbits:reach]
-            for level in range(_JUMP_LEVELS):
-                # Entries are in range by construction; a non-raising mode
-                # lets ``take`` write straight into ``out``.
-                np.take(jump[level], jump[level], out=jump[level + 1], mode="wrap")
-            remaining = count - emitted
-            # A hop skips ``stride`` codes of at least one bit each, so
-            # ``nbits // stride + 1`` hops cover the segment; the cap also
-            # ends a walk stuck on an invalid window (a zero step).
-            hops = memoryview(jump[_JUMP_LEVELS, :nbits])
-            anchors: List[int] = []
-            pos = entry
-            try:
-                for _ in range(min(-(-remaining // stride), nbits // stride + 1)):
-                    anchors.append(pos)
-                    pos = hops[pos]
-            except IndexError:  # left the segment
-                pass
-            starts = np.array(anchors, dtype=np.intp)
-            for level in range(_JUMP_LEVELS - 1, -1, -1):
-                pairs = np.empty((starts.size, 2), dtype=np.intp)
-                pairs[:, 0] = starts
-                pairs[:, 1] = jump[level].take(starts)
-                starts = pairs.ravel()
-            # Starts are non-decreasing; those parked past the segment
-            # belong to the next one.
-            starts = starts[: min(int(np.searchsorted(starts, nbits)), remaining)]
-            codes = windows[starts & 7, starts >> 3]
-            if not self._complete and not self.step.take(codes).all():
-                raise EncodingError("invalid Huffman code encountered during decode")
-            np.take(
-                self.symbols, codes, out=out[emitted : emitted + starts.size], mode="wrap"
-            )
-            emitted += starts.size
-            entry = int(jump[0, starts[-1]]) - nbits
-            end = first * 8 + nbits + entry
-        if emitted < count or end > data.size * 8:
-            raise EncodingError("Huffman stream exhausted before all symbols decoded")
-        return out
-
-
 class HuffmanCodec:
     """Encode/decode integer symbol arrays with canonical Huffman coding."""
 
@@ -469,7 +370,7 @@ class HuffmanCodec:
     _DECODER_CACHE_SIZE = 8
 
     def __init__(self) -> None:
-        self._decoders: Dict[bytes, _LutDecoder] = {}
+        self._decoders: Dict[bytes, LutDecoder] = {}
         # Blocked decompression fans decode calls out over a thread pool;
         # the lock keeps cache eviction race-free (building the same
         # decoder twice is benign, a double-pop KeyError is not).
@@ -513,8 +414,19 @@ class HuffmanCodec:
 
     def decode(self, payload: bytes, codebook_bytes: bytes, count: int) -> np.ndarray:
         """Decode ``count`` symbols from ``payload`` using the codebook."""
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
+        return self.decode_streams([HuffmanStream(payload, count)], codebook_bytes)[0]
+
+    def decode_streams(
+        self, streams: Sequence[HuffmanStream], codebook_bytes: bytes
+    ) -> List[np.ndarray]:
+        """Decode streams coded with one codebook, in one batch.
+
+        Streams that carry a sync index (and ones short enough not to
+        need it) decode in lockstep when together they fill the lanes;
+        see :meth:`LutDecoder.decode_streams`.
+        """
+        if not any(stream.count for stream in streams):
+            return [np.zeros(0, dtype=np.int64) for _ in streams]
         with self._cache_lock:
             decoder = self._decoders.get(codebook_bytes)
         if decoder is None:
@@ -524,13 +436,13 @@ class HuffmanCodec:
             if book.max_length() > _LUT_MAX_BITS:
                 # Legacy unlimited-length codebook: the LUT would not fit,
                 # use the reference per-bit decoder.
-                return self._decode_bitloop(payload, book, count)
-            decoder = _LutDecoder(book)
+                return [_decode_bitloop(s.payload, book, s.count) for s in streams]
+            decoder = LutDecoder(book)
             with self._cache_lock:
                 while len(self._decoders) >= self._DECODER_CACHE_SIZE:
                     self._decoders.pop(next(iter(self._decoders)))
                 self._decoders[codebook_bytes] = decoder
-        return decoder.decode(payload, count)
+        return decoder.decode_streams(streams)
 
     def decode_bitloop(
         self, payload: bytes, codebook_bytes: bytes, count: int
@@ -539,45 +451,14 @@ class HuffmanCodec:
 
         Kept as the fallback for legacy codebooks whose code lengths
         exceed the LUT budget and as the baseline the codec throughput
-        benchmark measures the table-driven decoder against.
+        benchmark measures the table-driven decoders against.
         """
         if count == 0:
             return np.zeros(0, dtype=np.int64)
         book = HuffmanCodebook.deserialize(codebook_bytes)
         if not book.lengths:
             raise EncodingError("cannot decode with an empty Huffman codebook")
-        return self._decode_bitloop(payload, book, count)
-
-    @staticmethod
-    def _decode_bitloop(payload: bytes, book: HuffmanCodebook, count: int) -> np.ndarray:
-        if len(book.lengths) == 1:
-            only = next(iter(book.lengths))
-            return np.full(count, only, dtype=np.int64)
-        # Build a (length, code) -> symbol map for canonical decoding.
-        decode_map: Dict[Tuple[int, int], int] = {
-            (length, book.codes[sym]): sym for sym, length in book.lengths.items()
-        }
-        max_len = book.max_length()
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-        out = np.empty(count, dtype=np.int64)
-        pos = 0
-        total_bits = bits.size
-        for i in range(count):
-            code = 0
-            length = 0
-            while True:
-                if pos >= total_bits:
-                    raise EncodingError("Huffman stream exhausted before all symbols decoded")
-                code = (code << 1) | int(bits[pos])
-                pos += 1
-                length += 1
-                sym = decode_map.get((length, code))
-                if sym is not None:
-                    out[i] = sym
-                    break
-                if length > max_len:
-                    raise EncodingError("invalid Huffman code encountered during decode")
-        return out
+        return _decode_bitloop(payload, book, count)
 
     def estimate_encoded_bytes(self, symbols: np.ndarray) -> int:
         """Serialised size (payload + codebook) without materialising bits.
@@ -593,6 +474,30 @@ class HuffmanCodec:
         book = HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
         bits = book.encoded_bit_size(frequencies)
         return (bits + 7) // 8 + book.serialized_nbytes()
+
+
+class SyncedPayload(bytes):
+    """A packed stream that remembers where every ``every``-th code starts.
+
+    Plain ``bytes`` to every caller that does not ask; ``sync[i]`` is the
+    bit distance from the start of symbol ``i * every`` to the start of
+    symbol ``(i + 1) * every``.
+    """
+
+    sync: np.ndarray
+    every: int
+
+
+def _with_sync(packed: np.ndarray, ends: np.ndarray) -> bytes:
+    """The ``packed`` bytes, with the sync index read off the packer's cumulative lengths."""
+    if ends.size <= SYNC_INTERVAL:
+        return packed.tobytes()
+    synced = SyncedPayload(packed)
+    synced.every = SYNC_INTERVAL
+    synced.sync = np.diff(ends[SYNC_INTERVAL - 1 : -1 : SYNC_INTERVAL], prepend=0)
+    if int(synced.sync.max()) > 0xFFFF:
+        raise EncodingError("Huffman sync distance does not fit 16 bits")
+    return synced
 
 
 #: Symbols per chunk in :func:`_pack_codes`; bounds the transient
@@ -649,7 +554,7 @@ def _pack_codes_16(codes: np.ndarray, lengths: np.ndarray) -> bytes:
         acc[first : first + span] += np.bincount(
             rel + 2, weights=(val & np.uint32(255)).astype(np.float64), minlength=span
         )
-    return acc[:total_bytes].astype(np.uint8).tobytes()
+    return _with_sync(acc[:total_bytes].astype(np.uint8), ends)
 
 
 def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> bytes:
@@ -685,4 +590,4 @@ def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> bytes:
             np.uint8
         )
         base = int(ends[stop - 1])
-    return np.packbits(bits).tobytes()
+    return _with_sync(np.packbits(bits), ends)

@@ -13,7 +13,7 @@ loop produce the same bytes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -228,16 +228,25 @@ class BlockStages:
                 return self.predictor
             raise
 
-    def _decode_block_entry(
-        self, blob: CompressedBlob, entry: Dict[str, Any], spec: BlockSpec
-    ) -> np.ndarray:
-        """Decode one block section of ``blob`` into its reconstruction."""
+    def _decode_sections(self, blob: CompressedBlob, names: Sequence[str]) -> Dict[str, tuple]:
+        """Inflate, parse and entropy-decode block sections of ``blob``, by name.
+
+        One batch: every Huffman stream coded with the blob's shared
+        codebook is a set of lanes of the same lockstep decode.
+        """
         backend = self._backend_for(blob)
-        inner_bytes = backend.decompress(blob.container.get_section(entry["section"]))
-        codes, mask, literals, aux, meta = self._wire.deserialize(
-            SectionContainer.from_bytes(inner_bytes),
-            shared_codebook=blob.shared_codebook_bytes,
-        )
+        inners = [
+            SectionContainer.from_bytes(backend.decompress(blob.container.get_section(name)))
+            for name in names
+        ]
+        fields = self._wire.deserialize_all(inners, blob.shared_codebook_bytes)
+        return dict(zip(names, fields))
+
+    def _reconstruct_block(
+        self, blob: CompressedBlob, entry: Dict[str, Any], spec: BlockSpec, fields: tuple
+    ) -> np.ndarray:
+        """Predictor-decode one block from its section's decoded ``fields``."""
+        codes, mask, literals, aux, meta = fields
         predictor = self._predictor_for(entry["predictor"], meta)
         return predictor.decode_block(
             codes, mask, literals, aux, meta, spec.shape, blob.error_bound_abs

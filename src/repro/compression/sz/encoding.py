@@ -12,15 +12,18 @@ configuration.
 from __future__ import annotations
 
 from contextlib import AbstractContextManager
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...errors import CompressionError
+from ...errors import CompressionError, EncodingError
 from ..encoders.huffman import (
     MAX_CODE_LENGTH,
     HuffmanCodebook,
     HuffmanCodec,
+    HuffmanStream,
+    SyncedPayload,
+    pooled_symbol_frequencies,
     symbol_frequencies,
 )
 from ..encoders.rans import RansCodec, RansFrequencyTable
@@ -105,10 +108,7 @@ class EncodingWire:
         pooled alphabet cannot fit a 12-bit frequency table, in which
         case every block falls back to its own per-block model.
         """
-        frequencies: Dict[int, int] = {}
-        for encoding, weight in zip(encodings, weights):
-            for sym, freq in symbol_frequencies(np.asarray(encoding.codes)).items():
-                frequencies[sym] = frequencies.get(sym, 0) + freq * weight
+        frequencies = pooled_symbol_frequencies([e.codes for e in encodings], weights)
         if not frequencies:
             return None
         return self._coders[stage].build_model(frequencies)
@@ -186,6 +186,14 @@ class EncodingWire:
         inner.header["entropy"] = stage
         inner.header[f"{stage}_count"] = int(codes.size)
         inner.add_section("codes_payload", payload)
+        if isinstance(payload, SyncedPayload):  # a Huffman stream of more than one lane
+            # uint16 distances, all low bytes then all high bytes: the high
+            # bytes barely vary, and laid out as one run the lossless stage
+            # stores them in a few bytes (197 instead of 300 B per 127
+            # entries under deflate).
+            planes = payload.sync.astype("<u2").view(np.uint8).reshape(-1, 2).T
+            inner.header["huffman_sync_every"] = payload.every
+            inner.add_section("codes_sync", planes.tobytes())
         if model is None:
             inner.header[f"{stage}_shared"] = True
         else:
@@ -194,13 +202,33 @@ class EncodingWire:
 
     def deserialize(self, inner: SectionContainer, shared_codebook: Optional[bytes] = None):
         """``(codes, mask, literals, aux, meta)`` of a serialised encoding."""
-        header = inner.header
-        num_codes = int(header.get("num_codes", 0))
-        # Pre-rANS blobs carry no ``entropy`` key, only ``huffman_count``.
-        entropy = header.get("entropy")
-        if entropy is None and int(header.get("huffman_count", -1)) >= 0:
-            entropy = "huffman"
-        if entropy in ENTROPY_CODED:
+        return self.deserialize_all([inner], shared_codebook)[0]
+
+    def deserialize_all(
+        self, inners: Sequence[SectionContainer], shared_codebook: Optional[bytes] = None
+    ) -> List[tuple]:
+        """:meth:`deserialize` for every encoding of a file, entropy stage batched.
+
+        All Huffman streams coded with one codebook — the file's shared
+        one, usually — go to the codec as one batch, whose sync points
+        fill the lanes of one lockstep decode.
+        """
+        codes: List[Optional[np.ndarray]] = [None] * len(inners)
+        batches: Dict[bytes, List[int]] = {}
+        for i, inner in enumerate(inners):
+            header = inner.header
+            # Pre-rANS blobs carry no ``entropy`` key, only ``huffman_count``.
+            entropy = header.get("entropy")
+            if entropy is None and int(header.get("huffman_count", -1)) >= 0:
+                entropy = "huffman"
+            if entropy not in ENTROPY_CODED:
+                codes[i] = np.asarray(inner.get_array("codes_raw"), dtype=np.int64)
+                num_codes = int(header.get("num_codes", 0))
+                if codes[i].size != num_codes:
+                    raise CompressionError(
+                        f"raw code stream has {codes[i].size} entries, expected {num_codes}"
+                    )
+                continue
             coder = self._coders[entropy]
             if header.get(f"{entropy}_shared"):
                 if shared_codebook is None:
@@ -211,15 +239,24 @@ class EncodingWire:
                 model = shared_codebook
             else:
                 model = inner.get_section(coder.model_section)
-            codes = coder.codec.decode(
-                inner.get_section("codes_payload"), model, int(header[f"{entropy}_count"])
-            )
-        else:
-            codes = np.asarray(inner.get_array("codes_raw"), dtype=np.int64)
-            if codes.size != num_codes:
-                raise CompressionError(
-                    f"raw code stream has {codes.size} entries, expected {num_codes}"
+            if entropy == "huffman":
+                batches.setdefault(model, []).append(i)
+            else:
+                codes[i] = coder.codec.decode(
+                    inner.get_section("codes_payload"), model, int(header[f"{entropy}_count"])
                 )
+        for model, members in batches.items():
+            streams = [_huffman_stream(inners[i]) for i in members]
+            decoded = self._coders["huffman"].codec.decode_streams(streams, model)
+            for i, symbols in zip(members, decoded):
+                codes[i] = symbols
+        return [self._fields(inner, symbols) for inner, symbols in zip(inners, codes)]
+
+    @staticmethod
+    def _fields(inner: SectionContainer, codes: np.ndarray) -> tuple:
+        """The decoded ``codes`` joined by the encoding's other sections."""
+        header = inner.header
+        num_codes = int(header.get("num_codes", 0))
         escape_indices = inner.get_array("escape_indices")
         mask = np.zeros(num_codes, dtype=bool)
         if escape_indices.size:
@@ -228,6 +265,19 @@ class EncodingWire:
             name: inner.get_array(f"aux_{name}") for name in header.get("aux_names", [])
         }
         return codes, mask, inner.get_array("literals"), aux, header.get("predictor_meta", {})
+
+
+def _huffman_stream(inner: SectionContainer) -> HuffmanStream:
+    """The Huffman stream of one encoding, with its sync index when stored."""
+    header = inner.header
+    payload, count = inner.get_section("codes_payload"), int(header["huffman_count"])
+    if "huffman_sync_every" not in header:
+        return HuffmanStream(payload, count)  # older builds, or a stream of one lane
+    planes = np.frombuffer(inner.get_section("codes_sync"), dtype=np.uint8)
+    if planes.size % 2:
+        raise EncodingError("Huffman sync index ends inside an entry")
+    low, high = planes.reshape(2, -1).astype(np.intp)
+    return HuffmanStream(payload, count, low | (high << 8), int(header["huffman_sync_every"]))
 
 
 def _pack_codes(codes: np.ndarray) -> np.ndarray:

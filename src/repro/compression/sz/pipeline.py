@@ -443,10 +443,11 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                 "entropy": self.config.entropy_stage,
                 "lossless": self._lossless.name,
                 # Bumped when the per-block payload layout changes (v2:
-                # per-section entropy tags + adaptive codec choice), so
-                # entries cached by older builds cannot be served into
-                # blobs they would not be byte-identical with.
-                "block_format": 2,
+                # per-section entropy tags + adaptive codec choice; v3:
+                # Huffman sync index), so entries cached by older builds
+                # cannot be served into blobs they would not be
+                # byte-identical with.
+                "block_format": 3,
             },
         )
 
@@ -540,11 +541,21 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         if not blob.is_blocked:
             raise CompressionError("random-access decode requires a blocked (v2) blob")
         entry = blob.block_entry(block_id)
-        recon = self._decode_block_entry(blob, entry, BlockSpec.from_dict(entry))
+        fields = self._decode_sections(blob, [entry["section"]])[entry["section"]]
+        recon = self._reconstruct_block(blob, entry, BlockSpec.from_dict(entry), fields)
         return recon.astype(np.dtype(blob.dtype), copy=False)
 
     def _decompress_blocked(self, blob: CompressedBlob) -> np.ndarray:
+        index = blob.block_index
+        if not index:
+            raise CompressionError("blocked blob is missing its block index")
         out = np.empty(blob.shape, dtype=np.float64)
+        # Stage one, here: every distinct section inflated, parsed and
+        # entropy-decoded as one batch.  Stage two, per block and fanned
+        # out: predictor decode.
+        fields = self._decode_sections(
+            blob, list(dict.fromkeys(entry["section"] for entry in index))
+        )
         # Alias entries point at their representative's section; memoising
         # per section decodes each distinct payload once however many
         # blocks share it.  Dict get/set are atomic under the GIL and a
@@ -556,16 +567,13 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             entry, spec = item
             recon = decoded.get(entry["section"])
             if recon is None:
-                recon = self._decode_block_entry(blob, entry, spec)
+                recon = self._reconstruct_block(blob, entry, spec, fields[entry["section"]])
                 decoded[entry["section"]] = recon
             # Each block writes a disjoint region of the output, so the
             # per-block tasks can run concurrently without locking — on
             # threads only: the writes are why decode never forks.
             out[spec.slices()] = recon
 
-        index = blob.block_index
-        if not index:
-            raise CompressionError("blocked blob is missing its block index")
         specs = [BlockSpec.from_dict(entry) for entry in index]
         self._map_blocks(
             decode_block,

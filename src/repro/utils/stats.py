@@ -20,6 +20,7 @@ __all__ = [
     "mean_squared_error",
     "normalized_rmse",
     "psnr",
+    "psnr_from_mse",
     "shannon_entropy",
     "byte_entropy",
     "DataSummary",
@@ -75,7 +76,11 @@ def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     ``PSNR = 20 log10(range) - 10 log10(MSE)``.  Identical arrays return
     ``inf``.
     """
-    mse = mean_squared_error(original, reconstructed)
+    return psnr_from_mse(mean_squared_error(original, reconstructed), original)
+
+
+def psnr_from_mse(mse: float, original: np.ndarray) -> float:
+    """:func:`psnr` for a caller that already holds the mean squared error."""
     if mse == 0.0:
         return float("inf")
     rng = value_range(original)

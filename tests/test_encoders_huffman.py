@@ -9,14 +9,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compression.encoders import huffman
+from repro.compression.encoders import huffman_decode
 from repro.compression.encoders.huffman import (
     MAX_CODE_LENGTH,
+    SYNC_INTERVAL,
     HuffmanCodebook,
     HuffmanCodec,
+    HuffmanStream,
     _pack_codes,
     huffman_code_lengths,
     length_limited_code_lengths,
+    pooled_symbol_frequencies,
     symbol_frequencies,
 )
 from repro.errors import EncodingError
@@ -214,7 +217,7 @@ class TestLutPath:
         ).astype(np.int64)
         codec = HuffmanCodec()
         payload, book, count = codec.encode(symbols)
-        assert len(payload) > huffman._SEGMENT_BYTES
+        assert len(payload) > huffman_decode._SEGMENT_BYTES
         np.testing.assert_array_equal(codec.decode(payload, book, count), symbols)
 
     def test_multi_segment_truncated_payload_raises(self):
@@ -222,7 +225,7 @@ class TestLutPath:
         symbols = rng.integers(-40, 40, 70000)
         codec = HuffmanCodec()
         payload, book, count = codec.encode(symbols)
-        assert len(payload) // 3 > huffman._SEGMENT_BYTES
+        assert len(payload) // 3 > huffman_decode._SEGMENT_BYTES
         with pytest.raises(EncodingError):
             codec.decode(payload[: len(payload) // 3], book, count)
 
@@ -283,7 +286,7 @@ class TestPointerJumpingDecoder:
     ):
         # With segments this small, 16-bit codes straddle (and span) whole
         # segments and every phase of the exit carry is exercised.
-        monkeypatch.setattr(huffman, "_SEGMENT_BYTES", segment_bytes)
+        monkeypatch.setattr(huffman_decode, "_SEGMENT_BYTES", segment_bytes)
         codec = HuffmanCodec()
         for alphabet, ratio, length in [(2, 1.0, 64), (40, 0.8, 500), (300, 0.97, 3000)]:
             symbols = _skewed_stream(alphabet, ratio, length, seed=alphabet)
@@ -297,7 +300,7 @@ class TestPointerJumpingDecoder:
         assert len(payload) > 4 * segment_bytes
 
     def test_long_codes_straddling_segments_match_bitloop(self, monkeypatch):
-        monkeypatch.setattr(huffman, "_SEGMENT_BYTES", 2)
+        monkeypatch.setattr(huffman_decode, "_SEGMENT_BYTES", 2)
         book = HuffmanCodebook.from_frequencies(
             _fibonacci_frequencies(30), max_length=MAX_CODE_LENGTH
         )
@@ -313,9 +316,9 @@ class TestPointerJumpingDecoder:
             codec.decode_bitloop(payload, book.serialize(), symbols.size), symbols
         )
 
-    @pytest.mark.parametrize("segment_bytes", [4, huffman._SEGMENT_BYTES])
+    @pytest.mark.parametrize("segment_bytes", [4, huffman_decode._SEGMENT_BYTES])
     def test_last_code_ending_on_the_final_bit(self, monkeypatch, segment_bytes):
-        monkeypatch.setattr(huffman, "_SEGMENT_BYTES", segment_bytes)
+        monkeypatch.setattr(huffman_decode, "_SEGMENT_BYTES", segment_bytes)
         symbols = _skewed_stream(12, 0.7, 400, seed=8)
         codec = HuffmanCodec()
         _, book, _ = codec.encode(symbols)
@@ -399,7 +402,7 @@ class TestPointerJumpingDecoder:
         symbols = _skewed_stream(60, 0.85, 4_000_000, seed=3)
         codec = HuffmanCodec()
         payload, book, count = codec.encode(symbols)
-        assert len(payload) > 100 * huffman._SEGMENT_BYTES
+        assert len(payload) > 100 * huffman_decode._SEGMENT_BYTES
         codec.decode(payload[:4096], book, 100)  # build the LUT outside the trace
         tracemalloc.start()
         try:
@@ -410,11 +413,225 @@ class TestPointerJumpingDecoder:
         np.testing.assert_array_equal(decoded, symbols)
         # The per-call scratch: positions, windows and the jump levels, one
         # 8-byte entry per bit position of a segment each (plus change).
-        scratch = 8 * (huffman._JUMP_LEVELS + 3) * 8 * huffman._SEGMENT_BYTES
+        scratch = 8 * (huffman_decode._JUMP_LEVELS + 3) * 8 * huffman_decode._SEGMENT_BYTES
         assert peak - decoded.nbytes < 2 * scratch
         # ... where one window per bit position of the whole stream would
         # alone be 8 * 8 * len(payload) bytes.
         assert 2 * scratch < 8 * 8 * len(payload) / 10
+
+
+def _indexed(codec, symbols, book) -> HuffmanStream:
+    """``symbols`` packed with ``book``, as the wire hands the stream to the decoder."""
+    payload = codec.encode_with_book(symbols, book)
+    return HuffmanStream(
+        bytes(payload), symbols.size, getattr(payload, "sync", None), getattr(payload, "every", 0)
+    )
+
+
+def _reference_payload(symbols, book) -> bytes:
+    """The canonical bit string, packed with no help from the packers under test."""
+    bits = "".join(format(book.codes[int(s)], f"0{book.lengths[int(s)]}b") for s in symbols)
+    return np.packbits(np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")).tobytes()
+
+
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """How many lockstep tiles ran (the walk is selected from the input alone)."""
+    calls = []
+    real = huffman_decode.LutDecoder._lockstep
+
+    def spy(self, *args):
+        calls.append(args[-1].shape)
+        return real(self, *args)
+
+    monkeypatch.setattr(huffman_decode.LutDecoder, "_lockstep", spy)
+    return calls
+
+
+K = SYNC_INTERVAL
+#: Geometric weight ratios: ~2, ~4.5 and ~7.5 bits per symbol over 200 values.
+SKEWS = {"skewed": 0.6, "moderate": 0.93, "tight": 1.0}
+
+
+class TestLockstepLanes:
+    """The sync index and the lane decoder, against both older decoders."""
+
+    @pytest.mark.parametrize("skew", sorted(SKEWS))
+    @pytest.mark.parametrize("count", [K - 1, K, K + 1, 2 * K, 32_768, 7919])
+    @pytest.mark.parametrize("min_bytes", [0, 1 << 40])
+    def test_matches_pointer_jumping_and_bitloop(self, monkeypatch, skew, count, min_bytes):
+        # ``min_bytes`` puts the same batch on either side of the threshold.
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", min_bytes)
+        symbols = _skewed_stream(200, SKEWS[skew], count, seed=count)
+        codec = HuffmanCodec()
+        payload, book, _ = codec.encode(symbols)
+        stream = _indexed(codec, symbols, HuffmanCodebook.deserialize(book))
+        assert (stream.sync is None) == (count <= K)
+        if count > K:
+            assert stream.sync.size == -(-count // K) - 1
+        # The payload is bit for bit what a writer without the index packs.
+        assert stream.payload == bytes(payload)
+        if count <= 2 * K:
+            assert stream.payload == _reference_payload(symbols, HuffmanCodebook.deserialize(book))
+        (decoded,) = codec.decode_streams([stream], book)
+        np.testing.assert_array_equal(decoded, symbols)
+        np.testing.assert_array_equal(decoded, codec.decode(stream.payload, book, count))
+        np.testing.assert_array_equal(decoded, codec.decode_bitloop(stream.payload, book, count))
+
+    def test_the_input_selects_the_walk(self, lockstep_calls):
+        symbols = [_skewed_stream(300, 1.0, 32_768, seed=i) for i in range(6)]
+        book = HuffmanCodebook.from_frequencies(
+            symbol_frequencies(np.concatenate(symbols)), max_length=MAX_CODE_LENGTH
+        )
+        codec = HuffmanCodec()
+        streams = [_indexed(codec, s, book) for s in symbols]
+        for decoded, want in zip(codec.decode_streams(streams, book.serialize()), symbols):
+            np.testing.assert_array_equal(decoded, want)
+        assert lockstep_calls == [(K, 6 * 32_768 // K)]  # every sync point a lane
+        # The same streams with the index withheld, and one of them alone
+        # (too few payload bytes per iteration), pointer-jump.
+        del lockstep_calls[:]
+        bare = [HuffmanStream(s.payload, s.count) for s in streams]
+        for decoded, want in zip(codec.decode_streams(bare, book.serialize()), symbols):
+            np.testing.assert_array_equal(decoded, want)
+        low = _skewed_stream(300, 0.5, 32_768, seed=9)  # ~2 bits per symbol
+        _, low_book, _ = codec.encode(low)
+        stream = _indexed(codec, low, HuffmanCodebook.deserialize(low_book))
+        assert stream.sync is not None
+        np.testing.assert_array_equal(codec.decode_streams([stream], low_book)[0], low)
+        assert lockstep_calls == []
+
+    @pytest.mark.parametrize("min_bytes", [0, 1 << 40])
+    def test_batch_mixing_long_short_and_empty_streams(self, monkeypatch, min_bytes):
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", min_bytes)
+        counts = [5 * K + 3, 1, K, 0, K + 1, 17, 3 * K, K - 1]
+        symbols = [_skewed_stream(90, 0.9, n, seed=n) for n in counts]
+        book = HuffmanCodebook.from_frequencies(
+            symbol_frequencies(np.concatenate(symbols)), max_length=MAX_CODE_LENGTH
+        )
+        codec = HuffmanCodec()
+        streams = [_indexed(codec, s, book) for s in symbols]
+        decoded = codec.decode_streams(streams, book.serialize())
+        for got, want in zip(decoded, symbols):
+            np.testing.assert_array_equal(got, want)
+
+    def test_lanes_are_decoded_in_tiles_of_bounded_size(self, monkeypatch, lockstep_calls):
+        # Tile boundaries fall inside streams and inside their last lanes.
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_SYMBOLS", 7 * K)
+        counts = (5 * K + 9, 6 * K, 2 * K + 1, 9 * K - 1)
+        symbols = [_skewed_stream(40, 0.8, n, seed=n) for n in counts]
+        book = HuffmanCodebook.from_frequencies(
+            symbol_frequencies(np.concatenate(symbols)), max_length=MAX_CODE_LENGTH
+        )
+        codec = HuffmanCodec()
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", 0)
+        streams = [_indexed(codec, s, book) for s in symbols]
+        for got, want in zip(codec.decode_streams(streams, book.serialize()), symbols):
+            np.testing.assert_array_equal(got, want)
+        assert [lanes for _, lanes in lockstep_calls] == [7, 7, 7, 3]
+
+    @pytest.mark.parametrize("alphabet", [1, 2])
+    def test_one_and_two_symbol_alphabets(self, monkeypatch, alphabet):
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", 0)
+        symbols = np.random.default_rng(alphabet).integers(0, alphabet, 5 * K + 7) - 4
+        codec = HuffmanCodec()
+        _, book, _ = codec.encode(symbols)
+        stream = _indexed(codec, symbols, HuffmanCodebook.deserialize(book))
+        np.testing.assert_array_equal(codec.decode_streams([stream], book)[0], symbols)
+        corrupt = bytearray(stream.payload)
+        corrupt[len(corrupt) // 2] ^= 0x08
+        bad = stream._replace(payload=bytes(corrupt))
+        if alphabet == 1:  # a 1-bit code, Kraft sum 1/2: a set bit is no code
+            with pytest.raises(EncodingError, match="invalid Huffman code"):
+                codec.decode_streams([bad], book)
+        else:  # two 1-bit codes: every bit string decodes, to what the bit loop reads
+            np.testing.assert_array_equal(
+                codec.decode_streams([bad], book)[0],
+                codec.decode_bitloop(bad.payload, book, bad.count),
+            )
+
+    def test_incomplete_book_round_trips_and_rejects_empty_windows(self, monkeypatch):
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", 0)
+        symbols = _skewed_stream(20, 0.8, 4 * K + 100, seed=2)
+        tight = HuffmanCodebook.from_frequencies(symbol_frequencies(symbols))
+        loose = HuffmanCodebook.from_lengths({s: n + 1 for s, n in tight.lengths.items()})
+        codec = HuffmanCodec()
+        stream = _indexed(codec, symbols, loose)
+        book = loose.serialize()
+        np.testing.assert_array_equal(codec.decode_streams([stream], book)[0], symbols)
+        corrupt = bytearray(stream.payload)
+        corrupt[len(corrupt) // 2] = 0xFF  # the all-ones window has no code
+        with pytest.raises(EncodingError, match="invalid Huffman code"):
+            codec.decode_streams([stream._replace(payload=bytes(corrupt))], book)
+
+    def test_index_shape_is_checked_before_anything_is_sized(self, monkeypatch):
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", 0)
+        symbols = _skewed_stream(30, 0.8, 4 * K, seed=5)
+        codec = HuffmanCodec()
+        _, book, _ = codec.encode(symbols)
+        good = _indexed(codec, symbols, HuffmanCodebook.deserialize(book))
+        for bad in (
+            good._replace(sync=good.sync[:-1]),  # one sync point short
+            good._replace(sync=np.append(good.sync, 9)),  # one too many
+            good._replace(count=10**15),  # would need 4e12 lanes
+            good._replace(every=0),
+            good._replace(every=0xFFFF // MAX_CODE_LENGTH + 1),  # past what uint16 bounds
+            good._replace(sync=good.sync * 3),  # starts run off the payload
+            good._replace(payload=good.payload[: len(good.payload) // 2]),
+            good._replace(payload=good.payload + b"\0"),  # last lane must end in the last byte
+            good._replace(count=good.count - 1),  # ... and on its own symbol count
+        ):
+            with pytest.raises(EncodingError):
+                codec.decode_streams([bad], book)
+
+    def test_writer_refuses_a_distance_that_overflows_uint16(self):
+        codes = np.zeros(K + 1, dtype=np.uint64)
+        with pytest.raises(EncodingError, match="16 bits"):
+            _pack_codes(codes, np.full(K + 1, 300))
+
+    def test_corruption_ends_in_a_typed_error_or_the_serial_decode(self, monkeypatch):
+        """10 240 bit flips and truncations, half in the index, half in the payload.
+
+        A lane that still ends on its sync point started where the serial
+        decode of the same bytes would have, so the only alternative to an
+        ``EncodingError`` is that decode's own output: the original symbols
+        when the index was hit, whatever the bit loop reads when the
+        payload was.  A short interval keeps the case count cheap.
+        """
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", 0)
+        monkeypatch.setattr("repro.compression.encoders.huffman.SYNC_INTERVAL", 16)
+        rng = np.random.default_rng(2024)
+        codec = HuffmanCodec()
+        errors = {True: 0, False: 0}  # by what was hit: index / payload
+        for alphabet, ratio in [(3, 0.5), (40, 0.85), (300, 1.0), (70, 0.97)]:
+            symbols = _skewed_stream(alphabet, ratio, 16 * 9 + 5, seed=alphabet)
+            _, book, _ = codec.encode(symbols)
+            payload = codec.encode_with_book(symbols, HuffmanCodebook.deserialize(book))
+            good = HuffmanStream(bytes(payload), symbols.size, payload.sync.astype(np.uint16), 16)
+            np.testing.assert_array_equal(codec.decode_streams([good], book)[0], symbols)
+            for case in range(2560):
+                hit_index, truncate = case % 2 == 0, case % 8 >= 6
+                raw = bytearray(good.sync.tobytes() if hit_index else good.payload)
+                if truncate:
+                    del raw[int(rng.integers(0, len(raw))) :]
+                    if hit_index:
+                        del raw[len(raw) & ~1 :]  # whole entries: the wire rejects half of one
+                else:
+                    raw[int(rng.integers(0, len(raw)))] ^= 1 << int(rng.integers(0, 8))
+                if hit_index:
+                    bad = good._replace(sync=np.frombuffer(bytes(raw), dtype=np.uint16))
+                    allowed = symbols.tolist()
+                else:
+                    bad = good._replace(payload=bytes(raw))
+                    allowed = _outcome(codec.decode_bitloop, bad.payload, book, bad.count)
+                outcome = _outcome(lambda *_: codec.decode_streams([bad], book)[0], 0, 0, 0)
+                assert outcome is EncodingError or outcome == allowed
+                errors[hit_index] += outcome is EncodingError
+        # No damaged index decodes; a damaged payload does when the flip
+        # swapped codes of one length (most flips in a near-uniform book)
+        # or fell in the padding, which no Huffman decoder can tell.
+        assert errors[True] == 5120
+        assert 2000 < errors[False] < 5120
 
 
 class TestSharedBookEncoding:
@@ -439,6 +656,21 @@ class TestSharedBookEncoding:
         assert symbol_frequencies(arr) == {
             int(s): int(c) for s, c in zip(uniques, counts)
         }
+
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_pooled_frequencies_match_the_weighted_merge(self, wide):
+        rng = np.random.default_rng(12)
+        streams = [rng.integers(-40 * (i + 1), 60, 500 * i) for i in range(4)]  # one empty
+        if wide:  # past the dense-histogram span: the np.unique route
+            streams[2] = np.append(streams[2], [10**12, -(10**11)])
+        weights = [3, 1, 2, 5]
+        merged = {}
+        for stream, weight in zip(streams, weights):
+            for sym, freq in symbol_frequencies(stream).items():
+                merged[sym] = merged.get(sym, 0) + freq * weight
+        assert pooled_symbol_frequencies(streams, weights) == merged
+        assert pooled_symbol_frequencies([], []) == {}
 
 
 class TestOldVsNewEquivalence:

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
 from repro.compression import ErrorBound, create_compressor
-from repro.compression.encoders.huffman import HuffmanCodec
+from repro.compression.encoders import huffman_decode
+from repro.compression.encoders.huffman import (
+    MAX_CODE_LENGTH,
+    SYNC_INTERVAL,
+    HuffmanCodebook,
+    HuffmanCodec,
+    HuffmanStream,
+    symbol_frequencies,
+)
 from repro.compression.encoders.lz77 import LZ77Codec
 from repro.compression.encoders.rle import (
     run_length_decode,
@@ -113,6 +121,40 @@ class TestEncoderInvariants:
         arr = np.asarray(symbols, dtype=np.int64)
         payload, book, count = codec.encode(arr)
         np.testing.assert_array_equal(codec.decode(payload, book, count), arr)
+
+    @FAST
+    @given(
+        counts=st.lists(st.integers(0, 5 * SYNC_INTERVAL), min_size=1, max_size=6),
+        alphabet=st.integers(min_value=1, max_value=400),
+        lockstep=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_huffman_batches_decode_alike_on_either_walk(self, counts, alphabet, lockstep, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.permutation(alphabet) - alphabet // 2
+        streams = [values[rng.geometric(0.08, n).clip(max=alphabet) - 1] for n in counts]
+        if not sum(counts):
+            streams[0] = values[:1]
+        book = HuffmanCodebook.from_frequencies(
+            symbol_frequencies(np.concatenate(streams)), max_length=MAX_CODE_LENGTH
+        )
+        codec = HuffmanCodec()
+        payloads = [codec.encode_with_book(symbols, book) for symbols in streams]
+        batch = [
+            HuffmanStream(bytes(p), s.size, getattr(p, "sync", None), SYNC_INTERVAL)
+            for p, s in zip(payloads, streams)
+        ]
+        real = huffman_decode._LOCKSTEP_MIN_BYTES
+        huffman_decode._LOCKSTEP_MIN_BYTES = 0 if lockstep else 1 << 40
+        try:
+            decoded = codec.decode_streams(batch, book.serialize())
+        finally:
+            huffman_decode._LOCKSTEP_MIN_BYTES = real
+        for got, want, payload in zip(decoded, streams, payloads):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                got, codec.decode_bitloop(bytes(payload), book.serialize(), want.size)
+            )
 
     @FAST
     @given(data=st.binary(min_size=0, max_size=3000))

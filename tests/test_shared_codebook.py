@@ -21,7 +21,10 @@ from repro.compression import (
     create_blocked_compressor,
     create_compressor,
 )
+from repro.compression.encoders import huffman_decode
 from repro.compression.encoders.huffman import HuffmanCodebook
+from repro.compression.encoders.lossless import get_lossless_backend
+from repro.compression.interface import SectionContainer
 from repro.core import Ocelot, OcelotConfig
 from repro.datasets import generate_application
 from repro.errors import CompressionError
@@ -157,6 +160,72 @@ class TestFallbackAndCompat:
             .blob
         )
         assert shared.nbytes < per_block.nbytes
+
+
+def _without_sync_index(payload: bytes) -> tuple:
+    """``payload`` as an older build wrote it, and how many indexes that removed.
+
+    Every section of the outer container is one encoding's inner
+    container behind the lossless stage; the index is that container's
+    ``codes_sync`` section and ``huffman_sync_every`` header key.
+    """
+    blob = CompressedBlob.from_bytes(payload)
+    backend = get_lossless_backend(blob.container.header["lossless_backend"])
+    removed = 0
+    for name in blob.container.section_names():
+        inner = SectionContainer.from_bytes(backend.decompress(blob.container.get_section(name)))
+        bare = SectionContainer(
+            {k: v for k, v in inner.header.items() if k != "huffman_sync_every"}
+        )
+        for section in inner.section_names():
+            if section == "codes_sync":
+                removed += 1
+            else:
+                bare.add_section(section, inner.get_section(section))
+        blob.container.add_section(name, backend.compress(bare.to_bytes()), overwrite=True)
+    return blob.to_bytes(), removed
+
+
+@pytest.mark.parametrize("min_bytes", [0, 1 << 40], ids=["lockstep", "pointer-jumping"])
+class TestSyncIndex:
+    """A blob decodes to the same array with its Huffman sync index, without it,
+    and on either walk (``min_bytes`` forces the lanes, or rules them out)."""
+
+    def test_shared_codebook_blob_without_the_index(self, monkeypatch, min_bytes):
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", min_bytes)
+        data = _field()
+        payload = _shared_pipeline().compress(data, BOUND).blob.to_bytes()
+        legacy, removed = _without_sync_index(payload)
+        assert removed == CompressedBlob.from_bytes(payload).num_blocks  # 512+ symbols each
+        assert len(legacy) < len(payload)
+        decoder = create_compressor("sz3")
+        full = decoder.decompress(CompressedBlob.from_bytes(payload))
+        np.testing.assert_array_equal(decoder.decompress(CompressedBlob.from_bytes(legacy)), full)
+        for spec in BlockPlan.partition(data.shape, 32):
+            for stored in (payload, legacy):
+                lazy = CompressedBlob.from_bytes(stored, lazy=True)
+                block = decoder.decompress_block(lazy, spec.block_id)
+                np.testing.assert_array_equal(block, full[spec.slices()])
+                assert lazy.container.loaded_section_names() == [f"block:{spec.block_id}"]
+
+    def test_whole_array_blob_without_the_index(self, monkeypatch, min_bytes):
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", min_bytes)
+        compressor = create_compressor("sz3")
+        payload = compressor.compress(_field(), BOUND).blob.to_bytes()
+        legacy, removed = _without_sync_index(payload)
+        assert removed == 1
+        np.testing.assert_array_equal(
+            compressor.decompress(CompressedBlob.from_bytes(legacy)),
+            compressor.decompress(CompressedBlob.from_bytes(payload)),
+        )
+
+    def test_blocks_of_one_lane_carry_no_index(self, monkeypatch, min_bytes):
+        monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", min_bytes)
+        data = _field()
+        payload = _shared_pipeline(block_shape=16).compress(data, BOUND).blob.to_bytes()
+        assert _without_sync_index(payload)[1] == 0  # 256 symbols a block
+        recon = create_compressor("sz3").decompress(CompressedBlob.from_bytes(payload))
+        assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= 1e-3 * 1.01
 
 
 class TestStreamingSharedCodebook:
