@@ -114,7 +114,7 @@ def test_random_access_decode_skips_other_blocks(benchmark):
 
     def run():
         full = create_compressor("sz3-fast").decompress(CompressedBlob.from_bytes(payload))
-        lazy_blob = CompressedBlob.from_bytes(payload, lazy=True)
+        lazy_blob = CompressedBlob.from_bytes(payload)
         block = create_compressor("sz3-fast").decompress_block(lazy_blob, 0)
         return full, lazy_blob, block
 

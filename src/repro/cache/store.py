@@ -10,9 +10,11 @@ meta header (provenance: dataset, compressor, error bound) and the raw
 payload bytes.  Writes are atomic (temp file + ``os.replace`` in the
 same directory), so a concurrent reader sees either the old entry, the
 new entry, or a miss — never torn bytes; a record that fails validation
-on read is treated as a miss and deleted.  Eviction is size-capped LRU
-over file mtimes: every hit touches its entry, and a put that pushes
-the tree over ``max_bytes`` deletes the stalest entries first.
+on read is treated as a miss and deleted.  Eviction is size-capped LRU:
+every hit touches its entry's mtime, and a put that pushes the tree
+over ``max_bytes`` deletes the stalest entries first.  A capped handle
+walks the tree once, at its first put, and from then on keeps the order
+and the total itself (see ``BlobCache._lru``).
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ class BlobCache:
         self.stats = CacheStats()
         self._put_counter = 0
         self._known_dirs: set = set()
+        #: Eviction index of a capped handle: entry path -> size, least
+        #: recently used first, and the bytes it sums to.  Filled by the
+        #: first capped put's scan in ``(mtime, path)`` order, then kept
+        #: current by this handle's own puts, hits and deletions in the
+        #: order they happen: the mtime order whenever one handle writes
+        #: at a time, minus the ties of a coarse filesystem clock.  What
+        #: other handles wrote since the scan is not in it.
+        self._lru: Optional[Dict[str, int]] = None
+        self._lru_bytes = 0
         if self.writable:
             os.makedirs(self.cache_dir, exist_ok=True)
 
@@ -147,6 +158,7 @@ class BlobCache:
             return None
         try:
             os.utime(path)
+            self._touch(path, len(raw))
         except OSError:
             pass  # entry may have been evicted between read and touch
         self._count(tier, hit=True)
@@ -159,8 +171,9 @@ class BlobCache:
         ``read`` mode and rewrites of an existing key are no-ops.  The
         record lands under a unique temp name first and is renamed into
         place, so concurrent readers never observe a partial entry; a
-        successful put then evicts stale entries if the tree exceeds
-        ``max_bytes``.
+        successful put then evicts the least recently used entries while
+        the tree exceeds ``max_bytes`` — never the one just written, so
+        a put larger than its peers cannot evict itself into a livelock.
         """
         if not self.writable:
             return False
@@ -184,7 +197,14 @@ class BlobCache:
         self.stats.puts += 1
         self.stats.bytes_written += len(record)
         if self.max_bytes is not None:
-            self._evict_over_cap(protect=path)
+            if self._lru is None:
+                entries = sorted(self._scan(), key=lambda entry: (entry.mtime, entry.path))
+                self._lru = {entry.path: entry.size for entry in entries}
+                self._lru_bytes = sum(self._lru.values())
+            self._touch(path, len(record))
+            while self._lru_bytes > self.max_bytes and len(self._lru) > 1:
+                self._discard(next(iter(self._lru)))  # ``path`` is last
+                self.stats.evictions += 1
         return True
 
     def get_blob(self, key: str) -> Optional[bytes]:
@@ -215,12 +235,19 @@ class BlobCache:
         else:
             self.stats.block_misses += 1
 
-    @staticmethod
-    def _discard(path: str) -> None:
+    def _touch(self, path: str, size: int) -> None:
+        """Make ``path`` the eviction index's most recently used entry."""
+        if self._lru is not None:
+            self._lru_bytes += size - self._lru.pop(path, 0)
+            self._lru[path] = size
+
+    def _discard(self, path: str) -> None:
         try:
             os.remove(path)
         except OSError:
-            pass
+            pass  # already gone: another handle evicted it
+        if self._lru is not None:
+            self._lru_bytes -= self._lru.pop(path, 0)
 
     # ------------------------------------------------------------------ #
     # Eviction and maintenance
@@ -243,24 +270,6 @@ class BlobCache:
                         continue  # concurrently evicted
                     entries.append(_Entry(path=path, size=stat.st_size, mtime=stat.st_mtime))
         return entries
-
-    def _evict_over_cap(self, protect: Optional[str] = None) -> None:
-        assert self.max_bytes is not None
-        entries = self._scan()
-        total = sum(entry.size for entry in entries)
-        if total <= self.max_bytes:
-            return
-        # Oldest mtime first; the entry just written is exempt so a put
-        # larger than its peers cannot evict itself into a livelock.
-        entries.sort(key=lambda entry: (entry.mtime, entry.path))
-        for entry in entries:
-            if total <= self.max_bytes:
-                break
-            if protect is not None and entry.path == protect:
-                continue
-            self._discard(entry.path)
-            self.stats.evictions += 1
-            total -= entry.size
 
     def disk_usage(self, tier: Optional[str] = None) -> int:
         """Total bytes currently stored (optionally one tier)."""

@@ -16,8 +16,8 @@ Subcommands mirror the user-facing capabilities of the paper:
   selection policy and write it to a JSON file.
 * ``ocelot submit`` — submit one or many datasets as concurrent jobs to
   the multi-tenant job service, print per-job makespans and the
-  combined makespan, and persist the job records to a state file.
-* ``ocelot jobs`` — list jobs recorded in the state file, or — with
+  combined makespan, and append the job records to a ``JobStore`` log.
+* ``ocelot jobs`` — list jobs recorded in that log, or — with
   ``--url`` — the live jobs of a running gateway.
 * ``ocelot status <job>`` — show one job's record, including its
   structured event feed; exits non-zero when the job FAILED.
@@ -45,6 +45,10 @@ from .utils.sizes import format_bytes, format_duration
 __all__ = ["main", "build_parser"]
 
 
+#: Default ``--state`` of ``submit`` / ``jobs`` / ``status``.
+_STATE_DEFAULT = ".ocelot-jobs.jsonl"
+
+
 def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
@@ -57,15 +61,10 @@ def _add_block_arguments(sub: argparse.ArgumentParser) -> None:
                      help="partition each array into blocks of this edge length "
                           "and compress them independently (blob format v2)")
     sub.add_argument("--block-workers", type=_positive_int, default=1,
-                     help="workers used to (de)compress blocks concurrently; "
-                          "thread workers only take blocks of >= 131072 "
-                          "elements (64^3 yes, 32^3 no), smaller blocks run "
-                          "inline because GIL hand-offs outweigh the overlap")
-    sub.add_argument("--worker-backend", default="thread", choices=["thread", "process"],
-                     help="how block encode workers run: GIL-sharing threads "
-                          "(default) or worker processes forked per compress "
-                          "call; process needs the fork start method and has "
-                          "no fallback (an error without it)")
+                     help="threads used to (de)compress blocks concurrently; "
+                          "they only take blocks of >= 131072 elements (64^3 "
+                          "yes, 32^3 no), smaller blocks run inline because "
+                          "GIL hand-offs outweigh the overlap")
     sub.add_argument("--adaptive-predictor", action="store_true",
                      help="per-block SZ3-style predictor selection "
                           "(Lorenzo vs. interpolation, keep the smaller); "
@@ -240,26 +239,27 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--priority", default=None, choices=["low", "normal", "high"],
                         help="strict scheduler priority class (higher classes "
                              "dispatch before lower ones)")
-    submit.add_argument("--state", default=".ocelot-jobs.json", metavar="PATH",
-                        help="job-state file shared by submit/jobs/status")
+    submit.add_argument("--state", default=_STATE_DEFAULT, metavar="PATH",
+                        help="JobStore log (JSON lines, append-only) shared by "
+                             "submit/jobs/status")
     submit.add_argument("--events", action="store_true",
                         help="print each job's structured event feed")
     submit.add_argument("--json", action="store_true")
 
-    jobs = sub.add_parser("jobs", help="list jobs recorded in the state file")
-    jobs.add_argument("--state", default=".ocelot-jobs.json", metavar="PATH")
+    jobs = sub.add_parser("jobs", help="list jobs recorded in the job log")
+    jobs.add_argument("--state", default=_STATE_DEFAULT, metavar="PATH")
     jobs.add_argument("--tenant", default=None, metavar="NAME",
                       help="only list jobs of this tenant")
     jobs.add_argument("--url", default=None, metavar="URL",
                       help="query a running gateway (e.g. http://host:8080) "
-                           "instead of the local state file")
+                           "instead of the local job log")
     jobs.add_argument("--json", action="store_true")
 
     status = sub.add_parser("status", help="show one recorded job (with events)")
     status.add_argument("job", help="job id, e.g. job-0001")
-    status.add_argument("--state", default=".ocelot-jobs.json", metavar="PATH")
+    status.add_argument("--state", default=_STATE_DEFAULT, metavar="PATH")
     status.add_argument("--url", default=None, metavar="URL",
-                        help="query a running gateway instead of the state file")
+                        help="query a running gateway instead of the job log")
     status.add_argument("--json", action="store_true")
 
     serve = sub.add_parser(
@@ -379,18 +379,12 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         args.compressor,
         block_shape=args.block_size,
         adaptive_predictor=args.adaptive_predictor,
-        block_executor=ParallelExecutor(
-            block_workers=args.block_workers, worker_backend=args.worker_backend
-        ).map_blocks,
+        block_executor=ParallelExecutor(block_workers=args.block_workers).map_blocks,
         block_policy=policy,
         shared_codebook=args.codebook == "shared",
         entropy_stage=args.entropy,
     )
-    if args.stage_timings:
-        if not hasattr(compressor, "collect_stage_timings"):
-            print(f"--stage-timings is not supported by {args.compressor}", file=sys.stderr)
-            return 1
-        compressor.collect_stage_timings = True
+    compressor.collect_stage_timings = args.stage_timings
     bound = ErrorBound(value=args.error_bound, mode=args.mode)
     result = compressor.compress(data, bound, collect_quality=True)
     if args.output:
@@ -407,7 +401,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         "psnr_db": round(result.stats.psnr_db or 0.0, 2),
         "max_abs_error": result.stats.max_abs_error,
     }
-    stage_timings = getattr(compressor, "last_stage_timings", None)
+    stage_timings = compressor.last_stage_timings
     if stage_timings:
         payload["stage_timings"] = stage_timings
     if args.json:
@@ -431,7 +425,6 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         size_scale=args.size_scale,
         block_size=args.block_size,
         block_workers=args.block_workers,
-        worker_backend=args.worker_backend,
         adaptive_predictor=args.adaptive_predictor,
         entropy_stage=args.entropy,
         shared_codebook=args.codebook == "shared",
@@ -480,8 +473,7 @@ def _codebook_summary(blob) -> dict:
         for entry in entries:
             try:
                 inner = SectionContainer.from_bytes(
-                    backend.decompress(blob.container.get_section(entry["section"])),
-                    lazy=True,
+                    backend.decompress(blob.container.get_section(entry["section"]))
                 )
             except (EncodingError, CompressionError):
                 continue
@@ -518,9 +510,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
     with open(args.blob, "rb") as handle:
         data = handle.read()
-    # Lazy parse: only the header is decoded; section payloads stay as
-    # offsets into the file buffer instead of per-section copies.
-    blob = CompressedBlob.from_bytes(data, lazy=True)
+    blob = CompressedBlob.from_bytes(data)
     entries = []
     for entry in blob.block_index:
         entries.append(
@@ -659,25 +649,16 @@ def _cmd_train_policy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_job_state(path: str) -> dict:
-    """Read the job-state file (empty scaffold when missing)."""
-    import os
+def _recorded_jobs(path: str) -> List[dict]:
+    """Every job in the ``JobStore`` log at ``path``, in submission order.
 
-    if not os.path.exists(path):
-        return {"jobs": []}
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _save_job_state(path: str, state: dict) -> None:
-    """Persist the job-state file atomically (temp + ``os.replace``).
-
-    A crash mid-write leaves the previous state intact instead of a
-    truncated JSON file that would corrupt ``ocelot jobs``.
+    A job whose batch drained carries its full record; one a crash cut
+    short has only its write-ahead lines, so the spec is laid flat for
+    the listing either way.
     """
-    from .service import atomic_write_json
+    from .service import JobStore
 
-    atomic_write_json(path, state)
+    return [{**(job.get("spec") or {}), **job} for job in JobStore(path).replay().values()]
 
 
 def _job_row(record: dict) -> str:
@@ -725,10 +706,10 @@ def _jobs_summary(records: List[dict]) -> str:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service import OcelotService, TransferSpec
+    from .service import JobStore, OcelotService, TransferSpec
 
-    state = _load_job_state(args.state)
-    service = OcelotService(_service_config(args), first_job_number=len(state["jobs"]) + 1)
+    store = JobStore(args.state)
+    service = OcelotService(_service_config(args), store=store)
     handles = []
     for app in args.application:
         dataset = generate_application(app, snapshots=args.snapshots, scale=args.scale)
@@ -747,10 +728,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 )
             )
     service.run_pending()
+    # Submissions and terminal states reached the log through the service's
+    # write-ahead path; what only a drained batch knows goes after them.
     records = [handle.as_dict() for handle in handles]
-    state["jobs"].extend(records)
-    state["combined_makespan_s"] = service.makespan_s
-    _save_job_state(args.state, state)
+    for record in records:
+        store.append({"kind": "record", **record})
+    store.append({"kind": "batch", "combined_makespan_s": service.makespan_s})
     if args.json:
         _emit_json({"jobs": records, "combined_makespan_s": service.makespan_s})
         return 0
@@ -766,7 +749,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             for event in record.get("events", []):
                 phase = f" {event['phase']}" if event.get("phase") else ""
                 print(f"  [{event['time_s']:10.2f}s] {event['kind']}{phase}")
-    print(f"job records written to {args.state}")
+    print(f"job records appended to {args.state}")
     return 0
 
 
@@ -801,7 +784,12 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             return 1
         state = {"jobs": payload["jobs"]}
     else:
-        state = _load_job_state(args.state)
+        from .service import JobStore
+
+        state = {"jobs": _recorded_jobs(args.state)}
+        batches = [r for r in JobStore(args.state).load() if r["kind"] == "batch"]
+        if batches:
+            state["combined_makespan_s"] = batches[-1]["combined_makespan_s"]
     records = state["jobs"]
     if args.tenant:
         records = [
@@ -840,11 +828,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
             return 1
     else:
-        state = _load_job_state(args.state)
-        record = next((r for r in state["jobs"] if r["job_id"] == args.job), None)
+        recorded = _recorded_jobs(args.state)
+        record = next((r for r in recorded if r["job_id"] == args.job), None)
         if record is None:
             print(f"unknown job {args.job!r}; recorded jobs: "
-                  f"{[r['job_id'] for r in state['jobs']]}", file=sys.stderr)
+                  f"{[r['job_id'] for r in recorded]}", file=sys.stderr)
             return 1
     # Machine-friendly contract: a FAILED job makes `ocelot status` exit
     # non-zero, so scripts can gate on it without parsing output.

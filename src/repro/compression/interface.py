@@ -13,13 +13,15 @@ import abc
 import base64
 import json
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import CompressionError, EncodingError
+from ..errors import CompressionError, EncodingError, ErrorBoundViolation
+from ..utils.stats import reconstruction_error
 from .errorbound import ErrorBound
 
 __all__ = [
@@ -46,21 +48,19 @@ class SectionContainer:
         MAGIC (4 bytes) | version (u32) | header_len (u32) | header JSON
         | section bytes back to back (sizes recorded in the header)
 
-    Containers can be parsed *lazily* (``from_bytes(data, lazy=True)``):
-    only the header is decoded up front and each section's bytes are
-    sliced out of the source buffer on first access.  That is what gives
-    blocked blobs true random access — decoding ``block:7`` never touches
-    the payload bytes of any other block.
+    Parsing decodes only the header: sections are indexed by offset and
+    each one's bytes are sliced out of the source buffer on first
+    access.  That is what gives blocked blobs true random access —
+    decoding ``block:7`` never touches the payload bytes of any other
+    block.
     """
 
     def __init__(self, header: Optional[Dict[str, Any]] = None) -> None:
         self.header: Dict[str, Any] = dict(header or {})
-        self._sections: Dict[str, bytes] = {}
-        #: Lazy-parse state: source buffer plus per-section (offset, size).
-        self._lazy_buffer: Optional[bytes] = None
-        self._lazy_offsets: Dict[str, Tuple[int, int]] = {}
-        #: Section order as recorded in the header (lazy parse only).
-        self._lazy_order: List[str] = []
+        #: Section name -> its bytes, or the ``(offset, size)`` of a parsed
+        #: section not yet read out of ``_buffer``; in serialisation order.
+        self._sections: Dict[str, Union[bytes, Tuple[int, int]]] = {}
+        self._buffer: bytes = b""
         #: Version the container was parsed from (writes always use the
         #: current :data:`_FORMAT_VERSION`).
         self.source_version: int = _FORMAT_VERSION
@@ -72,12 +72,9 @@ class SectionContainer:
         shadowed section would corrupt blocked blobs (two ``block:<id>``
         sections with one set of bytes lost on the wire).
         """
-        if not overwrite and (name in self._sections or name in self._lazy_offsets):
+        if not overwrite and name in self._sections:
             raise EncodingError(f"duplicate section {name!r} in container")
         self._sections[name] = bytes(payload)
-        self._lazy_offsets.pop(name, None)
-        if self._lazy_order and name not in self._lazy_order:
-            self._lazy_order.append(name)
 
     def add_array(self, name: str, array: np.ndarray) -> None:
         """Add a NumPy array section, recording dtype/shape in the header."""
@@ -89,21 +86,18 @@ class SectionContainer:
     def get_section(self, name: str) -> bytes:
         """Return the raw bytes of a named section.
 
-        On a lazily parsed container this materialises the section from
-        the source buffer on first access; untouched sections stay as
+        On a parsed container this materialises the section from the
+        source buffer on first access; untouched sections stay as
         (offset, size) bookkeeping only.
         """
-        if name in self._sections:
-            return self._sections[name]
-        if name in self._lazy_offsets:
-            offset, size = self._lazy_offsets.pop(name)
-            assert self._lazy_buffer is not None
-            payload = bytes(self._lazy_buffer[offset : offset + size])
-            if len(payload) != size:
-                raise EncodingError(f"truncated section {name!r}")
-            self._sections[name] = payload
-            return payload
-        raise EncodingError(f"missing section {name!r} in container")
+        try:
+            section = self._sections[name]
+        except KeyError as exc:
+            raise EncodingError(f"missing section {name!r} in container") from exc
+        if isinstance(section, tuple):
+            offset, size = section  # extent checked by from_bytes
+            section = self._sections[name] = bytes(self._buffer[offset : offset + size])
+        return section
 
     def get_array(self, name: str) -> np.ndarray:
         """Return a NumPy array section (dtype/shape restored from header)."""
@@ -116,33 +110,25 @@ class SectionContainer:
 
     def section_names(self) -> List[str]:
         """Names of all stored sections, in serialisation order."""
-        if self._lazy_order:
-            return list(self._lazy_order)
         return list(self._sections)
 
     def section_size(self, name: str) -> int:
         """Size in bytes of a named section, without materialising it."""
-        if name in self._lazy_offsets:
-            return self._lazy_offsets[name][1]
         try:
-            return len(self._sections[name])
+            section = self._sections[name]
         except KeyError as exc:
             raise EncodingError(f"missing section {name!r} in container") from exc
+        return section[1] if isinstance(section, tuple) else len(section)
 
     def loaded_section_names(self) -> List[str]:
         """Sections whose bytes have actually been materialised.
 
-        On an eagerly parsed container this is every section; on a lazy
-        one, only those touched by :meth:`get_section` so far — the
+        On a built container this is every section; on a parsed one,
+        only those touched by :meth:`get_section` so far — the
         random-access tests use this to prove single-block decodes never
         read their neighbours.
         """
-        return list(self._sections)
-
-    @property
-    def is_lazy(self) -> bool:
-        """Whether this container still holds unmaterialised sections."""
-        return bool(self._lazy_offsets)
+        return [name for name, held in self._sections.items() if isinstance(held, bytes)]
 
     def _header_bytes(self) -> bytes:
         header = dict(self.header)
@@ -163,7 +149,7 @@ class SectionContainer:
         )
 
     def to_bytes(self) -> bytes:
-        """Serialise the container (materialising any lazy sections)."""
+        """Serialise the container (materialising any unread sections)."""
         header_bytes = self._header_bytes()
         parts = [
             _MAGIC,
@@ -174,11 +160,12 @@ class SectionContainer:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes, lazy: bool = False) -> "SectionContainer":
+    def from_bytes(cls, data: bytes) -> "SectionContainer":
         """Parse a container previously produced by :meth:`to_bytes`.
 
-        With ``lazy=True`` only the header is decoded; each section is
-        sliced from ``data`` on first :meth:`get_section` access.
+        Only the header is decoded (and every section's extent checked
+        against ``data``); each section is sliced from ``data`` on first
+        :meth:`get_section` access.
         """
         if len(data) < 12 or data[:4] != _MAGIC:
             raise EncodingError("not a valid Ocelot container (bad magic)")
@@ -192,24 +179,17 @@ class SectionContainer:
         sections = header.pop("_sections", [])
         container = cls(header)
         container.source_version = version
-        seen = set()
         offset = header_end
         for entry in sections:
             name = entry["name"]
-            if name in seen:
+            if name in container._sections:
                 raise EncodingError(f"duplicate section {name!r} in container")
-            seen.add(name)
             size = int(entry["size"])
             if offset + size > len(data):
                 raise EncodingError(f"truncated section {name!r}")
-            if lazy:
-                container._lazy_offsets[name] = (offset, size)
-                container._lazy_order.append(name)
-            else:
-                container._sections[name] = data[offset : offset + size]
+            container._sections[name] = (offset, size)
             offset += size
-        if lazy:
-            container._lazy_buffer = data
+        container._buffer = data
         return container
 
 
@@ -264,14 +244,14 @@ class CompressedBlob:
         return self.container.to_bytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes, lazy: bool = False) -> "CompressedBlob":
+    def from_bytes(cls, data: bytes) -> "CompressedBlob":
         """Parse a blob previously produced by :meth:`to_bytes`.
 
-        With ``lazy=True`` only the header is decoded; section payloads
-        (one per block for v2 blobs) are sliced from ``data`` on demand,
-        which is what random-access single-block decodes rely on.
+        Only the header is decoded; section payloads (one per block for
+        v2 blobs) are sliced from ``data`` on demand, which is what
+        random-access single-block decodes rely on.
         """
-        container = SectionContainer.from_bytes(data, lazy=lazy)
+        container = SectionContainer.from_bytes(data)
         header = container.header
         try:
             return cls(
@@ -425,8 +405,8 @@ class CompressedBlob:
         The result is a standalone message carrying everything the
         destination needs about this block — the blob-level header (so
         the first message to arrive can seed the assembly), the block's
-        index entry, and its payload bytes.  On a lazily parsed blob only
-        the exported block's section is materialised; the other sections
+        index entry, and its payload bytes.  On a parsed blob only the
+        exported block's section is materialised; the other sections
         are never touched.
         """
         entry = self.block_entry(block_id)
@@ -588,8 +568,6 @@ class Compressor(abc.ABC):
             collect_quality: when True, also record PSNR and max error in
                 the stats (requires a decompression pass).
         """
-        import time
-
         arr = np.asarray(data)
         if arr.size == 0:
             raise CompressionError("cannot compress an empty array")
@@ -609,14 +587,8 @@ class Compressor(abc.ABC):
             t0 = time.perf_counter()
             recon = self.decompress_blob(blob)
             stats.decompression_time_s = time.perf_counter() - t0
-            diff = np.abs(arr.astype(np.float64) - recon.astype(np.float64))
-            stats.max_abs_error = float(diff.max())
-            from ..utils.stats import psnr as _psnr
-
-            stats.psnr_db = _psnr(arr, recon)
+            stats.psnr_db, stats.max_abs_error = reconstruction_error(arr, recon)
             if verify:
-                from ..errors import ErrorBoundViolation
-
                 # Allow float slack on top of the bound: casting the float64
                 # reconstruction back to the original dtype (e.g. float32)
                 # rounds each value by up to eps * |value|.

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..errors import UnknownCompressorError
+from ..errors import ConfigurationError, UnknownCompressorError
 from .blocking import BlockShapeLike
-from .interface import Compressor
 from .sz.pipeline import BlockMapper, PipelineConfig, PredictionPipelineCompressor
 from .sz.sz2 import SZ2Compressor
 from .sz.sz3 import SZ3Compressor, SZ3LorenzoCompressor
@@ -26,10 +25,11 @@ __all__ = [
     "compressor_type_id",
 ]
 
-_FACTORIES: Dict[str, Callable[..., Compressor]] = {}
+Factory = Callable[..., PredictionPipelineCompressor]
+_FACTORIES: Dict[str, Factory] = {}
 
 
-def register_compressor(name: str, factory: Callable[..., Compressor]) -> None:
+def register_compressor(name: str, factory: Factory) -> None:
     """Register (or replace) a compressor factory under ``name``."""
     _FACTORIES[name] = factory
 
@@ -39,8 +39,14 @@ def available_compressors() -> List[str]:
     return sorted(_FACTORIES)
 
 
-def create_compressor(name: str, **kwargs) -> Compressor:
-    """Instantiate a compressor by registry name."""
+def create_compressor(name: str, **kwargs) -> PredictionPipelineCompressor:
+    """Instantiate a compressor by registry name.
+
+    Every registered compressor is a prediction pipeline, and this is
+    the one place that checks it: the orchestrator, the streaming
+    pipeline, the CLI and policy training use blocked mode, stage
+    timings and cache fingerprints without asking what they hold.
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError as exc:
@@ -48,7 +54,14 @@ def create_compressor(name: str, **kwargs) -> Compressor:
         raise UnknownCompressorError(
             f"unknown compressor {name!r}; available: {valid}"
         ) from exc
-    return factory(**kwargs)
+    compressor = factory(**kwargs)
+    if not isinstance(compressor, PredictionPipelineCompressor):
+        raise ConfigurationError(
+            f"the factory registered as {name!r} built a "
+            f"{type(compressor).__name__}, not a PredictionPipelineCompressor"
+        )
+    compressor.registered_as = name
+    return compressor
 
 
 def create_blocked_compressor(
@@ -62,13 +75,13 @@ def create_blocked_compressor(
     block_cache_tag: str = "",
     entropy_stage: Optional[str] = None,
     **kwargs,
-) -> Compressor:
+) -> PredictionPipelineCompressor:
     """Instantiate a compressor and wire up blocked-mode execution.
 
-    Non-pipeline compressors are returned unchanged.  Pipelines always get
-    the block executor (decoding a v2 blob fans out per block even when
-    this side does not *produce* blocked blobs); ``block_shape`` switches
-    them into producing blocked blobs too, ``block_policy`` (a trained
+    The pipeline always gets the block executor (decoding a v2 blob fans
+    out per block even when this side does not *produce* blocked blobs);
+    ``block_shape`` switches it into producing blocked blobs too,
+    ``block_policy`` (a trained
     :class:`~repro.prediction.block_policy.BlockPolicy`) replaces
     brute-force adaptive predictor selection with the learned one, and
     ``shared_codebook`` toggles the per-file entropy codebook (``None``
@@ -84,25 +97,24 @@ def create_blocked_compressor(
     CLI share for blocked-mode wiring.
     """
     compressor = create_compressor(name, **kwargs)
-    if isinstance(compressor, PredictionPipelineCompressor):
-        if entropy_stage is not None and entropy_stage != compressor.config.entropy_stage:
-            compressor.config = PipelineConfig(
-                entropy_stage=entropy_stage,
-                lossless_backend=compressor.config.lossless_backend,
-                lossless_options=dict(compressor.config.lossless_options),
-            )
-        compressor.configure_blocks(
-            block_executor=block_executor,
-            shared_codebook=shared_codebook,
-            block_cache=block_cache,
-            block_cache_tag=block_cache_tag,
+    if entropy_stage is not None and entropy_stage != compressor.config.entropy_stage:
+        compressor.config = PipelineConfig(
+            entropy_stage=entropy_stage,
+            lossless_backend=compressor.config.lossless_backend,
+            lossless_options=dict(compressor.config.lossless_options),
         )
-        if block_shape:
-            compressor.configure_blocks(
-                block_shape=block_shape,
-                adaptive_predictor=adaptive_predictor,
-                block_policy=block_policy,
-            )
+    compressor.configure_blocks(
+        block_executor=block_executor,
+        shared_codebook=shared_codebook,
+        block_cache=block_cache,
+        block_cache_tag=block_cache_tag,
+    )
+    if block_shape:
+        compressor.configure_blocks(
+            block_shape=block_shape,
+            adaptive_predictor=adaptive_predictor,
+            block_policy=block_policy,
+        )
     return compressor
 
 

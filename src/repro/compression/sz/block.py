@@ -7,8 +7,8 @@ the brute-force comparison.  With per-block entropy models the codec
 (Huffman vs rANS) is chosen per block the same way: policy first, exact
 size estimates otherwise.  ``PredictionPipelineCompressor.encode_one_block``
 composes these stages into the unit every encode path fans out; each
-stage *returns* its result, so a thread, a forked worker and the inline
-loop produce the same bytes.
+stage *returns* its result, so a thread and the inline loop produce the
+same bytes.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class BlockStages:
         escape handles those).  A policy that *fails* (bad model file,
         feature mismatch) is warned about once and dropped from this
         pipeline, so the caller's brute-force fallback takes over for
-        good rather than silently, block after block.  Inside a forked
-        worker the drop dies with the worker; the blob is the same.
+        good rather than silently, block after block.
         """
         if self.block_policy is None or not self.adaptive_predictor:
             return None

@@ -56,8 +56,7 @@ BlockMapper = Callable[[Callable[[Any], Any], Sequence[Any]], List[Any]]
 #: (through a 2-thread pool Miranda fields compress 26-42 % *slower* at
 #: 32^3 = 32 768 elements, level at 48^3, 9 % faster at 64^3 = 262 144 —
 #: table in ARCHITECTURE.md, "Parallel execution"), so blocks below the
-#: grain run inline whatever ``block_workers`` says.  Worker processes
-#: share no GIL and take blocks of any size.
+#: grain run inline whatever ``block_workers`` says.
 _POOL_GRAIN_ELEMENTS = 1 << 17
 
 _STAGE_KEYS = ("predict_quantize_s", "entropy_s", "lossless_s")
@@ -82,6 +81,11 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     """A full predictor → quantiser → entropy → lossless pipeline."""
 
     name = "prediction-pipeline"
+    #: The registry name this instance was created under, stamped by
+    #: :func:`~repro.compression.registry.create_compressor` (``sz3-fast``
+    #: builds an ``SZ3Compressor`` named ``sz3``); whole-blob cache keys
+    #: have always carried it rather than :attr:`name`.
+    registered_as: Optional[str] = None
 
     #: Block options: documented and assigned by :meth:`configure_blocks`.
     block_shape: Optional[BlockShapeLike] = None
@@ -106,8 +110,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             self.name = name
         #: Opt-in per-stage encode timing (predict+quantize / entropy /
         #: lossless), a debugging aid surfaced by ``ocelot compress
-        #: --stage-timings``.  The timers live in this process, so while
-        #: it is on the block encode runs **inline**, whatever executor is
+        #: --stage-timings``.  The stage totals are unsynchronised sums,
+        #: so while it is on blocks run **inline**, whatever executor is
         #: configured; the totals are stamped into the blob's metadata,
         #: so it is off by default to keep blobs byte-reproducible.
         self.collect_stage_timings = False
@@ -245,30 +249,17 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     # ------------------------------------------------------------------ #
     # Block fan-out
     # ------------------------------------------------------------------ #
-    def _forked_map(self) -> Optional[BlockMapper]:
-        """The injected executor's forked map, when it runs worker processes.
-
-        ``block_executor`` stays a plain callable; this is the one place
-        the pipeline asks which backend stands behind it.
-        """
-        owner = getattr(self.block_executor, "__self__", None)
-        if getattr(owner, "worker_backend", "thread") == "process":
-            return owner.forked_map
-        return None
-
     def _configured_fanout(self) -> str:
         """The encode fan-out of the configured block shape, for :meth:`describe`.
 
         An integer block size applies per axis and the rank is only known
         at compress time, so below the thread grain it reads ``"pool at
         rank >= k"`` (lower-rank data runs inline) rather than guessing a
-        rank.  Worker processes have no grain: ``"process"``.
+        rank.
         """
         shape = self.block_shape
         if self.block_executor is None:
             return "inline"
-        if self._forked_map() is not None:
-            return "process"
         if not isinstance(shape, (int, np.integer)):
             return "pool" if math.prod(shape) >= _POOL_GRAIN_ELEMENTS else "inline"
         if shape < 2:
@@ -279,28 +270,22 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         return "pool" if rank == 1 else f"pool at rank >= {rank}"
 
     def _map_blocks(
-        self,
-        func: Callable[[Any], Any],
-        items: Sequence[Any],
-        block_elements: int,
-        forkable: bool = False,
+        self, func: Callable[[Any], Any], items: Sequence[Any], block_elements: int
     ) -> List[Any]:
         """Run ``func`` over per-block ``items``; ``block_elements`` sizes a block.
 
-        The one fan-out rule.  A ``forkable`` func — one that *returns*
-        its result, as every encode stage does — goes to the executor's
-        forked map when it runs worker processes; otherwise blocks at or
-        above the grain go to the executor's threads; everything else
-        runs inline.  So does the whole encode while stage timings are
-        collected: the timers live in this process.
+        The one fan-out rule: two or more blocks at or above the grain go
+        to the injected executor; everything else runs inline.  So does
+        everything while stage timings are collected: the stage totals
+        are unsynchronised sums.
         """
-        timing = forkable and self.collect_stage_timings
-        if len(items) > 1 and self.block_executor is not None and not timing:
-            forked = self._forked_map() if forkable else None
-            if forked is not None:
-                return forked(func, items)
-            if block_elements >= _POOL_GRAIN_ELEMENTS:
-                return list(self.block_executor(func, items))
+        if (
+            len(items) > 1
+            and self.block_executor is not None
+            and block_elements >= _POOL_GRAIN_ELEMENTS
+            and not self.collect_stage_timings
+        ):
+            return list(self.block_executor(func, items))
         return [func(item) for item in items]
 
     # ------------------------------------------------------------------ #
@@ -431,33 +416,47 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             self.config.entropy_stage, encodings, [1] * len(encodings)
         )
 
-    def _block_store_fingerprint(self, error_bound_abs: float) -> str:
-        """What a stored block payload depends on besides the block's content."""
+    def cache_fingerprint(self, error_bound_abs: float, tier: str = "blob") -> Dict[str, Any]:
+        """Everything besides the data that shapes this pipeline's bytes.
+
+        The one place that lists it, for both cache tiers, so two jobs
+        share an entry only when compressing would produce the same
+        output.  ``tier="blob"`` keys a whole compressed file;
+        ``tier="block"`` keys one self-contained block payload, which
+        always carries its own entropy model and whose shape is part of
+        the block's content digest.
+        """
+        if tier not in ("blob", "block"):
+            raise ConfigurationError(f"unknown cache tier {tier!r}")
+        whole = tier == "blob"
+        extra: Dict[str, Any] = {
+            "entropy": self.config.entropy_stage,
+            "lossless": self._lossless.name,
+        }
+        if not whole:
+            # Bumped when the per-block payload layout changes (v2:
+            # per-section entropy tags + adaptive codec choice; v3:
+            # Huffman sync index), so entries cached by older builds
+            # cannot be served into blobs they would not be
+            # byte-identical with.
+            extra["block_format"] = 3
         return pipeline_fingerprint(
-            compressor=self.name,
+            compressor=(self.registered_as or self.name) if whole else self.name,
             error_bound_abs=error_bound_abs,
-            codebook_mode="per-block",
+            block_shape=self.block_shape if whole else None,
+            codebook_mode="shared" if whole and self.shared_codebook else "per-block",
             adaptive_predictor=self.adaptive_predictor,
             block_policy=self.block_cache_tag,
-            extra={
-                "entropy": self.config.entropy_stage,
-                "lossless": self._lossless.name,
-                # Bumped when the per-block payload layout changes (v2:
-                # per-section entropy tags + adaptive codec choice; v3:
-                # Huffman sync index), so entries cached by older builds
-                # cannot be served into blobs they would not be
-                # byte-identical with.
-                "block_format": 3,
-            },
+            extra=extra,
         )
 
     def _compress_blocked(self, arr: np.ndarray, error_bound_abs: float) -> CompressedBlob:
         """The one blocked encode: group, probe, choose, pool, finish, store, expand.
 
-        Every stage closure *returns* its result, so the inline loop, the
-        thread pool and the forked map all run the same code and the
-        blob cannot depend on which did.  The block store is read and
-        written here, in the calling process, never inside a block task.
+        Every stage closure *returns* its result, so the inline loop and
+        the thread pool run the same code and the blob cannot depend on
+        which did.  The block store is read and written here, by the
+        caller, never inside a block task.
         """
         plan = BlockPlan.partition(arr.shape, self.block_shape)
         reps, alias_of, digests, counts = group_identical_blocks(arr, plan)
@@ -474,7 +473,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         keys: Dict[int, str] = {}
         results: Dict[int, BlockResult] = {}
         if store is not None:
-            fingerprint = self._block_store_fingerprint(error_bound_abs)
+            fingerprint = self.cache_fingerprint(error_bound_abs, tier="block")
             for spec in reps:
                 key = keys[spec.block_id] = block_cache_key(digests[spec.block_id], fingerprint)
                 found = store.get_block(key)
@@ -482,9 +481,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                     results[spec.block_id] = (block_entry(spec, **entry_meta(found[0])), found[1])
         todo = [spec for spec in reps if spec.block_id not in results]
 
-        fan_out = partial(
-            self._map_blocks, block_elements=math.prod(plan.block_shape), forkable=True
-        )
+        fan_out = partial(self._map_blocks, block_elements=math.prod(plan.block_shape))
         shared_book = None
         if shared:
             # Choose a predictor for and quantise every distinct block,
@@ -534,9 +531,9 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     def decompress_block(self, blob: CompressedBlob, block_id: int) -> np.ndarray:
         """Random-access decode of a single block of a v2 blob.
 
-        Only the requested ``block:<id>`` section is read — on a lazily
-        parsed blob the other block payloads are never materialised, so
-        the cost is proportional to one block regardless of blob size.
+        Only the requested ``block:<id>`` section is read — on a parsed
+        blob the other block payloads are never materialised, so the
+        cost is proportional to one block regardless of blob size.
         """
         if not blob.is_blocked:
             raise CompressionError("random-access decode requires a blocked (v2) blob")
@@ -570,8 +567,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                 recon = self._reconstruct_block(blob, entry, spec, fields[entry["section"]])
                 decoded[entry["section"]] = recon
             # Each block writes a disjoint region of the output, so the
-            # per-block tasks can run concurrently without locking — on
-            # threads only: the writes are why decode never forks.
+            # per-block tasks can run concurrently without locking.
             out[spec.slices()] = recon
 
         specs = [BlockSpec.from_dict(entry) for entry in index]

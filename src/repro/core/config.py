@@ -8,7 +8,6 @@ from typing import Optional, Sequence, Tuple
 
 from ..compression.errorbound import ErrorBound, ErrorBoundMode
 from ..errors import ConfigurationError
-from .parallel import VALID_WORKER_BACKENDS
 
 __all__ = ["OcelotConfig", "TransferMode"]
 
@@ -78,15 +77,10 @@ class OcelotConfig:
             ``PredictionPipelineCompressor.describe()["block_fanout"]``
             says which applies (for an integer ``block_size``, from which
             data rank on the blocks reach the pool).
-        worker_backend: how block *encode* workers run — ``thread``
-            (default) shares the GIL; ``process`` forks worker processes
-            per compress call (they inherit the input copy-on-write and
-            take blocks of any size).  ``process`` needs the ``fork``
-            start method and has no fallback: without it the executor
-            raises ``ConfigurationError``.  Measured at 0.6-0.9x inline
-            with the default shared codebook; it wins only with
-            per-block codebooks (ROADMAP, "One block path").  Decode
-            always uses threads.
+        worker_backend: vestigial — block workers are threads and
+            ``"thread"`` is the only value accepted (the process backend
+            was removed; ``bench/workloads.py`` still passes the field,
+            so it goes in the next benchmark-only PR).
         adaptive_predictor: per-block SZ3-style predictor selection (try
             Lorenzo vs. interpolation per block, keep the smaller).
         entropy_stage: entropy codec override for pipeline compressors —
@@ -119,7 +113,11 @@ class OcelotConfig:
             a warm cache without growing it, ``readwrite`` populates it.
         cache_max_bytes: size cap of the cache directory; exceeding it
             evicts least-recently-used entries after each store.  ``None``
-            leaves the cache unbounded.
+            leaves the cache unbounded.  Each open handle (one per job)
+            walks the tree once and then accounts for its own writes, so
+            with several handles writing at once the cap may be overshot
+            by what the others wrote since this handle's scan, until the
+            next handle opens.
         tenant: default tenant jobs submitted under this configuration
             belong to (a :class:`~repro.service.spec.TransferSpec` may
             name its own).  Tenants are the unit of weighted fair
@@ -183,10 +181,10 @@ class OcelotConfig:
             raise ConfigurationError("block_size must be >= 1 (or None for whole-array)")
         if self.block_workers < 1:
             raise ConfigurationError("block_workers must be >= 1")
-        if self.worker_backend not in VALID_WORKER_BACKENDS:
+        if self.worker_backend != "thread":
             raise ConfigurationError(
-                f"worker_backend must be one of {VALID_WORKER_BACKENDS}, "
-                f"got {self.worker_backend!r}"
+                f"worker_backend={self.worker_backend!r}: the process backend was "
+                "removed, block workers are threads ('thread' is the only value)"
             )
         if self.adaptive_predictor and not self.block_size:
             raise ConfigurationError(

@@ -14,17 +14,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
-from ..cache import (
-    array_content_digest,
-    blob_cache_key,
-    build_blob_cache,
-    pipeline_fingerprint,
-)
-from ..compression import Compressor, create_blocked_compressor
+from ..cache import array_content_digest, blob_cache_key, build_blob_cache
+from ..compression import create_blocked_compressor
+from ..compression.sz.pipeline import PredictionPipelineCompressor
 from ..datasets.base import Field, ScientificDataset
 from ..errors import OrchestrationError
 from ..faas.service import FuncXService, build_faas_service
@@ -90,9 +86,7 @@ class OcelotOrchestrator:
         self.faas = faas or build_faas_service(clock=self.testbed.clock)
         self.planner = CompressionPlanner(config, predictor=predictor)
         self.executor = ParallelExecutor(
-            cost_model=cost_model,
-            block_workers=config.block_workers,
-            worker_backend=config.worker_backend,
+            cost_model=cost_model, block_workers=config.block_workers
         )
         self.grouper = FileGrouper()
         self.sentinel = Sentinel(self.testbed.service.default_settings)
@@ -103,9 +97,6 @@ class OcelotOrchestrator:
         self.blob_cache = build_blob_cache(config)
         self._block_policy = None
         self._block_policy_loaded = False
-        #: Memoised ``(entropy_stage, lossless_backend)`` per compressor
-        #: name — the codec fields of the blob-cache fingerprint.
-        self._codec_stages: Dict[str, Tuple[str, str]] = {}
         #: Suffix appended to the dataset name in every simulated-filesystem
         #: path this run touches (staged files, compressed blobs, groups,
         #: reconstructions).  Empty for the classic exclusive-testbed path;
@@ -260,7 +251,7 @@ class OcelotOrchestrator:
                 self._block_policy = BlockPolicy.load(self.config.block_policy_path)
         return self._block_policy
 
-    def _build_compressor(self, name: str) -> Compressor:
+    def _build_compressor(self, name: str) -> PredictionPipelineCompressor:
         """Instantiate a compressor, switching pipelines into blocked mode.
 
         When ``block_size`` is configured, prediction pipelines partition
@@ -280,44 +271,6 @@ class OcelotOrchestrator:
             entropy_stage=self.config.entropy_stage,
         )
 
-    def _codec_stage_names(self, compressor: str) -> Tuple[str, str]:
-        """Effective ``(entropy_stage, lossless_backend)`` of a compressor.
-
-        The configured ``entropy_stage`` override may be ``None`` (keep
-        the registry default), so the stage that actually runs is only
-        knowable from an instance; it is resolved once per name.
-        """
-        cached = self._codec_stages.get(compressor)
-        if cached is None:
-            instance = self._build_compressor(compressor)
-            cached = (
-                str(getattr(getattr(instance, "config", None), "entropy_stage", "none")),
-                str(getattr(getattr(instance, "_lossless", None), "name", "")),
-            )
-            self._codec_stages[compressor] = cached
-        return cached
-
-    def _cache_fingerprint(self, compressor: str, error_bound_abs: float) -> Dict[str, Any]:
-        """Pipeline fingerprint of this run for blob-cache keys.
-
-        Everything that changes the compressed bytes participates, so two
-        jobs share an entry only when compressing would produce the same
-        output: compressor, resolved absolute bound, block size, codebook
-        mode, adaptive selection, the learned block policy, and the
-        entropy/lossless codecs (``sz3`` with ``entropy_stage="huffman"``
-        vs ``"none"`` produces different bytes under the same name).
-        """
-        entropy_stage, lossless_backend = self._codec_stage_names(compressor)
-        return pipeline_fingerprint(
-            compressor=compressor,
-            error_bound_abs=error_bound_abs,
-            block_shape=self.config.block_size,
-            codebook_mode="shared" if self.config.shared_codebook else "per-block",
-            adaptive_predictor=self.config.adaptive_predictor,
-            block_policy=self.config.block_policy_path or "",
-            extra={"entropy": entropy_stage, "lossless": lossless_backend},
-        )
-
     def _consult_blob_cache(
         self, staged: List[StagedFile], plan: CompressionPlan
     ) -> Optional[List[_CacheProbe]]:
@@ -325,18 +278,19 @@ class OcelotOrchestrator:
 
         Returns ``None`` when caching is off (so the off path never hashes
         a byte), else one :class:`_CacheProbe` per file with the stored
-        blob payload attached on a hit.
+        blob payload attached on a hit.  Each key's fingerprint is the
+        configured compressor's own (``cache_fingerprint``).
         """
         cache = self.blob_cache
         if cache is None:
             return None
+        compressor = self._build_compressor(plan.compressor)
         probes: List[_CacheProbe] = []
         for staged_file in staged:
             data = np.asarray(staged_file.field.data)
             digest = array_content_digest(data)
             key = blob_cache_key(
-                digest,
-                self._cache_fingerprint(plan.compressor, plan.error_bound.absolute_for(data)),
+                digest, compressor.cache_fingerprint(plan.error_bound.absolute_for(data))
             )
             payload = cache.get_blob(key)
             probes.append(_CacheProbe(file=staged_file, digest=digest, key=key, payload=payload))

@@ -15,10 +15,9 @@ Two concerns live here:
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..errors import ConfigurationError
 
@@ -26,31 +25,10 @@ __all__ = [
     "ParallelCostModel",
     "MakespanEstimate",
     "ParallelExecutor",
-    "VALID_WORKER_BACKENDS",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: How per-block *encode* work is dispatched.  ``thread`` shares the GIL
-#: (the hot kernels release it); ``process`` forks worker processes per
-#: compress call (:meth:`ParallelExecutor.forked_map`), so it needs the
-#: ``fork`` start method and there is no fallback to threads.
-VALID_WORKER_BACKENDS: Tuple[str, ...] = ("thread", "process")
-
-#: ``(func, items)`` of the forked map this *worker* process serves;
-#: written only inside workers, by their pool initializer.
-_FORKED_CALL: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
-
-
-def _serve_forked_call(func: Callable[[Any], Any], items: Sequence[Any]) -> None:
-    global _FORKED_CALL
-    _FORKED_CALL = (func, items)
-
-
-def _run_forked_item(index: int) -> Any:
-    func, items = _FORKED_CALL
-    return func(items[index])
 
 
 @dataclass
@@ -122,23 +100,11 @@ class ParallelExecutor:
         self,
         cost_model: Optional[ParallelCostModel] = None,
         block_workers: int = 1,
-        worker_backend: str = "thread",
     ) -> None:
         if block_workers < 1:
             raise ConfigurationError("block_workers must be >= 1")
-        if worker_backend not in VALID_WORKER_BACKENDS:
-            raise ConfigurationError(
-                f"worker_backend must be one of {VALID_WORKER_BACKENDS}, "
-                f"got {worker_backend!r}"
-            )
-        if worker_backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                "worker_backend='process' needs the fork start method, which "
-                "this platform does not offer; use worker_backend='thread'"
-            )
         self.cost_model = cost_model or ParallelCostModel()
         self.block_workers = block_workers
-        self.worker_backend = worker_backend
 
     # ------------------------------------------------------------------ #
     # Real execution
@@ -148,37 +114,14 @@ class ParallelExecutor:
 
         The hot kernels (NumPy ufuncs, deflate) release the GIL, so blocks
         of one file genuinely overlap on multicore hosts.  Results are
-        returned in item order.  Always threads, whatever the backend:
-        ``func`` may write shared state (blocked decode fills one output
-        array), which only threads can see.
+        returned in item order; ``func`` may write shared state (blocked
+        decode fills one output array).
         """
         if self.block_workers == 1 or len(items) <= 1:
             return [func(item) for item in items]
         workers = min(self.block_workers, len(items))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, items))
-
-    def forked_map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """:meth:`map_blocks` over worker processes forked for this one call.
-
-        The workers are forked once ``func`` and ``items`` exist and
-        inherit both copy-on-write, so ``func`` may be any closure and
-        nothing is pickled on the way in: only item indices are sent, and
-        one pickled result per item comes back, in item order.  ``func``
-        must therefore *return* its result — whatever it writes dies with
-        its worker.  An exception ``func`` raises is re-raised here.
-        """
-        if self.block_workers == 1 or len(items) <= 1:
-            return [func(item) for item in items]
-        workers = min(self.block_workers, len(items))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_serve_forked_call,
-            initargs=(func, items),
-        ) as pool:
-            chunk = max(1, len(items) // (4 * workers))
-            return list(pool.map(_run_forked_item, range(len(items)), chunksize=chunk))
 
     # ------------------------------------------------------------------ #
     # Cluster makespan models

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..utils.sizes import format_bytes, format_duration, format_rate
-from ..utils.stats import psnr_from_mse
+from ..utils.stats import reconstruction_error
 
 __all__ = ["PhaseTimings", "QualityTally", "TransferReport", "ModeComparison"]
 
@@ -33,12 +33,12 @@ class QualityTally:
 
     def add(self, original: np.ndarray, recon: np.ndarray) -> None:
         """Measure one reconstruction against its original."""
-        data = np.asarray(original, dtype=np.float64)
-        # One difference feeds both measures, with the operations (and so
-        # the bits) of ``utils.stats.psnr`` and ``max |x - x^|``.
-        diff = data - np.asarray(recon, dtype=np.float64)
-        self._psnr_db.append(psnr_from_mse(float(np.mean(diff * diff)), data))
-        self._max_abs_error.append(float(np.max(np.abs(diff, out=diff))))
+        # Reports have always taken the PSNR peak from the float64 range.
+        psnr_db, max_abs_error = reconstruction_error(
+            np.asarray(original, dtype=np.float64), recon
+        )
+        self._psnr_db.append(psnr_db)
+        self._max_abs_error.append(max_abs_error)
 
     def summary(self) -> Dict[str, float]:
         """Mean finite PSNR and worst absolute error (absent when empty)."""

@@ -33,10 +33,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..compression import CompressedBlob, Compressor
+from ..compression import CompressedBlob
 from ..compression.blocking import BlockSpec
 from ..compression.sz.pipeline import PredictionPipelineCompressor
-from ..errors import OrchestrationError
 from ..transfer.service import TransferStream
 from .config import OcelotConfig
 from .parallel import ParallelCostModel, _lpt_makespan
@@ -304,17 +303,17 @@ class StreamingPipeline:
         return max(consumers), decode_times
 
     # ------------------------------------------------------------------ #
-    def _encode_file(self, compressor: Compressor, arr: np.ndarray, eb_abs: float):
+    def _encode_file(
+        self, compressor: PredictionPipelineCompressor, arr: np.ndarray, eb_abs: float
+    ):
         """Yield ``(entry, payload, encode_s, blob_header)`` per block.
 
-        Blocked pipelines emit one tuple per block as each finishes
-        encoding; any other compressor degrades to a single whole-file
-        chunk, so streaming still overlaps across files.
+        A blocked pipeline emits one tuple per block as each finishes
+        encoding; without a block size (``transfer_mode="streamed"`` with
+        ``block_size=None``) the file is a single whole-file chunk, so
+        streaming still overlaps across files.
         """
-        if (
-            isinstance(compressor, PredictionPipelineCompressor)
-            and compressor.block_shape is not None
-        ):
+        if compressor.block_shape is not None:
             block_plan = compressor.block_plan(arr)
             # The blob header ships before the first block, so the shared
             # codebook is seeded from a sample of blocks rather than the
@@ -368,10 +367,6 @@ class StreamingPipeline:
             header, [(p.entry, p.payload) for p in per_file]
         )
         decompressor = self._build_compressor(blob.compressor)
-        if not isinstance(decompressor, PredictionPipelineCompressor):
-            raise OrchestrationError(
-                f"streamed blob produced by {blob.compressor!r} cannot be decoded per block"
-            )
         out = np.empty(blob.shape, dtype=np.float64)
         decode_times: List[float] = []
         for pending in per_file:

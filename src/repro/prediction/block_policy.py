@@ -306,8 +306,6 @@ def build_block_policy_samples(
     policy.
     """
     pipeline = create_compressor(compressor)
-    if not hasattr(pipeline, "measure_block_encoding"):
-        raise ValueError(f"compressor {compressor!r} is not a prediction pipeline")
     extractor = extractor or FeatureExtractor(sample_fraction=1.0)
     predictors = {name: create_predictor(name, {}) for name in candidates}
     samples: List[BlockPolicySample] = []

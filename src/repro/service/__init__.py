@@ -20,7 +20,7 @@ from .jobs import JobHandle, JobStatus, PhaseSpan, TransferJob
 from .quotas import TenantQuota
 from .scheduler import JobScheduler, UnitPool
 from .spec import TransferSpec
-from .store import JobStore, atomic_write_json, atomic_write_text
+from .store import JobStore, atomic_write_text
 
 __all__ = [
     "OcelotService",
@@ -35,6 +35,5 @@ __all__ = [
     "PhaseSpan",
     "TransferJob",
     "UnitPool",
-    "atomic_write_json",
     "atomic_write_text",
 ]

@@ -12,9 +12,10 @@ admission quotas (:class:`~repro.service.quotas.TenantQuota`).
 
 With a :class:`~repro.service.store.JobStore` attached, every
 submission and terminal transition is appended to a JSONL write-ahead
-log, and :meth:`OcelotService.recover` resumes a crashed service:
-finished jobs keep their recorded terminal states (no duplicated
-billing) and unfinished ones are re-queued from their persisted specs.
+log, job numbering continues past the ids the log already holds, and
+:meth:`OcelotService.recover` resumes a crashed service: finished jobs
+keep their recorded terminal states (no duplicated billing) and
+unfinished ones are re-queued from their persisted specs.
 
 The legacy blocking calls (``Ocelot.transfer_dataset`` /
 ``Ocelot.compare_modes``) are thin submit-and-wait wrappers over this
@@ -73,7 +74,6 @@ class OcelotService:
         faas: Optional[FuncXService] = None,
         orchestrator_factory: Optional[Callable[[OcelotConfig], OcelotOrchestrator]] = None,
         job_id_prefix: str = "job",
-        first_job_number: int = 1,
         quotas: Optional[Dict[str, TenantQuota]] = None,
         store: Optional[Union[JobStore, str]] = None,
     ) -> None:
@@ -89,7 +89,14 @@ class OcelotService:
             JobStore(store) if isinstance(store, str) else store
         )
         self._job_id_prefix = job_id_prefix
-        self._counter = itertools.count(max(1, int(first_job_number)))
+        # Never hand out a job id the log already used.
+        id_pattern = re.compile(rf"^{re.escape(job_id_prefix)}-(\d+)$")
+        used = [
+            int(match.group(1))
+            for match in map(id_pattern.match, self.store.replay() if self.store else ())
+            if match
+        ]
+        self._counter = itertools.count(max(used, default=0) + 1)
         self._handles: dict[str, JobHandle] = {}
 
     def _default_orchestrator(self, config: OcelotConfig) -> OcelotOrchestrator:
@@ -235,17 +242,7 @@ class OcelotService:
         if not self.scheduler.idle:
             raise OrchestrationError("cannot recover while jobs are in flight")
         result = RecoveryResult()
-        states = self.store.replay()
-        # Never hand out a job id the log already used.
-        id_pattern = re.compile(rf"^{re.escape(self._job_id_prefix)}-(\d+)$")
-        used = [
-            int(match.group(1))
-            for match in (id_pattern.match(job_id) for job_id in states)
-            if match
-        ]
-        if used:
-            self._counter = itertools.count(max(used) + 1)
-        for job_id, state in states.items():
+        for job_id, state in self.store.replay().items():
             if state.get("status") in _TERMINAL_STATUSES:
                 result.finished.append(state)
                 continue

@@ -261,8 +261,8 @@ class JobHandle:
         return record
 
     def as_dict(self) -> Dict[str, object]:
-        """The full record (the CLI state file's form): :meth:`summary`
-        plus the event feed and the timeline."""
+        """The full record (a ``record`` line of the CLI's job log):
+        :meth:`summary` plus the event feed and the timeline."""
         record = self.summary()
         record["events"] = [event.as_dict() for event in self._job.events]
         record["timeline"] = [span.as_dict() for span in self._job.timeline]

@@ -1,8 +1,9 @@
 """Durable job store: a JSONL write-ahead log with atomic snapshots.
 
-The CLI used to persist job records by rewriting one JSON file in place
-— a crash mid-write corrupted every recorded job.  :class:`JobStore`
-promotes that to a real write-ahead store:
+The one persistence format for jobs — a service with a store attached
+writes it, :meth:`~repro.service.api.OcelotService.recover` resumes from
+it, and ``ocelot submit`` / ``jobs`` / ``status`` keep their records in
+it:
 
 * every state change is *appended* as one JSON line and flushed to
   disk, so the log is only ever extended — a crash can at worst leave a
@@ -11,8 +12,8 @@ promotes that to a real write-ahead store:
   submission order, which is what
   :meth:`~repro.service.api.OcelotService.recover` consumes to resume
   or re-queue jobs after a crash;
-* :meth:`compact` rewrites the folded state atomically (temp file +
-  ``os.replace`` in the same directory, exactly like
+* :meth:`compact` rewrites the log as each job's last life, atomically
+  (temp file + ``os.replace`` in the same directory, exactly like
   ``cache/store.py``) so long-lived services can bound log growth
   without ever exposing a partially-written file.
 
@@ -26,6 +27,12 @@ Record shapes (the ``kind`` field discriminates):
   ..., "report": {...}|null, "error": ...|null}`` — appended exactly
   when the scheduler retires the job, which is what makes re-billing a
   finished job impossible across a crash.
+* ``{"kind": "record", "job_id": ..., **JobHandle.as_dict()}`` — what
+  the write-ahead lines cannot say (event feed, timeline, wait,
+  makespan), appended by ``ocelot submit`` once its batch has drained;
+  :meth:`replay` folds it over the job's state.
+* ``{"kind": "batch", "combined_makespan_s": ...}`` — one per drained
+  ``ocelot submit``; it names no job, so :meth:`replay` skips it.
 """
 
 from __future__ import annotations
@@ -35,9 +42,7 @@ import os
 import tempfile
 from typing import Any, Dict, List, Optional
 
-__all__ = ["JobStore", "atomic_write_text", "atomic_write_json"]
-
-_TERMINAL_STATUSES = ("completed", "failed", "cancelled")
+__all__ = ["JobStore", "atomic_write_text"]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -65,11 +70,6 @@ def atomic_write_text(path: str, text: str) -> None:
                 pass
 
 
-def atomic_write_json(path: str, payload: Any) -> None:
-    """Serialize ``payload`` as JSON and write it atomically."""
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
 class JobStore:
     """Append-only JSONL job log with crash-tolerant reads."""
 
@@ -87,9 +87,15 @@ class JobStore:
         """Append one record as a JSON line and flush it to disk."""
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, default=str)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        line = json.dumps(record, sort_keys=True, default=str) + "\n"
+        with open(self.path, "a+b") as handle:
+            # A crash can leave a torn last line: start a fresh one, or
+            # this record would be glued to the fragment and lost with it.
+            if handle.seek(0, os.SEEK_END) > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = "\n" + line
+            handle.write(line.encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -163,7 +169,9 @@ class JobStore:
         state carries the submit-time facts (``spec``,
         ``dataset_recipe``, ``submitted_at``) plus the latest ``status``
         (``pending`` when no terminal record followed the submission)
-        and, for finished jobs, the terminal ``report`` / ``error``.
+        and, for finished jobs, the terminal ``report`` / ``error`` —
+        with a ``record`` line's fields (events, timeline, wait,
+        makespan, the flat spec) laid over them where one was written.
         """
         states: Dict[str, Dict[str, Any]] = {}
         for record in self.load():
@@ -172,20 +180,15 @@ class JobStore:
                 continue
             kind = record.get("kind")
             if kind == "submitted":
-                state = states.setdefault(job_id, {"job_id": job_id})
-                state.update(
-                    {
-                        "status": "pending",
-                        "submitted_at": record.get("submitted_at", 0.0),
-                        "spec": record.get("spec") or {},
-                        "dataset_recipe": record.get("dataset_recipe"),
-                    }
-                )
-                # A re-submission after recovery supersedes any stale
-                # terminal fields from a previous life.
-                state.pop("report", None)
-                state.pop("error", None)
-                state.pop("finished_at", None)
+                # A re-submission after recovery supersedes every field
+                # of a previous life (the key keeps its place in order).
+                states[job_id] = {
+                    "job_id": job_id,
+                    "status": "pending",
+                    "submitted_at": record.get("submitted_at", 0.0),
+                    "spec": record.get("spec") or {},
+                    "dataset_recipe": record.get("dataset_recipe"),
+                }
             elif kind == "terminal":
                 state = states.setdefault(job_id, {"job_id": job_id})
                 state["status"] = record.get("status", "failed")
@@ -194,51 +197,39 @@ class JobStore:
                     state["report"] = record["report"]
                 if record.get("error") is not None:
                     state["error"] = record["error"]
+            elif kind == "record":
+                state = states.setdefault(job_id, {"job_id": job_id})
+                state.update((k, v) for k, v in record.items() if k != "kind")
         return states
 
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
     def compact(self) -> int:
-        """Rewrite the log as one submitted(+terminal) pair per job.
+        """Rewrite the log as each job's last life, then the last ``batch`` line.
 
-        Returns the number of jobs retained.  The rewrite is atomic
-        (temp + ``os.replace``), so a crash mid-compaction leaves the
-        full original log.
+        A life is a job's last ``submitted`` line plus, of every other
+        kind written after it (``terminal``, ``record``), the last line
+        — verbatim, so :meth:`replay` folds the compacted log to what it
+        folded before.  Returns the number of jobs retained.  The
+        rewrite is atomic (temp + ``os.replace``), so a crash
+        mid-compaction leaves the full original log.
         """
-        states = self.replay()
-        lines: List[str] = []
-        for state in states.values():
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "submitted",
-                        "job_id": state["job_id"],
-                        "submitted_at": state.get("submitted_at", 0.0),
-                        "spec": state.get("spec") or {},
-                        "dataset_recipe": state.get("dataset_recipe"),
-                    },
-                    sort_keys=True,
-                    default=str,
-                )
-            )
-            if state.get("status") in _TERMINAL_STATUSES:
-                lines.append(
-                    json.dumps(
-                        {
-                            "kind": "terminal",
-                            "job_id": state["job_id"],
-                            "status": state["status"],
-                            "finished_at": state.get("finished_at"),
-                            "report": state.get("report"),
-                            "error": state.get("error"),
-                        },
-                        sort_keys=True,
-                        default=str,
-                    )
-                )
-        atomic_write_text(self.path, "\n".join(lines) + ("\n" if lines else ""))
-        return len(states)
+        lives: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        batch: List[Dict[str, Any]] = []
+        for record in self.load():
+            job_id, kind = record.get("job_id"), record["kind"]
+            if kind == "batch":
+                batch = [record]
+            elif job_id and kind == "submitted":
+                lives[job_id] = {kind: record}
+            elif job_id:
+                lives.setdefault(job_id, {})[kind] = record
+        kept = [record for life in lives.values() for record in life.values()] + batch
+        atomic_write_text(
+            self.path, "".join(json.dumps(r, sort_keys=True, default=str) + "\n" for r in kept)
+        )
+        return len(lives)
 
     def clear(self) -> None:
         """Delete the log file (no-op when absent)."""

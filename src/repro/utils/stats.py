@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "normalized_rmse",
     "psnr",
     "psnr_from_mse",
+    "reconstruction_error",
     "shannon_entropy",
     "byte_entropy",
     "DataSummary",
@@ -44,16 +45,33 @@ def value_range(data: np.ndarray) -> float:
     return float(arr.max() - arr.min())
 
 
-def mean_squared_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Mean squared error between two arrays of identical shape."""
+def _difference(original: np.ndarray, reconstructed: np.ndarray) -> np.ndarray:
+    """``original - reconstructed`` as a fresh float64 array."""
     a = _as_float_array(original)
     b = _as_float_array(reconstructed)
     if a.shape != b.shape:
         raise FeatureExtractionError(
             f"shape mismatch: {a.shape} vs {b.shape} when computing MSE"
         )
-    diff = a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)
+    return a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)
+
+
+def mean_squared_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
+    """Mean squared error between two arrays of identical shape."""
+    diff = _difference(original, reconstructed)
     return float(np.mean(diff * diff))
+
+
+def reconstruction_error(original: np.ndarray, reconstructed: np.ndarray) -> Tuple[float, float]:
+    """``(psnr_db, max_abs_error)`` of a reconstruction, from one difference.
+
+    The same operations, and so the same bits, as :func:`psnr` and
+    ``max |x - x^|`` taken separately; the PSNR peak is the value range
+    of ``original`` in the dtype it is handed over in.
+    """
+    diff = _difference(original, reconstructed)
+    mse = float(np.mean(diff * diff))
+    return psnr_from_mse(mse, original), float(np.max(np.abs(diff, out=diff)))
 
 
 def normalized_rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:

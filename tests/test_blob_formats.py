@@ -92,7 +92,7 @@ class TestRandomAccess:
         plan = BlockPlan.partition(data.shape, 16)
         decoder = create_compressor(name)
         for spec in plan:
-            blob = CompressedBlob.from_bytes(payload, lazy=True)
+            blob = CompressedBlob.from_bytes(payload)
             block = decoder.decompress_block(blob, spec.block_id)
             np.testing.assert_array_equal(block, full[spec.slices()])
 
@@ -100,8 +100,7 @@ class TestRandomAccess:
         data = _field()
         compressor = create_compressor("sz3-fast").configure_blocks(block_shape=16)
         payload = compressor.compress(data, ErrorBound(value=BOUND, mode="abs")).blob.to_bytes()
-        blob = CompressedBlob.from_bytes(payload, lazy=True)
-        assert blob.container.is_lazy
+        blob = CompressedBlob.from_bytes(payload)
         assert blob.container.loaded_section_names() == []
         target = blob.num_blocks - 1
         create_compressor("sz3-fast").decompress_block(blob, target)
@@ -118,12 +117,13 @@ class TestRandomAccess:
         with pytest.raises(EncodingError):
             blob.block_entry(0)
 
-    def test_lazy_parse_preserves_bytes(self):
+    def test_parse_preserves_bytes(self):
         data = _field()
         compressor = create_compressor("sz3-fast").configure_blocks(block_shape=16)
         payload = compressor.compress(data, ErrorBound(value=BOUND, mode="abs")).blob.to_bytes()
-        lazy = CompressedBlob.from_bytes(payload, lazy=True)
-        assert lazy.to_bytes() == CompressedBlob.from_bytes(payload).to_bytes()
+        parsed = CompressedBlob.from_bytes(payload)
+        assert parsed.container.loaded_section_names() == []
+        assert parsed.to_bytes() == payload
 
 
 class TestStreamedBlockMessages:
@@ -148,7 +148,7 @@ class TestStreamedBlockMessages:
         data = _field()
         compressor = create_compressor("sz3-fast").configure_blocks(block_shape=16)
         payload = compressor.compress(data, ErrorBound(value=BOUND, mode="abs")).blob.to_bytes()
-        blob = CompressedBlob.from_bytes(payload, lazy=True)
+        blob = CompressedBlob.from_bytes(payload)
         blob.export_block(2)
         assert blob.container.loaded_section_names() == ["block:2"]
 

@@ -8,6 +8,7 @@ import pytest
 from repro.cache import BlobCache
 from repro.compression import CompressedBlob, available_compressors
 from repro.compression.registry import create_blocked_compressor
+from repro.compression.sz import pipeline as sz_pipeline
 from repro.core import ParallelExecutor
 from repro.errors import EncodingError
 
@@ -71,7 +72,7 @@ class TestWithinBlobAliasing:
         arr, tile = _tiled()
         comp = create_blocked_compressor("sz3", block_shape=(8, 8))
         blob = CompressedBlob.from_bytes(
-            comp.compress_array(arr, 1e-6).to_bytes(), lazy=True
+            comp.compress_array(arr, 1e-6).to_bytes()
         )
         # block 5 is an alias; decoding it reads the representative's section
         recon = comp.decompress_block(blob, 5)
@@ -89,18 +90,21 @@ class TestWithinBlobAliasing:
         assert all(e.get("alias_of") is None for e in blob.block_index)
 
     @pytest.mark.parametrize("data_builder", [_tiled, None])
-    def test_thread_and_process_paths_byte_identical(self, data_builder):
+    def test_inline_and_thread_paths_byte_identical(self, data_builder, monkeypatch):
+        # 8x8 blocks are far below the production grain: lower it so the
+        # threaded side really fans out.
+        monkeypatch.setattr(sz_pipeline, "_POOL_GRAIN_ELEMENTS", 1)
         arr = _tiled()[0] if data_builder else _mixed()
         for name in ("sz3", "sz3-fast"):
-            thread = create_blocked_compressor(name, block_shape=(8, 8))
-            process = create_blocked_compressor(
+            inline = create_blocked_compressor(name, block_shape=(8, 8))
+            threaded = create_blocked_compressor(
                 name,
                 block_shape=(8, 8),
-                block_executor=ParallelExecutor(worker_backend="process").map_blocks,
+                block_executor=ParallelExecutor(block_workers=2).map_blocks,
             )
             assert (
-                thread.compress_array(arr, 1e-6).to_bytes()
-                == process.compress_array(arr, 1e-6).to_bytes()
+                inline.compress_array(arr, 1e-6).to_bytes()
+                == threaded.compress_array(arr, 1e-6).to_bytes()
             )
 
     def test_shared_codebook_identical_to_no_dedup_frequencies(self):
@@ -187,21 +191,24 @@ class TestBlockStore:
         ).compress_array(arr, 1e-3)
         assert cache.stats.block_hits == 0
 
-    def test_process_path_uses_block_store_parent_side(self, tmp_path):
+    def test_thread_path_serves_the_block_store_the_inline_path_filled(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(sz_pipeline, "_POOL_GRAIN_ELEMENTS", 1)
         cache = BlobCache(str(tmp_path))
         rng = np.random.default_rng(4)
         arr = rng.normal(size=(16, 16))
-        thread = create_blocked_compressor(
+        inline = create_blocked_compressor(
             "sz3-fast", block_shape=(8, 8), block_cache=cache
         )
-        cold = thread.compress_array(arr, 1e-3).to_bytes()
-        process = create_blocked_compressor(
+        cold = inline.compress_array(arr, 1e-3).to_bytes()
+        threaded = create_blocked_compressor(
             "sz3-fast",
             block_shape=(8, 8),
             block_cache=cache,
-            block_executor=ParallelExecutor(worker_backend="process").map_blocks,
+            block_executor=ParallelExecutor(block_workers=2).map_blocks,
         )
-        warm = process.compress_array(arr, 1e-3).to_bytes()
+        warm = threaded.compress_array(arr, 1e-3).to_bytes()
         assert warm == cold
         assert cache.stats.block_hits == 4
 

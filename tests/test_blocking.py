@@ -378,17 +378,6 @@ class TestParallelBlocks:
         assert calls == [2]
         assert np.abs(slab - recon).max() <= 1e-3 * (1 + 1e-9)
 
-    def test_describe_reports_the_process_fanout(self):
-        """Worker processes take blocks of any size — the thread grain
-        does not apply to them — and describe() must say so instead of
-        reporting the thread rule."""
-        executor = ParallelExecutor(block_workers=2, worker_backend="process")
-        for block_shape in (16, (32, 64, 63), 64):
-            forked = create_compressor("sz3").configure_blocks(
-                block_shape=block_shape, block_executor=executor.map_blocks
-            )
-            assert forked.describe()["block_fanout"] == "process"
-
     def test_config_rejects_inconsistent_block_knobs(self):
         from repro.errors import ConfigurationError
 

@@ -143,6 +143,49 @@ class TestBlobCacheStore:
         assert cache.get_blob(keys[0]) == payload
         assert cache.get_blob(keys[1]) is None
 
+    def test_a_capped_handle_walks_the_tree_once(self, tmp_path, monkeypatch):
+        """The cap is enforced from the handle's own index, not by
+        re-walking the tree on every put — and still holds after each."""
+        BlobCache(str(tmp_path)).put_blob("e" * 32, b"x" * 100)  # found by the scan
+        cache = BlobCache(str(tmp_path), max_bytes=1000)
+        operator = BlobCache(str(tmp_path), mode="read")  # its reads do scan
+        scans = []
+        real_scan = cache._scan
+        monkeypatch.setattr(cache, "_scan", lambda tier=None: scans.append(tier) or real_scan(tier))
+        for i in range(50):
+            assert cache.put_blob(f"{i:02d}" + "0" * 30, b"x" * 100)
+            if i % 7 == 0:
+                cache.get_blob(f"{i:02d}" + "0" * 30)
+            assert operator.disk_usage() <= 1000
+        assert scans == [None]
+        assert cache.get_blob("e" * 32) is None  # the pre-existing entry went first
+        assert cache.stats.evictions == 51 - 1000 // 114
+
+    def test_scripted_sequence_evicts_what_the_walking_store_evicted(self, tmp_path):
+        """Put / get / put on one handle: the victims, in order, recorded
+        from the store that re-walked and re-sorted the tree by ``(mtime,
+        path)`` on every put (run with 30 ms between operations so no two
+        mtimes tied).  The index needs no sleeps: it orders by operation."""
+        cache = BlobCache(str(tmp_path), max_bytes=350)  # three 114-byte entries
+
+        def live():
+            return {name[0] for _, _, names in os.walk(tmp_path) for name in names}
+
+        evicted = []
+        script = [("put", "a"), ("put", "b"), ("put", "c"), ("get", "a"), ("put", "d"),
+                  ("put", "e"), ("get", "d"), ("put", "f"), ("get", "9"), ("put", "1"),
+                  ("put", "b")]
+        for op, name in script:
+            before = live()
+            if op == "put":
+                assert cache.put_blob(name * 32, b"x" * 100)
+            else:
+                cache.get_blob(name * 32)
+            evicted.extend(sorted(before - live()))
+            assert cache.disk_usage() <= 350
+        assert evicted == ["b", "c", "a", "e", "d"]
+        assert cache.stats.evictions == 5
+
     def test_clear_and_describe(self, tmp_path):
         cache = BlobCache(str(tmp_path))
         cache.put_blob("a" * 32, b"one")

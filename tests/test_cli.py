@@ -170,7 +170,7 @@ class TestJobServiceCommands:
             assert parser.parse_args(command).command == command[0]
 
     def test_submit_jobs_status_roundtrip(self, tmp_path, capsys):
-        state = tmp_path / "jobs.json"
+        state = tmp_path / "jobs.jsonl"
         code = main([
             "submit", "--application", "miranda", "--copies", "2",
             "--scale", "0.02", "--size-scale", "5000",
@@ -194,19 +194,86 @@ class TestJobServiceCommands:
         assert "job-0002" in out
         assert "phase_started" in out
 
-    def test_submit_appends_to_existing_state(self, tmp_path, capsys):
-        state = tmp_path / "jobs.json"
-        for _ in range(2):
-            assert main([
-                "submit", "--application", "miranda", "--scale", "0.02",
-                "--size-scale", "5000", "--state", str(state), "--json",
-            ]) == 0
-            capsys.readouterr()
-        records = json.loads(state.read_text())["jobs"]
-        assert [record["job_id"] for record in records] == ["job-0001", "job-0002"]
+    def _submit(self, state, *extra):
+        return main([
+            "submit", "--application", "miranda", "--scale", "0.02",
+            "--size-scale", "5000", "--state", str(state), "--json", *extra,
+        ])
 
-    def test_status_unknown_job_fails(self, tmp_path, capsys):
-        state = tmp_path / "jobs.json"
-        state.write_text('{"jobs": []}')
+    def test_second_submit_appends_and_continues_numbering(self, tmp_path, capsys):
+        from repro.service import JobStore
+
+        state = tmp_path / "jobs.jsonl"
+        assert self._submit(state) == 0
+        first = state.read_bytes()
+        assert self._submit(state) == 0
+        capsys.readouterr()
+        # Appended, not rewritten: the first batch's lines are untouched.
+        assert state.read_bytes().startswith(first) and len(state.read_bytes()) > len(first)
+        records = JobStore(str(state)).load()
+        assert [(r["kind"], r.get("job_id")) for r in records] == [
+            ("submitted", "job-0001"), ("terminal", "job-0001"),
+            ("record", "job-0001"), ("batch", None),
+            ("submitted", "job-0002"), ("terminal", "job-0002"),
+            ("record", "job-0002"), ("batch", None),
+        ]
+
+    def test_torn_last_line_loses_only_itself(self, tmp_path, capsys):
+        state = tmp_path / "jobs.jsonl"
+        assert self._submit(state) == 0
+        with open(state, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "submitted", "job_id": "job-0002", "spe')
+        capsys.readouterr()
+        assert main(["jobs", "--state", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert "job-0001" in out and "completed" in out and "job-0002" not in out
+        # ... and the next batch is not glued to the fragment.
+        assert self._submit(state) == 0
+        capsys.readouterr()
+        assert main(["jobs", "--state", str(state), "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["jobs"]
+        assert [(job["job_id"], job["status"]) for job in listed] == [
+            ("job-0001", "completed"), ("job-0002", "completed"),
+        ]
+
+    def test_status_prints_the_feed_of_a_completed_job(self, tmp_path, capsys):
+        state = tmp_path / "jobs.jsonl"
+        assert self._submit(state) == 0
+        capsys.readouterr()
+        assert main(["status", "job-0001", "--state", str(state)]) == 0
+        lines = capsys.readouterr().out.rstrip().splitlines()
+        feed = lines[lines.index("  events:") + 1:]
+        assert feed[0].endswith("submitted") and feed[-1].endswith("completed")
+        assert any("phases: wait" in line for line in lines)
+
+    def test_status_exit_codes(self, tmp_path, capsys):
+        """Unknown job: 1.  Failed job: 2, so scripts can gate on it."""
+        from repro.service import JobStore
+
+        state = tmp_path / "jobs.jsonl"
+        assert main(["status", "job-0042", "--state", str(state)]) == 1  # no log yet
+        store = JobStore(str(state))
+        store.record_submitted("job-0001", 0.0, {"source": "anvil", "destination": "cori"})
+        store.record_terminal("job-0001", "failed", 3.0, error="boom")
         assert main(["status", "job-0042", "--state", str(state)]) == 1
         assert "unknown job" in capsys.readouterr().err
+        assert main(["status", "job-0001", "--state", str(state)]) == 2
+        assert "error: boom" in capsys.readouterr().out
+        assert main(["status", "job-0001", "--state", str(state), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+    def test_jobs_filters_by_tenant_and_summarises_waits(self, tmp_path, capsys):
+        state = tmp_path / "jobs.jsonl"
+        assert self._submit(state, "--tenant", "physics", "--copies", "2") == 0
+        assert self._submit(state, "--tenant", "climate") == 0
+        capsys.readouterr()
+        assert main(["jobs", "--state", str(state), "--tenant", "physics"]) == 0
+        out = capsys.readouterr().out
+        assert "job-0001" in out and "job-0002" in out and "job-0003" not in out
+        assert "2 job(s): completed=2, p50 wait" in out and "p99 wait" in out
+        assert "combined makespan" not in out  # a batch figure, not a tenant's
+        assert main(["jobs", "--state", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert "3 job(s): completed=3" in out and "combined makespan (last batch)" in out
+        assert main(["jobs", "--state", str(state), "--tenant", "nobody"]) == 0
+        assert "no jobs recorded" in capsys.readouterr().out

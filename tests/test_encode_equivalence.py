@@ -1,6 +1,6 @@
 """Equivalence tests for the vectorised encode path.
 
-The vectorised LZ77 matcher and the forked block workers are pure
+The vectorised LZ77 matcher and the block thread pool are pure
 performance work: neither is allowed to change what comes out the other
 end.  These tests pin that contract —
 
@@ -9,15 +9,15 @@ end.  These tests pin that contract —
   both must decode back to the exact input bytes;
 * window-boundary matches must respect ``window_size`` (the regression
   for the stale-``window_start`` pruning bug);
-* blocked compression on forked worker processes must produce blobs
-  *byte-identical* to thread-pool blocked compression, in every codebook
-  mode — both run the same closures, which these tests hold them to.
+* blocked compression through the thread pool must produce blobs
+  *byte-identical* to the inline loop, in every codebook mode — both run
+  the same closures, which these tests hold them to.  (The process
+  backend these tests used to compare against is gone; what is left of
+  it is the typed error for asking for it.)
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from unittest import mock
 
 import numpy as np
@@ -29,6 +29,7 @@ from repro.compression import create_blocked_compressor
 from repro.compression.encoders.lz77 import LZ77Codec
 from repro.compression.errorbound import ErrorBound
 from repro.compression.sz import pipeline as sz_pipeline
+from repro.core import OcelotConfig
 from repro.core.parallel import ParallelExecutor
 from repro.errors import ConfigurationError
 
@@ -123,87 +124,98 @@ def _pool_grain(elements: int = 1):
     The blocks these tests use (12^2, 16^2) are far below the production
     grain and would run inline; the contracts under test — shared
     codebook, adaptive choice, rANS tables and the ``decoded`` memo under
-    *concurrent* block tasks — need the thread backend to really fan out.
+    *concurrent* block tasks — need the thread pool to really fan out.
     """
     return mock.patch.object(sz_pipeline, "_POOL_GRAIN_ELEMENTS", elements)
 
 
+def _data() -> np.ndarray:
+    rng = np.random.default_rng(7)
+    return np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
+
+
+def _block_executor(fanout: str):
+    """``"inline"``: no executor at all; ``"thread"``: a 2-thread pool."""
+    return ParallelExecutor(block_workers=2).map_blocks if fanout == "thread" else None
+
+
 def _compress_blob_bytes(
-    backend: str,
+    fanout: str,
     shared: bool,
     adaptive: bool = False,
     entropy: str = None,
     block_policy=None,
-    pool_grain: int = 1,
 ) -> bytes:
-    rng = np.random.default_rng(7)
-    data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
-    executor = ParallelExecutor(block_workers=2, worker_backend=backend)
     compressor = create_blocked_compressor(
         "sz3",
         block_shape=16,
-        block_executor=executor.map_blocks,
+        block_executor=_block_executor(fanout),
         adaptive_predictor=adaptive,
         shared_codebook=shared,
         entropy_stage=entropy,
         block_policy=block_policy,
     )
-    with _pool_grain(pool_grain):
-        result = compressor.compress(data, ErrorBound.relative(1e-3))
+    with _pool_grain():
+        result = compressor.compress(_data(), ErrorBound.relative(1e-3))
         recon = compressor.decompress(result.blob)
     assert np.isfinite(recon).all()
     return result.blob.to_bytes()
 
 
-class TestProcessPoolEquivalence:
+def _spy_on_map_blocks(monkeypatch) -> list:
+    """Record the item count of every ``ParallelExecutor.map_blocks`` call."""
+    calls = []
+    real = ParallelExecutor.map_blocks
+
+    def spy(self, func, items):
+        calls.append(len(items))
+        return real(self, func, items)
+
+    monkeypatch.setattr(ParallelExecutor, "map_blocks", spy)
+    return calls
+
+
+class TestThreadPoolEquivalence:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
-    def test_process_blobs_byte_identical_to_thread_blobs(self, shared):
-        assert _compress_blob_bytes("process", shared) == _compress_blob_bytes(
-            "thread", shared
+    def test_thread_blobs_byte_identical_to_inline_blobs(self, shared):
+        assert _compress_blob_bytes("thread", shared) == _compress_blob_bytes(
+            "inline", shared
         )
 
     def test_adaptive_mode_byte_identical(self):
         assert _compress_blob_bytes(
-            "process", shared=True, adaptive=True
-        ) == _compress_blob_bytes("thread", shared=True, adaptive=True)
+            "thread", shared=True, adaptive=True
+        ) == _compress_blob_bytes("inline", shared=True, adaptive=True)
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(worker_backend="greenlet")
+    def test_the_process_backend_is_gone(self, capsys):
+        """Asking for it fails typed (config), by signature (executor) and
+        in argparse (CLI) — never by quietly running threads instead."""
+        from repro.cli import main
 
-    def test_process_backend_reaches_the_pool_below_the_thread_grain(self, monkeypatch):
-        """16^2 blocks are far below the grain that keeps *threads* idle;
-        the explicit process backend must still be handed them."""
-        forked = _spy_on_forked_map(monkeypatch)
-        grain = sz_pipeline._POOL_GRAIN_ELEMENTS
-        assert grain > 16 * 16
-        _compress_blob_bytes("process", shared=True, pool_grain=grain)
-        _compress_blob_bytes("thread", shared=True, pool_grain=grain)
-        assert forked == [9, 9]  # choose + finish of the process blob only
+        with pytest.raises(ConfigurationError, match="removed"):
+            OcelotConfig(worker_backend="process")
+        assert OcelotConfig(worker_backend="thread").worker_backend == "thread"
+        with pytest.raises(TypeError):
+            ParallelExecutor(block_workers=2, worker_backend="process")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compress", "--worker-backend", "process"])
+        assert exit_info.value.code == 2
+        assert "--worker-backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
     def test_thread_side_of_these_comparisons_crosses_threads(self, monkeypatch, adaptive):
         """The thread blobs above come from a real fan-out, not the inline
         path: every blocked phase of compress and decompress reaches
         ``map_blocks`` with all nine blocks."""
-        fanned = []
-        real = ParallelExecutor.map_blocks
-
-        def spy(self, func, items):
-            fanned.append(len(items))
-            return real(self, func, items)
-
-        monkeypatch.setattr(ParallelExecutor, "map_blocks", spy)
+        fanned = _spy_on_map_blocks(monkeypatch)
         _compress_blob_bytes("thread", shared=True, adaptive=adaptive)
         assert fanned == [9, 9, 9]  # choose + finish, then decode
 
     def test_stage_timings_collection_still_byte_identical(self):
-        rng = np.random.default_rng(7)
-        data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
         compressor = create_blocked_compressor("sz3", block_shape=16)
-        baseline = compressor.compress(data, ErrorBound.relative(1e-3)).blob
+        baseline = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob
         compressor.collect_stage_timings = True
-        timed = compressor.compress(data, ErrorBound.relative(1e-3)).blob
+        timed = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob
         timings = compressor.last_stage_timings
         assert timings is not None
         assert set(timings) == {"predict_quantize_s", "entropy_s", "lossless_s"}
@@ -212,19 +224,6 @@ class TestProcessPoolEquivalence:
         # themselves must be unaffected by collection.
         assert timed.metadata.pop("stage_timings") == timings
         assert timed.to_bytes() == baseline.to_bytes()
-
-
-def _spy_on_forked_map(monkeypatch) -> list:
-    """Record the item count of every ``ParallelExecutor.forked_map`` call."""
-    calls = []
-    real = ParallelExecutor.forked_map
-
-    def spy(self, func, items):
-        calls.append(len(items))
-        return real(self, func, items)
-
-    monkeypatch.setattr(ParallelExecutor, "forked_map", spy)
-    return calls
 
 
 class _BrokenPolicy:
@@ -238,138 +237,76 @@ class _BrokenPolicy:
     choose_entropy_for_block = choose_for_block
 
 
-class TestForkedMapContract:
-    """``worker_backend="process"`` is the executor's forked map and nothing else."""
-
-    def test_item_order_kept_and_closures_cross_the_fork(self):
-        executor = ParallelExecutor(block_workers=2, worker_backend="process")
-        base = 100
-        pids = set()
-
-        def work(item):
-            pids.add(os.getpid())  # dies with the worker
-            return base + item, os.getpid()
-
-        out = executor.forked_map(work, list(range(16)))
-        assert [value for value, _ in out] == [100 + i for i in range(16)]
-        assert os.getpid() not in {pid for _, pid in out}
-        assert not pids
-
-    def test_worker_exceptions_are_raised_in_the_parent(self):
-        executor = ParallelExecutor(block_workers=2, worker_backend="process")
-        with pytest.raises(ZeroDivisionError):
-            executor.forked_map(lambda item: 1 // item, [1, 0, 2])
-
-    def test_no_fork_start_method_is_a_configuration_error(self, monkeypatch):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        with pytest.raises(ConfigurationError, match="fork"):
-            ParallelExecutor(block_workers=2, worker_backend="process")
-        ParallelExecutor(block_workers=2, worker_backend="thread")  # unaffected
-
-    def test_block_policy_runs_in_worker_processes(self, monkeypatch):
-        """A learned policy no longer drops the process backend to threads."""
-        from repro.prediction.block_policy import train_block_policy
-
-        rng = np.random.default_rng(5)
-        smooth = np.add.outer(
-            np.sin(np.linspace(0, 6, 48)), np.cos(np.linspace(0, 4, 48))
-        ).astype(np.float64)
-        noisy = (smooth + rng.normal(0, 0.3, smooth.shape)).astype(np.float64)
-        policy, _ = train_block_policy(
-            [smooth, noisy], 1e-3, compressor="sz3", block_shape=16
-        )
-        forked = _spy_on_forked_map(monkeypatch)
-        blob = _compress_blob_bytes(
-            "process", shared=False, adaptive=True, block_policy=policy
-        )
-        assert forked == [9]
-        assert blob == _compress_blob_bytes(
-            "thread", shared=False, adaptive=True, block_policy=policy
-        )
+class TestBlockTaskContract:
+    """What holds of the block tasks whichever way they are fanned out."""
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
-    def test_failing_policy_still_yields_the_thread_blob(self, shared):
-        expected = _compress_blob_bytes("thread", shared, adaptive=True)
-        for backend in ("thread", "process"):
+    def test_failing_policy_still_yields_the_policy_free_blob(self, shared):
+        expected = _compress_blob_bytes("inline", shared, adaptive=True)
+        for fanout in ("inline", "thread"):
             assert expected == _compress_blob_bytes(
-                backend, shared, adaptive=True, block_policy=_BrokenPolicy()
+                fanout, shared, adaptive=True, block_policy=_BrokenPolicy()
             )
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_stage_timings_run_the_encode_inline(self, monkeypatch, backend):
-        forked = _spy_on_forked_map(monkeypatch)
-        threaded = []
-        real = ParallelExecutor.map_blocks
-        monkeypatch.setattr(
-            ParallelExecutor,
-            "map_blocks",
-            lambda self, func, items: threaded.append(len(items)) or real(self, func, items),
-        )
-        rng = np.random.default_rng(7)
-        data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
-        executor = ParallelExecutor(block_workers=2, worker_backend=backend)
+    def test_stage_timings_run_the_encode_inline(self, monkeypatch):
+        threaded = _spy_on_map_blocks(monkeypatch)
         compressor = create_blocked_compressor(
-            "sz3", block_shape=16, block_executor=executor.map_blocks
+            "sz3", block_shape=16, block_executor=_block_executor("thread")
         )
         compressor.collect_stage_timings = True
         with _pool_grain():
-            blob = compressor.compress(data, ErrorBound.relative(1e-3)).blob
-        assert forked == [] and threaded == []
+            blob = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob
+        assert threaded == []
         assert compressor.last_stage_timings["entropy_s"] > 0
         blob.metadata.pop("stage_timings")
-        assert blob.to_bytes() == _compress_blob_bytes(backend, shared=True)
+        assert blob.to_bytes() == _compress_blob_bytes("thread", shared=True)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_block_store_is_read_and_written_in_the_parent(self, tmp_path, backend):
-        """Hits and puts show up in this process's counters, so they
-        happened here — a worker's would have died with it."""
+    def test_block_store_is_read_and_written_by_the_caller(self, tmp_path):
+        """Nine probes, then nine puts, then nine hits: the store is
+        consulted once per distinct block, outside the fanned-out tasks."""
         from repro.cache import BlobCache
 
         cache = BlobCache(str(tmp_path))
-        rng = np.random.default_rng(7)
-        data = np.cumsum(rng.normal(size=(48, 48)), axis=1).astype(np.float64)
-        executor = ParallelExecutor(block_workers=2, worker_backend=backend)
         compressor = create_blocked_compressor(
             "sz3",
             block_shape=16,
-            block_executor=executor.map_blocks,
+            block_executor=_block_executor("thread"),
             shared_codebook=False,
             block_cache=cache,
         )
         with _pool_grain():
-            cold = compressor.compress(data, ErrorBound.relative(1e-3)).blob.to_bytes()
+            cold = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob.to_bytes()
             assert (cache.stats.block_misses, cache.stats.puts) == (9, 9)
-            warm = compressor.compress(data, ErrorBound.relative(1e-3)).blob.to_bytes()
+            warm = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob.to_bytes()
         assert (cache.stats.block_hits, cache.stats.puts) == (9, 9)
-        assert warm == cold == _compress_blob_bytes(backend, shared=False)
+        assert warm == cold == _compress_blob_bytes("thread", shared=False)
 
 
 class TestEntropyStageEquivalence:
     """The rANS stage must not perturb the blob-determinism contract.
 
-    Thread and process backends produce byte-identical blobs under every
-    entropy stage; per-block codec selection (heuristic and learned) is
-    equally deterministic; and any reader decodes any stage because the
-    codec rides in each block's section tags, not in reader config.
+    The inline loop and the thread pool produce byte-identical blobs
+    under every entropy stage; per-block codec selection (heuristic and
+    learned) is equally deterministic; and any reader decodes any stage
+    because the codec rides in each block's section tags, not in reader
+    config.
     """
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
     @pytest.mark.parametrize("entropy", ["huffman", "rans", "none"])
-    def test_thread_process_byte_identical_per_stage(self, entropy, shared):
+    def test_inline_thread_byte_identical_per_stage(self, entropy, shared):
         assert _compress_blob_bytes(
-            "process", shared, entropy=entropy
-        ) == _compress_blob_bytes("thread", shared, entropy=entropy)
+            "thread", shared, entropy=entropy
+        ) == _compress_blob_bytes("inline", shared, entropy=entropy)
 
     @pytest.mark.parametrize("entropy", ["huffman", "rans"])
     def test_heuristic_mixed_codec_byte_identical(self, entropy):
         """Adaptive mode turns on the per-block codec heuristic, so a
-        single blob can mix huffman and rans sections; workers must make
-        the same choices the thread path does."""
+        single blob can mix huffman and rans sections; concurrent block
+        tasks must make the same choices the inline loop does."""
         assert _compress_blob_bytes(
-            "process", shared=False, adaptive=True, entropy=entropy
-        ) == _compress_blob_bytes("thread", shared=False, adaptive=True, entropy=entropy)
+            "thread", shared=False, adaptive=True, entropy=entropy
+        ) == _compress_blob_bytes("inline", shared=False, adaptive=True, entropy=entropy)
 
     def test_policy_chosen_codecs_byte_identical(self):
         from repro.compression import CompressedBlob
@@ -385,12 +322,12 @@ class TestEntropyStageEquivalence:
         )
         assert policy.chooses_entropy
         blobs = {
-            backend: _compress_blob_bytes(
-                backend, shared=False, adaptive=True, entropy="rans", block_policy=policy
+            fanout: _compress_blob_bytes(
+                fanout, shared=False, adaptive=True, entropy="rans", block_policy=policy
             )
-            for backend in ("thread", "process")
+            for fanout in ("inline", "thread")
         }
-        assert blobs["thread"] == blobs["process"]
+        assert blobs["inline"] == blobs["thread"]
         # The policy-tagged blob must decode exactly on a policy-less reader.
         reader = create_blocked_compressor("sz3")
         recon = reader.decompress(CompressedBlob.from_bytes(blobs["thread"]))
@@ -420,19 +357,18 @@ class TestEntropyStageRoundTrip:
         name=st.sampled_from(
             ["sz3", "sz3-linear", "sz2", "sz-lorenzo", "zfp-like", "sz3-fast"]
         ),
-        backend=st.sampled_from(["thread", "process"]),
+        fanout=st.sampled_from(["inline", "thread"]),
         seed=st.integers(0, 1000),
     )
     def test_every_pipeline_round_trips_under_every_stage(
-        self, entropy, name, backend, seed
+        self, entropy, name, fanout, seed
     ):
         rng = np.random.default_rng(seed)
         data = np.cumsum(rng.normal(size=(24, 24)), axis=0).astype(np.float32)
-        executor = ParallelExecutor(block_workers=2, worker_backend=backend)
         compressor = create_blocked_compressor(
             name,
             block_shape=12,
-            block_executor=executor.map_blocks,
+            block_executor=_block_executor(fanout),
             entropy_stage=entropy,
         )
         bound = ErrorBound(value=1e-3, mode="abs")

@@ -765,11 +765,11 @@ class TestGatewayCLI:
         assert payload["events"][0]["kind"] == "submitted"
 
     def test_status_exits_nonzero_for_failed_job(self, tmp_path, capsys):
-        state = tmp_path / "jobs.json"
-        state.write_text(json.dumps({"jobs": [
-            {"job_id": "job-0001", "status": "failed", "error": "boom"},
-            {"job_id": "job-0002", "status": "completed"},
-        ]}))
+        state = tmp_path / "jobs.jsonl"
+        state.write_text("".join(json.dumps(line) + "\n" for line in [
+            {"kind": "terminal", "job_id": "job-0001", "status": "failed", "error": "boom"},
+            {"kind": "terminal", "job_id": "job-0002", "status": "completed"},
+        ]))
         assert cli_main(["status", "job-0001", "--state", str(state)]) == 2
         assert cli_main(
             ["status", "job-0001", "--state", str(state), "--json"]) == 2

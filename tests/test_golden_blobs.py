@@ -8,6 +8,10 @@ length and by a digest of the *decoded* array.  The digests were recorded
 at the commit before ``sz/pipeline.py`` was split into stages; a
 refactor of the encode path that changes any of them changed the wire
 format.  ``python tests/test_golden_blobs.py`` prints a fresh table.
+
+The whole matrix is written twice — by the inline loop and through a
+4-thread executor with the fan-out grain lowered so the 16x16 blocks
+really cross threads — and both must equal the recorded table.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Tuple
 
 import numpy as np
+import pytest
 
 from repro.compression import (
     ErrorBound,
@@ -25,7 +30,9 @@ from repro.compression import (
     create_blocked_compressor,
     create_compressor,
 )
+from repro.compression.sz import pipeline as sz_pipeline
 from repro.compression.sz.pipeline import PipelineConfig, PredictionPipelineCompressor
+from repro.core.parallel import ParallelExecutor
 
 GOLDEN_PATH = Path(__file__).with_name("golden_blobs.json")
 
@@ -102,9 +109,24 @@ def test_matrix_covers_the_registry():
     assert sorted(PIPELINES) == available_compressors()
 
 
-def test_blobs_match_the_recorded_digests():
+@pytest.mark.parametrize("fanout", ["inline", "threads"])
+def test_blobs_match_the_recorded_digests(fanout, monkeypatch):
     golden = json.loads(GOLDEN_PATH.read_text())
-    fresh = dict(golden_rows())
+    if fanout == "inline":
+        fresh = dict(golden_rows())
+    else:
+        monkeypatch.setattr(sz_pipeline, "_POOL_GRAIN_ELEMENTS", 1)
+        pool = ParallelExecutor(block_workers=4).map_blocks
+        fanned = []
+
+        def executor(func, items):
+            fanned.append(len(items))
+            return pool(func, items)
+
+        fresh = dict(golden_rows(executor))
+        # 7 pipelines x 7 blocked variants x 3 backends, each fanned out
+        # at least once to compress; dedup leaves 6 distinct blocks of 9.
+        assert len(fanned) >= 7 * 7 * 3 and set(fanned) <= {6, 9}
     assert sorted(fresh) == sorted(golden)
     moved = {row: (golden[row], fresh[row]) for row in golden if fresh[row] != golden[row]}
     assert not moved

@@ -9,12 +9,11 @@ log intact.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.service import JobStore, atomic_write_json, atomic_write_text
+from repro.service import JobStore, atomic_write_text
 
 
 @pytest.fixture()
@@ -84,6 +83,77 @@ class TestReplay:
         assert "error" not in state and "finished_at" not in state
 
 
+class TestRecordLines:
+    """``record`` / ``batch`` lines: what ``ocelot submit`` appends once a
+    batch has drained, beside the service's own write-ahead lines."""
+
+    RECORD = {
+        "kind": "record", "job_id": "job-0001", "status": "completed",
+        "submitted_at": 0.0, "finished_at": 12.5, "makespan_s": 12.5, "wait_s": 0.5,
+        "source": "anvil", "destination": "cori", "tenant": "acme",
+        "report": {"compression_ratio": 3.0},
+        "events": [{"seq": 1, "kind": "submitted", "time_s": 0.0},
+                   {"seq": 2, "kind": "completed", "time_s": 12.5}],
+        "timeline": [],
+    }
+    BATCH = {"kind": "batch", "combined_makespan_s": 12.5}
+
+    def _drained_batch(self, store):
+        _submit(store, "job-0001", tenant="acme")
+        store.record_terminal("job-0001", "completed", 12.5,
+                              report={"compression_ratio": 3.0})
+        store.append(self.RECORD)
+        store.append(self.BATCH)
+
+    def test_replay_folds_a_record_line_over_the_wal_state(self, store):
+        self._drained_batch(store)
+        states = store.replay()
+        assert list(states) == ["job-0001"]  # the batch line names no job
+        state = states["job-0001"]
+        # What only the record line knows ...
+        assert [event["kind"] for event in state["events"]] == ["submitted", "completed"]
+        assert (state["makespan_s"], state["wait_s"]) == (12.5, 0.5)
+        # ... laid over what the write-ahead lines said, none of it lost.
+        assert state["status"] == "completed" and state["finished_at"] == 12.5
+        assert state["spec"]["tenant"] == "acme"
+        assert state["dataset_recipe"] == {"application": "miranda", "snapshots": 1}
+        assert "kind" not in state
+
+    def test_compact_keeps_record_and_batch_lines_verbatim(self, store):
+        self._drained_batch(store)
+        store.append({"kind": "batch", "combined_makespan_s": 99.0})  # a later batch
+        _submit(store, "job-0002", submitted_at=3.0)
+        with open(store.path, encoding="utf-8") as handle:
+            lines_before = handle.read().splitlines()
+        before = store.replay()
+        assert store.compact() == 2
+        assert [r["kind"] for r in store.load()] == [
+            "submitted", "terminal", "record", "submitted", "batch",
+        ]
+        assert store.load()[-1]["combined_makespan_s"] == 99.0  # the last one
+        with open(store.path, encoding="utf-8") as handle:
+            assert set(handle.read().splitlines()) <= set(lines_before)
+        assert store.replay() == before
+
+    def test_resubmission_supersedes_a_stale_record(self, store):
+        self._drained_batch(store)
+        _submit(store, "job-0001", submitted_at=20.0)
+        state = store.replay()["job-0001"]
+        assert state["status"] == "pending"
+        assert "events" not in state and "makespan_s" not in state
+        store.compact()
+        assert [r["kind"] for r in store.load()] == ["submitted", "batch"]
+
+    def test_append_after_a_torn_tail_starts_a_fresh_line(self, store):
+        _submit(store, "job-0001")
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "terminal", "job_id": "job-0001", "sta')
+        _submit(store, "job-0002")  # would be glued to the fragment and lost
+        assert list(store.replay()) == ["job-0001", "job-0002"]
+        with open(store.path, encoding="utf-8") as handle:
+            assert len(handle.read().splitlines()) == 3
+
+
 class TestCompaction:
     def test_compact_folds_to_one_pair_per_job(self, store):
         for _ in range(3):  # repeated lives of the same job
@@ -121,25 +191,15 @@ class TestAtomicWrites:
         assert target.read_text() == "second"
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
-    def test_atomic_write_json_round_trip(self, tmp_path):
-        target = tmp_path / "jobs.json"
-        payload = {"jobs": [{"job_id": "job-0001", "status": "completed"}]}
-        atomic_write_json(str(target), payload)
-        assert json.loads(target.read_text()) == payload
-
     def test_atomic_write_creates_parent_directory(self, tmp_path):
         target = tmp_path / "nested" / "deep" / "state.json"
-        atomic_write_json(str(target), {"ok": True})
-        assert json.loads(target.read_text()) == {"ok": True}
+        atomic_write_text(str(target), "ok")
+        assert target.read_text() == "ok"
 
     def test_failed_write_preserves_original(self, tmp_path):
         target = tmp_path / "state.json"
         atomic_write_text(str(target), "original")
-
-        class Unserializable:
-            pass
-
-        with pytest.raises(TypeError):
-            atomic_write_json(str(target), {"bad": Unserializable()})
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(str(target), "lone surrogate \udc80")
         assert target.read_text() == "original"
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []

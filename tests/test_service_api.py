@@ -657,6 +657,48 @@ class TestRecovery:
         fresh = service.submit(_spec(tiny_dataset))
         assert fresh.job_id == "job-0003"
 
+    def test_a_service_on_a_used_log_numbers_past_it_without_recover(
+        self, tiny_dataset, tmp_path
+    ):
+        """Numbering is continued in the constructor (``ocelot submit``
+        opens the same log batch after batch and never recovers)."""
+        path = self._store_path(tmp_path)
+        OcelotService(_config(), store=path).submit(_spec(tiny_dataset))
+        OcelotService(_config(), store=path, job_id_prefix="run").submit(_spec(tiny_dataset))
+        again = OcelotService(_config(), store=path)
+        assert again.submit(_spec(tiny_dataset)).job_id == "job-0002"
+        assert [r["job_id"] for r in JobStore(path).load()] == [
+            "job-0001", "run-0001", "job-0002",
+        ]
+
+    def test_recover_reads_cli_written_and_plain_logs_alike(self, tiny_dataset, tmp_path):
+        """``ocelot submit`` appends ``record`` / ``batch`` lines after the
+        write-ahead ones; recovery must not care whether they are there."""
+        plain = self._store_path(tmp_path)
+        crashed = OcelotService(_config(), store=plain)
+        done = crashed.submit(_spec(tiny_dataset, priority="high"))
+        crashed.submit(_spec(tiny_dataset))
+        done.wait()
+        with_records = str(tmp_path / "cli.wal")
+        with open(plain, encoding="utf-8") as src, open(with_records, "w", encoding="utf-8") as dst:
+            dst.write(src.read())
+        cli_log = JobStore(with_records)
+        cli_log.append({"kind": "record", **done.as_dict()})
+        cli_log.append({"kind": "batch", "combined_makespan_s": crashed.makespan_s})
+
+        outcomes = []
+        for path in (plain, with_records):
+            service = OcelotService(_config(), store=path)
+            result = service.recover()
+            assert [state["job_id"] for state in result.finished] == ["job-0001"]
+            assert [handle.job_id for handle in result.resumed] == ["job-0002"]
+            assert result.unrecoverable == []
+            service.run_pending()
+            assert sorted(h.job_id for h in service.jobs()) == ["job-0002"]  # not re-run
+            outcomes.append((result.finished[0]["report"], result.resumed[0].status))
+        assert outcomes[0] == outcomes[1]
+        assert "events" in JobStore(with_records).replay()["job-0001"]
+
     def test_unrecoverable_without_recipe(self, tiny_dataset, tmp_path):
         from repro.datasets.base import ScientificDataset
 

@@ -70,13 +70,13 @@ class TestSharedRoundTrips:
         plan = BlockPlan.partition(data.shape, 32)
         decoder = create_compressor("sz3")
         for spec in plan:
-            lazy = CompressedBlob.from_bytes(payload, lazy=True)
+            lazy = CompressedBlob.from_bytes(payload)
             block = decoder.decompress_block(lazy, spec.block_id)
             np.testing.assert_array_equal(block, full[spec.slices()])
 
     def test_random_access_stays_lazy(self):
         payload = _shared_pipeline().compress(_field(), BOUND).blob.to_bytes()
-        blob = CompressedBlob.from_bytes(payload, lazy=True)
+        blob = CompressedBlob.from_bytes(payload)
         target = blob.num_blocks - 1
         create_compressor("sz3").decompress_block(blob, target)
         # The shared codebook lives in the header; decoding one block must
@@ -203,7 +203,7 @@ class TestSyncIndex:
         np.testing.assert_array_equal(decoder.decompress(CompressedBlob.from_bytes(legacy)), full)
         for spec in BlockPlan.partition(data.shape, 32):
             for stored in (payload, legacy):
-                lazy = CompressedBlob.from_bytes(stored, lazy=True)
+                lazy = CompressedBlob.from_bytes(stored)
                 block = decoder.decompress_block(lazy, spec.block_id)
                 np.testing.assert_array_equal(block, full[spec.slices()])
                 assert lazy.container.loaded_section_names() == [f"block:{spec.block_id}"]
