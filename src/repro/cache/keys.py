@@ -4,11 +4,10 @@ Cache entries are addressed by *what was compressed* and *how*: a
 content digest over the raw array bytes (dtype and shape included, so a
 float32 field never collides with its float64 twin) plus a canonical
 fingerprint of every pipeline knob that changes the compressed output —
-compressor name, absolute error bound, block size, codebook mode,
-adaptive selection and the learned block policy.  Two entries share a
-key if and only if compressing would produce the same bytes, which is
-what lets a warm hit skip the compress phase without changing the
-decompressed output.
+compressor name, absolute error bound, block size, codebook mode and
+adaptive selection.  Two entries share a key if and only if compressing
+would produce the same bytes, which is what lets a warm hit skip the
+compress phase without changing the decompressed output.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ def pipeline_fingerprint(
     block_shape: Optional[Union[int, Sequence[int]]] = None,
     codebook_mode: str = "shared",
     adaptive_predictor: bool = False,
-    block_policy: str = "",
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Canonical dict of every knob that shapes the compressed bytes."""
@@ -76,7 +74,6 @@ def pipeline_fingerprint(
         "block_shape": _canonical(block_shape) if block_shape is not None else None,
         "codebook_mode": str(codebook_mode),
         "adaptive_predictor": bool(adaptive_predictor),
-        "block_policy": str(block_policy or ""),
     }
     for key, value in (extra or {}).items():
         fingerprint[str(key)] = _canonical(value)

@@ -12,8 +12,6 @@ Subcommands mirror the user-facing capabilities of the paper:
   (``--transfer-mode streamed`` overlaps compress → WAN → decode).
 * ``ocelot inspect`` — print a compressed blob's format version and
   block index (debugging aid for streamed blobs).
-* ``ocelot train-policy`` — train the learned per-block predictor
-  selection policy and write it to a JSON file.
 * ``ocelot submit`` — submit one or many datasets as concurrent jobs to
   the multi-tenant job service, print per-job makespans and the
   combined makespan, and append the job records to a ``JobStore`` log.
@@ -32,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,18 +65,16 @@ def _add_block_arguments(sub: argparse.ArgumentParser) -> None:
                           "GIL hand-offs outweigh the overlap")
     sub.add_argument("--adaptive-predictor", action="store_true",
                      help="per-block SZ3-style predictor selection "
-                          "(Lorenzo vs. interpolation, keep the smaller); "
-                          "requires --block-size")
-    sub.add_argument("--block-policy", default=None, metavar="PATH",
-                     help="trained BlockPolicy JSON; replaces brute-force "
-                          "adaptive selection with the learned policy "
-                          "(requires --adaptive-predictor)")
+                          "(Lorenzo vs. interpolation, ranked on a size "
+                          "statistic of their quantisation codes; only the "
+                          "winner is encoded); requires --block-size")
     sub.add_argument("--entropy", default=None, choices=["huffman", "rans", "none"],
                      help="entropy codec override for pipeline compressors: "
                           "Huffman, interleaved rANS, or bypass; default keeps "
                           "each compressor's registered stage.  In adaptive "
                           "per-block-codebook mode the codec is additionally "
-                          "chosen per block and recorded in each section")
+                          "chosen per block (exact coded size, from the "
+                          "block's code histogram) and recorded in each section")
     sub.add_argument("--codebook", default="shared", choices=["shared", "per-block"],
                      help="entropy model layout in blocked entropy-coded mode: "
                           "one shared codebook/frequency-table per file stored "
@@ -205,17 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = sub.add_parser("inspect", help="print a compressed blob's header and block index")
     inspect.add_argument("blob", help="path to a serialized CompressedBlob (e.g. a .sz file)")
     inspect.add_argument("--json", action="store_true")
-
-    train_policy = sub.add_parser(
-        "train-policy", help="train the learned per-block predictor-selection policy"
-    )
-    train_policy.add_argument("--application", default="cesm", choices=application_names())
-    train_policy.add_argument("--compressor", default="sz3", choices=available_compressors())
-    train_policy.add_argument("--error-bound", type=float, default=1e-3)
-    train_policy.add_argument("--scale", type=float, default=0.05)
-    train_policy.add_argument("--block-size", type=_positive_int, default=32)
-    train_policy.add_argument("--output", required=True, help="path for the policy JSON")
-    train_policy.add_argument("--json", action="store_true")
 
     submit = sub.add_parser(
         "submit",
@@ -370,17 +355,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         field = generate_field(args.application, spec_field, scale=args.scale)
         data = field.data
         label = f"{args.application}/{spec_field}"
-    policy = None
-    if args.block_policy:
-        from .prediction import BlockPolicy
-
-        policy = BlockPolicy.load(args.block_policy)
     compressor = create_blocked_compressor(
         args.compressor,
         block_shape=args.block_size,
         adaptive_predictor=args.adaptive_predictor,
         block_executor=ParallelExecutor(block_workers=args.block_workers).map_blocks,
-        block_policy=policy,
         shared_codebook=args.codebook == "shared",
         entropy_stage=args.entropy,
     )
@@ -430,7 +409,6 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
         shared_codebook=args.codebook == "shared",
         transfer_mode=args.transfer_mode,
         stream_window=args.stream_window,
-        block_policy_path=args.block_policy,
         **_cache_config_kwargs(args),
     )
     ocelot = Ocelot(config)
@@ -613,52 +591,19 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train_policy(args: argparse.Namespace) -> int:
-    from .prediction import train_block_policy
+def _recorded_jobs(path: str) -> Tuple[List[dict], List[dict]]:
+    """``(jobs, log records)`` of the ``JobStore`` log at ``path``, read once.
 
-    dataset = generate_application(args.application, snapshots=1, scale=args.scale)
-    fields = list(dataset.fields)
-    # The relative bound resolves per field, exactly as the orchestrator
-    # resolves it per file at inference time.
-    policy, summary = train_block_policy(
-        [field.data for field in fields],
-        ErrorBound.relative(args.error_bound),
-        compressor=args.compressor,
-        block_shape=args.block_size,
-    )
-    policy.save(args.output)
-    payload = {
-        "output": args.output,
-        "application": args.application,
-        "compressor": args.compressor,
-        "samples": int(summary["samples"]),
-        "agreement": round(summary["agreement"], 3),
-        "training_time_s": round(summary["training_time_s"], 3),
-    }
-    if "entropy_agreement" in summary:
-        payload["entropy_agreement"] = round(summary["entropy_agreement"], 3)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"trained block policy on {payload['samples']} blocks "
-              f"({payload['agreement']:.0%} agreement with brute force)")
-        if "entropy_agreement" in payload:
-            print(f"  entropy codec choice: "
-                  f"{payload['entropy_agreement']:.0%} agreement")
-        print(f"  written to {args.output}")
-    return 0
-
-
-def _recorded_jobs(path: str) -> List[dict]:
-    """Every job in the ``JobStore`` log at ``path``, in submission order.
-
-    A job whose batch drained carries its full record; one a crash cut
-    short has only its write-ahead lines, so the spec is laid flat for
-    the listing either way.
+    Jobs come in submission order.  A job whose batch drained carries
+    its full record; one a crash cut short has only its write-ahead
+    lines, so the spec is laid flat for the listing either way.
     """
     from .service import JobStore
 
-    return [{**(job.get("spec") or {}), **job} for job in JobStore(path).replay().values()]
+    store = JobStore(path)
+    records = store.load()
+    jobs = [{**(job.get("spec") or {}), **job} for job in store.replay(records).values()]
+    return jobs, records
 
 
 def _job_row(record: dict) -> str:
@@ -784,10 +729,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             return 1
         state = {"jobs": payload["jobs"]}
     else:
-        from .service import JobStore
-
-        state = {"jobs": _recorded_jobs(args.state)}
-        batches = [r for r in JobStore(args.state).load() if r["kind"] == "batch"]
+        jobs, log = _recorded_jobs(args.state)
+        state = {"jobs": jobs}
+        batches = [r for r in log if r["kind"] == "batch"]
         if batches:
             state["combined_makespan_s"] = batches[-1]["combined_makespan_s"]
     records = state["jobs"]
@@ -828,7 +772,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
             return 1
     else:
-        recorded = _recorded_jobs(args.state)
+        recorded, _ = _recorded_jobs(args.state)
         record = next((r for r in recorded if r["job_id"] == args.job), None)
         if record is None:
             print(f"unknown job {args.job!r}; recorded jobs: "
@@ -909,7 +853,6 @@ _COMMANDS = {
     "compress": _cmd_compress,
     "transfer": _cmd_transfer,
     "inspect": _cmd_inspect,
-    "train-policy": _cmd_train_policy,
     "submit": _cmd_submit,
     "jobs": _cmd_jobs,
     "status": _cmd_status,
@@ -924,9 +867,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "adaptive_predictor", False) and not getattr(args, "block_size", None):
         parser.error("--adaptive-predictor requires --block-size")
-    if getattr(args, "block_policy", None) and not getattr(args, "adaptive_predictor", False):
-        if args.command in ("compress", "transfer"):
-            parser.error("--block-policy requires --adaptive-predictor")
     if args.command in ("transfer", "submit", "serve"):
         if args.cache_mode not in (None, "off") and not args.cache_dir:
             parser.error("--cache-mode requires --cache-dir")

@@ -254,6 +254,14 @@ class HuffmanCodebook:
         """Total encoded size in bits for the given symbol frequencies."""
         return sum(self.lengths.get(sym, 0) * freq for sym, freq in frequencies.items())
 
+    def encoded_nbytes(self, frequencies: Dict[int, int]) -> int:
+        """Coded size of a stream with these counts, this codebook included.
+
+        Exact, without materialising a bit: the per-block codec choice
+        compares it with :meth:`RansFrequencyTable.encoded_nbytes`.
+        """
+        return (self.encoded_bit_size(frequencies) + 7) // 8 + self.serialized_nbytes()
+
     def zero_symbol_share(self, frequencies: Dict[int, int], zero_symbol: int) -> float:
         """Fraction of encoded bits spent on ``zero_symbol`` (the paper's P0)."""
         total = self.encoded_bit_size(frequencies)
@@ -459,21 +467,6 @@ class HuffmanCodec:
         if not book.lengths:
             raise EncodingError("cannot decode with an empty Huffman codebook")
         return _decode_bitloop(payload, book, count)
-
-    def estimate_encoded_bytes(self, symbols: np.ndarray) -> int:
-        """Serialised size (payload + codebook) without materialising bits.
-
-        Includes the codebook overhead: adaptive per-block predictor
-        selection compares serialised sizes, and ignoring the codebook
-        would bias the choice toward high-alphabet encodings.
-        """
-        arr = np.asarray(symbols, dtype=np.int64).ravel()
-        if arr.size == 0:
-            return 0
-        frequencies = symbol_frequencies(arr)
-        book = HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
-        bits = book.encoded_bit_size(frequencies)
-        return (bits + 7) // 8 + book.serialized_nbytes()
 
 
 class SyncedPayload(bytes):

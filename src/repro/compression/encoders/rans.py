@@ -304,6 +304,19 @@ class RansFrequencyTable:
             bits += count * (log_scale - np.log2(float(f)))
         return int(np.ceil(bits))
 
+    def encoded_nbytes(self, frequencies: Dict[int, int]) -> Optional[int]:
+        """Coded size of a stream with these counts, this table included.
+
+        Without materialising a word; ``None`` when a stream symbol is
+        absent from this table.
+        """
+        bits = self.estimate_payload_bits(frequencies)
+        if bits is None:
+            return None
+        lanes = _pick_lanes(sum(frequencies.values()))
+        payload = _PAYLOAD_HEADER.size + 4 * lanes + (bits + 7) // 8
+        return payload + self.serialized_nbytes()
+
 
 class RansCodec:
     """Encode/decode integer symbol arrays with interleaved static rANS."""
@@ -463,29 +476,6 @@ class RansCodec:
         if wp != n_words or not bool((x == np.uint32(RANS_L)).all()):
             raise EncodingError("corrupt rANS payload: stream did not fold back to L")
         return out.reshape(-1)[:count]
-
-    # ------------------------------------------------------------------ #
-    # Size estimation
-    # ------------------------------------------------------------------ #
-    def estimate_encoded_bytes(self, symbols: np.ndarray) -> Optional[int]:
-        """Serialised size (payload + table) without materialising words.
-
-        ``None`` when the alphabet does not fit a rANS table; the
-        per-block codec chooser treats that as "rANS unavailable".
-        """
-        arr = np.asarray(symbols, dtype=np.int64).ravel()
-        if arr.size == 0:
-            return 0
-        frequencies = _stream_frequencies(arr)
-        table = RansFrequencyTable.try_from_frequencies(frequencies)
-        if table is None:
-            return None
-        bits = table.estimate_payload_bits(frequencies)
-        if bits is None:  # pragma: no cover - table was built from these counts
-            return None
-        lanes = _pick_lanes(int(arr.size))
-        payload = _PAYLOAD_HEADER.size + 4 * lanes + (bits + 7) // 8
-        return payload + table.serialized_nbytes()
 
 
 def _stream_frequencies(arr: np.ndarray) -> Dict[int, int]:

@@ -44,8 +44,8 @@ def create_compressor(name: str, **kwargs) -> PredictionPipelineCompressor:
 
     Every registered compressor is a prediction pipeline, and this is
     the one place that checks it: the orchestrator, the streaming
-    pipeline, the CLI and policy training use blocked mode, stage
-    timings and cache fingerprints without asking what they hold.
+    pipeline and the CLI use blocked mode, stage timings and cache
+    fingerprints without asking what they hold.
     """
     try:
         factory = _FACTORIES[name]
@@ -69,10 +69,8 @@ def create_blocked_compressor(
     block_shape: Optional[BlockShapeLike] = None,
     adaptive_predictor: bool = False,
     block_executor: Optional[BlockMapper] = None,
-    block_policy=None,
     shared_codebook: Optional[bool] = None,
     block_cache=None,
-    block_cache_tag: str = "",
     entropy_stage: Optional[str] = None,
     **kwargs,
 ) -> PredictionPipelineCompressor:
@@ -81,9 +79,7 @@ def create_blocked_compressor(
     The pipeline always gets the block executor (decoding a v2 blob fans
     out per block even when this side does not *produce* blocked blobs);
     ``block_shape`` switches it into producing blocked blobs too,
-    ``block_policy`` (a trained
-    :class:`~repro.prediction.block_policy.BlockPolicy`) replaces
-    brute-force adaptive predictor selection with the learned one, and
+    ``adaptive_predictor`` ranks candidate predictors per block, and
     ``shared_codebook`` toggles the per-file entropy codebook (``None``
     keeps the pipeline's default of sharing).  ``entropy_stage``
     overrides the pipeline's configured entropy codec (``huffman`` /
@@ -91,10 +87,8 @@ def create_blocked_compressor(
     ``adaptive_predictor`` wherever blocks carry their own entropy model.
     ``block_cache`` (a :class:`~repro.cache.BlobCache`) lets blocked
     compression reuse identical self-contained block payloads across
-    files, jobs and tenants, with ``block_cache_tag`` folded into the
-    cache keys (it carries config the pipeline cannot see, e.g. the
-    block-policy path).  This is the single place the orchestrator and
-    CLI share for blocked-mode wiring.
+    files, jobs and tenants.  This is the single place the orchestrator
+    and CLI share for blocked-mode wiring.
     """
     compressor = create_compressor(name, **kwargs)
     if entropy_stage is not None and entropy_stage != compressor.config.entropy_stage:
@@ -107,13 +101,10 @@ def create_blocked_compressor(
         block_executor=block_executor,
         shared_codebook=shared_codebook,
         block_cache=block_cache,
-        block_cache_tag=block_cache_tag,
     )
     if block_shape:
         compressor.configure_blocks(
-            block_shape=block_shape,
-            adaptive_predictor=adaptive_predictor,
-            block_policy=block_policy,
+            block_shape=block_shape, adaptive_predictor=adaptive_predictor
         )
     return compressor
 

@@ -1,14 +1,15 @@
 """The stages the pipeline applies to *one* block: choose, finish, decode.
 
-SZ3-style adaptive selection tries several predictors per block and
-keeps whichever compresses smaller; a learned
-:class:`~repro.prediction.block_policy.BlockPolicy` can answer instead of
-the brute-force comparison.  With per-block entropy models the codec
-(Huffman vs rANS) is chosen per block the same way: policy first, exact
-size estimates otherwise.  ``PredictionPipelineCompressor.encode_one_block``
-composes these stages into the unit every encode path fans out; each
-stage *returns* its result, so a thread and the inline loop produce the
-same bytes.
+SZ3-style adaptive selection runs several predictors per block and keeps
+one.  Nothing is serialised to decide: every candidate is predicted and
+quantised, the histogram of its codes feeds one size statistic
+(:func:`~.encoding.estimated_bytes`), the smallest wins, and with
+per-block entropy models the winner's histogram also picks its codec
+(Huffman vs rANS, on exact coded size) and builds that codec's model.
+The winner is then entropy-coded and losslessly compressed exactly once.
+``PredictionPipelineCompressor.encode_one_block`` composes these stages
+into the unit every encode path fans out; each stage *returns* its
+result, so a thread and the inline loop produce the same bytes.
 """
 
 from __future__ import annotations
@@ -18,17 +19,22 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...errors import CompressionError
-from ...utils.logging import get_logger
 from ..blocking import BlockSpec
+from ..encoders.huffman import symbol_frequencies
 from ..interface import CompressedBlob, SectionContainer
 from ..predictors import create_predictor
 from ..predictors.base import Predictor, PredictorOutput
 from ..predictors.interpolation import InterpolationPredictor
 from ..predictors.lorenzo import LorenzoPredictor
 from .dedup import BlockResult, block_entry
-from .encoding import ENTROPY_CODED, SharedBook
+from .encoding import ENTROPY_CODED, SharedBook, estimated_bytes
 
 __all__ = ["BlockStages"]
+
+#: A per-block codec choice: the stage and its model, already built from
+#: the block's histogram.  ``None`` = the configured stage, whose model
+#: (shared, or the block's own) serialisation settles.
+BlockCodec = Optional[Tuple[str, SharedBook]]
 
 
 class BlockStages:
@@ -36,8 +42,8 @@ class BlockStages:
 
     A base class rather than a collaborator because every input is the
     pipeline's own configuration: ``predictor``, ``name``, ``config``,
-    ``adaptive_predictor``, ``block_policy``, ``shared_codebook``, and
-    its ``_wire`` / ``_lossless`` / ``_timed`` stages.
+    ``adaptive_predictor``, ``shared_codebook``, and its ``_wire`` /
+    ``_lossless`` / ``_timed`` stages.
     """
 
     def _shared_codebook_active(self) -> bool:
@@ -77,104 +83,40 @@ class BlockStages:
                 candidates.append(rival())
         return candidates
 
-    def _ask_policy(
-        self, question: str, block: np.ndarray, error_bound_abs: float
-    ) -> Optional[str]:
-        """The learned block policy's answer for one block, or ``None``.
-
-        ``None`` when no policy applies — adaptive selection is off, or
-        the block carries non-finite values (only Lorenzo's literal
-        escape handles those).  A policy that *fails* (bad model file,
-        feature mismatch) is warned about once and dropped from this
-        pipeline, so the caller's brute-force fallback takes over for
-        good rather than silently, block after block.
-        """
-        if self.block_policy is None or not self.adaptive_predictor:
-            return None
-        if not np.isfinite(block).all():
-            return None
-        try:
-            return getattr(self.block_policy, question)(
-                block, error_bound_abs, compressor=self.name
-            )
-        except Exception as exc:  # the policy is foreign model code
-            get_logger(__name__).warning(
-                "block policy %s failed (%s: %s); falling back to brute-force "
-                "selection for this pipeline",
-                question,
-                type(exc).__name__,
-                exc,
-            )
-            self.block_policy = None
-            return None
-
-    def _policy_predictor(self, block: np.ndarray, error_bound_abs: float) -> Optional[Predictor]:
-        """Predictor the learned policy picks, or ``None`` for brute force."""
-        name = self._ask_policy("choose_for_block", block, error_bound_abs)
-        if name is None:
-            return None
-        if name == self.predictor.name:
-            return self.predictor
-        try:
-            return create_predictor(name, {})
-        except CompressionError:
-            return None  # a predictor the factory cannot rebuild
-
     def _choose_block_encoding(
         self, block: np.ndarray, error_bound_abs: float
-    ) -> Tuple[str, PredictorOutput, Optional[bytes], Optional[str]]:
-        """Pick the predictor for one block and return its encoding.
+    ) -> Tuple[str, PredictorOutput, BlockCodec]:
+        """Rank one block's candidates; ``(predictor_name, encoding, codec)``.
 
-        Returns ``(predictor_name, encoding, payload, codec)`` where
-        ``payload`` is the already-serialised (per-block-codebook) bytes
-        when the brute-force comparison produced them (``codec`` then
-        names the entropy codec that serialisation actually used), else
-        ``None``/``None``.
+        The one place a block's predictor and codec are decided, and it
+        never serialises: each candidate is predicted and quantised, its
+        code histogram gives its size statistic, the smallest wins (ties
+        go to the earlier candidate, the pipeline's own predictor first).
+        Where the codec is chosen per block the winner's histogram
+        settles that too and builds the model it will be coded with.
         """
-        chosen = self._policy_predictor(block, error_bound_abs)
-        candidates = [chosen] if chosen is not None else self._candidate_predictors(block)
-        best: Optional[Tuple[str, PredictorOutput, Optional[bytes], Optional[str]]] = None
-        for predictor in candidates:
-            with self._timed("predict_quantize_s"):
-                encoding = predictor.encode_block(block, error_bound_abs)
-            if len(candidates) == 1:
-                return predictor.name, encoding, None, None
-            inner, codec, _ = self._serialize(encoding)
-            payload = self._compress_lossless(inner)
-            if best is None or len(payload) < len(best[2]):
-                best = (predictor.name, encoding, payload, codec)
-        assert best is not None
-        return best
-
-    def _entropy_codec_for_block(
-        self, block: np.ndarray, codes: np.ndarray, error_bound_abs: float
-    ) -> Optional[str]:
-        """Entropy codec for one block, or ``None`` for the config default.
-
-        Mirrors predictor selection: the learned block policy decides
-        when it has entropy models, otherwise the exact serialised-size
-        estimators arbitrate.
-        """
-        if not self._entropy_choice_active():
-            return None
-        if getattr(self.block_policy, "chooses_entropy", False):
-            choice = self._ask_policy("choose_entropy_for_block", block, error_bound_abs)
-            if choice in ENTROPY_CODED:
-                return choice
-        return self._wire.smaller_codec(codes)
+        candidates = self._candidate_predictors(block)
+        with self._timed("predict_quantize_s"):
+            encodings = [p.encode_block(block, error_bound_abs) for p in candidates]
+        if not self.adaptive_predictor:
+            return candidates[0].name, encodings[0], None
+        histograms = [symbol_frequencies(encoding.codes) for encoding in encodings]
+        sizes = [estimated_bytes(e, h) for e, h in zip(encodings, histograms)]
+        winner = sizes.index(min(sizes))
+        codec = None
+        if histograms[winner] and self._entropy_choice_active():
+            codec = self._wire.smaller_codec(histograms[winner])
+        return candidates[winner].name, encodings[winner], codec
 
     def _serialize(
         self,
         encoding: PredictorOutput,
+        codec: BlockCodec = None,
         shared_book: Optional[SharedBook] = None,
-        entropy: Optional[str] = None,
     ) -> Tuple[bytes, str, Optional[str]]:
-        """:meth:`EncodingWire.serialize` under the configured stage.
-
-        ``entropy`` overrides it for this one encoding (the per-block
-        codec choice).
-        """
-        return self._wire.serialize(encoding, entropy or self.config.entropy_stage, shared_book)
+        """:meth:`EncodingWire.serialize` under ``codec``, else the configured stage."""
+        stage, own_model = codec or (self.config.entropy_stage, None)
+        return self._wire.serialize(encoding, stage, shared_book, own_model)
 
     def _compress_lossless(self, data: bytes) -> bytes:
         with self._timed("lossless_s"):
@@ -185,33 +127,15 @@ class BlockStages:
         spec: BlockSpec,
         predictor_name: str,
         encoding: PredictorOutput,
+        codec: BlockCodec = None,
         shared_book: Optional[SharedBook] = None,
-        entropy: Optional[str] = None,
     ) -> BlockResult:
         """Serialise one chosen encoding into its ``(index_entry, payload)``."""
-        inner, codec, codebook = self._serialize(encoding, shared_book, entropy)
+        inner, written, codebook = self._serialize(encoding, codec, shared_book)
         return (
-            block_entry(spec, predictor_name, codec, codebook),
+            block_entry(spec, predictor_name, written, codebook),
             self._compress_lossless(inner),
         )
-
-    def measure_block_encoding(
-        self,
-        block: np.ndarray,
-        error_bound_abs: float,
-        predictor: Predictor,
-        entropy_stage: Optional[str] = None,
-    ) -> int:
-        """Serialised size one candidate predictor achieves on one block.
-
-        Used to label training samples for the learned block policy
-        without duplicating the pipeline's serialisation format.  Pass
-        ``entropy_stage`` to measure the same encoding under a different
-        entropy codec (the policy's codec-selection labels).
-        """
-        encoding = predictor.encode_block(np.ascontiguousarray(block), error_bound_abs)
-        inner, _, _ = self._serialize(encoding, entropy=entropy_stage)
-        return len(self._lossless.compress(inner))
 
     def _predictor_for(self, name: str, meta: Dict[str, Any]) -> Predictor:
         # Rebuild the predictor from the block's recorded meta rather than

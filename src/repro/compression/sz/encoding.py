@@ -30,7 +30,7 @@ from ..encoders.rans import RansCodec, RansFrequencyTable
 from ..interface import SectionContainer
 from ..predictors.base import PredictorOutput
 
-__all__ = ["ENTROPY_CODED", "ENTROPY_STAGES", "EncodingWire", "SharedBook"]
+__all__ = ["ENTROPY_CODED", "ENTROPY_STAGES", "EncodingWire", "SharedBook", "estimated_bytes"]
 
 ENTROPY_STAGES = ("huffman", "rans", "none")
 
@@ -41,6 +41,43 @@ ENTROPY_CODED = ("huffman", "rans")
 #: A file-wide entropy model: a Huffman codebook or a rANS frequency
 #: table, depending on the pipeline's configured stage.
 SharedBook = Any
+
+
+#: Coefficients of :func:`estimated_bytes`, in bytes per unit, read off
+#: what blocks cost *after* the deflate stage (least squares over 25 398
+#: candidate encodings of all seven applications at rel 1e-4..1e-2,
+#: 16- and 32-blocks, both codecs): the coded stream lands on its
+#: zeroth-order entropy (coefficient 1.02-1.10 on the entropy, -0.08 on
+#: the exact Huffman bit count), a model entry deflates to 2.0-2.4 B (16 B
+#: raw for Huffman, 6 B for rANS), an escape is an int64 index plus a
+#: float64 literal, and an aux array drags ~130 characters of section
+#: framing and predictor meta into the JSON header.  Table of what the
+#: ranking costs against encoding every candidate: ARCHITECTURE.md,
+#: "Adaptive predictor selection".
+_MODEL_BYTES_PER_SYMBOL = 2
+_ESCAPE_BYTES = 16
+_AUX_FRAME_BYTES = 64
+
+
+def estimated_bytes(encoding: PredictorOutput, frequencies: Dict[int, int]) -> float:
+    """Size statistic of one candidate encoding, from its code histogram.
+
+    Zeroth-order entropy of the quantisation codes plus what the model,
+    the escapes and the predictor's aux arrays add: the paper's own
+    finding (Figs. 5-8) that the statistics of the quantisation bins
+    predict compressed size, used to rank a block's candidates without
+    serialising any of them.
+    """
+    counts = np.fromiter(frequencies.values(), dtype=np.float64, count=len(frequencies))
+    total = counts.sum()
+    entropy_bits = total * np.log2(total) - np.dot(counts, np.log2(counts)) if total else 0.0
+    aux_bytes = sum(np.asarray(aux).nbytes + _AUX_FRAME_BYTES for aux in encoding.aux.values())
+    return (
+        entropy_bits / 8
+        + _MODEL_BYTES_PER_SYMBOL * len(frequencies)
+        + _ESCAPE_BYTES * len(encoding.literals)
+        + aux_bytes
+    )
 
 
 class _HuffmanCoder:
@@ -55,16 +92,12 @@ class _HuffmanCoder:
     def build_model(self, frequencies: Dict[int, int]) -> HuffmanCodebook:
         return HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
 
-    def encode_shared(self, codes: np.ndarray, model: HuffmanCodebook) -> Optional[bytes]:
+    def encode(self, codes: np.ndarray, model: HuffmanCodebook) -> Optional[bytes]:
         return self.codec.encode_with_book(codes, model)
-
-    def encode_own(self, codes: np.ndarray) -> Tuple[bytes, bytes]:
-        payload, codebook, _ = self.codec.encode(codes)
-        return payload, codebook
 
 
 class _RansCoder:
-    """rANS row of the codec table; ``None`` = alphabet too wide for 12 bits."""
+    """rANS row of the codec table; no model = alphabet too wide for 12 bits."""
 
     model_type = RansFrequencyTable
     model_section = "codes_freqs"
@@ -75,17 +108,8 @@ class _RansCoder:
     def build_model(self, frequencies: Dict[int, int]) -> Optional[RansFrequencyTable]:
         return RansFrequencyTable.try_from_frequencies(frequencies)
 
-    def encode_shared(self, codes: np.ndarray, model: RansFrequencyTable) -> Optional[bytes]:
+    def encode(self, codes: np.ndarray, model: RansFrequencyTable) -> Optional[bytes]:
         return self.codec.encode_with_table(codes, model)
-
-    def encode_own(self, codes: np.ndarray) -> Optional[Tuple[bytes, bytes]]:
-        table = self.build_model(symbol_frequencies(codes))
-        if table is None:
-            return None
-        payload = self.codec.encode_with_table(codes, table)
-        if payload is None:  # pragma: no cover - own table
-            raise CompressionError("rANS escape against the block's own table")
-        return payload, table.serialize()
 
 
 class EncodingWire:
@@ -113,26 +137,26 @@ class EncodingWire:
             return None
         return self._coders[stage].build_model(frequencies)
 
-    def smaller_codec(self, codes: np.ndarray) -> str:
-        """The codec whose exact serialised-size estimate is smaller.
+    def smaller_codec(self, frequencies: Dict[int, int]) -> Tuple[str, SharedBook]:
+        """The codec whose exact coded size is smaller, with its model.
 
-        rANS bows out (``None`` estimate) when the block's alphabet
-        cannot fit a 12-bit frequency table.
+        Both models are built from ``frequencies`` and compared on what
+        they would write (payload + model, before the lossless stage);
+        the winner's is returned for :meth:`serialize` to encode with.
+        rANS bows out when the alphabet cannot fit a 12-bit table.
         """
-        symbols = np.asarray(codes, dtype=np.int64)
-        if symbols.size == 0:
-            return "huffman"
-        rans_size = self._coders["rans"].codec.estimate_encoded_bytes(symbols)
-        if rans_size is None:
-            return "huffman"
-        huffman_size = self._coders["huffman"].codec.estimate_encoded_bytes(symbols)
-        return "rans" if rans_size < huffman_size else "huffman"
+        book = self._coders["huffman"].build_model(frequencies)
+        table = self._coders["rans"].build_model(frequencies)
+        if table is None or table.encoded_nbytes(frequencies) >= book.encoded_nbytes(frequencies):
+            return "huffman", book
+        return "rans", table
 
     def serialize(
         self,
         encoding: PredictorOutput,
         stage: str,
         shared_book: Optional[SharedBook] = None,
+        own_model: Optional[SharedBook] = None,
     ) -> Tuple[bytes, str, Optional[str]]:
         """Serialise one encoding; returns ``(bytes, codec, codebook)``.
 
@@ -140,9 +164,9 @@ class EncodingWire:
         with (``huffman`` / ``rans`` / ``none``) and ``codebook`` says
         whose model coded it: ``"shared"`` (the file-wide ``shared_book``,
         which lives once in the blob header — no per-block model section
-        is written), ``"block"`` (the block's own, e.g. because its
-        alphabet escaped the shared one) or ``None`` when nothing was
-        entropy-coded.
+        is written), ``"block"`` (the block's own — ``own_model`` when the
+        caller already built ``stage``'s model from the block's histogram,
+        else built here) or ``None`` when nothing was entropy-coded.
         """
         inner = SectionContainer(header={"predictor_meta": encoding.meta})
         codes = np.asarray(encoding.codes, dtype=np.int64)
@@ -150,7 +174,7 @@ class EncodingWire:
         codec, codebook = "none", None
         if stage in ENTROPY_CODED and codes.size:
             with self._timed("entropy_s"):
-                codec, codebook = self._entropy_code(inner, codes, stage, shared_book)
+                codec, codebook = self._entropy_code(inner, codes, stage, shared_book, own_model)
         else:
             inner.header["huffman_count"] = -1
             inner.add_array("codes_raw", _pack_codes(codes))
@@ -168,21 +192,30 @@ class EncodingWire:
         codes: np.ndarray,
         stage: str,
         shared_book: Optional[SharedBook],
+        own_model: Optional[SharedBook] = None,
     ) -> Tuple[str, str]:
-        """Write ``codes_payload`` (+ the block's own model); ``(codec, codebook)``."""
+        """Write ``codes_payload`` (+ the block's own model); ``(codec, codebook)``.
+
+        The stream is entropy-coded exactly once: against the shared
+        model when it covers the block, else against the block's own.
+        """
         coder = self._coders[stage]
         payload = model = None
         if isinstance(shared_book, coder.model_type):
-            payload = coder.encode_shared(codes, shared_book)
+            payload = coder.encode(codes, shared_book)
         codebook = "shared" if payload is not None else "block"
         if payload is None:
-            own = coder.encode_own(codes)
-            if own is None:
+            model = own_model if own_model is not None else coder.build_model(
+                symbol_frequencies(codes)
+            )
+            if model is None:
                 # Alphabet too wide for a 12-bit rANS table: this block
                 # degrades to Huffman (its entropy tag records what was
                 # written, so it still decodes).
                 return self._entropy_code(inner, codes, "huffman", shared_book)
-            payload, model = own
+            payload = coder.encode(codes, model)
+            if payload is None:  # pragma: no cover - the model was built from these codes
+                raise CompressionError(f"{stage} escape against the block's own model")
         inner.header["entropy"] = stage
         inner.header[f"{stage}_count"] = int(codes.size)
         inner.add_section("codes_payload", payload)
@@ -197,7 +230,7 @@ class EncodingWire:
         if model is None:
             inner.header[f"{stage}_shared"] = True
         else:
-            inner.add_section(coder.model_section, model)
+            inner.add_section(coder.model_section, model.serialize())
         return stage, codebook
 
     def deserialize(self, inner: SectionContainer, shared_codebook: Optional[bytes] = None):

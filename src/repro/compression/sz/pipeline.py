@@ -38,7 +38,6 @@ from ..encoders.huffman import HuffmanCodebook
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
 from ..interface import CompressedBlob, Compressor, SectionContainer
 from ..predictors.base import Predictor
-from ..predictors.lorenzo import LorenzoPredictor
 from .dedup import BlockResult, block_entry, entry_meta, expand_aliases, group_identical_blocks
 from .block import BlockStages
 from .encoding import ENTROPY_STAGES, EncodingWire, SharedBook
@@ -91,10 +90,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     block_shape: Optional[BlockShapeLike] = None
     adaptive_predictor = False
     block_executor: Optional[BlockMapper] = None
-    block_policy: Optional[Any] = None
     shared_codebook = True
     block_cache: Optional[Any] = None
-    block_cache_tag = ""
 
     def __init__(
         self,
@@ -133,10 +130,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         block_shape: Optional[BlockShapeLike] = None,
         adaptive_predictor: Optional[bool] = None,
         block_executor: Optional[BlockMapper] = None,
-        block_policy: Optional[Any] = None,
         shared_codebook: Optional[bool] = None,
         block_cache: Optional[Any] = None,
-        block_cache_tag: Optional[str] = None,
     ) -> "PredictionPipelineCompressor":
         """Switch this pipeline into (or re-tune) blocked mode.
 
@@ -146,12 +141,10 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         * ``block_shape`` — the chunk grid encoded block by block (blob
           format v2); unset, arrays are encoded whole (v1).
         * ``adaptive_predictor`` — pick the predictor per block (and,
-          with per-block entropy models, the entropy codec too).
+          with per-block entropy models, the entropy codec too) by
+          ranking the candidates' code histograms; see :mod:`.block`.
         * ``block_executor`` — fans per-block work out (see
           :data:`BlockMapper`).
-        * ``block_policy`` — a learned
-          :class:`~repro.prediction.block_policy.BlockPolicy` consulted
-          by adaptive mode instead of brute-forcing every candidate.
         * ``shared_codebook`` — build one entropy model per *file* from
           the frequencies across all blocks, store it once in the blob
           header and encode every block against it (a block whose
@@ -159,9 +152,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         * ``block_cache`` — a :class:`~repro.cache.BlobCache` whose block
           tier dedups identical blocks across files/jobs/tenants (used
           only where block payloads are self-contained: no shared model).
-        * ``block_cache_tag`` — extra config folded into block cache
-          keys (e.g. the learned block-policy path, which the pipeline
-          cannot observe itself).
         """
         if block_shape is not None:
             self.block_shape = block_shape
@@ -169,14 +159,10 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             self.adaptive_predictor = bool(adaptive_predictor)
         if block_executor is not None:
             self.block_executor = block_executor
-        if block_policy is not None:
-            self.block_policy = block_policy
         if shared_codebook is not None:
             self.shared_codebook = bool(shared_codebook)
         if block_cache is not None:
             self.block_cache = block_cache
-        if block_cache_tag is not None:
-            self.block_cache_tag = str(block_cache_tag)
         return self
 
     # ------------------------------------------------------------------ #
@@ -315,23 +301,16 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         """Encode a single block; returns its ``(index_entry, payload)``.
 
         This is the unit of work both the bulk blocked path (per-block
-        models) and the streaming pipeline fan out: predictor selection
-        (learned policy first, brute force otherwise), encoding,
-        serialisation and the lossless stage for one independent block.
-        With ``shared_book`` the block's symbols are entropy-coded
-        against the file-wide model; a block whose alphabet escapes it
-        falls back to its own per-block model (recorded in the index
-        entry).  Without one, adaptive entropy selection may override
-        the configured codec block by block.
+        models) and the streaming pipeline fan out: extract, choose
+        (predictor and, with per-block models, codec), finish (one
+        entropy encode, one lossless compress).  With ``shared_book`` the
+        block's symbols are entropy-coded against the file-wide model; a
+        block whose alphabet escapes it falls back to its own per-block
+        model (recorded in the index entry).
         """
         block = plan.extract(arr, spec)
-        name, encoding, payload, codec = self._choose_block_encoding(block, error_bound_abs)
-        if shared_book is not None:
-            return self._finish_block(spec, name, encoding, shared_book)
-        choice = self._entropy_codec_for_block(block, encoding.codes, error_bound_abs)
-        if payload is None or (choice is not None and choice != codec):
-            return self._finish_block(spec, name, encoding, entropy=choice)
-        return block_entry(spec, name, codec, "block"), payload
+        choice = self._choose_block_encoding(block, error_bound_abs)
+        return self._finish_block(spec, *choice, shared_book)
 
     def block_plan(self, arr: np.ndarray) -> BlockPlan:
         """The block partition this pipeline applies to ``arr``."""
@@ -393,10 +372,11 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         The streaming pipeline must ship the blob header (and with it the
         shared model) before the first block, so it cannot wait for exact
         all-block frequencies the way the bulk path does; instead up to
-        ``max_sample_blocks`` evenly spaced blocks are quantised through
-        the pipeline's predictor and their pooled symbol frequencies seed
-        the model.  Blocks whose alphabet escapes the sampled model fall
-        back to per-block codebooks/tables at encode time.
+        ``max_sample_blocks`` evenly spaced blocks go through the same
+        predictor choice their encode will make and their pooled symbol
+        frequencies seed the model.  Blocks whose alphabet escapes the
+        sampled model fall back to per-block codebooks/tables at encode
+        time.
         """
         if not self._shared_codebook_active():
             return None
@@ -409,9 +389,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         encodings = []
         for spec in specs:
             block = plan.extract(arr, spec)
-            if not np.isfinite(block).all() and not isinstance(self.predictor, LorenzoPredictor):
-                continue  # only Lorenzo's literal escape handles non-finite data
-            encodings.append(self.predictor.encode_block(block, error_bound_abs))
+            if np.isfinite(block).all():  # a non-finite block is literals, not symbols
+                encodings.append(self._choose_block_encoding(block, error_bound_abs)[1])
         return self._wire.pooled_shared_book(
             self.config.entropy_stage, encodings, [1] * len(encodings)
         )
@@ -436,17 +415,16 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         if not whole:
             # Bumped when the per-block payload layout changes (v2:
             # per-section entropy tags + adaptive codec choice; v3:
-            # Huffman sync index), so entries cached by older builds
-            # cannot be served into blobs they would not be
-            # byte-identical with.
-            extra["block_format"] = 3
+            # Huffman sync index; v4: adaptive candidates ranked on their
+            # histograms), so entries cached by older builds cannot be
+            # served into blobs they would not be byte-identical with.
+            extra["block_format"] = 4
         return pipeline_fingerprint(
             compressor=(self.registered_as or self.name) if whole else self.name,
             error_bound_abs=error_bound_abs,
             block_shape=self.block_shape if whole else None,
             codebook_mode="shared" if whole and self.shared_codebook else "per-block",
             adaptive_predictor=self.adaptive_predictor,
-            block_policy=self.block_cache_tag,
             extra=extra,
         )
 
@@ -490,14 +468,12 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             # book byte-identical to a no-dedup encoding — then serialise
             # each representative against the pooled book.
             chosen = fan_out(
-                lambda spec: self._choose_block_encoding(
-                    plan.extract(arr, spec), error_bound_abs
-                )[:2],
+                lambda spec: self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs),
                 todo,
             )
             shared_book = self._wire.pooled_shared_book(
                 self.config.entropy_stage,
-                [encoding for _, encoding in chosen],
+                [encoding for _, encoding, _ in chosen],
                 [counts[spec.block_id] for spec in todo],
             )
             fresh = fan_out(

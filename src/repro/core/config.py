@@ -81,14 +81,16 @@ class OcelotConfig:
             ``"thread"`` is the only value accepted (the process backend
             was removed; ``bench/workloads.py`` still passes the field,
             so it goes in the next benchmark-only PR).
-        adaptive_predictor: per-block SZ3-style predictor selection (try
-            Lorenzo vs. interpolation per block, keep the smaller).
+        adaptive_predictor: per-block SZ3-style predictor selection
+            (Lorenzo vs. interpolation per block, ranked on a size
+            statistic of their quantisation codes; the winner alone is
+            encoded).
         entropy_stage: entropy codec override for pipeline compressors —
             ``huffman``, ``rans`` (interleaved range ANS) or ``none``
             (bypass).  ``None`` keeps each pipeline's registered default.
             In adaptive blocked mode with per-block codebooks the codec
-            is additionally chosen per block (learned policy or
-            size-estimate heuristic), recorded per section so mixed
+            is additionally chosen per block (exact coded size, from
+            the winner's histogram), recorded per section so mixed
             blobs decode anywhere.
         shared_codebook: in blocked entropy-coded mode, build one entropy
             model per file (a Huffman codebook or rANS frequency table,
@@ -101,11 +103,6 @@ class OcelotConfig:
         stream_window: bounded in-flight window of the streamed pipeline —
             the maximum number of blocks encoded but not yet fully
             received before the producers stall.
-        block_policy_path: path to a trained
-            :class:`~repro.prediction.block_policy.BlockPolicy`; when set
-            (with ``adaptive_predictor``), per-block predictor selection
-            uses the learned policy instead of brute-forcing every
-            candidate.
         cache_dir: directory of the content-addressed blob/block cache
             shared across jobs and tenants; required whenever
             ``cache_mode`` is not ``off``.
@@ -151,7 +148,6 @@ class OcelotConfig:
     shared_codebook: bool = True
     transfer_mode: str = "bulk"
     stream_window: int = 8
-    block_policy_path: Optional[str] = None
     cache_dir: Optional[str] = None
     cache_mode: str = "off"
     cache_max_bytes: Optional[int] = None
@@ -203,11 +199,6 @@ class OcelotConfig:
             )
         if self.stream_window < 1:
             raise ConfigurationError("stream_window must be >= 1")
-        if self.block_policy_path is not None and not self.adaptive_predictor:
-            raise ConfigurationError(
-                "block_policy_path requires adaptive_predictor (the policy "
-                "replaces brute-force per-block predictor selection)"
-            )
         if self.cache_mode not in VALID_CACHE_MODES:
             raise ConfigurationError(
                 f"cache_mode must be one of {VALID_CACHE_MODES}, got {self.cache_mode!r}"

@@ -95,8 +95,9 @@ class OcelotOrchestrator:
         #: own handle on ``config.cache_dir``, which is what makes hits
         #: cross-tenant.
         self.blob_cache = build_blob_cache(config)
-        self._block_policy = None
-        self._block_policy_loaded = False
+        #: One compressor per registry name for the whole run, so its
+        #: Huffman LUT / rANS table caches outlive a single file.
+        self._compressors: Dict[str, PredictionPipelineCompressor] = {}
         #: Suffix appended to the dataset name in every simulated-filesystem
         #: path this run touches (staged files, compressed blobs, groups,
         #: reconstructions).  Empty for the classic exclusive-testbed path;
@@ -241,35 +242,28 @@ class OcelotOrchestrator:
         return estimate.duration_s
 
     # ------------------------------------------------------------------ #
-    def _load_block_policy(self):
-        """Load (once) the learned block policy configured for this run."""
-        if not self._block_policy_loaded:
-            self._block_policy_loaded = True
-            if self.config.block_policy_path:
-                from ..prediction.block_policy import BlockPolicy
-
-                self._block_policy = BlockPolicy.load(self.config.block_policy_path)
-        return self._block_policy
-
     def _build_compressor(self, name: str) -> PredictionPipelineCompressor:
-        """Instantiate a compressor, switching pipelines into blocked mode.
+        """This run's compressor for ``name``, in blocked mode; built once.
 
         When ``block_size`` is configured, prediction pipelines partition
         each file into independent blocks (blob format v2) and their
         per-block tasks are dispatched through the executor's block thread
         pool, so measured per-file times reflect genuine concurrency.
+        Every phase of the run that asks for ``name`` (cache probe,
+        compress, each streamed file, decompress) shares the one instance.
         """
-        return create_blocked_compressor(
-            name,
-            block_shape=self.config.block_size,
-            adaptive_predictor=self.config.adaptive_predictor,
-            block_executor=self.executor.map_blocks,
-            block_policy=self._load_block_policy(),
-            shared_codebook=self.config.shared_codebook,
-            block_cache=self.blob_cache,
-            block_cache_tag=self.config.block_policy_path or "",
-            entropy_stage=self.config.entropy_stage,
-        )
+        compressor = self._compressors.get(name)
+        if compressor is None:
+            compressor = self._compressors[name] = create_blocked_compressor(
+                name,
+                block_shape=self.config.block_size,
+                adaptive_predictor=self.config.adaptive_predictor,
+                block_executor=self.executor.map_blocks,
+                shared_codebook=self.config.shared_codebook,
+                block_cache=self.blob_cache,
+                entropy_stage=self.config.entropy_stage,
+            )
+        return compressor
 
     def _consult_blob_cache(
         self, staged: List[StagedFile], plan: CompressionPlan

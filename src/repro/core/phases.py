@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..compression import CompressedBlob, Compressor
+from ..compression import CompressedBlob
 from ..datasets.base import ScientificDataset
 from ..faas.batch_scheduler import NodeAllocation
 from ..transfer.service import TransferRequest
@@ -506,16 +506,10 @@ def _decompress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseS
     per_file_times: List[float] = []
     per_file_output_bytes: List[int] = []
     tally = QualityTally()
-    decompressors: Dict[str, Compressor] = {}
     for name, payload in _received_blobs(orch, run):
         start = time.perf_counter()
         blob = CompressedBlob.from_bytes(payload)
-        compressor = decompressors.get(blob.compressor)
-        if compressor is None:
-            compressor = decompressors[blob.compressor] = orch._build_compressor(
-                blob.compressor
-            )
-        recon = compressor.decompress(blob)
+        recon = orch._build_compressor(blob.compressor).decompress(blob)
         elapsed = time.perf_counter() - start
         size = int(recon.nbytes * config.size_scale)
         per_file_times.append(

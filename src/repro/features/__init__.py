@@ -18,10 +18,9 @@ from .compressor_features import (
     extract_compressor_features,
     run_length_estimator,
 )
-from .extractor import BlockFeatures, FeatureExtractor, ExtractionResult
+from .extractor import FeatureExtractor, ExtractionResult
 
 __all__ = [
-    "BlockFeatures",
     "FeatureVector",
     "FEATURE_NAMES",
     "ConfigFeatures",

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
-from ..compression.blocking import BlockPlan, BlockShapeLike, BlockSpec
 from ..errors import FeatureExtractionError
 from ..utils.sampling import block_sample
 from .compressor_features import extract_compressor_features
@@ -22,7 +20,7 @@ from .config_features import extract_config_features
 from .data_features import extract_data_features
 from .vector import FeatureVector
 
-__all__ = ["FeatureExtractor", "ExtractionResult", "BlockFeatures"]
+__all__ = ["FeatureExtractor", "ExtractionResult"]
 
 
 @dataclass
@@ -40,19 +38,6 @@ class ExtractionResult:
         if self.full_size == 0:
             return 0.0
         return self.sample_size / self.full_size
-
-
-@dataclass
-class BlockFeatures:
-    """Feature vector of one block of a larger array."""
-
-    spec: BlockSpec
-    result: ExtractionResult
-
-    @property
-    def features(self) -> FeatureVector:
-        """The block's feature vector."""
-        return self.result.features
 
 
 class FeatureExtractor:
@@ -91,14 +76,13 @@ class FeatureExtractor:
         data: np.ndarray,
         error_bound_abs: float,
         compressor: str = "sz3",
-        sample: Optional[np.ndarray] = None,
     ) -> ExtractionResult:
         """Extract the feature vector, measuring the extraction time."""
         arr = np.asarray(data)
         if arr.size == 0:
             raise FeatureExtractionError("cannot extract features from an empty array")
         start = time.perf_counter()
-        sampled = self.sample(arr) if sample is None else np.asarray(sample)
+        sampled = self.sample(arr)
         config = extract_config_features(error_bound_abs, compressor)
         data_feats = extract_data_features(sampled)
         comp_feats = extract_compressor_features(
@@ -121,32 +105,3 @@ class FeatureExtractor:
     ) -> FeatureVector:
         """Convenience wrapper returning only the feature vector."""
         return self.extract(data, error_bound_abs, compressor).features
-
-    def extract_blocks(
-        self,
-        data: np.ndarray,
-        error_bound_abs: float,
-        compressor: str = "sz3",
-        block_shape: BlockShapeLike = 64,
-    ) -> List[BlockFeatures]:
-        """Extract one feature vector per block of ``data``.
-
-        This feeds the quality model block-level samples — the same
-        partition the blocked compression pipelines use — so per-block
-        adaptive decisions (predictor choice, error-bound tuning) can be
-        learned instead of whole-array ones.  Small blocks are inspected
-        in full; larger blocks fall back to the extractor's subsampling.
-        """
-        arr = np.asarray(data)
-        if arr.size == 0:
-            raise FeatureExtractionError("cannot extract features from an empty array")
-        plan = BlockPlan.partition(arr.shape, block_shape)
-        results: List[BlockFeatures] = []
-        for spec in plan:
-            block = plan.extract(arr, spec)
-            # Blocks whose subsample would be smaller than one sampling
-            # window are inspected in full.
-            sample = block if block.size * self.sample_fraction <= self.sample_block else None
-            result = self.extract(block, error_bound_abs, compressor, sample=sample)
-            results.append(BlockFeatures(spec=spec, result=result))
-        return results

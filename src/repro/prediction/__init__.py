@@ -6,12 +6,6 @@ from .records import QualityRecord, records_to_matrix
 from .training import TrainingSetBuilder, build_training_records, train_test_split_records
 from .quality_model import QualityPredictor, QualityPrediction
 from .baseline import C1BaselineEstimator, ratio_quality_estimate
-from .block_policy import (
-    BlockPolicy,
-    BlockPolicySample,
-    build_block_policy_samples,
-    train_block_policy,
-)
 
 __all__ = [
     "QualityRecord",
@@ -23,8 +17,4 @@ __all__ = [
     "QualityPrediction",
     "C1BaselineEstimator",
     "ratio_quality_estimate",
-    "BlockPolicy",
-    "BlockPolicySample",
-    "build_block_policy_samples",
-    "train_block_policy",
 ]

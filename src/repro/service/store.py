@@ -162,8 +162,13 @@ class JobStore:
                     records.append(record)
         return records
 
-    def replay(self) -> Dict[str, Dict[str, Any]]:
+    def replay(
+        self, records: Optional[List[Dict[str, Any]]] = None
+    ) -> Dict[str, Dict[str, Any]]:
         """Fold the log into the latest state of each job.
+
+        ``records`` is the result of a :meth:`load` the caller already
+        made, folded instead of reading the log a second time.
 
         Returns ``{job_id: state}`` in first-submission order, where each
         state carries the submit-time facts (``spec``,
@@ -174,7 +179,7 @@ class JobStore:
         makespan, the flat spec) laid over them where one was written.
         """
         states: Dict[str, Dict[str, Any]] = {}
-        for record in self.load():
+        for record in self.load() if records is None else records:
             job_id = record.get("job_id")
             if not job_id:
                 continue

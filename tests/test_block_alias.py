@@ -175,7 +175,7 @@ class TestBlockStore:
         assert cache.entry_count("block") == 0
         assert cache.stats.block_hits == 0 and cache.stats.block_misses == 0
 
-    def test_differing_bounds_and_tags_miss(self, tmp_path):
+    def test_differing_bounds_and_selection_modes_miss(self, tmp_path):
         cache = BlobCache(str(tmp_path))
         rng = np.random.default_rng(3)
         arr = rng.normal(size=(16, 16))
@@ -187,7 +187,7 @@ class TestBlockStore:
         ).compress_array(arr, 1e-2)
         assert cache.stats.block_hits == 0
         create_blocked_compressor(
-            "sz3-fast", block_shape=(8, 8), block_cache=cache, block_cache_tag="p.json"
+            "sz3-fast", block_shape=(8, 8), block_cache=cache, adaptive_predictor=True
         ).compress_array(arr, 1e-3)
         assert cache.stats.block_hits == 0
 
@@ -215,4 +215,4 @@ class TestBlockStore:
     def test_registry_names_round_trip(self):
         # every registered pipeline accepts the block-cache wiring
         for name in available_compressors():
-            create_blocked_compressor(name, block_cache=None, block_cache_tag="")
+            create_blocked_compressor(name, block_cache=None)

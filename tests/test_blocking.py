@@ -34,7 +34,6 @@ from repro.compression.blocking import BlockShapeLike  # noqa: F401  (public ali
 from repro.core import OcelotConfig, Ocelot, ParallelExecutor
 from repro.datasets import generate_application
 from repro.errors import CompressionError
-from repro.features import FeatureExtractor
 
 PIPELINES = ["sz-lorenzo", "sz3", "sz3-linear", "sz2", "zfp-like", "sz3-fast"]
 
@@ -227,6 +226,9 @@ class TestAdaptivePredictor:
             "sz3", data, 1e-3, block_shape=6, adaptive_predictor=True
         )
         np.testing.assert_array_equal(np.isnan(recon), np.isnan(data))
+        # Only Lorenzo's literal fallback takes a non-finite block: no ranking.
+        nan_blocks = [e for e in blob.block_index if e["origin"][0] == 0]
+        assert [e["predictor"] for e in nan_blocks] == ["lorenzo", "lorenzo"]
 
 
 # --------------------------------------------------------------------------- #
@@ -427,35 +429,3 @@ class TestParallelBlocks:
             float(np.nanmax(f.data) - np.nanmin(f.data)) for f in dataset.fields
         ]
         assert report.max_abs_error <= 1e-3 * max(ranges) * (1 + 1e-6)
-
-
-# --------------------------------------------------------------------------- #
-# Per-block feature extraction
-# --------------------------------------------------------------------------- #
-class TestBlockFeatures:
-    def test_extract_blocks_covers_partition(self):
-        rng = np.random.default_rng(23)
-        data = rng.standard_normal((40, 28))
-        extractor = FeatureExtractor(sample_fraction=0.5)
-        blocks = extractor.extract_blocks(
-            data, error_bound_abs=1e-3, compressor="sz3", block_shape=16
-        )
-        plan = BlockPlan.partition(data.shape, 16)
-        assert len(blocks) == plan.num_blocks
-        for block_features, spec in zip(blocks, plan):
-            assert block_features.spec == spec
-            values = block_features.features.as_dict()
-            assert values["value_range"] >= 0.0
-            assert block_features.result.full_size == spec.num_elements
-
-    def test_block_features_differ_across_heterogeneous_blocks(self):
-        x = np.linspace(0, 2 * np.pi, 32)
-        smooth = np.tile(np.sin(x), (16, 1))
-        noisy = np.random.default_rng(29).standard_normal((16, 32)) * 10
-        data = np.vstack([smooth, noisy])
-        extractor = FeatureExtractor(sample_fraction=1.0)
-        blocks = extractor.extract_blocks(
-            data, error_bound_abs=1e-3, compressor="sz3", block_shape=16
-        )
-        ranges = [b.features.as_dict()["value_range"] for b in blocks]
-        assert max(ranges) > min(ranges)

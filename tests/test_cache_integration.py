@@ -192,58 +192,54 @@ class TestKeySeparation:
         assert len({str(fp) for fp in fingerprints}) == 3
 
     #: ``(OcelotConfig overrides, whole-blob fingerprint, blob key, block key)``
-    #: for the content digest ``"ab" * 16`` at an absolute bound of 1e-3,
-    #: computed at the commit before the fingerprint moved into the
-    #: pipeline (``_cache_fingerprint`` / ``_block_store_fingerprint``): a
-    #: key that moves here turns every warm cache cold.
-    PARENT_KEYS = [
+    #: for the content digest ``"ab" * 16`` at an absolute bound of 1e-3.
+    #: A key that moves here turns every warm cache cold.  They moved once
+    #: on purpose when the learned block policy went (the ``block_policy``
+    #: field left the fingerprint and ``block_format`` went to 4): adaptive
+    #: blocks are now chosen by ranking, so a cache warmed by an older
+    #: build must miss rather than serve bytes this build would not write.
+    PINNED_KEYS = [
         (
             dict(compressor="sz3", block_size=32),
-            {"adaptive_predictor": False, "block_policy": "", "block_shape": 32,
+            {"adaptive_predictor": False, "block_shape": 32,
              "codebook_mode": "shared", "compressor": "sz3", "entropy": "huffman",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
-            "833a8fa2941ef0ff6cc318c8aa0f6c0c",
-            "cfe6fb06ef1f8ce9515b4afcb92120c0",
+            "a16a4e87cc94889264be6c08500a6dfe",
+            "b5f27124a758e1ec976a878b116299b1",
         ),
         (
             dict(compressor="sz3-fast"),
-            {"adaptive_predictor": False, "block_policy": "", "block_shape": None,
+            {"adaptive_predictor": False, "block_shape": None,
              "codebook_mode": "shared", "compressor": "sz3-fast", "entropy": "none",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
-            "eb04211bf09ac5e675ecbb853942bfae",
-            "f19a90ba8996ec372ca08245e76f49eb",
+            "ff68065998919838a23765218de148fc",
+            "0fd9a1b03d6ee4db5146ab80c9d339c8",
         ),
         (
             dict(compressor="sz3", block_size=32, entropy_stage="rans",
-                 adaptive_predictor=True, shared_codebook=False,
-                 block_policy_path="/policies/miranda.json"),
-            {"adaptive_predictor": True, "block_policy": "/policies/miranda.json",
-             "block_shape": 32, "codebook_mode": "per-block", "compressor": "sz3",
-             "entropy": "rans", "error_bound_abs": "0x1.0624dd2f1a9fcp-10",
-             "lossless": "deflate"},
-            "a18402d1ab004e83a1a3c571a7720f8a",
-            "d78d78407d7bae1a44d19164d398aaef",
+                 adaptive_predictor=True, shared_codebook=False),
+            {"adaptive_predictor": True, "block_shape": 32,
+             "codebook_mode": "per-block", "compressor": "sz3", "entropy": "rans",
+             "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
+            "67787b98a8903802ec9ef75d2e274a58",
+            "f8f75cc6bbcdf88d7edc90b4f785b2c6",
         ),
     ]
 
     @pytest.mark.parametrize(
         "overrides, fingerprint, blob_key, block_key",
-        PARENT_KEYS,
-        ids=["sz3-shared-huffman-32", "sz3-fast", "sz3-rans-adaptive-per-block-policy"],
+        PINNED_KEYS,
+        ids=["sz3-shared-huffman-32", "sz3-fast", "sz3-rans-adaptive-per-block"],
     )
-    def test_cache_keys_are_the_parents(
-        self, monkeypatch, overrides, fingerprint, blob_key, block_key
-    ):
+    def test_cache_keys_are_pinned(self, overrides, fingerprint, blob_key, block_key):
         from repro.cache import blob_cache_key, block_cache_key
-        from repro.prediction.block_policy import BlockPolicy
 
-        monkeypatch.setattr(BlockPolicy, "load", classmethod(lambda cls, path: object()))
         orchestrator = Ocelot(OcelotConfig(**overrides))._orchestrator()
         compressor = orchestrator._build_compressor(overrides["compressor"])
         assert compressor.cache_fingerprint(1e-3) == fingerprint
         assert blob_cache_key("ab" * 16, fingerprint) == blob_key
         block_fingerprint = compressor.cache_fingerprint(1e-3, tier="block")
-        assert block_fingerprint["block_format"] == 3
+        assert block_fingerprint["block_format"] == 4
         assert block_cache_key("ab" * 16, block_fingerprint) == block_key
 
     def test_differing_data_never_shares_entries(self, tmp_path):

@@ -23,7 +23,6 @@ def _fingerprint(**overrides):
         block_shape=32,
         codebook_mode="shared",
         adaptive_predictor=False,
-        block_policy="",
     )
     base.update(overrides)
     return pipeline_fingerprint(**base)
@@ -48,7 +47,6 @@ class TestKeys:
         assert blob_cache_key(digest, _fingerprint(block_shape=16)) != base
         assert blob_cache_key(digest, _fingerprint(codebook_mode="per-block")) != base
         assert blob_cache_key(digest, _fingerprint(adaptive_predictor=True)) != base
-        assert blob_cache_key(digest, _fingerprint(block_policy="policy.json")) != base
         assert blob_cache_key(digest, _fingerprint(compressor="sz2")) != base
 
     def test_tiers_never_share_a_key(self):

@@ -18,15 +18,19 @@ class TestParser:
     def test_known_subcommands(self):
         parser = build_parser()
         for command in (["info"], ["predict"], ["compress"], ["transfer"],
-                        ["inspect", "x.sz"], ["train-policy", "--output", "p.json"]):
+                        ["inspect", "x.sz"]):
             args = parser.parse_args(command)
             assert args.command == command[0]
 
-    def test_block_policy_requires_adaptive(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["compress", "--block-size", "16", "--block-policy", "p.json"])
+    def test_the_learned_block_policy_surface_is_gone(self, capsys):
+        """Argparse rejects the verb and the flag; nothing quietly ignores them."""
+        for argv in (["train-policy", "--output", "p.json"],
+                     ["compress", "--block-size", "16", "--adaptive-predictor",
+                      "--block-policy", "p.json"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
+        assert "--block-policy" in capsys.readouterr().err
 
     def test_compress_arguments(self):
         args = build_parser().parse_args(
@@ -140,21 +144,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "whole-array" in out
 
-    def test_train_policy_writes_model(self, tmp_path, capsys):
-        from repro.prediction import BlockPolicy
-
-        out_path = tmp_path / "policy.json"
-        code = main([
-            "train-policy", "--application", "miranda", "--scale", "0.04",
-            "--compressor", "sz3-fast", "--block-size", "24",
-            "--output", str(out_path), "--json",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["samples"] > 0
-        policy = BlockPolicy.load(out_path)
-        assert policy.is_fitted
-
 
 class TestJobServiceCommands:
     def test_submit_subcommands_parse(self):
@@ -193,6 +182,26 @@ class TestJobServiceCommands:
         out = capsys.readouterr().out
         assert "job-0002" in out
         assert "phase_started" in out
+
+    def test_jobs_reads_the_log_once(self, tmp_path, capsys, monkeypatch):
+        """The job listing and the ``batch`` line come from one read of the log."""
+        import builtins
+
+        state = tmp_path / "jobs.jsonl"
+        assert self._submit(state) == 0
+        capsys.readouterr()
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(["jobs", "--state", str(state), "--json"]) == 0
+        monkeypatch.undo()
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["jobs"]) == 1 and payload["combined_makespan_s"] > 0
+        assert opened.count(str(state)) == 1
 
     def _submit(self, state, *extra):
         return main([

@@ -112,6 +112,34 @@ class TestOrchestrator:
         assert report.timings.node_wait_s == pytest.approx(60.0)
         assert report.timings.raw_transfer_s == 0.0
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(block_size=16),
+         dict(block_size=16, transfer_mode="streamed"),
+         dict(block_size=16, mode="grouped", cache_mode="readwrite")],
+        ids=["bulk", "streamed", "grouped-cached"],
+    )
+    def test_a_run_builds_its_compressor_once(self, monkeypatch, tmp_path, tiny_dataset, overrides):
+        """Cache probe, compress and stream (per file) share one instance per
+        name, decompress another, so the Huffman LUT / rANS table caches
+        outlive a file."""
+        from repro.core import orchestrator as orchestrator_module
+
+        built, real = [], orchestrator_module.create_blocked_compressor
+
+        def counting(name, **kwargs):
+            built.append(name)
+            return real(name, **kwargs)
+
+        monkeypatch.setattr(orchestrator_module, "create_blocked_compressor", counting)
+        if "cache_mode" in overrides:
+            overrides = dict(overrides, cache_dir=str(tmp_path))
+        config = _config(mode=overrides.get("mode", "compressed"), **{
+            k: v for k, v in overrides.items() if k != "mode"})
+        OcelotOrchestrator(config).run(tiny_dataset, "anvil", "cori")
+        # The plan names the registry entry; blobs name the pipeline it builds.
+        assert sorted(built) == ["sz3", "sz3-fast"]
+
     def test_clock_advances_to_total(self, tiny_dataset):
         orchestrator = OcelotOrchestrator(_config())
         report = orchestrator.run(tiny_dataset, "anvil", "cori", mode="grouped")

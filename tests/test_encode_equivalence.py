@@ -144,7 +144,6 @@ def _compress_blob_bytes(
     shared: bool,
     adaptive: bool = False,
     entropy: str = None,
-    block_policy=None,
 ) -> bytes:
     compressor = create_blocked_compressor(
         "sz3",
@@ -153,7 +152,6 @@ def _compress_blob_bytes(
         adaptive_predictor=adaptive,
         shared_codebook=shared,
         entropy_stage=entropy,
-        block_policy=block_policy,
     )
     with _pool_grain():
         result = compressor.compress(_data(), ErrorBound.relative(1e-3))
@@ -226,27 +224,8 @@ class TestThreadPoolEquivalence:
         assert timed.to_bytes() == baseline.to_bytes()
 
 
-class _BrokenPolicy:
-    """A block policy whose model always fails."""
-
-    chooses_entropy = True
-
-    def choose_for_block(self, block, error_bound_abs, compressor=None):
-        raise ValueError("feature mismatch")
-
-    choose_entropy_for_block = choose_for_block
-
-
 class TestBlockTaskContract:
     """What holds of the block tasks whichever way they are fanned out."""
-
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
-    def test_failing_policy_still_yields_the_policy_free_blob(self, shared):
-        expected = _compress_blob_bytes("inline", shared, adaptive=True)
-        for fanout in ("inline", "thread"):
-            assert expected == _compress_blob_bytes(
-                fanout, shared, adaptive=True, block_policy=_BrokenPolicy()
-            )
 
     def test_stage_timings_run_the_encode_inline(self, monkeypatch):
         threaded = _spy_on_map_blocks(monkeypatch)
@@ -286,8 +265,8 @@ class TestEntropyStageEquivalence:
     """The rANS stage must not perturb the blob-determinism contract.
 
     The inline loop and the thread pool produce byte-identical blobs
-    under every entropy stage; per-block codec selection (heuristic and
-    learned) is equally deterministic; and any reader decodes any stage
+    under every entropy stage; per-block codec selection is equally
+    deterministic; and any reader decodes any stage
     because the codec rides in each block's section tags, not in reader
     config.
     """
@@ -307,31 +286,6 @@ class TestEntropyStageEquivalence:
         assert _compress_blob_bytes(
             "thread", shared=False, adaptive=True, entropy=entropy
         ) == _compress_blob_bytes("inline", shared=False, adaptive=True, entropy=entropy)
-
-    def test_policy_chosen_codecs_byte_identical(self):
-        from repro.compression import CompressedBlob
-        from repro.prediction.block_policy import train_block_policy
-
-        rng = np.random.default_rng(5)
-        smooth = np.add.outer(
-            np.sin(np.linspace(0, 6, 48)), np.cos(np.linspace(0, 4, 48))
-        ).astype(np.float64)
-        noisy = (smooth + rng.normal(0, 0.3, smooth.shape)).astype(np.float64)
-        policy, _ = train_block_policy(
-            [smooth, noisy], 1e-3, compressor="sz3", block_shape=16
-        )
-        assert policy.chooses_entropy
-        blobs = {
-            fanout: _compress_blob_bytes(
-                fanout, shared=False, adaptive=True, entropy="rans", block_policy=policy
-            )
-            for fanout in ("inline", "thread")
-        }
-        assert blobs["inline"] == blobs["thread"]
-        # The policy-tagged blob must decode exactly on a policy-less reader.
-        reader = create_blocked_compressor("sz3")
-        recon = reader.decompress(CompressedBlob.from_bytes(blobs["thread"]))
-        assert np.isfinite(recon).all()
 
     @pytest.mark.parametrize("entropy", ["huffman", "rans", "none"])
     def test_default_reader_decodes_any_stage(self, entropy):

@@ -7,7 +7,9 @@ build cannot move a block payload), plus ``deflate`` rows pinned by blob
 length and by a digest of the *decoded* array.  The digests were recorded
 at the commit before ``sz/pipeline.py`` was split into stages; a
 refactor of the encode path that changes any of them changed the wire
-format.  ``python tests/test_golden_blobs.py`` prints a fresh table.
+format.  ``python tests/test_golden_blobs.py`` prints a fresh table,
+``python tests/test_golden_blobs.py --diff`` only the rows that moved
+(with the length delta of each ``deflate`` row).
 
 The whole matrix is written twice — by the inline loop and through a
 4-thread executor with the fan-out grain lowered so the 16x16 blocks
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 import pytest
@@ -132,10 +135,37 @@ def test_blobs_match_the_recorded_digests(fanout, monkeypatch):
     assert not moved
 
 
-def main() -> None:
+def diff_rows() -> Iterator[str]:
+    """One line per row that differs from ``golden_blobs.json``.
+
+    ``deflate`` rows carry their blob-length delta (and say when the
+    decoded array moved); digest rows can only say that they moved.
+    """
+    golden = json.loads(GOLDEN_PATH.read_text())
+    fresh = dict(golden_rows())
+    for row in sorted(set(golden) | set(fresh)):
+        old, new = golden.get(row), fresh.get(row)
+        if old == new:
+            continue
+        if old is None or new is None:
+            yield f"{row}: {'added' if old is None else 'removed'}"
+        elif isinstance(new, list):
+            delta = new[0] - old[0]
+            decoded = "" if new[1] == old[1] else ", decoded array moved"
+            yield f"{row}: {old[0]} -> {new[0]} B ({delta:+d}, {delta / old[0]:+.2%}){decoded}"
+        else:
+            yield f"{row}: digest moved"
+
+
+def main(argv: List[str]) -> None:
+    """Print a fresh table, or with ``--diff`` only what moved against the recorded one."""
+    if "--diff" in argv:
+        moved = list(diff_rows())
+        print("\n".join(moved + [f"{len(moved)} rows differ from {GOLDEN_PATH.name}"]))
+        return
     rows = sorted(golden_rows())
     print("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in rows) + "\n}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

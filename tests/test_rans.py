@@ -148,12 +148,12 @@ class TestRansCodecRoundTrip:
 
     def test_full_16bit_alphabet_has_no_table(self):
         """All 65536 quantiser symbols present: no 12-bit table fits, so
-        encode raises and the size estimate reports unavailable."""
+        encode raises and no table can be built."""
         stream = np.arange(1 << 16, dtype=np.int64)
         codec = RansCodec()
         with pytest.raises(EncodingError):
             codec.encode(stream)
-        assert codec.estimate_encoded_bytes(stream) is None
+        assert RansFrequencyTable.try_from_frequencies(dict.fromkeys(range(1 << 16), 1)) is None
 
     def test_shared_table_escape_returns_none(self):
         codec = RansCodec()
@@ -175,10 +175,13 @@ class TestRansCodecRoundTrip:
         stream = rng.integers(-30, 30, size=20_000).astype(np.int64)
         codec = RansCodec()
         payload, table_bytes, _ = codec.encode(stream)
-        estimate = codec.estimate_encoded_bytes(stream)
+        values, counts = np.unique(stream, return_counts=True)
+        frequencies = dict(zip(values.tolist(), counts.tolist()))
+        estimate = RansFrequencyTable.from_frequencies(frequencies).encoded_nbytes(frequencies)
         actual = len(payload) + len(table_bytes)
-        assert estimate is not None
         assert abs(estimate - actual) < 0.1 * actual + 64
+        # A stream with a symbol the table never saw has no size under it.
+        assert RansFrequencyTable.from_frequencies({1: 3}).encoded_nbytes({2: 1}) is None
 
 
 class TestPipelineFallback:

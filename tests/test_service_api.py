@@ -225,18 +225,20 @@ class TestJobLifecycle:
         # The queue is drained; nothing left to step.
         assert service.scheduler.step() is False
 
-    def test_failed_job_does_not_poison_the_batch(self, tiny_dataset):
+    def test_failed_job_does_not_poison_the_batch(self, monkeypatch, tiny_dataset):
+        """The seam of ``test_phase_faults.py``: one tenant's compress phase raises."""
+        from repro.core.phases import PHASES
+
+        real = PHASES["compress"]
+
+        def faulty(orchestrator, record):
+            if orchestrator.config.tenant == "victim":
+                raise RuntimeError("injected fault in compress")
+            return real(orchestrator, record)
+
+        monkeypatch.setitem(PHASES, "compress", faulty)
         service = OcelotService(_config())
-        bad = service.submit(
-            _spec(
-                tiny_dataset,
-                overrides={
-                    "adaptive_predictor": True,
-                    "block_size": 16,
-                    "block_policy_path": "/nonexistent/policy.json",
-                },
-            )
-        )
+        bad = service.submit(_spec(tiny_dataset, overrides={"tenant": "victim"}))
         good = service.submit(_spec(tiny_dataset))
         service.run_pending()
         assert bad.status is JobStatus.FAILED

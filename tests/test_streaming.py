@@ -221,7 +221,3 @@ class TestConfigValidation:
     def test_stream_window_validated(self):
         with pytest.raises(ConfigurationError):
             OcelotConfig(stream_window=0)
-
-    def test_block_policy_requires_adaptive(self):
-        with pytest.raises(ConfigurationError):
-            OcelotConfig(block_policy_path="/tmp/policy.json")
