@@ -67,14 +67,15 @@ def _add_block_arguments(sub: argparse.ArgumentParser) -> None:
                      help="per-block SZ3-style predictor selection "
                           "(Lorenzo vs. interpolation, ranked on a size "
                           "statistic of their quantisation codes; only the "
-                          "winner is encoded); requires --block-size")
+                          "winner is encoded, with the --entropy codec); "
+                          "requires --block-size")
     sub.add_argument("--entropy", default=None, choices=["huffman", "rans", "none"],
                      help="entropy codec override for pipeline compressors: "
                           "Huffman, interleaved rANS, or bypass; default keeps "
-                          "each compressor's registered stage.  In adaptive "
-                          "per-block-codebook mode the codec is additionally "
-                          "chosen per block (exact coded size, from the "
-                          "block's code histogram) and recorded in each section")
+                          "each compressor's registered stage.  Every block is "
+                          "coded with it (never chosen per block); with "
+                          "--codebook per-block, huffman usually writes the "
+                          "fewer bytes")
     sub.add_argument("--codebook", default="shared", choices=["shared", "per-block"],
                      help="entropy model layout in blocked entropy-coded mode: "
                           "one shared codebook/frequency-table per file stored "

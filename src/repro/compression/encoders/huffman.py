@@ -254,14 +254,6 @@ class HuffmanCodebook:
         """Total encoded size in bits for the given symbol frequencies."""
         return sum(self.lengths.get(sym, 0) * freq for sym, freq in frequencies.items())
 
-    def encoded_nbytes(self, frequencies: Dict[int, int]) -> int:
-        """Coded size of a stream with these counts, this codebook included.
-
-        Exact, without materialising a bit: the per-block codec choice
-        compares it with :meth:`RansFrequencyTable.encoded_nbytes`.
-        """
-        return (self.encoded_bit_size(frequencies) + 7) // 8 + self.serialized_nbytes()
-
     def zero_symbol_share(self, frequencies: Dict[int, int], zero_symbol: int) -> float:
         """Fraction of encoded bits spent on ``zero_symbol`` (the paper's P0)."""
         total = self.encoded_bit_size(frequencies)
@@ -279,10 +271,6 @@ class HuffmanCodebook:
         items = sorted(self.lengths.items())
         arr = np.array(items, dtype=np.int64)
         return arr.tobytes()
-
-    def serialized_nbytes(self) -> int:
-        """Size :meth:`serialize` produces, without materialising it."""
-        return 16 * len(self.lengths)
 
     @classmethod
     def deserialize(cls, payload: bytes) -> "HuffmanCodebook":

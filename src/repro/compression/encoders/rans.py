@@ -224,9 +224,6 @@ class RansFrequencyTable:
         freqs = np.frombuffer(data, dtype="<u2", count=n, offset=_TABLE_HEADER.size + 4 * n)
         return cls(offsets.astype(np.int64) + lo, freqs.astype(np.uint32))
 
-    def serialized_nbytes(self) -> int:
-        return _TABLE_HEADER.size + 6 * int(self.symbols.size)
-
     # ------------------------------------------------------------------ #
     # Derived lookup tables
     # ------------------------------------------------------------------ #
@@ -288,34 +285,6 @@ class RansFrequencyTable:
         """``(freq, cum)`` of the most probable symbol (used for padding)."""
         best = int(np.argmax(self.freqs))
         return int(self.freqs[best]), int(self.cum[best])
-
-    def estimate_payload_bits(self, frequencies: Dict[int, int]) -> Optional[int]:
-        """Information content of a stream with the given counts.
-
-        ``None`` when a stream symbol is absent from this table.
-        """
-        bits = 0.0
-        log_scale = np.log2(float(PROB_SCALE))
-        lookup = {int(s): int(f) for s, f in zip(self.symbols, self.freqs)}
-        for sym, count in frequencies.items():
-            f = lookup.get(int(sym))
-            if f is None:
-                return None
-            bits += count * (log_scale - np.log2(float(f)))
-        return int(np.ceil(bits))
-
-    def encoded_nbytes(self, frequencies: Dict[int, int]) -> Optional[int]:
-        """Coded size of a stream with these counts, this table included.
-
-        Without materialising a word; ``None`` when a stream symbol is
-        absent from this table.
-        """
-        bits = self.estimate_payload_bits(frequencies)
-        if bits is None:
-            return None
-        lanes = _pick_lanes(sum(frequencies.values()))
-        payload = _PAYLOAD_HEADER.size + 4 * lanes + (bits + 7) // 8
-        return payload + self.serialized_nbytes()
 
 
 class RansCodec:

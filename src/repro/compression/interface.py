@@ -175,17 +175,27 @@ class SectionContainer:
         header_end = 12 + header_len
         if header_end > len(data):
             raise EncodingError("truncated container header")
-        header = json.loads(data[12:header_end].decode("utf-8"))
-        sections = header.pop("_sections", [])
+        try:  # JSONDecodeError and UnicodeDecodeError are both ValueErrors
+            header = json.loads(data[12:header_end].decode("utf-8"))
+        except ValueError as exc:
+            raise EncodingError("container header is not valid JSON") from exc
+        sections = header.pop("_sections", []) if isinstance(header, dict) else None
+        if not isinstance(sections, list):
+            raise EncodingError("container header is not an object with a section list")
         container = cls(header)
         container.source_version = version
         offset = header_end
         for entry in sections:
-            name = entry["name"]
+            try:
+                name, size = entry["name"], int(entry["size"])
+                if not isinstance(name, str):
+                    raise TypeError(f"section name {name!r} is not a string")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise EncodingError("malformed section entry in container header") from exc
             if name in container._sections:
                 raise EncodingError(f"duplicate section {name!r} in container")
-            size = int(entry["size"])
-            if offset + size > len(data):
+            # A negative size would make later sections alias earlier bytes.
+            if size < 0 or offset + size > len(data):
                 raise EncodingError(f"truncated section {name!r}")
             container._sections[name] = (offset, size)
             offset += size
@@ -213,6 +223,8 @@ class CompressedBlob:
         self.metadata = dict(metadata or {})
         #: Memoised (encoded header value, decoded bytes) shared codebook.
         self._codebook_cache: Optional[Tuple[str, bytes]] = None
+        #: Memoised (header's block index, block id -> its entry).
+        self._entry_cache: Optional[Tuple[list, Dict[int, Dict[str, Any]]]] = None
 
     @property
     def num_elements(self) -> int:
@@ -314,11 +326,23 @@ class CompressedBlob:
         )
 
     def block_entry(self, block_id: int) -> Dict[str, Any]:
-        """The index entry of one block of a v2 blob."""
-        for entry in self.container.header.get("block_index", []):
-            if int(entry["id"]) == int(block_id):
-                return dict(entry)
-        raise EncodingError(f"blob has no block {block_id}")
+        """The index entry of one block of a v2 blob.
+
+        The index is traversed once per blob, not once per call: random
+        access to every block of an n-block blob is O(n), and the map is
+        rebuilt when the header's ``block_index`` is replaced.
+        """
+        index = self.container.header.get("block_index", [])
+        cached = self._entry_cache
+        if cached is None or cached[0] is not index:
+            try:
+                cached = self._entry_cache = (index, {int(e["id"]): e for e in index})
+            except (KeyError, TypeError, ValueError) as exc:
+                raise EncodingError("malformed block index in blob header") from exc
+        try:
+            return dict(cached[1][int(block_id)])
+        except KeyError:
+            raise EncodingError(f"blob has no block {block_id}") from None
 
     @property
     def shared_codebook_bytes(self) -> Optional[bytes]:
@@ -384,20 +408,28 @@ class CompressedBlob:
         return header
 
     @staticmethod
-    def encode_block_message(
+    def block_message(
         blob_header: Dict[str, Any], entry: Dict[str, Any], payload: bytes
-    ) -> bytes:
-        """Build the standalone wire message for one block section.
+    ) -> SectionContainer:
+        """The standalone wire message of one block section, as a container.
 
-        Producers that encode blocks one at a time (the streaming
-        pipeline) call this directly — the full blob never exists on the
-        sending side.
+        The one place the message is laid out: :meth:`export_block`
+        writes its ``to_bytes()`` and the streaming pipeline — where the
+        full blob never exists on the sending side — bills its
+        ``serialized_size()``, so the bill and the bytes cannot drift.
         """
         message = SectionContainer(
             header={"stream_block": dict(entry), "blob_header": dict(blob_header)}
         )
         message.add_section("payload", payload)
-        return message.to_bytes()
+        return message
+
+    @staticmethod
+    def encode_block_message(
+        blob_header: Dict[str, Any], entry: Dict[str, Any], payload: bytes
+    ) -> bytes:
+        """:meth:`block_message`, serialised."""
+        return CompressedBlob.block_message(blob_header, entry, payload).to_bytes()
 
     def export_block(self, block_id: int) -> bytes:
         """Serialise one ``block:<id>`` section plus its index entry.

@@ -83,8 +83,7 @@ def create_blocked_compressor(
     ``shared_codebook`` toggles the per-file entropy codebook (``None``
     keeps the pipeline's default of sharing).  ``entropy_stage``
     overrides the pipeline's configured entropy codec (``huffman`` /
-    ``rans`` / ``none``); per-block codec selection follows
-    ``adaptive_predictor`` wherever blocks carry their own entropy model.
+    ``rans`` / ``none``), which every block is then coded with.
     ``block_cache`` (a :class:`~repro.cache.BlobCache`) lets blocked
     compression reuse identical self-contained block payloads across
     files, jobs and tenants.  This is the single place the orchestrator

@@ -1,12 +1,12 @@
 """The stages the pipeline applies to *one* block: choose, finish, decode.
 
 SZ3-style adaptive selection runs several predictors per block and keeps
-one.  Nothing is serialised to decide: every candidate is predicted and
-quantised, the histogram of its codes feeds one size statistic
-(:func:`~.encoding.estimated_bytes`), the smallest wins, and with
-per-block entropy models the winner's histogram also picks its codec
-(Huffman vs rANS, on exact coded size) and builds that codec's model.
-The winner is then entropy-coded and losslessly compressed exactly once.
+one — the only thing decided per block; the entropy codec is the
+pipeline's configured stage.  Nothing is serialised to decide: every
+candidate is predicted and quantised, the histogram of its codes feeds
+one size statistic (:func:`~.encoding.estimated_bytes`) and the smallest
+wins.  The winner is then entropy-coded and losslessly compressed
+exactly once.
 ``PredictionPipelineCompressor.encode_one_block`` composes these stages
 into the unit every encode path fans out; each stage *returns* its
 result, so a thread and the inline loop produce the same bytes.
@@ -31,11 +31,6 @@ from .encoding import ENTROPY_CODED, SharedBook, estimated_bytes
 
 __all__ = ["BlockStages"]
 
-#: A per-block codec choice: the stage and its model, already built from
-#: the block's histogram.  ``None`` = the configured stage, whose model
-#: (shared, or the block's own) serialisation settles.
-BlockCodec = Optional[Tuple[str, SharedBook]]
-
 
 class BlockStages:
     """The per-block stages of :class:`PredictionPipelineCompressor`.
@@ -49,20 +44,6 @@ class BlockStages:
     def _shared_codebook_active(self) -> bool:
         """Whether blocked compression builds a file-wide entropy model."""
         return self.shared_codebook and self.config.entropy_stage in ENTROPY_CODED
-
-    def _entropy_choice_active(self) -> bool:
-        """Whether the entropy codec is chosen per block.
-
-        Per-block choice needs per-block entropy models, so it is off
-        whenever a shared codebook commits the whole file to one stage
-        (and trivially off when the entropy stage is bypassed);
-        otherwise it rides along with adaptive predictor selection.
-        """
-        return (
-            self.adaptive_predictor
-            and self.config.entropy_stage != "none"
-            and not self._shared_codebook_active()
-        )
 
     def _candidate_predictors(self, block: np.ndarray) -> List[Predictor]:
         """Predictors competing for one block under adaptive selection.
@@ -85,38 +66,28 @@ class BlockStages:
 
     def _choose_block_encoding(
         self, block: np.ndarray, error_bound_abs: float
-    ) -> Tuple[str, PredictorOutput, BlockCodec]:
-        """Rank one block's candidates; ``(predictor_name, encoding, codec)``.
+    ) -> Tuple[str, PredictorOutput]:
+        """Rank one block's candidates; ``(predictor_name, encoding)``.
 
-        The one place a block's predictor and codec are decided, and it
-        never serialises: each candidate is predicted and quantised, its
-        code histogram gives its size statistic, the smallest wins (ties
-        go to the earlier candidate, the pipeline's own predictor first).
-        Where the codec is chosen per block the winner's histogram
-        settles that too and builds the model it will be coded with.
+        The one decision made per block, and it never serialises: each
+        candidate is predicted and quantised, its code histogram gives
+        its size statistic, the smallest wins (ties go to the earlier
+        candidate, the pipeline's own predictor first).
         """
         candidates = self._candidate_predictors(block)
         with self._timed("predict_quantize_s"):
             encodings = [p.encode_block(block, error_bound_abs) for p in candidates]
         if not self.adaptive_predictor:
-            return candidates[0].name, encodings[0], None
-        histograms = [symbol_frequencies(encoding.codes) for encoding in encodings]
-        sizes = [estimated_bytes(e, h) for e, h in zip(encodings, histograms)]
+            return candidates[0].name, encodings[0]
+        sizes = [estimated_bytes(e, symbol_frequencies(e.codes)) for e in encodings]
         winner = sizes.index(min(sizes))
-        codec = None
-        if histograms[winner] and self._entropy_choice_active():
-            codec = self._wire.smaller_codec(histograms[winner])
-        return candidates[winner].name, encodings[winner], codec
+        return candidates[winner].name, encodings[winner]
 
     def _serialize(
-        self,
-        encoding: PredictorOutput,
-        codec: BlockCodec = None,
-        shared_book: Optional[SharedBook] = None,
+        self, encoding: PredictorOutput, shared_book: Optional[SharedBook] = None
     ) -> Tuple[bytes, str, Optional[str]]:
-        """:meth:`EncodingWire.serialize` under ``codec``, else the configured stage."""
-        stage, own_model = codec or (self.config.entropy_stage, None)
-        return self._wire.serialize(encoding, stage, shared_book, own_model)
+        """:meth:`EncodingWire.serialize` under the configured entropy stage."""
+        return self._wire.serialize(encoding, self.config.entropy_stage, shared_book)
 
     def _compress_lossless(self, data: bytes) -> bytes:
         with self._timed("lossless_s"):
@@ -127,11 +98,10 @@ class BlockStages:
         spec: BlockSpec,
         predictor_name: str,
         encoding: PredictorOutput,
-        codec: BlockCodec = None,
         shared_book: Optional[SharedBook] = None,
     ) -> BlockResult:
         """Serialise one chosen encoding into its ``(index_entry, payload)``."""
-        inner, written, codebook = self._serialize(encoding, codec, shared_book)
+        inner, written, codebook = self._serialize(encoding, shared_book)
         return (
             block_entry(spec, predictor_name, written, codebook),
             self._compress_lossless(inner),

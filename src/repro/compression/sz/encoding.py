@@ -35,7 +35,7 @@ __all__ = ["ENTROPY_CODED", "ENTROPY_STAGES", "EncodingWire", "SharedBook", "est
 ENTROPY_STAGES = ("huffman", "rans", "none")
 
 #: Stages that actually entropy-code the symbol stream (and can thus
-#: participate in shared per-file codebooks / per-block codec choice).
+#: participate in shared per-file codebooks).
 ENTROPY_CODED = ("huffman", "rans")
 
 #: A file-wide entropy model: a Huffman codebook or a rANS frequency
@@ -137,26 +137,11 @@ class EncodingWire:
             return None
         return self._coders[stage].build_model(frequencies)
 
-    def smaller_codec(self, frequencies: Dict[int, int]) -> Tuple[str, SharedBook]:
-        """The codec whose exact coded size is smaller, with its model.
-
-        Both models are built from ``frequencies`` and compared on what
-        they would write (payload + model, before the lossless stage);
-        the winner's is returned for :meth:`serialize` to encode with.
-        rANS bows out when the alphabet cannot fit a 12-bit table.
-        """
-        book = self._coders["huffman"].build_model(frequencies)
-        table = self._coders["rans"].build_model(frequencies)
-        if table is None or table.encoded_nbytes(frequencies) >= book.encoded_nbytes(frequencies):
-            return "huffman", book
-        return "rans", table
-
     def serialize(
         self,
         encoding: PredictorOutput,
         stage: str,
         shared_book: Optional[SharedBook] = None,
-        own_model: Optional[SharedBook] = None,
     ) -> Tuple[bytes, str, Optional[str]]:
         """Serialise one encoding; returns ``(bytes, codec, codebook)``.
 
@@ -164,9 +149,8 @@ class EncodingWire:
         with (``huffman`` / ``rans`` / ``none``) and ``codebook`` says
         whose model coded it: ``"shared"`` (the file-wide ``shared_book``,
         which lives once in the blob header — no per-block model section
-        is written), ``"block"`` (the block's own — ``own_model`` when the
-        caller already built ``stage``'s model from the block's histogram,
-        else built here) or ``None`` when nothing was entropy-coded.
+        is written), ``"block"`` (the block's own, built here from its
+        histogram) or ``None`` when nothing was entropy-coded.
         """
         inner = SectionContainer(header={"predictor_meta": encoding.meta})
         codes = np.asarray(encoding.codes, dtype=np.int64)
@@ -174,7 +158,7 @@ class EncodingWire:
         codec, codebook = "none", None
         if stage in ENTROPY_CODED and codes.size:
             with self._timed("entropy_s"):
-                codec, codebook = self._entropy_code(inner, codes, stage, shared_book, own_model)
+                codec, codebook = self._entropy_code(inner, codes, stage, shared_book)
         else:
             inner.header["huffman_count"] = -1
             inner.add_array("codes_raw", _pack_codes(codes))
@@ -192,7 +176,6 @@ class EncodingWire:
         codes: np.ndarray,
         stage: str,
         shared_book: Optional[SharedBook],
-        own_model: Optional[SharedBook] = None,
     ) -> Tuple[str, str]:
         """Write ``codes_payload`` (+ the block's own model); ``(codec, codebook)``.
 
@@ -205,9 +188,7 @@ class EncodingWire:
             payload = coder.encode(codes, shared_book)
         codebook = "shared" if payload is not None else "block"
         if payload is None:
-            model = own_model if own_model is not None else coder.build_model(
-                symbol_frequencies(codes)
-            )
+            model = coder.build_model(symbol_frequencies(codes))
             if model is None:
                 # Alphabet too wide for a 12-bit rANS table: this block
                 # degrades to Huffman (its entropy tag records what was

@@ -8,13 +8,14 @@ none).  Different combinations form the different "compression
 pipelines" evaluated in the paper.
 
 This module is construction plus orchestration; the stages live beside
-it: :mod:`.block` (what is done to one block: predictor and codec
-choice, finishing a chosen encoding, decoding a section),
-:mod:`.encoding` (the wire form of one encoding, one codec table) and
-:mod:`.dedup` (identical-block grouping, alias and index entries).
-Every block records the codec that entropy-coded it in its section
-header and index entry, so blobs with mixed per-block codecs decode on
-any reader.
+it: :mod:`.block` (what is done to one block: predictor choice,
+finishing a chosen encoding, decoding a section), :mod:`.encoding` (the
+wire form of one encoding, one codec table) and :mod:`.dedup`
+(identical-block grouping, alias and index entries).  Every block is
+entropy-coded with the configured ``entropy_stage`` and records the
+codec that wrote it in its section header and index entry, so a blob
+whose blocks carry different codecs (a rANS block degraded to Huffman,
+an older build's per-block choice) decodes on any reader.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
 
         * ``block_shape`` — the chunk grid encoded block by block (blob
           format v2); unset, arrays are encoded whole (v1).
-        * ``adaptive_predictor`` — pick the predictor per block (and,
-          with per-block entropy models, the entropy codec too) by
+        * ``adaptive_predictor`` — pick the predictor per block by
           ranking the candidates' code histograms; see :mod:`.block`.
+          The codec stays the configured ``entropy_stage`` on every block.
         * ``block_executor`` — fans per-block work out (see
           :data:`BlockMapper`).
         * ``shared_codebook`` — build one entropy model per *file* from
@@ -227,7 +228,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         if self.block_shape is not None:
             description["block_shape"] = self.block_shape
             description["adaptive_predictor"] = self.adaptive_predictor
-            description["adaptive_entropy"] = self._entropy_choice_active()
             description["shared_codebook"] = self._shared_codebook_active()
             description["block_fanout"] = self._configured_fanout()
         return description
@@ -301,9 +301,9 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         """Encode a single block; returns its ``(index_entry, payload)``.
 
         This is the unit of work both the bulk blocked path (per-block
-        models) and the streaming pipeline fan out: extract, choose
-        (predictor and, with per-block models, codec), finish (one
-        entropy encode, one lossless compress).  With ``shared_book`` the
+        models) and the streaming pipeline fan out: extract, choose the
+        predictor, finish (one entropy encode with the configured stage,
+        one lossless compress).  With ``shared_book`` the
         block's symbols are entropy-coded against the file-wide model; a
         block whose alphabet escapes it falls back to its own per-block
         model (recorded in the index entry).
@@ -416,9 +416,10 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             # Bumped when the per-block payload layout changes (v2:
             # per-section entropy tags + adaptive codec choice; v3:
             # Huffman sync index; v4: adaptive candidates ranked on their
-            # histograms), so entries cached by older builds cannot be
-            # served into blobs they would not be byte-identical with.
-            extra["block_format"] = 4
+            # histograms; v5: the codec is the configured stage, never
+            # chosen per block), so entries cached by older builds cannot
+            # be served into blobs they would not be byte-identical with.
+            extra["block_format"] = 5
         return pipeline_fingerprint(
             compressor=(self.registered_as or self.name) if whole else self.name,
             error_bound_abs=error_bound_abs,
@@ -473,7 +474,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             )
             shared_book = self._wire.pooled_shared_book(
                 self.config.entropy_stage,
-                [encoding for _, encoding, _ in chosen],
+                [encoding for _, encoding in chosen],
                 [counts[spec.block_id] for spec in todo],
             )
             fresh = fan_out(

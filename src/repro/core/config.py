@@ -84,14 +84,14 @@ class OcelotConfig:
         adaptive_predictor: per-block SZ3-style predictor selection
             (Lorenzo vs. interpolation per block, ranked on a size
             statistic of their quantisation codes; the winner alone is
-            encoded).
+            encoded).  The predictor is the only per-block decision.
         entropy_stage: entropy codec override for pipeline compressors —
             ``huffman``, ``rans`` (interleaved range ANS) or ``none``
             (bypass).  ``None`` keeps each pipeline's registered default.
-            In adaptive blocked mode with per-block codebooks the codec
-            is additionally chosen per block (exact coded size, from
-            the winner's histogram), recorded per section so mixed
-            blobs decode anywhere.
+            Every block is coded with this stage (a rANS block whose
+            alphabet cannot fit a 12-bit table degrades to Huffman,
+            recorded in its section tag); with per-block models Huffman
+            usually writes the fewer bytes after deflate.
         shared_codebook: in blocked entropy-coded mode, build one entropy
             model per file (a Huffman codebook or rANS frequency table,
             pooled across blocks) and store it once in the blob header

@@ -126,8 +126,8 @@ class TransferReport:
     #: Entropy stage(s) stamped into the produced blobs' metadata
     #: (comma-joined when a job mixes compressors), and the per-codec
     #: block counts aggregated across the job's blocked blobs — e.g.
-    #: ``{"huffman": 12, "rans": 52}`` when the per-block codec choice
-    #: split a file.  Empty/None for direct transfers and older blobs.
+    #: ``{"huffman": 1, "rans": 63}`` when one rANS block degraded to
+    #: Huffman.  Empty/None for direct transfers and older blobs.
     entropy_stage: str = ""
     block_codecs: Optional[Dict[str, int]] = None
 

@@ -246,11 +246,11 @@ class StreamingPipeline:
                 # block bytes for destination-side assembly travel via
                 # ``_PendingBlock``, so buffering the message here too would
                 # double peak memory for nothing.
-                message_size = stream_block_message_size(header, entry, payload)
+                message = CompressedBlob.block_message(header, entry, payload)
                 chunk = stream.send_chunk(
                     name=f"/compressed/{dataset_name}/{staged_file.field.filename}.sz"
                     f"#block{entry['id']}",
-                    size_bytes=int(message_size * self.config.size_scale),
+                    size_bytes=int(message.serialized_size() * self.config.size_scale),
                     available_at=ready,
                 )
                 chunks.append(chunk)
@@ -385,16 +385,3 @@ def spec_nbytes(entry: Dict[str, Any], dtype: np.dtype) -> int:
     for dim in entry["shape"]:
         count *= int(dim)
     return count * np.dtype(dtype).itemsize
-
-
-def stream_block_message_size(
-    blob_header: Dict[str, Any], entry: Dict[str, Any], payload: bytes
-) -> int:
-    """Wire size of one block's stream message, without materialising it."""
-    from ..compression.interface import SectionContainer
-
-    message = SectionContainer(
-        header={"stream_block": dict(entry), "blob_header": dict(blob_header)}
-    )
-    message.add_section("payload", payload)
-    return message.serialized_size()

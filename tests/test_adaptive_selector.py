@@ -9,7 +9,9 @@ their quantisation codes and encodes only the winner.  Two contracts:
   configuration), and it beats the pipeline's own predictor on every
   application where brute force does;
 * **cost** — the entropy coder and the lossless backend each run exactly
-  once per encoded block, in every adaptive mode.
+  once per encoded block, in every adaptive mode, and only the
+  configured codec's model is built: the predictor is the one thing
+  decided per block.
 
 Everything here is deterministic: seeded synthetic fields, byte counts,
 call counts; no wall clock.
@@ -24,9 +26,9 @@ import numpy as np
 import pytest
 
 from repro.compression import ErrorBound, create_blocked_compressor
-from repro.compression.encoders.huffman import HuffmanCodec
+from repro.compression.encoders.huffman import HuffmanCodebook, HuffmanCodec
 from repro.compression.encoders.lossless import DeflateBackend
-from repro.compression.encoders.rans import RansCodec
+from repro.compression.encoders.rans import RansCodec, RansFrequencyTable
 from repro.datasets import application_names, generate_application
 
 #: ``generate_application`` scale per application: a handful of 32-blocks
@@ -68,30 +70,43 @@ def test_every_application_is_sized():
     assert sorted(SCALES) == sorted(application_names())
 
 
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("app", sorted(SCALES))
+def test_every_adaptive_block_is_coded_with_the_configured_stage(app, stage):
+    """The predictor is the only per-block decision: with per-block
+    models too, every block carries the configured codec (the one
+    exception, a rANS block too wide for a 12-bit table degrading to
+    Huffman, is pinned in ``test_rans.py``)."""
+    rel, block = CASES[app][1]
+    blob = _compress(ADAPTIVE, _field(app), rel, block, shared_codebook=False,
+                     entropy_stage=stage, adaptive_predictor=True)
+    assert blob.metadata["block_codecs"] == {stage: blob.num_blocks}
+    assert {codec for codec, _ in _sections(blob).values()} == {stage}
+
+
 @pytest.mark.parametrize("app", sorted(SCALES))
 def test_ranking_lands_within_one_percent_of_brute_force_per_block_models(app):
     """Per-block models: a block's section is self-contained, so the
     test-side brute force is exact.  Every candidate predictor is
-    compressed alone under each codec; per block, the smallest section
-    under the codec the adaptive blob gave that block is what encoding
-    every candidate and keeping the smaller would have written.  (Which
-    codec a block gets is a separate, exact rule — coded size before the
-    lossless stage — pinned by the codec estimate tests.)"""
+    compressed alone under the configured codec; per block, the smallest
+    of their sections is what encoding every candidate and keeping the
+    smaller would have written."""
     data, totals = _field(app), Counter()
     for rel, block in CASES[app]:
-        alone = {
-            (name, codec): _sections(
-                _compress(name, data, rel, block, shared_codebook=False, entropy_stage=codec))
-            for name in CANDIDATES for codec in STAGES
-        }
         for stage in STAGES:
+            alone = [
+                _sections(
+                    _compress(name, data, rel, block, shared_codebook=False, entropy_stage=stage))
+                for name in CANDIDATES
+            ]
             adaptive = _compress(ADAPTIVE, data, rel, block, shared_codebook=False,
                                  entropy_stage=stage, adaptive_predictor=True)
             case = Counter()
-            for block_id, (codec, size) in _sections(adaptive).items():
-                rivals = [alone[name, codec][block_id][1] for name in CANDIDATES]
-                assert size in rivals  # the winner's bytes are a candidate's, exactly
-                case.update(adaptive=size, brute=min(rivals), own=rivals[0])
+            for block_id, section in _sections(adaptive).items():
+                rivals = [sections[block_id] for sections in alone]
+                assert section in rivals  # the winner's codec and bytes are a candidate's, exactly
+                sizes = [size for _, size in rivals]
+                case.update(adaptive=section[1], brute=min(sizes), own=sizes[0])
             assert case["adaptive"] <= 1.02 * case["brute"], (rel, block, stage, case)
             totals.update(case)
     assert totals["adaptive"] <= 1.01 * totals["brute"], totals
@@ -159,6 +174,25 @@ def test_bulk_adaptive_encodes_each_distinct_block_once(kernel_calls, stage, sha
     compressor.compress(_aliased_field(), ErrorBound.relative(1e-3), verify=False)
     assert compressor.last_dedup_stats["distinct_blocks"] == 6
     assert kernel_calls == {"entropy": 6, "lossless": 6}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_block_builds_only_the_configured_codecs_model(monkeypatch, stage):
+    """Per-block models: one model per encoded block, the configured
+    codec's — a rANS-coded block builds no Huffman book beside its table."""
+    built: Counter = Counter()
+    for label, owner, attr in (("huffman", HuffmanCodebook, "from_frequencies"),
+                               ("rans", RansFrequencyTable, "try_from_frequencies")):
+        def spy(*args, _real=getattr(owner, attr), _label=label, **kwargs):
+            built[_label] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+    compressor = create_blocked_compressor(
+        "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=False, entropy_stage=stage
+    )
+    compressor.compress(_aliased_field(), ErrorBound.relative(1e-3), verify=False)
+    assert built == {stage: compressor.last_dedup_stats["distinct_blocks"]}
 
 
 @pytest.mark.parametrize("stage", STAGES)

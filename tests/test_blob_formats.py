@@ -10,11 +10,13 @@ Covers the on-the-wire guarantees the streaming refactor leans on:
   proves no other block section was ever materialised;
 * per-block export/parse/assemble rebuilds a byte-identical decode at
   the destination from independently received sections;
-* duplicate section names are rejected instead of silently shadowed.
+* duplicate section names are rejected instead of silently shadowed, and
+  a malformed header (negative sizes included) ends in ``EncodingError``.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -117,6 +119,37 @@ class TestRandomAccess:
         with pytest.raises(EncodingError):
             blob.block_entry(0)
 
+    def test_block_lookup_traverses_the_index_once_per_blob(self):
+        """Random access to every block is O(n), not O(n^2): the id ->
+        entry map is built on the first lookup and kept until the
+        header's index is replaced."""
+        class CountingIndex(list):
+            traversals = 0
+
+            def __iter__(self):
+                CountingIndex.traversals += 1
+                return super().__iter__()
+
+        data = _field()
+        compressor = create_compressor("sz3-fast").configure_blocks(block_shape=8)
+        payload = compressor.compress(data, ErrorBound(value=BOUND, mode="abs")).blob.to_bytes()
+        blob = CompressedBlob.from_bytes(payload)
+        header = blob.container.header
+        header["block_index"] = CountingIndex(header["block_index"])
+        assert blob.num_blocks == 25
+        decoder = create_compressor("sz3-fast")
+        for block_id in range(blob.num_blocks):
+            decoder.decompress_block(blob, block_id)
+            blob.export_block(block_id)
+        assert CountingIndex.traversals == 1
+        with pytest.raises(EncodingError):
+            blob.block_entry(blob.num_blocks)
+        header["block_index"] = CountingIndex(header["block_index"][:3])
+        assert blob.block_entry(2)["id"] == 2
+        with pytest.raises(EncodingError):
+            blob.block_entry(3)
+        assert CountingIndex.traversals == 2  # a replaced index is mapped afresh
+
     def test_parse_preserves_bytes(self):
         data = _field()
         compressor = create_compressor("sz3-fast").configure_blocks(block_shape=16)
@@ -168,6 +201,14 @@ class TestStreamedBlockMessages:
             CompressedBlob.parse_block(SectionContainer({"x": 1}).to_bytes())
 
 
+def _crafted(header_bytes: bytes, body: bytes = b"AAAABBBB") -> bytes:
+    return b"OCLT" + struct.pack("<II", 2, len(header_bytes)) + header_bytes + body
+
+
+def _sections(*entries) -> bytes:
+    return json.dumps({"_sections": list(entries)}).encode()
+
+
 class TestDuplicateSections:
     def test_add_section_rejects_duplicates(self):
         container = SectionContainer()
@@ -178,11 +219,35 @@ class TestDuplicateSections:
         assert container.get_section("a") == b"two"
 
     def test_from_bytes_rejects_duplicate_names(self):
-        # Craft a container whose header lists the same section name twice.
-        import json
-
-        header = {"k": 1, "_sections": [{"name": "a", "size": 3}, {"name": "a", "size": 0}]}
-        header_bytes = json.dumps(header, sort_keys=True).encode()
-        crafted = b"OCLT" + struct.pack("<II", 2, len(header_bytes)) + header_bytes + b"one"
+        # A container whose header lists the same section name twice.
+        crafted = _crafted(_sections({"name": "a", "size": 3}, {"name": "a", "size": 0}), b"one")
         with pytest.raises(EncodingError):
             SectionContainer.from_bytes(crafted)
+
+
+class TestMalformedHeaders:
+    """Bytes from outside end in ``EncodingError``, whatever is wrong with them."""
+
+    @pytest.mark.parametrize(
+        "header_bytes",
+        [
+            # Sizes [8, -4, 4]: ``c`` would alias the bytes that belong to ``a``.
+            _sections({"name": "a", "size": 8}, {"name": "b", "size": -4},
+                      {"name": "c", "size": 4}),
+            b"{not json",
+            b"\xff\xfe{}",
+            b"[1, 2]",
+            _sections("a", 3),
+            _sections({"name": "a"}, {"size": 4}),
+        ],
+        ids=["negative-size", "not-json", "not-utf8", "header-not-an-object",
+             "sections-not-objects", "entry-missing-a-key"],
+    )
+    @pytest.mark.parametrize(
+        "parse",
+        [SectionContainer.from_bytes, CompressedBlob.from_bytes, CompressedBlob.parse_block],
+        ids=["container", "blob", "block-message"],
+    )
+    def test_every_parser_raises_encoding_error(self, parse, header_bytes):
+        with pytest.raises(EncodingError):
+            parse(_crafted(header_bytes))

@@ -193,11 +193,13 @@ class TestKeySeparation:
 
     #: ``(OcelotConfig overrides, whole-blob fingerprint, blob key, block key)``
     #: for the content digest ``"ab" * 16`` at an absolute bound of 1e-3.
-    #: A key that moves here turns every warm cache cold.  They moved once
-    #: on purpose when the learned block policy went (the ``block_policy``
-    #: field left the fingerprint and ``block_format`` went to 4): adaptive
-    #: blocks are now chosen by ranking, so a cache warmed by an older
-    #: build must miss rather than serve bytes this build would not write.
+    #: A key that moves here turns every warm cache cold.  They moved
+    #: twice on purpose: when the learned block policy went (the
+    #: ``block_policy`` field left the fingerprint, ``block_format`` 4) and
+    #: when the per-block codec rule went (block keys only,
+    #: ``block_format`` 5: older builds stored rANS payloads under a
+    #: Huffman fingerprint) — a cache warmed by an older build must miss
+    #: rather than serve bytes this build would not write.
     PINNED_KEYS = [
         (
             dict(compressor="sz3", block_size=32),
@@ -205,7 +207,7 @@ class TestKeySeparation:
              "codebook_mode": "shared", "compressor": "sz3", "entropy": "huffman",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
             "a16a4e87cc94889264be6c08500a6dfe",
-            "b5f27124a758e1ec976a878b116299b1",
+            "964ea24114b6c92c6c89daa023921da8",
         ),
         (
             dict(compressor="sz3-fast"),
@@ -213,7 +215,7 @@ class TestKeySeparation:
              "codebook_mode": "shared", "compressor": "sz3-fast", "entropy": "none",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
             "ff68065998919838a23765218de148fc",
-            "0fd9a1b03d6ee4db5146ab80c9d339c8",
+            "fb0c4b53f5ecd624a18dfd62dfa18b19",
         ),
         (
             dict(compressor="sz3", block_size=32, entropy_stage="rans",
@@ -222,7 +224,7 @@ class TestKeySeparation:
              "codebook_mode": "per-block", "compressor": "sz3", "entropy": "rans",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
             "67787b98a8903802ec9ef75d2e274a58",
-            "f8f75cc6bbcdf88d7edc90b4f785b2c6",
+            "0bb759a8257877b83e789b49f1531041",
         ),
     ]
 
@@ -239,7 +241,7 @@ class TestKeySeparation:
         assert compressor.cache_fingerprint(1e-3) == fingerprint
         assert blob_cache_key("ab" * 16, fingerprint) == blob_key
         block_fingerprint = compressor.cache_fingerprint(1e-3, tier="block")
-        assert block_fingerprint["block_format"] == 4
+        assert block_fingerprint["block_format"] == 5
         assert block_cache_key("ab" * 16, block_fingerprint) == block_key
 
     def test_differing_data_never_shares_entries(self, tmp_path):

@@ -265,10 +265,9 @@ class TestEntropyStageEquivalence:
     """The rANS stage must not perturb the blob-determinism contract.
 
     The inline loop and the thread pool produce byte-identical blobs
-    under every entropy stage; per-block codec selection is equally
-    deterministic; and any reader decodes any stage
-    because the codec rides in each block's section tags, not in reader
-    config.
+    under every entropy stage, adaptive predictor selection included;
+    and any reader decodes any stage — or a mix of them — because the
+    codec rides in each block's section tags, not in reader config.
     """
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
@@ -279,10 +278,9 @@ class TestEntropyStageEquivalence:
         ) == _compress_blob_bytes("inline", shared, entropy=entropy)
 
     @pytest.mark.parametrize("entropy", ["huffman", "rans"])
-    def test_heuristic_mixed_codec_byte_identical(self, entropy):
-        """Adaptive mode turns on the per-block codec heuristic, so a
-        single blob can mix huffman and rans sections; concurrent block
-        tasks must make the same choices the inline loop does."""
+    def test_adaptive_per_block_inline_thread_byte_identical(self, entropy):
+        """Concurrent block tasks must pick the same predictors (and
+        build the same per-block models) as the inline loop does."""
         assert _compress_blob_bytes(
             "thread", shared=False, adaptive=True, entropy=entropy
         ) == _compress_blob_bytes("inline", shared=False, adaptive=True, entropy=entropy)
@@ -300,6 +298,37 @@ class TestEntropyStageEquivalence:
         reader = create_blocked_compressor("sz3")
         recon = reader.decompress(CompressedBlob.from_bytes(blob.to_bytes()))
         assert float(np.max(np.abs(recon.astype(np.float64) - data))) <= 1e-3 * (1 + 1e-9)
+
+    def test_default_reader_decodes_a_mixed_codec_blob(self):
+        """No writer mixes codecs per block any more (older builds did,
+        and a wide-alphabet rANS block still degrades to Huffman), so the
+        mix is made here: sections taken alternately from a Huffman- and
+        a rANS-configured blob of one field, joined with ``assemble``."""
+        from repro.compression import CompressedBlob
+
+        rng = np.random.default_rng(9)
+        data = np.cumsum(rng.normal(size=(40, 40)), axis=0).astype(np.float32)
+        blobs = [
+            create_blocked_compressor(
+                "sz3", block_shape=16, shared_codebook=False, entropy_stage=stage
+            ).compress(data, ErrorBound(value=1e-3, mode="abs")).blob
+            for stage in ("huffman", "rans")
+        ]
+        messages = [
+            CompressedBlob.parse_block(blobs[block_id % 2].export_block(block_id))
+            for block_id in range(blobs[0].num_blocks)
+        ]
+        mixed = CompressedBlob.assemble(
+            messages[0][0], [(entry, payload) for _, entry, payload in messages]
+        )
+        assert [entry["entropy"] for entry in mixed.block_index] == ["huffman", "rans"] * 4 + [
+            "huffman"
+        ]
+        reader = create_blocked_compressor("sz3")
+        recon = reader.decompress(CompressedBlob.from_bytes(mixed.to_bytes()))
+        assert float(np.max(np.abs(recon.astype(np.float64) - data))) <= 1e-3 * (1 + 1e-9)
+        block = reader.decompress_block(mixed, 1)  # random access dispatches on the tag too
+        assert np.array_equal(block, recon[:16, 16:32])
 
 
 class TestEntropyStageRoundTrip:

@@ -123,18 +123,6 @@ class TestCodec:
         assert count == 0
         assert codec.decode(payload, book, 0).size == 0
 
-    def test_estimate_matches_payload_plus_codebook(self):
-        # The estimate includes the serialized codebook: the per-block
-        # codec choice compares coded sizes, and ignoring the codebook
-        # would bias it toward high-alphabet encodings.
-        rng = np.random.default_rng(3)
-        symbols = rng.integers(-10, 10, 2000)
-        frequencies = symbol_frequencies(symbols)
-        book = HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
-        payload, codebook, _ = HuffmanCodec().encode(symbols)
-        assert codebook == book.serialize()
-        assert abs(book.encoded_nbytes(frequencies) - (len(payload) + len(codebook))) <= 1
-
     def test_decode_with_truncated_payload_raises(self):
         codec = HuffmanCodec()
         symbols = np.arange(-20, 20)

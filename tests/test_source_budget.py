@@ -18,8 +18,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 OVER_600 = {"cli.py", "compression/interface.py"}
 MAX_CORE_FUNCTION_LINES = 90
 #: ``find src -name '*.py' | xargs cat | wc -l`` (17 749 before the
-#: learned block policy and the brute-force double encode went).
-MAX_SRC_LINES = 17_134
+#: learned block policy and the brute-force double encode went, 17 134
+#: before the per-block codec rule did).
+MAX_SRC_LINES = 17_062
 #: Ways of asking an object what it is.  Every registered compressor is
 #: a ``PredictionPipelineCompressor`` and ``compression/registry.py``
 #: checks that once, so nothing else probes for it; the last two went

@@ -186,6 +186,33 @@ class TestStreamedOrchestration:
         chunks = steps["stream"].detail["chunks"]
         assert type(chunks) is int and chunks == int(noted.group(1)) > dataset.file_count
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
+    def test_every_chunk_is_billed_the_bytes_export_block_writes(self, dataset, shared):
+        """The stream sizes each block's message without buffering it;
+        the size must be the length of the message the blob would export
+        (one constructor builds both), for every block of every file."""
+        from repro.compression import CompressedBlob
+
+        config = _streamed_config(
+            transfer_mode="streamed", compressor="sz3", block_size=8,
+            shared_codebook=shared, size_scale=1.0,
+        )
+        ocelot = Ocelot(config)
+        ocelot.transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+        landed = ocelot.testbed.endpoint("cori").filesystem
+        blobs, billed = {}, 0
+        for task in ocelot.testbed.service.tasks():
+            for chunk in task.chunks:
+                path, _, block_id = chunk.name.partition("#block")
+                if path not in blobs:
+                    blobs[path] = CompressedBlob.from_bytes(landed.read(path))
+                assert chunk.size_bytes == len(blobs[path].export_block(int(block_id)))
+                billed += 1
+        assert billed == sum(blob.num_blocks for blob in blobs.values()) > dataset.file_count
+        assert {blob.codebook_mode for blob in blobs.values()} == {
+            "shared" if shared else "per-block"
+        }
+
     def test_tight_window_throttles_but_still_completes(self, dataset):
         config = _streamed_config(transfer_mode="streamed", stream_window=1)
         report = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
