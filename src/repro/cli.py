@@ -57,7 +57,8 @@ def _positive_int(value: str) -> int:
 def _add_block_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--block-size", type=_positive_int, default=None,
                      help="partition each array into blocks of this edge length "
-                          "and compress them independently (blob format v2)")
+                          "and compress them independently (default: one block, "
+                          "the array)")
     sub.add_argument("--block-workers", type=_positive_int, default=1,
                      help="threads used to (de)compress blocks concurrently; "
                           "they only take blocks of >= 131072 elements (64^3 "
@@ -505,18 +506,18 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "alias_of": entry.get("alias_of"),
             }
         )
-    # Per-block codec split: prefer the counts the compressor stamped
-    # into the metadata; older blobs (or assembled streamed ones) fall
-    # back to counting the index entries' entropy tags.
-    block_codecs = blob.metadata.get("block_codecs")
-    if not block_codecs and entries:
-        block_codecs = {}
-        for entry in entries:
-            codec = entry["entropy"] or "none"
-            block_codecs[codec] = block_codecs.get(codec, 0) + 1
     entropy_stage = blob.metadata.get(
         "entropy_stage", blob.container.header.get("entropy_stage", "")
     )
+    # Per-block codec split: prefer the counts the compressor stamped
+    # into the metadata; otherwise count the index entries' entropy tags
+    # (an untagged block was coded with the blob's stage).
+    block_codecs = blob.metadata.get("block_codecs")
+    if not block_codecs:
+        block_codecs = {}
+        for entry in entries:
+            codec = entry["entropy"] or entropy_stage or "none"
+            block_codecs[codec] = block_codecs.get(codec, 0) + 1
     payload = {
         "path": args.blob,
         "format_version": blob.format_version,
@@ -527,9 +528,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         "serialized_bytes": len(data),
         "num_blocks": blob.num_blocks,
         "aliased_blocks": blob.aliased_block_count,
-        "is_blocked": blob.is_blocked,
         "entropy_stage": entropy_stage,
-        "block_codecs": block_codecs or {},
+        "block_codecs": block_codecs,
         "codebook": _codebook_summary(blob),
         "blocks": entries,
     }
@@ -553,20 +553,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(f"  cache key: {payload['cache_key']}")
     if stage_timings:
         print("  encode stages: " + _format_stage_timings(stage_timings))
-    if not blob.is_blocked:
-        if entropy_stage:
-            print(f"  entropy: {entropy_stage}")
-        print("  layout: whole-array (single payload section)")
-        return 0
     aliased = payload["aliased_blocks"]
     dedup = f", {aliased} deduped as aliases" if aliased else ""
-    print(f"  layout: blocked ({payload['num_blocks']} independent blocks{dedup})")
-    if entropy_stage or block_codecs:
-        split = ", ".join(
-            f"{codec}: {block_codecs[codec]}" for codec in sorted(block_codecs or {})
-        )
-        print(f"  entropy: {entropy_stage or 'unknown'}"
-              + (f" (blocks by codec: {split})" if split else ""))
+    print(f"  layout: {payload['num_blocks']} independent block(s){dedup}")
+    split = ", ".join(f"{codec}: {block_codecs[codec]}" for codec in sorted(block_codecs))
+    print(f"  entropy: {entropy_stage or 'unknown'} (blocks by codec: {split})")
     codebook = payload["codebook"]
     if codebook["mode"] == "shared":
         print(f"  codebook: shared (stored once in header, "

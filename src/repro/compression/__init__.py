@@ -31,8 +31,7 @@ from .registry import (
     create_compressor,
     register_compressor,
 )
-from .sz import SZ2Compressor, SZ3Compressor, SZ3LorenzoCompressor, PipelineConfig
-from .zfp import ZFPLikeCompressor
+from .sz import PipelineConfig
 
 __all__ = [
     "BlockPlan",
@@ -52,9 +51,5 @@ __all__ = [
     "create_blocked_compressor",
     "register_compressor",
     "compressor_type_id",
-    "SZ2Compressor",
-    "SZ3Compressor",
-    "SZ3LorenzoCompressor",
-    "ZFPLikeCompressor",
     "PipelineConfig",
 ]

@@ -10,7 +10,6 @@ from .huffman import (
     length_limited_code_lengths,
     symbol_frequencies,
 )
-from .rle import run_length_encode, run_length_decode, zero_run_length_encode, zero_run_length_decode
 from .lz77 import LZ77Codec
 from .lossless import LosslessBackend, DeflateBackend, RawBackend, get_lossless_backend
 
@@ -21,10 +20,6 @@ __all__ = [
     "huffman_code_lengths",
     "length_limited_code_lengths",
     "symbol_frequencies",
-    "run_length_encode",
-    "run_length_decode",
-    "zero_run_length_encode",
-    "zero_run_length_decode",
     "LZ77Codec",
     "LosslessBackend",
     "DeflateBackend",

@@ -5,6 +5,17 @@ header (compressor name, shape, dtype, error bound, per-section sizes)
 followed by named binary sections.  The blob is what Ocelot writes to the
 source endpoint's filesystem, groups into archives, transfers over the
 simulated WAN, and decompresses at the destination.
+
+Every blob is a *block plan*: the array cut into independently decodable
+blocks, one section each, listed by a ``block_index`` in the header.
+One rule covers the plan of one block: **a blob stores its block index
+only when it has more than one block.**  A one-block blob leaves unsaid
+what its header already says — its block is the array, coded by the
+header's ``predictor`` into the section named ``payload`` — and readers
+imply that entry (:attr:`CompressedBlob.block_index`).  That is the
+layout container version 1 wrote for every array, so those blobs parse
+as what they are; a one-block blob that does store its index (older
+version-2 writers did) parses like any other.
 """
 
 from __future__ import annotations
@@ -13,9 +24,11 @@ import abc
 import base64
 import json
 import struct
+import sys
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -30,14 +43,31 @@ __all__ = [
     "CompressionStats",
     "CompressionResult",
     "Compressor",
+    "require_error_bound",
 ]
 
 _MAGIC = b"OCLT"
-#: Current on-the-wire version.  v2 adds the optional per-block section
-#: layout (a ``block_index`` header entry plus one section per block);
-#: the byte layout itself is unchanged, so v1 blobs remain readable.
+#: Current on-the-wire version.  v2 adds the stored ``block_index``
+#: (one section per block); the byte layout itself is unchanged, so v1
+#: blobs remain readable.
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
+
+#: The blob-level header fields every blob carries (beside ``metadata``).
+_BLOB_FIELDS = ("compressor", "shape", "dtype", "error_bound_abs")
+#: Section a one-block blob keeps its block in.
+_SOLE_SECTION = "payload"
+#: Header and metadata fields that describe a block *grid*: a one-block
+#: blob is written without them.
+_GRID_HEADER_FIELDS = ("block_shape", "block_index")
+_GRID_METADATA_FIELDS = ("num_blocks", "adaptive_predictor", "block_codecs")
+
+
+@lru_cache(maxsize=64)
+def dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, remembered: NumPy spells the name out in Python on
+    every call (~3 us) and each encoded block asks for it five times."""
+    return str(dtype)
 
 
 class SectionContainer:
@@ -80,7 +110,7 @@ class SectionContainer:
         """Add a NumPy array section, recording dtype/shape in the header."""
         arr = np.ascontiguousarray(array)
         meta = self.header.setdefault("_arrays", {})
-        meta[name] = {"dtype": str(arr.dtype), "shape": list(arr.shape)}
+        meta[name] = {"dtype": dtype_name(arr.dtype), "shape": list(arr.shape)}
         self.add_section(name, arr.tobytes())
 
     def get_section(self, name: str) -> bytes:
@@ -259,23 +289,13 @@ class CompressedBlob:
     def from_bytes(cls, data: bytes) -> "CompressedBlob":
         """Parse a blob previously produced by :meth:`to_bytes`.
 
-        Only the header is decoded; section payloads (one per block for
-        v2 blobs) are sliced from ``data`` on demand, which is what
-        random-access single-block decodes rely on.
+        Only the header is decoded (and its blob-level fields checked);
+        section payloads (one per block) are sliced from ``data`` on
+        demand, which is what random-access single-block decodes rely on.
         """
         container = SectionContainer.from_bytes(data)
-        header = container.header
-        try:
-            return cls(
-                compressor=header["compressor"],
-                shape=tuple(header["shape"]),
-                dtype=header["dtype"],
-                error_bound_abs=float(header["error_bound_abs"]),
-                container=container,
-                metadata=header.get("metadata", {}),
-            )
-        except KeyError as exc:
-            raise EncodingError(f"compressed blob header missing key {exc}") from exc
+        fields = _blob_fields(container.header, "compressed blob header")
+        return cls(container=container, **fields)
 
     @property
     def nbytes(self) -> int:
@@ -289,32 +309,41 @@ class CompressedBlob:
         return self.container.serialized_size()
 
     # ------------------------------------------------------------------ #
-    # Blob format v2: per-block layout
+    # The block plan
     # ------------------------------------------------------------------ #
     @property
     def format_version(self) -> int:
         """On-the-wire version this blob was parsed from (or will be written as)."""
         return self.container.source_version
 
-    @property
-    def is_blocked(self) -> bool:
-        """True when the blob stores one section per block (format v2)."""
-        return bool(self.container.header.get("block_index"))
+    def _index(self) -> List[Dict[str, Any]]:
+        """The block index: the stored one, or the entry a one-block blob implies."""
+        stored = self.container.header.get("block_index")
+        if stored:
+            return stored
+        return [
+            {
+                "id": 0,
+                "origin": [0] * len(self.shape),
+                "shape": list(self.shape),
+                "predictor": self.container.header.get("predictor", ""),
+                "section": _SOLE_SECTION,
+            }
+        ]
 
     @property
     def block_index(self) -> List[Dict[str, Any]]:
-        """The per-block index (empty for whole-array / v1 blobs).
+        """The per-block index (a copy), one entry per block.
 
         Each entry carries the block ``id``, ``origin``, ``shape``, the
         ``predictor`` that encoded it and the name of its ``section``.
         """
-        return list(self.container.header.get("block_index", []))
+        return list(self._index())
 
     @property
     def num_blocks(self) -> int:
-        """Number of independently decodable blocks (1 for whole-array blobs)."""
-        index = self.container.header.get("block_index")
-        return len(index) if index else 1
+        """Number of independently decodable blocks."""
+        return len(self._index())
 
     @property
     def aliased_block_count(self) -> int:
@@ -326,17 +355,17 @@ class CompressedBlob:
         )
 
     def block_entry(self, block_id: int) -> Dict[str, Any]:
-        """The index entry of one block of a v2 blob.
+        """The index entry of one block.
 
-        The index is traversed once per blob, not once per call: random
-        access to every block of an n-block blob is O(n), and the map is
-        rebuilt when the header's ``block_index`` is replaced.
+        A stored index is traversed once per blob, not once per call:
+        random access to every block of an n-block blob is O(n), and the
+        map is rebuilt when the header's ``block_index`` is replaced.
         """
-        index = self.container.header.get("block_index", [])
+        stored = self.container.header.get("block_index")
         cached = self._entry_cache
-        if cached is None or cached[0] is not index:
+        if cached is None or cached[0] is not stored:
             try:
-                cached = self._entry_cache = (index, {int(e["id"]): e for e in index})
+                cached = self._entry_cache = (stored, {int(e["id"]): e for e in self._index()})
             except (KeyError, TypeError, ValueError) as exc:
                 raise EncodingError("malformed block index in blob header") from exc
         try:
@@ -351,8 +380,8 @@ class CompressedBlob:
         Blocked blobs written in shared-codebook mode serialise the
         entropy model (a Huffman codebook or rANS frequency table)
         **once**, base64-encoded in the blob header, instead of once per
-        ``block:<id>`` section.  Returns ``None`` for
-        per-block-codebook (PR 1–2 era) and whole-array blobs.  The
+        ``block:<id>`` section.  Returns ``None`` for blobs whose blocks
+        each carry their own model.  The
         header travels with :meth:`export_block` messages, so streamed
         blocks stay independently decodable at the destination.
         """
@@ -387,10 +416,7 @@ class CompressedBlob:
                 return "per-block"
         # Blobs from before per-entry codebook tracking: infer from the
         # pipeline's recorded entropy stage.
-        if self.is_blocked and self.container.header.get("entropy_stage") in (
-            "huffman",
-            "rans",
-        ):
+        if self.container.header.get("entropy_stage") in ("huffman", "rans"):
             return "per-block"
         return "none"
 
@@ -454,8 +480,9 @@ class CompressedBlob:
         message = SectionContainer.from_bytes(data)
         entry = message.header.get("stream_block")
         blob_header = message.header.get("blob_header")
-        if entry is None or blob_header is None:
+        if not isinstance(entry, dict) or not isinstance(blob_header, dict):
             raise EncodingError("not a streamed block message")
+        _blob_fields(blob_header, "stream blob header")
         return dict(blob_header), dict(entry), message.get_section("payload")
 
     @classmethod
@@ -464,62 +491,90 @@ class CompressedBlob:
         blob_header: Dict[str, Any],
         blocks: List[Tuple[Dict[str, Any], bytes]],
     ) -> "CompressedBlob":
-        """Rebuild a v2 blob from independently received block sections.
+        """Build a blob from independently encoded or received block sections.
 
         ``blocks`` holds ``(index_entry, payload)`` pairs in any order
         (streamed blocks can arrive out of order); the assembled blob
         orders them by block id and validates that the id range is dense
         with no duplicates, so a missing or doubled block fails loudly at
-        assembly instead of corrupting the decode.
+        assembly instead of corrupting the decode.  This is the one
+        writer of the module's rule: a single block goes into the
+        ``payload`` section under a header that names its predictor and
+        carries no index and none of the fields that describe a grid.
         """
-        try:
-            compressor = blob_header["compressor"]
-            shape = tuple(blob_header["shape"])
-            dtype = blob_header["dtype"]
-            error_bound_abs = float(blob_header["error_bound_abs"])
-        except KeyError as exc:
-            raise EncodingError(f"stream blob header missing key {exc}") from exc
         ordered = sorted(blocks, key=lambda item: int(item[0]["id"]))
         ids = [int(entry["id"]) for entry, _ in ordered]
         if ids != list(range(len(ids))):
             raise EncodingError(
                 f"cannot assemble blob: expected dense block ids, got {ids}"
             )
-        container = SectionContainer(
-            header={
-                k: v
-                for k, v in blob_header.items()
-                if k not in ("compressor", "shape", "dtype", "error_bound_abs", "metadata")
+        header = dict(blob_header)
+        try:
+            fields = {name: header.pop(name) for name in _BLOB_FIELDS}
+        except KeyError as exc:
+            raise EncodingError(f"stream blob header missing key {exc}") from exc
+        fields["metadata"] = header.pop("metadata", {})
+        container = SectionContainer(header)
+        if len(ordered) == 1:
+            ((entry, payload),) = ordered
+            for name in _GRID_HEADER_FIELDS:
+                container.header.pop(name, None)
+            container.header["predictor"] = entry["predictor"]
+            container.add_section(_SOLE_SECTION, payload)
+            fields["metadata"] = {
+                k: v for k, v in fields["metadata"].items() if k not in _GRID_METADATA_FIELDS
             }
-        )
-        block_index: List[Dict[str, Any]] = []
+            return cls(container=container, **fields)
         stored = set()
-        aliased: List[Dict[str, Any]] = []
         for entry, payload in ordered:
-            if entry.get("alias_of") is not None:
-                # Within-blob dedup: an alias entry reuses its
-                # representative's stored section and carries no payload
-                # of its own.
-                aliased.append(entry)
-            else:
+            # Within-blob dedup: an alias entry reuses its representative's
+            # stored section and carries no payload of its own.
+            if entry.get("alias_of") is None:
                 container.add_section(entry["section"], payload)
                 stored.add(entry["section"])
-            block_index.append(dict(entry))
-        for entry in aliased:
+        for entry, _ in ordered:
             if entry.get("section") not in stored:
                 raise EncodingError(
                     f"block {entry['id']} aliases block {entry['alias_of']}, "
                     f"but section {entry.get('section')!r} is not stored in the blob"
                 )
-        container.header["block_index"] = block_index
-        return cls(
-            compressor=compressor,
-            shape=shape,
-            dtype=dtype,
-            error_bound_abs=error_bound_abs,
-            container=container,
-            metadata=blob_header.get("metadata", {}),
-        )
+        container.header["block_index"] = [dict(entry) for entry, _ in ordered]
+        return cls(container=container, **fields)
+
+
+def _blob_fields(header: Mapping[str, Any], what: str) -> Dict[str, Any]:
+    """The blob-level fields of a parsed header, as :class:`CompressedBlob` keywords.
+
+    Headers arrive as bytes from outside the program, and the entry a
+    one-block blob implies is built from these fields, so each is
+    checked here: anything but a shape, a floating dtype name, a finite
+    positive bound and a metadata object ends in :class:`EncodingError`.
+    """
+    try:
+        fields = {name: header[name] for name in _BLOB_FIELDS}
+    except KeyError as exc:
+        raise EncodingError(f"{what} missing key {exc}") from exc
+    fields["metadata"] = metadata = header.get("metadata", {})
+    shape, dtype, bound = fields["shape"], fields["dtype"], fields["error_bound_abs"]
+    if not isinstance(shape, list) or not all(
+        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0 for dim in shape
+    ):
+        raise EncodingError(f"{what}: shape {shape!r} is not a list of non-negative integers")
+    try:
+        floating = isinstance(dtype, str) and np.dtype(dtype).kind == "f"
+    except TypeError:
+        floating = False
+    if not floating:
+        raise EncodingError(f"{what}: dtype {dtype!r} does not name a floating-point type")
+    if (
+        not isinstance(bound, (int, float))
+        or isinstance(bound, bool)
+        or not 0 < bound <= sys.float_info.max  # NaN fails both comparisons
+    ):
+        raise EncodingError(f"{what}: error bound {bound!r} is not a finite positive number")
+    if not isinstance(metadata, dict):
+        raise EncodingError(f"{what}: metadata {metadata!r} is not an object")
+    return fields
 
 
 @dataclass
@@ -560,6 +615,27 @@ class CompressionResult:
     def compression_ratio(self) -> float:
         """Convenience accessor for the compression ratio."""
         return self.stats.compression_ratio
+
+
+def require_error_bound(
+    original: np.ndarray,
+    reconstruction: np.ndarray,
+    error_bound_abs: float,
+    max_abs_error: float,
+) -> None:
+    """Raise :class:`ErrorBoundViolation` unless ``max_abs_error`` honours the bound.
+
+    What ``verify_error_bound`` means, wherever the reconstruction was
+    produced.  Float slack rides on top of the bound: casting the float64
+    reconstruction back to the original dtype (e.g. float32) rounds each
+    value by up to eps * |value|.
+    """
+    cast_slack = float(np.finfo(reconstruction.dtype).eps) * float(
+        np.max(np.abs(original)) if original.size else 0.0
+    )
+    tolerance = error_bound_abs * (1.0 + 1e-9) + cast_slack + 1e-300
+    if max_abs_error > tolerance:
+        raise ErrorBoundViolation(max_abs_error, error_bound_abs)
 
 
 class Compressor(abc.ABC):
@@ -621,15 +697,7 @@ class Compressor(abc.ABC):
             stats.decompression_time_s = time.perf_counter() - t0
             stats.psnr_db, stats.max_abs_error = reconstruction_error(arr, recon)
             if verify:
-                # Allow float slack on top of the bound: casting the float64
-                # reconstruction back to the original dtype (e.g. float32)
-                # rounds each value by up to eps * |value|.
-                cast_slack = float(np.finfo(recon.dtype).eps) * float(
-                    np.max(np.abs(arr)) if arr.size else 0.0
-                )
-                tolerance = eb_abs * (1.0 + 1e-9) + cast_slack + 1e-300
-                if stats.max_abs_error > tolerance:
-                    raise ErrorBoundViolation(stats.max_abs_error, eb_abs)
+                require_error_bound(arr, recon, eb_abs, stats.max_abs_error)
         return CompressionResult(blob=blob, stats=stats)
 
     def decompress(self, blob: CompressedBlob) -> np.ndarray:

@@ -9,6 +9,7 @@ from .base import Predictor, PredictorOutput
 from .lorenzo import LorenzoPredictor
 from .regression import RegressionPredictor
 from .interpolation import InterpolationPredictor
+from ..zfp.transform import BlockTransformPredictor
 
 __all__ = [
     "Predictor",
@@ -45,11 +46,7 @@ def create_predictor(name: str, meta: Optional[Dict[str, Any]] = None) -> Predic
         if "bin_radius" in meta:
             kwargs["bin_radius"] = int(meta["bin_radius"])
         return RegressionPredictor(**kwargs)
-    if name == "block-transform":
-        # Imported lazily: the zfp package imports the pipeline, which
-        # imports this package.
-        from ..zfp.transform import BlockTransformPredictor
-
+    if name == BlockTransformPredictor.name:
         kwargs = {}
         if "block_size" in meta:
             kwargs["block_size"] = int(meta["block_size"])

@@ -3,19 +3,21 @@
 Compressors are referenced by name throughout the system — in the
 quality predictor's config-based feature (``compressor type``), in Ocelot
 configuration, in CLI arguments and in compressed blob headers.  The
-registry maps those names to factory callables.
+registry maps each name to a row: what the one pipeline class predicts
+with, entropy-codes with, and is called in its blobs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from ..errors import ConfigurationError, UnknownCompressorError
+from ..errors import UnknownCompressorError
 from .blocking import BlockShapeLike
+from .predictors import InterpolationPredictor, LorenzoPredictor, Predictor, RegressionPredictor
 from .sz.pipeline import BlockMapper, PipelineConfig, PredictionPipelineCompressor
-from .sz.sz2 import SZ2Compressor
-from .sz.sz3 import SZ3Compressor, SZ3LorenzoCompressor
-from .zfp.zfp import ZFPLikeCompressor
+from .zfp.transform import BlockTransformPredictor
 
 __all__ = [
     "available_compressors",
@@ -25,41 +27,54 @@ __all__ = [
     "compressor_type_id",
 ]
 
-Factory = Callable[..., PredictionPipelineCompressor]
-_FACTORIES: Dict[str, Factory] = {}
+
+@dataclass(frozen=True)
+class _Pipeline:
+    """One registry row: every compressor is the one pipeline class, so a
+    name only picks the predictor, the entropy stage and the name its
+    blobs carry (``sz3-fast`` writes blobs any ``sz3`` reader decodes)."""
+
+    predictor: Callable[..., Predictor]
+    entropy_stage: str = "huffman"
+    blob_name: Optional[str] = None
 
 
-def register_compressor(name: str, factory: Factory) -> None:
-    """Register (or replace) a compressor factory under ``name``."""
-    _FACTORIES[name] = factory
+_PIPELINES: Dict[str, _Pipeline] = {}
+
+
+def register_compressor(
+    name: str,
+    predictor: Callable[..., Predictor],
+    entropy_stage: str = "huffman",
+    blob_name: Optional[str] = None,
+) -> None:
+    """Register (or replace) the pipeline built under ``name``."""
+    _PIPELINES[name] = _Pipeline(predictor, entropy_stage, blob_name)
 
 
 def available_compressors() -> List[str]:
     """Names of all registered compressors, sorted."""
-    return sorted(_FACTORIES)
+    return sorted(_PIPELINES)
 
 
-def create_compressor(name: str, **kwargs) -> PredictionPipelineCompressor:
+def create_compressor(name: str, **predictor_options) -> PredictionPipelineCompressor:
     """Instantiate a compressor by registry name.
 
-    Every registered compressor is a prediction pipeline, and this is
-    the one place that checks it: the orchestrator, the streaming
-    pipeline and the CLI use blocked mode, stage timings and cache
-    fingerprints without asking what they hold.
+    ``predictor_options`` go to the row's predictor (``block_size`` for
+    ``sz2`` / ``zfp-like``, ``order`` for ``sz3``).
     """
     try:
-        factory = _FACTORIES[name]
+        row = _PIPELINES[name]
     except KeyError as exc:
         valid = ", ".join(available_compressors())
         raise UnknownCompressorError(
             f"unknown compressor {name!r}; available: {valid}"
         ) from exc
-    compressor = factory(**kwargs)
-    if not isinstance(compressor, PredictionPipelineCompressor):
-        raise ConfigurationError(
-            f"the factory registered as {name!r} built a "
-            f"{type(compressor).__name__}, not a PredictionPipelineCompressor"
-        )
+    compressor = PredictionPipelineCompressor(
+        row.predictor(**predictor_options),
+        config=PipelineConfig(entropy_stage=row.entropy_stage),
+        name=row.blob_name or name,
+    )
     compressor.registered_as = name
     return compressor
 
@@ -74,20 +89,20 @@ def create_blocked_compressor(
     entropy_stage: Optional[str] = None,
     **kwargs,
 ) -> PredictionPipelineCompressor:
-    """Instantiate a compressor and wire up blocked-mode execution.
+    """Instantiate a compressor and wire up its block plan and execution.
 
-    The pipeline always gets the block executor (decoding a v2 blob fans
-    out per block even when this side does not *produce* blocked blobs);
-    ``block_shape`` switches it into producing blocked blobs too,
+    The pipeline always gets the block executor (decoding a multi-block
+    blob fans out per block whatever this side writes); ``block_shape``
+    is the grid it cuts arrays into (unset: one block, the array),
     ``adaptive_predictor`` ranks candidate predictors per block, and
     ``shared_codebook`` toggles the per-file entropy codebook (``None``
     keeps the pipeline's default of sharing).  ``entropy_stage``
     overrides the pipeline's configured entropy codec (``huffman`` /
     ``rans`` / ``none``), which every block is then coded with.
-    ``block_cache`` (a :class:`~repro.cache.BlobCache`) lets blocked
-    compression reuse identical self-contained block payloads across
-    files, jobs and tenants.  This is the single place the orchestrator
-    and CLI share for blocked-mode wiring.
+    ``block_cache`` (a :class:`~repro.cache.BlobCache`) lets compression
+    reuse identical self-contained block payloads across files, jobs and
+    tenants.  This is the single place the orchestrator and CLI share
+    for this wiring.
     """
     compressor = create_compressor(name, **kwargs)
     if entropy_stage is not None and entropy_stage != compressor.config.entropy_stage:
@@ -120,22 +135,12 @@ def compressor_type_id(name: str) -> int:
 # --------------------------------------------------------------------------- #
 # Built-in registrations
 # --------------------------------------------------------------------------- #
-register_compressor("sz3", lambda **kw: SZ3Compressor(**kw))
+register_compressor("sz3", InterpolationPredictor)
+register_compressor("sz3-linear", partial(InterpolationPredictor, order="linear"))
+register_compressor("sz2", RegressionPredictor)
+register_compressor("sz-lorenzo", LorenzoPredictor)
+register_compressor("zfp-like", BlockTransformPredictor)
+register_compressor("sz3-fast", InterpolationPredictor, entropy_stage="none", blob_name="sz3")
 register_compressor(
-    "sz3-linear", lambda **kw: SZ3Compressor(order="linear", **kw)
-)
-register_compressor("sz2", lambda **kw: SZ2Compressor(**kw))
-register_compressor("sz-lorenzo", lambda **kw: SZ3LorenzoCompressor(**kw))
-register_compressor("zfp-like", lambda **kw: ZFPLikeCompressor(**kw))
-register_compressor(
-    "sz3-fast",
-    lambda **kw: SZ3Compressor(
-        config=PipelineConfig(entropy_stage="none", lossless_backend="deflate"), **kw
-    ),
-)
-register_compressor(
-    "sz-lorenzo-fast",
-    lambda **kw: SZ3LorenzoCompressor(
-        config=PipelineConfig(entropy_stage="none", lossless_backend="deflate"), **kw
-    ),
+    "sz-lorenzo-fast", LorenzoPredictor, entropy_stage="none", blob_name="sz-lorenzo"
 )

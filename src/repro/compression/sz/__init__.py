@@ -3,13 +3,5 @@
 from __future__ import annotations
 
 from .pipeline import PredictionPipelineCompressor, PipelineConfig
-from .sz2 import SZ2Compressor
-from .sz3 import SZ3Compressor, SZ3LorenzoCompressor
 
-__all__ = [
-    "PredictionPipelineCompressor",
-    "PipelineConfig",
-    "SZ2Compressor",
-    "SZ3Compressor",
-    "SZ3LorenzoCompressor",
-]
+__all__ = ["PredictionPipelineCompressor", "PipelineConfig"]

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...errors import CompressionError
+from ...errors import CompressionError, EncodingError
 from ..blocking import BlockSpec
 from ..encoders.huffman import symbol_frequencies
 from ..interface import CompressedBlob, SectionContainer
@@ -136,11 +136,17 @@ class BlockStages:
         return dict(zip(names, fields))
 
     def _reconstruct_block(
-        self, blob: CompressedBlob, entry: Dict[str, Any], spec: BlockSpec, fields: tuple
+        self, blob: CompressedBlob, entry: Dict[str, Any], fields: tuple
     ) -> np.ndarray:
         """Predictor-decode one block from its section's decoded ``fields``."""
         codes, mask, literals, aux, meta = fields
         predictor = self._predictor_for(entry["predictor"], meta)
-        return predictor.decode_block(
-            codes, mask, literals, aux, meta, spec.shape, blob.error_bound_abs
-        )
+        shape = tuple(map(int, entry["shape"]))
+        try:
+            return predictor.decode_block(
+                codes, mask, literals, aux, meta, shape, blob.error_bound_abs
+            )
+        except ValueError as exc:  # NumPy could not lay the decoded stream out as the block
+            raise EncodingError(
+                f"block {entry['id']}: the decoded stream does not fit shape {shape}"
+            ) from exc

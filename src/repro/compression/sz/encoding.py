@@ -1,6 +1,6 @@
 """Wire form of one encoding: predictor output <-> section bytes.
 
-A block's (or a whole array's) :class:`PredictorOutput` becomes an inner
+A block's :class:`PredictorOutput` becomes an inner
 :class:`SectionContainer`: the quantisation codes — entropy-coded against
 the file-wide model, against the block's own model, or stored raw —
 followed by the escape indices, the literals and the predictor's aux
@@ -214,14 +214,10 @@ class EncodingWire:
             inner.add_section(coder.model_section, model.serialize())
         return stage, codebook
 
-    def deserialize(self, inner: SectionContainer, shared_codebook: Optional[bytes] = None):
-        """``(codes, mask, literals, aux, meta)`` of a serialised encoding."""
-        return self.deserialize_all([inner], shared_codebook)[0]
-
     def deserialize_all(
         self, inners: Sequence[SectionContainer], shared_codebook: Optional[bytes] = None
     ) -> List[tuple]:
-        """:meth:`deserialize` for every encoding of a file, entropy stage batched.
+        """``(codes, mask, literals, aux, meta)`` of every encoding of a file.
 
         All Huffman streams coded with one codebook — the file's shared
         one, usually — go to the codec as one batch, whose sync points

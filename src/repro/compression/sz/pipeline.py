@@ -11,9 +11,11 @@ This module is construction plus orchestration; the stages live beside
 it: :mod:`.block` (what is done to one block: predictor choice,
 finishing a chosen encoding, decoding a section), :mod:`.encoding` (the
 wire form of one encoding, one codec table) and :mod:`.dedup`
-(identical-block grouping, alias and index entries).  Every block is
-entropy-coded with the configured ``entropy_stage`` and records the
-codec that wrote it in its section header and index entry, so a blob
+(identical-block grouping, alias and index entries).  An array is
+always encoded as a :class:`BlockPlan` and decoded from a block index —
+without a ``block_shape`` the plan is the one block that is the array.
+Every block is entropy-coded with the configured ``entropy_stage`` and
+records the codec that wrote it in its section header, so a blob
 whose blocks carry different codecs (a rANS block degraded to Huffman,
 an older build's per-block choice) decodes on any reader.
 """
@@ -33,11 +35,11 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ...cache.keys import block_cache_key, pipeline_fingerprint
-from ...errors import CompressionError, ConfigurationError
+from ...errors import ConfigurationError, EncodingError
 from ..blocking import BlockPlan, BlockShapeLike, BlockSpec
 from ..encoders.huffman import HuffmanCodebook
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
-from ..interface import CompressedBlob, Compressor, SectionContainer
+from ..interface import CompressedBlob, Compressor, dtype_name
 from ..predictors.base import Predictor
 from .dedup import BlockResult, block_entry, entry_meta, expand_aliases, group_identical_blocks
 from .block import BlockStages
@@ -83,8 +85,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     name = "prediction-pipeline"
     #: The registry name this instance was created under, stamped by
     #: :func:`~repro.compression.registry.create_compressor` (``sz3-fast``
-    #: builds an ``SZ3Compressor`` named ``sz3``); whole-blob cache keys
-    #: have always carried it rather than :attr:`name`.
+    #: builds a pipeline named ``sz3``); blob-tier cache keys have always
+    #: carried it rather than :attr:`name`.
     registered_as: Optional[str] = None
 
     #: Block options: documented and assigned by :meth:`configure_blocks`.
@@ -116,10 +118,13 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         #: Stage totals of the most recent :meth:`compress_array` call
         #: (``None`` until one runs with collection enabled).
         self.last_stage_timings: Optional[Dict[str, float]] = None
-        #: Block-dedup outcome of the most recent blocked compress:
+        #: Block-dedup outcome of the most recent compress:
         #: ``{"total_blocks", "distinct_blocks", "aliased_blocks"}``.
         self.last_dedup_stats: Optional[Dict[str, int]] = None
         self._stage_totals = dict.fromkeys(_STAGE_KEYS, 0.0)
+        #: The most recent :meth:`block_plan`: the files of a dataset
+        #: mostly share one shape, and a plan depends on nothing else.
+        self._last_plan: Optional[BlockPlan] = None
         self._wire = EncodingWire(self._timed)
         self._lossless: LosslessBackend = get_lossless_backend(
             self.config.lossless_backend, **self.config.lossless_options
@@ -134,13 +139,13 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         shared_codebook: Optional[bool] = None,
         block_cache: Optional[Any] = None,
     ) -> "PredictionPipelineCompressor":
-        """Switch this pipeline into (or re-tune) blocked mode.
+        """Set (or re-tune) the block plan and how its blocks are run.
 
         Every argument left ``None`` keeps its current value; returns
         ``self`` so callers can chain off a registry factory.
 
-        * ``block_shape`` — the chunk grid encoded block by block (blob
-          format v2); unset, arrays are encoded whole (v1).
+        * ``block_shape`` — the chunk grid encoded block by block; unset,
+          an array is one block.
         * ``adaptive_predictor`` — pick the predictor per block by
           ranking the candidates' code histograms; see :mod:`.block`.
           The codec stays the configured ``entropy_stage`` on every block.
@@ -149,13 +154,15 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         * ``shared_codebook`` — build one entropy model per *file* from
           the frequencies across all blocks, store it once in the blob
           header and encode every block against it (a block whose
-          alphabet escapes it falls back to its own model).
+          alphabet escapes it falls back to its own model; a one-block
+          plan has nobody to share with and always uses its own).
         * ``block_cache`` — a :class:`~repro.cache.BlobCache` whose block
           tier dedups identical blocks across files/jobs/tenants (used
           only where block payloads are self-contained: no shared model).
         """
         if block_shape is not None:
             self.block_shape = block_shape
+            self._last_plan = None
         if adaptive_predictor is not None:
             self.adaptive_predictor = bool(adaptive_predictor)
         if block_executor is not None:
@@ -170,12 +177,76 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     # Compressor interface
     # ------------------------------------------------------------------ #
     def compress_array(self, data: np.ndarray, error_bound_abs: float) -> CompressedBlob:
+        """The one encode: plan, group, probe, choose, pool, finish, store, expand.
+
+        Every stage closure *returns* its result, so the inline loop and
+        the thread pool run the same code and the blob cannot depend on
+        which did.  The block store is read and written here, by the
+        caller, never inside a block task.
+        """
         arr = np.asarray(data)
         self._stage_totals = dict.fromkeys(_STAGE_KEYS, 0.0)
-        if self.block_shape is not None and arr.ndim > 0:
-            blob = self._compress_blocked(arr, error_bound_abs)
+        plan = self.block_plan(arr)
+        sharing = self._shared_codebook_active()
+        # Only self-contained payloads are stored: a block coded against
+        # one file's shared model is not decodable inside another blob.
+        store = self.block_cache if not sharing else None
+        if plan.num_blocks > 1 or store is not None:
+            reps, alias_of, digests, counts = group_identical_blocks(arr, plan)
+        else:  # one block and no store to key it: nothing to digest
+            reps, alias_of, digests, counts = plan.blocks, {}, {}, {}
+        self.last_dedup_stats = {
+            "total_blocks": plan.num_blocks,
+            "distinct_blocks": len(reps),
+            "aliased_blocks": len(alias_of),
+        }
+
+        keys: Dict[int, str] = {}
+        results: Dict[int, BlockResult] = {}
+        if store is not None:
+            fingerprint = self.cache_fingerprint(error_bound_abs, tier="block")
+            for spec in reps:
+                key = keys[spec.block_id] = block_cache_key(digests[spec.block_id], fingerprint)
+                found = store.get_block(key)
+                if found is not None:
+                    results[spec.block_id] = (block_entry(spec, **entry_meta(found[0])), found[1])
+        todo = [spec for spec in reps if spec.block_id not in results]
+
+        fan_out = partial(self._map_blocks, block_elements=math.prod(plan.block_shape))
+        shared_book = None
+        if sharing and plan.num_blocks > 1:  # a shared model needs two blocks to share it
+            # Choose a predictor for and quantise every distinct block,
+            # pool exact symbol frequencies — a duplicate contributes
+            # through its representative's multiplicity, which keeps the
+            # book byte-identical to a no-dedup encoding — then serialise
+            # each representative against the pooled book.
+            chosen = fan_out(
+                lambda spec: self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs),
+                todo,
+            )
+            shared_book = self._wire.pooled_shared_book(
+                self.config.entropy_stage,
+                [encoding for _, encoding in chosen],
+                [counts[spec.block_id] for spec in todo],
+            )
+            fresh = fan_out(
+                lambda i: self._finish_block(todo[i], *chosen[i], shared_book),
+                range(len(todo)),
+            )
         else:
-            blob = self._compress_whole(arr, error_bound_abs)
+            fresh = fan_out(
+                lambda spec: self.encode_one_block(arr, plan, spec, error_bound_abs), todo
+            )
+        for spec, result in zip(todo, fresh):
+            results[spec.block_id] = result
+            if store is not None and store.writable:
+                store.put_block(keys[spec.block_id], result[1], entry_meta(result[0]))
+
+        header = self.blocked_header(arr, plan, error_bound_abs, shared_book=shared_book)
+        blocks = expand_aliases(plan, results, alias_of)
+        codecs = Counter(entry.get("entropy", "none") for entry, _ in blocks)
+        header["metadata"]["block_codecs"] = dict(sorted(codecs.items()))
+        blob = CompressedBlob.assemble(header, blocks)
         if self.collect_stage_timings:
             self.last_stage_timings = {
                 stage: round(total, 6) for stage, total in self._stage_totals.items()
@@ -183,40 +254,45 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             blob.metadata["stage_timings"] = dict(self.last_stage_timings)
         return blob
 
-    def _compress_whole(self, arr: np.ndarray, error_bound_abs: float) -> CompressedBlob:
-        with self._timed("predict_quantize_s"):
-            encoding = self.predictor.encode(arr, error_bound_abs)
-        inner, _, _ = self._serialize(encoding)
-        outer = SectionContainer(
-            header={
-                "predictor": self.predictor.name,
-                "entropy_stage": self.config.entropy_stage,
-                "lossless_backend": self._lossless.name,
-            }
-        )
-        outer.add_section("payload", self._compress_lossless(inner))
-        return CompressedBlob(
-            compressor=self.name,
-            shape=arr.shape,
-            dtype=str(arr.dtype),
-            error_bound_abs=error_bound_abs,
-            container=outer,
-            metadata={
-                "predictor": self.predictor.name,
-                "entropy_stage": self.config.entropy_stage,
-            },
-        )
-
     def decompress_blob(self, blob: CompressedBlob) -> np.ndarray:
-        if blob.is_blocked:
-            return self._decompress_blocked(blob)
-        payload = blob.container.get_section("payload")
-        inner = SectionContainer.from_bytes(self._backend_for(blob).decompress(payload))
-        codes, mask, literals, aux, meta = self._wire.deserialize(inner)
-        recon = self.predictor.decode(
-            codes, mask, literals, aux, meta, blob.shape, blob.error_bound_abs
+        index = blob.block_index
+        # Stage one, here: every distinct section inflated, parsed and
+        # entropy-decoded as one batch.  Stage two, per block and fanned
+        # out: predictor decode.
+        fields = self._decode_sections(
+            blob, list(dict.fromkeys(entry["section"] for entry in index))
         )
-        return recon.astype(np.dtype(blob.dtype), copy=False)
+        if len(index) == 1 and tuple(index[0]["shape"]) == blob.shape:
+            # One block that is the array: its reconstruction is the result.
+            recon = self._reconstruct_block(blob, index[0], fields[index[0]["section"]])
+            return recon.astype(np.dtype(blob.dtype), copy=False)
+        specs = [BlockSpec.from_dict(entry) for entry in index]
+        if sum(spec.num_elements for spec in specs) != blob.num_elements:
+            raise EncodingError(f"block index does not cover an array of shape {blob.shape}")
+        out = np.empty(blob.shape, dtype=np.float64)
+        # Alias entries point at their representative's section; memoising
+        # per section decodes each distinct payload once however many
+        # blocks share it.  Dict get/set are atomic under the GIL and a
+        # racy duplicate decode is merely redundant work, so the threaded
+        # fan-out needs no lock.
+        decoded: Dict[str, np.ndarray] = {}
+
+        def decode_block(item: Tuple[Dict[str, Any], BlockSpec]) -> None:
+            entry, spec = item
+            recon = decoded.get(entry["section"])
+            if recon is None:
+                recon = self._reconstruct_block(blob, entry, fields[entry["section"]])
+                decoded[entry["section"]] = recon
+            # Each block writes a disjoint region of the output, so the
+            # per-block tasks can run concurrently without locking.
+            out[spec.slices()] = recon
+
+        self._map_blocks(
+            decode_block,
+            list(zip(index, specs)),
+            max(spec.num_elements for spec in specs),
+        )
+        return out.astype(np.dtype(blob.dtype), copy=False)
 
     def describe(self) -> Dict[str, Any]:
         description = {
@@ -288,7 +364,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         self._stage_totals[stage] += time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
-    # Blocked mode (blob format v2): encode
+    # Block plan: encode
     # ------------------------------------------------------------------ #
     def encode_one_block(
         self,
@@ -300,8 +376,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     ) -> BlockResult:
         """Encode a single block; returns its ``(index_entry, payload)``.
 
-        This is the unit of work both the bulk blocked path (per-block
-        models) and the streaming pipeline fan out: extract, choose the
+        This is the unit of work both the bulk path (per-block models)
+        and the streaming pipeline fan out: extract, choose the
         predictor, finish (one entropy encode with the configured stage,
         one lossless compress).  With ``shared_book`` the
         block's symbols are entropy-coded against the file-wide model; a
@@ -313,10 +389,18 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         return self._finish_block(spec, *choice, shared_book)
 
     def block_plan(self, arr: np.ndarray) -> BlockPlan:
-        """The block partition this pipeline applies to ``arr``."""
-        if self.block_shape is None:
-            raise CompressionError("pipeline is not in blocked mode")
-        return BlockPlan.partition(np.asarray(arr).shape, self.block_shape)
+        """The block partition this pipeline applies to ``arr``.
+
+        Without a ``block_shape`` — or with one that covers ``arr`` — the
+        plan is one block, the array.
+        """
+        shape = np.asarray(arr).shape
+        plan = self._last_plan
+        if plan is None or plan.array_shape != shape:
+            plan = self._last_plan = BlockPlan.partition(
+                shape, shape if self.block_shape is None else self.block_shape
+            )
+        return plan
 
     def blocked_header(
         self,
@@ -325,19 +409,21 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         error_bound_abs: float,
         shared_book: Optional[SharedBook] = None,
     ) -> Dict[str, Any]:
-        """Blob-level header for a v2 blob of ``arr`` (sans block index).
+        """Blob-level header for a blob of ``arr`` (sans block index).
 
-        The streaming pipeline ships this once so the destination can
-        assemble the received block sections into a valid blob.  The
+        :meth:`CompressedBlob.assemble` turns it and the encoded blocks
+        into the blob; the streaming pipeline ships it so the destination
+        can do the same with the sections it receives.  The
         shared entropy model — a Huffman codebook or rANS frequency
         table, when one is in use — rides in this header (base64), so it
         is serialised once per file instead of once per block and
         automatically reaches streamed-block consumers.
         """
+        arr = np.asarray(arr)
         header = {
             "compressor": self.name,
-            "shape": list(np.asarray(arr).shape),
-            "dtype": str(np.asarray(arr).dtype),
+            "shape": list(arr.shape),
+            "dtype": dtype_name(arr.dtype),
             "error_bound_abs": float(error_bound_abs),
             "predictor": self.predictor.name,
             "entropy_stage": self.config.entropy_stage,
@@ -378,7 +464,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         sampled model fall back to per-block codebooks/tables at encode
         time.
         """
-        if not self._shared_codebook_active():
+        if not self._shared_codebook_active() or plan.num_blocks < 2:
             return None
         specs = list(plan.blocks)
         if len(specs) > max_sample_blocks:
@@ -429,75 +515,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             extra=extra,
         )
 
-    def _compress_blocked(self, arr: np.ndarray, error_bound_abs: float) -> CompressedBlob:
-        """The one blocked encode: group, probe, choose, pool, finish, store, expand.
-
-        Every stage closure *returns* its result, so the inline loop and
-        the thread pool run the same code and the blob cannot depend on
-        which did.  The block store is read and written here, by the
-        caller, never inside a block task.
-        """
-        plan = BlockPlan.partition(arr.shape, self.block_shape)
-        reps, alias_of, digests, counts = group_identical_blocks(arr, plan)
-        self.last_dedup_stats = {
-            "total_blocks": plan.num_blocks,
-            "distinct_blocks": len(reps),
-            "aliased_blocks": len(alias_of),
-        }
-        shared = self._shared_codebook_active()
-        # Only self-contained payloads are stored: a block coded against
-        # one file's shared model is not decodable inside another blob.
-        store = self.block_cache if not shared else None
-
-        keys: Dict[int, str] = {}
-        results: Dict[int, BlockResult] = {}
-        if store is not None:
-            fingerprint = self.cache_fingerprint(error_bound_abs, tier="block")
-            for spec in reps:
-                key = keys[spec.block_id] = block_cache_key(digests[spec.block_id], fingerprint)
-                found = store.get_block(key)
-                if found is not None:
-                    results[spec.block_id] = (block_entry(spec, **entry_meta(found[0])), found[1])
-        todo = [spec for spec in reps if spec.block_id not in results]
-
-        fan_out = partial(self._map_blocks, block_elements=math.prod(plan.block_shape))
-        shared_book = None
-        if shared:
-            # Choose a predictor for and quantise every distinct block,
-            # pool exact symbol frequencies — a duplicate contributes
-            # through its representative's multiplicity, which keeps the
-            # book byte-identical to a no-dedup encoding — then serialise
-            # each representative against the pooled book.
-            chosen = fan_out(
-                lambda spec: self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs),
-                todo,
-            )
-            shared_book = self._wire.pooled_shared_book(
-                self.config.entropy_stage,
-                [encoding for _, encoding in chosen],
-                [counts[spec.block_id] for spec in todo],
-            )
-            fresh = fan_out(
-                lambda i: self._finish_block(todo[i], *chosen[i], shared_book),
-                range(len(todo)),
-            )
-        else:
-            fresh = fan_out(
-                lambda spec: self.encode_one_block(arr, plan, spec, error_bound_abs), todo
-            )
-        for spec, result in zip(todo, fresh):
-            results[spec.block_id] = result
-            if store is not None and store.writable:
-                store.put_block(keys[spec.block_id], result[1], entry_meta(result[0]))
-
-        header = self.blocked_header(arr, plan, error_bound_abs, shared_book=shared_book)
-        blocks = expand_aliases(plan, results, alias_of)
-        codecs = Counter(entry.get("entropy", "none") for entry, _ in blocks)
-        header["metadata"]["block_codecs"] = dict(sorted(codecs.items()))
-        return CompressedBlob.assemble(header, blocks)
-
     # ------------------------------------------------------------------ #
-    # Blocked mode: decode
+    # Block plan: decode
     # ------------------------------------------------------------------ #
     def _backend_for(self, blob: CompressedBlob) -> LosslessBackend:
         backend_name = blob.container.header.get("lossless_backend", self._lossless.name)
@@ -506,51 +525,13 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         return get_lossless_backend(backend_name)
 
     def decompress_block(self, blob: CompressedBlob, block_id: int) -> np.ndarray:
-        """Random-access decode of a single block of a v2 blob.
+        """Random-access decode of a single block.
 
-        Only the requested ``block:<id>`` section is read — on a parsed
-        blob the other block payloads are never materialised, so the
-        cost is proportional to one block regardless of blob size.
+        Only the requested block's section is read — on a parsed blob
+        the other block payloads are never materialised, so the cost is
+        proportional to one block regardless of blob size.
         """
-        if not blob.is_blocked:
-            raise CompressionError("random-access decode requires a blocked (v2) blob")
         entry = blob.block_entry(block_id)
         fields = self._decode_sections(blob, [entry["section"]])[entry["section"]]
-        recon = self._reconstruct_block(blob, entry, BlockSpec.from_dict(entry), fields)
+        recon = self._reconstruct_block(blob, entry, fields)
         return recon.astype(np.dtype(blob.dtype), copy=False)
-
-    def _decompress_blocked(self, blob: CompressedBlob) -> np.ndarray:
-        index = blob.block_index
-        if not index:
-            raise CompressionError("blocked blob is missing its block index")
-        out = np.empty(blob.shape, dtype=np.float64)
-        # Stage one, here: every distinct section inflated, parsed and
-        # entropy-decoded as one batch.  Stage two, per block and fanned
-        # out: predictor decode.
-        fields = self._decode_sections(
-            blob, list(dict.fromkeys(entry["section"] for entry in index))
-        )
-        # Alias entries point at their representative's section; memoising
-        # per section decodes each distinct payload once however many
-        # blocks share it.  Dict get/set are atomic under the GIL and a
-        # racy duplicate decode is merely redundant work, so the threaded
-        # fan-out needs no lock.
-        decoded: Dict[str, np.ndarray] = {}
-
-        def decode_block(item: Tuple[Dict[str, Any], BlockSpec]) -> None:
-            entry, spec = item
-            recon = decoded.get(entry["section"])
-            if recon is None:
-                recon = self._reconstruct_block(blob, entry, spec, fields[entry["section"]])
-                decoded[entry["section"]] = recon
-            # Each block writes a disjoint region of the output, so the
-            # per-block tasks can run concurrently without locking.
-            out[spec.slices()] = recon
-
-        specs = [BlockSpec.from_dict(entry) for entry in index]
-        self._map_blocks(
-            decode_block,
-            list(zip(index, specs)),
-            max(spec.num_elements for spec in specs),
-        )
-        return out.astype(np.dtype(blob.dtype), copy=False)

@@ -3,6 +3,5 @@
 from __future__ import annotations
 
 from .transform import BlockTransformPredictor
-from .zfp import ZFPLikeCompressor
 
-__all__ = ["BlockTransformPredictor", "ZFPLikeCompressor"]
+__all__ = ["BlockTransformPredictor"]

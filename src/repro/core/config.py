@@ -66,8 +66,7 @@ class OcelotConfig:
         sample_fraction: subsampling used by feature extraction.
         block_size: when set, each file is partitioned into blocks of this
             edge length (per axis) and the blocks are compressed
-            independently (blob format v2); ``None`` keeps the whole-array
-            pipeline.
+            independently; ``None`` makes each file one block.
         block_workers: local workers used to (de)compress the blocks of
             one file concurrently.  Thread workers only receive blocks of
             at least 131 072 elements (``_POOL_GRAIN_ELEMENTS`` in
@@ -174,7 +173,7 @@ class OcelotConfig:
         if not 0 < self.sample_fraction <= 1:
             raise ConfigurationError("sample_fraction must be in (0, 1]")
         if self.block_size is not None and self.block_size < 1:
-            raise ConfigurationError("block_size must be >= 1 (or None for whole-array)")
+            raise ConfigurationError("block_size must be >= 1 (or None for one block per file)")
         if self.block_workers < 1:
             raise ConfigurationError("block_workers must be >= 1")
         if self.worker_backend != "thread":

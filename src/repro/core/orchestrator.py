@@ -12,7 +12,6 @@ counts, queue waits, WAN bandwidth) comes from the simulation substrates.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
@@ -243,12 +242,12 @@ class OcelotOrchestrator:
 
     # ------------------------------------------------------------------ #
     def _build_compressor(self, name: str) -> PredictionPipelineCompressor:
-        """This run's compressor for ``name``, in blocked mode; built once.
+        """This run's compressor for ``name``; built once.
 
-        When ``block_size`` is configured, prediction pipelines partition
-        each file into independent blocks (blob format v2) and their
-        per-block tasks are dispatched through the executor's block thread
-        pool, so measured per-file times reflect genuine concurrency.
+        When ``block_size`` is configured, the pipeline partitions each
+        file into independent blocks (otherwise a file is one block) and
+        their per-block tasks are dispatched through the executor's block
+        thread pool, so measured per-file times reflect genuine concurrency.
         Every phase of the run that asks for ``name`` (cache probe,
         compress, each streamed file, decompress) shares the one instance.
         """
@@ -312,13 +311,11 @@ class OcelotOrchestrator:
         compressor = self._build_compressor(plan.compressor)
         for staged_file in staged:
             probe = probes.get(staged_file.path)
-            start = time.perf_counter()
             result = compressor.compress(
                 staged_file.field.data,
                 plan.error_bound,
                 verify=self.config.verify_error_bound,
             )
-            elapsed = time.perf_counter() - start
             if probe is not None:
                 result.blob.metadata["content_digest"] = probe.digest
                 result.blob.metadata["cache_key"] = probe.key
@@ -342,7 +339,7 @@ class OcelotOrchestrator:
             outcome.blobs.append((staged_file.field.filename, payload))
             outcome.per_file_times_s.append(
                 self.config.simulated_compute_s(
-                    elapsed,
+                    result.stats.compression_time_s,  # the encode alone, not the verify pass
                     staged_file.size_bytes,
                     self.config.assumed_compression_throughput_mbps,
                 )

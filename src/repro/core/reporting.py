@@ -31,14 +31,15 @@ class QualityTally:
         self._psnr_db: List[float] = []
         self._max_abs_error: List[float] = []
 
-    def add(self, original: np.ndarray, recon: np.ndarray) -> None:
-        """Measure one reconstruction against its original."""
+    def add(self, original: np.ndarray, recon: np.ndarray) -> float:
+        """Measure one reconstruction against its original; its max abs error."""
         # Reports have always taken the PSNR peak from the float64 range.
         psnr_db, max_abs_error = reconstruction_error(
             np.asarray(original, dtype=np.float64), recon
         )
         self._psnr_db.append(psnr_db)
         self._max_abs_error.append(max_abs_error)
+        return max_abs_error
 
     def summary(self) -> Dict[str, float]:
         """Mean finite PSNR and worst absolute error (absent when empty)."""

@@ -13,7 +13,7 @@ of the overlapped phases plus pipeline fill/drain, which is the paper's
 end-to-end win.
 
 Real work still happens: blocks are genuinely encoded and decoded, the
-destination assembles a valid v2 blob from the received sections, and
+destination assembles a valid blob from the received sections, and
 reconstruction quality is measured against the originals.
 
 A streamed run reads the whole-blob cache tier but never writes it: the
@@ -35,6 +35,7 @@ import numpy as np
 
 from ..compression import CompressedBlob
 from ..compression.blocking import BlockSpec
+from ..compression.interface import require_error_bound
 from ..compression.sz.pipeline import PredictionPipelineCompressor
 from ..transfer.service import TransferStream
 from .config import OcelotConfig
@@ -293,7 +294,11 @@ class StreamingPipeline:
             src_fs.write(path, data=payload, size_bytes=scaled_len)
             dst_fs.write(path, data=payload, size_bytes=scaled_len)
             outcome.compressed_bytes += scaled_len
-            tally.add(staged_file.field.data, recon)
+            max_abs_error = tally.add(staged_file.field.data, recon)
+            if self.config.verify_error_bound:
+                require_error_bound(
+                    np.asarray(staged_file.field.data), recon, blob.error_bound_abs, max_abs_error
+                )
             dst_fs.write(
                 f"/decompressed/{dataset_name}/{staged_file.field.filename}",
                 size_bytes=int(recon.nbytes * self.config.size_scale),
@@ -308,43 +313,23 @@ class StreamingPipeline:
     ):
         """Yield ``(entry, payload, encode_s, blob_header)`` per block.
 
-        A blocked pipeline emits one tuple per block as each finishes
-        encoding; without a block size (``transfer_mode="streamed"`` with
-        ``block_size=None``) the file is a single whole-file chunk, so
+        One tuple per block of the compressor's plan as each finishes
+        encoding; without a block size the plan is one block per file, so
         streaming still overlaps across files.
         """
-        if compressor.block_shape is not None:
-            block_plan = compressor.block_plan(arr)
-            # The blob header ships before the first block, so the shared
-            # codebook is seeded from a sample of blocks rather than the
-            # exact all-block frequencies the bulk path pools; blocks
-            # whose alphabet escapes it fall back to per-block codebooks.
-            shared_book = compressor.prepare_shared_codebook(arr, block_plan, eb_abs)
-            header = compressor.blocked_header(
-                arr, block_plan, eb_abs, shared_book=shared_book
-            )
-            for spec in block_plan:
-                start = time.perf_counter()
-                entry, payload = compressor.encode_one_block(
-                    arr, block_plan, spec, eb_abs, shared_book=shared_book
-                )
-                elapsed = time.perf_counter() - start
-                yield entry, payload, elapsed, header
-        else:
+        block_plan = compressor.block_plan(arr)
+        # The blob header ships before the first block, so the shared
+        # codebook is seeded from a sample of blocks rather than the
+        # exact all-block frequencies the bulk path pools; blocks
+        # whose alphabet escapes it fall back to per-block codebooks.
+        shared_book = compressor.prepare_shared_codebook(arr, block_plan, eb_abs)
+        header = compressor.blocked_header(arr, block_plan, eb_abs, shared_book=shared_book)
+        for spec in block_plan:
             start = time.perf_counter()
-            blob = compressor.compress_array(arr, eb_abs)
+            entry, payload = compressor.encode_one_block(
+                arr, block_plan, spec, eb_abs, shared_book=shared_book
+            )
             elapsed = time.perf_counter() - start
-            payload = blob.to_bytes()
-            # A whole-file chunk: the "entry" spans the full array so the
-            # consumer can rebuild it with the same assembly code path.
-            entry = {
-                "id": 0,
-                "origin": [0] * arr.ndim,
-                "shape": list(arr.shape),
-                "predictor": blob.metadata.get("predictor", ""),
-                "section": "whole",
-            }
-            header = {"whole_blob": True, "compressor": blob.compressor}
             yield entry, payload, elapsed, header
 
     def _consume_file(
@@ -355,14 +340,6 @@ class StreamingPipeline:
         Returns the assembled blob, the full reconstruction, and the
         measured (scaled) per-block decode times.
         """
-        if header.get("whole_blob"):
-            whole = per_file[0]
-            start = time.perf_counter()
-            blob = CompressedBlob.from_bytes(whole.payload)
-            decompressor = self._build_compressor(blob.compressor)
-            recon = decompressor.decompress(blob)
-            elapsed = time.perf_counter() - start
-            return blob, recon, [self._scaled_decode_time(elapsed, whole.nominal_bytes, writers)]
         blob = CompressedBlob.assemble(
             header, [(p.entry, p.payload) for p in per_file]
         )

@@ -2,31 +2,41 @@
 
 Covers the on-the-wire guarantees the streaming refactor leans on:
 
-* every registry pipeline round-trips both whole-array (v1-style) and
-  blocked (v2) blobs, including blobs whose version field is rewritten
+* every registry pipeline round-trips both one-block (the v1 layout) and
+  multi-block blobs, including blobs whose version field is rewritten
   to 1 (legacy readers);
+* a blob stores its block index only when it has more than one block: a
+  block shape that covers the array writes the bytes no block shape
+  writes, and blobs older builds wrote (``blob_fixtures.json``) decode
+  to their recorded digests whichever way they said it;
 * a single block decodes via random access to exactly the same values as
   the corresponding region of a full decode — and a lazily parsed blob
   proves no other block section was ever materialised;
 * per-block export/parse/assemble rebuilds a byte-identical decode at
   the destination from independently received sections;
 * duplicate section names are rejected instead of silently shadowed, and
-  a malformed header (negative sizes included) ends in ``EncodingError``.
+  a malformed header (negative sizes and mistyped blob fields included)
+  ends in ``EncodingError``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.compression import (
     BlockPlan,
+    BlockSpec,
     CompressedBlob,
     ErrorBound,
     SectionContainer,
+    available_compressors,
+    create_blocked_compressor,
     create_compressor,
 )
 from repro.errors import CompressionError, EncodingError
@@ -58,7 +68,7 @@ class TestCrossVersionRoundTrips:
         for version in (1, 2):
             blob = CompressedBlob.from_bytes(_as_version(payload, version))
             assert blob.format_version == version
-            assert not blob.is_blocked
+            assert blob.num_blocks == 1
             recon = create_compressor(name).decompress(blob)
             assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= BOUND * 1.01
 
@@ -68,9 +78,8 @@ class TestCrossVersionRoundTrips:
         compressor = create_compressor(name).configure_blocks(block_shape=16)
         result = compressor.compress(data, ErrorBound(value=BOUND, mode="abs"))
         blob = CompressedBlob.from_bytes(result.blob.to_bytes())
-        assert blob.is_blocked
         assert blob.format_version == 2
-        assert blob.num_blocks == BlockPlan.partition(data.shape, 16).num_blocks
+        assert blob.num_blocks == BlockPlan.partition(data.shape, 16).num_blocks > 1
         recon = create_compressor(name).decompress(blob)
         assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= BOUND * 1.01
 
@@ -109,15 +118,17 @@ class TestRandomAccess:
         # Decoding the last block materialised exactly one section.
         assert blob.container.loaded_section_names() == [f"block:{target}"]
 
-    def test_random_access_requires_blocked_blob(self):
+    def test_block_zero_of_a_one_block_blob_is_the_array(self):
         data = _field((12, 12))
-        blob = create_compressor("sz3-fast").compress(
-            data, ErrorBound(value=BOUND, mode="abs")
-        ).blob
-        with pytest.raises(CompressionError):
-            create_compressor("sz3-fast").decompress_block(blob, 0)
-        with pytest.raises(EncodingError):
-            blob.block_entry(0)
+        compressor = create_compressor("sz3-fast")
+        blob = compressor.compress(data, ErrorBound(value=BOUND, mode="abs")).blob
+        for parsed in (blob, CompressedBlob.from_bytes(blob.to_bytes())):
+            assert parsed.block_entry(0) == parsed.block_index[0]
+            np.testing.assert_array_equal(
+                compressor.decompress_block(parsed, 0), compressor.decompress(parsed)
+            )
+            with pytest.raises(EncodingError):
+                parsed.block_entry(1)
 
     def test_block_lookup_traverses_the_index_once_per_blob(self):
         """Random access to every block is O(n), not O(n^2): the id ->
@@ -157,6 +168,85 @@ class TestRandomAccess:
         parsed = CompressedBlob.from_bytes(payload)
         assert parsed.container.loaded_section_names() == []
         assert parsed.to_bytes() == payload
+
+
+class TestOneBlockPlan:
+    """Whole-array is the one-block plan, and it writes the v1 layout."""
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (7, 9), (4, 5, 6)], ids=str)
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
+    @pytest.mark.parametrize("entropy", ["huffman", "rans", "none"])
+    @pytest.mark.parametrize("name", available_compressors())
+    def test_a_covering_block_shape_writes_the_unblocked_bytes(self, name, entropy, shared, shape):
+        data = np.random.default_rng(5).standard_normal(shape).astype(np.float32).cumsum(axis=-1)
+        payloads = [
+            create_blocked_compressor(
+                name, block_shape=block_shape, entropy_stage=entropy, shared_codebook=shared
+            ).compress(data, ErrorBound(value=BOUND, mode="abs")).blob.to_bytes()
+            for block_shape in (None, 16, shape)
+        ]
+        assert payloads[0] == payloads[1] == payloads[2]
+        blob = CompressedBlob.from_bytes(payloads[0])
+        assert blob.container.section_names() == ["payload"]
+        assert not {"block_index", "block_shape", "shared_codebook"} & set(blob.container.header)
+        assert not {"num_blocks", "adaptive_predictor", "block_codecs"} & set(blob.metadata)
+        recon = create_compressor(name).decompress(blob)
+        assert recon.shape == shape
+        assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= BOUND * 1.01
+
+    def test_an_adaptive_one_block_blob_names_the_predictor_it_chose(self):
+        data = _field((12, 12))
+        compressor = create_blocked_compressor("sz2", block_shape=16, adaptive_predictor=True)
+        blob = CompressedBlob.from_bytes(
+            compressor.compress(data, ErrorBound(value=BOUND, mode="abs")).blob.to_bytes()
+        )
+        assert blob.num_blocks == 1 and "block_index" not in blob.container.header
+        chosen = blob.block_index[0]["predictor"]
+        assert chosen == blob.container.header["predictor"] != "regression"
+        recon = create_compressor("sz2").decompress(blob)
+        assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= BOUND * 1.01
+
+    def test_zero_dimensional_array_is_a_typed_error(self):
+        for kwargs in ({}, {"block_shape": 8}):
+            compressor = create_compressor("sz3").configure_blocks(**kwargs)
+            with pytest.raises(CompressionError, match="cannot partition"):
+                compressor.compress(np.float32(1.5), ErrorBound(value=BOUND, mode="abs"))
+
+
+FIXTURES = json.loads(Path(__file__).with_name("blob_fixtures.json").read_text())
+
+
+class TestOlderBuildsBlobs:
+    """Bytes as older builds wrote them: a v1 blob (version word 1), a
+    one-block v2 blob with a *stored* index and a header-borne shared
+    codebook, and a two-block v2 blob."""
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_fixture_decodes_to_its_recorded_digest(self, fixture):
+        row = FIXTURES[fixture]
+        blob = CompressedBlob.from_bytes(bytes.fromhex(row["hex"]))
+        index = blob.block_index
+        assert blob.num_blocks == len(index) == row["num_blocks"]
+        assert [entry["section"] for entry in index] == row["sections"]
+        assert blob.container.section_names() == row["sections"]
+        assert [entry["id"] for entry in index] == list(range(row["num_blocks"]))
+        compressor = create_compressor(row["compressor"])
+        recon = compressor.decompress(blob)
+        assert list(recon.shape) == row["shape"]
+        digest = hashlib.blake2b(np.ascontiguousarray(recon).tobytes(), digest_size=8)
+        assert digest.hexdigest() == row["decoded"]
+        for entry in index:
+            block = compressor.decompress_block(blob, entry["id"])
+            np.testing.assert_array_equal(block, recon[BlockSpec.from_dict(entry).slices()])
+
+    def test_the_fixtures_are_the_layouts_they_claim(self):
+        v1 = CompressedBlob.from_bytes(bytes.fromhex(FIXTURES["v1-whole-array"]["hex"]))
+        assert v1.format_version == 1 and "block_index" not in v1.container.header
+        stored = CompressedBlob.from_bytes(
+            bytes.fromhex(FIXTURES["v2-one-block-stored-index"]["hex"])
+        )
+        assert len(stored.container.header["block_index"]) == 1
+        assert stored.shared_codebook_bytes and stored.codebook_mode == "shared"
 
 
 class TestStreamedBlockMessages:
@@ -251,3 +341,31 @@ class TestMalformedHeaders:
     def test_every_parser_raises_encoding_error(self, parse, header_bytes):
         with pytest.raises(EncodingError):
             parse(_crafted(header_bytes))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shape", 5),
+            ("shape", ["a", "b"]),
+            ("shape", [16, -16]),
+            ("shape", [16, 17]),  # well-typed, but not what the sections hold
+            ("error_bound_abs", "x"),
+            ("error_bound_abs", None),
+            ("dtype", 7),
+            ("dtype", "nope"),
+            ("metadata", [1]),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, str) or v in ("x", "nope") else v,
+    )
+    @pytest.mark.parametrize("block_shape", [None, 8], ids=["one-block", "blocked"])
+    def test_a_mistyped_blob_field_is_an_encoding_error(self, block_shape, field, value):
+        """The blob-level fields are outside bytes too, and the entry a
+        one-block blob implies is built from them."""
+        data = _field((16, 16))
+        compressor = create_blocked_compressor("sz3", block_shape=block_shape)
+        container = SectionContainer.from_bytes(
+            compressor.compress(data, ErrorBound(value=BOUND, mode="abs")).blob.to_bytes()
+        )
+        container.header[field] = value
+        with pytest.raises(EncodingError):
+            compressor.decompress(CompressedBlob.from_bytes(container.to_bytes()))

@@ -136,7 +136,6 @@ class TestBlockedRoundTrip:
         plan = BlockPlan.partition(data.shape, block)
         for spec in plan:
             assert err[spec.slices()].max() <= bound * (1 + 1e-6) + 1e-7
-        assert blob.is_blocked
         assert blob.num_blocks == plan.num_blocks
 
     @given(
@@ -249,7 +248,6 @@ class TestBlobFormat:
         v1_bytes = self._as_v1(result.blob.to_bytes())
         blob = CompressedBlob.from_bytes(v1_bytes)
         assert blob.format_version == 1
-        assert not blob.is_blocked
         assert blob.num_blocks == 1
         recon = create_compressor("sz3-fast").decompress(blob)
         assert np.abs(data.astype(np.float64) - recon).max() <= 1e-3 * (1 + 1e-6)

@@ -119,8 +119,8 @@ class TestCommands:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["format_version"] == 2
-        assert payload["is_blocked"] is True
-        assert len(payload["blocks"]) == payload["num_blocks"] == result.blob.num_blocks
+        assert "is_blocked" not in payload
+        assert len(payload["blocks"]) == payload["num_blocks"] == result.blob.num_blocks > 1
         first = payload["blocks"][0]
         assert set(first) == {
             "id", "origin", "shape", "predictor", "entropy", "codebook", "section",
@@ -142,7 +142,8 @@ class TestCommands:
         path.write_bytes(result.blob.to_bytes())
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "whole-array" in out
+        assert "layout: 1 independent block(s)" in out
+        assert "(512,)" in out and "payload" not in out  # the one block's row
 
 
 class TestJobServiceCommands:

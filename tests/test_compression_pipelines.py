@@ -10,8 +10,6 @@ from repro.compression import (
     ErrorBound,
     PipelineConfig,
     SectionContainer,
-    SZ2Compressor,
-    SZ3Compressor,
     available_compressors,
     compressor_type_id,
     create_compressor,
@@ -176,11 +174,30 @@ class TestPipelineConfig:
         assert result.stats.compressed_bytes > 0
 
     def test_describe_reports_structure(self):
-        compressor = SZ3Compressor()
+        compressor = create_compressor("sz3")
         info = compressor.describe()
         assert info["predictor"]["name"] == "interpolation"
         assert info["lossless_backend"] == "deflate"
-        assert SZ2Compressor().describe()["predictor"]["name"] == "regression"
+        assert create_compressor("sz2").describe()["predictor"]["name"] == "regression"
+
+    def test_a_registry_row_keeps_predictor_parameters_and_blob_names(self):
+        """One class, a row per name: what the wrapper classes used to pick."""
+        sz2 = create_compressor("sz2", block_size=4)
+        assert (sz2.name, sz2.predictor.describe()["block_size"]) == ("sz2", 4)
+        linear = create_compressor("sz3-linear")
+        assert (linear.name, linear.predictor.describe()["order"]) == ("sz3-linear", "linear")
+        assert create_compressor("zfp-like", block_size=8).predictor.block_size == 8
+        for name, blob_name, stage in [
+            ("sz3", "sz3", "huffman"),
+            ("sz-lorenzo", "sz-lorenzo", "huffman"),
+            ("zfp-like", "zfp-like", "huffman"),
+            ("sz3-fast", "sz3", "none"),
+            ("sz-lorenzo-fast", "sz-lorenzo", "none"),
+        ]:
+            compressor = create_compressor(name)
+            assert type(compressor) is PredictionPipelineCompressor
+            assert (compressor.name, compressor.config.entropy_stage) == (blob_name, stage)
+            assert compressor.registered_as == name
 
 
 class TestSectionContainer:

@@ -1,4 +1,4 @@
-"""Tests for run-length, LZ77 and lossless backend encoders."""
+"""Tests for the LZ77 and lossless backend encoders."""
 
 from __future__ import annotations
 
@@ -12,61 +12,7 @@ from repro.compression.encoders.lossless import (
     get_lossless_backend,
 )
 from repro.compression.encoders.lz77 import LZ77Codec
-from repro.compression.encoders.rle import (
-    run_length_decode,
-    run_length_encode,
-    zero_run_length_decode,
-    zero_run_length_encode,
-)
 from repro.errors import ConfigurationError, EncodingError
-
-
-class TestRunLength:
-    def test_round_trip(self):
-        data = np.array([1, 1, 1, 2, 2, 0, 0, 0, 0, 5])
-        values, lengths = run_length_encode(data)
-        np.testing.assert_array_equal(run_length_decode(values, lengths), data)
-
-    def test_constant_array_is_one_run(self):
-        values, lengths = run_length_encode(np.zeros(1000, dtype=int))
-        assert values.size == 1
-        assert lengths[0] == 1000
-
-    def test_alternating_array_has_no_compression(self):
-        data = np.arange(50)
-        values, lengths = run_length_encode(data)
-        assert values.size == 50
-
-    def test_empty_array(self):
-        values, lengths = run_length_encode(np.array([], dtype=int))
-        assert run_length_decode(values, lengths).size == 0
-
-    def test_mismatched_shapes_raise(self):
-        with pytest.raises(EncodingError):
-            run_length_decode(np.array([1, 2]), np.array([3]))
-
-
-class TestZeroRunLength:
-    def test_round_trip_with_leading_zeros(self):
-        data = np.array([0, 0, 0, 4, 0, 0, 7, 8, 0], dtype=np.int64)
-        literals, runs = zero_run_length_encode(data)
-        np.testing.assert_array_equal(zero_run_length_decode(literals, runs), data)
-
-    def test_round_trip_no_zeros(self):
-        data = np.array([1, 2, 3], dtype=np.int64)
-        literals, runs = zero_run_length_encode(data)
-        np.testing.assert_array_equal(zero_run_length_decode(literals, runs), data)
-
-    def test_all_zero_input(self):
-        data = np.zeros(17, dtype=np.int64)
-        literals, runs = zero_run_length_encode(data)
-        np.testing.assert_array_equal(zero_run_length_decode(literals, runs), data)
-
-    def test_mostly_zero_is_compact(self):
-        rng = np.random.default_rng(0)
-        data = np.where(rng.uniform(size=10000) < 0.99, 0, 1).astype(np.int64)
-        literals, runs = zero_run_length_encode(data)
-        assert literals.size < data.size // 10
 
 
 class TestLZ77:

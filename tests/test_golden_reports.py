@@ -6,20 +6,16 @@ link, detail)``, ``TransferReport.as_dict()`` and the final simulated
 clock.  Every run sets ``assumed_compression_throughput_mbps`` /
 ``assumed_decompression_throughput_mbps`` and plans without the
 predictor, so no measured wall time reaches a simulated second and the
-rows compare with ``==``, floats included.  They were recorded at the
-commit before the orchestrator became a phase list; the only fields that
-moved with it are the two fixes that change named: ``cache_misses`` /
-``cache_hit_rate`` on the streamed-with-cache rows (they read 0 / None
-while every file was probed) and ``detail["chunks"]`` of the ``stream``
-step (it was a bool).  ``python tests/test_golden_reports.py`` prints a
-fresh table.
+rows compare with ``==``, floats included, against the recording as the
+tree writes it (re-recorded when a one-block file became one block
+message instead of a container inside a container: two streamed rows
+moved, in wire bytes and the times derived from them only).
+``python tests/test_golden_reports.py`` prints a fresh table.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-import re
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
@@ -198,25 +194,9 @@ def test_matrix_is_the_recorded_one(golden):
     assert sorted(ROWS) == sorted(golden) and len(ROWS) == 26
 
 
-def with_named_fixes(row_id: str, recorded: Dict[str, Any]) -> Dict[str, Any]:
-    """The recording, moved in the two ways the phase-list change moved it."""
-    recorded = copy.deepcopy(recorded)
-    report = recorded["report"]
-    for step in recorded["steps"]:
-        if step[0] == "stream":
-            counted = re.search(r"streamed (\d+) block chunks", " ".join(report["notes"]))
-            assert step[5]["chunks"] is bool(counted)  # what the recording holds
-            step[5]["chunks"] = int(counted.group(1)) if counted else 0
-            if row_id.startswith("cache/"):
-                assert (report["cache_misses"], report["cache_hit_rate"]) == (0, None)
-                report["cache_misses"] = report["file_count"] - report["cache_hits"]
-                report["cache_hit_rate"] = report["cache_hits"] / report["file_count"]
-    return recorded
-
-
 @pytest.mark.parametrize("row_id", sorted(ROWS))
 def test_steps_report_and_clock_match_the_recording(golden, row_id):
-    assert golden_row(row_id) == with_named_fixes(row_id, golden[row_id])
+    assert golden_row(row_id) == golden[row_id]
 
 
 @pytest.mark.parametrize(

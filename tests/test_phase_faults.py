@@ -10,11 +10,16 @@ must finish with the report it produces on its own.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from test_service_api import _config, _dicts_close, _spec
 
+from repro.compression import Compressor
+from repro.compression.predictors import LorenzoPredictor
+from repro.core import OcelotOrchestrator
 from repro.core.phases import MODE_PHASES, PHASES
 from repro.datasets import generate_application
+from repro.errors import ErrorBoundViolation
 from repro.service import JobStatus, OcelotService
 
 #: Per-job overrides of the runs whose every phase is faulted / cancelled.
@@ -85,3 +90,74 @@ def test_cancel_at_every_phase_boundary_frees_the_nodes(dataset, run):
     assert handle.status is JobStatus.COMPLETED and batch_scheduler.busy_nodes == 0
     # stage, plan, wait, then one step per remaining phase that applies.
     assert boundary - 1 == {"compressed": 6, "grouped": 7, "streamed": 4}[run]
+
+
+# --------------------------------------------------------------------- #
+# ``verify_error_bound`` means one thing, whichever way the bytes travel
+# --------------------------------------------------------------------- #
+class _BoundBreaker(LorenzoPredictor):
+    """Lorenzo on data shifted by three bounds: decodes cleanly, outside the bound."""
+
+    name = "bound-breaker"
+
+    def encode(self, data, error_bound_abs):
+        return super().encode(np.asarray(data) + 3.0 * error_bound_abs, error_bound_abs)
+
+
+@pytest.fixture
+def bound_breaker(monkeypatch):
+    """``bound-breaker`` in the registry for one test (names are the ML
+    model's categorical feature, so the entry must not outlive it)."""
+    from repro.compression import registry
+
+    monkeypatch.setitem(registry._PIPELINES, "bound-breaker", registry._Pipeline(_BoundBreaker))
+
+
+@pytest.mark.parametrize("run", ["compressed", "streamed"])
+def test_a_bound_breaking_predictor_fails_bulk_and_streamed_jobs_alike(
+    bound_breaker, dataset, run
+):
+    overrides = {"compressor": "bound-breaker", **RUNS[run]}
+    service = _service()
+    unchecked = service.submit(_spec(dataset, overrides=overrides))
+    checked = service.submit(_spec(dataset, overrides={"verify_error_bound": True, **overrides}))
+    service.run_pending()
+
+    # The flag is the only difference: without it the job ships data 3x outside its bound.
+    report = unchecked.result()
+    assert report.max_abs_error > 2.0 * max(
+        _config().resolved_error_bound().absolute_for(f.data) for f in dataset.fields
+    )
+    assert checked.status is JobStatus.FAILED
+    with pytest.raises(ErrorBoundViolation):
+        checked.result()
+    assert service.faas.endpoint("anvil").scheduler.busy_nodes == 0
+
+
+def test_billed_compress_seconds_exclude_the_verify_pass(monkeypatch, dataset):
+    """Table VIII's CPTime is the encode: ``verify_error_bound`` adds a
+    full decode and an error scan, and neither is compression."""
+    stats, outcomes = [], []
+    real_compress = Compressor.compress
+
+    def compress(self, *args, **kwargs):
+        result = real_compress(self, *args, **kwargs)
+        stats.append(result.stats)
+        return result
+
+    monkeypatch.setattr(Compressor, "compress", compress)
+    config = _config(verify_error_bound=True, assumed_compression_throughput_mbps=None)
+    orchestrator = OcelotOrchestrator(config)
+    real_files = orchestrator._compress_files
+
+    def compress_files(*args, **kwargs):
+        outcomes.append(real_files(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(orchestrator, "_compress_files", compress_files)
+    orchestrator.run(dataset, "anvil", "cori")
+    (outcome,) = outcomes
+    assert len(stats) == dataset.file_count
+    assert all(s.decompression_time_s > 0 for s in stats)  # the verify pass ran
+    scale = config.resolved_work_time_scale()
+    assert outcome.per_file_times_s == [s.compression_time_s * scale for s in stats]

@@ -27,12 +27,6 @@ from repro.compression.encoders.huffman import (
     symbol_frequencies,
 )
 from repro.compression.encoders.lz77 import LZ77Codec
-from repro.compression.encoders.rle import (
-    run_length_decode,
-    run_length_encode,
-    zero_run_length_decode,
-    zero_run_length_encode,
-)
 from repro.compression.quantizer import LinearQuantizer
 from repro.core.grouping import FileGrouper
 from repro.features.compressor_features import run_length_estimator
@@ -161,20 +155,6 @@ class TestEncoderInvariants:
     def test_lz77_round_trip(self, data):
         codec = LZ77Codec()
         assert codec.decode(codec.encode(data)) == data
-
-    @FAST
-    @given(values=st.lists(st.integers(min_value=-10, max_value=10), min_size=0, max_size=1000))
-    def test_rle_round_trip(self, values):
-        arr = np.asarray(values, dtype=np.int64)
-        run_values, run_lengths = run_length_encode(arr)
-        np.testing.assert_array_equal(run_length_decode(run_values, run_lengths), arr)
-
-    @FAST
-    @given(values=st.lists(st.integers(min_value=-3, max_value=3), min_size=0, max_size=800))
-    def test_zero_rle_round_trip(self, values):
-        arr = np.asarray(values, dtype=np.int64)
-        literals, runs = zero_run_length_encode(arr)
-        np.testing.assert_array_equal(zero_run_length_decode(literals, runs), arr)
 
     @FAST
     @given(

@@ -178,26 +178,32 @@ class TestPipelineFallback:
         rng = np.random.default_rng(11)
         # Wide uniform noise at a small bound: residuals span ~20k
         # quantiser bins (inside the 2^15 bin radius, so no escapes) and
-        # the 9216 samples hit well over 4096 distinct symbols.
-        data = rng.uniform(-20.0, 20.0, size=(96, 96)).astype(np.float64)
+        # each block's 9216 samples hit well over 4096 distinct symbols.
+        # Two blocks: a one-block blob leaves ``block_codecs`` unsaid.
+        data = rng.uniform(-20.0, 20.0, size=(192, 96)).astype(np.float64)
         compressor = create_blocked_compressor(
             "sz3", block_shape=96, entropy_stage="rans"
         )
         result = compressor.compress(data, ErrorBound(value=1e-3, mode="abs"))
         codecs = result.blob.metadata["block_codecs"]
-        assert codecs == {"huffman": 1}
+        assert codecs == {"huffman": 2}
+        assert [e["entropy"] for e in result.blob.block_index] == ["huffman", "huffman"]
         recon = compressor.decompress(result.blob)
         assert float(np.abs(recon - data).max()) <= 1e-3
+        # One block degrades the same way; its section's own tag is what decodes it.
+        one = compressor.compress(data[:96], ErrorBound(value=1e-3, mode="abs")).blob
+        assert one.num_blocks == 1 and one.container.header["entropy_stage"] == "rans"
+        assert float(np.abs(compressor.decompress(one) - data[:96]).max()) <= 1e-3
 
     def test_smooth_block_stays_rans(self):
         data = np.add.outer(
-            np.sin(np.linspace(0, 3, 64)), np.cos(np.linspace(0, 2, 64))
+            np.sin(np.linspace(0, 3, 128)), np.cos(np.linspace(0, 2, 64))
         ).astype(np.float32)
         compressor = create_blocked_compressor(
             "sz3", block_shape=64, entropy_stage="rans"
         )
         result = compressor.compress(data, ErrorBound(value=1e-3, mode="abs"))
-        assert result.blob.metadata["block_codecs"] == {"rans": 1}
+        assert result.blob.metadata["block_codecs"] == {"rans": 2}
         assert result.blob.metadata["entropy_stage"] == "rans"
         recon = compressor.decompress(result.blob)
         assert float(np.abs(recon - data).max()) <= 1e-3

@@ -232,12 +232,41 @@ class TestStreamedOrchestration:
         assert report.timings.streaming_s == 0.0
         assert any("bulk path" in note for note in report.notes)
 
-    def test_streamed_without_blocks_streams_whole_files(self, dataset):
-        config = _streamed_config(transfer_mode="streamed", block_size=None)
-        report = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+    def test_streamed_without_blocks_streams_whole_files(self, dataset, monkeypatch):
+        """A file without a block size is a one-block plan: one chunk
+        through the same message constructor as any other block, and at
+        the destination the bytes ``compress_array`` writes for it."""
+        from repro.compression import CompressedBlob, create_blocked_compressor
+
+        messages = []
+        real = CompressedBlob.block_message
+
+        def recording(blob_header, entry, payload):
+            messages.append(real(blob_header, entry, payload))
+            return messages[-1]
+
+        monkeypatch.setattr(CompressedBlob, "block_message", staticmethod(recording))
+        config = _streamed_config(transfer_mode="streamed", block_size=None, size_scale=1.0)
+        ocelot = Ocelot(config)
+        report = ocelot.transfer_dataset(dataset, "anvil", "cori", mode="compressed")
         assert report.transfer_mode == "streamed"
         assert report.measured_psnr_db is not None
         assert report.timings.streaming_s > 0
+
+        chunks = [c for task in ocelot.testbed.service.tasks() for c in task.chunks]
+        assert len(chunks) == len(messages) == dataset.file_count
+        assert [c.size_bytes for c in chunks] == [m.serialized_size() for m in messages]
+        assert all(c.name.endswith("#block0") for c in chunks)
+        assert all("stream_block" in m.header and "whole_blob" not in m.header["blob_header"]
+                   for m in messages)
+        landed = ocelot.testbed.endpoint("cori").filesystem
+        compressor = create_blocked_compressor(config.compressor)
+        bound = config.resolved_error_bound()
+        for data_field in dataset.fields:
+            data = data_field.data
+            expected = compressor.compress_array(data, bound.absolute_for(data)).to_bytes()
+            path = f"/compressed/{dataset.name}/{data_field.filename}.sz"
+            assert landed.read(path) == expected
 
 
 class TestConfigValidation:
