@@ -58,22 +58,6 @@ RETAINED_JOBS = 64
 CLOSED_LOOP_CLIENTS = 2
 
 
-def _reports_close(a, b, rel=1e-9):
-    """Float-tolerant deep equality.
-
-    Phase durations are deterministic, but a job's absolute position on
-    the shared clock depends on interleaving, and ``end - start`` is not
-    associative — reports agree to the last few ulps, not bit-for-bit.
-    """
-    if isinstance(a, dict) and isinstance(b, dict):
-        return set(a) == set(b) and all(_reports_close(a[k], b[k], rel) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_reports_close(x, y, rel) for x, y in zip(a, b))
-    if isinstance(a, float) and isinstance(b, float):
-        return a == b or abs(a - b) <= rel * max(abs(a), abs(b), 1e-12)
-    return a == b
-
-
 def _config() -> OcelotConfig:
     return OcelotConfig(
         error_bound=1e-3,
@@ -195,7 +179,7 @@ class TestGatewayThroughput:
         # Reports through HTTP match the in-process baseline
         # (scheduling through the gateway moves timelines, not numbers).
         for report in http_reports:
-            assert _reports_close(report, inproc_report), (
+            assert report == inproc_report, (
                 "HTTP report diverged from in-process:\n"
                 f"{report}\nvs\n{inproc_report}"
             )
@@ -230,7 +214,7 @@ class TestGatewayThroughput:
             "GET /v1/jobs/{id}/wait": RETAINED_JOBS,
             "GET /metricsz": 1,
         }
-        assert _reports_close(records[-1]["report"], records[0]["report"])
+        assert records[-1]["report"] == records[0]["report"]
 
     def test_plan_group_fan_out_matches_direct_runs(self):
         """One 32-spec plan group; per-job reports equal direct runs."""
@@ -255,7 +239,7 @@ class TestGatewayThroughput:
 
         assert final["status"] == "completed"
         assert final["status_counts"] == {"completed": GROUP_JOBS}
-        assert all(_reports_close(report, solo_report) for report in reports)
+        assert all(report == solo_report for report in reports)
 
         print_table(
             f"Gateway: {GROUP_JOBS}-job plan group",

@@ -99,10 +99,9 @@ class OcelotOrchestrator:
         self._compressors: Dict[str, PredictionPipelineCompressor] = {}
         #: Suffix appended to the dataset name in every simulated-filesystem
         #: path this run touches (staged files, compressed blobs, groups,
-        #: reconstructions).  Empty for the classic exclusive-testbed path;
-        #: the job service sets it (e.g. ``"@job-0002"``) when concurrent
-        #: jobs name the same dataset, so tenants never clobber each
-        #: other's artefacts between phase steps.
+        #: reconstructions).  Empty unless the job service sets it (e.g.
+        #: ``"@job-0002"``) because concurrent jobs name the same dataset,
+        #: so tenants never clobber each other's artefacts between steps.
         self.artifact_scope: str = ""
 
     def _scoped(self, dataset_name: str) -> str:
@@ -134,46 +133,24 @@ class OcelotOrchestrator:
     # ------------------------------------------------------------------ #
     # Public entry point
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        dataset: ScientificDataset,
-        source: str,
-        destination: str,
-        mode: Optional[str] = None,
-    ) -> TransferReport:
-        """Transfer ``dataset`` from ``source`` to ``destination``.
-
-        ``mode`` overrides the configured transfer mode for this run
-        (``direct`` / ``compressed`` / ``grouped``).
-
-        This drives :meth:`iter_phases` straight through: the blocking
-        single-job path is literally the phase-step machine with no
-        interleaving.
-        """
-        steps = self.iter_phases(dataset, source, destination, mode=mode)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value
-
     def iter_phases(
         self,
         dataset: ScientificDataset,
         source: str,
         destination: str,
         mode: Optional[str] = None,
-        advance_clock: bool = True,
     ) -> "Generator[PhaseStep, None, TransferReport]":
-        """Run the transfer as a generator of resumable phase steps.
+        """Transfer ``dataset`` as a generator of resumable phase steps.
 
-        The mode's entry in :data:`~repro.core.phases.MODE_PHASES` names
-        the phases; each does its real work on the run record, then its
+        ``mode`` overrides the configured transfer mode for this run
+        (``direct`` / ``compressed`` / ``grouped``).  The mode's entry in
+        :data:`~repro.core.phases.MODE_PHASES` names the phases; each
+        does its real work on the run record, then its
         :class:`PhaseStep` — simulated duration and resources occupied —
-        is yielded.  With ``advance_clock=True`` the shared simulation
-        clock advances as the phases complete; the multi-job
-        :class:`~repro.service.JobScheduler` passes ``False`` and does
-        its own interleaved time accounting instead.
+        is yielded.  Nothing here moves the simulation clock: the
+        :class:`~repro.service.JobScheduler` places the steps on its
+        timeline (``Ocelot.transfer_dataset`` and ``OcelotService`` both
+        run a transfer through it).
 
         However the run ends — finished, failed inside a phase, or
         cancelled by closing the generator at a yield — the compression
@@ -183,7 +160,7 @@ class OcelotOrchestrator:
         mode = mode or self.config.mode
         if mode not in MODE_PHASES:
             raise OrchestrationError(f"unknown transfer mode {mode!r}")
-        run = TransferRun(dataset, source, destination, mode, advance_clock)
+        run = TransferRun(dataset, source, destination, mode)
         try:
             for name in MODE_PHASES[mode]:
                 step = PHASES[name](self, run)

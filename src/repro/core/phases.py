@@ -7,10 +7,11 @@ those run: :data:`MODE_PHASES` says which, :data:`PHASES` maps each name
 to a function ``phase(orchestrator, run)`` that does the phase's real
 work on the :class:`TransferRun` record and returns the
 :class:`PhaseStep` to yield, or ``None`` when the phase does not apply.
-Driving ``OcelotOrchestrator.iter_phases`` straight through is the
-blocking ``run``; suspending it at each yield is what lets the
-:class:`~repro.service.JobScheduler` interleave concurrent jobs over one
-testbed, charging each step against the nodes and WAN link it occupies.
+A phase computes its duration and never moves the simulation clock:
+the :class:`~repro.service.JobScheduler` resumes
+``OcelotOrchestrator.iter_phases`` one yield at a time, places each
+step on the nodes and WAN link it occupies, and is the clock's one
+owner — a solo job and a job in a batch yield the same steps.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ class TransferRun:
     source: str
     destination: str
     mode: str
-    advance_clock: bool
     timings: PhaseTimings = field(default_factory=PhaseTimings)
     notes: List[str] = field(default_factory=list)
     staged: List["StagedFile"] = field(default_factory=list)
@@ -200,25 +200,18 @@ def _wait(orch: "OcelotOrchestrator", run: TransferRun) -> PhaseStep:
     # A full cache hit skips the batch-scheduler request entirely —
     # those nodes stay free for cold jobs.
     if run.to_compress:
-        # In scheduler mode (advance_clock=False) node occupancy is
-        # charged by the job scheduler's timeline pools, so the batch
-        # scheduler contributes only its sampled queue wait — charging
-        # its backfill deficit too would count the same contention twice.
+        # Node occupancy is charged by the job scheduler's timeline
+        # pools, so the batch scheduler contributes only its sampled
+        # queue wait — charging its backfill deficit too would count the
+        # same contention twice.
         run.allocation = scheduler.request(
             # Capped at the size of the source site's partition.
             min(orch.config.compression_nodes, scheduler.total_nodes),
-            now=orch.testbed.clock.now,
-            include_backfill=run.advance_clock,
+            include_backfill=False,
         )
         timings.node_wait_s = run.allocation.wait_s
         _sentinel_ships_raw(orch, run)
     waited = max(timings.node_wait_s, timings.raw_transfer_s)
-    # A streamed run drives the shared clock itself (the transfer
-    # stream stamps per-chunk wire times against it), so it always
-    # advances for real; the bulk path only advances when this
-    # generator is the sole owner of the clock.
-    if run.advance_clock or run.streamed:
-        orch.testbed.clock.advance(waited)
     return PhaseStep(
         "wait",
         duration_s=waited,
@@ -305,8 +298,6 @@ def _stream(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]
                 "for streamed block transfer"
             )
         return None
-    clock = orch.testbed.clock
-    stream_start = clock.now
     outcome = StreamingPipeline(
         orch.config,
         orch.testbed,
@@ -336,7 +327,7 @@ def _stream(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]
         )
     return PhaseStep(
         "stream",
-        duration_s=max(0.0, clock.now - stream_start),
+        duration_s=timings.streaming_s,
         endpoint=run.source,
         nodes=run.allocation.nodes,
         link=(run.source, run.destination),
@@ -371,8 +362,6 @@ def _compress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
             len(payload) * orch.config.size_scale / orch.executor.cost_model.pfs_read_bps
         )
     timings.compression_s += cache_read_s
-    if run.advance_clock:
-        orch.testbed.clock.advance(timings.compression_s)
     # The compression job is over: its nodes go back before the WAN
     # transfer, not at the end of the run.
     release_nodes(orch, run)
@@ -473,8 +462,7 @@ def _transfer(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
                 destination_endpoint=run.destination,
                 paths=run.transfer_paths,
                 label=f"{run.dataset.name}:{run.mode}",
-            ),
-            advance_clock=run.advance_clock,
+            )
         )
         run.timings.transfer_s = task.duration_s
         run.shipped_bytes += task.bytes_transferred
@@ -529,8 +517,6 @@ def _decompress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseS
             nodes=nodes,
             cores_per_node=config.cores_per_node,
         ).makespan_s
-        if run.advance_clock:
-            orch.testbed.clock.advance(run.timings.decompression_s)
     run.quality = tally.summary()
     return PhaseStep(
         "decompress",

@@ -117,7 +117,6 @@ class TransferReport:
     measured_psnr_db: Optional[float] = None
     max_abs_error: Optional[float] = None
     notes: List[str] = field(default_factory=list)
-    per_file: List[Dict[str, float]] = field(default_factory=list)
     #: Whole-blob cache outcome of the compress phase: files whose
     #: compressed bytes came straight from the content-addressed cache
     #: vs. files that were really compressed.  Both stay zero when the

@@ -91,11 +91,12 @@ _SentFile = Tuple[Dict[str, Any], List[_PendingBlock]]
 class StreamingPipeline:
     """Drive produce(compress block) → ship(chunk) → consume(decode block).
 
-    The pipeline is clocked by the shared simulation clock: producer
-    "workers" model the compression job's cores, the stream models the
-    WAN channels, and consumer workers model the decompression job.  The
-    in-flight window (``OcelotConfig.stream_window``) bounds how many
-    blocks may be encoded but not yet fully received.
+    The pipeline keeps its own timeline, starting at the stream's opening
+    (t = 0): producer "workers" model the compression job's cores, the
+    stream models the WAN channels, and consumer workers model the
+    decompression job.  The in-flight window
+    (``OcelotConfig.stream_window``) bounds how many blocks may be
+    encoded but not yet fully received.
     """
 
     def __init__(
@@ -147,13 +148,12 @@ class StreamingPipeline:
         """Stream ``staged`` files from ``source`` to ``destination``.
 
         ``plan`` is the planner's :class:`CompressionPlan` (compressor
-        name + error bound).  Returns the streaming outcome; the shared
-        clock ends at the overlapped makespan's finish time.
+        name + error bound).  Returns the streaming outcome, whose
+        ``streaming_s`` is the overlapped makespan counted from the
+        stream's opening.
         """
         if not staged:
             return StreamingOutcome()
-        clock = self.testbed.clock
-        t_origin = clock.now
         stream: TransferStream = self.testbed.service.open_stream(
             source,
             destination,
@@ -162,8 +162,8 @@ class StreamingPipeline:
         # Compute nodes pay the same start-up cost as the bulk makespan
         # models before the first block can encode/decode.
         startup_s = self.cost_model.startup_s_per_node
-        produce_start = t_origin + startup_s * self._compression_nodes
-        consume_start = t_origin + startup_s * self.config.decompression_nodes
+        produce_start = startup_s * self._compression_nodes
+        consume_start = startup_s * self.config.decompression_nodes
         producer_workers = self._worker_count(self._compression_nodes)
         decode_workers = self._worker_count(self.config.decompression_nodes)
 
@@ -190,18 +190,11 @@ class StreamingPipeline:
             compress_writers
         )
         outcome.compression_s = (
-            (produce_start - t_origin)
-            + _lpt_makespan(encode_times, producer_workers)
-            + compress_io
+            produce_start + _lpt_makespan(encode_times, producer_workers) + compress_io
         )
-        first_start = min((c.started_at for c in chunks), default=t_origin)
-        outcome.transfer_s = max(0.0, stream.last_completion_s - first_start)
-        outcome.decompression_s = (consume_start - t_origin) + _lpt_makespan(
-            decode_times, decode_workers
-        )
-        outcome.streaming_s = max(0.0, makespan_end - t_origin)
-        clock.advance_to(makespan_end)
-        clock.record(f"streamed:done:{dataset_name}")
+        outcome.transfer_s = stream.task.duration_s
+        outcome.decompression_s = consume_start + _lpt_makespan(decode_times, decode_workers)
+        outcome.streaming_s = makespan_end
         return outcome
 
     def _produce(

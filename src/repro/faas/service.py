@@ -85,14 +85,12 @@ class FuncXService:
         kwargs: Optional[Dict[str, Any]] = None,
         nodes: int = 1,
         simulated_duration_s: Optional[float] = None,
-        advance_clock: bool = True,
     ) -> FaaSTask:
         """Invoke a registered function on an endpoint.
 
-        When ``advance_clock`` is True the shared simulation clock advances
-        by the task's total duration (queue wait + start-up + execution);
-        orchestration layers that overlap FaaS work with transfers manage
-        the clock themselves and pass False.
+        The task is submitted at the clock's current time and completes
+        its total duration (queue wait + start-up + execution) later; the
+        clock itself does not move.
         """
         spec = self.registry.get(function_id)
         endpoint = self.endpoint(endpoint_name)
@@ -106,15 +104,13 @@ class FuncXService:
             now=submitted,
             simulated_duration_s=simulated_duration_s,
         )
-        if advance_clock:
-            self.clock.advance(execution.total_s)
         task = FaaSTask(
             task_id=f"faas-{next(self._counter):06d}",
             function_id=function_id,
             endpoint=endpoint_name,
             execution=execution,
             submitted_at=submitted,
-            completed_at=self.clock.now,
+            completed_at=submitted + execution.total_s,
         )
         self._tasks.append(task)
         return task

@@ -12,9 +12,8 @@ the opposite shape — many request threads arriving at once — so the
 * **one background thread** that drains the scheduler a single phase
   step at a time, releasing the lock between steps — status reads and
   new submissions interleave with a running batch instead of blocking
-  behind it, and when the queue drains the shared simulation clock is
-  advanced to the combined makespan exactly like
-  ``JobScheduler.drain()`` does;
+  behind it (the scheduler syncs the simulation clock itself when the
+  last job in flight retires);
 * **one event path**: the driver installs itself as the scheduler's
   ``on_event`` listener, so every
   :class:`~repro.service.events.JobEvent` a job emits — ``submitted``
@@ -111,8 +110,6 @@ class GatewayDriver:
         self._done: Dict[str, threading.Event] = {}
         self._groups: Dict[str, PlanGroup] = {}
         self._group_counter = itertools.count(1)
-        #: Whether the simulation clock still trails the makespan.
-        self._clock_dirty = False
         self._started_wall = time.monotonic()
         self._thread: Optional[threading.Thread] = None
         service.scheduler.on_event = self._on_event
@@ -164,13 +161,6 @@ class GatewayDriver:
             with self._lock:
                 if not self._paused:
                     progressed = self.service.scheduler.step()
-                    if not progressed and self._clock_dirty:
-                        # Queue drained: sync the shared clock to the
-                        # combined makespan, as JobScheduler.drain() does.
-                        self.service.testbed.clock.advance_to(
-                            self.service.scheduler.makespan_s
-                        )
-                        self._clock_dirty = False
             if not progressed:
                 self._kick.wait(timeout=self._idle_poll_s)
                 self._kick.clear()
@@ -199,7 +189,6 @@ class GatewayDriver:
         """Validate + enqueue one spec; returns the job's summary record."""
         with self._lock:
             record = self.service.submit(spec).summary()
-            self._clock_dirty = True
         self._kick.set()
         return record
 
@@ -233,7 +222,6 @@ class GatewayDriver:
             for spec in specs:
                 group.job_ids.append(self.service.submit(spec).job_id)
             self._groups[group.group_id] = group
-            self._clock_dirty = True
             record = group.as_dict(self._statuses(group))
         self._kick.set()
         return record

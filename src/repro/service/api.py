@@ -17,9 +17,11 @@ log, job numbering continues past the ids the log already holds, and
 keep their recorded terminal states (no duplicated billing) and
 unfinished ones are re-queued from their persisted specs.
 
-The legacy blocking calls (``Ocelot.transfer_dataset`` /
+The blocking calls (``Ocelot.transfer_dataset`` /
 ``Ocelot.compare_modes``) are thin submit-and-wait wrappers over this
-service, so both surfaces produce identical reports.
+service: every transfer runs through the one scheduler, the simulation
+clock's only owner, so a job's report is the same ``==`` whether it ran
+alone, in a batch or over HTTP.
 """
 
 from __future__ import annotations
@@ -179,11 +181,7 @@ class OcelotService:
         # Creating the generator runs nothing: staging starts only when
         # the scheduler first resumes the job.
         job.generator = orchestrator.iter_phases(
-            spec.dataset,
-            spec.source,
-            spec.destination,
-            mode=spec.mode,
-            advance_clock=False,
+            spec.dataset, spec.source, spec.destination, mode=spec.mode
         )
         job.emit("submitted", job.submitted_at, detail=spec.describe())
         if self.store is not None:

@@ -1,10 +1,9 @@
 """The multi-tenant job scheduler: interleave phase steps on one testbed.
 
-The classic ``OcelotOrchestrator.run`` assumed exclusive ownership of
-the testbed: one dataset, one clock, phases advancing it in sequence.
-The :class:`JobScheduler` instead drives many jobs' phase-step
+Phases compute durations and never move the simulation clock; the
+:class:`JobScheduler` is its one owner.  It drives many jobs' phase-step
 generators (``OcelotOrchestrator.iter_phases``) cooperatively through an
-event-driven core:
+event-driven core — a solo job is the batch of one:
 
 * each job has a local position ``t_local`` on the shared simulated
   timeline and lives in exactly one *flow* — the ``(priority class,
@@ -32,7 +31,9 @@ event-driven core:
   and its resources are free, exactly like GridFTP channel assignment
   in the transfer stream;
 * the shared simulation clock is advanced once, to the combined
-  makespan, when the queue drains.
+  makespan, when the last job in flight retires — so ``drain``,
+  ``drain_until`` and the gateway driver's stepping thread share one
+  sync, and an idle scheduler's clock reads its makespan.
 
 Because compression and transfer phases of *different* jobs overlap on
 the timeline, the combined makespan of N jobs is below the sum of their
@@ -445,10 +446,9 @@ class JobScheduler:
         return True
 
     def drain(self) -> None:
-        """Run every queued job to a terminal state, then sync the clock."""
+        """Run every queued job to a terminal state."""
         while self.step():
             pass
-        self.testbed.clock.advance_to(self._makespan_s)
 
     def drain_until(self, job: TransferJob) -> None:
         """Run the queue until ``job`` reaches a terminal state.
@@ -459,7 +459,6 @@ class JobScheduler:
         """
         while not job.status.is_terminal and self.step():
             pass
-        self.testbed.clock.advance_to(self._makespan_s)
 
     def cancel(self, job: TransferJob) -> bool:
         """Cancel a job; returns False once it is already terminal.
@@ -525,7 +524,9 @@ class JobScheduler:
         """Drop a terminal job from the active registries — O(1).
 
         Retiring releases the job's quota footprint and admits the
-        tenant's next waiting job (if any) at the retirement time.
+        tenant's next waiting job (if any) at the retirement time.  When
+        that leaves nothing in flight, the shared clock catches up with
+        the combined makespan: the one place simulated time moves.
         """
         if self._active.pop(job.job_id, None) is not None:
             tenant = job.tenant
@@ -550,6 +551,8 @@ class JobScheduler:
             self.on_terminal(job)
         release_time = job.finished_at if job.finished_at is not None else job.t_local
         self._drain_admission_queue(job.tenant, release_time)
+        if self.idle:
+            self.testbed.clock.advance_to(self._makespan_s)
 
     def _complete(self, job: TransferJob, report) -> None:
         job.report = report

@@ -5,7 +5,7 @@ models the pieces of the transfer path whose behaviour the paper
 analyses: endpoints with data-transfer nodes and storage, a WAN link
 with finite bandwidth and per-file handling overhead, and a GridFTP-like
 engine with concurrency / parallelism / pipelining settings.  Transfers
-advance a simulation clock rather than sleeping, so terabyte-scale
+return simulated durations rather than sleeping, so terabyte-scale
 experiments complete instantly while preserving the timing structure.
 """
 

@@ -1,20 +1,22 @@
 """Globus-style transfer service: submit, track and complete transfer tasks.
 
-The service owns the endpoints, the network topology and a simulation
-clock.  Submitting a request computes the transfer duration with the
-GridFTP engine, advances the clock, moves the file entries between the
-endpoint filesystems, and returns a completed :class:`TransferTask` with
-per-task statistics (the analogue of the Globus task pane the paper's
-measurements come from).
+The service owns the endpoints and the network topology.  Submitting a
+request computes the transfer duration with the GridFTP engine, moves
+the file entries between the endpoint filesystems, and returns a
+completed :class:`TransferTask` with per-task statistics (the analogue
+of the Globus task pane the paper's measurements come from).  The
+service reads the shared simulation clock to stamp a task but never
+moves it: whoever places the transfer on a timeline (the multi-job
+scheduler) does that with the task's duration.
 
 Besides bulk :meth:`TransferService.submit`, the service exposes an
 incremental *stream* API (:meth:`TransferService.open_stream`): chunks —
 typically the ``block:<id>`` sections of a compressed blob — are handed
 to the stream as each one finishes encoding, each with the simulated
 time it became available, and the stream models the per-chunk wire time
-on GridFTP channels.  That is what lets the orchestrator overlap
-compression, WAN transfer and decompression instead of serialising the
-phases.
+on GridFTP channels.  A stream's times count from its own opening
+(t = 0).  That is what lets the orchestrator overlap compression, WAN
+transfer and decompression instead of serialising the phases.
 """
 
 from __future__ import annotations
@@ -103,7 +105,13 @@ class TransferTask:
 
     @property
     def duration_s(self) -> float:
-        """Wall (simulated) duration of the transfer itself."""
+        """Simulated duration of the transfer itself.
+
+        A bulk task's is its GridFTP estimate, exactly; a stream's runs
+        from its first chunk's start to its last chunk's finish.
+        """
+        if self.estimate is not None:
+            return self.estimate.duration_s
         return max(0.0, self.completed_at - self.started_at)
 
     @property
@@ -137,31 +145,28 @@ class TransferStream:
     ``available_at`` time — so when compression is the bottleneck the
     channels idle, and when the WAN is the bottleneck chunks queue.  The
     resulting per-chunk timeline is exactly the compute/network overlap
-    the bulk path cannot express.
+    the bulk path cannot express.  Times count from the stream's opening
+    (t = 0).
     """
 
     def __init__(
         self,
-        service: "TransferService",
         task: TransferTask,
         engine: GridFTPEngine,
         link,
         source: GlobusEndpoint,
         destination: GlobusEndpoint,
-        opened_at: float,
     ) -> None:
-        self._service = service
         self.task = task
         self._engine = engine
         self._link = link
         self._source = source
         self._destination = destination
-        self.opened_at = float(opened_at)
         settings = engine.settings
         self._channels_count = max(1, settings.concurrency)
         # Control-channel establishment costs a few RTTs, paid once per
         # stream (the bulk engine charges the same session setup).
-        ready = self.opened_at + 3.0 * link.rtt_s
+        ready = 3.0 * link.rtt_s
         self._channels: List[float] = [ready] * self._channels_count
         heapq.heapify(self._channels)
         self._storage_read_bps = source.storage_read_bps * source.dtn_count
@@ -179,9 +184,7 @@ class TransferStream:
     @property
     def last_completion_s(self) -> float:
         """Simulated time the latest-finishing chunk leaves the wire."""
-        if not self.task.chunks:
-            return self.opened_at
-        return max(chunk.completed_at for chunk in self.task.chunks)
+        return max((chunk.completed_at for chunk in self.task.chunks), default=0.0)
 
     def _bandwidth_bps(self, active_channels: int) -> float:
         active = max(1, min(self._channels_count, active_channels))
@@ -220,13 +223,13 @@ class TransferStream:
         name: str,
         payload: Optional[bytes] = None,
         size_bytes: Optional[int] = None,
-        available_at: Optional[float] = None,
+        available_at: float = 0.0,
     ) -> StreamChunk:
         """Ship one chunk; returns its simulated wire timeline.
 
-        ``available_at`` defaults to the service clock's current time.
-        Chunks may be handed over out of order; each one simply takes the
-        earliest channel that is free once the chunk exists.
+        ``available_at`` defaults to the stream's opening.  Chunks may be
+        handed over out of order; each one simply takes the earliest
+        channel that is free once the chunk exists.
         """
         if self._closed:
             raise TransferError(f"stream {self.task.task_id} is already closed")
@@ -235,7 +238,7 @@ class TransferStream:
         size = int(size_bytes) if size_bytes is not None else len(payload or b"")
         if size < 0:
             raise TransferError(f"chunk {name!r} has negative size")
-        when = self._service.clock.now if available_at is None else float(available_at)
+        when = float(available_at)
         channel_free = heapq.heappop(self._channels)
         started = max(when, channel_free)
         active = self._in_flight_at(started) + 1
@@ -253,7 +256,7 @@ class TransferStream:
         return chunk
 
     def close(self, materialize: bool = True) -> TransferTask:
-        """Finish the stream: land the files, advance the clock, seal the task.
+        """Finish the stream: land the files and seal the task.
 
         With ``materialize=True`` every chunk that carried payload (or a
         size) is written to the destination filesystem.  Callers doing
@@ -271,12 +274,9 @@ class TransferStream:
                     chunk.name, data=chunk.payload, size_bytes=chunk.size_bytes
                 )
         task.request.paths = [chunk.name for chunk in task.chunks]
-        first_start = min((c.started_at for c in task.chunks), default=self.opened_at)
-        task.started_at = first_start
+        task.started_at = min((c.started_at for c in task.chunks), default=0.0)
         task.completed_at = self.last_completion_s
         task.status = TransferStatus.SUCCEEDED
-        self._service.clock.advance_to(task.completed_at)
-        self._service.clock.record(f"stream:done:{task.task_id}")
         return task
 
 
@@ -321,14 +321,11 @@ class TransferService:
     # ------------------------------------------------------------------ #
     # Transfers
     # ------------------------------------------------------------------ #
-    def submit(self, request: TransferRequest, advance_clock: bool = True) -> TransferTask:
-        """Execute a transfer request, advancing the simulation clock.
+    def submit(self, request: TransferRequest) -> TransferTask:
+        """Execute a transfer request: move the files, time it by the GridFTP estimate.
 
-        With ``advance_clock=False`` the files still move and the task's
-        duration is still computed from the GridFTP estimate, but the
-        shared clock is left alone — multi-job schedulers that interleave
-        several transfers on the same clock account for wire time
-        themselves.
+        The task starts at the clock's current time and lasts its
+        estimate; the clock itself does not move.
         """
         source = self.endpoint(request.source_endpoint)
         destination = self.endpoint(request.destination_endpoint)
@@ -352,10 +349,7 @@ class TransferService:
                 storage_write_bps=destination.storage_write_bps * destination.dtn_count,
             )
             task.status = TransferStatus.ACTIVE
-            task.started_at = self.clock.now
-            self.clock.record(f"transfer:start:{task.task_id}")
-            if advance_clock:
-                self.clock.advance(estimate.duration_s)
+            task.started_at = task.submitted_at
             destination.filesystem.copy_from(source.filesystem, request.paths)
             if request.delete_source:
                 for path in request.paths:
@@ -363,11 +357,10 @@ class TransferService:
             task.estimate = estimate
             task.completed_at = task.started_at + estimate.duration_s
             task.status = TransferStatus.SUCCEEDED
-            self.clock.record(f"transfer:done:{task.task_id}")
         except TransferError as exc:
             task.status = TransferStatus.FAILED
             task.error = str(exc)
-            task.completed_at = self.clock.now
+            task.completed_at = task.submitted_at
             raise
         return task
 
@@ -383,8 +376,8 @@ class TransferService:
         Unlike :meth:`submit`, the file list is not known up front:
         chunks are handed to the returned :class:`TransferStream` as the
         producer finishes them, and :meth:`TransferStream.close` seals
-        the task and advances the simulation clock to the last chunk's
-        completion.
+        the task.  The stream reads no clock: its chunk times count from
+        its opening.
         """
         source = self.endpoint(source_endpoint)
         destination = self.endpoint(destination_endpoint)
@@ -400,20 +393,9 @@ class TransferService:
                 settings=settings,
             ),
             status=TransferStatus.ACTIVE,
-            submitted_at=self.clock.now,
-            started_at=self.clock.now,
         )
         self._tasks[task.task_id] = task
-        self.clock.record(f"stream:open:{task.task_id}")
-        return TransferStream(
-            service=self,
-            task=task,
-            engine=engine,
-            link=link,
-            source=source,
-            destination=destination,
-            opened_at=self.clock.now,
-        )
+        return TransferStream(task, engine, link, source, destination)
 
     def transfer_directory(
         self,

@@ -13,7 +13,7 @@ from .stats import (
     summarize,
 )
 from .sampling import strided_sample, block_sample, sample_indices
-from .clock import SimulationClock, WallClock
+from .clock import SimulationClock
 from .sizes import format_bytes, format_duration, format_rate
 from .rng import rng_from_seed, derive_seed
 
@@ -30,7 +30,6 @@ __all__ = [
     "block_sample",
     "sample_indices",
     "SimulationClock",
-    "WallClock",
     "format_bytes",
     "format_duration",
     "format_rate",

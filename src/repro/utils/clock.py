@@ -1,31 +1,24 @@
-"""Clocks used by the transfer/FaaS simulation and by real measurements.
+"""The simulated clock shared by the transfer/FaaS simulation.
 
 The simulation substrates (WAN transfer, batch scheduler, parallel
-compression cost model) advance a :class:`SimulationClock` instead of
-sleeping, which keeps end-to-end "transfers" of terabyte-scale datasets
-instantaneous in wall-clock terms while preserving the timing structure
-the paper analyses (compression time vs transfer time vs waiting time).
+compression cost model) compute durations instead of sleeping, which
+keeps end-to-end "transfers" of terabyte-scale datasets instantaneous in
+wall-clock terms while preserving the timing structure the paper
+analyses (compression time vs transfer time vs waiting time).  Only the
+multi-job scheduler moves the clock: it places those durations on one
+timeline and syncs the clock to its makespan.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Tuple
-
-__all__ = ["SimulationClock", "WallClock"]
+__all__ = ["SimulationClock"]
 
 
 class SimulationClock:
-    """A manually advanced clock measured in seconds.
-
-    The clock also records named events, which the reporting layer uses
-    to build per-phase timelines (compression start/stop, transfer
-    start/stop, node wait, ...).
-    """
+    """A manually advanced clock measured in seconds."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._events: List[Tuple[float, str]] = []
 
     @property
     def now(self) -> float:
@@ -45,32 +38,6 @@ class SimulationClock:
             self._now = float(timestamp)
         return self._now
 
-    def record(self, label: str) -> float:
-        """Record a named event at the current time and return that time."""
-        self._events.append((self._now, label))
-        return self._now
-
-    @property
-    def events(self) -> List[Tuple[float, str]]:
-        """All recorded ``(time, label)`` events in insertion order."""
-        return list(self._events)
-
     def reset(self, start: float = 0.0) -> None:
-        """Reset the clock to ``start`` and clear recorded events."""
+        """Rewind the clock to ``start``."""
         self._now = float(start)
-        self._events.clear()
-
-
-class WallClock:
-    """Thin wrapper over ``time.perf_counter`` with the same interface."""
-
-    @property
-    def now(self) -> float:
-        """Current wall-clock time in seconds (monotonic)."""
-        return time.perf_counter()
-
-    def advance(self, seconds: float) -> float:  # pragma: no cover - trivial
-        """Sleep for ``seconds`` (rarely used; provided for interface parity)."""
-        if seconds > 0:
-            time.sleep(seconds)
-        return self.now

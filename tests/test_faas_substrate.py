@@ -180,15 +180,16 @@ class TestFaaSEndpointAndService:
         with pytest.raises(FaaSError):
             FaaSEndpoint(name="x", scheduler=BatchScheduler(4), cores_per_node=0)
 
-    def test_service_run_advances_clock(self):
+    def test_service_run_returns_a_duration_and_leaves_the_clock(self):
         service = FuncXService()
         service.register_endpoint(self._endpoint())
         fid = service.register_function(_double)
         before = service.clock.now
         task = service.run("anvil", fid, args=(3,), simulated_duration_s=10.0)
         assert task.result == 6
-        assert service.clock.now >= before + 10.0
+        assert service.clock.now == before
         assert task.duration_s >= 10.0
+        assert task.completed_at == task.submitted_at + task.duration_s
 
     def test_service_unknown_endpoint_raises(self):
         service = FuncXService()

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import statistics
 import threading
 import time
@@ -135,18 +134,6 @@ def _sse(base: str, path: str, last_event_id=None, timeout: float = 30.0):
     return frames
 
 
-def _dicts_close(a, b, rel=1e-9):
-    if isinstance(a, dict) and isinstance(b, dict):
-        return set(a) == set(b) and all(_dicts_close(a[k], b[k], rel) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_dicts_close(x, y, rel) for x, y in zip(a, b))
-    if isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a) or math.isnan(b):
-            return math.isnan(a) and math.isnan(b)
-        return a == pytest.approx(b, rel=rel, abs=1e-12)
-    return a == b
-
-
 def _solo_report() -> dict:
     """Reference report of the same spec run directly in-process."""
     service = OcelotService(_config())
@@ -171,7 +158,7 @@ class TestRestJobControl:
         assert record["status"] == "completed"
         status, full = _get(gateway.url, f"/v1/jobs/{job_id}")
         assert status == 200
-        assert _dicts_close(full["report"], _solo_report())
+        assert full["report"] == _solo_report()
         kinds = [event["kind"] for event in full["events"]]
         assert kinds[0] == "submitted" and kinds[-1] == "completed"
 
@@ -202,7 +189,7 @@ class TestRestJobControl:
         solo = _solo_report()
         for record in results:
             _, full = _get(gateway.url, f"/v1/jobs/{record['job_id']}")
-            assert _dicts_close(full["report"], solo)
+            assert full["report"] == solo
 
     def test_list_jobs_and_tenant_filter(self, gateway):
         _post(gateway.url, "/v1/jobs", {**SPEC_JSON, "tenant": "astro"})
@@ -591,7 +578,7 @@ class TestPlanGroups:
         solo = _solo_report()
         for job_id in group["jobs"]:
             _, full = _get(gateway.url, f"/v1/jobs/{job_id}")
-            assert _dicts_close(full["report"], solo)
+            assert full["report"] == solo
 
     def test_group_validates_every_spec_before_admitting_any(self, gateway):
         bad_batch = [SPEC_JSON, SPEC_JSON,

@@ -1,24 +1,28 @@
 """Golden transfer reports: every mode's phase steps and report are pinned.
 
-``golden_reports.json`` holds, for 26 configurations of one seeded
+``golden_reports.json`` holds, for 24 configurations of one seeded
 8-file dataset, the phase steps ``(name, duration_s, endpoint, nodes,
-link, detail)``, ``TransferReport.as_dict()`` and the final simulated
-clock.  Every run sets ``assumed_compression_throughput_mbps`` /
+link, detail)`` and ``TransferReport.as_dict()``.  Every run sets
+``assumed_compression_throughput_mbps`` /
 ``assumed_decompression_throughput_mbps`` and plans without the
 predictor, so no measured wall time reaches a simulated second and the
 rows compare with ``==``, floats included, against the recording as the
-tree writes it (re-recorded when a one-block file became one block
-message instead of a container inside a container: two streamed rows
-moved, in wire bytes and the times derived from them only).
-``python tests/test_golden_reports.py`` prints a fresh table.
+tree writes it.  Phases return durations and never move the clock, so
+the steps are what ``OcelotOrchestrator.iter_phases`` yields however it
+is driven; each row is also run as a one-job ``OcelotService`` batch,
+which must report the same and end the clock at the report's
+``total_s``.  ``python tests/test_golden_reports.py`` prints a fresh table,
+``python tests/test_golden_reports.py --diff`` only the rows and keys
+that moved, as ``old -> new``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.core import OcelotConfig, OcelotOrchestrator
 from repro.core.phases import MODE_PHASES, PHASE_ORDER
 from repro.datasets import Field, ScientificDataset
 from repro.faas import NodeWaitModel, build_faas_service
+from repro.service import OcelotService, TransferSpec
 from repro.transfer import build_testbed
 
 GOLDEN_PATH = Path(__file__).with_name("golden_reports.json")
@@ -71,23 +76,25 @@ def _config(**overrides: Any) -> OcelotConfig:
     return OcelotConfig(**base)
 
 
-def _run(
-    config: OcelotConfig,
-    mode: Optional[str] = None,
-    node_wait_s: float = 0.0,
-    advance_clock: bool = True,
-    dataset: Optional[ScientificDataset] = None,
-) -> Dict[str, Any]:
-    """One transfer on a fresh testbed: its steps, report and final clock."""
+def _substrate(node_wait_s: float) -> Dict[str, Any]:
+    """A fresh testbed and FaaS service with a constant node wait on anvil."""
     testbed = build_testbed()
     faas = build_faas_service(
         clock=testbed.clock,
         wait_models={"anvil": NodeWaitModel(kind="constant", scale_s=node_wait_s)},
     )
-    orchestrator = OcelotOrchestrator(config, testbed=testbed, faas=faas)
-    phases = orchestrator.iter_phases(
-        dataset or golden_dataset(), "anvil", "bebop", mode=mode, advance_clock=advance_clock
-    )
+    return {"testbed": testbed, "faas": faas}
+
+
+def _run(
+    config: OcelotConfig,
+    mode: Optional[str] = None,
+    node_wait_s: float = 0.0,
+    dataset: Optional[ScientificDataset] = None,
+) -> Dict[str, Any]:
+    """One transfer's phase generator driven alone: its steps and report."""
+    orchestrator = OcelotOrchestrator(config, **_substrate(node_wait_s))
+    phases = orchestrator.iter_phases(dataset or golden_dataset(), "anvil", "bebop", mode=mode)
     steps = []
     while True:
         try:
@@ -98,8 +105,23 @@ def _run(
         steps.append(
             [step.name, step.duration_s, step.endpoint, step.nodes, step.link, step.detail]
         )
-    row = {"steps": steps, "report": report.as_dict(), "clock": testbed.clock.now}
+    assert orchestrator.testbed.clock.now == 0.0, "a phase moved the clock"
+    row = {"steps": steps, "report": report.as_dict()}
     return json.loads(json.dumps(row))  # tuples become lists, as in the file
+
+
+def _scheduled(
+    config: OcelotConfig,
+    mode: Optional[str] = None,
+    node_wait_s: float = 0.0,
+    dataset: Optional[ScientificDataset] = None,
+) -> Tuple[Dict[str, Any], float]:
+    """The same transfer as a one-job service batch: its report and final clock."""
+    substrate = _substrate(node_wait_s)
+    service = OcelotService(config, **substrate)
+    spec = TransferSpec(dataset or golden_dataset(), "anvil", "bebop", mode=mode)
+    report = service.submit(spec).result()
+    return json.loads(json.dumps(report.as_dict())), substrate["testbed"].clock.now
 
 
 def _streamed(**overrides: Any) -> OcelotConfig:
@@ -116,63 +138,68 @@ def _cached(cache_dir: Path, **overrides: Any) -> OcelotConfig:
 
 
 def _warmed(
-    cache_dir: Path, config: OcelotConfig, n_fields: int = 8, **run: Any
-) -> Dict[str, Any]:
-    """``config``'s run after a bulk run has cached the first ``n_fields``."""
+    cache_dir: Path, run: Callable[..., Any], config: OcelotConfig, n_fields: int = 8,
+    **options: Any,
+) -> Any:
+    """``config``'s ``run`` after a bulk run has cached the first ``n_fields``."""
     _run(_cached(cache_dir), dataset=golden_dataset(n_fields))
-    return _run(config, **run)
+    return run(config, **options)
 
 
-#: Row id -> ``run(cache_dir)``; the directory is fresh for every row.
-ROWS: Dict[str, Callable[[Path], Dict[str, Any]]] = {
+#: Row id -> ``row(cache_dir, run)``, ``run`` being :func:`_run` or
+#: :func:`_scheduled`; the directory is fresh for every call.
+ROWS: Dict[str, Callable[[Path, Callable[..., Any]], Any]] = {
     # Table VIII's modes, and the streamed variants of CP.
-    "direct": lambda d: _run(_config(), mode="direct"),
-    "compressed": lambda d: _run(_config()),
-    "grouped": lambda d: _run(_config(group_world_size=3), mode="grouped"),
-    "grouped/target-bytes": lambda d: _run(_config(group_target_bytes=4000), mode="grouped"),
-    "streamed/blocked": lambda d: _run(_streamed()),
-    "streamed/whole-file": lambda d: _run(_config(transfer_mode="streamed")),
-    "streamed/grouped-fallback": lambda d: _run(_streamed(group_world_size=3), mode="grouped"),
-    "streamed/rans-adaptive": lambda d: _run(
+    "direct": lambda d, run: run(_config(), mode="direct"),
+    "compressed": lambda d, run: run(_config()),
+    "grouped": lambda d, run: run(_config(group_world_size=3), mode="grouped"),
+    "grouped/target-bytes": lambda d, run: run(
+        _config(group_target_bytes=4000), mode="grouped"
+    ),
+    "streamed/blocked": lambda d, run: run(_streamed()),
+    "streamed/whole-file": lambda d, run: run(_config(transfer_mode="streamed")),
+    "streamed/grouped-fallback": lambda d, run: run(
+        _streamed(group_world_size=3), mode="grouped"
+    ),
+    "streamed/rans-adaptive": lambda d, run: run(
         _streamed(adaptive_predictor=True, entropy_stage="rans", shared_codebook=False)
     ),
     # The sentinel, under a constant node wait.
-    "sentinel/off": lambda d: _run(_config(size_scale=ALL_RAW_SCALE), node_wait_s=120.0),
-    "sentinel/below-threshold": lambda d: _run(_sentinel(ALL_RAW_SCALE), node_wait_s=3.0),
-    "sentinel/all-raw/bulk": lambda d: _run(_sentinel(ALL_RAW_SCALE), node_wait_s=120.0),
-    "sentinel/all-raw/grouped": lambda d: _run(
+    "sentinel/off": lambda d, run: run(_config(size_scale=ALL_RAW_SCALE), node_wait_s=120.0),
+    "sentinel/below-threshold": lambda d, run: run(_sentinel(ALL_RAW_SCALE), node_wait_s=3.0),
+    "sentinel/all-raw/bulk": lambda d, run: run(_sentinel(ALL_RAW_SCALE), node_wait_s=120.0),
+    "sentinel/all-raw/grouped": lambda d, run: run(
         _sentinel(ALL_RAW_SCALE), mode="grouped", node_wait_s=120.0
     ),
-    "sentinel/all-raw/streamed": lambda d: _run(
+    "sentinel/all-raw/streamed": lambda d, run: run(
         _sentinel(ALL_RAW_SCALE, transfer_mode="streamed", block_size=16), node_wait_s=120.0
     ),
-    "sentinel/all-raw/unclocked": lambda d: _run(
-        _sentinel(ALL_RAW_SCALE), node_wait_s=120.0, advance_clock=False
-    ),
-    "sentinel/some-raw/bulk": lambda d: _run(_sentinel(SOME_RAW_SCALE), node_wait_s=120.0),
-    "sentinel/some-raw/grouped": lambda d: _run(
+    "sentinel/some-raw/bulk": lambda d, run: run(_sentinel(SOME_RAW_SCALE), node_wait_s=120.0),
+    "sentinel/some-raw/grouped": lambda d, run: run(
         _sentinel(SOME_RAW_SCALE, group_world_size=3), mode="grouped", node_wait_s=120.0
     ),
-    "sentinel/some-raw/streamed": lambda d: _run(
+    "sentinel/some-raw/streamed": lambda d, run: run(
         _sentinel(SOME_RAW_SCALE, transfer_mode="streamed", block_size=16), node_wait_s=120.0
     ),
-    "sentinel/some-raw/unclocked": lambda d: _run(
-        _sentinel(SOME_RAW_SCALE), node_wait_s=120.0, advance_clock=False
-    ),
     # The blob cache.
-    "cache/cold": lambda d: _run(_cached(d)),
-    "cache/warm": lambda d: _warmed(d, _cached(d)),
-    "cache/read-only-grouped": lambda d: _warmed(
-        d, _cached(d, cache_mode="read", group_world_size=3), mode="grouped"
+    "cache/cold": lambda d, run: run(_cached(d)),
+    "cache/warm": lambda d, run: _warmed(d, run, _cached(d)),
+    "cache/read-only-grouped": lambda d, run: _warmed(
+        d, run, _cached(d, cache_mode="read", group_world_size=3), mode="grouped"
     ),
-    "cache/full-hit-streamed": lambda d: _warmed(d, _cached(d, transfer_mode="streamed")),
-    "cache/cold-streamed": lambda d: _run(_cached(d, transfer_mode="streamed", block_size=16)),
-    "cache/partial/bulk": lambda d: _warmed(d, _cached(d), n_fields=4),
-    "cache/partial/streamed-bypass": lambda d: _warmed(
-        d, _cached(d, transfer_mode="streamed"), n_fields=4
+    "cache/full-hit-streamed": lambda d, run: _warmed(
+        d, run, _cached(d, transfer_mode="streamed")
     ),
-    "cache/partial/sentinel-takes-misses": lambda d: _warmed(
+    "cache/cold-streamed": lambda d, run: run(
+        _cached(d, transfer_mode="streamed", block_size=16)
+    ),
+    "cache/partial/bulk": lambda d, run: _warmed(d, run, _cached(d), n_fields=4),
+    "cache/partial/streamed-bypass": lambda d, run: _warmed(
+        d, run, _cached(d, transfer_mode="streamed"), n_fields=4
+    ),
+    "cache/partial/sentinel-takes-misses": lambda d, run: _warmed(
         d,
+        run,
         _cached(d, sentinel_enabled=True, size_scale=SOME_RAW_SCALE),
         n_fields=4,
         node_wait_s=120.0,
@@ -180,9 +207,9 @@ ROWS: Dict[str, Callable[[Path], Dict[str, Any]]] = {
 }
 
 
-def golden_row(row_id: str) -> Dict[str, Any]:
+def golden_row(row_id: str, run: Callable[..., Any] = _run) -> Any:
     with tempfile.TemporaryDirectory() as cache_dir:
-        return ROWS[row_id](Path(cache_dir))
+        return ROWS[row_id](Path(cache_dir), run)
 
 
 @pytest.fixture(scope="module")
@@ -191,12 +218,24 @@ def golden() -> Dict[str, Any]:
 
 
 def test_matrix_is_the_recorded_one(golden):
-    assert sorted(ROWS) == sorted(golden) and len(ROWS) == 26
+    assert sorted(ROWS) == sorted(golden) and len(ROWS) == 24
 
 
 @pytest.mark.parametrize("row_id", sorted(ROWS))
 def test_steps_report_and_clock_match_the_recording(golden, row_id):
+    """The phase generator driven alone yields the pinned steps and report,
+    and moves no clock."""
     assert golden_row(row_id) == golden[row_id]
+
+
+@pytest.mark.parametrize("row_id", sorted(ROWS))
+def test_one_job_batch_reports_the_recording_and_ends_the_clock_at_total(golden, row_id):
+    """The scheduler, running the same job as a batch of one, reports the
+    same and alone moves the clock — to the job's Total T, summed in
+    timeline order."""
+    report, clock = golden_row(row_id, _scheduled)
+    assert report == golden[row_id]["report"]
+    assert clock == pytest.approx(report["total_s"], rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -234,9 +273,40 @@ def test_yielded_step_names(golden, row_id, names):
     assert yielded == names and set(yielded) <= set(PHASE_ORDER)
 
 
-def main() -> None:
+def diff_rows() -> Iterator[str]:
+    """One line per value that differs from ``golden_reports.json``."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    fresh = {row_id: golden_row(row_id) for row_id in ROWS}
+    for row_id in sorted(set(golden) | set(fresh)):
+        if row_id not in golden or row_id not in fresh:
+            yield f"{row_id}: {'added' if row_id not in golden else 'removed'}"
+        else:
+            yield from _moves(golden[row_id], fresh[row_id], row_id)
+
+
+def _moves(old: Any, new: Any, path: str) -> Iterator[str]:
+    """``path: old -> new`` for every leaf that moved (floats with their relative move)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from _moves(old.get(key, "<absent>"), new.get(key, "<absent>"), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for index, (left, right) in enumerate(zip(old, new)):
+            yield from _moves(left, right, f"{path}[{index}]")
+    elif old != new:
+        rel = ""
+        if isinstance(old, float) and isinstance(new, float) and old:
+            rel = f" ({(new - old) / abs(old):+.1e} rel)"
+        yield f"{path}: {old!r} -> {new!r}{rel}"
+
+
+def main(argv: List[str]) -> None:
+    """Print a fresh table, or with ``--diff`` only what moved against the recorded one."""
+    if "--diff" in argv:
+        moved = list(diff_rows())
+        print("\n".join(moved + [f"{len(moved)} values differ from {GOLDEN_PATH.name}"]))
+        return
     print(json.dumps({row_id: golden_row(row_id) for row_id in ROWS}, indent=1))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -13,13 +13,15 @@ Covers the contracts the redesign makes:
 * a service with a job store survives a crash: ``recover()`` finishes
   the persisted batch without re-running (re-billing) finished jobs;
 * the legacy blocking wrappers (``Ocelot.transfer_dataset``) produce the
-  same reports as driving the orchestrator directly.
+  same reports as driving the orchestrator directly;
+* the scheduler is the simulation clock's one owner, so reports compare
+  with ``==`` however their jobs ran, and an idle service's clock reads
+  its makespan.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -66,17 +68,13 @@ def _spec(dataset, **kwargs):
     return TransferSpec(**defaults)
 
 
-def _dicts_close(a, b, rel=1e-9):
-    """Recursive equality with float tolerance (clock-offset rounding)."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return set(a) == set(b) and all(_dicts_close(a[k], b[k], rel) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_dicts_close(x, y, rel) for x, y in zip(a, b))
-    if isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a) or math.isnan(b):
-            return math.isnan(a) and math.isnan(b)
-        return a == pytest.approx(b, rel=rel, abs=1e-12)
-    return a == b
+def _drive(phases):
+    """Run a phase generator straight through; its return value is the report."""
+    while True:
+        try:
+            next(phases)
+        except StopIteration as stop:
+            return stop.value
 
 
 class TestConfigOverrides:
@@ -166,8 +164,8 @@ class TestJobLifecycle:
         assert handle.wait() is JobStatus.COMPLETED
         report = handle.result()
         assert report.compression_ratio > 1.0
-        assert handle.makespan_s == pytest.approx(report.total_s, rel=1e-6)
-        assert service.testbed.clock.now == pytest.approx(service.makespan_s)
+        assert handle.makespan_s == pytest.approx(report.total_s, rel=1e-12)
+        assert service.testbed.clock.now == service.makespan_s
 
     def test_event_feed_structure(self, tiny_dataset):
         service = OcelotService(_config())
@@ -288,15 +286,15 @@ class TestSchedulerInterleaving:
         solo = solo_service.submit(_spec(tiny_dataset)).result()
         _, handles = self._run_batch(tiny_dataset)
         for handle in handles:
-            assert _dicts_close(handle.result().as_dict(), solo.as_dict())
+            assert handle.result().as_dict() == solo.as_dict()
 
     def test_batch_is_deterministic(self, tiny_dataset):
         service_a, handles_a = self._run_batch(tiny_dataset)
         service_b, handles_b = self._run_batch(tiny_dataset)
-        assert service_a.makespan_s == pytest.approx(service_b.makespan_s, rel=1e-12)
+        assert service_a.makespan_s == service_b.makespan_s
         for left, right in zip(handles_a, handles_b):
-            assert left.makespan_s == pytest.approx(right.makespan_s, rel=1e-12)
-            assert _dicts_close(left.result().as_dict(), right.result().as_dict(), rel=1e-12)
+            assert left.makespan_s == right.makespan_s
+            assert left.result().as_dict() == right.result().as_dict()
 
     def test_per_job_config_overrides(self, tiny_dataset):
         service = OcelotService(_config())
@@ -322,12 +320,8 @@ class TestSchedulerInterleaving:
         mid = service.submit(_spec(tiny_dataset, overrides={"error_bound": 1e-2}))
         tight = service.submit(_spec(tiny_dataset, overrides={"error_bound": 1e-6}))
         service.run_pending()
-        assert mid.result().measured_psnr_db == pytest.approx(
-            solo[1e-2].measured_psnr_db, rel=1e-9
-        )
-        assert tight.result().measured_psnr_db == pytest.approx(
-            solo[1e-6].measured_psnr_db, rel=1e-9
-        )
+        assert mid.result().as_dict() == solo[1e-2].as_dict()
+        assert tight.result().as_dict() == solo[1e-6].as_dict()
         assert mid.result().max_abs_error > tight.result().max_abs_error
 
     def test_node_contention_not_double_counted(self, tiny_dataset):
@@ -392,16 +386,57 @@ class TestSchedulerInterleaving:
             service.job("job-9999")
 
 
+class TestOneClockOwner:
+    """Phases, streams and transfers return durations; only the scheduler
+    moves the clock.  A job's report therefore depends on neither the jobs
+    beside it nor the ones before it, bit for bit."""
+
+    STREAMED = {"transfer_mode": "streamed", "block_size": 16}
+
+    def test_mixed_batch_then_single_drains_report_solo_and_sync_the_clock(
+        self, tiny_dataset
+    ):
+        kinds = [
+            (destination, streamed)
+            for destination in ("cori", "bebop")
+            for streamed in (False, True)
+        ]
+
+        def spec(kind):
+            destination, streamed = kind
+            overrides = self.STREAMED if streamed else {}
+            return _spec(tiny_dataset, destination=destination, overrides=overrides)
+
+        solo = {
+            kind: OcelotService(_config()).submit(spec(kind)).result().as_dict()
+            for kind in kinds
+        }
+        service = OcelotService(_config())
+        batch = [(kind, service.submit(spec(kind))) for kind in kinds]
+        service.run_pending()
+        # The two streamed jobs run on different routes and overlap on the
+        # timeline; the clock ends where the timeline does, not later.
+        assert service.testbed.clock.now == service.makespan_s
+        for kind, handle in batch:
+            assert handle.result().as_dict() == solo[kind]
+        for kind in (("cori", False), ("bebop", True), ("cori", False)):
+            handle = service.submit(spec(kind))
+            assert handle.wait() is JobStatus.COMPLETED
+            assert handle.result().as_dict() == solo[kind]
+            assert service.testbed.clock.now == service.makespan_s
+
+
 class TestLegacyWrapperEquivalence:
     def test_transfer_dataset_matches_direct_orchestrator_run(self, tiny_dataset):
+        """The wrapper reports what the phase generator, driven alone, returns."""
         for mode in ("direct", "compressed", "grouped"):
             via_service = Ocelot(_config()).transfer_dataset(
                 tiny_dataset, "anvil", "cori", mode=mode
             )
-            legacy = OcelotOrchestrator(_config()).run(
+            phases = OcelotOrchestrator(_config()).iter_phases(
                 tiny_dataset, "anvil", "cori", mode=mode
             )
-            assert _dicts_close(via_service.as_dict(), legacy.as_dict())
+            assert via_service.as_dict() == _drive(phases).as_dict()
 
     def test_compare_modes_is_repeatable(self, tiny_dataset):
         """Testbed reset between runs makes repeated comparisons identical."""
@@ -409,9 +444,7 @@ class TestLegacyWrapperEquivalence:
         first = ocelot.compare_modes(tiny_dataset, "anvil", "cori")
         second = ocelot.compare_modes(tiny_dataset, "anvil", "cori")
         for mode in first.reports:
-            assert _dicts_close(
-                first.reports[mode].as_dict(), second.reports[mode].as_dict()
-            )
+            assert first.reports[mode].as_dict() == second.reports[mode].as_dict()
 
     def test_reset_clock_clears_staged_state(self, tiny_dataset):
         ocelot = Ocelot(_config())
@@ -490,7 +523,7 @@ class TestTenantsAndPriorities:
         service.run_pending()
         for handle in handles:
             assert handle.status is JobStatus.COMPLETED
-            assert _dicts_close(handle.result().as_dict(), solo.as_dict())
+            assert handle.result().as_dict() == solo.as_dict()
 
     def test_wfq_interleaves_flooding_tenant(self, tiny_dataset):
         """Six queued jobs of one tenant cannot starve another tenant.
@@ -623,9 +656,7 @@ class TestRecovery:
         assert all(h.status is JobStatus.COMPLETED for h in result.resumed)
         # The rebuilt dataset is byte-identical, so so are the reports.
         solo = OcelotService(_config()).submit(_spec(tiny_dataset)).result()
-        assert _dicts_close(
-            resumed["job-0003"].result().as_dict(), solo.as_dict()
-        )
+        assert resumed["job-0003"].result().as_dict() == solo.as_dict()
 
     def test_no_duplicated_billing_across_crash(self, tiny_dataset, tmp_path):
         path = self._store_path(tmp_path)

@@ -41,14 +41,17 @@ def _streamed_config(**overrides):
 
 
 class TestTransferStream:
-    def test_chunks_move_files_and_advance_clock(self, testbed):
+    def test_chunks_move_files_and_leave_the_clock(self, testbed):
+        """A stream's times count from its opening; the shared clock is not its."""
+        testbed.clock.advance(50.0)
         stream = testbed.service.open_stream("anvil", "cori", label="s")
-        stream.send_chunk("/s/a.part", payload=b"x" * 500_000, available_at=0.0)
+        first = stream.send_chunk("/s/a.part", payload=b"x" * 500_000)
         chunk = stream.send_chunk("/s/b.part", payload=b"y" * 500_000, available_at=2.0)
         task = stream.close()
         assert task.status is TransferStatus.SUCCEEDED
         assert testbed.endpoint("cori").filesystem.read("/s/b.part") == b"y" * 500_000
-        assert testbed.clock.now == pytest.approx(task.completed_at)
+        assert testbed.clock.now == 50.0
+        assert first.available_at == 0.0 and task.completed_at < 50.0
         # The second chunk could not start before it existed.
         assert chunk.started_at >= 2.0
 

@@ -223,14 +223,17 @@ class TestTransferService:
         assert task.duration_s > 0
         assert task.bytes_transferred == 300
 
-    def test_clock_advances_with_transfer(self, testbed):
+    def test_transfer_is_timed_by_its_estimate_and_leaves_the_clock(self, testbed):
+        """The service returns a duration; only the job scheduler moves time."""
         anvil = testbed.endpoint("anvil")
         anvil.filesystem.write("/data/big.bin", size_bytes=int(10 * GB))
-        before = testbed.clock.now
+        testbed.clock.advance(7.0)
         task = testbed.service.submit(
             TransferRequest("anvil", "cori", ["/data/big.bin"])
         )
-        assert testbed.clock.now == pytest.approx(before + task.duration_s)
+        assert testbed.clock.now == 7.0
+        assert task.started_at == 7.0
+        assert task.duration_s == task.estimate.duration_s > 0
 
     def test_transfer_directory(self, testbed):
         anvil = testbed.endpoint("anvil")

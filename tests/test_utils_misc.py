@@ -1,10 +1,10 @@
-"""Tests for clocks, formatting helpers and deterministic RNG seeds."""
+"""Tests for the simulation clock, formatting helpers and deterministic RNG seeds."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.utils.clock import SimulationClock, WallClock
+from repro.utils.clock import SimulationClock
 from repro.utils.rng import derive_seed, rng_from_seed
 from repro.utils.sizes import format_bytes, format_duration, format_rate
 
@@ -30,28 +30,11 @@ class TestSimulationClock:
         clock.advance_to(150.0)
         assert clock.now == 150.0
 
-    def test_events_are_recorded_in_order(self):
-        clock = SimulationClock()
-        clock.record("start")
-        clock.advance(3.0)
-        clock.record("end")
-        assert clock.events == [(0.0, "start"), (3.0, "end")]
-
     def test_reset_clears_state(self):
         clock = SimulationClock()
         clock.advance(9.0)
-        clock.record("x")
         clock.reset()
         assert clock.now == 0.0
-        assert clock.events == []
-
-
-class TestWallClock:
-    def test_now_is_monotonic(self):
-        clock = WallClock()
-        a = clock.now
-        b = clock.now
-        assert b >= a
 
 
 class TestFormatting:
