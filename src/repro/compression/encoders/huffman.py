@@ -186,9 +186,9 @@ def symbol_frequencies(arr: np.ndarray) -> Dict[int, int]:
     if span <= _DENSE_SPAN_LIMIT:
         counts = np.bincount(arr - lo, minlength=span)
         present = np.flatnonzero(counts)
-        return {int(sym + lo): int(counts[sym]) for sym in present}
+        return dict(zip((present + lo).tolist(), counts[present].tolist()))
     uniques, counts = np.unique(arr, return_counts=True)
-    return {int(s): int(c) for s, c in zip(uniques, counts)}
+    return dict(zip(uniques.tolist(), counts.tolist()))
 
 
 def pooled_symbol_frequencies(
@@ -214,7 +214,8 @@ def pooled_symbol_frequencies(
     counts = np.zeros(span, dtype=np.int64)
     for arr, weight in pooled:
         counts += weight * np.bincount(arr - lo, minlength=span)
-    return {int(sym) + lo: int(counts[sym]) for sym in np.flatnonzero(counts)}
+    present = np.flatnonzero(counts)
+    return dict(zip((present + lo).tolist(), counts[present].tolist()))
 
 
 @dataclass

@@ -32,6 +32,11 @@ Design (all of it NumPy-vectorised; there is no per-symbol Python loop):
   decoder walks rounds forward consuming words in ascending lane order.
   Because a decoder renormalises exactly when the encoder emitted, no
   per-lane word counts are needed — only the ``N`` final states.
+* **Batch decode.**  A file's streams decode in lockstep: streams with
+  the same round count share one state vector, each lane reading its own
+  table's slots and its own stream's words, so a file pays its Python
+  rounds once per round count, not once per block.  A lone stream is a
+  batch of one.
 
 Payload layout (little-endian)::
 
@@ -50,11 +55,12 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import EncodingError
+from .huffman import symbol_frequencies
 
 __all__ = [
     "RansFrequencyTable",
@@ -181,10 +187,13 @@ class RansFrequencyTable:
         """
         if not frequencies or len(frequencies) > MAX_TABLE_SYMBOLS:
             return None
-        symbols = np.array(sorted(frequencies), dtype=np.int64)
+        n = len(frequencies)
+        symbols = np.fromiter(frequencies, dtype=np.int64, count=n)
+        counts = np.fromiter(frequencies.values(), dtype=np.int64, count=n)
+        order = np.argsort(symbols)
+        symbols, counts = symbols[order], counts[order]
         if int(symbols[-1]) - int(symbols[0]) >= 1 << 32:
             return None
-        counts = np.array([frequencies[int(s)] for s in symbols], dtype=np.int64)
         return cls(symbols, quantize_frequencies(counts))
 
     @classmethod
@@ -313,7 +322,7 @@ class RansCodec:
         count = int(arr.size)
         if count == 0:
             return b"", b"", 0
-        table = RansFrequencyTable.from_frequencies(_stream_frequencies(arr))
+        table = RansFrequencyTable.from_frequencies(symbol_frequencies(arr))
         payload = self.encode_with_table(arr, table)
         if payload is None:  # pragma: no cover - table covers arr by construction
             raise EncodingError("freshly built rANS table failed to cover its input")
@@ -378,8 +387,29 @@ class RansCodec:
     # ------------------------------------------------------------------ #
     def decode(self, payload: bytes, table_bytes: bytes, count: int) -> np.ndarray:
         """Decode ``count`` symbols from ``payload`` using the table."""
-        if count == 0:
-            return np.zeros(0, dtype=np.int64)
+        return self.decode_streams([(payload, table_bytes, count)])[0]
+
+    def decode_streams(self, streams: Sequence[Tuple[bytes, bytes, int]]) -> List[np.ndarray]:
+        """Decode ``(payload, table_bytes, count)`` streams as one batch.
+
+        Streams with the same round count decode side by side, in
+        lockstep: their lanes form one state vector, their slot tables
+        are concatenated (a lane adds its table's ``PROB_SCALE`` offset)
+        and each lane refills from its own stream's words.  A corrupt
+        stream anywhere fails the whole batch with :class:`EncodingError`.
+        """
+        out = [np.zeros(0, dtype=np.int64) for _ in streams]
+        parsed, by_rounds = {}, {}
+        for i, (payload, table_bytes, count) in enumerate(streams):
+            if count:
+                parsed[i] = _parse_payload(payload, count) + (self._table(table_bytes),)
+                by_rounds.setdefault(-(-count // parsed[i][0].size), []).append(i)
+        for rounds, members in by_rounds.items():
+            for i, symbols in zip(members, _decode_lockstep([parsed[i] for i in members], rounds)):
+                out[i] = symbols[: streams[i][2]]
+        return out
+
+    def _table(self, table_bytes: bytes) -> RansFrequencyTable:
         with self._cache_lock:
             table = self._tables.get(table_bytes)
         if table is None:
@@ -388,66 +418,64 @@ class RansCodec:
                 while len(self._tables) >= self._TABLE_CACHE_SIZE:
                     self._tables.pop(next(iter(self._tables)))
                 self._tables[table_bytes] = table
-        return self._decode_with_table(payload, table, count)
-
-    @staticmethod
-    def _decode_with_table(
-        payload: bytes, table: RansFrequencyTable, count: int
-    ) -> np.ndarray:
-        if len(payload) < _PAYLOAD_HEADER.size:
-            raise EncodingError("truncated rANS payload")
-        version, log2_lanes, _reserved, n_words, stored = _PAYLOAD_HEADER.unpack_from(
-            payload
-        )
-        if version != _PAYLOAD_VERSION:
-            raise EncodingError(f"unsupported rANS payload version {version}")
-        if stored != count:
-            raise EncodingError(
-                f"rANS payload holds {stored} symbols but {count} were requested"
-            )
-        lanes = 1 << log2_lanes
-        need_bytes = _PAYLOAD_HEADER.size + 4 * lanes + 2 * n_words
-        if len(payload) < need_bytes:
-            raise EncodingError("truncated rANS payload")
-        x = (
-            np.frombuffer(payload, dtype="<u4", count=lanes, offset=_PAYLOAD_HEADER.size)
-            .astype(np.uint32)
-        )
-        # The word-budget check inside the loop keeps the renormalisation
-        # gather in bounds (a corrupt stream that wants more words than
-        # the payload holds is rejected there), so no clamp per round.
-        words = np.frombuffer(
-            payload, dtype="<u2", count=n_words, offset=_PAYLOAD_HEADER.size + 4 * lanes
-        ).astype(np.uint32)
-        slot_sym, slot_freq, slot_rel = table.slot_tables()
-
-        rounds = -(-count // lanes)
-        out = np.empty((rounds, lanes), dtype=np.int64)
-        slot_mask = np.uint32(PROB_SCALE - 1)
-        shift_prob = np.uint32(PROB_BITS)
-        shift_word = np.uint32(16)
-        low_bound = np.uint32(RANS_L)
-        wp = 0
-        for r in range(rounds):
-            slot = x & slot_mask
-            out[r] = slot_sym[slot]
-            x = slot_freq[slot] * (x >> shift_prob) + slot_rel[slot]
-            need = x < low_bound
-            k = int(np.count_nonzero(need))
-            if k:
-                if wp + k > n_words:
-                    raise EncodingError(
-                        "corrupt rANS payload: stream consumed past its words"
-                    )
-                pos = np.cumsum(need) + (wp - 1)
-                x = np.where(need, (x << shift_word) | words[pos], x)
-                wp += k
-        if wp != n_words or not bool((x == np.uint32(RANS_L)).all()):
-            raise EncodingError("corrupt rANS payload: stream did not fold back to L")
-        return out.reshape(-1)[:count]
+        return table
 
 
-def _stream_frequencies(arr: np.ndarray) -> Dict[int, int]:
-    """Symbol histogram of ``arr`` as a plain dict."""
-    values, counts = np.unique(arr, return_counts=True)
-    return {int(s): int(c) for s, c in zip(values, counts)}
+def _parse_payload(payload: bytes, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A payload's lane states and words, after every header check."""
+    if len(payload) < _PAYLOAD_HEADER.size:
+        raise EncodingError("truncated rANS payload")
+    version, log2_lanes, _reserved, n_words, stored = _PAYLOAD_HEADER.unpack_from(payload)
+    if version != _PAYLOAD_VERSION:
+        raise EncodingError(f"unsupported rANS payload version {version}")
+    if stored != count:
+        raise EncodingError(f"rANS payload holds {stored} symbols but {count} were requested")
+    lanes = 1 << log2_lanes
+    if len(payload) < _PAYLOAD_HEADER.size + 4 * lanes + 2 * n_words:
+        raise EncodingError("truncated rANS payload")
+    x = np.frombuffer(payload, "<u4", lanes, _PAYLOAD_HEADER.size)
+    words = np.frombuffer(payload, "<u2", n_words, _PAYLOAD_HEADER.size + 4 * lanes)
+    return x.astype(np.uint32), words.astype(np.uint32)
+
+
+def _decode_lockstep(streams: Sequence[Tuple], rounds: int) -> List[np.ndarray]:
+    """Each ``(states, words, table)`` stream's ``rounds * lanes`` symbols, padding included."""
+    tables = {id(table): table for _, _, table in streams}
+    slot_sym, slot_freq, slot_rel = (
+        np.concatenate(parts) for parts in zip(*(t.slot_tables() for t in tables.values()))
+    )
+    offset = {key: i * PROB_SCALE for i, key in enumerate(tables)}
+    lanes = [x.size for x, _, _ in streams]
+    base = np.repeat(np.array([offset[id(t)] for _, _, t in streams], np.uint32), lanes)
+    edges = np.cumsum([0] + lanes)
+    x = np.concatenate([x for x, _, _ in streams])
+    # A trailing zero word keeps an overrunning stream's reads in bounds;
+    # the check after the loop rejects it.
+    words = np.concatenate([w for _, w, _ in streams] + [np.zeros(1, np.uint32)])
+    sizes = [w.size for _, w, _ in streams]
+    ends = np.cumsum(sizes)
+    wp = ends - sizes  # each stream's next unread word
+    ramp = np.arange(x.size)
+    out = np.empty((rounds, x.size), dtype=np.int64)
+    for r in range(rounds):
+        slot = x & (PROB_SCALE - 1)
+        slot |= base
+        out[r] = slot_sym.take(slot)
+        x >>= PROB_BITS
+        x *= slot_freq.take(slot)
+        x += slot_rel.take(slot)
+        idx = np.flatnonzero(x < RANS_L)
+        if idx.size:
+            # The renormalising lanes, ascending, read their own stream's
+            # next words in order: stream j's are idx[first[j]:first[j+1]].
+            first = idx.searchsorted(edges)
+            k = first[1:] - first[:-1]
+            pos = (wp - first[:-1]).repeat(k)
+            pos += ramp[: idx.size]
+            wp += k
+            x[idx] = (x.take(idx) << 16) | words.take(pos, mode="clip")
+    if (wp > ends).any():
+        raise EncodingError("corrupt rANS payload: stream consumed past its words")
+    if (wp != ends).any() or not bool((x == RANS_L).all()):
+        raise EncodingError("corrupt rANS payload: stream did not fold back to L")
+    return [out[:, a:b].reshape(-1) for a, b in zip(edges[:-1], edges[1:])]

@@ -9,16 +9,19 @@ uses values reconstructed in *earlier* passes, each pass vectorises over
 all of its target points while remaining bit-exact between encoder and
 decoder.
 
-The pass schedule — slicers, interpolation gather indices, cubic masks —
-is a pure function of the array shape, so it is compiled once per
-``(shape, order)`` and cached at module level.  Blocked pipelines encode
-thousands of identically-shaped blocks; without the cache, rebuilding
-those small index arrays dominates the encode profile.
+The pass schedule is slices: a pass's targets and their left, right
+and far neighbours are strided basic slices of the array, so every pass
+reads and writes views of the reconstruction — no gather, no scatter
+index.  The schedule is a pure function of the array shape, compiled
+once per ``(shape, order)`` and cached at module level: blocked
+pipelines encode thousands of identically-shaped blocks.  Decode
+dequantises a block's codes in one call, then runs the passes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,68 +33,55 @@ __all__ = ["InterpolationPredictor"]
 
 
 class _PassPlan:
-    """Precomputed geometry of one interpolation pass."""
+    """Geometry of one interpolation pass, as basic slices of the array.
+
+    ``target``, ``left``, ``right``, ``far_left`` and ``far_right`` index
+    the whole array (views).  ``paired``, ``lone`` and ``cubic`` index the
+    pass's target-shaped prediction: the targets with a right neighbour,
+    the last one when it has none (its base is ``left + left``), and the
+    interior ones cubic interpolation reaches.
+    """
 
     __slots__ = (
-        "axis",
-        "slicer",
-        "targets",
-        "scatter",
-        "left_idx",
-        "right_idx",
-        "far_left_idx",
-        "far_right_idx",
-        "cubic_mask",
+        "target", "left", "right", "far_left", "far_right", "paired", "lone", "cubic", "size"
     )
 
-    def __init__(
-        self,
-        shape: Tuple[int, ...],
-        axis: int,
-        step: int,
-        coarse: int,
-        order: str,
-    ) -> None:
-        slicers: List[slice] = []
-        for a in range(len(shape)):
-            if a == axis:
-                slicers.append(slice(None))
-            elif a < axis:
-                slicers.append(slice(None, None, step))
-            else:
-                slicers.append(slice(None, None, coarse))
-        targets = np.arange(step, shape[axis], 2 * step)
-        self.axis = axis
-        self.slicer = tuple(slicers)
-        self.targets = targets
-        scatter: List[Any] = [slice(None)] * len(shape)
-        scatter[axis] = targets
-        self.scatter = tuple(scatter)
+    def __init__(self, shape: Tuple[int, ...], axis: int, step: int, order: str) -> None:
+        dim, stride = shape[axis], 2 * step
 
-        dim = shape[axis]
-        left_idx = targets - step
-        right_pos = targets + step
-        has_right = right_pos < dim
-        self.left_idx = left_idx
-        self.right_idx = np.where(has_right, right_pos, left_idx)
-        self.far_left_idx: Optional[np.ndarray] = None
-        self.far_right_idx: Optional[np.ndarray] = None
-        self.cubic_mask: Optional[np.ndarray] = None
-        if order == "cubic":
-            far_left_pos = targets - 3 * step
-            far_right_pos = targets + 3 * step
-            cubic_ok = (far_left_pos >= 0) & (far_right_pos < dim) & has_right
-            if np.any(cubic_ok):
-                self.far_left_idx = np.where(cubic_ok, far_left_pos, left_idx)
-                self.far_right_idx = np.where(cubic_ok, far_right_pos, self.right_idx)
-                mask_shape = [1] * len(shape)
-                mask_shape[axis] = targets.size
-                self.cubic_mask = cubic_ok.reshape(mask_shape)
+        def along(axis_slice: slice) -> Tuple[slice, ...]:
+            # Axes already refined this level are on the ``step`` grid,
+            # the rest still on the coarse one.
+            return tuple(
+                axis_slice if a == axis else slice(None, None, step if a < axis else stride)
+                for a in range(len(shape))
+            )
+
+        def within(axis_slice: slice) -> Tuple[slice, ...]:
+            return (slice(None),) * axis + (axis_slice,)
+
+        # Targets sit at odd multiples of ``step``; their neighbours at
+        # the even multiples either side.
+        paired = len(range(stride, dim, stride))
+        self.target = along(slice(step, dim, stride))
+        self.left = along(slice(0, dim - step, stride))
+        self.right = along(slice(stride, dim, stride))
+        self.paired = within(slice(0, paired))
+        self.lone = within(slice(paired, None))
+        self.size = math.prod(len(range(n)[s]) for n, s in zip(shape, self.target))
+        self.cubic: Optional[Tuple[slice, ...]] = None
+        # Cubic reaches every target but the first up to the last whose
+        # far-right neighbour (three steps on) is inside the array.
+        reach = len(range(step, dim - 3 * step, stride))
+        if order == "cubic" and reach > 1:
+            self.cubic = within(slice(1, reach))
+            self.far_left = along(slice(0, stride * (reach - 1), stride))
+            self.far_right = along(slice(3 * stride, 3 * stride + stride * (reach - 1), stride))
 
 
 #: ``(shape, order) -> (base_stride, [pass plans])``.  Read/write races
 #: under the blocked thread pool are benign (worst case a plan is built
-#: twice); entries are tiny index arrays.
+#: twice); entries are a few tuples of slices per pass.
 _PLAN_CACHE: Dict[Tuple[Tuple[int, ...], str], Tuple[int, List[_PassPlan]]] = {}
 _PLAN_CACHE_LIMIT = 64
 
@@ -118,26 +108,20 @@ class InterpolationPredictor(Predictor):
             stride *= 2
         return max(stride, 1)
 
-    def _passes(self, shape: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(axis, step, coarse_step)`` passes from coarse to fine."""
-        coarse = self._base_stride(shape)
-        ndim = len(shape)
-        while coarse >= 1:
-            step = coarse
-            for axis in range(ndim):
-                yield axis, step, 2 * step
-            coarse //= 2
-
     def _compiled_passes(self, shape: Tuple[int, ...]) -> Tuple[int, List[_PassPlan]]:
+        """``(base_stride, passes)``: from coarse to fine, halving the step
+        each level, one pass per axis (empty passes dropped)."""
         key = (shape, self.order)
         cached = _PLAN_CACHE.get(key)
         if cached is None:
+            base_stride = self._base_stride(shape)
             plans = [
                 plan
-                for axis, step, coarse in self._passes(shape)
-                if (plan := _PassPlan(shape, axis, step, coarse, self.order)).targets.size
+                for level in range(base_stride.bit_length())
+                for axis in range(len(shape))
+                if (plan := _PassPlan(shape, axis, base_stride >> level, self.order)).size
             ]
-            cached = (self._base_stride(shape), plans)
+            cached = (base_stride, plans)
             if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
                 _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
             _PLAN_CACHE[key] = cached
@@ -147,20 +131,16 @@ class InterpolationPredictor(Predictor):
     # Prediction along an axis
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _predict(sub: np.ndarray, plan: _PassPlan) -> np.ndarray:
-        """Interpolate values at the plan's targets along its axis."""
-        axis = plan.axis
-        left = sub.take(plan.left_idx, axis=axis)
-        right = sub.take(plan.right_idx, axis=axis)
-        base = left + right
+    def _predict(recon: np.ndarray, plan: _PassPlan) -> np.ndarray:
+        """Interpolate values at the plan's targets from views of ``recon``."""
+        left = recon[plan.left]
+        base = np.empty(left.shape)
+        np.add(left[plan.paired], recon[plan.right], out=base[plan.paired])
+        np.add(left[plan.lone], left[plan.lone], out=base[plan.lone])
         pred = 0.5 * base
-        if plan.cubic_mask is not None:
-            far = sub.take(plan.far_left_idx, axis=axis) + sub.take(
-                plan.far_right_idx, axis=axis
-            )
-            pred = np.where(
-                plan.cubic_mask, (9.0 / 16.0) * base - (1.0 / 16.0) * far, pred
-            )
+        if plan.cubic is not None:
+            far = recon[plan.far_left] + recon[plan.far_right]
+            pred[plan.cubic] = (9.0 / 16.0) * base[plan.cubic] - (1.0 / 16.0) * far
         return pred
 
     # ------------------------------------------------------------------ #
@@ -177,26 +157,15 @@ class InterpolationPredictor(Predictor):
         base_values = arr[base_slicer].copy()
         recon[base_slicer] = base_values
 
-        code_parts: List[np.ndarray] = []
-        mask_parts: List[np.ndarray] = []
-        literal_parts: List[np.ndarray] = []
+        # (codes, mask, literals) per pass, after an empty row for a shape
+        # with no passes.
+        parts = [(np.zeros(0, np.int64), np.zeros(0, bool), np.zeros(0, np.float64))]
         for plan in plans:
-            sub_recon = recon[plan.slicer]
-            pred = self._predict(sub_recon, plan)
-            true_vals = arr[plan.slicer].take(plan.targets, axis=plan.axis)
-            quant = self._quantizer.quantize((true_vals - pred).ravel(), error_bound_abs)
-            sub_recon[plan.scatter] = pred + quant.approximations.reshape(pred.shape)
-            code_parts.append(quant.codes)
-            mask_parts.append(quant.unpredictable_mask)
-            literal_parts.append(quant.literals)
-
-        codes = np.concatenate(code_parts) if code_parts else np.zeros(0, dtype=np.int64)
-        masks = (
-            np.concatenate(mask_parts) if mask_parts else np.zeros(0, dtype=bool)
-        )
-        literals = (
-            np.concatenate(literal_parts) if literal_parts else np.zeros(0, dtype=np.float64)
-        )
+            pred = self._predict(recon, plan)
+            quant = self._quantizer.quantize((arr[plan.target] - pred).ravel(), error_bound_abs)
+            recon[plan.target] = pred + quant.approximations.reshape(pred.shape)
+            parts.append((quant.codes, quant.unpredictable_mask, quant.literals))
+        codes, masks, literals = (np.concatenate(column) for column in zip(*parts))
         meta = {
             "order": self.order,
             "base_stride": base_stride,
@@ -228,39 +197,31 @@ class InterpolationPredictor(Predictor):
         recon[base_slicer] = base.reshape(recon[base_slicer].shape)
 
         codes = np.asarray(codes, dtype=np.int64)
-        masks = np.asarray(unpredictable_mask, dtype=bool)
-        lits = np.asarray(literals, dtype=np.float64)
         stored_stride, plans = self._compiled_passes(tuple(shape))
         if stored_stride != base_stride:
             raise CompressionError(
                 f"interpolation base stride mismatch: stream says {base_stride}, "
                 f"shape implies {stored_stride}"
             )
-        code_pos = 0
-        lit_pos = 0
-        for plan in plans:
-            sub_recon = recon[plan.slicer]
-            pred = self._predict(sub_recon, plan)
-            count = pred.size
-            if code_pos + count > codes.size:
-                raise CompressionError(
-                    f"interpolation code stream is truncated: need {code_pos + count} codes "
-                    f"but only {codes.size} are available"
-                )
-            pass_codes = codes[code_pos : code_pos + count]
-            pass_mask = masks[code_pos : code_pos + count]
-            n_lits = int(pass_mask.sum())
-            pass_lits = lits[lit_pos : lit_pos + n_lits]
-            code_pos += count
-            lit_pos += n_lits
-            residuals = self._quantizer.dequantize(
-                pass_codes, pass_mask, pass_lits, error_bound_abs
-            )
-            sub_recon[plan.scatter] = pred + residuals.reshape(pred.shape)
-        if code_pos != codes.size:
+        need = sum(plan.size for plan in plans)
+        if need > codes.size:
             raise CompressionError(
-                f"interpolation decode consumed {code_pos} codes but stream has {codes.size}"
+                f"interpolation code stream is truncated: need {need} codes "
+                f"but only {codes.size} are available"
             )
+        if need != codes.size:
+            raise CompressionError(
+                f"interpolation decode consumed {need} codes but stream has {codes.size}"
+            )
+        # One call for the block; it rejects a literal count that differs
+        # from the escape count.
+        residuals = self._quantizer.dequantize(codes, unpredictable_mask, literals, error_bound_abs)
+        code_pos = 0
+        for plan in plans:
+            pred = self._predict(recon, plan)
+            pass_residuals = residuals[code_pos : code_pos + plan.size]
+            recon[plan.target] = pred + pass_residuals.reshape(pred.shape)
+            code_pos += plan.size
         return recon
 
     def describe(self) -> Dict[str, Any]:

@@ -66,28 +66,25 @@ class BlockStages:
 
     def _choose_block_encoding(
         self, block: np.ndarray, error_bound_abs: float
-    ) -> Tuple[str, PredictorOutput]:
-        """Rank one block's candidates; ``(predictor_name, encoding)``.
+    ) -> Tuple[str, PredictorOutput, Optional[Dict[int, int]]]:
+        """Rank one block's candidates; ``(predictor_name, encoding, histogram)``.
 
         The one decision made per block, and it never serialises: each
         candidate is predicted and quantised, its code histogram gives
         its size statistic, the smallest wins (ties go to the earlier
-        candidate, the pipeline's own predictor first).
+        candidate, the pipeline's own predictor first).  The winner's
+        histogram comes along for its own entropy model; it is ``None``
+        when there was nothing to rank.
         """
         candidates = self._candidate_predictors(block)
         with self._timed("predict_quantize_s"):
             encodings = [p.encode_block(block, error_bound_abs) for p in candidates]
         if not self.adaptive_predictor:
-            return candidates[0].name, encodings[0]
-        sizes = [estimated_bytes(e, symbol_frequencies(e.codes)) for e in encodings]
+            return candidates[0].name, encodings[0], None
+        histograms = [symbol_frequencies(e.codes) for e in encodings]
+        sizes = [estimated_bytes(e, h) for e, h in zip(encodings, histograms)]
         winner = sizes.index(min(sizes))
-        return candidates[winner].name, encodings[winner]
-
-    def _serialize(
-        self, encoding: PredictorOutput, shared_book: Optional[SharedBook] = None
-    ) -> Tuple[bytes, str, Optional[str]]:
-        """:meth:`EncodingWire.serialize` under the configured entropy stage."""
-        return self._wire.serialize(encoding, self.config.entropy_stage, shared_book)
+        return candidates[winner].name, encodings[winner], histograms[winner]
 
     def _compress_lossless(self, data: bytes) -> bytes:
         with self._timed("lossless_s"):
@@ -98,10 +95,13 @@ class BlockStages:
         spec: BlockSpec,
         predictor_name: str,
         encoding: PredictorOutput,
+        histogram: Optional[Dict[int, int]] = None,
         shared_book: Optional[SharedBook] = None,
     ) -> BlockResult:
         """Serialise one chosen encoding into its ``(index_entry, payload)``."""
-        inner, written, codebook = self._serialize(encoding, shared_book)
+        inner, written, codebook = self._wire.serialize(
+            encoding, self.config.entropy_stage, shared_book, histogram
+        )
         return (
             block_entry(spec, predictor_name, written, codebook),
             self._compress_lossless(inner),

@@ -142,6 +142,7 @@ class EncodingWire:
         encoding: PredictorOutput,
         stage: str,
         shared_book: Optional[SharedBook] = None,
+        histogram: Optional[Dict[int, int]] = None,
     ) -> Tuple[bytes, str, Optional[str]]:
         """Serialise one encoding; returns ``(bytes, codec, codebook)``.
 
@@ -150,7 +151,8 @@ class EncodingWire:
         whose model coded it: ``"shared"`` (the file-wide ``shared_book``,
         which lives once in the blob header — no per-block model section
         is written), ``"block"`` (the block's own, built here from its
-        histogram) or ``None`` when nothing was entropy-coded.
+        ``histogram``, counted here when the caller has none) or ``None``
+        when nothing was entropy-coded.
         """
         inner = SectionContainer(header={"predictor_meta": encoding.meta})
         codes = np.asarray(encoding.codes, dtype=np.int64)
@@ -158,7 +160,7 @@ class EncodingWire:
         codec, codebook = "none", None
         if stage in ENTROPY_CODED and codes.size:
             with self._timed("entropy_s"):
-                codec, codebook = self._entropy_code(inner, codes, stage, shared_book)
+                codec, codebook = self._entropy_code(inner, codes, stage, shared_book, histogram)
         else:
             inner.header["huffman_count"] = -1
             inner.add_array("codes_raw", _pack_codes(codes))
@@ -176,6 +178,7 @@ class EncodingWire:
         codes: np.ndarray,
         stage: str,
         shared_book: Optional[SharedBook],
+        histogram: Optional[Dict[int, int]],
     ) -> Tuple[str, str]:
         """Write ``codes_payload`` (+ the block's own model); ``(codec, codebook)``.
 
@@ -188,12 +191,13 @@ class EncodingWire:
             payload = coder.encode(codes, shared_book)
         codebook = "shared" if payload is not None else "block"
         if payload is None:
-            model = coder.build_model(symbol_frequencies(codes))
+            histogram = histogram or symbol_frequencies(codes)
+            model = coder.build_model(histogram)
             if model is None:
                 # Alphabet too wide for a 12-bit rANS table: this block
                 # degrades to Huffman (its entropy tag records what was
                 # written, so it still decodes).
-                return self._entropy_code(inner, codes, "huffman", shared_book)
+                return self._entropy_code(inner, codes, "huffman", shared_book, histogram)
             payload = coder.encode(codes, model)
             if payload is None:  # pragma: no cover - the model was built from these codes
                 raise CompressionError(f"{stage} escape against the block's own model")
@@ -221,10 +225,12 @@ class EncodingWire:
 
         All Huffman streams coded with one codebook — the file's shared
         one, usually — go to the codec as one batch, whose sync points
-        fill the lanes of one lockstep decode.
+        fill the lanes of one lockstep decode; every rANS stream, each
+        with its own table or the shared one, goes to one lockstep batch.
         """
         codes: List[Optional[np.ndarray]] = [None] * len(inners)
         batches: Dict[bytes, List[int]] = {}
+        rans: Dict[int, Tuple[bytes, bytes, int]] = {}
         for i, inner in enumerate(inners):
             header = inner.header
             # Pre-rANS blobs carry no ``entropy`` key, only ``huffman_count``.
@@ -252,14 +258,15 @@ class EncodingWire:
             if entropy == "huffman":
                 batches.setdefault(model, []).append(i)
             else:
-                codes[i] = coder.codec.decode(
-                    inner.get_section("codes_payload"), model, int(header[f"{entropy}_count"])
-                )
+                rans[i] = (inner.get_section("codes_payload"), model, int(header["rans_count"]))
         for model, members in batches.items():
             streams = [_huffman_stream(inners[i]) for i in members]
             decoded = self._coders["huffman"].codec.decode_streams(streams, model)
             for i, symbols in zip(members, decoded):
                 codes[i] = symbols
+        decoded = self._coders["rans"].codec.decode_streams(list(rans.values()))
+        for i, symbols in zip(rans, decoded):
+            codes[i] = symbols
         return [self._fields(inner, symbols) for inner, symbols in zip(inners, codes)]
 
     @staticmethod

@@ -226,7 +226,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             )
             shared_book = self._wire.pooled_shared_book(
                 self.config.entropy_stage,
-                [encoding for _, encoding in chosen],
+                [encoding for _, encoding, _ in chosen],
                 [counts[spec.block_id] for spec in todo],
             )
             fresh = fan_out(

@@ -2,7 +2,9 @@
 
 Covers the frequency model's corners (single-symbol alphabets, skew far
 past the 12-bit quantisation resolution, alphabets too large for a
-table), the codec's round-trip contract across stream shapes, and the
+table), the codec's round-trip contract across stream shapes, the
+lockstep batch decode (equal to decoding each stream alone, and failing
+whole on any corrupt member), and the
 pipeline-level fallback: a block whose alphabet cannot fit a rANS table
 must degrade to Huffman *inside* a rans-configured pipeline and say so
 in its per-block codec tag.
@@ -10,12 +12,15 @@ in its per-block codec tag.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.compression import ErrorBound, create_blocked_compressor
+from repro.compression.encoders.huffman import symbol_frequencies
 from repro.compression.encoders.rans import (
     MAX_TABLE_SYMBOLS,
     PROB_SCALE,
@@ -168,6 +173,72 @@ class TestRansCodecRoundTrip:
             codec.decode(bytes(corrupt), table_bytes, count)
         with pytest.raises(EncodingError):
             codec.decode(payload, table_bytes, count + 1)
+
+
+@st.composite
+def _batches(draw) -> List[Tuple[bytes, bytes, int]]:
+    """1-12 encoded streams of mixed lengths (so mixed lane and round
+    counts), empty ones included, each coded with its own table or with
+    one table pooled over the batch.  Half the batches are resized to
+    lengths ``n`` and ``2n``, so several streams share a round count."""
+    streams = draw(st.lists(_symbol_streams(), min_size=1, max_size=12))
+    shared = draw(st.lists(st.booleans(), min_size=len(streams), max_size=len(streams)))
+    n = min((s.size for s in streams if s.size), default=0)
+    if n and draw(st.booleans()):
+        streams = [np.resize(s, n << (i % 2)) if s.size else s for i, s in enumerate(streams)]
+    codec = RansCodec()
+    pooled = np.concatenate(streams)
+    table = RansFrequencyTable.try_from_frequencies(symbol_frequencies(pooled))
+    batch = []
+    for stream, use_shared in zip(streams, shared):
+        if use_shared and table is not None and stream.size:
+            payload = codec.encode_with_table(stream, table)
+            batch.append((payload, table.serialize(), int(stream.size)))
+        else:
+            batch.append(codec.encode(stream))
+    return batch
+
+
+class TestRansBatchDecode:
+    @_SETTINGS
+    @given(batch=_batches())
+    def test_batch_equals_per_stream_decode(self, batch):
+        codec = RansCodec()
+        decoded = codec.decode_streams(batch)
+        assert len(decoded) == len(batch)
+        for triple, symbols in zip(batch, decoded):
+            assert np.array_equal(symbols, codec.decode(*triple))
+            assert symbols.dtype == np.int64 and symbols.size == triple[2]
+
+    @_SETTINGS
+    @given(batch=_batches(), data=st.data())
+    def test_a_corrupt_stream_anywhere_fails_the_batch(self, batch, data):
+        coded = [i for i, (_, _, count) in enumerate(batch) if count]
+        assume(coded)
+        victim = data.draw(st.sampled_from(coded))
+        payload, table_bytes, count = batch[victim]
+        corrupt = data.draw(
+            st.sampled_from(
+                [
+                    (payload[:-1] + bytes([payload[-1] ^ 0xFF]), table_bytes, count),
+                    (payload, table_bytes, count + 1),
+                    (payload[:-1], table_bytes, count),
+                ]
+            )
+        )
+        codec = RansCodec()
+        # Without a checksum a flipped word can land on another valid
+        # decode path (about one random stream in 6 000); those are not
+        # the batch's to catch.
+        try:
+            codec.decode(*corrupt)
+        except EncodingError:
+            pass
+        else:
+            assume(False)
+        batch[victim] = corrupt
+        with pytest.raises(EncodingError):
+            codec.decode_streams(batch)
 
 
 class TestPipelineFallback:

@@ -21,8 +21,10 @@ MAX_CORE_FUNCTION_LINES = 90
 #: learned block policy and the brute-force double encode went, 17 134
 #: before the per-block codec rule did, 17 062 before the whole-array
 #: layout fork and the four wrapper classes did, 16 850 before the
-#: scheduler became the simulation clock's only writer).
-MAX_SRC_LINES = 16_738
+#: scheduler became the simulation clock's only writer, 16 738 before a
+#: file's rANS streams decoded as one batch and interpolation passes
+#: read slice views).
+MAX_SRC_LINES = 16_736
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
