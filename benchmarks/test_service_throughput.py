@@ -69,8 +69,6 @@ def _config() -> OcelotConfig:
         mode="compressed",
         sentinel_enabled=False,
         size_scale=SIZE_SCALE,
-        # Deterministic cluster-scale timing (the benchmark measures the
-        # scheduler, not this machine's wall clock).
         assumed_compression_throughput_mbps=300.0,
         assumed_decompression_throughput_mbps=500.0,
         # Multi-tenant-sized node requests: 2 of the 16-node partition per
@@ -140,7 +138,7 @@ def _scaling_config() -> OcelotConfig:
     """Small per-job work with compute dominating the WAN.
 
     One node per phase so the 16/8/8-node partitions run many jobs at
-    once; assumed codec throughputs make phase durations deterministic.
+    once; slow assumed codec throughputs make compute outweigh the WAN.
     """
     return OcelotConfig(
         error_bound=1e-3,

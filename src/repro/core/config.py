@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -121,6 +122,15 @@ class OcelotConfig:
         priority: default scheduler priority class (``low`` / ``normal``
             / ``high``); higher classes dispatch strictly before lower
             ones.
+        size_scale: factor from a field's in-memory bytes to the bytes it
+            stands for on the cluster; every staged, compressed, shipped
+            and reconstructed size is multiplied by it.
+        assumed_compression_throughput_mbps /
+        assumed_decompression_throughput_mbps: per-core rate (MB/s of
+            uncompressed data) of the native compressor the cluster runs.
+            A compute task costs its nominal bytes at this rate
+            (:meth:`simulated_compute_s`); this host's wall time is never
+            billed, so a report is the same in any process.
     """
 
     error_bound: float = 1e-3
@@ -153,9 +163,8 @@ class OcelotConfig:
     tenant: str = "default"
     priority: str = "normal"
     size_scale: float = 1.0
-    work_time_scale: Optional[float] = None
-    assumed_compression_throughput_mbps: Optional[float] = None
-    assumed_decompression_throughput_mbps: Optional[float] = None
+    assumed_compression_throughput_mbps: float = 300.0
+    assumed_decompression_throughput_mbps: float = 500.0
 
     def __post_init__(self) -> None:
         if self.mode not in VALID_MODES:
@@ -216,12 +225,10 @@ class OcelotConfig:
             )
         if self.size_scale <= 0:
             raise ConfigurationError("size_scale must be positive")
-        if self.work_time_scale is not None and self.work_time_scale <= 0:
-            raise ConfigurationError("work_time_scale must be positive")
         for name in ("assumed_compression_throughput_mbps", "assumed_decompression_throughput_mbps"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if value is None or value <= 0:
+                raise ConfigurationError(f"{name} must be a positive number of MB/s")
         # Validate the error-bound mode eagerly.
         ErrorBoundMode.parse(self.error_bound_mode)
 
@@ -249,25 +256,19 @@ class OcelotConfig:
         """Cores available to the parallel compression job."""
         return self.compression_nodes * self.cores_per_node
 
-    def resolved_work_time_scale(self) -> float:
-        """Scale applied to measured per-file (de)compression times.
+    def simulated_compute_s(self, nominal_bytes: float, mbps: float) -> float:
+        """Cluster-scale seconds of one compute task: its nominal bytes at
+        ``mbps``, the assumed throughput of the task's direction."""
+        return nominal_bytes / (mbps * 1e6)
 
-        Defaults to ``size_scale``: when files are staged at ``size_scale``
-        times their in-memory size, the per-file compute time is scaled by
-        the same factor (compression cost is roughly linear in elements).
+    def simulated_planning_s(self, nbytes: int, candidates: int) -> float:
+        """Cluster-scale seconds of a quality-prediction sweep over one field.
+
+        The predictor reads a ``sample_fraction`` sample of the field's
+        ``nbytes`` once per candidate configuration; that is billed at
+        the compression throughput, like any other pass over the data.
         """
-        return float(self.work_time_scale if self.work_time_scale is not None else self.size_scale)
-
-    def simulated_compute_s(
-        self, measured_s: float, nominal_bytes: int, assumed_mbps: Optional[float]
-    ) -> float:
-        """Cluster-scale seconds of one (de)compression task.
-
-        ``assumed_mbps`` is the configured native-compressor throughput
-        for the task's direction: when set, the task costs its nominal
-        bytes at that rate; otherwise its measured wall time is scaled
-        by :meth:`resolved_work_time_scale`.
-        """
-        if assumed_mbps:
-            return nominal_bytes / (assumed_mbps * 1e6)
-        return measured_s * self.resolved_work_time_scale()
+        sampled = math.ceil(nbytes * self.sample_fraction) * self.size_scale
+        return self.simulated_compute_s(
+            candidates * sampled, self.assumed_compression_throughput_mbps
+        )

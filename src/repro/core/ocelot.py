@@ -89,6 +89,8 @@ class Ocelot:
         The prediction runs "remotely" through the FaaS service (the data
         stay on the endpoint where they reside; only the small predictions
         come back), exactly as Ocelot's quality predictor does via FuncX.
+        The call is charged what a transfer's ``plan`` phase bills for the
+        same sweep (:meth:`OcelotConfig.simulated_planning_s`).
         """
         if not self.predictor.is_fitted:
             raise OrchestrationError(
@@ -99,6 +101,7 @@ class Ocelot:
         task = self.faas.run(
             endpoint,
             self._predict_fn_id,
+            self.config.simulated_planning_s(np.asarray(data).nbytes, len(bounds) * len(names)),
             args=(self.predictor, data, bounds, names),
             nodes=1,
         )

@@ -224,9 +224,9 @@ class OcelotOrchestrator:
         When ``block_size`` is configured, the pipeline partitions each
         file into independent blocks (otherwise a file is one block) and
         their per-block tasks are dispatched through the executor's block
-        thread pool, so measured per-file times reflect genuine concurrency.
-        Every phase of the run that asks for ``name`` (cache probe,
-        compress, each streamed file, decompress) shares the one instance.
+        thread pool.  Every phase of the run that asks for ``name`` (cache
+        probe, compress, each streamed file, decompress) shares the one
+        instance.
         """
         compressor = self._compressors.get(name)
         if compressor is None:
@@ -275,8 +275,8 @@ class OcelotOrchestrator:
         """Compress staged files for real, recording per-file cost.
 
         Each file's blocks fan out through :meth:`ParallelExecutor.map_blocks`
-        (when blocked mode is on), so the per-file wall time already
-        accounts for local multi-core execution.  With caching on,
+        (when blocked mode is on); a file's cost is its staged bytes at the
+        assumed compression throughput.  With caching on,
         ``probes`` maps each path to its content digest and cache key: they
         are stamped into the blob metadata (so operators can correlate
         blobs with cache entries) and freshly compressed blobs are stored
@@ -316,9 +316,7 @@ class OcelotOrchestrator:
             outcome.blobs.append((staged_file.field.filename, payload))
             outcome.per_file_times_s.append(
                 self.config.simulated_compute_s(
-                    result.stats.compression_time_s,  # the encode alone, not the verify pass
-                    staged_file.size_bytes,
-                    self.config.assumed_compression_throughput_mbps,
+                    staged_file.size_bytes, self.config.assumed_compression_throughput_mbps
                 )
             )
             outcome.per_file_output_bytes.append(int(len(payload) * self.config.size_scale))

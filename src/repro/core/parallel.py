@@ -2,11 +2,11 @@
 
 Two concerns live here:
 
-1. **Really doing the work** — compressing/decompressing the files of a
-   dataset, optionally across local worker threads, measuring per-file
-   wall time.
-2. **Modelling the cluster** — converting measured per-file times into
-   the makespan a multi-node MPI job would achieve.  Compression scales
+1. **Really doing the work** — the blocks of one file, optionally across
+   local worker threads.
+2. **Modelling the cluster** — scheduling per-file compute times (each
+   file's bytes at an assumed native-compressor throughput) into the
+   makespan a multi-node MPI job would achieve.  Compression scales
    with cores until the number of files saturates the parallelism
    (Fig. 9 left); decompression is limited by parallel-filesystem write
    contention, so beyond a few nodes it *slows down* (Fig. 9 right).
@@ -132,7 +132,6 @@ class ParallelExecutor:
         per_file_output_bytes: Sequence[int],
         nodes: int,
         cores_per_node: int,
-        time_scale: float = 1.0,
     ) -> MakespanEstimate:
         """Makespan of a parallel compression or decompression job.
 
@@ -146,7 +145,7 @@ class ParallelExecutor:
         the active cores: beyond a few nodes the I/O term dominates and
         adding nodes makes the job slower (Fig. 9 right).
         """
-        times = [t * time_scale for t in per_file_times_s]
+        times = per_file_times_s
         if nodes < 1 or cores_per_node < 1:
             raise ConfigurationError("nodes and cores_per_node must be >= 1")
         effective_cores = max(1, int(nodes * cores_per_node * self.cost_model.parallel_efficiency))

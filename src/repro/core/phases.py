@@ -16,7 +16,6 @@ owner — a solo job and a job in a batch yield the same steps.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -92,7 +91,8 @@ class CompressionOutcome:
     """Results of really compressing a batch of staged files."""
 
     blobs: List[Tuple[str, bytes]] = field(default_factory=list)
-    #: Cluster-scale seconds per file (``OcelotConfig.simulated_compute_s``).
+    #: Cluster-scale seconds per file: its staged bytes at the assumed
+    #: compression throughput (``OcelotConfig.simulated_compute_s``).
     per_file_times_s: List[float] = field(default_factory=list)
     per_file_output_bytes: List[int] = field(default_factory=list)
     original_bytes: int = 0
@@ -178,9 +178,13 @@ def _ship_raw(orch: "OcelotOrchestrator", run: TransferRun) -> PhaseStep:
 
 
 def _plan(orch: "OcelotOrchestrator", run: TransferRun) -> PhaseStep:
-    start = time.perf_counter()
-    plan = run.plan = orch.planner.plan(representative=run.staged[0].field)
-    run.timings.planning_s = time.perf_counter() - start if plan.used_predictor else 0.0
+    representative = run.staged[0].field
+    plan = run.plan = orch.planner.plan(representative=representative)
+    if plan.used_predictor:
+        # The planner sweeps the candidate bounds with the one configured compressor.
+        run.timings.planning_s = orch.config.simulated_planning_s(
+            representative.nbytes, len(orch.config.candidate_error_bounds)
+        )
     return PhaseStep(
         "plan",
         duration_s=run.timings.planning_s,
@@ -495,15 +499,11 @@ def _decompress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseS
     per_file_output_bytes: List[int] = []
     tally = QualityTally()
     for name, payload in _received_blobs(orch, run):
-        start = time.perf_counter()
         blob = CompressedBlob.from_bytes(payload)
         recon = orch._build_compressor(blob.compressor).decompress(blob)
-        elapsed = time.perf_counter() - start
         size = int(recon.nbytes * config.size_scale)
         per_file_times.append(
-            config.simulated_compute_s(
-                elapsed, size, config.assumed_decompression_throughput_mbps
-            )
+            config.simulated_compute_s(size, config.assumed_decompression_throughput_mbps)
         )
         per_file_output_bytes.append(size)
         tally.add(originals[name], recon)

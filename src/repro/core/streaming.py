@@ -6,7 +6,7 @@ the phases.  This module drives the same real work through a
 produce/ship/consume pipeline instead: each ``block:<id>`` section ships
 over a :class:`~repro.transfer.service.TransferStream` the moment it
 finishes encoding, the destination decodes each block as it arrives
-(billed its share of the file's one bulk-reader decode), and a bounded
+(billed its own bytes at the assumed decompression throughput), and a bounded
 in-flight window applies back-pressure so a slow WAN throttles the
 producers instead of buffering the whole dataset.  The simulated
 makespan is then the *max* of the overlapped phases plus pipeline
@@ -27,7 +27,6 @@ bytes than it would have produced.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -119,18 +118,18 @@ class StreamingPipeline:
             int(nodes * self.config.cores_per_node * self.cost_model.parallel_efficiency),
         )
 
-    def _scaled_decode_time(self, measured_s: float, nominal_bytes: int, writers: int) -> float:
+    def _decode_s(self, nominal_bytes: int, writers: int) -> float:
         """Simulated cost of decoding one block, including the PFS write-back.
 
-        Every decoded block is written to the destination's shared parallel
-        filesystem, so the same write-contention model the bulk
-        decompression makespan applies is charged per block here:
-        ``write_bandwidth(writers)`` is the *aggregate* the contending
-        writers share, so one block moving concurrently with ``writers - 1``
-        others gets a 1/``writers`` fair share of it.
+        The block's bytes at the assumed decompression throughput, plus
+        its write to the destination's shared parallel filesystem, under
+        the same write-contention model the bulk decompression makespan
+        applies: ``write_bandwidth(writers)`` is the *aggregate* the
+        contending writers share, so one block moving concurrently with
+        ``writers - 1`` others gets a 1/``writers`` fair share of it.
         """
         compute = self.config.simulated_compute_s(
-            measured_s, nominal_bytes, self.config.assumed_decompression_throughput_mbps
+            nominal_bytes, self.config.assumed_decompression_throughput_mbps
         )
         share = self.cost_model.write_bandwidth(writers) / max(1, writers)
         return compute + nominal_bytes / share
@@ -223,16 +222,16 @@ class StreamingPipeline:
                 arr = arr.astype(np.float32)
             eb_abs = plan.error_bound.absolute_for(arr)
             blocks: List[_PendingBlock] = []
-            for entry, payload, encode_s, header in self._encode_file(compressor, arr, eb_abs):
+            for entry, payload, header in self._encode_file(compressor, arr, eb_abs):
                 nominal = int(spec_nbytes(entry, arr.dtype) * self.config.size_scale)
-                scaled_encode = self.config.simulated_compute_s(
-                    encode_s, nominal, self.config.assumed_compression_throughput_mbps
+                encode_s = self.config.simulated_compute_s(
+                    nominal, self.config.assumed_compression_throughput_mbps
                 )
-                encode_times.append(scaled_encode)
+                encode_times.append(encode_s)
                 # Back-pressure: block k may not start encoding until the
                 # (k - window)-th chunk has fully left the wire.
                 gate = chunks[len(chunks) - window].completed_at if len(chunks) >= window else 0.0
-                ready = max(heapq.heappop(producers), gate, produce_start) + scaled_encode
+                ready = max(heapq.heappop(producers), gate, produce_start) + encode_s
                 heapq.heappush(producers, ready)
 
                 # Only the chunk's wire size matters to the simulation; the
@@ -264,6 +263,9 @@ class StreamingPipeline:
     ) -> Tuple[float, List[float]]:
         """Assemble, decode and measure each file as its blocks arrive.
 
+        A file decodes in one call of the bulk reader (one batch of
+        entropy streams, then predictor decode per block); each block is
+        scheduled on the consumer workers at its own simulated cost.
         Fills ``outcome``'s compressed size and quality; returns when the
         last block finishes decoding and every simulated decode time.
         """
@@ -274,9 +276,11 @@ class StreamingPipeline:
         decode_times: List[float] = []
         tally = QualityTally()
         for staged_file, (header, blocks) in zip(staged, sent):
-            blob, recon, file_decode_times = self._consume_file(header, blocks, writers=workers)
-            decode_times.extend(file_decode_times)
-            for pending, decode_s in zip(blocks, file_decode_times):
+            blob = CompressedBlob.assemble(header, [(p.entry, p.payload) for p in blocks])
+            recon = self._build_compressor(blob.compressor).decompress(blob)
+            for pending in blocks:
+                decode_s = self._decode_s(pending.nominal_bytes, workers)
+                decode_times.append(decode_s)
                 finish = max(heapq.heappop(consumers), pending.arrived_at) + decode_s
                 heapq.heappush(consumers, finish)
 
@@ -303,7 +307,7 @@ class StreamingPipeline:
     def _encode_file(
         self, compressor: PredictionPipelineCompressor, arr: np.ndarray, eb_abs: float
     ):
-        """Yield ``(entry, payload, encode_s, blob_header)`` per block.
+        """Yield ``(entry, payload, blob_header)`` per block.
 
         One tuple per block of the compressor's plan as each finishes
         encoding; without a block size the plan is one block per file, so
@@ -317,37 +321,10 @@ class StreamingPipeline:
         shared_book = compressor.prepare_shared_codebook(arr, block_plan, eb_abs)
         header = compressor.blocked_header(arr, block_plan, eb_abs, shared_book=shared_book)
         for spec in block_plan:
-            start = time.perf_counter()
             entry, payload = compressor.encode_one_block(
                 arr, block_plan, spec, eb_abs, shared_book=shared_book
             )
-            elapsed = time.perf_counter() - start
-            yield entry, payload, elapsed, header
-
-    def _consume_file(
-        self, header: Dict[str, Any], per_file: List[_PendingBlock], writers: int
-    ) -> Tuple[CompressedBlob, np.ndarray, List[float]]:
-        """Assemble the destination-side blob and decode it with the bulk reader.
-
-        The file decodes in one call (one batch of entropy streams, then
-        predictor decode per block).  Returns the assembled blob, the
-        full reconstruction, and each block's scaled decode time: its
-        share, by size, of the file's one measured decode.
-        """
-        blob = CompressedBlob.assemble(
-            header, [(p.entry, p.payload) for p in per_file]
-        )
-        decompressor = self._build_compressor(blob.compressor)
-        start = time.perf_counter()
-        recon = decompressor.decompress(blob)
-        elapsed = time.perf_counter() - start
-        sizes = [spec_nbytes(p.entry, recon.dtype) for p in per_file]
-        total = sum(sizes)
-        decode_times = [
-            self._scaled_decode_time(elapsed * size / total, p.nominal_bytes, writers)
-            for p, size in zip(per_file, sizes)
-        ]
-        return blob, recon, decode_times
+            yield entry, payload, header
 
 
 def spec_nbytes(entry: Dict[str, Any], dtype: np.dtype) -> int:

@@ -3,14 +3,13 @@
 Executing a function really runs the Python callable in-process (so
 compression work is genuinely performed), while the *simulated* time
 charged to the workflow consists of the batch-scheduler queue wait, the
-container start-up cost and either the measured wall time of the call or
-a caller-provided simulated duration (used when the work models a much
-larger machine than the one running the benchmark).
+container start-up cost and the execution time the caller models for
+the call: the work stands for a much larger machine than the one running
+it, so this host's wall time is never charged.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -61,35 +60,31 @@ class FaaSEndpoint:
     def execute(
         self,
         func: Callable,
+        duration_s: float,
         args: tuple = (),
         kwargs: Optional[Dict[str, Any]] = None,
         nodes: int = 1,
         container: str = "default",
         now: float = 0.0,
-        simulated_duration_s: Optional[float] = None,
         hold_allocation: bool = False,
     ) -> FaaSExecution:
-        """Run ``func`` on this endpoint.
+        """Run ``func`` on this endpoint, charging ``duration_s`` of execution.
 
-        ``simulated_duration_s`` overrides the charged execution time (the
-        callable is still executed for its side effects/return value); when
-        omitted the measured wall time of the call is charged.  With
+        The callable really runs for its side effects and return value;
+        its simulated execution time is ``duration_s``.  With
         ``hold_allocation`` the caller is responsible for releasing the
         node allocation (used by multi-step compression jobs).
         """
         allocation = self.scheduler.request(nodes, now=now)
         startup = self.containers.startup_cost(container)
-        start = time.perf_counter()
         value = func(*args, **(kwargs or {}))
-        measured = time.perf_counter() - start
-        execution = measured if simulated_duration_s is None else float(simulated_duration_s)
         if not hold_allocation:
             self.scheduler.release(allocation)
         return FaaSExecution(
             value=value,
             queue_wait_s=allocation.wait_s,
             startup_s=startup,
-            execution_s=execution,
+            execution_s=float(duration_s),
             nodes=nodes,
             endpoint=self.name,
             allocation=allocation if hold_allocation else None,

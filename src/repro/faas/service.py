@@ -81,28 +81,29 @@ class FuncXService:
         self,
         endpoint_name: str,
         function_id: str,
+        duration_s: float,
         args: tuple = (),
         kwargs: Optional[Dict[str, Any]] = None,
         nodes: int = 1,
-        simulated_duration_s: Optional[float] = None,
     ) -> FaaSTask:
         """Invoke a registered function on an endpoint.
 
-        The task is submitted at the clock's current time and completes
-        its total duration (queue wait + start-up + execution) later; the
-        clock itself does not move.
+        ``duration_s`` is the call's modelled execution time.  The task
+        is submitted at the clock's current time and completes its total
+        duration (queue wait + start-up + execution) later; the clock
+        itself does not move.
         """
         spec = self.registry.get(function_id)
         endpoint = self.endpoint(endpoint_name)
         submitted = self.clock.now
         execution = endpoint.execute(
             spec.callable,
+            duration_s,
             args=args,
             kwargs=kwargs,
             nodes=nodes,
             container=spec.container,
             now=submitted,
-            simulated_duration_s=simulated_duration_s,
         )
         task = FaaSTask(
             task_id=f"faas-{next(self._counter):06d}",

@@ -43,16 +43,30 @@ class TestOcelotConfig:
     def test_invalid_scales_raise(self):
         with pytest.raises(ConfigurationError):
             OcelotConfig(size_scale=0.0)
-        with pytest.raises(ConfigurationError):
-            OcelotConfig(work_time_scale=-2.0)
 
     def test_total_cores(self):
         config = OcelotConfig(compression_nodes=4, cores_per_node=16)
         assert config.total_compression_cores() == 64
 
-    def test_work_time_scale_defaults_to_size_scale(self):
-        assert OcelotConfig(size_scale=100.0).resolved_work_time_scale() == 100.0
-        assert OcelotConfig(size_scale=100.0, work_time_scale=5.0).resolved_work_time_scale() == 5.0
+    @pytest.mark.parametrize(
+        "name", ["assumed_compression_throughput_mbps", "assumed_decompression_throughput_mbps"]
+    )
+    @pytest.mark.parametrize("value", [None, 0, 0.0, -300.0])
+    def test_a_throughput_must_be_a_positive_rate(self, name, value):
+        """No throughput means no model, and there is no other source of
+        a simulated compute second."""
+        with pytest.raises(ConfigurationError):
+            OcelotConfig(**{name: value})
+        with pytest.raises(ConfigurationError):
+            OcelotConfig().with_overrides(**{name: value})
+
+    def test_compute_seconds_are_nominal_bytes_at_the_throughput(self):
+        config = OcelotConfig(size_scale=10.0, sample_fraction=0.01)
+        assert (config.assumed_compression_throughput_mbps,
+                config.assumed_decompression_throughput_mbps) == (300.0, 500.0)
+        assert config.simulated_compute_s(6e8, 300.0) == 2.0
+        # ceil(4001 * 0.01) = 41 sampled bytes, x10 size scale, x4 candidates.
+        assert config.simulated_planning_s(4001, candidates=4) == 41 * 10.0 * 4 / 300e6
 
     def test_error_bound_modes(self):
         assert OcelotConfig(error_bound=0.5, error_bound_mode="abs").resolved_error_bound().mode.value == "abs"
@@ -98,7 +112,7 @@ class TestParallelExecutor:
     def test_time_scale_applies(self):
         executor = ParallelExecutor()
         base = executor.compression_makespan([1.0] * 8, [1] * 8, nodes=1, cores_per_node=1)
-        scaled = executor.compression_makespan([1.0] * 8, [1] * 8, nodes=1, cores_per_node=1, time_scale=10.0)
+        scaled = executor.compression_makespan([10.0] * 8, [1] * 8, nodes=1, cores_per_node=1)
         assert scaled.makespan_s > base.makespan_s * 5
 
     def test_empty_batch(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -156,19 +157,24 @@ class TestFaaSEndpointAndService:
 
     def test_execute_returns_value_and_timing(self):
         endpoint = self._endpoint()
-        execution = endpoint.execute(_double, args=(5,), nodes=2)
+        execution = endpoint.execute(_double, duration_s=1.5, args=(5,), nodes=2)
         assert execution.value == 10
         assert execution.total_s >= execution.execution_s
         assert execution.nodes == 2
 
-    def test_simulated_duration_override(self):
+    def test_the_charged_execution_is_the_given_duration(self):
+        """The caller models the call's execution; the host's wall time is
+        never charged, however long the callable really takes."""
         endpoint = self._endpoint()
-        execution = endpoint.execute(_double, args=(1,), simulated_duration_s=120.0)
-        assert execution.execution_s == 120.0
+        assert endpoint.execute(_double, duration_s=120.0, args=(1,)).execution_s == 120.0
+        slow = endpoint.execute(time.sleep, duration_s=0.0, args=(0.02,))
+        assert slow.execution_s == 0.0
 
     def test_hold_and_release_allocation(self):
         endpoint = self._endpoint()
-        execution = endpoint.execute(_double, args=(1,), nodes=4, hold_allocation=True)
+        execution = endpoint.execute(
+            _double, duration_s=1.0, args=(1,), nodes=4, hold_allocation=True
+        )
         assert endpoint.scheduler.busy_nodes == 4
         endpoint.release(execution)
         assert endpoint.scheduler.busy_nodes == 0
@@ -185,7 +191,7 @@ class TestFaaSEndpointAndService:
         service.register_endpoint(self._endpoint())
         fid = service.register_function(_double)
         before = service.clock.now
-        task = service.run("anvil", fid, args=(3,), simulated_duration_s=10.0)
+        task = service.run("anvil", fid, duration_s=10.0, args=(3,))
         assert task.result == 6
         assert service.clock.now == before
         assert task.duration_s >= 10.0
@@ -195,14 +201,14 @@ class TestFaaSEndpointAndService:
         service = FuncXService()
         fid = service.register_function(_double)
         with pytest.raises(FaaSError):
-            service.run("frontier", fid, args=(1,))
+            service.run("frontier", fid, duration_s=1.0, args=(1,))
 
     def test_warm_container_is_faster_on_second_call(self):
         service = FuncXService()
         service.register_endpoint(self._endpoint())
         fid = service.register_function(_double)
-        first = service.run("anvil", fid, args=(1,))
-        second = service.run("anvil", fid, args=(1,))
+        first = service.run("anvil", fid, duration_s=1.0, args=(1,))
+        second = service.run("anvil", fid, duration_s=1.0, args=(1,))
         assert second.execution.startup_s < first.execution.startup_s
 
     def test_build_faas_service_defaults(self):
@@ -233,5 +239,5 @@ class TestFaaSEndpointAndService:
     def test_tasks_are_recorded(self):
         service = build_faas_service()
         fid = service.register_function(_double)
-        service.run("anvil", fid, args=(2,))
+        service.run("anvil", fid, duration_s=1.0, args=(2,))
         assert len(service.tasks()) == 1

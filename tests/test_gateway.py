@@ -62,7 +62,7 @@ SPEC_JSON = {
 
 
 def _config(**kwargs):
-    """Deterministic config: assumed throughputs instead of wall time."""
+    """Compressed mode on two nodes a phase, no sentinel, default throughputs spelled out."""
     defaults = dict(
         error_bound=1e-3,
         compressor="sz3-fast",

@@ -2,12 +2,10 @@
 
 ``golden_reports.json`` holds, for 24 configurations of one seeded
 8-file dataset, the phase steps ``(name, duration_s, endpoint, nodes,
-link, detail)`` and ``TransferReport.as_dict()``.  Every run sets
-``assumed_compression_throughput_mbps`` /
-``assumed_decompression_throughput_mbps`` and plans without the
-predictor, so no measured wall time reaches a simulated second and the
-rows compare with ``==``, floats included, against the recording as the
-tree writes it.  Phases return durations and never move the clock, so
+link, detail)`` and ``TransferReport.as_dict()``.  Every simulated second is a model (these
+runs bill compute at 300 / 600 MB/s and plan without the predictor), so
+the rows compare with ``==``, floats included, against the recording as
+the tree writes it.  Phases return durations and never move the clock, so
 the steps are what ``OcelotOrchestrator.iter_phases`` yields however it
 is driven; each row is also run as a one-job ``OcelotService`` batch,
 which must report the same and end the clock at the report's

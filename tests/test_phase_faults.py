@@ -17,7 +17,7 @@ from test_service_api import _config, _spec
 from repro.compression import Compressor
 from repro.compression.predictors import LorenzoPredictor
 from repro.core import OcelotOrchestrator
-from repro.core.phases import MODE_PHASES, PHASES
+from repro.core.phases import MODE_PHASES, PHASES, TransferRun
 from repro.datasets import generate_application
 from repro.errors import ErrorBoundViolation
 from repro.service import JobStatus, OcelotService
@@ -39,7 +39,7 @@ def dataset():
 
 
 def _service() -> OcelotService:
-    return OcelotService(_config())  # assumed throughputs: no wall time in a report
+    return OcelotService(_config())
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +136,10 @@ def test_a_bound_breaking_predictor_fails_bulk_and_streamed_jobs_alike(
 
 def test_billed_compress_seconds_exclude_the_verify_pass(monkeypatch, dataset):
     """Table VIII's CPTime is the encode: ``verify_error_bound`` adds a
-    full decode and an error scan, and neither is compression."""
-    stats, outcomes = [], []
+    full decode and an error scan, and neither is compression.  A file
+    is billed its staged bytes at the compression throughput, whichever
+    passes really ran."""
+    stats = []
     real_compress = Compressor.compress
 
     def compress(self, *args, **kwargs):
@@ -146,19 +148,14 @@ def test_billed_compress_seconds_exclude_the_verify_pass(monkeypatch, dataset):
         return result
 
     monkeypatch.setattr(Compressor, "compress", compress)
-    config = _config(verify_error_bound=True, assumed_compression_throughput_mbps=None)
-    orchestrator = OcelotOrchestrator(config)
-    real_files = orchestrator._compress_files
-
-    def compress_files(*args, **kwargs):
-        outcomes.append(real_files(*args, **kwargs))
-        return outcomes[-1]
-
-    monkeypatch.setattr(orchestrator, "_compress_files", compress_files)
-    for _ in orchestrator.iter_phases(dataset, "anvil", "cori"):
-        pass
-    (outcome,) = outcomes
-    assert len(stats) == dataset.file_count
-    assert all(s.decompression_time_s > 0 for s in stats)  # the verify pass ran
-    scale = config.resolved_work_time_scale()
-    assert outcome.per_file_times_s == [s.compression_time_s * scale for s in stats]
+    billed = {}
+    for verify in (False, True):
+        orchestrator = OcelotOrchestrator(_config(verify_error_bound=verify))
+        run = TransferRun(dataset, "anvil", "cori", "compressed")
+        for phase in ("stage", "plan", "wait", "compress"):
+            PHASES[phase](orchestrator, run)
+        billed[verify] = (run.outcome.per_file_times_s, [f.size_bytes for f in run.staged])
+    assert len(stats) == 2 * dataset.file_count
+    assert all(s.decompression_time_s > 0 for s in stats[dataset.file_count:])  # verify ran
+    (times, sizes), (verified_times, _) = billed[False], billed[True]
+    assert verified_times == times == [size / 300e6 for size in sizes]

@@ -216,16 +216,17 @@ class TestStreamedOrchestration:
             "shared" if shared else "per-block"
         }
 
-    def test_each_file_decodes_in_one_batch_billed_by_share(self, dataset, monkeypatch):
+    def test_each_file_decodes_in_one_batch_and_blocks_bill_their_bytes(
+        self, dataset, monkeypatch
+    ):
         """The destination decodes a file through the bulk reader: no
-        random-access ``decompress_block``, one rANS ``decode_streams``
-        batch per file, and the blocks' bills are shares that sum to the
-        file's one measured decode."""
-        from types import SimpleNamespace
-
+        random-access ``decompress_block`` and one rANS ``decode_streams``
+        batch per file.  Each block is billed its own bytes at the
+        decompression throughput plus its share of the PFS write, so the
+        bills cover the dataset's bytes exactly once."""
         from repro.compression.encoders.rans import RansCodec
         from repro.compression.sz.pipeline import PredictionPipelineCompressor
-        from repro.core import streaming
+        from repro.core import ParallelCostModel, streaming
 
         calls = []
         for cls, name in (
@@ -237,24 +238,15 @@ class TestStreamedOrchestration:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(cls, name, spy)
-        ticks = iter(range(1 << 30))  # every timed interval reads exactly 0.25 s
-        monkeypatch.setattr(streaming, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 4))
         pipeline = streaming.StreamingPipeline
-        bills, per_file = [], []
-        real_bill, real_consume = pipeline._scaled_decode_time, pipeline._consume_file
+        bills = []
+        real_bill = pipeline._decode_s
 
-        def bill(self, measured_s, nominal_bytes, writers):
-            bills.append(measured_s)
-            return real_bill(self, measured_s, nominal_bytes, writers)
+        def bill(self, nominal_bytes, writers):
+            bills.append((nominal_bytes, writers, real_bill(self, nominal_bytes, writers)))
+            return bills[-1][-1]
 
-        def consume(self, header, blocks, writers):
-            first = len(bills)
-            result = real_consume(self, header, blocks, writers)
-            per_file.append((len(blocks), bills[first:]))
-            return result
-
-        monkeypatch.setattr(pipeline, "_scaled_decode_time", bill)
-        monkeypatch.setattr(pipeline, "_consume_file", consume)
+        monkeypatch.setattr(pipeline, "_decode_s", bill)
         config = _streamed_config(
             transfer_mode="streamed", compressor="sz3", entropy_stage="rans", block_size=8,
             adaptive_predictor=True, shared_codebook=False,
@@ -262,10 +254,13 @@ class TestStreamedOrchestration:
         report = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
         assert report.transfer_mode == "streamed"
         assert calls.count("decompress_block") == 0
-        assert calls.count("decode_streams") == len(per_file) == dataset.file_count
-        for blocks, shares in per_file:
-            assert blocks > 1 and len(shares) == blocks
-            assert sum(shares) == pytest.approx(0.25, rel=1e-12)
+        assert calls.count("decode_streams") == dataset.file_count
+        assert len(bills) > dataset.file_count
+        assert sum(nominal for nominal, _, _ in bills) == report.total_bytes
+        model = ParallelCostModel()
+        for nominal, writers, seconds in bills:
+            share = model.write_bandwidth(writers) / writers
+            assert seconds == nominal / 600e6 + nominal / share
 
     def test_tight_window_throttles_but_still_completes(self, dataset):
         config = _streamed_config(transfer_mode="streamed", stream_window=1)
