@@ -1,50 +1,53 @@
-"""Command-line interface for the Ocelot reproduction.
+"""The ``ocelot`` command: the paper's user-facing capabilities (predict
+quality, compress, run a compression-accelerated transfer) and the job
+service around them (submit, recover, list, serve, cache).
 
-Subcommands mirror the user-facing capabilities of the paper:
-
-* ``ocelot info`` — list available compressors, applications and endpoints.
-* ``ocelot predict`` — train the quality predictor on synthetic data and
-  print predicted vs measured ratio/time/PSNR for a field.
-* ``ocelot compress`` — compress a generated field (or a ``.npy`` file)
-  and report ratio, timing and quality.
-* ``ocelot transfer`` — run an end-to-end simulated transfer and print
-  the Table VIII-style comparison of direct / compressed / grouped modes
-  (``--transfer-mode streamed`` overlaps compress → WAN → decode).
-* ``ocelot inspect`` — print a compressed blob's format version and
-  block index (debugging aid for streamed blobs).
-* ``ocelot submit`` — submit one or many datasets as concurrent jobs to
-  the multi-tenant job service, print per-job makespans and the
-  combined makespan, and append the job records to a ``JobStore`` log.
-* ``ocelot jobs`` — list jobs recorded in that log, or — with
-  ``--url`` — the live jobs of a running gateway.
-* ``ocelot status <job>`` — show one job's record, including its
-  structured event feed; exits non-zero when the job FAILED.
-* ``ocelot serve`` — run the HTTP gateway (REST job control, plan
-  groups, SSE event streams) in the foreground.
-* ``ocelot cache stats|clear`` — inspect or empty the content-addressed
-  blob/block cache that ``--cache-dir`` transfers populate.
+Each subcommand is one row of :data:`COMMANDS`.  Its ``run`` returns
+``(exit code, JSON payload, text lines)`` and :func:`main` alone prints:
+the payload under ``--json``, the lines otherwise.  A
+:class:`~repro.errors.ReproError` ends as one line on stderr and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Any, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from urllib.error import HTTPError, URLError
+from urllib.parse import quote
+from urllib.request import urlopen
 
 import numpy as np
 
-from .compression import ErrorBound, available_compressors, create_blocked_compressor
+from .cache import BlobCache
+from .compression import CompressedBlob, available_compressors, create_blocked_compressor
+from .compression.sz.encoding import block_model_bytes
 from .core import Ocelot, OcelotConfig, ParallelExecutor
 from .datasets import application_names, generate_application, generate_field
-from .prediction import build_training_records, train_test_split_records, QualityPredictor
+from .datasets import get_application_spec
+from .errors import ConfigurationError, OrchestrationError, ReproError
+from .prediction import QualityPredictor, build_training_records, train_test_split_records
+from .service import JobStore, OcelotService, TransferSpec
+from .transfer import build_testbed
 from .utils.sizes import format_bytes, format_duration
 
-__all__ = ["main", "build_parser"]
+__all__ = ["COMMANDS", "Command", "build_parser", "main"]
+
+#: What a subcommand's ``run`` returns: exit code, ``--json`` payload,
+#: text lines (any iterable: ``serve`` yields its banner, then blocks).
+Result = Tuple[int, Any, Iterable[str]]
 
 
-#: Default ``--state`` of ``submit`` / ``jobs`` / ``status``.
-_STATE_DEFAULT = ".ocelot-jobs.jsonl"
+class Command(NamedTuple):
+    """One ``ocelot`` subcommand."""
+
+    name: str
+    help: str
+    add_args: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], Result]
 
 
 def _positive_int(value: str) -> int:
@@ -54,248 +57,165 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _add_block_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--block-size", type=_positive_int, default=None,
-                     help="partition each array into blocks of this edge length "
-                          "and compress them independently (default: one block, "
-                          "the array)")
-    sub.add_argument("--block-workers", type=_positive_int, default=1,
-                     help="threads used to (de)compress blocks concurrently; "
-                          "they only take blocks of >= 131072 elements (64^3 "
-                          "yes, 32^3 no), smaller blocks run inline because "
-                          "GIL hand-offs outweigh the overlap")
-    sub.add_argument("--adaptive-predictor", action="store_true",
-                     help="per-block SZ3-style predictor selection "
-                          "(Lorenzo vs. interpolation, ranked on a size "
-                          "statistic of their quantisation codes; only the "
-                          "winner is encoded, with the --entropy codec); "
-                          "requires --block-size")
-    sub.add_argument("--entropy", default=None, choices=["huffman", "rans", "none"],
-                     help="entropy codec override for pipeline compressors: "
-                          "Huffman, interleaved rANS, or bypass; default keeps "
-                          "each compressor's registered stage.  Every block is "
-                          "coded with it (never chosen per block); with "
-                          "--codebook per-block, huffman usually writes the "
-                          "fewer bytes")
-    sub.add_argument("--codebook", default="shared", choices=["shared", "per-block"],
-                     help="entropy model layout in blocked entropy-coded mode: "
-                          "one shared codebook/frequency-table per file stored "
-                          "once in the blob header (default), or one per block")
+def _fraction(value: str) -> float:
+    number = float(value)
+    if not 0.0 < number < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {number}")
+    return number
 
 
-def _add_cache_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cache-dir", default=None, metavar="PATH",
-                     help="content-addressed blob/block cache directory; "
-                          "repeat transfers of identical data short-circuit "
-                          "the compress phase (inspect with 'ocelot cache')")
-    sub.add_argument("--cache-mode", default=None,
-                     choices=["off", "read", "readwrite"],
-                     help="off: ignore the cache; read: serve hits but never "
-                          "write (a shared warm cache tenants must not grow); "
-                          "readwrite: serve hits and store new entries "
-                          "(default when --cache-dir is given)")
-    sub.add_argument("--cache-max-bytes", type=_positive_int, default=None,
-                     help="size cap of the cache directory; "
-                          "least-recently-used entries beyond it are evicted")
+def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
+    """Every flag, declared once: key -> ``(option, add_argument kwargs)``.
 
-
-def _cache_config_kwargs(args: argparse.Namespace) -> dict:
-    """OcelotConfig cache fields from parsed cache CLI flags."""
-    mode = args.cache_mode
-    if mode is None:
-        mode = "readwrite" if args.cache_dir else "off"
+    Built per parser, so ``choices`` list what the registries hold then.
+    A row sets the defaults that differ by verb (``scale``, ``snapshots``,
+    ``compressor``).
+    """
+    apps, compressors = application_names(), available_compressors()
     return {
-        "cache_dir": args.cache_dir,
-        "cache_mode": mode,
-        "cache_max_bytes": args.cache_max_bytes,
+        "application": ("--application", dict(default="cesm", choices=apps)),
+        "applications": ("--application", dict(nargs="+", default=["cesm"], choices=apps,
+                                              help="one or more applications, a job each")),
+        "field": ("--field", dict(help="field name (default: first field)")),
+        "input": ("--input", dict(help="path to a .npy array to compress instead")),
+        "snapshots": ("--snapshots", dict(type=_positive_int, default=1)),
+        "scale": ("--scale", dict(type=float)),
+        "copies": ("--copies", dict(type=_positive_int, default=1,
+                                    help="submit each dataset this many times")),
+        "source": ("--source", dict(default="anvil")),
+        "destination": ("--destination", dict(default="cori")),
+        "compressor": ("--compressor", dict(default="sz3-fast", choices=compressors)),
+        "error-bound": ("--error-bound", dict(type=float, default=1e-3)),
+        "bound-mode": ("--mode", dict(dest="error_bound_mode", default="rel",
+                                      choices=["rel", "abs"])),
+        "size-scale": ("--size-scale", dict(type=float, default=1.0)),
+        "mode": ("--mode", dict(default="compressed", choices=["direct", "compressed", "grouped"],
+                                help="transfer mode of the submitted jobs")),
+        "compression-nodes": ("--compression-nodes", dict(
+            type=_positive_int, default=4, help="nodes each job requests for compression "
+            "(small requests let concurrent jobs overlap on the partition)")),
+        "decompression-nodes": ("--decompression-nodes", dict(type=_positive_int, default=4)),
+        "block-size": ("--block-size", dict(type=_positive_int, help=(
+            "compress each array as independent blocks of this edge length "
+            "(default: one block, the array)"))),
+        "block-workers": ("--block-workers", dict(type=_positive_int, default=1, help=(
+            "threads that (de)compress blocks concurrently; blocks under 131072 elements "
+            "(32^3) run inline, where GIL hand-offs would outweigh the overlap"))),
+        "adaptive-predictor": ("--adaptive-predictor", dict(action="store_true", help=(
+            "per block, rank Lorenzo vs. interpolation on a size statistic of their "
+            "quantisation codes and encode only the winner; requires --block-size"))),
+        "entropy": ("--entropy", dict(dest="entropy_stage", choices=["huffman", "rans", "none"],
+                                      help="entropy codec of every block (default: the "
+                                           "compressor's registered stage)")),
+        "codebook": ("--codebook", dict(default="shared", choices=["shared", "per-block"], help=(
+            "one entropy model per file, stored once in the blob header, or one per block"))),
+        "stage-timings": ("--stage-timings", dict(action="store_true", help=(
+            "time the encode stages, print them and stamp them into the blob metadata "
+            "for 'ocelot inspect' (the block encode then runs inline)"))),
+        "output": ("--output", dict(metavar="PATH", help="also write the blob to PATH")),
+        "modes": ("--modes", dict(nargs="+", default=["direct", "compressed", "grouped"])),
+        "transfer-mode": ("--transfer-mode", dict(default="bulk", choices=["bulk", "streamed"],
+                                                  help="bulk: compress, ship, decompress in "
+                                                       "turn; streamed: ship each block as it "
+                                                       "encodes (compressed mode only)")),
+        "stream-window": ("--stream-window", dict(type=_positive_int, default=8,
+                                                  help="blocks in flight in a streamed run")),
+        "cache-dir": ("--cache-dir", dict(metavar="PATH", help=(
+            "content-addressed blob/block cache: repeat transfers of identical data skip "
+            "the compress phase (inspect with 'ocelot cache')"))),
+        "cache-mode": ("--cache-mode", dict(choices=["off", "read", "readwrite"], help=(
+            "off: ignore the cache; read: serve hits, never write; readwrite: also "
+            "store new entries (default with --cache-dir)"))),
+        "cache-max-bytes": ("--cache-max-bytes", dict(
+            type=_positive_int, help="size cap; least-recently-used entries beyond it go")),
+        "tenant": ("--tenant", dict(metavar="NAME", help="tenant the jobs are scheduled "
+                                    "under (unit of fair queueing and quotas)")),
+        "priority": ("--priority", dict(choices=["low", "normal", "high"],
+                                        help="strict scheduler priority class")),
+        "events": ("--events", dict(action="store_true", help="print each job's event feed")),
+        "state": ("--state", dict(default=".ocelot-jobs.jsonl", metavar="PATH",
+                                  help="JobStore log (JSON lines, append-only)")),
+        "url": ("--url", dict(metavar="URL", help="query a running gateway "
+                              "(e.g. http://host:8080) instead of the job log")),
+        "only-tenant": ("--tenant", dict(metavar="NAME", help="only list jobs of this tenant")),
+        "job": ("job", dict(help="job id, e.g. job-0001")),
+        "blob": ("blob", dict(help="path to a serialized CompressedBlob (e.g. a .sz file)")),
+        "train-fraction": ("--train-fraction", dict(type=_fraction, default=0.3)),
+        "host": ("--host", dict(default="127.0.0.1")),
+        "port": ("--port", dict(type=int, default=8080, help="listen port (0 picks a free one)")),
+        "cache-action": ("action", dict(choices=["stats", "clear"])),
+        "cache-root": ("--cache-dir", dict(required=True, metavar="PATH",
+                                           help="the --cache-dir of past transfers")),
+        "tier": ("--tier", dict(choices=["blob", "block"], help="only this tier")),
+        "json": ("--json", dict(action="store_true", help="emit JSON instead of text")),
     }
 
 
-def _add_service_arguments(sub: argparse.ArgumentParser) -> None:
-    """The per-job configuration ``submit`` and ``serve`` both build."""
-    sub.add_argument("--compressor", default="sz3-fast", choices=available_compressors())
-    sub.add_argument("--error-bound", type=float, default=1e-3)
-    sub.add_argument("--size-scale", type=float, default=1.0)
-    sub.add_argument("--compression-nodes", type=_positive_int, default=4,
-                     help="nodes each job requests for compression (small "
-                          "requests let concurrent jobs overlap on the partition)")
-    sub.add_argument("--decompression-nodes", type=_positive_int, default=4)
-    _add_cache_arguments(sub)
+#: The flags several verbs share, declared once as groups of table keys.
+_GROUPS: Dict[str, Tuple[str, ...]] = {
+    "dataset": ("application", "snapshots", "scale"),
+    "route": ("source", "destination"),
+    "bound": ("compressor", "error-bound"),
+    "block": ("block-size", "block-workers", "adaptive-predictor", "entropy", "codebook"),
+    "cache": ("cache-dir", "cache-mode", "cache-max-bytes"),
+    "service": ("mode", "size-scale", "compression-nodes", "decompression-nodes"),
+    "log": ("state", "json"),
+}
 
 
-def _service_config(args: argparse.Namespace) -> OcelotConfig:
-    """The :class:`OcelotConfig` of :func:`_add_service_arguments` (plus ``--mode``)."""
-    return OcelotConfig(
-        error_bound=args.error_bound,
-        compressor=args.compressor,
-        mode=args.mode,
-        size_scale=args.size_scale,
-        compression_nodes=args.compression_nodes,
-        decompression_nodes=args.decompression_nodes,
-        sentinel_enabled=False,
-        **_cache_config_kwargs(args),
-    )
+def _flags(*keys: str, **defaults: Any) -> Callable[[argparse.ArgumentParser], None]:
+    """A row's ``add_args``: the flags and groups ``keys``, then its ``defaults``."""
+
+    def add_args(sub: argparse.ArgumentParser) -> None:
+        table = _flag_table()
+        for key in keys:
+            for name in _GROUPS.get(key, (key,)):
+                option, kwargs = table[name]
+                sub.add_argument(option, **kwargs)
+        sub.set_defaults(**defaults)
+
+    return add_args
 
 
-def _emit_json(payload: Any) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    print()
+#: Flags whose value is the ``OcelotConfig`` field of the same name.
+_CONFIG_FLAGS = (
+    "compressor", "error_bound", "error_bound_mode", "mode", "size_scale", "compression_nodes",
+    "decompression_nodes", "block_size", "block_workers", "adaptive_predictor", "entropy_stage",
+    "transfer_mode", "stream_window", "cache_dir", "cache_max_bytes",
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser for the ``ocelot`` command."""
-    parser = argparse.ArgumentParser(
-        prog="ocelot",
-        description="Error-bounded lossy compression for wide-area scientific data transfer",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("info", help="list compressors, applications and endpoints")
-
-    predict = sub.add_parser("predict", help="train and evaluate the quality predictor")
-    predict.add_argument("--application", default="cesm", choices=application_names())
-    predict.add_argument("--compressor", default="sz3", choices=available_compressors())
-    predict.add_argument("--scale", type=float, default=0.05)
-    predict.add_argument("--snapshots", type=int, default=1)
-    predict.add_argument("--train-fraction", type=float, default=0.3)
-    predict.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    compress = sub.add_parser("compress", help="compress one field and report quality")
-    compress.add_argument("--application", default="cesm", choices=application_names())
-    compress.add_argument("--field", default=None, help="field name (default: first field)")
-    compress.add_argument("--input", default=None, help="path to a .npy array to compress instead")
-    compress.add_argument("--compressor", default="sz3", choices=available_compressors())
-    compress.add_argument("--error-bound", type=float, default=1e-3)
-    compress.add_argument("--mode", default="rel", choices=["rel", "abs"])
-    compress.add_argument("--scale", type=float, default=0.08)
-    _add_block_arguments(compress)
-    compress.add_argument("--stage-timings", action="store_true",
-                          help="capture per-stage encode timings "
-                               "(predict+quantize / entropy / lossless), print "
-                               "them, and stamp them into the blob metadata so "
-                               "'ocelot inspect' can report them later "
-                               "(the block encode then runs inline)")
-    compress.add_argument("--output", default=None, metavar="PATH",
-                          help="also write the serialized blob to PATH "
-                               "(inspect it with 'ocelot inspect')")
-    compress.add_argument("--json", action="store_true")
-
-    transfer = sub.add_parser("transfer", help="simulate an end-to-end dataset transfer")
-    transfer.add_argument("--application", default="cesm", choices=application_names())
-    transfer.add_argument("--source", default="anvil")
-    transfer.add_argument("--destination", default="cori")
-    transfer.add_argument("--snapshots", type=int, default=2)
-    transfer.add_argument("--scale", type=float, default=0.04)
-    transfer.add_argument("--size-scale", type=float, default=1.0)
-    transfer.add_argument("--compressor", default="sz3-fast", choices=available_compressors())
-    transfer.add_argument("--error-bound", type=float, default=1e-3)
-    transfer.add_argument("--modes", nargs="+", default=["direct", "compressed", "grouped"])
-    _add_block_arguments(transfer)
-    transfer.add_argument("--transfer-mode", default="bulk", choices=["bulk", "streamed"],
-                          help="bulk: compress all, transfer all, decompress all; "
-                               "streamed: pipeline blocks through the WAN as each "
-                               "finishes encoding (compressed mode only)")
-    transfer.add_argument("--stream-window", type=_positive_int, default=8,
-                          help="bounded in-flight window of the streamed pipeline")
-    _add_cache_arguments(transfer)
-    transfer.add_argument("--json", action="store_true")
-
-    inspect = sub.add_parser("inspect", help="print a compressed blob's header and block index")
-    inspect.add_argument("blob", help="path to a serialized CompressedBlob (e.g. a .sz file)")
-    inspect.add_argument("--json", action="store_true")
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit one or many datasets as concurrent jobs to the job service",
-    )
-    submit.add_argument("--application", nargs="+", default=["cesm"],
-                        choices=application_names(),
-                        help="one or more applications; each becomes its own job")
-    submit.add_argument("--copies", type=_positive_int, default=1,
-                        help="submit each dataset this many times (multi-tenant load)")
-    submit.add_argument("--source", default="anvil")
-    submit.add_argument("--destination", default="cori")
-    submit.add_argument("--mode", default="compressed",
-                        choices=["direct", "compressed", "grouped"])
-    submit.add_argument("--snapshots", type=int, default=1)
-    submit.add_argument("--scale", type=float, default=0.03)
-    _add_service_arguments(submit)
-    submit.add_argument("--tenant", default=None, metavar="NAME",
-                        help="tenant the jobs are scheduled under (the unit of "
-                             "weighted fair queueing and admission quotas)")
-    submit.add_argument("--priority", default=None, choices=["low", "normal", "high"],
-                        help="strict scheduler priority class (higher classes "
-                             "dispatch before lower ones)")
-    submit.add_argument("--state", default=_STATE_DEFAULT, metavar="PATH",
-                        help="JobStore log (JSON lines, append-only) shared by "
-                             "submit/jobs/status")
-    submit.add_argument("--events", action="store_true",
-                        help="print each job's structured event feed")
-    submit.add_argument("--json", action="store_true")
-
-    jobs = sub.add_parser("jobs", help="list jobs recorded in the job log")
-    jobs.add_argument("--state", default=_STATE_DEFAULT, metavar="PATH")
-    jobs.add_argument("--tenant", default=None, metavar="NAME",
-                      help="only list jobs of this tenant")
-    jobs.add_argument("--url", default=None, metavar="URL",
-                      help="query a running gateway (e.g. http://host:8080) "
-                           "instead of the local job log")
-    jobs.add_argument("--json", action="store_true")
-
-    status = sub.add_parser("status", help="show one recorded job (with events)")
-    status.add_argument("job", help="job id, e.g. job-0001")
-    status.add_argument("--state", default=_STATE_DEFAULT, metavar="PATH")
-    status.add_argument("--url", default=None, metavar="URL",
-                        help="query a running gateway instead of the job log")
-    status.add_argument("--json", action="store_true")
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the HTTP gateway: REST job control + SSE event streams",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080,
-                       help="listen port (0 picks a free one)")
-    serve.add_argument("--mode", default="compressed",
-                       choices=["direct", "compressed", "grouped"],
-                       help="default transfer mode for submitted jobs")
-    _add_service_arguments(serve)
-
-    cache = sub.add_parser(
-        "cache", help="inspect or clear the content-addressed blob/block cache"
-    )
-    cache.add_argument("action", choices=["stats", "clear"])
-    cache.add_argument("--cache-dir", required=True, metavar="PATH",
-                       help="cache directory (the --cache-dir of past transfers)")
-    cache.add_argument("--tier", default=None, choices=["blob", "block"],
-                       help="restrict the action to one tier (default: both)")
-    cache.add_argument("--json", action="store_true")
-    return parser
+def _config_fields(args: argparse.Namespace, **fixed: Any) -> dict:
+    """The ``OcelotConfig`` fields a verb's flags set, plus ``fixed``."""
+    flags = vars(args)
+    fields = {name: flags[name] for name in _CONFIG_FLAGS if name in flags}
+    if "codebook" in flags:
+        fields["shared_codebook"] = args.codebook == "shared"
+    if "cache_dir" in flags:
+        fields["cache_mode"] = args.cache_mode or ("readwrite" if args.cache_dir else "off")
+    return {**fields, **fixed}
 
 
-def _cmd_info(_: argparse.Namespace) -> int:
-    from .transfer import build_testbed
+def _config(args: argparse.Namespace, **fixed: Any) -> OcelotConfig:
+    """A verb's configuration; ``OcelotConfig`` is the one validation."""
+    return OcelotConfig(**_config_fields(args, **fixed))
 
+
+def _run_info(_: argparse.Namespace) -> Result:
     testbed = build_testbed()
-    print("compressors:")
-    for name in available_compressors():
-        print(f"  - {name}")
-    print("applications:")
-    for name in application_names():
-        print(f"  - {name}")
-    print("endpoints:")
+    lines = ["compressors:", *(f"  - {name}" for name in available_compressors())]
+    lines += ["applications:", *(f"  - {name}" for name in application_names())]
+    lines.append("endpoints:")
     for name in testbed.service.endpoints():
         info = testbed.endpoint(name).describe()
-        print(f"  - {name} ({info['display_name']}, {info['dtn_count']} DTNs)")
-    return 0
+        lines.append(f"  - {name} ({info['display_name']}, {info['dtn_count']} DTNs)")
+    return 0, None, lines
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _run_predict(args: argparse.Namespace) -> Result:
     dataset = generate_application(args.application, snapshots=args.snapshots, scale=args.scale)
     records = build_training_records(
-        dataset.fields,
-        error_bounds=(1e-5, 1e-4, 1e-3, 1e-2),
-        compressors=[args.compressor],
+        dataset.fields, error_bounds=(1e-5, 1e-4, 1e-3, 1e-2), compressors=[args.compressor]
     )
     train, test = train_test_split_records(records, train_fraction=args.train_fraction, seed=0)
     predictor = QualityPredictor().fit(train)
@@ -304,26 +224,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         pred = predictor.predict_from_features(
             record.features, record.error_bound_abs, record.compressor
         )
-        rows.append(
-            {
-                "field": record.field_name,
-                "eb": record.error_bound_label,
-                "CR": round(record.compression_ratio, 2),
-                "P-CR": round(pred.compression_ratio, 2),
-                "PSNR": round(record.psnr_db or 0.0, 1),
-                "P-PSNR": round(pred.psnr_db, 1),
-            }
-        )
-    if args.json:
-        _emit_json(rows)
-    else:
-        print(f"{'field':20s} {'eb':>8s} {'CR':>8s} {'P-CR':>8s} {'PSNR':>8s} {'P-PSNR':>8s}")
-        for row in rows:
-            print(
-                f"{row['field']:20s} {row['eb']:>8s} {row['CR']:>8.2f} {row['P-CR']:>8.2f} "
-                f"{row['PSNR']:>8.1f} {row['P-PSNR']:>8.1f}"
-            )
-    return 0
+        rows.append({
+            "field": record.field_name, "eb": record.error_bound_label,
+            "CR": round(record.compression_ratio, 2), "P-CR": round(pred.compression_ratio, 2),
+            "PSNR": round(record.psnr_db or 0.0, 1), "P-PSNR": round(pred.psnr_db, 1),
+        })
+    lines = [f"{'field':20s} {'eb':>8s} {'CR':>8s} {'P-CR':>8s} {'PSNR':>8s} {'P-PSNR':>8s}"]
+    lines += [
+        f"{row['field']:20s} {row['eb']:>8s} {row['CR']:>8.2f} {row['P-CR']:>8.2f} "
+        f"{row['PSNR']:>8.1f} {row['P-PSNR']:>8.1f}"
+        for row in rows
+    ]
+    return 0, rows, lines
 
 
 _STAGE_LABELS = (
@@ -344,168 +256,95 @@ def _format_stage_timings(timings: dict) -> str:
     return " | ".join(parts)
 
 
-def _cmd_compress(args: argparse.Namespace) -> int:
+def _run_compress(args: argparse.Namespace) -> Result:
+    config = _config(args)
     if args.input:
-        data = np.load(args.input)
-        label = args.input
+        data, label = np.load(args.input), args.input
     else:
-        spec_field = args.field
-        if spec_field is None:
-            from .datasets import get_application_spec
-
-            spec_field = get_application_spec(args.application).fields[0].name
-        field = generate_field(args.application, spec_field, scale=args.scale)
-        data = field.data
-        label = f"{args.application}/{spec_field}"
+        name = args.field or get_application_spec(args.application).fields[0].name
+        data = generate_field(args.application, name, scale=args.scale).data
+        label = f"{args.application}/{name}"
     compressor = create_blocked_compressor(
-        args.compressor,
-        block_shape=args.block_size,
-        adaptive_predictor=args.adaptive_predictor,
-        block_executor=ParallelExecutor(block_workers=args.block_workers).map_blocks,
-        shared_codebook=args.codebook == "shared",
-        entropy_stage=args.entropy,
+        config.compressor, block_shape=config.block_size,
+        adaptive_predictor=config.adaptive_predictor,
+        block_executor=ParallelExecutor(block_workers=config.block_workers).map_blocks,
+        shared_codebook=config.shared_codebook, entropy_stage=config.entropy_stage,
     )
     compressor.collect_stage_timings = args.stage_timings
-    bound = ErrorBound(value=args.error_bound, mode=args.mode)
+    bound = config.resolved_error_bound()
     result = compressor.compress(data, bound, collect_quality=True)
     if args.output:
         with open(args.output, "wb") as handle:
             handle.write(result.blob.to_bytes())
+    stats = result.stats
     payload = {
-        "input": label,
-        "shape": list(np.asarray(data).shape),
+        "input": label, "shape": list(np.asarray(data).shape),
         "num_blocks": result.blob.num_blocks,
-        "original_bytes": result.stats.original_bytes,
-        "compressed_bytes": result.stats.compressed_bytes,
+        "original_bytes": stats.original_bytes, "compressed_bytes": stats.compressed_bytes,
         "compression_ratio": round(result.compression_ratio, 3),
-        "compression_time_s": round(result.stats.compression_time_s, 4),
-        "psnr_db": round(result.stats.psnr_db or 0.0, 2),
-        "max_abs_error": result.stats.max_abs_error,
+        "compression_time_s": round(stats.compression_time_s, 4),
+        "psnr_db": round(stats.psnr_db or 0.0, 2), "max_abs_error": stats.max_abs_error,
     }
+    lines = [
+        f"compressed {label} with {config.compressor} @ {bound.describe()}",
+        f"  size: {format_bytes(payload['original_bytes'])} -> "
+        f"{format_bytes(payload['compressed_bytes'])} ({payload['compression_ratio']}x)",
+        f"  time: {format_duration(payload['compression_time_s'])}"
+        f"  PSNR: {payload['psnr_db']} dB  max error: {payload['max_abs_error']:.3g}",
+    ]
     stage_timings = compressor.last_stage_timings
     if stage_timings:
         payload["stage_timings"] = stage_timings
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(f"compressed {label} with {args.compressor} @ {bound.describe()}")
-        print(f"  size: {format_bytes(payload['original_bytes'])} -> "
-              f"{format_bytes(payload['compressed_bytes'])} ({payload['compression_ratio']}x)")
-        print(f"  time: {format_duration(payload['compression_time_s'])}"
-              f"  PSNR: {payload['psnr_db']} dB  max error: {payload['max_abs_error']:.3g}")
-        if stage_timings:
-            print("  encode stages: " + _format_stage_timings(stage_timings))
-    return 0
+        lines.append("  encode stages: " + _format_stage_timings(stage_timings))
+    return 0, payload, lines
 
 
-def _cmd_transfer(args: argparse.Namespace) -> int:
+def _run_transfer(args: argparse.Namespace) -> Result:
+    ocelot = Ocelot(_config(args))
     dataset = generate_application(args.application, snapshots=args.snapshots, scale=args.scale)
-    config = OcelotConfig(
-        error_bound=args.error_bound,
-        compressor=args.compressor,
-        size_scale=args.size_scale,
-        block_size=args.block_size,
-        block_workers=args.block_workers,
-        adaptive_predictor=args.adaptive_predictor,
-        entropy_stage=args.entropy,
-        shared_codebook=args.codebook == "shared",
-        transfer_mode=args.transfer_mode,
-        stream_window=args.stream_window,
-        **_cache_config_kwargs(args),
-    )
-    ocelot = Ocelot(config)
     comparison = ocelot.compare_modes(
         dataset, args.source, args.destination, modes=tuple(args.modes)
     )
-    if args.json:
-        _emit_json({mode: report.as_dict() for mode, report in comparison.reports.items()})
-    else:
-        for mode, report in comparison.reports.items():
-            print(report.summary())
-            print()
-        print("Table VIII-style row:")
-        print(json.dumps(comparison.table_row(), indent=2))
-    return 0
+    lines: List[str] = []
+    for report in comparison.reports.values():
+        lines += [report.summary(), ""]
+    lines += ["Table VIII-style row:", json.dumps(comparison.table_row(), indent=2)]
+    return 0, {mode: report.as_dict() for mode, report in comparison.reports.items()}, lines
 
 
-def _codebook_summary(blob) -> dict:
+def _codebook_summary(blob: CompressedBlob) -> dict:
     """Codebook layout of a blob: shared / per-block, and serialized size.
 
-    A shared codebook's size is read straight off the blob header.  In
-    per-block mode each block's inner container is decompressed (inspect
-    is a debugging aid, so the cost is acceptable) and the block-local
-    entropy-model sections — ``codes_codebook`` (Huffman) or
-    ``codes_freqs`` (rANS) — are summed.
+    A shared codebook's size is read straight off the blob header; the
+    models blocks carry themselves are summed by
+    :func:`~repro.compression.sz.encoding.block_model_bytes`.
     """
-    from .compression.encoders.lossless import get_lossless_backend
-    from .compression.interface import SectionContainer
-    from .errors import CompressionError, ConfigurationError, EncodingError
-
-    def per_block_books(entries) -> tuple:
-        """(total bytes, count) of block-local entropy-model sections."""
-        backend_name = blob.container.header.get("lossless_backend", "")
-        try:
-            backend = get_lossless_backend(backend_name)
-        except ConfigurationError:
-            return 0, 0
-        total = 0
-        blocks_with_books = 0
-        for entry in entries:
-            try:
-                inner = SectionContainer.from_bytes(
-                    backend.decompress(blob.container.get_section(entry["section"]))
-                )
-            except (EncodingError, CompressionError):
-                continue
-            for section in ("codes_codebook", "codes_freqs"):
-                try:
-                    total += inner.section_size(section)
-                except EncodingError:
-                    continue
-                blocks_with_books += 1
-                break
-        return total, blocks_with_books
-
     mode = blob.codebook_mode
-    summary = {"mode": mode, "codebook_bytes": 0}
-    if mode == "shared":
-        summary["codebook_bytes"] = len(blob.shared_codebook_bytes or b"")
-        # Blocks whose alphabet escaped the shared book carry their own
-        # codebook — count those too, or the readout would be wrong in
-        # exactly the fallback case it exists to debug.
-        fallback = [e for e in blob.block_index if e.get("codebook") == "block"]
-        if fallback:
-            total, blocks_with_books = per_block_books(fallback)
-            summary["codebook_bytes"] += total
-            summary["blocks_with_own_codebook"] = blocks_with_books
-    elif mode == "per-block":
-        total, blocks_with_books = per_block_books(blob.block_index)
-        summary["codebook_bytes"] = total
-        summary["blocks_with_own_codebook"] = blocks_with_books
+    summary = {"mode": mode, "codebook_bytes": len(blob.shared_codebook_bytes or b"")}
+    # In a shared blob, blocks whose alphabet escaped the shared book carry
+    # their own codebook — count those too, or the readout would be wrong
+    # in exactly the fallback case it exists to debug.
+    own = [e for e in blob.block_index if mode == "per-block" or e.get("codebook") == "block"]
+    if mode == "per-block" or own:
+        total, summary["blocks_with_own_codebook"] = block_model_bytes(blob, own)
+        summary["codebook_bytes"] += total
     return summary
 
 
-def _cmd_inspect(args: argparse.Namespace) -> int:
-    from .compression import CompressedBlob
-
+def _run_inspect(args: argparse.Namespace) -> Result:
     with open(args.blob, "rb") as handle:
         data = handle.read()
     blob = CompressedBlob.from_bytes(data)
-    entries = []
-    for entry in blob.block_index:
-        entries.append(
-            {
-                "id": entry["id"],
-                "origin": entry["origin"],
-                "shape": entry["shape"],
-                "predictor": entry.get("predictor", ""),
-                "entropy": entry.get("entropy", ""),
-                "codebook": entry.get("codebook", ""),
-                "section": entry["section"],
-                "section_bytes": blob.container.section_size(entry["section"]),
-                "alias_of": entry.get("alias_of"),
-            }
-        )
+    entries = [
+        {
+            "id": entry["id"], "origin": entry["origin"], "shape": entry["shape"],
+            **{key: entry.get(key, "") for key in ("predictor", "entropy", "codebook")},
+            "section": entry["section"],
+            "section_bytes": blob.container.section_size(entry["section"]),
+            "alias_of": entry.get("alias_of"),
+        }
+        for entry in blob.block_index
+    ]
     entropy_stage = blob.metadata.get(
         "entropy_stage", blob.container.header.get("entropy_stage", "")
     )
@@ -519,68 +358,58 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             codec = entry["entropy"] or entropy_stage or "none"
             block_codecs[codec] = block_codecs.get(codec, 0) + 1
     payload = {
-        "path": args.blob,
-        "format_version": blob.format_version,
-        "compressor": blob.compressor,
-        "shape": list(blob.shape),
-        "dtype": blob.dtype,
-        "error_bound_abs": blob.error_bound_abs,
-        "serialized_bytes": len(data),
-        "num_blocks": blob.num_blocks,
-        "aliased_blocks": blob.aliased_block_count,
-        "entropy_stage": entropy_stage,
-        "block_codecs": block_codecs,
-        "codebook": _codebook_summary(blob),
-        "blocks": entries,
+        "path": args.blob, "format_version": blob.format_version,
+        "compressor": blob.compressor, "shape": list(blob.shape), "dtype": blob.dtype,
+        "error_bound_abs": blob.error_bound_abs, "serialized_bytes": len(data),
+        "num_blocks": blob.num_blocks, "aliased_blocks": blob.aliased_block_count,
+        "entropy_stage": entropy_stage, "block_codecs": block_codecs,
+        "codebook": _codebook_summary(blob), "blocks": entries,
     }
-    for key in ("content_digest", "cache_key"):
+    lines = [
+        f"{args.blob}: Ocelot blob v{payload['format_version']}",
+        f"  compressor: {payload['compressor']}  dtype: {payload['dtype']}"
+        f"  shape: {tuple(payload['shape'])}",
+        f"  error bound (abs): {payload['error_bound_abs']:.3g}"
+        f"  serialized: {format_bytes(payload['serialized_bytes'])}",
+    ]
+    for key, label in (("content_digest", "content digest"), ("cache_key", "cache key")):
         if blob.metadata.get(key):
             payload[key] = blob.metadata[key]
+            lines.append(f"  {label}: {payload[key]}")
     stage_timings = blob.metadata.get("stage_timings")
     if stage_timings:
         payload["stage_timings"] = stage_timings
-    if args.json:
-        _emit_json(payload)
-        return 0
-    print(f"{args.blob}: Ocelot blob v{payload['format_version']}")
-    print(f"  compressor: {payload['compressor']}  dtype: {payload['dtype']}"
-          f"  shape: {tuple(payload['shape'])}")
-    print(f"  error bound (abs): {payload['error_bound_abs']:.3g}"
-          f"  serialized: {format_bytes(payload['serialized_bytes'])}")
-    if "content_digest" in payload:
-        print(f"  content digest: {payload['content_digest']}")
-    if "cache_key" in payload:
-        print(f"  cache key: {payload['cache_key']}")
-    if stage_timings:
-        print("  encode stages: " + _format_stage_timings(stage_timings))
+        lines.append("  encode stages: " + _format_stage_timings(stage_timings))
     aliased = payload["aliased_blocks"]
     dedup = f", {aliased} deduped as aliases" if aliased else ""
-    print(f"  layout: {payload['num_blocks']} independent block(s){dedup}")
     split = ", ".join(f"{codec}: {block_codecs[codec]}" for codec in sorted(block_codecs))
-    print(f"  entropy: {entropy_stage or 'unknown'} (blocks by codec: {split})")
+    lines += [
+        f"  layout: {payload['num_blocks']} independent block(s){dedup}",
+        f"  entropy: {entropy_stage or 'unknown'} (blocks by codec: {split})",
+    ]
     codebook = payload["codebook"]
     if codebook["mode"] == "shared":
-        print(f"  codebook: shared (stored once in header, "
-              f"{format_bytes(codebook['codebook_bytes'])})")
+        lines.append(f"  codebook: shared (stored once in header, "
+                     f"{format_bytes(codebook['codebook_bytes'])})")
     elif codebook["mode"] == "per-block":
-        print(f"  codebook: per-block ({codebook.get('blocks_with_own_codebook', 0)} "
-              f"blocks, {format_bytes(codebook['codebook_bytes'])} total)")
+        lines.append(f"  codebook: per-block ({codebook.get('blocks_with_own_codebook', 0)} "
+                     f"blocks, {format_bytes(codebook['codebook_bytes'])} total)")
     else:
-        print("  codebook: none (no entropy stage)")
-    print(f"  {'id':>4s} {'origin':>16s} {'shape':>14s} {'predictor':>14s}"
-          f" {'entropy':>8s} {'codebook':>9s} {'bytes':>10s}")
+        lines.append("  codebook: none (no entropy stage)")
+    lines.append(f"  {'id':>4s} {'origin':>16s} {'shape':>14s} {'predictor':>14s}"
+                 f" {'entropy':>8s} {'codebook':>9s} {'bytes':>10s}")
     for entry in entries:
         size = (
             f"={entry['alias_of']:>9d}"
             if entry["alias_of"] is not None
             else f"{entry['section_bytes']:>10d}"
         )
-        print(
+        lines.append(
             f"  {entry['id']:>4d} {str(tuple(entry['origin'])):>16s}"
             f" {str(tuple(entry['shape'])):>14s} {entry['predictor']:>14s}"
             f" {entry['entropy']:>8s} {entry['codebook']:>9s} {size}"
         )
-    return 0
+    return 0, payload, lines
 
 
 def _recorded_jobs(path: str) -> Tuple[List[dict], List[dict]]:
@@ -590,8 +419,6 @@ def _recorded_jobs(path: str) -> Tuple[List[dict], List[dict]]:
     its full record; one a crash cut short has only its write-ahead
     lines, so the spec is laid flat for the listing either way.
     """
-    from .service import JobStore
-
     store = JobStore(path)
     records = store.load()
     jobs = [{**(job.get("spec") or {}), **job} for job in store.replay(records).values()]
@@ -618,6 +445,14 @@ _JOB_HEADER = (
 )
 
 
+def _event_lines(record: dict, indent: str) -> List[str]:
+    return [
+        f"{indent}[{event['time_s']:10.2f}s] {event['kind']}"
+        + (f" {event['phase']}" if event.get("phase") else "")
+        for event in record.get("events", [])
+    ]
+
+
 def _percentile(values: List[float], fraction: float) -> float:
     """Nearest-rank percentile of a non-empty list."""
     ordered = sorted(values)
@@ -627,43 +462,17 @@ def _percentile(values: List[float], fraction: float) -> float:
 
 def _jobs_summary(records: List[dict]) -> str:
     """One line of aggregate job stats: counts by status and p99 wait."""
-    counts: dict = {}
-    for record in records:
-        status = record.get("status") or "unknown"
-        counts[status] = counts.get(status, 0) + 1
+    counts = Counter(record.get("status") or "unknown" for record in records)
     parts = [f"{status}={counts[status]}" for status in sorted(counts)]
-    waits = [
-        record["wait_s"] for record in records
-        if isinstance(record.get("wait_s"), (int, float))
-    ]
+    waits = [r["wait_s"] for r in records if isinstance(r.get("wait_s"), (int, float))]
     if waits:
         parts.append(f"p50 wait {format_duration(_percentile(waits, 0.50))}")
         parts.append(f"p99 wait {format_duration(_percentile(waits, 0.99))}")
     return f"{len(records)} job(s): " + ", ".join(parts)
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service import JobStore, OcelotService, TransferSpec
-
-    store = JobStore(args.state)
-    service = OcelotService(_service_config(args), store=store)
-    handles = []
-    for app in args.application:
-        dataset = generate_application(app, snapshots=args.snapshots, scale=args.scale)
-        for copy in range(args.copies):
-            handles.append(
-                service.submit(
-                    TransferSpec(
-                        dataset=dataset,
-                        source=args.source,
-                        destination=args.destination,
-                        mode=args.mode,
-                        label=f"{app}#{copy}" if args.copies > 1 else app,
-                        tenant=args.tenant,
-                        priority=args.priority,
-                    )
-                )
-            )
+def _drain(service: OcelotService, store: JobStore, handles: list) -> Tuple[dict, List[str]]:
+    """Run the queued jobs; log and list what only a drained batch knows."""
     service.run_pending()
     # Submissions and terminal states reached the log through the service's
     # write-ahead path; what only a drained batch knows goes after them.
@@ -671,199 +480,237 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     for record in records:
         store.append({"kind": "record", **record})
     store.append({"kind": "batch", "combined_makespan_s": service.makespan_s})
-    if args.json:
-        _emit_json({"jobs": records, "combined_makespan_s": service.makespan_s})
-        return 0
-    print(_JOB_HEADER)
-    for record in records:
-        print(_job_row(record))
-    total = sum(r.get("makespan_s") or 0.0 for r in records)
-    print(f"combined makespan: {format_duration(service.makespan_s)}"
-          f"  (serial sum would be {format_duration(total)})")
+    serial = sum(r.get("makespan_s") or 0.0 for r in records)
+    lines = [_JOB_HEADER, *map(_job_row, records),
+             f"combined makespan: {format_duration(service.makespan_s)}"
+             f"  (serial sum would be {format_duration(serial)})"]
+    return {"jobs": records, "combined_makespan_s": service.makespan_s}, lines
+
+
+def _run_submit(args: argparse.Namespace) -> Result:
+    # Every spec carries the flag-derived settings as overrides, so its
+    # ``submitted`` line is all ``recover`` needs to rebuild the job.
+    settings = _config_fields(args, sentinel_enabled=False)
+    store = JobStore(args.state)
+    service = OcelotService(OcelotConfig(**settings), store=store)
+    handles = []
+    for app in args.application:
+        dataset = generate_application(app, snapshots=args.snapshots, scale=args.scale)
+        for copy in range(args.copies):
+            handles.append(service.submit(TransferSpec(
+                dataset=dataset, source=args.source, destination=args.destination,
+                mode=args.mode, label=f"{app}#{copy}" if args.copies > 1 else app,
+                tenant=args.tenant, priority=args.priority, overrides=settings,
+            )))
+    payload, lines = _drain(service, store, handles)
     if args.events:
-        for record in records:
-            print(f"\nevents for {record['job_id']}:")
-            for event in record.get("events", []):
-                phase = f" {event['phase']}" if event.get("phase") else ""
-                print(f"  [{event['time_s']:10.2f}s] {event['kind']}{phase}")
-    print(f"job records appended to {args.state}")
-    return 0
+        for record in payload["jobs"]:
+            lines += [f"\nevents for {record['job_id']}:", *_event_lines(record, "  ")]
+    return 0, payload, lines + [f"job records appended to {args.state}"]
 
 
-def _fetch_gateway_json(url: str) -> tuple:
-    """GET a gateway route; returns ``(payload, error_message)``."""
-    from urllib.error import HTTPError, URLError
-    from urllib.request import urlopen
+def _run_recover(args: argparse.Namespace) -> Result:
+    store = JobStore(args.state)
+    service = OcelotService(store=store)
+    recovery = service.recover()
+    payload, lines = (
+        _drain(service, store, recovery.resumed) if recovery.resumed else ({"jobs": []}, [])
+    )
+    payload["finished"] = [state["job_id"] for state in recovery.finished]
+    payload["unrecoverable"] = [state["job_id"] for state in recovery.unrecoverable]
+    lines.insert(0, f"{args.state}: resumed {len(recovery.resumed)} job(s), "
+                    f"{len(payload['finished'])} already finished, "
+                    f"{len(payload['unrecoverable'])} unrecoverable")
+    return 0, payload, lines
 
+
+class _GatewayError(ReproError):
+    """A gateway's error response (``code`` is the body's), or no gateway."""
+
+    def __init__(self, message: str, code: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _fetch_gateway_json(url: str) -> Any:
+    """GET a gateway route's JSON body."""
     try:
         with urlopen(url, timeout=30) as response:
-            return json.load(response), None
+            return json.load(response)
     except HTTPError as exc:
         try:
-            payload = json.load(exc)
-            return None, f"{payload.get('error', exc)} (code {payload.get('code')})"
+            body = json.load(exc)
         except (ValueError, OSError):
-            return None, str(exc)
+            body = {}
+        raise _GatewayError(
+            body.get("error", str(exc)), body.get("code") or f"http_{exc.code}"
+        ) from exc
     except (URLError, OSError) as exc:
-        return None, f"cannot reach gateway at {url}: {exc}"
+        raise _GatewayError(f"cannot reach gateway at {url}: {exc}", "unreachable") from exc
 
 
-def _cmd_jobs(args: argparse.Namespace) -> int:
+def _run_jobs(args: argparse.Namespace) -> Result:
     if args.url:
         route = f"{args.url.rstrip('/')}/v1/jobs"
         if args.tenant:
-            from urllib.parse import quote
-
             route += f"?tenant={quote(args.tenant)}"
-        payload, error = _fetch_gateway_json(route)
-        if error:
-            print(error, file=sys.stderr)
-            return 1
-        state = {"jobs": payload["jobs"]}
+        state = {"jobs": _fetch_gateway_json(route)["jobs"]}
     else:
         jobs, log = _recorded_jobs(args.state)
         state = {"jobs": jobs}
         batches = [r for r in log if r["kind"] == "batch"]
         if batches:
             state["combined_makespan_s"] = batches[-1]["combined_makespan_s"]
-    records = state["jobs"]
-    if args.tenant:
-        records = [
-            record for record in records
-            if (record.get("tenant") or "default") == args.tenant
-        ]
-    if args.json:
-        payload = dict(state)
-        payload["jobs"] = records
-        if records:
-            payload["summary"] = _jobs_summary(records)
-        _emit_json(payload)
-        return 0
+    records = [
+        record for record in state["jobs"]
+        if not args.tenant or (record.get("tenant") or "default") == args.tenant
+    ]
+    payload = {**state, "jobs": records}
     if not records:
         scope = f" for tenant {args.tenant!r}" if args.tenant else ""
-        print(f"no jobs recorded in {args.state}{scope}")
-        return 0
-    print(_JOB_HEADER)
-    for record in records:
-        print(_job_row(record))
-    print(_jobs_summary(records))
+        return 0, payload, [f"no jobs recorded in {args.state}{scope}"]
+    payload["summary"] = _jobs_summary(records)
+    lines = [_JOB_HEADER, *map(_job_row, records), payload["summary"]]
     if "combined_makespan_s" in state and not args.tenant:
-        print(f"combined makespan (last batch): "
-              f"{format_duration(state['combined_makespan_s'])}")
-    return 0
+        lines.append(f"combined makespan (last batch): "
+                     f"{format_duration(state['combined_makespan_s'])}")
+    return 0, payload, lines
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
+def _run_status(args: argparse.Namespace) -> Result:
     if args.url:
-        from urllib.parse import quote
-
-        record, error = _fetch_gateway_json(
-            f"{args.url.rstrip('/')}/v1/jobs/{quote(args.job)}"
-        )
-        if error:
-            print(error, file=sys.stderr)
-            return 1
+        record = _fetch_gateway_json(f"{args.url.rstrip('/')}/v1/jobs/{quote(args.job)}")
     else:
         recorded, _ = _recorded_jobs(args.state)
         record = next((r for r in recorded if r["job_id"] == args.job), None)
         if record is None:
-            print(f"unknown job {args.job!r}; recorded jobs: "
-                  f"{[r['job_id'] for r in recorded]}", file=sys.stderr)
-            return 1
-    # Machine-friendly contract: a FAILED job makes `ocelot status` exit
-    # non-zero, so scripts can gate on it without parsing output.
-    exit_code = 2 if record.get("status") == "failed" else 0
-    if args.json:
-        _emit_json(record)
-        return exit_code
-    print(_job_row(record))
+            raise OrchestrationError(
+                f"unknown job {args.job!r}; recorded jobs: {[r['job_id'] for r in recorded]}"
+            )
+    lines = [_job_row(record)]
     report = record.get("report")
     if report:
         timings = report.get("timings", {})
-        print(f"  phases: wait {format_duration(timings.get('node_wait_s', 0))}"
-              f" | compress {format_duration(timings.get('compression_s', 0))}"
-              f" | transfer {format_duration(timings.get('transfer_s', 0))}"
-              f" | decompress {format_duration(timings.get('decompression_s', 0))}")
-        print(f"  volume: {format_bytes(report.get('total_bytes', 0))}"
-              f" -> {format_bytes(report.get('transferred_bytes', 0))} on the wire"
-              f" ({report.get('compression_ratio', 0):.2f}x)")
+        lines += [
+            f"  phases: wait {format_duration(timings.get('node_wait_s', 0))}"
+            f" | compress {format_duration(timings.get('compression_s', 0))}"
+            f" | transfer {format_duration(timings.get('transfer_s', 0))}"
+            f" | decompress {format_duration(timings.get('decompression_s', 0))}",
+            f"  volume: {format_bytes(report.get('total_bytes', 0))}"
+            f" -> {format_bytes(report.get('transferred_bytes', 0))} on the wire"
+            f" ({report.get('compression_ratio', 0):.2f}x)",
+        ]
     if record.get("error"):
-        print(f"  error: {record['error']}")
-    print("  events:")
-    for event in record.get("events", []):
-        phase = f" {event['phase']}" if event.get("phase") else ""
-        print(f"    [{event['time_s']:10.2f}s] {event['kind']}{phase}")
-    return exit_code
+        lines.append(f"  error: {record['error']}")
+    lines += ["  events:", *_event_lines(record, "    ")]
+    # Machine-friendly contract: a FAILED job makes `ocelot status` exit
+    # non-zero, so scripts can gate on it without parsing output.
+    return (2 if record.get("status") == "failed" else 0), record, lines
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _run_serve(args: argparse.Namespace) -> Result:
     from .gateway import create_gateway
 
-    gateway = create_gateway(config=_service_config(args), host=args.host, port=args.port)
-    print(f"ocelot gateway listening on {gateway.url}", flush=True)
-    print("routes: POST /v1/jobs | GET /v1/jobs[?tenant=] | GET /v1/jobs/{id} "
-          "| GET /v1/jobs/{id}/wait | POST /v1/jobs/{id}/cancel "
-          "| POST /v1/plan-groups | GET /v1/plan-groups/{id} "
-          "| GET /v1/jobs/{id}/events (SSE) | GET /healthz | GET /metricsz",
-          flush=True)
+    gateway = create_gateway(
+        config=_config(args, sentinel_enabled=False), host=args.host, port=args.port
+    )
+    return 0, None, _serving(gateway)
+
+
+def _serving(gateway) -> Iterator[str]:
+    """The gateway's banner; then it serves until interrupted."""
+    yield f"ocelot gateway listening on {gateway.url}"
+    yield ("routes: POST /v1/jobs | GET /v1/jobs[?tenant=] | GET /v1/jobs/{id} "
+           "| GET /v1/jobs/{id}/wait | POST /v1/jobs/{id}/cancel "
+           "| POST /v1/plan-groups | GET /v1/plan-groups/{id} "
+           "| GET /v1/jobs/{id}/events (SSE) | GET /healthz | GET /metricsz")
     try:
         gateway.serve_forever()
     except KeyboardInterrupt:
-        print("shutting down")
-    return 0
+        yield "shutting down"
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from .cache import BlobCache
-
-    cache = BlobCache(args.cache_dir, mode="readwrite")
+def _run_cache(args: argparse.Namespace) -> Result:
+    if not os.path.isdir(args.cache_dir):
+        raise ConfigurationError(f"no cache directory at {args.cache_dir}")
     if args.action == "clear":
-        removed = cache.clear(args.tier)
-        if args.json:
-            _emit_json({"cache_dir": args.cache_dir, "removed": removed})
-        else:
-            scope = f"{args.tier} tier" if args.tier else "both tiers"
-            print(f"removed {removed} entries ({scope}) from {args.cache_dir}")
-        return 0
-    summary = cache.describe()
+        removed = BlobCache(args.cache_dir, mode="readwrite").clear(args.tier)
+        scope = f"{args.tier} tier" if args.tier else "both tiers"
+        return 0, {"cache_dir": args.cache_dir, "removed": removed}, [
+            f"removed {removed} entries ({scope}) from {args.cache_dir}"
+        ]
+    summary = BlobCache(args.cache_dir, mode="read").describe()
     if args.tier:
         summary["tiers"] = {args.tier: summary["tiers"][args.tier]}
-    if args.json:
-        _emit_json(summary)
-        return 0
-    print(f"{args.cache_dir}: {summary['total_entries']} entries, "
-          f"{format_bytes(summary['total_bytes'])}"
-          + (f" (cap {format_bytes(summary['max_bytes'])})" if summary["max_bytes"] else ""))
-    for tier, info in summary["tiers"].items():
-        print(f"  {tier:>6s}: {info['entries']:>6d} entries  {format_bytes(info['bytes'])}")
-    return 0
+    cap = f" (cap {format_bytes(summary['max_bytes'])})" if summary["max_bytes"] else ""
+    lines = [f"{args.cache_dir}: {summary['total_entries']} entries, "
+             f"{format_bytes(summary['total_bytes'])}{cap}"]
+    lines += [
+        f"  {tier:>6s}: {info['entries']:>6d} entries  {format_bytes(info['bytes'])}"
+        for tier, info in summary["tiers"].items()
+    ]
+    return 0, summary, lines
 
 
-_COMMANDS = {
-    "info": _cmd_info,
-    "predict": _cmd_predict,
-    "compress": _cmd_compress,
-    "transfer": _cmd_transfer,
-    "inspect": _cmd_inspect,
-    "submit": _cmd_submit,
-    "jobs": _cmd_jobs,
-    "status": _cmd_status,
-    "serve": _cmd_serve,
-    "cache": _cmd_cache,
-}
+COMMANDS: Tuple[Command, ...] = (
+    Command("info", "list compressors, applications and endpoints", _flags(), _run_info),
+    Command("predict", "train and evaluate the quality predictor", _flags(
+        "dataset", "compressor", "train-fraction", "json", scale=0.05, compressor="sz3",
+    ), _run_predict),
+    Command("compress", "compress one field and report quality", _flags(
+        "application", "field", "input", "bound", "bound-mode", "scale", "block",
+        "stage-timings", "output", "json", scale=0.08, compressor="sz3",
+    ), _run_compress),
+    Command("transfer", "simulate an end-to-end dataset transfer", _flags(
+        "dataset", "route", "size-scale", "bound", "modes", "block", "transfer-mode",
+        "stream-window", "cache", "json", scale=0.04, snapshots=2,
+    ), _run_transfer),
+    Command("inspect", "print a compressed blob's header and block index",
+            _flags("blob", "json"), _run_inspect),
+    Command("submit", "submit one or many datasets as concurrent jobs to the job service", _flags(
+        "applications", "copies", "route", "snapshots", "scale", "service", "bound", "cache",
+        "tenant", "priority", "events", "log", scale=0.03,
+    ), _run_submit),
+    Command("recover", "resume the jobs a crashed submit left pending in the job log",
+            _flags("log"), _run_recover),
+    Command("jobs", "list jobs recorded in the job log",
+            _flags("only-tenant", "url", "log"), _run_jobs),
+    Command("status", "show one recorded job (with events)",
+            _flags("job", "url", "log"), _run_status),
+    Command("serve", "run the HTTP gateway: REST job control + SSE event streams",
+            _flags("host", "port", "service", "bound", "cache"), _run_serve),
+    Command("cache", "inspect or clear the content-addressed blob/block cache",
+            _flags("cache-action", "cache-root", "tier", "json"), _run_cache),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the argument parser for the ``ocelot`` command."""
+    parser = argparse.ArgumentParser(
+        prog="ocelot",
+        description="Error-bounded lossy compression for wide-area scientific data transfer",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        command.add_args(sub.add_parser(command.name, help=command.help))
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``ocelot`` console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "adaptive_predictor", False) and not getattr(args, "block_size", None):
-        parser.error("--adaptive-predictor requires --block-size")
-    if args.command in ("transfer", "submit", "serve"):
-        if args.cache_mode not in (None, "off") and not args.cache_dir:
-            parser.error("--cache-mode requires --cache-dir")
-    handler = _COMMANDS[args.command]
-    return handler(args)
+    args = build_parser().parse_args(argv)
+    run = next(command.run for command in COMMANDS if command.name == args.command)
+    try:
+        code, payload, lines = run(args)
+        if getattr(args, "json", False):
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line, flush=True)
+    except ReproError as exc:
+        print(f"ocelot {args.command}: {exc} ({exc.code})", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,11 +26,15 @@ from ..encoders.huffman import (
     pooled_symbol_frequencies,
     symbol_frequencies,
 )
+from ..encoders.lossless import get_lossless_backend
 from ..encoders.rans import RansCodec, RansFrequencyTable
-from ..interface import SectionContainer
+from ..interface import CompressedBlob, SectionContainer
 from ..predictors.base import PredictorOutput
 
-__all__ = ["ENTROPY_CODED", "ENTROPY_STAGES", "EncodingWire", "SharedBook", "estimated_bytes"]
+__all__ = [
+    "ENTROPY_CODED", "ENTROPY_STAGES", "EncodingWire", "SharedBook", "block_model_bytes",
+    "estimated_bytes",
+]
 
 ENTROPY_STAGES = ("huffman", "rans", "none")
 
@@ -282,6 +286,25 @@ class EncodingWire:
             name: inner.get_array(f"aux_{name}") for name in header.get("aux_names", [])
         }
         return codes, mask, inner.get_array("literals"), aux, header.get("predictor_meta", {})
+
+
+def block_model_bytes(blob: CompressedBlob, entries: Sequence[Dict[str, Any]]) -> Tuple[int, int]:
+    """``(bytes, blocks)`` of the entropy models the ``entries``' blocks store themselves.
+
+    A block coded against its own model carries it in its section; one
+    coded against the file's shared model, or not entropy-coded, carries
+    none.  Every named section is inflated and parsed to find out, so
+    this is a debugging read (``ocelot inspect``), never a transfer path.
+    """
+    backend = get_lossless_backend(blob.container.header.get("lossless_backend", ""))
+    models = [coder.model_section for coder in (_HuffmanCoder, _RansCoder)]
+    sizes = []
+    for entry in entries:
+        inner = SectionContainer.from_bytes(
+            backend.decompress(blob.container.get_section(entry["section"]))
+        )
+        sizes += [inner.section_size(name) for name in models if name in inner.section_names()]
+    return sum(sizes), len(sizes)
 
 
 def _huffman_stream(inner: SectionContainer) -> HuffmanStream:

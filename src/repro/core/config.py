@@ -63,7 +63,9 @@ class OcelotConfig:
         sentinel_enabled: transfer raw files while waiting for nodes.
         sentinel_wait_threshold_s: minimum predicted wait before the
             sentinel starts transferring raw data.
-        verify_error_bound: decompress-and-check after compression.
+        verify_error_bound: check each reconstruction against the bound
+            where it is made, at the destination (bulk and streamed
+            alike); a violation fails the job.
         sample_fraction: subsampling used by feature extraction.
         block_size: when set, each file is partitioned into blocks of this
             edge length (per axis) and the blocks are compressed

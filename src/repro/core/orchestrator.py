@@ -288,11 +288,7 @@ class OcelotOrchestrator:
         compressor = self._build_compressor(plan.compressor)
         for staged_file in staged:
             probe = probes.get(staged_file.path)
-            result = compressor.compress(
-                staged_file.field.data,
-                plan.error_bound,
-                verify=self.config.verify_error_bound,
-            )
+            result = compressor.compress(staged_file.field.data, plan.error_bound)
             if probe is not None:
                 result.blob.metadata["content_digest"] = probe.digest
                 result.blob.metadata["cache_key"] = probe.key

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..compression import CompressedBlob
+from ..compression.interface import require_error_bound
 from ..datasets.base import ScientificDataset
 from ..faas.batch_scheduler import NodeAllocation
 from ..transfer.service import TransferRequest
@@ -484,7 +485,9 @@ def _decompress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseS
 
     Cache-hit files decode like any other blob, and their originals
     participate in the quality check — a warm run must report the
-    same PSNR as the cold run that populated the cache.
+    same PSNR as the cold run that populated the cache.  This is where
+    ``verify_error_bound`` checks a bulk run, as the stream's consumer
+    checks a streamed one: each reconstruction is made once.
     """
     if run.streamed:
         return None
@@ -506,7 +509,9 @@ def _decompress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseS
             config.simulated_compute_s(size, config.assumed_decompression_throughput_mbps)
         )
         per_file_output_bytes.append(size)
-        tally.add(originals[name], recon)
+        max_abs_error = tally.add(originals[name], recon)
+        if config.verify_error_bound:
+            require_error_bound(originals[name], recon, blob.error_bound_abs, max_abs_error)
         filesystem.write(
             f"/decompressed/{orch._scoped(run.dataset.name)}/{name}", size_bytes=size
         )

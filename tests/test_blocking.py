@@ -389,12 +389,14 @@ class TestParallelBlocks:
             OcelotConfig(adaptive_predictor=True)  # requires block_size
 
     def test_cli_rejects_adaptive_without_block_size(self, capsys):
+        """``OcelotConfig`` is the one check: a typed error, one line, exit 1."""
         from repro.cli import main
 
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compress", "--adaptive-predictor"])
-        assert excinfo.value.code == 2
-        assert "--adaptive-predictor requires --block-size" in capsys.readouterr().err
+        assert main(["compress", "--adaptive-predictor"]) == 1
+        assert capsys.readouterr().err == (
+            "ocelot compress: adaptive_predictor requires block_size (per-block "
+            "selection only applies in blocked mode) (invalid_config)\n"
+        )
 
     def test_cli_rejects_nonpositive_block_size(self, capsys):
         from repro.cli import main

@@ -133,6 +133,44 @@ class TestCommands:
         assert payload["entropy_stage"] == "none"
         assert payload["block_codecs"] == {"none": payload["num_blocks"]}
 
+    def test_exit_codes(self, tmp_path, capsys):
+        """Typed errors end in one line and exit 1, argparse rejects bad
+        values with 2, a failed job exits 2 — never a traceback."""
+        from repro.service import JobStore
+
+        state = str(tmp_path / "jobs.jsonl")
+        JobStore(state).record_terminal("job-0001", "failed", 3.0, error="boom")
+        table = [
+            (["transfer", "--source", "nowhere", "--snapshots", "1", "--scale", "0.02"], 1),
+            (["predict", "--snapshots", "0"], 2),
+            (["predict", "--train-fraction", "1.5"], 2),
+            (["compress", "--adaptive-predictor"], 1),
+            (["status", "job-0042", "--state", state], 1),
+            (["status", "job-0001", "--state", state], 2),
+        ]
+        errors = []
+        for argv, expected in table:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            errors.append(capsys.readouterr().err)
+            assert (argv, code) == (argv, expected)
+            assert "Traceback" not in errors[-1]
+            if code == 1:
+                assert errors[-1].startswith(f"ocelot {argv[0]}: ")
+                assert errors[-1].count("\n") == 1
+        assert errors[0].startswith("ocelot transfer: unknown source endpoint 'nowhere'")
+        assert errors[0].endswith(" (invalid_request)\n")
+
+    def test_cache_stats_on_a_missing_directory_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        assert main(["cache", "stats", "--cache-dir", str(missing)]) == 1
+        assert not missing.exists()
+        assert capsys.readouterr().err == (
+            f"ocelot cache: no cache directory at {missing} (invalid_config)\n"
+        )
+
     def test_inspect_whole_array_blob(self, tmp_path, capsys):
         from repro.compression import ErrorBound, create_compressor
 
@@ -271,6 +309,44 @@ class TestJobServiceCommands:
         assert "error: boom" in capsys.readouterr().out
         assert main(["status", "job-0001", "--state", str(state), "--json"]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+    def test_a_crashed_submit_is_recovered_as_it_was_submitted(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The ``submitted`` lines carry the flags' configuration, so
+        ``recover`` resumes the job a clean ``submit`` would have run."""
+        from repro.service import OcelotService
+
+        flags = ["--application", "miranda", "--scale", "0.02", "--compressor", "sz3",
+                 "--error-bound", "1e-4", "--size-scale", "5000", "--json"]
+        clean, crashed = str(tmp_path / "clean.jsonl"), str(tmp_path / "crashed.jsonl")
+        assert main(["submit", *flags, "--state", clean]) == 0
+        expected = json.loads(capsys.readouterr().out)["jobs"]
+
+        def crash(service):
+            raise RuntimeError("killed mid-batch")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(OcelotService, "run_pending", crash)
+            with pytest.raises(RuntimeError):
+                main(["submit", *flags, "--state", crashed])
+        assert main(["jobs", "--state", crashed, "--json"]) == 0
+        assert [job["status"] for job in json.loads(capsys.readouterr().out)["jobs"]] == [
+            "pending"
+        ]
+
+        assert main(["recover", "--state", crashed, "--json"]) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert [job["job_id"] for job in resumed["jobs"]] == ["job-0001"]
+        assert resumed["jobs"][0]["report"] == expected[0]["report"]
+        assert resumed["jobs"][0]["report"]["compressor"] == "sz3"
+        assert main(["jobs", "--state", crashed, "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["jobs"]
+        assert [job["status"] for job in listed] == ["completed"]
+        # Nothing is left to resume, and nothing already finished re-runs.
+        assert main(["recover", "--state", crashed, "--json"]) == 0
+        again = json.loads(capsys.readouterr().out)
+        assert again == {"jobs": [], "finished": ["job-0001"], "unrecoverable": []}
 
     def test_jobs_filters_by_tenant_and_summarises_waits(self, tmp_path, capsys):
         state = tmp_path / "jobs.jsonl"

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from test_service_api import _config, _spec
 
-from repro.compression import Compressor
 from repro.compression.predictors import LorenzoPredictor
+from repro.compression.sz.pipeline import PredictionPipelineCompressor
 from repro.core import OcelotOrchestrator
 from repro.core.phases import MODE_PHASES, PHASES, TransferRun
 from repro.datasets import generate_application
@@ -135,27 +135,25 @@ def test_a_bound_breaking_predictor_fails_bulk_and_streamed_jobs_alike(
 
 
 def test_billed_compress_seconds_exclude_the_verify_pass(monkeypatch, dataset):
-    """Table VIII's CPTime is the encode: ``verify_error_bound`` adds a
-    full decode and an error scan, and neither is compression.  A file
-    is billed its staged bytes at the compression throughput, whichever
-    passes really ran."""
-    stats = []
-    real_compress = Compressor.compress
+    """Table VIII's CPTime is the encode, and with ``verify_error_bound``
+    on the compress phase still decodes nothing: the bound is checked on
+    the one reconstruction the destination makes.  A file is billed its
+    staged bytes at the compression throughput."""
+    decoded = []
+    real_decompress = PredictionPipelineCompressor.decompress_blob
 
-    def compress(self, *args, **kwargs):
-        result = real_compress(self, *args, **kwargs)
-        stats.append(result.stats)
-        return result
+    def decompress_blob(self, blob):
+        decoded.append(blob)
+        return real_decompress(self, blob)
 
-    monkeypatch.setattr(Compressor, "compress", compress)
-    billed = {}
-    for verify in (False, True):
-        orchestrator = OcelotOrchestrator(_config(verify_error_bound=verify))
-        run = TransferRun(dataset, "anvil", "cori", "compressed")
-        for phase in ("stage", "plan", "wait", "compress"):
-            PHASES[phase](orchestrator, run)
-        billed[verify] = (run.outcome.per_file_times_s, [f.size_bytes for f in run.staged])
-    assert len(stats) == 2 * dataset.file_count
-    assert all(s.decompression_time_s > 0 for s in stats[dataset.file_count:])  # verify ran
-    (times, sizes), (verified_times, _) = billed[False], billed[True]
-    assert verified_times == times == [size / 300e6 for size in sizes]
+    monkeypatch.setattr(PredictionPipelineCompressor, "decompress_blob", decompress_blob)
+    orchestrator = OcelotOrchestrator(_config(verify_error_bound=True))
+    run = TransferRun(dataset, "anvil", "cori", "compressed")
+    for phase in ("stage", "plan", "wait", "compress"):
+        PHASES[phase](orchestrator, run)
+    assert decoded == []
+    sizes = [f.size_bytes for f in run.staged]
+    assert run.outcome.per_file_times_s == [size / 300e6 for size in sizes]
+    for phase in ("group", "transfer", "decompress"):
+        PHASES[phase](orchestrator, run)
+    assert len(decoded) == dataset.file_count

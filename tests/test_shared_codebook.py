@@ -357,3 +357,37 @@ class TestInspectCodebook:
         assert payload["codebook"]["blocks_with_own_codebook"] == len(payload["blocks"])
         # header book (16 bytes raw) plus every block's own codebook
         assert payload["codebook"]["codebook_bytes"] > 16
+
+    def test_inspect_counts_one_escaped_block_and_per_block_rans_tables(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        data, pipeline = _field(), _shared_pipeline()
+        book = HuffmanCodebook.deserialize(pipeline.compress(data, BOUND).blob.shared_codebook_bytes)
+        plan = pipeline.block_plan(data)
+        results = [
+            pipeline.encode_one_block(
+                data, plan, spec, 1e-3,
+                shared_book=HuffmanCodebook.from_frequencies({0: 1}) if i == 0 else book,
+            )
+            for i, spec in enumerate(plan)
+        ]
+        escaped = CompressedBlob.assemble(
+            pipeline.blocked_header(data, plan, 1e-3, shared_book=book), results
+        )
+        rans = create_blocked_compressor(
+            "sz3", block_shape=32, shared_codebook=False, entropy_stage="rans"
+        ).compress(data, BOUND).blob
+        summaries = []
+        for name, blob in (("escaped", escaped), ("rans", rans)):
+            path = tmp_path / f"{name}.sz"
+            path.write_bytes(blob.to_bytes())
+            assert main(["inspect", str(path), "--json"]) == 0
+            summaries.append(json.loads(capsys.readouterr().out)["codebook"])
+        assert summaries[0]["mode"] == "shared"
+        assert summaries[0]["blocks_with_own_codebook"] == 1
+        assert summaries[0]["codebook_bytes"] > len(escaped.shared_codebook_bytes)
+        assert summaries[1]["mode"] == "per-block"
+        assert summaries[1]["blocks_with_own_codebook"] == rans.num_blocks
+        assert summaries[1]["codebook_bytes"] > 0
