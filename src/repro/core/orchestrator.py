@@ -29,14 +29,7 @@ from ..transfer.testbed import Testbed, build_testbed
 from .config import OcelotConfig
 from .grouping import FileGrouper
 from .parallel import ParallelCostModel, ParallelExecutor
-from .phases import (
-    MODE_PHASES,
-    PHASES,
-    CompressionOutcome,
-    PhaseStep,
-    TransferRun,
-    release_nodes,
-)
+from .phases import MODE_PHASES, PHASES, CompressionOutcome, PhaseStep, TransferRun
 from .planner import CompressionPlan, CompressionPlanner
 from .reporting import TransferReport
 from .sentinel import Sentinel
@@ -152,23 +145,20 @@ class OcelotOrchestrator:
         timeline (``Ocelot.transfer_dataset`` and ``OcelotService`` both
         run a transfer through it).
 
-        However the run ends — finished, failed inside a phase, or
-        cancelled by closing the generator at a yield — the compression
-        job's nodes go back to the pool in the ``finally`` below.  The
-        generator's return value is the finished :class:`TransferReport`.
+        The run holds no resource between yields — the scheduler's pools
+        are where nodes and links are occupied — so a run that fails or
+        is closed at a yield leaves nothing to undo.  The generator's
+        return value is the finished :class:`TransferReport`.
         """
         mode = mode or self.config.mode
         if mode not in MODE_PHASES:
             raise OrchestrationError(f"unknown transfer mode {mode!r}")
         run = TransferRun(dataset, source, destination, mode)
-        try:
-            for name in MODE_PHASES[mode]:
-                step = PHASES[name](self, run)
-                if step is not None:
-                    yield step
-            return self._report(run)
-        finally:
-            release_nodes(self, run)
+        for name in MODE_PHASES[mode]:
+            step = PHASES[name](self, run)
+            if step is not None:
+                yield step
+        return self._report(run)
 
     def _report(self, run: TransferRun) -> TransferReport:
         """The one place a run record becomes a :class:`TransferReport`."""

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from ..compression import CompressedBlob
 from ..compression.interface import require_error_bound
 from ..datasets.base import ScientificDataset
-from ..faas.batch_scheduler import NodeAllocation
 from ..transfer.service import TransferRequest
 from .planner import CompressionPlan
 from .reporting import PhaseTimings, QualityTally
@@ -137,8 +136,8 @@ class TransferRun:
     #: Whether this run goes through the ``stream`` phase — settled by
     #: ``wait``, once the cache has said what is left to encode.
     streamed: bool = False
-    #: Nodes held for the compression job (``None``: never requested).
-    allocation: Optional[NodeAllocation] = None
+    #: Compute nodes the compression job asked for (0: none, a full cache hit).
+    nodes: int = 0
     #: Files the sentinel shipped raw, and the rest still to compress.
     raw_paths: List[str] = field(default_factory=list)
     to_compress: List["StagedFile"] = field(default_factory=list)
@@ -155,12 +154,6 @@ class TransferRun:
     def total_bytes(self) -> int:
         """Staged size of the whole dataset."""
         return sum(f.size_bytes for f in self.staged)
-
-
-def release_nodes(orch: "OcelotOrchestrator", run: TransferRun) -> None:
-    """Return the compression job's nodes (idempotent; none held is fine)."""
-    if run.allocation is not None:
-        orch.faas.endpoint(run.source).scheduler.release(run.allocation)
 
 
 def _stage(orch: "OcelotOrchestrator", run: TransferRun) -> PhaseStep:
@@ -201,20 +194,15 @@ def _wait(orch: "OcelotOrchestrator", run: TransferRun) -> PhaseStep:
     """Request compute nodes; the sentinel ships raw files meanwhile."""
     _split_by_cache(orch, run)
     timings = run.timings
-    scheduler = orch.faas.endpoint(run.source).scheduler
     # A full cache hit skips the batch-scheduler request entirely —
     # those nodes stay free for cold jobs.
     if run.to_compress:
-        # Node occupancy is charged by the job scheduler's timeline
-        # pools, so the batch scheduler contributes only its sampled
-        # queue wait — charging its backfill deficit too would count the
-        # same contention twice.
-        run.allocation = scheduler.request(
-            # Capped at the size of the source site's partition.
-            min(orch.config.compression_nodes, scheduler.total_nodes),
-            include_backfill=False,
-        )
-        timings.node_wait_s = run.allocation.wait_s
+        scheduler = orch.faas.endpoint(run.source).scheduler
+        # Capped at the size of the source site's partition.  The batch
+        # scheduler only samples the queue wait: the job scheduler's node
+        # pools are where the nodes are occupied.
+        run.nodes = min(orch.config.compression_nodes, scheduler.total_nodes)
+        timings.node_wait_s = scheduler.queue_wait(run.nodes)
         _sentinel_ships_raw(orch, run)
     waited = max(timings.node_wait_s, timings.raw_transfer_s)
     return PhaseStep(
@@ -263,7 +251,7 @@ def _sentinel_ships_raw(orch: "OcelotOrchestrator", run: TransferRun) -> None:
     Cache-hit files are never shipped raw — their compressed bytes
     already exist — so only the files still to compress are eligible.
     """
-    wait_s = run.allocation.wait_s
+    wait_s = run.timings.node_wait_s
     if not orch.config.sentinel_enabled or wait_s <= orch.config.sentinel_wait_threshold_s:
         return
     decision = orch.sentinel.plan(
@@ -307,12 +295,11 @@ def _stream(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]
         orch.config,
         orch.testbed,
         orch._build_compressor,
-        compression_nodes=run.allocation.nodes,
+        compression_nodes=run.nodes,
         cost_model=orch.executor.cost_model,
     ).run(
         orch._scoped(run.dataset.name), run.to_compress, run.plan, run.source, run.destination
     )
-    release_nodes(orch, run)
     timings = run.timings
     timings.compression_s = outcome.compression_s
     timings.transfer_s = outcome.transfer_s
@@ -334,7 +321,7 @@ def _stream(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]
         "stream",
         duration_s=timings.streaming_s,
         endpoint=run.source,
-        nodes=run.allocation.nodes,
+        nodes=run.nodes,
         link=(run.source, run.destination),
         detail={"bytes_shipped": run.shipped_bytes, "chunks": outcome.chunk_count},
     )
@@ -347,11 +334,11 @@ def _compress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
     timings = run.timings
     probes = {p.file.path: p for p in run.probes or ()}
     outcome = run.outcome = orch._compress_files(run.to_compress, run.plan, probes)
-    if run.allocation is not None:
+    if run.nodes:
         timings.compression_s = orch.executor.compression_makespan(
             outcome.per_file_times_s,
             outcome.per_file_output_bytes,
-            nodes=run.allocation.nodes,
+            nodes=run.nodes,
             cores_per_node=orch.config.cores_per_node,
         ).makespan_s
     # Cached blobs are read off the parallel filesystem instead of
@@ -367,9 +354,6 @@ def _compress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
             len(payload) * orch.config.size_scale / orch.executor.cost_model.pfs_read_bps
         )
     timings.compression_s += cache_read_s
-    # The compression job is over: its nodes go back before the WAN
-    # transfer, not at the end of the run.
-    release_nodes(orch, run)
     if outcome.blobs:
         run.ratio = outcome.ratio
     return PhaseStep(
@@ -378,7 +362,7 @@ def _compress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
         endpoint=run.source,
         # A full cache hit ran on zero compute nodes: the scheduler's
         # per-endpoint node pool must not bill this phase.
-        nodes=run.allocation.nodes if run.allocation is not None else 0,
+        nodes=run.nodes,
         detail=_compress_detail(orch, run),
     )
 

@@ -168,7 +168,7 @@ class StreamingPipeline:
         sent, chunks, encode_times = self._produce(
             stream, dataset_name, staged, plan, produce_start, producer_workers
         )
-        stream.close(materialize=False)
+        stream.close()
         outcome = StreamingOutcome(
             chunk_count=len(chunks),
             original_bytes=sum(f.size_bytes for f in staged),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .function import FunctionRegistry, FunctionSpec
 from .container import ContainerPool
-from .batch_scheduler import BatchScheduler, NodeAllocation, NodeWaitModel
+from .batch_scheduler import BatchScheduler, NodeWaitModel
 from .endpoint import FaaSEndpoint, FaaSExecution
 from .service import FuncXService, FaaSTask, build_faas_service
 
@@ -22,7 +22,6 @@ __all__ = [
     "FunctionSpec",
     "ContainerPool",
     "BatchScheduler",
-    "NodeAllocation",
     "NodeWaitModel",
     "FaaSEndpoint",
     "FaaSExecution",

@@ -1,21 +1,23 @@
-"""Batch-scheduler model with configurable node-waiting-time behaviour.
+"""Batch-scheduler model: a partition size and a queue-wait sampler.
 
 The paper observes that compression jobs submitted through a batch
 scheduler may wait anywhere between seconds and hours for compute nodes
-(Section VIII-D), motivating the sentinel optimisation.  The scheduler
-here tracks node occupancy and samples additional queue wait from a
-configurable distribution so experiments can sweep the waiting regime.
+(Section VIII-D), motivating the sentinel optimisation.  A request here
+samples that wait from a configurable distribution so experiments can
+sweep the waiting regime.  Nothing here tracks which nodes are busy:
+the job scheduler's per-endpoint node pools are where nodes are
+occupied, on the simulated timeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import SchedulingError
 from ..utils.rng import rng_from_seed
 
-__all__ = ["NodeWaitModel", "NodeAllocation", "BatchScheduler"]
+__all__ = ["NodeWaitModel", "BatchScheduler"]
 
 
 @dataclass(frozen=True)
@@ -56,19 +58,8 @@ class NodeWaitModel:
         raise SchedulingError(f"unknown node wait model kind {self.kind!r}")
 
 
-@dataclass
-class NodeAllocation:
-    """A granted node allocation."""
-
-    allocation_id: int
-    nodes: int
-    wait_s: float
-    granted_at: float
-    released: bool = False
-
-
 class BatchScheduler:
-    """Node pool with queue-wait sampling."""
+    """One site's partition size and its queue-wait sampler."""
 
     def __init__(
         self,
@@ -81,34 +72,13 @@ class BatchScheduler:
         self.total_nodes = int(total_nodes)
         self.wait_model = wait_model or NodeWaitModel()
         self._rng = rng_from_seed(seed)
-        self._busy_nodes = 0
-        self._allocations: List[NodeAllocation] = []
-        self._next_id = 1
 
-    # ------------------------------------------------------------------ #
-    @property
-    def busy_nodes(self) -> int:
-        """Nodes currently allocated."""
-        return self._busy_nodes
+    def queue_wait(self, nodes: int) -> float:
+        """Seconds one request for ``nodes`` nodes waits in the queue.
 
-    @property
-    def free_nodes(self) -> int:
-        """Nodes currently free."""
-        return self.total_nodes - self._busy_nodes
-
-    def request(
-        self, nodes: int, now: float = 0.0, include_backfill: bool = True
-    ) -> NodeAllocation:
-        """Request ``nodes`` nodes; returns an allocation with its queue wait.
-
-        Requests larger than the partition raise; requests that cannot be
-        satisfied from free nodes add a backfill delay on top of the
-        sampled queue wait.
-
-        ``include_backfill=False`` charges only the sampled queue wait:
-        multi-job schedulers that place allocations on a shared timeline
-        account for node occupancy themselves, and adding the backfill
-        deficit on top would bill the same contention twice.
+        Requests for no nodes or for more than the partition raise.
+        Every valid request takes one draw from the site's RNG, whatever
+        else is running.
         """
         if nodes < 1:
             raise SchedulingError("must request at least one node")
@@ -116,31 +86,4 @@ class BatchScheduler:
             raise SchedulingError(
                 f"requested {nodes} nodes but the partition only has {self.total_nodes}"
             )
-        wait = self.wait_model.sample(self._rng)
-        if include_backfill and nodes > self.free_nodes:
-            # Nodes are occupied by other users' jobs: wait for backfill.
-            deficit = nodes - self.free_nodes
-            wait += deficit * max(30.0, self.wait_model.scale_s or 30.0)
-            self._busy_nodes = max(0, self.total_nodes - nodes)
-        allocation = NodeAllocation(
-            allocation_id=self._next_id,
-            nodes=nodes,
-            wait_s=float(wait),
-            granted_at=now + float(wait),
-        )
-        self._next_id += 1
-        self._busy_nodes += nodes
-        self._busy_nodes = min(self._busy_nodes, self.total_nodes)
-        self._allocations.append(allocation)
-        return allocation
-
-    def release(self, allocation: NodeAllocation) -> None:
-        """Return an allocation's nodes to the pool."""
-        if allocation.released:
-            return
-        allocation.released = True
-        self._busy_nodes = max(0, self._busy_nodes - allocation.nodes)
-
-    def allocations(self) -> List[NodeAllocation]:
-        """All allocations granted so far."""
-        return list(self._allocations)
+        return self.wait_model.sample(self._rng)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..errors import FaaSError
-from .batch_scheduler import BatchScheduler, NodeAllocation
+from .batch_scheduler import BatchScheduler
 from .container import ContainerPool
 
 __all__ = ["FaaSExecution", "FaaSEndpoint"]
@@ -30,7 +30,6 @@ class FaaSExecution:
     execution_s: float
     nodes: int
     endpoint: str
-    allocation: Optional[NodeAllocation] = None
 
     @property
     def total_s(self) -> float:
@@ -52,11 +51,6 @@ class FaaSEndpoint:
         if self.cores_per_node < 1:
             raise FaaSError(f"endpoint {self.name!r} needs at least one core per node")
 
-    @property
-    def total_cores(self) -> int:
-        """Total cores across the endpoint's partition."""
-        return self.cores_per_node * self.scheduler.total_nodes
-
     def execute(
         self,
         func: Callable,
@@ -65,32 +59,21 @@ class FaaSEndpoint:
         kwargs: Optional[Dict[str, Any]] = None,
         nodes: int = 1,
         container: str = "default",
-        now: float = 0.0,
-        hold_allocation: bool = False,
     ) -> FaaSExecution:
         """Run ``func`` on this endpoint, charging ``duration_s`` of execution.
 
         The callable really runs for its side effects and return value;
-        its simulated execution time is ``duration_s``.  With
-        ``hold_allocation`` the caller is responsible for releasing the
-        node allocation (used by multi-step compression jobs).
+        its simulated execution time is ``duration_s``.  The call holds
+        nothing afterwards: its cost is the returned execution.
         """
-        allocation = self.scheduler.request(nodes, now=now)
+        queue_wait = self.scheduler.queue_wait(nodes)
         startup = self.containers.startup_cost(container)
         value = func(*args, **(kwargs or {}))
-        if not hold_allocation:
-            self.scheduler.release(allocation)
         return FaaSExecution(
             value=value,
-            queue_wait_s=allocation.wait_s,
+            queue_wait_s=queue_wait,
             startup_s=startup,
             execution_s=float(duration_s),
             nodes=nodes,
             endpoint=self.name,
-            allocation=allocation if hold_allocation else None,
         )
-
-    def release(self, execution: FaaSExecution) -> None:
-        """Release a held allocation from a previous execution."""
-        if execution.allocation is not None:
-            self.scheduler.release(execution.allocation)

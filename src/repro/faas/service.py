@@ -51,7 +51,6 @@ class FuncXService:
         self.registry = FunctionRegistry()
         self.clock = clock or SimulationClock()
         self._endpoints: Dict[str, FaaSEndpoint] = {}
-        self._tasks: List[FaaSTask] = []
         self._counter = itertools.count(1)
 
     # ------------------------------------------------------------------ #
@@ -91,7 +90,7 @@ class FuncXService:
         ``duration_s`` is the call's modelled execution time.  The task
         is submitted at the clock's current time and completes its total
         duration (queue wait + start-up + execution) later; the clock
-        itself does not move.
+        itself does not move, and the service keeps no record of the call.
         """
         spec = self.registry.get(function_id)
         endpoint = self.endpoint(endpoint_name)
@@ -103,9 +102,8 @@ class FuncXService:
             kwargs=kwargs,
             nodes=nodes,
             container=spec.container,
-            now=submitted,
         )
-        task = FaaSTask(
+        return FaaSTask(
             task_id=f"faas-{next(self._counter):06d}",
             function_id=function_id,
             endpoint=endpoint_name,
@@ -113,12 +111,6 @@ class FuncXService:
             submitted_at=submitted,
             completed_at=submitted + execution.total_s,
         )
-        self._tasks.append(task)
-        return task
-
-    def tasks(self) -> List[FaaSTask]:
-        """All tasks run so far."""
-        return list(self._tasks)
 
 
 def build_faas_service(

@@ -233,7 +233,7 @@ class JobHandle:
         """Cancel the job; returns False if it already finished.
 
         A pending job never runs; a job suspended mid-phase has its phase
-        machine closed, which releases any compute nodes it holds.
+        machine closed and runs no further phase.
         """
         return self._scheduler.cancel(self._job)
 

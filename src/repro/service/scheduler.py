@@ -463,12 +463,11 @@ class JobScheduler:
     def cancel(self, job: TransferJob) -> bool:
         """Cancel a job; returns False once it is already terminal.
 
-        Closing the suspended phase generator raises ``GeneratorExit`` at
-        its last yield point, so ``finally`` blocks inside the
-        orchestrator run — in particular the batch-scheduler node release
-        — execute immediately.  The freed quota headroom admits the
-        tenant's next waiting job, and freed nodes are re-offered to
-        whichever flow fair queueing picks next.
+        The suspended phase generator is closed at its last yield point.
+        It holds nothing there: the pools here are the only place a node
+        or link is occupied, and they hold only the phases already placed
+        on the timeline.  The freed quota headroom admits the tenant's
+        next waiting job.
         """
         if job.status.is_terminal:
             return False

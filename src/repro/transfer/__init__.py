@@ -19,7 +19,6 @@ from .service import (
     StreamChunk,
     TransferRequest,
     TransferService,
-    TransferStatus,
     TransferStream,
     TransferTask,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "TransferService",
     "TransferRequest",
     "TransferTask",
-    "TransferStatus",
     "TransferStream",
     "StreamChunk",
     "Testbed",

@@ -45,27 +45,23 @@ class GlobusEndpoint:
             self.display_name = self.name
 
     # ------------------------------------------------------------------ #
-    def stage_dataset(self, dataset, prefix: Optional[str] = None, materialize: bool = True) -> int:
+    def stage_dataset(self, dataset, prefix: Optional[str] = None) -> int:
         """Write a :class:`~repro.datasets.base.ScientificDataset` onto the endpoint.
 
-        When ``materialize`` is False only the file sizes are recorded
-        (used by large-scale throughput benchmarks).  Returns the number
-        of files staged.
+        Returns the number of files staged.
         """
         base = prefix if prefix is not None else f"/data/{dataset.name}"
-        count = 0
         for data_field in dataset:
-            path = f"{base}/{data_field.filename}"
-            if materialize:
-                self.filesystem.write(path, data=data_field.data.tobytes(),
-                                      metadata={"field": data_field.name,
-                                                "shape": "x".join(map(str, data_field.shape)),
-                                                "dtype": str(data_field.data.dtype)})
-            else:
-                self.filesystem.write(path, size_bytes=data_field.nbytes,
-                                      metadata={"field": data_field.name})
-            count += 1
-        return count
+            self.filesystem.write(
+                f"{base}/{data_field.filename}",
+                data=data_field.data.tobytes(),
+                metadata={
+                    "field": data_field.name,
+                    "shape": "x".join(map(str, data_field.shape)),
+                    "dtype": str(data_field.data.dtype),
+                },
+            )
+        return dataset.file_count
 
     def storage_read_time(self, nbytes: int) -> float:
         """Seconds to read ``nbytes`` from the endpoint's storage."""

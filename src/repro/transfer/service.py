@@ -1,27 +1,29 @@
-"""Globus-style transfer service: submit, track and complete transfer tasks.
+"""Globus-style transfer service: submit transfers and open streams.
 
 The service owns the endpoints and the network topology.  Submitting a
 request computes the transfer duration with the GridFTP engine, moves
 the file entries between the endpoint filesystems, and returns a
 completed :class:`TransferTask` with per-task statistics (the analogue
-of the Globus task pane the paper's measurements come from).  The
-service reads the shared simulation clock to stamp a task but never
-moves it: whoever places the transfer on a timeline (the multi-job
-scheduler) does that with the task's duration.
+of the Globus task pane the paper's measurements come from) — or raises.
+The service keeps no record of its tasks, and it reads the shared
+simulation clock to stamp a task but never moves it: whoever places the
+transfer on a timeline (the multi-job scheduler) does that with the
+task's duration.
 
 Besides bulk :meth:`TransferService.submit`, the service exposes an
 incremental *stream* API (:meth:`TransferService.open_stream`): chunks —
 typically the ``block:<id>`` sections of a compressed blob — are handed
 to the stream as each one finishes encoding, each with the simulated
 time it became available, and the stream models the per-chunk wire time
-on GridFTP channels.  A stream's times count from its own opening
-(t = 0).  That is what lets the orchestrator overlap compression, WAN
-transfer and decompression instead of serialising the phases.
+on GridFTP channels.  A chunk is a size, not bytes: the caller lands
+whatever it assembles at the destination itself.  A stream's times count
+from its own opening (t = 0).  That is what lets the orchestrator
+overlap compression, WAN transfer and decompression instead of
+serialising the phases.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -34,22 +36,12 @@ from .gridftp import GridFTPEngine, GridFTPSettings, TransferEstimate
 from .network import NetworkTopology
 
 __all__ = [
-    "TransferStatus",
     "TransferRequest",
     "TransferTask",
     "TransferService",
     "StreamChunk",
     "TransferStream",
 ]
-
-
-class TransferStatus(str, enum.Enum):
-    """Lifecycle states of a transfer task."""
-
-    PENDING = "pending"
-    ACTIVE = "active"
-    SUCCEEDED = "succeeded"
-    FAILED = "failed"
 
 
 @dataclass
@@ -61,7 +53,6 @@ class TransferRequest:
     paths: Sequence[str]
     label: str = ""
     settings: Optional[GridFTPSettings] = None
-    delete_source: bool = False
 
 
 @dataclass
@@ -69,8 +60,8 @@ class StreamChunk:
     """One chunk shipped through a :class:`TransferStream`.
 
     A chunk is typically one ``block:<id>`` section of a compressed blob,
-    but any sized payload works.  ``available_at`` is the simulated time
-    the producer finished creating the chunk; ``started_at`` /
+    but anything with a size works.  ``available_at`` is the simulated
+    time the producer finished creating the chunk; ``started_at`` /
     ``completed_at`` are when its bytes actually moved on the wire (a
     chunk waits when all channels are busy, a channel idles when the
     producer is the bottleneck).
@@ -81,7 +72,6 @@ class StreamChunk:
     available_at: float
     started_at: float
     completed_at: float
-    payload: Optional[bytes] = field(default=None, repr=False)
 
     @property
     def wait_s(self) -> float:
@@ -91,17 +81,15 @@ class StreamChunk:
 
 @dataclass
 class TransferTask:
-    """One submitted transfer and its outcome."""
+    """One completed transfer."""
 
     task_id: str
     request: TransferRequest
-    status: TransferStatus = TransferStatus.PENDING
     submitted_at: float = 0.0
     started_at: float = 0.0
     completed_at: float = 0.0
     estimate: Optional[TransferEstimate] = None
     chunks: List[StreamChunk] = field(default_factory=list)
-    error: str = ""
 
     @property
     def duration_s(self) -> float:
@@ -154,14 +142,12 @@ class TransferStream:
         task: TransferTask,
         engine: GridFTPEngine,
         link,
-        source: GlobusEndpoint,
-        destination: GlobusEndpoint,
+        storage_read_bps: float,
+        storage_write_bps: float,
     ) -> None:
         self.task = task
         self._engine = engine
         self._link = link
-        self._source = source
-        self._destination = destination
         settings = engine.settings
         self._channels_count = max(1, settings.concurrency)
         # Control-channel establishment costs a few RTTs, paid once per
@@ -169,18 +155,13 @@ class TransferStream:
         ready = 3.0 * link.rtt_s
         self._channels: List[float] = [ready] * self._channels_count
         heapq.heapify(self._channels)
-        self._storage_read_bps = source.storage_read_bps * source.dtn_count
-        self._storage_write_bps = destination.storage_write_bps * destination.dtn_count
+        self._storage_read_bps = storage_read_bps
+        self._storage_write_bps = storage_write_bps
         self._bandwidth_cache: Dict[int, float] = {}
         self._overhead_s = engine.per_chunk_overhead_s(link)
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    @property
-    def chunks(self) -> List[StreamChunk]:
-        """Chunks sent so far, in submission order."""
-        return list(self.task.chunks)
-
     @property
     def last_completion_s(self) -> float:
         """Simulated time the latest-finishing chunk leaves the wire."""
@@ -218,14 +199,8 @@ class TransferStream:
         """
         return size_bytes / self._bandwidth_bps(active_channels) + self._overhead_s
 
-    def send_chunk(
-        self,
-        name: str,
-        payload: Optional[bytes] = None,
-        size_bytes: Optional[int] = None,
-        available_at: float = 0.0,
-    ) -> StreamChunk:
-        """Ship one chunk; returns its simulated wire timeline.
+    def send_chunk(self, name: str, size_bytes: int, available_at: float = 0.0) -> StreamChunk:
+        """Ship one chunk of ``size_bytes``; returns its simulated wire timeline.
 
         ``available_at`` defaults to the stream's opening.  Chunks may be
         handed over out of order; each one simply takes the earliest
@@ -233,9 +208,7 @@ class TransferStream:
         """
         if self._closed:
             raise TransferError(f"stream {self.task.task_id} is already closed")
-        if payload is None and size_bytes is None:
-            raise TransferError(f"chunk {name!r} needs either payload or size_bytes")
-        size = int(size_bytes) if size_bytes is not None else len(payload or b"")
+        size = int(size_bytes)
         if size < 0:
             raise TransferError(f"chunk {name!r} has negative size")
         when = float(available_at)
@@ -250,33 +223,24 @@ class TransferStream:
             available_at=when,
             started_at=started,
             completed_at=completed,
-            payload=bytes(payload) if payload is not None else None,
         )
         self.task.chunks.append(chunk)
         return chunk
 
-    def close(self, materialize: bool = True) -> TransferTask:
-        """Finish the stream: land the files and seal the task.
+    def close(self) -> TransferTask:
+        """Finish the stream and seal its task.
 
-        With ``materialize=True`` every chunk that carried payload (or a
-        size) is written to the destination filesystem.  Callers doing
-        their own destination-side assembly (e.g. rebuilding a blocked
-        blob from its sections) pass ``materialize=False`` and write the
-        assembled artefact themselves.
+        Nothing lands at the destination here: the caller writes what it
+        assembles from the chunks (e.g. a blob rebuilt from its block
+        sections) itself.
         """
         if self._closed:
             raise TransferError(f"stream {self.task.task_id} is already closed")
         self._closed = True
         task = self.task
-        if materialize:
-            for chunk in task.chunks:
-                self._destination.filesystem.write(
-                    chunk.name, data=chunk.payload, size_bytes=chunk.size_bytes
-                )
         task.request.paths = [chunk.name for chunk in task.chunks]
         task.started_at = min((c.started_at for c in task.chunks), default=0.0)
         task.completed_at = self.last_completion_s
-        task.status = TransferStatus.SUCCEEDED
         return task
 
 
@@ -294,7 +258,6 @@ class TransferService:
         self.clock = clock or SimulationClock()
         self.default_settings = default_settings or GridFTPSettings()
         self._endpoints: Dict[str, GlobusEndpoint] = {}
-        self._tasks: Dict[str, TransferTask] = {}
         self._task_counter = itertools.count(1)
         self._seed = seed
 
@@ -325,44 +288,32 @@ class TransferService:
         """Execute a transfer request: move the files, time it by the GridFTP estimate.
 
         The task starts at the clock's current time and lasts its
-        estimate; the clock itself does not move.
+        estimate; the clock itself does not move.  A request that cannot
+        run (no paths, a missing file, no route) raises and moves nothing.
         """
         source = self.endpoint(request.source_endpoint)
         destination = self.endpoint(request.destination_endpoint)
         if not request.paths:
             raise TransferError("transfer request contains no paths")
-        task = TransferTask(
+        entries = [source.filesystem.stat(path) for path in request.paths]
+        link = self.topology.link(source.name, destination.name)
+        engine = GridFTPEngine(settings=request.settings or self.default_settings, seed=self._seed)
+        estimate = engine.estimate(
+            [entry.size_bytes for entry in entries],
+            link,
+            storage_read_bps=source.storage_read_bps * source.dtn_count,
+            storage_write_bps=destination.storage_write_bps * destination.dtn_count,
+        )
+        destination.filesystem.copy_from(source.filesystem, request.paths)
+        now = self.clock.now
+        return TransferTask(
             task_id=f"task-{next(self._task_counter):06d}",
             request=request,
-            submitted_at=self.clock.now,
+            submitted_at=now,
+            started_at=now,
+            completed_at=now + estimate.duration_s,
+            estimate=estimate,
         )
-        self._tasks[task.task_id] = task
-        try:
-            entries = [source.filesystem.stat(path) for path in request.paths]
-            link = self.topology.link(source.name, destination.name)
-            settings = request.settings or self.default_settings
-            engine = GridFTPEngine(settings=settings, seed=self._seed)
-            estimate = engine.estimate(
-                [entry.size_bytes for entry in entries],
-                link,
-                storage_read_bps=source.storage_read_bps * source.dtn_count,
-                storage_write_bps=destination.storage_write_bps * destination.dtn_count,
-            )
-            task.status = TransferStatus.ACTIVE
-            task.started_at = task.submitted_at
-            destination.filesystem.copy_from(source.filesystem, request.paths)
-            if request.delete_source:
-                for path in request.paths:
-                    source.filesystem.delete(path)
-            task.estimate = estimate
-            task.completed_at = task.started_at + estimate.duration_s
-            task.status = TransferStatus.SUCCEEDED
-        except TransferError as exc:
-            task.status = TransferStatus.FAILED
-            task.error = str(exc)
-            task.completed_at = task.submitted_at
-            raise
-        return task
 
     def open_stream(
         self,
@@ -392,44 +343,11 @@ class TransferService:
                 label=label or "stream",
                 settings=settings,
             ),
-            status=TransferStatus.ACTIVE,
         )
-        self._tasks[task.task_id] = task
-        return TransferStream(task, engine, link, source, destination)
-
-    def transfer_directory(
-        self,
-        source_endpoint: str,
-        destination_endpoint: str,
-        prefix: str,
-        label: str = "",
-        settings: Optional[GridFTPSettings] = None,
-        delete_source: bool = False,
-    ) -> TransferTask:
-        """Transfer every file under ``prefix`` on the source endpoint."""
-        source = self.endpoint(source_endpoint)
-        paths = source.filesystem.paths(prefix)
-        if not paths:
-            raise TransferError(
-                f"no files under {prefix!r} on endpoint {source_endpoint!r}"
-            )
-        request = TransferRequest(
-            source_endpoint=source_endpoint,
-            destination_endpoint=destination_endpoint,
-            paths=paths,
-            label=label or f"dir:{prefix}",
-            settings=settings,
-            delete_source=delete_source,
+        return TransferStream(
+            task,
+            engine,
+            link,
+            storage_read_bps=source.storage_read_bps * source.dtn_count,
+            storage_write_bps=destination.storage_write_bps * destination.dtn_count,
         )
-        return self.submit(request)
-
-    def task(self, task_id: str) -> TransferTask:
-        """Look up a task by id."""
-        try:
-            return self._tasks[task_id]
-        except KeyError as exc:
-            raise TransferError(f"unknown transfer task {task_id!r}") from exc
-
-    def tasks(self) -> List[TransferTask]:
-        """All tasks submitted so far, in submission order."""
-        return [self._tasks[k] for k in sorted(self._tasks)]

@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from repro.core import Ocelot, OcelotConfig
+from repro.datasets import generate_application
 from repro.errors import FaaSError, FunctionNotRegisteredError, SchedulingError
 from repro.faas import (
     BatchScheduler,
@@ -19,6 +21,7 @@ from repro.faas import (
     NodeWaitModel,
     build_faas_service,
 )
+from repro.service import TransferSpec
 
 
 def _double(x):
@@ -105,42 +108,53 @@ class TestNodeWaitModel:
 
 class TestBatchScheduler:
     def test_request_and_release(self):
+        """A request returns its wait and holds nothing, so there is
+        nothing to release: the whole partition is free for the next one."""
         scheduler = BatchScheduler(total_nodes=8)
-        allocation = scheduler.request(4)
-        assert scheduler.busy_nodes == 4
-        scheduler.release(allocation)
-        assert scheduler.busy_nodes == 0
+        assert scheduler.queue_wait(8) == 0.0
+        assert scheduler.queue_wait(8) == 0.0
 
-    def test_double_release_is_harmless(self):
-        scheduler = BatchScheduler(total_nodes=4)
-        allocation = scheduler.request(2)
-        scheduler.release(allocation)
-        scheduler.release(allocation)
-        assert scheduler.busy_nodes == 0
+    @pytest.mark.parametrize("kind", ["immediate", "constant", "uniform", "exponential", "bimodal"])
+    def test_a_seed_fixes_every_wait(self, kind):
+        """Whatever the request sizes, a site's seed fixes its sequence of waits."""
+        model = NodeWaitModel(kind=kind, scale_s=30.0)
+
+        def waits():
+            scheduler = BatchScheduler(total_nodes=8, wait_model=model, seed=11)
+            return [scheduler.queue_wait(nodes) for nodes in (1, 8, 3, 8, 2)]
+
+        first = waits()
+        assert first == waits()
+        assert all(wait >= 0.0 for wait in first)
+
+    def test_a_refused_request_takes_no_draw(self):
+        model = NodeWaitModel(kind="exponential", scale_s=30.0)
+        refused = BatchScheduler(total_nodes=4, wait_model=model, seed=5)
+        twin = BatchScheduler(total_nodes=4, wait_model=model, seed=5)
+        for nodes in (0, 5):
+            with pytest.raises(SchedulingError):
+                refused.queue_wait(nodes)
+        assert refused.queue_wait(2) == twin.queue_wait(2)
 
     def test_oversized_request_raises(self):
         with pytest.raises(SchedulingError):
-            BatchScheduler(total_nodes=4).request(8)
+            BatchScheduler(total_nodes=4).queue_wait(8)
 
     def test_zero_nodes_raises(self):
         with pytest.raises(SchedulingError):
-            BatchScheduler(total_nodes=4).request(0)
+            BatchScheduler(total_nodes=4).queue_wait(0)
 
     def test_immediate_model_has_no_wait(self):
         scheduler = BatchScheduler(total_nodes=8, wait_model=NodeWaitModel(kind="immediate"))
-        assert scheduler.request(2).wait_s == 0.0
+        assert scheduler.queue_wait(2) == 0.0
 
-    def test_busy_partition_adds_wait(self):
-        scheduler = BatchScheduler(total_nodes=4, wait_model=NodeWaitModel(kind="immediate"))
-        scheduler.request(4)
-        follow_up = scheduler.request(2)
-        assert follow_up.wait_s > 0.0
-
-    def test_allocations_recorded(self):
-        scheduler = BatchScheduler(total_nodes=8)
-        scheduler.request(1)
-        scheduler.request(2)
-        assert len(scheduler.allocations()) == 2
+    def test_a_wait_is_one_draw_whatever_was_requested_before(self):
+        """Nothing is held between requests: a full-partition request
+        leaves the next one the same single draw from the site's RNG."""
+        model = NodeWaitModel(kind="uniform", scale_s=30.0)
+        full = BatchScheduler(total_nodes=4, wait_model=model, seed=3)
+        small = BatchScheduler(total_nodes=4, wait_model=model, seed=3)
+        assert [full.queue_wait(4), full.queue_wait(2)] == [small.queue_wait(1), small.queue_wait(1)]
 
     def test_invalid_total_nodes(self):
         with pytest.raises(SchedulingError):
@@ -170,17 +184,22 @@ class TestFaaSEndpointAndService:
         slow = endpoint.execute(time.sleep, duration_s=0.0, args=(0.02,))
         assert slow.execution_s == 0.0
 
-    def test_hold_and_release_allocation(self):
-        endpoint = self._endpoint()
-        execution = endpoint.execute(
-            _double, duration_s=1.0, args=(1,), nodes=4, hold_allocation=True
-        )
-        assert endpoint.scheduler.busy_nodes == 4
-        endpoint.release(execution)
-        assert endpoint.scheduler.busy_nodes == 0
+    def test_the_queue_wait_is_the_schedulers_draw(self):
+        """Every call asks for the whole partition; none holds it for the next."""
+        model = NodeWaitModel(kind="uniform", scale_s=30.0)
+        endpoint = FaaSEndpoint(name="cori", scheduler=BatchScheduler(8, model, seed=2))
+        twin = BatchScheduler(8, model, seed=2)
+        waits = [
+            endpoint.execute(_double, duration_s=1.0, args=(i,), nodes=8).queue_wait_s
+            for i in range(3)
+        ]
+        assert waits == [twin.queue_wait(8) for _ in range(3)]
 
-    def test_total_cores(self):
-        assert self._endpoint().total_cores == 16 * 128
+    def test_an_oversized_call_raises_before_running(self):
+        ran = []
+        with pytest.raises(SchedulingError):
+            self._endpoint().execute(ran.append, duration_s=1.0, args=(1,), nodes=17)
+        assert ran == []
 
     def test_invalid_cores(self):
         with pytest.raises(FaaSError):
@@ -224,7 +243,7 @@ class TestFaaSEndpointAndService:
         script = (
             "from repro.faas import build_faas_service\n"
             "service = build_faas_service()\n"
-            "print([service.endpoint(name).scheduler.request(1).wait_s\n"
+            "print([service.endpoint(name).scheduler.queue_wait(1)\n"
             "       for name in ('bebop', 'cori') for _ in range(3)])\n"
         )
         waits = {
@@ -236,8 +255,27 @@ class TestFaaSEndpointAndService:
         }
         assert len(waits) == 1
 
-    def test_tasks_are_recorded(self):
-        service = build_faas_service()
-        fid = service.register_function(_double)
-        service.run("anvil", fid, duration_s=1.0, args=(2,))
-        assert len(service.tasks()) == 1
+
+def _noop():
+    return None
+
+
+def test_a_faas_call_waits_the_same_wherever_a_transfer_is_paused():
+    """The job scheduler's node pools are the only place a node is busy,
+    so a FaaS call's queue wait is its site's sampled wait alone: the
+    same before a concurrent anvil->cori job starts, while that job is
+    paused after ``stage`` / ``plan`` / ``wait``, and once it finished."""
+    dataset = generate_application(
+        "miranda", snapshots=1, scale=0.03, seed=4, fields=["density", "pressure", "velocityx"]
+    )
+    ocelot = Ocelot(OcelotConfig())
+    fid = ocelot.faas.register_function(_noop)
+    service = ocelot.service
+    service.submit(TransferSpec(dataset=dataset, source="anvil", destination="cori"))
+    waits = [ocelot.faas.run("anvil", fid, 0.0).execution.queue_wait_s]
+    for _ in range(3):
+        assert service.scheduler.step()
+    waits.append(ocelot.faas.run("anvil", fid, 0.0).execution.queue_wait_s)
+    service.run_pending()
+    waits.append(ocelot.faas.run("anvil", fid, 0.0).execution.queue_wait_s)
+    assert waits[0] == waits[1] == waits[2]

@@ -1,11 +1,13 @@
 """A fault or a cancel at any phase leaves nothing held and nobody hurt.
 
-``OcelotOrchestrator.iter_phases`` is one loop over ``PHASES`` with one
-``finally``, so one seam covers every phase of every mode: replace a
-phase (here, never in ``src/``) with one that raises for a single job,
-and that job must end ``FAILED`` with one ``failed`` event, the batch
-scheduler must get its nodes back, and a neighbour submitted alongside
-must finish with the report it produces on its own.
+``OcelotOrchestrator.iter_phases`` is one loop over ``PHASES``, so one
+seam covers every phase of every mode: replace a phase (here, never in
+``src/``) with one that raises for a single job, and that job must end
+``FAILED`` with one ``failed`` event, and a neighbour submitted
+alongside must finish with the report it produces on its own.  The job
+scheduler's pools are the only place a node or link is occupied, so a
+job submitted after a failure or a cancel must run as if alone: its
+report ``==`` its solo run's, and no phase of it queued.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def solo_report(dataset):
     return _service().submit(_spec(dataset)).result().as_dict()
 
 
+def _assert_a_later_job_runs_alone(service, dataset, solo_report):
+    """Nothing the failed or cancelled job did is still occupied."""
+    later = service.submit(_spec(dataset))
+    service.run_pending()
+    assert later.result().as_dict() == solo_report
+    finished = [event for event in later.events() if event.kind == "phase_finished"]
+    assert finished and not [event for event in finished if "queued_s" in event.detail]
+
+
 @pytest.mark.parametrize("run, phase", CASES)
 def test_a_raising_phase_fails_one_job_and_frees_its_nodes(
     monkeypatch, dataset, solo_report, run, phase
@@ -67,18 +78,17 @@ def test_a_raising_phase_fails_one_job_and_frees_its_nodes(
     assert victim.status is JobStatus.FAILED
     failed = [event for event in victim.events() if event.kind == "failed"]
     assert [event.detail["error"] for event in failed] == [f"injected fault in {phase}"]
-    assert service.faas.endpoint("anvil").scheduler.busy_nodes == 0
     assert neighbour.status is JobStatus.COMPLETED
     assert neighbour.result().as_dict() == solo_report
+    _assert_a_later_job_runs_alone(service, dataset, solo_report)
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_cancel_at_every_phase_boundary_frees_the_nodes(dataset, run):
+def test_cancel_at_every_phase_boundary_frees_the_nodes(dataset, solo_report, run):
     boundary = 0
     while True:
         boundary += 1
         service = _service()
-        batch_scheduler = service.faas.endpoint("anvil").scheduler
         handle = service.submit(_spec(dataset, overrides=RUNS[run]))
         for _ in range(boundary):
             assert service.scheduler.step()
@@ -86,8 +96,8 @@ def test_cancel_at_every_phase_boundary_frees_the_nodes(dataset, run):
             break
         assert handle.cancel() is True
         assert handle.status is JobStatus.CANCELLED
-        assert batch_scheduler.busy_nodes == 0
-    assert handle.status is JobStatus.COMPLETED and batch_scheduler.busy_nodes == 0
+        _assert_a_later_job_runs_alone(service, dataset, solo_report)
+    assert handle.status is JobStatus.COMPLETED
     # stage, plan, wait, then one step per remaining phase that applies.
     assert boundary - 1 == {"compressed": 6, "grouped": 7, "streamed": 4}[run]
 
@@ -115,7 +125,7 @@ def bound_breaker(monkeypatch):
 
 @pytest.mark.parametrize("run", ["compressed", "streamed"])
 def test_a_bound_breaking_predictor_fails_bulk_and_streamed_jobs_alike(
-    bound_breaker, dataset, run
+    bound_breaker, dataset, solo_report, run
 ):
     overrides = {"compressor": "bound-breaker", **RUNS[run]}
     service = _service()
@@ -131,7 +141,7 @@ def test_a_bound_breaking_predictor_fails_bulk_and_streamed_jobs_alike(
     assert checked.status is JobStatus.FAILED
     with pytest.raises(ErrorBoundViolation):
         checked.result()
-    assert service.faas.endpoint("anvil").scheduler.busy_nodes == 0
+    _assert_a_later_job_runs_alone(service, dataset, solo_report)
 
 
 def test_billed_compress_seconds_exclude_the_verify_pass(monkeypatch, dataset):

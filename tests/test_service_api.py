@@ -208,20 +208,24 @@ class TestJobLifecycle:
         assert doomed.cancel() is False  # already terminal
 
     def test_cancel_mid_phase_releases_nodes(self, tiny_dataset):
+        solo = OcelotService(_config()).submit(_spec(tiny_dataset)).result().as_dict()
         service = OcelotService(_config())
         handle = service.submit(_spec(tiny_dataset))
-        batch_scheduler = service.faas.endpoint("anvil").scheduler
-        # Step to the wait-phase boundary: the job holds its allocation
-        # while suspended there.
+        # Step to the wait-phase boundary: the job has asked for its
+        # compression nodes and is suspended there.
         for _ in range(3):  # stage, plan, wait
             assert service.scheduler.step()
         assert handle.status is JobStatus.RUNNING
-        assert batch_scheduler.busy_nodes > 0
         assert handle.cancel() is True
         assert handle.status is JobStatus.CANCELLED
-        assert batch_scheduler.busy_nodes == 0
         # The queue is drained; nothing left to step.
         assert service.scheduler.step() is False
+        # Nothing is left occupied: the next job runs as if alone.
+        later = service.submit(_spec(tiny_dataset))
+        service.run_pending()
+        assert later.result().as_dict() == solo
+        finished = [e for e in later.events() if e.kind == "phase_finished"]
+        assert finished and not [e for e in finished if "queued_s" in e.detail]
 
     def test_failed_job_does_not_poison_the_batch(self, monkeypatch, tiny_dataset):
         """The seam of ``test_phase_faults.py``: one tenant's compress phase raises."""
@@ -369,6 +373,32 @@ class TestSchedulerInterleaving:
         assert service.jobs() == []
         # Discarded handles keep their results.
         assert handles[0].result().compression_ratio > 1.0
+
+    def test_substrates_keep_nothing_per_job(self, tiny_dataset):
+        """A long-lived service's transfer and FaaS substrates hold no
+        record of the jobs that went through them."""
+
+        def held(obj):
+            return {
+                name: len(value) if hasattr(value, "__len__") else None
+                for name, value in vars(obj).items()
+            }
+
+        def substrates(service):
+            schedulers = {
+                name: held(service.faas.endpoint(name).scheduler)
+                for name in service.faas.endpoints()
+            }
+            return held(service.testbed.service), held(service.faas), schedulers
+
+        service = OcelotService(_config())
+        service.submit(_spec(tiny_dataset)).result()
+        service.clear_finished()
+        before = substrates(service)
+        for overrides in ({}, {"transfer_mode": "streamed", "block_size": 16}, {}):
+            service.submit(_spec(tiny_dataset, overrides=overrides)).result()
+            assert service.clear_finished() == 1
+        assert substrates(service) == before
 
     def test_legacy_wrapper_does_not_accumulate_jobs(self, tiny_dataset):
         ocelot = Ocelot(_config())

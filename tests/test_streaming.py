@@ -21,7 +21,7 @@ import re
 from repro.core import Ocelot, OcelotConfig, OcelotOrchestrator
 from repro.datasets import generate_application
 from repro.errors import ConfigurationError, TransferError
-from repro.transfer import TransferStatus
+from repro.transfer import TransferService
 
 
 def _streamed_config(**overrides):
@@ -40,16 +40,32 @@ def _streamed_config(**overrides):
     return OcelotConfig(**base)
 
 
+@pytest.fixture
+def opened_streams(monkeypatch):
+    """Every stream the transfer service opens while the test runs (the
+    service itself keeps no record of them)."""
+    streams = []
+    real = TransferService.open_stream
+
+    def spy(self, *args, **kwargs):
+        streams.append(real(self, *args, **kwargs))
+        return streams[-1]
+
+    monkeypatch.setattr(TransferService, "open_stream", spy)
+    return streams
+
+
 class TestTransferStream:
-    def test_chunks_move_files_and_leave_the_clock(self, testbed):
-        """A stream's times count from its opening; the shared clock is not its."""
+    def test_chunk_times_count_from_the_opening_and_land_nothing(self, testbed):
+        """A stream's times count from its opening; the shared clock is not
+        its.  A chunk is a size: the caller lands what it assembles."""
         testbed.clock.advance(50.0)
         stream = testbed.service.open_stream("anvil", "cori", label="s")
-        first = stream.send_chunk("/s/a.part", payload=b"x" * 500_000)
-        chunk = stream.send_chunk("/s/b.part", payload=b"y" * 500_000, available_at=2.0)
+        first = stream.send_chunk("/s/a.part", size_bytes=500_000)
+        chunk = stream.send_chunk("/s/b.part", size_bytes=500_000, available_at=2.0)
         task = stream.close()
-        assert task.status is TransferStatus.SUCCEEDED
-        assert testbed.endpoint("cori").filesystem.read("/s/b.part") == b"y" * 500_000
+        assert task.request.paths == ["/s/a.part", "/s/b.part"]
+        assert not testbed.endpoint("cori").filesystem.exists("/s/b.part")
         assert testbed.clock.now == 50.0
         assert first.available_at == 0.0 and task.completed_at < 50.0
         # The second chunk could not start before it existed.
@@ -101,17 +117,10 @@ class TestTransferStream:
         with pytest.raises(TransferError):
             stream.close()
 
-    def test_chunk_requires_payload_or_size(self, testbed):
+    def test_a_negative_chunk_size_raises(self, testbed):
         stream = testbed.service.open_stream("anvil", "cori")
         with pytest.raises(TransferError):
-            stream.send_chunk("/a")
-
-    def test_stream_task_registered_with_service(self, testbed):
-        stream = testbed.service.open_stream("anvil", "bebop", label="reg")
-        stream.send_chunk("/x", size_bytes=1000)
-        task = stream.close()
-        assert testbed.service.task(task.task_id) is task
-        assert task.request.paths == ["/x"]
+            stream.send_chunk("/a", size_bytes=-1)
 
 
 class TestStreamedOrchestration:
@@ -190,7 +199,9 @@ class TestStreamedOrchestration:
         assert type(chunks) is int and chunks == int(noted.group(1)) > dataset.file_count
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
-    def test_every_chunk_is_billed_the_bytes_export_block_writes(self, dataset, shared):
+    def test_every_chunk_is_billed_the_bytes_export_block_writes(
+        self, dataset, opened_streams, shared
+    ):
         """The stream sizes each block's message without buffering it;
         the size must be the length of the message the blob would export
         (one constructor builds both), for every block of every file."""
@@ -204,8 +215,8 @@ class TestStreamedOrchestration:
         ocelot.transfer_dataset(dataset, "anvil", "cori", mode="compressed")
         landed = ocelot.testbed.endpoint("cori").filesystem
         blobs, billed = {}, 0
-        for task in ocelot.testbed.service.tasks():
-            for chunk in task.chunks:
+        for stream in opened_streams:
+            for chunk in stream.task.chunks:
                 path, _, block_id = chunk.name.partition("#block")
                 if path not in blobs:
                     blobs[path] = CompressedBlob.from_bytes(landed.read(path))
@@ -281,7 +292,9 @@ class TestStreamedOrchestration:
         assert report.timings.streaming_s == 0.0
         assert any("bulk path" in note for note in report.notes)
 
-    def test_streamed_without_blocks_streams_whole_files(self, dataset, monkeypatch):
+    def test_streamed_without_blocks_streams_whole_files(
+        self, dataset, monkeypatch, opened_streams
+    ):
         """A file without a block size is a one-block plan: one chunk
         through the same message constructor as any other block, and at
         the destination the bytes ``compress_array`` writes for it."""
@@ -302,7 +315,7 @@ class TestStreamedOrchestration:
         assert report.measured_psnr_db is not None
         assert report.timings.streaming_s > 0
 
-        chunks = [c for task in ocelot.testbed.service.tasks() for c in task.chunks]
+        chunks = [c for stream in opened_streams for c in stream.task.chunks]
         assert len(chunks) == len(messages) == dataset.file_count
         assert [c.size_bytes for c in chunks] == [m.serialized_size() for m in messages]
         assert all(c.name.endswith("#block0") for c in chunks)

@@ -17,7 +17,6 @@ from repro.transfer import (
     NetworkTopology,
     SimulatedFileSystem,
     TransferRequest,
-    TransferStatus,
     WANLink,
 )
 from repro.utils.sizes import GB, MB
@@ -91,12 +90,6 @@ class TestEndpoint:
         count = endpoint.stage_dataset(small_dataset)
         assert count == small_dataset.file_count
         assert endpoint.filesystem.file_count() == count
-
-    def test_stage_without_materialise(self, small_dataset):
-        endpoint = GlobusEndpoint(name="test")
-        endpoint.stage_dataset(small_dataset, materialize=False)
-        entry = endpoint.filesystem.list()[0]
-        assert entry.data is None and entry.size_bytes > 0
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
@@ -218,7 +211,6 @@ class TestTransferService:
             TransferRequest(source_endpoint="anvil", destination_endpoint="cori",
                             paths=["/data/x.bin"])
         )
-        assert task.status is TransferStatus.SUCCEEDED
         assert cori.filesystem.exists("/data/x.bin")
         assert task.duration_s > 0
         assert task.bytes_transferred == 300
@@ -235,40 +227,22 @@ class TestTransferService:
         assert task.started_at == 7.0
         assert task.duration_s == task.estimate.duration_s > 0
 
-    def test_transfer_directory(self, testbed):
-        anvil = testbed.endpoint("anvil")
-        for i in range(5):
-            anvil.filesystem.write(f"/data/run/{i}.bin", size_bytes=int(1 * GB))
-        task = testbed.service.transfer_directory("anvil", "bebop", "/data/run")
-        assert task.estimate.file_count == 5
-
-    def test_transfer_empty_directory_raises(self, testbed):
+    def test_a_request_without_paths_raises(self, testbed):
         with pytest.raises(TransferError):
-            testbed.service.transfer_directory("anvil", "bebop", "/nothing")
+            testbed.service.submit(TransferRequest("anvil", "cori", []))
 
     def test_missing_source_file_fails_task(self, testbed):
+        """A transfer returns its task or raises, and a raise moves nothing."""
+        testbed.endpoint("anvil").filesystem.write("/present.bin", size_bytes=100)
         with pytest.raises(TransferError):
-            testbed.service.submit(TransferRequest("anvil", "cori", ["/missing.bin"]))
-        assert testbed.service.tasks()[-1].status is TransferStatus.FAILED
+            testbed.service.submit(
+                TransferRequest("anvil", "cori", ["/present.bin", "/missing.bin"])
+            )
+        assert not testbed.endpoint("cori").filesystem.exists("/present.bin")
 
     def test_unknown_endpoint_raises(self, testbed):
         with pytest.raises(EndpointNotFoundError):
             testbed.service.endpoint("summit")
-
-    def test_delete_source_after_transfer(self, testbed):
-        anvil = testbed.endpoint("anvil")
-        anvil.filesystem.write("/tmp/file.bin", data=b"x" * 10)
-        testbed.service.submit(
-            TransferRequest("anvil", "cori", ["/tmp/file.bin"], delete_source=True)
-        )
-        assert not anvil.filesystem.exists("/tmp/file.bin")
-
-    def test_task_lookup(self, testbed):
-        testbed.endpoint("anvil").filesystem.write("/a.bin", size_bytes=100)
-        task = testbed.service.submit(TransferRequest("anvil", "cori", ["/a.bin"]))
-        assert testbed.service.task(task.task_id) is task
-        with pytest.raises(TransferError):
-            testbed.service.task("task-999999")
 
 
 class TestTestbed:
