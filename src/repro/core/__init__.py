@@ -11,7 +11,7 @@ from .phases import PhaseStep
 from .planner import CompressionPlan, CompressionPlanner
 from .reporting import ModeComparison, PhaseTimings, TransferReport
 from .sentinel import Sentinel, SentinelDecision
-from .streaming import StreamingOutcome, StreamingPipeline
+from .streaming import StreamingPipeline
 
 __all__ = [
     "Ocelot",
@@ -31,7 +31,6 @@ __all__ = [
     "Sentinel",
     "SentinelDecision",
     "StreamingPipeline",
-    "StreamingOutcome",
     "PhaseTimings",
     "TransferReport",
     "ModeComparison",

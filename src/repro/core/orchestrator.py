@@ -13,12 +13,13 @@ counts, queue waits, WAN bandwidth) comes from the simulation substrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..cache import array_content_digest, blob_cache_key, build_blob_cache
-from ..compression import create_blocked_compressor
+from ..compression import CompressedBlob, create_blocked_compressor
+from ..compression.interface import require_error_bound
 from ..compression.sz.pipeline import PredictionPipelineCompressor
 from ..datasets.base import Field, ScientificDataset
 from ..errors import OrchestrationError
@@ -31,7 +32,7 @@ from .grouping import FileGrouper
 from .parallel import ParallelCostModel, ParallelExecutor
 from .phases import MODE_PHASES, PHASES, CompressionOutcome, PhaseStep, TransferRun
 from .planner import CompressionPlan, CompressionPlanner
-from .reporting import TransferReport
+from .reporting import QualityTally, TransferReport
 from .sentinel import Sentinel
 
 __all__ = ["OcelotOrchestrator", "StagedFile", "PhaseStep"]
@@ -282,11 +283,6 @@ class OcelotOrchestrator:
             if probe is not None:
                 result.blob.metadata["content_digest"] = probe.digest
                 result.blob.metadata["cache_key"] = probe.key
-            stage = result.blob.metadata.get("entropy_stage")
-            if stage and stage not in outcome.entropy_stages:
-                outcome.entropy_stages.append(str(stage))
-            for codec, count in (result.blob.metadata.get("block_codecs") or {}).items():
-                outcome.block_codecs[codec] = outcome.block_codecs.get(codec, 0) + int(count)
             payload = result.blob.to_bytes()
             if probe is not None and self.blob_cache is not None and self.blob_cache.writable:
                 self.blob_cache.put_blob(
@@ -308,3 +304,40 @@ class OcelotOrchestrator:
             outcome.per_file_output_bytes.append(int(len(payload) * self.config.size_scale))
             outcome.original_bytes += staged_file.size_bytes
         return outcome
+
+    def _decompress_files(
+        self, run: TransferRun, blobs: Iterable[Tuple[str, CompressedBlob]]
+    ) -> List[int]:
+        """The destination step of both paths, for every blob that crossed.
+
+        Decodes each ``(file name, blob)`` through the bulk reader,
+        measures it against its original (checking the bound under
+        ``verify_error_bound``: each reconstruction is made once), lands
+        ``/decompressed/<scoped>/<name>`` and records the blob's entropy
+        stage and, for a multi-block blob, its index entries per codec.
+        Sets ``run.quality``; returns each reconstruction's nominal bytes.
+        """
+        config, outcome = self.config, run.outcome
+        filesystem = self.testbed.endpoint(run.destination).filesystem
+        originals = {f.field.filename: f.field.data for f in run.staged}
+        tally = QualityTally()
+        output_bytes: List[int] = []
+        for name, blob in blobs:
+            recon = self._build_compressor(blob.compressor).decompress(blob)
+            max_abs_error = tally.add(originals[name], recon)
+            if config.verify_error_bound:
+                require_error_bound(originals[name], recon, blob.error_bound_abs, max_abs_error)
+            stage = blob.metadata.get("entropy_stage")
+            if stage and stage not in outcome.entropy_stages:
+                outcome.entropy_stages.append(str(stage))
+            if blob.num_blocks > 1:
+                for entry in blob.block_index:
+                    codec = entry.get("entropy", "none")
+                    outcome.block_codecs[codec] = outcome.block_codecs.get(codec, 0) + 1
+            size = int(recon.nbytes * config.size_scale)
+            filesystem.write(
+                f"/decompressed/{self._scoped(run.dataset.name)}/{name}", size_bytes=size
+            )
+            output_bytes.append(size)
+        run.quality = tally.summary()
+        return output_bytes

@@ -79,6 +79,10 @@ class ParallelCostModel:
         ratio = max(0.0, writers / self.writer_saturation_cores)
         return self.pfs_write_bps / (1.0 + ratio**self.io_contention_gamma)
 
+    def cores(self, nodes: int, cores_per_node: int) -> int:
+        """Cores a job on ``nodes`` nodes effectively computes on."""
+        return max(1, int(nodes * cores_per_node * self.parallel_efficiency))
+
 
 def _lpt_makespan(times: Sequence[float], workers: int) -> float:
     """Longest-processing-time greedy schedule makespan."""
@@ -148,7 +152,7 @@ class ParallelExecutor:
         times = per_file_times_s
         if nodes < 1 or cores_per_node < 1:
             raise ConfigurationError("nodes and cores_per_node must be >= 1")
-        effective_cores = max(1, int(nodes * cores_per_node * self.cost_model.parallel_efficiency))
+        effective_cores = self.cost_model.cores(nodes, cores_per_node)
         cores_used = min(effective_cores, max(1, len(times)))
         compute = _lpt_makespan(times, effective_cores)
         io_time = sum(per_file_output_bytes) / self.cost_model.write_bandwidth(cores_used)

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..compression import CompressedBlob
-from ..compression.interface import require_error_bound
 from ..datasets.base import ScientificDataset
 from ..transfer.service import TransferRequest
 from .planner import CompressionPlan
-from .reporting import PhaseTimings, QualityTally
+from .reporting import PhaseTimings
 from .streaming import StreamingPipeline
 
 if TYPE_CHECKING:
@@ -88,7 +87,12 @@ class PhaseStep:
 
 @dataclass
 class CompressionOutcome:
-    """Results of really compressing a batch of staged files."""
+    """The compressed files of one run, bulk or streamed.
+
+    The bulk ``compress`` phase fills every list (cache hits join as
+    stored bytes); a streamed run records each file's output and
+    original bytes as the destination assembles it, and no ``blobs``.
+    """
 
     blobs: List[Tuple[str, bytes]] = field(default_factory=list)
     #: Cluster-scale seconds per file: its staged bytes at the assumed
@@ -96,10 +100,11 @@ class CompressionOutcome:
     per_file_times_s: List[float] = field(default_factory=list)
     per_file_output_bytes: List[int] = field(default_factory=list)
     original_bytes: int = 0
-    #: Distinct entropy stages stamped into the freshly compressed blobs'
-    #: metadata (insertion-ordered), and the per-codec block counts
-    #: aggregated across those blobs — what ``ocelot inspect`` shows per
-    #: blob, summed per job for the completed-job event.
+    #: Distinct entropy stages of the blobs (insertion-ordered), and the
+    #: per-codec block counts of the multi-block ones' index entries —
+    #: what ``ocelot inspect`` shows per blob, summed per job.  Read at
+    #: the destination, for every blob that crossed: fresh, cached or
+    #: streamed.
     entropy_stages: List[str] = field(default_factory=list)
     block_codecs: Dict[str, int] = field(default_factory=dict)
 
@@ -136,8 +141,11 @@ class TransferRun:
     #: Whether this run goes through the ``stream`` phase — settled by
     #: ``wait``, once the cache has said what is left to encode.
     streamed: bool = False
-    #: Compute nodes the compression job asked for (0: none, a full cache hit).
+    #: Compute nodes the compression job asked for (0: none, a full cache
+    #: hit), and those the destination decodes on — both capped at their
+    #: site's partition.
     nodes: int = 0
+    decompression_nodes: int = 0
     #: Files the sentinel shipped raw, and the rest still to compress.
     raw_paths: List[str] = field(default_factory=list)
     to_compress: List["StagedFile"] = field(default_factory=list)
@@ -194,6 +202,10 @@ def _wait(orch: "OcelotOrchestrator", run: TransferRun) -> PhaseStep:
     """Request compute nodes; the sentinel ships raw files meanwhile."""
     _split_by_cache(orch, run)
     timings = run.timings
+    run.decompression_nodes = min(
+        orch.config.decompression_nodes,
+        orch.faas.endpoint(run.destination).scheduler.total_nodes,
+    )
     # A full cache hit skips the batch-scheduler request entirely —
     # those nodes stay free for cold jobs.
     if run.to_compress:
@@ -280,9 +292,9 @@ def _stream(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]
     """Streamed transfer: overlap compress → WAN → decode per block.
 
     Does the work of the ``compress`` / ``transfer`` / ``decompress``
-    phases, which then yield nothing.  Grouped mode keeps the bulk
-    path: groups bundle whole compressed files, which defeats
-    per-block streaming.
+    phases and fills the record they fill; they then yield nothing.
+    Grouped mode keeps the bulk path: groups bundle whole compressed
+    files, which defeats per-block streaming.
     """
     if not run.streamed:
         if orch.config.transfer_mode == "streamed" and run.mode == "grouped":
@@ -291,29 +303,12 @@ def _stream(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]
                 "for streamed block transfer"
             )
         return None
-    outcome = StreamingPipeline(
-        orch.config,
-        orch.testbed,
-        orch._build_compressor,
-        compression_nodes=run.nodes,
-        cost_model=orch.executor.cost_model,
-    ).run(
-        orch._scoped(run.dataset.name), run.to_compress, run.plan, run.source, run.destination
-    )
+    chunks = StreamingPipeline(orch, run).run()
     timings = run.timings
-    timings.compression_s = outcome.compression_s
-    timings.transfer_s = outcome.transfer_s
-    timings.decompression_s = outcome.decompression_s
-    timings.streaming_s = outcome.streaming_s
-    run.shipped_files += len(run.to_compress)
-    run.shipped_bytes += outcome.transferred_bytes
-    if run.to_compress:
-        run.ratio = outcome.ratio
-    run.quality = outcome.quality
-    if outcome.chunk_count:
+    if chunks:
         saved_s = max(0.0, timings.serialized_s - timings.streaming_s)
         run.notes.append(
-            f"streamed {outcome.chunk_count} block chunks "
+            f"streamed {chunks} block chunks "
             f"(window {orch.config.stream_window}); overlap saved "
             f"{saved_s:.1f}s vs serialised phases"
         )
@@ -323,7 +318,7 @@ def _stream(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]
         endpoint=run.source,
         nodes=run.nodes,
         link=(run.source, run.destination),
-        detail={"bytes_shipped": run.shipped_bytes, "chunks": outcome.chunk_count},
+        detail={"bytes_shipped": run.shipped_bytes, "chunks": chunks},
     )
 
 
@@ -467,51 +462,33 @@ def _transfer(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
 def _decompress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]:
     """Really decompress at the destination and measure the result.
 
-    Cache-hit files decode like any other blob, and their originals
-    participate in the quality check — a warm run must report the
-    same PSNR as the cold run that populated the cache.  This is where
-    ``verify_error_bound`` checks a bulk run, as the stream's consumer
-    checks a streamed one: each reconstruction is made once.
+    Every blob that landed — cache hits included, so a warm run reports
+    its cold run's PSNR — goes through the destination step the stream's
+    consumer uses (``OcelotOrchestrator._decompress_files``); each file
+    is billed its reconstruction's bytes at the decompression throughput.
     """
     if run.streamed:
         return None
     config = orch.config
-    filesystem = orch.testbed.endpoint(run.destination).filesystem
-    nodes = min(
-        config.decompression_nodes,
-        orch.faas.endpoint(run.destination).scheduler.total_nodes,
+    received = _received_blobs(orch, run)
+    output_bytes = orch._decompress_files(
+        run, ((name, CompressedBlob.from_bytes(payload)) for name, payload in received)
     )
-    originals = {f.field.filename: f.field.data for f in run.staged}
-    per_file_times: List[float] = []
-    per_file_output_bytes: List[int] = []
-    tally = QualityTally()
-    for name, payload in _received_blobs(orch, run):
-        blob = CompressedBlob.from_bytes(payload)
-        recon = orch._build_compressor(blob.compressor).decompress(blob)
-        size = int(recon.nbytes * config.size_scale)
-        per_file_times.append(
-            config.simulated_compute_s(size, config.assumed_decompression_throughput_mbps)
-        )
-        per_file_output_bytes.append(size)
-        max_abs_error = tally.add(originals[name], recon)
-        if config.verify_error_bound:
-            require_error_bound(originals[name], recon, blob.error_bound_abs, max_abs_error)
-        filesystem.write(
-            f"/decompressed/{orch._scoped(run.dataset.name)}/{name}", size_bytes=size
-        )
-    if per_file_times:
+    if output_bytes:
         run.timings.decompression_s = orch.executor.decompression_makespan(
-            per_file_times,
-            per_file_output_bytes,
-            nodes=nodes,
+            [
+                config.simulated_compute_s(size, config.assumed_decompression_throughput_mbps)
+                for size in output_bytes
+            ],
+            output_bytes,
+            nodes=run.decompression_nodes,
             cores_per_node=config.cores_per_node,
         ).makespan_s
-    run.quality = tally.summary()
     return PhaseStep(
         "decompress",
         duration_s=run.timings.decompression_s,
         endpoint=run.destination,
-        nodes=nodes,
+        nodes=run.decompression_nodes,
         detail=dict(run.quality),
     )
 

@@ -22,9 +22,9 @@ __all__ = ["PhaseTimings", "QualityTally", "TransferReport", "ModeComparison"]
 class QualityTally:
     """Reconstruction quality of a transfer, one decoded file at a time.
 
-    The bulk decompress phase and the streaming pipeline both measure
-    their reconstructions here, so a report's PSNR / max error mean the
-    same thing whichever way the bytes travelled.
+    The destination step both paths share measures every reconstruction
+    here, so a report's PSNR / max error mean the same thing whichever
+    way the bytes travelled.
     """
 
     def __init__(self) -> None:
@@ -123,11 +123,12 @@ class TransferReport:
     #: cache is off, which keeps ``cache_hit_rate`` ``None``.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Entropy stage(s) stamped into the produced blobs' metadata
-    #: (comma-joined when a job mixes compressors), and the per-codec
-    #: block counts aggregated across the job's blocked blobs — e.g.
-    #: ``{"huffman": 1, "rans": 63}`` when one rANS block degraded to
-    #: Huffman.  Empty/None for direct transfers and older blobs.
+    #: Entropy stage(s) of the blobs that crossed (comma-joined when a
+    #: job mixes compressors), and the per-codec block counts of the
+    #: multi-block ones' index entries — e.g. ``{"huffman": 1, "rans":
+    #: 63}`` when one rANS block degraded to Huffman.  Read at the
+    #: destination for every blob, fresh, cached or streamed; empty/None
+    #: for direct transfers.
     entropy_stage: str = ""
     block_codecs: Optional[Dict[str, int]] = None
 

@@ -12,9 +12,15 @@ producers instead of buffering the whole dataset.  The simulated
 makespan is then the *max* of the overlapped phases plus pipeline
 fill/drain, which is the paper's end-to-end win.
 
-Real work still happens: blocks are genuinely encoded and decoded, the
-destination assembles a valid blob from the received sections, and
-reconstruction quality is measured against the originals.
+Real work still happens: blocks are genuinely encoded, and the
+destination assembles a valid blob from the received sections and hands
+it to the bulk path's destination step
+(``OcelotOrchestrator._decompress_files``), which decodes, measures and
+lands it.  The pipeline writes the bulk phases' :class:`TransferRun`
+record — timings, ``outcome``, ``quality``, ``ratio`` and shipped
+counts — and its compression span is the bulk compression makespan
+model over the per-block encode times and chunk sizes, so a report
+means the same whichever way the bytes travelled.
 
 A streamed run reads the whole-blob cache tier but never writes it: the
 blob header ships before the first block, so its shared codebook is
@@ -27,48 +33,22 @@ bytes than it would have produced.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from ..compression import CompressedBlob
-from ..compression.interface import require_error_bound
 from ..compression.sz.pipeline import PredictionPipelineCompressor
 from ..transfer.service import TransferStream
-from .config import OcelotConfig
-from .parallel import ParallelCostModel, _lpt_makespan
-from .reporting import QualityTally
+from .parallel import _lpt_makespan
 
-__all__ = ["StreamingOutcome", "StreamingPipeline"]
+if TYPE_CHECKING:
+    from .orchestrator import OcelotOrchestrator
+    from .phases import TransferRun
 
-
-@dataclass
-class StreamingOutcome:
-    """Timeline and quality results of one streamed dataset transfer.
-
-    ``compression_s`` / ``transfer_s`` / ``decompression_s`` are the
-    *standalone* spans each phase would need in isolation (what the bulk
-    path sums); ``streaming_s`` is the overlapped end-to-end makespan.
-    """
-
-    chunk_count: int = 0
-    compression_s: float = 0.0
-    transfer_s: float = 0.0
-    decompression_s: float = 0.0
-    streaming_s: float = 0.0
-    original_bytes: int = 0
-    compressed_bytes: int = 0
-    transferred_bytes: int = 0
-    #: :meth:`QualityTally.summary` over the streamed files.
-    quality: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ratio(self) -> float:
-        """Compression ratio achieved over the streamed files."""
-        if self.compressed_bytes == 0:
-            return float("inf")
-        return self.original_bytes / self.compressed_bytes
+__all__ = ["StreamingPipeline"]
 
 
 @dataclass
@@ -97,26 +77,12 @@ class StreamingPipeline:
     encoded but not yet fully received.
     """
 
-    def __init__(
-        self,
-        config: OcelotConfig,
-        testbed,
-        build_compressor,
-        compression_nodes: Optional[int] = None,
-        cost_model: Optional[ParallelCostModel] = None,
-    ) -> None:
-        self.config = config
-        self.testbed = testbed
-        self._build_compressor = build_compressor
-        self._compression_nodes = compression_nodes or config.compression_nodes
-        self.cost_model = cost_model or ParallelCostModel()
-
-    # ------------------------------------------------------------------ #
-    def _worker_count(self, nodes: int) -> int:
-        return max(
-            1,
-            int(nodes * self.config.cores_per_node * self.cost_model.parallel_efficiency),
-        )
+    def __init__(self, orch: "OcelotOrchestrator", record: "TransferRun") -> None:
+        self.orch = orch
+        self.config = orch.config
+        self.cost_model = orch.executor.cost_model
+        self.record = record
+        self._scoped = orch._scoped(record.dataset.name)
 
     def _decode_s(self, nominal_bytes: int, writers: int) -> float:
         """Simulated cost of decoding one block, including the PFS write-back.
@@ -135,97 +101,74 @@ class StreamingPipeline:
         return compute + nominal_bytes / share
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        dataset_name: str,
-        staged,
-        plan,
-        source: str,
-        destination: str,
-    ) -> StreamingOutcome:
-        """Stream ``staged`` files from ``source`` to ``destination``.
+    def run(self) -> int:
+        """Stream the run's files still to compress; returns the chunks sent.
 
-        ``plan`` is the planner's :class:`CompressionPlan` (compressor
-        name + error bound).  Returns the streaming outcome, whose
-        ``streaming_s`` is the overlapped makespan counted from the
-        stream's opening.
+        Fills the run's timings — each phase's standalone span (what the
+        bulk path sums) and ``streaming_s``, the overlapped makespan
+        counted from the stream's opening — and its ``outcome``,
+        ``quality``, ``ratio`` and shipped counts.
         """
-        if not staged:
-            return StreamingOutcome()
-        stream: TransferStream = self.testbed.service.open_stream(
-            source,
-            destination,
-            label=f"{dataset_name}:streamed",
+        run, config = self.record, self.config
+        if not run.to_compress:
+            return 0
+        stream: TransferStream = self.orch.testbed.service.open_stream(
+            run.source, run.destination, label=f"{self._scoped}:streamed"
         )
         # Compute nodes pay the same start-up cost as the bulk makespan
         # models before the first block can encode/decode.
         startup_s = self.cost_model.startup_s_per_node
-        produce_start = startup_s * self._compression_nodes
-        consume_start = startup_s * self.config.decompression_nodes
-        producer_workers = self._worker_count(self._compression_nodes)
-        decode_workers = self._worker_count(self.config.decompression_nodes)
+        produce_start = startup_s * run.nodes
+        consume_start = startup_s * run.decompression_nodes
+        decode_workers = self.cost_model.cores(run.decompression_nodes, config.cores_per_node)
 
-        sent, chunks, encode_times = self._produce(
-            stream, dataset_name, staged, plan, produce_start, producer_workers
+        sent, encode_times = self._produce(
+            stream, produce_start, self.cost_model.cores(run.nodes, config.cores_per_node)
         )
-        stream.close()
-        outcome = StreamingOutcome(
-            chunk_count=len(chunks),
-            original_bytes=sum(f.size_bytes for f in staged),
-            transferred_bytes=stream.task.bytes_transferred,
-        )
-        last_decode_s, decode_times = self._consume(
-            dataset_name, staged, sent, source, destination, consume_start, decode_workers, outcome
-        )
-        makespan_end = max(stream.last_completion_s, last_decode_s)
+        task = stream.close()
+        last_decode_s, decode_times = self._consume(sent, consume_start, decode_workers)
 
-        # Phase-equivalent spans.  Mirror the bulk compression makespan's
-        # accounting (compute + the PFS write of the compressed output +
-        # node start-up) so the streamed and bulk compression_s columns
-        # are comparable.
-        compress_writers = max(1, min(producer_workers, len(chunks)))
-        compress_io = outcome.transferred_bytes / self.cost_model.write_bandwidth(
-            compress_writers
-        )
-        outcome.compression_s = (
-            produce_start + _lpt_makespan(encode_times, producer_workers) + compress_io
-        )
-        outcome.transfer_s = stream.task.duration_s
-        outcome.decompression_s = consume_start + _lpt_makespan(decode_times, decode_workers)
-        outcome.streaming_s = makespan_end
-        return outcome
+        timings = run.timings
+        timings.compression_s = self.orch.executor.compression_makespan(
+            encode_times,
+            [chunk.size_bytes for chunk in task.chunks],
+            nodes=run.nodes,
+            cores_per_node=config.cores_per_node,
+        ).makespan_s
+        timings.transfer_s = task.duration_s
+        timings.decompression_s = consume_start + _lpt_makespan(decode_times, decode_workers)
+        timings.streaming_s = max(stream.last_completion_s, last_decode_s)
+        run.shipped_files += len(run.to_compress)
+        run.shipped_bytes += task.bytes_transferred
+        run.ratio = run.outcome.ratio
+        return len(task.chunks)
 
     def _produce(
-        self,
-        stream: TransferStream,
-        dataset_name: str,
-        staged,
-        plan,
-        produce_start: float,
-        workers: int,
-    ) -> Tuple[List[_SentFile], List[Any], List[float]]:
+        self, stream: TransferStream, produce_start: float, workers: int
+    ) -> Tuple[List[_SentFile], List[float]]:
         """Encode every block and hand it to the stream as it becomes ready.
 
-        Returns the sent files, every chunk in send order and the
-        simulated encode time of each.
+        Returns the sent files and the simulated encode time of each
+        block, in send order.
         """
+        config, plan = self.config, self.record.plan
         producers = [produce_start] * workers
         heapq.heapify(producers)
-        window = max(1, self.config.stream_window)
+        window = max(1, config.stream_window)
+        chunks = stream.task.chunks
         sent: List[_SentFile] = []
-        chunks: List[Any] = []
         encode_times: List[float] = []
-        for staged_file in staged:
-            compressor = self._build_compressor(plan.compressor)
+        for staged_file in self.record.to_compress:
+            compressor = self.orch._build_compressor(plan.compressor)
             arr = np.asarray(staged_file.field.data)
             if not np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(np.float32)
             eb_abs = plan.error_bound.absolute_for(arr)
             blocks: List[_PendingBlock] = []
             for entry, payload, header in self._encode_file(compressor, arr, eb_abs):
-                nominal = int(spec_nbytes(entry, arr.dtype) * self.config.size_scale)
-                encode_s = self.config.simulated_compute_s(
-                    nominal, self.config.assumed_compression_throughput_mbps
+                nominal = int(math.prod(entry["shape"]) * arr.itemsize * config.size_scale)
+                encode_s = config.simulated_compute_s(
+                    nominal, config.assumed_compression_throughput_mbps
                 )
                 encode_times.append(encode_s)
                 # Back-pressure: block k may not start encoding until the
@@ -240,68 +183,57 @@ class StreamingPipeline:
                 # double peak memory for nothing.
                 message = CompressedBlob.block_message(header, entry, payload)
                 chunk = stream.send_chunk(
-                    name=f"/compressed/{dataset_name}/{staged_file.field.filename}.sz"
+                    name=f"/compressed/{self._scoped}/{staged_file.field.filename}.sz"
                     f"#block{entry['id']}",
-                    size_bytes=int(message.serialized_size() * self.config.size_scale),
+                    size_bytes=int(message.serialized_size() * config.size_scale),
                     available_at=ready,
                 )
-                chunks.append(chunk)
                 blocks.append(_PendingBlock(entry, payload, nominal, chunk.completed_at))
             sent.append((header, blocks))
-        return sent, chunks, encode_times
+        return sent, encode_times
 
     def _consume(
-        self,
-        dataset_name: str,
-        staged,
-        sent: List[_SentFile],
-        source: str,
-        destination: str,
-        consume_start: float,
-        workers: int,
-        outcome: StreamingOutcome,
+        self, sent: List[_SentFile], consume_start: float, workers: int
     ) -> Tuple[float, List[float]]:
-        """Assemble, decode and measure each file as its blocks arrive.
+        """Schedule every block's decode after its arrival, then decode the files.
 
-        A file decodes in one call of the bulk reader (one batch of
-        entropy streams, then predictor decode per block); each block is
-        scheduled on the consumer workers at its own simulated cost.
-        Fills ``outcome``'s compressed size and quality; returns when the
-        last block finishes decoding and every simulated decode time.
+        Each block is scheduled on the consumer workers at its own
+        simulated cost; each file's blob goes through the destination step
+        the bulk ``decompress`` phase uses.  Returns when the last block
+        finishes decoding and every simulated decode time.
         """
-        src_fs = self.testbed.endpoint(source).filesystem
-        dst_fs = self.testbed.endpoint(destination).filesystem
         consumers = [consume_start] * workers
         heapq.heapify(consumers)
         decode_times: List[float] = []
-        tally = QualityTally()
-        for staged_file, (header, blocks) in zip(staged, sent):
-            blob = CompressedBlob.assemble(header, [(p.entry, p.payload) for p in blocks])
-            recon = self._build_compressor(blob.compressor).decompress(blob)
+        for _, blocks in sent:
             for pending in blocks:
                 decode_s = self._decode_s(pending.nominal_bytes, workers)
                 decode_times.append(decode_s)
                 finish = max(heapq.heappop(consumers), pending.arrived_at) + decode_s
                 heapq.heappush(consumers, finish)
-
-            payload = blob.to_bytes()
-            path = f"/compressed/{dataset_name}/{staged_file.field.filename}.sz"
-            scaled_len = int(len(payload) * self.config.size_scale)
-            src_fs.write(path, data=payload, size_bytes=scaled_len)
-            dst_fs.write(path, data=payload, size_bytes=scaled_len)
-            outcome.compressed_bytes += scaled_len
-            max_abs_error = tally.add(staged_file.field.data, recon)
-            if self.config.verify_error_bound:
-                require_error_bound(
-                    np.asarray(staged_file.field.data), recon, blob.error_bound_abs, max_abs_error
-                )
-            dst_fs.write(
-                f"/decompressed/{dataset_name}/{staged_file.field.filename}",
-                size_bytes=int(recon.nbytes * self.config.size_scale),
-            )
-        outcome.quality = tally.summary()
+        self.orch._decompress_files(self.record, self._assemble(sent))
         # A worker's clock only moves forward, so the latest finish is still queued.
         return max(consumers), decode_times
+
+    def _assemble(self, sent: List[_SentFile]) -> Iterator[Tuple[str, CompressedBlob]]:
+        """Each streamed file's blob, rebuilt from its blocks and landed at both ends.
+
+        Records each file's compressed and original bytes on the run's
+        ``outcome``, as the bulk compress phase does.
+        """
+        run, scale = self.record, self.config.size_scale
+        src_fs = self.orch.testbed.endpoint(run.source).filesystem
+        dst_fs = self.orch.testbed.endpoint(run.destination).filesystem
+        for staged_file, (header, blocks) in zip(run.to_compress, sent):
+            blob = CompressedBlob.assemble(header, [(p.entry, p.payload) for p in blocks])
+            payload = blob.to_bytes()
+            path = f"/compressed/{self._scoped}/{staged_file.field.filename}.sz"
+            scaled_len = int(len(payload) * scale)
+            src_fs.write(path, data=payload, size_bytes=scaled_len)
+            dst_fs.write(path, data=payload, size_bytes=scaled_len)
+            run.outcome.per_file_output_bytes.append(scaled_len)
+            run.outcome.original_bytes += staged_file.size_bytes
+            yield staged_file.field.filename, blob
 
     # ------------------------------------------------------------------ #
     def _encode_file(
@@ -325,11 +257,3 @@ class StreamingPipeline:
                 arr, block_plan, spec, eb_abs, shared_book=shared_book
             )
             yield entry, payload, header
-
-
-def spec_nbytes(entry: Dict[str, Any], dtype: np.dtype) -> int:
-    """Uncompressed byte size of the block an index entry describes."""
-    count = 1
-    for dim in entry["shape"]:
-        count *= int(dim)
-    return count * np.dtype(dtype).itemsize

@@ -207,9 +207,7 @@ class GatewayDriver:
                 try:
                     job_config = spec.validate(self.service.config, self.service.testbed)
                     self.service.scheduler.check_admissible(
-                        spec.resolved_tenant(job_config),
-                        max(job_config.compression_nodes,
-                            job_config.decompression_nodes),
+                        spec.resolved_tenant(job_config), job_config
                     )
                 except Exception as exc:
                     exc.args = (f"plan group spec #{index}: {exc}",)

@@ -146,10 +146,7 @@ class OcelotService:
         priority = spec.resolved_priority(job_config)
         # Typed rejection: a request that can never fit the tenant's
         # node share fails here instead of queueing forever.
-        self.scheduler.check_admissible(
-            tenant,
-            max(job_config.compression_nodes, job_config.decompression_nodes),
-        )
+        self.scheduler.check_admissible(tenant, job_config)
         if self.scheduler.idle and self.testbed.clock.now < self.scheduler.makespan_s:
             # The clock was rewound (e.g. between compare_modes runs):
             # start a fresh scheduling epoch instead of queueing the new

@@ -55,10 +55,16 @@ from .jobs import JobStatus, PhaseSpan, TransferJob
 from .quotas import TenantQuota
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.config import OcelotConfig
     from ..faas.service import FuncXService
     from ..transfer.testbed import Testbed
 
 __all__ = ["JobScheduler", "UnitPool"]
+
+
+def node_footprint(config: "OcelotConfig") -> int:
+    """A job's compute-node footprint for quota accounting."""
+    return max(config.compression_nodes, config.decompression_nodes)
 
 
 class UnitPool:
@@ -178,17 +184,10 @@ class JobScheduler:
         """The quota installed for a tenant, if any."""
         return self._quotas.get(tenant)
 
-    @staticmethod
-    def job_nodes(job: TransferJob) -> int:
-        """A job's compute-node footprint for quota accounting."""
-        return max(
-            int(getattr(job.config, "compression_nodes", 1)),
-            int(getattr(job.config, "decompression_nodes", 1)),
-        )
-
-    def check_admissible(self, tenant: str, nodes: int) -> None:
+    def check_admissible(self, tenant: str, config: "OcelotConfig") -> None:
         """Reject requests that can never fit the tenant's quota."""
         quota = self._quotas.get(tenant)
+        nodes = node_footprint(config)
         if quota is not None and quota.max_nodes is not None and nodes > quota.max_nodes:
             raise AdmissionError(
                 f"tenant {tenant!r} is limited to {quota.max_nodes} compute "
@@ -205,22 +204,26 @@ class JobScheduler:
         return {t: len(q) for t, q in self._admission.items() if q}
 
     def _fits_quota(self, job: TransferJob) -> bool:
-        quota = self._quotas.get(job.tenant)
-        if quota is None:
+        if self._quotas.get(job.tenant) is None:
             return True
         # FIFO admission: a new job never jumps over tenants-mates
         # already waiting, even if it would fit.
-        waiting = self._admission.get(job.tenant)
-        if waiting:
+        return not self._admission.get(job.tenant) and self._has_room(job)
+
+    def _has_room(self, job: TransferJob) -> bool:
+        """The admission rule: the tenant's quota has room for one more
+        job in flight and for the job's nodes beside its admitted jobs'."""
+        quota = self._quotas.get(job.tenant)
+        if quota is None:
+            return True
+        if quota.max_in_flight is not None and (
+            self._tenant_in_flight.get(job.tenant, 0) >= quota.max_in_flight
+        ):
             return False
-        if quota.max_in_flight is not None:
-            if self._tenant_in_flight.get(job.tenant, 0) >= quota.max_in_flight:
-                return False
-        if quota.max_nodes is not None:
-            footprint = self._tenant_nodes.get(job.tenant, 0)
-            if footprint + self.job_nodes(job) > quota.max_nodes:
-                return False
-        return True
+        return quota.max_nodes is None or (
+            self._tenant_nodes.get(job.tenant, 0) + node_footprint(job.config)
+            <= quota.max_nodes
+        )
 
     def _drain_admission_queue(self, tenant: str, release_time: float) -> None:
         """Admit waiting jobs of one tenant, in order, while they fit."""
@@ -230,17 +233,8 @@ class JobScheduler:
             if job.status.is_terminal:  # cancelled while queued
                 waiting.popleft()
                 continue
-            quota = self._quotas.get(tenant)
-            if quota is not None:
-                if quota.max_in_flight is not None and (
-                    self._tenant_in_flight.get(tenant, 0) >= quota.max_in_flight
-                ):
-                    break
-                if quota.max_nodes is not None and (
-                    self._tenant_nodes.get(tenant, 0) + self.job_nodes(job)
-                    > quota.max_nodes
-                ):
-                    break
+            if not self._has_room(job):
+                break
             waiting.popleft()
             job.status = JobStatus.PENDING
             self._admit(job, release_time)
@@ -291,7 +285,7 @@ class JobScheduler:
             self._tenant_in_flight.get(job.tenant, 0) + 1
         )
         self._tenant_nodes[job.tenant] = (
-            self._tenant_nodes.get(job.tenant, 0) + self.job_nodes(job)
+            self._tenant_nodes.get(job.tenant, 0) + node_footprint(job.config)
         )
         flow = self._flow_for(job)
         heapq.heappush(flow.jobs, (job.t_local, job.submit_seq, job))
@@ -533,7 +527,7 @@ class JobScheduler:
                 0, self._tenant_in_flight.get(tenant, 0) - 1
             )
             self._tenant_nodes[tenant] = max(
-                0, self._tenant_nodes.get(tenant, 0) - self.job_nodes(job)
+                0, self._tenant_nodes.get(tenant, 0) - node_footprint(job.config)
             )
         else:
             # Never admitted: remove from the admission queue (rare and

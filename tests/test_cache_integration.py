@@ -71,6 +71,17 @@ class TestWarmRuns:
         assert warm.cache_hit_rate == 1.0
         assert any("blob cache served" in note for note in warm.notes)
 
+    def test_warm_run_reports_the_cold_runs_codec_stack(self, tmp_path):
+        """The entropy stage and per-codec block counts are read off every
+        blob that crossed, so cached bytes report what fresh ones did."""
+        dataset = _dataset()
+        config = _config(tmp_path, block_size=16)
+        cold = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+        warm = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+        assert warm.cache_hit_rate == 1.0
+        assert cold.entropy_stage == "none" and cold.block_codecs
+        assert (warm.entropy_stage, warm.block_codecs) == (cold.entropy_stage, cold.block_codecs)
+
     def test_cache_off_reports_no_rate(self, tmp_path):
         report = Ocelot(
             _config(tmp_path, cache_dir=None, cache_mode="off")

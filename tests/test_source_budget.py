@@ -27,8 +27,9 @@ MAX_CORE_FUNCTION_LINES = 90
 #: reading the wall clock and ``work_time_scale`` went, 16 710 before
 #: ``cli.py`` became one table of commands, 16 583 before the batch
 #: scheduler became a queue-wait sampler and the FaaS and transfer
-#: services stopped keeping per-job records).
-MAX_SRC_LINES = 16_385
+#: services stopped keeping per-job records, 16 385 before a streamed
+#: run filled the bulk run's record through one destination step).
+MAX_SRC_LINES = 16_312
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
@@ -66,6 +67,13 @@ RESOURCE_HOLD = re.compile(
     r"busy_nodes|include_backfill|hold_allocation|release_nodes|NodeAllocation"
     r"|TransferStatus|materialize"
 )
+
+
+#: The streamed path writes the bulk run's record: one destination step
+#: decodes, checks and lands every blob that crossed, and the streamed
+#: result record and block-size helper it once kept are gone.
+ONE_DESTINATION = ("require_error_bound(", '"/decompressed/')
+GONE = re.compile(r"StreamingOutcome|spec_nbytes")
 
 
 def test_no_new_file_over_600_lines():
@@ -169,3 +177,13 @@ def test_only_the_job_scheduler_occupies_nodes_and_links():
         for match in RESOURCE_HOLD.finditer(text)
     }
     assert not held
+
+
+def test_one_destination_step_for_bulk_and_streamed_runs():
+    texts = {path.name: path.read_text() for path in (SRC / "core").glob("*.py")}
+    for needle in ONE_DESTINATION:
+        assert sum(text.count(needle) for text in texts.values()) == 1, needle
+    assert [
+        path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+        if GONE.search(path.read_text())
+    ] == []

@@ -273,6 +273,34 @@ class TestStreamedOrchestration:
             share = model.write_bandwidth(writers) / writers
             assert seconds == nominal / 600e6 + nominal / share
 
+    def test_bulk_and_streamed_fill_one_record(self, dataset):
+        """Both paths decode, measure and read the codec stack through one
+        destination step: with per-block models the two encodes agree, so
+        the reports do too."""
+        same = dict(compressor="sz3", entropy_stage="rans", shared_codebook=False, block_size=8)
+        bulk = Ocelot(_streamed_config(**same)).transfer_dataset(
+            dataset, "anvil", "cori", mode="compressed"
+        )
+        streamed = Ocelot(_streamed_config(transfer_mode="streamed", **same)).transfer_dataset(
+            dataset, "anvil", "cori", mode="compressed"
+        )
+        assert (bulk.transfer_mode, streamed.transfer_mode) == ("bulk", "streamed")
+        assert bulk.entropy_stage == "rans" and sum(bulk.block_codecs.values()) > 1
+        for key in ("measured_psnr_db", "max_abs_error", "entropy_stage", "block_codecs"):
+            assert getattr(streamed, key) == getattr(bulk, key), key
+
+    def test_destination_nodes_are_capped_at_the_site(self, dataset):
+        """cori's partition has 8 nodes: asking for 16 decodes on 8, on the
+        streamed path as on the bulk one."""
+        capped, asked = (
+            Ocelot(
+                _streamed_config(transfer_mode="streamed", decompression_nodes=nodes)
+            ).transfer_dataset(dataset, "anvil", "cori", mode="compressed").timings
+            for nodes in (8, 16)
+        )
+        assert asked.decompression_s == capped.decompression_s
+        assert asked.streaming_s == capped.streaming_s
+
     def test_tight_window_throttles_but_still_completes(self, dataset):
         config = _streamed_config(transfer_mode="streamed", stream_window=1)
         report = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
