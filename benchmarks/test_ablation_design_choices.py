@@ -121,7 +121,6 @@ def _sentinel_ablation():
                 wait_models={"anvil": NodeWaitModel(kind="constant", scale_s=wait_s)}
             )
             testbed = build_testbed()
-            faas.clock = testbed.clock
             config = OcelotConfig(
                 error_bound=1e-2,
                 compressor="sz3-fast",

@@ -163,7 +163,6 @@ def _scaling_service() -> OcelotService:
     """
     testbed = build_testbed()
     faas = build_faas_service(
-        clock=testbed.clock,
         wait_models={name: NodeWaitModel(kind="immediate")
                      for name in ("anvil", "bebop", "cori")},
     )

@@ -25,7 +25,6 @@ def run_with_wait(wait_seconds: float, sentinel: bool):
         wait_models={"anvil": NodeWaitModel(kind="constant", scale_s=wait_seconds)}
     )
     testbed = build_testbed()
-    faas.clock = testbed.clock
     config = OcelotConfig(
         error_bound=1e-3,
         compressor="sz3-fast",

@@ -12,8 +12,8 @@ Compression"* (ICDCS 2023).  It provides:
   applications used in the paper (CESM, RTM, Miranda, Nyx, ISABEL, ...).
 * ``repro.transfer`` — a simulated Globus-style wide-area transfer
   substrate (endpoints, WAN model, GridFTP-style concurrency).
-* ``repro.faas`` — a simulated FuncX-style federated FaaS substrate with
-  batch-scheduler node-waiting behaviour.
+* ``repro.faas`` — the simulated FuncX sites: each one's partition size
+  and batch-scheduler node waiting time.
 * ``repro.core`` — the Ocelot client itself: planner, parallel
   compression, file grouping, the sentinel fallback and the end-to-end
   orchestrator.

@@ -7,8 +7,9 @@ bundles the three capabilities described in Section V of the paper:
    predictor (:meth:`Ocelot.train_predictor`, :meth:`Ocelot.predict_quality`);
 2. reducing transfer time with parallel (de)compression
    (:meth:`Ocelot.transfer_dataset`);
-3. remote orchestration via the FaaS + transfer services, with analytics
-   collected on the client (:meth:`Ocelot.reports`, :meth:`Ocelot.compare_modes`).
+3. remote orchestration on the sites' batch schedulers and the transfer
+   service, with analytics collected on the client (:meth:`Ocelot.reports`,
+   :meth:`Ocelot.compare_modes`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..datasets.base import Field, ScientificDataset
 from ..errors import OrchestrationError
-from ..faas.service import FuncXService, build_faas_service
+from ..faas.service import SiteTable, build_faas_service
 from ..prediction.quality_model import QualityPrediction, QualityPredictor
 from ..prediction.training import DEFAULT_ERROR_BOUNDS, build_training_records
 from ..transfer.testbed import Testbed, build_testbed
@@ -41,22 +42,19 @@ class Ocelot:
         self,
         config: Optional[OcelotConfig] = None,
         testbed: Optional[Testbed] = None,
-        faas: Optional[FuncXService] = None,
+        faas: Optional[SiteTable] = None,
         predictor: Optional[QualityPredictor] = None,
         cost_model: Optional[ParallelCostModel] = None,
     ) -> None:
         self.config = config or OcelotConfig()
         self.testbed = testbed or build_testbed()
-        self.faas = faas or build_faas_service(clock=self.testbed.clock)
+        self.faas = faas or build_faas_service()
         self.predictor = predictor or QualityPredictor(
             sample_fraction=self.config.sample_fraction
         )
         self._cost_model = cost_model
         self._reports: List[TransferReport] = []
         self._service: Optional["OcelotService"] = None
-        self._predict_fn_id = self.faas.register_function(
-            _remote_quality_prediction, name="ocelot_quality_prediction"
-        )
 
     # ------------------------------------------------------------------ #
     # Capability 1: quality prediction
@@ -82,15 +80,13 @@ class Ocelot:
         data: np.ndarray,
         error_bounds: Optional[Sequence[float]] = None,
         compressors: Optional[Sequence[str]] = None,
-        endpoint: str = "anvil",
     ) -> List[QualityPrediction]:
         """Predict compression quality for candidate configurations.
 
-        The prediction runs "remotely" through the FaaS service (the data
-        stay on the endpoint where they reside; only the small predictions
-        come back), exactly as Ocelot's quality predictor does via FuncX.
-        The call is charged what a transfer's ``plan`` phase bills for the
-        same sweep (:meth:`OcelotConfig.simulated_planning_s`).
+        Runs the predictor sweep directly: it requests no compute nodes,
+        so no site's queue-wait stream is drawn from.  A transfer's
+        ``plan`` phase bills the same sweep
+        (:meth:`OcelotConfig.simulated_planning_s`).
         """
         if not self.predictor.is_fitted:
             raise OrchestrationError(
@@ -98,14 +94,7 @@ class Ocelot:
             )
         bounds = list(error_bounds or self.config.candidate_error_bounds)
         names = list(compressors or [self.config.compressor])
-        task = self.faas.run(
-            endpoint,
-            self._predict_fn_id,
-            self.config.simulated_planning_s(np.asarray(data).nbytes, len(bounds) * len(names)),
-            args=(self.predictor, data, bounds, names),
-            nodes=1,
-        )
-        return task.result
+        return self.predictor.predict_sweep(data, bounds, compressors=names)
 
     def recommend_configuration(
         self,
@@ -148,7 +137,7 @@ class Ocelot:
         ``transfer_dataset`` / ``compare_modes`` are submit-and-wait
         wrappers over this service; use it directly to run many
         concurrent jobs (``service.submit(TransferSpec(...))``) against
-        the client's testbed, FaaS substrate and trained predictor.
+        the client's testbed, site table and trained predictor.
         """
         if self._service is None:
             from ..service import OcelotService
@@ -212,17 +201,3 @@ class Ocelot:
     def reports(self) -> List[TransferReport]:
         """All transfer reports collected by this client."""
         return list(self._reports)
-
-    def clear_reports(self) -> None:
-        """Discard collected reports."""
-        self._reports.clear()
-
-
-def _remote_quality_prediction(
-    predictor: QualityPredictor,
-    data: np.ndarray,
-    error_bounds: Sequence[float],
-    compressors: Sequence[str],
-) -> List[QualityPrediction]:
-    """FaaS-executed helper: run the predictor sweep next to the data."""
-    return predictor.predict_sweep(data, error_bounds, compressors=compressors)

@@ -22,7 +22,7 @@ from ..compression import CompressedBlob, create_blocked_compressor
 from ..compression.sz.pipeline import PredictionPipelineCompressor
 from ..datasets.base import Field, ScientificDataset
 from ..errors import OrchestrationError
-from ..faas.service import FuncXService, build_faas_service
+from ..faas.service import SiteTable, build_faas_service
 from ..prediction.quality_model import QualityPredictor
 from ..transfer.gridftp import GridFTPEngine
 from ..transfer.testbed import Testbed, build_testbed
@@ -69,13 +69,13 @@ class OcelotOrchestrator:
         self,
         config: OcelotConfig,
         testbed: Optional[Testbed] = None,
-        faas: Optional[FuncXService] = None,
+        faas: Optional[SiteTable] = None,
         predictor: Optional[QualityPredictor] = None,
         cost_model: Optional[ParallelCostModel] = None,
     ) -> None:
         self.config = config
         self.testbed = testbed or build_testbed()
-        self.faas = faas or build_faas_service(clock=self.testbed.clock)
+        self.faas = faas or build_faas_service()
         self.planner = CompressionPlanner(config, predictor=predictor)
         self.executor = ParallelExecutor(
             cost_model=cost_model, block_workers=config.block_workers

@@ -204,12 +204,12 @@ def _wait(orch: "OcelotOrchestrator", run: TransferRun) -> PhaseStep:
     timings = run.timings
     run.decompression_nodes = min(
         orch.config.decompression_nodes,
-        orch.faas.endpoint(run.destination).scheduler.total_nodes,
+        orch.faas.scheduler(run.destination).total_nodes,
     )
     # A full cache hit skips the batch-scheduler request entirely —
     # those nodes stay free for cold jobs.
     if run.to_compress:
-        scheduler = orch.faas.endpoint(run.source).scheduler
+        scheduler = orch.faas.scheduler(run.source)
         # Capped at the size of the source site's partition.  The batch
         # scheduler only samples the queue wait: the job scheduler's node
         # pools are where the nodes are occupied.

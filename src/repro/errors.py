@@ -103,15 +103,9 @@ class FileNotFoundOnEndpointError(TransferError):
 
 
 class FaaSError(ReproError):
-    """Raised for failures in the simulated federated FaaS substrate."""
+    """Raised for failures of the simulated FuncX sites (e.g. an unknown site)."""
 
     code = "faas_failed"
-
-
-class FunctionNotRegisteredError(FaaSError):
-    """Raised when invoking a function id that was never registered."""
-
-    code = "function_not_registered"
 
 
 class SchedulingError(FaaSError):

@@ -1,30 +1,15 @@
-"""Simulated federated Function-as-a-Service substrate (FuncX-style).
+"""Simulated FuncX sites: each one's partition size and node waiting time.
 
-Ocelot uses FuncX to orchestrate compression and decompression on remote
-endpoints without logging in to them.  This package models the pieces
-that matter for transfer performance: function registration/dispatch,
-per-endpoint container warm-up, and — most importantly — the batch
-scheduler whose *node waiting time* motivates the paper's sentinel
-optimisation.
+Ocelot uses FuncX to run compression and decompression next to the data
+without logging in to the sites.  What transfer performance depends on
+from that layer is each site's batch scheduler, whose *node waiting
+time* motivates the paper's sentinel optimisation; the site table names
+one scheduler per site.
 """
 
 from __future__ import annotations
 
-from .function import FunctionRegistry, FunctionSpec
-from .container import ContainerPool
 from .batch_scheduler import BatchScheduler, NodeWaitModel
-from .endpoint import FaaSEndpoint, FaaSExecution
-from .service import FuncXService, FaaSTask, build_faas_service
+from .service import SiteTable, build_faas_service
 
-__all__ = [
-    "build_faas_service",
-    "FunctionRegistry",
-    "FunctionSpec",
-    "ContainerPool",
-    "BatchScheduler",
-    "NodeWaitModel",
-    "FaaSEndpoint",
-    "FaaSExecution",
-    "FuncXService",
-    "FaaSTask",
-]
+__all__ = ["build_faas_service", "BatchScheduler", "NodeWaitModel", "SiteTable"]

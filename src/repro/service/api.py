@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 from ..core.config import OcelotConfig
 from ..core.orchestrator import OcelotOrchestrator
 from ..errors import OrchestrationError
-from ..faas.service import FuncXService, build_faas_service
+from ..faas.service import SiteTable, build_faas_service
 from ..transfer.testbed import Testbed, build_testbed
 from .jobs import JobHandle, TransferJob
 from .quotas import TenantQuota, priority_class
@@ -73,7 +73,7 @@ class OcelotService:
         self,
         config: Optional[OcelotConfig] = None,
         testbed: Optional[Testbed] = None,
-        faas: Optional[FuncXService] = None,
+        faas: Optional[SiteTable] = None,
         orchestrator_factory: Optional[Callable[[OcelotConfig], OcelotOrchestrator]] = None,
         job_id_prefix: str = "job",
         quotas: Optional[Dict[str, TenantQuota]] = None,
@@ -81,7 +81,7 @@ class OcelotService:
     ) -> None:
         self.config = config or OcelotConfig()
         self.testbed = testbed or build_testbed()
-        self.faas = faas or build_faas_service(clock=self.testbed.clock)
+        self.faas = faas or build_faas_service()
         self._factory = orchestrator_factory or self._default_orchestrator
         self.scheduler = JobScheduler(self.testbed, self.faas)
         self.scheduler.on_terminal = self._on_job_terminal

@@ -56,7 +56,7 @@ from .quotas import TenantQuota
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import OcelotConfig
-    from ..faas.service import FuncXService
+    from ..faas.service import SiteTable
     from ..transfer.testbed import Testbed
 
 __all__ = ["JobScheduler", "UnitPool"]
@@ -121,7 +121,7 @@ class _Flow:
 class JobScheduler:
     """Cooperatively schedule many transfer jobs over a shared testbed."""
 
-    def __init__(self, testbed: "Testbed", faas: "FuncXService") -> None:
+    def __init__(self, testbed: "Testbed", faas: "SiteTable") -> None:
         self.testbed = testbed
         self.faas = faas
         # All registries are keyed by job_id so retention-era eviction
@@ -155,7 +155,7 @@ class JobScheduler:
         """Compute-node pool of one endpoint (sized by its partition)."""
         pool = self._node_pools.get(endpoint)
         if pool is None:
-            capacity = self.faas.endpoint(endpoint).scheduler.total_nodes
+            capacity = self.faas.scheduler(endpoint).total_nodes
             pool = self._node_pools[endpoint] = UnitPool(capacity)
         return pool
 

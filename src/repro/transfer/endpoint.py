@@ -4,8 +4,8 @@ An endpoint bundles a simulated filesystem with the characteristics that
 matter for transfer performance: the number of data-transfer nodes
 (DTNs), the per-DTN storage I/O bandwidth (which caps effective transfer
 speed and models the I/O contention seen during parallel decompression),
-and the compute partition used for compression jobs (attached later by
-the FaaS substrate).
+and the compute partition used for compression jobs (a site's batch
+scheduler in ``repro.faas``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The simulated clock shared by the transfer/FaaS simulation.
+"""The simulated clock shared by the transfer simulation.
 
 The simulation substrates (WAN transfer, batch scheduler, parallel
 compression cost model) compute durations instead of sleeping, which

@@ -7,8 +7,7 @@ import pytest
 from repro.core import Ocelot, OcelotConfig, OcelotOrchestrator
 from repro.datasets import generate_application
 from repro.errors import OrchestrationError
-from repro.faas import NodeWaitModel, build_faas_service
-from repro.transfer import build_testbed
+from repro.faas import BatchScheduler, NodeWaitModel, build_faas_service
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +91,7 @@ class TestOrchestrator:
         faas = build_faas_service(
             wait_models={"anvil": NodeWaitModel(kind="constant", scale_s=120.0)}
         )
-        testbed = build_testbed()
-        faas.clock = testbed.clock
-        ocelot = Ocelot(
-            _config(sentinel_enabled=True, size_scale=5000.0),
-            testbed=testbed,
-            faas=faas,
-        )
+        ocelot = Ocelot(_config(sentinel_enabled=True, size_scale=5000.0), faas=faas)
         report = ocelot.transfer_dataset(tiny_dataset, "anvil", "bebop", mode="compressed")
         assert report.timings.node_wait_s == pytest.approx(120.0)
         assert report.timings.raw_transfer_s > 0.0
@@ -154,8 +147,6 @@ class TestOcelotFacade:
         ocelot = Ocelot(_config())
         report = ocelot.transfer_dataset(tiny_dataset, "anvil", "cori", mode="compressed")
         assert ocelot.reports() == [report]
-        ocelot.clear_reports()
-        assert ocelot.reports() == []
 
     def test_compare_modes_produces_table_row(self, tiny_dataset):
         ocelot = Ocelot(_config())
@@ -188,26 +179,63 @@ class TestOcelotFacade:
         with pytest.raises(OrchestrationError):
             ocelot.predict_quality(tiny_dataset[0].data)
 
-    def test_train_and_predict_quality(self, monkeypatch, tiny_dataset):
-        from repro.faas import FuncXService
-
-        endpoints = []
-        real_run = FuncXService.run
-
-        def run(self, endpoint_name, *args, **kwargs):
-            endpoints.append(endpoint_name)
-            return real_run(self, endpoint_name, *args, **kwargs)
-
-        monkeypatch.setattr(FuncXService, "run", run)
+    def test_train_and_predict_quality(self, tiny_dataset):
         ocelot = Ocelot(_config())
         ocelot.train_predictor(tiny_dataset.fields, error_bounds=(1e-3, 1e-2))
-        predictions = ocelot.predict_quality(
-            tiny_dataset[0].data, error_bounds=(1e-3, 1e-2), endpoint="anvil"
-        )
+        data = tiny_dataset[0].data
+        predictions = ocelot.predict_quality(data, error_bounds=(1e-3, 1e-2))
         assert len(predictions) == 2
         assert all(p.compression_ratio >= 1.0 for p in predictions)
-        # Prediction ran through the FaaS service, on the endpoint asked for.
-        assert endpoints == ["anvil"]
+        assert predictions == ocelot.predictor.predict_sweep(
+            data, [1e-3, 1e-2], compressors=["sz3-fast"]
+        )
+
+    def test_predict_quality_requests_no_compute_nodes(self, monkeypatch, tiny_dataset):
+        """A prediction runs next to the data without asking any site's
+        batch scheduler for nodes, so it takes no draw from a wait stream."""
+        requests = []
+        real_queue_wait = BatchScheduler.queue_wait
+
+        def queue_wait(self, nodes):
+            requests.append(nodes)
+            return real_queue_wait(self, nodes)
+
+        monkeypatch.setattr(BatchScheduler, "queue_wait", queue_wait)
+        ocelot = Ocelot(_config())
+        ocelot.train_predictor(tiny_dataset.fields, error_bounds=(1e-3, 1e-2))
+        ocelot.predict_quality(tiny_dataset[0].data, error_bounds=(1e-3, 1e-2))
+        assert requests == []
+
+    def test_a_prediction_leaves_later_node_waits_alone(self, tiny_dataset):
+        """bebop samples a bimodal wait per request: a job sourced there
+        after a prediction waits exactly as long as it does on its own."""
+
+        def bebop_job(predict_first):
+            ocelot = Ocelot(OcelotConfig())
+            if predict_first:
+                ocelot.train_predictor(tiny_dataset.fields, error_bounds=(1e-3, 1e-2))
+                ocelot.predict_quality(tiny_dataset[0].data)
+            report = ocelot.transfer_dataset(tiny_dataset, "bebop", "anvil", mode="compressed")
+            return report.timings.node_wait_s
+
+        solo = bebop_job(predict_first=False)
+        assert solo > 0.0
+        assert bebop_job(predict_first=True) == solo
+
+    @pytest.mark.parametrize("source, destination", [("bebop", "anvil"), ("cori", "anvil")])
+    def test_a_job_waits_one_draw_from_its_source_site(self, tiny_dataset, source, destination):
+        """The wait phase looks the source up in the client's site table
+        and takes that site's next draw for the job's node count."""
+        sites = build_faas_service(wait_models={
+            source: NodeWaitModel(kind="uniform", scale_s=30.0),
+        })
+        twin = build_faas_service(wait_models={
+            source: NodeWaitModel(kind="uniform", scale_s=30.0),
+        }).scheduler(source)
+        ocelot = Ocelot(OcelotConfig(), faas=sites)
+        report = ocelot.transfer_dataset(tiny_dataset, source, destination, mode="compressed")
+        expected = twin.queue_wait(min(OcelotConfig().compression_nodes, twin.total_nodes))
+        assert report.timings.node_wait_s == expected > 0.0
 
     def test_recommend_configuration(self, tiny_dataset):
         ocelot = Ocelot(_config())

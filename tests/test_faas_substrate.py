@@ -1,81 +1,20 @@
-"""Tests for the simulated FuncX-style FaaS substrate."""
+"""Tests for the simulated FuncX sites: wait models, batch schedulers, the site table."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
 from repro.core import Ocelot, OcelotConfig
 from repro.datasets import generate_application
-from repro.errors import FaaSError, FunctionNotRegisteredError, SchedulingError
-from repro.faas import (
-    BatchScheduler,
-    ContainerPool,
-    FaaSEndpoint,
-    FunctionRegistry,
-    FuncXService,
-    NodeWaitModel,
-    build_faas_service,
-)
+from repro.errors import FaaSError, SchedulingError
+from repro.faas import BatchScheduler, NodeWaitModel, SiteTable, build_faas_service
 from repro.service import TransferSpec
-
-
-def _double(x):
-    """Double the input (test function)."""
-    return 2 * x
-
-
-class TestFunctionRegistry:
-    def test_register_and_get(self):
-        registry = FunctionRegistry()
-        fid = registry.register(_double)
-        spec = registry.get(fid)
-        assert spec.callable(21) == 42
-        assert spec.name == "_double"
-        assert "Double" in spec.description
-
-    def test_registration_is_idempotent(self):
-        registry = FunctionRegistry()
-        assert registry.register(_double) == registry.register(_double)
-        assert len(registry) == 1
-
-    def test_different_functions_get_different_ids(self):
-        registry = FunctionRegistry()
-        a = registry.register(_double)
-        b = registry.register(lambda x: x + 1, name="increment")
-        assert a != b
-        assert b in registry
-
-    def test_unknown_id_raises(self):
-        with pytest.raises(FunctionNotRegisteredError):
-            FunctionRegistry().get("fn-doesnotexist")
-
-
-class TestContainerPool:
-    def test_first_call_is_cold(self):
-        pool = ContainerPool(cold_start_s=5.0, warm_start_s=0.1)
-        assert pool.startup_cost("default") == 5.0
-        assert pool.startup_cost("default") == 0.1
-        assert pool.is_warm("default")
-
-    def test_eviction_when_pool_full(self):
-        pool = ContainerPool(max_warm=2)
-        pool.startup_cost("a")
-        pool.startup_cost("b")
-        pool.startup_cost("b")
-        pool.startup_cost("c")  # evicts the least-used warm container ("a")
-        assert pool.is_warm("c")
-        assert not pool.is_warm("a")
-
-    def test_invalidate(self):
-        pool = ContainerPool()
-        pool.startup_cost("x")
-        pool.invalidate("x")
-        assert pool.startup_cost("x") == pool.cold_start_s
+from repro.utils.clock import SimulationClock
+from repro.utils.rng import derive_seed
 
 
 class TestNodeWaitModel:
@@ -161,89 +100,25 @@ class TestBatchScheduler:
             BatchScheduler(total_nodes=0)
 
 
-class TestFaaSEndpointAndService:
-    def _endpoint(self, wait_kind="immediate"):
-        return FaaSEndpoint(
-            name="anvil",
-            scheduler=BatchScheduler(total_nodes=16, wait_model=NodeWaitModel(kind=wait_kind)),
-            cores_per_node=128,
-        )
-
-    def test_execute_returns_value_and_timing(self):
-        endpoint = self._endpoint()
-        execution = endpoint.execute(_double, duration_s=1.5, args=(5,), nodes=2)
-        assert execution.value == 10
-        assert execution.total_s >= execution.execution_s
-        assert execution.nodes == 2
-
-    def test_the_charged_execution_is_the_given_duration(self):
-        """The caller models the call's execution; the host's wall time is
-        never charged, however long the callable really takes."""
-        endpoint = self._endpoint()
-        assert endpoint.execute(_double, duration_s=120.0, args=(1,)).execution_s == 120.0
-        slow = endpoint.execute(time.sleep, duration_s=0.0, args=(0.02,))
-        assert slow.execution_s == 0.0
-
-    def test_the_queue_wait_is_the_schedulers_draw(self):
-        """Every call asks for the whole partition; none holds it for the next."""
-        model = NodeWaitModel(kind="uniform", scale_s=30.0)
-        endpoint = FaaSEndpoint(name="cori", scheduler=BatchScheduler(8, model, seed=2))
-        twin = BatchScheduler(8, model, seed=2)
-        waits = [
-            endpoint.execute(_double, duration_s=1.0, args=(i,), nodes=8).queue_wait_s
-            for i in range(3)
-        ]
-        assert waits == [twin.queue_wait(8) for _ in range(3)]
-
-    def test_an_oversized_call_raises_before_running(self):
-        ran = []
-        with pytest.raises(SchedulingError):
-            self._endpoint().execute(ran.append, duration_s=1.0, args=(1,), nodes=17)
-        assert ran == []
-
-    def test_invalid_cores(self):
-        with pytest.raises(FaaSError):
-            FaaSEndpoint(name="x", scheduler=BatchScheduler(4), cores_per_node=0)
-
-    def test_service_run_returns_a_duration_and_leaves_the_clock(self):
-        service = FuncXService()
-        service.register_endpoint(self._endpoint())
-        fid = service.register_function(_double)
-        before = service.clock.now
-        task = service.run("anvil", fid, duration_s=10.0, args=(3,))
-        assert task.result == 6
-        assert service.clock.now == before
-        assert task.duration_s >= 10.0
-        assert task.completed_at == task.submitted_at + task.duration_s
-
-    def test_service_unknown_endpoint_raises(self):
-        service = FuncXService()
-        fid = service.register_function(_double)
-        with pytest.raises(FaaSError):
-            service.run("frontier", fid, duration_s=1.0, args=(1,))
-
-    def test_warm_container_is_faster_on_second_call(self):
-        service = FuncXService()
-        service.register_endpoint(self._endpoint())
-        fid = service.register_function(_double)
-        first = service.run("anvil", fid, duration_s=1.0, args=(1,))
-        second = service.run("anvil", fid, duration_s=1.0, args=(1,))
-        assert second.execution.startup_s < first.execution.startup_s
+class TestSiteTable:
+    def test_unknown_site_raises(self):
+        with pytest.raises(FaaSError, match="frontier"):
+            build_faas_service().scheduler("frontier")
 
     def test_build_faas_service_defaults(self):
-        service = build_faas_service()
-        assert set(service.endpoints()) == {"anvil", "bebop", "cori"}
+        sites = build_faas_service()
+        assert sites.names() == ["anvil", "bebop", "cori"]
         # Anvil schedules immediately (the paper's observation).
-        anvil_wait = service.endpoint("anvil").scheduler.wait_model
-        assert anvil_wait.kind == "immediate"
-        assert service.endpoint("bebop").scheduler.wait_model.kind == "bimodal"
+        assert sites.scheduler("anvil").wait_model.kind == "immediate"
+        assert sites.scheduler("bebop").wait_model.kind == "bimodal"
+        assert [sites.scheduler(name).total_nodes for name in sites.names()] == [16, 8, 8]
 
     def test_sampled_queue_waits_do_not_depend_on_the_hash_salt(self):
         """Two processes sample the same waits (``hash(str)`` is salted per process)."""
         script = (
             "from repro.faas import build_faas_service\n"
-            "service = build_faas_service()\n"
-            "print([service.endpoint(name).scheduler.queue_wait(1)\n"
+            "sites = build_faas_service()\n"
+            "print([sites.scheduler(name).queue_wait(1)\n"
             "       for name in ('bebop', 'cori') for _ in range(3)])\n"
         )
         waits = {
@@ -255,27 +130,111 @@ class TestFaaSEndpointAndService:
         }
         assert len(waits) == 1
 
+    def test_unknown_site_error_is_a_faas_error_that_names_the_sites(self):
+        with pytest.raises(FaaSError) as caught:
+            build_faas_service().scheduler("frontier")
+        assert not isinstance(caught.value, SchedulingError)
+        assert caught.value.code == "faas_failed"
+        assert all(name in str(caught.value) for name in ("anvil", "bebop", "cori"))
 
-def _noop():
-    return None
+    def test_names_are_sorted_whatever_the_order_given(self):
+        table = SiteTable({"cori": BatchScheduler(2), "anvil": BatchScheduler(4)})
+        assert table.names() == ["anvil", "cori"]
+
+    def test_the_table_keeps_its_own_copy_of_the_sites(self):
+        schedulers = {"anvil": BatchScheduler(4)}
+        table = SiteTable(schedulers)
+        schedulers["bebop"] = BatchScheduler(2)
+        del schedulers["anvil"]
+        assert table.names() == ["anvil"]
+        with pytest.raises(FaaSError):
+            table.scheduler("bebop")
+
+    def test_a_site_is_the_same_scheduler_on_every_lookup(self):
+        """A lookup returns the site's one scheduler, so its wait stream
+        continues from call to call instead of restarting."""
+        sites, fresh = build_faas_service(), build_faas_service()
+        assert sites.scheduler("bebop") is sites.scheduler("bebop")
+        waits = [sites.scheduler("bebop").queue_wait(1) for _ in range(3)]
+        assert waits == [fresh.scheduler("bebop").queue_wait(1) for _ in range(3)]
+        assert len(set(waits)) == 3
+
+    @pytest.mark.parametrize("site", ["bebop", "cori"])
+    def test_the_queue_wait_is_the_schedulers_draw(self, site):
+        """A site's waits are those of a scheduler seeded by the site's name."""
+        model = NodeWaitModel(kind="bimodal", scale_s=30.0, heavy_tail_p=0.1,
+                              heavy_tail_scale_s=600.0)
+        twin = BatchScheduler(8, model, seed=derive_seed(0, site))
+        scheduler = build_faas_service().scheduler(site)
+        assert [scheduler.queue_wait(8) for _ in range(4)] == [twin.queue_wait(8) for _ in range(4)]
+
+    def test_an_oversized_request_raises_before_drawing(self):
+        sites, fresh = build_faas_service(), build_faas_service()
+        with pytest.raises(SchedulingError):
+            sites.scheduler("cori").queue_wait(9)
+        assert sites.scheduler("cori").queue_wait(8) == fresh.scheduler("cori").queue_wait(8)
+
+    def test_sites_draw_from_independent_streams(self):
+        """Requests at one site leave every other site's waits as they were."""
+        busy, quiet = build_faas_service(), build_faas_service()
+        for _ in range(5):
+            busy.scheduler("bebop").queue_wait(1)
+        assert busy.scheduler("cori").queue_wait(1) == quiet.scheduler("cori").queue_wait(1)
+        assert busy.scheduler("bebop").queue_wait(1) != quiet.scheduler("bebop").queue_wait(1)
+
+    def test_the_seed_fixes_every_sites_waits(self):
+        def waits(seed):
+            sites = build_faas_service(seed=seed)
+            return [sites.scheduler(name).queue_wait(1) for name in ("bebop", "cori")
+                    for _ in range(3)]
+
+        assert waits(0) == waits(0)
+        assert waits(0) != waits(1)
+
+    def test_a_wait_model_override_changes_only_its_site(self):
+        sites = build_faas_service(wait_models={"anvil": NodeWaitModel(kind="constant",
+                                                                       scale_s=5.0)})
+        assert sites.scheduler("anvil").queue_wait(1) == 5.0
+        assert sites.scheduler("bebop").wait_model == build_faas_service().scheduler(
+            "bebop").wait_model
+
+    def test_a_nodes_override_resizes_only_its_partition(self):
+        sites = build_faas_service(nodes={"bebop": 2})
+        assert [sites.scheduler(name).total_nodes for name in sites.names()] == [16, 2, 8]
+        with pytest.raises(SchedulingError):
+            sites.scheduler("bebop").queue_wait(3)
+
+    def test_a_site_named_only_in_nodes_is_added_and_waits_immediately(self):
+        sites = build_faas_service(nodes={"polaris": 4})
+        assert sites.names() == ["anvil", "bebop", "cori", "polaris"]
+        assert sites.scheduler("polaris").total_nodes == 4
+        assert sites.scheduler("polaris").queue_wait(4) == 0.0
+
+    def test_the_clock_keyword_is_accepted_and_unused(self):
+        clock = SimulationClock(start=12.5)
+        with_clock, without = build_faas_service(clock=clock), build_faas_service()
+        assert [with_clock.scheduler("bebop").queue_wait(1) for _ in range(3)] == [
+            without.scheduler("bebop").queue_wait(1) for _ in range(3)
+        ]
+        assert clock.now == 12.5
 
 
 def test_a_faas_call_waits_the_same_wherever_a_transfer_is_paused():
     """The job scheduler's node pools are the only place a node is busy,
-    so a FaaS call's queue wait is its site's sampled wait alone: the
-    same before a concurrent anvil->cori job starts, while that job is
-    paused after ``stage`` / ``plan`` / ``wait``, and once it finished."""
+    so a FaaS call's queue wait is its site's sampled wait alone: the same
+    before a concurrent anvil->cori job starts, while that job is paused
+    after ``stage`` / ``plan`` / ``wait``, and once it finished."""
     dataset = generate_application(
         "miranda", snapshots=1, scale=0.03, seed=4, fields=["density", "pressure", "velocityx"]
     )
     ocelot = Ocelot(OcelotConfig())
-    fid = ocelot.faas.register_function(_noop)
+    anvil = ocelot.faas.scheduler("anvil")
     service = ocelot.service
     service.submit(TransferSpec(dataset=dataset, source="anvil", destination="cori"))
-    waits = [ocelot.faas.run("anvil", fid, 0.0).execution.queue_wait_s]
+    waits = [anvil.queue_wait(1)]
     for _ in range(3):
         assert service.scheduler.step()
-    waits.append(ocelot.faas.run("anvil", fid, 0.0).execution.queue_wait_s)
+    waits.append(anvil.queue_wait(1))
     service.run_pending()
-    waits.append(ocelot.faas.run("anvil", fid, 0.0).execution.queue_wait_s)
+    waits.append(anvil.queue_wait(1))
     assert waits[0] == waits[1] == waits[2]

@@ -75,10 +75,9 @@ def _config(**overrides: Any) -> OcelotConfig:
 
 
 def _substrate(node_wait_s: float) -> Dict[str, Any]:
-    """A fresh testbed and FaaS service with a constant node wait on anvil."""
+    """A fresh testbed and site table with a constant node wait on anvil."""
     testbed = build_testbed()
     faas = build_faas_service(
-        clock=testbed.clock,
         wait_models={"anvil": NodeWaitModel(kind="constant", scale_s=node_wait_s)},
     )
     return {"testbed": testbed, "faas": faas}

@@ -107,7 +107,6 @@ class TestEndToEndWorkflow:
             wait_models={"anvil": NodeWaitModel(kind="constant", scale_s=wait)}
         )
         testbed = build_testbed()
-        faas.clock = testbed.clock
         config = OcelotConfig(error_bound=1e-3, compressor="sz3-fast",
                               sentinel_enabled=True, size_scale=150_000.0,
                               assumed_compression_throughput_mbps=300.0,

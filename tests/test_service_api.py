@@ -386,8 +386,8 @@ class TestSchedulerInterleaving:
 
         def substrates(service):
             schedulers = {
-                name: held(service.faas.endpoint(name).scheduler)
-                for name in service.faas.endpoints()
+                name: held(service.faas.scheduler(name))
+                for name in service.faas.names()
             }
             return held(service.testbed.service), held(service.faas), schedulers
 

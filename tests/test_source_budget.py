@@ -30,8 +30,10 @@ MAX_CORE_FUNCTION_LINES = 90
 #: services stopped keeping per-job records, 16 385 before a streamed
 #: run filled the bulk run's record through one destination step, 16 312
 #: before the helper lane came in, paid for by four names nothing called
-#: and by wrapping one-name-per-line ``__all__`` / import lists).
-MAX_SRC_LINES = 16_310
+#: and by wrapping one-name-per-line ``__all__`` / import lists, 16 310
+#: before the FaaS layer shrank to the batch scheduler plus a site table
+#: and two package roots stopped re-exporting names nobody imported).
+MAX_SRC_LINES = 15_942
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
@@ -55,19 +57,28 @@ LAYOUT_FORK = re.compile(
 )
 
 
-#: Simulated time has one owner: phases, streams, transfers and FaaS
-#: calls return durations and the job scheduler alone moves the clock
+#: Simulated time has one owner: phases, streams, transfers and sampled
+#: queue waits return durations and the job scheduler alone moves the clock
 #: (``Testbed.reset_clock``'s rewind aside).
 CLOCK_WRITE = re.compile(r"clock\.advance(?:_to)?\(")
 
 
 #: Simulated resources have one owner too: the job scheduler's pools
 #: occupy nodes and links, the batch scheduler only samples queue waits,
-#: and the FaaS and transfer services return what a call cost and keep
-#: nothing per job (no held allocation, no task status, no chunk bytes).
+#: the site table only names schedulers, and the transfer service returns
+#: what a call cost and keeps nothing per job (no held allocation, no task
+#: status, no chunk bytes).
 RESOURCE_HOLD = re.compile(
     r"busy_nodes|include_backfill|hold_allocation|release_nodes|NodeAllocation"
     r"|TransferStatus|materialize"
+)
+
+
+#: A FuncX site is its batch scheduler: no function registry, container
+#: pool, task record or endpoint wrapper computes a cost nobody reads.
+FAAS_SERVICE = re.compile(
+    r"FunctionRegistry|FunctionSpec|ContainerPool|FaaSTask|FaaSExecution|FaaSEndpoint"
+    r"|register_function|FunctionNotRegisteredError"
 )
 
 
@@ -134,10 +145,11 @@ def test_the_compression_package_swallows_nothing():
 
 
 def test_simulated_time_reads_no_wall_clock():
-    """Simulated seconds are a model: the phases, the streaming pipeline
-    and the FaaS substrate bill bytes at assumed throughputs, never this
-    host's wall time (which stays in ``CompressionStats``, the pipeline's
-    stage timings and feature extraction, where the paper plots it)."""
+    """Simulated seconds are a model: the phases and the streaming
+    pipeline bill bytes at assumed throughputs and the FuncX sites sample
+    their waits, never reading this host's wall time (which stays in
+    ``CompressionStats``, the pipeline's stage timings and feature
+    extraction, where the paper plots it)."""
     timed = {
         path.relative_to(SRC).as_posix()
         for package in ("core", "faas")
@@ -189,3 +201,13 @@ def test_one_destination_step_for_bulk_and_streamed_runs():
         path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
         if GONE.search(path.read_text())
     ] == []
+
+
+def test_a_site_is_its_batch_scheduler():
+    found = {
+        f"{path.relative_to(SRC).as_posix()}:{number}": line.strip()
+        for path in SRC.rglob("*.py")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if FAAS_SERVICE.search(line)
+    }
+    assert not found
