@@ -37,34 +37,14 @@ from typing import Any
 
 from .version import __version__
 from .errors import (
-    CompressionError,
-    ConfigurationError,
-    DatasetError,
-    ErrorBoundViolation,
-    FaaSError,
-    ModelNotFittedError,
-    ReproError,
-    TransferError,
+    CompressionError, ConfigurationError, DatasetError, ErrorBoundViolation, FaaSError,
+    ModelNotFittedError, ReproError, TransferError,
 )
 
 __all__ = [
-    "__version__",
-    "Ocelot",
-    "OcelotConfig",
-    "TransferReport",
-    "OcelotService",
-    "TransferSpec",
-    "JobHandle",
-    "JobStatus",
-    "JobEvent",
-    "ReproError",
-    "ConfigurationError",
-    "CompressionError",
-    "ErrorBoundViolation",
-    "DatasetError",
-    "TransferError",
-    "FaaSError",
-    "ModelNotFittedError",
+    "__version__", "Ocelot", "OcelotConfig", "TransferReport", "OcelotService", "TransferSpec",
+    "JobHandle", "JobStatus", "JobEvent", "ReproError", "ConfigurationError", "CompressionError",
+    "ErrorBoundViolation", "DatasetError", "TransferError", "FaaSError", "ModelNotFittedError",
 ]
 
 # The heavyweight Ocelot facade and the job service are imported lazily

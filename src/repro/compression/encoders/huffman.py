@@ -49,16 +49,9 @@ from .huffman_decode import _LUT_MAX_BITS, HuffmanStream, LutDecoder
 from .huffman_decode import decode_bitloop as _decode_bitloop
 
 __all__ = [
-    "HuffmanCodebook",
-    "HuffmanCodec",
-    "HuffmanStream",
-    "SYNC_INTERVAL",
-    "SyncedPayload",
-    "huffman_code_lengths",
-    "length_limited_code_lengths",
-    "symbol_frequencies",
-    "pooled_symbol_frequencies",
-    "MAX_CODE_LENGTH",
+    "HuffmanCodebook", "HuffmanCodec", "HuffmanStream", "SYNC_INTERVAL", "SyncedPayload",
+    "huffman_code_lengths", "length_limited_code_lengths", "symbol_frequencies",
+    "pooled_symbol_frequencies", "MAX_CODE_LENGTH",
 ]
 
 #: Default cap on code lengths (bits).  Length-limiting keeps the decode

@@ -26,17 +26,18 @@ Design (all of it NumPy-vectorised; there is no per-symbol Python loop):
   ``<= MAX_LANES`` that still leaves every lane a useful run of symbols,
   so wide streams get wide SIMD-style rounds while small blocks keep
   their per-block state overhead at a few hundred bytes.
-* **Word stream.**  All lanes share one word stream.  The encoder walks
-  rounds in reverse, appending the words of renormalising lanes in
-  descending lane order, and reverses the stream once at the end; the
-  decoder walks rounds forward consuming words in ascending lane order.
+* **Word stream.**  All lanes share one word stream: round by round, the
+  words of the lanes that renormalised, in ascending lane order.  The
+  encoder walks rounds in reverse keeping every lane's low word and
+  renormalisation flag in a ``(rounds, lanes)`` matrix each, so the stream
+  is the flagged words in C order, the order the decoder consumes them.
   Because a decoder renormalises exactly when the encoder emitted, no
   per-lane word counts are needed — only the ``N`` final states.
-* **Batch decode.**  A file's streams decode in lockstep: streams with
-  the same round count share one state vector, each lane reading its own
-  table's slots and its own stream's words, so a file pays its Python
-  rounds once per round count, not once per block.  A lone stream is a
-  batch of one.
+* **Batch encode and decode.**  A file's streams are coded in lockstep:
+  streams with the same round count share one state vector, each lane
+  reading its own table's frequencies (encode) or slots (decode) and its
+  own stream's symbols or words, so a file pays its Python rounds once
+  per round count, not once per block.  A lone stream is a batch of one.
 
 Payload layout (little-endian)::
 
@@ -63,11 +64,7 @@ from ...errors import EncodingError
 from .huffman import symbol_frequencies
 
 __all__ = [
-    "RansFrequencyTable",
-    "RansCodec",
-    "quantize_frequencies",
-    "PROB_BITS",
-    "PROB_SCALE",
+    "RansFrequencyTable", "RansCodec", "quantize_frequencies", "PROB_BITS", "PROB_SCALE",
     "MAX_TABLE_SYMBOLS",
 ]
 
@@ -150,12 +147,7 @@ class RansFrequencyTable:
     """Quantised symbol frequencies plus derived encode/decode tables."""
 
     __slots__ = (
-        "symbols",
-        "freqs",
-        "cum",
-        "_encode_tables",
-        "_slot_tables",
-        "_serialized",
+        "symbols", "freqs", "cum", "_encode_tables", "_slot_tables", "_serialized",
     )
 
     def __init__(self, symbols: np.ndarray, freqs: np.ndarray) -> None:
@@ -319,68 +311,36 @@ class RansCodec:
         should probe with :meth:`RansFrequencyTable.try_from_frequencies`.
         """
         arr = np.asarray(symbols, dtype=np.int64).ravel()
-        count = int(arr.size)
-        if count == 0:
+        if arr.size == 0:
             return b"", b"", 0
         table = RansFrequencyTable.from_frequencies(symbol_frequencies(arr))
-        payload = self.encode_with_table(arr, table)
-        if payload is None:  # pragma: no cover - table covers arr by construction
-            raise EncodingError("freshly built rANS table failed to cover its input")
-        return payload, table.serialize(), count
+        return self.encode_with_table(arr, table), table.serialize(), int(arr.size)
 
     def encode_with_table(
         self, symbols: np.ndarray, table: RansFrequencyTable
     ) -> Optional[bytes]:
-        """Encode against an existing (e.g. shared) frequency table.
+        """Encode against an existing (e.g. shared) table; ``None`` if it lacks a symbol."""
+        return self.encode_streams([(symbols, table)])[0]
 
-        Returns ``None`` when any symbol is absent from ``table`` — the
-        shared-codebook pipeline then falls back to a per-block table.
+    def encode_streams(
+        self, streams: Sequence[Tuple[np.ndarray, RansFrequencyTable]]
+    ) -> List[Optional[bytes]]:
+        """Encode ``(symbols, table)`` streams as one batch, as :meth:`decode_streams` decodes.
+
+        Streams with the same round count walk their rounds backwards in
+        lockstep, as one state vector.  A stream whose table lacks one of
+        its symbols is ``None``; the others' bytes are those they have alone.
         """
-        arr = np.asarray(symbols, dtype=np.int64).ravel()
-        count = int(arr.size)
-        if count == 0:
-            return b""
-        gathered = table.gather_freq_cum(arr)
-        if gathered is None:
-            return None
-        f, c = gathered
-        lanes = _pick_lanes(count)
-        rounds = -(-count // lanes)
-        pad = rounds * lanes - count
-        if pad:
-            mf, mc = table.modal_freq_cum()
-            f = np.concatenate([f, np.full(pad, mf, dtype=np.uint32)])
-            c = np.concatenate([c, np.full(pad, mc, dtype=np.uint32)])
-        f_mat = np.ascontiguousarray(f.reshape(rounds, lanes))
-        c_mat = np.ascontiguousarray(c.reshape(rounds, lanes))
-        t_mat = np.uint32(PROB_SCALE) - f_mat
-
-        shift_renorm = np.uint32(_RENORM_SHIFT)
-        shift_word = np.uint32(16)
-        word_mask = np.uint32(0xFFFF)
-        x = np.full(lanes, RANS_L, dtype=np.uint32)
-        # Each symbol emits at most one word, so `count + pad` bounds the
-        # stream; the encoder walks rounds in reverse, storing words of
-        # renormalising lanes in descending lane order, and un-reverses
-        # the whole stream once at the end.
-        out = np.empty(rounds * lanes, dtype=np.uint16)
-        wp = 0
-        for r in range(rounds - 1, -1, -1):
-            fr = f_mat[r]
-            need = (x >> shift_renorm) >= fr
-            k = int(np.count_nonzero(need))
-            if k:
-                out[wp : wp + k] = (x[need] & word_mask)[::-1]
-                wp += k
-                x = np.where(need, x >> shift_word, x)
-            q = x // fr
-            # == ((q << PROB_BITS) + (x - q*f) + cum); fused form stays in
-            # uint32 without intermediate overflow.
-            x = x + q * t_mat[r] + c_mat[r]
-        header = _PAYLOAD_HEADER.pack(
-            _PAYLOAD_VERSION, lanes.bit_length() - 1, 0, wp, count
-        )
-        return header + x.astype("<u4").tobytes() + out[:wp][::-1].astype("<u2").tobytes()
+        coded = [(np.asarray(symbols, dtype=np.int64).ravel(), table) for symbols, table in streams]
+        out: List[Optional[bytes]] = [b""] * len(coded)
+        by_rounds: Dict[int, List[int]] = {}
+        for i, (arr, _) in enumerate(coded):
+            if arr.size:
+                by_rounds.setdefault(-(-arr.size // _pick_lanes(arr.size)), []).append(i)
+        for rounds, members in by_rounds.items():
+            for i, payload in zip(members, _encode_lockstep([coded[i] for i in members], rounds)):
+                out[i] = payload
+        return out
 
     # ------------------------------------------------------------------ #
     # Decoding
@@ -419,6 +379,49 @@ class RansCodec:
                     self._tables.pop(next(iter(self._tables)))
                 self._tables[table_bytes] = table
         return table
+
+
+def _encode_lockstep(streams: Sequence[Tuple], rounds: int) -> List[Optional[bytes]]:
+    """Each ``(symbols, table)`` stream's payload, or ``None`` where its table misses a symbol."""
+    edges = np.cumsum([0] + [_pick_lanes(arr.size) for arr, _ in streams])
+    freq = np.empty((rounds, edges[-1]), dtype=np.uint32)
+    cum = np.empty_like(freq)
+    covered = [
+        _lay_out(freq[:, a:b], cum[:, a:b], stream)
+        for stream, a, b in zip(streams, edges[:-1], edges[1:])
+    ]
+    x = np.full(edges[-1], RANS_L, dtype=np.uint32)
+    words = np.empty(freq.shape, dtype="<u2")
+    emitted = np.empty(freq.shape, dtype=bool)
+    for r in range(rounds - 1, -1, -1):
+        f, renorm = freq[r], emitted[r]
+        np.greater_equal(x >> _RENORM_SHIFT, f, out=renorm)
+        words[r] = x  # every lane's low word; ``emitted`` picks the ones written
+        x >>= renorm.view(np.uint8) * 16  # 16 bits off the lanes that wrote a word
+        # == ((x // f) << PROB_BITS) + x % f + cum; this form stays in uint32.
+        x += x // f * (PROB_SCALE - f) + cum[r]
+    out = []
+    for (arr, _), a, b, ok in zip(streams, edges[:-1], edges[1:], covered):
+        kept = np.extract(emitted[:, a:b], words[:, a:b])  # its flagged words, C order
+        log2_lanes = int(b - a).bit_length() - 1
+        header = _PAYLOAD_HEADER.pack(_PAYLOAD_VERSION, log2_lanes, 0, kept.size, arr.size)
+        out.append(header + x[a:b].astype("<u4").tobytes() + kept.tobytes() if ok else None)
+    return out
+
+
+def _lay_out(freq: np.ndarray, cum: np.ndarray, stream: Tuple) -> bool:
+    """Fill a ``(symbols, table)`` stream's ``(rounds, lanes)`` columns with its
+    ``(freq, cum)``, padded with the modal symbol.  ``False`` if ``table`` lacks a
+    symbol: its lanes then idle at frequency ``PROB_SCALE``, never moving a state."""
+    symbols, table = stream
+    gathered = table.gather_freq_cum(symbols)
+    if gathered is None:
+        freq[...], cum[...] = PROB_SCALE, 0
+        return False
+    for dst, values, pad in zip((freq, cum), gathered, table.modal_freq_cum()):
+        padding = np.full(dst.size - values.size, pad, dtype=np.uint32)
+        dst[...] = np.concatenate([values, padding]).reshape(dst.shape)
+    return True
 
 
 def _parse_payload(payload: bytes, count: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -12,12 +12,8 @@ from .interpolation import InterpolationPredictor
 from ..zfp.transform import BlockTransformPredictor
 
 __all__ = [
-    "Predictor",
-    "PredictorOutput",
-    "LorenzoPredictor",
-    "RegressionPredictor",
-    "InterpolationPredictor",
-    "create_predictor",
+    "Predictor", "PredictorOutput", "LorenzoPredictor", "RegressionPredictor",
+    "InterpolationPredictor", "create_predictor",
 ]
 
 

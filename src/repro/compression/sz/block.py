@@ -5,8 +5,9 @@ one — the only thing decided per block; the entropy codec is the
 pipeline's configured stage.  Nothing is serialised to decide: every
 candidate is predicted and quantised, the histogram of its codes feeds
 one size statistic (:func:`~.encoding.estimated_bytes`) and the smallest
-wins.  The winner is then entropy-coded and losslessly compressed
-exactly once.
+wins.  The winner is then entropy-coded exactly once (rANS blocks by
+:meth:`BlockStages.settle`, a file at a time) and its section goes
+through the lossless stage once, split or whole (:mod:`.encoding`).
 ``PredictionPipelineCompressor.encode_one_block`` composes these stages
 into the unit every encode path fans out; each stage *returns* its
 result, so a thread and the inline loop produce the same bytes.
@@ -27,7 +28,10 @@ from ..predictors.base import Predictor, PredictorOutput
 from ..predictors.interpolation import InterpolationPredictor
 from ..predictors.lorenzo import LorenzoPredictor
 from .dedup import BlockResult, block_entry
-from .encoding import ENTROPY_CODED, SharedBook, estimated_bytes
+from .encoding import (
+    ENTROPY_CODED, EncodingPlan, SharedBook, estimated_bytes, inflate_section, open_section,
+    pack_section,
+)
 
 __all__ = ["BlockStages"]
 
@@ -86,12 +90,14 @@ class BlockStages:
         winner = sizes.index(min(sizes))
         return candidates[winner].name, encodings[winner], histograms[winner]
 
-    def _compress_lossless(self, data: bytes) -> Any:
-        """The lossless stage: its bytes, or its pending call on the helper lane."""
-        if self.helper_lane is not None and not self.collect_stage_timings:
-            return self.helper_lane.submit(self._lossless.compress, data, nbytes=len(data))
+    def _compress_lossless(self, inner: SectionContainer) -> Any:
+        """The lossless stage of one section: its bytes, or its pending call on the helper lane."""
         with self._timed("lossless_s"):
-            return self._lossless.compress(data)
+            call = pack_section(self._lossless, inner)
+            if self.helper_lane is not None and not self.collect_stage_timings:
+                nbytes = sum(map(inner.section_size, inner.section_names()))
+                return self.helper_lane.submit(call, nbytes=nbytes)
+            return call()
 
     def _finish_block(
         self,
@@ -101,14 +107,11 @@ class BlockStages:
         histogram: Optional[Dict[int, int]] = None,
         shared_book: Optional[SharedBook] = None,
     ) -> BlockResult:
-        """Serialise one chosen encoding into its ``(index_entry, payload)``."""
-        inner, written, codebook = self._wire.serialize(
-            encoding, self.config.entropy_stage, shared_book, histogram
-        )
-        return (
-            block_entry(spec, predictor_name, written, codebook),
-            self._compress_lossless(inner),
-        )
+        """One chosen encoding's final index entry and its payload, which may be pending:
+        a rANS block's is its :class:`EncodingPlan` until :meth:`settle`."""
+        plan = self._wire.plan(encoding, self.config.entropy_stage, shared_book, histogram)
+        payload = plan if plan.pending else self._compress_lossless(plan.inner)
+        return block_entry(spec, predictor_name, plan.codec, plan.codebook), payload
 
     def _predictor_for(self, name: str, meta: Dict[str, Any]) -> Predictor:
         # Rebuild the predictor from the block's recorded meta rather than
@@ -125,10 +128,17 @@ class BlockStages:
             raise
 
     def settle(self, results: Sequence[BlockResult]) -> List[BlockResult]:
-        """Block ``results`` with their pending payloads resolved, in block order."""
-        if self.helper_lane is None:
-            return list(results)
-        payloads = self.helper_lane.gather([payload for _, payload in results])
+        """Block ``results`` with every payload written and resolved, in block order: one
+        ``encode_streams`` batch codes the file's waiting rANS streams, then their sections
+        go through the lossless stage (on the helper lane if any), and every payload is
+        gathered."""
+        self._wire.emit([payload for _, payload in results if isinstance(payload, EncodingPlan)])
+        payloads = [
+            self._compress_lossless(p.inner) if isinstance(p, EncodingPlan) else p
+            for _, p in results
+        ]
+        if self.helper_lane is not None:
+            payloads = self.helper_lane.gather(payloads)
         return [(entry, payload) for (entry, _), payload in zip(results, payloads)]
 
     def inflate_sections(self, blob: CompressedBlob) -> Optional[Dict[str, Any]]:
@@ -136,24 +146,22 @@ class BlockStages:
         name, for ``decompress(blob, inflated)``; ``None`` without the lane."""
         if self.helper_lane is None or self.collect_stage_timings:
             return None
-        inflate, get = self._backend_for(blob).decompress, blob.container.get_section
         names = dict.fromkeys(entry["section"] for entry in blob.block_index)
-        return {n: self.helper_lane.submit(inflate, get(n), nbytes=len(get(n))) for n in names}
+        size = blob.container.section_size
+        return {n: self.helper_lane.submit(inflate_section, blob, n, nbytes=size(n)) for n in names}
 
     def _decode_sections(
         self, blob: CompressedBlob, names: Sequence[str], inflated: Optional[Dict] = None
     ) -> Dict[str, tuple]:
-        """Inflate (or take from ``inflated``), parse and entropy-decode sections, by name.
+        """Open (or take from ``inflated``) and entropy-decode sections, by name.
 
         One batch: every Huffman stream coded with the blob's shared
         codebook is a set of lanes of the same lockstep decode.
         """
-        if inflated is None:
-            backend = self._backend_for(blob)
-            raws = [backend.decompress(blob.container.get_section(name)) for name in names]
-        else:
-            raws = self.helper_lane.gather([inflated.pop(name) for name in names])
-        inners = [SectionContainer.from_bytes(raw) for raw in raws]
+        raws = [None] * len(names) if inflated is None else self.helper_lane.gather(
+            [inflated.pop(name) for name in names]
+        )
+        inners = [open_section(blob, name, raw) for name, raw in zip(names, raws)]
         fields = self._wire.deserialize_all(inners, blob.shared_codebook_bytes)
         return dict(zip(names, fields))
 

@@ -4,36 +4,38 @@ A block's :class:`PredictorOutput` becomes an inner
 :class:`SectionContainer`: the quantisation codes — entropy-coded against
 the file-wide model, against the block's own model, or stored raw —
 followed by the escape indices, the literals and the predictor's aux
-arrays.  The section header's ``entropy`` key names the codec that wrote
-the stream, so decode dispatches on what is stored, never on the reader's
-configuration.
+arrays; ``plan`` builds all but a rANS stream's bytes, which ``emit`` codes
+a file at a time.  The ``entropy`` header key names the codec that wrote the
+stream, so decode dispatches on what is stored, not on the reader's config.
+:func:`pack_section` writes the section behind the lossless stage, whole or
+split, and :func:`open_section` reads either.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from contextlib import AbstractContextManager
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...errors import CompressionError, EncodingError
 from ..encoders.huffman import (
-    MAX_CODE_LENGTH,
-    HuffmanCodebook,
-    HuffmanCodec,
-    HuffmanStream,
-    SyncedPayload,
-    pooled_symbol_frequencies,
-    symbol_frequencies,
+    MAX_CODE_LENGTH, HuffmanCodebook, HuffmanCodec, HuffmanStream, SyncedPayload,
+    pooled_symbol_frequencies, symbol_frequencies,
 )
-from ..encoders.lossless import get_lossless_backend
+from ..encoders.lossless import LosslessBackend, get_lossless_backend
 from ..encoders.rans import RansCodec, RansFrequencyTable
 from ..interface import CompressedBlob, SectionContainer
 from ..predictors.base import PredictorOutput
 
 __all__ = [
-    "ENTROPY_CODED", "ENTROPY_STAGES", "EncodingWire", "SharedBook", "block_model_bytes",
-    "estimated_bytes",
+    "ENTROPY_CODED", "ENTROPY_STAGES", "SPLIT_MIN_BYTES", "EncodingPlan", "EncodingWire",
+    "SharedBook", "block_model_bytes", "estimated_bytes", "inflate_section", "open_section",
+    "pack_section",
 ]
 
 ENTROPY_STAGES = ("huffman", "rans", "none")
@@ -48,16 +50,17 @@ SharedBook = Any
 
 
 #: Coefficients of :func:`estimated_bytes`, in bytes per unit, read off
-#: what blocks cost *after* the deflate stage (least squares over 25 398
-#: candidate encodings of all seven applications at rel 1e-4..1e-2,
-#: 16- and 32-blocks, both codecs): the coded stream lands on its
-#: zeroth-order entropy (coefficient 1.02-1.10 on the entropy, -0.08 on
-#: the exact Huffman bit count), a model entry deflates to 2.0-2.4 B (16 B
-#: raw for Huffman, 6 B for rANS), an escape is an int64 index plus a
-#: float64 literal, and an aux array drags ~130 characters of section
-#: framing and predictor meta into the JSON header.  Table of what the
-#: ranking costs against encoding every candidate: ARCHITECTURE.md,
-#: "Adaptive predictor selection".
+#: what blocks cost when deflate took every section whole (least squares
+#: over 25 398 candidate encodings of all seven applications at rel
+#: 1e-4..1e-2, 16- and 32-blocks, both codecs; not refit for the split
+#: layout below, which moves blobs by -1.45..+0.32 %): the coded stream
+#: lands on its zeroth-order entropy (coefficient 1.02-1.10 on the
+#: entropy, -0.08 on the exact Huffman bit count), a model entry deflates
+#: to 2.0-2.4 B (16 B raw for Huffman, 6 B for rANS), an escape is an
+#: int64 index plus a float64 literal, and an aux array drags ~130
+#: characters of section framing and predictor meta into the JSON header.
+#: Table of what the ranking costs against encoding every candidate:
+#: ARCHITECTURE.md, "Adaptive predictor selection".
 _MODEL_BYTES_PER_SYMBOL = 2
 _ESCAPE_BYTES = 16
 _AUX_FRAME_BYTES = 64
@@ -84,8 +87,19 @@ def estimated_bytes(encoding: PredictorOutput, frequencies: Dict[int, int]) -> f
     )
 
 
+@dataclass
+class EncodingPlan:
+    """One encoding's section, codec and model decided; while ``pending`` holds a rANS
+    stream's ``(codes, table)``, its ``codes_payload`` is a placeholder."""
+
+    inner: SectionContainer
+    codec: str = "none"
+    codebook: Optional[str] = None
+    pending: Optional[Tuple[np.ndarray, RansFrequencyTable]] = None
+
+
 class _HuffmanCoder:
-    """Huffman row of the codec table."""
+    """Huffman row of the codec table: coding a stream is how a book is found to cover it."""
 
     model_type = HuffmanCodebook
     model_section = "codes_codebook"
@@ -96,12 +110,15 @@ class _HuffmanCoder:
     def build_model(self, frequencies: Dict[int, int]) -> HuffmanCodebook:
         return HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
 
-    def encode(self, codes: np.ndarray, model: HuffmanCodebook) -> Optional[bytes]:
-        return self.codec.encode_with_book(codes, model)
+    def encode_shared(self, codes: np.ndarray, book: HuffmanCodebook) -> Optional[bytes]:
+        return self.codec.encode_with_book(codes, book)
+
+    encode_own = encode_shared
 
 
 class _RansCoder:
-    """rANS row of the codec table; no model = alphabet too wide for 12 bits."""
+    """rANS row of the codec table; no model = alphabet too wide for 12 bits.
+    A stream's bytes are a placeholder that :meth:`EncodingWire.emit` fills."""
 
     model_type = RansFrequencyTable
     model_section = "codes_freqs"
@@ -112,8 +129,11 @@ class _RansCoder:
     def build_model(self, frequencies: Dict[int, int]) -> Optional[RansFrequencyTable]:
         return RansFrequencyTable.try_from_frequencies(frequencies)
 
-    def encode(self, codes: np.ndarray, model: RansFrequencyTable) -> Optional[bytes]:
-        return self.codec.encode_with_table(codes, model)
+    def encode_shared(self, codes: np.ndarray, table: RansFrequencyTable) -> Optional[bytes]:
+        return b"" if table.gather_freq_cum(codes) is not None else None
+
+    def encode_own(self, codes: np.ndarray, table: RansFrequencyTable) -> bytes:
+        return b""
 
 
 class EncodingWire:
@@ -141,30 +161,30 @@ class EncodingWire:
             return None
         return self._coders[stage].build_model(frequencies)
 
-    def serialize(
+    def plan(
         self,
         encoding: PredictorOutput,
         stage: str,
         shared_book: Optional[SharedBook] = None,
         histogram: Optional[Dict[int, int]] = None,
-    ) -> Tuple[bytes, str, Optional[str]]:
-        """Serialise one encoding; returns ``(bytes, codec, codebook)``.
+    ) -> EncodingPlan:
+        """Plan one encoding's section: all of it but a rANS stream's bytes.
 
-        ``codec`` is the entropy codec the stream was *actually* written
-        with (``huffman`` / ``rans`` / ``none``) and ``codebook`` says
-        whose model coded it: ``"shared"`` (the file-wide ``shared_book``,
+        The plan's ``codec`` is the entropy codec the stream is *actually*
+        written with (``huffman`` / ``rans`` / ``none``) and ``codebook``
+        says whose model codes it: ``"shared"`` (the file-wide ``shared_book``,
         which lives once in the blob header — no per-block model section
         is written), ``"block"`` (the block's own, built here from its
         ``histogram``, counted here when the caller has none) or ``None``
         when nothing was entropy-coded.
         """
-        inner = SectionContainer(header={"predictor_meta": encoding.meta})
+        plan = EncodingPlan(SectionContainer(header={"predictor_meta": encoding.meta}))
+        inner = plan.inner
         codes = np.asarray(encoding.codes, dtype=np.int64)
         inner.header["num_codes"] = int(codes.size)
-        codec, codebook = "none", None
         if stage in ENTROPY_CODED and codes.size:
             with self._timed("entropy_s"):
-                codec, codebook = self._entropy_code(inner, codes, stage, shared_book, histogram)
+                self._entropy_code(plan, codes, stage, shared_book, histogram)
         else:
             inner.header["huffman_count"] = -1
             inner.add_array("codes_raw", _pack_codes(codes))
@@ -174,26 +194,34 @@ class EncodingWire:
         inner.header["aux_names"] = sorted(encoding.aux)
         for aux_name in sorted(encoding.aux):
             inner.add_array(f"aux_{aux_name}", np.asarray(encoding.aux[aux_name]))
-        return inner.to_bytes(), codec, codebook
+        return plan
+
+    def emit(self, plans: Sequence[EncodingPlan]) -> None:
+        """Write every pending rANS stream of ``plans`` into its section, in one batch."""
+        waiting = [plan for plan in plans if plan.pending is not None]
+        with self._timed("entropy_s"):
+            payloads = self._coders["rans"].codec.encode_streams([p.pending for p in waiting])
+        for plan, payload in zip(waiting, payloads):
+            plan.inner.add_section("codes_payload", payload, overwrite=True)
 
     def _entropy_code(
         self,
-        inner: SectionContainer,
+        plan: EncodingPlan,
         codes: np.ndarray,
         stage: str,
         shared_book: Optional[SharedBook],
         histogram: Optional[Dict[int, int]],
-    ) -> Tuple[str, str]:
-        """Write ``codes_payload`` (+ the block's own model); ``(codec, codebook)``.
+    ) -> None:
+        """Write ``codes_payload`` (+ the block's own model) and ``plan``'s codec and codebook.
 
-        The stream is entropy-coded exactly once: against the shared
-        model when it covers the block, else against the block's own.
+        The stream is entropy-coded exactly once, against the shared model
+        when it covers the block, else the block's own; rANS by :meth:`emit`.
         """
-        coder = self._coders[stage]
+        inner, coder = plan.inner, self._coders[stage]
         payload = model = None
         if isinstance(shared_book, coder.model_type):
-            payload = coder.encode(codes, shared_book)
-        codebook = "shared" if payload is not None else "block"
+            payload = coder.encode_shared(codes, shared_book)
+        plan.codec, plan.codebook = stage, "shared" if payload is not None else "block"
         if payload is None:
             histogram = histogram or symbol_frequencies(codes)
             model = coder.build_model(histogram)
@@ -201,10 +229,10 @@ class EncodingWire:
                 # Alphabet too wide for a 12-bit rANS table: this block
                 # degrades to Huffman (its entropy tag records what was
                 # written, so it still decodes).
-                return self._entropy_code(inner, codes, "huffman", shared_book, histogram)
-            payload = coder.encode(codes, model)
-            if payload is None:  # pragma: no cover - the model was built from these codes
-                raise CompressionError(f"{stage} escape against the block's own model")
+                return self._entropy_code(plan, codes, "huffman", shared_book, histogram)
+            payload = coder.encode_own(codes, model)
+        if stage == "rans":
+            plan.pending = (codes, shared_book if model is None else model)
         inner.header["entropy"] = stage
         inner.header[f"{stage}_count"] = int(codes.size)
         inner.add_section("codes_payload", payload)
@@ -220,7 +248,6 @@ class EncodingWire:
             inner.header[f"{stage}_shared"] = True
         else:
             inner.add_section(coder.model_section, model.serialize())
-        return stage, codebook
 
     def deserialize_all(
         self, inners: Sequence[SectionContainer], shared_codebook: Optional[bytes] = None
@@ -296,15 +323,84 @@ def block_model_bytes(blob: CompressedBlob, entries: Sequence[Dict[str, Any]]) -
     none.  Every named section is inflated and parsed to find out, so
     this is a debugging read (``ocelot inspect``), never a transfer path.
     """
-    backend = get_lossless_backend(blob.container.header.get("lossless_backend", ""))
     models = [coder.model_section for coder in (_HuffmanCoder, _RansCoder)]
     sizes = []
     for entry in entries:
-        inner = SectionContainer.from_bytes(
-            backend.decompress(blob.container.get_section(entry["section"]))
-        )
+        inner = open_section(blob, entry["section"])
         sizes += [inner.section_size(name) for name in models if name in inner.section_names()]
     return sum(sizes), len(sizes)
+
+
+#: Split layout: deflate buys nothing on a long entropy-coded stream, so a
+#: section whose ``codes_payload`` is at least ``SPLIT_MIN_BYTES`` and fails
+#: the probe is its ``<cII`` record (``b"S"``, deflated and stored lengths),
+#: the rest of the section deflated, then the stream as it is.  Any other
+#: section is deflated whole, as older builds wrote every one: a zlib stream,
+#: whose first byte has 8 in its low nibble, never ``S`` (nor is the container
+#: magic's ``O``).  Only deflate writes or reads the record.  The probe
+#: deflates ``_PROBE_WINDOWS`` evenly spaced ``_PROBE_BYTES`` windows; the
+#: stream is stored unless they shrink by more than ``_PROBE_MIN_SAVING``.
+#: Blob bytes against the whole layout, REL 1e-3, 32-blocks, shared or not,
+#: adaptive or not (``tests/test_section_layout.py --table``):
+#:
+#:   application  huffman          rans
+#:   miranda      -1.01..-0.68 %   -0.97..-0.43 %
+#:   nyx          -0.92..-0.50 %   -0.91..-0.47 %
+#:   isabel       -1.45..-1.02 %   -1.41..-0.83 %
+#:   qmcpack       0               -1.15..-0.02 %  (long runs of 1-bit zero codes:
+#:   rtm           0               -0.27..+0.32 %   deflate still shrinks those)
+#:   cesm, hacc    0                0              (2-D / 1-D blocks: short streams)
+SPLIT_MIN_BYTES = 4096
+_PROBE_WINDOWS, _PROBE_BYTES, _PROBE_MIN_SAVING = 4, 1024, 0.01
+_SPLIT = struct.Struct("<cII")
+
+
+def pack_section(lossless: LosslessBackend, inner: SectionContainer) -> Callable[[], bytes]:
+    """``inner``'s trip through the lossless stage, split or whole: the one way a section
+    is written.  Its containers are serialised here; the returned call runs the probe
+    and the deflate, which release the GIL (work for the helper lane, if any)."""
+    whole = inner.to_bytes()
+    stream = inner.get_section("codes_payload") if "entropy" in inner.header else b""
+    if lossless.name != "deflate" or len(stream) < SPLIT_MIN_BYTES:
+        return partial(lossless.compress, whole)
+    side = SectionContainer(inner.header)
+    for name in (name for name in inner.section_names() if name != "codes_payload"):
+        side.add_section(name, inner.get_section(name))
+    return partial(_split_or_whole, lossless.compress, whole, side.to_bytes(), stream)
+
+
+def _split_or_whole(compress: Callable, whole: bytes, side: bytes, stream: bytes) -> bytes:
+    """Whole if the probe of ``stream`` says deflate shrinks it, else split."""
+    step = (len(stream) - _PROBE_BYTES) // (_PROBE_WINDOWS - 1)
+    probe = b"".join(stream[i * step : i * step + _PROBE_BYTES] for i in range(_PROBE_WINDOWS))
+    if len(zlib.compress(probe)) < len(probe) * (1 - _PROBE_MIN_SAVING):
+        return compress(whole)
+    body = compress(side)
+    return _SPLIT.pack(b"S", len(body), len(stream)) + body + stream
+
+
+def inflate_section(blob: CompressedBlob, name: str) -> Tuple[bytes, Optional[bytes]]:
+    """``blob``'s section ``name`` out of the lossless stage: the inner container's bytes
+    and, split, the stored stream.  :func:`open_section`'s GIL-free half, for the lane."""
+    lossless = get_lossless_backend(blob.container.header.get("lossless_backend", "deflate"))
+    section = blob.container.get_section(name)
+    if lossless.name != "deflate" or section[:1] != b"S":
+        return lossless.decompress(section), None
+    head = section[: _SPLIT.size]
+    if len(head) < _SPLIT.size or _SPLIT.size + sum(_SPLIT.unpack(head)[1:]) != len(section):
+        raise EncodingError(f"split section {name!r} is truncated or its layout record garbled")
+    end = _SPLIT.size + _SPLIT.unpack(head)[1]
+    return lossless.decompress(section[_SPLIT.size : end]), section[end:]
+
+
+def open_section(blob: CompressedBlob, name: str, raw: Optional[tuple] = None) -> SectionContainer:
+    """``blob``'s section ``name`` parsed, in either layout, from its :func:`inflate_section`
+    (run here unless ``raw`` holds it): the one way a section is read."""
+    data, stored = inflate_section(blob, name) if raw is None else raw
+    inner = SectionContainer.from_bytes(data)
+    if stored is not None:
+        inner.add_section("codes_payload", stored)
+    return inner
 
 
 def _huffman_stream(inner: SectionContainer) -> HuffmanStream:

@@ -43,7 +43,7 @@ from ..interface import CompressedBlob, Compressor, dtype_name
 from ..predictors.base import Predictor
 from .dedup import BlockResult, block_entry, entry_meta, expand_aliases, group_identical_blocks
 from .block import BlockStages
-from .encoding import ENTROPY_STAGES, EncodingWire, SharedBook
+from .encoding import ENTROPY_CODED, ENTROPY_STAGES, EncodingWire, SharedBook
 
 __all__ = ["PipelineConfig", "PredictionPipelineCompressor"]
 
@@ -387,8 +387,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         block's symbols are entropy-coded against the file-wide model; a
         block whose alphabet escapes it falls back to its own per-block
         model (recorded in the index entry).  With ``defer`` (only
-        :meth:`_start_block` passes it) the payload may still be on the
-        helper lane.
+        :meth:`_start_block` passes it) the entry is final but the payload
+        may wait for :meth:`settle`: a rANS stream, a helper-lane deflate.
         """
         choice = self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs)
         result = self._finish_block(spec, *choice, shared_book)
@@ -505,18 +505,23 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         if tier not in ("blob", "block"):
             raise ConfigurationError(f"unknown cache tier {tier!r}")
         whole = tier == "blob"
+        coded = self.config.entropy_stage in ENTROPY_CODED
         extra: Dict[str, Any] = {
             "entropy": self.config.entropy_stage,
             "lossless": self._lossless.name,
         }
+        if whole and coded:  # a long coded stream deflate cannot shrink is stored as it is
+            extra["section_layout"] = "split"
         if not whole:
             # Bumped when the per-block payload layout changes (v2:
             # per-section entropy tags + adaptive codec choice; v3:
             # Huffman sync index; v4: adaptive candidates ranked on their
             # histograms; v5: the codec is the configured stage, never
-            # chosen per block), so entries cached by older builds cannot
-            # be served into blobs they would not be byte-identical with.
-            extra["block_format"] = 5
+            # chosen per block; v6: the split section layout, which only
+            # entropy-coded sections take), so entries cached by older
+            # builds cannot be served into blobs they would not be
+            # byte-identical with.
+            extra["block_format"] = 6 if coded else 5
         return pipeline_fingerprint(
             compressor=(self.registered_as or self.name) if whole else self.name,
             error_bound_abs=error_bound_abs,
@@ -529,12 +534,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     # ------------------------------------------------------------------ #
     # Block plan: decode
     # ------------------------------------------------------------------ #
-    def _backend_for(self, blob: CompressedBlob) -> LosslessBackend:
-        backend_name = blob.container.header.get("lossless_backend", self._lossless.name)
-        if backend_name == self._lossless.name:
-            return self._lossless
-        return get_lossless_backend(backend_name)
-
     def decompress_block(self, blob: CompressedBlob, block_id: int) -> np.ndarray:
         """Random-access decode of a single block.
 

@@ -180,13 +180,6 @@ class TransferReport:
             return None
         return (self.direct_transfer_s - self.total_s) / self.direct_transfer_s
 
-    @property
-    def speedup_vs_direct(self) -> Optional[float]:
-        """End-to-end speed-up relative to the direct (no compression) transfer."""
-        if self.direct_transfer_s is None or self.total_s <= 0:
-            return None
-        return self.direct_transfer_s / self.total_s
-
     def as_dict(self) -> Dict[str, object]:
         """Flatten the report to a dictionary (for JSON/analysis tooling)."""
         return {

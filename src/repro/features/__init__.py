@@ -14,22 +14,12 @@ from .vector import FeatureVector, FEATURE_NAMES
 from .config_features import ConfigFeatures, extract_config_features
 from .data_features import DataFeatures, extract_data_features
 from .compressor_features import (
-    CompressorFeatures,
-    extract_compressor_features,
-    run_length_estimator,
+    CompressorFeatures, extract_compressor_features, run_length_estimator,
 )
 from .extractor import FeatureExtractor, ExtractionResult
 
 __all__ = [
-    "FeatureVector",
-    "FEATURE_NAMES",
-    "ConfigFeatures",
-    "DataFeatures",
-    "CompressorFeatures",
-    "extract_config_features",
-    "extract_data_features",
-    "extract_compressor_features",
-    "run_length_estimator",
-    "FeatureExtractor",
-    "ExtractionResult",
+    "FeatureVector", "FEATURE_NAMES", "ConfigFeatures", "DataFeatures", "CompressorFeatures",
+    "extract_config_features", "extract_data_features", "extract_compressor_features",
+    "run_length_estimator", "FeatureExtractor", "ExtractionResult",
 ]

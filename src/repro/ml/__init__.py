@@ -11,22 +11,12 @@ from __future__ import annotations
 from .decision_tree import DecisionTreeRegressor
 from .random_forest import RandomForestRegressor
 from .metrics import (
-    mean_absolute_error,
-    root_mean_squared_error,
-    r2_score,
-    prediction_error_interval,
+    mean_absolute_error, root_mean_squared_error, r2_score, prediction_error_interval,
 )
 from .model_io import model_to_dict, model_from_dict, save_model, load_model
 
 __all__ = [
-    "DecisionTreeRegressor",
-    "RandomForestRegressor",
-    "mean_absolute_error",
-    "root_mean_squared_error",
-    "r2_score",
-    "prediction_error_interval",
-    "model_to_dict",
-    "model_from_dict",
-    "save_model",
-    "load_model",
+    "DecisionTreeRegressor", "RandomForestRegressor", "mean_absolute_error",
+    "root_mean_squared_error", "r2_score", "prediction_error_interval", "model_to_dict",
+    "model_from_dict", "save_model", "load_model",
 ]

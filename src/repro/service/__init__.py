@@ -23,17 +23,7 @@ from .spec import TransferSpec
 from .store import JobStore, atomic_write_text
 
 __all__ = [
-    "OcelotService",
-    "RecoveryResult",
-    "TransferSpec",
-    "TenantQuota",
-    "JobHandle",
-    "JobStatus",
-    "JobEvent",
-    "JobScheduler",
-    "JobStore",
-    "PhaseSpan",
-    "TransferJob",
-    "UnitPool",
+    "OcelotService", "RecoveryResult", "TransferSpec", "TenantQuota", "JobHandle", "JobStatus",
+    "JobEvent", "JobScheduler", "JobStore", "PhaseSpan", "TransferJob", "UnitPool",
     "atomic_write_text",
 ]

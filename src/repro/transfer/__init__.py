@@ -16,28 +16,12 @@ from .endpoint import GlobusEndpoint
 from .network import WANLink, NetworkTopology
 from .gridftp import GridFTPSettings, GridFTPEngine, TransferEstimate
 from .service import (
-    StreamChunk,
-    TransferRequest,
-    TransferService,
-    TransferStream,
-    TransferTask,
+    StreamChunk, TransferRequest, TransferService, TransferStream, TransferTask,
 )
 from .testbed import Testbed, build_testbed
 
 __all__ = [
-    "SimulatedFileSystem",
-    "FileEntry",
-    "GlobusEndpoint",
-    "WANLink",
-    "NetworkTopology",
-    "GridFTPSettings",
-    "GridFTPEngine",
-    "TransferEstimate",
-    "TransferService",
-    "TransferRequest",
-    "TransferTask",
-    "TransferStream",
-    "StreamChunk",
-    "Testbed",
-    "build_testbed",
+    "SimulatedFileSystem", "FileEntry", "GlobusEndpoint", "WANLink", "NetworkTopology",
+    "GridFTPSettings", "GridFTPEngine", "TransferEstimate", "TransferService", "TransferRequest",
+    "TransferTask", "TransferStream", "StreamChunk", "Testbed", "build_testbed",
 ]

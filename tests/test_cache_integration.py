@@ -210,15 +210,19 @@ class TestKeySeparation:
     #: when the per-block codec rule went (block keys only,
     #: ``block_format`` 5: older builds stored rANS payloads under a
     #: Huffman fingerprint) — a cache warmed by an older build must miss
-    #: rather than serve bytes this build would not write.
+    #: rather than serve bytes this build would not write.  The keys of
+    #: entropy-coded pipelines moved a third time with the split section
+    #: layout (``section_layout`` in the whole-blob fingerprint,
+    #: ``block_format`` 6); ``sz3-fast``, whose bytes did not move, kept its.
     PINNED_KEYS = [
         (
             dict(compressor="sz3", block_size=32),
             {"adaptive_predictor": False, "block_shape": 32,
              "codebook_mode": "shared", "compressor": "sz3", "entropy": "huffman",
-             "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
-            "a16a4e87cc94889264be6c08500a6dfe",
-            "964ea24114b6c92c6c89daa023921da8",
+             "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate",
+             "section_layout": "split"},
+            "6c8209d8ac2900d695ff58f0596f2c0b",
+            "ef82e901c8bf3a5f1c9c17fed16e917c",
         ),
         (
             dict(compressor="sz3-fast"),
@@ -233,9 +237,10 @@ class TestKeySeparation:
                  adaptive_predictor=True, shared_codebook=False),
             {"adaptive_predictor": True, "block_shape": 32,
              "codebook_mode": "per-block", "compressor": "sz3", "entropy": "rans",
-             "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
-            "67787b98a8903802ec9ef75d2e274a58",
-            "0bb759a8257877b83e789b49f1531041",
+             "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate",
+             "section_layout": "split"},
+            "2f71318d4e981b80bc626afe3da6d94b",
+            "6097444a262a81a1bfcbeac50f0c491e",
         ),
     ]
 
@@ -252,8 +257,41 @@ class TestKeySeparation:
         assert compressor.cache_fingerprint(1e-3) == fingerprint
         assert blob_cache_key("ab" * 16, fingerprint) == blob_key
         block_fingerprint = compressor.cache_fingerprint(1e-3, tier="block")
-        assert block_fingerprint["block_format"] == 5
+        assert block_fingerprint["block_format"] == (5 if fingerprint["entropy"] == "none" else 6)
         assert block_cache_key("ab" * 16, block_fingerprint) == block_key
+
+    @pytest.mark.parametrize("stage", ["huffman", "rans"])
+    def test_a_cache_filled_by_the_whole_section_layout_misses(
+        self, tmp_path, monkeypatch, stage
+    ):
+        """Older builds wrote every section whole, under a whole-blob
+        fingerprint without ``section_layout``.  Such a cache must miss:
+        serving it would ship bytes a fresh encode no longer writes."""
+        from repro.compression.sz import encoding
+        from repro.compression.sz.pipeline import PredictionPipelineCompressor
+        from repro.datasets import generate_application
+
+        dataset = generate_application("miranda", snapshots=1, scale=0.12, seed=3)
+        dataset = ScientificDataset("layout", dataset.fields[:1])
+        config = _config(tmp_path, compressor="sz3", block_size=32, entropy_stage=stage)
+
+        def run():
+            report = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+            return report, report.transferred_bytes
+
+        real = PredictionPipelineCompressor.cache_fingerprint
+        with monkeypatch.context() as older:
+            older.setattr(encoding, "SPLIT_MIN_BYTES", 1 << 40)
+            older.setattr(PredictionPipelineCompressor, "cache_fingerprint", lambda self, *a, **k: {
+                key: value for key, value in real(self, *a, **k).items() if key != "section_layout"
+            })
+            filled, whole_bytes = run()
+        assert filled.cache_misses == 1
+        fresh, split_bytes = run()
+        assert (fresh.cache_hits, fresh.cache_misses) == (0, 1)
+        assert split_bytes < whole_bytes
+        warm, warm_bytes = run()
+        assert (warm.cache_hits, warm_bytes) == (1, split_bytes)
 
     def test_differing_data_never_shares_entries(self, tmp_path):
         Ocelot(_config(tmp_path)).transfer_dataset(

@@ -341,7 +341,6 @@ class TestPlannerAndReporting:
         )
         assert report.total_s == pytest.approx(15.0)
         assert report.gain_vs_direct == pytest.approx(0.75)
-        assert report.speedup_vs_direct == pytest.approx(4.0)
         assert "cesm" in report.summary()
         assert report.as_dict()["gain_vs_direct"] == pytest.approx(0.75)
 
@@ -352,4 +351,3 @@ class TestPlannerAndReporting:
             compression_ratio=1.0, timings=PhaseTimings(transfer_s=1.0),
         )
         assert report.gain_vs_direct is None
-        assert report.speedup_vs_direct is None

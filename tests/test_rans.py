@@ -4,7 +4,8 @@ Covers the frequency model's corners (single-symbol alphabets, skew far
 past the 12-bit quantisation resolution, alphabets too large for a
 table), the codec's round-trip contract across stream shapes, the
 lockstep batch decode (equal to decoding each stream alone, and failing
-whole on any corrupt member), and the
+whole on any corrupt member), the lockstep batch encode (byte-equal to a
+scalar one-lane-at-a-time reference, inside the pipeline too), and the
 pipeline-level fallback: a block whose alphabet cannot fit a rANS table
 must degrade to Huffman *inside* a rans-configured pipeline and say so
 in its per-block codec tag.
@@ -12,22 +13,26 @@ in its per-block codec tag.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import struct
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.compression import ErrorBound, create_blocked_compressor
+from repro.compression import CompressedBlob, ErrorBound, create_blocked_compressor
 from repro.compression.encoders.huffman import symbol_frequencies
 from repro.compression.encoders.rans import (
     MAX_TABLE_SYMBOLS,
     PROB_SCALE,
     RansCodec,
     RansFrequencyTable,
+    _pick_lanes,
     quantize_frequencies,
 )
+from repro.compression.sz.pipeline import PredictionPipelineCompressor
+from repro.datasets import generate_field
 from repro.errors import EncodingError
 
 _SETTINGS = settings(
@@ -239,6 +244,136 @@ class TestRansBatchDecode:
         batch[victim] = corrupt
         with pytest.raises(EncodingError):
             codec.decode_streams(batch)
+
+
+def _reference_encode(symbols: np.ndarray, table: RansFrequencyTable) -> Optional[bytes]:
+    """Scalar rANS, one lane at a time, written from the module docstring.
+
+    Symbol ``i`` is on lane ``i % lanes``, the last round is padded with
+    the table's most probable symbol, each lane starts at ``2**16`` and
+    walks its rounds backwards, emitting its low 16 bits before a step
+    that would leave 32 bits; the word stream is every emitted word in
+    round order, ascending lanes within a round.
+    """
+    if symbols.size == 0:
+        return b""
+    freq = dict(zip(table.symbols.tolist(), table.freqs.tolist()))
+    cum = dict(zip(table.symbols.tolist(), table.cum.tolist()))
+    if not set(symbols.tolist()) <= freq.keys():
+        return None
+    lanes = _pick_lanes(symbols.size)
+    rounds = -(-symbols.size // lanes)
+    modal = table.symbols.tolist()[int(np.argmax(table.freqs))]
+    padded = symbols.tolist() + [modal] * (rounds * lanes - symbols.size)
+    states, emitted = [], []
+    for lane in range(lanes):
+        x = 1 << 16
+        for r in reversed(range(rounds)):
+            f, c = freq[padded[r * lanes + lane]], cum[padded[r * lanes + lane]]
+            if x >= f << 20:
+                emitted.append((r, lane, x & 0xFFFF))
+                x >>= 16
+            x = (x // f << 12) + x % f + c
+        states.append(x)
+    words = [word for _, _, word in sorted(emitted)]
+    header = struct.pack("<BBHIQ", 1, lanes.bit_length() - 1, 0, len(words), symbols.size)
+    return header + struct.pack(f"<{lanes}I", *states) + struct.pack(f"<{len(words)}H", *words)
+
+
+@st.composite
+def _encode_batches(draw) -> List[Tuple[np.ndarray, RansFrequencyTable]]:
+    """A shuffled batch of ``(symbols, table)`` streams.
+
+    Up to eight random streams of 1-3000 symbols (so several round
+    counts, lane widths and paddings), each with its own table or one
+    table pooled over the batch, plus a constant stream on its own table
+    (its one symbol at frequency ``PROB_SCALE``) and an empty stream.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=8))
+    scales = draw(st.lists(st.sampled_from([0.3, 2.0, 40.0]), min_size=len(sizes),
+                           max_size=len(sizes)))
+    streams = [np.round(rng.laplace(0.0, b, n)).astype(np.int64) for n, b in zip(sizes, scales)]
+    pooled = RansFrequencyTable.from_frequencies(symbol_frequencies(np.concatenate(streams)))
+    shared = draw(st.lists(st.booleans(), min_size=len(streams), max_size=len(streams)))
+    batch = [
+        (s, pooled if use else RansFrequencyTable.from_frequencies(symbol_frequencies(s)))
+        for s, use in zip(streams, shared)
+    ]
+    constant = np.full(draw(st.integers(1, 3000)), -5, dtype=np.int64)
+    batch.append((constant, RansFrequencyTable.from_frequencies({-5: constant.size})))
+    batch.append((np.zeros(0, dtype=np.int64), pooled))
+    order = draw(st.permutations(range(len(batch))))
+    return [batch[i] for i in order]
+
+
+class TestRansBatchEncode:
+    @_SETTINGS
+    @given(batch=_encode_batches())
+    def test_batch_equals_the_scalar_reference_and_round_trips(self, batch):
+        codec = RansCodec()
+        payloads = codec.encode_streams(batch)
+        assert payloads == [_reference_encode(symbols, table) for symbols, table in batch]
+        assert PROB_SCALE in {int(table.freqs.max()) for _, table in batch}
+        triples = [(p, t.serialize(), s.size) for p, (s, t) in zip(payloads, batch)]
+        for (symbols, _), decoded in zip(batch, codec.decode_streams(triples)):
+            assert np.array_equal(decoded, symbols)
+
+    @_SETTINGS
+    @given(batch=_encode_batches(), data=st.data())
+    def test_a_stream_that_escapes_its_table_leaves_the_others_alone(self, batch, data):
+        codec = RansCodec()
+        alone = codec.encode_streams(batch)
+        victim = data.draw(st.sampled_from([i for i, (s, _) in enumerate(batch) if s.size]))
+        symbols = batch[victim][0]
+        batch[victim] = (symbols, RansFrequencyTable.from_frequencies({int(symbols.max()) + 1: 1}))
+        escaped = codec.encode_streams(batch)
+        assert escaped[victim] is None
+        assert escaped[:victim] + escaped[victim + 1:] == alone[:victim] + alone[victim + 1:]
+
+
+class TestPipelineBatchEncode:
+    """A 40x70x33 Miranda crop in 32^3 blocks: interpolation and Lorenzo
+    blocks of 32 767 down to 48 symbols give one file's batch three round
+    counts (64, 48 and 32)."""
+
+    @staticmethod
+    def _blobs(shared: bool) -> Tuple[bytes, bytes]:
+        field = generate_field("miranda", "density", scale=0.25, seed=12).data[:40, :70, :33]
+        compressor = create_blocked_compressor(
+            "sz3", block_shape=32, entropy_stage="rans", adaptive_predictor=True,
+            shared_codebook=shared,
+        )
+        bound = ErrorBound.relative(1e-3).absolute_for(field)
+        bulk = compressor.compress(field, ErrorBound(value=bound, mode="abs"), verify=False).blob
+        # The streamed encode (``StreamingPipeline._encode_file``): a
+        # sampled shared table, every block started, then one settle.
+        plan = compressor.block_plan(field)
+        book = compressor.prepare_shared_codebook(field, plan, bound)
+        header = compressor.blocked_header(field, plan, bound, shared_book=book)
+        started = [compressor._start_block(field, plan, spec, bound, book) for spec in plan]
+        streamed = CompressedBlob.assemble(header, compressor.settle(started))
+        assert set(bulk.metadata["block_codecs"]) == {"rans"}
+        return bulk.to_bytes(), streamed.to_bytes()
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-block", "shared"])
+    def test_a_files_batch_writes_what_blocks_settled_one_by_one_write(self, monkeypatch, shared):
+        rounds: List[set] = []
+        real_encode = RansCodec.encode_streams
+
+        def spy(self, streams):
+            rounds.append({-(-s.size // _pick_lanes(s.size)) for s, _ in streams})
+            return real_encode(self, streams)
+
+        monkeypatch.setattr(RansCodec, "encode_streams", spy)
+        batched = self._blobs(shared)
+        assert rounds == [{32, 48, 64}] * 2  # one batch per file: bulk, then streamed
+        real_settle = PredictionPipelineCompressor.settle
+        monkeypatch.setattr(
+            PredictionPipelineCompressor, "settle",
+            lambda self, results: [real_settle(self, [result])[0] for result in results],
+        )
+        assert self._blobs(shared) == batched
 
 
 class TestPipelineFallback:

@@ -25,6 +25,7 @@ from repro.compression.encoders import huffman_decode
 from repro.compression.encoders.huffman import HuffmanCodebook
 from repro.compression.encoders.lossless import get_lossless_backend
 from repro.compression.interface import SectionContainer
+from repro.compression.sz.encoding import open_section
 from repro.core import Ocelot, OcelotConfig
 from repro.datasets import generate_application
 from repro.errors import CompressionError
@@ -166,14 +167,15 @@ def _without_sync_index(payload: bytes) -> tuple:
     """``payload`` as an older build wrote it, and how many indexes that removed.
 
     Every section of the outer container is one encoding's inner
-    container behind the lossless stage; the index is that container's
-    ``codes_sync`` section and ``huffman_sync_every`` header key.
+    container behind the lossless stage, opened as every reader opens it
+    and written back whole, as older builds wrote it; the index is that
+    container's ``codes_sync`` section and ``huffman_sync_every`` header key.
     """
     blob = CompressedBlob.from_bytes(payload)
     backend = get_lossless_backend(blob.container.header["lossless_backend"])
     removed = 0
     for name in blob.container.section_names():
-        inner = SectionContainer.from_bytes(backend.decompress(blob.container.get_section(name)))
+        inner = open_section(blob, name)
         bare = SectionContainer(
             {k: v for k, v in inner.header.items() if k != "huffman_sync_every"}
         )

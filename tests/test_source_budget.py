@@ -32,8 +32,12 @@ MAX_CORE_FUNCTION_LINES = 90
 #: before the helper lane came in, paid for by four names nothing called
 #: and by wrapping one-name-per-line ``__all__`` / import lists, 16 310
 #: before the FaaS layer shrank to the batch scheduler plus a site table
-#: and two package roots stopped re-exporting names nobody imported).
-MAX_SRC_LINES = 15_942
+#: and two package roots stopped re-exporting names nobody imported,
+#: 15 942 before long entropy-coded streams were stored split and a
+#: file's rANS streams encoded as one batch, paid for by the per-stream
+#: encode loop, ``speedup_vs_direct``, the pipeline's own backend lookup
+#: and by wrapping one-name-per-line ``__all__`` / import lists).
+MAX_SRC_LINES = 15_933
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
@@ -87,6 +91,13 @@ FAAS_SERVICE = re.compile(
 #: result record and block-size helper it once kept are gone.
 ONE_DESTINATION = ("require_error_bound(", '"/decompressed/')
 GONE = re.compile(r"StreamingOutcome|spec_nbytes")
+
+
+#: A file's rANS streams encode as one lockstep batch, as they decode: the
+#: batch's loop is ``rans.py``'s one walk over rounds in reverse (a lone
+#: stream is a batch of one), and the block stages code no stream alone.
+RANS_ENCODE = SRC / "compression" / "encoders" / "rans.py"
+ONE_STREAM_ENCODE = "encode_with_table("
 
 
 def test_no_new_file_over_600_lines():
@@ -211,3 +222,18 @@ def test_a_site_is_its_batch_scheduler():
         if FAAS_SERVICE.search(line)
     }
     assert not found
+
+
+def test_rans_encodes_in_one_batch_loop():
+    backward_loops = [
+        node.lineno
+        for node in ast.walk(ast.parse(RANS_ENCODE.read_text()))
+        if isinstance(node, ast.For)
+        and ast.unparse(node.iter).startswith("range(")
+        and ast.unparse(node.iter).endswith(", -1, -1)")
+    ]
+    assert len(backward_loops) == 1
+    assert [
+        path.name for path in (SRC / "compression" / "sz").glob("*.py")
+        if ONE_STREAM_ENCODE in path.read_text()
+    ] == []
