@@ -1,46 +1,37 @@
 """Canonical Huffman coding for integer symbol streams.
 
 The SZ family encodes quantisation bins with Huffman coding before a
-final dictionary/LZ pass.  Besides the actual codec, this module exposes
-:func:`huffman_code_lengths` and :class:`HuffmanCodebook.zero_symbol_share`,
-which the quality-prediction features (``P0`` — the share of the encoded
-stream occupied by the zero bin) are computed from without needing to
-materialise the encoded bit stream.
+final dictionary/LZ pass.  The model is arrays throughout:
 
-The codec itself is table-driven and vectorised:
+* A :class:`Histogram` is two aligned arrays, distinct symbols ascending
+  and their counts (``np.bincount`` over quantiser output's bounded span).
+* :func:`huffman_code_lengths` orders the leaves by (count, symbol) with
+  one ``lexsort`` and merges them two-queue style (van Leeuwen, 1976): the
+  one per-symbol Python left is that merge scan over plain ints, which
+  records parents; pointer jumping turns them into depths.
+  :func:`length_limited_code_lengths` caps them at :data:`MAX_CODE_LENGTH`
+  bits and repairs the Kraft sum in whole vectorised passes.
+* A :class:`HuffmanCodebook` is symbols and lengths sorted by symbol; its
+  canonical codes are one ``lexsort`` and an exclusive prefix sum.  The
+  quality features read :meth:`HuffmanCodebook.zero_symbol_share` (the
+  paper's ``P0``) off the unlimited lengths without encoding anything.
 
-* **Encoding** counts frequencies with ``np.bincount`` (quantiser output
-  has a bounded alphabet), builds a *length-limited* canonical codebook
-  (codes capped at :data:`MAX_CODE_LENGTH` bits), gathers per-symbol
-  codes/lengths through dense lookup tables, and packs the bit stream
-  from cumulative bit offsets: three ``np.bincount`` byte sums for codes
-  of <= 16 bits (:func:`_pack_codes_16`), ``np.repeat`` + ``np.packbits``
-  otherwise (:func:`_pack_codes`).  The same offsets say where symbols
-  ``K, 2K, 3K, ...`` start (K = :data:`SYNC_INTERVAL`): a stream of more
-  than K symbols comes back as a :class:`SyncedPayload` carrying those
-  distances, the *sync index* the decoder cannot recover on its own.
-* **Decoding** lives in :mod:`.huffman_decode`: one flat ``2**max_len``
-  lookup table and two walks over it, selected by what the input holds —
-  *lockstep lanes* over the sync points of every stream in a batch (a
-  cost per symbol), *pointer jumping* for streams without an index and
-  batches too small to fill the lanes (a cost per bit position).  The
-  seed per-bit decoder is retained as :meth:`HuffmanCodec.decode_bitloop`
-  — the fallback for legacy codebooks whose unlimited code lengths exceed
-  the LUT budget, and the reference the tests and the throughput
-  benchmark measure against.
-
-Codebooks serialise exactly as before ((symbol, length) int64 pairs), so
-blobs written by earlier revisions decode unchanged and new blobs remain
-readable by the canonical-code definition alone; ``codes_payload`` is
-bit for bit what earlier revisions wrote, the index rides beside it.
+Encoding gathers per-symbol codes and lengths through dense tables and
+packs the stream from cumulative bit offsets: three ``np.bincount`` byte
+sums for codes of <= 16 bits (:func:`_pack_codes_16`), ``np.repeat`` +
+``np.packbits`` otherwise (:func:`_pack_codes`, the general reference).
+The same offsets give the *sync index* — where symbols ``K, 2K, ...``
+start — that a stream of more than K symbols carries as a
+:class:`SyncedPayload`.  Decoding lives in :mod:`.huffman_decode`.
+Codebooks serialise as int64 (symbol, length) pairs, as they always
+have, so stored blobs decode unchanged, bit for bit.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +40,9 @@ from .huffman_decode import _LUT_MAX_BITS, HuffmanStream, LutDecoder
 from .huffman_decode import decode_bitloop as _decode_bitloop
 
 __all__ = [
-    "HuffmanCodebook", "HuffmanCodec", "HuffmanStream", "SYNC_INTERVAL", "SyncedPayload",
-    "huffman_code_lengths", "length_limited_code_lengths", "symbol_frequencies",
-    "pooled_symbol_frequencies", "MAX_CODE_LENGTH",
+    "Histogram", "HuffmanCodebook", "HuffmanCodec", "HuffmanStream", "SYNC_INTERVAL",
+    "SyncedPayload", "huffman_code_lengths", "length_limited_code_lengths",
+    "symbol_frequencies", "pooled_symbol_frequencies", "MAX_CODE_LENGTH",
 ]
 
 #: Default cap on code lengths (bits).  Length-limiting keeps the decode
@@ -83,88 +74,113 @@ SYNC_INTERVAL = 256
 _DENSE_SPAN_LIMIT = 1 << 22
 
 
-def huffman_code_lengths(frequencies: Dict[int, int]) -> Dict[int, int]:
-    """Return the (unlimited) Huffman code length in bits of each symbol.
+class Histogram(NamedTuple):
+    """How often each symbol occurs: distinct ``symbols`` ascending, positive ``counts``."""
+
+    symbols: np.ndarray
+    counts: np.ndarray
+
+
+def _leaf_depths(weights: List[int]) -> np.ndarray:
+    """Depth of each leaf of the Huffman tree over ``weights`` (ascending, two or more).
+
+    Two queues: the leaves, and merged nodes as they are made (sums never
+    decrease, so it stays sorted).  Each step takes the two cheapest
+    heads, a merged node only when strictly cheaper than the next leaf —
+    the tie-break every stored codebook was built with — and records
+    their parent; pointer jumping sums the depths.
+    """
+    n = len(weights)
+    leaf = weights + [float("inf")]
+    merged = [float("inf")] * n  # the j-th merged node's weight, once made
+    parent = list(range(2 * n - 1))
+    i = j = 0
+    for node in range(n, 2 * n - 1):
+        if merged[j] < leaf[i]:
+            first, parent[n + j], j = merged[j], node, j + 1
+        else:
+            first, parent[i], i = leaf[i], node, i + 1
+        if merged[j] < leaf[i]:
+            merged[node - n], parent[n + j], j = first + merged[j], node, j + 1
+        else:
+            merged[node - n], parent[i], i = first + leaf[i], node, i + 1
+    up = np.array(parent, dtype=np.intp)
+    depth = np.ones(up.size, dtype=np.int64)
+    depth[-1] = 0
+    while np.any(up != up[-1]):
+        depth += depth[up]
+        up = up[up]
+    return depth[:n]
+
+
+def huffman_code_lengths(frequencies: Histogram) -> np.ndarray:
+    """The (unlimited) Huffman code length of each symbol, aligned with it.
 
     A single-symbol alphabet is assigned a 1-bit code.
-
-    Uses the two-queue construction: leaves sorted by (frequency,
-    symbol) in one queue, merged nodes in a second — merge sums are
-    non-decreasing, so the second queue stays sorted for free and each
-    step pops the two cheapest heads without heap maintenance.  Ties
-    resolve exactly as the previous heap implementation did (leaves
-    before merged nodes, older merged nodes first), so codebooks — and
-    therefore serialised blobs — are unchanged.
     """
-    symbols = [s for s, f in frequencies.items() if f > 0]
-    if not symbols:
-        return {}
-    if len(symbols) == 1:
-        return {symbols[0]: 1}
-    # Queue entries: (frequency, [list of (symbol, depth)]).
-    leaves = deque(
-        (frequencies[sym], [(sym, 0)])
-        for sym in sorted(symbols, key=lambda s: (frequencies[s], s))
-    )
-    merged: deque = deque()
-
-    def pop_min():
-        if merged and (not leaves or merged[0][0] < leaves[0][0]):
-            return merged.popleft()
-        return leaves.popleft()
-
-    for _ in range(len(symbols) - 1):
-        f1, group1 = pop_min()
-        f2, group2 = pop_min()
-        merged.append((f1 + f2, [(sym, depth + 1) for sym, depth in group1 + group2]))
-    return {sym: depth for sym, depth in merged[0][1]}
-
-
-def length_limited_code_lengths(
-    frequencies: Dict[int, int], max_length: int = MAX_CODE_LENGTH
-) -> Dict[int, int]:
-    """Huffman code lengths capped at ``max_length`` bits.
-
-    Lengths exceeding the cap are clamped and the Kraft inequality is
-    repaired by lengthening the least-frequent symbols; leftover Kraft
-    slack is then spent shortening the most frequent ones.  The result
-    is always a valid prefix code (Kraft sum <= 1) and equals the exact
-    Huffman lengths whenever those already fit the cap.
-    """
-    lengths = huffman_code_lengths(frequencies)
-    if not lengths or len(lengths) == 1:
-        return lengths
-    # A prefix code over n symbols needs at least ceil(log2(n)) bits.
-    min_feasible = int(np.ceil(np.log2(len(lengths))))
-    cap = max(int(max_length), min_feasible)
-    if max(lengths.values()) <= cap:
-        return lengths
-    lengths = {sym: min(length, cap) for sym, length in lengths.items()}
-    budget = 1 << cap
-    kraft = sum(1 << (cap - length) for length in lengths.values())
-    if kraft > budget:
-        # Lengthen the cheapest symbols first (deterministic order).
-        order = sorted(lengths, key=lambda s: (frequencies[s], s))
-        idx = 0
-        while kraft > budget:
-            sym = order[idx % len(order)]
-            if lengths[sym] < cap:
-                kraft -= 1 << (cap - lengths[sym] - 1)
-                lengths[sym] += 1
-            idx += 1
-    slack = budget - kraft
-    for sym in sorted(lengths, key=lambda s: (-frequencies[s], s)):
-        while lengths[sym] > 1:
-            cost = 1 << (cap - lengths[sym])
-            if cost > slack:
-                break
-            slack -= cost
-            lengths[sym] -= 1
+    symbols, counts = frequencies
+    lengths = np.ones(counts.size, dtype=np.int64)
+    if counts.size > 1:
+        leaves = np.lexsort((symbols, counts))
+        lengths[leaves] = _leaf_depths(counts[leaves].tolist())
     return lengths
 
 
-def symbol_frequencies(arr: np.ndarray) -> Dict[int, int]:
-    """Frequencies of each symbol in ``arr`` (int64), vectorised.
+def length_limited_code_lengths(
+    frequencies: Histogram, max_length: int = MAX_CODE_LENGTH
+) -> np.ndarray:
+    """Huffman code lengths capped at ``max_length`` bits.
+
+    Lengths exceeding the cap are clamped and the Kraft inequality is
+    repaired by lengthening the least-frequent symbols, round-robin in
+    (count, symbol) order; leftover slack is then spent shortening the
+    most frequent ones.  The result is always a prefix code and equals
+    the exact Huffman lengths whenever those already fit the cap.
+    """
+    lengths = huffman_code_lengths(frequencies)
+    n = lengths.size
+    if n <= 1:
+        return lengths
+    # A prefix code over n symbols needs at least ceil(log2(n)) bits.
+    cap = max(int(max_length), int(np.ceil(np.log2(n))))
+    if int(lengths.max()) <= cap:
+        return lengths
+    symbols, counts = frequencies
+    lengths = np.minimum(lengths, cap)
+    budget = 1 << cap
+    kraft = int(np.sum(1 << (cap - lengths)))
+    cheapest = np.lexsort((symbols, counts))
+    ordered = lengths[cheapest]
+    while kraft > budget:
+        # One pass lengthens every code under the cap, stopping at the
+        # first whose gain brings the sum within budget.
+        run = np.cumsum((1 << (cap - ordered)) >> 1)
+        stop = int(np.searchsorted(run, kraft - budget))
+        passed = ordered[: stop + 1]
+        passed += passed < cap
+        kraft -= int(run[min(stop, n - 1)])
+    lengths[cheapest] = ordered
+    slack = budget - kraft
+    dearest = np.lexsort((symbols, -counts))
+    ordered = lengths[dearest]
+    at = 0
+    while slack:
+        # Slack only shrinks: a symbol too dear to shorten now stays so.
+        rest = ordered[at:]
+        fits = np.flatnonzero((rest > 1) & ((1 << (cap - rest)) <= slack))
+        if not fits.size:
+            break
+        at += int(fits[0])
+        while ordered[at] > 1 and 1 << (cap - int(ordered[at])) <= slack:
+            slack -= 1 << (cap - int(ordered[at]))
+            ordered[at] -= 1
+        at += 1
+    lengths[dearest] = ordered
+    return lengths
+
+
+def symbol_frequencies(arr: np.ndarray) -> Histogram:
+    """The :class:`Histogram` of ``arr`` (as int64).
 
     Uses ``np.bincount`` over the value span when it is bounded — which
     quantiser output guarantees — and falls back to ``np.unique`` for
@@ -172,112 +188,128 @@ def symbol_frequencies(arr: np.ndarray) -> Dict[int, int]:
     """
     arr = np.asarray(arr, dtype=np.int64).ravel()
     if arr.size == 0:
-        return {}
+        return Histogram(arr, arr)
     lo = int(arr.min())
-    hi = int(arr.max())
-    span = hi - lo + 1
-    if span <= _DENSE_SPAN_LIMIT:
-        counts = np.bincount(arr - lo, minlength=span)
-        present = np.flatnonzero(counts)
-        return dict(zip((present + lo).tolist(), counts[present].tolist()))
-    uniques, counts = np.unique(arr, return_counts=True)
-    return dict(zip(uniques.tolist(), counts.tolist()))
+    span = int(arr.max()) - lo + 1
+    if span > _DENSE_SPAN_LIMIT:
+        return Histogram(*np.unique(arr, return_counts=True))
+    counts = np.bincount(arr - lo, minlength=span)
+    present = np.flatnonzero(counts)
+    return Histogram(present + lo, counts[present])
 
 
 def pooled_symbol_frequencies(
     streams: Sequence[np.ndarray], weights: Sequence[int]
-) -> Dict[int, int]:
-    """:func:`symbol_frequencies` of several streams, each counted ``weight`` times.
-
-    One histogram over the pooled value span and one dict at the end,
-    instead of a dict per stream merged key by key.
-    """
-    arrays = (np.asarray(stream, dtype=np.int64).ravel() for stream in streams)
-    pooled = [(arr, weight) for arr, weight in zip(arrays, weights) if arr.size]
+) -> Histogram:
+    """:func:`symbol_frequencies` of several streams, each counted ``weight`` times."""
+    pooled = [
+        (arr, weight)
+        for arr, weight in zip((np.asarray(s, dtype=np.int64).ravel() for s in streams), weights)
+        if arr.size
+    ]
     if not pooled:
-        return {}
+        return symbol_frequencies(np.zeros(0))
     lo = min(int(arr.min()) for arr, _ in pooled)
     span = max(int(arr.max()) for arr, _ in pooled) - lo + 1
     if span > _DENSE_SPAN_LIMIT:
-        frequencies: Dict[int, int] = {}
-        for arr, weight in pooled:
-            for sym, freq in symbol_frequencies(arr).items():
-                frequencies[sym] = frequencies.get(sym, 0) + freq * weight
-        return frequencies
+        symbols, where = np.unique(np.concatenate([arr for arr, _ in pooled]), return_inverse=True)
+        weight = np.repeat([w for _, w in pooled], [arr.size for arr, _ in pooled])
+        return Histogram(symbols, np.bincount(where, weights=weight).astype(np.int64))
     counts = np.zeros(span, dtype=np.int64)
     for arr, weight in pooled:
         counts += weight * np.bincount(arr - lo, minlength=span)
     present = np.flatnonzero(counts)
-    return dict(zip((present + lo).tolist(), counts[present].tolist()))
+    return Histogram(present + lo, counts[present])
 
 
-@dataclass
+@dataclass(eq=False)
 class HuffmanCodebook:
-    """A canonical Huffman codebook: symbol -> (code, length)."""
+    """A canonical Huffman codebook: ``symbols`` ascending, their ``lengths`` and ``codes``.
 
-    lengths: Dict[int, int]
-    codes: Dict[int, int]
+    Codes are canonical — assigned in (length, symbol) order, each the
+    previous plus one shifted to its length — and derived on
+    construction, which refuses lengths that are not a prefix code.
+    """
+
+    symbols: np.ndarray
+    lengths: np.ndarray
+    codes: np.ndarray = field(init=False, repr=False)
     #: Lazily built dense encode tables: (lo, code_table, length_table).
     _dense: Optional[Tuple[int, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False
     )
+
+    def __post_init__(self) -> None:
+        self.symbols = np.asarray(self.symbols, dtype=np.int64)
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        self.codes = np.zeros(self.symbols.size, dtype=np.uint64)
+        if not self.symbols.size:
+            return
+        if int(self.lengths.min()) < 1 or int(self.lengths.max()) > 64:
+            raise EncodingError("Huffman code lengths must lie in [1, 64]")
+        if np.any(self.symbols[1:] <= self.symbols[:-1]):
+            raise EncodingError("Huffman codebook symbols must be strictly increasing")
+        per_length = np.bincount(self.lengths, minlength=65).tolist()
+        if sum(count << (64 - n) for n, count in enumerate(per_length)) > 1 << 64:
+            raise EncodingError("Huffman code lengths are not a prefix code (Kraft sum > 1)")
+        # Code i, read as a binary fraction, is the Kraft sum of the codes
+        # before it: an exclusive prefix sum at the longest length, shifted
+        # down to each code's own (uint64 wraparound keeps it exact).
+        order = np.lexsort((self.symbols, self.lengths))
+        shift = np.uint64(self.lengths[order[-1]]) - self.lengths[order].astype(np.uint64)
+        step = np.left_shift(np.uint64(1), shift)
+        self.codes[order] = (np.cumsum(step) - step) >> shift
 
     @classmethod
     def from_frequencies(
-        cls, frequencies: Dict[int, int], max_length: Optional[int] = None
+        cls, frequencies: Histogram, max_length: Optional[int] = None
     ) -> "HuffmanCodebook":
-        """Build a canonical codebook from symbol frequencies.
+        """Build a canonical codebook from a symbol :class:`Histogram`.
 
         ``max_length`` caps code lengths (length-limited canonical code);
         ``None`` keeps the exact, unlimited Huffman lengths — what the
         quality-prediction features expect.
         """
         if max_length is None:
-            lengths = huffman_code_lengths(frequencies)
-        else:
-            lengths = length_limited_code_lengths(frequencies, max_length)
-        codes = _canonical_codes(lengths)
-        return cls(lengths=lengths, codes=codes)
+            return cls(frequencies.symbols, huffman_code_lengths(frequencies))
+        return cls(frequencies.symbols, length_limited_code_lengths(frequencies, max_length))
 
-    @classmethod
-    def from_lengths(cls, lengths: Dict[int, int]) -> "HuffmanCodebook":
-        """Rebuild a canonical codebook from symbol code lengths only."""
-        return cls(lengths=dict(lengths), codes=_canonical_codes(lengths))
-
-    def encoded_bit_size(self, frequencies: Dict[int, int]) -> int:
+    def encoded_bit_size(self, frequencies: Histogram) -> int:
         """Total encoded size in bits for the given symbol frequencies."""
-        return sum(self.lengths.get(sym, 0) * freq for sym, freq in frequencies.items())
+        return int(np.dot(self._lengths_of(frequencies.symbols), frequencies.counts))
 
-    def zero_symbol_share(self, frequencies: Dict[int, int], zero_symbol: int) -> float:
+    def zero_symbol_share(self, frequencies: Histogram, zero_symbol: int) -> float:
         """Fraction of encoded bits spent on ``zero_symbol`` (the paper's P0)."""
         total = self.encoded_bit_size(frequencies)
-        if total == 0:
-            return 0.0
-        zero_bits = self.lengths.get(zero_symbol, 0) * frequencies.get(zero_symbol, 0)
-        return zero_bits / total
+        zero = Histogram(*(part[frequencies.symbols == zero_symbol] for part in frequencies))
+        return self.encoded_bit_size(zero) / total if total else 0.0
+
+    def _lengths_of(self, symbols: np.ndarray) -> np.ndarray:
+        """Code length of each of ``symbols`` (ascending), 0 where the book has none."""
+        if not self.symbols.size:
+            return np.zeros(symbols.size, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.symbols, symbols), self.symbols.size - 1)
+        return np.where(self.symbols[at] == symbols, self.lengths[at], 0)
 
     def max_length(self) -> int:
         """Longest code length in the book (0 for an empty book)."""
-        return max(self.lengths.values()) if self.lengths else 0
+        return int(self.lengths.max()) if self.lengths.size else 0
 
     def serialize(self) -> bytes:
-        """Serialise the codebook as (symbol, length) pairs."""
-        items = sorted(self.lengths.items())
-        arr = np.array(items, dtype=np.int64)
-        return arr.tobytes()
+        """Serialise the codebook as int64 (symbol, length) pairs, by symbol."""
+        return np.column_stack((self.symbols, self.lengths)).tobytes()
 
     @classmethod
     def deserialize(cls, payload: bytes) -> "HuffmanCodebook":
-        """Rebuild a codebook from :meth:`serialize` output."""
-        arr = np.frombuffer(payload, dtype=np.int64)
-        if arr.size % 2 != 0:
-            raise EncodingError("corrupt Huffman codebook payload")
-        pairs = arr.reshape(-1, 2)
-        lengths = {int(sym): int(length) for sym, length in pairs}
-        return cls.from_lengths(lengths)
+        """Rebuild a codebook from :meth:`serialize` output; :class:`EncodingError`
+        unless it is whole pairs of a prefix code over ascending symbols."""
+        if len(payload) % 16:
+            raise EncodingError(f"corrupt Huffman codebook payload ({len(payload)} bytes)")
+        pairs = np.frombuffer(payload, dtype=np.int64).reshape(-1, 2)
+        return cls(pairs[:, 0], pairs[:, 1])
 
     # ------------------------------------------------------------------ #
-    # Dense encode tables
+    # Encode tables
     # ------------------------------------------------------------------ #
     def dense_tables(self) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
         """``(lo, code_table, length_table)`` spanning the symbol range.
@@ -285,21 +317,16 @@ class HuffmanCodebook:
         ``length_table`` is 0 for values with no code.  Returns ``None``
         when the book is empty or its value span is too wide to densify.
         """
-        if self._dense is not None:
-            return self._dense
-        if not self.lengths:
-            return None
-        lo = min(self.lengths)
-        hi = max(self.lengths)
-        span = hi - lo + 1
-        if span > _DENSE_SPAN_LIMIT:
-            return None
-        code_table = np.zeros(span, dtype=np.uint64)
-        length_table = np.zeros(span, dtype=np.uint8)
-        for sym, length in self.lengths.items():
-            code_table[sym - lo] = self.codes[sym]
-            length_table[sym - lo] = length
-        self._dense = (lo, code_table, length_table)
+        if self._dense is None and self.symbols.size:
+            lo = int(self.symbols[0])
+            span = int(self.symbols[-1]) - lo + 1
+            if span > _DENSE_SPAN_LIMIT:
+                return None
+            code_table = np.zeros(span, dtype=np.uint64)
+            length_table = np.zeros(span, dtype=np.uint8)
+            code_table[self.symbols - lo] = self.codes
+            length_table[self.symbols - lo] = self.lengths
+            self._dense = (lo, code_table, length_table)
         return self._dense
 
     def lookup(self, arr: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -324,32 +351,12 @@ class HuffmanCodebook:
 
     def _sparse_lookup(self, arr: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``lookup`` for alphabets too wide for a dense value table."""
-        if not self.lengths:
+        if not self.symbols.size:
             return None
-        symbols = np.array(sorted(self.lengths), dtype=np.int64)
-        idx = np.searchsorted(symbols, arr)
-        idx_clipped = np.clip(idx, 0, symbols.size - 1)
-        if arr.size and not bool(np.all(symbols[idx_clipped] == arr)):
+        idx = np.minimum(np.searchsorted(self.symbols, arr), self.symbols.size - 1)
+        if arr.size and not bool(np.all(self.symbols[idx] == arr)):
             return None
-        code_table = np.array([self.codes[int(s)] for s in symbols], dtype=np.uint64)
-        length_table = np.array([self.lengths[int(s)] for s in symbols], dtype=np.uint8)
-        return code_table[idx_clipped], length_table[idx_clipped]
-
-
-def _canonical_codes(lengths: Dict[int, int]) -> Dict[int, int]:
-    """Assign canonical codes (ordered by length then symbol value)."""
-    if not lengths:
-        return {}
-    ordered = sorted(lengths.items(), key=lambda kv: (kv[1], kv[0]))
-    codes: Dict[int, int] = {}
-    code = 0
-    prev_len = ordered[0][1]
-    for sym, length in ordered:
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
-    return codes
+        return self.codes[idx], self.lengths[idx].astype(np.uint8)
 
 
 class HuffmanCodec:
@@ -367,15 +374,11 @@ class HuffmanCodec:
         self._cache_lock = threading.Lock()
 
     def encode(self, symbols: np.ndarray) -> Tuple[bytes, bytes, int]:
-        """Encode ``symbols``.
-
-        Returns ``(payload, codebook_bytes, count)``; decoding requires all
-        three.
-        """
+        """Encode ``symbols`` as ``(payload, codebook_bytes, count)``, all three needed to decode."""
         arr = np.asarray(symbols, dtype=np.int64).ravel()
         count = int(arr.size)
         if count == 0:
-            return b"", HuffmanCodebook(lengths={}, codes={}).serialize(), 0
+            return b"", b"", 0
         frequencies = symbol_frequencies(arr)
         book = HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
         payload = self.encode_with_book(arr, book)
@@ -420,9 +423,7 @@ class HuffmanCodec:
         with self._cache_lock:
             decoder = self._decoders.get(codebook_bytes)
         if decoder is None:
-            book = HuffmanCodebook.deserialize(codebook_bytes)
-            if not book.lengths:
-                raise EncodingError("cannot decode with an empty Huffman codebook")
+            book = _decodable_book(codebook_bytes)
             if book.max_length() > _LUT_MAX_BITS:
                 # Legacy unlimited-length codebook: the LUT would not fit,
                 # use the reference per-bit decoder.
@@ -437,18 +438,18 @@ class HuffmanCodec:
     def decode_bitloop(
         self, payload: bytes, codebook_bytes: bytes, count: int
     ) -> np.ndarray:
-        """Reference bit-at-a-time decoder (the seed implementation).
-
-        Kept as the fallback for legacy codebooks whose code lengths
-        exceed the LUT budget and as the baseline the codec throughput
-        benchmark measures the table-driven decoders against.
-        """
+        """Reference bit-at-a-time decoder (the seed implementation): the fallback for
+        books too long for a LUT and the baseline the throughput benchmark measures."""
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        book = HuffmanCodebook.deserialize(codebook_bytes)
-        if not book.lengths:
-            raise EncodingError("cannot decode with an empty Huffman codebook")
-        return _decode_bitloop(payload, book, count)
+        return _decode_bitloop(payload, _decodable_book(codebook_bytes), count)
+
+
+def _decodable_book(codebook_bytes: bytes) -> HuffmanCodebook:
+    book = HuffmanCodebook.deserialize(codebook_bytes)
+    if not book.symbols.size:
+        raise EncodingError("cannot decode with an empty Huffman codebook")
+    return book
 
 
 class SyncedPayload(bytes):

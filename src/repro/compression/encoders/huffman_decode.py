@@ -29,7 +29,7 @@ compare against and for legacy codebooks too long for a table.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -111,20 +111,16 @@ class LutDecoder:
     def __init__(self, book) -> None:
         self.max_len = book.max_length()
         if not 0 < self.max_len <= _LUT_MAX_BITS:
-            raise EncodingError(
-                f"code lengths up to {self.max_len} bits exceed the LUT budget"
-            )
-        size = 1 << self.max_len
-        self.symbols = np.zeros(size, dtype=np.int64)
-        # 0 marks windows no code prefixes (possible when Kraft sum < 1):
-        # hitting one during decode means the stream is corrupt.
-        self.step = np.zeros(size, dtype=np.uint8)
-        for sym, length in book.lengths.items():
-            start = book.codes[sym] << (self.max_len - length)
-            end = start + (1 << (self.max_len - length))
-            self.symbols[start:end] = sym
-            self.step[start:end] = length
-        self._complete = not bool(np.any(self.step == 0))
+            raise EncodingError(f"code lengths up to {self.max_len} bits exceed the LUT budget")
+        # In canonical order each code owns the next 2**(max_len - length)
+        # windows.  The windows no code prefixes (Kraft sum < 1) get step 0:
+        # decoding one means the stream is corrupt.
+        order = np.lexsort((book.symbols, book.lengths))
+        runs = np.append(np.left_shift(1, self.max_len - book.lengths[order]), 0)
+        runs[-1] = (1 << self.max_len) - runs.sum()
+        self._complete = bool(runs[-1] == 0)
+        self.symbols = np.repeat(np.append(book.symbols[order], 0), runs)
+        self.step = np.repeat(np.append(book.lengths[order], 0).astype(np.uint8), runs)
         self._step_wide = self.step.astype(np.intp)  # adds to positions uncast
 
     # ------------------------------------------------------------------ #
@@ -379,13 +375,10 @@ class LutDecoder:
 
 def decode_bitloop(payload: bytes, book, count: int) -> np.ndarray:
     """Reference bit-at-a-time decoder (the seed implementation)."""
-    if len(book.lengths) == 1:
-        only = next(iter(book.lengths))
-        return np.full(count, only, dtype=np.int64)
-    # Build a (length, code) -> symbol map for canonical decoding.
-    decode_map: Dict[Tuple[int, int], int] = {
-        (length, book.codes[sym]): sym for sym, length in book.lengths.items()
-    }
+    if book.symbols.size == 1:
+        return np.full(count, book.symbols[0], dtype=np.int64)
+    # A (length, code) -> symbol map for canonical decoding.
+    decode_map = dict(zip(zip(book.lengths.tolist(), book.codes.tolist()), book.symbols.tolist()))
     max_len = book.max_length()
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     out = np.empty(count, dtype=np.int64)

@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...errors import EncodingError
-from .huffman import symbol_frequencies
+from .huffman import Histogram, symbol_frequencies
 
 __all__ = [
     "RansFrequencyTable", "RansCodec", "quantize_frequencies", "PROB_BITS", "PROB_SCALE",
@@ -169,7 +169,7 @@ class RansFrequencyTable:
     # ------------------------------------------------------------------ #
     @classmethod
     def try_from_frequencies(
-        cls, frequencies: Dict[int, int]
+        cls, frequencies: Histogram
     ) -> Optional["RansFrequencyTable"]:
         """Build a table, or ``None`` when the alphabet cannot fit one.
 
@@ -177,23 +177,19 @@ class RansFrequencyTable:
         :data:`MAX_TABLE_SYMBOLS` entries and symbol spans wider than the
         32-bit offsets of the serialised layout.
         """
-        if not frequencies or len(frequencies) > MAX_TABLE_SYMBOLS:
+        symbols, counts = frequencies
+        if not 0 < symbols.size <= MAX_TABLE_SYMBOLS:
             return None
-        n = len(frequencies)
-        symbols = np.fromiter(frequencies, dtype=np.int64, count=n)
-        counts = np.fromiter(frequencies.values(), dtype=np.int64, count=n)
-        order = np.argsort(symbols)
-        symbols, counts = symbols[order], counts[order]
         if int(symbols[-1]) - int(symbols[0]) >= 1 << 32:
             return None
         return cls(symbols, quantize_frequencies(counts))
 
     @classmethod
-    def from_frequencies(cls, frequencies: Dict[int, int]) -> "RansFrequencyTable":
+    def from_frequencies(cls, frequencies: Histogram) -> "RansFrequencyTable":
         table = cls.try_from_frequencies(frequencies)
         if table is None:
             raise EncodingError(
-                f"alphabet of {len(frequencies)} symbols does not fit a rANS table"
+                f"alphabet of {frequencies.symbols.size} symbols does not fit a rANS table"
             )
         return table
 

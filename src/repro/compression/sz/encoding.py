@@ -24,7 +24,7 @@ import numpy as np
 
 from ...errors import CompressionError, EncodingError
 from ..encoders.huffman import (
-    MAX_CODE_LENGTH, HuffmanCodebook, HuffmanCodec, HuffmanStream, SyncedPayload,
+    MAX_CODE_LENGTH, Histogram, HuffmanCodebook, HuffmanCodec, HuffmanStream, SyncedPayload,
     pooled_symbol_frequencies, symbol_frequencies,
 )
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
@@ -66,7 +66,7 @@ _ESCAPE_BYTES = 16
 _AUX_FRAME_BYTES = 64
 
 
-def estimated_bytes(encoding: PredictorOutput, frequencies: Dict[int, int]) -> float:
+def estimated_bytes(encoding: PredictorOutput, frequencies: Histogram) -> float:
     """Size statistic of one candidate encoding, from its code histogram.
 
     Zeroth-order entropy of the quantisation codes plus what the model,
@@ -75,13 +75,13 @@ def estimated_bytes(encoding: PredictorOutput, frequencies: Dict[int, int]) -> f
     predict compressed size, used to rank a block's candidates without
     serialising any of them.
     """
-    counts = np.fromiter(frequencies.values(), dtype=np.float64, count=len(frequencies))
+    counts = frequencies.counts.astype(np.float64)
     total = counts.sum()
     entropy_bits = total * np.log2(total) - np.dot(counts, np.log2(counts)) if total else 0.0
     aux_bytes = sum(np.asarray(aux).nbytes + _AUX_FRAME_BYTES for aux in encoding.aux.values())
     return (
         entropy_bits / 8
-        + _MODEL_BYTES_PER_SYMBOL * len(frequencies)
+        + _MODEL_BYTES_PER_SYMBOL * counts.size
         + _ESCAPE_BYTES * len(encoding.literals)
         + aux_bytes
     )
@@ -107,7 +107,7 @@ class _HuffmanCoder:
     def __init__(self) -> None:
         self.codec = HuffmanCodec()
 
-    def build_model(self, frequencies: Dict[int, int]) -> HuffmanCodebook:
+    def build_model(self, frequencies: Histogram) -> HuffmanCodebook:
         return HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
 
     def encode_shared(self, codes: np.ndarray, book: HuffmanCodebook) -> Optional[bytes]:
@@ -126,7 +126,7 @@ class _RansCoder:
     def __init__(self) -> None:
         self.codec = RansCodec()
 
-    def build_model(self, frequencies: Dict[int, int]) -> Optional[RansFrequencyTable]:
+    def build_model(self, frequencies: Histogram) -> Optional[RansFrequencyTable]:
         return RansFrequencyTable.try_from_frequencies(frequencies)
 
     def encode_shared(self, codes: np.ndarray, table: RansFrequencyTable) -> Optional[bytes]:
@@ -157,7 +157,7 @@ class EncodingWire:
         case every block falls back to its own per-block model.
         """
         frequencies = pooled_symbol_frequencies([e.codes for e in encodings], weights)
-        if not frequencies:
+        if not frequencies.symbols.size:
             return None
         return self._coders[stage].build_model(frequencies)
 
@@ -166,7 +166,7 @@ class EncodingWire:
         encoding: PredictorOutput,
         stage: str,
         shared_book: Optional[SharedBook] = None,
-        histogram: Optional[Dict[int, int]] = None,
+        histogram: Optional[Histogram] = None,
     ) -> EncodingPlan:
         """Plan one encoding's section: all of it but a rANS stream's bytes.
 
@@ -210,7 +210,7 @@ class EncodingWire:
         codes: np.ndarray,
         stage: str,
         shared_book: Optional[SharedBook],
-        histogram: Optional[Dict[int, int]],
+        histogram: Optional[Histogram],
     ) -> None:
         """Write ``codes_payload`` (+ the block's own model) and ``plan``'s codec and codebook.
 

@@ -447,7 +447,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                 "adaptive_predictor": self.adaptive_predictor,
             },
         }
-        empty = isinstance(shared_book, HuffmanCodebook) and not shared_book.lengths
+        empty = isinstance(shared_book, HuffmanCodebook) and not shared_book.symbols.size
         if shared_book is not None and not empty:
             # zlib + base64: the codebook/table payloads are mostly zero
             # bytes, and unlike the per-block codebook sections this

@@ -20,7 +20,7 @@ from typing import Dict
 
 import numpy as np
 
-from ..compression.encoders.huffman import HuffmanCodebook
+from ..compression.encoders.huffman import HuffmanCodebook, symbol_frequencies
 from ..compression.predictors.lorenzo import lorenzo_prediction_errors
 from ..compression.quantizer import LinearQuantizer
 from ..errors import FeatureExtractionError
@@ -92,8 +92,7 @@ def extract_compressor_features(
     total = bins.size
     zero_count = int(np.count_nonzero(bins == 0))
     p0 = zero_count / total if total else 0.0
-    uniques, counts = np.unique(bins, return_counts=True)
-    frequencies = {int(s): int(c) for s, c in zip(uniques, counts)}
+    frequencies = symbol_frequencies(bins)
     codebook = HuffmanCodebook.from_frequencies(frequencies)
     P0 = codebook.zero_symbol_share(frequencies, zero_symbol=0)
     q_entropy = shannon_entropy(bins)

@@ -8,6 +8,7 @@ exactly that against the synthetic datasets (or any list of fields).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -58,9 +59,18 @@ class TrainingSetBuilder:
                 extraction = self.extractor.extract(
                     data_field.data, eb_abs, compressor=compressor_name
                 )
-                result = compressor.compress(
-                    data_field.data, bound, collect_quality=self.collect_psnr
-                )
+                # As timeit does, the collector waits: a full collection
+                # (tens of ms) inside a call of a few ms would become one
+                # record's compression time, which the time model fits.
+                collecting = gc.isenabled()
+                gc.disable()
+                try:
+                    result = compressor.compress(
+                        data_field.data, bound, collect_quality=self.collect_psnr
+                    )
+                finally:
+                    if collecting:
+                        gc.enable()
                 record = QualityRecord(
                     features=extraction.features,
                     compression_ratio=result.compression_ratio,

@@ -24,36 +24,50 @@ from repro.compression.encoders.huffman import (
 )
 from repro.errors import EncodingError
 
+from huffman_reference import as_dict, histogram
+
+
+def lengths_of(frequencies, max_length=None):
+    """``{symbol: code length}`` of a ``{symbol: count}`` mapping."""
+    h = histogram(frequencies)
+    if max_length is None:
+        return as_dict(h.symbols, huffman_code_lengths(h))
+    return as_dict(h.symbols, length_limited_code_lengths(h, max_length))
+
+
+def book_of(frequencies, max_length=None):
+    return HuffmanCodebook.from_frequencies(histogram(frequencies), max_length)
+
 
 class TestCodeLengths:
     def test_empty_frequencies(self):
-        assert huffman_code_lengths({}) == {}
+        assert lengths_of({}) == {}
 
     def test_single_symbol_gets_one_bit(self):
-        assert huffman_code_lengths({7: 100}) == {7: 1}
+        assert lengths_of({7: 100}) == {7: 1}
 
     def test_more_frequent_symbols_get_shorter_codes(self):
-        lengths = huffman_code_lengths({0: 1000, 1: 10, 2: 10, 3: 1})
+        lengths = lengths_of({0: 1000, 1: 10, 2: 10, 3: 1})
         assert lengths[0] <= lengths[1]
         assert lengths[1] <= lengths[3]
 
     def test_kraft_inequality_holds(self):
         freqs = {i: (i + 1) ** 2 for i in range(20)}
-        lengths = huffman_code_lengths(freqs)
+        lengths = lengths_of(freqs)
         kraft = sum(2.0 ** -l for l in lengths.values())
         assert kraft <= 1.0 + 1e-9
 
     def test_uniform_frequencies_give_balanced_code(self):
         freqs = {i: 5 for i in range(8)}
-        lengths = huffman_code_lengths(freqs)
+        lengths = lengths_of(freqs)
         assert set(lengths.values()) == {3}
 
 
 class TestCodebook:
     def test_canonical_codes_are_prefix_free(self):
         freqs = {0: 50, 1: 20, 2: 20, 3: 5, 4: 5}
-        book = HuffmanCodebook.from_frequencies(freqs)
-        codes = [(format(book.codes[s], f"0{book.lengths[s]}b")) for s in freqs]
+        book = book_of(freqs)
+        codes = [format(c, f"0{n}b") for c, n in zip(book.codes.tolist(), book.lengths.tolist())]
         for i, a in enumerate(codes):
             for j, b in enumerate(codes):
                 if i != j:
@@ -61,27 +75,28 @@ class TestCodebook:
 
     def test_serialize_round_trip(self):
         freqs = {-3: 4, 0: 100, 7: 9}
-        book = HuffmanCodebook.from_frequencies(freqs)
+        book = book_of(freqs)
         restored = HuffmanCodebook.deserialize(book.serialize())
-        assert restored.lengths == book.lengths
-        assert restored.codes == book.codes
+        np.testing.assert_array_equal(restored.symbols, book.symbols)
+        np.testing.assert_array_equal(restored.lengths, book.lengths)
+        np.testing.assert_array_equal(restored.codes, book.codes)
 
     def test_zero_symbol_share_dominant_zero(self):
         freqs = {0: 990, 1: 5, 2: 5}
-        book = HuffmanCodebook.from_frequencies(freqs)
-        share = book.zero_symbol_share(freqs, zero_symbol=0)
+        book = book_of(freqs)
+        share = book.zero_symbol_share(histogram(freqs), zero_symbol=0)
         assert 0.5 < share < 1.0
 
     def test_zero_symbol_share_no_zero(self):
         freqs = {1: 10, 2: 10}
-        book = HuffmanCodebook.from_frequencies(freqs)
-        assert book.zero_symbol_share(freqs, zero_symbol=0) == 0.0
+        book = book_of(freqs)
+        assert book.zero_symbol_share(histogram(freqs), zero_symbol=0) == 0.0
 
     def test_encoded_bit_size_matches_definition(self):
         freqs = {0: 3, 1: 2}
-        book = HuffmanCodebook.from_frequencies(freqs)
+        book = book_of(freqs)
         expected = book.lengths[0] * 3 + book.lengths[1] * 2
-        assert book.encoded_bit_size(freqs) == expected
+        assert book.encoded_bit_size(histogram(freqs)) == expected
 
 
 class TestCodec:
@@ -143,12 +158,12 @@ def _fibonacci_frequencies(n: int) -> dict:
 
 class TestLengthLimiting:
     def test_fibonacci_exceeds_cap_unlimited(self):
-        lengths = huffman_code_lengths(_fibonacci_frequencies(30))
+        lengths = lengths_of(_fibonacci_frequencies(30))
         assert max(lengths.values()) > MAX_CODE_LENGTH
 
     def test_limited_lengths_respect_cap_and_kraft(self):
         freqs = _fibonacci_frequencies(30)
-        lengths = length_limited_code_lengths(freqs, MAX_CODE_LENGTH)
+        lengths = lengths_of(freqs, MAX_CODE_LENGTH)
         assert set(lengths) == set(freqs)
         assert max(lengths.values()) <= MAX_CODE_LENGTH
         assert min(lengths.values()) >= 1
@@ -156,13 +171,13 @@ class TestLengthLimiting:
 
     def test_limited_equals_exact_when_under_cap(self):
         freqs = {i: 10 + i for i in range(12)}
-        assert length_limited_code_lengths(freqs, 16) == huffman_code_lengths(freqs)
+        assert lengths_of(freqs, 16) == lengths_of(freqs)
 
     def test_cap_rises_for_huge_alphabets(self):
         # ceil(log2(5000)) = 13 > 8: a prefix code cannot exist at cap 8,
         # so the limiter must raise the cap instead of producing garbage.
         freqs = {i: 1 for i in range(5000)}
-        lengths = length_limited_code_lengths(freqs, 8)
+        lengths = lengths_of(freqs, 8)
         assert max(lengths.values()) <= 13
         assert sum(2.0 ** -length for length in lengths.values()) <= 1.0 + 1e-9
 
@@ -223,7 +238,7 @@ class TestLutPath:
         # output for adversarial skew) exceeds the LUT budget; decode must
         # still work via the retained bit-loop path.
         freqs = _fibonacci_frequencies(35)
-        book = HuffmanCodebook.from_frequencies(freqs)  # unlimited lengths
+        book = book_of(freqs)  # unlimited lengths
         assert book.max_length() > 20
         rng = np.random.default_rng(3)
         symbols = rng.choice(np.array(sorted(freqs)), size=500)
@@ -290,9 +305,7 @@ class TestPointerJumpingDecoder:
 
     def test_long_codes_straddling_segments_match_bitloop(self, monkeypatch):
         monkeypatch.setattr(huffman_decode, "_SEGMENT_BYTES", 2)
-        book = HuffmanCodebook.from_frequencies(
-            _fibonacci_frequencies(30), max_length=MAX_CODE_LENGTH
-        )
+        book = book_of(_fibonacci_frequencies(30), max_length=MAX_CODE_LENGTH)
         assert book.max_length() == MAX_CODE_LENGTH
         # Drawn uniformly, so the 16-bit codes (eight segments long) are common.
         symbols = np.random.default_rng(4).choice(np.arange(30), size=800)
@@ -311,8 +324,8 @@ class TestPointerJumpingDecoder:
         symbols = _skewed_stream(12, 0.7, 400, seed=8)
         codec = HuffmanCodec()
         _, book, _ = codec.encode(symbols)
-        lengths = HuffmanCodebook.deserialize(book).lengths
-        bits = np.cumsum([lengths[int(sym)] for sym in symbols])
+        restored = HuffmanCodebook.deserialize(book)
+        bits = np.cumsum(restored.lengths[np.searchsorted(restored.symbols, symbols)])
         keep = int(np.flatnonzero(bits % 8 == 0)[-1]) + 1  # no padding bits
         payload = codec.encode_with_book(symbols[:keep], HuffmanCodebook.deserialize(book))
         assert len(payload) * 8 == bits[keep - 1]
@@ -322,7 +335,7 @@ class TestPointerJumpingDecoder:
 
     def test_legacy_17_to_20_bit_codebook_uses_the_lut(self):
         # Unlimited lengths past MAX_CODE_LENGTH but inside the LUT budget.
-        book = HuffmanCodebook.from_frequencies(_fibonacci_frequencies(20))
+        book = book_of(_fibonacci_frequencies(20))
         assert MAX_CODE_LENGTH < book.max_length() <= 20
         symbols = np.random.default_rng(6).choice(np.arange(20), size=5000)
         codes, lens = book.lookup(symbols.astype(np.int64))
@@ -346,8 +359,8 @@ class TestPointerJumpingDecoder:
         # all windows prefix no code.
         symbols = _skewed_stream(20, 0.8, 5000, seed=2)
         tight = HuffmanCodebook.from_frequencies(symbol_frequencies(symbols))
-        loose = HuffmanCodebook.from_lengths({s: n + 1 for s, n in tight.lengths.items()})
-        assert sum(2.0 ** -n for n in loose.lengths.values()) < 1.0
+        loose = HuffmanCodebook(tight.symbols, tight.lengths + 1)
+        assert np.sum(2.0 ** -loose.lengths) < 1.0
         codec = HuffmanCodec()
         payload = codec.encode_with_book(symbols, loose)
         book = loose.serialize()
@@ -419,7 +432,10 @@ def _indexed(codec, symbols, book) -> HuffmanStream:
 
 def _reference_payload(symbols, book) -> bytes:
     """The canonical bit string, packed with no help from the packers under test."""
-    bits = "".join(format(book.codes[int(s)], f"0{book.lengths[int(s)]}b") for s in symbols)
+    at = np.searchsorted(book.symbols, symbols)
+    bits = "".join(
+        format(code, f"0{n}b") for code, n in zip(book.codes[at].tolist(), book.lengths[at].tolist())
+    )
     return np.packbits(np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")).tobytes()
 
 
@@ -543,7 +559,7 @@ class TestLockstepLanes:
         monkeypatch.setattr(huffman_decode, "_LOCKSTEP_MIN_BYTES", 0)
         symbols = _skewed_stream(20, 0.8, 4 * K + 100, seed=2)
         tight = HuffmanCodebook.from_frequencies(symbol_frequencies(symbols))
-        loose = HuffmanCodebook.from_lengths({s: n + 1 for s, n in tight.lengths.items()})
+        loose = HuffmanCodebook(tight.symbols, tight.lengths + 1)
         codec = HuffmanCodec()
         stream = _indexed(codec, symbols, loose)
         book = loose.serialize()
@@ -634,7 +650,7 @@ class TestSharedBookEncoding:
 
     def test_encode_with_book_escapes_unknown_symbols(self):
         codec = HuffmanCodec()
-        book = HuffmanCodebook.from_frequencies({0: 10, 1: 5, 2: 5})
+        book = book_of({0: 10, 1: 5, 2: 5})
         assert codec.encode_with_book(np.array([0, 1, 99]), book) is None
         assert codec.encode_with_book(np.array([-1, 0]), book) is None
 
@@ -642,9 +658,9 @@ class TestSharedBookEncoding:
         rng = np.random.default_rng(9)
         arr = rng.integers(-1000, 1000, 30000)
         uniques, counts = np.unique(arr, return_counts=True)
-        assert symbol_frequencies(arr) == {
-            int(s): int(c) for s, c in zip(uniques, counts)
-        }
+        got = symbol_frequencies(arr)
+        np.testing.assert_array_equal(got.symbols, uniques)
+        np.testing.assert_array_equal(got.counts, counts)
 
 
     @pytest.mark.parametrize("wide", [False, True])
@@ -656,10 +672,12 @@ class TestSharedBookEncoding:
         weights = [3, 1, 2, 5]
         merged = {}
         for stream, weight in zip(streams, weights):
-            for sym, freq in symbol_frequencies(stream).items():
+            for sym, freq in as_dict(*symbol_frequencies(stream)).items():
                 merged[sym] = merged.get(sym, 0) + freq * weight
-        assert pooled_symbol_frequencies(streams, weights) == merged
-        assert pooled_symbol_frequencies([], []) == {}
+        pooled = pooled_symbol_frequencies(streams, weights)
+        assert as_dict(*pooled) == merged
+        assert list(pooled.symbols) == sorted(merged)
+        assert pooled_symbol_frequencies([], []).symbols.size == 0
 
 
 class TestOldVsNewEquivalence:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.compression.interface import Compressor
 from repro.errors import ModelNotFittedError
 from repro.ml import root_mean_squared_error
 from repro.prediction import (
@@ -47,6 +50,27 @@ class TestTrainingSetBuilder:
             ordered = sorted(records, key=lambda r: r.error_bound_abs)
             ratios = [r.compression_ratio for r in ordered]
             assert ratios[0] <= ratios[-1] * 1.05  # loosest bound compresses at least as well
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_compression_is_timed_with_the_collector_paused(
+        self, monkeypatch, small_dataset, enabled
+    ):
+        """A collection pause is not compression time; the collector's state is restored."""
+        collecting, real = [], Compressor.compress
+
+        def spy(self, *args, **kwargs):
+            collecting.append(gc.isenabled())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Compressor, "compress", spy)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            builder = TrainingSetBuilder(error_bounds=(1e-3, 1e-2), compressors=("sz3-fast",))
+            builder.add_field(small_dataset.fields[0])
+            assert collecting == [False, False]
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestRecordsToMatrix:

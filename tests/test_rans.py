@@ -35,6 +35,8 @@ from repro.compression.sz.pipeline import PredictionPipelineCompressor
 from repro.datasets import generate_field
 from repro.errors import EncodingError
 
+from huffman_reference import histogram
+
 _SETTINGS = settings(
     max_examples=40,
     deadline=None,
@@ -105,25 +107,25 @@ class TestQuantiseFrequencies:
 
 class TestFrequencyTable:
     def test_serialise_round_trip(self):
-        table = RansFrequencyTable.from_frequencies({-5: 7, 0: 100, 12345: 3})
+        table = RansFrequencyTable.from_frequencies(histogram({-5: 7, 0: 100, 12345: 3}))
         restored = RansFrequencyTable.deserialize(table.serialize())
         assert np.array_equal(restored.symbols, table.symbols)
         assert np.array_equal(restored.freqs, table.freqs)
 
     def test_alphabet_too_large_returns_none(self):
         frequencies = {i: 1 for i in range(MAX_TABLE_SYMBOLS + 1)}
-        assert RansFrequencyTable.try_from_frequencies(frequencies) is None
+        assert RansFrequencyTable.try_from_frequencies(histogram(frequencies)) is None
 
     def test_span_too_wide_returns_none(self):
-        assert RansFrequencyTable.try_from_frequencies({0: 1, 1 << 32: 1}) is None
+        assert RansFrequencyTable.try_from_frequencies(histogram({0: 1, 1 << 32: 1})) is None
 
     def test_truncated_table_rejected(self):
-        table = RansFrequencyTable.from_frequencies({0: 1, 1: 1})
+        table = RansFrequencyTable.from_frequencies(histogram({0: 1, 1: 1}))
         with pytest.raises(EncodingError):
             RansFrequencyTable.deserialize(table.serialize()[:-1])
 
     def test_gather_escape_on_unknown_symbol(self):
-        table = RansFrequencyTable.from_frequencies({0: 1, 4: 1})
+        table = RansFrequencyTable.from_frequencies(histogram({0: 1, 4: 1}))
         assert table.gather_freq_cum(np.array([0, 2], dtype=np.int64)) is None
         assert table.gather_freq_cum(np.array([0, 99], dtype=np.int64)) is None
 
@@ -162,11 +164,12 @@ class TestRansCodecRoundTrip:
         codec = RansCodec()
         with pytest.raises(EncodingError):
             codec.encode(stream)
-        assert RansFrequencyTable.try_from_frequencies(dict.fromkeys(range(1 << 16), 1)) is None
+        wide = histogram(dict.fromkeys(range(1 << 16), 1))
+        assert RansFrequencyTable.try_from_frequencies(wide) is None
 
     def test_shared_table_escape_returns_none(self):
         codec = RansCodec()
-        table = RansFrequencyTable.from_frequencies({1: 10, 2: 5})
+        table = RansFrequencyTable.from_frequencies(histogram({1: 10, 2: 5}))
         assert codec.encode_with_table(np.array([1, 2, 3], dtype=np.int64), table) is None
 
     def test_corrupt_payload_rejected(self):
@@ -301,7 +304,7 @@ def _encode_batches(draw) -> List[Tuple[np.ndarray, RansFrequencyTable]]:
         for s, use in zip(streams, shared)
     ]
     constant = np.full(draw(st.integers(1, 3000)), -5, dtype=np.int64)
-    batch.append((constant, RansFrequencyTable.from_frequencies({-5: constant.size})))
+    batch.append((constant, RansFrequencyTable.from_frequencies(histogram({-5: constant.size}))))
     batch.append((np.zeros(0, dtype=np.int64), pooled))
     order = draw(st.permutations(range(len(batch))))
     return [batch[i] for i in order]
@@ -326,7 +329,8 @@ class TestRansBatchEncode:
         alone = codec.encode_streams(batch)
         victim = data.draw(st.sampled_from([i for i, (s, _) in enumerate(batch) if s.size]))
         symbols = batch[victim][0]
-        batch[victim] = (symbols, RansFrequencyTable.from_frequencies({int(symbols.max()) + 1: 1}))
+        absent = histogram({int(symbols.max()) + 1: 1})
+        batch[victim] = (symbols, RansFrequencyTable.from_frequencies(absent))
         escaped = codec.encode_streams(batch)
         assert escaped[victim] is None
         assert escaped[:victim] + escaped[victim + 1:] == alone[:victim] + alone[victim + 1:]

@@ -61,7 +61,7 @@ class TestSharedRoundTrips:
     def test_shared_codebook_deserializes_to_valid_book(self):
         blob = _shared_pipeline().compress(_field(), BOUND).blob
         book = HuffmanCodebook.deserialize(blob.shared_codebook_bytes)
-        assert book.lengths
+        assert book.symbols.size
         assert book.max_length() <= 16
 
     def test_random_access_block_decode(self):
@@ -127,7 +127,7 @@ class TestFallbackAndCompat:
         data = _field()
         pipeline = _shared_pipeline()
         plan = pipeline.block_plan(data)
-        tiny_book = HuffmanCodebook.from_frequencies({0: 1})
+        tiny_book = HuffmanCodebook(symbols=[0], lengths=[1])
         results = [
             pipeline.encode_one_block(data, plan, spec, 1e-3, shared_book=tiny_book)
             for spec in plan
@@ -236,7 +236,7 @@ class TestStreamingSharedCodebook:
         pipeline = _shared_pipeline()
         plan = pipeline.block_plan(data)
         book = pipeline.prepare_shared_codebook(data, plan, 1e-3, max_sample_blocks=3)
-        assert book is not None and book.lengths
+        assert book is not None and book.symbols.size
         # Stream-encode each block against the sampled book and assemble
         # at the "destination".
         header = pipeline.blocked_header(data, plan, 1e-3, shared_book=book)
@@ -344,7 +344,7 @@ class TestInspectCodebook:
         data = _field()
         pipeline = _shared_pipeline()
         plan = pipeline.block_plan(data)
-        tiny_book = HuffmanCodebook.from_frequencies({0: 1})
+        tiny_book = HuffmanCodebook(symbols=[0], lengths=[1])
         results = [
             pipeline.encode_one_block(data, plan, spec, 1e-3, shared_book=tiny_book)
             for spec in plan
@@ -371,7 +371,7 @@ class TestInspectCodebook:
         results = [
             pipeline.encode_one_block(
                 data, plan, spec, 1e-3,
-                shared_book=HuffmanCodebook.from_frequencies({0: 1}) if i == 0 else book,
+                shared_book=HuffmanCodebook(symbols=[0], lengths=[1]) if i == 0 else book,
             )
             for i, spec in enumerate(plan)
         ]

@@ -36,8 +36,9 @@ MAX_CORE_FUNCTION_LINES = 90
 #: 15 942 before long entropy-coded streams were stored split and a
 #: file's rANS streams encoded as one batch, paid for by the per-stream
 #: encode loop, ``speedup_vs_direct``, the pipeline's own backend lookup
-#: and by wrapping one-name-per-line ``__all__`` / import lists).
-MAX_SRC_LINES = 15_933
+#: and by wrapping one-name-per-line ``__all__`` / import lists, 15 933
+#: before Huffman's model became arrays).
+MAX_SRC_LINES = 15_932
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
@@ -98,6 +99,13 @@ GONE = re.compile(r"StreamingOutcome|spec_nbytes")
 #: stream is a batch of one), and the block stages code no stream alone.
 RANS_ENCODE = SRC / "compression" / "encoders" / "rans.py"
 ONE_STREAM_ENCODE = "encode_with_table("
+
+
+#: Huffman's model is arrays: code lengths come from one merge scan over
+#: plain ints plus pointer jumping, never from a heap or a queue of
+#: per-symbol groups.
+HUFFMAN_MODEL = ("huffman.py", "huffman_decode.py")
+QUEUES = {"deque", "heapq"}
 
 
 def test_no_new_file_over_600_lines():
@@ -237,3 +245,14 @@ def test_rans_encodes_in_one_batch_loop():
         path.name for path in (SRC / "compression" / "sz").glob("*.py")
         if ONE_STREAM_ENCODE in path.read_text()
     ] == []
+
+
+def test_huffman_model_builds_no_heap_or_queue():
+    imported = {
+        f"{name}:{node.lineno}"
+        for name in HUFFMAN_MODEL
+        for node in ast.walk(ast.parse((SRC / "compression" / "encoders" / name).read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and QUEUES & ({getattr(node, "module", None)} | {alias.name for alias in node.names})
+    }
+    assert not imported
