@@ -3,10 +3,8 @@
 The pipeline's third entropy stage (``entropy_stage="rans"``).  Where the
 Huffman coder spends whole bits per symbol, rANS (range Asymmetric
 Numeral Systems) packs symbols at fractional-bit cost against a
-quantised probability model, and its frequency table serialises far
-smaller than a Huffman codebook — 6 bytes per symbol versus 16 — which
-also makes it a drop-in participant in the shared per-file codebook
-pooling scheme.
+quantised probability model, whose table (6 bytes per symbol raw against
+a Huffman codebook's 16) pools into shared per-file models like a book.
 
 Design (all of it NumPy-vectorised; there is no per-symbol Python loop):
 
@@ -23,9 +21,13 @@ Design (all of it NumPy-vectorised; there is no per-symbol Python loop):
   ``(rounds, N)`` matrix (symbol ``i`` belongs to lane ``i % N``); each
   round encodes/decodes one symbol on every lane with a handful of
   NumPy gathers and arithmetic ops.  ``N`` is the largest power of two
-  ``<= MAX_LANES`` that still leaves every lane a useful run of symbols,
-  so wide streams get wide SIMD-style rounds while small blocks keep
-  their per-block state overhead at a few hundred bytes.
+  that leaves every lane ``_MIN_LANE_SYMBOLS`` symbols, up to the codec's
+  ``max_lanes``.  A file's streams share their rounds (below), so the
+  file's block plan supplies the width: :func:`lane_limit` of its block
+  count is the smallest power of two ``p`` with ``blocks * p >= MAX_LANES``
+  (256 for 18 blocks, ``MAX_LANES`` for one), and a stream pays its 4
+  bytes of final state per lane only for the width its batch needs
+  (Giesen, "Interleaved entropy coders", arXiv:1402.3392).
 * **Word stream.**  All lanes share one word stream: round by round, the
   words of the lanes that renormalised, in ascending lane order.  The
   encoder walks rounds in reverse keeping every lane's low word and
@@ -48,8 +50,14 @@ Payload layout (little-endian)::
 Frequency-table layout (little-endian)::
 
     u8 version | u8 flags | u16 n_symbols-1 | i64 lo
-    u32 offset[n_symbols]   (symbol - lo, strictly increasing)
-    u16 freq[n_symbols]     (quantised, sums to PROB_SCALE)
+    u32 gap[n_symbols]      version 2: symbol - previous - 1 (the first is 0)
+                            version 1, still read: symbol - lo
+    u16 freq[n_symbols]     (quantised, positive, sums to PROB_SCALE)
+
+Quantiser alphabets are nearly contiguous, so the gaps are mostly zero and
+deflate shrinks them to almost nothing.  Symbols strictly increase and span
+less than ``2**32``; a table that breaks either, or whose size is not exactly
+its layout's, fails with :class:`EncodingError`.
 """
 
 from __future__ import annotations
@@ -61,11 +69,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...errors import EncodingError
-from .huffman import Histogram, symbol_frequencies
+from .huffman import Histogram
 
 __all__ = [
-    "RansFrequencyTable", "RansCodec", "quantize_frequencies", "PROB_BITS", "PROB_SCALE",
-    "MAX_TABLE_SYMBOLS",
+    "RansFrequencyTable", "RansCodec", "quantize_frequencies", "lane_limit", "PROB_BITS",
+    "PROB_SCALE", "MAX_TABLE_SYMBOLS",
 ]
 
 #: Probability resolution: frequencies are quantised to sum to ``2**12``.
@@ -79,13 +87,12 @@ RANS_L = 1 << 16
 #: frequency >= 1).
 MAX_TABLE_SYMBOLS = PROB_SCALE
 
-#: Interleaving width bounds.  ``MAX_LANES`` caps the per-stream state
-#: overhead (4 bytes/lane, so 16 KiB at full width — reached only by
-#: streams of >= 256Ki symbols, where it is ~2% of the raw bytes);
+#: Interleaving width bounds.  ``MAX_LANES`` is the width of one batch's
+#: state vector (a lone stream's at most, 16 KiB of final states): 4096
+#: lanes roughly halve the Python-level rounds' share of a 1M-symbol decode
+#: against 1024, and wider is past the point of diminishing returns.
 #: ``_MIN_LANE_SYMBOLS`` keeps lanes long enough that the fixed per-round
-#: NumPy dispatch cost is amortised.  4096 lanes roughly halves the
-#: number of Python-level rounds' share of a 1M-symbol decode versus
-#: 1024; wider still is past the point of diminishing returns.
+#: NumPy dispatch cost is amortised.
 MAX_LANES = 4096
 _MIN_LANE_SYMBOLS = 32
 
@@ -98,7 +105,7 @@ _RENORM_SHIFT = 32 - PROB_BITS  # 20
 
 _PAYLOAD_VERSION = 1
 _PAYLOAD_HEADER = struct.Struct("<BBHIQ")
-_TABLE_VERSION = 1
+_TABLE_VERSION = 2
 _TABLE_HEADER = struct.Struct("<BBHq")
 
 
@@ -135,12 +142,18 @@ def quantize_frequencies(counts: np.ndarray) -> np.ndarray:
     return quant.astype(np.uint16)
 
 
-def _pick_lanes(count: int) -> int:
-    """Widest power-of-two interleave that keeps lanes usefully long."""
+def _pick_lanes(count: int, cap: int = MAX_LANES) -> int:
+    """Widest power-of-two interleave, up to ``cap``, that keeps lanes usefully long."""
     lanes = 1
-    while lanes < MAX_LANES and (count >> 1) // lanes >= _MIN_LANE_SYMBOLS:
+    while lanes < cap and (count >> 1) // lanes >= _MIN_LANE_SYMBOLS:
         lanes <<= 1
     return lanes
+
+
+def lane_limit(blocks: int) -> int:
+    """The lanes a stream of a ``blocks``-block file may take: the smallest power
+    of two ``p`` with ``blocks * p >= MAX_LANES``, so its batch fills the width."""
+    return max(1, MAX_LANES >> (blocks.bit_length() - 1))
 
 
 class RansFrequencyTable:
@@ -153,10 +166,12 @@ class RansFrequencyTable:
     def __init__(self, symbols: np.ndarray, freqs: np.ndarray) -> None:
         self.symbols = np.asarray(symbols, dtype=np.int64)
         self.freqs = np.asarray(freqs, dtype=np.uint32)
-        if self.symbols.size != self.freqs.size or self.symbols.size == 0:
-            raise EncodingError("rANS table needs matching, non-empty symbol/freq arrays")
-        if int(self.freqs.sum()) != PROB_SCALE:
-            raise EncodingError("rANS table frequencies must sum to PROB_SCALE")
+        if self.symbols.size != self.freqs.size or not 0 < self.symbols.size <= MAX_TABLE_SYMBOLS:
+            raise EncodingError(f"rANS table needs 1-{MAX_TABLE_SYMBOLS} symbols, a freq each")
+        if not self.freqs.all() or int(self.freqs.sum()) != PROB_SCALE:
+            raise EncodingError("rANS table frequencies must be positive and sum to PROB_SCALE")
+        if np.any(self.symbols[1:] <= self.symbols[:-1]):
+            raise EncodingError("rANS table symbols must strictly increase")
         cum = np.zeros(self.symbols.size, dtype=np.uint32)
         np.cumsum(self.freqs[:-1], out=cum[1:])
         self.cum = cum
@@ -184,26 +199,15 @@ class RansFrequencyTable:
             return None
         return cls(symbols, quantize_frequencies(counts))
 
-    @classmethod
-    def from_frequencies(cls, frequencies: Histogram) -> "RansFrequencyTable":
-        table = cls.try_from_frequencies(frequencies)
-        if table is None:
-            raise EncodingError(
-                f"alphabet of {frequencies.symbols.size} symbols does not fit a rANS table"
-            )
-        return table
-
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
     def serialize(self) -> bytes:
         if self._serialized is None:
             lo = int(self.symbols[0])
-            offsets = (self.symbols - lo).astype("<u4")
+            gaps = (np.diff(self.symbols - lo, prepend=-1) - 1).astype("<u4")
             header = _TABLE_HEADER.pack(_TABLE_VERSION, 0, self.symbols.size - 1, lo)
-            self._serialized = (
-                header + offsets.tobytes() + self.freqs.astype("<u2").tobytes()
-            )
+            self._serialized = header + gaps.tobytes() + self.freqs.astype("<u2").tobytes()
         return self._serialized
 
     @classmethod
@@ -211,15 +215,18 @@ class RansFrequencyTable:
         if len(data) < _TABLE_HEADER.size:
             raise EncodingError("truncated rANS frequency table")
         version, _flags, n_minus_1, lo = _TABLE_HEADER.unpack_from(data)
-        if version != _TABLE_VERSION:
+        if version not in (1, _TABLE_VERSION):
             raise EncodingError(f"unsupported rANS table version {version}")
         n = n_minus_1 + 1
-        need = _TABLE_HEADER.size + 4 * n + 2 * n
-        if len(data) < need:
-            raise EncodingError("truncated rANS frequency table")
-        offsets = np.frombuffer(data, dtype="<u4", count=n, offset=_TABLE_HEADER.size)
-        freqs = np.frombuffer(data, dtype="<u2", count=n, offset=_TABLE_HEADER.size + 4 * n)
-        return cls(offsets.astype(np.int64) + lo, freqs.astype(np.uint32))
+        if len(data) != _TABLE_HEADER.size + 6 * n:
+            raise EncodingError(f"a rANS table of {n} symbols is not {len(data)} bytes")
+        offsets = np.frombuffer(data, "<u4", n, _TABLE_HEADER.size).astype(np.int64)
+        if version == 2:
+            offsets = np.cumsum(offsets + 1) - 1
+            if offsets[-1] >> 32:
+                raise EncodingError("rANS table spans 2**32 symbols or more")
+        freqs = np.frombuffer(data, "<u2", n, _TABLE_HEADER.size + 4 * n)
+        return cls(lo + offsets, freqs.astype(np.uint32))
 
     # ------------------------------------------------------------------ #
     # Derived lookup tables
@@ -285,33 +292,21 @@ class RansFrequencyTable:
 
 
 class RansCodec:
-    """Encode/decode integer symbol arrays with interleaved static rANS."""
+    """Encode/decode integer symbol arrays with interleaved static rANS; it encodes a
+    stream in at most ``max_lanes`` lanes (:func:`lane_limit` of its file's plan)."""
 
     #: Decode tables are cached per serialised table so shared-table
     #: blobs expand their slot gathers once per file, not once per block.
     _TABLE_CACHE_SIZE = 8
 
-    def __init__(self) -> None:
+    def __init__(self, max_lanes: int = MAX_LANES) -> None:
+        self.max_lanes = max_lanes
         self._tables: Dict[bytes, RansFrequencyTable] = {}
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
-    def encode(self, symbols: np.ndarray) -> Tuple[bytes, bytes, int]:
-        """Encode ``symbols`` with a stream-specific frequency table.
-
-        Returns ``(payload, table_bytes, count)``; decoding requires all
-        three.  Raises :class:`EncodingError` when the alphabet does not
-        fit a 12-bit table — callers that can fall back to another codec
-        should probe with :meth:`RansFrequencyTable.try_from_frequencies`.
-        """
-        arr = np.asarray(symbols, dtype=np.int64).ravel()
-        if arr.size == 0:
-            return b"", b"", 0
-        table = RansFrequencyTable.from_frequencies(symbol_frequencies(arr))
-        return self.encode_with_table(arr, table), table.serialize(), int(arr.size)
-
     def encode_with_table(
         self, symbols: np.ndarray, table: RansFrequencyTable
     ) -> Optional[bytes]:
@@ -325,16 +320,19 @@ class RansCodec:
 
         Streams with the same round count walk their rounds backwards in
         lockstep, as one state vector.  A stream whose table lacks one of
-        its symbols is ``None``; the others' bytes are those they have alone.
+        its symbols is ``None``; the others' bytes are those they have alone:
+        a stream's lanes depend on its length and ``max_lanes``, never on the batch.
         """
         coded = [(np.asarray(symbols, dtype=np.int64).ravel(), table) for symbols, table in streams]
         out: List[Optional[bytes]] = [b""] * len(coded)
         by_rounds: Dict[int, List[int]] = {}
         for i, (arr, _) in enumerate(coded):
             if arr.size:
-                by_rounds.setdefault(-(-arr.size // _pick_lanes(arr.size)), []).append(i)
+                rounds = -(-arr.size // _pick_lanes(arr.size, self.max_lanes))
+                by_rounds.setdefault(rounds, []).append(i)
         for rounds, members in by_rounds.items():
-            for i, payload in zip(members, _encode_lockstep([coded[i] for i in members], rounds)):
+            batch = [coded[i] for i in members]
+            for i, payload in zip(members, _encode_lockstep(batch, rounds, self.max_lanes)):
                 out[i] = payload
         return out
 
@@ -377,9 +375,9 @@ class RansCodec:
         return table
 
 
-def _encode_lockstep(streams: Sequence[Tuple], rounds: int) -> List[Optional[bytes]]:
+def _encode_lockstep(streams: Sequence[Tuple], rounds: int, cap: int) -> List[Optional[bytes]]:
     """Each ``(symbols, table)`` stream's payload, or ``None`` where its table misses a symbol."""
-    edges = np.cumsum([0] + [_pick_lanes(arr.size) for arr, _ in streams])
+    edges = np.cumsum([0] + [_pick_lanes(arr.size, cap) for arr, _ in streams])
     freq = np.empty((rounds, edges[-1]), dtype=np.uint32)
     cum = np.empty_like(freq)
     covered = [

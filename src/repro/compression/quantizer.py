@@ -42,11 +42,6 @@ class QuantizationResult:
     literals: np.ndarray
     approximations: np.ndarray
 
-    @property
-    def num_unpredictable(self) -> int:
-        """Number of escaped (literal) values."""
-        return int(self.unpredictable_mask.sum())
-
 
 class LinearQuantizer:
     """Uniform residual quantiser with a bounded symbol alphabet."""
@@ -113,17 +108,3 @@ class LinearQuantizer:
             )
         approx[mask] = lits
         return approx
-
-    def symbol_alphabet_size(self) -> int:
-        """Size of the symbol alphabet seen by the entropy coder."""
-        return 2 * self.bin_radius + 1
-
-
-def codes_to_symbols(codes: np.ndarray, bin_radius: int = DEFAULT_BIN_RADIUS) -> np.ndarray:
-    """Shift signed quantisation codes into non-negative Huffman symbols."""
-    return (np.asarray(codes, dtype=np.int64) + bin_radius).astype(np.int64)
-
-
-def symbols_to_codes(symbols: np.ndarray, bin_radius: int = DEFAULT_BIN_RADIUS) -> np.ndarray:
-    """Invert :func:`codes_to_symbols`."""
-    return (np.asarray(symbols, dtype=np.int64) - bin_radius).astype(np.int64)

@@ -106,10 +106,12 @@ class BlockStages:
         encoding: PredictorOutput,
         histogram: Optional[Dict[int, int]] = None,
         shared_book: Optional[SharedBook] = None,
+        blocks: int = 1,
     ) -> BlockResult:
         """One chosen encoding's final index entry and its payload, which may be pending:
-        a rANS block's is its :class:`EncodingPlan` until :meth:`settle`."""
-        plan = self._wire.plan(encoding, self.config.entropy_stage, shared_book, histogram)
+        a rANS block's is its :class:`EncodingPlan` until :meth:`settle`.  ``blocks`` is
+        the block count of its file's plan, which sets a rANS stream's lane limit."""
+        plan = self._wire.plan(encoding, self.config.entropy_stage, shared_book, histogram, blocks)
         payload = plan if plan.pending else self._compress_lossless(plan.inner)
         return block_entry(spec, predictor_name, plan.codec, plan.codebook), payload
 

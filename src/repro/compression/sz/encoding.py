@@ -28,7 +28,7 @@ from ..encoders.huffman import (
     pooled_symbol_frequencies, symbol_frequencies,
 )
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
-from ..encoders.rans import RansCodec, RansFrequencyTable
+from ..encoders.rans import RansCodec, RansFrequencyTable, lane_limit
 from ..interface import CompressedBlob, SectionContainer
 from ..predictors.base import PredictorOutput
 
@@ -90,9 +90,11 @@ def estimated_bytes(encoding: PredictorOutput, frequencies: Histogram) -> float:
 @dataclass
 class EncodingPlan:
     """One encoding's section, codec and model decided; while ``pending`` holds a rANS
-    stream's ``(codes, table)``, its ``codes_payload`` is a placeholder."""
+    stream's ``(codes, table)``, its ``codes_payload`` is a placeholder, to be coded in
+    at most ``lanes`` lanes (the :func:`~..encoders.rans.lane_limit` of its file's plan)."""
 
     inner: SectionContainer
+    lanes: int
     codec: str = "none"
     codebook: Optional[str] = None
     pending: Optional[Tuple[np.ndarray, RansFrequencyTable]] = None
@@ -167,8 +169,10 @@ class EncodingWire:
         stage: str,
         shared_book: Optional[SharedBook] = None,
         histogram: Optional[Histogram] = None,
+        blocks: int = 1,
     ) -> EncodingPlan:
-        """Plan one encoding's section: all of it but a rANS stream's bytes.
+        """Plan one encoding's section, one of a ``blocks``-block file's: all of it but
+        a rANS stream's bytes.
 
         The plan's ``codec`` is the entropy codec the stream is *actually*
         written with (``huffman`` / ``rans`` / ``none``) and ``codebook``
@@ -178,7 +182,7 @@ class EncodingWire:
         ``histogram``, counted here when the caller has none) or ``None``
         when nothing was entropy-coded.
         """
-        plan = EncodingPlan(SectionContainer(header={"predictor_meta": encoding.meta}))
+        plan = EncodingPlan(SectionContainer({"predictor_meta": encoding.meta}), lane_limit(blocks))
         inner = plan.inner
         codes = np.asarray(encoding.codes, dtype=np.int64)
         inner.header["num_codes"] = int(codes.size)
@@ -197,12 +201,17 @@ class EncodingWire:
         return plan
 
     def emit(self, plans: Sequence[EncodingPlan]) -> None:
-        """Write every pending rANS stream of ``plans`` into its section, in one batch."""
-        waiting = [plan for plan in plans if plan.pending is not None]
-        with self._timed("entropy_s"):
-            payloads = self._coders["rans"].codec.encode_streams([p.pending for p in waiting])
-        for plan, payload in zip(waiting, payloads):
-            plan.inner.add_section("codes_payload", payload, overwrite=True)
+        """Write every pending rANS stream of ``plans`` into its section: one batch per
+        lane limit, so one per file."""
+        waiting: Dict[int, List[EncodingPlan]] = {}
+        for plan in plans:
+            if plan.pending is not None:
+                waiting.setdefault(plan.lanes, []).append(plan)
+        for lanes, group in waiting.items():
+            with self._timed("entropy_s"):
+                payloads = RansCodec(lanes).encode_streams([p.pending for p in group])
+            for plan, payload in zip(group, payloads):
+                plan.inner.add_section("codes_payload", payload, overwrite=True)
 
     def _entropy_code(
         self,

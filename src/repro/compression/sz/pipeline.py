@@ -39,6 +39,7 @@ from ...errors import ConfigurationError, EncodingError
 from ..blocking import BlockPlan, BlockShapeLike, BlockSpec
 from ..encoders.huffman import HuffmanCodebook
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
+from ..encoders.rans import lane_limit
 from ..interface import CompressedBlob, Compressor, dtype_name
 from ..predictors.base import Predictor
 from .dedup import BlockResult, block_entry, entry_meta, expand_aliases, group_identical_blocks
@@ -209,7 +210,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         keys: Dict[int, str] = {}
         results: Dict[int, BlockResult] = {}
         if store is not None:
-            fingerprint = self.cache_fingerprint(error_bound_abs, tier="block")
+            fingerprint = self.cache_fingerprint(error_bound_abs, "block", plan.num_blocks)
             for spec in reps:
                 key = keys[spec.block_id] = block_cache_key(digests[spec.block_id], fingerprint)
                 found = store.get_block(key)
@@ -235,7 +236,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                 [counts[spec.block_id] for spec in todo],
             )
             fresh = fan_out(
-                lambda i: self._finish_block(todo[i], *chosen[i], shared_book),
+                lambda i: self._finish_block(todo[i], *chosen[i], shared_book, plan.num_blocks),
                 range(len(todo)),
             )
         else:
@@ -391,7 +392,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         may wait for :meth:`settle`: a rANS stream, a helper-lane deflate.
         """
         choice = self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs)
-        result = self._finish_block(spec, *choice, shared_book)
+        result = self._finish_block(spec, *choice, shared_book, plan.num_blocks)
         return result if defer else self.settle([result])[0]
 
     def _start_block(self, arr, plan, spec, error_bound_abs, shared_book=None) -> BlockResult:
@@ -492,15 +493,17 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             self.config.entropy_stage, encodings, [1] * len(encodings)
         )
 
-    def cache_fingerprint(self, error_bound_abs: float, tier: str = "blob") -> Dict[str, Any]:
+    def cache_fingerprint(
+        self, error_bound_abs: float, tier: str = "blob", blocks: int = 1
+    ) -> Dict[str, Any]:
         """Everything besides the data that shapes this pipeline's bytes.
 
         The one place that lists it, for both cache tiers, so two jobs
         share an entry only when compressing would produce the same
         output.  ``tier="blob"`` keys a whole compressed file;
-        ``tier="block"`` keys one self-contained block payload, which
-        always carries its own entropy model and whose shape is part of
-        the block's content digest.
+        ``tier="block"`` keys one self-contained block payload of a
+        ``blocks``-block file, which always carries its own entropy model
+        and whose shape is part of the block's content digest.
         """
         if tier not in ("blob", "block"):
             raise ConfigurationError(f"unknown cache tier {tier!r}")
@@ -512,6 +515,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         }
         if whole and coded:  # a long coded stream deflate cannot shrink is stored as it is
             extra["section_layout"] = "split"
+        if self.config.entropy_stage == "rans":  # lanes from the file's plan, tables as gaps
+            extra["rans_lanes"] = "plan" if whole else lane_limit(blocks)
         if not whole:
             # Bumped when the per-block payload layout changes (v2:
             # per-section entropy tags + adaptive codec choice; v3:

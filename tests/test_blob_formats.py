@@ -39,6 +39,8 @@ from repro.compression import (
     create_blocked_compressor,
     create_compressor,
 )
+from repro.compression.encoders.rans import lane_limit
+from repro.compression.sz.encoding import open_section
 from repro.errors import CompressionError, EncodingError
 
 PIPELINES = ["sz2", "sz3", "sz3-linear", "sz-lorenzo", "zfp-like"]
@@ -219,7 +221,9 @@ FIXTURES = json.loads(Path(__file__).with_name("blob_fixtures.json").read_text()
 class TestOlderBuildsBlobs:
     """Bytes as older builds wrote them: a v1 blob (version word 1), a
     one-block v2 blob with a *stored* index and a header-borne shared
-    codebook, and a two-block v2 blob."""
+    codebook, a two-block v2 blob, and two 18-block rANS blobs (Miranda
+    in 32^3 blocks, per-block and shared tables) written before a stream's
+    lanes came from its file's plan and tables were stored as gaps."""
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES))
     def test_fixture_decodes_to_its_recorded_digest(self, fixture):
@@ -247,6 +251,21 @@ class TestOlderBuildsBlobs:
         )
         assert len(stored.container.header["block_index"]) == 1
         assert stored.shared_codebook_bytes and stored.codebook_mode == "shared"
+
+    @pytest.mark.parametrize("fixture", ["v2-rans-per-block", "v2-rans-shared"])
+    def test_the_rans_fixtures_carry_wide_lanes_and_version_1_tables(self, fixture):
+        """Its full blocks took 512 lanes or more where this build takes 256."""
+        blob = CompressedBlob.from_bytes(bytes.fromhex(FIXTURES[fixture]["hex"]))
+        inners = [open_section(blob, entry["section"]) for entry in blob.block_index]
+        assert {inner.header["entropy"] for inner in inners} == {"rans"}
+        full = [inner for inner in inners if inner.header["num_codes"] >= 32767]
+        assert len(full) == 4 and lane_limit(blob.num_blocks) == 256
+        assert all(inner.get_section("codes_payload")[1] >= 9 for inner in full)
+        if fixture == "v2-rans-shared":
+            tables = [blob.shared_codebook_bytes]
+        else:
+            tables = [inner.get_section("codes_freqs") for inner in inners]
+        assert {table[0] for table in tables} == {1}
 
 
 class TestStreamedBlockMessages:

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression.quantizer import (
-    LinearQuantizer,
-    codes_to_symbols,
-    symbols_to_codes,
-)
+from repro.compression.quantizer import LinearQuantizer
 from repro.errors import CompressionError
 
 
@@ -26,13 +22,13 @@ class TestQuantizeDequantize:
         quantizer = LinearQuantizer()
         result = quantizer.quantize(np.zeros(100), 1e-3)
         assert np.all(result.codes == 0)
-        assert result.num_unpredictable == 0
+        assert not result.unpredictable_mask.any()
 
     def test_large_residuals_escape_to_literals(self):
         quantizer = LinearQuantizer(bin_radius=4)
         residuals = np.array([0.0, 0.001, 100.0])
         result = quantizer.quantize(residuals, 0.01)
-        assert result.num_unpredictable == 1
+        assert int(result.unpredictable_mask.sum()) == 1
         assert result.literals[0] == 100.0
 
     def test_literals_preserved_exactly(self):
@@ -74,12 +70,7 @@ class TestQuantizeDequantize:
             quantizer.dequantize(result.codes, result.unpredictable_mask, np.zeros(0), 1e-9)
 
     def test_alphabet_size(self):
-        assert LinearQuantizer(bin_radius=10).symbol_alphabet_size() == 21
-
-
-class TestSymbolMapping:
-    def test_codes_to_symbols_round_trip(self):
-        codes = np.array([-5, 0, 3, 32768, -32768])
-        symbols = codes_to_symbols(codes)
-        assert symbols.min() >= 0
-        np.testing.assert_array_equal(symbols_to_codes(symbols), codes)
+        """The entropy coder sees at most ``2 * bin_radius + 1`` symbols: the rest escape."""
+        result = LinearQuantizer(bin_radius=10).quantize(np.arange(-12.0, 13.0), 0.5)
+        assert np.unique(result.codes[~result.unpredictable_mask]).tolist() == list(range(-10, 11))
+        assert result.literals.tolist() == [-12.0, -11.0, 11.0, 12.0]

@@ -2,46 +2,82 @@
 
 Covers the frequency model's corners (single-symbol alphabets, skew far
 past the 12-bit quantisation resolution, alphabets too large for a
-table), the codec's round-trip contract across stream shapes, the
-lockstep batch decode (equal to decoding each stream alone, and failing
-whole on any corrupt member), the lockstep batch encode (byte-equal to a
-scalar one-lane-at-a-time reference, inside the pipeline too), and the
-pipeline-level fallback: a block whose alphabet cannot fit a rANS table
-must degrade to Huffman *inside* a rans-configured pipeline and say so
-in its per-block codec tag.
+table), both table layouts (gaps, and the offsets older builds wrote)
+and every way a table can fail to be a model, the codec's round-trip
+contract across stream shapes, the lockstep batch decode (equal to
+decoding each stream alone, and failing whole on any corrupt member),
+the lockstep batch encode (byte-equal to a scalar one-lane-at-a-time
+reference at any lane limit, inside the pipeline too), the lane limit a
+file's plan sets (an 18-block file codes every block in 256 lanes,
+whichever path settles it), and the pipeline-level fallback: a block
+whose alphabet cannot fit a rANS table must degrade to Huffman *inside*
+a rans-configured pipeline and say so in its per-block codec tag.
+
+``python tests/test_rans.py --table`` prints blob bytes and process CPU
+(encode plus decode) per file for rANS against Huffman, shared and
+per-block: the decision data for keeping rANS.
 """
 
 from __future__ import annotations
 
+import base64
 import struct
-from typing import List, Optional, Tuple
+import sys
+import time
+import zlib
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import BlobCache
 from repro.compression import CompressedBlob, ErrorBound, create_blocked_compressor
-from repro.compression.encoders.huffman import symbol_frequencies
+from repro.compression.encoders.huffman import Histogram, symbol_frequencies
 from repro.compression.encoders.rans import (
+    MAX_LANES,
     MAX_TABLE_SYMBOLS,
     PROB_SCALE,
     RansCodec,
     RansFrequencyTable,
     _pick_lanes,
+    lane_limit,
     quantize_frequencies,
 )
+from repro.compression.sz import pipeline as sz_pipeline
+from repro.compression.sz.encoding import open_section
 from repro.compression.sz.pipeline import PredictionPipelineCompressor
+from repro.core.parallel import HelperLane, ParallelExecutor
 from repro.datasets import generate_field
 from repro.errors import EncodingError
 
 from huffman_reference import histogram
+
+BOUND_1E3 = ErrorBound.relative(1e-3)
+#: One lane for the module: its thread outlives the tests that use it.
+LANE = HelperLane("rans-width-lane")
 
 _SETTINGS = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _table(frequencies: Histogram) -> RansFrequencyTable:
+    """The table of ``frequencies``, which must fit one."""
+    table = RansFrequencyTable.try_from_frequencies(frequencies)
+    assert table is not None
+    return table
+
+
+def _encode(codec: RansCodec, stream: np.ndarray) -> Tuple[bytes, bytes, int]:
+    """``(payload, table_bytes, count)`` of ``stream`` coded against a table of its own."""
+    if not stream.size:
+        return b"", b"", 0
+    table = _table(symbol_frequencies(stream))
+    return codec.encode_with_table(stream, table), table.serialize(), int(stream.size)
 
 
 def _symbol_streams() -> st.SearchStrategy[np.ndarray]:
@@ -107,7 +143,7 @@ class TestQuantiseFrequencies:
 
 class TestFrequencyTable:
     def test_serialise_round_trip(self):
-        table = RansFrequencyTable.from_frequencies(histogram({-5: 7, 0: 100, 12345: 3}))
+        table = _table(histogram({-5: 7, 0: 100, 12345: 3}))
         restored = RansFrequencyTable.deserialize(table.serialize())
         assert np.array_equal(restored.symbols, table.symbols)
         assert np.array_equal(restored.freqs, table.freqs)
@@ -120,14 +156,123 @@ class TestFrequencyTable:
         assert RansFrequencyTable.try_from_frequencies(histogram({0: 1, 1 << 32: 1})) is None
 
     def test_truncated_table_rejected(self):
-        table = RansFrequencyTable.from_frequencies(histogram({0: 1, 1: 1}))
+        table = _table(histogram({0: 1, 1: 1}))
         with pytest.raises(EncodingError):
             RansFrequencyTable.deserialize(table.serialize()[:-1])
 
     def test_gather_escape_on_unknown_symbol(self):
-        table = RansFrequencyTable.from_frequencies(histogram({0: 1, 4: 1}))
+        table = _table(histogram({0: 1, 4: 1}))
         assert table.gather_freq_cum(np.array([0, 2], dtype=np.int64)) is None
         assert table.gather_freq_cum(np.array([0, 99], dtype=np.int64)) is None
+
+
+#: 23 symbols with gaps in their alphabet, as a quantiser leaves them.
+TABLE23 = _table(histogram({
+    **{s: 40 - abs(s) for s in range(-10, 10)}, -40: 2, 25: 1, 300: 3,
+}))
+
+
+def _layout(version: int, lo: int, stored: np.ndarray, freqs: np.ndarray) -> bytes:
+    """Table bytes in ``version``'s layout: ``stored`` holds its offsets (1) or gaps (2)."""
+    header = struct.pack("<BBHq", version, 0, len(stored) - 1, lo)
+    return header + np.asarray(stored, "<u4").tobytes() + np.asarray(freqs, "<u2").tobytes()
+
+
+def _bad_table(case: str, version: int) -> bytes:
+    """:data:`TABLE23` in ``version``'s layout, broken as ``case`` says."""
+    symbols, freqs = TABLE23.symbols, TABLE23.freqs.astype(np.int64)
+    lo = int(symbols[0])
+    stored = symbols - lo if version == 1 else np.diff(symbols - lo, prepend=-1) - 1
+    if case == "truncated":
+        return _layout(version, lo, stored, freqs)[:-1]
+    if case == "trailing":
+        return _layout(version, lo, stored, freqs) + b"\0"
+    if case == "swapped":  # two offsets swapped; gaps only climb, but past int64 they wrap
+        if version == 1:
+            stored = stored[[0, 2, 1, *range(3, stored.size)]]
+        else:
+            lo = 2**63 - 1
+    elif case == "zero-frequency":
+        freqs = np.concatenate([[freqs[0] + freqs[1], 0], freqs[2:]])
+    elif case == "too-many":
+        n = MAX_TABLE_SYMBOLS + 1
+        stored, freqs = (np.arange(n) if version == 1 else np.zeros(n)), np.ones(n)
+    elif case == "span":
+        stored = np.concatenate([stored[:-1], [2**32 - 1]])
+    return _layout(version, lo, stored, freqs)
+
+
+#: ``(case, version)`` of every table :func:`_bad_table` breaks.
+BAD_TABLES = [
+    (case, version) for case in ("truncated", "trailing", "swapped", "zero-frequency", "too-many")
+    for version in (1, 2)
+] + [("span", 2)]
+
+
+class TestTableValidation:
+    """A table that is not a model fails with ``EncodingError``, in either layout."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_both_layouts_read_the_same_table(self, version):
+        lo = int(TABLE23.symbols[0])
+        stored = TABLE23.symbols - lo
+        if version == 2:
+            stored = np.diff(stored, prepend=-1) - 1
+            assert TABLE23.serialize() == _layout(2, lo, stored, TABLE23.freqs)
+        table = RansFrequencyTable.deserialize(_layout(version, lo, stored, TABLE23.freqs))
+        assert np.array_equal(table.symbols, TABLE23.symbols)
+        assert np.array_equal(table.freqs, TABLE23.freqs)
+
+    def test_gaps_are_mostly_zero_on_a_quantisers_alphabet(self):
+        gaps = np.frombuffer(TABLE23.serialize(), "<u4", 23, 12)
+        assert gaps.tolist() == [0, 29] + [0] * 19 + [15, 274]
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("case", ["truncated", "trailing"])
+    def test_a_table_not_exactly_its_layouts_size_fails(self, case, version):
+        with pytest.raises(EncodingError, match="is not"):
+            RansFrequencyTable.deserialize(_bad_table(case, version))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_symbols_that_do_not_strictly_increase_fail(self, version):
+        with pytest.raises(EncodingError, match="strictly increase"):
+            RansFrequencyTable.deserialize(_bad_table("swapped", version))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_a_zero_frequency_fails(self, version):
+        with pytest.raises(EncodingError, match="positive"):
+            RansFrequencyTable.deserialize(_bad_table("zero-frequency", version))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_more_than_max_table_symbols_fail(self, version):
+        with pytest.raises(EncodingError, match=f"1-{MAX_TABLE_SYMBOLS} symbols"):
+            RansFrequencyTable.deserialize(_bad_table("too-many", version))
+
+    def test_a_version_2_span_of_2_to_the_32_fails(self):
+        with pytest.raises(EncodingError, match="spans"):
+            RansFrequencyTable.deserialize(_bad_table("span", 2))
+
+    @pytest.mark.parametrize("case, version", BAD_TABLES, ids=[f"{c}-v{v}" for c, v in BAD_TABLES])
+    def test_a_bad_table_fails_a_batch_decode(self, case, version):
+        codec = RansCodec()
+        stream = np.resize(TABLE23.symbols, 5000)
+        good = (codec.encode_with_table(stream, TABLE23), TABLE23.serialize(), stream.size)
+        assert np.array_equal(codec.decode_streams([good])[0], stream)
+        with pytest.raises(EncodingError):
+            codec.decode_streams([good, (good[0], _bad_table(case, version), stream.size)])
+
+    @pytest.mark.parametrize("case, version", BAD_TABLES, ids=[f"{c}-v{v}" for c, v in BAD_TABLES])
+    def test_a_bad_shared_table_fails_the_blobs_decode(self, case, version):
+        field = generate_field("miranda", "density", scale=0.08, seed=3).data
+        compressor = create_blocked_compressor("sz3", block_shape=16, entropy_stage="rans")
+        blob = compressor.compress(field, ErrorBound.relative(1e-3), verify=False).blob
+        assert blob.codebook_mode == "shared"
+        bad = base64.b64encode(zlib.compress(_bad_table(case, version))).decode("ascii")
+        blob.container.header["shared_codebook"] = bad
+        damaged = CompressedBlob.from_bytes(blob.to_bytes())
+        assert damaged.container.header["shared_codebook"] == bad
+        with pytest.raises(EncodingError):
+            compressor.decompress(damaged)
 
 
 class TestRansCodecRoundTrip:
@@ -135,23 +280,23 @@ class TestRansCodecRoundTrip:
     @given(stream=_symbol_streams())
     def test_round_trips_exactly(self, stream: np.ndarray):
         codec = RansCodec()
-        payload, table_bytes, count = codec.encode(stream)
+        payload, table_bytes, count = _encode(codec, stream)
         assert count == stream.size
         decoded = codec.decode(payload, table_bytes, count)
         assert np.array_equal(decoded, stream)
 
     def test_empty_stream(self):
         codec = RansCodec()
-        payload, table_bytes, count = codec.encode(np.array([], dtype=np.int64))
-        assert (payload, table_bytes, count) == (b"", b"", 0)
-        assert codec.decode(payload, table_bytes, count).size == 0
+        table = _table(histogram({0: 1}))
+        assert codec.encode_with_table(np.array([], dtype=np.int64), table) == b""
+        assert codec.decode(b"", table.serialize(), 0).size == 0
 
     def test_single_symbol_stream_is_tiny(self):
         """A constant stream carries ~zero information: the payload is
         just the header plus the lane states, no words."""
         codec = RansCodec()
         stream = np.full(10_000, 42, dtype=np.int64)
-        payload, table_bytes, count = codec.encode(stream)
+        payload, table_bytes, count = _encode(codec, stream)
         assert np.array_equal(codec.decode(payload, table_bytes, count), stream)
         # Header + lane states only: the sole symbol has probability 1,
         # so every encode step is a no-op and zero words are emitted.
@@ -159,22 +304,20 @@ class TestRansCodecRoundTrip:
 
     def test_full_16bit_alphabet_has_no_table(self):
         """All 65536 quantiser symbols present: no 12-bit table fits, so
-        encode raises and no table can be built."""
-        stream = np.arange(1 << 16, dtype=np.int64)
-        codec = RansCodec()
-        with pytest.raises(EncodingError):
-            codec.encode(stream)
+        none can be built, nor constructed directly."""
         wide = histogram(dict.fromkeys(range(1 << 16), 1))
         assert RansFrequencyTable.try_from_frequencies(wide) is None
+        with pytest.raises(EncodingError):
+            RansFrequencyTable(np.arange(1 << 16), np.ones(1 << 16))
 
     def test_shared_table_escape_returns_none(self):
         codec = RansCodec()
-        table = RansFrequencyTable.from_frequencies(histogram({1: 10, 2: 5}))
+        table = _table(histogram({1: 10, 2: 5}))
         assert codec.encode_with_table(np.array([1, 2, 3], dtype=np.int64), table) is None
 
     def test_corrupt_payload_rejected(self):
         codec = RansCodec()
-        payload, table_bytes, count = codec.encode(np.arange(512, dtype=np.int64) % 17)
+        payload, table_bytes, count = _encode(codec, np.arange(512, dtype=np.int64) % 17)
         corrupt = bytearray(payload)
         corrupt[-1] ^= 0xFF
         with pytest.raises(EncodingError):
@@ -203,7 +346,7 @@ def _batches(draw) -> List[Tuple[bytes, bytes, int]]:
             payload = codec.encode_with_table(stream, table)
             batch.append((payload, table.serialize(), int(stream.size)))
         else:
-            batch.append(codec.encode(stream))
+            batch.append(_encode(codec, stream))
     return batch
 
 
@@ -249,10 +392,13 @@ class TestRansBatchDecode:
             codec.decode_streams(batch)
 
 
-def _reference_encode(symbols: np.ndarray, table: RansFrequencyTable) -> Optional[bytes]:
+def _reference_encode(
+    symbols: np.ndarray, table: RansFrequencyTable, cap: int = MAX_LANES
+) -> Optional[bytes]:
     """Scalar rANS, one lane at a time, written from the module docstring.
 
-    Symbol ``i`` is on lane ``i % lanes``, the last round is padded with
+    Symbol ``i`` is on lane ``i % lanes`` (``lanes`` at most ``cap``, the
+    coding codec's ``max_lanes``), the last round is padded with
     the table's most probable symbol, each lane starts at ``2**16`` and
     walks its rounds backwards, emitting its low 16 bits before a step
     that would leave 32 bits; the word stream is every emitted word in
@@ -264,7 +410,7 @@ def _reference_encode(symbols: np.ndarray, table: RansFrequencyTable) -> Optiona
     cum = dict(zip(table.symbols.tolist(), table.cum.tolist()))
     if not set(symbols.tolist()) <= freq.keys():
         return None
-    lanes = _pick_lanes(symbols.size)
+    lanes = _pick_lanes(symbols.size, cap)
     rounds = -(-symbols.size // lanes)
     modal = table.symbols.tolist()[int(np.argmax(table.freqs))]
     padded = symbols.tolist() + [modal] * (rounds * lanes - symbols.size)
@@ -297,14 +443,14 @@ def _encode_batches(draw) -> List[Tuple[np.ndarray, RansFrequencyTable]]:
     scales = draw(st.lists(st.sampled_from([0.3, 2.0, 40.0]), min_size=len(sizes),
                            max_size=len(sizes)))
     streams = [np.round(rng.laplace(0.0, b, n)).astype(np.int64) for n, b in zip(sizes, scales)]
-    pooled = RansFrequencyTable.from_frequencies(symbol_frequencies(np.concatenate(streams)))
+    pooled = _table(symbol_frequencies(np.concatenate(streams)))
     shared = draw(st.lists(st.booleans(), min_size=len(streams), max_size=len(streams)))
     batch = [
-        (s, pooled if use else RansFrequencyTable.from_frequencies(symbol_frequencies(s)))
+        (s, pooled if use else _table(symbol_frequencies(s)))
         for s, use in zip(streams, shared)
     ]
     constant = np.full(draw(st.integers(1, 3000)), -5, dtype=np.int64)
-    batch.append((constant, RansFrequencyTable.from_frequencies(histogram({-5: constant.size}))))
+    batch.append((constant, _table(histogram({-5: constant.size}))))
     batch.append((np.zeros(0, dtype=np.int64), pooled))
     order = draw(st.permutations(range(len(batch))))
     return [batch[i] for i in order]
@@ -330,10 +476,36 @@ class TestRansBatchEncode:
         victim = data.draw(st.sampled_from([i for i, (s, _) in enumerate(batch) if s.size]))
         symbols = batch[victim][0]
         absent = histogram({int(symbols.max()) + 1: 1})
-        batch[victim] = (symbols, RansFrequencyTable.from_frequencies(absent))
+        batch[victim] = (symbols, _table(absent))
         escaped = codec.encode_streams(batch)
         assert escaped[victim] is None
         assert escaped[:victim] + escaped[victim + 1:] == alone[:victim] + alone[victim + 1:]
+
+    @_SETTINGS
+    @given(batch=_encode_batches(), cap=st.sampled_from([1, 2, 16, 64, 256]))
+    def test_a_lane_limit_narrows_each_stream_as_the_reference_does(self, batch, cap):
+        codec = RansCodec(max_lanes=cap)
+        payloads = codec.encode_streams(batch)
+        assert payloads == [_reference_encode(s, table, cap) for s, table in batch]
+        triples = [(p, t.serialize(), s.size) for p, (s, t) in zip(payloads, batch)]
+        for (symbols, _), decoded in zip(batch, RansCodec().decode_streams(triples)):
+            assert np.array_equal(decoded, symbols)
+
+
+class TestLaneLimit:
+    @pytest.mark.parametrize(
+        "blocks, lanes",
+        [(1, MAX_LANES), (2, 2048), (8, 512), (12, 512), (15, 512), (16, 256), (18, 256),
+         (144, 32), (MAX_LANES, 1), (10**6, 1)],
+    )
+    def test_the_smallest_power_of_two_that_fills_the_batch(self, blocks, lanes):
+        assert lane_limit(blocks) == lanes
+        assert blocks * lanes >= MAX_LANES and (lanes == 1 or blocks * lanes < 2 * MAX_LANES)
+
+    def test_a_lone_stream_keeps_its_width(self):
+        assert [_pick_lanes(n, lane_limit(1)) for n in (1, 64, 32768, 1 << 20)] == [
+            _pick_lanes(n) for n in (1, 64, 32768, 1 << 20)
+        ] == [1, 2, 1024, MAX_LANES]
 
 
 class TestPipelineBatchEncode:
@@ -417,3 +589,145 @@ class TestPipelineFallback:
         assert result.blob.metadata["entropy_stage"] == "rans"
         recon = compressor.decompress(result.blob)
         assert float(np.abs(recon - data).max()) <= 1e-3
+
+
+def _bulk_field() -> np.ndarray:
+    """The bulk and streamed workloads' Miranda field: 64x96x96, 18 blocks of 32^3."""
+    return generate_field("miranda", "density", scale=0.25, seed=12).data
+
+
+def _lanes(blob: CompressedBlob) -> List[int]:
+    """Each rANS block's lane count, read from its payload header."""
+    sections = [open_section(blob, entry["section"]) for entry in blob.block_index]
+    return [1 << inner.get_section("codes_payload")[1] for inner in sections]
+
+
+class TestPlanWidth:
+    """A block's bytes depend on its symbols, its model and its file's plan: an
+    18-block file codes every block in 256 lanes, whichever path settles it."""
+
+    @staticmethod
+    def _per_block(**options) -> PredictionPipelineCompressor:
+        return create_blocked_compressor(
+            "sz3", block_shape=32, entropy_stage="rans", adaptive_predictor=True,
+            shared_codebook=False, **options,
+        )
+
+    @staticmethod
+    def _blob(
+        compressor: PredictionPipelineCompressor, field: np.ndarray, bound: ErrorBound = BOUND_1E3
+    ) -> bytes:
+        return compressor.compress(field, bound, verify=False).blob.to_bytes()
+
+    @pytest.fixture(scope="class")
+    def settled(self) -> bytes:
+        return self._blob(self._per_block(), _bulk_field())
+
+    def test_an_18_block_file_codes_every_block_in_256_lanes(self, settled):
+        blob = CompressedBlob.from_bytes(settled)
+        assert blob.num_blocks == 18 and blob.metadata["block_codecs"] == {"rans": 18}
+        assert _lanes(blob) == [256] * 18 == [lane_limit(18)] * 18
+
+    @pytest.mark.parametrize("path", ["streamed", "one-by-one", "threads", "helper-lane",
+                                      "store-cold", "store-warm"])
+    def test_every_path_writes_the_files_settle(self, settled, path, monkeypatch, tmp_path):
+        field = _bulk_field()
+        if path == "streamed":  # ``StreamingPipeline._encode_file``: start every block, settle
+            compressor = self._per_block()
+            plan = compressor.block_plan(field)
+            bound = BOUND_1E3.absolute_for(field)
+            started = [compressor._start_block(field, plan, spec, bound) for spec in plan]
+            blob = CompressedBlob.from_bytes(settled)  # its header says what ``compress`` did
+            assert compressor.settle(started) == [
+                (entry, blob.container.get_section(entry["section"]))
+                for entry in blob.block_index
+            ]
+            return
+        if path == "one-by-one":
+            real_settle = PredictionPipelineCompressor.settle
+            monkeypatch.setattr(
+                PredictionPipelineCompressor, "settle",
+                lambda self, results: [real_settle(self, [result])[0] for result in results],
+            )
+            blob = self._blob(self._per_block(), field)
+        elif path == "threads":
+            monkeypatch.setattr(sz_pipeline, "_POOL_GRAIN_ELEMENTS", 1)
+            fanned = []
+            pool = ParallelExecutor(block_workers=2).map_blocks
+
+            def executor(func, items):
+                fanned.append(len(items))
+                return pool(func, items)
+
+            blob = self._blob(self._per_block(block_executor=executor), field)
+            assert fanned == [18]
+        elif path == "helper-lane":
+            blob = self._blob(self._per_block(helper_lane=LANE), field)
+        else:
+            cache = BlobCache(str(tmp_path))
+            blob = self._blob(self._per_block(block_cache=cache), field)
+            if path == "store-warm":
+                blob = self._blob(self._per_block(block_cache=cache), field)
+                assert cache.stats.block_hits == 18
+        assert blob == settled
+
+    def test_a_block_stored_by_a_wider_plan_is_not_served_to_a_narrower_one(self, tmp_path):
+        """The corner 2x2x2 blocks of the 18-block file are an 8-block file of
+        their own, whose blocks take 512 lanes: the store must not serve the
+        18-block file's 256-lane payloads of the same blocks into it, but
+        another 8-block file's payloads it serves."""
+        field = _bulk_field()
+        corner = np.ascontiguousarray(field[:, :64, :64])
+        bound = ErrorBound(value=BOUND_1E3.absolute_for(field), mode="abs")
+        alone = self._blob(self._per_block(), corner, bound)
+        cache = BlobCache(str(tmp_path))
+        self._blob(self._per_block(block_cache=cache), field, bound)
+        served = self._blob(self._per_block(block_cache=cache), corner, bound)
+        assert cache.stats.block_hits == 0
+        assert served == alone
+        assert _lanes(CompressedBlob.from_bytes(alone)) == [512] * 8
+        assert self._blob(self._per_block(block_cache=cache), corner, bound) == alone
+        assert cache.stats.block_hits == 8
+
+
+# --------------------------------------------------------------------------- #
+# Decision data: rANS against Huffman (``python tests/test_rans.py --table``)
+# --------------------------------------------------------------------------- #
+def decision_cells(data: np.ndarray, repeats: int = 3) -> Dict[Tuple[str, str], Tuple[int, float]]:
+    """``(mode, codec) -> (blob bytes, process CPU ms)`` of one file: the adaptive
+    sz3 pipeline in 32-blocks at REL 1e-3, encode plus decode, median of ``repeats``."""
+    cells = {}
+    for mode, shared in (("shared", True), ("per-block", False)):
+        for stage in ("huffman", "rans"):
+            compressor = create_blocked_compressor(
+                "sz3", block_shape=32, entropy_stage=stage, adaptive_predictor=True,
+                shared_codebook=shared,
+            )
+            times = []
+            for _ in range(repeats):
+                start = time.process_time()
+                blob = compressor.compress(data, BOUND_1E3, verify=False).blob
+                compressor.decompress(blob)
+                times.append(time.process_time() - start)
+            cells[mode, stage] = len(blob.to_bytes()), 1e3 * float(np.median(times))
+    return cells
+
+
+def main(argv: List[str]) -> None:
+    if argv != ["--table"]:
+        raise SystemExit("usage: python tests/test_rans.py --table")
+    from test_adaptive_selector import SCALES, _field
+
+    files = {app: _field(app) for app in SCALES}
+    files["bulk miranda"] = _bulk_field()
+    columns = [(mode, stage) for mode in ("shared", "per-block") for stage in ("huffman", "rans")]
+    print(f"{'file':13}" + "".join(f" {f'{mode} {stage}':>26}" for mode, stage in columns))
+    print(f"{'':13}" + " {:>14} {:>11}".format("bytes", "CPU ms") * len(columns))
+    for name, data in files.items():
+        cells = decision_cells(data)
+        row = "".join(f" {cells[key][0]:14} {cells[key][1]:11.1f}" for key in columns)
+        print(f"{name:13}{row}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

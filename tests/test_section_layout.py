@@ -251,9 +251,9 @@ PINNED: Dict[Tuple[str, str], Dict[str, object]] = {
                             "stored": "9e9e148d8188adc5", "decoded": "7669ddbddb666fb4"},
     ("huffman", "per-block"): {"nbytes": 82665, "split": ["block:0", "block:2"],
                                "stored": "85acf5371af9e813", "decoded": "7669ddbddb666fb4"},
-    ("rans", "shared"): {"nbytes": 89848, "split": [],
+    ("rans", "shared"): {"nbytes": 87488, "split": [],
                          "stored": "e4a6a0577479b2b4", "decoded": "7669ddbddb666fb4"},
-    ("rans", "per-block"): {"nbytes": 85277, "split": ["block:0", "block:2"],
+    ("rans", "per-block"): {"nbytes": 82222, "split": ["block:0", "block:2"],
                             "stored": "2f8be097c78fc81a", "decoded": "7669ddbddb666fb4"},
 }
 

@@ -37,8 +37,11 @@ MAX_CORE_FUNCTION_LINES = 90
 #: file's rANS streams encoded as one batch, paid for by the per-stream
 #: encode loop, ``speedup_vs_direct``, the pipeline's own backend lookup
 #: and by wrapping one-name-per-line ``__all__`` / import lists, 15 933
-#: before Huffman's model became arrays).
-MAX_SRC_LINES = 15_932
+#: before Huffman's model became arrays, 15 932 before rANS took its lanes
+#: from the file's plan and its tables became gaps, paid for by deleting
+#: ``RansCodec.encode``, ``RansFrequencyTable.from_frequencies`` and the
+#: quantiser's unused symbol mapping).
+MAX_SRC_LINES = 15_927
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
