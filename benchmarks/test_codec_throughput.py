@@ -1,4 +1,4 @@
-"""Codec kernels against their in-tree references: Huffman, rANS, LZ77.
+"""Codec kernels against their in-tree references: Huffman and rANS.
 
 Ocelot's pitch is that compression makes WAN transfer faster *end to
 end*, which makes the compressor's own throughput the product.  This
@@ -22,8 +22,6 @@ runner speed cancels:
 * (R) one Miranda file's 18 rANS block streams (32^3 symbols, a table
   each) decoded as one lockstep batch vs one stream at a time: >= 2x;
   and encoded so, byte-identical to one stream at a time: >= 1.4x;
-* (R) the vectorised LZ77 encoder vs the seed bytewise encoder
-  ``LZ77Codec.encode_bytewise``: >= 10x, decode-identical output;
 * (D) the fused <= 16-bit code packer is byte-identical to the general
   packer; a shared codebook costs fewer bytes than per-block books, on
   a raw symbol stream and through the blocked sz3 pipeline under both
@@ -52,7 +50,6 @@ from repro.compression.encoders.huffman import (
     _pack_codes_16,
     symbol_frequencies,
 )
-from repro.compression.encoders.lz77 import LZ77Codec
 from repro.compression.encoders.rans import RansCodec, RansFrequencyTable
 from repro.compression.predictors.interpolation import InterpolationPredictor
 from repro.datasets import generate_field
@@ -71,10 +68,6 @@ MIN_BLOCK_DECODE_SPEEDUP = 8.0
 #: 5.3x-7.2x over 9 quiet runs (6.0x-9.0x in 4 runs with ``bench/run.py
 #: --quick`` looping beside it): 2.6x headroom at the lowest reading.
 MIN_LOCKSTEP_SPEEDUP = 2.0
-
-#: Vectorised LZ77 encode vs ``encode_bytewise``.  Measured 52x (54x
-#: loaded; lowest of 16 readings 33x): 5.2x headroom.
-MIN_ENCODE_SPEEDUP = 10.0
 
 #: Interleaved rANS decode vs ``decode_bitloop``: 2x the Huffman LUT
 #: decoder, as PR 9 set it.  The LUT it was set against ran 10x the
@@ -383,54 +376,6 @@ class TestRansThroughput:
         )
         assert alone_s / batch_s >= MIN_RANS_ENCODE_BATCH_SPEEDUP, (
             f"batched rANS encode only {alone_s / batch_s:.1f}x one stream at a time"
-        )
-
-
-def lz77_corpus(units: int = 400, seed: int = 2) -> bytes:
-    """Structured serialised-block corpus: header + noise + runs, repeated.
-
-    The repetition across units gives the encoder real cross-unit matches
-    (as serialised quantiser blocks of one file do); the noise span keeps
-    it from degenerating into a single run.
-    """
-    rng = np.random.default_rng(seed)
-    unit = (
-        b"field header "
-        + bytes(rng.integers(0, 12, 400, dtype=np.uint8))
-        + b"run" * 300
-    )
-    return unit * units
-
-
-class TestLZ77Throughput:
-    def test_vectorised_encode_and_decode(self):
-        """Vectorised encode >= 10x bytewise, decode output unchanged."""
-        data = lz77_corpus()
-        codec = LZ77Codec()
-        payload = codec.encode(data)
-        assert codec.decode(payload) == data
-
-        # The bytewise reference crawls (~0.5 MB/s), so the head-to-head
-        # runs on a prefix.
-        prefix = data[: 1 << 16]
-        bytewise_s = best_of(lambda: codec.encode_bytewise(prefix), repeats=1)
-        vector_prefix_s = best_of(lambda: codec.encode(prefix))
-        bytewise_payload = codec.encode_bytewise(prefix)
-        assert codec.decode(bytewise_payload) == prefix
-        assert codec.decode(codec.encode(prefix)) == prefix
-        encode_speedup = bytewise_s / vector_prefix_s
-
-        print_table(
-            "LZ77 encode vs encode_bytewise (64 KiB prefix of the structured corpus)",
-            [{
-                "encode MB/s": _mbps(len(prefix), vector_prefix_s),
-                "seed bytewise MB/s": _mbps(len(prefix), bytewise_s),
-                "speedup": encode_speedup,
-            }],
-        )
-        assert encode_speedup >= MIN_ENCODE_SPEEDUP, (
-            f"vectorised LZ77 encode only {encode_speedup:.1f}x the seed "
-            f"bytewise encoder (floor {MIN_ENCODE_SPEEDUP}x)"
         )
 
 

@@ -57,7 +57,7 @@ SCALE_JOBS_2X = 200
 #: Regression floor: jobs/sec at 100 jobs must beat 10x a solo run's.
 MIN_SCALE_SPEEDUP = 10.0
 #: Simulated makespans of the 100- and 200-job drains, pinned.
-SCALE_MAKESPAN_S = {SCALE_JOBS: 27.0748, SCALE_JOBS_2X: 52.0515}
+SCALE_MAKESPAN_S = {SCALE_JOBS: 27.0747, SCALE_JOBS_2X: 52.0513}
 #: Per-tenant fairness floor (Jain's index over mean turnaround).
 MIN_JAIN_INDEX = 0.9
 

@@ -23,6 +23,7 @@ __all__ = [
     "pipeline_fingerprint",
     "blob_cache_key",
     "block_cache_key",
+    "checksum",
 ]
 
 #: 128-bit digests: collision-safe at any realistic cache size while
@@ -43,6 +44,12 @@ def array_content_digest(data: np.ndarray) -> str:
     h.update(repr(tuple(int(s) for s in arr.shape)).encode("ascii"))
     h.update(arr.data if arr.size else b"")
     return h.hexdigest()
+
+
+def checksum(data: bytes) -> bytes:
+    """blake2b-8 of ``data``: what a top-level blob container stores over its
+    header and over each section, to be checked when they are read."""
+    return hashlib.blake2b(data, digest_size=8).digest()
 
 
 def _canonical(value: Any) -> Any:

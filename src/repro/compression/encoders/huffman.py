@@ -23,8 +23,11 @@ sums for codes of <= 16 bits (:func:`_pack_codes_16`), ``np.repeat`` +
 The same offsets give the *sync index* — where symbols ``K, 2K, ...``
 start — that a stream of more than K symbols carries as a
 :class:`SyncedPayload`.  Decoding lives in :mod:`.huffman_decode`.
-Codebooks serialise as int64 (symbol, length) pairs, as they always
-have, so stored blobs decode unchanged, bit for bit.
+A codebook serialises densely: ``i64 lo``, then one ``u8`` code length
+per value of ``lo..hi`` (0: no code), from which the canonical codes
+follow (RFC 1951 §3.2.2); an alphabet too wide for that stores int64
+(symbol, length) pairs, the layout container versions 1 and 2 used for
+every book (:meth:`HuffmanCodebook.from_pairs` reads those).
 """
 
 from __future__ import annotations
@@ -296,16 +299,44 @@ class HuffmanCodebook:
         return int(self.lengths.max()) if self.lengths.size else 0
 
     def serialize(self) -> bytes:
-        """Serialise the codebook as int64 (symbol, length) pairs, by symbol."""
-        return np.column_stack((self.symbols, self.lengths)).tobytes()
+        """``i64 lo`` then ``u8 length[hi - lo + 1]`` (0: absent); wider than the dense
+        tables, ``i64 lo``, a 0 byte (never ``lo``'s own length), then int64 pairs."""
+        lo = int(self.symbols[0]) if self.symbols.size else 0
+        head = np.int64(lo).astype("<i8").tobytes()
+        span = int(self.symbols[-1]) - lo + 1 if self.symbols.size else 0
+        if span > _DENSE_SPAN_LIMIT:
+            pairs = np.column_stack((self.symbols, self.lengths)).astype("<i8")
+            return head + b"\0" + pairs.tobytes()
+        lengths = np.zeros(span, dtype=np.uint8)
+        lengths[self.symbols - lo] = self.lengths
+        return head + lengths.tobytes()
 
     @classmethod
     def deserialize(cls, payload: bytes) -> "HuffmanCodebook":
         """Rebuild a codebook from :meth:`serialize` output; :class:`EncodingError`
-        unless it is whole pairs of a prefix code over ascending symbols."""
+        unless it is a prefix code whose symbols fit int64."""
+        if len(payload) < 8:
+            raise EncodingError(f"corrupt Huffman codebook payload ({len(payload)} bytes)")
+        lo = int(np.frombuffer(payload[:8], dtype="<i8")[0])
+        if payload[8:9] == b"\0":
+            book = cls.from_pairs(payload[9:])
+            if not book.symbols.size or int(book.symbols[0]) != lo:
+                raise EncodingError("corrupt Huffman codebook: its pairs do not start at lo")
+            return book
+        lengths = np.frombuffer(payload, dtype=np.uint8, offset=8)
+        present = np.flatnonzero(lengths)
+        if present.size and lo + int(present[-1]) > np.iinfo(np.int64).max:
+            raise EncodingError("Huffman codebook symbols run past int64")
+        return cls(present + lo, lengths[present])
+
+    @classmethod
+    def from_pairs(cls, payload: bytes) -> "HuffmanCodebook":
+        """A codebook as container versions 1 and 2 stored it: int64 (symbol, length)
+        pairs; :class:`EncodingError` unless whole pairs of a prefix code over
+        ascending symbols."""
         if len(payload) % 16:
             raise EncodingError(f"corrupt Huffman codebook payload ({len(payload)} bytes)")
-        pairs = np.frombuffer(payload, dtype=np.int64).reshape(-1, 2)
+        pairs = np.frombuffer(payload, dtype="<i8").reshape(-1, 2)
         return cls(pairs[:, 0], pairs[:, 1])
 
     # ------------------------------------------------------------------ #

@@ -2,8 +2,8 @@
 
 The SZ C++ implementations finish with a general-purpose lossless coder
 (zstd or gzip).  Here the default is DEFLATE via the standard library's
-``zlib``; a raw pass-through backend and the in-repo LZ77 codec are also
-available so pipelines can be ablated.
+``zlib``; a raw pass-through backend is also available so pipelines can
+be ablated.
 """
 
 from __future__ import annotations
@@ -11,10 +11,13 @@ from __future__ import annotations
 import abc
 import zlib
 
-from ...errors import ConfigurationError, EncodingError
-from .lz77 import LZ77Codec
+from typing import Any
 
-__all__ = ["LosslessBackend", "DeflateBackend", "RawBackend", "LZ77Backend", "get_lossless_backend"]
+from ...errors import ConfigurationError, EncodingError
+
+__all__ = [
+    "LosslessBackend", "DeflateBackend", "RawBackend", "get_lossless_backend", "stored_backend",
+]
 
 
 class LosslessBackend(abc.ABC):
@@ -63,30 +66,14 @@ class RawBackend(LosslessBackend):
         return bytes(data)
 
 
-class LZ77Backend(LosslessBackend):
-    """In-repo LZ77 codec as the dictionary stage (slow; for ablation)."""
-
-    name = "lz77"
-
-    def __init__(self, window_size: int = 4096) -> None:
-        self._codec = LZ77Codec(window_size=window_size)
-
-    def compress(self, data: bytes) -> bytes:
-        return self._codec.encode(data)
-
-    def decompress(self, data: bytes) -> bytes:
-        return self._codec.decode(data)
-
-
 _BACKENDS = {
     DeflateBackend.name: DeflateBackend,
     RawBackend.name: RawBackend,
-    LZ77Backend.name: LZ77Backend,
 }
 
 
 def get_lossless_backend(name: str, **kwargs) -> LosslessBackend:
-    """Instantiate a lossless backend by name (``deflate``, ``raw``, ``lz77``)."""
+    """Instantiate a lossless backend by name (``deflate``, ``raw``)."""
     try:
         factory = _BACKENDS[name]
     except KeyError as exc:
@@ -95,3 +82,11 @@ def get_lossless_backend(name: str, **kwargs) -> LosslessBackend:
             f"unknown lossless backend {name!r}; expected one of: {valid}"
         ) from exc
     return factory(**kwargs)
+
+
+def stored_backend(name: Any) -> LosslessBackend:
+    """The backend a stored header names; :class:`EncodingError` for any other value
+    (``lz77`` included: that codec is gone, so blobs that name it no longer decode)."""
+    if not isinstance(name, str) or name not in _BACKENDS:
+        raise EncodingError(f"blob names lossless backend {name!r}, which this build cannot read")
+    return _BACKENDS[name]()

@@ -72,8 +72,8 @@ from ...errors import EncodingError
 from .huffman import Histogram
 
 __all__ = [
-    "RansFrequencyTable", "RansCodec", "quantize_frequencies", "lane_limit", "PROB_BITS",
-    "PROB_SCALE", "MAX_TABLE_SYMBOLS",
+    "RansFrequencyTable", "RansCodec", "quantize_frequencies", "lane_limit", "payload_head_size",
+    "PROB_BITS", "PROB_SCALE", "MAX_TABLE_SYMBOLS",
 ]
 
 #: Probability resolution: frequencies are quantised to sum to ``2**12``.
@@ -140,6 +140,13 @@ def quantize_frequencies(counts: np.ndarray) -> np.ndarray:
         np.add.at(bump, order[np.arange(deficit) % n], 1)
         quant += bump
     return quant.astype(np.uint16)
+
+
+def payload_head_size(payload: bytes) -> int:
+    """Bytes of ``payload`` before its words: the header and the lane states."""
+    if len(payload) < _PAYLOAD_HEADER.size:
+        return len(payload)
+    return min(len(payload), _PAYLOAD_HEADER.size + (4 << payload[1]))
 
 
 def _pick_lanes(count: int, cap: int = MAX_LANES) -> int:

@@ -1,9 +1,9 @@
 """Compressor interfaces and the on-the-wire compressed blob format.
 
-A :class:`CompressedBlob` is a self-describing byte container: a JSON
-header (compressor name, shape, dtype, error bound, per-section sizes)
-followed by named binary sections.  The blob is what Ocelot writes to the
-source endpoint's filesystem, groups into archives, transfers over the
+A :class:`CompressedBlob` is a self-describing byte container: a header
+(compressor name, shape, dtype, error bound, per-section sizes) followed
+by named binary sections.  The blob is what Ocelot writes to the source
+endpoint's filesystem, groups into archives, transfers over the
 simulated WAN, and decompresses at the destination.
 
 Every blob is a *block plan*: the array cut into independently decodable
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import abc
 import base64
-import json
-import struct
 import sys
 import time
 import zlib
@@ -33,21 +31,16 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import CompressionError, EncodingError, ErrorBoundViolation
+from ..cache.keys import checksum
+from ..errors import CompressionError, EncodingError, ErrorBoundViolation, IntegrityError
 from ..utils.stats import reconstruction_error
 from .errorbound import ErrorBound
+from .header import CHECKSUM_PLACEHOLDER, FORMAT_VERSION, read_frame, write_frame
 
 __all__ = [
     "SectionContainer", "CompressedBlob", "CompressionStats", "CompressionResult", "Compressor",
-    "require_error_bound",
+    "Checksummed", "require_error_bound",
 ]
-
-_MAGIC = b"OCLT"
-#: Current on-the-wire version.  v2 adds the stored ``block_index``
-#: (one section per block); the byte layout itself is unchanged, so v1
-#: blobs remain readable.
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 
 #: The blob-level header fields every blob carries (beside ``metadata``).
 _BLOB_FIELDS = ("compressor", "shape", "dtype", "error_bound_abs")
@@ -66,30 +59,44 @@ def dtype_name(dtype: np.dtype) -> str:
     return str(dtype)
 
 
+class Checksummed(bytes):
+    """Section bytes that carry their :func:`~repro.cache.keys.checksum`, taken
+    where the bytes were made (on the helper lane) or verified when read."""
+
+    digest: bytes
+
+    @classmethod
+    def of(cls, data: Any, digest: Optional[bytes] = None) -> "Checksummed":
+        section = cls(data)
+        section.digest = checksum(section) if digest is None else digest
+        return section
+
+
 class SectionContainer:
-    """Serialize a JSON header plus named binary sections to bytes.
+    """Serialize a header plus named binary sections to bytes.
 
-    Layout::
-
-        MAGIC (4 bytes) | version (u32) | header_len (u32) | header JSON
-        | section bytes back to back (sizes recorded in the header)
-
-    Parsing decodes only the header: sections are indexed by offset and
-    each one's bytes are sliced out of the source buffer on first
-    access.  That is what gives blocked blobs true random access —
-    decoding ``block:7`` never touches the payload bytes of any other
-    block.
+    The frame before the sections — version, header, section table and,
+    in a *checked* container, the checksums — is :mod:`.header`'s.  A
+    top-level container (a blob, a streamed block message) is checked;
+    one nested inside a checked section (a block's inner section) is
+    not.  Parsing decodes only the header, after checking it: sections
+    are indexed by offset, and each one's bytes are sliced out of the
+    source buffer, and checked, on first access.  That is what gives
+    blocked blobs true random access — decoding ``block:7`` never touches
+    the payload bytes of any other block.
     """
 
-    def __init__(self, header: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, header: Optional[Dict[str, Any]] = None, checked: bool = False) -> None:
         self.header: Dict[str, Any] = dict(header or {})
-        #: Section name -> its bytes, or the ``(offset, size)`` of a parsed
-        #: section not yet read out of ``_buffer``; in serialisation order.
-        self._sections: Dict[str, Union[bytes, Tuple[int, int]]] = {}
+        #: Section name -> its bytes, or the ``(offset, size, checksum)`` of a
+        #: parsed section not yet read out of ``_buffer``; in serialisation order.
+        self._sections: Dict[str, Union[bytes, Tuple[int, int, Optional[bytes]]]] = {}
         self._buffer: bytes = b""
+        #: Whether this container stores checksums (where it sits decides).
+        self.checked = checked
         #: Version the container was parsed from (writes always use the
-        #: current :data:`_FORMAT_VERSION`).
-        self.source_version: int = _FORMAT_VERSION
+        #: current :data:`~.header.FORMAT_VERSION`).
+        self.source_version: int = FORMAT_VERSION
 
     def add_section(self, name: str, payload: bytes, overwrite: bool = False) -> None:
         """Add a named binary section.
@@ -100,7 +107,7 @@ class SectionContainer:
         """
         if not overwrite and name in self._sections:
             raise EncodingError(f"duplicate section {name!r} in container")
-        self._sections[name] = bytes(payload)
+        self._sections[name] = payload if isinstance(payload, Checksummed) else bytes(payload)
 
     def add_array(self, name: str, array: np.ndarray) -> None:
         """Add a NumPy array section, recording dtype/shape in the header."""
@@ -113,16 +120,24 @@ class SectionContainer:
         """Return the raw bytes of a named section.
 
         On a parsed container this materialises the section from the
-        source buffer on first access; untouched sections stay as
-        (offset, size) bookkeeping only.
+        source buffer on first access, and checks it against its stored
+        checksum (:class:`IntegrityError` if it does not match); untouched
+        sections stay as (offset, size, checksum) bookkeeping only.
         """
         try:
             section = self._sections[name]
         except KeyError as exc:
             raise EncodingError(f"missing section {name!r} in container") from exc
         if isinstance(section, tuple):
-            offset, size = section  # extent checked by from_bytes
-            section = self._sections[name] = bytes(self._buffer[offset : offset + size])
+            offset, size, digest = section  # extent checked by from_bytes
+            data = memoryview(self._buffer)[offset : offset + size]
+            if digest is None:
+                section = bytes(data)
+            elif checksum(data) != digest:
+                raise IntegrityError(f"section {name!r} does not match its checksum")
+            else:
+                section = Checksummed.of(data, digest)
+            self._sections[name] = section
         return section
 
     def get_array(self, name: str) -> np.ndarray:
@@ -156,75 +171,55 @@ class SectionContainer:
         """
         return [name for name, held in self._sections.items() if isinstance(held, bytes)]
 
-    def _header_bytes(self) -> bytes:
-        header = dict(self.header)
-        header["_sections"] = [
-            {"name": name, "size": self.section_size(name)}
-            for name in self.section_names()
-        ]
-        return json.dumps(header, sort_keys=True).encode("utf-8")
+    def _table(self, sums: Optional[List[bytes]]) -> List[list]:
+        """The section table; ``sums`` holds each section's checksum in a checked container."""
+        table = [[name, self.section_size(name)] for name in self._sections]
+        for entry, digest in zip(table, sums or ()):
+            entry.append(digest)
+        return table
 
     def serialized_size(self) -> int:
         """Size :meth:`to_bytes` would produce, without joining the payloads.
 
-        Only the (small) JSON header is materialised; section bytes are
-        summed in place, so this is cheap even for multi-GB containers.
+        Only the (small) header is materialised; section bytes are summed
+        in place and nothing is hashed, so this is cheap even for
+        multi-GB containers.
         """
-        return 12 + len(self._header_bytes()) + sum(
-            self.section_size(name) for name in self.section_names()
-        )
+        sums = [CHECKSUM_PLACEHOLDER] * len(self._sections) if self.checked else None
+        frame = write_frame(self.header, self._table(sums), self.checked, CHECKSUM_PLACEHOLDER)
+        return len(frame) + sum(map(self.section_size, self._sections))
 
     def to_bytes(self) -> bytes:
         """Serialise the container (materialising any unread sections)."""
-        header_bytes = self._header_bytes()
-        parts = [
-            _MAGIC,
-            struct.pack("<II", _FORMAT_VERSION, len(header_bytes)),
-            header_bytes,
-        ]
-        parts.extend(self.get_section(name) for name in self.section_names())
-        return b"".join(parts)
+        sections = [self.get_section(name) for name in self._sections]
+        sums = None
+        if self.checked:  # a section made on the helper lane brought its own
+            sums = [getattr(data, "digest", None) or checksum(data) for data in sections]
+        return b"".join([write_frame(self.header, self._table(sums), self.checked), *sections])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SectionContainer":
         """Parse a container previously produced by :meth:`to_bytes`.
 
-        Only the header is decoded (and every section's extent checked
-        against ``data``); each section is sliced from ``data`` on first
-        :meth:`get_section` access.
+        Only the header is decoded (after its checksum is checked, and
+        every section's extent against ``data``); each section is sliced
+        from ``data`` on first :meth:`get_section` access.  Anything that
+        is not such a container — bytes after the last section included —
+        ends in :class:`EncodingError`.
         """
-        if len(data) < 12 or data[:4] != _MAGIC:
-            raise EncodingError("not a valid Ocelot container (bad magic)")
-        version, header_len = struct.unpack("<II", data[4:12])
-        if version not in _SUPPORTED_VERSIONS:
-            raise EncodingError(f"unsupported container version {version}")
-        header_end = 12 + header_len
-        if header_end > len(data):
-            raise EncodingError("truncated container header")
-        try:  # JSONDecodeError and UnicodeDecodeError are both ValueErrors
-            header = json.loads(data[12:header_end].decode("utf-8"))
-        except ValueError as exc:
-            raise EncodingError("container header is not valid JSON") from exc
-        sections = header.pop("_sections", []) if isinstance(header, dict) else None
-        if not isinstance(sections, list):
-            raise EncodingError("container header is not an object with a section list")
-        container = cls(header)
+        version, header, table, offset, checked = read_frame(data)
+        container = cls(header, checked=checked)
         container.source_version = version
-        offset = header_end
-        for entry in sections:
-            try:
-                name, size = entry["name"], int(entry["size"])
-                if not isinstance(name, str):
-                    raise TypeError(f"section name {name!r} is not a string")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise EncodingError("malformed section entry in container header") from exc
+        for name, size, digest in table:
             if name in container._sections:
                 raise EncodingError(f"duplicate section {name!r} in container")
             # A negative size would make later sections alias earlier bytes.
             if size < 0 or offset + size > len(data):
                 raise EncodingError(f"truncated section {name!r}")
-            container._sections[name] = (offset, size)
+            container._sections[name] = (offset, size, digest)
             offset += size
+        if offset != len(data):
+            raise EncodingError(f"{len(data) - offset} trailing bytes after the last section")
         container._buffer = data
         return container
 
@@ -246,9 +241,10 @@ class CompressedBlob:
         self.dtype = str(dtype)
         self.error_bound_abs = float(error_bound_abs)
         self.container = container
+        container.checked = True  # a blob is a top-level container
         self.metadata = dict(metadata or {})
-        #: Memoised (encoded header value, decoded bytes) shared codebook.
-        self._codebook_cache: Optional[Tuple[str, bytes]] = None
+        #: Memoised (header value, decoded bytes) shared codebook.
+        self._codebook_cache: Optional[Tuple[Union[str, bytes], bytes]] = None
         #: Memoised (header's block index, block id -> its entry).
         self._entry_cache: Optional[Tuple[list, Dict[int, Dict[str, Any]]]] = None
 
@@ -375,11 +371,11 @@ class CompressedBlob:
 
         Blocked blobs written in shared-codebook mode serialise the
         entropy model (a Huffman codebook or rANS frequency table)
-        **once**, base64-encoded in the blob header, instead of once per
-        ``block:<id>`` section.  Returns ``None`` for blobs whose blocks
-        each carry their own model.  The
-        header travels with :meth:`export_block` messages, so streamed
-        blocks stay independently decodable at the destination.
+        **once**, deflated, as a bytes value of the blob header (a base64
+        string in v1/v2 headers), instead of once per ``block:<id>``
+        section.  Returns ``None`` for blobs whose blocks each carry their
+        own model.  The header travels with :meth:`export_block` messages,
+        so streamed blocks stay independently decodable at the destination.
         """
         encoded = self.container.header.get("shared_codebook")
         if not encoded:
@@ -391,7 +387,9 @@ class CompressedBlob:
         if cached is not None and cached[0] == encoded:
             return cached[1]
         try:
-            decoded = zlib.decompress(base64.b64decode(encoded))
+            decoded = zlib.decompress(
+                base64.b64decode(encoded) if isinstance(encoded, str) else encoded
+            )
         except (ValueError, TypeError, zlib.error) as exc:
             raise EncodingError("corrupt shared codebook in blob header") from exc
         self._codebook_cache = (encoded, decoded)
@@ -441,7 +439,7 @@ class CompressedBlob:
         ``serialized_size()``, so the bill and the bytes cannot drift.
         """
         message = SectionContainer(
-            header={"stream_block": dict(entry), "blob_header": dict(blob_header)}
+            header={"stream_block": dict(entry), "blob_header": dict(blob_header)}, checked=True
         )
         message.add_section("payload", payload)
         return message

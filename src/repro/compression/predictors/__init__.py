@@ -20,7 +20,7 @@ __all__ = [
 def create_predictor(name: str, meta: Optional[Dict[str, Any]] = None) -> Predictor:
     """Instantiate a predictor by name, optionally shaped by encode-time meta.
 
-    Blob format v2 records the predictor each block was encoded with; the
+    A blob records the predictor each block was encoded with; the
     decoder uses this factory to rebuild a matching predictor from the
     block's ``predictor_meta`` (interpolation order, regression/transform
     block size, quantiser bin radius).

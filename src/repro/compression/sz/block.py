@@ -86,7 +86,8 @@ class BlockStages:
         if not self.adaptive_predictor:
             return candidates[0].name, encodings[0], None
         histograms = [symbol_frequencies(e.codes) for e in encodings]
-        sizes = [estimated_bytes(e, h) for e, h in zip(encodings, histograms)]
+        stage = self.config.entropy_stage
+        sizes = [estimated_bytes(e, h, stage) for e, h in zip(encodings, histograms)]
         winner = sizes.index(min(sizes))
         return candidates[winner].name, encodings[winner], histograms[winner]
 

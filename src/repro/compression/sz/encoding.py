@@ -27,15 +27,19 @@ from ..encoders.huffman import (
     MAX_CODE_LENGTH, Histogram, HuffmanCodebook, HuffmanCodec, HuffmanStream, SyncedPayload,
     pooled_symbol_frequencies, symbol_frequencies,
 )
-from ..encoders.lossless import LosslessBackend, get_lossless_backend
-from ..encoders.rans import RansCodec, RansFrequencyTable, lane_limit
-from ..interface import CompressedBlob, SectionContainer
+from ..encoders.lossless import LosslessBackend, stored_backend
+from ..encoders.rans import (
+    MAX_TABLE_SYMBOLS, PROB_BITS, RansCodec, RansFrequencyTable, lane_limit, payload_head_size,
+    quantize_frequencies,
+)
+from ..header import read_varint, write_varint
+from ..interface import Checksummed, CompressedBlob, SectionContainer
 from ..predictors.base import PredictorOutput
 
 __all__ = [
     "ENTROPY_CODED", "ENTROPY_STAGES", "SPLIT_MIN_BYTES", "EncodingPlan", "EncodingWire",
     "SharedBook", "block_model_bytes", "estimated_bytes", "inflate_section", "open_section",
-    "pack_section",
+    "pack_section", "split_layout",
 ]
 
 ENTROPY_STAGES = ("huffman", "rans", "none")
@@ -49,39 +53,43 @@ ENTROPY_CODED = ("huffman", "rans")
 SharedBook = Any
 
 
-#: Coefficients of :func:`estimated_bytes`, in bytes per unit, read off
-#: what blocks cost when deflate took every section whole (least squares
-#: over 25 398 candidate encodings of all seven applications at rel
-#: 1e-4..1e-2, 16- and 32-blocks, both codecs; not refit for the split
-#: layout below, which moves blobs by -1.45..+0.32 %): the coded stream
-#: lands on its zeroth-order entropy (coefficient 1.02-1.10 on the
-#: entropy, -0.08 on the exact Huffman bit count), a model entry deflates
-#: to 2.0-2.4 B (16 B raw for Huffman, 6 B for rANS), an escape is an
-#: int64 index plus a float64 literal, and an aux array drags ~130
-#: characters of section framing and predictor meta into the JSON header.
+#: Coefficients of :func:`estimated_bytes` per entropy stage, in bytes:
+#: per model entry and per aux array (its framing and predictor meta),
+#: plus an escape's int64 index and float64 literal.  Fit to container
+#: version 3 (dense Huffman books, rANS tables as gaps, binary headers) by
+#: the bytes the ranking gives up against keeping the smaller of the real
+#: sections, over 5 796 blocks (all seven applications, seeds 3 and 11, rel
+#: 1e-4..1e-2, 16- and 32-blocks): 3 739 B, where the version 2 fit (2 B an
+#: entry and 64 B an aux array for both codecs) gave up 7 303 B.  rANS is
+#: charged what its 12-bit table codes the histogram at, not its entropy.
 #: Table of what the ranking costs against encoding every candidate:
 #: ARCHITECTURE.md, "Adaptive predictor selection".
-_MODEL_BYTES_PER_SYMBOL = 2
+_MODEL_BYTES_PER_SYMBOL = {"huffman": 0.75, "rans": 1.5}
+_AUX_FRAME_BYTES = {"huffman": 32, "rans": 20}
 _ESCAPE_BYTES = 16
-_AUX_FRAME_BYTES = 64
 
 
-def estimated_bytes(encoding: PredictorOutput, frequencies: Histogram) -> float:
-    """Size statistic of one candidate encoding, from its code histogram.
+def estimated_bytes(encoding: PredictorOutput, frequencies: Histogram, stage: str) -> float:
+    """Size statistic of one candidate encoding under entropy ``stage``, from its
+    code histogram.
 
-    Zeroth-order entropy of the quantisation codes plus what the model,
-    the escapes and the predictor's aux arrays add: the paper's own
-    finding (Figs. 5-8) that the statistics of the quantisation bins
-    predict compressed size, used to rank a block's candidates without
-    serialising any of them.
+    The bits the stage codes the histogram at — zeroth-order entropy, or a
+    rANS table's cross-entropy — plus what the model, the escapes and the
+    predictor's aux arrays add: the paper's own finding (Figs. 5-8) that
+    the statistics of the quantisation bins predict compressed size, used
+    to rank a block's candidates without serialising any of them.
     """
+    row = stage if stage in _AUX_FRAME_BYTES else "huffman"
     counts = frequencies.counts.astype(np.float64)
     total = counts.sum()
-    entropy_bits = total * np.log2(total) - np.dot(counts, np.log2(counts)) if total else 0.0
-    aux_bytes = sum(np.asarray(aux).nbytes + _AUX_FRAME_BYTES for aux in encoding.aux.values())
+    if row == "rans" and 0 < counts.size <= MAX_TABLE_SYMBOLS:
+        bits = np.dot(counts, PROB_BITS - np.log2(quantize_frequencies(frequencies.counts)))
+    else:
+        bits = total * np.log2(total) - np.dot(counts, np.log2(counts)) if total else 0.0
+    aux_bytes = sum(np.asarray(aux).nbytes + _AUX_FRAME_BYTES[row] for aux in encoding.aux.values())
     return (
-        entropy_bits / 8
-        + _MODEL_BYTES_PER_SYMBOL * counts.size
+        bits / 8
+        + _MODEL_BYTES_PER_SYMBOL[row] * counts.size
         + _ESCAPE_BYTES * len(encoding.literals)
         + aux_bytes
     )
@@ -296,6 +304,8 @@ class EncodingWire:
             else:
                 model = inner.get_section(coder.model_section)
             if entropy == "huffman":
+                if inner.source_version < 3:  # the book as older containers stored it
+                    model = HuffmanCodebook.from_pairs(model).serialize()
                 batches.setdefault(model, []).append(i)
             else:
                 rans[i] = (inner.get_section("codes_payload"), model, int(header["rans_count"]))
@@ -342,64 +352,106 @@ def block_model_bytes(blob: CompressedBlob, entries: Sequence[Dict[str, Any]]) -
 
 #: Split layout: deflate buys nothing on a long entropy-coded stream, so a
 #: section whose ``codes_payload`` is at least ``SPLIT_MIN_BYTES`` and fails
-#: the probe is its ``<cII`` record (``b"S"``, deflated and stored lengths),
-#: the rest of the section deflated, then the stream as it is.  Any other
-#: section is deflated whole, as older builds wrote every one: a zlib stream,
-#: whose first byte has 8 in its low nibble, never ``S`` (nor is the container
-#: magic's ``O``).  Only deflate writes or reads the record.  The probe
-#: deflates ``_PROBE_WINDOWS`` evenly spaced ``_PROBE_BYTES`` windows; the
-#: stream is stored unless they shrink by more than ``_PROBE_MIN_SAVING``.
+#: the probe is a record — ``b"s"``, then LEB128 ``len(body)`` and ``head``
+#: — then ``body``, which deflates the rest of the section followed by the
+#: stream's first ``head`` bytes, then the stream's remainder as it is.  The
+#: head is what deflate does shrink in a stream: a rANS payload's header and
+#: lane states (:func:`~..encoders.rans.payload_head_size`); a Huffman stream
+#: has none.  Container versions 1 and 2 wrote ``<cII`` records (``b"S"``,
+#: deflated and stored lengths) with no head; those still read.  Any other
+#: section is deflated whole: a zlib stream, whose first byte has 8 in its
+#: low nibble, never ``s`` or ``S`` (nor is the container magic's ``O``).
+#: Only deflate writes or reads a record.  The probe deflates
+#: ``_PROBE_WINDOWS`` evenly spaced ``_PROBE_BYTES`` windows of the stream;
+#: it is split unless they shrink by more than ``_PROBE_MIN_SAVING``.
 #: Blob bytes against the whole layout, REL 1e-3, 32-blocks, shared or not,
 #: adaptive or not (``tests/test_section_layout.py --table``):
 #:
 #:   application  huffman          rans
-#:   miranda      -1.01..-0.68 %   -0.97..-0.43 %
-#:   nyx          -0.92..-0.50 %   -0.91..-0.47 %
-#:   isabel       -1.45..-1.02 %   -1.41..-0.83 %
-#:   qmcpack       0               -1.15..-0.02 %  (long runs of 1-bit zero codes:
-#:   rtm           0               -0.27..+0.32 %   deflate still shrinks those)
+#:   miranda      -0.48..-0.26 %   -0.77..-0.41 %
+#:   nyx          -0.45..-0.11 %   -0.99..-0.72 %
+#:   isabel       -0.82..-0.35 %   -0.97..-0.28 %
+#:   qmcpack       0               -1.10..-0.22 %  (long runs of 1-bit zero codes:
+#:   rtm           0               -0.22..+0.29 %   deflate still shrinks those)
 #:   cesm, hacc    0                0              (2-D / 1-D blocks: short streams)
 SPLIT_MIN_BYTES = 4096
 _PROBE_WINDOWS, _PROBE_BYTES, _PROBE_MIN_SAVING = 4, 1024, 0.01
-_SPLIT = struct.Struct("<cII")
+_SPLIT_TAG = b"s"
+_SPLIT_V2 = struct.Struct("<cII")
 
 
 def pack_section(lossless: LosslessBackend, inner: SectionContainer) -> Callable[[], bytes]:
     """``inner``'s trip through the lossless stage, split or whole: the one way a section
-    is written.  Its containers are serialised here; the returned call runs the probe
-    and the deflate, which release the GIL (work for the helper lane, if any)."""
+    is written.  Its containers are serialised here; the returned call runs the probe,
+    the deflate and the checksum the blob stores, which release the GIL (work for the
+    helper lane, if any)."""
     whole = inner.to_bytes()
     stream = inner.get_section("codes_payload") if "entropy" in inner.header else b""
     if lossless.name != "deflate" or len(stream) < SPLIT_MIN_BYTES:
-        return partial(lossless.compress, whole)
+        return partial(_checksummed, lossless.compress, whole)
     side = SectionContainer(inner.header)
     for name in (name for name in inner.section_names() if name != "codes_payload"):
         side.add_section(name, inner.get_section(name))
-    return partial(_split_or_whole, lossless.compress, whole, side.to_bytes(), stream)
+    head = payload_head_size(stream) if inner.header["entropy"] == "rans" else 0
+    split = partial(_split_or_whole, lossless.compress, whole, side.to_bytes(), stream, head)
+    return partial(_checksummed, split)
 
 
-def _split_or_whole(compress: Callable, whole: bytes, side: bytes, stream: bytes) -> bytes:
+def _checksummed(write: Callable[..., bytes], *args: Any) -> Checksummed:
+    return Checksummed.of(write(*args))
+
+
+def _split_or_whole(
+    compress: Callable, whole: bytes, side: bytes, stream: bytes, head: int
+) -> bytes:
     """Whole if the probe of ``stream`` says deflate shrinks it, else split."""
     step = (len(stream) - _PROBE_BYTES) // (_PROBE_WINDOWS - 1)
     probe = b"".join(stream[i * step : i * step + _PROBE_BYTES] for i in range(_PROBE_WINDOWS))
     if len(zlib.compress(probe)) < len(probe) * (1 - _PROBE_MIN_SAVING):
         return compress(whole)
-    body = compress(side)
-    return _SPLIT.pack(b"S", len(body), len(stream)) + body + stream
+    body = compress(side + stream[:head])
+    record = bytearray(_SPLIT_TAG)
+    write_varint(record, len(body))
+    write_varint(record, head)
+    return b"".join([record, body, stream[head:]])
+
+
+def split_layout(section: bytes) -> Optional[Tuple[int, int, int]]:
+    """A deflate-stage section's ``(body start, body end, head)`` if it is split (the
+    stream's first ``head`` bytes end the body, the rest follows it), else ``None``."""
+    if section[:1] == _SPLIT_TAG:
+        size, start = read_varint(section, 1)
+        head, start = read_varint(section, start)
+        end = start + size
+    elif section[:1] == b"S":  # written by container versions 1 and 2
+        if len(section) < _SPLIT_V2.size:
+            raise EncodingError("split section is cut inside its layout record")
+        _, size, stored = _SPLIT_V2.unpack_from(section)
+        start, end, head = _SPLIT_V2.size, _SPLIT_V2.size + size, 0
+        if end + stored != len(section):
+            raise EncodingError("split section is truncated or its layout record garbled")
+    else:
+        return None
+    if end > len(section):
+        raise EncodingError("split section is truncated or its layout record garbled")
+    return start, end, head
 
 
 def inflate_section(blob: CompressedBlob, name: str) -> Tuple[bytes, Optional[bytes]]:
-    """``blob``'s section ``name`` out of the lossless stage: the inner container's bytes
-    and, split, the stored stream.  :func:`open_section`'s GIL-free half, for the lane."""
-    lossless = get_lossless_backend(blob.container.header.get("lossless_backend", "deflate"))
+    """``blob``'s section ``name``, checked against its checksum and out of the lossless
+    stage: the inner container's bytes and, split, the stored stream.
+    :func:`open_section`'s GIL-free half, for the lane."""
+    lossless = stored_backend(blob.container.header.get("lossless_backend", "deflate"))
     section = blob.container.get_section(name)
-    if lossless.name != "deflate" or section[:1] != b"S":
+    layout = split_layout(section) if lossless.name == "deflate" else None
+    if layout is None:
         return lossless.decompress(section), None
-    head = section[: _SPLIT.size]
-    if len(head) < _SPLIT.size or _SPLIT.size + sum(_SPLIT.unpack(head)[1:]) != len(section):
-        raise EncodingError(f"split section {name!r} is truncated or its layout record garbled")
-    end = _SPLIT.size + _SPLIT.unpack(head)[1]
-    return lossless.decompress(section[_SPLIT.size : end]), section[end:]
+    start, end, head = layout
+    body = lossless.decompress(section[start:end])
+    cut = len(body) - head
+    if cut < 0:
+        raise EncodingError(f"split section {name!r} holds less than its stream head")
+    return body[:cut], body[cut:] + section[end:]
 
 
 def open_section(blob: CompressedBlob, name: str, raw: Optional[tuple] = None) -> SectionContainer:

@@ -3,9 +3,9 @@
 This mirrors the modular structure of SZ3 that the paper highlights: a
 *predictor* stage (Lorenzo / regression / interpolation), a *quantiser*
 (inside the predictors), an *entropy* stage (Huffman, interleaved rANS,
-or bypass) and a final *lossless* dictionary stage (deflate / LZ77 /
-none).  Different combinations form the different "compression
-pipelines" evaluated in the paper.
+or bypass) and a final *lossless* dictionary stage (deflate or none).
+Different combinations form the different "compression pipelines"
+evaluated in the paper.
 
 This module is construction plus orchestration; the stages live beside
 it: :mod:`.block` (what is done to one block: predictor choice,
@@ -22,7 +22,6 @@ an older build's per-block choice) decodes on any reader.
 
 from __future__ import annotations
 
-import base64
 import math
 import time
 import zlib
@@ -40,6 +39,7 @@ from ..blocking import BlockPlan, BlockShapeLike, BlockSpec
 from ..encoders.huffman import HuffmanCodebook
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
 from ..encoders.rans import lane_limit
+from ..header import FORMAT_VERSION
 from ..interface import CompressedBlob, Compressor, dtype_name
 from ..predictors.base import Predictor
 from .dedup import BlockResult, block_entry, entry_meta, expand_aliases, group_identical_blocks
@@ -427,9 +427,9 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         into the blob; the streaming pipeline ships it so the destination
         can do the same with the sections it receives.  The
         shared entropy model — a Huffman codebook or rANS frequency
-        table, when one is in use — rides in this header (base64), so it
-        is serialised once per file instead of once per block and
-        automatically reaches streamed-block consumers.
+        table, when one is in use — rides in this header as a bytes
+        value, so it is serialised once per file instead of once per
+        block and automatically reaches streamed-block consumers.
         """
         arr = np.asarray(arr)
         header = {
@@ -450,12 +450,9 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         }
         empty = isinstance(shared_book, HuffmanCodebook) and not shared_book.symbols.size
         if shared_book is not None and not empty:
-            # zlib + base64: the codebook/table payloads are mostly zero
-            # bytes, and unlike the per-block codebook sections this
+            # Deflated here: unlike the per-block model sections this
             # header field never passes through the lossless stage.
-            header["shared_codebook"] = base64.b64encode(
-                zlib.compress(shared_book.serialize(), 6)
-            ).decode("ascii")
+            header["shared_codebook"] = zlib.compress(shared_book.serialize(), 6)
         return header
 
     def prepare_shared_codebook(
@@ -517,16 +514,19 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             extra["section_layout"] = "split"
         if self.config.entropy_stage == "rans":  # lanes from the file's plan, tables as gaps
             extra["rans_lanes"] = "plan" if whole else lane_limit(blocks)
-        if not whole:
+        if whole:
+            extra["format"] = FORMAT_VERSION  # the container version a cached blob was written as
+        else:
             # Bumped when the per-block payload layout changes (v2:
             # per-section entropy tags + adaptive codec choice; v3:
             # Huffman sync index; v4: adaptive candidates ranked on their
             # histograms; v5: the codec is the configured stage, never
             # chosen per block; v6: the split section layout, which only
-            # entropy-coded sections take), so entries cached by older
-            # builds cannot be served into blobs they would not be
+            # entropy-coded sections take; v7: container version 3 and
+            # dense Huffman codebooks), so entries cached by older builds
+            # cannot be served into blobs they would not be
             # byte-identical with.
-            extra["block_format"] = 6 if coded else 5
+            extra["block_format"] = 7
         return pipeline_fingerprint(
             compressor=(self.registered_as or self.name) if whole else self.name,
             error_bound_abs=error_bound_abs,

@@ -60,6 +60,12 @@ class EncodingError(CompressionError):
     code = "encoding_failed"
 
 
+class IntegrityError(EncodingError):
+    """Raised when stored bytes do not match the checksum written beside them."""
+
+    code = "integrity_failed"
+
+
 class UnknownCompressorError(ConfigurationError):
     """Raised when a compressor name is not present in the registry."""
 

@@ -14,6 +14,7 @@ Covers the invariants the blocked compression engine relies on:
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -149,7 +150,7 @@ class TestBlockedRoundTrip:
         data = rng.uniform(-5, 5, size=shape)
         blob, recon = _round_trip("sz-lorenzo-fast", data, bound, block_shape=4)
         assert np.abs(data - recon).max() <= bound * (1 + 1e-9)
-        assert blob.format_version == 2
+        assert blob.format_version == 3
 
     def test_nan_blocks_fall_back_to_literals(self):
         rng = np.random.default_rng(7)
@@ -231,14 +232,21 @@ class TestAdaptivePredictor:
 
 
 # --------------------------------------------------------------------------- #
-# Blob format v2 / v1 compatibility and nbytes
+# Blob format v1 compatibility and nbytes
 # --------------------------------------------------------------------------- #
 class TestBlobFormat:
     def _as_v1(self, payload: bytes) -> bytes:
-        """Rewrite a serialised container's version field to 1 (the legacy
-        whole-array layout is byte-identical apart from the version)."""
-        assert payload[:4] == b"OCLT"
-        return payload[:4] + struct.pack("<I", 1) + payload[8:]
+        """The container re-framed as version 1 wrote it: a u32 header length,
+        then the header as JSON with a ``{"name", "size"}`` section table."""
+        container = SectionContainer.from_bytes(payload)
+        names = container.section_names()
+        header = dict(container.header)
+        header["_sections"] = [{"name": n, "size": container.section_size(n)} for n in names]
+        text = json.dumps(header, sort_keys=True).encode()
+        return b"".join(
+            [b"OCLT", struct.pack("<II", 1, len(text)), text]
+            + [container.get_section(n) for n in names]
+        )
 
     def test_v1_blob_still_decodes(self):
         rng = np.random.default_rng(3)
@@ -259,10 +267,9 @@ class TestBlobFormat:
             compressor="sz3", shape=(10,), dtype="float32",
             error_bound_abs=1e-3, container=container,
         )
-        v1_bytes = self._as_v1(blob.to_bytes())
-        parsed = CompressedBlob.from_bytes(v1_bytes)
-        # A v1 blob re-serialises as v2 (same layout), so nbytes matches.
-        assert parsed.nbytes == len(v1_bytes)
+        parsed = CompressedBlob.from_bytes(self._as_v1(blob.to_bytes()))
+        # A v1 blob re-serialises as version 3, and nbytes counts what that writes.
+        assert parsed.nbytes == len(parsed.to_bytes()) == len(blob.to_bytes())
 
     def test_nbytes_equals_serialized_length(self):
         rng = np.random.default_rng(5)

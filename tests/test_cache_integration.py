@@ -218,23 +218,25 @@ class TestKeySeparation:
     #: file's plan and stored its tables as gaps (``rans_lanes``: ``"plan"``
     #: for a whole blob, the plan's lane limit for a block, 4096 here, a
     #: one-block plan's); the Huffman and ``sz3-fast`` keys kept theirs.
+    #: Every key moved a fifth time with container version 3 (``format``
+    #: in the whole-blob fingerprint, ``block_format`` 7 for every block).
     PINNED_KEYS = [
         (
             dict(compressor="sz3", block_size=32),
             {"adaptive_predictor": False, "block_shape": 32,
              "codebook_mode": "shared", "compressor": "sz3", "entropy": "huffman",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate",
-             "section_layout": "split"},
-            "6c8209d8ac2900d695ff58f0596f2c0b",
-            "ef82e901c8bf3a5f1c9c17fed16e917c",
+             "section_layout": "split", "format": 3},
+            "8f4760f981d1dbc89a1f998e2f35ab6a",
+            "1f06f902ecb39bdd75885575f5d4b7f6",
         ),
         (
             dict(compressor="sz3-fast"),
             {"adaptive_predictor": False, "block_shape": None,
              "codebook_mode": "shared", "compressor": "sz3-fast", "entropy": "none",
-             "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate"},
-            "ff68065998919838a23765218de148fc",
-            "fb0c4b53f5ecd624a18dfd62dfa18b19",
+             "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate", "format": 3},
+            "325caa9bc783896fdfa977e45d061c70",
+            "540303009d28365dea3ea0f38888f536",
         ),
         (
             dict(compressor="sz3", block_size=32, entropy_stage="rans",
@@ -242,9 +244,9 @@ class TestKeySeparation:
             {"adaptive_predictor": True, "block_shape": 32,
              "codebook_mode": "per-block", "compressor": "sz3", "entropy": "rans",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate",
-             "rans_lanes": "plan", "section_layout": "split"},
-            "3addcafc692ea11e0941f7ed222332b7",
-            "d997d63d17d3bcafc9d29676cacea025",
+             "rans_lanes": "plan", "section_layout": "split", "format": 3},
+            "0a66f3620202e55dca8e7fbbd749785e",
+            "6c337ff3e4b533f42c5b74aa4bb82205",
         ),
     ]
 
@@ -261,7 +263,7 @@ class TestKeySeparation:
         assert compressor.cache_fingerprint(1e-3) == fingerprint
         assert blob_cache_key("ab" * 16, fingerprint) == blob_key
         block_fingerprint = compressor.cache_fingerprint(1e-3, tier="block")
-        assert block_fingerprint["block_format"] == (5 if fingerprint["entropy"] == "none" else 6)
+        assert block_fingerprint["block_format"] == 7
         assert block_cache_key("ab" * 16, block_fingerprint) == block_key
 
     @pytest.mark.parametrize("stage", ["huffman", "rans"])

@@ -118,7 +118,7 @@ class TestCommands:
         code = main(["inspect", str(path), "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["format_version"] == 2
+        assert payload["format_version"] == 3
         assert "is_blocked" not in payload
         assert len(payload["blocks"]) == payload["num_blocks"] == result.blob.num_blocks > 1
         first = payload["blocks"][0]

@@ -163,16 +163,6 @@ class TestPipelineConfig:
         result = compressor.compress(smooth_2d, ErrorBound.relative(1e-3), verify=True)
         assert result.compression_ratio > 1.0
 
-    def test_lz77_lossless_backend_round_trips(self, smooth_2d):
-        compressor = PredictionPipelineCompressor(
-            predictor=LorenzoPredictor(),
-            config=PipelineConfig(entropy_stage="none", lossless_backend="lz77"),
-            name="lorenzo-lz77",
-        )
-        small = smooth_2d[:24, :24]
-        result = compressor.compress(small, ErrorBound.relative(1e-3), verify=True)
-        assert result.stats.compressed_bytes > 0
-
     def test_describe_reports_structure(self):
         compressor = create_compressor("sz3")
         info = compressor.describe()

@@ -1,14 +1,8 @@
-"""Equivalence tests for the vectorised encode path.
+"""Equivalence tests for the threaded encode path.
 
-The vectorised LZ77 matcher and the block thread pool are pure
-performance work: neither is allowed to change what comes out the other
-end.  These tests pin that contract —
+The block thread pool is pure performance work: it is not allowed to
+change what comes out the other end.  These tests pin that contract —
 
-* ``LZ77Codec.encode`` (vectorised) and the retained
-  ``encode_bytewise`` reference may emit different token streams, but
-  both must decode back to the exact input bytes;
-* window-boundary matches must respect ``window_size`` (the regression
-  for the stale-``window_start`` pruning bug);
 * blocked compression through the thread pool must produce blobs
   *byte-identical* to the inline loop, in every codebook mode — both run
   the same closures, which these tests hold them to.  (The process
@@ -26,7 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compression import create_blocked_compressor
-from repro.compression.encoders.lz77 import LZ77Codec
 from repro.compression.errorbound import ErrorBound
 from repro.compression.sz import pipeline as sz_pipeline
 from repro.core import OcelotConfig
@@ -38,84 +31,6 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def _byte_streams() -> st.SearchStrategy[bytes]:
-    """Inputs spanning the encoder's regimes.
-
-    Random bytes (no matches), a skewed alphabet (hash-chain collisions),
-    all-equal runs (the overlapping-match/sentinel-tail path), periodic
-    data (dominant offsets), and the empty input.
-    """
-    random_bytes = st.binary(min_size=0, max_size=4096)
-    skewed = st.lists(
-        st.integers(0, 3), min_size=0, max_size=4096
-    ).map(lambda xs: bytes(xs))
-    all_equal = st.tuples(st.integers(0, 255), st.integers(0, 6000)).map(
-        lambda t: bytes([t[0]]) * t[1]
-    )
-    periodic = st.tuples(
-        st.binary(min_size=1, max_size=48), st.integers(1, 200)
-    ).map(lambda t: t[0] * t[1])
-    return st.one_of(random_bytes, skewed, all_equal, periodic)
-
-
-class TestLZ77Equivalence:
-    @_SETTINGS
-    @given(data=_byte_streams())
-    def test_vectorised_and_bytewise_decode_to_same_bytes(self, data: bytes):
-        codec = LZ77Codec()
-        assert codec.decode(codec.encode(data)) == data
-        assert codec.decode(codec.encode_bytewise(data)) == data
-
-    @_SETTINGS
-    @given(
-        data=_byte_streams(),
-        window=st.sampled_from([16, 256, 4096]),
-        min_match=st.sampled_from([3, 8]),
-    )
-    def test_equivalence_holds_across_codec_parameters(
-        self, data: bytes, window: int, min_match: int
-    ):
-        codec = LZ77Codec(window_size=window, min_match=min_match)
-        assert codec.decode(codec.encode(data)) == data
-        assert codec.decode(codec.encode_bytewise(data)) == data
-
-    @pytest.mark.parametrize("encoder", ["encode", "encode_bytewise"])
-    def test_window_boundary_matches_respect_window_size(self, encoder):
-        """Regression: pruning against a stale ``window_start`` let the
-        bytewise encoder keep candidates beyond the window.  Every match
-        offset must stay within ``window_size`` or decode walks off the
-        end of its history."""
-        window = 64
-        codec = LZ77Codec(window_size=window, max_candidates=4)
-        # The 32-byte motif repeats at distance 160 (> window), with
-        # in-window repeats at distance 32: only the near copies are
-        # legal match sources.
-        motif = bytes(range(32))
-        filler = bytes((i * 7 + 3) % 256 for i in range(128))
-        data = (motif + motif + filler) * 6
-        payload = getattr(codec, encoder)(data)
-        assert codec.decode(payload) == data
-
-        import struct
-
-        n = struct.unpack("<I", payload[:4])[0]
-        assert n == len(data)
-        offsets = [
-            struct.unpack_from("<HBB", payload, 4 + i * 4)[0]
-            for i in range((len(payload) - 4) // 4)
-        ]
-        assert all(off <= window for off in offsets)
-
-    def test_match_into_pruned_window_prefix(self):
-        """Matches whose source sits right at the window's trailing edge
-        survive index pruning (the bug dropped them wholesale)."""
-        codec = LZ77Codec(window_size=128, max_candidates=2)
-        probe = b"SIGNATURE!"
-        data = probe + bytes(range(100)) + probe + bytes(range(100, 200)) + probe
-        assert codec.decode(codec.encode(data)) == data
-        assert codec.decode(codec.encode_bytewise(data)) == data
 
 
 def _pool_grain(elements: int = 1):

@@ -2,12 +2,11 @@
 
 ``golden_blobs.json`` holds, for one seeded field and every registry
 pipeline x blocked-mode variant, a blake2b digest of ``to_bytes()``
-under the pure-NumPy ``lz77`` and ``raw`` lossless backends (so a zlib
-build cannot move a block payload), plus ``deflate`` rows pinned by blob
-length and by a digest of the *decoded* array.  The digests were recorded
-at the commit before ``sz/pipeline.py`` was split into stages; a
-refactor of the encode path that changes any of them changed the wire
-format.  ``python tests/test_golden_blobs.py`` prints a fresh table,
+under the ``raw`` lossless backend (so a zlib build cannot move a block
+payload), plus ``deflate`` rows pinned by blob length and by a digest of
+the *decoded* array.  The digests were recorded when container version 3
+became the one written; a refactor of the encode path that changes any
+of them changed the wire format.  ``python tests/test_golden_blobs.py`` prints a fresh table,
 ``python tests/test_golden_blobs.py --diff`` only the rows that moved
 (with the length delta of each ``deflate`` row).
 
@@ -96,7 +95,7 @@ def golden_rows(block_executor=None, helper_lane=None) -> Iterator[Tuple[str, An
     field = golden_field()
     for name in PIPELINES:
         for label, variant in VARIANTS.items():
-            for lossless in ("lz77", "raw", "deflate"):
+            for lossless in ("raw", "deflate"):
                 pipeline = _pipeline(name, lossless, variant, block_executor, helper_lane)
                 blob = pipeline.compress(field, ERROR_BOUND).blob
                 data = blob.to_bytes()
@@ -135,7 +134,7 @@ def test_blobs_match_the_recorded_digests(fanout, monkeypatch):
         fresh = dict(golden_rows(helper_lane=lane))
         # Every block of every row is deflated, and every deflate row's
         # sections inflated, through the lane.
-        assert lane.submitted >= 7 * 8 * 3
+        assert lane.submitted >= 7 * 8 * 2
     else:
         monkeypatch.setattr(sz_pipeline, "_POOL_GRAIN_ELEMENTS", 1)
         pool = ParallelExecutor(block_workers=4).map_blocks
@@ -146,9 +145,9 @@ def test_blobs_match_the_recorded_digests(fanout, monkeypatch):
             return pool(func, items)
 
         fresh = dict(golden_rows(executor))
-        # 7 pipelines x 7 blocked variants x 3 backends, each fanned out
+        # 7 pipelines x 7 blocked variants x 2 backends, each fanned out
         # at least once to compress; dedup leaves 6 distinct blocks of 9.
-        assert len(fanned) >= 7 * 7 * 3 and set(fanned) <= {6, 9}
+        assert len(fanned) >= 7 * 7 * 2 and set(fanned) <= {6, 9}
     assert sorted(fresh) == sorted(golden)
     moved = {row: (golden[row], fresh[row]) for row in golden if fresh[row] != golden[row]}
     assert not moved

@@ -4,16 +4,21 @@
 stored blob's codebook was built with; the array versions in
 ``repro.compression.encoders.huffman`` must give the same code lengths
 (unlimited and length-limited, Kraft repair included) and the same
-canonical codes.  A serialised codebook that is not a prefix code over
-ascending symbols is refused with :class:`EncodingError` — by
-``HuffmanCodebook.deserialize``, by ``HuffmanCodec.decode`` and by a
-blob whose header carries it as the shared book.
+canonical codes.  A serialised codebook that is not a prefix code — in
+the dense layout, or as the (symbol, length) pairs container versions 1
+and 2 stored — is refused with :class:`EncodingError` — by
+``HuffmanCodebook.deserialize`` / ``from_pairs``, by
+``HuffmanCodec.decode`` and by a blob whose header carries it as the
+shared book.
 """
 
 from __future__ import annotations
 
 import base64
+import json
+import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +37,8 @@ from repro.errors import EncodingError
 
 import huffman_reference as reference
 from huffman_reference import as_dict, histogram
+
+FIXTURES = json.loads(Path(__file__).with_name("blob_fixtures.json").read_text())
 
 
 def _assert_matches_reference(frequencies, max_length):
@@ -107,12 +114,17 @@ class TestArrayModelMatchesTheReference:
 
 
 def _pairs(symbols, lengths) -> bytes:
-    """A serialised codebook: int64 (symbol, length) pairs."""
+    """A codebook as container versions 1 and 2 stored it: int64 (symbol, length) pairs."""
     return np.column_stack((symbols, lengths)).astype(np.int64).tobytes()
 
 
-#: Serialised books ``deserialize`` must refuse, with the reason each is not one.
-BAD_BOOKS = {
+def _dense(lo: int, lengths) -> bytes:
+    """A serialised codebook: ``i64 lo`` then a ``u8`` length per value from ``lo``."""
+    return struct.pack("<q", lo) + bytes(lengths)
+
+
+#: Pair-layout books ``from_pairs`` must refuse, with the reason each is not one.
+BAD_PAIR_BOOKS = {
     "odd-size": _pairs([-3, 0, 7], [2, 1, 2])[:-8],
     "stray-byte": _pairs([0, 1], [1, 1]) + b"\0",
     "zero-length": _pairs([0, 1, 2], [1, 2, 0]),
@@ -123,35 +135,67 @@ BAD_BOOKS = {
     "kraft-above-1": _pairs([-1, 0, 1], [1, 1, 1]),
 }
 
+#: Dense books ``deserialize`` must refuse, with the reason each is not one.
+BAD_BOOKS = {
+    "shorter-than-lo": _dense(0, [])[:7],
+    "no-symbol": _dense(5, [0, 0, 0]),
+    "length-65": _dense(0, [1, 2, 65]),
+    "kraft-above-1": _dense(-1, [1, 1, 1]),
+    "symbols-past-int64": _dense((1 << 63) - 1, [1, 1]),
+    "wide-pairs-not-from-lo": struct.pack("<q", 5) + b"\0" + _pairs([0, 1 << 40], [1, 1]),
+    "wide-pairs-odd-size": struct.pack("<q", 0) + b"\0" + _pairs([0, 1 << 40], [1, 1])[:-8],
+}
+
 
 class TestDeserializeRejectsWhatIsNotAPrefixCode:
     def test_round_trip_of_a_valid_book(self):
-        book = HuffmanCodebook.deserialize(_pairs([-3, 0, 7], [2, 1, 2]))
+        book = HuffmanCodebook.deserialize(_dense(-3, [2, 0, 0, 1] + [0] * 6 + [2]))
         assert as_dict(book.symbols, book.codes) == {0: 0b0, -3: 0b10, 7: 0b11}
-        assert book.serialize() == _pairs([-3, 0, 7], [2, 1, 2])
+        assert book.serialize() == _dense(-3, [2, 0, 0, 1] + [0] * 6 + [2])
+
+    def test_the_pair_layout_reads_as_the_same_book(self):
+        book = HuffmanCodebook.from_pairs(_pairs([-3, 0, 7], [2, 1, 2]))
+        assert book.serialize() == _dense(-3, [2, 0, 0, 1] + [0] * 6 + [2])
+
+    def test_a_book_too_wide_for_the_dense_layout_stores_pairs(self):
+        book = HuffmanCodebook(np.array([-7, 0, 1 << 40]), np.array([2, 1, 2]))
+        payload = book.serialize()
+        assert payload == struct.pack("<q", -7) + b"\0" + _pairs([-7, 0, 1 << 40], [2, 1, 2])
+        again = HuffmanCodebook.deserialize(payload)
+        assert as_dict(again.symbols, again.codes) == as_dict(book.symbols, book.codes)
+
+    @pytest.mark.parametrize("name", ["wide-pairs-not-from-lo", "wide-pairs-odd-size"])
+    def test_a_damaged_wide_book(self, name):
+        with pytest.raises(EncodingError, match="corrupt Huffman codebook"):
+            HuffmanCodebook.deserialize(BAD_BOOKS[name])
 
     @pytest.mark.parametrize("name", ["odd-size", "stray-byte"])
     def test_odd_payload_size(self, name):
         with pytest.raises(EncodingError, match="corrupt Huffman codebook"):
-            HuffmanCodebook.deserialize(BAD_BOOKS[name])
+            HuffmanCodebook.from_pairs(BAD_PAIR_BOOKS[name])
 
     @pytest.mark.parametrize("name", ["zero-length", "negative-length", "length-65"])
     def test_lengths_outside_1_to_64(self, name):
         with pytest.raises(EncodingError, match=r"\[1, 64\]"):
-            HuffmanCodebook.deserialize(BAD_BOOKS[name])
+            HuffmanCodebook.from_pairs(BAD_PAIR_BOOKS[name])
+        if name in BAD_BOOKS:
+            with pytest.raises(EncodingError, match=r"\[1, 64\]"):
+                HuffmanCodebook.deserialize(BAD_BOOKS[name])
 
     @pytest.mark.parametrize("name", ["descending-symbols", "repeated-symbol"])
     def test_symbols_not_strictly_increasing(self, name):
         with pytest.raises(EncodingError, match="strictly increasing"):
-            HuffmanCodebook.deserialize(BAD_BOOKS[name])
+            HuffmanCodebook.from_pairs(BAD_PAIR_BOOKS[name])
 
     def test_kraft_sum_above_one(self):
         # Every length 1 over three symbols: it used to decode, silently wrong.
         with pytest.raises(EncodingError, match="Kraft"):
+            HuffmanCodebook.from_pairs(BAD_PAIR_BOOKS["kraft-above-1"])
+        with pytest.raises(EncodingError, match="Kraft"):
             HuffmanCodebook.deserialize(BAD_BOOKS["kraft-above-1"])
 
     def test_the_longest_legal_codes_are_accepted(self):
-        book = HuffmanCodebook.deserialize(_pairs([0, 1, 2], [1, 64, 64]))
+        book = HuffmanCodebook.deserialize(_dense(0, [1, 64, 64]))
         assert book.codes.tolist() == [0, 1 << 63, (1 << 63) + 1]
 
 
@@ -178,8 +222,19 @@ def test_a_bad_book_fails_typed_through_the_codec(name):
 def test_a_bad_book_fails_typed_as_a_blobs_shared_book(shared_book_blob, name):
     blob = CompressedBlob.from_bytes(shared_book_blob)
     create_compressor("sz3").decompress(blob)  # the untouched blob decodes
+    blob.container.header["shared_codebook"] = zlib.compress(BAD_BOOKS[name])
+    with pytest.raises(EncodingError):
+        create_compressor("sz3").decompress(CompressedBlob.from_bytes(blob.to_bytes()))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PAIR_BOOKS))
+def test_a_bad_pair_book_fails_typed_as_a_version_2_blobs_shared_book(name):
+    """An older build's blob carries its shared book as base64 pairs."""
+    blob = CompressedBlob.from_bytes(bytes.fromhex(FIXTURES["v2-huffman-shared"]["hex"]))
+    assert isinstance(blob.container.header["shared_codebook"], str)
+    create_compressor("sz3").decompress(blob)
     blob.container.header["shared_codebook"] = base64.b64encode(
-        zlib.compress(BAD_BOOKS[name])
+        zlib.compress(BAD_PAIR_BOOKS[name])
     ).decode("ascii")
     with pytest.raises(EncodingError):
         create_compressor("sz3").decompress(CompressedBlob.from_bytes(blob.to_bytes()))

@@ -26,7 +26,6 @@ from repro.compression.encoders.huffman import (
     HuffmanStream,
     symbol_frequencies,
 )
-from repro.compression.encoders.lz77 import LZ77Codec
 from repro.compression.quantizer import LinearQuantizer
 from repro.core.grouping import FileGrouper
 from repro.features.compressor_features import run_length_estimator
@@ -149,12 +148,6 @@ class TestEncoderInvariants:
             np.testing.assert_array_equal(
                 got, codec.decode_bitloop(bytes(payload), book.serialize(), want.size)
             )
-
-    @FAST
-    @given(data=st.binary(min_size=0, max_size=3000))
-    def test_lz77_round_trip(self, data):
-        codec = LZ77Codec()
-        assert codec.decode(codec.encode(data)) == data
 
     @FAST
     @given(

@@ -509,13 +509,13 @@ class TestLaneLimit:
 
 
 class TestPipelineBatchEncode:
-    """A 40x70x33 Miranda crop in 32^3 blocks: interpolation and Lorenzo
-    blocks of 32 767 down to 48 symbols give one file's batch three round
-    counts (64, 48 and 32)."""
+    """A 40x70x35 Miranda crop in 32^3 blocks: interpolation and Lorenzo
+    blocks of 32 767 down to 144 symbols give one file's batch three round
+    counts (64, 48 and 36)."""
 
     @staticmethod
     def _blobs(shared: bool) -> Tuple[bytes, bytes]:
-        field = generate_field("miranda", "density", scale=0.25, seed=12).data[:40, :70, :33]
+        field = generate_field("miranda", "density", scale=0.25, seed=12).data[:40, :70, :35]
         compressor = create_blocked_compressor(
             "sz3", block_shape=32, entropy_stage="rans", adaptive_predictor=True,
             shared_codebook=shared,
@@ -543,7 +543,7 @@ class TestPipelineBatchEncode:
 
         monkeypatch.setattr(RansCodec, "encode_streams", spy)
         batched = self._blobs(shared)
-        assert rounds == [{32, 48, 64}] * 2  # one batch per file: bulk, then streamed
+        assert rounds == [{36, 48, 64}] * 2  # one batch per file: bulk, then streamed
         real_settle = PredictionPipelineCompressor.settle
         monkeypatch.setattr(
             PredictionPipelineCompressor, "settle",

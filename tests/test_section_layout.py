@@ -2,8 +2,9 @@
 
 A block section whose entropy-coded ``codes_payload`` is at least
 ``SPLIT_MIN_BYTES`` long, and that a deflate probe cannot shrink, is
-written split: its layout record, the rest of the section deflated, then
-the stream stored as it is.  Every other section is deflated whole, the
+written split: its layout record, the rest of the section deflated (with
+a rANS stream's header and lane states), then the rest of the stream
+stored as it is.  Every other section is deflated whole, the
 bytes older builds wrote for every section.  Here:
 
 * blocks of 32^3, every payload >= 4 KiB, round-trip through every
@@ -38,7 +39,8 @@ import pytest
 
 from repro.compression import CompressedBlob, ErrorBound, create_blocked_compressor
 from repro.compression.sz import encoding
-from repro.compression.sz.encoding import SPLIT_MIN_BYTES, open_section
+from repro.compression.header import read_varint, write_varint
+from repro.compression.sz.encoding import SPLIT_MIN_BYTES, open_section, split_layout
 from repro.compression.sz.pipeline import PipelineConfig, PredictionPipelineCompressor
 from repro.core.parallel import HelperLane
 from repro.errors import EncodingError
@@ -47,7 +49,7 @@ from test_adaptive_selector import SCALES, _field
 CODED_PIPELINES = ("sz3", "sz3-linear", "sz2", "sz-lorenzo", "zfp-like")
 STAGES = ("huffman", "rans")
 MODES = {"shared": True, "per-block": False}
-BACKENDS = ("deflate", "raw", "lz77")
+BACKENDS = ("deflate", "raw")
 REL = ErrorBound.relative(1e-3)
 #: The bound :func:`walk_field` is coded at.
 BOUND = ErrorBound(value=1e-3, mode="abs")
@@ -90,7 +92,7 @@ def _layouts(blob: CompressedBlob) -> Dict[str, Tuple[bool, int]]:
     deflate = blob.container.header["lossless_backend"] == "deflate"
     return {
         name: (
-            deflate and blob.container.get_section(name)[:1] == b"S",
+            deflate and split_layout(blob.container.get_section(name)) is not None,
             len(open_section(blob, name).get_section("codes_payload")),
         )
         for name in dict.fromkeys(entry["section"] for entry in blob.block_index)
@@ -165,17 +167,24 @@ def test_uncoded_sections_never_split():
 # --------------------------------------------------------------------------- #
 # Damaged sections, and sections older builds wrote
 # --------------------------------------------------------------------------- #
-DAMAGE = ("truncated", "cut inside the record", "tag", "deflated length", "stored length")
+DAMAGE = ("truncated", "cut inside the record", "tag", "deflated length", "head length")
+
+
+def _varint(n: int) -> bytes:
+    out = bytearray()
+    write_varint(out, n)
+    return bytes(out)
 
 
 def _damaged(section: bytes, damage: str) -> bytes:
-    stored = int.from_bytes(section[5:9], "little")
+    size, at = read_varint(section, 1)
+    head, start = read_varint(section, at)
     return {
         "truncated": section[:-1],
-        "cut inside the record": section[:6],
+        "cut inside the record": section[:2],
         "tag": b"\x00" + section[1:],
-        "deflated length": section[:1] + (7).to_bytes(4, "little") + section[5:],
-        "stored length": section[:5] + (stored + 1).to_bytes(4, "little") + section[9:],
+        "deflated length": section[:1] + _varint(7) + section[at:],
+        "head length": section[:at] + _varint(head + 1) + section[start:],
     }[damage]
 
 
@@ -187,7 +196,7 @@ def test_a_damaged_split_section_is_an_encoding_error(damage, lane):
     payload = compressor.compress(data, BOUND, verify=False).blob.to_bytes()
     blob = CompressedBlob.from_bytes(payload)
     section = blob.container.get_section("block:1")
-    assert section[:1] == b"S"
+    assert section[:1] == b"s"
     blob.container.add_section("block:1", _damaged(section, damage), overwrite=True)
     blob = CompressedBlob.from_bytes(blob.to_bytes())
     if lane:
@@ -247,13 +256,13 @@ def pinned_row(stage: str, mode: str) -> Dict[str, object]:
 #: table: pooled with the near-constant half it is so skewed towards zero
 #: that the walk's streams double in length and deflate shrinks them too.
 PINNED: Dict[Tuple[str, str], Dict[str, object]] = {
-    ("huffman", "shared"): {"nbytes": 89822, "split": ["block:0", "block:2"],
+    ("huffman", "shared"): {"nbytes": 84866, "split": ["block:0", "block:2"],
                             "stored": "9e9e148d8188adc5", "decoded": "7669ddbddb666fb4"},
-    ("huffman", "per-block"): {"nbytes": 82665, "split": ["block:0", "block:2"],
+    ("huffman", "per-block"): {"nbytes": 77063, "split": ["block:0", "block:2"],
                                "stored": "85acf5371af9e813", "decoded": "7669ddbddb666fb4"},
-    ("rans", "shared"): {"nbytes": 87488, "split": [],
+    ("rans", "shared"): {"nbytes": 85633, "split": [],
                          "stored": "e4a6a0577479b2b4", "decoded": "7669ddbddb666fb4"},
-    ("rans", "per-block"): {"nbytes": 82222, "split": ["block:0", "block:2"],
+    ("rans", "per-block"): {"nbytes": 80577, "split": ["block:0", "block:2"],
                             "stored": "2f8be097c78fc81a", "decoded": "7669ddbddb666fb4"},
 }
 
