@@ -78,11 +78,6 @@ class ErrorBound:
         """Construct a value-range-relative error bound."""
         return cls(value=value, mode=ErrorBoundMode.REL)
 
-    @classmethod
-    def from_psnr(cls, target_psnr_db: float) -> "ErrorBound":
-        """Construct a bound from a PSNR target (resolved per field)."""
-        return cls(value=target_psnr_db, mode=ErrorBoundMode.PSNR)
-
     def absolute_for(self, data: np.ndarray) -> float:
         """Resolve this request into an absolute bound for ``data``.
 

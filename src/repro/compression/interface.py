@@ -256,11 +256,6 @@ class CompressedBlob:
             count *= dim
         return count
 
-    @property
-    def original_nbytes(self) -> int:
-        """Size in bytes of the original (uncompressed) array."""
-        return self.num_elements * np.dtype(self.dtype).itemsize
-
     def _sync_header(self) -> None:
         self.container.header.update(
             {
@@ -589,13 +584,6 @@ class CompressionStats:
         if self.compressed_bytes <= 0:
             return float("inf")
         return self.original_bytes / self.compressed_bytes
-
-    @property
-    def compression_throughput_mbps(self) -> float:
-        """Compression throughput in MB/s (original bytes per second)."""
-        if self.compression_time_s <= 0:
-            return float("inf")
-        return self.original_bytes / 1e6 / self.compression_time_s
 
 
 @dataclass

@@ -256,10 +256,6 @@ class OcelotConfig:
         """Return the configured error bound as an :class:`ErrorBound`."""
         return ErrorBound(value=self.error_bound, mode=ErrorBoundMode.parse(self.error_bound_mode))
 
-    def total_compression_cores(self) -> int:
-        """Cores available to the parallel compression job."""
-        return self.compression_nodes * self.cores_per_node
-
     def simulated_compute_s(self, nominal_bytes: float, mbps: float) -> float:
         """Cluster-scale seconds of one compute task: its nominal bytes at
         ``mbps``, the assumed throughput of the task's direction."""

@@ -45,11 +45,6 @@ class GroupFile:
         """Total serialised size of the group file."""
         return len(self.payload)
 
-    @property
-    def member_count(self) -> int:
-        """Number of member files in the group."""
-        return len(self.members)
-
 
 @dataclass
 class GroupingPlan:

@@ -127,9 +127,6 @@ class Ocelot:
             cost_model=self._cost_model,
         )
 
-    def _orchestrator(self) -> OcelotOrchestrator:
-        return self._orchestrator_for(self.config)
-
     @property
     def service(self) -> "OcelotService":
         """The job-oriented service behind this client.

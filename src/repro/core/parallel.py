@@ -14,7 +14,6 @@ Two concerns live here:
 
 from __future__ import annotations
 
-import heapq
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from ..errors import ConfigurationError
+from ..transfer.gridftp import lpt_makespan
 
 __all__ = ["ParallelCostModel", "MakespanEstimate", "ParallelExecutor", "HelperLane", "LaneCall"]
 
@@ -142,19 +142,6 @@ class ParallelCostModel:
         return max(1, int(nodes * cores_per_node * self.parallel_efficiency))
 
 
-def _lpt_makespan(times: Sequence[float], workers: int) -> float:
-    """Longest-processing-time greedy schedule makespan."""
-    if not times:
-        return 0.0
-    workers = max(1, workers)
-    heap = [0.0] * min(workers, len(times))
-    heapq.heapify(heap)
-    for cost in sorted(times, reverse=True):
-        earliest = heapq.heappop(heap)
-        heapq.heappush(heap, earliest + cost)
-    return max(heap)
-
-
 class ParallelExecutor:
     """Run per-file work and model its parallel execution on a cluster."""
 
@@ -216,7 +203,7 @@ class ParallelExecutor:
             raise ConfigurationError("nodes and cores_per_node must be >= 1")
         effective_cores = self.cost_model.cores(nodes, cores_per_node)
         cores_used = min(effective_cores, max(1, len(times)))
-        compute = _lpt_makespan(times, effective_cores)
+        compute = lpt_makespan(times, effective_cores)
         io_time = sum(per_file_output_bytes) / self.cost_model.write_bandwidth(cores_used)
         makespan = compute + io_time + self.cost_model.startup_s_per_node * nodes
         return MakespanEstimate(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from ..transfer.gridftp import GridFTPSettings
+from ..transfer.gridftp import GridFTPEngine, GridFTPSettings
 from ..transfer.network import WANLink
 
 __all__ = ["SentinelDecision", "Sentinel"]
@@ -41,7 +41,7 @@ class Sentinel:
     """Plan which files to transfer raw during the node-waiting window."""
 
     def __init__(self, settings: GridFTPSettings | None = None) -> None:
-        self.settings = settings or GridFTPSettings()
+        self.engine = GridFTPEngine(settings)
 
     def plan(
         self,
@@ -68,14 +68,9 @@ class Sentinel:
         # files the engine's greedy schedule is well approximated by
         # aggregate-bandwidth streaming plus a per-channel share of the
         # per-file handling overhead.
-        channels = max(1, min(self.settings.concurrency, len(files)))
-        per_channel_bw = min(
-            link.stream_bandwidth(self.settings.parallelism),
-            link.bandwidth_bps / channels,
-        )
-        aggregate_bw = per_channel_bw * channels
-        per_file_overhead = link.per_file_overhead_s / min(self.settings.pipelining, 8)
-        per_file_overhead += link.rtt_s / max(self.settings.pipelining, 1)
+        channels = max(1, min(self.engine.settings.concurrency, len(files)))
+        aggregate_bw = self.engine.channel_bandwidth_bps(link, channels) * channels
+        per_file_overhead = self.engine.per_chunk_overhead_s(link)
         chosen = 0
         elapsed = 3.0 * link.rtt_s
         last_duration = 0.0

@@ -41,8 +41,8 @@ import numpy as np
 
 from ..compression import CompressedBlob
 from ..compression.sz.pipeline import PredictionPipelineCompressor
+from ..transfer.gridftp import lpt_makespan
 from ..transfer.service import TransferStream
-from .parallel import _lpt_makespan
 
 if TYPE_CHECKING:
     from .orchestrator import OcelotOrchestrator
@@ -136,7 +136,7 @@ class StreamingPipeline:
             cores_per_node=config.cores_per_node,
         ).makespan_s
         timings.transfer_s = task.duration_s
-        timings.decompression_s = consume_start + _lpt_makespan(decode_times, decode_workers)
+        timings.decompression_s = consume_start + lpt_makespan(decode_times, decode_workers)
         timings.streaming_s = max(stream.last_completion_s, last_decode_s)
         run.shipped_files += len(run.to_compress)
         run.shipped_bytes += task.bytes_transferred

@@ -20,11 +20,9 @@ from .applications import (
     APPLICATIONS, ApplicationSpec, FieldSpec, application_names, get_application_spec,
 )
 from .registry import generate_application, generate_field
-from .io import save_dataset, load_dataset, save_field, load_field
 
 __all__ = [
     "Field", "ScientificDataset", "spectral_field", "wave_field", "vortex_field", "lognormal_field",
     "rescale_to_range", "APPLICATIONS", "ApplicationSpec", "FieldSpec", "application_names",
-    "get_application_spec", "generate_application", "generate_field", "save_dataset",
-    "load_dataset", "save_field", "load_field",
+    "get_application_spec", "generate_application", "generate_field",
 ]

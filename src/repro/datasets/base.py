@@ -100,13 +100,6 @@ class ScientificDataset:
             seen.setdefault(f.name, None)
         return list(seen)
 
-    def select(self, field_name: str) -> "ScientificDataset":
-        """Return a sub-dataset containing only fields with ``field_name``."""
-        subset = [f for f in self._fields if f.name == field_name]
-        if not subset:
-            raise DatasetError(f"dataset {self.name!r} has no field named {field_name!r}")
-        return ScientificDataset(name=f"{self.name}:{field_name}", fields=subset)
-
     def describe(self) -> Dict[str, object]:
         """Summary dictionary of dataset size and contents."""
         return {

@@ -99,9 +99,3 @@ class FeatureExtractor:
             full_size=int(arr.size),
             extraction_time_s=float(elapsed),
         )
-
-    def extract_features(
-        self, data: np.ndarray, error_bound_abs: float, compressor: str = "sz3"
-    ) -> FeatureVector:
-        """Convenience wrapper returning only the feature vector."""
-        return self.extract(data, error_bound_abs, compressor).features

@@ -47,16 +47,6 @@ class FeatureVector:
         """Return a copy of the named feature values."""
         return dict(self.values)
 
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "FeatureVector":
-        """Rebuild a feature vector from a canonical-order array."""
-        arr = np.asarray(array, dtype=np.float64).ravel()
-        if arr.size != len(FEATURE_NAMES):
-            raise ValueError(
-                f"expected {len(FEATURE_NAMES)} features, got array of size {arr.size}"
-            )
-        return cls(values={name: float(v) for name, v in zip(FEATURE_NAMES, arr)})
-
     @staticmethod
     def matrix(vectors: "List[FeatureVector]") -> np.ndarray:
         """Stack feature vectors into a 2-D design matrix."""

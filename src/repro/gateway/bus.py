@@ -1,151 +1,65 @@
-"""Pub/sub bridge between job event feeds and live gateway clients.
+"""The gateway's one wake-up signal: a published-event counter.
 
 Jobs append :class:`~repro.service.events.JobEvent` records to their
-own feeds as the scheduler steps them; HTTP clients want those events
-*pushed* as they happen.  The :class:`EventBus` sits in between: the
-gateway driver publishes every newly-emitted event exactly once, and
-each live client (an SSE stream, a test harness) holds a
-:class:`Subscription` — a **bounded** per-subscriber queue, so one slow
-client can never make the scheduler thread block or hold memory for
-the whole fleet.
+own feeds, numbered by a contiguous per-job ``seq``; that feed is the
+only event buffer the gateway has.  The :class:`EventBus` holds no
+events at all.  It counts what the scheduler publishes and wakes
+everyone parked on one :class:`threading.Condition`: the SSE streams,
+``/wait`` requests and the driver's idle stepper.  A woken reader reads
+the job's feed after the ``seq`` it has seen, so no subscriber keeps
+memory of its own and none can fall behind and lose an event.
 
-Overflow policy is drop-oldest: a full subscriber queue loses its
-oldest event and the subscription counts the gap.  Consumers recover
-losslessly because every event carries a per-job monotonic ``seq`` —
-the SSE handler notices the gap (``seq`` jumped) and backfills from
-the job's authoritative feed, which is exactly the ``Last-Event-ID``
-resume path reused mid-stream.
+A reader reads :attr:`EventBus.published` *before* it reads the feed:
+an event appended after that read moves the counter, so the next
+:meth:`EventBus.wait` returns at once instead of sleeping past it.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from typing import Dict, List, Optional
 
 from ..service.events import JobEvent
 
-__all__ = ["EventBus", "Subscription"]
-
-#: Sentinel delivered to subscribers when the bus shuts down.
-CLOSED = object()
-
-
-class Subscription:
-    """One subscriber's bounded event queue (create via ``EventBus.subscribe``)."""
-
-    def __init__(self, bus: "EventBus", job_id: Optional[str], maxsize: int) -> None:
-        self._bus = bus
-        #: Restrict delivery to one job's feed (``None`` = all jobs).
-        self.job_id = job_id
-        self.queue: "queue.Queue[object]" = queue.Queue(maxsize=max(1, maxsize))
-        #: Events lost to overflow (consumers backfill from the feed).
-        self.dropped = 0
-        self.closed = False
-
-    def matches(self, event: JobEvent) -> bool:
-        """Whether this subscription wants ``event``."""
-        return self.job_id is None or event.job_id == self.job_id
-
-    def get(self, timeout: Optional[float] = None) -> Optional[object]:
-        """Next event, ``CLOSED`` on shutdown, or ``None`` on timeout."""
-        try:
-            return self.queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def cancel(self) -> None:
-        """Detach from the bus (idempotent)."""
-        self._bus.unsubscribe(self)
+__all__ = ["EventBus"]
 
 
 class EventBus:
-    """Fan job events out to bounded per-subscriber queues."""
+    """Count published events and wake every waiter on each one."""
 
-    def __init__(self, default_maxsize: int = 1024) -> None:
-        self._default_maxsize = default_maxsize
-        self._lock = threading.Lock()
-        self._subscribers: List[Subscription] = []
-        self._closed = False
-        #: Totals for ``/metricsz``.
+    def __init__(self) -> None:
+        self._changed = threading.Condition()
+        #: Set by :meth:`close`; every wait returns at once from then on.
+        self.closed = False
+        #: Events published so far (also ``/metricsz``'s ``bus.published``).
         self.published = 0
-        self.dropped = 0
 
-    # ------------------------------------------------------------------ #
-    def subscribe(self, job_id: Optional[str] = None,
-                  maxsize: Optional[int] = None) -> Subscription:
-        """Register a subscriber (optionally scoped to one job's feed)."""
-        sub = Subscription(self, job_id, maxsize or self._default_maxsize)
-        with self._lock:
-            if self._closed:
-                sub.closed = True
-                sub.queue.put(CLOSED)
-            else:
-                self._subscribers.append(sub)
-        return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        """Remove a subscriber; its queue receives no further events."""
-        with self._lock:
-            sub.closed = True
-            try:
-                self._subscribers.remove(sub)
-            except ValueError:
-                pass
-
-    # ------------------------------------------------------------------ #
     def publish(self, event: JobEvent) -> None:
-        """Deliver one event to every matching subscriber, never blocking.
-
-        A full queue drops its oldest entry to make room — the slow
-        consumer pays with a backfill, not the publisher with a stall.
-        """
-        with self._lock:
+        """Count one event (already in its job's feed) and wake the waiters."""
+        with self._changed:
             self.published += 1
-            for sub in self._subscribers:
-                if not sub.matches(event):
-                    continue
-                while True:
-                    try:
-                        sub.queue.put_nowait(event)
-                        break
-                    except queue.Full:
-                        try:
-                            sub.queue.get_nowait()
-                            sub.dropped += 1
-                            self.dropped += 1
-                        except queue.Empty:  # raced with the consumer
-                            continue
+            self._changed.notify_all()
 
     def publish_all(self, events: List[JobEvent]) -> None:
         """Publish a batch in feed order."""
         for event in events:
             self.publish(event)
 
+    def wait(self, seen: int, timeout: Optional[float] = None) -> int:
+        """Block until the counter moves past ``seen``, the bus closes, or
+        ``timeout`` ends; return the counter."""
+        with self._changed:
+            self._changed.wait_for(lambda: self.published != seen or self.closed,
+                                   timeout)
+            return self.published
+
     def close(self) -> None:
-        """Shut down: every subscriber's next read returns ``CLOSED``."""
-        with self._lock:
-            self._closed = True
-            subscribers, self._subscribers = self._subscribers, []
-            for sub in subscribers:
-                sub.closed = True
-                try:
-                    sub.queue.put_nowait(CLOSED)
-                except queue.Full:
-                    try:
-                        sub.queue.get_nowait()
-                    except queue.Empty:
-                        pass
-                    try:
-                        sub.queue.put_nowait(CLOSED)
-                    except queue.Full:
-                        pass
+        """Shut down: release every waiter now and every later one at once."""
+        with self._changed:
+            self.closed = True
+            self._changed.notify_all()
 
     def describe(self) -> Dict[str, object]:
-        """Metrics snapshot for ``/metricsz``."""
-        with self._lock:
-            return {
-                "subscribers": len(self._subscribers),
-                "published": self.published,
-                "dropped": self.dropped,
-            }
+        """Metrics snapshot for ``/metricsz`` (nothing is buffered, so
+        nothing is ever dropped)."""
+        return {"published": self.published, "dropped": 0}

@@ -7,26 +7,25 @@ the opposite shape — many request threads arriving at once — so the
 :class:`GatewayDriver` owns the bridge:
 
 * **one lock** around every touch of the service/scheduler (submission,
-  cancellation, record reads), so request handlers never race the
-  phase machine;
+  cancellation, record and feed reads), so request handlers never race
+  the phase machine;
 * **one background thread** that drains the scheduler a single phase
   step at a time, releasing the lock between steps — status reads and
   new submissions interleave with a running batch instead of blocking
   behind it (the scheduler syncs the simulation clock itself when the
   last job in flight retires);
-* **one event path**: the driver installs itself as the scheduler's
-  ``on_event`` listener, so every
-  :class:`~repro.service.events.JobEvent` a job emits — ``submitted``
-  included, and whichever job a step, a submit or a cancel touches —
-  is pushed straight to the :class:`~repro.gateway.bus.EventBus`, and
-  a terminal event releases the waiters :meth:`wait` parked.  One
-  emit is one publish, under the driver's lock, so delivery is
-  exactly-once and in feed order by construction; nothing scans the
-  retained jobs to find out what is new.  A step costs what the
-  scheduler charges (O(log live jobs)), a submit O(live jobs), a
-  cancel or a wait O(1) — none depends on how many finished jobs the
-  service retains.  HTTP handlers never run scheduler code in a
-  request thread.
+* **one feed, one signal**: each job's own append-only feed is the only
+  event buffer, and the :class:`~repro.gateway.bus.EventBus` installed
+  as the scheduler's ``on_event`` listener only counts what a job emits
+  and wakes every waiter.  The idle stepper, :meth:`wait` and the SSE
+  streams all park on that one counter; a woken reader takes the lock
+  once to read its job's status or feed and parks again.  No reader
+  holds events of its own, so delivery is exactly-once and in ``seq``
+  order by construction, and nothing scans the retained jobs to find
+  out what is new.  A step costs what the scheduler charges (O(log live
+  jobs)), a submit O(live jobs), a cancel O(1) and a wake O(1) per
+  waiter — none depends on how many finished jobs the service retains.
+  HTTP handlers never run scheduler code in a request thread.
 
 Plan groups (the batch submit endpoint) also live here: *every* spec of
 a group is validated — including the typed admission check — before
@@ -97,30 +96,25 @@ class PlanGroup:
 class GatewayDriver:
     """Serialise a multi-threaded HTTP front end onto the job service."""
 
-    def __init__(self, service: OcelotService, bus: Optional[EventBus] = None,
-                 idle_poll_s: float = 0.02) -> None:
+    def __init__(self, service: OcelotService, idle_poll_s: float = 0.02) -> None:
         self.service = service
-        self.bus = bus or EventBus()
+        self.bus = EventBus()
         self._idle_poll_s = idle_poll_s
         self._lock = threading.RLock()
-        self._kick = threading.Event()
-        self._stopped = threading.Event()
         self._paused = False
-        #: Completion signals of the jobs somebody is :meth:`wait`-ing on.
-        self._done: Dict[str, threading.Event] = {}
         self._groups: Dict[str, PlanGroup] = {}
         self._group_counter = itertools.count(1)
         self._started_wall = time.monotonic()
         self._thread: Optional[threading.Thread] = None
-        service.scheduler.on_event = self._on_event
+        service.scheduler.on_event = self.bus.publish
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "GatewayDriver":
-        """Launch the background scheduler thread (idempotent)."""
+        """Launch the background scheduler thread (idempotent; a stopped
+        driver stays stopped)."""
         if self._thread is None or not self._thread.is_alive():
-            self._stopped.clear()
             self._thread = threading.Thread(
                 target=self._run, name="ocelot-gateway-driver", daemon=True
             )
@@ -128,21 +122,15 @@ class GatewayDriver:
         return self
 
     def stop(self) -> None:
-        """Stop the scheduler thread, detach from the feed, close the bus."""
-        self._stopped.set()
-        self._kick.set()
+        """Close the bus (releasing every waiter), stop the scheduler
+        thread and detach from the feed."""
+        self.bus.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
         scheduler = self.service.scheduler
-        if scheduler.on_event == self._on_event:
+        if scheduler.on_event == self.bus.publish:
             scheduler.on_event = None
-        self.bus.close()
-
-    @property
-    def running(self) -> bool:
-        """Whether the driver accepts work (False after :meth:`stop`)."""
-        return not self._stopped.is_set()
 
     def pause(self) -> None:
         """Suspend phase stepping (jobs keep queueing; used by tests)."""
@@ -150,32 +138,20 @@ class GatewayDriver:
             self._paused = True
 
     def resume(self) -> None:
-        """Resume phase stepping after :meth:`pause`."""
+        """Resume phase stepping at the stepper's next wake (an event or
+        its idle poll)."""
         with self._lock:
             self._paused = False
-        self._kick.set()
 
     def _run(self) -> None:
-        while not self._stopped.is_set():
-            progressed = False
+        while not self.bus.closed:
+            # Read the counter before stepping: a submit that lands after
+            # an idle step has moved it, so the wait below returns at once.
+            seen = self.bus.published
             with self._lock:
-                if not self._paused:
-                    progressed = self.service.scheduler.step()
+                progressed = not self._paused and self.service.scheduler.step()
             if not progressed:
-                self._kick.wait(timeout=self._idle_poll_s)
-                self._kick.clear()
-
-    # ------------------------------------------------------------------ #
-    # Event plumbing
-    # ------------------------------------------------------------------ #
-    def _on_event(self, event: JobEvent) -> None:
-        """The scheduler's listener: publish; release waiters at the end."""
-        with self._lock:
-            self.bus.publish(event)
-            if event.is_terminal:
-                done = self._done.pop(event.job_id, None)
-                if done is not None:
-                    done.set()
+                self.bus.wait(seen, self._idle_poll_s)
 
     def _handle(self, job_id: str) -> JobHandle:
         if self.service.scheduler.get(job_id) is None:
@@ -188,9 +164,7 @@ class GatewayDriver:
     def submit(self, spec: TransferSpec) -> Dict[str, object]:
         """Validate + enqueue one spec; returns the job's summary record."""
         with self._lock:
-            record = self.service.submit(spec).summary()
-        self._kick.set()
-        return record
+            return self.service.submit(spec).summary()
 
     def submit_group(self, specs: Sequence[TransferSpec],
                      label: str = "") -> Dict[str, object]:
@@ -220,9 +194,7 @@ class GatewayDriver:
             for spec in specs:
                 group.job_ids.append(self.service.submit(spec).job_id)
             self._groups[group.group_id] = group
-            record = group.as_dict(self._statuses(group))
-        self._kick.set()
-        return record
+            return group.as_dict(self._statuses(group))
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         """Cancel one job; the record says whether this call stopped it."""
@@ -259,7 +231,7 @@ class GatewayDriver:
             ]
 
     def events_since(self, job_id: str, since_seq: int = 0) -> List[JobEvent]:
-        """A job's feed after ``since_seq`` (the SSE replay/backfill path)."""
+        """A job's feed after ``since_seq`` (what the SSE stream writes)."""
         with self._lock:
             return self._handle(job_id).events(since_seq=since_seq)
 
@@ -279,13 +251,18 @@ class GatewayDriver:
 
     # ------------------------------------------------------------------ #
     def wait(self, job_id: str, timeout: Optional[float] = None) -> bool:
-        """Block (off-lock) until a job is terminal; False on timeout."""
-        with self._lock:
-            handle = self._handle(job_id)
-            if handle.status.is_terminal:
-                return True
-            done = self._done.setdefault(job_id, threading.Event())
-        return done.wait(timeout=timeout)
+        """Block (off-lock) until a job is terminal; False on timeout or
+        once the driver has stopped."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            seen = self.bus.published
+            with self._lock:
+                if self._handle(job_id).status.is_terminal:
+                    return True
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if self.bus.closed or (remaining is not None and remaining <= 0):
+                return False
+            self.bus.wait(seen, remaining)
 
     # ------------------------------------------------------------------ #
     def metrics(self) -> Dict[str, object]:

@@ -17,9 +17,12 @@ SSE framing (one frame per :class:`~repro.service.events.JobEvent`)::
 
 The ``id`` is the job's monotonic event ``seq``, so a reconnecting
 client sends the standard ``Last-Event-ID`` header (or ``?since=``) and
-the stream resumes after that event instead of replaying the feed.  The
-live tail comes from a bus subscription; a queue-overflow gap (``seq``
-jumped) is healed by backfilling from the job's authoritative feed.
+the stream resumes after that event instead of replaying the feed.
+Replay and live tail are one loop over the job's own feed: the stream
+writes what follows the last ``seq`` it sent, then parks on the
+:class:`~repro.gateway.bus.EventBus` counter until anything is
+published, taking the driver lock once per wake.  The stream holds no
+events of its own, so however long a client sleeps it loses none.
 Streams close after delivering the job's terminal event.
 """
 
@@ -36,12 +39,11 @@ from ..core.config import OcelotConfig
 from ..service import OcelotService, TenantQuota
 from ..service.events import JobEvent
 from .app import MAX_BODY_BYTES, GatewayAPI, error_response
-from .bus import CLOSED
 from .driver import GatewayDriver, UnknownJobError
 
 __all__ = ["Gateway", "create_gateway"]
 
-#: How long a live SSE stream waits on its queue between keepalives.
+#: How long a quiet SSE stream waits between keepalives.
 _SSE_POLL_S = 0.25
 
 
@@ -149,58 +151,41 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": f"bad Last-Event-ID {last_raw!r}",
                                   "code": "bad_request"})
             return
-        # Subscribe *before* snapshotting the feed so no event can fall
-        # between replay and live tail; duplicates are filtered by seq.
-        subscription = driver.bus.subscribe(job_id)
+        # Read the counter before the feed: an event appended after this
+        # read moves it, so the wait below cannot sleep past that event.
+        seen = driver.bus.published
         try:
-            try:
-                replay = driver.events_since(job_id, last)
-            except UnknownJobError as exc:
-                status, payload = error_response(exc)
-                self._send_json(status, payload)
-                return
-            self.server.api.count_request("GET /v1/jobs/{id}/events")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-cache")
-            self.send_header("Connection", "close")
-            self.close_connection = True
+            events = driver.events_since(job_id, last)
+        except UnknownJobError as exc:
+            status, payload = error_response(exc)
+            self._send_json(status, payload)
+            return
+        self.server.api.count_request("GET /v1/jobs/{id}/events")
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        self.send_header("Cache-Control", "no-cache")
+        self.send_header("Connection", "close")
+        self.close_connection = True
+        try:
             self.end_headers()
             self.wfile.flush()  # a quiet live stream still answers at once
-            for event in replay:
-                self._write_event(event)
-                last = event.seq
-                if event.is_terminal:
+            while True:
+                for event in events:
+                    self._write_event(event)
+                    if event.is_terminal:
+                        return
+                    last = event.seq
+                now = driver.bus.wait(seen, _SSE_POLL_S)
+                if driver.bus.closed:
                     return
-            while driver.running:
-                item = subscription.get(timeout=_SSE_POLL_S)
-                if item is CLOSED:
-                    return
-                if item is None:
+                if now == seen:
                     # Comment frame: keeps proxies and clients from
                     # timing out an intentionally quiet stream.
                     self.wfile.write(b": keepalive\n\n")
                     self.wfile.flush()
-                    continue
-                assert isinstance(item, JobEvent)
-                if item.seq <= last:
-                    continue
-                if item.seq > last + 1:
-                    # Bus overflow gap: heal from the authoritative feed.
-                    for event in driver.events_since(job_id, last):
-                        self._write_event(event)
-                        last = event.seq
-                        if event.is_terminal:
-                            return
-                    continue
-                self._write_event(item)
-                last = item.seq
-                if item.is_terminal:
-                    return
+                seen, events = now, driver.events_since(job_id, last)
         except (BrokenPipeError, ConnectionResetError):
             return
-        finally:
-            subscription.cancel()
 
 
 class Gateway:
@@ -242,7 +227,7 @@ class Gateway:
 
     @property
     def bus(self):
-        """The event bus feeding SSE subscribers."""
+        """The wake-up signal SSE streams and ``/wait`` park on."""
         return self.driver.bus
 
     # ------------------------------------------------------------------ #

@@ -120,11 +120,6 @@ class DecisionTreeRegressor:
         """Whether the tree has been fitted."""
         return bool(self._nodes)
 
-    @property
-    def node_count(self) -> int:
-        """Number of nodes in the fitted tree."""
-        return len(self._nodes)
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         """Fit the tree to a design matrix ``X`` and targets ``y``."""
         X = np.asarray(X, dtype=np.float64)

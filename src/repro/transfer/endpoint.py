@@ -45,14 +45,6 @@ class GlobusEndpoint:
             self.display_name = self.name
 
     # ------------------------------------------------------------------ #
-    def storage_read_time(self, nbytes: int) -> float:
-        """Seconds to read ``nbytes`` from the endpoint's storage."""
-        return nbytes / self.storage_read_bps
-
-    def storage_write_time(self, nbytes: int) -> float:
-        """Seconds to write ``nbytes`` to the endpoint's storage."""
-        return nbytes / self.storage_write_bps
-
     def describe(self) -> Dict[str, object]:
         """Summary of the endpoint configuration and stored data."""
         return {

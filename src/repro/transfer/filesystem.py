@@ -83,13 +83,6 @@ class SimulatedFileSystem:
         """Whether a file exists at ``path``."""
         return _normalize(path) in self._files
 
-    def delete(self, path: str) -> None:
-        """Remove a file."""
-        norm = _normalize(path)
-        if norm not in self._files:
-            raise FileNotFoundOnEndpointError(f"no such file: {path!r}")
-        del self._files[norm]
-
     def list(self, prefix: str = "/") -> List[FileEntry]:
         """All files whose path starts with ``prefix`` (sorted by path)."""
         norm = _normalize(prefix)

@@ -20,13 +20,24 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..utils.rng import rng_from_seed
 from .network import WANLink
 
-__all__ = ["GridFTPSettings", "TransferEstimate", "GridFTPEngine"]
+__all__ = ["GridFTPSettings", "TransferEstimate", "GridFTPEngine", "lpt_makespan"]
+
+
+def lpt_makespan(times: Sequence[float], workers: int) -> float:
+    """Makespan of the longest-processing-time greedy schedule: longest
+    job first, each onto the earliest-free of ``workers``."""
+    if not times:
+        return 0.0
+    heap = [0.0] * min(max(1, workers), len(times))
+    for cost in sorted(times, reverse=True):
+        heapq.heapreplace(heap, heap[0] + cost)
+    return max(heap)
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,6 @@ class TransferEstimate:
     total_bytes: int
     file_count: int
     effective_speed_bps: float
-    channel_utilisation: float
     per_file_overhead_s: float
 
     @property
@@ -117,7 +127,6 @@ class GridFTPEngine:
                 total_bytes=0,
                 file_count=0,
                 effective_speed_bps=0.0,
-                channel_utilisation=0.0,
                 per_file_overhead_s=0.0,
             )
         settings = self.settings
@@ -130,16 +139,8 @@ class GridFTPEngine:
         )
         per_file_overhead = self.per_chunk_overhead_s(link)
 
-        # Longest-processing-time greedy assignment of files to channels.
-        file_times = [size / channel_bandwidth + per_file_overhead for size in sizes]
-        file_times.sort(reverse=True)
-        heap = [0.0] * channels
-        heapq.heapify(heap)
-        for cost in file_times:
-            earliest = heapq.heappop(heap)
-            heapq.heappush(heap, earliest + cost)
-        makespan = max(heap)
-        busy_time = sum(heap)
+        makespan = lpt_makespan(
+            [size / channel_bandwidth + per_file_overhead for size in sizes], channels)
         # Session setup: control-channel establishment costs a few RTTs.
         makespan += 3.0 * link.rtt_s
         if link.jitter:
@@ -150,25 +151,5 @@ class GridFTPEngine:
             total_bytes=total_bytes,
             file_count=len(sizes),
             effective_speed_bps=total_bytes / makespan if makespan > 0 else float("inf"),
-            channel_utilisation=busy_time / (channels * makespan) if makespan > 0 else 1.0,
             per_file_overhead_s=per_file_overhead,
         )
-
-    def sweep_file_sizes(
-        self,
-        total_bytes: int,
-        file_sizes: Sequence[int],
-        link: WANLink,
-    ) -> List[TransferEstimate]:
-        """Estimate transfers of ``total_bytes`` split into equal files of each size.
-
-        Reproduces the Table II experiment: the same total volume moved as
-        many small files or few large files.
-        """
-        estimates = []
-        for size in file_sizes:
-            if size <= 0:
-                raise ConfigurationError("file sizes must be positive")
-            count = max(1, total_bytes // size)
-            estimates.append(self.estimate([size] * int(count), link))
-        return estimates

@@ -12,35 +12,7 @@ import numpy as np
 
 from ..errors import FeatureExtractionError
 
-__all__ = ["strided_sample", "block_sample", "sample_indices"]
-
-
-def strided_sample(data: np.ndarray, fraction: float = 0.01) -> np.ndarray:
-    """Return a strided 1-D subsample containing roughly ``fraction`` of the data.
-
-    Sampling is deterministic (every ``k``-th element in flattened order)
-    so that repeated extractions of the same field produce identical
-    features.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise FeatureExtractionError(f"sampling fraction must be in (0, 1], got {fraction}")
-    flat = np.asarray(data).ravel()
-    if fraction >= 1.0 or flat.size == 0:
-        return flat
-    stride = max(1, int(round(1.0 / fraction)))
-    return flat[::stride]
-
-
-def sample_indices(size: int, fraction: float, seed: int = 0) -> np.ndarray:
-    """Return sorted random indices selecting ``fraction`` of ``size`` elements."""
-    if not 0.0 < fraction <= 1.0:
-        raise FeatureExtractionError(f"sampling fraction must be in (0, 1], got {fraction}")
-    if size <= 0:
-        raise FeatureExtractionError("size must be positive")
-    count = max(1, int(round(size * fraction)))
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(size, size=min(count, size), replace=False)
-    return np.sort(idx)
+__all__ = ["block_sample"]
 
 
 def block_sample(data: np.ndarray, block: int = 8, fraction: float = 0.01) -> np.ndarray:

@@ -192,7 +192,8 @@ class TestKeySeparation:
         stage must be the *effective* one — a ``None`` override keeps the
         registry default, e.g. ``none`` for sz3-fast."""
         def fingerprint(**overrides):
-            orchestrator = Ocelot(_config(tmp_path, **overrides))._orchestrator()
+            config = _config(tmp_path, **overrides)
+            orchestrator = Ocelot(config)._orchestrator_for(config)
             return orchestrator._build_compressor("sz3-fast").cache_fingerprint(1e-3)
 
         default = fingerprint()
@@ -258,7 +259,8 @@ class TestKeySeparation:
     def test_cache_keys_are_pinned(self, overrides, fingerprint, blob_key, block_key):
         from repro.cache import blob_cache_key, block_cache_key
 
-        orchestrator = Ocelot(OcelotConfig(**overrides))._orchestrator()
+        config = OcelotConfig(**overrides)
+        orchestrator = Ocelot(config)._orchestrator_for(config)
         compressor = orchestrator._build_compressor(overrides["compressor"])
         assert compressor.cache_fingerprint(1e-3) == fingerprint
         assert blob_cache_key("ab" * 16, fingerprint) == blob_key

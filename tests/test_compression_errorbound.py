@@ -41,8 +41,8 @@ class TestErrorBound:
 
     def test_psnr_mode_gives_tighter_bound_for_higher_target(self):
         data = np.linspace(0, 1, 100)
-        loose = ErrorBound.from_psnr(40.0).absolute_for(data)
-        tight = ErrorBound.from_psnr(100.0).absolute_for(data)
+        loose = ErrorBound(value=40.0, mode=ErrorBoundMode.PSNR).absolute_for(data)
+        tight = ErrorBound(value=100.0, mode=ErrorBoundMode.PSNR).absolute_for(data)
         assert tight < loose
 
     def test_non_positive_value_rejected(self):

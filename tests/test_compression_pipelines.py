@@ -136,7 +136,6 @@ class TestCompressionBehaviour:
         assert stats.compressed_bytes > 0
         assert stats.compression_time_s > 0
         assert stats.psnr_db is not None and stats.psnr_db > 40
-        assert stats.compression_throughput_mbps > 0
 
     def test_verification_failure_raises(self, smooth_2d, monkeypatch):
         compressor = create_compressor("sz3-fast")
@@ -225,4 +224,3 @@ class TestSectionContainer:
         assert blob.dtype == str(smooth_2d.dtype)
         assert blob.compressor == "sz2"
         assert blob.num_elements == smooth_2d.size
-        assert blob.original_nbytes == smooth_2d.nbytes

@@ -47,10 +47,6 @@ class TestOcelotConfig:
         with pytest.raises(ConfigurationError):
             OcelotConfig(size_scale=0.0)
 
-    def test_total_cores(self):
-        config = OcelotConfig(compression_nodes=4, cores_per_node=16)
-        assert config.total_compression_cores() == 64
-
     @pytest.mark.parametrize(
         "name", ["assumed_compression_throughput_mbps", "assumed_decompression_throughput_mbps"]
     )
@@ -195,7 +191,7 @@ class TestFileGrouper:
         files = self._files(7)
         group = grouper.pack(files, "g0")
         assert grouper.unpack(group.payload) == files
-        assert group.member_count == 7
+        assert len(group.members) == 7
 
     def test_empty_group_raises(self):
         with pytest.raises(GroupingError):
@@ -295,6 +291,20 @@ class TestSentinel:
         short = sentinel.plan(files, wait_s=30.0, link=self._link())
         long = sentinel.plan(files, wait_s=300.0, link=self._link())
         assert long.raw_count > short.raw_count
+
+    def test_raw_prefix_is_costed_with_the_engine_formulas(self):
+        sentinel = Sentinel(GridFTPSettings())
+        link = self._link()
+        files = [("f0", 10**8), ("f1", 3 * 10**8)]
+        decision = sentinel.plan(files, wait_s=1e9, link=link)
+        channels = 2
+        aggregate = sentinel.engine.channel_bandwidth_bps(link, channels) * channels
+        per_file = sentinel.engine.per_chunk_overhead_s(link) / channels
+        expected = 3.0 * link.rtt_s
+        for _, size in files:
+            expected += size / aggregate + per_file
+        assert decision.raw_transfer_s == expected
+        assert decision.raw_bytes == 4 * 10**8
 
     def test_threshold_suppresses_short_waits(self):
         sentinel = Sentinel(GridFTPSettings())

@@ -13,12 +13,8 @@ from repro.datasets import (
     generate_application,
     generate_field,
     get_application_spec,
-    load_dataset,
-    load_field,
     lognormal_field,
     rescale_to_range,
-    save_dataset,
-    save_field,
     spectral_field,
     vortex_field,
     wave_field,
@@ -164,15 +160,6 @@ class TestGenerateApplication:
         with pytest.raises(DatasetError):
             generate_application("cesm", snapshots=0)
 
-    def test_select_subdataset(self, small_dataset):
-        name = small_dataset.field_names()[0]
-        subset = small_dataset.select(name)
-        assert all(f.name == name for f in subset)
-
-    def test_select_missing_raises(self, small_dataset):
-        with pytest.raises(DatasetError):
-            small_dataset.select("nope")
-
     def test_describe(self, small_dataset):
         info = small_dataset.describe()
         assert info["files"] == small_dataset.file_count
@@ -196,33 +183,3 @@ class TestFieldAndDatasetContainers:
     def test_field_summary(self, cesm_field):
         summary = cesm_field.summary()
         assert summary.size == cesm_field.data.size
-
-
-class TestDatasetIO:
-    def test_field_round_trip(self, tmp_path, cesm_field):
-        path = save_field(cesm_field, tmp_path)
-        restored = load_field(path)
-        np.testing.assert_array_equal(restored.data, cesm_field.data)
-        assert restored.name == cesm_field.name
-        assert restored.application == cesm_field.application
-
-    def test_dataset_round_trip(self, tmp_path):
-        ds = generate_application("isabel", snapshots=1, scale=0.03, fields=["SPEED", "W"])
-        save_dataset(ds, tmp_path / "isabel")
-        restored = load_dataset(tmp_path / "isabel")
-        assert restored.file_count == ds.file_count
-        np.testing.assert_array_equal(restored[0].data, ds[0].data)
-
-    def test_load_missing_field_raises(self, tmp_path):
-        with pytest.raises(DatasetError):
-            load_field(tmp_path / "missing.f32")
-
-    def test_load_missing_manifest_raises(self, tmp_path):
-        with pytest.raises(DatasetError):
-            load_dataset(tmp_path)
-
-    def test_missing_sidecar_raises(self, tmp_path, cesm_field):
-        path = save_field(cesm_field, tmp_path)
-        (tmp_path / (path.name + ".json")).unlink()
-        with pytest.raises(DatasetError):
-            load_field(path)

@@ -28,15 +28,6 @@ class TestFeatureVector:
         vec = FeatureVector(values=values)
         np.testing.assert_array_equal(vec.to_array(), np.arange(len(FEATURE_NAMES)))
 
-    def test_from_array_round_trip(self):
-        arr = np.linspace(0, 1, len(FEATURE_NAMES))
-        vec = FeatureVector.from_array(arr)
-        np.testing.assert_allclose(vec.to_array(), arr)
-
-    def test_from_array_wrong_size_raises(self):
-        with pytest.raises(ValueError):
-            FeatureVector.from_array(np.zeros(3))
-
     def test_matrix_stacks_vectors(self):
         values = {name: 1.0 for name in FEATURE_NAMES}
         vecs = [FeatureVector(values=values) for _ in range(5)]
@@ -161,10 +152,6 @@ class TestFeatureExtractor:
     def test_empty_data_raises(self):
         with pytest.raises(FeatureExtractionError):
             FeatureExtractor().extract(np.array([]), 1e-3)
-
-    def test_extract_features_convenience(self, smooth_2d):
-        vec = FeatureExtractor(sample_fraction=0.1).extract_features(smooth_2d, 1e-3)
-        assert isinstance(vec, FeatureVector)
 
     def test_deterministic_extraction(self, cesm_field):
         extractor = FeatureExtractor(sample_fraction=0.02)

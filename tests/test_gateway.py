@@ -15,9 +15,9 @@ contracts:
   and after the fact) and resumes from ``Last-Event-ID``;
 * the per-job event ``seq`` / ``events(since_seq=...)`` satellite and
   the CLI's gateway-aware ``jobs --url`` / failed-status exit code;
-* push delivery — every emitted event reaches the bus exactly once with
+* push delivery — every emitted event is published exactly once with
   no scan of the retained jobs, whichever job a step, submit or cancel
-  touched;
+  touched, and a reader of the job's feed woken by the bus loses none;
 * keep-alive connections answer without the delayed-ACK stall, and
   oversized or malformed requests get typed 413/400 bodies.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 import http.client
 import json
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -238,16 +239,14 @@ class TestRestJobControl:
         assert metrics["http"]["requests"]["POST /v1/jobs"] == 1
 
 
-def _drain(subscription) -> list:
-    """Everything a bus subscription has received so far."""
-    events = []
-    while (item := subscription.get(timeout=0.05)) is not None:
-        events.append(item)
-    return events
+def _feed_lengths(driver, job_ids) -> int:
+    """Events in the given jobs' feeds so far."""
+    return sum(len(driver.events_since(job_id)) for job_id in job_ids)
 
 
 class TestPushDelivery:
-    """Events reach the bus from ``TransferJob.emit``, not from a scan."""
+    """Events are published from ``TransferJob.emit``, not from a scan,
+    and the job's own feed is what every reader reads."""
 
     def test_step_and_submit_never_visit_retained_jobs(self, monkeypatch):
         service = OcelotService(_config())
@@ -274,7 +273,10 @@ class TestPushDelivery:
         spy(JobHandle, "events", "handle.events")
 
         driver = GatewayDriver(service)
-        heard = driver.bus.subscribe()
+        published = []
+        real_publish = driver.bus.publish
+        service.scheduler.on_event = lambda event: (published.append(event),
+                                                    real_publish(event))
         try:
             first = driver.submit(spec)["job_id"]
             second = driver.submit(spec)["job_id"]
@@ -285,15 +287,17 @@ class TestPushDelivery:
         finally:
             driver.stop()
         assert calls == {"service.jobs": 0, "scheduler.jobs": 0, "handle.events": 0}
-        # ... and nothing was missed for lack of the scan.
+        # ... and nothing was missed for lack of the scan: every event of
+        # both feeds was published once, in seq order.
         feeds = {job_id: service.job(job_id).events() for job_id in (first, second)}
-        events = [item for item in _drain(heard) if isinstance(item, JobEvent)]
         for job_id, feed in feeds.items():
-            assert [e for e in events if e.job_id == job_id] == feed
-        assert len(events) == sum(len(feed) for feed in feeds.values())
+            assert [e.seq for e in feed] == list(range(1, len(feed) + 1))
+            assert [e for e in published if e.job_id == job_id] == feed
+        assert driver.bus.published == len(published) == sum(
+            len(feed) for feed in feeds.values())
 
     def test_seq_contiguous_exactly_once_under_concurrent_submitters(self, gateway):
-        heard = gateway.bus.subscribe(maxsize=100_000)
+        before = gateway.bus.published
         job_ids, errors = [], []
 
         def submitter():
@@ -318,15 +322,16 @@ class TestPushDelivery:
         job_ids.append(doomed["job_id"])
         assert len(job_ids) == 13
 
-        events = _drain(heard)
         for job_id in job_ids:
             feed = gateway.driver.events_since(job_id)
-            mine = [event for event in events if event.job_id == job_id]
-            assert [event.seq for event in mine] == list(range(1, len(feed) + 1))
-            assert mine == feed and mine[-1].is_terminal
-        assert len(events) == sum(
-            len(gateway.driver.events_since(job_id)) for job_id in job_ids)
-        assert heard.dropped == 0
+            assert [event.seq for event in feed] == list(range(1, len(feed) + 1))
+            assert feed[-1].is_terminal
+            # The stream is the feed, each event once, in seq order.
+            frames = _sse(gateway.url, f"/v1/jobs/{job_id}/events")
+            assert [json.loads(frame["data"]) for frame in frames] == [
+                event.as_dict() for event in feed]
+        assert gateway.bus.published - before == _feed_lengths(gateway.driver, job_ids)
+        assert gateway.bus.describe()["dropped"] == 0
 
     def test_metricsz_published_equals_sum_of_feed_lengths(self, gateway):
         job_ids = []
@@ -354,8 +359,8 @@ class TestPushDelivery:
             _, parked = _post(gw.url, "/v1/jobs", spec)
             _, doomed = _post(gw.url, "/v1/jobs", spec)
             assert parked["status"] == doomed["status"] == "queued_admission"
-            heard = {record["job_id"]: gw.bus.subscribe(record["job_id"])
-                     for record in (parked, doomed)}
+            job_ids = [record["job_id"] for record in (running, parked, doomed)]
+            base, base_lengths = gw.bus.published, _feed_lengths(gw.driver, job_ids)
 
             # A cancel of a job that never left the admission queue
             # releases a waiter parked on it, with the driver idle.
@@ -368,10 +373,11 @@ class TestPushDelivery:
             waiter.join(timeout=30)
             assert not waiter.is_alive()
             assert released[0][0] == 200 and released[0][1]["status"] == "cancelled"
-            assert [e.kind for e in _drain(heard[doomed["job_id"]])] == ["cancelled"]
+            assert gw.bus.published == base + 1
+            assert gw.driver.events_since(doomed["job_id"])[-1].kind == "cancelled"
 
             # `admitted` lands on the parked job inside the step that
-            # completes the running one; it and what follows reach the bus.
+            # completes the running one; it and what follows are published.
             gw.driver.resume()
             status, final = _get(
                 gw.url, f"/v1/jobs/{parked['job_id']}/wait?timeout=60", 70.0)
@@ -380,7 +386,8 @@ class TestPushDelivery:
             feed = gw.driver.events_since(parked["job_id"])
             assert [e.kind for e in feed[:3]] == [
                 "submitted", "queued_admission", "admitted"]
-            assert _drain(heard[parked["job_id"]]) == feed[2:]
+            assert gw.bus.published - base == (
+                _feed_lengths(gw.driver, job_ids) - base_lengths)
         finally:
             gw.stop()
 
@@ -388,7 +395,6 @@ class TestPushDelivery:
         service = OcelotService(_config())
         handle = service.submit(spec_from_payload(SPEC_JSON))
         gw = create_gateway(service=service)
-        heard = gw.bus.subscribe(handle.job_id)
         gw.start()
         try:
             status, final = _get(
@@ -396,14 +402,203 @@ class TestPushDelivery:
             assert status == 200 and final["status"] == "completed"
             feed = handle.events()
             # `submitted` predates the listener: it is history, which the
-            # SSE stream replays from the feed; the rest was pushed live.
-            assert _drain(heard) == feed[1:]
+            # SSE stream replays from the feed; the rest was published live.
+            assert gw.bus.published == len(feed) - 1
             frames = _sse(gw.url, f"/v1/jobs/{handle.job_id}/events")
             assert [int(frame["id"]) for frame in frames] == [e.seq for e in feed]
         finally:
             gw.stop()
         # A stopped gateway no longer listens to the service it wrapped.
         assert service.scheduler.on_event is None
+
+
+class TestEventBus:
+    """The bus in isolation: a counter and one condition, no buffer."""
+
+    @staticmethod
+    def _event(seq=1):
+        return JobEvent(time_s=0.0, job_id="j", kind="k", seq=seq)
+
+    def test_a_stale_reader_returns_at_once(self):
+        bus = EventBus()
+        bus.publish(self._event())
+        started = time.monotonic()
+        assert bus.wait(0, timeout=30) == 1
+        assert time.monotonic() - started < 1
+
+    def test_wait_times_out_on_an_unchanged_counter(self):
+        bus = EventBus()
+        started = time.monotonic()
+        assert bus.wait(0, timeout=0.05) == 0
+        assert time.monotonic() - started >= 0.04
+
+    def test_publish_wakes_a_parked_waiter(self):
+        bus, woken = EventBus(), []
+        waiter = threading.Thread(target=lambda: woken.append(bus.wait(0, timeout=30)))
+        waiter.start()
+        time.sleep(0.1)  # let it park
+        started = time.monotonic()
+        bus.publish(self._event())
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert woken == [1]
+        assert time.monotonic() - started < 5
+
+    def test_close_wakes_every_parked_waiter(self):
+        bus, woken = EventBus(), []
+        waiters = [threading.Thread(target=lambda: woken.append(bus.wait(0, timeout=30)))
+                   for _ in range(4)]
+        for waiter in waiters:
+            waiter.start()
+        time.sleep(0.1)
+        started = time.monotonic()
+        bus.close()
+        for waiter in waiters:
+            waiter.join(timeout=10)
+        assert not any(waiter.is_alive() for waiter in waiters)
+        assert bus.closed and woken == [0, 0, 0, 0]
+        assert time.monotonic() - started < 5
+
+    def test_publish_all_counts_every_event(self):
+        bus = EventBus()
+        bus.publish_all([self._event(seq) for seq in range(1, 6)])
+        assert bus.published == 5
+        assert bus.describe() == {"published": 5, "dropped": 0}
+
+    def test_nothing_is_dropped_however_much_goes_unread(self):
+        """The old per-subscriber queues dropped their oldest events here."""
+        bus = EventBus()
+        event = self._event()
+        for _ in range(10_000):
+            bus.publish(event)
+        assert bus.describe() == {"published": 10_000, "dropped": 0}
+
+
+class TestWakeSignal:
+    """One counter wakes every reader; the feed is what they read."""
+
+    def test_sleeping_sse_reader_gets_every_event_once_in_order(self, gateway):
+        gateway.driver.pause()
+        _, record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+        job_id = record["job_id"]
+        connection = http.client.HTTPConnection(gateway.host, gateway.port, timeout=60)
+        try:
+            connection.request("GET", f"/v1/jobs/{job_id}/events")
+            response = connection.getresponse()
+            assert response.status == 200
+            # The reader sleeps while thousands of events are published
+            # and its job runs to the end among them.
+            noise = [JobEvent(time_s=0.0, job_id="noise", kind="noise", seq=i + 1)
+                     for i in range(1000)]
+            gateway.driver.resume()
+            published = 0
+            while published < 5000 or not gateway.driver.wait(job_id, timeout=0):
+                gateway.bus.publish_all(noise)
+                published += len(noise)
+                assert published < 1_000_000
+            body = response.read().decode()
+        finally:
+            connection.close()
+        ids = [int(line[4:]) for line in body.splitlines() if line.startswith("id: ")]
+        feed = gateway.driver.events_since(job_id)
+        assert feed[-1].is_terminal
+        assert ids == [event.seq for event in feed] == list(range(1, len(feed) + 1))
+
+    def test_no_wake_up_is_lost_under_contention(self):
+        """Readers that read the counter, then the feed, then wait, never
+        sleep past an event, with more threads than cores switching often."""
+        bus, feed, lock = EventBus(), [], threading.Lock()
+        publishers, per_publisher = 4, 300
+        total = publishers * per_publisher
+        timed_out, reads = [], []
+
+        def publish():
+            for _ in range(per_publisher):
+                with lock:  # the driver's lock around emit: append, then publish
+                    feed.append(JobEvent(time_s=0.0, job_id="j", kind="k",
+                                         seq=len(feed) + 1))
+                    bus.publish(feed[-1])
+                time.sleep(0.0002)  # let the readers park between events
+
+        def read():
+            seqs = []
+            while True:
+                seen = bus.published
+                with lock:
+                    seqs += [event.seq for event in feed[len(seqs):]]
+                if len(seqs) == total:
+                    reads.append(seqs)
+                    return
+                started = time.monotonic()
+                bus.wait(seen, timeout=5)
+                if time.monotonic() - started >= 5:  # slept past an event
+                    timed_out.append(len(seqs))
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = ([threading.Thread(target=read) for _ in range(4)]
+                       + [threading.Thread(target=publish) for _ in range(publishers)])
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert timed_out == []
+        assert reads == [list(range(1, total + 1))] * 4
+        assert bus.published == total
+
+    def test_stop_releases_wait_and_stream(self):
+        gw = create_gateway(config=_config()).start()
+        gw.driver.pause()
+        _, record = _post(gw.url, "/v1/jobs", SPEC_JSON)
+        job_id = record["job_id"]
+        codes, frames = [], []
+
+        def waiter():
+            try:
+                _get(gw.url, f"/v1/jobs/{job_id}/wait?timeout=60", 70.0)
+            except urllib.error.HTTPError as exc:
+                codes.append(exc.code)
+
+        readers = [threading.Thread(target=waiter), threading.Thread(
+            target=lambda: frames.extend(_sse(gw.url, f"/v1/jobs/{job_id}/events",
+                                              timeout=70.0)))]
+        for reader in readers:
+            reader.start()
+        time.sleep(0.3)  # let both park
+        started = time.monotonic()
+        gw.stop()
+        for reader in readers:
+            reader.join(timeout=30)
+        assert not any(reader.is_alive() for reader in readers)
+        assert time.monotonic() - started < 10
+        assert codes == [408]
+        assert [frame["event"] for frame in frames] == ["submitted"]
+        # After close nothing parks: a wait returns at once.
+        started = time.monotonic()
+        assert gw.driver.wait(job_id, timeout=30) is False
+        assert gw.bus.wait(gw.bus.published, timeout=30) == gw.bus.published
+        assert time.monotonic() - started < 1
+
+    def test_submit_wakes_an_idle_driver(self):
+        service = OcelotService(_config())
+        spec = spec_from_payload(SPEC_JSON)
+        driver = GatewayDriver(service, idle_poll_s=30).start()
+        try:
+            time.sleep(0.2)  # the stepper parks on its 30 s idle poll
+            started = time.monotonic()
+            job_id = driver.submit(spec)["job_id"]
+            assert driver.wait(job_id, timeout=25) is True
+            assert time.monotonic() - started < 25
+        finally:
+            started = time.monotonic()
+            driver.stop()
+        assert time.monotonic() - started < 5
+        assert driver.record(job_id)["status"] == "completed"
 
 
 class TestConnectionHandling:
@@ -699,38 +894,6 @@ class TestEventSeqSatellite:
         assert payload == {"error": "over quota",
                            "code": "admission_quota_exceeded",
                            "type": "AdmissionError"}
-
-
-class TestEventBus:
-    def test_bounded_queue_drops_oldest(self):
-        bus = EventBus()
-        sub = bus.subscribe(maxsize=2)
-        events = [JobEvent(time_s=float(i), job_id="j", kind="k", seq=i + 1)
-                  for i in range(5)]
-        bus.publish_all(events)
-        assert sub.dropped == 3
-        assert bus.dropped == 3
-        delivered = [sub.get(timeout=0.1) for _ in range(2)]
-        assert [event.seq for event in delivered] == [4, 5]
-
-    def test_job_scoped_subscription(self):
-        bus = EventBus()
-        sub = bus.subscribe(job_id="job-a")
-        bus.publish(JobEvent(time_s=0.0, job_id="job-b", kind="k", seq=1))
-        bus.publish(JobEvent(time_s=0.0, job_id="job-a", kind="k", seq=1))
-        event = sub.get(timeout=0.1)
-        assert event.job_id == "job-a"
-        assert sub.get(timeout=0.05) is None
-
-    def test_close_wakes_subscribers(self):
-        from repro.gateway.bus import CLOSED
-
-        bus = EventBus()
-        sub = bus.subscribe()
-        bus.close()
-        assert sub.get(timeout=0.1) is CLOSED
-        late = bus.subscribe()
-        assert late.get(timeout=0.1) is CLOSED
 
 
 class TestGatewayCLI:

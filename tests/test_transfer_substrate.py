@@ -19,6 +19,7 @@ from repro.transfer import (
     TransferRequest,
     WANLink,
 )
+from repro.transfer.gridftp import lpt_makespan
 from repro.utils.sizes import GB, MB
 
 
@@ -52,8 +53,6 @@ class TestSimulatedFileSystem:
         fs = SimulatedFileSystem()
         with pytest.raises(FileNotFoundOnEndpointError):
             fs.stat("/nope")
-        with pytest.raises(FileNotFoundOnEndpointError):
-            fs.delete("/nope")
 
     def test_list_prefix(self):
         fs = SimulatedFileSystem()
@@ -64,13 +63,12 @@ class TestSimulatedFileSystem:
         assert fs.file_count() == 3
         assert fs.total_bytes("/data") == 2
 
-    def test_delete_and_remove_prefix(self):
+    def test_remove_prefix(self):
         fs = SimulatedFileSystem()
         fs.write("/data/a.dat", data=b"1")
         fs.write("/data/b.dat", data=b"2")
-        fs.delete("/data/a.dat")
+        assert fs.remove_prefix("/data") == 2
         assert not fs.exists("/data/a.dat")
-        assert fs.remove_prefix("/data") == 1
 
     def test_copy_from_other_filesystem(self):
         src = SimulatedFileSystem()
@@ -90,11 +88,6 @@ class TestEndpoint:
             GlobusEndpoint(name="")
         with pytest.raises(ConfigurationError):
             GlobusEndpoint(name="x", dtn_count=0)
-
-    def test_storage_times(self):
-        endpoint = GlobusEndpoint(name="x", storage_read_bps=1e9, storage_write_bps=5e8)
-        assert endpoint.storage_read_time(1e9) == pytest.approx(1.0)
-        assert endpoint.storage_write_time(1e9) == pytest.approx(2.0)
 
 
 class TestNetwork:
@@ -127,6 +120,37 @@ class TestNetwork:
         assert link.stream_bandwidth(100) == 10e9  # capped at link rate
 
 
+class TestLptMakespan:
+    """Longest job first, each onto the earliest-free worker."""
+
+    def test_no_jobs_take_no_time(self):
+        assert lpt_makespan([], 4) == 0.0
+
+    def test_one_worker_runs_jobs_back_to_back(self):
+        assert lpt_makespan([1.0, 2.0, 3.5], 1) == 6.5
+
+    def test_spare_workers_leave_the_longest_job(self):
+        assert lpt_makespan([1.0, 7.0, 3.0], 3) == 7.0
+        assert lpt_makespan([1.0, 7.0, 3.0], 10) == 7.0
+
+    def test_greedy_schedule_not_the_optimum(self):
+        """{3, 3} and {2, 2, 2} take 6; LPT pairs the threes and ends at 7."""
+        assert lpt_makespan([2.0, 3.0, 2.0, 3.0, 2.0], 2) == 7.0
+
+    def test_non_positive_workers_act_as_one(self):
+        assert lpt_makespan([1.0, 2.0], 0) == 3.0
+
+    def test_bounds_and_order_independence(self):
+        times = [((i * 37) % 11 + 1) * 0.5 for i in range(40)]
+        for workers in (2, 3, 8):
+            makespan = lpt_makespan(times, workers)
+            assert makespan >= max(times)
+            assert makespan >= sum(times) / workers
+            # Graham's bound for any list schedule.
+            assert makespan <= sum(times) / workers + (1 - 1 / workers) * max(times)
+            assert lpt_makespan(list(reversed(times)), workers) == makespan
+
+
 class TestGridFTPEngine:
     def _link(self, **kwargs):
         defaults = dict(source="bebop", destination="cori", bandwidth_bps=1.2e9,
@@ -152,8 +176,9 @@ class TestGridFTPEngine:
     def test_speed_saturates_for_large_files(self):
         engine = GridFTPEngine()
         link = self._link()
-        estimates = engine.sweep_file_sizes(int(30 * GB), [int(100 * MB), int(1000 * MB)], link)
-        speeds = [e.effective_speed_bps for e in estimates]
+        total = int(30 * GB)
+        speeds = [engine.estimate([size] * (total // size), link).effective_speed_bps
+                  for size in (int(100 * MB), int(1000 * MB))]
         assert abs(speeds[0] - speeds[1]) / speeds[1] < 0.25
 
     def test_concurrency_improves_many_file_transfers(self):
@@ -185,15 +210,38 @@ class TestGridFTPEngine:
         uncapped = GridFTPEngine().estimate(sizes, link)
         assert capped.duration_s > uncapped.duration_s
 
+    def test_estimate_is_the_lpt_schedule_of_file_costs(self):
+        engine = GridFTPEngine()
+        link = self._link()
+        sizes = [int(s * MB) for s in (700, 30, 250, 1, 90, 400, 5, 60, 180, 12, 3)]
+        channels = min(engine.settings.concurrency, len(sizes))
+        bandwidth = engine.channel_bandwidth_bps(link, channels)
+        overhead = engine.per_chunk_overhead_s(link)
+        expected = lpt_makespan([s / bandwidth + overhead for s in sizes], channels)
+        estimate = engine.estimate(sizes, link)
+        assert estimate.duration_s == expected + 3.0 * link.rtt_s
+        assert estimate.per_file_overhead_s == overhead
+
+    def test_channel_bandwidth_is_the_stream_cap_or_a_fair_share(self):
+        engine = GridFTPEngine(GridFTPSettings(parallelism=2))
+        link = self._link()
+        assert engine.channel_bandwidth_bps(link, 1) == 0.7e9
+        assert engine.channel_bandwidth_bps(link, 8) == 1.2e9 / 8
+        assert engine.channel_bandwidth_bps(link, 8, storage_read_bps=0.8e9) == 0.8e9 / 8
+        assert engine.channel_bandwidth_bps(link, 0) == 0.7e9
+
+    def test_per_chunk_overhead_follows_pipelining(self):
+        link = self._link()
+        one = GridFTPEngine(GridFTPSettings(pipelining=1)).per_chunk_overhead_s(link)
+        deep = GridFTPEngine(GridFTPSettings(pipelining=20)).per_chunk_overhead_s(link)
+        assert one == 0.2 + 0.05
+        assert deep == 0.2 / 8 + 0.05 / 20
+
     def test_invalid_settings(self):
         with pytest.raises(ConfigurationError):
             GridFTPSettings(concurrency=0)
         with pytest.raises(ConfigurationError):
             GridFTPSettings(parallelism=0)
-
-    def test_utilisation_bounded(self):
-        estimate = GridFTPEngine().estimate([int(1 * MB)] * 50, self._link())
-        assert 0.0 < estimate.channel_utilisation <= 1.0
 
 
 class TestTransferService:

@@ -6,35 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FeatureExtractionError
-from repro.utils.sampling import block_sample, sample_indices, strided_sample
-
-
-class TestStridedSample:
-    def test_fraction_one_returns_everything(self):
-        data = np.arange(100)
-        assert strided_sample(data, 1.0).size == 100
-
-    def test_one_percent_sampling_size(self):
-        data = np.arange(10000)
-        sample = strided_sample(data, 0.01)
-        assert 90 <= sample.size <= 110
-
-    def test_sampling_is_deterministic(self):
-        data = np.random.default_rng(0).normal(size=1000)
-        a = strided_sample(data, 0.05)
-        b = strided_sample(data, 0.05)
-        np.testing.assert_array_equal(a, b)
-
-    def test_multidimensional_input_is_flattened(self):
-        data = np.arange(400).reshape(20, 20)
-        sample = strided_sample(data, 0.1)
-        assert sample.ndim == 1
-
-    def test_invalid_fraction_raises(self):
-        with pytest.raises(FeatureExtractionError):
-            strided_sample(np.arange(10), 0.0)
-        with pytest.raises(FeatureExtractionError):
-            strided_sample(np.arange(10), 1.5)
+from repro.utils.sampling import block_sample
 
 
 class TestBlockSample:
@@ -61,18 +33,27 @@ class TestBlockSample:
         np.testing.assert_array_equal(block_sample(data, block=8, fraction=1.0), data)
 
 
-class TestSampleIndices:
-    def test_indices_are_sorted_and_unique(self):
-        idx = sample_indices(1000, 0.05, seed=1)
-        assert np.all(np.diff(idx) > 0)
+    def test_multidimensional_input_is_flattened(self):
+        data = np.arange(4096).reshape(16, 16, 16)
+        np.testing.assert_array_equal(block_sample(data, block=8, fraction=0.05),
+                                      block_sample(data.ravel(), block=8, fraction=0.05))
 
-    def test_indices_within_bounds(self):
-        idx = sample_indices(500, 0.1, seed=2)
-        assert idx.min() >= 0 and idx.max() < 500
+    def test_sampling_is_deterministic(self):
+        data = np.random.default_rng(3).normal(size=20000)
+        np.testing.assert_array_equal(block_sample(data), block_sample(data))
 
-    def test_at_least_one_index(self):
-        assert sample_indices(10, 0.001).size >= 1
+    def test_one_percent_sampling_size(self):
+        assert block_sample(np.arange(100000), block=8, fraction=0.01).size == 1000
 
-    def test_invalid_size_raises(self):
-        with pytest.raises(FeatureExtractionError):
-            sample_indices(0, 0.1)
+    def test_blocks_are_spread_across_the_data(self):
+        data = np.arange(100000)
+        sample = block_sample(data, block=8, fraction=0.01)
+        assert sample[0] == 0
+        assert sample.max() > 0.9 * data.size
+
+    def test_empty_input_returns_empty(self):
+        assert block_sample(np.array([]), block=8).size == 0
+
+    def test_input_shorter_than_a_block_is_returned_whole(self):
+        data = np.arange(5)
+        np.testing.assert_array_equal(block_sample(data, block=8, fraction=0.01), data)
