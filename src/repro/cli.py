@@ -568,7 +568,7 @@ def _run_jobs(args: argparse.Namespace) -> Result:
     payload = {**state, "jobs": records}
     if not records:
         scope = f" for tenant {args.tenant!r}" if args.tenant else ""
-        return 0, payload, [f"no jobs recorded in {args.state}{scope}"]
+        return 0, payload, [f"no jobs recorded in {args.url or args.state}{scope}"]
     payload["summary"] = _jobs_summary(records)
     lines = [_JOB_HEADER, *map(_job_row, records), payload["summary"]]
     if "combined_makespan_s" in state and not args.tenant:

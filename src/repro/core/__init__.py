@@ -10,12 +10,11 @@ from .parallel import MakespanEstimate, ParallelCostModel, ParallelExecutor
 from .phases import PhaseStep
 from .planner import CompressionPlan, CompressionPlanner
 from .reporting import ModeComparison, PhaseTimings, TransferReport
-from .sentinel import Sentinel, SentinelDecision
 from .streaming import StreamingPipeline
 
 __all__ = [
     "Ocelot", "OcelotConfig", "OcelotOrchestrator", "StagedFile", "PhaseStep", "CompressionPlan",
     "CompressionPlanner", "ParallelExecutor", "ParallelCostModel", "MakespanEstimate",
-    "FileGrouper", "GroupFile", "GroupMember", "GroupingPlan", "Sentinel", "SentinelDecision",
-    "StreamingPipeline", "PhaseTimings", "TransferReport", "ModeComparison",
+    "FileGrouper", "GroupFile", "GroupMember", "GroupingPlan", "StreamingPipeline", "PhaseTimings",
+    "TransferReport", "ModeComparison",
 ]

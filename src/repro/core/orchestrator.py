@@ -24,7 +24,6 @@ from ..datasets.base import Field, ScientificDataset
 from ..errors import OrchestrationError
 from ..faas.service import SiteTable, build_faas_service
 from ..prediction.quality_model import QualityPredictor
-from ..transfer.gridftp import GridFTPEngine
 from ..transfer.testbed import Testbed, build_testbed
 from .config import OcelotConfig
 from .grouping import FileGrouper
@@ -32,7 +31,6 @@ from .parallel import LaneCall, ParallelCostModel, ParallelExecutor
 from .phases import MODE_PHASES, PHASES, CompressionOutcome, PhaseStep, TransferRun
 from .planner import CompressionPlan, CompressionPlanner
 from .reporting import QualityTally, TransferReport
-from .sentinel import Sentinel
 
 __all__ = ["OcelotOrchestrator", "StagedFile", "PhaseStep"]
 
@@ -81,7 +79,6 @@ class OcelotOrchestrator:
             cost_model=cost_model, block_workers=config.block_workers
         )
         self.grouper = FileGrouper()
-        self.sentinel = Sentinel(self.testbed.service.default_settings)
         #: Content-addressed blob/block cache (``None`` when cache_mode is
         #: off).  Instances share the on-disk tree: every job opens its
         #: own handle on ``config.cache_dir``, which is what makes hits
@@ -174,9 +171,9 @@ class OcelotOrchestrator:
             transferred_bytes=run.shipped_bytes,
             compression_ratio=run.ratio,
             timings=run.timings,
-            direct_transfer_s=self._estimate_direct_transfer(
-                run.staged, run.source, run.destination
-            ),
+            direct_transfer_s=self.testbed.service.estimate(
+                run.source, run.destination, [f.size_bytes for f in run.staged]
+            ).duration_s,
             compressor=plan.compressor if plan else "",
             error_bound=plan.error_bound.describe() if plan else "",
             transfer_mode="streamed" if run.streamed else "bulk",
@@ -191,21 +188,6 @@ class OcelotOrchestrator:
             entropy_stage=",".join(run.outcome.entropy_stages),
             block_codecs=dict(run.outcome.block_codecs) or None,
         )
-
-    def _estimate_direct_transfer(
-        self, staged: List[StagedFile], source: str, destination: str
-    ) -> float:
-        link = self.testbed.service.topology.link(source, destination)
-        src = self.testbed.endpoint(source)
-        dst = self.testbed.endpoint(destination)
-        engine = GridFTPEngine(settings=self.testbed.service.default_settings)
-        estimate = engine.estimate(
-            [f.size_bytes for f in staged],
-            link,
-            storage_read_bps=src.storage_read_bps * src.dtn_count,
-            storage_write_bps=dst.storage_write_bps * dst.dtn_count,
-        )
-        return estimate.duration_s
 
     # ------------------------------------------------------------------ #
     def _build_compressor(self, name: str) -> PredictionPipelineCompressor:

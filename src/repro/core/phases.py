@@ -258,33 +258,35 @@ def _split_by_cache(orch: "OcelotOrchestrator", run: TransferRun) -> None:
 
 
 def _sentinel_ships_raw(orch: "OcelotOrchestrator", run: TransferRun) -> None:
-    """Sentinel: transfer raw files while waiting for nodes.
+    """Sentinel (Fig. 10): ship raw files while the compression job is queued.
 
-    Cache-hit files are never shipped raw — their compressed bytes
-    already exist — so only the files still to compress are eligible.
+    Waiting idly can make a compressed transfer slower than a plain one;
+    if nodes never arrive everything goes raw, so compression can only
+    help.  The raw set is the longest on-disk-order prefix of the files
+    still to compress whose transfer, priced by the transfer service,
+    fits the wait; it ships through that service.  Cache-hit files are
+    never shipped raw — their compressed bytes already exist.
     """
     wait_s = run.timings.node_wait_s
     if not orch.config.sentinel_enabled or wait_s <= orch.config.sentinel_wait_threshold_s:
         return
-    decision = orch.sentinel.plan(
-        [(f.path, f.size_bytes) for f in run.to_compress],
-        wait_s=wait_s,
-        link=orch.testbed.service.topology.link(run.source, run.destination),
-        threshold_s=orch.config.sentinel_wait_threshold_s,
-    )
-    run.timings.raw_transfer_s = decision.raw_transfer_s
-    if not decision.raw_paths:
+    service, sizes = orch.testbed.service, [f.size_bytes for f in run.to_compress]
+    count = 0
+    while count < len(sizes) and service.estimate(
+        run.source, run.destination, sizes[: count + 1]
+    ).duration_s <= wait_s:
+        count += 1
+    if not count:
         return
-    # The decision is a prefix of the files it was offered.
-    run.raw_paths = decision.raw_paths
-    run.to_compress = run.to_compress[len(run.raw_paths):]
-    run.shipped_files, run.shipped_bytes = len(run.raw_paths), decision.raw_bytes
-    orch.testbed.endpoint(run.destination).filesystem.copy_from(
-        orch.testbed.endpoint(run.source).filesystem, run.raw_paths
-    )
+    run.raw_paths = [f.path for f in run.to_compress[:count]]
+    run.to_compress = run.to_compress[count:]
+    task = service.submit(TransferRequest(
+        run.source, run.destination, run.raw_paths, label=f"{run.dataset.name}:sentinel"
+    ))
+    run.timings.raw_transfer_s = task.duration_s
+    run.shipped_files, run.shipped_bytes = count, task.bytes_transferred
     run.notes.append(
-        f"sentinel transferred {len(run.raw_paths)} files raw during a "
-        f"{wait_s:.0f}s node wait"
+        f"sentinel transferred {count} files raw during a {wait_s:.0f}s node wait"
     )
 
 

@@ -1,8 +1,10 @@
 """Globus-style transfer service: submit transfers and open streams.
 
-The service owns the endpoints and the network topology.  Submitting a
-request computes the transfer duration with the GridFTP engine, moves
-the file entries between the endpoint filesystems, and returns a
+The service owns the endpoints and the network topology, and it is the
+one place a route is priced: :meth:`TransferService.estimate` runs the
+GridFTP engine over the WAN link and both ends' storage caps.
+Submitting a request bills that estimate, moves the file entries
+between the endpoint filesystems, and returns a
 completed :class:`TransferTask` with per-task statistics (the analogue
 of the Globus task pane the paper's measurements come from) — or raises.
 The service keeps no record of its tasks, and it reads the shared
@@ -27,13 +29,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import EndpointNotFoundError, TransferError
 from ..utils.clock import SimulationClock
 from .endpoint import GlobusEndpoint
 from .gridftp import GridFTPEngine, GridFTPSettings, TransferEstimate
-from .network import NetworkTopology
+from .network import NetworkTopology, WANLink
 
 __all__ = [
     "TransferRequest",
@@ -284,8 +286,35 @@ class TransferService:
     # ------------------------------------------------------------------ #
     # Transfers
     # ------------------------------------------------------------------ #
+    def _route(self, source: str, destination: str) -> Tuple[WANLink, float, float]:
+        """The WAN link between two endpoints, with the source's aggregate
+        storage read cap and the destination's write cap (per-DTN
+        bandwidth times DTNs)."""
+        src, dst = self.endpoint(source), self.endpoint(destination)
+        return (
+            self.topology.link(src.name, dst.name),
+            src.storage_read_bps * src.dtn_count,
+            dst.storage_write_bps * dst.dtn_count,
+        )
+
+    def estimate(
+        self,
+        source: str,
+        destination: str,
+        sizes: Sequence[int],
+        settings: Optional[GridFTPSettings] = None,
+    ) -> TransferEstimate:
+        """What moving files of ``sizes`` bytes from ``source`` to
+        ``destination`` costs: the route model :meth:`submit` bills.
+
+        Nothing moves.  The settings default to the service's own.
+        """
+        link, read_bps, write_bps = self._route(source, destination)
+        engine = GridFTPEngine(settings=settings or self.default_settings, seed=self._seed)
+        return engine.estimate(sizes, link, storage_read_bps=read_bps, storage_write_bps=write_bps)
+
     def submit(self, request: TransferRequest) -> TransferTask:
-        """Execute a transfer request: move the files, time it by the GridFTP estimate.
+        """Execute a transfer request: move the files, time it by :meth:`estimate`.
 
         The task starts at the clock's current time and lasts its
         estimate; the clock itself does not move.  A request that cannot
@@ -295,15 +324,8 @@ class TransferService:
         destination = self.endpoint(request.destination_endpoint)
         if not request.paths:
             raise TransferError("transfer request contains no paths")
-        entries = [source.filesystem.stat(path) for path in request.paths]
-        link = self.topology.link(source.name, destination.name)
-        engine = GridFTPEngine(settings=request.settings or self.default_settings, seed=self._seed)
-        estimate = engine.estimate(
-            [entry.size_bytes for entry in entries],
-            link,
-            storage_read_bps=source.storage_read_bps * source.dtn_count,
-            storage_write_bps=destination.storage_write_bps * destination.dtn_count,
-        )
+        sizes = [source.filesystem.stat(path).size_bytes for path in request.paths]
+        estimate = self.estimate(source.name, destination.name, sizes, request.settings)
         destination.filesystem.copy_from(source.filesystem, request.paths)
         now = self.clock.now
         return TransferTask(
@@ -328,11 +350,9 @@ class TransferService:
         chunks are handed to the returned :class:`TransferStream` as the
         producer finishes them, and :meth:`TransferStream.close` seals
         the task.  The stream reads no clock: its chunk times count from
-        its opening.
+        its opening.  Its channels share the route :meth:`estimate` prices.
         """
-        source = self.endpoint(source_endpoint)
-        destination = self.endpoint(destination_endpoint)
-        link = self.topology.link(source.name, destination.name)
+        route = self._route(source_endpoint, destination_endpoint)
         engine = GridFTPEngine(settings=settings or self.default_settings, seed=self._seed)
         task = TransferTask(
             task_id=f"task-{next(self._task_counter):06d}",
@@ -344,10 +364,4 @@ class TransferService:
                 settings=settings,
             ),
         )
-        return TransferStream(
-            task,
-            engine,
-            link,
-            storage_read_bps=source.storage_read_bps * source.dtn_count,
-            storage_write_bps=destination.storage_write_bps * destination.dtn_count,
-        )
+        return TransferStream(task, engine, *route)

@@ -12,7 +12,7 @@ relationship reproduces Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from ..utils.clock import SimulationClock
 from .endpoint import GlobusEndpoint
@@ -32,7 +32,6 @@ class Testbed:
     """A complete simulated testbed: endpoints, network, transfer service."""
 
     service: TransferService
-    endpoints: Dict[str, GlobusEndpoint] = field(default_factory=dict)
     clock: SimulationClock = field(default_factory=SimulationClock)
 
     def endpoint(self, name: str) -> GlobusEndpoint:
@@ -128,4 +127,4 @@ def build_testbed(
     }
     for endpoint in endpoints.values():
         service.register_endpoint(endpoint)
-    return Testbed(service=service, endpoints=endpoints, clock=clock)
+    return Testbed(service=service, clock=clock)

@@ -363,3 +363,18 @@ class TestJobServiceCommands:
         assert "3 job(s): completed=3" in out and "combined makespan (last batch)" in out
         assert main(["jobs", "--state", str(state), "--tenant", "nobody"]) == 0
         assert "no jobs recorded" in capsys.readouterr().out
+
+    def test_jobs_with_no_gateway_jobs_names_the_gateway(self, capsys, monkeypatch):
+        """An empty gateway listing names the gateway it asked, not the local log."""
+        routes = []
+
+        def fetch(route):
+            routes.append(route)
+            return {"jobs": []}
+
+        monkeypatch.setattr("repro.cli._fetch_gateway_json", fetch)
+        assert main(["jobs", "--url", "http://gateway.test:8080/", "--tenant", "x"]) == 0
+        out = capsys.readouterr().out
+        assert routes == ["http://gateway.test:8080/v1/jobs?tenant=x"]
+        assert "no jobs recorded in http://gateway.test:8080/ for tenant 'x'" in out
+        assert ".ocelot-jobs.jsonl" not in out

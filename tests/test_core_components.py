@@ -12,15 +12,16 @@ from repro.core import (
     CompressionPlanner,
     FileGrouper,
     OcelotConfig,
+    OcelotOrchestrator,
     ParallelCostModel,
     ParallelExecutor,
     PhaseTimings,
-    Sentinel,
     TransferReport,
 )
 from repro.core.parallel import HelperLane
+from repro.datasets import Field, ScientificDataset
 from repro.errors import ConfigurationError, EncodingError, GroupingError, OrchestrationError
-from repro.transfer import GridFTPSettings, WANLink
+from repro.faas import NodeWaitModel, build_faas_service
 
 
 class TestOcelotConfig:
@@ -258,58 +259,93 @@ class TestFileGrouper:
 
 
 class TestSentinel:
-    def _link(self):
-        return WANLink(source="a", destination="b", bandwidth_bps=1e9,
-                       per_file_overhead_s=0.2, per_stream_bandwidth_bps=0.3e9)
+    """The wait phase's sentinel, driven through the orchestrator: it prices
+    raw prefixes with ``TransferService.estimate`` and ships the one it
+    picks with ``TransferService.submit``."""
+
+    GB_SCALE = 4e6  # an 8x8 float32 field (256 bytes) stages as 1.024 GB
+
+    @staticmethod
+    def _dataset(files):
+        return ScientificDataset("sentinel", [
+            Field(name=f"f{i:03d}", data=np.full((8, 8), i, np.float32)) for i in range(files)
+        ])
+
+    def _run(self, wait_s, files=100, **overrides):
+        """Drive one compressed transfer up to its wait step; also return the
+        orchestrator and every task the transfer service submitted."""
+        faas = build_faas_service(
+            wait_models={"anvil": NodeWaitModel(kind="constant", scale_s=wait_s)}
+        )
+        settings = dict(mode="compressed", sentinel_enabled=True, size_scale=self.GB_SCALE)
+        orch = OcelotOrchestrator(OcelotConfig(**{**settings, **overrides}), faas=faas)
+        service, submitted = orch.testbed.service, []
+        submit = service.submit
+
+        def spy(request):
+            submitted.append(submit(request))
+            return submitted[-1]
+
+        service.submit = spy
+        phases = orch.iter_phases(self._dataset(files), "anvil", "bebop")
+        step = next(step for step in phases if step.name == "wait")
+        phases.close()
+        return orch, step, submitted
 
     def test_no_wait_means_no_raw_transfer(self):
-        sentinel = Sentinel(GridFTPSettings())
-        decision = sentinel.plan([("f1", 10**9)], wait_s=0.0, link=self._link())
-        assert decision.raw_paths == []
-        assert decision.compress_paths == ["f1"]
+        _, step, submitted = self._run(0.0)
+        assert step.detail["raw_files"] == 0 and step.detail["raw_transfer_s"] == 0.0
+        assert submitted == []
 
     def test_long_wait_transfers_some_files_raw(self):
-        sentinel = Sentinel(GridFTPSettings())
-        files = [(f"f{i}", 10**9) for i in range(100)]
-        decision = sentinel.plan(files, wait_s=60.0, link=self._link())
-        assert decision.raw_count > 0
-        assert decision.raw_count < 100
-        assert decision.raw_transfer_s <= 60.0
-        assert len(decision.raw_paths) + len(decision.compress_paths) == 100
+        _, step, _ = self._run(60.0)
+        assert 0 < step.detail["raw_files"] < 100
+        assert step.detail["raw_transfer_s"] <= 60.0 and step.duration_s == 60.0
 
     def test_infinite_wait_transfers_everything_raw(self):
         """Worst case: nodes never arrive, all data goes uncompressed."""
-        sentinel = Sentinel(GridFTPSettings())
-        files = [(f"f{i}", 10**8) for i in range(20)]
-        decision = sentinel.plan(files, wait_s=1e9, link=self._link())
-        assert decision.raw_count == 20
-        assert decision.compress_paths == []
+        _, step, _ = self._run(1e9, files=20)
+        assert step.detail["raw_files"] == 20
 
     def test_longer_wait_sends_more_raw(self):
-        sentinel = Sentinel(GridFTPSettings())
-        files = [(f"f{i}", 10**9) for i in range(200)]
-        short = sentinel.plan(files, wait_s=30.0, link=self._link())
-        long = sentinel.plan(files, wait_s=300.0, link=self._link())
-        assert long.raw_count > short.raw_count
-
-    def test_raw_prefix_is_costed_with_the_engine_formulas(self):
-        sentinel = Sentinel(GridFTPSettings())
-        link = self._link()
-        files = [("f0", 10**8), ("f1", 3 * 10**8)]
-        decision = sentinel.plan(files, wait_s=1e9, link=link)
-        channels = 2
-        aggregate = sentinel.engine.channel_bandwidth_bps(link, channels) * channels
-        per_file = sentinel.engine.per_chunk_overhead_s(link) / channels
-        expected = 3.0 * link.rtt_s
-        for _, size in files:
-            expected += size / aggregate + per_file
-        assert decision.raw_transfer_s == expected
-        assert decision.raw_bytes == 4 * 10**8
+        short = self._run(30.0)[1].detail["raw_files"]
+        long = self._run(90.0)[1].detail["raw_files"]
+        assert 0 < short < long
 
     def test_threshold_suppresses_short_waits(self):
-        sentinel = Sentinel(GridFTPSettings())
-        decision = sentinel.plan([("f", 10**6)], wait_s=3.0, link=self._link(), threshold_s=5.0)
-        assert decision.raw_count == 0
+        orch, step, submitted = self._run(3.0, files=1, sentinel_wait_threshold_s=5.0)
+        assert step.detail["raw_files"] == 0 and submitted == []
+        # The file alone would have fitted the wait: the threshold held it back.
+        size = int(256 * self.GB_SCALE)
+        assert orch.testbed.service.estimate("anvil", "bebop", [size]).duration_s < 3.0
+
+    def test_raw_prefix_is_priced_and_shipped_by_the_transfer_service(self):
+        orch, step, submitted = self._run(60.0)
+        raw = step.detail["raw_files"]
+        staged = orch.stage(self._dataset(100), "anvil")  # the same files, already there
+        paths, sizes = [f.path for f in staged], [f.size_bytes for f in staged]
+        service = orch.testbed.service
+        [task] = submitted
+        assert task.request.paths == paths[:raw]
+        assert step.detail["raw_transfer_s"] == task.duration_s == service.estimate(
+            "anvil", "bebop", sizes[:raw]
+        ).duration_s
+        # The prefix is the longest that fits: one more file would not.
+        assert service.estimate("anvil", "bebop", sizes[: raw + 1]).duration_s > 60.0
+        landed = orch.testbed.endpoint("bebop").filesystem
+        assert all(landed.exists(path) for path in paths[:raw])
+        assert not any(landed.exists(path) for path in paths[raw:])
+
+    def test_direct_transfer_is_the_service_estimate_of_the_staged_files(self):
+        config = OcelotConfig(mode="direct", size_scale=self.GB_SCALE)
+        orch = OcelotOrchestrator(config)
+        phases = orch.iter_phases(self._dataset(5), "anvil", "cori")
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                next(phases)
+        sizes = [int(256 * self.GB_SCALE)] * 5
+        estimate = orch.testbed.service.estimate("anvil", "cori", sizes).duration_s
+        assert stop.value.value.direct_transfer_s == estimate
 
 
 class TestPlannerAndReporting:
