@@ -1,8 +1,8 @@
-"""Blob-cache effectiveness — warm-run speedup, dedup ratio, miss overhead.
+"""Blob-cache effectiveness — warm-run speedup and miss overhead.
 
 The content-addressed cache short-circuits the compress phase whenever a
 (file content, pipeline) pair was already encoded: the orchestrator ships
-the cached blob without requesting compute nodes.  Three claims are
+the cached blob without requesting compute nodes.  Two claims are
 benchmarked on the simulated Anvil→Cori route:
 
 1. **Warm vs cold makespan** — a re-submitted dataset must complete at
@@ -14,10 +14,8 @@ benchmarked on the simulated Anvil→Cori route:
    does not; a hit writes nothing.  What a digest or a put costs in wall
    time is ``bench/``'s ``cache.digest_MBps`` / ``cache.put_ms_p50`` /
    ``cache.cold_iter_s`` on ``resync_cache_grouped``.
-3. **Block dedup** — an array tiled from one block stores a single
-   representative section; the rest become aliases.
 
-(D) deterministic, all three.
+(D) deterministic, both.
 """
 
 from __future__ import annotations
@@ -26,14 +24,11 @@ import pytest
 
 import repro.core.orchestrator as orchestrator_module
 from repro.cache import build_blob_cache
-from repro.compression.registry import create_blocked_compressor
 from repro.core import Ocelot, OcelotConfig
 from repro.datasets import generate_application
 from repro.service import OcelotService, TransferSpec
 
 from common import print_table
-
-import numpy as np
 
 APPLICATION = "miranda"
 SCALE = 0.15
@@ -74,9 +69,9 @@ def _row(label: str, report) -> dict:
     }
 
 
-def _tiers(config: OcelotConfig) -> dict:
-    """Entries and bytes per cache tier, read back from disk."""
-    return build_blob_cache(config).describe()["tiers"]
+def _blobs(config: OcelotConfig) -> dict:
+    """Entries and bytes of the blob cache, read back from disk."""
+    return build_blob_cache(config).describe()["blob"]
 
 
 @pytest.mark.benchmark(group="cache-effectiveness")
@@ -93,10 +88,10 @@ def test_warm_cache_speedup_and_miss_overhead(benchmark, tmp_path, monkeypatch):
     )
 
     def transfer(config):
-        """One run: its report, the digests it took, the tiers it left."""
+        """One run: its report, the digests it took, the blobs it left."""
         digests.clear()
         report = Ocelot(config).transfer_dataset(dataset, "anvil", "cori", mode="compressed")
-        return report, len(digests), _tiers(cached)
+        return report, len(digests), _blobs(cached)
 
     def run():
         off = transfer(_config(tmp_path, cache_dir=None, cache_mode="off"))
@@ -105,8 +100,8 @@ def test_warm_cache_speedup_and_miss_overhead(benchmark, tmp_path, monkeypatch):
         return off, cold, warm
 
     runs = benchmark.pedantic(run, rounds=1, iterations=1)
-    (off, off_digests, off_tiers), (cold, cold_digests, cold_tiers) = runs[:2]
-    warm, warm_digests, warm_tiers = runs[2]
+    (off, off_digests, off_blobs), (cold, cold_digests, cold_blobs) = runs[:2]
+    warm, warm_digests, warm_blobs = runs[2]
 
     speedup = cold.total_s / warm.total_s
     rows = [_row("cache off", off), _row("cold (miss)", cold), _row("warm (hit)", warm)]
@@ -115,7 +110,7 @@ def test_warm_cache_speedup_and_miss_overhead(benchmark, tmp_path, monkeypatch):
         rows,
     )
     print(f"warm speedup: {speedup:.2f}x (floor {MIN_WARM_SPEEDUP}x); cold run: "
-          f"{cold_digests} digests, {cold_tiers['blob']['entries']} blob puts "
+          f"{cold_digests} digests, {cold_blobs['entries']} blob puts "
           f"for {dataset.file_count} files")
 
     # Hits and misses land where they should.
@@ -133,11 +128,11 @@ def test_warm_cache_speedup_and_miss_overhead(benchmark, tmp_path, monkeypatch):
     # Claim 2: the miss path adds one digest and one blob put per file to
     # the cache-off run, which touches neither; a hit digests (that is
     # the lookup) and writes nothing.
-    assert off_digests == 0 and off_tiers["blob"]["entries"] == 0
+    assert off_digests == 0 and off_blobs["entries"] == 0
     assert cold_digests == dataset.file_count
-    assert cold_tiers["blob"]["entries"] == dataset.file_count
+    assert cold_blobs["entries"] == dataset.file_count
     assert warm_digests == dataset.file_count
-    assert warm_tiers == cold_tiers
+    assert warm_blobs == cold_blobs
 
     # Hit rate is visible through the job-event stream, not just the report.
     service = OcelotService(cached)
@@ -149,35 +144,3 @@ def test_warm_cache_speedup_and_miss_overhead(benchmark, tmp_path, monkeypatch):
     completed = next(e for e in record["events"] if e["kind"] == "completed")
     assert completed["detail"]["cache_hit_rate"] == 1.0
 
-
-@pytest.mark.benchmark(group="cache-effectiveness")
-def test_block_dedup_ratio(benchmark):
-    """A tiled field stores one representative block; the rest alias it."""
-    tile = np.linspace(0.0, 1.0, 256).reshape(16, 16).astype(np.float32)
-    arr = np.tile(tile, (8, 8))
-    comp = create_blocked_compressor("sz3-fast", block_shape=(16, 16))
-
-    def run():
-        deduped = comp.compress_array(arr, 1e-6)
-        stats = dict(comp.last_dedup_stats)
-        rng = np.random.default_rng(5)
-        unique = comp.compress_array(
-            rng.normal(size=arr.shape).astype(np.float32), 1e-6
-        )
-        return deduped, stats, unique
-
-    deduped, stats, unique = benchmark.pedantic(run, rounds=1, iterations=1)
-    dedup_ratio = stats["total_blocks"] / stats["distinct_blocks"]
-    print_table(
-        "Within-blob dedup: 128x128 float32 tiled from one 16x16 block",
-        [{
-            "total_blocks": stats["total_blocks"],
-            "distinct_blocks": stats["distinct_blocks"],
-            "dedup_ratio": round(dedup_ratio, 1),
-            "deduped_bytes": deduped.nbytes,
-            "unique_content_bytes": unique.nbytes,
-        }],
-    )
-    assert stats == {"total_blocks": 64, "distinct_blocks": 1, "aliased_blocks": 63}
-    assert deduped.aliased_block_count == 63
-    assert deduped.nbytes < unique.nbytes / 4

@@ -75,9 +75,7 @@ def main() -> None:
 
     summary = BlobCache(cache_dir, mode="read").describe()
     print(f"\ncache now holds {summary['total_entries']} entries, "
-          f"{format_bytes(summary['total_bytes'])} "
-          f"(blob tier {summary['tiers']['blob']['entries']}, "
-          f"block tier {summary['tiers']['block']['entries']})")
+          f"{format_bytes(summary['total_bytes'])}")
 
 
 if __name__ == "__main__":

@@ -1,22 +1,18 @@
-"""Content-addressed blob cache with cross-tenant block dedup.
+"""Content-addressed blob cache, shared across jobs and tenants.
 
 The cache sits beside the orchestrator: before the compress phase asks
 the batch scheduler for nodes, each staged file's content digest plus a
 pipeline fingerprint is looked up in the whole-blob tier — a hit
 short-circuits straight to the stored :class:`~repro.compression.CompressedBlob`
 bytes, so a repeated hot dataset moves at WAN speed instead of the
-pipeline compress rate.  Below that, a per-block tier (engaged for
-self-contained block payloads) dedups identical blocks across files,
-jobs and tenants, so only novel blocks are ever encoded.
+pipeline compress rate.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .keys import (
-    array_content_digest, blob_cache_key, block_cache_key, pipeline_fingerprint,
-)
+from .keys import array_content_digest, blob_cache_key, pipeline_fingerprint
 from .store import CACHE_MODES, BlobCache, CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -24,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BlobCache", "CacheStats", "CACHE_MODES", "array_content_digest", "pipeline_fingerprint",
-    "blob_cache_key", "block_cache_key", "build_blob_cache",
+    "blob_cache_key", "build_blob_cache",
 ]
 
 

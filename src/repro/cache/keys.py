@@ -22,7 +22,6 @@ __all__ = [
     "array_content_digest",
     "pipeline_fingerprint",
     "blob_cache_key",
-    "block_cache_key",
     "checksum",
 ]
 
@@ -87,22 +86,8 @@ def pipeline_fingerprint(
     return fingerprint
 
 
-def _key_digest(kind: str, content_digest: str, fingerprint: Dict[str, Any]) -> str:
-    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    h = hashlib.blake2b(digest_size=_DIGEST_BYTES)
-    h.update(kind.encode("ascii"))
-    h.update(b"\x00")
-    h.update(content_digest.encode("ascii"))
-    h.update(b"\x00")
-    h.update(canonical.encode("utf-8"))
-    return h.hexdigest()
-
-
 def blob_cache_key(content_digest: str, fingerprint: Dict[str, Any]) -> str:
-    """Whole-blob tier key: one compressed file of one array."""
-    return _key_digest("blob", content_digest, fingerprint)
-
-
-def block_cache_key(content_digest: str, fingerprint: Dict[str, Any]) -> str:
-    """Per-block tier key: one self-contained encoded block payload."""
-    return _key_digest("block", content_digest, fingerprint)
+    """The cache key of one compressed file of one array."""
+    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    parts = (b"blob", content_digest.encode("ascii"), canonical.encode("utf-8"))
+    return hashlib.blake2b(b"\x00".join(parts), digest_size=_DIGEST_BYTES).hexdigest()

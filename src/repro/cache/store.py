@@ -1,9 +1,12 @@
-"""The on-disk content-addressed blob/block cache.
+"""The on-disk content-addressed blob cache.
 
-Two tiers share one directory tree::
+One tier of whole compressed files, one file per entry::
 
-    <cache_dir>/blob/<aa>/<key>.entry    whole compressed files
-    <cache_dir>/block/<aa>/<key>.entry   self-contained encoded blocks
+    <cache_dir>/blob/<aa>/<key>.entry
+
+Eviction, :meth:`BlobCache.clear` and the totals walk all of
+``cache_dir``, so the ``block/`` subtree an older build wrote still
+counts against ``max_bytes`` until it is evicted or cleared.
 
 Each ``.entry`` file is a small self-describing record — magic, a JSON
 meta header (provenance: dataset, compressor, error bound) and the raw
@@ -28,7 +31,6 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["BlobCache", "CacheStats", "CACHE_MODES"]
 
 _MAGIC = b"OCCH"
-_TIERS = ("blob", "block")
 
 #: ``off`` disables the cache entirely, ``read`` consults but never
 #: writes (a shared warm cache tenants must not grow), ``readwrite`` is
@@ -42,8 +44,6 @@ class CacheStats:
 
     blob_hits: int = 0
     blob_misses: int = 0
-    block_hits: int = 0
-    block_misses: int = 0
     puts: int = 0
     evictions: int = 0
     bytes_read: int = 0
@@ -54,15 +54,9 @@ class CacheStats:
         total = self.blob_hits + self.blob_misses
         return self.blob_hits / total if total else None
 
-    @property
-    def block_hit_rate(self) -> Optional[float]:
-        total = self.block_hits + self.block_misses
-        return self.block_hits / total if total else None
-
     def as_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = asdict(self)
         data["blob_hit_rate"] = self.blob_hit_rate
-        data["block_hit_rate"] = self.block_hit_rate
         return data
 
 
@@ -74,7 +68,7 @@ class _Entry:
 
 
 class BlobCache:
-    """Content-addressed two-tier cache with size-capped LRU eviction."""
+    """Content-addressed blob cache with size-capped LRU eviction."""
 
     def __init__(
         self,
@@ -113,7 +107,7 @@ class BlobCache:
     # Paths and record framing
     # ------------------------------------------------------------------ #
     def _entry_path(self, tier: str, key: str) -> str:
-        if tier not in _TIERS:
+        if tier != "blob":
             raise ValueError(f"unknown cache tier {tier!r}")
         return os.path.join(self.cache_dir, tier, key[:2], f"{key}.entry")
 
@@ -150,18 +144,18 @@ class BlobCache:
                 raw = handle.read()
             meta, payload = self._decode_record(raw)
         except FileNotFoundError:
-            self._count(tier, hit=False)
+            self.stats.blob_misses += 1
             return None
         except (ValueError, OSError, json.JSONDecodeError):
             self._discard(path)
-            self._count(tier, hit=False)
+            self.stats.blob_misses += 1
             return None
         try:
             os.utime(path)
             self._touch(path, len(raw))
         except OSError:
             pass  # entry may have been evicted between read and touch
-        self._count(tier, hit=True)
+        self.stats.blob_hits += 1
         self.stats.bytes_read += len(payload)
         return meta, payload
 
@@ -216,25 +210,6 @@ class BlobCache:
         """Store one whole compressed blob."""
         return self.put("blob", key, payload, meta)
 
-    def get_block(self, key: str) -> Optional[Tuple[Dict[str, Any], bytes]]:
-        """Block tier lookup; returns ``(entry_meta, payload)``."""
-        return self.get("block", key)
-
-    def put_block(self, key: str, payload: bytes, meta: Optional[Dict[str, Any]] = None) -> bool:
-        """Store one self-contained encoded block payload."""
-        return self.put("block", key, payload, meta)
-
-    def _count(self, tier: str, hit: bool) -> None:
-        if tier == "blob":
-            if hit:
-                self.stats.blob_hits += 1
-            else:
-                self.stats.blob_misses += 1
-        elif hit:
-            self.stats.block_hits += 1
-        else:
-            self.stats.block_misses += 1
-
     def _touch(self, path: str, size: int) -> None:
         """Make ``path`` the eviction index's most recently used entry."""
         if self._lru is not None:
@@ -253,52 +228,45 @@ class BlobCache:
     # Eviction and maintenance
     # ------------------------------------------------------------------ #
     def _scan(self, tier: Optional[str] = None) -> List[_Entry]:
+        """Every ``.entry`` file under ``tier``'s subtree, or under all of ``cache_dir``."""
         entries: List[_Entry] = []
-        tiers = (tier,) if tier else _TIERS
-        for tier_name in tiers:
-            root = os.path.join(self.cache_dir, tier_name)
-            if not os.path.isdir(root):
-                continue
-            for dirpath, _, filenames in os.walk(root):
-                for filename in filenames:
-                    if not filename.endswith(".entry"):
-                        continue
-                    path = os.path.join(dirpath, filename)
-                    try:
-                        stat = os.stat(path)
-                    except OSError:
-                        continue  # concurrently evicted
-                    entries.append(_Entry(path=path, size=stat.st_size, mtime=stat.st_mtime))
+        root = os.path.join(self.cache_dir, tier) if tier else self.cache_dir
+        for dirpath, _, filenames in os.walk(root):
+            for filename in filenames:
+                if not filename.endswith(".entry"):
+                    continue
+                path = os.path.join(dirpath, filename)
+                try:
+                    stat = os.stat(path)
+                except OSError:
+                    continue  # concurrently evicted
+                entries.append(_Entry(path=path, size=stat.st_size, mtime=stat.st_mtime))
         return entries
 
     def disk_usage(self, tier: Optional[str] = None) -> int:
         """Total bytes currently stored (optionally one tier)."""
         return sum(entry.size for entry in self._scan(tier))
 
-    def entry_count(self, tier: Optional[str] = None) -> int:
-        """Number of entries currently stored (optionally one tier)."""
-        return len(self._scan(tier))
+    def entry_count(self) -> int:
+        """Number of entries currently stored."""
+        return len(self._scan())
 
-    def clear(self, tier: Optional[str] = None) -> int:
-        """Delete every entry (optionally of one tier); returns the count."""
-        removed = 0
-        for entry in self._scan(tier):
+    def clear(self) -> int:
+        """Delete every entry; returns the count."""
+        entries = self._scan()
+        for entry in entries:
             self._discard(entry.path)
-            removed += 1
-        return removed
+        return len(entries)
 
     def describe(self) -> Dict[str, Any]:
         """Disk-level summary plus session counters (``ocelot cache stats``)."""
-        per_tier = {
-            tier: {"entries": self.entry_count(tier), "bytes": self.disk_usage(tier)}
-            for tier in _TIERS
-        }
+        blob, everything = self._scan("blob"), self._scan()
         return {
             "cache_dir": self.cache_dir,
             "mode": self.mode,
             "max_bytes": self.max_bytes,
-            "tiers": per_tier,
-            "total_bytes": sum(info["bytes"] for info in per_tier.values()),
-            "total_entries": sum(info["entries"] for info in per_tier.values()),
+            "blob": {"entries": len(blob), "bytes": sum(entry.size for entry in blob)},
+            "total_bytes": sum(entry.size for entry in everything),
+            "total_entries": len(everything),
             "session": self.stats.as_dict(),
         }

@@ -146,7 +146,6 @@ def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
         "cache-action": ("action", dict(choices=["stats", "clear"])),
         "cache-root": ("--cache-dir", dict(required=True, metavar="PATH",
                                            help="the --cache-dir of past transfers")),
-        "tier": ("--tier", dict(choices=["blob", "block"], help="only this tier")),
         "json": ("--json", dict(action="store_true", help="emit JSON instead of text")),
     }
 
@@ -380,11 +379,9 @@ def _run_inspect(args: argparse.Namespace) -> Result:
     if stage_timings:
         payload["stage_timings"] = stage_timings
         lines.append("  encode stages: " + _format_stage_timings(stage_timings))
-    aliased = payload["aliased_blocks"]
-    dedup = f", {aliased} deduped as aliases" if aliased else ""
     split = ", ".join(f"{codec}: {block_codecs[codec]}" for codec in sorted(block_codecs))
     lines += [
-        f"  layout: {payload['num_blocks']} independent block(s){dedup}",
+        f"  layout: {payload['num_blocks']} independent block(s)",
         f"  entropy: {entropy_stage or 'unknown'} (blocks by codec: {split})",
     ]
     codebook = payload["codebook"]
@@ -634,22 +631,18 @@ def _run_cache(args: argparse.Namespace) -> Result:
     if not os.path.isdir(args.cache_dir):
         raise ConfigurationError(f"no cache directory at {args.cache_dir}")
     if args.action == "clear":
-        removed = BlobCache(args.cache_dir, mode="readwrite").clear(args.tier)
-        scope = f"{args.tier} tier" if args.tier else "both tiers"
+        removed = BlobCache(args.cache_dir, mode="readwrite").clear()
         return 0, {"cache_dir": args.cache_dir, "removed": removed}, [
-            f"removed {removed} entries ({scope}) from {args.cache_dir}"
+            f"removed {removed} entries from {args.cache_dir}"
         ]
     summary = BlobCache(args.cache_dir, mode="read").describe()
-    if args.tier:
-        summary["tiers"] = {args.tier: summary["tiers"][args.tier]}
     cap = f" (cap {format_bytes(summary['max_bytes'])})" if summary["max_bytes"] else ""
-    lines = [f"{args.cache_dir}: {summary['total_entries']} entries, "
-             f"{format_bytes(summary['total_bytes'])}{cap}"]
-    lines += [
-        f"  {tier:>6s}: {info['entries']:>6d} entries  {format_bytes(info['bytes'])}"
-        for tier, info in summary["tiers"].items()
+    blob = summary["blob"]
+    return 0, summary, [
+        f"{args.cache_dir}: {summary['total_entries']} entries, "
+        f"{format_bytes(summary['total_bytes'])}{cap}",
+        f"    blob: {blob['entries']:>6d} entries  {format_bytes(blob['bytes'])}",
     ]
-    return 0, summary, lines
 
 
 COMMANDS: Tuple[Command, ...] = (
@@ -679,8 +672,8 @@ COMMANDS: Tuple[Command, ...] = (
             _flags("job", "url", "log"), _run_status),
     Command("serve", "run the HTTP gateway: REST job control + SSE event streams",
             _flags("host", "port", "service", "bound", "cache"), _run_serve),
-    Command("cache", "inspect or clear the content-addressed blob/block cache",
-            _flags("cache-action", "cache-root", "tier", "json"), _run_cache),
+    Command("cache", "inspect or clear the content-addressed blob cache",
+            _flags("cache-action", "cache-root", "json"), _run_cache),
 )
 
 

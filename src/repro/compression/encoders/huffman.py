@@ -201,26 +201,18 @@ def symbol_frequencies(arr: np.ndarray) -> Histogram:
     return Histogram(present + lo, counts[present])
 
 
-def pooled_symbol_frequencies(
-    streams: Sequence[np.ndarray], weights: Sequence[int]
-) -> Histogram:
-    """:func:`symbol_frequencies` of several streams, each counted ``weight`` times."""
-    pooled = [
-        (arr, weight)
-        for arr, weight in zip((np.asarray(s, dtype=np.int64).ravel() for s in streams), weights)
-        if arr.size
-    ]
+def pooled_symbol_frequencies(streams: Sequence[np.ndarray]) -> Histogram:
+    """:func:`symbol_frequencies` of several streams counted together."""
+    pooled = [arr for arr in (np.asarray(s, dtype=np.int64).ravel() for s in streams) if arr.size]
     if not pooled:
         return symbol_frequencies(np.zeros(0))
-    lo = min(int(arr.min()) for arr, _ in pooled)
-    span = max(int(arr.max()) for arr, _ in pooled) - lo + 1
+    lo = min(int(arr.min()) for arr in pooled)
+    span = max(int(arr.max()) for arr in pooled) - lo + 1
     if span > _DENSE_SPAN_LIMIT:
-        symbols, where = np.unique(np.concatenate([arr for arr, _ in pooled]), return_inverse=True)
-        weight = np.repeat([w for _, w in pooled], [arr.size for arr, _ in pooled])
-        return Histogram(symbols, np.bincount(where, weights=weight).astype(np.int64))
+        return Histogram(*np.unique(np.concatenate(pooled), return_counts=True))
     counts = np.zeros(span, dtype=np.int64)
-    for arr, weight in pooled:
-        counts += weight * np.bincount(arr - lo, minlength=span)
+    for arr in pooled:
+        counts += np.bincount(arr - lo, minlength=span)
     present = np.flatnonzero(counts)
     return Histogram(present + lo, counts[present])
 

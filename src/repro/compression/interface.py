@@ -334,7 +334,8 @@ class CompressedBlob:
 
     @property
     def aliased_block_count(self) -> int:
-        """Blocks stored as aliases of an identical earlier block (dedup)."""
+        """Blocks stored as aliases of an identical earlier block; only
+        blobs written by older builds, which deduplicated blocks, have any."""
         return sum(
             1
             for entry in self.container.header.get("block_index", [])
@@ -514,19 +515,8 @@ class CompressedBlob:
                 k: v for k, v in fields["metadata"].items() if k not in _GRID_METADATA_FIELDS
             }
             return cls(container=container, **fields)
-        stored = set()
         for entry, payload in ordered:
-            # Within-blob dedup: an alias entry reuses its representative's
-            # stored section and carries no payload of its own.
-            if entry.get("alias_of") is None:
-                container.add_section(entry["section"], payload)
-                stored.add(entry["section"])
-        for entry, _ in ordered:
-            if entry.get("section") not in stored:
-                raise EncodingError(
-                    f"block {entry['id']} aliases block {entry['alias_of']}, "
-                    f"but section {entry.get('section')!r} is not stored in the blob"
-                )
+            container.add_section(entry["section"], payload)
         container.header["block_index"] = [dict(entry) for entry, _ in ordered]
         return cls(container=container, **fields)
 

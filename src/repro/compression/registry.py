@@ -82,7 +82,6 @@ def create_blocked_compressor(
     adaptive_predictor: bool = False,
     block_executor: Optional[BlockMapper] = None,
     shared_codebook: Optional[bool] = None,
-    block_cache=None,
     entropy_stage: Optional[str] = None,
     helper_lane=None,
     **kwargs,
@@ -96,11 +95,9 @@ def create_blocked_compressor(
     ``shared_codebook`` toggles the per-file entropy codebook (``None``
     keeps the pipeline's default of sharing).  ``entropy_stage``
     overrides the pipeline's configured entropy codec (``huffman`` /
-    ``rans`` / ``none``), which every block is then coded with.
-    ``block_cache`` (a :class:`~repro.cache.BlobCache`) lets compression
-    reuse identical self-contained block payloads across files, jobs and
-    tenants; ``helper_lane`` deflates and inflates beside the caller.  This
-    is the single place the orchestrator and CLI share for this wiring.
+    ``rans`` / ``none``), which every block is then coded with, and
+    ``helper_lane`` deflates and inflates beside the caller.  This is the
+    single place the orchestrator and CLI share for this wiring.
     """
     compressor = create_compressor(name, **kwargs)
     if entropy_stage is not None and entropy_stage != compressor.config.entropy_stage:
@@ -112,7 +109,6 @@ def create_blocked_compressor(
     compressor.configure_blocks(
         block_executor=block_executor,
         shared_codebook=shared_codebook,
-        block_cache=block_cache,
         helper_lane=helper_lane,
     )
     if block_shape:

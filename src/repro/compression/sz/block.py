@@ -27,13 +27,15 @@ from ..predictors import create_predictor
 from ..predictors.base import Predictor, PredictorOutput
 from ..predictors.interpolation import InterpolationPredictor
 from ..predictors.lorenzo import LorenzoPredictor
-from .dedup import BlockResult, block_entry
 from .encoding import (
     ENTROPY_CODED, EncodingPlan, SharedBook, estimated_bytes, inflate_section, open_section,
     pack_section,
 )
 
-__all__ = ["BlockStages"]
+__all__ = ["BlockResult", "BlockStages"]
+
+#: One encoded block: its block-index entry and its section payload.
+BlockResult = Tuple[Dict[str, Any], bytes]
 
 
 class BlockStages:
@@ -111,10 +113,16 @@ class BlockStages:
     ) -> BlockResult:
         """One chosen encoding's final index entry and its payload, which may be pending:
         a rANS block's is its :class:`EncodingPlan` until :meth:`settle`.  ``blocks`` is
-        the block count of its file's plan, which sets a rANS stream's lane limit."""
+        the block count of its file's plan, which sets a rANS stream's lane limit.  The
+        entry is the block's geometry, predictor and section, and for an entropy-coded
+        section the codec that wrote it and whose model it used (``"shared"`` / ``"block"``)."""
         plan = self._wire.plan(encoding, self.config.entropy_stage, shared_book, histogram, blocks)
         payload = plan if plan.pending else self._compress_lossless(plan.inner)
-        return block_entry(spec, predictor_name, plan.codec, plan.codebook), payload
+        entry = spec.as_dict()
+        entry.update(predictor=predictor_name, section=f"block:{spec.block_id}")
+        if plan.codec in ENTROPY_CODED:
+            entry.update(entropy=plan.codec, codebook=plan.codebook)
+        return entry, payload
 
     def _predictor_for(self, name: str, meta: Dict[str, Any]) -> Predictor:
         # Rebuild the predictor from the block's recorded meta rather than

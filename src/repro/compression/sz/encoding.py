@@ -158,7 +158,7 @@ class EncodingWire:
         self._coders = {"huffman": _HuffmanCoder(), "rans": _RansCoder()}
 
     def pooled_shared_book(
-        self, stage: str, encodings: Sequence[PredictorOutput], weights: Sequence[int]
+        self, stage: str, encodings: Sequence[PredictorOutput]
     ) -> Optional[SharedBook]:
         """File-wide entropy model for ``stage`` from pooled symbol counts.
 
@@ -166,7 +166,7 @@ class EncodingWire:
         pooled alphabet cannot fit a 12-bit frequency table, in which
         case every block falls back to its own per-block model.
         """
-        frequencies = pooled_symbol_frequencies([e.codes for e in encodings], weights)
+        frequencies = pooled_symbol_frequencies([e.codes for e in encodings])
         if not frequencies.symbols.size:
             return None
         return self._coders[stage].build_model(frequencies)

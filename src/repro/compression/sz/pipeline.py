@@ -9,10 +9,9 @@ evaluated in the paper.
 
 This module is construction plus orchestration; the stages live beside
 it: :mod:`.block` (what is done to one block: predictor choice,
-finishing a chosen encoding, decoding a section), :mod:`.encoding` (the
-wire form of one encoding, one codec table) and :mod:`.dedup`
-(identical-block grouping, alias and index entries).  An array is
-always encoded as a :class:`BlockPlan` and decoded from a block index —
+finishing a chosen encoding, its index entry, decoding a section) and
+:mod:`.encoding` (the wire form of one encoding, one codec table).  An
+array is always encoded as a :class:`BlockPlan` and decoded from a block index —
 without a ``block_shape`` the plan is the one block that is the array.
 Every block is entropy-coded with the configured ``entropy_stage`` and
 records the codec that wrote it in its section header, so a blob
@@ -33,17 +32,15 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ...cache.keys import block_cache_key, pipeline_fingerprint
+from ...cache.keys import pipeline_fingerprint
 from ...errors import ConfigurationError, EncodingError
 from ..blocking import BlockPlan, BlockShapeLike, BlockSpec
 from ..encoders.huffman import HuffmanCodebook
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
-from ..encoders.rans import lane_limit
 from ..header import FORMAT_VERSION
 from ..interface import CompressedBlob, Compressor, dtype_name
 from ..predictors.base import Predictor
-from .dedup import BlockResult, block_entry, entry_meta, expand_aliases, group_identical_blocks
-from .block import BlockStages
+from .block import BlockResult, BlockStages
 from .encoding import ENTROPY_CODED, ENTROPY_STAGES, EncodingWire, SharedBook
 
 __all__ = ["PipelineConfig", "PredictionPipelineCompressor"]
@@ -95,7 +92,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     adaptive_predictor = False
     block_executor: Optional[BlockMapper] = None
     shared_codebook = True
-    block_cache: Optional[Any] = None
     helper_lane: Optional[Any] = None
 
     def __init__(
@@ -120,9 +116,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         #: Stage totals of the most recent :meth:`compress_array` call
         #: (``None`` until one runs with collection enabled).
         self.last_stage_timings: Optional[Dict[str, float]] = None
-        #: Block-dedup outcome of the most recent compress:
-        #: ``{"total_blocks", "distinct_blocks", "aliased_blocks"}``.
-        self.last_dedup_stats: Optional[Dict[str, int]] = None
         self._stage_totals = dict.fromkeys(_STAGE_KEYS, 0.0)
         #: The most recent :meth:`block_plan`: the files of a dataset
         #: mostly share one shape, and a plan depends on nothing else.
@@ -139,7 +132,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         adaptive_predictor: Optional[bool] = None,
         block_executor: Optional[BlockMapper] = None,
         shared_codebook: Optional[bool] = None,
-        block_cache: Optional[Any] = None,
         helper_lane: Optional[Any] = None,
     ) -> "PredictionPipelineCompressor":
         """Set (or re-tune) the block plan and how its blocks are run.
@@ -159,9 +151,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
           header and encode every block against it (a block whose
           alphabet escapes it falls back to its own model; a one-block
           plan has nobody to share with and always uses its own).
-        * ``block_cache`` — a :class:`~repro.cache.BlobCache` whose block
-          tier dedups identical blocks across files/jobs/tenants (used
-          only where block payloads are self-contained: no shared model).
         * ``helper_lane`` — a ``HelperLane`` to (de)compress sections on.
         """
         if block_shape is not None:
@@ -173,8 +162,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             self.block_executor = block_executor
         if shared_codebook is not None:
             self.shared_codebook = bool(shared_codebook)
-        if block_cache is not None:
-            self.block_cache = block_cache
         if helper_lane is not None:
             self.helper_lane = helper_lane
         return self
@@ -183,73 +170,40 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     # Compressor interface
     # ------------------------------------------------------------------ #
     def compress_array(self, data: np.ndarray, error_bound_abs: float) -> CompressedBlob:
-        """The one encode: plan, group, probe, choose, pool, finish, store, expand.
+        """The one encode: plan, choose, pool, finish.
 
         Every stage closure *returns* its result, so the inline loop and
         the thread pool run the same code and the blob cannot depend on
-        which did.  The block store is read and written here, by the
-        caller, never inside a block task.
+        which did.
         """
         arr = np.asarray(data)
         self._stage_totals = dict.fromkeys(_STAGE_KEYS, 0.0)
         plan = self.block_plan(arr)
-        sharing = self._shared_codebook_active()
-        # Only self-contained payloads are stored: a block coded against
-        # one file's shared model is not decodable inside another blob.
-        store = self.block_cache if not sharing else None
-        if plan.num_blocks > 1 or store is not None:
-            reps, alias_of, digests, counts = group_identical_blocks(arr, plan)
-        else:  # one block and no store to key it: nothing to digest
-            reps, alias_of, digests, counts = plan.blocks, {}, {}, {}
-        self.last_dedup_stats = {
-            "total_blocks": plan.num_blocks,
-            "distinct_blocks": len(reps),
-            "aliased_blocks": len(alias_of),
-        }
-
-        keys: Dict[int, str] = {}
-        results: Dict[int, BlockResult] = {}
-        if store is not None:
-            fingerprint = self.cache_fingerprint(error_bound_abs, "block", plan.num_blocks)
-            for spec in reps:
-                key = keys[spec.block_id] = block_cache_key(digests[spec.block_id], fingerprint)
-                found = store.get_block(key)
-                if found is not None:
-                    results[spec.block_id] = (block_entry(spec, **entry_meta(found[0])), found[1])
-        todo = [spec for spec in reps if spec.block_id not in results]
-
         fan_out = partial(self._map_blocks, block_elements=math.prod(plan.block_shape))
         shared_book = None
-        if sharing and plan.num_blocks > 1:  # a shared model needs two blocks to share it
-            # Choose a predictor for and quantise every distinct block,
-            # pool exact symbol frequencies — a duplicate contributes
-            # through its representative's multiplicity, which keeps the
-            # book byte-identical to a no-dedup encoding — then serialise
-            # each representative against the pooled book.
+        if self._shared_codebook_active() and plan.num_blocks > 1:
+            # A shared model needs two blocks to share it: choose a
+            # predictor for and quantise every block, pool their exact
+            # symbol frequencies, then serialise each against the book.
             chosen = fan_out(
                 lambda spec: self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs),
-                todo,
+                plan.blocks,
             )
             shared_book = self._wire.pooled_shared_book(
-                self.config.entropy_stage,
-                [encoding for _, encoding, _ in chosen],
-                [counts[spec.block_id] for spec in todo],
+                self.config.entropy_stage, [encoding for _, encoding, _ in chosen]
             )
-            fresh = fan_out(
-                lambda i: self._finish_block(todo[i], *chosen[i], shared_book, plan.num_blocks),
-                range(len(todo)),
+            blocks = fan_out(
+                lambda i: self._finish_block(
+                    plan.blocks[i], *chosen[i], shared_book, plan.num_blocks
+                ),
+                range(plan.num_blocks),
             )
         else:
-            fresh = fan_out(
-                lambda spec: self._start_block(arr, plan, spec, error_bound_abs), todo
+            blocks = fan_out(
+                lambda spec: self._start_block(arr, plan, spec, error_bound_abs), plan.blocks
             )
-        for spec, result in zip(todo, self.settle(fresh)):
-            results[spec.block_id] = result
-            if store is not None and store.writable:
-                store.put_block(keys[spec.block_id], result[1], entry_meta(result[0]))
-
+        blocks = self.settle(blocks)
         header = self.blocked_header(arr, plan, error_bound_abs, shared_book=shared_book)
-        blocks = expand_aliases(plan, results, alias_of)
         codecs = Counter(entry.get("entropy", "none") for entry, _ in blocks)
         header["metadata"]["block_codecs"] = dict(sorted(codecs.items()))
         blob = CompressedBlob.assemble(header, blocks)
@@ -276,22 +230,14 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         if sum(spec.num_elements for spec in specs) != blob.num_elements:
             raise EncodingError(f"block index does not cover an array of shape {blob.shape}")
         out = np.empty(blob.shape, dtype=np.float64)
-        # Alias entries point at their representative's section; memoising
-        # per section decodes each distinct payload once however many
-        # blocks share it.  Dict get/set are atomic under the GIL and a
-        # racy duplicate decode is merely redundant work, so the threaded
-        # fan-out needs no lock.
-        decoded: Dict[str, np.ndarray] = {}
 
         def decode_block(item: Tuple[Dict[str, Any], BlockSpec]) -> None:
-            entry, spec = item
-            recon = decoded.get(entry["section"])
-            if recon is None:
-                recon = self._reconstruct_block(blob, entry, fields[entry["section"]])
-                decoded[entry["section"]] = recon
             # Each block writes a disjoint region of the output, so the
-            # per-block tasks can run concurrently without locking.
-            out[spec.slices()] = recon
+            # per-block tasks can run concurrently without locking.  An
+            # alias entry (written by older builds) names its
+            # representative's section and decodes it again.
+            entry, spec = item
+            out[spec.slices()] = self._reconstruct_block(blob, entry, fields[entry["section"]])
 
         self._map_blocks(
             decode_block,
@@ -486,52 +432,29 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
             block = plan.extract(arr, spec)
             if np.isfinite(block).all():  # a non-finite block is literals, not symbols
                 encodings.append(self._choose_block_encoding(block, error_bound_abs)[1])
-        return self._wire.pooled_shared_book(
-            self.config.entropy_stage, encodings, [1] * len(encodings)
-        )
+        return self._wire.pooled_shared_book(self.config.entropy_stage, encodings)
 
-    def cache_fingerprint(
-        self, error_bound_abs: float, tier: str = "blob", blocks: int = 1
-    ) -> Dict[str, Any]:
-        """Everything besides the data that shapes this pipeline's bytes.
+    def cache_fingerprint(self, error_bound_abs: float) -> Dict[str, Any]:
+        """Everything besides the data that shapes this pipeline's blobs.
 
-        The one place that lists it, for both cache tiers, so two jobs
-        share an entry only when compressing would produce the same
-        output.  ``tier="blob"`` keys a whole compressed file;
-        ``tier="block"`` keys one self-contained block payload of a
-        ``blocks``-block file, which always carries its own entropy model
-        and whose shape is part of the block's content digest.
+        The one place that lists it, so two jobs share a blob-cache entry
+        only when compressing would produce the same output.
         """
-        if tier not in ("blob", "block"):
-            raise ConfigurationError(f"unknown cache tier {tier!r}")
-        whole = tier == "blob"
-        coded = self.config.entropy_stage in ENTROPY_CODED
         extra: Dict[str, Any] = {
             "entropy": self.config.entropy_stage,
             "lossless": self._lossless.name,
         }
-        if whole and coded:  # a long coded stream deflate cannot shrink is stored as it is
+        if self.config.entropy_stage in ENTROPY_CODED:
+            # A long coded stream deflate cannot shrink is stored as it is.
             extra["section_layout"] = "split"
         if self.config.entropy_stage == "rans":  # lanes from the file's plan, tables as gaps
-            extra["rans_lanes"] = "plan" if whole else lane_limit(blocks)
-        if whole:
-            extra["format"] = FORMAT_VERSION  # the container version a cached blob was written as
-        else:
-            # Bumped when the per-block payload layout changes (v2:
-            # per-section entropy tags + adaptive codec choice; v3:
-            # Huffman sync index; v4: adaptive candidates ranked on their
-            # histograms; v5: the codec is the configured stage, never
-            # chosen per block; v6: the split section layout, which only
-            # entropy-coded sections take; v7: container version 3 and
-            # dense Huffman codebooks), so entries cached by older builds
-            # cannot be served into blobs they would not be
-            # byte-identical with.
-            extra["block_format"] = 7
+            extra["rans_lanes"] = "plan"
+        extra["format"] = FORMAT_VERSION  # the container version a cached blob was written as
         return pipeline_fingerprint(
-            compressor=(self.registered_as or self.name) if whole else self.name,
+            compressor=self.registered_as or self.name,
             error_bound_abs=error_bound_abs,
-            block_shape=self.block_shape if whole else None,
-            codebook_mode="shared" if whole and self.shared_codebook else "per-block",
+            block_shape=self.block_shape,
+            codebook_mode="shared" if self.shared_codebook else "per-block",
             adaptive_predictor=self.adaptive_predictor,
             extra=extra,
         )

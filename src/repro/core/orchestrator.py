@@ -79,7 +79,7 @@ class OcelotOrchestrator:
             cost_model=cost_model, block_workers=config.block_workers
         )
         self.grouper = FileGrouper()
-        #: Content-addressed blob/block cache (``None`` when cache_mode is
+        #: Content-addressed blob cache (``None`` when cache_mode is
         #: off).  Instances share the on-disk tree: every job opens its
         #: own handle on ``config.cache_dir``, which is what makes hits
         #: cross-tenant.
@@ -208,7 +208,6 @@ class OcelotOrchestrator:
                 adaptive_predictor=self.config.adaptive_predictor,
                 block_executor=self.executor.map_blocks,
                 shared_codebook=self.config.shared_codebook,
-                block_cache=self.blob_cache,
                 entropy_stage=self.config.entropy_stage,
                 helper_lane=self.executor.lane,
             )

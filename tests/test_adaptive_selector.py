@@ -139,8 +139,9 @@ def test_adaptive_shared_codebook_blob_beats_the_better_single_predictor(app):
 # --------------------------------------------------------------------------- #
 # Encode once
 # --------------------------------------------------------------------------- #
-def _aliased_field() -> np.ndarray:
-    """48x48 random walk whose last block column repeats the first: 9 blocks, 6 distinct."""
+def _walk_field() -> np.ndarray:
+    """48x48 random walk whose last block column repeats the first: 9 blocks,
+    each encoded, the repeats too."""
     steps = np.random.default_rng(11).integers(-(1 << 12), 1 << 12, size=(48, 48))
     field = (np.cumsum(steps, axis=1) / 1024.0).astype(np.float32)
     field[:, 32:] = field[:, :16]
@@ -174,13 +175,14 @@ def kernel_calls(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("shared", [False, True], ids=["per-block", "shared"])
-def test_bulk_adaptive_encodes_each_distinct_block_once(kernel_calls, stage, shared):
+def test_bulk_adaptive_encodes_each_block_once(kernel_calls, stage, shared):
     compressor = create_blocked_compressor(
         "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=shared, entropy_stage=stage
     )
-    compressor.compress(_aliased_field(), ErrorBound.relative(1e-3), verify=False)
-    assert compressor.last_dedup_stats["distinct_blocks"] == 6
-    assert kernel_calls == {"entropy": 6, "lossless": 6}
+    field = _walk_field()
+    compressor.compress(field, ErrorBound.relative(1e-3), verify=False)
+    assert compressor.block_plan(field).num_blocks == 9
+    assert kernel_calls == {"entropy": 9, "lossless": 9}
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -198,17 +200,18 @@ def test_a_block_builds_only_the_configured_codecs_model(monkeypatch, stage):
     compressor = create_blocked_compressor(
         "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=False, entropy_stage=stage
     )
-    compressor.compress(_aliased_field(), ErrorBound.relative(1e-3), verify=False)
-    assert built == {stage: compressor.last_dedup_stats["distinct_blocks"]}
+    field = _walk_field()
+    compressor.compress(field, ErrorBound.relative(1e-3), verify=False)
+    assert built == {stage: compressor.block_plan(field).num_blocks}
 
 
 @pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("shared", [False, True], ids=["per-block", "shared"])
 def test_streamed_adaptive_encodes_each_block_once(kernel_calls, stage, shared):
     """The streamed path's two calls: sample the shared model, then one
-    ``encode_one_block`` per block (no dedup: each block ships as it is
-    encoded), including the blocks the sampled model does not cover."""
-    field = _aliased_field()
+    ``encode_one_block`` per block, including the blocks the sampled
+    model does not cover."""
+    field = _walk_field()
     compressor = create_blocked_compressor(
         "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=shared, entropy_stage=stage
     )

@@ -53,7 +53,7 @@ from repro.compression.header import encode_header, read_frame
 from repro.compression.sz.encoding import inflate_section, open_section, split_layout
 from repro.errors import CompressionError, EncodingError
 
-PIPELINES = ["sz2", "sz3", "sz3-linear", "sz-lorenzo", "zfp-like"]
+PIPELINES = available_compressors()
 BOUND = 1e-3
 
 
@@ -249,6 +249,17 @@ class TestOneBlockPlan:
 
 FIXTURES = json.loads(Path(__file__).with_name("blob_fixtures.json").read_text())
 BLOB_FIXTURES = sorted(name for name, row in FIXTURES.items() if not row.get("message"))
+# How each aliased row was written (``create_blocked_compressor(name, block_shape=16,
+# **options)`` on ``golden_field()``), its codebook mode and its block sections' code array.
+ALIASED_WRITERS = {
+    "v3-aliased-blocks": ("sz3", {"shared_codebook": True}, "shared", "codes_payload"),
+    "v3-aliased-per-block": ("sz3", {"shared_codebook": False}, "per-block", "codes_codebook"),
+    "v3-aliased-rans": (
+        "sz3", {"shared_codebook": True, "entropy_stage": "rans"}, "shared", "codes_payload"
+    ),
+    "v3-aliased-sz3-fast": ("sz3-fast", {}, "none", "codes_raw"),
+    "v3-aliased-sz-lorenzo": ("sz-lorenzo", {}, "shared", "codes_payload"),
+}
 
 
 class TestOlderBuildsBlobs:
@@ -260,8 +271,13 @@ class TestOlderBuildsBlobs:
     the last v2 writer's shared and per-block Huffman blobs (codebooks as
     (symbol, length) pairs), ``sz3-fast`` raw codes, a split section, one
     streamed block message, ``sz2`` and ``sz3-linear`` blobs (regression
-    and interpolation aux arrays) and a ``zfp-like`` blob of a field far
-    from zero, whose book is too wide for the dense layout."""
+    and interpolation aux arrays), a ``zfp-like`` blob of a field far
+    from zero, whose book is too wide for the dense layout, and five v3
+    blobs of ``golden_field()`` from the last build that stored identical
+    blocks once (``sz3`` with a shared Huffman book, per-block books and a
+    shared rANS table, ``sz3-fast`` raw codes and ``sz-lorenzo``): three
+    index entries of each are aliases naming their representative's
+    section."""
 
     @pytest.mark.parametrize("fixture", BLOB_FIXTURES)
     def test_fixture_decodes_to_its_recorded_digest(self, fixture):
@@ -270,7 +286,7 @@ class TestOlderBuildsBlobs:
         index = blob.block_index
         assert blob.num_blocks == len(index) == row["num_blocks"]
         assert [entry["section"] for entry in index] == row["sections"]
-        assert blob.container.section_names() == row["sections"]
+        assert blob.container.section_names() == list(dict.fromkeys(row["sections"]))
         assert [entry["id"] for entry in index] == list(range(row["num_blocks"]))
         compressor = create_compressor(row["compressor"])
         recon = compressor.decompress(blob)
@@ -326,6 +342,60 @@ class TestOlderBuildsBlobs:
         again = CompressedBlob.from_bytes(blob.to_bytes()).export_block(0)
         assert SectionContainer.from_bytes(again).checked
         assert CompressedBlob.parse_block(again)[2] == payload
+
+    @pytest.mark.parametrize("fixture", sorted(ALIASED_WRITERS))
+    def test_serialised_roundtrip_and_random_access_on_alias(self, fixture):
+        """Blocks 2, 5 and 8 repeat blocks 0, 3 and 6; an alias stores no section of
+        its own, and decoding it reads its representative's."""
+        row = FIXTURES[fixture]
+        _, _, codebook_mode, codes = ALIASED_WRITERS[fixture]
+        blob = CompressedBlob.from_bytes(bytes.fromhex(row["hex"]))
+        assert blob.format_version == 3 and blob.aliased_block_count == 3
+        assert blob.codebook_mode == codebook_mode
+        assert codes in open_section(blob, "block:0").section_names()
+        compressor = create_compressor(row["compressor"])
+        for alias, rep_id in ((2, 0), (5, 3), (8, 6)):
+            entry = blob.block_entry(alias)
+            assert (entry["alias_of"], entry["section"]) == (rep_id, f"block:{rep_id}")
+            np.testing.assert_array_equal(
+                compressor.decompress_block(blob, alias), compressor.decompress_block(blob, rep_id)
+            )
+
+    @pytest.mark.parametrize("fixture", sorted(ALIASED_WRITERS))
+    def test_this_build_stores_each_alias_as_a_copy_of_its_representative(self, fixture):
+        """The same field and options now write no alias: each repeated block
+        gets a section of its own, a byte copy of its representative's, every
+        other section is the fixture's, and the decoded array does not move."""
+        from test_golden_blobs import ERROR_BOUND, golden_field
+
+        row = FIXTURES[fixture]
+        name, options, _, _ = ALIASED_WRITERS[fixture]
+        old = CompressedBlob.from_bytes(bytes.fromhex(row["hex"]))
+        compressor = create_blocked_compressor(name, block_shape=16, **options)
+        blob = CompressedBlob.from_bytes(
+            compressor.compress(golden_field(), ERROR_BOUND).blob.to_bytes()
+        )
+        assert blob.aliased_block_count == 0
+        assert blob.container.section_names() == [f"block:{i}" for i in range(9)]
+        assert blob.shared_codebook_bytes == old.shared_codebook_bytes
+        for section in old.container.section_names():
+            assert blob.container.get_section(section) == old.container.get_section(section)
+        for alias, rep_id in ((2, 0), (5, 3), (8, 6)):
+            assert blob.container.get_section(f"block:{alias}") == old.container.get_section(
+                f"block:{rep_id}"
+            )
+        recon = create_compressor(name).decompress(blob)
+        digest = hashlib.blake2b(np.ascontiguousarray(recon).tobytes(), digest_size=8)
+        assert digest.hexdigest() == row["decoded"]
+
+    def test_aliased_blob_roundtrips_within_bound(self):
+        from test_golden_blobs import ERROR_BOUND, golden_field
+
+        field = golden_field()
+        blob = CompressedBlob.from_bytes(bytes.fromhex(FIXTURES["v3-aliased-blocks"]["hex"]))
+        recon = create_compressor("sz3").decompress(blob)
+        assert np.abs(recon.astype(np.float64) - field).max() <= ERROR_BOUND.value
+        np.testing.assert_array_equal(recon[:, 32:], recon[:, :16])
 
     @pytest.mark.parametrize("fixture", sorted(FIXTURES))
     def test_bytes_after_the_last_section_are_an_encoding_error(self, fixture):

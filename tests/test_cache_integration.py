@@ -203,7 +203,7 @@ class TestKeySeparation:
         ]
         assert len({str(fp) for fp in fingerprints}) == 3
 
-    #: ``(OcelotConfig overrides, whole-blob fingerprint, blob key, block key)``
+    #: ``(OcelotConfig overrides, whole-blob fingerprint, blob key)``
     #: for the content digest ``"ab" * 16`` at an absolute bound of 1e-3.
     #: A key that moves here turns every warm cache cold.  They moved
     #: twice on purpose: when the learned block policy went (the
@@ -221,6 +221,8 @@ class TestKeySeparation:
     #: one-block plan's); the Huffman and ``sz3-fast`` keys kept theirs.
     #: Every key moved a fifth time with container version 3 (``format``
     #: in the whole-blob fingerprint, ``block_format`` 7 for every block).
+    #: The block tier, and with it the block keys, went later; the blob
+    #: keys did not move.
     PINNED_KEYS = [
         (
             dict(compressor="sz3", block_size=32),
@@ -229,7 +231,6 @@ class TestKeySeparation:
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate",
              "section_layout": "split", "format": 3},
             "8f4760f981d1dbc89a1f998e2f35ab6a",
-            "1f06f902ecb39bdd75885575f5d4b7f6",
         ),
         (
             dict(compressor="sz3-fast"),
@@ -237,7 +238,6 @@ class TestKeySeparation:
              "codebook_mode": "shared", "compressor": "sz3-fast", "entropy": "none",
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate", "format": 3},
             "325caa9bc783896fdfa977e45d061c70",
-            "540303009d28365dea3ea0f38888f536",
         ),
         (
             dict(compressor="sz3", block_size=32, entropy_stage="rans",
@@ -247,26 +247,22 @@ class TestKeySeparation:
              "error_bound_abs": "0x1.0624dd2f1a9fcp-10", "lossless": "deflate",
              "rans_lanes": "plan", "section_layout": "split", "format": 3},
             "0a66f3620202e55dca8e7fbbd749785e",
-            "6c337ff3e4b533f42c5b74aa4bb82205",
         ),
     ]
 
     @pytest.mark.parametrize(
-        "overrides, fingerprint, blob_key, block_key",
+        "overrides, fingerprint, blob_key",
         PINNED_KEYS,
         ids=["sz3-shared-huffman-32", "sz3-fast", "sz3-rans-adaptive-per-block"],
     )
-    def test_cache_keys_are_pinned(self, overrides, fingerprint, blob_key, block_key):
-        from repro.cache import blob_cache_key, block_cache_key
+    def test_cache_keys_are_pinned(self, overrides, fingerprint, blob_key):
+        from repro.cache import blob_cache_key
 
         config = OcelotConfig(**overrides)
         orchestrator = Ocelot(config)._orchestrator_for(config)
         compressor = orchestrator._build_compressor(overrides["compressor"])
         assert compressor.cache_fingerprint(1e-3) == fingerprint
         assert blob_cache_key("ab" * 16, fingerprint) == blob_key
-        block_fingerprint = compressor.cache_fingerprint(1e-3, tier="block")
-        assert block_fingerprint["block_format"] == 7
-        assert block_cache_key("ab" * 16, block_fingerprint) == block_key
 
     @pytest.mark.parametrize("stage", ["huffman", "rans"])
     def test_a_cache_filled_by_the_whole_section_layout_misses(

@@ -11,7 +11,6 @@ from repro.cache import (
     BlobCache,
     array_content_digest,
     blob_cache_key,
-    block_cache_key,
     pipeline_fingerprint,
 )
 
@@ -49,11 +48,6 @@ class TestKeys:
         assert blob_cache_key(digest, _fingerprint(adaptive_predictor=True)) != base
         assert blob_cache_key(digest, _fingerprint(compressor="sz2")) != base
 
-    def test_tiers_never_share_a_key(self):
-        digest = array_content_digest(np.arange(6, dtype=np.float32))
-        fp = _fingerprint()
-        assert blob_cache_key(digest, fp) != block_cache_key(digest, fp)
-
     def test_float_canonicalisation_is_exact(self):
         digest = array_content_digest(np.arange(6, dtype=np.float32))
         # 0.1 + 0.2 != 0.3 in binary; the fingerprint must not round them
@@ -64,16 +58,16 @@ class TestKeys:
 
 
 class TestBlobCacheStore:
-    def test_roundtrip_both_tiers(self, tmp_path):
+    def test_roundtrip(self, tmp_path):
         cache = BlobCache(str(tmp_path))
         assert cache.put_blob("a" * 32, b"blob-bytes", meta={"file": "x.npy"})
-        assert cache.put_block("b" * 32, b"block-bytes", meta={"predictor": "lorenzo"})
         assert cache.get_blob("a" * 32) == b"blob-bytes"
-        meta, payload = cache.get_block("b" * 32)
-        assert payload == b"block-bytes"
-        assert meta["predictor"] == "lorenzo"
-        assert cache.stats.blob_hits == 1
-        assert cache.stats.block_hits == 1
+        meta, payload = cache.get("blob", "a" * 32)
+        assert (meta, payload) == ({"file": "x.npy"}, b"blob-bytes")
+        assert cache.stats.blob_hits == 2
+        assert "block_hits" not in cache.stats.as_dict()
+        with pytest.raises(ValueError, match="unknown cache tier"):
+            cache.get("block", "b" * 32)
 
     def test_miss_returns_none_and_counts(self, tmp_path):
         cache = BlobCache(str(tmp_path))
@@ -187,12 +181,41 @@ class TestBlobCacheStore:
     def test_clear_and_describe(self, tmp_path):
         cache = BlobCache(str(tmp_path))
         cache.put_blob("a" * 32, b"one")
-        cache.put_block("b" * 32, b"two")
         summary = cache.describe()
-        assert summary["total_entries"] == 2
-        assert summary["tiers"]["blob"]["entries"] == 1
-        assert cache.clear("block") == 1
-        assert cache.entry_count("block") == 0
-        assert cache.entry_count("blob") == 1
+        assert (summary["total_entries"], summary["blob"]["entries"]) == (1, 1)
+        assert summary["total_bytes"] == summary["blob"]["bytes"] == cache.disk_usage("blob")
         assert cache.clear() == 1
         assert cache.describe()["total_entries"] == 0
+
+
+class TestOlderBuildsBlockTier:
+    """A cache directory an older build filled also holds ``block/<aa>/<key>.entry``
+    files, which nothing reads any more: they still count, age out and clear."""
+
+    @staticmethod
+    def _legacy_block(root, mtime: float) -> str:
+        shard = root / "block" / "bb"
+        shard.mkdir(parents=True)
+        path = shard / ("b" * 32 + ".entry")
+        path.write_bytes(BlobCache._encode_record({}, b"x" * 100))
+        os.utime(path, (mtime, mtime))
+        return str(path)
+
+    def test_a_capped_put_evicts_it_first(self, tmp_path):
+        legacy = self._legacy_block(tmp_path, 0)
+        cache = BlobCache(str(tmp_path), max_bytes=250)
+        assert cache.disk_usage() == cache.describe()["total_bytes"] == 114
+        assert cache.describe()["blob"] == {"entries": 0, "bytes": 0}
+        assert cache.put_blob("a" * 32, b"y" * 100) and os.path.exists(legacy)
+        assert cache.put_blob("c" * 32, b"z" * 100)
+        assert not os.path.exists(legacy) and cache.stats.evictions == 1
+        assert cache.get_blob("a" * 32) == b"y" * 100
+        assert cache.disk_usage() == cache.disk_usage("blob") == 228
+
+    def test_clear_removes_it(self, tmp_path):
+        legacy = self._legacy_block(tmp_path, 0)
+        cache = BlobCache(str(tmp_path))
+        cache.put_blob("a" * 32, b"one")
+        assert cache.describe()["total_entries"] == 2
+        assert cache.clear() == 2
+        assert not os.path.exists(legacy) and cache.describe()["total_entries"] == 0

@@ -171,6 +171,42 @@ class TestCommands:
             f"ocelot cache: no cache directory at {missing} (invalid_config)\n"
         )
 
+    def test_cache_stats_and_clear_report_the_blob_tier(self, tmp_path, capsys):
+        from repro.cache import BlobCache
+
+        BlobCache(str(tmp_path)).put_blob("a" * 32, b"x" * 100)
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["blob"] == {"entries": 1, "bytes": 114}
+        assert (stats["total_entries"], stats["total_bytes"]) == (1, 114)
+        assert "tiers" not in stats and "block_hits" not in stats["session"]
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "    blob:      1 entries  114 B"
+        with pytest.raises(SystemExit) as exit_info:  # one tier: no flag to pick it
+            main(["cache", "clear", "--cache-dir", str(tmp_path), "--tier", "block"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"removed 1 entries from {tmp_path}\n"
+
+    def test_inspect_shows_an_older_blobs_aliases(self, tmp_path, capsys):
+        from pathlib import Path
+
+        fixtures = json.loads(Path(__file__).with_name("blob_fixtures.json").read_text())
+        path = tmp_path / "aliased.sz"
+        path.write_bytes(bytes.fromhex(fixtures["v3-aliased-blocks"]["hex"]))
+        assert main(["inspect", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [block["alias_of"] for block in payload["blocks"]] == [
+            None, None, 0, None, None, 3, None, None, 6
+        ]
+        assert main(["inspect", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  layout: 9 independent block(s)" in lines
+        assert [line[-10:] for line in lines if line.endswith(("=        3", "=        6"))] == [
+            "=        3", "=        6"
+        ]
+
     def test_inspect_whole_array_blob(self, tmp_path, capsys):
         from repro.compression import ErrorBound, create_compressor
 

@@ -155,26 +155,6 @@ class TestBlockTaskContract:
         blob.metadata.pop("stage_timings")
         assert blob.to_bytes() == _compress_blob_bytes("thread", shared=True)
 
-    def test_block_store_is_read_and_written_by_the_caller(self, tmp_path):
-        """Nine probes, then nine puts, then nine hits: the store is
-        consulted once per distinct block, outside the fanned-out tasks."""
-        from repro.cache import BlobCache
-
-        cache = BlobCache(str(tmp_path))
-        compressor = create_blocked_compressor(
-            "sz3",
-            block_shape=16,
-            block_executor=_block_executor("thread"),
-            shared_codebook=False,
-            block_cache=cache,
-        )
-        with _pool_grain():
-            cold = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob.to_bytes()
-            assert (cache.stats.block_misses, cache.stats.puts) == (9, 9)
-            warm = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob.to_bytes()
-        assert (cache.stats.block_hits, cache.stats.puts) == (9, 9)
-        assert warm == cold == _compress_blob_bytes("thread", shared=False)
-
 
 class TestEntropyStageEquivalence:
     """The rANS stage must not perturb the blob-determinism contract.

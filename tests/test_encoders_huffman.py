@@ -664,20 +664,19 @@ class TestSharedBookEncoding:
 
 
     @pytest.mark.parametrize("wide", [False, True])
-    def test_pooled_frequencies_match_the_weighted_merge(self, wide):
+    def test_pooled_frequencies_match_the_merge(self, wide):
         rng = np.random.default_rng(12)
         streams = [rng.integers(-40 * (i + 1), 60, 500 * i) for i in range(4)]  # one empty
         if wide:  # past the dense-histogram span: the np.unique route
             streams[2] = np.append(streams[2], [10**12, -(10**11)])
-        weights = [3, 1, 2, 5]
         merged = {}
-        for stream, weight in zip(streams, weights):
+        for stream in streams:
             for sym, freq in as_dict(*symbol_frequencies(stream)).items():
-                merged[sym] = merged.get(sym, 0) + freq * weight
-        pooled = pooled_symbol_frequencies(streams, weights)
+                merged[sym] = merged.get(sym, 0) + freq
+        pooled = pooled_symbol_frequencies(streams)
         assert as_dict(*pooled) == merged
         assert list(pooled.symbols) == sorted(merged)
-        assert pooled_symbol_frequencies([], []).symbols.size == 0
+        assert pooled_symbol_frequencies([]).symbols.size == 0
 
 
 class TestOldVsNewEquivalence:

@@ -32,7 +32,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import BlobCache
 from repro.compression import CompressedBlob, ErrorBound, create_blocked_compressor
 from repro.compression.encoders.huffman import Histogram, symbol_frequencies
 from repro.compression.encoders.rans import (
@@ -628,9 +627,8 @@ class TestPlanWidth:
         assert blob.num_blocks == 18 and blob.metadata["block_codecs"] == {"rans": 18}
         assert _lanes(blob) == [256] * 18 == [lane_limit(18)] * 18
 
-    @pytest.mark.parametrize("path", ["streamed", "one-by-one", "threads", "helper-lane",
-                                      "store-cold", "store-warm"])
-    def test_every_path_writes_the_files_settle(self, settled, path, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("path", ["streamed", "one-by-one", "threads", "helper-lane"])
+    def test_every_path_writes_the_files_settle(self, settled, path, monkeypatch):
         field = _bulk_field()
         if path == "streamed":  # ``StreamingPipeline._encode_file``: start every block, settle
             compressor = self._per_block()
@@ -661,33 +659,9 @@ class TestPlanWidth:
 
             blob = self._blob(self._per_block(block_executor=executor), field)
             assert fanned == [18]
-        elif path == "helper-lane":
-            blob = self._blob(self._per_block(helper_lane=LANE), field)
         else:
-            cache = BlobCache(str(tmp_path))
-            blob = self._blob(self._per_block(block_cache=cache), field)
-            if path == "store-warm":
-                blob = self._blob(self._per_block(block_cache=cache), field)
-                assert cache.stats.block_hits == 18
+            blob = self._blob(self._per_block(helper_lane=LANE), field)
         assert blob == settled
-
-    def test_a_block_stored_by_a_wider_plan_is_not_served_to_a_narrower_one(self, tmp_path):
-        """The corner 2x2x2 blocks of the 18-block file are an 8-block file of
-        their own, whose blocks take 512 lanes: the store must not serve the
-        18-block file's 256-lane payloads of the same blocks into it, but
-        another 8-block file's payloads it serves."""
-        field = _bulk_field()
-        corner = np.ascontiguousarray(field[:, :64, :64])
-        bound = ErrorBound(value=BOUND_1E3.absolute_for(field), mode="abs")
-        alone = self._blob(self._per_block(), corner, bound)
-        cache = BlobCache(str(tmp_path))
-        self._blob(self._per_block(block_cache=cache), field, bound)
-        served = self._blob(self._per_block(block_cache=cache), corner, bound)
-        assert cache.stats.block_hits == 0
-        assert served == alone
-        assert _lanes(CompressedBlob.from_bytes(alone)) == [512] * 8
-        assert self._blob(self._per_block(block_cache=cache), corner, bound) == alone
-        assert cache.stats.block_hits == 8
 
 
 # --------------------------------------------------------------------------- #
