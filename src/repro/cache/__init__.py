@@ -13,14 +13,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .keys import array_content_digest, blob_cache_key, pipeline_fingerprint
-from .store import CACHE_MODES, BlobCache, CacheStats
+from .store import BlobCache, CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import OcelotConfig
 
 __all__ = [
-    "BlobCache", "CacheStats", "CACHE_MODES", "array_content_digest", "pipeline_fingerprint",
-    "blob_cache_key", "build_blob_cache",
+    "BlobCache", "CacheStats", "array_content_digest", "pipeline_fingerprint", "blob_cache_key",
+    "build_blob_cache",
 ]
 
 

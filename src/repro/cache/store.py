@@ -28,14 +28,9 @@ import struct
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["BlobCache", "CacheStats", "CACHE_MODES"]
+__all__ = ["BlobCache", "CacheStats"]
 
 _MAGIC = b"OCCH"
-
-#: ``off`` disables the cache entirely, ``read`` consults but never
-#: writes (a shared warm cache tenants must not grow), ``readwrite`` is
-#: the normal populate-and-consume mode.
-CACHE_MODES = ("off", "read", "readwrite")
 
 
 @dataclass

@@ -24,8 +24,9 @@ import numpy as np
 
 from .cache import BlobCache
 from .compression import CompressedBlob, available_compressors, create_blocked_compressor
-from .compression.sz.encoding import block_model_bytes
+from .compression.sz.encoding import ENTROPY_STAGES, block_model_bytes
 from .core import Ocelot, OcelotConfig, ParallelExecutor
+from .core.config import VALID_CACHE_MODES, VALID_MODES, VALID_PRIORITIES, VALID_TRANSFER_MODES
 from .datasets import application_names, generate_application, generate_field
 from .datasets import get_application_spec
 from .errors import ConfigurationError, OrchestrationError, ReproError
@@ -89,7 +90,7 @@ def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
         "bound-mode": ("--mode", dict(dest="error_bound_mode", default="rel",
                                       choices=["rel", "abs"])),
         "size-scale": ("--size-scale", dict(type=float, default=1.0)),
-        "mode": ("--mode", dict(default="compressed", choices=["direct", "compressed", "grouped"],
+        "mode": ("--mode", dict(default="compressed", choices=VALID_MODES,
                                 help="transfer mode of the submitted jobs")),
         "compression-nodes": ("--compression-nodes", dict(
             type=_positive_int, default=4, help="nodes each job requests for compression "
@@ -104,7 +105,7 @@ def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
         "adaptive-predictor": ("--adaptive-predictor", dict(action="store_true", help=(
             "per block, rank Lorenzo vs. interpolation on a size statistic of their "
             "quantisation codes and encode only the winner; requires --block-size"))),
-        "entropy": ("--entropy", dict(dest="entropy_stage", choices=["huffman", "rans", "none"],
+        "entropy": ("--entropy", dict(dest="entropy_stage", choices=ENTROPY_STAGES,
                                       help="entropy codec of every block (default: the "
                                            "compressor's registered stage)")),
         "codebook": ("--codebook", dict(default="shared", choices=["shared", "per-block"], help=(
@@ -113,24 +114,24 @@ def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
             "time the encode stages, print them and stamp them into the blob metadata "
             "for 'ocelot inspect' (the block encode then runs inline)"))),
         "output": ("--output", dict(metavar="PATH", help="also write the blob to PATH")),
-        "modes": ("--modes", dict(nargs="+", default=["direct", "compressed", "grouped"])),
-        "transfer-mode": ("--transfer-mode", dict(default="bulk", choices=["bulk", "streamed"],
+        "modes": ("--modes", dict(nargs="+", default=list(VALID_MODES))),
+        "transfer-mode": ("--transfer-mode", dict(default="bulk", choices=VALID_TRANSFER_MODES,
                                                   help="bulk: compress, ship, decompress in "
                                                        "turn; streamed: ship each block as it "
                                                        "encodes (compressed mode only)")),
         "stream-window": ("--stream-window", dict(type=_positive_int, default=8,
                                                   help="blocks in flight in a streamed run")),
         "cache-dir": ("--cache-dir", dict(metavar="PATH", help=(
-            "content-addressed blob/block cache: repeat transfers of identical data skip "
+            "content-addressed blob cache: repeat transfers of identical data skip "
             "the compress phase (inspect with 'ocelot cache')"))),
-        "cache-mode": ("--cache-mode", dict(choices=["off", "read", "readwrite"], help=(
+        "cache-mode": ("--cache-mode", dict(choices=VALID_CACHE_MODES, help=(
             "off: ignore the cache; read: serve hits, never write; readwrite: also "
             "store new entries (default with --cache-dir)"))),
         "cache-max-bytes": ("--cache-max-bytes", dict(
             type=_positive_int, help="size cap; least-recently-used entries beyond it go")),
         "tenant": ("--tenant", dict(metavar="NAME", help="tenant the jobs are scheduled "
                                     "under (unit of fair queueing and quotas)")),
-        "priority": ("--priority", dict(choices=["low", "normal", "high"],
+        "priority": ("--priority", dict(choices=VALID_PRIORITIES,
                                         help="strict scheduler priority class")),
         "events": ("--events", dict(action="store_true", help="print each job's event feed")),
         "state": ("--state", dict(default=".ocelot-jobs.jsonl", metavar="PATH",

@@ -72,7 +72,7 @@ _BACKENDS = {
 }
 
 
-def get_lossless_backend(name: str, **kwargs) -> LosslessBackend:
+def get_lossless_backend(name: str) -> LosslessBackend:
     """Instantiate a lossless backend by name (``deflate``, ``raw``)."""
     try:
         factory = _BACKENDS[name]
@@ -81,7 +81,7 @@ def get_lossless_backend(name: str, **kwargs) -> LosslessBackend:
         raise ConfigurationError(
             f"unknown lossless backend {name!r}; expected one of: {valid}"
         ) from exc
-    return factory(**kwargs)
+    return factory()
 
 
 def stored_backend(name: Any) -> LosslessBackend:

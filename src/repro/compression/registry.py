@@ -102,9 +102,7 @@ def create_blocked_compressor(
     compressor = create_compressor(name, **kwargs)
     if entropy_stage is not None and entropy_stage != compressor.config.entropy_stage:
         compressor.config = PipelineConfig(
-            entropy_stage=entropy_stage,
-            lossless_backend=compressor.config.lossless_backend,
-            lossless_options=dict(compressor.config.lossless_options),
+            entropy_stage=entropy_stage, lossless_backend=compressor.config.lossless_backend
         )
     compressor.configure_blocks(
         block_executor=block_executor,

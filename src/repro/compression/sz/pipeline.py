@@ -26,7 +26,7 @@ import time
 import zlib
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -68,7 +68,6 @@ class PipelineConfig:
 
     entropy_stage: str = "huffman"
     lossless_backend: str = "deflate"
-    lossless_options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.entropy_stage not in ENTROPY_STAGES:
@@ -121,9 +120,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         #: mostly share one shape, and a plan depends on nothing else.
         self._last_plan: Optional[BlockPlan] = None
         self._wire = EncodingWire(self._timed)
-        self._lossless: LosslessBackend = get_lossless_backend(
-            self.config.lossless_backend, **self.config.lossless_options
-        )
+        self._lossless: LosslessBackend = get_lossless_backend(self.config.lossless_backend)
         self.configure_blocks(**block_options)
 
     def configure_blocks(

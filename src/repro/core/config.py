@@ -8,7 +8,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..compression.errorbound import ErrorBound, ErrorBoundMode
+from ..compression.sz.encoding import ENTROPY_STAGES
 from ..errors import ConfigurationError
+from ..features.extractor import DEFAULT_SAMPLE_FRACTION
 
 __all__ = ["OcelotConfig", "TransferMode"]
 
@@ -36,10 +38,6 @@ VALID_CACHE_MODES: Tuple[str, ...] = ("off", "read", "readwrite")
 #: weighted fair queueing applies among tenants *within* a class.
 VALID_PRIORITIES: Tuple[str, ...] = ("low", "normal", "high")
 
-#: Entropy-stage overrides accepted by ``entropy_stage`` / ``--entropy``
-#: (``None`` keeps each compressor's registered default).
-VALID_ENTROPY_STAGES: Tuple[str, ...] = ("huffman", "rans", "none")
-
 
 @dataclass
 class OcelotConfig:
@@ -58,15 +56,14 @@ class OcelotConfig:
             parallel (de)compression jobs (paper: 16 nodes to compress on
             Anvil, 8 to decompress on Bebop/Cori).
         cores_per_node: cores used per node.
-        group_target_bytes: preferred grouped-file size; ``None`` groups by
-            world size (the paper's default strategy).
-        sentinel_enabled: transfer raw files while waiting for nodes.
-        sentinel_wait_threshold_s: minimum predicted wait before the
-            sentinel starts transferring raw data.
+        group_world_size: files per group in grouped mode: the outputs of
+            one wave of compression ranks (the paper's strategy).
+        sentinel_enabled: transfer raw files while waiting for nodes (only
+            for a node wait over ``SENTINEL_WAIT_THRESHOLD_S`` in
+            ``core/phases.py``).
         verify_error_bound: check each reconstruction against the bound
             where it is made, at the destination (bulk and streamed
             alike); a violation fails the job.
-        sample_fraction: subsampling used by feature extraction.
         block_size: when set, each file is partitioned into blocks of this
             edge length (per axis) and the blocks are compressed
             independently; ``None`` makes each file one block.
@@ -107,7 +104,7 @@ class OcelotConfig:
         stream_window: bounded in-flight window of the streamed pipeline —
             the maximum number of blocks encoded but not yet fully
             received before the producers stall.
-        cache_dir: directory of the content-addressed blob/block cache
+        cache_dir: directory of the content-addressed blob cache
             shared across jobs and tenants; required whenever
             ``cache_mode`` is not ``off``.
         cache_mode: ``off`` (default) disables caching, ``read`` consults
@@ -147,12 +144,9 @@ class OcelotConfig:
     compression_nodes: int = 16
     decompression_nodes: int = 8
     cores_per_node: int = 128
-    group_target_bytes: Optional[int] = None
     group_world_size: int = 256
     sentinel_enabled: bool = True
-    sentinel_wait_threshold_s: float = 5.0
     verify_error_bound: bool = False
-    sample_fraction: float = 0.01
     block_size: Optional[int] = None
     block_workers: int = 1
     worker_backend: str = "thread"
@@ -183,8 +177,6 @@ class OcelotConfig:
             raise ConfigurationError("cores_per_node must be >= 1")
         if self.group_world_size < 1:
             raise ConfigurationError("group_world_size must be >= 1")
-        if not 0 < self.sample_fraction <= 1:
-            raise ConfigurationError("sample_fraction must be in (0, 1]")
         if self.block_size is not None and self.block_size < 1:
             raise ConfigurationError("block_size must be >= 1 (or None for one block per file)")
         if self.block_workers < 1:
@@ -199,9 +191,9 @@ class OcelotConfig:
                 "adaptive_predictor requires block_size (per-block selection "
                 "only applies in blocked mode)"
             )
-        if self.entropy_stage is not None and self.entropy_stage not in VALID_ENTROPY_STAGES:
+        if self.entropy_stage is not None and self.entropy_stage not in ENTROPY_STAGES:
             raise ConfigurationError(
-                f"entropy_stage must be one of {VALID_ENTROPY_STAGES} (or None "
+                f"entropy_stage must be one of {ENTROPY_STAGES} (or None "
                 f"for the compressor's default), got {self.entropy_stage!r}"
             )
         if self.transfer_mode not in VALID_TRANSFER_MODES:
@@ -264,11 +256,11 @@ class OcelotConfig:
     def simulated_planning_s(self, nbytes: int, candidates: int) -> float:
         """Cluster-scale seconds of a quality-prediction sweep over one field.
 
-        The predictor reads a ``sample_fraction`` sample of the field's
-        ``nbytes`` once per candidate configuration; that is billed at
-        the compression throughput, like any other pass over the data.
+        The predictor reads a ``DEFAULT_SAMPLE_FRACTION`` sample of the
+        field's ``nbytes`` once per candidate configuration; that is billed
+        at the compression throughput, like any other pass over the data.
         """
-        sampled = math.ceil(nbytes * self.sample_fraction) * self.size_scale
+        sampled = math.ceil(nbytes * DEFAULT_SAMPLE_FRACTION) * self.size_scale
         return self.simulated_compute_s(
             candidates * sampled, self.assumed_compression_throughput_mbps
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import GroupingError
 
@@ -114,7 +114,7 @@ class FileGrouper:
         return out
 
     # ------------------------------------------------------------------ #
-    # Grouping strategies
+    # Grouping
     # ------------------------------------------------------------------ #
     def assign_by_world_size(
         self, files: Sequence[Tuple[str, int]], world_size: int
@@ -123,64 +123,23 @@ class FileGrouper:
 
         Files compressed by the same wave of ranks finish at roughly the
         same time, so each wave's outputs form one group — the paper's
-        default strategy.
+        strategy.
         """
         if world_size < 1:
             raise GroupingError("world size must be >= 1")
         names = [name for name, _ in files]
         return [names[i : i + world_size] for i in range(0, len(names), world_size)]
 
-    def assign_by_target_bytes(
-        self, files: Sequence[Tuple[str, int]], target_bytes: int
-    ) -> List[List[str]]:
-        """Group files so each group is roughly ``target_bytes`` large.
-
-        Used when the administrator-provided profile says which file size
-        transfers fastest on the route.
-        """
-        if target_bytes <= 0:
-            raise GroupingError("target bytes must be positive")
-        groups: List[List[str]] = []
-        current: List[str] = []
-        current_bytes = 0
-        for name, size in files:
-            if current and current_bytes + size > target_bytes:
-                groups.append(current)
-                current = []
-                current_bytes = 0
-            current.append(name)
-            current_bytes += size
-        if current:
-            groups.append(current)
-        return groups
-
     def build_groups(
-        self,
-        files: Sequence[Tuple[str, bytes]],
-        world_size: Optional[int] = None,
-        target_bytes: Optional[int] = None,
-        prefix: str = "group",
+        self, files: Sequence[Tuple[str, bytes]], world_size: int, prefix: str = "group"
     ) -> Tuple[List[GroupFile], GroupingPlan]:
-        """Assign files to groups and pack them.
-
-        Exactly one of ``world_size`` / ``target_bytes`` selects the
-        strategy; when both are given ``target_bytes`` wins (profile-driven
-        grouping), and when neither is given a single-group fallback is
-        used.
-        """
-        sizes = [(name, len(payload)) for name, payload in files]
-        if target_bytes is not None:
-            assignment = self.assign_by_target_bytes(sizes, target_bytes)
-            strategy = f"target_bytes={target_bytes}"
-        elif world_size is not None:
-            assignment = self.assign_by_world_size(sizes, world_size)
-            strategy = f"world_size={world_size}"
-        else:
-            assignment = [[name for name, _ in sizes]]
-            strategy = "single_group"
+        """Assign files to groups of ``world_size`` and pack them."""
+        assignment = self.assign_by_world_size(
+            [(name, len(payload)) for name, payload in files], world_size
+        )
         payload_by_name = dict(files)
         groups: List[GroupFile] = []
-        plan = GroupingPlan(strategy=strategy)
+        plan = GroupingPlan(strategy=f"world_size={world_size}")
         for index, names in enumerate(assignment):
             group_name = f"{prefix}_{index:05d}.ocgrp"
             members = [(name, payload_by_name[name]) for name in names]

@@ -26,7 +26,6 @@ from ..prediction.training import DEFAULT_ERROR_BOUNDS, build_training_records
 from ..transfer.testbed import Testbed, build_testbed
 from .config import OcelotConfig
 from .orchestrator import OcelotOrchestrator
-from .parallel import ParallelCostModel
 from .reporting import ModeComparison, TransferReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,15 +43,11 @@ class Ocelot:
         testbed: Optional[Testbed] = None,
         faas: Optional[SiteTable] = None,
         predictor: Optional[QualityPredictor] = None,
-        cost_model: Optional[ParallelCostModel] = None,
     ) -> None:
         self.config = config or OcelotConfig()
         self.testbed = testbed or build_testbed()
         self.faas = faas or build_faas_service()
-        self.predictor = predictor or QualityPredictor(
-            sample_fraction=self.config.sample_fraction
-        )
-        self._cost_model = cost_model
+        self.predictor = predictor or QualityPredictor()
         self._reports: List[TransferReport] = []
         self._service: Optional["OcelotService"] = None
 
@@ -70,7 +65,6 @@ class Ocelot:
             fields,
             error_bounds=error_bounds,
             compressors=compressors or (self.config.compressor,),
-            sample_fraction=self.config.sample_fraction,
         )
         self.predictor.fit(records)
         return self.predictor
@@ -124,7 +118,6 @@ class Ocelot:
             testbed=self.testbed,
             faas=self.faas,
             predictor=self.predictor if self.predictor.is_fitted else None,
-            cost_model=self._cost_model,
         )
 
     @property

@@ -27,7 +27,7 @@ from ..prediction.quality_model import QualityPredictor
 from ..transfer.testbed import Testbed, build_testbed
 from .config import OcelotConfig
 from .grouping import FileGrouper
-from .parallel import LaneCall, ParallelCostModel, ParallelExecutor
+from .parallel import LaneCall, ParallelExecutor
 from .phases import MODE_PHASES, PHASES, CompressionOutcome, PhaseStep, TransferRun
 from .planner import CompressionPlan, CompressionPlanner
 from .reporting import QualityTally, TransferReport
@@ -69,15 +69,12 @@ class OcelotOrchestrator:
         testbed: Optional[Testbed] = None,
         faas: Optional[SiteTable] = None,
         predictor: Optional[QualityPredictor] = None,
-        cost_model: Optional[ParallelCostModel] = None,
     ) -> None:
         self.config = config
         self.testbed = testbed or build_testbed()
         self.faas = faas or build_faas_service()
         self.planner = CompressionPlanner(config, predictor=predictor)
-        self.executor = ParallelExecutor(
-            cost_model=cost_model, block_workers=config.block_workers
-        )
+        self.executor = ParallelExecutor(block_workers=config.block_workers)
         self.grouper = FileGrouper()
         #: Content-addressed blob cache (``None`` when cache_mode is
         #: off).  Instances share the on-disk tree: every job opens its

@@ -107,7 +107,7 @@ class MakespanEstimate:
     files: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParallelCostModel:
     """Cluster parameters for the makespan model.
 
@@ -124,14 +124,6 @@ class ParallelCostModel:
     writer_saturation_cores: int = 256
     io_contention_gamma: float = 1.6
 
-    def __post_init__(self) -> None:
-        if not 0 < self.parallel_efficiency <= 1:
-            raise ConfigurationError("parallel_efficiency must be in (0, 1]")
-        if self.pfs_write_bps <= 0 or self.pfs_read_bps <= 0:
-            raise ConfigurationError("filesystem bandwidths must be positive")
-        if self.writer_saturation_cores < 1:
-            raise ConfigurationError("writer_saturation_cores must be >= 1")
-
     def write_bandwidth(self, writers: int) -> float:
         """Aggregate write bandwidth achieved by ``writers`` concurrent writers."""
         ratio = max(0.0, writers / self.writer_saturation_cores)
@@ -147,15 +139,12 @@ class ParallelExecutor:
 
     #: The process's one helper lane, whatever ``block_workers`` is.
     lane = HelperLane()
+    #: The cluster every makespan is scheduled onto.
+    cluster = ParallelCostModel()
 
-    def __init__(
-        self,
-        cost_model: Optional[ParallelCostModel] = None,
-        block_workers: int = 1,
-    ) -> None:
+    def __init__(self, block_workers: int = 1) -> None:
         if block_workers < 1:
             raise ConfigurationError("block_workers must be >= 1")
-        self.cost_model = cost_model or ParallelCostModel()
         self.block_workers = block_workers
 
     # ------------------------------------------------------------------ #
@@ -201,11 +190,11 @@ class ParallelExecutor:
         times = per_file_times_s
         if nodes < 1 or cores_per_node < 1:
             raise ConfigurationError("nodes and cores_per_node must be >= 1")
-        effective_cores = self.cost_model.cores(nodes, cores_per_node)
+        effective_cores = self.cluster.cores(nodes, cores_per_node)
         cores_used = min(effective_cores, max(1, len(times)))
         compute = lpt_makespan(times, effective_cores)
-        io_time = sum(per_file_output_bytes) / self.cost_model.write_bandwidth(cores_used)
-        makespan = compute + io_time + self.cost_model.startup_s_per_node * nodes
+        io_time = sum(per_file_output_bytes) / self.cluster.write_bandwidth(cores_used)
+        makespan = compute + io_time + self.cluster.startup_s_per_node * nodes
         return MakespanEstimate(
             makespan_s=float(makespan),
             compute_s=float(sum(times)),

@@ -16,12 +16,13 @@ owner — a solo job and a job in a batch yield the same steps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..compression import CompressedBlob
 from ..datasets.base import ScientificDataset
-from ..transfer.service import TransferRequest
+from ..transfer.service import TransferRequest, TransferService
 from .planner import CompressionPlan
 from .reporting import PhaseTimings
 from .streaming import StreamingPipeline
@@ -30,6 +31,9 @@ if TYPE_CHECKING:
     from .orchestrator import OcelotOrchestrator, StagedFile, _CacheProbe
 
 __all__ = ["PhaseStep", "PHASE_ORDER", "MODE_PHASES", "PHASES", "TransferRun"]
+
+#: The sentinel ships nothing raw during a node wait this short (seconds).
+SENTINEL_WAIT_THRESHOLD_S = 5.0
 
 #: The phases of a compressed transfer in execution order.  A streamed
 #: run's ``stream`` phase does the work of ``compress`` / ``transfer`` /
@@ -257,25 +261,36 @@ def _split_by_cache(orch: "OcelotOrchestrator", run: TransferRun) -> None:
         )
 
 
+def raw_prefix_count(
+    service: TransferService, source: str, destination: str, sizes: List[int], wait_s: float
+) -> int:
+    """How many of ``sizes``, taken in order, the transfer service ships
+    within ``wait_s``.  A prefix's price never falls as it grows (each
+    channel's bandwidth only shrinks with more files in flight, and one
+    more job never shortens a longest-first schedule), so it bisects."""
+    return bisect_right(range(1, len(sizes) + 1), wait_s, key=lambda count: service.estimate(
+        source, destination, sizes[:count]
+    ).duration_s)
+
+
 def _sentinel_ships_raw(orch: "OcelotOrchestrator", run: TransferRun) -> None:
     """Sentinel (Fig. 10): ship raw files while the compression job is queued.
 
     Waiting idly can make a compressed transfer slower than a plain one;
     if nodes never arrive everything goes raw, so compression can only
     help.  The raw set is the longest on-disk-order prefix of the files
-    still to compress whose transfer, priced by the transfer service,
-    fits the wait; it ships through that service.  Cache-hit files are
-    never shipped raw — their compressed bytes already exist.
+    still to compress whose transfer fits the wait
+    (:func:`raw_prefix_count`); it ships through the transfer service.
+    Cache-hit files are never shipped raw — their compressed bytes
+    already exist.
     """
     wait_s = run.timings.node_wait_s
-    if not orch.config.sentinel_enabled or wait_s <= orch.config.sentinel_wait_threshold_s:
+    if not orch.config.sentinel_enabled or wait_s <= SENTINEL_WAIT_THRESHOLD_S:
         return
-    service, sizes = orch.testbed.service, [f.size_bytes for f in run.to_compress]
-    count = 0
-    while count < len(sizes) and service.estimate(
-        run.source, run.destination, sizes[: count + 1]
-    ).duration_s <= wait_s:
-        count += 1
+    service = orch.testbed.service
+    count = raw_prefix_count(
+        service, run.source, run.destination, [f.size_bytes for f in run.to_compress], wait_s
+    )
     if not count:
         return
     run.raw_paths = [f.path for f in run.to_compress[:count]]
@@ -348,7 +363,7 @@ def _compress(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseSte
         outcome.per_file_output_bytes.append(int(len(payload) * orch.config.size_scale))
         outcome.original_bytes += probe.file.size_bytes
         cache_read_s += (
-            len(payload) * orch.config.size_scale / orch.executor.cost_model.pfs_read_bps
+            len(payload) * orch.config.size_scale / orch.executor.cluster.pfs_read_bps
         )
     timings.compression_s += cache_read_s
     if outcome.blobs:
@@ -412,10 +427,7 @@ def _group(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]:
             run.transfer_paths.append(path)
         return None
     groups, plan_info = orch.grouper.build_groups(
-        blobs,
-        world_size=None if config.group_target_bytes else config.group_world_size,
-        target_bytes=config.group_target_bytes,
-        prefix=f"{run.dataset.name}",
+        blobs, config.group_world_size, prefix=f"{run.dataset.name}"
     )
     grouped_bytes = 0
     for group in groups:
@@ -427,7 +439,7 @@ def _group(orch: "OcelotOrchestrator", run: TransferRun) -> Optional[PhaseStep]:
     metadata_path = f"/groups/{scoped_name}/metadata.txt"
     filesystem.write(metadata_path, data=plan_info.metadata_text().encode("utf-8"))
     run.transfer_paths.append(metadata_path)
-    run.timings.grouping_s = grouped_bytes / orch.executor.cost_model.pfs_write_bps * 2.0
+    run.timings.grouping_s = grouped_bytes / orch.executor.cluster.pfs_write_bps * 2.0
     run.notes.append(f"grouped {len(blobs)} compressed files into {len(groups)} groups")
     return PhaseStep(
         "group",

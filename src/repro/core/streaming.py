@@ -80,7 +80,7 @@ class StreamingPipeline:
     def __init__(self, orch: "OcelotOrchestrator", record: "TransferRun") -> None:
         self.orch = orch
         self.config = orch.config
-        self.cost_model = orch.executor.cost_model
+        self.cluster = orch.executor.cluster
         self.record = record
         self._scoped = orch._scoped(record.dataset.name)
 
@@ -97,7 +97,7 @@ class StreamingPipeline:
         compute = self.config.simulated_compute_s(
             nominal_bytes, self.config.assumed_decompression_throughput_mbps
         )
-        share = self.cost_model.write_bandwidth(writers) / max(1, writers)
+        share = self.cluster.write_bandwidth(writers) / max(1, writers)
         return compute + nominal_bytes / share
 
     # ------------------------------------------------------------------ #
@@ -117,13 +117,13 @@ class StreamingPipeline:
         )
         # Compute nodes pay the same start-up cost as the bulk makespan
         # models before the first block can encode/decode.
-        startup_s = self.cost_model.startup_s_per_node
+        startup_s = self.cluster.startup_s_per_node
         produce_start = startup_s * run.nodes
         consume_start = startup_s * run.decompression_nodes
-        decode_workers = self.cost_model.cores(run.decompression_nodes, config.cores_per_node)
+        decode_workers = self.cluster.cores(run.decompression_nodes, config.cores_per_node)
 
         sent, encode_times = self._produce(
-            stream, produce_start, self.cost_model.cores(run.nodes, config.cores_per_node)
+            stream, produce_start, self.cluster.cores(run.nodes, config.cores_per_node)
         )
         task = stream.close()
         last_decode_s, decode_times = self._consume(sent, consume_start, decode_workers)

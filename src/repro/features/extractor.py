@@ -20,7 +20,10 @@ from .config_features import extract_config_features
 from .data_features import extract_data_features
 from .vector import FeatureVector
 
-__all__ = ["FeatureExtractor", "ExtractionResult"]
+__all__ = ["FeatureExtractor", "ExtractionResult", "DEFAULT_SAMPLE_FRACTION"]
+
+#: The share of a field the quality predictor reads (the paper's ~1 %).
+DEFAULT_SAMPLE_FRACTION = 0.01
 
 
 @dataclass
@@ -45,7 +48,7 @@ class FeatureExtractor:
 
     def __init__(
         self,
-        sample_fraction: float = 0.01,
+        sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
         sample_block: int = 64,
         bin_radius: int = 32768,
     ) -> None:

@@ -1,22 +1,20 @@
-"""Minimal ML substrate: CART regression trees and random forests.
+"""Minimal ML substrate: CART regression trees.
 
 scikit-learn is not available in the offline environment, so the
 decision-tree regressor the paper uses for quality prediction is
-implemented here directly on NumPy, along with a bagged ensemble and the
-regression metrics used in the evaluation.
+implemented here directly on NumPy, along with the regression metrics
+used in the evaluation.
 """
 
 from __future__ import annotations
 
 from .decision_tree import DecisionTreeRegressor
-from .random_forest import RandomForestRegressor
 from .metrics import (
     mean_absolute_error, root_mean_squared_error, r2_score, prediction_error_interval,
 )
 from .model_io import model_to_dict, model_from_dict, save_model, load_model
 
 __all__ = [
-    "DecisionTreeRegressor", "RandomForestRegressor", "mean_absolute_error",
-    "root_mean_squared_error", "r2_score", "prediction_error_interval", "model_to_dict",
-    "model_from_dict", "save_model", "load_model",
+    "DecisionTreeRegressor", "mean_absolute_error", "root_mean_squared_error", "r2_score",
+    "prediction_error_interval", "model_to_dict", "model_from_dict", "save_model", "load_model",
 ]

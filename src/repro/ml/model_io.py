@@ -8,17 +8,13 @@ from typing import Any, Dict, Union
 
 from ..errors import ConfigurationError
 from .decision_tree import DecisionTreeRegressor
-from .random_forest import RandomForestRegressor
 
 __all__ = ["model_to_dict", "model_from_dict", "save_model", "load_model"]
 
-_MODEL_KINDS = {
-    "decision_tree": DecisionTreeRegressor,
-    "random_forest": RandomForestRegressor,
-}
+_MODEL_KINDS = {"decision_tree": DecisionTreeRegressor}
 
 
-def model_to_dict(model: Union[DecisionTreeRegressor, RandomForestRegressor]) -> Dict[str, Any]:
+def model_to_dict(model: DecisionTreeRegressor) -> Dict[str, Any]:
     """Serialise a fitted model to a JSON-friendly dictionary."""
     return model.to_dict()
 

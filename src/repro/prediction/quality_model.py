@@ -23,7 +23,6 @@ from ..features.extractor import FeatureExtractor
 from ..features.vector import FeatureVector
 from ..ml.decision_tree import DecisionTreeRegressor
 from ..ml.model_io import model_from_dict, model_to_dict
-from ..ml.random_forest import RandomForestRegressor
 from .records import QualityRecord, records_to_matrix
 
 __all__ = ["QualityPrediction", "QualityPredictor"]
@@ -49,27 +48,13 @@ class QualityPrediction:
         }
 
 
-def _new_model(kind: str, seed: int = 0):
-    if kind == "decision_tree":
-        return DecisionTreeRegressor(max_depth=14, min_samples_leaf=1, min_samples_split=2)
-    if kind == "random_forest":
-        return RandomForestRegressor(n_estimators=20, max_depth=14, random_state=seed)
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
 class QualityPredictor:
     """Predict compression ratio, time and PSNR from extracted features."""
 
     TARGETS = ("ratio", "time", "psnr")
 
-    def __init__(
-        self,
-        model_kind: str = "decision_tree",
-        sample_fraction: float = 0.01,
-        extractor: Optional[FeatureExtractor] = None,
-    ) -> None:
-        self.model_kind = model_kind
-        self.extractor = extractor or FeatureExtractor(sample_fraction=sample_fraction)
+    def __init__(self) -> None:
+        self.extractor = FeatureExtractor()
         self._models: Dict[str, object] = {}
         self._training_summary: Dict[str, int] = {}
 
@@ -92,7 +77,7 @@ class QualityPredictor:
                 # fall back to a constant predictor via a 1-sample tree.
                 X, y = records_to_matrix(records, "ratio")
                 y = np.zeros_like(y)
-            model = _new_model(self.model_kind)
+            model = DecisionTreeRegressor(max_depth=14, min_samples_leaf=1, min_samples_split=2)
             model.fit(X, y)
             self._models[target] = model
             self._training_summary[target] = int(y.size)
@@ -192,7 +177,7 @@ class QualityPredictor:
         if not self.is_fitted:
             raise ModelNotFittedError("cannot save an unfitted quality predictor")
         payload = {
-            "model_kind": self.model_kind,
+            "model_kind": "decision_tree",
             "training_summary": self._training_summary,
             "models": {t: model_to_dict(self._models[t]) for t in self.TARGETS},
         }
@@ -203,9 +188,13 @@ class QualityPredictor:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "QualityPredictor":
-        """Load a predictor previously written by :meth:`save`."""
+        """Load a predictor previously written by :meth:`save`.
+
+        A file whose models name another kind than the decision tree
+        raises :class:`~repro.errors.ConfigurationError`.
+        """
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        predictor = cls(model_kind=payload["model_kind"])
+        predictor = cls()
         predictor._models = {
             target: model_from_dict(model_payload)
             for target, model_payload in payload["models"].items()

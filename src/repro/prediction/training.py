@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,14 +34,8 @@ class TrainingSetBuilder:
 
     error_bounds: Sequence[float] = DEFAULT_ERROR_BOUNDS
     compressors: Sequence[str] = ("sz3",)
-    sample_fraction: float = 0.01
-    collect_psnr: bool = True
-    extractor: Optional[FeatureExtractor] = None
+    extractor: FeatureExtractor = field(default_factory=FeatureExtractor, init=False)
     _records: List[QualityRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.extractor is None:
-            self.extractor = FeatureExtractor(sample_fraction=self.sample_fraction)
 
     @property
     def records(self) -> List[QualityRecord]:
@@ -65,9 +59,7 @@ class TrainingSetBuilder:
                 collecting = gc.isenabled()
                 gc.disable()
                 try:
-                    result = compressor.compress(
-                        data_field.data, bound, collect_quality=self.collect_psnr
-                    )
+                    result = compressor.compress(data_field.data, bound, collect_quality=True)
                 finally:
                     if collecting:
                         gc.enable()
@@ -105,16 +97,9 @@ def build_training_records(
     fields: Iterable[Field],
     error_bounds: Sequence[float] = DEFAULT_ERROR_BOUNDS,
     compressors: Sequence[str] = ("sz3",),
-    sample_fraction: float = 0.01,
-    collect_psnr: bool = True,
 ) -> List[QualityRecord]:
     """Convenience wrapper: sweep all fields and return the records."""
-    builder = TrainingSetBuilder(
-        error_bounds=error_bounds,
-        compressors=compressors,
-        sample_fraction=sample_fraction,
-        collect_psnr=collect_psnr,
-    )
+    builder = TrainingSetBuilder(error_bounds=error_bounds, compressors=compressors)
     builder.add_fields(fields)
     return builder.records
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import ConfigurationError
-from ..utils.rng import rng_from_seed
 from .network import WANLink
 
 __all__ = ["GridFTPSettings", "TransferEstimate", "GridFTPEngine", "lpt_makespan"]
@@ -76,9 +75,8 @@ class TransferEstimate:
 class GridFTPEngine:
     """Compute transfer durations for batches of files over a WAN link."""
 
-    def __init__(self, settings: Optional[GridFTPSettings] = None, seed: int = 0) -> None:
+    def __init__(self, settings: Optional[GridFTPSettings] = None) -> None:
         self.settings = settings or GridFTPSettings()
-        self._rng = rng_from_seed(seed)
 
     def channel_bandwidth_bps(
         self,
@@ -143,8 +141,6 @@ class GridFTPEngine:
             [size / channel_bandwidth + per_file_overhead for size in sizes], channels)
         # Session setup: control-channel establishment costs a few RTTs.
         makespan += 3.0 * link.rtt_s
-        if link.jitter:
-            makespan *= 1.0 + float(self._rng.uniform(-link.jitter, link.jitter))
         total_bytes = sum(sizes)
         return TransferEstimate(
             duration_s=float(makespan),

@@ -11,7 +11,7 @@ pipelining), and ``rtt_s`` for control-channel latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError, TransferError
@@ -29,7 +29,6 @@ class WANLink:
     rtt_s: float = 0.05
     per_file_overhead_s: float = 0.025
     per_stream_bandwidth_bps: Optional[float] = None
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
@@ -38,8 +37,6 @@ class WANLink:
             raise ConfigurationError("link latencies must be non-negative")
         if self.per_stream_bandwidth_bps is not None and self.per_stream_bandwidth_bps <= 0:
             raise ConfigurationError("per-stream bandwidth must be positive")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError("jitter must be in [0, 1)")
 
     def stream_bandwidth(self, parallelism: int) -> float:
         """Achievable bandwidth of a single file channel using ``parallelism`` streams.
@@ -54,46 +51,24 @@ class WANLink:
 class NetworkTopology:
     """Directory of WAN links keyed by (source, destination) endpoint names."""
 
-    def __init__(self, default_link: Optional[WANLink] = None) -> None:
+    def __init__(self) -> None:
         self._links: Dict[Tuple[str, str], WANLink] = {}
-        self._default = default_link
 
-    def add_link(self, link: WANLink, bidirectional: bool = True) -> None:
-        """Register a link (and by default its mirror image)."""
+    def add_link(self, link: WANLink) -> None:
+        """Register a link and, unless already registered, its mirror image."""
         self._links[(link.source, link.destination)] = link
-        if bidirectional:
-            reverse = WANLink(
-                source=link.destination,
-                destination=link.source,
-                bandwidth_bps=link.bandwidth_bps,
-                rtt_s=link.rtt_s,
-                per_file_overhead_s=link.per_file_overhead_s,
-                per_stream_bandwidth_bps=link.per_stream_bandwidth_bps,
-                jitter=link.jitter,
-            )
-            self._links.setdefault((reverse.source, reverse.destination), reverse)
+        reverse = replace(link, source=link.destination, destination=link.source)
+        self._links.setdefault((reverse.source, reverse.destination), reverse)
 
     def link(self, source: str, destination: str) -> WANLink:
-        """Look up the link between two endpoints (falls back to the default)."""
-        key = (source, destination)
-        if key in self._links:
-            return self._links[key]
-        if self._default is not None:
-            return WANLink(
-                source=source,
-                destination=destination,
-                bandwidth_bps=self._default.bandwidth_bps,
-                rtt_s=self._default.rtt_s,
-                per_file_overhead_s=self._default.per_file_overhead_s,
-                per_stream_bandwidth_bps=self._default.per_stream_bandwidth_bps,
-                jitter=self._default.jitter,
-            )
-        raise TransferError(f"no WAN link registered between {source!r} and {destination!r}")
+        """Look up the link between two endpoints."""
+        try:
+            return self._links[(source, destination)]
+        except KeyError:
+            raise TransferError(
+                f"no WAN link registered between {source!r} and {destination!r}"
+            ) from None
 
     def has_link(self, source: str, destination: str) -> bool:
-        """Whether an explicit link exists between two endpoints."""
+        """Whether a link exists between two endpoints."""
         return (source, destination) in self._links
-
-    def links(self) -> Dict[Tuple[str, str], WANLink]:
-        """All registered links."""
-        return dict(self._links)

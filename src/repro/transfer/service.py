@@ -254,14 +254,12 @@ class TransferService:
         topology: NetworkTopology,
         clock: Optional[SimulationClock] = None,
         default_settings: Optional[GridFTPSettings] = None,
-        seed: int = 0,
     ) -> None:
         self.topology = topology
         self.clock = clock or SimulationClock()
         self.default_settings = default_settings or GridFTPSettings()
         self._endpoints: Dict[str, GlobusEndpoint] = {}
         self._task_counter = itertools.count(1)
-        self._seed = seed
 
     # ------------------------------------------------------------------ #
     # Endpoint management
@@ -310,7 +308,7 @@ class TransferService:
         Nothing moves.  The settings default to the service's own.
         """
         link, read_bps, write_bps = self._route(source, destination)
-        engine = GridFTPEngine(settings=settings or self.default_settings, seed=self._seed)
+        engine = GridFTPEngine(settings=settings or self.default_settings)
         return engine.estimate(sizes, link, storage_read_bps=read_bps, storage_write_bps=write_bps)
 
     def submit(self, request: TransferRequest) -> TransferTask:
@@ -353,7 +351,7 @@ class TransferService:
         its opening.  Its channels share the route :meth:`estimate` prices.
         """
         route = self._route(source_endpoint, destination_endpoint)
-        engine = GridFTPEngine(settings=settings or self.default_settings, seed=self._seed)
+        engine = GridFTPEngine(settings=settings or self.default_settings)
         task = TransferTask(
             task_id=f"task-{next(self._task_counter):06d}",
             request=TransferRequest(

@@ -12,11 +12,9 @@ relationship reproduces Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..utils.clock import SimulationClock
 from .endpoint import GlobusEndpoint
-from .gridftp import GridFTPSettings
 from .network import NetworkTopology, WANLink
 from .service import TransferService
 
@@ -53,11 +51,7 @@ class Testbed:
                 self.service.endpoint(name).filesystem.remove_prefix("/")
 
 
-def build_testbed(
-    settings: Optional[GridFTPSettings] = None,
-    per_file_overhead_s: float = DEFAULT_PER_FILE_OVERHEAD_S,
-    seed: int = 0,
-) -> Testbed:
+def build_testbed() -> Testbed:
     """Create the Anvil / Cori / Bebop testbed with calibrated WAN links."""
     clock = SimulationClock()
     topology = NetworkTopology()
@@ -69,7 +63,7 @@ def build_testbed(
             destination="cori",
             bandwidth_bps=3.9e9,
             rtt_s=0.045,
-            per_file_overhead_s=per_file_overhead_s,
+            per_file_overhead_s=DEFAULT_PER_FILE_OVERHEAD_S,
             per_stream_bandwidth_bps=1.0e9,
         )
     )
@@ -79,7 +73,7 @@ def build_testbed(
             destination="bebop",
             bandwidth_bps=0.95e9,
             rtt_s=0.028,
-            per_file_overhead_s=per_file_overhead_s,
+            per_file_overhead_s=DEFAULT_PER_FILE_OVERHEAD_S,
             per_stream_bandwidth_bps=0.30e9,
         )
     )
@@ -89,16 +83,11 @@ def build_testbed(
             destination="cori",
             bandwidth_bps=1.20e9,
             rtt_s=0.052,
-            per_file_overhead_s=per_file_overhead_s,
+            per_file_overhead_s=DEFAULT_PER_FILE_OVERHEAD_S,
             per_stream_bandwidth_bps=0.35e9,
         )
     )
-    service = TransferService(
-        topology=topology,
-        clock=clock,
-        default_settings=settings or GridFTPSettings(concurrency=8, parallelism=4, pipelining=20),
-        seed=seed,
-    )
+    service = TransferService(topology=topology, clock=clock)
     endpoints = {
         "anvil": GlobusEndpoint(
             name="anvil",

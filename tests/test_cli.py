@@ -7,7 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _flag_table, build_parser, main
+from repro.compression.sz.encoding import ENTROPY_STAGES
+from repro.core.config import (
+    VALID_CACHE_MODES, VALID_MODES, VALID_PRIORITIES, VALID_TRANSFER_MODES, OcelotConfig,
+)
+from repro.errors import ConfigurationError
 
 
 class TestParser:
@@ -39,6 +44,21 @@ class TestParser:
         assert args.application == "nyx"
         assert args.compressor == "sz2"
         assert args.error_bound == 1e-4
+
+    @pytest.mark.parametrize("flag, values, field", [
+        ("entropy", ENTROPY_STAGES, "entropy_stage"),
+        ("cache-mode", VALID_CACHE_MODES, "cache_mode"),
+        ("priority", VALID_PRIORITIES, "priority"),
+        ("mode", VALID_MODES, "mode"),
+        ("transfer-mode", VALID_TRANSFER_MODES, "transfer_mode"),
+    ])
+    def test_flag_choices_are_the_tuple_the_config_checks(self, flag, values, field):
+        """Each value set is written once: the flag offers what the config accepts."""
+        assert _flag_table()[flag][1]["choices"] is values
+        for value in values:
+            OcelotConfig(**{field: value, "cache_dir": "/unused"})
+        with pytest.raises(ConfigurationError):
+            OcelotConfig(**{field: "bogus"})
 
     def test_invalid_application_rejected(self):
         with pytest.raises(SystemExit):

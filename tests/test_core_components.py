@@ -61,12 +61,21 @@ class TestOcelotConfig:
             OcelotConfig().with_overrides(**{name: value})
 
     def test_compute_seconds_are_nominal_bytes_at_the_throughput(self):
-        config = OcelotConfig(size_scale=10.0, sample_fraction=0.01)
+        config = OcelotConfig(size_scale=10.0)
         assert (config.assumed_compression_throughput_mbps,
                 config.assumed_decompression_throughput_mbps) == (300.0, 500.0)
         assert config.simulated_compute_s(6e8, 300.0) == 2.0
         # ceil(4001 * 0.01) = 41 sampled bytes, x10 size scale, x4 candidates.
         assert config.simulated_planning_s(4001, candidates=4) == 41 * 10.0 * 4 / 300e6
+
+    @pytest.mark.parametrize(
+        "name", ["group_target_bytes", "sentinel_wait_threshold_s", "sample_fraction"]
+    )
+    def test_removed_options_fail_typed(self, name):
+        """Grouping is by world size, the sentinel threshold a constant and
+        the predictor's sample the extractor's: none is a field any more."""
+        with pytest.raises(ConfigurationError, match=name):
+            OcelotConfig().with_overrides(**{name: 1})
 
     def test_error_bound_modes(self):
         assert OcelotConfig(error_bound=0.5, error_bound_mode="abs").resolved_error_bound().mode.value == "abs"
@@ -119,12 +128,6 @@ class TestParallelExecutor:
     def test_invalid_nodes_raise(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor().compression_makespan([1.0], [1], nodes=0, cores_per_node=1)
-
-    def test_cost_model_validation(self):
-        with pytest.raises(ConfigurationError):
-            ParallelCostModel(parallel_efficiency=0.0)
-        with pytest.raises(ConfigurationError):
-            ParallelCostModel(pfs_write_bps=-1)
 
     def test_write_bandwidth_decreases_with_writers(self):
         model = ParallelCostModel()
@@ -214,19 +217,10 @@ class TestFileGrouper:
         groups = grouper.assign_by_world_size(sizes, world_size=4)
         assert [len(g) for g in groups] == [4, 4, 2]
 
-    def test_group_by_target_bytes(self):
-        grouper = FileGrouper()
-        sizes = [(f"f{i}", 30) for i in range(10)]
-        groups = grouper.assign_by_target_bytes(sizes, target_bytes=100)
-        assert all(sum(30 for _ in g) <= 120 for g in groups)
-        assert sum(len(g) for g in groups) == 10
-
     def test_invalid_strategy_parameters(self):
         grouper = FileGrouper()
         with pytest.raises(GroupingError):
             grouper.assign_by_world_size([("a", 1)], world_size=0)
-        with pytest.raises(GroupingError):
-            grouper.assign_by_target_bytes([("a", 1)], target_bytes=0)
 
     def test_build_groups_world_size(self):
         grouper = FileGrouper()
@@ -250,12 +244,6 @@ class TestFileGrouper:
         text = plan.metadata_text()
         assert "strategy" in text
         assert "file_000.sz" in text
-
-    def test_single_group_fallback(self):
-        grouper = FileGrouper()
-        groups, plan = grouper.build_groups(self._files(3))
-        assert len(groups) == 1
-        assert plan.strategy == "single_group"
 
 
 class TestSentinel:
@@ -313,7 +301,7 @@ class TestSentinel:
         assert 0 < short < long
 
     def test_threshold_suppresses_short_waits(self):
-        orch, step, submitted = self._run(3.0, files=1, sentinel_wait_threshold_s=5.0)
+        orch, step, submitted = self._run(3.0, files=1)
         assert step.detail["raw_files"] == 0 and submitted == []
         # The file alone would have fitted the wait: the threshold held it back.
         size = int(256 * self.GB_SCALE)

@@ -715,6 +715,16 @@ class TestErrorMapping:
         _expect_error(lambda: _post(gateway.url, "/v1/jobs", spec),
                       code="invalid_config", status=400)
 
+    @pytest.mark.parametrize(
+        "override", [{"group_target_bytes": 4000}, {"sentinel_wait_threshold_s": 5.0},
+                     {"sample_fraction": 0.01}],
+    )
+    def test_removed_option_override_is_400(self, gateway, override):
+        """Options only tests set are gone: naming one is a typed 400, not a 500."""
+        spec = {**SPEC_JSON, "overrides": override}
+        _expect_error(lambda: _post(gateway.url, "/v1/jobs", spec),
+                      code="invalid_config", status=400)
+
     def test_bad_json_body_is_400(self, gateway):
         request = urllib.request.Request(
             gateway.url + "/v1/jobs", data=b"{not json", method="POST",

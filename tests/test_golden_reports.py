@@ -1,6 +1,6 @@
 """Golden transfer reports: every mode's phase steps and report are pinned.
 
-``golden_reports.json`` holds, for 24 configurations of one seeded
+``golden_reports.json`` holds, for 23 configurations of one seeded
 8-file dataset, the phase steps ``(name, duration_s, endpoint, nodes,
 link, detail)`` and ``TransferReport.as_dict()``.  Every simulated second is a model (these
 runs bill compute at 300 / 600 MB/s and plan without the predictor), so
@@ -150,9 +150,6 @@ ROWS: Dict[str, Callable[[Path, Callable[..., Any]], Any]] = {
     "direct": lambda d, run: run(_config(), mode="direct"),
     "compressed": lambda d, run: run(_config()),
     "grouped": lambda d, run: run(_config(group_world_size=3), mode="grouped"),
-    "grouped/target-bytes": lambda d, run: run(
-        _config(group_target_bytes=4000), mode="grouped"
-    ),
     "streamed/blocked": lambda d, run: run(_streamed()),
     "streamed/whole-file": lambda d, run: run(_config(transfer_mode="streamed")),
     "streamed/grouped-fallback": lambda d, run: run(
@@ -215,7 +212,7 @@ def golden() -> Dict[str, Any]:
 
 
 def test_matrix_is_the_recorded_one(golden):
-    assert sorted(ROWS) == sorted(golden) and len(ROWS) == 24
+    assert sorted(ROWS) == sorted(golden) and len(ROWS) == 23
 
 
 @pytest.mark.parametrize("row_id", sorted(ROWS))

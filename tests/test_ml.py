@@ -1,4 +1,4 @@
-"""Tests for the ML substrate: decision tree, random forest, metrics, IO."""
+"""Tests for the ML substrate: decision tree, metrics, IO."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ import pytest
 from repro.errors import ConfigurationError, ModelNotFittedError
 from repro.ml import (
     DecisionTreeRegressor,
-    RandomForestRegressor,
     load_model,
     mean_absolute_error,
     model_from_dict,
-    model_to_dict,
     prediction_error_interval,
     r2_score,
     root_mean_squared_error,
@@ -110,42 +108,6 @@ class TestDecisionTree:
         assert tree.predict(np.array([[0.9]]))[0] == pytest.approx(1.0, abs=0.1)
 
 
-class TestRandomForest:
-    def test_forest_beats_or_matches_single_tree_on_noise(self):
-        X, y = _make_regression(600, seed=3)
-        train, test = slice(0, 400), slice(400, 600)
-        tree = DecisionTreeRegressor(max_depth=12).fit(X[train], y[train])
-        forest = RandomForestRegressor(n_estimators=15, max_depth=12).fit(X[train], y[train])
-        tree_rmse = root_mean_squared_error(y[test], tree.predict(X[test]))
-        forest_rmse = root_mean_squared_error(y[test], forest.predict(X[test]))
-        assert forest_rmse <= tree_rmse * 1.2
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(ModelNotFittedError):
-            RandomForestRegressor().predict(np.zeros((1, 2)))
-
-    def test_invalid_estimator_count(self):
-        with pytest.raises(ConfigurationError):
-            RandomForestRegressor(n_estimators=0)
-
-    def test_serialisation_round_trip(self):
-        X, y = _make_regression(150)
-        forest = RandomForestRegressor(n_estimators=5, max_depth=5).fit(X, y)
-        restored = RandomForestRegressor.from_dict(forest.to_dict())
-        np.testing.assert_allclose(forest.predict(X), restored.predict(X))
-
-    def test_reproducible_with_seed(self):
-        X, y = _make_regression(150)
-        a = RandomForestRegressor(n_estimators=5, random_state=7).fit(X, y).predict(X)
-        b = RandomForestRegressor(n_estimators=5, random_state=7).fit(X, y).predict(X)
-        np.testing.assert_allclose(a, b)
-
-    def test_feature_importances_shape(self):
-        X, y = _make_regression(150)
-        forest = RandomForestRegressor(n_estimators=5).fit(X, y)
-        assert forest.feature_importances().shape == (4,)
-
-
 class TestMetrics:
     def test_mae_and_rmse(self):
         y_true = np.array([1.0, 2.0, 3.0])
@@ -188,12 +150,8 @@ class TestModelIO:
         restored = load_model(path)
         np.testing.assert_allclose(tree.predict(X), restored.predict(X))
 
-    def test_model_dict_round_trip_forest(self):
-        X, y = _make_regression(100)
-        forest = RandomForestRegressor(n_estimators=3).fit(X, y)
-        restored = model_from_dict(model_to_dict(forest))
-        np.testing.assert_allclose(forest.predict(X), restored.predict(X))
-
     def test_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError):
             model_from_dict({"kind": "svm"})
+        with pytest.raises(ConfigurationError):
+            model_from_dict({"kind": "random_forest", "trees": []})

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import gc
+import json
 
 import numpy as np
 import pytest
 
 from repro.compression.interface import Compressor
-from repro.errors import ModelNotFittedError
+from repro.errors import ConfigurationError, ModelNotFittedError
 from repro.ml import root_mean_squared_error
 from repro.prediction import (
     C1BaselineEstimator,
@@ -185,10 +186,18 @@ class TestQualityPredictor:
         importances = fitted_predictor.feature_importances()
         assert set(importances) == {"ratio", "time", "psnr"}
 
-    def test_random_forest_variant(self, training_records):
-        train, _ = train_test_split_records(training_records, train_fraction=0.7, seed=0)
-        predictor = QualityPredictor(model_kind="random_forest").fit(train)
-        assert predictor.is_fitted
+    def test_load_of_another_model_kind_raises_typed(self, fitted_predictor, tmp_path):
+        """The predictor is the decision tree: a saved file keeps its layout,
+        and one whose models name another kind fails typed on load."""
+        path = fitted_predictor.save(tmp_path / "tree.json")
+        payload = json.loads(path.read_text())
+        assert payload["model_kind"] == "decision_tree"
+        payload["model_kind"] = "random_forest"
+        for model in payload["models"].values():
+            model["kind"] = "random_forest"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="random_forest"):
+            QualityPredictor.load(path)
 
 
 class TestC1Baseline:

@@ -6,7 +6,8 @@ These cover the invariants the rest of the system is built on:
   faithful round trip for every compressor in the registry;
 * the entropy/lossless/grouping codecs are exact inverses;
 * the quantiser respects its bound for arbitrary residual distributions;
-* the GridFTP model is monotone in the ways the paper relies on.
+* the GridFTP model is monotone in the ways the paper relies on, which
+  is what lets the sentinel bisect for its raw prefix.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ from repro.compression.encoders.huffman import (
 )
 from repro.compression.quantizer import LinearQuantizer
 from repro.core.grouping import FileGrouper
+from repro.core.phases import raw_prefix_count
 from repro.features.compressor_features import run_length_estimator
-from repro.transfer import GridFTPEngine, WANLink
+from repro.transfer import GridFTPEngine, WANLink, build_testbed
+
+TESTBED = build_testbed()
 
 SLOW = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 FAST = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -186,6 +190,26 @@ class TestModelInvariants:
         more = engine.estimate([file_size] * (count + 1), link)
         assert more.duration_s >= base.duration_s
         assert base.total_bytes == file_size * count
+
+    @FAST
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=2 * 10**10), max_size=40),
+        route=st.permutations(["anvil", "cori", "bebop"]),
+        wait_s=st.floats(min_value=0.0, max_value=300.0),
+    )
+    def test_sentinel_prefix_bisection_matches_a_linear_scan(self, sizes, route, wait_s):
+        """A prefix's price never falls as it grows, so the sentinel's
+        bisection counts what a file-by-file scan counts."""
+        service, (source, destination, _) = TESTBED.service, route
+        prices = [
+            service.estimate(source, destination, sizes[:k]).duration_s
+            for k in range(1, len(sizes) + 1)
+        ]
+        assert prices == sorted(prices)
+        count = 0
+        while count < len(sizes) and prices[count] <= wait_s:
+            count += 1
+        assert raw_prefix_count(service, source, destination, sizes, wait_s) == count
 
     @FAST
     @given(
