@@ -8,8 +8,8 @@ it the way any external client would — ``urllib`` only, no SDK:
 2. block on it (``GET /v1/jobs/{id}/wait``) and read the full record;
 3. replay its event timeline over SSE, then resume the stream from the
    middle with ``Last-Event-ID`` — the reconnect path;
-4. fan out a plan group (``POST /v1/plan-groups``, all-or-nothing
-   admission) and watch its status;
+4. fan out a plan group (``POST /v1/plan-groups``: every spec is
+   validated before any is submitted) and watch its status;
 5. snapshot ``/metricsz``.
 
 Run with::
@@ -113,7 +113,7 @@ def main() -> None:
 
         # 4: plan group ------------------------------------------------ #
         group = post(base, "/v1/plan-groups", {"jobs": [SPEC] * 4, "label": "demo"})
-        print(f"\nplan group {group['group_id']}: {group['total']} jobs admitted atomically")
+        print(f"\nplan group {group['group_id']}: {group['total']} jobs submitted atomically")
         for member in group["jobs"]:
             get(base, f"/v1/jobs/{member}/wait?timeout=120")
         final = get(base, f"/v1/plan-groups/{group['group_id']}")

@@ -130,7 +130,7 @@ def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
         "cache-max-bytes": ("--cache-max-bytes", dict(
             type=_positive_int, help="size cap; least-recently-used entries beyond it go")),
         "tenant": ("--tenant", dict(metavar="NAME", help="tenant the jobs are scheduled "
-                                    "under (unit of fair queueing and quotas)")),
+                                    "under (tenants share the scheduler equally)")),
         "priority": ("--priority", dict(choices=VALID_PRIORITIES,
                                         help="strict scheduler priority class")),
         "events": ("--events", dict(action="store_true", help="print each job's event feed")),

@@ -19,6 +19,9 @@ __all__ = [
     "LosslessBackend", "DeflateBackend", "RawBackend", "get_lossless_backend", "stored_backend",
 ]
 
+#: The zlib level every deflated section is written at.
+DEFLATE_LEVEL = 6
+
 
 class LosslessBackend(abc.ABC):
     """Interface of the final lossless stage."""
@@ -39,13 +42,8 @@ class DeflateBackend(LosslessBackend):
 
     name = "deflate"
 
-    def __init__(self, level: int = 6) -> None:
-        if not 0 <= level <= 9:
-            raise ConfigurationError(f"deflate level must be in [0, 9], got {level}")
-        self.level = level
-
     def compress(self, data: bytes) -> bytes:
-        return zlib.compress(bytes(data), self.level)
+        return zlib.compress(bytes(data), DEFLATE_LEVEL)
 
     def decompress(self, data: bytes) -> bytes:
         try:

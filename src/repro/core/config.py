@@ -34,9 +34,14 @@ VALID_TRANSFER_MODES: Tuple[str, ...] = ("bulk", "streamed")
 VALID_CACHE_MODES: Tuple[str, ...] = ("off", "read", "readwrite")
 
 #: Strict priority classes of the multi-tenant job scheduler, lowest to
-#: highest.  A higher class always dispatches before a lower one;
-#: weighted fair queueing applies among tenants *within* a class.
+#: highest.  A higher class always dispatches before a lower one; fair
+#: queueing applies among tenants *within* a class.
 VALID_PRIORITIES: Tuple[str, ...] = ("low", "normal", "high")
+
+
+def priority_class(priority: str) -> int:
+    """Numeric rank of a validated priority class (higher dispatches first)."""
+    return VALID_PRIORITIES.index(priority)
 
 
 @dataclass
@@ -118,8 +123,8 @@ class OcelotConfig:
             next handle opens.
         tenant: default tenant jobs submitted under this configuration
             belong to (a :class:`~repro.service.spec.TransferSpec` may
-            name its own).  Tenants are the unit of weighted fair
-            queueing and admission quotas in the job scheduler.
+            name its own).  Tenants are the unit of fair queueing in
+            the job scheduler.
         priority: default scheduler priority class (``low`` / ``normal``
             / ``high``); higher classes dispatch strictly before lower
             ones.

@@ -6,9 +6,8 @@ can catch a single base class at API boundaries.
 Every class carries a machine-readable ``code`` (a stable snake_case
 identifier) so service boundaries — the HTTP gateway in particular —
 can serialise failures without string-matching messages: the gateway
-maps :class:`AdmissionError` to HTTP 429 and every other
-request-validation failure to HTTP 400, and puts ``exc.code`` in the
-JSON error body either way.  Messages may be reworded freely; codes are
+maps every request-validation failure to HTTP 400 and puts
+``exc.code`` in the JSON error body.  Messages may be reworded freely; codes are
 a compatibility surface.
 """
 
@@ -136,15 +135,3 @@ class OrchestrationError(ReproError):
 
     code = "invalid_request"
 
-
-class AdmissionError(OrchestrationError):
-    """Raised when a job request exceeds its tenant's admission quota.
-
-    This is the *typed rejection* of admission control: the request can
-    never be satisfied under the tenant's resource share (for example a
-    single job asking for more compute nodes than the whole share), so
-    it fails at the submit boundary instead of queueing forever.  The
-    gateway maps it to HTTP 429.
-    """
-
-    code = "admission_quota_exceeded"

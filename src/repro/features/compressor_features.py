@@ -62,9 +62,7 @@ def run_length_estimator(p0: float, P0: float) -> float:
     return float(1.0 / denominator)
 
 
-def quantization_bins(
-    data: np.ndarray, error_bound_abs: float, bin_radius: int = 32768
-) -> np.ndarray:
+def quantization_bins(data: np.ndarray, error_bound_abs: float) -> np.ndarray:
     """Quantisation bins of the Lorenzo prediction error on the given sample.
 
     The paper computes the bins by running the prediction stage on the
@@ -79,16 +77,13 @@ def quantization_bins(
     if arr.size == 0:
         raise FeatureExtractionError("cannot compute quantisation bins of an empty array")
     errors = lorenzo_prediction_errors(arr)
-    quantizer = LinearQuantizer(bin_radius=bin_radius)
-    result = quantizer.quantize(errors.ravel(), error_bound_abs)
+    result = LinearQuantizer().quantize(errors.ravel(), error_bound_abs)
     return result.codes
 
 
-def extract_compressor_features(
-    data: np.ndarray, error_bound_abs: float, bin_radius: int = 32768
-) -> CompressorFeatures:
+def extract_compressor_features(data: np.ndarray, error_bound_abs: float) -> CompressorFeatures:
     """Compute p0, P0, quantisation entropy and Rrle for a data sample."""
-    bins = quantization_bins(data, error_bound_abs, bin_radius=bin_radius)
+    bins = quantization_bins(data, error_bound_abs)
     total = bins.size
     zero_count = int(np.count_nonzero(bins == 0))
     p0 = zero_count / total if total else 0.0

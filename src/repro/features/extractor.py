@@ -24,6 +24,8 @@ __all__ = ["FeatureExtractor", "ExtractionResult", "DEFAULT_SAMPLE_FRACTION"]
 
 #: The share of a field the quality predictor reads (the paper's ~1 %).
 DEFAULT_SAMPLE_FRACTION = 0.01
+#: Elements per contiguous block the sample is drawn in.
+SAMPLE_BLOCK = 64
 
 
 @dataclass
@@ -46,19 +48,12 @@ class ExtractionResult:
 class FeatureExtractor:
     """Extract the 11-feature vector for a (data, error bound, compressor) triple."""
 
-    def __init__(
-        self,
-        sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-        sample_block: int = 64,
-        bin_radius: int = 32768,
-    ) -> None:
+    def __init__(self, sample_fraction: float = DEFAULT_SAMPLE_FRACTION) -> None:
         if not 0.0 < sample_fraction <= 1.0:
             raise FeatureExtractionError(
                 f"sample fraction must be in (0, 1], got {sample_fraction}"
             )
         self.sample_fraction = float(sample_fraction)
-        self.sample_block = int(sample_block)
-        self.bin_radius = int(bin_radius)
 
     def sample(self, data: np.ndarray) -> np.ndarray:
         """Return the subsample used for feature extraction.
@@ -71,8 +66,7 @@ class FeatureExtractor:
         arr = np.asarray(data)
         if self.sample_fraction >= 1.0:
             return arr
-        flat_sample = block_sample(arr, block=self.sample_block, fraction=self.sample_fraction)
-        return flat_sample
+        return block_sample(arr, block=SAMPLE_BLOCK, fraction=self.sample_fraction)
 
     def extract(
         self,
@@ -88,9 +82,7 @@ class FeatureExtractor:
         sampled = self.sample(arr)
         config = extract_config_features(error_bound_abs, compressor)
         data_feats = extract_data_features(sampled)
-        comp_feats = extract_compressor_features(
-            sampled, error_bound_abs, bin_radius=self.bin_radius
-        )
+        comp_feats = extract_compressor_features(sampled, error_bound_abs)
         elapsed = time.perf_counter() - start
         values = {}
         values.update(config.as_dict())

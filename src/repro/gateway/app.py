@@ -21,10 +21,9 @@ recipe fully identifies the bytes a client wants moved::
 
 Error mapping is structural, not string-matched: every
 :class:`~repro.errors.ReproError` carries a machine-readable ``code``
-that lands in the JSON error body — :class:`~repro.errors.AdmissionError`
-maps to HTTP 429, any other library error raised while handling a
-request (they are all boundary validation) to HTTP 400, unknown
-job/group ids to 404, and everything unexpected to 500.  The server
+that lands in the JSON error body — a library error raised while
+handling a request (they are all boundary validation) maps to HTTP 400,
+unknown job/group ids to 404, and everything unexpected to 500.  The server
 refuses a body over :data:`MAX_BODY_BYTES` with 413 before reading it.
 """
 
@@ -35,7 +34,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..datasets import generate_application
-from ..errors import AdmissionError, OrchestrationError, ReproError
+from ..errors import OrchestrationError, ReproError
 from ..service import TransferSpec
 from .driver import GatewayDriver, UnknownGroupError, UnknownJobError
 
@@ -115,8 +114,6 @@ def error_response(exc: BaseException) -> Response:
     if isinstance(exc, UnknownGroupError):
         return 404, {"error": f"unknown plan group {exc.args[0]!r}",
                      "code": "unknown_plan_group"}
-    if isinstance(exc, AdmissionError):
-        return 429, exc.as_payload()
     if isinstance(exc, ReproError):
         return 400, exc.as_payload()
     if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):

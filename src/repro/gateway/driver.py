@@ -28,9 +28,9 @@ the opposite shape — many request threads arriving at once — so the
   HTTP handlers never run scheduler code in a request thread.
 
 Plan groups (the batch submit endpoint) also live here: *every* spec of
-a group is validated — including the typed admission check — before
-*any* job is admitted, so a group is all-or-nothing at the boundary and
-then fans out concurrently through the ordinary scheduler interleaving.
+a group is validated before *any* job is submitted, so a group is
+all-or-nothing at the boundary and then fans out concurrently through
+the ordinary scheduler interleaving.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class UnknownGroupError(KeyError):
 
 @dataclass
 class PlanGroup:
-    """One batch of jobs admitted atomically by ``POST /v1/plan-groups``."""
+    """One batch of jobs submitted atomically by ``POST /v1/plan-groups``."""
 
     group_id: str
     label: str
@@ -168,21 +168,18 @@ class GatewayDriver:
 
     def submit_group(self, specs: Sequence[TransferSpec],
                      label: str = "") -> Dict[str, object]:
-        """Admit a whole plan group atomically, then fan it out.
+        """Submit a whole plan group atomically, then fan it out.
 
         Every spec is validated (config overrides, mode, endpoints,
-        route, compressor, dataset, tenant/priority, and the typed
-        admission check) **before any job is admitted** — one bad spec
-        rejects the group with no partial state.  Admitted jobs then
-        interleave through the scheduler like any other batch.
+        route, compressor, dataset, tenant/priority) **before any job is
+        submitted** — one bad spec rejects the group with no partial
+        state.  Its jobs then interleave through the scheduler like any
+        other batch.
         """
         with self._lock:
             for index, spec in enumerate(specs):
                 try:
-                    job_config = spec.validate(self.service.config, self.service.testbed)
-                    self.service.scheduler.check_admissible(
-                        spec.resolved_tenant(job_config), job_config
-                    )
+                    spec.validate(self.service.config, self.service.testbed)
                 except Exception as exc:
                     exc.args = (f"plan group spec #{index}: {exc}",)
                     raise
@@ -274,15 +271,12 @@ class GatewayDriver:
             completed = status_counts.get("completed", 0)
             uptime = max(time.monotonic() - self._started_wall, 1e-9)
             makespan = scheduler.makespan_s
-            admission = scheduler.admission_depths()
             return {
                 "uptime_s": round(uptime, 3),
                 "jobs": {"total": len(handles), **status_counts},
                 "queue_depths": {
                     "active": status_counts.get("pending", 0)
                     + status_counts.get("running", 0),
-                    "admission": admission,
-                    "admission_total": sum(admission.values()),
                 },
                 "tenants": {"in_flight": scheduler.in_flight()},
                 "jobs_per_sec": {

@@ -32,11 +32,11 @@ import json
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.config import OcelotConfig
-from ..service import OcelotService, TenantQuota
+from ..service import OcelotService
 from ..service.events import JobEvent
 from .app import MAX_BODY_BYTES, GatewayAPI, error_response
 from .driver import GatewayDriver, UnknownJobError
@@ -197,11 +197,8 @@ class Gateway:
         config: Optional[OcelotConfig] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        quotas: Optional[Dict[str, TenantQuota]] = None,
     ) -> None:
-        self.service = service or OcelotService(
-            config or OcelotConfig(), quotas=quotas
-        )
+        self.service = service or OcelotService(config or OcelotConfig())
         self.driver = GatewayDriver(self.service)
         self.api = GatewayAPI(self.driver)
         self._httpd = _GatewayHTTPServer((host, port), _Handler)
@@ -274,8 +271,6 @@ def create_gateway(
     host: str = "127.0.0.1",
     port: int = 0,
     service: Optional[OcelotService] = None,
-    quotas: Optional[Dict[str, TenantQuota]] = None,
 ) -> Gateway:
     """Build (but do not start) a gateway; ``port=0`` picks a free port."""
-    return Gateway(service=service, config=config, host=host, port=port,
-                   quotas=quotas)
+    return Gateway(service=service, config=config, host=host, port=port)

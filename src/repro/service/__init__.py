@@ -5,10 +5,9 @@ service: declarative, validated :class:`TransferSpec` requests go in,
 :class:`JobHandle` objects come out immediately, and a
 :class:`JobScheduler` multiplexes the resulting jobs — split into
 resumable phase steps — over one shared testbed with an event-driven
-core: strict priority classes over weighted fair queueing across
-tenants, per-tenant admission quotas (:class:`TenantQuota`), contention
-for compute nodes and WAN links, and an optional durable
-:class:`JobStore` write-ahead log that lets
+core: strict priority classes over fair queueing with equal shares
+across tenants, contention for compute nodes and WAN links, and an
+optional durable :class:`JobStore` write-ahead log that lets
 :meth:`OcelotService.recover` resume a crashed service.
 """
 
@@ -17,13 +16,12 @@ from __future__ import annotations
 from .api import OcelotService, RecoveryResult
 from .events import JobEvent
 from .jobs import JobHandle, JobStatus, PhaseSpan, TransferJob
-from .quotas import TenantQuota
 from .scheduler import JobScheduler, UnitPool
 from .spec import TransferSpec
 from .store import JobStore, atomic_write_text
 
 __all__ = [
-    "OcelotService", "RecoveryResult", "TransferSpec", "TenantQuota", "JobHandle", "JobStatus",
+    "OcelotService", "RecoveryResult", "TransferSpec", "JobHandle", "JobStatus",
     "JobEvent", "JobScheduler", "JobStore", "PhaseSpan", "TransferJob", "UnitPool",
     "atomic_write_text",
 ]

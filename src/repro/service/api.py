@@ -7,8 +7,7 @@ request at the boundary, hands back a
 :class:`~repro.service.jobs.JobHandle` immediately, and multiplexes the
 resulting jobs over one testbed through the
 :class:`~repro.service.scheduler.JobScheduler` — strict priority
-classes over weighted fair queueing across tenants, with per-tenant
-admission quotas (:class:`~repro.service.quotas.TenantQuota`).
+classes over fair queueing with equal shares across tenants.
 
 With a :class:`~repro.service.store.JobStore` attached, every
 submission and terminal transition is appended to a JSONL write-ahead
@@ -31,13 +30,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from ..core.config import OcelotConfig
+from ..core.config import OcelotConfig, priority_class
 from ..core.orchestrator import OcelotOrchestrator
 from ..errors import OrchestrationError
 from ..faas.service import SiteTable, build_faas_service
 from ..transfer.testbed import Testbed, build_testbed
 from .jobs import JobHandle, TransferJob
-from .quotas import TenantQuota, priority_class
 from .scheduler import JobScheduler
 from .spec import TransferSpec
 from .store import JobStore
@@ -45,6 +43,8 @@ from .store import JobStore
 __all__ = ["OcelotService", "RecoveryResult"]
 
 _TERMINAL_STATUSES = ("completed", "failed", "cancelled")
+#: Job ids read ``job-0001``, ``job-0002``, ...
+_JOB_ID = re.compile(r"^job-(\d+)$")
 
 
 @dataclass
@@ -75,8 +75,6 @@ class OcelotService:
         testbed: Optional[Testbed] = None,
         faas: Optional[SiteTable] = None,
         orchestrator_factory: Optional[Callable[[OcelotConfig], OcelotOrchestrator]] = None,
-        job_id_prefix: str = "job",
-        quotas: Optional[Dict[str, TenantQuota]] = None,
         store: Optional[Union[JobStore, str]] = None,
     ) -> None:
         self.config = config or OcelotConfig()
@@ -85,17 +83,13 @@ class OcelotService:
         self._factory = orchestrator_factory or self._default_orchestrator
         self.scheduler = JobScheduler(self.testbed, self.faas)
         self.scheduler.on_terminal = self._on_job_terminal
-        for tenant, quota in (quotas or {}).items():
-            self.scheduler.set_quota(tenant, quota)
         self.store: Optional[JobStore] = (
             JobStore(store) if isinstance(store, str) else store
         )
-        self._job_id_prefix = job_id_prefix
         # Never hand out a job id the log already used.
-        id_pattern = re.compile(rf"^{re.escape(job_id_prefix)}-(\d+)$")
         used = [
             int(match.group(1))
-            for match in map(id_pattern.match, self.store.replay() if self.store else ())
+            for match in map(_JOB_ID.match, self.store.replay() if self.store else ())
             if match
         ]
         self._counter = itertools.count(max(used, default=0) + 1)
@@ -103,17 +97,6 @@ class OcelotService:
 
     def _default_orchestrator(self, config: OcelotConfig) -> OcelotOrchestrator:
         return OcelotOrchestrator(config=config, testbed=self.testbed, faas=self.faas)
-
-    # ------------------------------------------------------------------ #
-    # Quotas
-    # ------------------------------------------------------------------ #
-    def set_quota(self, tenant: str, quota: Optional[TenantQuota]) -> None:
-        """Install (or clear) one tenant's admission quota and weight."""
-        self.scheduler.set_quota(tenant, quota)
-
-    def quota(self, tenant: str) -> Optional[TenantQuota]:
-        """The quota currently installed for a tenant, if any."""
-        return self.scheduler.quota(tenant)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -124,12 +107,8 @@ class OcelotService:
         Validation — mode, endpoints, WAN route, compressor, tenant and
         priority, per-job config overrides — happens here, before any
         staging or clock movement, so a bad request costs nothing and
-        fails with a precise error.  A request whose node demand can
-        never fit its tenant's quota raises
-        :class:`~repro.errors.AdmissionError`; one that merely exceeds
-        the tenant's current in-flight allowance is admitted later
-        (``QUEUED_ADMISSION``).  The job itself runs when the scheduler
-        is drained (any handle's
+        fails with a precise error.  The job itself runs when the
+        scheduler is drained (any handle's
         :meth:`~repro.service.jobs.JobHandle.wait` /
         :meth:`~repro.service.jobs.JobHandle.result`, or
         :meth:`run_pending`).
@@ -144,9 +123,6 @@ class OcelotService:
         job_config = spec.validate(self.config, self.testbed)
         tenant = spec.resolved_tenant(job_config)
         priority = spec.resolved_priority(job_config)
-        # Typed rejection: a request that can never fit the tenant's
-        # node share fails here instead of queueing forever.
-        self.scheduler.check_admissible(tenant, job_config)
         if self.scheduler.idle and self.testbed.clock.now < self.scheduler.makespan_s:
             # The clock was rewound (e.g. between compare_modes runs):
             # start a fresh scheduling epoch instead of queueing the new
@@ -154,7 +130,7 @@ class OcelotService:
             self.scheduler.reset_timeline(self.testbed.clock.now)
         orchestrator = self._factory(job_config)
         if job_id is None:
-            job_id = f"{self._job_id_prefix}-{next(self._counter):04d}"
+            job_id = f"job-{next(self._counter):04d}"
         # Concurrent jobs naming the same dataset would share staged and
         # compressed artefact paths on the simulated filesystems, letting
         # one tenant's writes clobber another's between phase steps (and

@@ -31,7 +31,6 @@ __all__ = ["JobStatus", "JobHandle", "TransferJob", "PhaseSpan"]
 class JobStatus(str, enum.Enum):
     """Lifecycle states of a service job."""
 
-    QUEUED_ADMISSION = "queued_admission"
     PENDING = "pending"
     RUNNING = "running"
     COMPLETED = "completed"
@@ -94,9 +93,6 @@ class TransferJob:
     priority_class: int = 1
     #: Monotonic submission sequence number (scheduler tie-breaker).
     submit_seq: int = 0
-    #: When admission control admitted the job (equals ``submitted_at``
-    #: unless the job sat in the admission queue first).
-    admitted_at: Optional[float] = None
     #: The scheduler whose ``on_event`` listener hears this job's feed.
     scheduler: Optional["JobScheduler"] = field(default=None, repr=False, compare=False)
 
@@ -129,7 +125,7 @@ class TransferJob:
 
     @property
     def wait_s(self) -> Optional[float]:
-        """Submit-to-first-phase wait (admission + scheduling delay)."""
+        """Submit-to-first-phase wait (the scheduling delay)."""
         if self.started_at is None:
             return None
         return self.started_at - self.submitted_at

@@ -10,21 +10,17 @@ event-driven core — a solo job is the batch of one:
   tenant)`` pair it dispatches under;
 * dispatch is a three-level decision, each level O(log n): strict
   priority classes first (a ``high`` job always dispatches before a
-  ``normal`` one), start-time weighted fair queueing across the tenants
-  of a class second (flows carry virtual-time tags charged by phase
-  duration over tenant weight, so one tenant flooding the queue cannot
-  starve others), and earliest ``(t_local, submit_seq)`` within a
-  tenant last — the original deterministic discipline.  With a single
+  ``normal`` one), start-time fair queueing across the tenants of a
+  class second (flows carry virtual-time tags charged by phase
+  duration, so tenants get equal shares and one tenant flooding the
+  queue cannot starve others), and earliest ``(t_local, submit_seq)``
+  within a tenant last — the original deterministic discipline.  With a single
   tenant and priority class the dispatch order is exactly the legacy
   earliest-position scan, so solo and homogeneous batches behave
   identically to the linear-scan scheduler they replace;
 * all registries are dict/heap backed: ``step()`` and job eviction are
   O(log n) / O(1) instead of the old O(n) scans, so a thousand queued
   jobs drain in near-linear time;
-* admission control parks jobs over their tenant's quota
-  (:class:`~repro.service.quotas.TenantQuota`) in a FIFO admission
-  queue (``JobStatus.QUEUED_ADMISSION``) and admits them as earlier
-  jobs of the tenant retire;
 * compute phases contend for per-endpoint node pools (sized by the
   site's batch-scheduler partition) and WAN phases contend for
   per-link channels — a phase starts at the earliest time both the job
@@ -45,26 +41,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from collections import Counter
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..core.phases import PhaseStep
-from ..errors import AdmissionError
 from .events import JobEvent
 from .jobs import JobStatus, PhaseSpan, TransferJob
-from .quotas import TenantQuota
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.config import OcelotConfig
     from ..faas.service import SiteTable
     from ..transfer.testbed import Testbed
 
 __all__ = ["JobScheduler", "UnitPool"]
-
-
-def node_footprint(config: "OcelotConfig") -> int:
-    """A job's compute-node footprint for quota accounting."""
-    return max(config.compression_nodes, config.decompression_nodes)
 
 
 class UnitPool:
@@ -100,18 +88,17 @@ class _Flow:
     ``jobs`` is a min-heap of ``(t_local, submit_seq, job)`` — the
     per-tenant ready queue.  ``tag`` is the flow's virtual start time
     under start-time fair queueing: dispatching a phase of duration
-    ``d`` advances it by ``d / weight``, so heavier tenants accumulate
-    virtual time more slowly and are offered proportionally more
-    service.  ``entry_seq`` identifies the flow's current entry in its
-    class heap (stale entries are skipped lazily).
+    ``d`` advances it by ``d``, so the flow that has received the least
+    service is offered the next phase.  ``entry_seq`` identifies the
+    flow's current entry in its class heap (stale entries are skipped
+    lazily).
     """
 
-    __slots__ = ("priority", "tenant", "weight", "tag", "jobs", "queued", "entry_seq")
+    __slots__ = ("priority", "tenant", "tag", "jobs", "queued", "entry_seq")
 
-    def __init__(self, priority: int, tenant: str, weight: float) -> None:
+    def __init__(self, priority: int, tenant: str) -> None:
         self.priority = priority
         self.tenant = tenant
-        self.weight = weight
         self.tag = 0.0
         self.jobs: List[Tuple[float, int, TransferJob]] = []
         self.queued = False
@@ -131,10 +118,6 @@ class JobScheduler:
         self._flows: Dict[Tuple[int, str], _Flow] = {}
         self._class_heaps: Dict[int, List[Tuple[float, int, _Flow]]] = {}
         self._vtime: Dict[int, float] = {}
-        self._quotas: Dict[str, TenantQuota] = {}
-        self._admission: Dict[str, Deque[TransferJob]] = {}
-        self._tenant_in_flight: Dict[str, int] = {}
-        self._tenant_nodes: Dict[str, int] = {}
         self._node_pools: Dict[str, UnitPool] = {}
         self._link_pools: Dict[Tuple[str, str], UnitPool] = {}
         self._makespan_s = 0.0
@@ -167,126 +150,15 @@ class JobScheduler:
         return pool
 
     # ------------------------------------------------------------------ #
-    # Quotas and admission control
-    # ------------------------------------------------------------------ #
-    def set_quota(self, tenant: str, quota: Optional[TenantQuota]) -> None:
-        """Install (or clear, with ``None``) one tenant's quota."""
-        if quota is None:
-            self._quotas.pop(tenant, None)
-        else:
-            self._quotas[tenant] = quota
-        flow_weight = quota.weight if quota is not None else 1.0
-        for (_, flow_tenant), flow in self._flows.items():
-            if flow_tenant == tenant:
-                flow.weight = flow_weight
-
-    def quota(self, tenant: str) -> Optional[TenantQuota]:
-        """The quota installed for a tenant, if any."""
-        return self._quotas.get(tenant)
-
-    def check_admissible(self, tenant: str, config: "OcelotConfig") -> None:
-        """Reject requests that can never fit the tenant's quota."""
-        quota = self._quotas.get(tenant)
-        nodes = node_footprint(config)
-        if quota is not None and quota.max_nodes is not None and nodes > quota.max_nodes:
-            raise AdmissionError(
-                f"tenant {tenant!r} is limited to {quota.max_nodes} compute "
-                f"nodes but the job requests {nodes}; shrink the request or "
-                "raise the quota"
-            )
-
-    def in_flight(self) -> Dict[str, int]:
-        """Admitted, non-terminal job counts per tenant (metrics view)."""
-        return {t: n for t, n in self._tenant_in_flight.items() if n > 0}
-
-    def admission_depths(self) -> Dict[str, int]:
-        """Jobs parked in each tenant's admission queue (metrics view)."""
-        return {t: len(q) for t, q in self._admission.items() if q}
-
-    def _fits_quota(self, job: TransferJob) -> bool:
-        if self._quotas.get(job.tenant) is None:
-            return True
-        # FIFO admission: a new job never jumps over tenants-mates
-        # already waiting, even if it would fit.
-        return not self._admission.get(job.tenant) and self._has_room(job)
-
-    def _has_room(self, job: TransferJob) -> bool:
-        """The admission rule: the tenant's quota has room for one more
-        job in flight and for the job's nodes beside its admitted jobs'."""
-        quota = self._quotas.get(job.tenant)
-        if quota is None:
-            return True
-        if quota.max_in_flight is not None and (
-            self._tenant_in_flight.get(job.tenant, 0) >= quota.max_in_flight
-        ):
-            return False
-        return quota.max_nodes is None or (
-            self._tenant_nodes.get(job.tenant, 0) + node_footprint(job.config)
-            <= quota.max_nodes
-        )
-
-    def _drain_admission_queue(self, tenant: str, release_time: float) -> None:
-        """Admit waiting jobs of one tenant, in order, while they fit."""
-        waiting = self._admission.get(tenant)
-        while waiting:
-            job = waiting[0]
-            if job.status.is_terminal:  # cancelled while queued
-                waiting.popleft()
-                continue
-            if not self._has_room(job):
-                break
-            waiting.popleft()
-            job.status = JobStatus.PENDING
-            self._admit(job, release_time)
-            job.emit(
-                "admitted",
-                job.t_local,
-                detail={"queued_s": max(0.0, job.t_local - job.submitted_at)},
-            )
-        if waiting is not None and not waiting:
-            self._admission.pop(tenant, None)
-
-    # ------------------------------------------------------------------ #
     # Queue management
     # ------------------------------------------------------------------ #
     def add(self, job: TransferJob) -> None:
-        """Enqueue a job (its phase generator has not started yet).
-
-        A job over its tenant's quota enters the admission queue in
-        ``QUEUED_ADMISSION`` state instead of the ready heap; it is
-        admitted automatically when earlier jobs of the tenant retire.
-        """
+        """Enqueue a job in its flow's ready heap (its phase generator
+        has not started yet)."""
         job.t_local = job.submitted_at
         job.submit_seq = next(self._submit_seq)
         self._jobs[job.job_id] = job
-        if not self._fits_quota(job):
-            job.status = JobStatus.QUEUED_ADMISSION
-            self._admission.setdefault(job.tenant, deque()).append(job)
-            quota = self._quotas[job.tenant]
-            job.emit(
-                "queued_admission",
-                job.submitted_at,
-                detail={
-                    "in_flight": self._tenant_in_flight.get(job.tenant, 0),
-                    "max_in_flight": quota.max_in_flight,
-                    "tenant_nodes": self._tenant_nodes.get(job.tenant, 0),
-                    "max_nodes": quota.max_nodes,
-                },
-            )
-            return
-        self._admit(job, job.submitted_at)
-
-    def _admit(self, job: TransferJob, now: float) -> None:
-        """Place an admitted job in its flow's ready heap."""
-        job.t_local = max(job.t_local, now)
-        job.admitted_at = job.t_local
         self._active[job.job_id] = job
-        self._tenant_in_flight[job.tenant] = (
-            self._tenant_in_flight.get(job.tenant, 0) + 1
-        )
-        self._tenant_nodes[job.tenant] = (
-            self._tenant_nodes.get(job.tenant, 0) + node_footprint(job.config)
-        )
         flow = self._flow_for(job)
         heapq.heappush(flow.jobs, (job.t_local, job.submit_seq, job))
         if not flow.queued:
@@ -296,9 +168,7 @@ class JobScheduler:
         key = (job.priority_class, job.tenant)
         flow = self._flows.get(key)
         if flow is None:
-            quota = self._quotas.get(job.tenant)
-            weight = quota.weight if quota is not None else 1.0
-            flow = self._flows[key] = _Flow(job.priority_class, job.tenant, weight)
+            flow = self._flows[key] = _Flow(job.priority_class, job.tenant)
         return flow
 
     def _queue_flow(self, flow: _Flow) -> None:
@@ -319,13 +189,17 @@ class JobScheduler:
         return list(self._jobs.values())
 
     def live_jobs(self) -> Iterator[TransferJob]:
-        """Jobs not yet terminal: admitted ones, then admission-queued.
+        """Jobs not yet terminal.
 
-        Reads the active and admission registries only, so the cost is
-        the number of jobs in flight however many finished jobs the
-        service still retains.
+        Reads the active registry only, so the cost is the number of
+        jobs in flight however many finished jobs the service still
+        retains.
         """
-        return itertools.chain(self._active.values(), *self._admission.values())
+        return iter(self._active.values())
+
+    def in_flight(self) -> Dict[str, int]:
+        """Non-terminal job counts per tenant (metrics view)."""
+        return dict(Counter(job.tenant for job in self._active.values()))
 
     def get(self, job_id: str) -> Optional[TransferJob]:
         """O(1) lookup of a retained job by id."""
@@ -345,7 +219,7 @@ class JobScheduler:
     @property
     def idle(self) -> bool:
         """Whether every queued job has reached a terminal state."""
-        return not self._active and not any(self._admission.values())
+        return not self._active
 
     def reset_timeline(self, origin: float = 0.0) -> None:
         """Start a fresh scheduling epoch at ``origin``.
@@ -370,7 +244,7 @@ class JobScheduler:
     # Dispatch
     # ------------------------------------------------------------------ #
     def _next_dispatch(self) -> Optional[Tuple[_Flow, TransferJob]]:
-        """Pop the next (flow, job) to run: priority, then WFQ, then time.
+        """Pop the next (flow, job) to run: priority, then SFQ, then time.
 
         Cancelled jobs and superseded flow entries are skipped lazily,
         so cancellation never has to search a heap.
@@ -432,9 +306,8 @@ class JobScheduler:
             self._requeue_flow(flow)
             return True
         self._account(job, phase)
-        # Charge the phase to the flow's virtual time; heavier tenants
-        # accumulate it more slowly, which is the whole of WFQ.
-        flow.tag += max(0.0, phase.duration_s) / flow.weight
+        # Charge the phase to the flow's virtual time: the whole of SFQ.
+        flow.tag += max(0.0, phase.duration_s)
         heapq.heappush(flow.jobs, (job.t_local, job.submit_seq, job))
         self._requeue_flow(flow)
         return True
@@ -460,8 +333,7 @@ class JobScheduler:
         The suspended phase generator is closed at its last yield point.
         It holds nothing there: the pools here are the only place a node
         or link is occupied, and they hold only the phases already placed
-        on the timeline.  The freed quota headroom admits the tenant's
-        next waiting job.
+        on the timeline.
         """
         if job.status.is_terminal:
             return False
@@ -516,34 +388,12 @@ class JobScheduler:
     def _retire(self, job: TransferJob) -> None:
         """Drop a terminal job from the active registries — O(1).
 
-        Retiring releases the job's quota footprint and admits the
-        tenant's next waiting job (if any) at the retirement time.  When
-        that leaves nothing in flight, the shared clock catches up with
-        the combined makespan: the one place simulated time moves.
+        When that leaves nothing in flight, the shared clock catches up
+        with the combined makespan: the one place simulated time moves.
         """
-        if self._active.pop(job.job_id, None) is not None:
-            tenant = job.tenant
-            self._tenant_in_flight[tenant] = max(
-                0, self._tenant_in_flight.get(tenant, 0) - 1
-            )
-            self._tenant_nodes[tenant] = max(
-                0, self._tenant_nodes.get(tenant, 0) - node_footprint(job.config)
-            )
-        else:
-            # Never admitted: remove from the admission queue (rare and
-            # bounded by the tenant's own backlog).
-            waiting = self._admission.get(job.tenant)
-            if waiting is not None:
-                try:
-                    waiting.remove(job)
-                except ValueError:
-                    pass
-                if not waiting:
-                    self._admission.pop(job.tenant, None)
+        del self._active[job.job_id]
         if self.on_terminal is not None:
             self.on_terminal(job)
-        release_time = job.finished_at if job.finished_at is not None else job.t_local
-        self._drain_admission_queue(job.tenant, release_time)
         if self.idle:
             self.testbed.clock.advance_to(self._makespan_s)
 

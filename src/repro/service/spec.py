@@ -33,9 +33,9 @@ class TransferSpec:
         mode: transfer mode (``direct`` / ``compressed`` / ``grouped``);
             ``None`` uses the job configuration's default.
         label: free-form tag carried through job records and events.
-        tenant: tenant the job is scheduled under — the unit of weighted
-            fair queueing and admission quotas; ``None`` uses the job
-            configuration's default tenant.
+        tenant: tenant the job is scheduled under — the unit of fair
+            queueing; ``None`` uses the job configuration's default
+            tenant.
         priority: strict scheduler priority class (``low`` / ``normal``
             / ``high``); ``None`` uses the configuration's default.
         config: a complete per-job :class:`OcelotConfig`; ``None`` uses

@@ -9,7 +9,7 @@ contracts:
   in-process ``OcelotService.submit()`` runs, including under
   concurrent HTTP submitters;
 * structured error mapping — malformed specs 400 with machine-readable
-  codes, quota violations 429, unknown jobs/groups 404;
+  codes, unknown jobs/groups 404;
 * plan groups validate every spec before admitting any;
 * the SSE stream reproduces a job's full ``JobEvent`` timeline (live
   and after the fact) and resumes from ``Last-Event-ID``;
@@ -38,10 +38,10 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import OcelotConfig
 from repro.datasets import generate_application
-from repro.errors import AdmissionError, ConfigurationError, OrchestrationError
+from repro.errors import ConfigurationError, OrchestrationError
 from repro.gateway import EventBus, GatewayDriver, create_gateway, spec_from_payload
 from repro.gateway.app import MAX_BODY_BYTES
-from repro.service import JobHandle, OcelotService, TenantQuota, TransferSpec
+from repro.service import JobHandle, OcelotService, TransferSpec
 from repro.service.events import JobEvent
 from repro.service.scheduler import JobScheduler
 
@@ -233,7 +233,7 @@ class TestRestJobControl:
         assert metrics["jobs"]["total"] == 1
         assert metrics["jobs"]["completed"] == 1
         assert metrics["jobs_per_sec"]["simulated"] > 0
-        assert metrics["queue_depths"]["admission_total"] == 0
+        assert metrics["queue_depths"] == {"active": 0}
         assert "in_flight" in metrics["tenants"]
         assert metrics["bus"]["published"] > 0
         assert metrics["http"]["requests"]["POST /v1/jobs"] == 1
@@ -348,48 +348,25 @@ class TestPushDelivery:
         assert metrics["bus"]["published"] == feed_lengths
         assert metrics["bus"]["dropped"] == 0
 
-    def test_admission_events_of_other_jobs_reach_bus_and_release_wait(self):
-        gw = create_gateway(
-            config=_config(), quotas={"small": TenantQuota(max_in_flight=1)},
-        ).start()
-        try:
-            gw.driver.pause()
-            spec = {**SPEC_JSON, "tenant": "small"}
-            _, running = _post(gw.url, "/v1/jobs", spec)
-            _, parked = _post(gw.url, "/v1/jobs", spec)
-            _, doomed = _post(gw.url, "/v1/jobs", spec)
-            assert parked["status"] == doomed["status"] == "queued_admission"
-            job_ids = [record["job_id"] for record in (running, parked, doomed)]
-            base, base_lengths = gw.bus.published, _feed_lengths(gw.driver, job_ids)
-
-            # A cancel of a job that never left the admission queue
-            # releases a waiter parked on it, with the driver idle.
-            released = []
-            waiter = threading.Thread(target=lambda: released.append(_get(
-                gw.url, f"/v1/jobs/{doomed['job_id']}/wait?timeout=60", 70.0)))
-            waiter.start()
-            time.sleep(0.1)  # let the waiter park
-            _post(gw.url, f"/v1/jobs/{doomed['job_id']}/cancel")
-            waiter.join(timeout=30)
-            assert not waiter.is_alive()
-            assert released[0][0] == 200 and released[0][1]["status"] == "cancelled"
-            assert gw.bus.published == base + 1
-            assert gw.driver.events_since(doomed["job_id"])[-1].kind == "cancelled"
-
-            # `admitted` lands on the parked job inside the step that
-            # completes the running one; it and what follows are published.
-            gw.driver.resume()
-            status, final = _get(
-                gw.url, f"/v1/jobs/{parked['job_id']}/wait?timeout=60", 70.0)
-            assert status == 200 and final["status"] == "completed"
-            _get(gw.url, f"/v1/jobs/{running['job_id']}/wait?timeout=60")
-            feed = gw.driver.events_since(parked["job_id"])
-            assert [e.kind for e in feed[:3]] == [
-                "submitted", "queued_admission", "admitted"]
-            assert gw.bus.published - base == (
-                _feed_lengths(gw.driver, job_ids) - base_lengths)
-        finally:
-            gw.stop()
+    def test_cancel_of_a_pending_job_releases_wait_and_publishes_once(self, gateway):
+        """A cancel of a job that never started releases a waiter parked
+        on it with the driver paused, and publishes exactly its one event."""
+        gateway.driver.pause()
+        _, doomed = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+        assert doomed["status"] == "pending"
+        base = gateway.bus.published
+        released = []
+        waiter = threading.Thread(target=lambda: released.append(_get(
+            gateway.url, f"/v1/jobs/{doomed['job_id']}/wait?timeout=60", 70.0)))
+        waiter.start()
+        time.sleep(0.1)  # let the waiter park
+        _post(gateway.url, f"/v1/jobs/{doomed['job_id']}/cancel")
+        waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert released[0][0] == 200 and released[0][1]["status"] == "cancelled"
+        assert gateway.bus.published == base + 1
+        assert gateway.driver.events_since(doomed["job_id"])[-1].kind == "cancelled"
+        gateway.driver.resume()
 
     def test_job_submitted_before_the_gateway_attached(self):
         service = OcelotService(_config())
@@ -735,21 +712,6 @@ class TestErrorMapping:
         assert excinfo.value.code == 400
         assert json.load(excinfo.value)["code"] == "bad_json"
 
-    def test_quota_violation_is_429(self):
-        gw = create_gateway(
-            config=_config(),
-            quotas={"small": TenantQuota(max_nodes=1)},
-        ).start()
-        try:
-            payload = _expect_error(
-                lambda: _post(gw.url, "/v1/jobs",
-                              {**SPEC_JSON, "tenant": "small"}),
-                code="admission_quota_exceeded", status=429,
-            )
-            assert "small" in payload["error"]
-        finally:
-            gw.stop()
-
     def test_unknown_job_is_404(self, gateway):
         for call in (
             lambda: _get(gateway.url, "/v1/jobs/job-9999"),
@@ -797,22 +759,6 @@ class TestPlanGroups:
         assert listing["count"] == 0  # nothing admitted
         _, groups = _get(gateway.url, "/v1/plan-groups")
         assert groups["count"] == 0
-
-    def test_group_quota_reject_is_atomic(self):
-        gw = create_gateway(
-            config=_config(),
-            quotas={"small": TenantQuota(max_nodes=1)},
-        ).start()
-        try:
-            batch = [SPEC_JSON, {**SPEC_JSON, "tenant": "small"}]
-            _expect_error(
-                lambda: _post(gw.url, "/v1/plan-groups", {"jobs": batch}),
-                code="admission_quota_exceeded", status=429,
-            )
-            _, listing = _get(gw.url, "/v1/jobs")
-            assert listing["count"] == 0
-        finally:
-            gw.stop()
 
 
 class TestServerSentEvents:
@@ -897,13 +843,12 @@ class TestEventSeqSatellite:
         assert handle.events(since_seq=feed[-1].seq) == []
 
     def test_error_codes_are_machine_readable(self):
-        assert AdmissionError("x").code == "admission_quota_exceeded"
         assert OrchestrationError("x").code == "invalid_request"
         assert ConfigurationError("x").code == "invalid_config"
-        payload = AdmissionError("over quota").as_payload()
-        assert payload == {"error": "over quota",
-                           "code": "admission_quota_exceeded",
-                           "type": "AdmissionError"}
+        payload = OrchestrationError("bad route").as_payload()
+        assert payload == {"error": "bad route",
+                           "code": "invalid_request",
+                           "type": "OrchestrationError"}
 
 
 class TestGatewayCLI:

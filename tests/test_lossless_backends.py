@@ -33,10 +33,6 @@ class TestLosslessBackends:
         with pytest.raises(ConfigurationError):
             get_lossless_backend("zstd")
 
-    def test_invalid_deflate_level_raises(self):
-        with pytest.raises(ConfigurationError):
-            DeflateBackend(level=99)
-
     def test_deflate_corrupt_payload_raises(self):
         with pytest.raises(EncodingError):
             DeflateBackend().decompress(b"not deflate data")

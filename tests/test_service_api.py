@@ -7,9 +7,8 @@ Covers the contracts the redesign makes:
 * the scheduler multiplexes many concurrent jobs deterministically over
   one testbed, with interleaved makespans and node/link contention, and
   cancellation releases held resources;
-* tenants and priorities steer dispatch order (strict classes over WFQ)
-  without ever changing a job's report, and per-tenant quotas park or
-  reject over-limit submissions;
+* tenants and priorities steer dispatch order (strict classes over
+  fair queueing) without ever changing a job's report;
 * a service with a job store survives a crash: ``recover()`` finishes
   the persisted batch without re-running (re-billing) finished jobs;
 * the legacy blocking wrappers (``Ocelot.transfer_dataset``) produce the
@@ -27,12 +26,11 @@ import pytest
 
 from repro.core import Ocelot, OcelotConfig, OcelotOrchestrator
 from repro.datasets import generate_application
-from repro.errors import AdmissionError, ConfigurationError, OrchestrationError
+from repro.errors import ConfigurationError, OrchestrationError
 from repro.service import (
     JobStatus,
     JobStore,
     OcelotService,
-    TenantQuota,
     TransferSpec,
 )
 
@@ -538,7 +536,7 @@ class TestTenantsAndPriorities:
         assert high.finished_at <= normal.finished_at
 
     def test_mixed_tenant_batch_reports_match_solo(self, tiny_dataset):
-        """The acceptance bar: WFQ ordering never changes a job's report."""
+        """The acceptance bar: fair-queue ordering never changes a job's report."""
         solo = OcelotService(_config()).submit(_spec(tiny_dataset)).result()
         service = OcelotService(_config())
         mixes = [
@@ -570,85 +568,6 @@ class TestTenantsAndPriorities:
         service.run_pending()
         flood_finishes = sorted(h.finished_at for h in flood)
         assert single.finished_at < flood_finishes[-1]
-
-
-class TestAdmissionControl:
-    def test_oversized_request_rejected_with_typed_error(self, tiny_dataset):
-        service = OcelotService(
-            _config(), quotas={"acme": TenantQuota(max_nodes=1)}
-        )
-        with pytest.raises(AdmissionError, match="limited to 1 compute node"):
-            service.submit(_spec(tiny_dataset, tenant="acme"))
-        # Nothing was enqueued or staged.
-        assert service.jobs() == []
-        assert service.testbed.endpoint("anvil").filesystem.file_count() == 0
-
-    def test_quota_validation(self):
-        with pytest.raises(ConfigurationError):
-            TenantQuota(max_in_flight=0)
-        with pytest.raises(ConfigurationError):
-            TenantQuota(weight=0.0)
-
-    def test_over_quota_job_queues_then_runs(self, tiny_dataset):
-        service = OcelotService(
-            _config(), quotas={"acme": TenantQuota(max_in_flight=1)}
-        )
-        first = service.submit(_spec(tiny_dataset, tenant="acme"))
-        second = service.submit(_spec(tiny_dataset, tenant="acme"))
-        other = service.submit(_spec(tiny_dataset, tenant="other"))
-        assert first.status is JobStatus.PENDING
-        assert second.status is JobStatus.QUEUED_ADMISSION
-        assert other.status is JobStatus.PENDING  # other tenants unaffected
-        assert [e.kind for e in second.events()] == [
-            "submitted", "queued_admission",
-        ]
-        service.run_pending()
-        assert second.status is JobStatus.COMPLETED
-        admitted = next(e for e in second.events() if e.kind == "admitted")
-        # Admission happened when the first job retired, not at submit.
-        assert admitted.detail["queued_s"] > 0
-        assert second.wait_s > 0
-        assert second.started_at >= first.finished_at - 1e-9
-
-    def test_admission_is_fifo_within_tenant(self, tiny_dataset):
-        service = OcelotService(
-            _config(), quotas={"acme": TenantQuota(max_in_flight=1)}
-        )
-        handles = [
-            service.submit(_spec(tiny_dataset, tenant="acme")) for _ in range(4)
-        ]
-        service.run_pending()
-        finishes = [h.finished_at for h in handles]
-        assert finishes == sorted(finishes)
-
-    def test_cancel_while_queued_for_admission(self, tiny_dataset):
-        service = OcelotService(
-            _config(), quotas={"acme": TenantQuota(max_in_flight=1)}
-        )
-        first = service.submit(_spec(tiny_dataset, tenant="acme"))
-        second = service.submit(_spec(tiny_dataset, tenant="acme"))
-        third = service.submit(_spec(tiny_dataset, tenant="acme"))
-        assert second.cancel() is True
-        service.run_pending()
-        assert first.status is JobStatus.COMPLETED
-        assert second.status is JobStatus.CANCELLED
-        # The cancelled job's admission slot went to the next in line.
-        assert third.status is JobStatus.COMPLETED
-
-    def test_node_share_quota_limits_parallelism(self, tiny_dataset):
-        """max_nodes admits jobs only while the tenant's footprint fits."""
-        service = OcelotService(
-            _config(), quotas={"acme": TenantQuota(max_nodes=4)}
-        )
-        # Each job needs max(compression_nodes, decompression_nodes) = 2.
-        handles = [
-            service.submit(_spec(tiny_dataset, tenant="acme")) for _ in range(3)
-        ]
-        assert [h.status for h in handles] == [
-            JobStatus.PENDING, JobStatus.PENDING, JobStatus.QUEUED_ADMISSION,
-        ]
-        service.run_pending()
-        assert all(h.status is JobStatus.COMPLETED for h in handles)
 
 
 class TestRecovery:
@@ -727,11 +646,11 @@ class TestRecovery:
         opens the same log batch after batch and never recovers)."""
         path = self._store_path(tmp_path)
         OcelotService(_config(), store=path).submit(_spec(tiny_dataset))
-        OcelotService(_config(), store=path, job_id_prefix="run").submit(_spec(tiny_dataset))
+        OcelotService(_config(), store=path).submit(_spec(tiny_dataset))
         again = OcelotService(_config(), store=path)
-        assert again.submit(_spec(tiny_dataset)).job_id == "job-0002"
+        assert again.submit(_spec(tiny_dataset)).job_id == "job-0003"
         assert [r["job_id"] for r in JobStore(path).load()] == [
-            "job-0001", "run-0001", "job-0002",
+            "job-0001", "job-0002", "job-0003",
         ]
 
     def test_recover_reads_cli_written_and_plain_logs_alike(self, tiny_dataset, tmp_path):

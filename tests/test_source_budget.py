@@ -50,8 +50,9 @@ MAX_CORE_FUNCTION_LINES = 90
 #: which no workload's data ever triggered, went, 15 065 before the
 #: options only tests set went: the random forest, WAN jitter and its
 #: seed, target-bytes grouping, the cost-model and sample-fraction
-#: plumbing).
-MAX_SRC_LINES = 14_826
+#: plumbing, 14 826 before tenant quotas, the admission queue, HTTP 429
+#: and fair-queue weights went).
+MAX_SRC_LINES = 14_542
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
@@ -147,10 +148,17 @@ MOVE = ".copy_from("
 #: decision tree (a saved file keeps its ``"model_kind"`` key, so files
 #: read both ways), a WAN estimate is deterministic and priced on a
 #: registered link, grouping is by world size, and the cluster model and
-#: the sentinel's threshold are constants.
+#: the sentinel's threshold are constants.  No caller outside the tests set
+#: a tenant quota, so the admission queue never parked a job, HTTP 429
+#: never fired and every fair-queue weight was 1: tenants share the
+#: scheduler equally and nothing is refused or parked for a quota.  Job
+#: ids are ``job-NNNN`` and the feature sample's block is a constant
+#: (``\b``: the codebook's ``max_sample_blocks`` is another name).
 TEST_ONLY_OPTIONS = re.compile(
     r'RandomForestRegressor|model_kind(?!")|jitter|default_link|group_target_bytes'
     r"|assign_by_target_bytes|sentinel_wait_threshold_s|lossless_options|cost_model"
+    r"|TenantQuota|QUEUED_ADMISSION|AdmissionError|check_admissible|set_quota"
+    r"|job_id_prefix|\bsample_block\b"
 )
 
 
@@ -356,3 +364,4 @@ def test_no_option_only_tests_set_comes_back():
     }
     assert not found
     assert not (SRC / "ml" / "random_forest.py").exists()
+    assert not (SRC / "service" / "quotas.py").exists()
