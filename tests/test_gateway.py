@@ -40,7 +40,8 @@ from repro.core import OcelotConfig
 from repro.datasets import generate_application
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.gateway import EventBus, GatewayDriver, create_gateway, spec_from_payload
-from repro.gateway.app import MAX_BODY_BYTES
+from repro.gateway.app import MAX_BODY_BYTES, error_response
+from repro.gateway.driver import UnknownGroupError, UnknownJobError
 from repro.service import JobHandle, OcelotService, TransferSpec
 from repro.service.events import JobEvent
 from repro.service.scheduler import JobScheduler
@@ -237,6 +238,20 @@ class TestRestJobControl:
         assert "in_flight" in metrics["tenants"]
         assert metrics["bus"]["published"] > 0
         assert metrics["http"]["requests"]["POST /v1/jobs"] == 1
+
+    def test_metricsz_counts_jobs_in_flight_while_paused(self, gateway):
+        gateway.driver.pause()
+        records = [_post(gateway.url, "/v1/jobs", {**SPEC_JSON, "tenant": tenant})[1]
+                   for tenant in ("a", "b", "a")]
+        _, metrics = _get(gateway.url, "/metricsz")
+        assert metrics["queue_depths"] == {"active": 3}
+        assert metrics["tenants"]["in_flight"] == {"a": 2, "b": 1}
+        gateway.driver.resume()
+        for record in records:
+            _get(gateway.url, f"/v1/jobs/{record['job_id']}/wait?timeout=60")
+        _, metrics = _get(gateway.url, "/metricsz")
+        assert metrics["queue_depths"] == {"active": 0}
+        assert metrics["tenants"]["in_flight"] == {}
 
 
 def _feed_lengths(driver, job_ids) -> int:
@@ -712,6 +727,20 @@ class TestErrorMapping:
         assert excinfo.value.code == 400
         assert json.load(excinfo.value)["code"] == "bad_json"
 
+    @pytest.mark.parametrize("exc, status, code", [
+        (UnknownJobError("job-9999"), 404, "unknown_job"),
+        (UnknownGroupError("group-9999"), 404, "unknown_plan_group"),
+        (OrchestrationError("bad route"), 400, "invalid_request"),
+        (ConfigurationError("bad bound"), 400, "invalid_config"),
+        (json.JSONDecodeError("Expecting value", "{", 1), 400, "bad_json"),
+        (ValueError("not a number"), 400, "bad_request"),
+        (RuntimeError("boom"), 500, "internal_error"),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+    def test_error_response_maps_each_exception_type(self, exc, status, code):
+        got_status, payload = error_response(exc)
+        assert (got_status, payload["code"]) == (status, code)
+        assert payload["error"]
+
     def test_unknown_job_is_404(self, gateway):
         for call in (
             lambda: _get(gateway.url, "/v1/jobs/job-9999"),
@@ -757,6 +786,19 @@ class TestPlanGroups:
         assert "spec #2" in payload["error"]
         _, listing = _get(gateway.url, "/v1/jobs")
         assert listing["count"] == 0  # nothing admitted
+        _, groups = _get(gateway.url, "/v1/plan-groups")
+        assert groups["count"] == 0
+
+
+    def test_group_with_unknown_compressor_is_400_and_admits_nothing(self, gateway):
+        bad = {**SPEC_JSON, "overrides": {"compressor": "no-such-compressor"}}
+        payload = _expect_error(
+            lambda: _post(gateway.url, "/v1/plan-groups", {"jobs": [SPEC_JSON, bad]}),
+            code="unknown_compressor", status=400,
+        )
+        assert "spec #1" in payload["error"]
+        _, listing = _get(gateway.url, "/v1/jobs")
+        assert listing["count"] == 0
         _, groups = _get(gateway.url, "/v1/plan-groups")
         assert groups["count"] == 0
 

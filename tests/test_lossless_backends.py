@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.compression.encoders.lossless import (
+    DEFLATE_LEVEL,
     DeflateBackend,
     RawBackend,
     get_lossless_backend,
@@ -24,6 +27,12 @@ class TestLosslessBackends:
         backend = DeflateBackend()
         data = b"\x00" * 10000
         assert len(backend.compress(data)) < 200
+
+    def test_deflate_compresses_at_the_fixed_level(self):
+        """Blobs stay byte-identical: the level is zlib's default, 6."""
+        data = bytes(range(256)) * 40
+        assert DEFLATE_LEVEL == 6
+        assert DeflateBackend().compress(data) == zlib.compress(data, 6)
 
     def test_raw_backend_is_identity(self):
         backend = RawBackend()

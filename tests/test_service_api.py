@@ -25,6 +25,7 @@ import json
 import pytest
 
 from repro.core import Ocelot, OcelotConfig, OcelotOrchestrator
+from repro.core.config import VALID_PRIORITIES, priority_class
 from repro.datasets import generate_application
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.service import (
@@ -568,6 +569,81 @@ class TestTenantsAndPriorities:
         service.run_pending()
         flood_finishes = sorted(h.finished_at for h in flood)
         assert single.finished_at < flood_finishes[-1]
+
+    def test_jobs_of_one_tenant_finish_in_submission_order(self, tiny_dataset):
+        service = OcelotService(_config())
+        handles = [
+            service.submit(_spec(tiny_dataset, tenant="acme")) for _ in range(4)
+        ]
+        service.run_pending()
+        finishes = [h.finished_at for h in handles]
+        assert finishes == sorted(finishes)
+
+    def test_cancel_of_a_pending_job_lets_the_rest_run(self, tiny_dataset):
+        service = OcelotService(_config())
+        first, second, third = (
+            service.submit(_spec(tiny_dataset, tenant="acme")) for _ in range(3)
+        )
+        assert second.status is JobStatus.PENDING
+        assert second.cancel() is True
+        service.run_pending()
+        assert first.status is JobStatus.COMPLETED
+        assert third.status is JobStatus.COMPLETED
+        assert second.status is JobStatus.CANCELLED
+        assert [e.kind for e in second.events()] == ["submitted", "cancelled"]
+        assert second.timeline() == []
+
+    def test_invalid_spec_rejected_before_anything_is_staged(self, tiny_dataset):
+        service = OcelotService(_config())
+        with pytest.raises(ConfigurationError, match="compressor"):
+            service.submit(_spec(tiny_dataset, overrides={"compressor": "no-such-codec"}))
+        assert service.jobs() == []
+        assert service.testbed.endpoint("anvil").filesystem.file_count() == 0
+
+    def test_priority_class_ranks_follow_valid_priorities(self):
+        ranks = [priority_class(name) for name in VALID_PRIORITIES]
+        assert ranks == sorted(ranks) == list(range(len(VALID_PRIORITIES)))
+        assert priority_class("high") > priority_class("normal") > priority_class("low")
+
+    def test_idle_and_live_jobs_track_jobs_in_flight(self, tiny_dataset):
+        service = OcelotService(_config())
+        scheduler = service.scheduler
+        assert scheduler.idle and list(scheduler.live_jobs()) == []
+        handles = [
+            service.submit(_spec(tiny_dataset, tenant=tenant))
+            for tenant in ("a", "b", "a")
+        ]
+        assert not scheduler.idle
+        assert [job.job_id for job in scheduler.live_jobs()] == [
+            h.job_id for h in handles]
+        assert scheduler.in_flight() == {"a": 2, "b": 1}
+        service.run_pending()
+        assert scheduler.idle and list(scheduler.live_jobs()) == []
+        assert scheduler.in_flight() == {}
+        assert len(scheduler.jobs()) == 3  # finished jobs stay retained
+
+    def test_tenants_get_equal_shares_of_the_link(self, tiny_dataset):
+        """Two tenants with the same backlog alternate on the WAN link:
+        neither takes its second transfer before the other's first."""
+        service = OcelotService(_config())
+        handles = {
+            tenant: [service.submit(_spec(tiny_dataset, tenant=tenant))
+                     for _ in range(2)]
+            for tenant in ("a", "b")
+        }
+        service.run_pending()
+
+        def transfer_starts(tenant):
+            return [next(s.start_s for s in h.timeline() if s.name == "transfer")
+                    for h in handles[tenant]]
+
+        a_starts, b_starts = transfer_starts("a"), transfer_starts("b")
+        assert max(a_starts[0], b_starts[0]) < min(a_starts[1], b_starts[1])
+
+    def test_job_ids_number_from_job_0001(self, tiny_dataset):
+        service = OcelotService(_config())
+        ids = [service.submit(_spec(tiny_dataset)).job_id for _ in range(3)]
+        assert ids == ["job-0001", "job-0002", "job-0003"]
 
 
 class TestRecovery:
