@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.transfer import GridFTPEngine, build_testbed
+from repro.transfer import build_testbed
 
 from common import print_table
 
@@ -21,7 +21,7 @@ PAPER_SPEEDS_MBPS = {1: 247.0, 10: 921.1, 100: 1120.0, 1000: 1060.0}
 def _sweep():
     testbed = build_testbed()
     link = testbed.service.topology.link("bebop", "cori")
-    engine = GridFTPEngine(settings=testbed.service.default_settings)
+    engine = testbed.service.engine
     rows = []
     for size_mb in FILE_SIZES_MB:
         file_size = size_mb * 10**6

@@ -110,9 +110,6 @@ def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
                                            "compressor's registered stage)")),
         "codebook": ("--codebook", dict(default="shared", choices=["shared", "per-block"], help=(
             "one entropy model per file, stored once in the blob header, or one per block"))),
-        "stage-timings": ("--stage-timings", dict(action="store_true", help=(
-            "time the encode stages, print them and stamp them into the blob metadata "
-            "for 'ocelot inspect' (the block encode then runs inline)"))),
         "output": ("--output", dict(metavar="PATH", help="also write the blob to PATH")),
         "modes": ("--modes", dict(nargs="+", default=list(VALID_MODES))),
         "transfer-mode": ("--transfer-mode", dict(default="bulk", choices=VALID_TRANSFER_MODES,
@@ -238,24 +235,6 @@ def _run_predict(args: argparse.Namespace) -> Result:
     return 0, rows, lines
 
 
-_STAGE_LABELS = (
-    ("predict_quantize_s", "predict+quantize"),
-    ("entropy_s", "entropy"),
-    ("lossless_s", "lossless"),
-)
-
-
-def _format_stage_timings(timings: dict) -> str:
-    """One line of per-stage encode times with share-of-total percentages."""
-    total = sum(timings.get(key, 0.0) for key, _ in _STAGE_LABELS)
-    parts = []
-    for key, label in _STAGE_LABELS:
-        value = timings.get(key, 0.0)
-        share = f" ({value / total:.0%})" if total > 0 else ""
-        parts.append(f"{label} {format_duration(value)}{share}")
-    return " | ".join(parts)
-
-
 def _run_compress(args: argparse.Namespace) -> Result:
     config = _config(args)
     if args.input:
@@ -270,7 +249,6 @@ def _run_compress(args: argparse.Namespace) -> Result:
         block_executor=ParallelExecutor(block_workers=config.block_workers).map_blocks,
         shared_codebook=config.shared_codebook, entropy_stage=config.entropy_stage,
     )
-    compressor.collect_stage_timings = args.stage_timings
     bound = config.resolved_error_bound()
     result = compressor.compress(data, bound, collect_quality=True)
     if args.output:
@@ -292,10 +270,6 @@ def _run_compress(args: argparse.Namespace) -> Result:
         f"  time: {format_duration(payload['compression_time_s'])}"
         f"  PSNR: {payload['psnr_db']} dB  max error: {payload['max_abs_error']:.3g}",
     ]
-    stage_timings = compressor.last_stage_timings
-    if stage_timings:
-        payload["stage_timings"] = stage_timings
-        lines.append("  encode stages: " + _format_stage_timings(stage_timings))
     return 0, payload, lines
 
 
@@ -376,10 +350,6 @@ def _run_inspect(args: argparse.Namespace) -> Result:
         if blob.metadata.get(key):
             payload[key] = blob.metadata[key]
             lines.append(f"  {label}: {payload[key]}")
-    stage_timings = blob.metadata.get("stage_timings")
-    if stage_timings:
-        payload["stage_timings"] = stage_timings
-        lines.append("  encode stages: " + _format_stage_timings(stage_timings))
     split = ", ".join(f"{codec}: {block_codecs[codec]}" for codec in sorted(block_codecs))
     lines += [
         f"  layout: {payload['num_blocks']} independent block(s)",
@@ -653,7 +623,7 @@ COMMANDS: Tuple[Command, ...] = (
     ), _run_predict),
     Command("compress", "compress one field and report quality", _flags(
         "application", "field", "input", "bound", "bound-mode", "scale", "block",
-        "stage-timings", "output", "json", scale=0.08, compressor="sz3",
+        "output", "json", scale=0.08, compressor="sz3",
     ), _run_compress),
     Command("transfer", "simulate an end-to-end dataset transfer", _flags(
         "dataset", "route", "size-scale", "bound", "modes", "block", "transfer-mode",

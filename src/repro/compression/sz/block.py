@@ -10,7 +10,9 @@ wins.  The winner is then entropy-coded exactly once (rANS blocks by
 through the lossless stage once, split or whole (:mod:`.encoding`).
 ``PredictionPipelineCompressor.encode_one_block`` composes these stages
 into the unit every encode path fans out; each stage *returns* its
-result, so a thread and the inline loop produce the same bytes.
+result, so a thread and the inline loop produce the same bytes.  No
+stage times itself: measuring a block runs the very path the workloads
+run, pool and helper lane included.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class BlockStages:
     A base class rather than a collaborator because every input is the
     pipeline's own configuration: ``predictor``, ``name``, ``config``,
     ``adaptive_predictor``, ``shared_codebook``, ``helper_lane``, and its
-    ``_wire`` / ``_lossless`` / ``_timed`` stages.
+    ``_wire`` / ``_lossless`` stages.
     """
 
     def _shared_codebook_active(self) -> bool:
@@ -83,8 +85,7 @@ class BlockStages:
         when there was nothing to rank.
         """
         candidates = self._candidate_predictors(block)
-        with self._timed("predict_quantize_s"):
-            encodings = [p.encode_block(block, error_bound_abs) for p in candidates]
+        encodings = [p.encode_block(block, error_bound_abs) for p in candidates]
         if not self.adaptive_predictor:
             return candidates[0].name, encodings[0], None
         histograms = [symbol_frequencies(e.codes) for e in encodings]
@@ -95,12 +96,11 @@ class BlockStages:
 
     def _compress_lossless(self, inner: SectionContainer) -> Any:
         """The lossless stage of one section: its bytes, or its pending call on the helper lane."""
-        with self._timed("lossless_s"):
-            call = pack_section(self._lossless, inner)
-            if self.helper_lane is not None and not self.collect_stage_timings:
-                nbytes = sum(map(inner.section_size, inner.section_names()))
-                return self.helper_lane.submit(call, nbytes=nbytes)
-            return call()
+        call = pack_section(self._lossless, inner)
+        if self.helper_lane is not None:
+            nbytes = sum(map(inner.section_size, inner.section_names()))
+            return self.helper_lane.submit(call, nbytes=nbytes)
+        return call()
 
     def _finish_block(
         self,
@@ -155,7 +155,7 @@ class BlockStages:
     def inflate_sections(self, blob: CompressedBlob) -> Optional[Dict[str, Any]]:
         """Start inflating each distinct section of ``blob`` on the helper lane, by
         name, for ``decompress(blob, inflated)``; ``None`` without the lane."""
-        if self.helper_lane is None or self.collect_stage_timings:
+        if self.helper_lane is None:
             return None
         names = dict.fromkeys(entry["section"] for entry in blob.block_index)
         size = blob.container.section_size

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -147,14 +146,9 @@ class _RansCoder:
 
 
 class EncodingWire:
-    """Serialise and parse encodings; owns one codec instance per stage.
+    """Serialise and parse encodings; owns one codec instance per stage."""
 
-    ``timed(stage)`` is the pipeline's stage-timing context manager (the
-    entropy coders run inside ``timed("entropy_s")``).
-    """
-
-    def __init__(self, timed: Callable[[str], AbstractContextManager]) -> None:
-        self._timed = timed
+    def __init__(self) -> None:
         self._coders = {"huffman": _HuffmanCoder(), "rans": _RansCoder()}
 
     def pooled_shared_book(
@@ -195,8 +189,7 @@ class EncodingWire:
         codes = np.asarray(encoding.codes, dtype=np.int64)
         inner.header["num_codes"] = int(codes.size)
         if stage in ENTROPY_CODED and codes.size:
-            with self._timed("entropy_s"):
-                self._entropy_code(plan, codes, stage, shared_book, histogram)
+            self._entropy_code(plan, codes, stage, shared_book, histogram)
         else:
             inner.header["huffman_count"] = -1
             inner.add_array("codes_raw", _pack_codes(codes))
@@ -216,8 +209,7 @@ class EncodingWire:
             if plan.pending is not None:
                 waiting.setdefault(plan.lanes, []).append(plan)
         for lanes, group in waiting.items():
-            with self._timed("entropy_s"):
-                payloads = RansCodec(lanes).encode_streams([p.pending for p in group])
+            payloads = RansCodec(lanes).encode_streams([p.pending for p in group])
             for plan, payload in zip(group, payloads):
                 plan.inner.add_section("codes_payload", payload, overwrite=True)
 

@@ -22,13 +22,11 @@ an older build's per-block choice) decodes on any reader.
 from __future__ import annotations
 
 import math
-import time
 import zlib
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,8 +56,6 @@ BlockMapper = Callable[[Callable[[Any], Any], Sequence[Any]], List[Any]]
 #: table in ARCHITECTURE.md, "Parallel execution"), so blocks below the
 #: grain run inline whatever ``block_workers`` says.
 _POOL_GRAIN_ELEMENTS = 1 << 17
-
-_STAGE_KEYS = ("predict_quantize_s", "entropy_s", "lossless_s")
 
 
 @dataclass
@@ -105,21 +101,10 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         self.config = config or PipelineConfig()
         if name:
             self.name = name
-        #: Opt-in per-stage encode timing (predict+quantize / entropy /
-        #: lossless), a debugging aid surfaced by ``ocelot compress
-        #: --stage-timings``.  The stage totals are unsynchronised sums,
-        #: so while it is on blocks run **inline**, whatever executor is
-        #: configured; the totals are stamped into the blob's metadata,
-        #: so it is off by default to keep blobs byte-reproducible.
-        self.collect_stage_timings = False
-        #: Stage totals of the most recent :meth:`compress_array` call
-        #: (``None`` until one runs with collection enabled).
-        self.last_stage_timings: Optional[Dict[str, float]] = None
-        self._stage_totals = dict.fromkeys(_STAGE_KEYS, 0.0)
         #: The most recent :meth:`block_plan`: the files of a dataset
         #: mostly share one shape, and a plan depends on nothing else.
         self._last_plan: Optional[BlockPlan] = None
-        self._wire = EncodingWire(self._timed)
+        self._wire = EncodingWire()
         self._lossless: LosslessBackend = get_lossless_backend(self.config.lossless_backend)
         self.configure_blocks(**block_options)
 
@@ -174,7 +159,6 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         which did.
         """
         arr = np.asarray(data)
-        self._stage_totals = dict.fromkeys(_STAGE_KEYS, 0.0)
         plan = self.block_plan(arr)
         fan_out = partial(self._map_blocks, block_elements=math.prod(plan.block_shape))
         shared_book = None
@@ -203,13 +187,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         header = self.blocked_header(arr, plan, error_bound_abs, shared_book=shared_book)
         codecs = Counter(entry.get("entropy", "none") for entry, _ in blocks)
         header["metadata"]["block_codecs"] = dict(sorted(codecs.items()))
-        blob = CompressedBlob.assemble(header, blocks)
-        if self.collect_stage_timings:
-            self.last_stage_timings = {
-                stage: round(total, 6) for stage, total in self._stage_totals.items()
-            }
-            blob.metadata["stage_timings"] = dict(self.last_stage_timings)
-        return blob
+        return CompressedBlob.assemble(header, blocks)
 
     def decompress_blob(self, blob: CompressedBlob, inflated: Optional[Dict] = None) -> np.ndarray:
         index = blob.block_index
@@ -286,31 +264,12 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         """Run ``func`` over per-block ``items``; ``block_elements`` sizes a block.
 
         The one fan-out rule: two or more blocks at or above the grain go
-        to the injected executor; everything else runs inline.  So does
-        everything while stage timings are collected: the stage totals
-        are unsynchronised sums.
+        to the injected executor; everything else runs inline.
         """
-        if (
-            len(items) > 1
-            and self.block_executor is not None
-            and block_elements >= _POOL_GRAIN_ELEMENTS
-            and not self.collect_stage_timings
-        ):
+        pooled = self.block_executor is not None and block_elements >= _POOL_GRAIN_ELEMENTS
+        if pooled and len(items) > 1:
             return list(self.block_executor(func, items))
         return [func(item) for item in items]
-
-    # ------------------------------------------------------------------ #
-    # Stages shared by every encode path
-    # ------------------------------------------------------------------ #
-    @contextmanager
-    def _timed(self, stage: str) -> Iterator[None]:
-        """Attribute the enclosed work to ``stage`` (no-op unless collecting)."""
-        if not self.collect_stage_timings:
-            yield
-            return
-        start = time.perf_counter()
-        yield
-        self._stage_totals[stage] += time.perf_counter() - start
 
     # ------------------------------------------------------------------ #
     # Block plan: encode

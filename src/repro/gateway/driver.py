@@ -170,26 +170,24 @@ class GatewayDriver:
                      label: str = "") -> Dict[str, object]:
         """Submit a whole plan group atomically, then fan it out.
 
-        Every spec is validated (config overrides, mode, endpoints,
-        route, compressor, dataset, tenant/priority) **before any job is
-        submitted** — one bad spec rejects the group with no partial
-        state.  Its jobs then interleave through the scheduler like any
-        other batch.
+        :meth:`OcelotService.submit_batch` validates every spec (config
+        overrides, mode, endpoints, route, compressor, dataset,
+        tenant/priority) once, **before any job is submitted** — one bad
+        spec rejects the group with no partial state.  Its jobs then
+        interleave through the scheduler like any other batch.
         """
         with self._lock:
-            for index, spec in enumerate(specs):
-                try:
-                    spec.validate(self.service.config, self.service.testbed)
-                except Exception as exc:
-                    exc.args = (f"plan group spec #{index}: {exc}",)
-                    raise
+            try:
+                handles = self.service.submit_batch(specs)
+            except Exception as exc:
+                exc.args = (f"plan group {exc}",)
+                raise
             group = PlanGroup(
                 group_id=f"pg-{next(self._group_counter):04d}",
                 label=label,
                 submitted_at=self.service.testbed.clock.now,
+                job_ids=[handle.job_id for handle in handles],
             )
-            for spec in specs:
-                group.job_ids.append(self.service.submit(spec).job_id)
             self._groups[group.group_id] = group
             return group.as_dict(self._statuses(group))
 

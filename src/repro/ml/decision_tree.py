@@ -17,6 +17,11 @@ from ..errors import ConfigurationError, ModelNotFittedError
 
 __all__ = ["DecisionTreeRegressor"]
 
+#: The constructor's parameters, as :meth:`DecisionTreeRegressor.to_dict`
+#: writes them; :meth:`~DecisionTreeRegressor.from_dict` reads only these,
+#: so a model saved with the keys of an older build still loads.
+_PARAMS = ("max_depth", "min_samples_split", "min_samples_leaf")
+
 
 @dataclass
 class _Node:
@@ -40,12 +45,7 @@ class _Node:
         }
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int,
-):
+def _best_split(X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
     """Return ``(feature, threshold, sse_gain)`` of the best split, or None."""
     n = y.size
     total_sum = float(y.sum())
@@ -53,7 +53,7 @@ def _best_split(
     parent_sse = total_sq - total_sum * total_sum / n
     best = None
     best_gain = 1e-12
-    for feat in feature_indices:
+    for feat in range(X.shape[1]):
         column = X[:, feat]
         order = np.argsort(column, kind="stable")
         sorted_x = column[order]
@@ -95,8 +95,6 @@ class DecisionTreeRegressor:
         max_depth: int = 12,
         min_samples_split: int = 4,
         min_samples_leaf: int = 2,
-        max_features: Optional[float] = None,
-        random_state: Optional[int] = None,
     ) -> None:
         if max_depth < 1:
             raise ConfigurationError("max_depth must be >= 1")
@@ -104,13 +102,9 @@ class DecisionTreeRegressor:
             raise ConfigurationError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
             raise ConfigurationError("min_samples_leaf must be >= 1")
-        if max_features is not None and not 0.0 < max_features <= 1.0:
-            raise ConfigurationError("max_features must be in (0, 1]")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.random_state = random_state
         self._nodes: List[_Node] = []
         self._n_features: Optional[int] = None
 
@@ -134,11 +128,10 @@ class DecisionTreeRegressor:
             raise ConfigurationError("cannot fit a tree on an empty training set")
         self._n_features = X.shape[1]
         self._nodes = []
-        rng = np.random.default_rng(self.random_state)
-        self._grow(X, y, depth=0, rng=rng)
+        self._grow(X, y, depth=0)
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> int:
+    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:
         node_index = len(self._nodes)
         node = _Node(value=float(y.mean()), n_samples=int(y.size))
         self._nodes.append(node)
@@ -148,13 +141,7 @@ class DecisionTreeRegressor:
             or np.allclose(y, y[0])
         ):
             return node_index
-        n_features = X.shape[1]
-        if self.max_features is not None and self.max_features < 1.0:
-            k = max(1, int(round(n_features * self.max_features)))
-            feature_indices = rng.choice(n_features, size=k, replace=False)
-        else:
-            feature_indices = np.arange(n_features)
-        split = _best_split(X, y, feature_indices, self.min_samples_leaf)
+        split = _best_split(X, y, self.min_samples_leaf)
         if split is None:
             return node_index
         feat, threshold, _ = split
@@ -163,8 +150,8 @@ class DecisionTreeRegressor:
             return node_index
         node.feature = feat
         node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
+        node.left = self._grow(X[mask], y[mask], depth + 1)
+        node.right = self._grow(X[~mask], y[~mask], depth + 1)
         return node_index
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -205,13 +192,7 @@ class DecisionTreeRegressor:
         """Serialise the fitted tree to a JSON-friendly dictionary."""
         return {
             "kind": "decision_tree",
-            "params": {
-                "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features,
-                "random_state": self.random_state,
-            },
+            "params": {key: getattr(self, key) for key in _PARAMS},
             "n_features": self._n_features,
             "nodes": [node.as_dict() for node in self._nodes],
         }
@@ -219,7 +200,8 @@ class DecisionTreeRegressor:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "DecisionTreeRegressor":
         """Rebuild a tree serialised with :meth:`to_dict`."""
-        tree = cls(**payload["params"])
+        params = payload["params"]
+        tree = cls(**{key: params[key] for key in _PARAMS if key in params})
         tree._n_features = payload["n_features"]
         tree._nodes = [_Node(**node) for node in payload["nodes"]]
         return tree

@@ -113,14 +113,20 @@ class OcelotService:
         :meth:`~repro.service.jobs.JobHandle.result`, or
         :meth:`run_pending`).
         """
-        return self._submit_spec(spec)
+        return self._enqueue(spec, self._validated(spec))
 
-    def _submit_spec(self, spec: TransferSpec, job_id: Optional[str] = None) -> JobHandle:
+    def _validated(self, spec: TransferSpec) -> OcelotConfig:
+        """``spec``'s job config; raises what :meth:`TransferSpec.validate` raises."""
         if not isinstance(spec, TransferSpec):
             raise OrchestrationError(
                 f"submit() takes a TransferSpec, got {type(spec).__name__}"
             )
-        job_config = spec.validate(self.config, self.testbed)
+        return spec.validate(self.config, self.testbed)
+
+    def _enqueue(
+        self, spec: TransferSpec, job_config: OcelotConfig, job_id: Optional[str] = None
+    ) -> JobHandle:
+        """Enqueue a validated ``spec`` with the config its validation returned."""
         tenant = spec.resolved_tenant(job_config)
         priority = spec.resolved_priority(job_config)
         if self.scheduler.idle and self.testbed.clock.now < self.scheduler.makespan_s:
@@ -170,8 +176,20 @@ class OcelotService:
         return handle
 
     def submit_batch(self, specs: Iterable[TransferSpec]) -> List[JobHandle]:
-        """Submit several requests; they will interleave when drained."""
-        return [self.submit(spec) for spec in specs]
+        """Submit several requests; they will interleave when drained.
+
+        Every spec is validated, once, before any is enqueued: one bad
+        spec enqueues none, and its error is prefixed ``spec #<index>:``.
+        """
+        specs = list(specs)
+        configs = []
+        for index, spec in enumerate(specs):
+            try:
+                configs.append(self._validated(spec))
+            except Exception as exc:
+                exc.args = (f"spec #{index}: {exc}",)
+                raise
+        return [self._enqueue(spec, config) for spec, config in zip(specs, configs)]
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -238,7 +256,7 @@ class OcelotService:
                 priority=spec_fields.get("priority"),
                 overrides=dict(spec_fields.get("overrides") or {}),
             )
-            result.resumed.append(self._submit_spec(spec, job_id=job_id))
+            result.resumed.append(self._enqueue(spec, self._validated(spec), job_id=job_id))
         return result
 
     # ------------------------------------------------------------------ #

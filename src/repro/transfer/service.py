@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import EndpointNotFoundError, TransferError
 from ..utils.clock import SimulationClock
 from .endpoint import GlobusEndpoint
-from .gridftp import GridFTPEngine, GridFTPSettings, TransferEstimate
+from .gridftp import GridFTPEngine, TransferEstimate
 from .network import NetworkTopology, WANLink
 
 __all__ = [
@@ -54,7 +54,6 @@ class TransferRequest:
     destination_endpoint: str
     paths: Sequence[str]
     label: str = ""
-    settings: Optional[GridFTPSettings] = None
 
 
 @dataclass
@@ -247,17 +246,16 @@ class TransferStream:
 
 
 class TransferService:
-    """The simulated Globus transfer service."""
+    """The simulated Globus transfer service.
 
-    def __init__(
-        self,
-        topology: NetworkTopology,
-        clock: Optional[SimulationClock] = None,
-        default_settings: Optional[GridFTPSettings] = None,
-    ) -> None:
+    One :class:`GridFTPEngine`, with the default settings, prices every
+    route and stream.
+    """
+
+    def __init__(self, topology: NetworkTopology, clock: Optional[SimulationClock] = None) -> None:
         self.topology = topology
         self.clock = clock or SimulationClock()
-        self.default_settings = default_settings or GridFTPSettings()
+        self.engine = GridFTPEngine()
         self._endpoints: Dict[str, GlobusEndpoint] = {}
         self._task_counter = itertools.count(1)
 
@@ -295,21 +293,16 @@ class TransferService:
             dst.storage_write_bps * dst.dtn_count,
         )
 
-    def estimate(
-        self,
-        source: str,
-        destination: str,
-        sizes: Sequence[int],
-        settings: Optional[GridFTPSettings] = None,
-    ) -> TransferEstimate:
+    def estimate(self, source: str, destination: str, sizes: Sequence[int]) -> TransferEstimate:
         """What moving files of ``sizes`` bytes from ``source`` to
         ``destination`` costs: the route model :meth:`submit` bills.
 
-        Nothing moves.  The settings default to the service's own.
+        Nothing moves.
         """
         link, read_bps, write_bps = self._route(source, destination)
-        engine = GridFTPEngine(settings=settings or self.default_settings)
-        return engine.estimate(sizes, link, storage_read_bps=read_bps, storage_write_bps=write_bps)
+        return self.engine.estimate(
+            sizes, link, storage_read_bps=read_bps, storage_write_bps=write_bps
+        )
 
     def submit(self, request: TransferRequest) -> TransferTask:
         """Execute a transfer request: move the files, time it by :meth:`estimate`.
@@ -323,7 +316,7 @@ class TransferService:
         if not request.paths:
             raise TransferError("transfer request contains no paths")
         sizes = [source.filesystem.stat(path).size_bytes for path in request.paths]
-        estimate = self.estimate(source.name, destination.name, sizes, request.settings)
+        estimate = self.estimate(source.name, destination.name, sizes)
         destination.filesystem.copy_from(source.filesystem, request.paths)
         now = self.clock.now
         return TransferTask(
@@ -336,11 +329,7 @@ class TransferService:
         )
 
     def open_stream(
-        self,
-        source_endpoint: str,
-        destination_endpoint: str,
-        label: str = "",
-        settings: Optional[GridFTPSettings] = None,
+        self, source_endpoint: str, destination_endpoint: str, label: str = ""
     ) -> TransferStream:
         """Open an incremental transfer between two endpoints.
 
@@ -351,7 +340,6 @@ class TransferService:
         its opening.  Its channels share the route :meth:`estimate` prices.
         """
         route = self._route(source_endpoint, destination_endpoint)
-        engine = GridFTPEngine(settings=settings or self.default_settings)
         task = TransferTask(
             task_id=f"task-{next(self._task_counter):06d}",
             request=TransferRequest(
@@ -359,7 +347,6 @@ class TransferService:
                 destination_endpoint=destination_endpoint,
                 paths=[],
                 label=label or "stream",
-                settings=settings,
             ),
         )
-        return TransferStream(task, engine, *route)
+        return TransferStream(task, self.engine, *route)

@@ -227,6 +227,31 @@ class TestCommands:
             "=        3", "=        6"
         ]
 
+    def test_an_older_blobs_stage_timings_still_parse_and_decode(self, tmp_path, capsys):
+        """Older builds could stamp encode stage timings into a blob's
+        metadata; such a blob round-trips, decodes the same and inspects."""
+        from repro.compression import CompressedBlob, ErrorBound, create_blocked_compressor
+
+        data = np.add.outer(
+            np.sin(np.linspace(0, 3, 48)), np.cos(np.linspace(0, 2, 40))
+        ).astype(np.float32)
+        compressor = create_blocked_compressor("sz3", block_shape=16)
+        blob = compressor.compress(data, ErrorBound(value=1e-3, mode="abs")).blob
+        timings = {"predict_quantize_s": 0.0125, "entropy_s": 0.004, "lossless_s": 0.0031}
+        blob.metadata["stage_timings"] = dict(timings)
+        parsed = CompressedBlob.from_bytes(blob.to_bytes())
+        assert parsed.metadata["stage_timings"] == timings
+        assert (compressor.decompress(parsed) == compressor.decompress(blob)).all()
+        path = tmp_path / "timed.sz"
+        path.write_bytes(blob.to_bytes())
+        assert main(["inspect", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["num_blocks"] == blob.num_blocks
+        assert "stage_timings" not in payload
+        with pytest.raises(SystemExit) as exit_info:  # the flag went with the feature
+            main(["compress", "--stage-timings"])
+        assert exit_info.value.code == 2
+
     def test_inspect_whole_array_blob(self, tmp_path, capsys):
         from repro.compression import ErrorBound, create_compressor
 

@@ -124,37 +124,6 @@ class TestThreadPoolEquivalence:
         _compress_blob_bytes("thread", shared=True, adaptive=adaptive)
         assert fanned == [9, 9, 9]  # choose + finish, then decode
 
-    def test_stage_timings_collection_still_byte_identical(self):
-        compressor = create_blocked_compressor("sz3", block_shape=16)
-        baseline = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob
-        compressor.collect_stage_timings = True
-        timed = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob
-        timings = compressor.last_stage_timings
-        assert timings is not None
-        assert set(timings) == {"predict_quantize_s", "entropy_s", "lossless_s"}
-        assert timings["predict_quantize_s"] > 0
-        # The timings ride in mutable metadata; the compressed sections
-        # themselves must be unaffected by collection.
-        assert timed.metadata.pop("stage_timings") == timings
-        assert timed.to_bytes() == baseline.to_bytes()
-
-
-class TestBlockTaskContract:
-    """What holds of the block tasks whichever way they are fanned out."""
-
-    def test_stage_timings_run_the_encode_inline(self, monkeypatch):
-        threaded = _spy_on_map_blocks(monkeypatch)
-        compressor = create_blocked_compressor(
-            "sz3", block_shape=16, block_executor=_block_executor("thread")
-        )
-        compressor.collect_stage_timings = True
-        with _pool_grain():
-            blob = compressor.compress(_data(), ErrorBound.relative(1e-3)).blob
-        assert threaded == []
-        assert compressor.last_stage_timings["entropy_s"] > 0
-        blob.metadata.pop("stage_timings")
-        assert blob.to_bytes() == _compress_blob_bytes("thread", shared=True)
-
 
 class TestEntropyStageEquivalence:
     """The rANS stage must not perturb the blob-determinism contract.

@@ -790,6 +790,19 @@ class TestPlanGroups:
         assert groups["count"] == 0
 
 
+    def test_group_validates_each_spec_once(self, monkeypatch):
+        validated = []
+        validate = TransferSpec.validate
+        monkeypatch.setattr(
+            TransferSpec, "validate",
+            lambda spec, *args: validated.append(spec) or validate(spec, *args),
+        )
+        driver = GatewayDriver(OcelotService(_config()))
+        specs = [spec_from_payload(SPEC_JSON) for _ in range(4)]
+        group = driver.submit_group(specs, label="four")
+        assert group["total"] == 4
+        assert validated == specs
+
     def test_group_with_unknown_compressor_is_400_and_admits_nothing(self, gateway):
         bad = {**SPEC_JSON, "overrides": {"compressor": "no-such-compressor"}}
         payload = _expect_error(

@@ -78,14 +78,24 @@ class TestDecisionTree:
             DecisionTreeRegressor(min_samples_split=1)
         with pytest.raises(ConfigurationError):
             DecisionTreeRegressor(min_samples_leaf=0)
-        with pytest.raises(ConfigurationError):
-            DecisionTreeRegressor(max_features=1.5)
 
     def test_serialisation_round_trip(self):
         X, y = _make_regression(200)
         tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
         restored = DecisionTreeRegressor.from_dict(tree.to_dict())
         np.testing.assert_allclose(tree.predict(X), restored.predict(X))
+
+    def test_model_saved_with_feature_bagging_keys_still_loads(self):
+        # Older builds wrote the random forest's two bagging parameters
+        # into every tree's params; such a file loads and predicts the same.
+        X, y = _make_regression(200)
+        tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
+        payload = tree.to_dict()
+        assert set(payload["params"]) == {"max_depth", "min_samples_split", "min_samples_leaf"}
+        payload["params"].update(max_features=None, random_state=None)
+        restored = DecisionTreeRegressor.from_dict(payload)
+        assert restored.max_depth == 6
+        assert (restored.predict(X) == tree.predict(X)).all()
 
     def test_feature_importances_sum_to_one(self):
         X, y = _make_regression(200)

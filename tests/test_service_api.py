@@ -137,6 +137,28 @@ class TestSubmitValidation:
             service.submit(_spec(tiny_dataset, overrides={"stream_window": 0}))
         self._assert_pristine(service)
 
+    def test_batch_validates_each_spec_once(self, monkeypatch, tiny_dataset):
+        validated = []
+        validate = TransferSpec.validate
+        monkeypatch.setattr(
+            TransferSpec, "validate",
+            lambda spec, *args: validated.append(spec) or validate(spec, *args),
+        )
+        service = OcelotService(_config())
+        specs = [_spec(tiny_dataset, label=f"s{i}") for i in range(4)]
+        handles = service.submit_batch(specs)
+        assert validated == specs
+        assert [handle.spec for handle in handles] == specs
+
+    def test_batch_with_a_bad_spec_enqueues_nothing(self, tiny_dataset):
+        service = OcelotService(_config())
+        specs = [_spec(tiny_dataset) for _ in range(4)]
+        specs[2] = _spec(tiny_dataset, destination="summit")
+        with pytest.raises(OrchestrationError, match=r"^spec #2: unknown destination endpoint"):
+            service.submit_batch(specs)
+        assert service.jobs() == []
+        self._assert_pristine(service)
+
     def test_legacy_wrapper_validates_at_submit(self, tiny_dataset):
         """transfer_dataset inherits boundary validation from the service."""
         ocelot = Ocelot(_config())

@@ -83,7 +83,7 @@ class TestTransferStream:
     def test_chunks_queue_when_channels_are_busy(self, testbed):
         # More simultaneous chunks than channels: the excess must wait.
         stream = testbed.service.open_stream("anvil", "cori")
-        concurrency = testbed.service.default_settings.concurrency
+        concurrency = testbed.service.engine.settings.concurrency
         chunks = [
             stream.send_chunk(f"/c{i}", size_bytes=200_000_000, available_at=0.0)
             for i in range(concurrency + 4)

@@ -293,7 +293,7 @@ class TestTestbed:
     def test_table2_calibration(self, testbed):
         """300 GB as 1 MB files must be several times slower than as 100 MB files."""
         link = testbed.service.topology.link("bebop", "cori")
-        engine = GridFTPEngine(testbed.service.default_settings)
+        engine = testbed.service.engine
         small = engine.estimate([int(1 * MB)] * 300_000, link)
         large = engine.estimate([int(100 * MB)] * 3_000, link)
         assert small.duration_s / large.duration_s > 3.0
