@@ -37,7 +37,7 @@ from ..encoders.huffman import HuffmanCodebook
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
 from ..header import FORMAT_VERSION
 from ..interface import CompressedBlob, Compressor, dtype_name
-from ..predictors.base import Predictor
+from ..predictors.base import Predictor, PredictorOutput
 from .block import BlockResult, BlockStages
 from .encoding import ENTROPY_CODED, ENTROPY_STAGES, EncodingWire, SharedBook
 
@@ -152,10 +152,22 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     # Compressor interface
     # ------------------------------------------------------------------ #
     def compress_array(self, data: np.ndarray, error_bound_abs: float) -> CompressedBlob:
-        """The one encode: plan, choose, pool, finish.
+        """The one block encode (:meth:`encode_blocks`), assembled into a blob."""
+        header, blocks = self.encode_blocks(data, error_bound_abs)
+        codecs = Counter(entry.get("entropy", "none") for entry, _ in blocks)
+        header["metadata"]["block_codecs"] = dict(sorted(codecs.items()))
+        return CompressedBlob.assemble(header, blocks)
 
-        Every stage closure *returns* its result, so the inline loop and
-        the thread pool run the same code and the blob cannot depend on
+    def encode_blocks(
+        self, data: np.ndarray, error_bound_abs: float
+    ) -> Tuple[Dict[str, Any], List[BlockResult]]:
+        """The one block encode: plan, choose, pool, finish, settle.
+
+        Returns the blob header and every block's settled ``(entry,
+        payload)`` in block order: :meth:`compress_array` assembles them
+        and the streaming pipeline ships them, one message a block.  Every
+        stage closure *returns* its result, so the inline loop and the
+        thread pool run the same code and the bytes cannot depend on
         which did.
         """
         arr = np.asarray(data)
@@ -170,9 +182,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                 lambda spec: self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs),
                 plan.blocks,
             )
-            shared_book = self._wire.pooled_shared_book(
-                self.config.entropy_stage, [encoding for _, encoding, _ in chosen]
-            )
+            shared_book = self.prepare_shared_codebook([encoding for _, encoding, _ in chosen])
             blocks = fan_out(
                 lambda i: self._finish_block(
                     plan.blocks[i], *chosen[i], shared_book, plan.num_blocks
@@ -184,10 +194,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                 lambda spec: self._start_block(arr, plan, spec, error_bound_abs), plan.blocks
             )
         blocks = self.settle(blocks)
-        header = self.blocked_header(arr, plan, error_bound_abs, shared_book=shared_book)
-        codecs = Counter(entry.get("entropy", "none") for entry, _ in blocks)
-        header["metadata"]["block_codecs"] = dict(sorted(codecs.items()))
-        return CompressedBlob.assemble(header, blocks)
+        return self.blocked_header(arr, plan, error_bound_abs, shared_book=shared_book), blocks
 
     def decompress_blob(self, blob: CompressedBlob, inflated: Optional[Dict] = None) -> np.ndarray:
         index = blob.block_index
@@ -297,10 +304,10 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         result = self._finish_block(spec, *choice, shared_book, plan.num_blocks)
         return result if defer else self.settle([result])[0]
 
-    def _start_block(self, arr, plan, spec, error_bound_abs, shared_book=None) -> BlockResult:
-        """The unit the bulk and streamed encodes fan out and then :meth:`settle`.
+    def _start_block(self, arr, plan, spec, error_bound_abs) -> BlockResult:
+        """The per-block-model unit :meth:`encode_blocks` fans out before one :meth:`settle`.
         It goes through the public method: ``bench/`` counts streamed blocks by its calls."""
-        return self.encode_one_block(arr, plan, spec, error_bound_abs, shared_book, defer=True)
+        return self.encode_one_block(arr, plan, spec, error_bound_abs, defer=True)
 
     def block_plan(self, arr: np.ndarray) -> BlockPlan:
         """The block partition this pipeline applies to ``arr``.
@@ -326,14 +333,10 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         """Blob-level header for a blob of ``arr`` (sans block index).
 
         :meth:`CompressedBlob.assemble` turns it and the encoded blocks
-        into the blob; the streaming pipeline ships it so the destination
-        can do the same with the sections it receives.  The
-        shared entropy model — a Huffman codebook or rANS frequency
-        table, when one is in use — rides in this header as a bytes
-        value, so it is serialised once per file instead of once per
-        block and automatically reaches streamed-block consumers.
+        into the blob, at either end of a stream.  The shared entropy
+        model (a Huffman codebook or rANS frequency table) rides in it as
+        a bytes value, serialised once per file instead of once per block.
         """
-        arr = np.asarray(arr)
         header = {
             "compressor": self.name,
             "shape": list(arr.shape),
@@ -358,36 +361,11 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         return header
 
     def prepare_shared_codebook(
-        self,
-        arr: np.ndarray,
-        plan: BlockPlan,
-        error_bound_abs: float,
-        max_sample_blocks: int = 8,
+        self, encodings: Sequence[PredictorOutput]
     ) -> Optional[SharedBook]:
-        """Build a file-wide entropy model from a *sample* of blocks.
-
-        The streaming pipeline must ship the blob header (and with it the
-        shared model) before the first block, so it cannot wait for exact
-        all-block frequencies the way the bulk path does; instead up to
-        ``max_sample_blocks`` evenly spaced blocks go through the same
-        predictor choice their encode will make and their pooled symbol
-        frequencies seed the model.  Blocks whose alphabet escapes the
-        sampled model fall back to per-block codebooks/tables at encode
-        time.
-        """
-        if not self._shared_codebook_active() or plan.num_blocks < 2:
-            return None
-        specs = list(plan.blocks)
-        if len(specs) > max_sample_blocks:
-            picks = np.unique(
-                np.linspace(0, len(specs) - 1, max_sample_blocks).astype(int)
-            )
-            specs = [specs[i] for i in picks]
-        encodings = []
-        for spec in specs:
-            block = plan.extract(arr, spec)
-            if np.isfinite(block).all():  # a non-finite block is literals, not symbols
-                encodings.append(self._choose_block_encoding(block, error_bound_abs)[1])
+        """The file-wide entropy model pooled over every block's encoding, which none
+        escapes; ``None`` with nothing to model or a rANS alphabet too wide for a table.
+        :meth:`encode_blocks`' pooling step, a method so ``bench/`` can time it by name."""
         return self._wire.pooled_shared_book(self.config.entropy_stage, encodings)
 
     def cache_fingerprint(self, error_bound_abs: float) -> Dict[str, Any]:

@@ -22,12 +22,13 @@ counts — and its compression span is the bulk compression makespan
 model over the per-block encode times and chunk sizes, so a report
 means the same whichever way the bytes travelled.
 
-A streamed run reads the whole-blob cache tier but never writes it: the
-blob header ships before the first block, so its shared codebook is
-seeded from a block sample rather than pooled over every block, and the
-assembled bytes differ from the bulk encode that the same pipeline
-fingerprint keys.  Storing them would hand a later bulk run different
-bytes than it would have produced.
+A streamed run ships the very blocks the bulk encode writes
+(``encode_blocks``), and it reads the whole-blob cache tier but never
+writes it: the blob it assembles lacks the ``block_codecs`` and
+``error_bound_request`` metadata that ``compress`` adds, so its bytes
+differ from the bulk blob the same pipeline fingerprint keys.  Storing
+them would hand a later bulk run different bytes than it would have
+produced.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Tuple
 import numpy as np
 
 from ..compression import CompressedBlob
-from ..compression.sz.pipeline import PredictionPipelineCompressor
 from ..transfer.gridftp import lpt_makespan
 from ..transfer.service import TransferStream
 
@@ -163,9 +163,11 @@ class StreamingPipeline:
             arr = np.asarray(staged_file.field.data)
             if not np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(np.float32)
-            eb_abs = plan.error_bound.absolute_for(arr)
+            # The bulk encode's blocks, one message each (without a block
+            # size a file is one block, so the stream overlaps files).
+            header, encoded = compressor.encode_blocks(arr, plan.error_bound.absolute_for(arr))
             blocks: List[_PendingBlock] = []
-            for entry, payload, header in self._encode_file(compressor, arr, eb_abs):
+            for entry, payload in encoded:
                 nominal = int(math.prod(entry["shape"]) * arr.itemsize * config.size_scale)
                 encode_s = config.simulated_compute_s(
                     nominal, config.assumed_compression_throughput_mbps
@@ -234,27 +236,3 @@ class StreamingPipeline:
             run.outcome.per_file_output_bytes.append(scaled_len)
             run.outcome.original_bytes += staged_file.size_bytes
             yield staged_file.field.filename, blob
-
-    # ------------------------------------------------------------------ #
-    def _encode_file(
-        self, compressor: PredictionPipelineCompressor, arr: np.ndarray, eb_abs: float
-    ):
-        """Yield ``(entry, payload, blob_header)`` per block, in block order.
-
-        The file's blocks all encode (deflating on the helper lane) before
-        the settled payloads are yielded; without a block size the plan is
-        one block per file, so streaming still overlaps across files.
-        """
-        block_plan = compressor.block_plan(arr)
-        # The blob header ships before the first block, so the shared
-        # codebook is seeded from a sample of blocks rather than the
-        # exact all-block frequencies the bulk path pools; blocks
-        # whose alphabet escapes it fall back to per-block codebooks.
-        shared_book = compressor.prepare_shared_codebook(arr, block_plan, eb_abs)
-        header = compressor.blocked_header(arr, block_plan, eb_abs, shared_book=shared_book)
-        blocks = [
-            compressor._start_block(arr, block_plan, spec, eb_abs, shared_book)
-            for spec in block_plan
-        ]
-        for entry, payload in compressor.settle(blocks):
-            yield entry, payload, header

@@ -143,22 +143,16 @@ class QualityPredictor:
         error_bounds: Sequence[float],
         compressors: Sequence[str] = ("sz3",),
         min_psnr_db: Optional[float] = 60.0,
-        min_ratio: Optional[float] = None,
     ) -> QualityPrediction:
         """Select the best-qualified configuration.
 
-        Among candidates satisfying the PSNR/ratio requirements, the one
+        Among candidates satisfying the PSNR requirement, the one
         with the highest predicted compression ratio wins; if no candidate
         satisfies the constraints, the one with the highest predicted PSNR
         is returned (the most conservative choice).
         """
         candidates = self.predict_sweep(data, error_bounds, compressors)
-        acceptable = [
-            c
-            for c in candidates
-            if (min_psnr_db is None or c.psnr_db >= min_psnr_db)
-            and (min_ratio is None or c.compression_ratio >= min_ratio)
-        ]
+        acceptable = [c for c in candidates if min_psnr_db is None or c.psnr_db >= min_psnr_db]
         if acceptable:
             return max(acceptable, key=lambda c: c.compression_ratio)
         return max(candidates, key=lambda c: c.psnr_db)

@@ -108,32 +108,21 @@ def train_test_split_records(
     records: List[QualityRecord],
     train_fraction: float = 0.3,
     seed: int = 0,
-    by_file: bool = True,
 ) -> Tuple[List[QualityRecord], List[QualityRecord]]:
-    """Split records into train/test sets.
+    """Split records into train/test sets, a whole file at a time.
 
-    When ``by_file`` is True (the paper's protocol), whole files go to one
-    side of the split: every error-bound sample of a given file lands in
-    the same partition, so the test files are genuinely unseen.
+    The paper's protocol: every error-bound sample of a given file lands
+    in the same partition, so the test files are genuinely unseen.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
     rng = rng_from_seed(seed)
-    if by_file:
-        file_keys = sorted({(r.application, r.field_name, r.snapshot) for r in records})
-        shuffled = list(file_keys)
-        rng.shuffle(shuffled)
-        n_train = max(1, int(round(len(shuffled) * train_fraction)))
-        train_keys = set(shuffled[:n_train])
-        train = [r for r in records if (r.application, r.field_name, r.snapshot) in train_keys]
-        test = [r for r in records if (r.application, r.field_name, r.snapshot) not in train_keys]
-    else:
-        indices = np.arange(len(records))
-        rng.shuffle(indices)
-        n_train = max(1, int(round(len(records) * train_fraction)))
-        train_idx = set(indices[:n_train].tolist())
-        train = [r for i, r in enumerate(records) if i in train_idx]
-        test = [r for i, r in enumerate(records) if i not in train_idx]
+    shuffled = sorted({(r.application, r.field_name, r.snapshot) for r in records})
+    rng.shuffle(shuffled)
+    n_train = max(1, int(round(len(shuffled) * train_fraction)))
+    train_keys = set(shuffled[:n_train])
+    train = [r for r in records if (r.application, r.field_name, r.snapshot) in train_keys]
+    test = [r for r in records if (r.application, r.field_name, r.snapshot) not in train_keys]
     if not test:
         test = train[-1:]
     return train, test

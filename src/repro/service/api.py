@@ -207,10 +207,7 @@ class OcelotService:
             error=str(job.error) if job.error is not None else None,
         )
 
-    def recover(
-        self,
-        dataset_resolver: Optional[Callable[[Dict[str, object]], object]] = None,
-    ) -> RecoveryResult:
+    def recover(self) -> RecoveryResult:
         """Resume a crashed service from its write-ahead job store.
 
         Folds the JSONL log into per-job states and splits them three
@@ -218,10 +215,8 @@ class OcelotService:
         **not** re-run (no duplicated billing — their compute was spent
         before the crash); unfinished jobs are re-queued under their
         original job ids, tenants and priorities, rebuilding each
-        dataset from its persisted generation recipe (or from
-        ``dataset_resolver(state)`` when given, which wins over the
-        recipe); unfinished jobs with no way to rebuild their dataset
-        are reported as unrecoverable rather than guessed at.
+        dataset from its persisted generation recipe; unfinished jobs
+        with no recipe are reported as unrecoverable, not guessed at.
 
         Returns a :class:`RecoveryResult`; drain the ``resumed`` handles
         (e.g. :meth:`run_pending`) to finish the persisted batch.
@@ -235,16 +230,12 @@ class OcelotService:
             if state.get("status") in _TERMINAL_STATUSES:
                 result.finished.append(state)
                 continue
-            dataset = None
-            if dataset_resolver is not None:
-                dataset = dataset_resolver(state)
-            if dataset is None and state.get("dataset_recipe"):
-                from ..datasets import generate_application
-
-                dataset = generate_application(**state["dataset_recipe"])
-            if dataset is None:
+            if not state.get("dataset_recipe"):
                 result.unrecoverable.append(state)
                 continue
+            from ..datasets import generate_application
+
+            dataset = generate_application(**state["dataset_recipe"])
             spec_fields = dict(state.get("spec") or {})
             spec = TransferSpec(
                 dataset=dataset,

@@ -26,6 +26,7 @@ serialising the phases.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -160,13 +161,16 @@ class TransferStream:
         self._storage_write_bps = storage_write_bps
         self._bandwidth_cache: Dict[int, float] = {}
         self._overhead_s = engine.per_chunk_overhead_s(link)
+        #: Every sent chunk's start and completion time, each list sorted.
+        self._starts: List[float] = []
+        self._completions: List[float] = []
         self._closed = False
 
     # ------------------------------------------------------------------ #
     @property
     def last_completion_s(self) -> float:
         """Simulated time the latest-finishing chunk leaves the wire."""
-        return max((chunk.completed_at for chunk in self.task.chunks), default=0.0)
+        return self._completions[-1] if self._completions else 0.0
 
     def _bandwidth_bps(self, active_channels: int) -> float:
         active = max(1, min(self._channels_count, active_channels))
@@ -182,11 +186,14 @@ class TransferStream:
         return cached
 
     def _in_flight_at(self, when: float) -> int:
-        """Chunks occupying a channel at simulated time ``when``."""
-        return sum(
-            1
-            for chunk in self.task.chunks
-            if chunk.started_at <= when < chunk.completed_at
+        """Chunks occupying a channel at simulated time ``when``.
+
+        No chunk completes before it starts, so they are the chunks
+        started by ``when`` less those completed by then: two binary
+        searches, not a scan of every chunk sent.
+        """
+        return bisect.bisect_right(self._starts, when) - bisect.bisect_right(
+            self._completions, when
         )
 
     def chunk_duration_s(self, size_bytes: int, active_channels: int = 1) -> float:
@@ -218,6 +225,8 @@ class TransferStream:
         active = self._in_flight_at(started) + 1
         completed = started + self.chunk_duration_s(size, active)
         heapq.heappush(self._channels, completed)
+        bisect.insort(self._starts, started)
+        bisect.insort(self._completions, completed)
         chunk = StreamChunk(
             name=name,
             size_bytes=size,
@@ -240,7 +249,7 @@ class TransferStream:
         self._closed = True
         task = self.task
         task.request.paths = [chunk.name for chunk in task.chunks]
-        task.started_at = min((c.started_at for c in task.chunks), default=0.0)
+        task.started_at = self._starts[0] if self._starts else 0.0
         task.completed_at = self.last_completion_s
         return task
 

@@ -36,19 +36,18 @@ class Testbed:
         """Look up an endpoint by name."""
         return self.service.endpoint(name)
 
-    def reset_clock(self, clear_staged: bool = True) -> None:
-        """Reset the shared simulation clock to zero.
+    def reset_clock(self) -> None:
+        """Reset the shared simulation clock to zero and wipe every endpoint's files.
 
-        ``clear_staged`` additionally wipes every endpoint's simulated
-        filesystem (staged datasets, compressed artefacts, decompressed
-        reconstructions), so repeated runs — e.g. the per-mode loop of
-        ``Ocelot.compare_modes`` — start from a truly identical testbed
-        instead of inheriting the previous run's files.
+        Every endpoint's simulated filesystem (staged datasets, compressed
+        artefacts, decompressed reconstructions) goes too, so repeated
+        runs — e.g. the per-mode loop of ``Ocelot.compare_modes`` — start
+        from a truly identical testbed instead of inheriting the previous
+        run's files.
         """
         self.clock.reset()
-        if clear_staged:
-            for name in self.service.endpoints():
-                self.service.endpoint(name).filesystem.remove_prefix("/")
+        for name in self.service.endpoints():
+            self.service.endpoint(name).filesystem.remove_prefix("/")
 
 
 def build_testbed() -> Testbed:

@@ -180,9 +180,11 @@ def test_bulk_adaptive_encodes_each_block_once(kernel_calls, stage, shared):
         "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=shared, entropy_stage=stage
     )
     field = _walk_field()
-    compressor.compress(field, ErrorBound.relative(1e-3), verify=False)
+    blob = compressor.compress(field, ErrorBound.relative(1e-3), verify=False).blob
     assert compressor.block_plan(field).num_blocks == 9
     assert kernel_calls == {"entropy": 9, "lossless": 9}
+    # A shared model is pooled over all nine blocks, so none escapes it.
+    assert {entry["codebook"] for entry in blob.block_index} == {"shared" if shared else "block"}
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -205,35 +207,13 @@ def test_a_block_builds_only_the_configured_codecs_model(monkeypatch, stage):
     assert built == {stage: compressor.block_plan(field).num_blocks}
 
 
-@pytest.mark.parametrize("stage", STAGES)
-@pytest.mark.parametrize("shared", [False, True], ids=["per-block", "shared"])
-def test_streamed_adaptive_encodes_each_block_once(kernel_calls, stage, shared):
-    """The streamed path's two calls: sample the shared model, then one
-    ``encode_one_block`` per block, including the blocks the sampled
-    model does not cover."""
-    field = _walk_field()
-    compressor = create_blocked_compressor(
-        "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=shared, entropy_stage=stage
-    )
-    plan = compressor.block_plan(field)
-    book = compressor.prepare_shared_codebook(field, plan, 0.02, max_sample_blocks=2)
-    assert (book is not None) == shared
-    assert kernel_calls == {}  # sampling ranks and pools; it codes nothing
-    entries = [compressor.encode_one_block(field, plan, spec, 0.02, book)[0] for spec in plan]
-    assert kernel_calls == {"entropy": 9, "lossless": 9}
-    if shared:  # two sampled blocks cannot cover all nine alphabets
-        assert {entry["codebook"] for entry in entries} == {"shared", "block"}
-
-
-def test_the_sampled_shared_model_is_seeded_through_the_selector():
-    """Sample every block and none may escape: the streamed path's model
-    holds the symbols of the predictor each block will really be coded
-    with (Lorenzo, on CESM), not those of the pipeline's own."""
+def test_the_pooled_shared_model_is_seeded_through_the_selector():
+    """The file's model holds the symbols of the predictor each block is
+    really coded with (Lorenzo, on CESM), not those of the pipeline's
+    own, so none escapes."""
     data = _field("cesm")
     compressor = create_blocked_compressor("sz3", block_shape=32, adaptive_predictor=True)
-    plan = compressor.block_plan(data)
     bound = ErrorBound.relative(1e-3).absolute_for(data)
-    book = compressor.prepare_shared_codebook(data, plan, bound, max_sample_blocks=plan.num_blocks)
-    entries = [compressor.encode_one_block(data, plan, spec, bound, book)[0] for spec in plan]
+    entries = [entry for entry, _ in compressor.encode_blocks(data, bound)[1]]
     assert "lorenzo" in {entry["predictor"] for entry in entries}
     assert {entry["codebook"] for entry in entries} == {"shared"}

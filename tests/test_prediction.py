@@ -109,12 +109,6 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split_records(training_records, train_fraction=0.0)
 
-    def test_random_split_mode(self, training_records):
-        train, test = train_test_split_records(
-            training_records, train_fraction=0.5, seed=2, by_file=False
-        )
-        assert len(train) + len(test) == len(training_records)
-
 
 class TestQualityPredictor:
     def test_unfitted_prediction_raises(self, cesm_field):

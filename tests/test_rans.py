@@ -513,23 +513,15 @@ class TestPipelineBatchEncode:
     counts (64, 48 and 36)."""
 
     @staticmethod
-    def _blobs(shared: bool) -> Tuple[bytes, bytes]:
+    def _blob(shared: bool) -> bytes:
         field = generate_field("miranda", "density", scale=0.25, seed=12).data[:40, :70, :35]
         compressor = create_blocked_compressor(
             "sz3", block_shape=32, entropy_stage="rans", adaptive_predictor=True,
             shared_codebook=shared,
         )
-        bound = ErrorBound.relative(1e-3).absolute_for(field)
-        bulk = compressor.compress(field, ErrorBound(value=bound, mode="abs"), verify=False).blob
-        # The streamed encode (``StreamingPipeline._encode_file``): a
-        # sampled shared table, every block started, then one settle.
-        plan = compressor.block_plan(field)
-        book = compressor.prepare_shared_codebook(field, plan, bound)
-        header = compressor.blocked_header(field, plan, bound, shared_book=book)
-        started = [compressor._start_block(field, plan, spec, bound, book) for spec in plan]
-        streamed = CompressedBlob.assemble(header, compressor.settle(started))
-        assert set(bulk.metadata["block_codecs"]) == {"rans"}
-        return bulk.to_bytes(), streamed.to_bytes()
+        blob = compressor.compress(field, ErrorBound.relative(1e-3), verify=False).blob
+        assert set(blob.metadata["block_codecs"]) == {"rans"}
+        return blob.to_bytes()
 
     @pytest.mark.parametrize("shared", [False, True], ids=["per-block", "shared"])
     def test_a_files_batch_writes_what_blocks_settled_one_by_one_write(self, monkeypatch, shared):
@@ -541,14 +533,14 @@ class TestPipelineBatchEncode:
             return real_encode(self, streams)
 
         monkeypatch.setattr(RansCodec, "encode_streams", spy)
-        batched = self._blobs(shared)
-        assert rounds == [{36, 48, 64}] * 2  # one batch per file: bulk, then streamed
+        batched = self._blob(shared)
+        assert rounds == [{36, 48, 64}]  # one batch for the file
         real_settle = PredictionPipelineCompressor.settle
         monkeypatch.setattr(
             PredictionPipelineCompressor, "settle",
             lambda self, results: [real_settle(self, [result])[0] for result in results],
         )
-        assert self._blobs(shared) == batched
+        assert self._blob(shared) == batched
 
 
 class TestPipelineFallback:
@@ -630,13 +622,10 @@ class TestPlanWidth:
     @pytest.mark.parametrize("path", ["streamed", "one-by-one", "threads", "helper-lane"])
     def test_every_path_writes_the_files_settle(self, settled, path, monkeypatch):
         field = _bulk_field()
-        if path == "streamed":  # ``StreamingPipeline._encode_file``: start every block, settle
-            compressor = self._per_block()
-            plan = compressor.block_plan(field)
-            bound = BOUND_1E3.absolute_for(field)
-            started = [compressor._start_block(field, plan, spec, bound) for spec in plan]
+        if path == "streamed":  # the blocks ``encode_blocks`` hands the stream
+            blocks = self._per_block().encode_blocks(field, BOUND_1E3.absolute_for(field))[1]
             blob = CompressedBlob.from_bytes(settled)  # its header says what ``compress`` did
-            assert compressor.settle(started) == [
+            assert blocks == [
                 (entry, blob.container.get_section(entry["section"]))
                 for entry in blob.block_index
             ]

@@ -506,14 +506,6 @@ class TestLegacyWrapperEquivalence:
         for name in ocelot.testbed.service.endpoints():
             assert ocelot.testbed.endpoint(name).filesystem.file_count() == 0
 
-    def test_reset_clock_can_keep_files(self, tiny_dataset):
-        ocelot = Ocelot(_config())
-        ocelot.transfer_dataset(tiny_dataset, "anvil", "cori", mode="compressed")
-        staged = ocelot.testbed.endpoint("anvil").filesystem.file_count()
-        ocelot.testbed.reset_clock(clear_staged=False)
-        assert ocelot.testbed.clock.now == 0.0
-        assert ocelot.testbed.endpoint("anvil").filesystem.file_count() == staged
-
     def test_streamed_job_through_service(self, tiny_dataset):
         """Streamed transfer_mode jobs run through the service too."""
         config = _config(transfer_mode="streamed", block_size=16, stream_window=8)
@@ -792,13 +784,6 @@ class TestRecovery:
         result = service.recover()
         assert result.resumed == [] and result.finished == []
         assert [state["job_id"] for state in result.unrecoverable] == ["job-0001"]
-
-        # A dataset_resolver can still resurrect it (and wins over recipes).
-        service = OcelotService(_config(), store=path)
-        result = service.recover(dataset_resolver=lambda state: tiny_dataset)
-        assert [h.job_id for h in result.resumed] == ["job-0001"]
-        service.run_pending()
-        assert result.resumed[0].status is JobStatus.COMPLETED
 
     def test_recover_requires_store_and_idle_queue(self, tiny_dataset, tmp_path):
         with pytest.raises(OrchestrationError, match="job store"):

@@ -231,22 +231,30 @@ class TestSyncIndex:
 
 
 class TestStreamingSharedCodebook:
-    def test_sampled_book_prepared_for_streaming(self):
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-block"])
+    @pytest.mark.parametrize("stage", ["huffman", "rans"])
+    def test_encode_blocks_writes_the_sections_compress_writes(self, stage, shared, adaptive):
+        """One block encode: the ``(entry, payload)`` pairs the stream ships
+        are the sections ``compress`` assembles, model and all, and with a
+        shared model no block falls back to its own."""
         data = _field()
-        pipeline = _shared_pipeline()
-        plan = pipeline.block_plan(data)
-        book = pipeline.prepare_shared_codebook(data, plan, 1e-3, max_sample_blocks=3)
-        assert book is not None and book.symbols.size
-        # Stream-encode each block against the sampled book and assemble
-        # at the "destination".
-        header = pipeline.blocked_header(data, plan, 1e-3, shared_book=book)
-        results = [
-            pipeline.encode_one_block(data, plan, spec, 1e-3, shared_book=book)
-            for spec in plan
+        pipeline = create_blocked_compressor(
+            "sz3", block_shape=32, shared_codebook=shared, adaptive_predictor=adaptive,
+            entropy_stage=stage,
+        )
+        blob = pipeline.compress(data, BOUND).blob
+        header, blocks = pipeline.encode_blocks(data, 1e-3)
+        assert blob.num_blocks == len(blocks) == 9
+        assert blocks == [
+            (entry, blob.container.get_section(entry["section"])) for entry in blob.block_index
         ]
-        blob = CompressedBlob.assemble(header, results)
-        recon = create_compressor("sz3").decompress(blob)
-        assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= 1e-3 * 1.01
+        assert {entry["codebook"] for entry, _ in blocks} == {"shared" if shared else "block"}
+        assert "block_codecs" not in header["metadata"]  # only ``compress`` tallies codecs
+        streamed = CompressedBlob.assemble(header, blocks)
+        assert streamed.shared_codebook_bytes == blob.shared_codebook_bytes
+        assert (blob.shared_codebook_bytes is not None) == shared
+        np.testing.assert_array_equal(pipeline.decompress(streamed), pipeline.decompress(blob))
 
     def test_streamed_transfer_mode_round_trips(self):
         dataset = generate_application("cesm", snapshots=1, scale=0.03)
@@ -261,13 +269,13 @@ class TestStreamingSharedCodebook:
         )
         assert report.measured_psnr_db is None or report.measured_psnr_db > 40
 
-    def test_no_book_for_entropy_none_pipelines(self):
+    def test_entropy_none_blocks_carry_no_model(self):
         data = _field()
         pipeline = create_compressor("sz3-fast").configure_blocks(block_shape=32)
-        plan = pipeline.block_plan(data)
-        assert pipeline.prepare_shared_codebook(data, plan, 1e-3) is None
-        blob = pipeline.compress(data, BOUND).blob
-        assert blob.codebook_mode == "none"
+        header, blocks = pipeline.encode_blocks(data, 1e-3)
+        assert "shared_codebook" not in header
+        assert not any("codebook" in entry for entry, _ in blocks)
+        assert pipeline.compress(data, BOUND).blob.codebook_mode == "none"
 
 
 class TestKnobWiring:

@@ -14,14 +14,19 @@ The invariants that make streamed mode worth having:
 
 from __future__ import annotations
 
-import pytest
-
+import copy
 import re
+from functools import partial
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.compression import CompressedBlob
 from repro.core import Ocelot, OcelotConfig, OcelotOrchestrator
 from repro.datasets import generate_application
 from repro.errors import ConfigurationError, TransferError
-from repro.transfer import TransferService
+from repro.transfer import TransferService, build_testbed
 
 
 def _streamed_config(**overrides):
@@ -121,6 +126,38 @@ class TestTransferStream:
         stream = testbed.service.open_stream("anvil", "cori")
         with pytest.raises(TransferError):
             stream.send_chunk("/a", size_bytes=-1)
+
+
+def _scan_in_flight(stream, when):
+    """Chunks on a channel at ``when``, by a scan of every chunk sent."""
+    return sum(1 for c in stream.task.chunks if c.started_at <= when < c.completed_at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chunks=st.lists(
+        st.tuples(
+            st.one_of(st.just(0), st.integers(0, 300_000_000)),
+            st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 30.0)),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_in_flight_counts_match_a_scan_of_every_chunk(chunks):
+    """Out-of-order ``available_at`` and zero-size chunks included, a
+    stream's timeline is the one the linear scan gives."""
+    stream = build_testbed().service.open_stream("anvil", "cori")
+    scanning = copy.deepcopy(stream)
+    scanning._in_flight_at = partial(_scan_in_flight, scanning)
+    for i, (size, available_at) in enumerate(chunks):
+        sent = stream.send_chunk(f"/c{i}", size, available_at)
+        assert sent == scanning.send_chunk(f"/c{i}", size, available_at)
+    for chunk in stream.task.chunks:
+        for when in (chunk.available_at, chunk.started_at, chunk.completed_at):
+            assert stream._in_flight_at(when) == _scan_in_flight(stream, when)
+    assert stream.last_completion_s == max(c.completed_at for c in stream.task.chunks)
+    assert stream.close() == scanning.close()
 
 
 class TestStreamedOrchestration:
@@ -272,6 +309,43 @@ class TestStreamedOrchestration:
         for nominal, writers, seconds in bills:
             share = model.write_bandwidth(writers) / writers
             assert seconds == nominal / 600e6 + nominal / share
+
+    @pytest.mark.parametrize("stage", ["huffman", "rans"])
+    def test_streamed_and_bulk_land_the_same_block_sections(self, stage):
+        """One block encode: a streamed run ships the blocks a bulk run
+        writes, so the shared model is pooled over every block and none
+        escapes it.  Only the blob metadata that ``compress`` adds (block
+        codecs, the requested bound) tells the two blobs apart."""
+        dataset = generate_application("cesm", snapshots=1, scale=0.03, seed=12)
+        landed = []
+        for transfer_mode in ("bulk", "streamed"):
+            config = _streamed_config(
+                compressor="sz3", entropy_stage=stage, shared_codebook=True,
+                transfer_mode=transfer_mode,
+            )
+            ocelot = Ocelot(config)
+            report = ocelot.transfer_dataset(dataset, "anvil", "cori", mode="compressed")
+            assert report.transfer_mode == transfer_mode
+            filesystem = ocelot.testbed.endpoint("cori").filesystem
+            paths = filesystem.paths(f"/compressed/{dataset.name}")
+            landed.append({path: filesystem.read(path) for path in paths})
+        bulk, streamed = landed
+        assert len(bulk) == dataset.file_count and list(bulk) == list(streamed)
+        for path, payload in bulk.items():
+            ours, theirs = CompressedBlob.from_bytes(payload), CompressedBlob.from_bytes(
+                streamed[path]
+            )
+            assert payload != streamed[path]
+            assert "error_bound_request" not in theirs.metadata
+            assert "block_codecs" not in theirs.metadata
+            assert ours.shared_codebook_bytes == theirs.shared_codebook_bytes is not None
+            assert ours.block_index == theirs.block_index
+            assert {entry["codebook"] for entry in ours.block_index} == {"shared"}
+            for entry in ours.block_index:
+                section = entry["section"]
+                assert ours.container.get_section(section) == theirs.container.get_section(
+                    section
+                )
 
     def test_bulk_and_streamed_fill_one_record(self, dataset):
         """Both paths decode, measure and read the codec stack through one
