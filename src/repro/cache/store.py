@@ -242,10 +242,6 @@ class BlobCache:
         """Total bytes currently stored (optionally one tier)."""
         return sum(entry.size for entry in self._scan(tier))
 
-    def entry_count(self) -> int:
-        """Number of entries currently stored."""
-        return len(self._scan())
-
     def clear(self) -> int:
         """Delete every entry; returns the count."""
         entries = self._scan()

@@ -295,9 +295,9 @@ def _codebook_summary(blob: CompressedBlob) -> dict:
     """
     mode = blob.codebook_mode
     summary = {"mode": mode, "codebook_bytes": len(blob.shared_codebook_bytes or b"")}
-    # In a shared blob, blocks whose alphabet escaped the shared book carry
-    # their own codebook — count those too, or the readout would be wrong
-    # in exactly the fallback case it exists to debug.
+    # Only older blobs hold a shared-mode block that escaped the shared book
+    # and carries its own codebook (the pooled book covers every block
+    # now); count those too, or the readout would be wrong on such a blob.
     own = [e for e in blob.block_index if mode == "per-block" or e.get("codebook") == "block"]
     if mode == "per-block" or own:
         total, summary["blocks_with_own_codebook"] = block_model_bytes(blob, own)

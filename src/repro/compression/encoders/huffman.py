@@ -352,12 +352,9 @@ class HuffmanCodebook:
             self._dense = (lo, code_table, length_table)
         return self._dense
 
-    def lookup(self, arr: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Vectorised per-symbol ``(codes, lengths)`` for ``arr``.
-
-        Returns ``None`` when any symbol in ``arr`` has no code in this
-        book — the caller's cue to fall back to a per-block codebook.
-        """
+    def lookup(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised per-symbol ``(codes, lengths)`` for ``arr``;
+        :class:`EncodingError` if any symbol in ``arr`` has no code in this book."""
         tables = self.dense_tables()
         if tables is None:
             return self._sparse_lookup(arr)
@@ -366,20 +363,24 @@ class HuffmanCodebook:
         if shifted.size and (
             int(shifted.min()) < 0 or int(shifted.max()) >= length_table.size
         ):
-            return None
+            raise _uncovered()
         lens = length_table[shifted]
         if shifted.size and int(lens.min()) == 0:
-            return None
+            raise _uncovered()
         return code_table[shifted], lens
 
-    def _sparse_lookup(self, arr: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def _sparse_lookup(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``lookup`` for alphabets too wide for a dense value table."""
         if not self.symbols.size:
-            return None
+            raise _uncovered()
         idx = np.minimum(np.searchsorted(self.symbols, arr), self.symbols.size - 1)
         if arr.size and not bool(np.all(self.symbols[idx] == arr)):
-            return None
+            raise _uncovered()
         return self.codes[idx], self.lengths[idx].astype(np.uint8)
+
+
+def _uncovered() -> EncodingError:
+    return EncodingError("Huffman codebook has no code for a symbol of the stream")
 
 
 class HuffmanCodec:
@@ -404,26 +405,15 @@ class HuffmanCodec:
             return b"", b"", 0
         frequencies = symbol_frequencies(arr)
         book = HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
-        payload = self.encode_with_book(arr, book)
-        if payload is None:  # pragma: no cover - book covers arr by construction
-            raise EncodingError("freshly built codebook failed to cover its input")
-        return payload, book.serialize(), count
+        return self.encode_with_book(arr, book), book.serialize(), count
 
-    def encode_with_book(
-        self, symbols: np.ndarray, book: HuffmanCodebook
-    ) -> Optional[bytes]:
-        """Encode ``symbols`` against an existing (e.g. shared) codebook.
-
-        Returns ``None`` when any symbol has no code in ``book`` — the
-        shared-codebook pipeline then falls back to a per-block book.
-        """
+    def encode_with_book(self, symbols: np.ndarray, book: HuffmanCodebook) -> bytes:
+        """Encode ``symbols`` against an existing (e.g. shared) codebook;
+        :class:`EncodingError` if ``book`` has no code for one of them."""
         arr = np.asarray(symbols, dtype=np.int64).ravel()
         if arr.size == 0:
             return b""
-        looked_up = book.lookup(arr)
-        if looked_up is None:
-            return None
-        codes, lens = looked_up
+        codes, lens = book.lookup(arr)
         if book.max_length() <= 16:
             return _pack_codes_16(codes, lens)
         return _pack_codes(codes, lens)

@@ -253,25 +253,23 @@ class RansFrequencyTable:
                 self._encode_tables = ("sparse",)
         return self._encode_tables
 
-    def gather_freq_cum(
-        self, arr: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Per-symbol ``(freq, cum)`` arrays, or ``None`` on any escape."""
+    def gather_freq_cum(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-symbol ``(freq, cum)`` arrays; :class:`EncodingError` if the table
+        lacks a symbol of ``arr``."""
         tables = self._encode_lookup()
         if tables[0] == "dense":
             _, lo, span, f_of, c_of = tables
             off = arr - lo
-            if off.size and (int(off.min()) < 0 or int(off.max()) >= span):
-                return None
-            f = f_of[off]
-            if not f.all():
-                return None
-            return f, c_of[off]
-        pos = np.searchsorted(self.symbols, arr)
-        pos[pos >= self.symbols.size] = 0
-        if not np.array_equal(self.symbols[pos], arr):
-            return None
-        return self.freqs[pos], self.cum[pos]
+            if not off.size or (int(off.min()) >= 0 and int(off.max()) < span):
+                f = f_of[off]
+                if f.all():
+                    return f, c_of[off]
+        else:
+            pos = np.searchsorted(self.symbols, arr)
+            pos[pos >= self.symbols.size] = 0
+            if np.array_equal(self.symbols[pos], arr):
+                return self.freqs[pos], self.cum[pos]
+        raise EncodingError("rANS table has no frequency for a symbol of the stream")
 
     def slot_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode gather tables indexed by ``state & (PROB_SCALE - 1)``.
@@ -314,24 +312,24 @@ class RansCodec:
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
-    def encode_with_table(
-        self, symbols: np.ndarray, table: RansFrequencyTable
-    ) -> Optional[bytes]:
-        """Encode against an existing (e.g. shared) table; ``None`` if it lacks a symbol."""
+    def encode_with_table(self, symbols: np.ndarray, table: RansFrequencyTable) -> bytes:
+        """Encode against an existing (e.g. shared) table; :class:`EncodingError` if it
+        lacks a symbol."""
         return self.encode_streams([(symbols, table)])[0]
 
     def encode_streams(
         self, streams: Sequence[Tuple[np.ndarray, RansFrequencyTable]]
-    ) -> List[Optional[bytes]]:
+    ) -> List[bytes]:
         """Encode ``(symbols, table)`` streams as one batch, as :meth:`decode_streams` decodes.
 
         Streams with the same round count walk their rounds backwards in
-        lockstep, as one state vector.  A stream whose table lacks one of
-        its symbols is ``None``; the others' bytes are those they have alone:
-        a stream's lanes depend on its length and ``max_lanes``, never on the batch.
+        lockstep, as one state vector; each stream's bytes are those it has
+        alone: its lanes depend on its length and ``max_lanes``, never on the
+        batch.  A table that lacks one of its stream's symbols fails the batch
+        with :class:`EncodingError`.
         """
         coded = [(np.asarray(symbols, dtype=np.int64).ravel(), table) for symbols, table in streams]
-        out: List[Optional[bytes]] = [b""] * len(coded)
+        out: List[bytes] = [b""] * len(coded)
         by_rounds: Dict[int, List[int]] = {}
         for i, (arr, _) in enumerate(coded):
             if arr.size:
@@ -382,15 +380,13 @@ class RansCodec:
         return table
 
 
-def _encode_lockstep(streams: Sequence[Tuple], rounds: int, cap: int) -> List[Optional[bytes]]:
-    """Each ``(symbols, table)`` stream's payload, or ``None`` where its table misses a symbol."""
+def _encode_lockstep(streams: Sequence[Tuple], rounds: int, cap: int) -> List[bytes]:
+    """Each ``(symbols, table)`` stream's payload."""
     edges = np.cumsum([0] + [_pick_lanes(arr.size, cap) for arr, _ in streams])
     freq = np.empty((rounds, edges[-1]), dtype=np.uint32)
     cum = np.empty_like(freq)
-    covered = [
+    for stream, a, b in zip(streams, edges[:-1], edges[1:]):
         _lay_out(freq[:, a:b], cum[:, a:b], stream)
-        for stream, a, b in zip(streams, edges[:-1], edges[1:])
-    ]
     x = np.full(edges[-1], RANS_L, dtype=np.uint32)
     words = np.empty(freq.shape, dtype="<u2")
     emitted = np.empty(freq.shape, dtype=bool)
@@ -402,27 +398,22 @@ def _encode_lockstep(streams: Sequence[Tuple], rounds: int, cap: int) -> List[Op
         # == ((x // f) << PROB_BITS) + x % f + cum; this form stays in uint32.
         x += x // f * (PROB_SCALE - f) + cum[r]
     out = []
-    for (arr, _), a, b, ok in zip(streams, edges[:-1], edges[1:], covered):
+    for (arr, _), a, b in zip(streams, edges[:-1], edges[1:]):
         kept = np.extract(emitted[:, a:b], words[:, a:b])  # its flagged words, C order
         log2_lanes = int(b - a).bit_length() - 1
         header = _PAYLOAD_HEADER.pack(_PAYLOAD_VERSION, log2_lanes, 0, kept.size, arr.size)
-        out.append(header + x[a:b].astype("<u4").tobytes() + kept.tobytes() if ok else None)
+        out.append(header + x[a:b].astype("<u4").tobytes() + kept.tobytes())
     return out
 
 
-def _lay_out(freq: np.ndarray, cum: np.ndarray, stream: Tuple) -> bool:
+def _lay_out(freq: np.ndarray, cum: np.ndarray, stream: Tuple) -> None:
     """Fill a ``(symbols, table)`` stream's ``(rounds, lanes)`` columns with its
-    ``(freq, cum)``, padded with the modal symbol.  ``False`` if ``table`` lacks a
-    symbol: its lanes then idle at frequency ``PROB_SCALE``, never moving a state."""
+    ``(freq, cum)``, padded with the modal symbol."""
     symbols, table = stream
     gathered = table.gather_freq_cum(symbols)
-    if gathered is None:
-        freq[...], cum[...] = PROB_SCALE, 0
-        return False
     for dst, values, pad in zip((freq, cum), gathered, table.modal_freq_cum()):
         padding = np.full(dst.size - values.size, pad, dtype=np.uint32)
         dst[...] = np.concatenate([values, padding]).reshape(dst.shape)
-    return True
 
 
 def _parse_payload(payload: bytes, count: int) -> Tuple[np.ndarray, np.ndarray]:

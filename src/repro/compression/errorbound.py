@@ -61,8 +61,8 @@ class ErrorBound:
     def __post_init__(self) -> None:
         mode = ErrorBoundMode.parse(self.mode)
         object.__setattr__(self, "mode", mode)
-        if self.value <= 0:
-            raise ConfigurationError(f"error bound must be positive, got {self.value}")
+        if not math.isfinite(self.value) or self.value <= 0:
+            raise ConfigurationError(f"error bound must be positive and finite, got {self.value}")
         if mode is ErrorBoundMode.REL and self.value > 1.0:
             raise ConfigurationError(
                 f"relative error bound must be <= 1.0, got {self.value}"

@@ -680,7 +680,3 @@ class Compressor(abc.ABC):
                 f"blob was produced by {blob.compressor!r}, not {self.name!r}"
             )
         return self.decompress_blob(blob, inflated)
-
-    def describe(self) -> Mapping[str, Any]:
-        """Return a short description of the compressor configuration."""
-        return {"name": self.name}

@@ -108,9 +108,8 @@ class EncodingPlan:
 
 
 class _HuffmanCoder:
-    """Huffman row of the codec table: coding a stream is how a book is found to cover it."""
+    """Huffman row of the codec table."""
 
-    model_type = HuffmanCodebook
     model_section = "codes_codebook"
 
     def __init__(self) -> None:
@@ -119,17 +118,14 @@ class _HuffmanCoder:
     def build_model(self, frequencies: Histogram) -> HuffmanCodebook:
         return HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
 
-    def encode_shared(self, codes: np.ndarray, book: HuffmanCodebook) -> Optional[bytes]:
+    def encode(self, codes: np.ndarray, book: HuffmanCodebook) -> bytes:
         return self.codec.encode_with_book(codes, book)
-
-    encode_own = encode_shared
 
 
 class _RansCoder:
     """rANS row of the codec table; no model = alphabet too wide for 12 bits.
     A stream's bytes are a placeholder that :meth:`EncodingWire.emit` fills."""
 
-    model_type = RansFrequencyTable
     model_section = "codes_freqs"
 
     def __init__(self) -> None:
@@ -138,10 +134,7 @@ class _RansCoder:
     def build_model(self, frequencies: Histogram) -> Optional[RansFrequencyTable]:
         return RansFrequencyTable.try_from_frequencies(frequencies)
 
-    def encode_shared(self, codes: np.ndarray, table: RansFrequencyTable) -> Optional[bytes]:
-        return b"" if table.gather_freq_cum(codes) is not None else None
-
-    def encode_own(self, codes: np.ndarray, table: RansFrequencyTable) -> bytes:
+    def encode(self, codes: np.ndarray, table: RansFrequencyTable) -> bytes:
         return b""
 
 
@@ -156,9 +149,10 @@ class EncodingWire:
     ) -> Optional[SharedBook]:
         """File-wide entropy model for ``stage`` from pooled symbol counts.
 
-        ``None`` when there is nothing to model — or, for rANS, when the
-        pooled alphabet cannot fit a 12-bit frequency table, in which
-        case every block falls back to its own per-block model.
+        It covers every stream it was pooled from.  ``None`` when there is
+        nothing to model — or, for rANS, when the pooled alphabet cannot fit
+        a 12-bit frequency table, in which case every block codes against
+        its own model.
         """
         frequencies = pooled_symbol_frequencies([e.codes for e in encodings])
         if not frequencies.symbols.size:
@@ -179,10 +173,10 @@ class EncodingWire:
         The plan's ``codec`` is the entropy codec the stream is *actually*
         written with (``huffman`` / ``rans`` / ``none``) and ``codebook``
         says whose model codes it: ``"shared"`` (the file-wide ``shared_book``,
-        which lives once in the blob header — no per-block model section
-        is written), ``"block"`` (the block's own, built here from its
-        ``histogram``, counted here when the caller has none) or ``None``
-        when nothing was entropy-coded.
+        which lives once in the blob header and must cover the stream — no
+        per-block model section is written), ``"block"`` (the block's own,
+        built here from its ``histogram``, counted here when the caller has
+        none) or ``None`` when nothing was entropy-coded.
         """
         plan = EncodingPlan(SectionContainer({"predictor_meta": encoding.meta}), lane_limit(blocks))
         inner = plan.inner
@@ -224,24 +218,22 @@ class EncodingWire:
         """Write ``codes_payload`` (+ the block's own model) and ``plan``'s codec and codebook.
 
         The stream is entropy-coded exactly once, against the shared model
-        when it covers the block, else the block's own; rANS by :meth:`emit`.
+        when there is one, else the block's own; rANS by :meth:`emit`.
         """
         inner, coder = plan.inner, self._coders[stage]
-        payload = model = None
-        if isinstance(shared_book, coder.model_type):
-            payload = coder.encode_shared(codes, shared_book)
-        plan.codec, plan.codebook = stage, "shared" if payload is not None else "block"
-        if payload is None:
+        model = shared_book
+        if model is None:
             histogram = histogram or symbol_frequencies(codes)
             model = coder.build_model(histogram)
             if model is None:
                 # Alphabet too wide for a 12-bit rANS table: this block
                 # degrades to Huffman (its entropy tag records what was
                 # written, so it still decodes).
-                return self._entropy_code(plan, codes, "huffman", shared_book, histogram)
-            payload = coder.encode_own(codes, model)
+                return self._entropy_code(plan, codes, "huffman", None, histogram)
+        plan.codec, plan.codebook = stage, "block" if shared_book is None else "shared"
+        payload = coder.encode(codes, model)
         if stage == "rans":
-            plan.pending = (codes, shared_book if model is None else model)
+            plan.pending = (codes, model)
         inner.header["entropy"] = stage
         inner.header[f"{stage}_count"] = int(codes.size)
         inner.add_section("codes_payload", payload)
@@ -253,10 +245,10 @@ class EncodingWire:
             planes = payload.sync.astype("<u2").view(np.uint8).reshape(-1, 2).T
             inner.header["huffman_sync_every"] = payload.every
             inner.add_section("codes_sync", planes.tobytes())
-        if model is None:
-            inner.header[f"{stage}_shared"] = True
-        else:
+        if shared_book is None:
             inner.add_section(coder.model_section, model.serialize())
+        else:
+            inner.header[f"{stage}_shared"] = True
 
     def deserialize_all(
         self, inners: Sequence[SectionContainer], shared_codebook: Optional[bytes] = None

@@ -33,7 +33,6 @@ import numpy as np
 from ...cache.keys import pipeline_fingerprint
 from ...errors import ConfigurationError, EncodingError
 from ..blocking import BlockPlan, BlockShapeLike, BlockSpec
-from ..encoders.huffman import HuffmanCodebook
 from ..encoders.lossless import LosslessBackend, get_lossless_backend
 from ..header import FORMAT_VERSION
 from ..interface import CompressedBlob, Compressor, dtype_name
@@ -130,9 +129,9 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
           :data:`BlockMapper`).
         * ``shared_codebook`` — build one entropy model per *file* from
           the frequencies across all blocks, store it once in the blob
-          header and encode every block against it (a block whose
-          alphabet escapes it falls back to its own model; a one-block
-          plan has nobody to share with and always uses its own).
+          header and encode every block against it, which it covers by
+          construction (a one-block plan has nobody to share with and
+          always uses its own).
         * ``helper_lane`` — a ``HelperLane`` to (de)compress sections on.
         """
         if block_shape is not None:
@@ -228,43 +227,9 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         )
         return out.astype(np.dtype(blob.dtype), copy=False)
 
-    def describe(self) -> Dict[str, Any]:
-        description = {
-            "name": self.name,
-            "predictor": self.predictor.describe(),
-            "entropy_stage": self.config.entropy_stage,
-            "lossless_backend": self.config.lossless_backend,
-        }
-        if self.block_shape is not None:
-            description["block_shape"] = self.block_shape
-            description["adaptive_predictor"] = self.adaptive_predictor
-            description["shared_codebook"] = self._shared_codebook_active()
-            description["block_fanout"] = self._configured_fanout()
-        return description
-
     # ------------------------------------------------------------------ #
     # Block fan-out
     # ------------------------------------------------------------------ #
-    def _configured_fanout(self) -> str:
-        """The encode fan-out of the configured block shape, for :meth:`describe`.
-
-        An integer block size applies per axis and the rank is only known
-        at compress time, so below the thread grain it reads ``"pool at
-        rank >= k"`` (lower-rank data runs inline) rather than guessing a
-        rank.
-        """
-        shape = self.block_shape
-        if self.block_executor is None:
-            return "inline"
-        if not isinstance(shape, (int, np.integer)):
-            return "pool" if math.prod(shape) >= _POOL_GRAIN_ELEMENTS else "inline"
-        if shape < 2:
-            return "inline"
-        rank = 1
-        while int(shape) ** rank < _POOL_GRAIN_ELEMENTS:
-            rank += 1
-        return "pool" if rank == 1 else f"pool at rank >= {rank}"
-
     def _map_blocks(
         self, func: Callable[[Any], Any], items: Sequence[Any], block_elements: int
     ) -> List[Any]:
@@ -287,21 +252,17 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
         plan: BlockPlan,
         spec: BlockSpec,
         error_bound_abs: float,
-        shared_book: Optional[SharedBook] = None,
         defer: bool = False,
     ) -> BlockResult:
-        """Encode a single block; returns its ``(index_entry, payload)``.
+        """Encode a single block against its own model; returns its ``(index_entry, payload)``.
 
         Extract, choose the predictor, finish (one entropy encode with the
-        configured stage, one lossless compress).  With ``shared_book`` the
-        block's symbols are entropy-coded against the file-wide model; a
-        block whose alphabet escapes it falls back to its own per-block
-        model (recorded in the index entry).  With ``defer`` (only
+        configured stage, one lossless compress).  With ``defer`` (only
         :meth:`_start_block` passes it) the entry is final but the payload
         may wait for :meth:`settle`: a rANS stream, a helper-lane deflate.
         """
         choice = self._choose_block_encoding(plan.extract(arr, spec), error_bound_abs)
-        result = self._finish_block(spec, *choice, shared_book, plan.num_blocks)
+        result = self._finish_block(spec, *choice, blocks=plan.num_blocks)
         return result if defer else self.settle([result])[0]
 
     def _start_block(self, arr, plan, spec, error_bound_abs) -> BlockResult:
@@ -353,8 +314,7 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
                 "adaptive_predictor": self.adaptive_predictor,
             },
         }
-        empty = isinstance(shared_book, HuffmanCodebook) and not shared_book.symbols.size
-        if shared_book is not None and not empty:
+        if shared_book is not None:
             # Deflated here: unlike the per-block model sections this
             # header field never passes through the lossless stage.
             header["shared_codebook"] = zlib.compress(shared_book.serialize(), 6)
@@ -363,8 +323,8 @@ class PredictionPipelineCompressor(BlockStages, Compressor):
     def prepare_shared_codebook(
         self, encodings: Sequence[PredictorOutput]
     ) -> Optional[SharedBook]:
-        """The file-wide entropy model pooled over every block's encoding, which none
-        escapes; ``None`` with nothing to model or a rANS alphabet too wide for a table.
+        """The file-wide entropy model pooled over every block's encoding, which covers
+        each; ``None`` with nothing to model or a rANS alphabet too wide for a table.
         :meth:`encode_blocks`' pooling step, a method so ``bench/`` can time it by name."""
         return self._wire.pooled_shared_book(self.config.entropy_stage, encodings)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -44,6 +45,36 @@ def priority_class(priority: str) -> int:
     return VALID_PRIORITIES.index(priority)
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
+#: Each field's type, checked before any value: a per-job override arrives as
+#: JSON, and a ``1.5`` node count or a NaN bound must fail at the boundary,
+#: not inside a run.  ``None`` is also allowed for the optional fields.
+_FIELD_TYPES = (
+    ("an integer", _is_count, (
+        "compression_nodes", "decompression_nodes", "cores_per_node", "group_world_size",
+        "block_size", "block_workers", "stream_window", "cache_max_bytes",
+    )),
+    ("a finite number", _is_finite, (
+        "error_bound", "min_psnr_db", "size_scale",
+        "assumed_compression_throughput_mbps", "assumed_decompression_throughput_mbps",
+    )),
+    ("a bool", lambda value: isinstance(value, bool), (
+        "use_prediction", "sentinel_enabled", "verify_error_bound", "adaptive_predictor",
+        "shared_codebook",
+    )),
+)
+_OPTIONAL_FIELDS = ("block_size", "cache_max_bytes")
+
+
 @dataclass
 class OcelotConfig:
     """User-facing configuration of an Ocelot transfer.
@@ -77,12 +108,10 @@ class OcelotConfig:
             at least 131 072 elements (``_POOL_GRAIN_ELEMENTS`` in
             ``compression/sz/pipeline.py``: a 64^3 block qualifies, a 32^3
             one does not); smaller blocks run inline because the GIL
-            hand-offs cost more than the overlap wins.
-            ``PredictionPipelineCompressor.describe()["block_fanout"]``
-            says which applies (for an integer ``block_size``, from which
-            data rank on the blocks reach the pool).  The process's one
+            hand-offs cost more than the overlap wins.  The process's one
             helper lane (``ParallelExecutor.lane``: deflate, inflate,
             digests and the destination's check) runs whatever this is.
+            The rule lives in ``PredictionPipelineCompressor._map_blocks``.
         worker_backend: vestigial — block workers are threads and
             ``"thread"`` is the only value accepted (the process backend
             was removed; ``bench/workloads.py`` still passes the field,
@@ -101,8 +130,9 @@ class OcelotConfig:
         shared_codebook: in blocked entropy-coded mode, build one entropy
             model per file (a Huffman codebook or rANS frequency table,
             pooled across blocks) and store it once in the blob header
-            instead of once per block; blocks whose alphabet escapes the
-            shared model fall back to per-block models automatically.
+            instead of once per block.  Pooled from every block, it covers
+            each of them; a rANS alphabet too wide for one table leaves
+            every block its own model.
         transfer_mode: ``bulk`` keeps the phase-serialised baseline;
             ``streamed`` ships each block as it finishes encoding and
             decodes blocks as they arrive (compressed mode only).
@@ -170,6 +200,16 @@ class OcelotConfig:
     assumed_decompression_throughput_mbps: float = 500.0
 
     def __post_init__(self) -> None:
+        for kind, valid, names in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value) and not (value is None and name in _OPTIONAL_FIELDS):
+                    raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+        if not all(_is_finite(bound) and bound > 0 for bound in self.candidate_error_bounds):
+            raise ConfigurationError(
+                f"candidate_error_bounds must be positive finite numbers, "
+                f"got {list(self.candidate_error_bounds)!r}"
+            )
         if self.mode not in VALID_MODES:
             raise ConfigurationError(
                 f"mode must be one of {VALID_MODES}, got {self.mode!r}"
@@ -227,8 +267,7 @@ class OcelotConfig:
         if self.size_scale <= 0:
             raise ConfigurationError("size_scale must be positive")
         for name in ("assumed_compression_throughput_mbps", "assumed_decompression_throughput_mbps"):
-            value = getattr(self, name)
-            if value is None or value <= 0:
+            if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be a positive number of MB/s")
         # Validate the error-bound mode eagerly.
         ErrorBoundMode.parse(self.error_bound_mode)

@@ -12,9 +12,8 @@ from .decision_tree import DecisionTreeRegressor
 from .metrics import (
     mean_absolute_error, root_mean_squared_error, r2_score, prediction_error_interval,
 )
-from .model_io import model_to_dict, model_from_dict, save_model, load_model
 
 __all__ = [
     "DecisionTreeRegressor", "mean_absolute_error", "root_mean_squared_error", "r2_score",
-    "prediction_error_interval", "model_to_dict", "model_from_dict", "save_model", "load_model",
+    "prediction_error_interval",
 ]

@@ -9,19 +9,13 @@ training sets contain takes milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError, ModelNotFittedError
 
 __all__ = ["DecisionTreeRegressor"]
-
-#: The constructor's parameters, as :meth:`DecisionTreeRegressor.to_dict`
-#: writes them; :meth:`~DecisionTreeRegressor.from_dict` reads only these,
-#: so a model saved with the keys of an older build still loads.
-_PARAMS = ("max_depth", "min_samples_split", "min_samples_leaf")
-
 
 @dataclass
 class _Node:
@@ -32,17 +26,6 @@ class _Node:
     value: float = 0.0
     left: int = -1
     right: int = -1
-    n_samples: int = 0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "value": self.value,
-            "left": self.left,
-            "right": self.right,
-            "n_samples": self.n_samples,
-        }
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_samples_leaf: int):
@@ -133,7 +116,7 @@ class DecisionTreeRegressor:
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:
         node_index = len(self._nodes)
-        node = _Node(value=float(y.mean()), n_samples=int(y.size))
+        node = _Node(value=float(y.mean()))
         self._nodes.append(node)
         if (
             depth >= self.max_depth
@@ -173,35 +156,3 @@ class DecisionTreeRegressor:
                 node = self._nodes[node.left if row[node.feature] <= node.threshold else node.right]
             out[i] = node.value
         return out[0:1] if single else out
-
-    def feature_importances(self) -> np.ndarray:
-        """Split-count based importance per feature (normalised to sum 1)."""
-        if not self.is_fitted:
-            raise ModelNotFittedError("decision tree has not been fitted")
-        importances = np.zeros(self._n_features, dtype=np.float64)
-        for node in self._nodes:
-            if node.feature >= 0:
-                importances[node.feature] += node.n_samples
-        total = importances.sum()
-        return importances / total if total > 0 else importances
-
-    # ------------------------------------------------------------------ #
-    # Serialisation
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialise the fitted tree to a JSON-friendly dictionary."""
-        return {
-            "kind": "decision_tree",
-            "params": {key: getattr(self, key) for key in _PARAMS},
-            "n_features": self._n_features,
-            "nodes": [node.as_dict() for node in self._nodes],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "DecisionTreeRegressor":
-        """Rebuild a tree serialised with :meth:`to_dict`."""
-        params = payload["params"]
-        tree = cls(**{key: params[key] for key in _PARAMS if key in params})
-        tree._n_features = payload["n_features"]
-        tree._nodes = [_Node(**node) for node in payload["nodes"]]
-        return tree

@@ -10,9 +10,7 @@ compression setting without compressing the data first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -22,7 +20,6 @@ from ..errors import ModelNotFittedError
 from ..features.extractor import FeatureExtractor
 from ..features.vector import FeatureVector
 from ..ml.decision_tree import DecisionTreeRegressor
-from ..ml.model_io import model_from_dict, model_to_dict
 from .records import QualityRecord, records_to_matrix
 
 __all__ = ["QualityPrediction", "QualityPredictor"]
@@ -56,7 +53,6 @@ class QualityPredictor:
     def __init__(self) -> None:
         self.extractor = FeatureExtractor()
         self._models: Dict[str, object] = {}
-        self._training_summary: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -80,7 +76,6 @@ class QualityPredictor:
             model = DecisionTreeRegressor(max_depth=14, min_samples_leaf=1, min_samples_split=2)
             model.fit(X, y)
             self._models[target] = model
-            self._training_summary[target] = int(y.size)
         return self
 
     # ------------------------------------------------------------------ #
@@ -156,42 +151,3 @@ class QualityPredictor:
         if acceptable:
             return max(acceptable, key=lambda c: c.compression_ratio)
         return max(candidates, key=lambda c: c.psnr_db)
-
-    def feature_importances(self) -> Dict[str, np.ndarray]:
-        """Per-target feature importances of the fitted models."""
-        if not self.is_fitted:
-            raise ModelNotFittedError("quality predictor has not been fitted")
-        return {t: self._models[t].feature_importances() for t in self.TARGETS}
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the fitted predictor to a JSON file."""
-        if not self.is_fitted:
-            raise ModelNotFittedError("cannot save an unfitted quality predictor")
-        payload = {
-            "model_kind": "decision_tree",
-            "training_summary": self._training_summary,
-            "models": {t: model_to_dict(self._models[t]) for t in self.TARGETS},
-        }
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(payload), encoding="utf-8")
-        return target
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "QualityPredictor":
-        """Load a predictor previously written by :meth:`save`.
-
-        A file whose models name another kind than the decision tree
-        raises :class:`~repro.errors.ConfigurationError`.
-        """
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        predictor = cls()
-        predictor._models = {
-            target: model_from_dict(model_payload)
-            for target, model_payload in payload["models"].items()
-        }
-        predictor._training_summary = payload.get("training_summary", {})
-        return predictor

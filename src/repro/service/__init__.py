@@ -18,10 +18,9 @@ from .events import JobEvent
 from .jobs import JobHandle, JobStatus, PhaseSpan, TransferJob
 from .scheduler import JobScheduler, UnitPool
 from .spec import TransferSpec
-from .store import JobStore, atomic_write_text
+from .store import JobStore
 
 __all__ = [
     "OcelotService", "RecoveryResult", "TransferSpec", "JobHandle", "JobStatus",
     "JobEvent", "JobScheduler", "JobStore", "PhaseSpan", "TransferJob", "UnitPool",
-    "atomic_write_text",
 ]

@@ -1,4 +1,4 @@
-"""Durable job store: a JSONL write-ahead log with atomic snapshots.
+"""Durable job store: a JSONL write-ahead log.
 
 The one persistence format for jobs — a service with a store attached
 writes it, :meth:`~repro.service.api.OcelotService.recover` resumes from
@@ -11,11 +11,7 @@ it:
 * :meth:`replay` folds the log into the latest per-job state, in
   submission order, which is what
   :meth:`~repro.service.api.OcelotService.recover` consumes to resume
-  or re-queue jobs after a crash;
-* :meth:`compact` rewrites the log as each job's last life, atomically
-  (temp file + ``os.replace`` in the same directory, exactly like
-  ``cache/store.py``) so long-lived services can bound log growth
-  without ever exposing a partially-written file.
+  or re-queue jobs after a crash.
 
 Record shapes (the ``kind`` field discriminates):
 
@@ -39,35 +35,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Dict, List, Optional
 
-__all__ = ["JobStore", "atomic_write_text"]
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp + ``os.replace``).
-
-    The temp file lives in the destination directory so the rename never
-    crosses filesystems; a crash mid-write leaves the old file intact.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    replaced = False
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        replaced = True
-    finally:
-        if not replaced:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+__all__ = ["JobStore"]
 
 
 class JobStore:
@@ -210,32 +180,6 @@ class JobStore:
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
-    def compact(self) -> int:
-        """Rewrite the log as each job's last life, then the last ``batch`` line.
-
-        A life is a job's last ``submitted`` line plus, of every other
-        kind written after it (``terminal``, ``record``), the last line
-        — verbatim, so :meth:`replay` folds the compacted log to what it
-        folded before.  Returns the number of jobs retained.  The
-        rewrite is atomic (temp + ``os.replace``), so a crash
-        mid-compaction leaves the full original log.
-        """
-        lives: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        batch: List[Dict[str, Any]] = []
-        for record in self.load():
-            job_id, kind = record.get("job_id"), record["kind"]
-            if kind == "batch":
-                batch = [record]
-            elif job_id and kind == "submitted":
-                lives[job_id] = {kind: record}
-            elif job_id:
-                lives.setdefault(job_id, {})[kind] = record
-        kept = [record for life in lives.values() for record in life.values()] + batch
-        atomic_write_text(
-            self.path, "".join(json.dumps(r, sort_keys=True, default=str) + "\n" for r in kept)
-        )
-        return len(lives)
-
     def clear(self) -> None:
         """Delete the log file (no-op when absent)."""
         try:

@@ -124,13 +124,13 @@ class TestWarmRuns:
             dataset, "anvil", "cori", mode="compressed"
         )
         store = BlobCache(str(tmp_path / "cache"), mode="read")
-        before = store.entry_count()
+        before = store.describe()["total_entries"]
         other = _dataset(name="other", seed=77)
         report = Ocelot(_config(tmp_path, cache_mode="read")).transfer_dataset(
             other, "anvil", "cori", mode="compressed"
         )
         assert report.cache_hits == 0
-        assert store.entry_count() == before  # nothing new was written
+        assert store.describe()["total_entries"] == before  # nothing new was written
 
     def test_streamed_full_hit_falls_back_to_bulk(self, tmp_path):
         dataset = _dataset()

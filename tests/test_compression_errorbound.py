@@ -51,6 +51,12 @@ class TestErrorBound:
         with pytest.raises(ConfigurationError):
             ErrorBound(value=-1e-3)
 
+    @pytest.mark.parametrize("mode", ["abs", "rel", "psnr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, value, mode):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ErrorBound(value=value, mode=mode)
+
     def test_relative_greater_than_one_rejected(self):
         with pytest.raises(ConfigurationError):
             ErrorBound.relative(1.5)

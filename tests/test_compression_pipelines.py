@@ -162,12 +162,11 @@ class TestPipelineConfig:
         result = compressor.compress(smooth_2d, ErrorBound.relative(1e-3), verify=True)
         assert result.compression_ratio > 1.0
 
-    def test_describe_reports_structure(self):
+    def test_registry_rows_name_their_stages(self):
         compressor = create_compressor("sz3")
-        info = compressor.describe()
-        assert info["predictor"]["name"] == "interpolation"
-        assert info["lossless_backend"] == "deflate"
-        assert create_compressor("sz2").describe()["predictor"]["name"] == "regression"
+        assert compressor.predictor.name == "interpolation"
+        assert compressor.config.lossless_backend == "deflate"
+        assert create_compressor("sz2").predictor.name == "regression"
 
     def test_a_registry_row_keeps_predictor_parameters_and_blob_names(self):
         """One class, a row per name: what the wrapper classes used to pick."""

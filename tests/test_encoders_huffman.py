@@ -648,12 +648,6 @@ class TestSharedBookEncoding:
         book = HuffmanCodebook.deserialize(book_bytes)
         assert codec.encode_with_book(symbols, book) == payload
 
-    def test_encode_with_book_escapes_unknown_symbols(self):
-        codec = HuffmanCodec()
-        book = book_of({0: 10, 1: 5, 2: 5})
-        assert codec.encode_with_book(np.array([0, 1, 99]), book) is None
-        assert codec.encode_with_book(np.array([-1, 0]), book) is None
-
     def test_symbol_frequencies_matches_unique(self):
         rng = np.random.default_rng(9)
         arr = rng.integers(-1000, 1000, 30000)

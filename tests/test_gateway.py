@@ -717,6 +717,18 @@ class TestErrorMapping:
         _expect_error(lambda: _post(gateway.url, "/v1/jobs", spec),
                       code="invalid_config", status=400)
 
+    def test_malformed_override_values_are_400_and_the_driver_runs_on(self, gateway):
+        """A ``1.5`` node count, a NaN bound or scale and a string block size
+        fail typed at the boundary; the driver thread then runs the next job."""
+        for override in ({"compression_nodes": 1.5}, {"error_bound": float("nan")},
+                         {"size_scale": float("nan")}, {"block_size": "16"}):
+            spec = {**SPEC_JSON, "overrides": override}
+            _expect_error(lambda: _post(gateway.url, "/v1/jobs", spec),
+                          code="invalid_config", status=400)
+        _, record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+        _, record = _get(gateway.url, f"/v1/jobs/{record['job_id']}/wait?timeout=60")
+        assert record["status"] == "completed"
+
     def test_bad_json_body_is_400(self, gateway):
         request = urllib.request.Request(
             gateway.url + "/v1/jobs", data=b"{not json", method="POST",

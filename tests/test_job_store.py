@@ -1,19 +1,15 @@
 """Tests for the durable job store (JSONL write-ahead log).
 
 The store's contract is crash tolerance: appends are flushed line by
-line so a crash can at worst tear the final line, ``load``/``replay``
-skip torn records instead of failing, and ``compact`` rewrites the
-folded state atomically so a crash mid-compaction leaves the original
-log intact.
+line so a crash can at worst tear the final line, and ``load``/``replay``
+skip torn records instead of failing.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.service import JobStore, atomic_write_text
+from repro.service import JobStore
 
 
 @pytest.fixture()
@@ -119,30 +115,12 @@ class TestRecordLines:
         assert state["dataset_recipe"] == {"application": "miranda", "snapshots": 1}
         assert "kind" not in state
 
-    def test_compact_keeps_record_and_batch_lines_verbatim(self, store):
-        self._drained_batch(store)
-        store.append({"kind": "batch", "combined_makespan_s": 99.0})  # a later batch
-        _submit(store, "job-0002", submitted_at=3.0)
-        with open(store.path, encoding="utf-8") as handle:
-            lines_before = handle.read().splitlines()
-        before = store.replay()
-        assert store.compact() == 2
-        assert [r["kind"] for r in store.load()] == [
-            "submitted", "terminal", "record", "submitted", "batch",
-        ]
-        assert store.load()[-1]["combined_makespan_s"] == 99.0  # the last one
-        with open(store.path, encoding="utf-8") as handle:
-            assert set(handle.read().splitlines()) <= set(lines_before)
-        assert store.replay() == before
-
     def test_resubmission_supersedes_a_stale_record(self, store):
         self._drained_batch(store)
         _submit(store, "job-0001", submitted_at=20.0)
         state = store.replay()["job-0001"]
         assert state["status"] == "pending"
         assert "events" not in state and "makespan_s" not in state
-        store.compact()
-        assert [r["kind"] for r in store.load()] == ["submitted", "batch"]
 
     def test_append_after_a_torn_tail_starts_a_fresh_line(self, store):
         _submit(store, "job-0001")
@@ -154,27 +132,7 @@ class TestRecordLines:
             assert len(handle.read().splitlines()) == 3
 
 
-class TestCompaction:
-    def test_compact_folds_to_one_pair_per_job(self, store):
-        for _ in range(3):  # repeated lives of the same job
-            _submit(store, "job-0001")
-            store.record_terminal("job-0001", "failed", 1.0, error="retry")
-        _submit(store, "job-0001")
-        store.record_terminal("job-0001", "completed", 8.0, report={"ok": 1})
-        _submit(store, "job-0002", submitted_at=3.0)
-        before = store.replay()
-        assert store.compact() == 2
-        records = store.load()
-        # One submitted per job plus one terminal for the finished one.
-        assert [r["kind"] for r in records] == ["submitted", "terminal", "submitted"]
-        assert store.replay() == before
-
-    def test_compact_leaves_no_temp_files(self, store, tmp_path):
-        _submit(store, "job-0001")
-        store.compact()
-        leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
-        assert leftovers == []
-
+class TestClear:
     def test_clear_removes_log(self, store):
         _submit(store, "job-0001")
         assert store.exists()
@@ -182,24 +140,3 @@ class TestCompaction:
         assert not store.exists()
         store.clear()  # idempotent
 
-
-class TestAtomicWrites:
-    def test_atomic_write_text_replaces_content(self, tmp_path):
-        target = tmp_path / "state.json"
-        atomic_write_text(str(target), "first")
-        atomic_write_text(str(target), "second")
-        assert target.read_text() == "second"
-        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
-
-    def test_atomic_write_creates_parent_directory(self, tmp_path):
-        target = tmp_path / "nested" / "deep" / "state.json"
-        atomic_write_text(str(target), "ok")
-        assert target.read_text() == "ok"
-
-    def test_failed_write_preserves_original(self, tmp_path):
-        target = tmp_path / "state.json"
-        atomic_write_text(str(target), "original")
-        with pytest.raises(UnicodeEncodeError):
-            atomic_write_text(str(target), "lone surrogate \udc80")
-        assert target.read_text() == "original"
-        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []

@@ -1,4 +1,4 @@
-"""Tests for the ML substrate: decision tree, metrics, IO."""
+"""Tests for the ML substrate: decision tree and metrics."""
 
 from __future__ import annotations
 
@@ -8,13 +8,10 @@ import pytest
 from repro.errors import ConfigurationError, ModelNotFittedError
 from repro.ml import (
     DecisionTreeRegressor,
-    load_model,
     mean_absolute_error,
-    model_from_dict,
     prediction_error_interval,
     r2_score,
     root_mean_squared_error,
-    save_model,
 )
 
 
@@ -59,7 +56,9 @@ class TestDecisionTree:
         X, y = _make_regression(200)
         tree = DecisionTreeRegressor(min_samples_leaf=30).fit(X, y)
         leaves = [n for n in tree._nodes if n.feature < 0]
-        assert all(leaf.n_samples >= 30 for leaf in leaves)
+        # Each training sample lands in the leaf whose value it predicts.
+        values, counts = np.unique(tree.predict(X), return_counts=True)
+        assert values.size == len(leaves) and counts.min() >= 30
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(ModelNotFittedError):
@@ -79,37 +78,12 @@ class TestDecisionTree:
         with pytest.raises(ConfigurationError):
             DecisionTreeRegressor(min_samples_leaf=0)
 
-    def test_serialisation_round_trip(self):
-        X, y = _make_regression(200)
-        tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
-        restored = DecisionTreeRegressor.from_dict(tree.to_dict())
-        np.testing.assert_allclose(tree.predict(X), restored.predict(X))
-
-    def test_model_saved_with_feature_bagging_keys_still_loads(self):
-        # Older builds wrote the random forest's two bagging parameters
-        # into every tree's params; such a file loads and predicts the same.
-        X, y = _make_regression(200)
-        tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
-        payload = tree.to_dict()
-        assert set(payload["params"]) == {"max_depth", "min_samples_split", "min_samples_leaf"}
-        payload["params"].update(max_features=None, random_state=None)
-        restored = DecisionTreeRegressor.from_dict(payload)
-        assert restored.max_depth == 6
-        assert (restored.predict(X) == tree.predict(X)).all()
-
-    def test_feature_importances_sum_to_one(self):
-        X, y = _make_regression(200)
-        tree = DecisionTreeRegressor().fit(X, y)
-        importances = tree.feature_importances()
-        assert importances.shape == (4,)
-        assert importances.sum() == pytest.approx(1.0)
-
     def test_important_feature_is_detected(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(500, 3))
         y = 10.0 * X[:, 1] + rng.normal(0, 0.01, 500)
         tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
-        assert np.argmax(tree.feature_importances()) == 1
+        assert tree._nodes[0].feature == 1  # the root splits on it
 
     def test_single_feature_matrix(self):
         X = np.linspace(0, 1, 100).reshape(-1, 1)
@@ -151,17 +125,3 @@ class TestMetrics:
         with pytest.raises(ValueError):
             prediction_error_interval(np.zeros(3), np.zeros(3), confidence=1.5)
 
-
-class TestModelIO:
-    def test_save_and_load_tree(self, tmp_path):
-        X, y = _make_regression(100)
-        tree = DecisionTreeRegressor(max_depth=5).fit(X, y)
-        path = save_model(tree, tmp_path / "tree.json")
-        restored = load_model(path)
-        np.testing.assert_allclose(tree.predict(X), restored.predict(X))
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ConfigurationError):
-            model_from_dict({"kind": "svm"})
-        with pytest.raises(ConfigurationError):
-            model_from_dict({"kind": "random_forest", "trees": []})

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import gc
-import json
 
 import numpy as np
 import pytest
 
 from repro.compression.interface import Compressor
-from repro.errors import ConfigurationError, ModelNotFittedError
+from repro.errors import ModelNotFittedError
 from repro.ml import root_mean_squared_error
 from repro.prediction import (
     C1BaselineEstimator,
@@ -164,34 +163,6 @@ class TestQualityPredictor:
             min_psnr_db=10000.0,
         )
         assert choice is not None
-
-    def test_save_and_load(self, fitted_predictor, tmp_path, cesm_field):
-        path = fitted_predictor.save(tmp_path / "predictor.json")
-        restored = QualityPredictor.load(path)
-        a = fitted_predictor.predict(cesm_field.data, 1e-3, "sz3-fast")
-        b = restored.predict(cesm_field.data, 1e-3, "sz3-fast")
-        assert a.compression_ratio == pytest.approx(b.compression_ratio)
-
-    def test_save_unfitted_raises(self, tmp_path):
-        with pytest.raises(ModelNotFittedError):
-            QualityPredictor().save(tmp_path / "x.json")
-
-    def test_feature_importances_keys(self, fitted_predictor):
-        importances = fitted_predictor.feature_importances()
-        assert set(importances) == {"ratio", "time", "psnr"}
-
-    def test_load_of_another_model_kind_raises_typed(self, fitted_predictor, tmp_path):
-        """The predictor is the decision tree: a saved file keeps its layout,
-        and one whose models name another kind fails typed on load."""
-        path = fitted_predictor.save(tmp_path / "tree.json")
-        payload = json.loads(path.read_text())
-        assert payload["model_kind"] == "decision_tree"
-        payload["model_kind"] = "random_forest"
-        for model in payload["models"].values():
-            model["kind"] = "random_forest"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="random_forest"):
-            QualityPredictor.load(path)
 
 
 class TestC1Baseline:

@@ -5,6 +5,8 @@ These cover the invariants the rest of the system is built on:
 * error-bounded compression never violates the requested bound and is a
   faithful round trip for every compressor in the registry;
 * the entropy/lossless/grouping codecs are exact inverses;
+* a file's pooled entropy model codes every block it was pooled from,
+  and a model that lacks a stream's symbol fails the encode, typed;
 * the quantiser respects its bound for arbitrary residual distributions;
 * the GridFTP model is monotone in the ways the paper relies on, which
   is what lets the sentinel bisect for its raw prefix.
@@ -13,6 +15,7 @@ These cover the invariants the rest of the system is built on:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
@@ -27,9 +30,13 @@ from repro.compression.encoders.huffman import (
     HuffmanStream,
     symbol_frequencies,
 )
+from repro.compression.encoders.rans import RansCodec, RansFrequencyTable, lane_limit
+from repro.compression.predictors.base import PredictorOutput
 from repro.compression.quantizer import LinearQuantizer
+from repro.compression.sz.encoding import EncodingWire
 from repro.core.grouping import FileGrouper
 from repro.core.phases import raw_prefix_count
+from repro.errors import EncodingError
 from repro.features.compressor_features import run_length_estimator
 from repro.transfer import GridFTPEngine, WANLink, build_testbed
 
@@ -166,6 +173,63 @@ class TestEncoderInvariants:
         grouper = FileGrouper()
         group = grouper.pack(members, "g")
         assert grouper.unpack(group.payload) == members
+
+
+def _codes(seed: int, size: int, span: int) -> np.ndarray:
+    """Quantiser-like codes: geometric about zero, ``span`` wide at most."""
+    rng = np.random.default_rng(seed)
+    magnitude = (rng.geometric(min(0.9, 4.0 / span), size) - 1).clip(max=span // 2)
+    return (magnitude * rng.choice([-1, 1], size)).astype(np.int64)
+
+
+class TestModelsCoverTheirStreams:
+    @SLOW
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.integers(1, 12_000),
+        span=st.sampled_from([2, 40, 2_000, 20_000]),
+        cuts=st.lists(st.integers(0, 12_000), max_size=6),
+        stage=st.sampled_from(["huffman", "rans"]),
+    )
+    def test_the_pooled_model_codes_every_block(self, seed, size, span, cuts, stage):
+        """Cut into 1..n blocks, a file's codes all plan against its pooled model
+        (a rANS one whenever the alphabet fits a table) and decode back exactly."""
+        codes = _codes(seed, size, span)
+        blocks = np.split(codes, sorted({cut % size for cut in cuts}))
+        encodings = [PredictorOutput(b, np.zeros(b.size, bool), np.zeros(0)) for b in blocks]
+        wire = EncodingWire()
+        model = wire.pooled_shared_book(stage, encodings)
+        if stage == "rans" and model is None:  # no 12-bit table fits the pooled alphabet
+            assert RansFrequencyTable.try_from_frequencies(symbol_frequencies(codes)) is None
+            return
+        plans = [wire.plan(e, stage, model, blocks=len(blocks)) for e in encodings]
+        wire.emit(plans)
+        coded = [plan for plan, block in zip(plans, blocks) if block.size]
+        assert {(plan.codec, plan.codebook) for plan in coded} == {(stage, "shared")}
+        decoded = wire.deserialize_all([plan.inner for plan in plans], model.serialize())
+        for (got, *_), block in zip(decoded, blocks):
+            np.testing.assert_array_equal(got, block)
+
+    @FAST
+    @given(
+        seed=st.integers(0, 2**16),
+        size=st.integers(1, 5_000),
+        span=st.sampled_from([2, 40, 2_000]),
+        where=st.sampled_from(["below", "inside", "above"]),
+    )
+    def test_a_symbol_outside_the_model_fails_the_encode(self, seed, size, span, where):
+        codes = _codes(seed, size, span)
+        frequencies = symbol_frequencies(codes)
+        book = HuffmanCodebook.from_frequencies(frequencies, max_length=MAX_CODE_LENGTH)
+        table = RansFrequencyTable.try_from_frequencies(frequencies)
+        lo, hi = int(codes.min()), int(codes.max())
+        gaps = np.setdiff1d(np.arange(lo, hi + 1), frequencies.symbols)
+        outside = {"below": lo - 1, "above": hi + 1}.get(where, gaps[0] if gaps.size else hi + 1)
+        stream = np.insert(codes, seed % (size + 1), outside)
+        with pytest.raises(EncodingError):
+            HuffmanCodec().encode_with_book(stream, book)
+        with pytest.raises(EncodingError):
+            RansCodec(lane_limit(2)).encode_streams([(codes, table), (stream, table)])
 
 
 class TestModelInvariants:

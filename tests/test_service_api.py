@@ -96,6 +96,26 @@ class TestConfigOverrides:
         with pytest.raises(ConfigurationError):
             _config().with_overrides(block_workers=0)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"compression_nodes": 1.5}, {"decompression_nodes": True},
+            {"cores_per_node": "8"}, {"group_world_size": 2.0}, {"block_size": "16"},
+            {"block_workers": 1.5}, {"stream_window": None}, {"cache_max_bytes": 1e6},
+            {"error_bound": float("nan")}, {"error_bound": float("inf")},
+            {"min_psnr_db": float("nan")},
+            {"size_scale": float("nan")}, {"assumed_compression_throughput_mbps": float("inf")},
+            {"assumed_decompression_throughput_mbps": "500"},
+            {"candidate_error_bounds": (1e-3, float("nan"))}, {"use_prediction": "yes"},
+            {"sentinel_enabled": 1}, {"shared_codebook": None},
+        ],
+    )
+    def test_with_overrides_rejects_a_malformed_value(self, override):
+        """A count that is no integer, a number that is not finite or a flag that
+        is no bool fails at the boundary, typed, instead of inside a run."""
+        with pytest.raises(ConfigurationError, match=next(iter(override))):
+            _config().with_overrides(**override)
+
 
 class TestSubmitValidation:
     """Bad requests fail at the boundary: no staging, no clock movement."""

@@ -4,12 +4,17 @@ Blocked Huffman pipelines build one entropy codebook per file, store it
 once in the blob header, and encode every block against it.  These tests
 pin the on-the-wire guarantees: round trips through ``decompress``,
 random-access ``decompress_block`` and the streaming ``assemble`` path;
-the per-block fallback when a block's alphabet escapes the shared book;
 size wins over the per-block layout; and unchanged decodability of
-per-block-codebook blobs from earlier revisions.
+per-block-codebook blobs from earlier revisions and of older blobs whose
+blocks escaped the shared book (``tests/blob_fixtures.json``): the pooled
+book covers every block, so nothing writes those any more.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,15 @@ from repro.datasets import generate_application
 from repro.errors import CompressionError
 
 BOUND = ErrorBound(value=1e-3, mode="abs")
+FIXTURES = json.loads(Path(__file__).with_name("blob_fixtures.json").read_text())
+
+
+def _escaped_blob(name: str) -> CompressedBlob:
+    """An older build's blob of ``_field()`` in 32-blocks whose blocks escaped its
+    shared book: every block against ``HuffmanCodebook(symbols=[0], lengths=[1])``
+    (``v3-escaped-shared-huffman``), or block 0 alone (``v3-one-escaped-shared-huffman``,
+    whose header book is the pooled one)."""
+    return CompressedBlob.from_bytes(bytes.fromhex(FIXTURES[name]["hex"]))
 
 
 def _field(shape=(96, 80), seed=0) -> np.ndarray:
@@ -120,24 +134,20 @@ class TestFallbackAndCompat:
         )
         assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= 1e-3 * 1.01
 
-    def test_escaped_block_falls_back_to_own_codebook(self):
-        # A shared book covering only symbol 0 cannot encode real blocks:
-        # every block must fall back to its per-block codebook and still
-        # round-trip.
+    @pytest.mark.parametrize(
+        "fixture, escaped",
+        [("v3-escaped-shared-huffman", 9), ("v3-one-escaped-shared-huffman", 1)],
+    )
+    def test_escaped_block_falls_back_to_own_codebook(self, fixture, escaped):
+        # An older build's blocks that escaped the shared book carry their
+        # own codebook; the blob decodes to the array it recorded.
+        blob = _escaped_blob(fixture)
+        codebooks = [entry["codebook"] for entry in blob.block_index]
+        assert codebooks == ["block"] * escaped + ["shared"] * (9 - escaped)
+        recon = create_compressor("sz3").decompress(blob)
+        digest = hashlib.blake2b(np.ascontiguousarray(recon).tobytes(), digest_size=8)
+        assert digest.hexdigest() == FIXTURES[fixture]["decoded"]
         data = _field()
-        pipeline = _shared_pipeline()
-        plan = pipeline.block_plan(data)
-        tiny_book = HuffmanCodebook(symbols=[0], lengths=[1])
-        results = [
-            pipeline.encode_one_block(data, plan, spec, 1e-3, shared_book=tiny_book)
-            for spec in plan
-        ]
-        assert all(entry["codebook"] == "block" for entry, _ in results)
-        header = pipeline.blocked_header(data, plan, 1e-3, shared_book=tiny_book)
-        blob = CompressedBlob.assemble(header, results)
-        recon = create_compressor("sz3").decompress(
-            CompressedBlob.from_bytes(blob.to_bytes())
-        )
         assert np.abs(data.astype(np.float64) - recon.astype(np.float64)).max() <= 1e-3 * 1.01
 
     def test_mixed_blob_records_codebook_per_entry(self):
@@ -286,14 +296,7 @@ class TestKnobWiring:
         blob = compressor.compress(_field(), BOUND).blob
         assert blob.codebook_mode == "per-block"
 
-    def test_describe_reports_shared_codebook(self):
-        assert _shared_pipeline().describe()["shared_codebook"] is True
-        fast = create_compressor("sz3-fast").configure_blocks(block_shape=16)
-        assert fast.describe()["shared_codebook"] is False
-
     def test_cli_codebook_flag(self, tmp_path, capsys):
-        import json
-
         from repro.cli import main
 
         path = tmp_path / "field.npy"
@@ -309,8 +312,6 @@ class TestKnobWiring:
 
 class TestInspectCodebook:
     def test_inspect_reports_shared_codebook(self, tmp_path, capsys):
-        import json
-
         from repro.cli import main
 
         blob = _shared_pipeline().compress(_field(), BOUND).blob
@@ -323,8 +324,6 @@ class TestInspectCodebook:
         assert payload["blocks"][0]["codebook"] == "shared"
 
     def test_inspect_reports_per_block_codebooks(self, tmp_path, capsys):
-        import json
-
         from repro.cli import main
 
         blob = (
@@ -342,23 +341,12 @@ class TestInspectCodebook:
         assert payload["codebook"]["blocks_with_own_codebook"] == len(payload["blocks"])
 
     def test_inspect_counts_fallback_codebooks_in_shared_mode(self, tmp_path, capsys):
-        import json
-
         from repro.cli import main
 
-        # Every block escapes this degenerate shared book, so the blob is
-        # "shared" by header but all blocks carry their own codebook; the
-        # summary must count those, not just the header book.
-        data = _field()
-        pipeline = _shared_pipeline()
-        plan = pipeline.block_plan(data)
-        tiny_book = HuffmanCodebook(symbols=[0], lengths=[1])
-        results = [
-            pipeline.encode_one_block(data, plan, spec, 1e-3, shared_book=tiny_book)
-            for spec in plan
-        ]
-        header = pipeline.blocked_header(data, plan, 1e-3, shared_book=tiny_book)
-        blob = CompressedBlob.assemble(header, results)
+        # Every block of this older blob escaped its degenerate shared book,
+        # so the blob is "shared" by header but all blocks carry their own
+        # codebook; the summary must count those, not just the header book.
+        blob = _escaped_blob("v3-escaped-shared-huffman")
         path = tmp_path / "mixed.sz"
         path.write_bytes(blob.to_bytes())
         assert main(["inspect", str(path), "--json"]) == 0
@@ -369,23 +357,10 @@ class TestInspectCodebook:
         assert payload["codebook"]["codebook_bytes"] > 16
 
     def test_inspect_counts_one_escaped_block_and_per_block_rans_tables(self, tmp_path, capsys):
-        import json
-
         from repro.cli import main
 
-        data, pipeline = _field(), _shared_pipeline()
-        book = HuffmanCodebook.deserialize(pipeline.compress(data, BOUND).blob.shared_codebook_bytes)
-        plan = pipeline.block_plan(data)
-        results = [
-            pipeline.encode_one_block(
-                data, plan, spec, 1e-3,
-                shared_book=HuffmanCodebook(symbols=[0], lengths=[1]) if i == 0 else book,
-            )
-            for i, spec in enumerate(plan)
-        ]
-        escaped = CompressedBlob.assemble(
-            pipeline.blocked_header(data, plan, 1e-3, shared_book=book), results
-        )
+        data = _field()
+        escaped = _escaped_blob("v3-one-escaped-shared-huffman")
         rans = create_blocked_compressor(
             "sz3", block_shape=32, shared_codebook=False, entropy_stage="rans"
         ).compress(data, BOUND).blob

@@ -55,8 +55,12 @@ MAX_CORE_FUNCTION_LINES = 90
 #: the block encode, the transfer service kept one GridFTP engine and the
 #: decision tree's feature bagging went, 14 448 before the stream shipped
 #: the blocks of the bulk encode, the sampled shared model went and so did
-#: four options only tests set).
-MAX_SRC_LINES = 14_386
+#: four options only tests set, 14 386 before the entropy coders' escape
+#: protocol went — a model always covers the stream it codes — and so did
+#: the names only tests called: the quality predictor's and the decision
+#: tree's save / load / importances, ``ml/model_io.py``, the compressors'
+#: ``describe``, ``JobStore.compact`` and ``BlobCache.entry_count``).
+MAX_SRC_LINES = 14_156
 #: Ways of asking an object what it is.  Every registered compressor is
 #: the one ``PredictionPipelineCompressor`` class, built by
 #: ``compression/registry.py``, so nothing probes for it; the last two
@@ -149,9 +153,8 @@ MOVE = ".copy_from("
 
 
 #: An option no caller but a test sets is not kept: the predictor is the
-#: decision tree (a saved file keeps its ``"model_kind"`` key, so files
-#: read both ways), a WAN estimate is deterministic and priced on a
-#: registered link, grouping is by world size, and the cluster model and
+#: decision tree (never saved, so no file names a model kind), a WAN
+#: estimate is deterministic and priced on a registered link, grouping is by world size, and the cluster model and
 #: the sentinel's threshold are constants.  No caller outside the tests set
 #: a tenant quota, so the admission queue never parked a job, HTTP 429
 #: never fired and every fair-queue weight was 1: tenants share the
@@ -163,7 +166,7 @@ MOVE = ".copy_from("
 #: staged files, a recovered job's dataset comes from its recipe, and a
 #: shared model pools every block (no block sample to size).
 TEST_ONLY_OPTIONS = re.compile(
-    r'RandomForestRegressor|model_kind(?!")|jitter|default_link|group_target_bytes'
+    r"RandomForestRegressor|model_kind|jitter|default_link|group_target_bytes"
     r"|assign_by_target_bytes|sentinel_wait_threshold_s|lossless_options|cost_model"
     r"|TenantQuota|QUEUED_ADMISSION|AdmissionError|check_admissible|set_quota"
     r"|job_id_prefix|sample_block|default_settings|max_features|random_state"
@@ -182,6 +185,16 @@ STAGE_TIMING_FORK = re.compile(
 #: One block encode: ``encode_blocks`` is what bulk assembles and what the
 #: stream ships, so the streamed path keeps no encode of its own.
 STREAM_ENCODE_FORK = re.compile(r"_encode_file")
+
+#: No fallback that cannot fire: a file's pooled model covers every block,
+#: so a coder has one ``encode`` (no shared / own pair) and a model missing
+#: a symbol is an ``EncodingError``.  No name only tests call: nothing
+#: saves, loads or ranks the quality model's features, no compressor
+#: describes its fan-out, and the job log is never compacted.
+TEST_ONLY_NAMES = re.compile(
+    r"encode_shared|encode_own|save_model|load_model|model_to_dict|feature_importances"
+    r"|entry_count|_configured_fanout|block_fanout|def compact|atomic_write_text"
+)
 
 #: The only files that read this host's wall clock: a compression's
 #: ``CompressionStats`` and feature extraction's timing.
@@ -300,6 +313,17 @@ def test_the_stream_ships_the_bulk_encodes_blocks():
     }
     assert not found
     assert ".encode_blocks(" in (SRC / "core" / "streaming.py").read_text()
+
+
+def test_no_escape_fallback_or_test_only_name_comes_back():
+    found = {
+        f"{path.relative_to(SRC).as_posix()}:{number}": line.strip()
+        for path in SRC.rglob("*.py")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if TEST_ONLY_NAMES.search(line)
+    }
+    assert not found
+    assert not (SRC / "ml" / "model_io.py").exists()
 
 
 def test_one_package_knows_the_block_section_format():
