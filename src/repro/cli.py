@@ -26,7 +26,7 @@ from .cache import BlobCache
 from .compression import CompressedBlob, available_compressors, create_blocked_compressor
 from .compression.sz.encoding import ENTROPY_STAGES, block_model_bytes
 from .core import Ocelot, OcelotConfig, ParallelExecutor
-from .core.config import VALID_CACHE_MODES, VALID_MODES, VALID_PRIORITIES, VALID_TRANSFER_MODES
+from .core.config import VALID_CACHE_MODES, VALID_MODES, VALID_TRANSFER_MODES
 from .datasets import application_names, generate_application, generate_field
 from .datasets import get_application_spec
 from .errors import ConfigurationError, OrchestrationError, ReproError
@@ -128,8 +128,6 @@ def _flag_table() -> Dict[str, Tuple[str, Dict[str, Any]]]:
             type=_positive_int, help="size cap; least-recently-used entries beyond it go")),
         "tenant": ("--tenant", dict(metavar="NAME", help="tenant the jobs are scheduled "
                                     "under (tenants share the scheduler equally)")),
-        "priority": ("--priority", dict(choices=VALID_PRIORITIES,
-                                        help="strict scheduler priority class")),
         "events": ("--events", dict(action="store_true", help="print each job's event feed")),
         "state": ("--state", dict(default=".ocelot-jobs.jsonl", metavar="PATH",
                                   help="JobStore log (JSON lines, append-only)")),
@@ -468,7 +466,7 @@ def _run_submit(args: argparse.Namespace) -> Result:
             handles.append(service.submit(TransferSpec(
                 dataset=dataset, source=args.source, destination=args.destination,
                 mode=args.mode, label=f"{app}#{copy}" if args.copies > 1 else app,
-                tenant=args.tenant, priority=args.priority, overrides=settings,
+                tenant=args.tenant, overrides=settings,
             )))
     payload, lines = _drain(service, store, handles)
     if args.events:
@@ -633,7 +631,7 @@ COMMANDS: Tuple[Command, ...] = (
             _flags("blob", "json"), _run_inspect),
     Command("submit", "submit one or many datasets as concurrent jobs to the job service", _flags(
         "applications", "copies", "route", "snapshots", "scale", "service", "bound", "cache",
-        "tenant", "priority", "events", "log", scale=0.03,
+        "tenant", "events", "log", scale=0.03,
     ), _run_submit),
     Command("recover", "resume the jobs a crashed submit left pending in the job log",
             _flags("log"), _run_recover),

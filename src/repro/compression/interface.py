@@ -590,21 +590,17 @@ class CompressionResult:
 
 
 def require_error_bound(
-    original: np.ndarray,
-    reconstruction: np.ndarray,
-    error_bound_abs: float,
-    max_abs_error: float,
+    max_abs_error: float, error_bound_abs: float, magnitude: float, dtype: np.dtype
 ) -> None:
     """Raise :class:`ErrorBoundViolation` unless ``max_abs_error`` honours the bound.
 
-    What ``verify_error_bound`` means, wherever the reconstruction was
-    produced.  Float slack rides on top of the bound: casting the float64
-    reconstruction back to the original dtype (e.g. float32) rounds each
-    value by up to eps * |value|.
+    The one bound check, wherever the reconstruction was produced.  Float
+    slack rides on top of the bound: casting the float64 reconstruction
+    back to its ``dtype`` (e.g. float32) rounds each value by up to
+    eps * ``magnitude``, the original's largest absolute value (the caller
+    has it from the extrema it reads anyway).
     """
-    cast_slack = float(np.finfo(reconstruction.dtype).eps) * float(
-        np.max(np.abs(original)) if original.size else 0.0
-    )
+    cast_slack = float(np.finfo(dtype).eps) * magnitude
     tolerance = error_bound_abs * (1.0 + 1e-9) + cast_slack + 1e-300
     if max_abs_error > tolerance:
         raise ErrorBoundViolation(max_abs_error, error_bound_abs)
@@ -615,8 +611,8 @@ class Compressor(abc.ABC):
 
     Concrete compressors implement :meth:`compress_array` and
     :meth:`decompress_blob`; the public :meth:`compress` / :meth:`decompress`
-    wrappers add timing, ratio accounting, and (optionally) error-bound
-    verification.
+    wrappers add timing, ratio accounting and, when they reconstruct,
+    the error-bound check.
     """
 
     #: Registry name; subclasses override.
@@ -634,7 +630,6 @@ class Compressor(abc.ABC):
         self,
         data: np.ndarray,
         error_bound: ErrorBound,
-        verify: bool = False,
         collect_quality: bool = False,
     ) -> CompressionResult:
         """Compress ``data`` and return the blob with timing/ratio statistics.
@@ -642,11 +637,9 @@ class Compressor(abc.ABC):
         Args:
             data: the array to compress (any dimensionality, float dtype).
             error_bound: the error-bound request (absolute or relative).
-            verify: when True, decompress immediately and assert that the
-                absolute error bound holds (raises
-                :class:`~repro.errors.ErrorBoundViolation` otherwise).
-            collect_quality: when True, also record PSNR and max error in
-                the stats (requires a decompression pass).
+            collect_quality: when True, decompress immediately, record PSNR
+                and max error in the stats and check the absolute error
+                bound (raises :class:`~repro.errors.ErrorBoundViolation`).
         """
         arr = np.asarray(data)
         if arr.size == 0:
@@ -663,13 +656,13 @@ class Compressor(abc.ABC):
             compressed_bytes=int(blob.nbytes),
             compression_time_s=float(elapsed),
         )
-        if verify or collect_quality:
+        if collect_quality:
             t0 = time.perf_counter()
             recon = self.decompress_blob(blob)
             stats.decompression_time_s = time.perf_counter() - t0
             stats.psnr_db, stats.max_abs_error = reconstruction_error(arr, recon)
-            if verify:
-                require_error_bound(arr, recon, eb_abs, stats.max_abs_error)
+            magnitude = max(abs(float(arr.min())), abs(float(arr.max())))
+            require_error_bound(stats.max_abs_error, eb_abs, magnitude, recon.dtype)
         return CompressionResult(blob=blob, stats=stats)
 
     def decompress(self, blob: CompressedBlob, inflated: Optional[Any] = None) -> np.ndarray:

@@ -89,7 +89,3 @@ class Predictor(abc.ABC):
         return self.decode(
             codes, unpredictable_mask, literals, aux, meta, block_shape, error_bound_abs
         )
-
-    def describe(self) -> Dict[str, Any]:
-        """Short description of the predictor configuration."""
-        return {"name": self.name}

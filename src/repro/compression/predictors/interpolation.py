@@ -223,6 +223,3 @@ class InterpolationPredictor(Predictor):
             recon[plan.target] = pred + pass_residuals.reshape(pred.shape)
             code_pos += plan.size
         return recon
-
-    def describe(self) -> Dict[str, Any]:
-        return {"name": self.name, "order": self.order}

@@ -167,6 +167,3 @@ class RegressionPredictor(Predictor):
             order.extend([i, ndim + i])
         pred = pred.transpose(order)
         return pred.reshape(padded_shape)
-
-    def describe(self) -> Dict[str, Any]:
-        return {"name": self.name, "block_size": self.block_size}

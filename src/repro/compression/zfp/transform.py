@@ -123,6 +123,3 @@ class BlockTransformPredictor(Predictor):
         recon_blocks = idctn(coeff_values, axes=block_axes, norm="ortho")
         recon = self._unblock(recon_blocks, padded_shape)
         return recon[tuple(slice(0, s) for s in shape)]
-
-    def describe(self) -> Dict[str, Any]:
-        return {"name": self.name, "block_size": self.block_size}

@@ -34,17 +34,6 @@ VALID_TRANSFER_MODES: Tuple[str, ...] = ("bulk", "streamed")
 #:  * ``readwrite`` — consult and populate.
 VALID_CACHE_MODES: Tuple[str, ...] = ("off", "read", "readwrite")
 
-#: Strict priority classes of the multi-tenant job scheduler, lowest to
-#: highest.  A higher class always dispatches before a lower one; fair
-#: queueing applies among tenants *within* a class.
-VALID_PRIORITIES: Tuple[str, ...] = ("low", "normal", "high")
-
-
-def priority_class(priority: str) -> int:
-    """Numeric rank of a validated priority class (higher dispatches first)."""
-    return VALID_PRIORITIES.index(priority)
-
-
 def _is_count(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -68,8 +57,7 @@ _FIELD_TYPES = (
         "assumed_compression_throughput_mbps", "assumed_decompression_throughput_mbps",
     )),
     ("a bool", lambda value: isinstance(value, bool), (
-        "use_prediction", "sentinel_enabled", "verify_error_bound", "adaptive_predictor",
-        "shared_codebook",
+        "use_prediction", "sentinel_enabled", "adaptive_predictor", "shared_codebook",
     )),
 )
 _OPTIONAL_FIELDS = ("block_size", "cache_max_bytes")
@@ -97,9 +85,6 @@ class OcelotConfig:
         sentinel_enabled: transfer raw files while waiting for nodes (only
             for a node wait over ``SENTINEL_WAIT_THRESHOLD_S`` in
             ``core/phases.py``).
-        verify_error_bound: check each reconstruction against the bound
-            where it is made, at the destination (bulk and streamed
-            alike); a violation fails the job.
         block_size: when set, each file is partitioned into blocks of this
             edge length (per axis) and the blocks are compressed
             independently; ``None`` makes each file one block.
@@ -155,9 +140,6 @@ class OcelotConfig:
             belong to (a :class:`~repro.service.spec.TransferSpec` may
             name its own).  Tenants are the unit of fair queueing in
             the job scheduler.
-        priority: default scheduler priority class (``low`` / ``normal``
-            / ``high``); higher classes dispatch strictly before lower
-            ones.
         size_scale: factor from a field's in-memory bytes to the bytes it
             stands for on the cluster; every staged, compressed, shipped
             and reconstructed size is multiplied by it.
@@ -181,7 +163,6 @@ class OcelotConfig:
     cores_per_node: int = 128
     group_world_size: int = 256
     sentinel_enabled: bool = True
-    verify_error_bound: bool = False
     block_size: Optional[int] = None
     block_workers: int = 1
     worker_backend: str = "thread"
@@ -194,7 +175,6 @@ class OcelotConfig:
     cache_mode: str = "off"
     cache_max_bytes: Optional[int] = None
     tenant: str = "default"
-    priority: str = "normal"
     size_scale: float = 1.0
     assumed_compression_throughput_mbps: float = 300.0
     assumed_decompression_throughput_mbps: float = 500.0
@@ -260,10 +240,6 @@ class OcelotConfig:
             raise ConfigurationError("cache_max_bytes must be >= 1 (or None for unbounded)")
         if not self.tenant or not isinstance(self.tenant, str):
             raise ConfigurationError("tenant must be a non-empty string")
-        if self.priority not in VALID_PRIORITIES:
-            raise ConfigurationError(
-                f"priority must be one of {VALID_PRIORITIES}, got {self.priority!r}"
-            )
         if self.size_scale <= 0:
             raise ConfigurationError("size_scale must be positive")
         for name in ("assumed_compression_throughput_mbps", "assumed_decompression_throughput_mbps"):

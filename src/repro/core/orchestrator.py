@@ -292,8 +292,8 @@ class OcelotOrchestrator:
         """The destination step of both paths, for every blob that crossed.
 
         Decodes each ``(file name, blob)`` through the bulk reader,
-        measures it against its original (checking the bound under
-        ``verify_error_bound``: each reconstruction is made once), lands
+        measures it against its original and checks its bound (each
+        reconstruction is made once), lands
         ``/decompressed/<scoped>/<name>`` and records the blob's entropy
         stage and, for a multi-block blob, its index entries per codec.
         Sets ``run.quality``; returns each reconstruction's nominal bytes.
@@ -316,8 +316,10 @@ class OcelotOrchestrator:
         def decode(name: str, blob: CompressedBlob, inflated: Any) -> Tuple[Any, ...]:
             # Measured on the lane, which then holds the only reference to recon.
             recon = self._build_compressor(blob.compressor).decompress(blob, inflated)
-            size, bound = recon.nbytes, blob.error_bound_abs if config.verify_error_bound else None
-            check = lane.submit(QualityTally.measure, originals[name], recon, bound, nbytes=size)
+            size = recon.nbytes
+            check = lane.submit(
+                QualityTally.measure, originals[name], recon, blob.error_bound_abs, nbytes=size
+            )
             return check, name, blob, int(size * config.size_scale)
 
         def land(check: LaneCall, name: str, blob: CompressedBlob, size: int) -> None:

@@ -32,16 +32,6 @@ class CompressionPlan:
     predicted: Optional[QualityPrediction] = None
     used_predictor: bool = False
 
-    def describe(self) -> str:
-        """Short human-readable description of the plan."""
-        base = f"{self.compressor} @ {self.error_bound.describe()}"
-        if self.predicted is not None:
-            base += (
-                f" (predicted ratio {self.predicted.compression_ratio:.1f}x,"
-                f" PSNR {self.predicted.psnr_db:.1f} dB)"
-            )
-        return base
-
 
 class CompressionPlanner:
     """Select the compression configuration for a dataset transfer."""

@@ -34,7 +34,7 @@ class QualityTally:
 
     @staticmethod
     def measure(
-        original: np.ndarray, recon: np.ndarray, bound_abs: Optional[float] = None
+        original: np.ndarray, recon: np.ndarray, bound_abs: float
     ) -> Tuple[float, float]:
         """``(psnr_db, max_abs_error)`` of one reconstruction, checked against ``bound_abs``.
 
@@ -44,9 +44,9 @@ class QualityTally:
         original = np.asarray(original)
         diff = _difference(original, recon)
         max_abs_error = float(np.max(np.abs(diff, out=diff)))
-        if bound_abs is not None:
-            require_error_bound(original, recon, bound_abs, max_abs_error)
-        peak = float(np.float64(original.max()) - np.float64(original.min()))
+        lo, hi = np.float64(original.min()), np.float64(original.max())
+        require_error_bound(max_abs_error, bound_abs, float(max(abs(lo), abs(hi))), recon.dtype)
+        peak = float(hi - lo)
         return psnr_from_mse(float(np.mean(np.square(diff, out=diff))), peak), max_abs_error
 
     def add(self, psnr_db: float, max_abs_error: float) -> None:

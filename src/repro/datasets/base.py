@@ -99,12 +99,3 @@ class ScientificDataset:
         for f in self._fields:
             seen.setdefault(f.name, None)
         return list(seen)
-
-    def describe(self) -> Dict[str, object]:
-        """Summary dictionary of dataset size and contents."""
-        return {
-            "name": self.name,
-            "files": self.file_count,
-            "total_bytes": self.total_bytes,
-            "field_names": self.field_names(),
-        }

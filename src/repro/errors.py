@@ -129,8 +129,8 @@ class OrchestrationError(ReproError):
     """Raised when the Ocelot orchestrator encounters an unrecoverable state.
 
     At the service submit boundary this is the *request validation*
-    error (unknown mode/endpoint/route, empty dataset, bad tenant or
-    priority), which is why its code reads as a client-side rejection.
+    error (unknown mode/endpoint/route, empty dataset, bad tenant),
+    which is why its code reads as a client-side rejection.
     """
 
     code = "invalid_request"

@@ -15,7 +15,7 @@ recipe fully identifies the bytes a client wants moved::
     {
       "dataset": {"application": "miranda", "snapshots": 1, "scale": 0.03},
       "source": "anvil", "destination": "cori",
-      "mode": "compressed", "tenant": "astro", "priority": "high",
+      "mode": "compressed", "tenant": "astro",
       "overrides": {"error_bound": 1e-4}
     }
 
@@ -43,8 +43,7 @@ __all__ = ["GatewayAPI", "spec_from_payload"]
 Response = Tuple[int, Dict[str, object]]
 
 _SPEC_KEYS = frozenset(
-    {"dataset", "source", "destination", "mode", "label", "tenant",
-     "priority", "overrides"}
+    {"dataset", "source", "destination", "mode", "label", "tenant", "overrides"}
 )
 _DATASET_KEYS = frozenset(
     {"application", "snapshots", "scale", "seed", "fields", "dtype"}
@@ -102,7 +101,6 @@ def spec_from_payload(payload: object) -> TransferSpec:
         mode=payload.get("mode"),
         label=str(payload.get("label") or ""),
         tenant=payload.get("tenant"),
-        priority=payload.get("priority"),
         overrides=dict(overrides),
     )
 

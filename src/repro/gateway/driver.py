@@ -48,6 +48,10 @@ from .bus import EventBus
 
 __all__ = ["GatewayDriver", "PlanGroup", "UnknownJobError", "UnknownGroupError"]
 
+#: Longest the idle stepper parks between looks at the scheduler; a
+#: submit wakes it at once through the bus.
+_IDLE_WAIT_S = 0.02
+
 
 class UnknownJobError(KeyError):
     """Looked up a job id the service has never seen (HTTP 404)."""
@@ -96,10 +100,9 @@ class PlanGroup:
 class GatewayDriver:
     """Serialise a multi-threaded HTTP front end onto the job service."""
 
-    def __init__(self, service: OcelotService, idle_poll_s: float = 0.02) -> None:
+    def __init__(self, service: OcelotService) -> None:
         self.service = service
         self.bus = EventBus()
-        self._idle_poll_s = idle_poll_s
         self._lock = threading.RLock()
         self._paused = False
         self._groups: Dict[str, PlanGroup] = {}
@@ -151,7 +154,7 @@ class GatewayDriver:
             with self._lock:
                 progressed = not self._paused and self.service.scheduler.step()
             if not progressed:
-                self.bus.wait(seen, self._idle_poll_s)
+                self.bus.wait(seen, _IDLE_WAIT_S)
 
     def _handle(self, job_id: str) -> JobHandle:
         if self.service.scheduler.get(job_id) is None:
@@ -172,7 +175,7 @@ class GatewayDriver:
 
         :meth:`OcelotService.submit_batch` validates every spec (config
         overrides, mode, endpoints, route, compressor, dataset,
-        tenant/priority) once, **before any job is submitted** — one bad
+        tenant) once, **before any job is submitted** — one bad
         spec rejects the group with no partial state.  Its jobs then
         interleave through the scheduler like any other batch.
         """

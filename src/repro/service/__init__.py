@@ -5,8 +5,8 @@ service: declarative, validated :class:`TransferSpec` requests go in,
 :class:`JobHandle` objects come out immediately, and a
 :class:`JobScheduler` multiplexes the resulting jobs — split into
 resumable phase steps — over one shared testbed with an event-driven
-core: strict priority classes over fair queueing with equal shares
-across tenants, contention for compute nodes and WAN links, and an
+core: start-time fair queueing with equal shares across tenants,
+contention for compute nodes and WAN links, and an
 optional durable :class:`JobStore` write-ahead log that lets
 :meth:`OcelotService.recover` resume a crashed service.
 """

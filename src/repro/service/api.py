@@ -6,8 +6,8 @@ shared endpoints, schedulers and WAN links; the service validates each
 request at the boundary, hands back a
 :class:`~repro.service.jobs.JobHandle` immediately, and multiplexes the
 resulting jobs over one testbed through the
-:class:`~repro.service.scheduler.JobScheduler` — strict priority
-classes over fair queueing with equal shares across tenants.
+:class:`~repro.service.scheduler.JobScheduler` — start-time
+fair queueing with equal shares across tenants.
 
 With a :class:`~repro.service.store.JobStore` attached, every
 submission and terminal transition is appended to a JSONL write-ahead
@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from ..core.config import OcelotConfig, priority_class
+from ..core.config import OcelotConfig
 from ..core.orchestrator import OcelotOrchestrator
 from ..errors import OrchestrationError
 from ..faas.service import SiteTable, build_faas_service
@@ -104,8 +104,8 @@ class OcelotService:
     def submit(self, spec: TransferSpec) -> JobHandle:
         """Validate a request and enqueue it; returns its handle.
 
-        Validation — mode, endpoints, WAN route, compressor, tenant and
-        priority, per-job config overrides — happens here, before any
+        Validation — mode, endpoints, WAN route, compressor, tenant,
+        per-job config overrides — happens here, before any
         staging or clock movement, so a bad request costs nothing and
         fails with a precise error.  The job itself runs when the
         scheduler is drained (any handle's
@@ -128,7 +128,6 @@ class OcelotService:
     ) -> JobHandle:
         """Enqueue a validated ``spec`` with the config its validation returned."""
         tenant = spec.resolved_tenant(job_config)
-        priority = spec.resolved_priority(job_config)
         if self.scheduler.idle and self.testbed.clock.now < self.scheduler.makespan_s:
             # The clock was rewound (e.g. between compare_modes runs):
             # start a fresh scheduling epoch instead of queueing the new
@@ -153,8 +152,6 @@ class OcelotService:
             orchestrator=orchestrator,
             submitted_at=self.testbed.clock.now,
             tenant=tenant,
-            priority=priority,
-            priority_class=priority_class(priority),
             scheduler=self.scheduler,
         )
         # Creating the generator runs nothing: staging starts only when
@@ -167,7 +164,7 @@ class OcelotService:
             self.store.record_submitted(
                 job_id,
                 job.submitted_at,
-                {**spec.describe(), "tenant": tenant, "priority": priority},
+                {**spec.describe(), "tenant": tenant},
                 dataset_recipe=getattr(spec.dataset, "recipe", None),
             )
         self.scheduler.add(job)
@@ -214,7 +211,7 @@ class OcelotService:
         ways: jobs already terminal keep their persisted records and are
         **not** re-run (no duplicated billing — their compute was spent
         before the crash); unfinished jobs are re-queued under their
-        original job ids, tenants and priorities, rebuilding each
+        original job ids and tenants, rebuilding each
         dataset from its persisted generation recipe; unfinished jobs
         with no recipe are reported as unrecoverable, not guessed at.
 
@@ -244,7 +241,6 @@ class OcelotService:
                 mode=spec_fields.get("mode"),
                 label=spec_fields.get("label", ""),
                 tenant=spec_fields.get("tenant"),
-                priority=spec_fields.get("priority"),
                 overrides=dict(spec_fields.get("overrides") or {}),
             )
             result.resumed.append(self._enqueue(spec, self._validated(spec), job_id=job_id))

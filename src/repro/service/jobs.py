@@ -87,10 +87,8 @@ class TransferJob:
     t_local: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: Tenant and priority class the scheduler dispatches the job under.
+    #: Tenant the scheduler dispatches the job under.
     tenant: str = "default"
-    priority: str = "normal"
-    priority_class: int = 1
     #: Monotonic submission sequence number (scheduler tie-breaker).
     submit_seq: int = 0
     #: The scheduler whose ``on_event`` listener hears this job's feed.
@@ -158,11 +156,6 @@ class JobHandle:
     def tenant(self) -> str:
         """Tenant the job is scheduled under (fair-queueing flow)."""
         return self._job.tenant
-
-    @property
-    def priority(self) -> str:
-        """Strict priority class the job dispatches in."""
-        return self._job.priority
 
     @property
     def wait_s(self) -> Optional[float]:
@@ -245,10 +238,9 @@ class JobHandle:
             "makespan_s": self.makespan_s,
             "wait_s": self.wait_s,
             **self._job.spec.describe(),
-            # The resolved scheduling identity (the spec's fields may be
-            # None and fall back to the service configuration).
+            # The resolved tenant (the spec's field may be None and fall
+            # back to the service configuration).
             "tenant": self.tenant,
-            "priority": self.priority,
         }
         if self._job.report is not None:
             record["report"] = self._job.report.as_dict()

@@ -6,18 +6,15 @@ generators (``OcelotOrchestrator.iter_phases``) cooperatively through an
 event-driven core — a solo job is the batch of one:
 
 * each job has a local position ``t_local`` on the shared simulated
-  timeline and lives in exactly one *flow* — the ``(priority class,
-  tenant)`` pair it dispatches under;
-* dispatch is a three-level decision, each level O(log n): strict
-  priority classes first (a ``high`` job always dispatches before a
-  ``normal`` one), start-time fair queueing across the tenants of a
-  class second (flows carry virtual-time tags charged by phase
-  duration, so tenants get equal shares and one tenant flooding the
-  queue cannot starve others), and earliest ``(t_local, submit_seq)``
-  within a tenant last — the original deterministic discipline.  With a single
-  tenant and priority class the dispatch order is exactly the legacy
+  timeline and lives in exactly one *flow* — its tenant's queue;
+* dispatch is a two-level decision, each level O(log n): start-time
+  fair queueing across tenants first (flows carry virtual-time tags
+  charged by phase duration, so tenants get equal shares and one tenant
+  flooding the queue cannot starve others), and earliest ``(t_local,
+  submit_seq)`` within a tenant second — the original deterministic
+  discipline.  With a single tenant the dispatch order is exactly the
   earliest-position scan, so solo and homogeneous batches behave
-  identically to the linear-scan scheduler they replace;
+  identically to a linear-scan scheduler;
 * all registries are dict/heap backed: ``step()`` and job eviction are
   O(log n) / O(1) instead of the old O(n) scans, so a thousand queued
   jobs drain in near-linear time;
@@ -83,21 +80,20 @@ class UnitPool:
 
 
 class _Flow:
-    """One ``(priority class, tenant)`` dispatch queue with an SFQ tag.
+    """One tenant's dispatch queue with an SFQ tag.
 
     ``jobs`` is a min-heap of ``(t_local, submit_seq, job)`` — the
     per-tenant ready queue.  ``tag`` is the flow's virtual start time
     under start-time fair queueing: dispatching a phase of duration
     ``d`` advances it by ``d``, so the flow that has received the least
     service is offered the next phase.  ``entry_seq`` identifies the
-    flow's current entry in its class heap (stale entries are skipped
-    lazily).
+    flow's current entry in the scheduler's flow heap (stale entries are
+    skipped lazily).
     """
 
-    __slots__ = ("priority", "tenant", "tag", "jobs", "queued", "entry_seq")
+    __slots__ = ("tenant", "tag", "jobs", "queued", "entry_seq")
 
-    def __init__(self, priority: int, tenant: str) -> None:
-        self.priority = priority
+    def __init__(self, tenant: str) -> None:
         self.tenant = tenant
         self.tag = 0.0
         self.jobs: List[Tuple[float, int, TransferJob]] = []
@@ -115,9 +111,9 @@ class JobScheduler:
         # (`remove`) and terminal retirement are O(1), not list scans.
         self._jobs: Dict[str, TransferJob] = {}
         self._active: Dict[str, TransferJob] = {}
-        self._flows: Dict[Tuple[int, str], _Flow] = {}
-        self._class_heaps: Dict[int, List[Tuple[float, int, _Flow]]] = {}
-        self._vtime: Dict[int, float] = {}
+        self._flows: Dict[str, _Flow] = {}
+        self._flow_heap: List[Tuple[float, int, _Flow]] = []
+        self._vtime = 0.0
         self._node_pools: Dict[str, UnitPool] = {}
         self._link_pools: Dict[Tuple[str, str], UnitPool] = {}
         self._makespan_s = 0.0
@@ -165,23 +161,19 @@ class JobScheduler:
             self._queue_flow(flow)
 
     def _flow_for(self, job: TransferJob) -> _Flow:
-        key = (job.priority_class, job.tenant)
-        flow = self._flows.get(key)
+        flow = self._flows.get(job.tenant)
         if flow is None:
-            flow = self._flows[key] = _Flow(job.priority_class, job.tenant)
+            flow = self._flows[job.tenant] = _Flow(job.tenant)
         return flow
 
     def _queue_flow(self, flow: _Flow) -> None:
-        """(Re)insert a flow into its priority class's dispatch heap."""
+        """(Re)insert a flow into the dispatch heap."""
         # Start-time fair queueing: a flow waking from idle restarts at
-        # the class's current virtual time instead of catching up on
-        # service it never asked for.
-        flow.tag = max(flow.tag, self._vtime.get(flow.priority, 0.0))
+        # the current virtual time instead of catching up on service it
+        # never asked for.
+        flow.tag = max(flow.tag, self._vtime)
         flow.entry_seq = next(self._entry_seq)
-        heapq.heappush(
-            self._class_heaps.setdefault(flow.priority, []),
-            (flow.tag, flow.entry_seq, flow),
-        )
+        heapq.heappush(self._flow_heap, (flow.tag, flow.entry_seq, flow))
         flow.queued = True
 
     def jobs(self) -> List[TransferJob]:
@@ -236,26 +228,21 @@ class JobScheduler:
         self._node_pools.clear()
         self._link_pools.clear()
         self._flows.clear()
-        self._class_heaps.clear()
-        self._vtime.clear()
+        self._flow_heap.clear()
+        self._vtime = 0.0
         self._makespan_s = float(origin)
 
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
     def _next_dispatch(self) -> Optional[Tuple[_Flow, TransferJob]]:
-        """Pop the next (flow, job) to run: priority, then SFQ, then time.
+        """Pop the next (flow, job) to run: SFQ across tenants, then time.
 
         Cancelled jobs and superseded flow entries are skipped lazily,
         so cancellation never has to search a heap.
         """
-        while self._class_heaps:
-            priority = max(self._class_heaps)
-            heap = self._class_heaps[priority]
-            if not heap:
-                del self._class_heaps[priority]
-                continue
-            tag, entry_seq, flow = heapq.heappop(heap)
+        while self._flow_heap:
+            tag, entry_seq, flow = heapq.heappop(self._flow_heap)
             if not flow.queued or flow.entry_seq != entry_seq:
                 continue  # superseded entry
             flow.queued = False
@@ -268,7 +255,7 @@ class JobScheduler:
                 break
             if job is None:
                 continue  # flow drained by cancellations
-            self._vtime[priority] = max(self._vtime.get(priority, 0.0), tag)
+            self._vtime = max(self._vtime, tag)
             return flow, job
         return None
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, TYPE_CHECKING
 
 from ..compression import available_compressors
-from ..core.config import VALID_MODES, VALID_PRIORITIES, OcelotConfig
+from ..core.config import VALID_MODES, OcelotConfig
 from ..errors import OrchestrationError, UnknownCompressorError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,8 +36,6 @@ class TransferSpec:
         tenant: tenant the job is scheduled under — the unit of fair
             queueing; ``None`` uses the job configuration's default
             tenant.
-        priority: strict scheduler priority class (``low`` / ``normal``
-            / ``high``); ``None`` uses the configuration's default.
         config: a complete per-job :class:`OcelotConfig`; ``None`` uses
             the service's base configuration.
         overrides: per-job field overrides applied on top of the chosen
@@ -52,7 +50,6 @@ class TransferSpec:
     mode: Optional[str] = None
     label: str = ""
     tenant: Optional[str] = None
-    priority: Optional[str] = None
     config: Optional[OcelotConfig] = None
     overrides: Dict[str, object] = field(default_factory=dict)
 
@@ -76,10 +73,6 @@ class TransferSpec:
         """The effective tenant (spec wins over configuration)."""
         return self.tenant or config.tenant
 
-    def resolved_priority(self, config: OcelotConfig) -> str:
-        """The effective priority class (spec wins over configuration)."""
-        return self.priority or config.priority
-
     def validate(self, base: Optional[OcelotConfig], testbed: "Testbed") -> OcelotConfig:
         """Validate the request against the testbed; returns the job config.
 
@@ -101,11 +94,6 @@ class TransferSpec:
             )
         if not self.resolved_tenant(config):
             raise OrchestrationError("tenant must be a non-empty string")
-        priority = self.resolved_priority(config)
-        if priority not in VALID_PRIORITIES:
-            raise OrchestrationError(
-                f"unknown priority {priority!r}; valid classes: {VALID_PRIORITIES}"
-            )
         known = testbed.service.endpoints()
         for role, name in (("source", self.source), ("destination", self.destination)):
             if name not in known:
@@ -142,6 +130,5 @@ class TransferSpec:
             "mode": self.mode,
             "label": self.label,
             "tenant": self.tenant,
-            "priority": self.priority,
             "overrides": dict(self.overrides),
         }

@@ -57,8 +57,8 @@ def _field(app: str) -> np.ndarray:
 def _compress(name: str, data: np.ndarray, rel: float, block: int, **options):
     """One blob; the adaptive ones also check the bound on every element."""
     compressor = create_blocked_compressor(name, block_shape=block, **options)
-    verify = bool(options.get("adaptive_predictor"))
-    return compressor.compress(data, ErrorBound.relative(rel), verify=verify).blob
+    check = bool(options.get("adaptive_predictor"))
+    return compressor.compress(data, ErrorBound.relative(rel), collect_quality=check).blob
 
 
 def _sections(blob) -> Dict[int, Tuple[str, int]]:
@@ -180,7 +180,7 @@ def test_bulk_adaptive_encodes_each_block_once(kernel_calls, stage, shared):
         "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=shared, entropy_stage=stage
     )
     field = _walk_field()
-    blob = compressor.compress(field, ErrorBound.relative(1e-3), verify=False).blob
+    blob = compressor.compress(field, ErrorBound.relative(1e-3)).blob
     assert compressor.block_plan(field).num_blocks == 9
     assert kernel_calls == {"entropy": 9, "lossless": 9}
     # A shared model is pooled over all nine blocks, so none escapes it.
@@ -203,7 +203,7 @@ def test_a_block_builds_only_the_configured_codecs_model(monkeypatch, stage):
         "sz3", block_shape=16, adaptive_predictor=True, shared_codebook=False, entropy_stage=stage
     )
     field = _walk_field()
-    compressor.compress(field, ErrorBound.relative(1e-3), verify=False)
+    compressor.compress(field, ErrorBound.relative(1e-3))
     assert built == {stage: compressor.block_plan(field).num_blocks}
 
 

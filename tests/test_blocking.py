@@ -420,7 +420,6 @@ class TestParallelBlocks:
             block_size=24,
             block_workers=2,
             adaptive_predictor=True,
-            verify_error_bound=True,
             sentinel_enabled=False,
         )
         report = Ocelot(config).transfer_dataset(

@@ -32,7 +32,6 @@ def _config(tmp_path, **kwargs):
         error_bound=1e-3,
         compressor="sz3-fast",
         sentinel_enabled=False,
-        verify_error_bound=False,
         cache_dir=str(tmp_path / "cache"),
         cache_mode="readwrite",
     )

@@ -10,7 +10,7 @@ import pytest
 from repro.cli import _flag_table, build_parser, main
 from repro.compression.sz.encoding import ENTROPY_STAGES
 from repro.core.config import (
-    VALID_CACHE_MODES, VALID_MODES, VALID_PRIORITIES, VALID_TRANSFER_MODES, OcelotConfig,
+    VALID_CACHE_MODES, VALID_MODES, VALID_TRANSFER_MODES, OcelotConfig,
 )
 from repro.errors import ConfigurationError
 
@@ -37,6 +37,13 @@ class TestParser:
             assert exit_info.value.code == 2
         assert "--block-policy" in capsys.readouterr().err
 
+    def test_submit_has_no_priority_flag(self, capsys):
+        """There is one scheduler class: argparse rejects the flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["submit", "--priority", "high"])
+        assert exit_info.value.code == 2
+        assert "--priority" in capsys.readouterr().err
+
     def test_compress_arguments(self):
         args = build_parser().parse_args(
             ["compress", "--application", "nyx", "--compressor", "sz2", "--error-bound", "1e-4"]
@@ -48,7 +55,6 @@ class TestParser:
     @pytest.mark.parametrize("flag, values, field", [
         ("entropy", ENTROPY_STAGES, "entropy_stage"),
         ("cache-mode", VALID_CACHE_MODES, "cache_mode"),
-        ("priority", VALID_PRIORITIES, "priority"),
         ("mode", VALID_MODES, "mode"),
         ("transfer-mode", VALID_TRANSFER_MODES, "transfer_mode"),
     ])

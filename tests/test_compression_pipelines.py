@@ -60,12 +60,12 @@ class TestRegistry:
 class TestPipelineRoundTrips:
     def test_2d_round_trip_respects_bound(self, name, smooth_2d):
         compressor = create_compressor(name)
-        result = compressor.compress(smooth_2d, ErrorBound.relative(1e-3), verify=True)
+        result = compressor.compress(smooth_2d, ErrorBound.relative(1e-3), collect_quality=True)
         assert result.compression_ratio > 1.0
 
     def test_3d_round_trip_respects_bound(self, name, smooth_3d):
         compressor = create_compressor(name)
-        result = compressor.compress(smooth_3d, ErrorBound.relative(1e-3), verify=True)
+        result = compressor.compress(smooth_3d, ErrorBound.relative(1e-3), collect_quality=True)
         assert result.stats.max_abs_error is not None
 
     def test_blob_serialisation_round_trip(self, name, smooth_2d):
@@ -119,7 +119,7 @@ class TestCompressionBehaviour:
     def test_integer_input_is_cast(self):
         compressor = create_compressor("sz3-fast")
         data = np.arange(1000).reshape(20, 50)
-        result = compressor.compress(data, ErrorBound.relative(1e-3), verify=True)
+        result = compressor.compress(data, ErrorBound.relative(1e-3), collect_quality=True)
         assert result.compression_ratio > 1.0
 
     def test_decompress_with_wrong_compressor_raises(self, smooth_2d):
@@ -145,7 +145,7 @@ class TestCompressionBehaviour:
 
         monkeypatch.setattr(compressor, "decompress_blob", broken_decompress)
         with pytest.raises(ErrorBoundViolation):
-            compressor.compress(smooth_2d, ErrorBound.relative(1e-4), verify=True)
+            compressor.compress(smooth_2d, ErrorBound.relative(1e-4), collect_quality=True)
 
 
 class TestPipelineConfig:
@@ -159,7 +159,7 @@ class TestPipelineConfig:
             config=PipelineConfig(entropy_stage="none"),
             name="lorenzo-raw",
         )
-        result = compressor.compress(smooth_2d, ErrorBound.relative(1e-3), verify=True)
+        result = compressor.compress(smooth_2d, ErrorBound.relative(1e-3), collect_quality=True)
         assert result.compression_ratio > 1.0
 
     def test_registry_rows_name_their_stages(self):
@@ -171,9 +171,9 @@ class TestPipelineConfig:
     def test_a_registry_row_keeps_predictor_parameters_and_blob_names(self):
         """One class, a row per name: what the wrapper classes used to pick."""
         sz2 = create_compressor("sz2", block_size=4)
-        assert (sz2.name, sz2.predictor.describe()["block_size"]) == ("sz2", 4)
+        assert (sz2.name, sz2.predictor.block_size) == ("sz2", 4)
         linear = create_compressor("sz3-linear")
-        assert (linear.name, linear.predictor.describe()["order"]) == ("sz3-linear", "linear")
+        assert (linear.name, linear.predictor.order) == ("sz3-linear", "linear")
         assert create_compressor("zfp-like", block_size=8).predictor.block_size == 8
         for name, blob_name, stage in [
             ("sz3", "sz3", "huffman"),

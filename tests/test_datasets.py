@@ -160,10 +160,6 @@ class TestGenerateApplication:
         with pytest.raises(DatasetError):
             generate_application("cesm", snapshots=0)
 
-    def test_describe(self, small_dataset):
-        info = small_dataset.describe()
-        assert info["files"] == small_dataset.file_count
-
 
 class TestFieldAndDatasetContainers:
     def test_field_requires_data(self):

@@ -41,6 +41,7 @@ from repro.datasets import generate_application
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.gateway import EventBus, GatewayDriver, create_gateway, spec_from_payload
 from repro.gateway.app import MAX_BODY_BYTES, error_response
+from repro.gateway import driver as driver_module
 from repro.gateway.driver import UnknownGroupError, UnknownJobError
 from repro.service import JobHandle, OcelotService, TransferSpec
 from repro.service.events import JobEvent
@@ -576,10 +577,11 @@ class TestWakeSignal:
         assert gw.bus.wait(gw.bus.published, timeout=30) == gw.bus.published
         assert time.monotonic() - started < 1
 
-    def test_submit_wakes_an_idle_driver(self):
+    def test_submit_wakes_an_idle_driver(self, monkeypatch):
+        monkeypatch.setattr(driver_module, "_IDLE_WAIT_S", 30)
         service = OcelotService(_config())
         spec = spec_from_payload(SPEC_JSON)
-        driver = GatewayDriver(service, idle_poll_s=30).start()
+        driver = GatewayDriver(service).start()
         try:
             time.sleep(0.2)  # the stepper parks on its 30 s idle poll
             started = time.monotonic()
@@ -689,7 +691,7 @@ class TestErrorMapping:
             ({**SPEC_JSON, "dataset": {"application": "doom"}}, "invalid_dataset"),
             ({**SPEC_JSON, "mode": "hyperspeed"}, "invalid_request"),
             ({**SPEC_JSON, "destination": "summit"}, "invalid_request"),
-            ({**SPEC_JSON, "priority": "extreme"}, "invalid_request"),
+            ({**SPEC_JSON, "priority": "high"}, "invalid_request"),  # removed field
             ({**SPEC_JSON, "overrides": {"warp_factor": 9}}, "invalid_config"),
         ]
         for payload, code in bad_specs:
@@ -709,13 +711,18 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize(
         "override", [{"group_target_bytes": 4000}, {"sentinel_wait_threshold_s": 5.0},
-                     {"sample_fraction": 0.01}],
+                     {"sample_fraction": 0.01}, {"priority": "high"},
+                     {"verify_error_bound": True}],
     )
     def test_removed_option_override_is_400(self, gateway, override):
-        """Options only tests set are gone: naming one is a typed 400, not a 500."""
+        """Options only tests set are gone: naming one is a typed 400, not a
+        500, and the driver thread then runs the next job."""
         spec = {**SPEC_JSON, "overrides": override}
         _expect_error(lambda: _post(gateway.url, "/v1/jobs", spec),
                       code="invalid_config", status=400)
+        _, record = _post(gateway.url, "/v1/jobs", SPEC_JSON)
+        _, record = _get(gateway.url, f"/v1/jobs/{record['job_id']}/wait?timeout=60")
+        assert record["status"] == "completed"
 
     def test_malformed_override_values_are_400_and_the_driver_runs_on(self, gateway):
         """A ``1.5`` node count, a NaN bound or scale and a string block size

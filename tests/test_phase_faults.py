@@ -107,7 +107,8 @@ def test_cancel_at_every_phase_boundary_frees_the_nodes(dataset, solo_report, ru
 
 
 # --------------------------------------------------------------------- #
-# ``verify_error_bound`` means one thing, whichever way the bytes travel
+# Every reconstruction is checked against its bound, whichever way the
+# bytes travel
 # --------------------------------------------------------------------- #
 class _BoundBreaker(LorenzoPredictor):
     """Lorenzo on data shifted by three bounds: decodes cleanly, outside the bound."""
@@ -131,20 +132,18 @@ def bound_breaker(monkeypatch):
 def test_a_bound_breaking_predictor_fails_bulk_and_streamed_jobs_alike(
     bound_breaker, dataset, solo_report, run
 ):
-    overrides = {"compressor": "bound-breaker", **RUNS[run]}
+    """No setting asks for the check: the job fails on its first file,
+    whose reconstruction lies three bounds off."""
     service = _service()
-    unchecked = service.submit(_spec(dataset, overrides=overrides))
-    checked = service.submit(_spec(dataset, overrides={"verify_error_bound": True, **overrides}))
+    breaker = service.submit(
+        _spec(dataset, overrides={"compressor": "bound-breaker", **RUNS[run]})
+    )
     service.run_pending()
 
-    # The flag is the only difference: without it the job ships data 3x outside its bound.
-    report = unchecked.result()
-    assert report.max_abs_error > 2.0 * max(
-        _config().resolved_error_bound().absolute_for(f.data) for f in dataset.fields
-    )
-    assert checked.status is JobStatus.FAILED
-    with pytest.raises(ErrorBoundViolation):
-        checked.result()
+    assert breaker.status is JobStatus.FAILED
+    with pytest.raises(ErrorBoundViolation) as excinfo:
+        breaker.result()
+    assert excinfo.value.max_error > 2.0 * excinfo.value.bound
     _assert_a_later_job_runs_alone(service, dataset, solo_report)
 
 
@@ -152,7 +151,7 @@ def test_a_bound_breaking_predictor_fails_bulk_and_streamed_jobs_alike(
 def test_a_reconstruction_outside_the_bound_never_lands(bound_breaker, dataset, run):
     """The check of file k finishes on the helper lane while file k+1
     decodes; file k is written to ``/decompressed/`` only after it passed."""
-    overrides = {"compressor": "bound-breaker", "verify_error_bound": True, **RUNS[run]}
+    overrides = {"compressor": "bound-breaker", **RUNS[run]}
     mode = overrides.pop("mode")
     orchestrator = OcelotOrchestrator(_config(**overrides))
     record = TransferRun(dataset, "anvil", "cori", mode)
@@ -163,9 +162,9 @@ def test_a_reconstruction_outside_the_bound_never_lands(bound_breaker, dataset, 
 
 
 def test_billed_compress_seconds_exclude_the_verify_pass(monkeypatch, dataset):
-    """Table VIII's CPTime is the encode, and with ``verify_error_bound``
-    on the compress phase still decodes nothing: the bound is checked on
-    the one reconstruction the destination makes.  A file is billed its
+    """Table VIII's CPTime is the encode, and the compress phase decodes
+    nothing: the bound is checked on the one reconstruction the
+    destination makes.  A file is billed its
     staged bytes at the compression throughput."""
     decoded = []
     real_decompress = PredictionPipelineCompressor.decompress_blob
@@ -175,7 +174,7 @@ def test_billed_compress_seconds_exclude_the_verify_pass(monkeypatch, dataset):
         return real_decompress(self, blob, inflated)
 
     monkeypatch.setattr(PredictionPipelineCompressor, "decompress_blob", decompress_blob)
-    orchestrator = OcelotOrchestrator(_config(verify_error_bound=True))
+    orchestrator = OcelotOrchestrator(_config())
     run = TransferRun(dataset, "anvil", "cori", "compressed")
     for phase in ("stage", "plan", "wait", "compress"):
         PHASES[phase](orchestrator, run)
@@ -217,7 +216,7 @@ def test_an_earlier_bound_violation_wins_over_a_later_corrupt_section(
     """File 2's sections inflate on the lane while file 1 decodes, and
     fail there first; file 1's bound check still decides the error."""
     service = _service()
-    overrides = {"tenant": "victim", "compressor": "bound-breaker", "verify_error_bound": True}
+    overrides = {"tenant": "victim", "compressor": "bound-breaker"}
     victim = service.submit(_spec(dataset, overrides=overrides))
     service.run_pending()
     assert victim.status is JobStatus.FAILED

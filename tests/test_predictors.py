@@ -116,8 +116,8 @@ class TestRegressionSpecifics:
         with pytest.raises(CompressionError):
             RegressionPredictor(block_size=1)
 
-    def test_describe(self):
-        assert RegressionPredictor(block_size=6).describe()["block_size"] == 6
+    def test_block_size_is_kept(self):
+        assert RegressionPredictor(block_size=6).block_size == 6
 
 
 class TestInterpolationSpecifics:

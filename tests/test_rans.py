@@ -265,7 +265,7 @@ class TestTableValidation:
     def test_a_bad_shared_table_fails_the_blobs_decode(self, case, version):
         field = generate_field("miranda", "density", scale=0.08, seed=3).data
         compressor = create_blocked_compressor("sz3", block_shape=16, entropy_stage="rans")
-        blob = compressor.compress(field, ErrorBound.relative(1e-3), verify=False).blob
+        blob = compressor.compress(field, ErrorBound.relative(1e-3)).blob
         assert blob.codebook_mode == "shared"
         bad = base64.b64encode(zlib.compress(_bad_table(case, version))).decode("ascii")
         blob.container.header["shared_codebook"] = bad
@@ -502,7 +502,7 @@ class TestPipelineBatchEncode:
             "sz3", block_shape=32, entropy_stage="rans", adaptive_predictor=True,
             shared_codebook=shared,
         )
-        blob = compressor.compress(field, ErrorBound.relative(1e-3), verify=False).blob
+        blob = compressor.compress(field, ErrorBound.relative(1e-3)).blob
         assert set(blob.metadata["block_codecs"]) == {"rans"}
         return blob.to_bytes()
 
@@ -591,7 +591,7 @@ class TestPlanWidth:
     def _blob(
         compressor: PredictionPipelineCompressor, field: np.ndarray, bound: ErrorBound = BOUND_1E3
     ) -> bytes:
-        return compressor.compress(field, bound, verify=False).blob.to_bytes()
+        return compressor.compress(field, bound).blob.to_bytes()
 
     @pytest.fixture(scope="class")
     def settled(self) -> bytes:
@@ -652,7 +652,7 @@ def decision_cells(data: np.ndarray, repeats: int = 3) -> Dict[Tuple[str, str], 
             times = []
             for _ in range(repeats):
                 start = time.process_time()
-                blob = compressor.compress(data, BOUND_1E3, verify=False).blob
+                blob = compressor.compress(data, BOUND_1E3).blob
                 compressor.decompress(blob)
                 times.append(time.process_time() - start)
             cells[mode, stage] = len(blob.to_bytes()), 1e3 * float(np.median(times))

@@ -1,8 +1,8 @@
 """Property tests for the WFQ scheduler: determinism, starvation freedom,
-and report invariance under arbitrary tenant/priority mixes.
+and report invariance under arbitrary tenant mixes.
 
 The scheduler's core contract is that *policy moves timelines, never
-results*: whatever mix of tenants, priorities and submission orders the
+results*: whatever mix of tenants and submission orders the
 queue sees, every job completes (starvation-free), two identical runs
 produce byte-identical outcomes (deterministic), and each job's report
 equals what a solo run of the same spec produces (WFQ only reorders).
@@ -24,7 +24,6 @@ from repro.service import JobStatus, OcelotService, TransferSpec
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 TENANTS = ("astro", "climate", "fusion")
-PRIORITIES = ("low", "normal", "high")
 
 _DATASET = None
 _SOLO_REPORT = None
@@ -53,36 +52,26 @@ def _config():
     )
 
 
-def _spec(tenant: str, priority: str) -> TransferSpec:
-    return TransferSpec(
-        dataset=_dataset(),
-        source="anvil",
-        destination="cori",
-        tenant=tenant,
-        priority=priority,
-    )
+def _spec(tenant: str) -> TransferSpec:
+    return TransferSpec(dataset=_dataset(), source="anvil", destination="cori", tenant=tenant)
 
 
 def _solo_report() -> dict:
     global _SOLO_REPORT
     if _SOLO_REPORT is None:
-        handle = OcelotService(_config()).submit(_spec("solo", "normal"))
+        handle = OcelotService(_config()).submit(_spec("solo"))
         _SOLO_REPORT = handle.result().as_dict()
     return _SOLO_REPORT
 
 
 def _run_mix(mix):
     service = OcelotService(_config())
-    handles = [service.submit(_spec(tenant, priority)) for tenant, priority in mix]
+    handles = [service.submit(_spec(tenant)) for tenant in mix]
     service.run_pending()
     return service, handles
 
 
-job_mixes = st.lists(
-    st.tuples(st.sampled_from(TENANTS), st.sampled_from(PRIORITIES)),
-    min_size=1,
-    max_size=6,
-)
+job_mixes = st.lists(st.sampled_from(TENANTS), min_size=1, max_size=6)
 
 
 class TestWFQProperties:
@@ -96,7 +85,7 @@ class TestWFQProperties:
         service_a, handles_a = _run_mix(mix)
 
         # Starvation-free: every submitted job reaches COMPLETED with a
-        # finite finish time, whatever the tenant/priority mix.
+        # finite finish time, whatever the tenant mix.
         assert all(h.status is JobStatus.COMPLETED for h in handles_a)
         assert all(h.finished_at is not None for h in handles_a)
 
@@ -120,27 +109,6 @@ class TestWFQProperties:
             assert [s.start_s for s in left.timeline()] == [
                 s.start_s for s in right.timeline()
             ]
-
-    @settings(max_examples=8, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(mix=job_mixes)
-    def test_strict_priority_classes_order_link_access(self, mix):
-        """Among jobs submitted together, higher classes hit the WAN first.
-
-        All jobs are ready at t=0, so the first transfer start of each
-        priority class must be non-decreasing as the class drops.
-        """
-        _, handles = _run_mix(mix)
-        first_transfer = {}
-        for handle in handles:
-            span = next(s for s in handle.timeline() if s.name == "transfer")
-            rank = PRIORITIES.index(handle.priority)
-            first_transfer[rank] = min(
-                first_transfer.get(rank, float("inf")), span.start_s
-            )
-        ranks = sorted(first_transfer, reverse=True)  # high first
-        starts = [first_transfer[rank] for rank in ranks]
-        assert starts == sorted(starts)
 
 
 class TestCancellationUnderContention:

@@ -121,7 +121,7 @@ def test_long_blocks_round_trip(name, stage, mode, lossless):
     data = walk_field()[:, :32]
     compressor = _pipeline(name, stage, MODES[mode], lossless)
     bound = REL.absolute_for(data)
-    blob = compressor.compress(data, ErrorBound(value=bound, mode="abs"), verify=False).blob
+    blob = compressor.compress(data, ErrorBound(value=bound, mode="abs")).blob
     layouts = _layouts(blob)
     assert len(layouts) == 2 and all(size >= SPLIT_MIN_BYTES for _, size in layouts.values())
     # Only deflate splits a section, and behind it these streams are split
@@ -140,7 +140,7 @@ def test_long_blocks_round_trip(name, stage, mode, lossless):
 @pytest.mark.parametrize("stage", STAGES)
 def test_a_miranda_block_stores_its_stream_as_it_is(stage):
     block = _field("miranda")[:32, :32, :32]
-    blob = _pipeline("sz3", stage, True).compress(block, REL, verify=False).blob
+    blob = _pipeline("sz3", stage, True).compress(block, REL).blob
     ((split, size),) = _layouts(blob).values()
     assert split and size >= SPLIT_MIN_BYTES
 
@@ -148,19 +148,19 @@ def test_a_miranda_block_stores_its_stream_as_it_is(stage):
 @pytest.mark.parametrize("stage", STAGES)
 def test_a_mostly_zero_block_keeps_its_stream_deflated(stage):
     block = _field("rtm")[:32, :32, :32]
-    blob = _pipeline("sz3", stage, True).compress(block, REL, verify=False).blob
+    blob = _pipeline("sz3", stage, True).compress(block, REL).blob
     ((split, size),) = _layouts(blob).values()
     assert not split and size >= SPLIT_MIN_BYTES  # probed, and deflate won
     with whole_layout():
-        whole = _pipeline("sz3", stage, True).compress(block, REL, verify=False).blob
+        whole = _pipeline("sz3", stage, True).compress(block, REL).blob
     assert whole.to_bytes() == blob.to_bytes()
 
 
 def test_uncoded_sections_never_split():
     data = walk_field()[:, :32]
-    blob = _pipeline("sz3", "none", True).compress(data, BOUND, verify=False).blob
+    blob = _pipeline("sz3", "none", True).compress(data, BOUND).blob
     with whole_layout():
-        whole = _pipeline("sz3", "none", True).compress(data, BOUND, verify=False).blob
+        whole = _pipeline("sz3", "none", True).compress(data, BOUND).blob
     assert blob.to_bytes() == whole.to_bytes()
 
 
@@ -193,7 +193,7 @@ def _damaged(section: bytes, damage: str) -> bytes:
 def test_a_damaged_split_section_is_an_encoding_error(damage, lane):
     data = walk_field()[:, :32]
     compressor = _pipeline("sz3", "rans", False)
-    payload = compressor.compress(data, BOUND, verify=False).blob.to_bytes()
+    payload = compressor.compress(data, BOUND).blob.to_bytes()
     blob = CompressedBlob.from_bytes(payload)
     section = blob.container.get_section("block:1")
     assert section[:1] == b"s"
@@ -216,8 +216,8 @@ def test_a_whole_layout_blob_decodes_to_the_same_array(stage):
     data = walk_field()
     compressor = _pipeline("sz3", stage, False)
     with whole_layout():
-        whole = compressor.compress(data, BOUND, verify=False).blob.to_bytes()
-    split = compressor.compress(data, BOUND, verify=False).blob.to_bytes()
+        whole = compressor.compress(data, BOUND).blob.to_bytes()
+    split = compressor.compress(data, BOUND).blob.to_bytes()
     assert len(split) < len(whole)
     reader = create_blocked_compressor("sz3", block_shape=32)
     np.testing.assert_array_equal(
@@ -236,7 +236,7 @@ def _digest(data: bytes) -> str:
 def pinned_row(stage: str, mode: str) -> Dict[str, object]:
     """One row of :data:`PINNED`, written fresh."""
     compressor = _pipeline("sz3", stage, MODES[mode])
-    blob = compressor.compress(walk_field(), BOUND, verify=False).blob
+    blob = compressor.compress(walk_field(), BOUND).blob
     split = [name for name, (is_split, _) in _layouts(blob).items() if is_split]
     stored = b"".join(
         open_section(blob, name).get_section("codes_payload") for name in split
@@ -287,7 +287,7 @@ def size_cells(app: str) -> List[Tuple[str, str, bool, int, int]]:
                         "sz3", block_shape=32, entropy_stage=stage, shared_codebook=shared,
                         adaptive_predictor=adaptive,
                     )
-                    return len(compressor.compress(data, REL, verify=False).blob.to_bytes())
+                    return len(compressor.compress(data, REL).blob.to_bytes())
 
                 with whole_layout():
                     whole = size()

@@ -7,8 +7,8 @@ Covers the contracts the redesign makes:
 * the scheduler multiplexes many concurrent jobs deterministically over
   one testbed, with interleaved makespans and node/link contention, and
   cancellation releases held resources;
-* tenants and priorities steer dispatch order (strict classes over
-  fair queueing) without ever changing a job's report;
+* tenants steer dispatch order (start-time fair queueing) without
+  ever changing a job's report;
 * a service with a job store survives a crash: ``recover()`` finishes
   the persisted batch without re-running (re-billing) finished jobs;
 * the legacy blocking wrappers (``Ocelot.transfer_dataset``) produce the
@@ -25,7 +25,6 @@ import json
 import pytest
 
 from repro.core import Ocelot, OcelotConfig, OcelotOrchestrator
-from repro.core.config import VALID_PRIORITIES, priority_class
 from repro.datasets import generate_application
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.service import (
@@ -36,6 +35,21 @@ from repro.service import (
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+#: A ``submitted`` line ``ocelot submit --tenant acme --priority high
+#: --application miranda --scale 0.02 --size-scale 20000`` wrote while the
+#: scheduler still had priority classes (kept verbatim, not regenerated).
+PRIORITY_ERA_SUBMITTED_LINE = (
+    '{"dataset_recipe": {"application": "miranda", "dtype": "float32", "fields": ["density"'
+    ', "velocityx", "velocityy", "velocityz", "pressure", "diffusivity", "viscosity"'
+    ', "magvort"], "scale": 0.02, "seed": 0, "snapshots": 1}, "job_id": "job-0001"'
+    ', "kind": "submitted", "spec": {"dataset": "miranda", "destination": "cori"'
+    ', "label": "miranda", "mode": "compressed", "overrides": {"cache_dir": null'
+    ', "cache_max_bytes": null, "cache_mode": "off", "compression_nodes": 4'
+    ', "compressor": "sz3-fast", "decompression_nodes": 4, "error_bound": 0.001'
+    ', "mode": "compressed", "sentinel_enabled": false, "size_scale": 20000.0}'
+    ', "priority": "high", "source": "anvil", "tenant": "acme"}, "submitted_at": 0.0}'
+)
 
 
 @pytest.fixture(scope="module")
@@ -538,51 +552,24 @@ class TestLegacyWrapperEquivalence:
         assert "stream" in phases
 
 
-class TestTenantsAndPriorities:
+class TestTenants:
     def test_spec_wins_over_config_defaults(self, tiny_dataset):
-        service = OcelotService(_config(tenant="physics", priority="low"))
+        service = OcelotService(_config(tenant="physics"))
         inherited = service.submit(_spec(tiny_dataset))
-        explicit = service.submit(
-            _spec(tiny_dataset, tenant="chemistry", priority="high")
-        )
-        assert inherited.tenant == "physics" and inherited.priority == "low"
-        assert explicit.tenant == "chemistry" and explicit.priority == "high"
+        explicit = service.submit(_spec(tiny_dataset, tenant="chemistry"))
+        assert inherited.tenant == "physics"
+        assert explicit.tenant == "chemistry"
 
-    def test_invalid_priority_rejected_at_submit(self, tiny_dataset):
-        service = OcelotService(_config())
-        with pytest.raises(OrchestrationError, match="unknown priority"):
-            service.submit(_spec(tiny_dataset, priority="urgent"))
-        with pytest.raises(ConfigurationError, match="priority"):
-            OcelotConfig(priority="urgent")
+    def test_empty_tenant_rejected_by_the_config(self):
         with pytest.raises(ConfigurationError, match="tenant"):
             OcelotConfig(tenant="")
-
-    def test_high_priority_dispatches_first(self, tiny_dataset):
-        """A later-submitted high job takes the WAN link before normal ones."""
-        service = OcelotService(_config())
-        normal = service.submit(_spec(tiny_dataset, tenant="a", priority="normal"))
-        high = service.submit(_spec(tiny_dataset, tenant="b", priority="high"))
-        service.run_pending()
-        normal_transfer = next(
-            s for s in normal.timeline() if s.name == "transfer"
-        )
-        high_transfer = next(s for s in high.timeline() if s.name == "transfer")
-        assert high_transfer.start_s < normal_transfer.start_s
-        assert high.finished_at <= normal.finished_at
 
     def test_mixed_tenant_batch_reports_match_solo(self, tiny_dataset):
         """The acceptance bar: fair-queue ordering never changes a job's report."""
         solo = OcelotService(_config()).submit(_spec(tiny_dataset)).result()
         service = OcelotService(_config())
-        mixes = [
-            ("astro", "low"), ("climate", "high"), ("astro", "normal"),
-            ("fusion", "normal"), ("climate", "low"), ("fusion", "high"),
-            ("astro", "high"), ("climate", "normal"),
-        ]
-        handles = [
-            service.submit(_spec(tiny_dataset, tenant=tenant, priority=priority))
-            for tenant, priority in mixes
-        ]
+        tenants = ["astro", "climate", "astro", "fusion", "climate", "fusion", "astro", "climate"]
+        handles = [service.submit(_spec(tiny_dataset, tenant=tenant)) for tenant in tenants]
         service.run_pending()
         for handle in handles:
             assert handle.status is JobStatus.COMPLETED
@@ -634,11 +621,6 @@ class TestTenantsAndPriorities:
         assert service.jobs() == []
         assert service.testbed.endpoint("anvil").filesystem.file_count() == 0
 
-    def test_priority_class_ranks_follow_valid_priorities(self):
-        ranks = [priority_class(name) for name in VALID_PRIORITIES]
-        assert ranks == sorted(ranks) == list(range(len(VALID_PRIORITIES)))
-        assert priority_class("high") > priority_class("normal") > priority_class("low")
-
     def test_idle_and_live_jobs_track_jobs_in_flight(self, tiny_dataset):
         service = OcelotService(_config())
         scheduler = service.scheduler
@@ -687,14 +669,13 @@ class TestRecovery:
     def test_recover_finishes_persisted_batch(self, tiny_dataset, tmp_path):
         path = self._store_path(tmp_path)
         crashed = OcelotService(_config(), store=path)
-        crashed.submit(_spec(tiny_dataset, tenant="acme", priority="high"))
+        # The first job lands before the other two are submitted; then
+        # "crash" (abandon the service) with those two still queued.
+        first = crashed.submit(_spec(tiny_dataset, tenant="acme"))
+        first.wait()
+        assert first.status is JobStatus.COMPLETED
         second = crashed.submit(_spec(tiny_dataset, tenant="acme"))
         crashed.submit(_spec(tiny_dataset, tenant="other"))
-        # Strict priority runs the high job first; wait for it to land,
-        # then "crash" (abandon the service) with the other two mid-queue.
-        urgent = crashed.job("job-0001")
-        urgent.wait()
-        assert urgent.status is JobStatus.COMPLETED
         assert not second.status.is_terminal
 
         service = OcelotService(_config(), store=path)
@@ -706,10 +687,9 @@ class TestRecovery:
         assert result.unrecoverable == []
         resumed_ids = sorted(h.job_id for h in result.resumed)
         assert resumed_ids == ["job-0002", "job-0003"]
-        # Tenant and priority survive the round trip.
+        # The tenant survives the round trip.
         resumed = {h.job_id: h for h in result.resumed}
         assert resumed["job-0002"].tenant == "acme"
-        assert resumed["job-0002"].priority == "normal"
         assert resumed["job-0003"].tenant == "other"
         service.run_pending()
         assert all(h.status is JobStatus.COMPLETED for h in result.resumed)
@@ -768,7 +748,7 @@ class TestRecovery:
         write-ahead ones; recovery must not care whether they are there."""
         plain = self._store_path(tmp_path)
         crashed = OcelotService(_config(), store=plain)
-        done = crashed.submit(_spec(tiny_dataset, priority="high"))
+        done = crashed.submit(_spec(tiny_dataset))
         crashed.submit(_spec(tiny_dataset))
         done.wait()
         with_records = str(tmp_path / "cli.wal")
@@ -790,6 +770,23 @@ class TestRecovery:
             outcomes.append((result.finished[0]["report"], result.resumed[0].status))
         assert outcomes[0] == outcomes[1]
         assert "events" in JobStore(with_records).replay()["job-0001"]
+
+    def test_a_log_line_naming_a_priority_class_still_recovers(self, tmp_path):
+        """Logs written while jobs had a priority class resume in the one class."""
+        path = self._store_path(tmp_path)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(PRIORITY_ERA_SUBMITTED_LINE + "\n")
+        service = OcelotService(_config(), store=path)
+        result = service.recover()
+        assert [h.job_id for h in result.resumed] == ["job-0001"]
+        service.run_pending()
+        (handle,) = result.resumed
+        assert handle.status is JobStatus.COMPLETED and handle.tenant == "acme"
+        # The report that build wrote for this job, to the last digit.
+        report = handle.result()
+        assert (report.compression_ratio, report.total_s) == (
+            2.042383445524807, 0.8343898987379808
+        )
 
     def test_unrecoverable_without_recipe(self, tiny_dataset, tmp_path):
         from repro.datasets.base import ScientificDataset
@@ -832,10 +829,10 @@ class TestRecovery:
         service = OcelotService(
             _config(tenant="physics"), store=path
         )
-        service.submit(_spec(tiny_dataset, priority="high"))
+        service.submit(_spec(tiny_dataset))
         record = JobStore(path).load()[0]
         assert record["kind"] == "submitted"
         assert record["spec"]["tenant"] == "physics"
-        assert record["spec"]["priority"] == "high"
+        assert "priority" not in record["spec"]
         assert record["dataset_recipe"] == tiny_dataset.recipe
         assert json.dumps(record)  # JSON-serialisable end to end
