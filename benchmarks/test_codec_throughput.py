@@ -22,10 +22,16 @@ runner speed cancels:
 * (R) one Miranda file's 18 rANS block streams (32^3 symbols, a table
   each) decoded as one lockstep batch vs one stream at a time: >= 2x;
   and encoded so, byte-identical to one stream at a time: >= 1.4x;
-* (D) the fused <= 16-bit code packer is byte-identical to the general
-  packer; a shared codebook costs fewer bytes than per-block books, on
+* (R) the pair-merged <= 16-bit code writer vs the general reference
+  packer ``_pack_codes`` on a file's 18 block streams under four symbol
+  distributions: byte-identical, and >= 4x;
+* (D) a shared codebook costs fewer bytes than per-block books, on
   a raw symbol stream and through the blocked sz3 pipeline under both
   entropy stages, with the error bound held.
+
+Where a gate compares two calls, they are timed interleaved: round after
+round, one call of each, and the minimum of each side, so both minima
+come from the same stretch of a shared box.
 
 Each floor states the headroom measured on the 2-core build box (median
 reading / floor, >= 1.5x).  Absolute MB/s — kernels and pipeline — are
@@ -48,6 +54,7 @@ from repro.compression.encoders.huffman import (
     HuffmanStream,
     _pack_codes,
     _pack_codes_16,
+    pooled_symbol_frequencies,
     symbol_frequencies,
 )
 from repro.compression.encoders.rans import RansCodec, RansFrequencyTable
@@ -82,8 +89,20 @@ RANS_GATE_LUT_SPEEDUP = 10.0
 
 #: One lockstep batch vs one call per stream on a file's rANS block
 #: streams (18 x 32^3 symbols, 18 tables).  Measured 2.85x-3.1x over 3
-#: runs: 1.4x headroom at the lowest reading.
+#: runs: 1.4x headroom at the lowest reading.  Timed as two separate
+#: best-of runs it read 1.9x in two of four loaded tier-1 runs, on
+#: unchanged rANS code.  Timed interleaved it read 2.8x-3.0x over 9 runs,
+#: and a "batch" that decodes one stream at a time reads 1.0x.
 MIN_RANS_BATCH_SPEEDUP = 2.0
+
+#: The <= 16-bit pair writer ``_pack_codes_16`` vs the general reference
+#: packer ``_pack_codes`` on a file's 18 block streams, one shared book.
+#: Over 9 runs the writer read 5.3x-6.4x on the skewed streams (median
+#: 6.3x, the lowest distribution) and 6.8x-10.2x on the others.  The
+#: three-bincount byte writer it replaced read 2.7x-4.5x under the same
+#: timing, 3.1x at most on the skewed streams, so it fails this floor:
+#: 1.5x headroom at the skewed median.
+MIN_PAIR_WRITER_SPEEDUP = 4.0
 
 #: The same file's streams *encoded* as one lockstep batch vs one
 #: ``encode_with_table`` call per stream.  The prototype measured
@@ -94,6 +113,29 @@ MIN_RANS_ENCODE_BATCH_SPEEDUP = 1.4
 
 def _mbps(nbytes: int, seconds: float) -> float:
     return nbytes / 1e6 / max(seconds, 1e-12)
+
+
+def interleaved_best(fns, rounds: int = 9) -> list:
+    """Each of ``fns``' minimum wall seconds over ``rounds`` rounds of one call each.
+
+    Two minima taken in separate stretches of a shared box compare the
+    stretches as much as the calls; interleaving makes them neighbours.
+    """
+    best = [float("inf")] * len(fns)
+    for _ in range(rounds):
+        best = [min(b, best_of(fn, repeats=1)) for b, fn in zip(best, fns)]
+    return best
+
+
+def file_codes() -> list:
+    """One Miranda file's 18 block code streams (32^3 blocks, interpolation)."""
+    field = generate_field("miranda", "density", scale=0.25, seed=12).data
+    assert field.shape == (64, 96, 96)
+    eb = 1e-3 * float(field.max() - field.min())
+    return [
+        InterpolationPredictor().encode_block(field[i:i + 32, j:j + 32, k:k + 32], eb).codes
+        for i in range(0, 64, 32) for j in range(0, 96, 32) for k in range(0, 96, 32)
+    ]
 
 
 def quantiser_stream(n: int, scale: float, seed: int = 0) -> np.ndarray:
@@ -129,14 +171,14 @@ class TestHuffmanThroughput:
             bitloop_s = best_of(lambda: codec.decode_bitloop(payload, codebook, count), repeats=1)
             speedup = bitloop_s / decode_s
 
-            # Encode fast path: the fused bincount-OR packer (codes <= 16
-            # bits) emits the general chunked packer's bytes on identical
-            # per-symbol (code, length) streams.
+            # The <= 16-bit pair writer emits the general packer's bytes
+            # on a stream of a million symbols too.
             book = HuffmanCodebook.from_frequencies(
                 symbol_frequencies(symbols), max_length=MAX_CODE_LENGTH
             )
-            codes, lens = book.lookup(symbols)
-            assert bytes(_pack_codes_16(codes, lens)) == bytes(_pack_codes(codes, lens))
+            assert bytes(codec.encode_with_book(symbols, book)) == bytes(
+                _pack_codes(*book.lookup(symbols))
+            )
 
             rows.append(
                 {
@@ -228,6 +270,43 @@ class TestHuffmanThroughput:
             f"lockstep decode only {jumping_s / lockstep_s:.1f}x pointer jumping"
         )
 
+    def test_pair_writer_beats_reference_packer_by_4x(self):
+        """A file's 18 block streams through the <= 16-bit writer and ``_pack_codes``."""
+        files = {"miranda file": file_codes()}
+        for label, scale in [("skewed eb", 0.8), ("moderate eb", 3.0), ("tight eb", 12.0)]:
+            files[label] = [quantiser_stream(32_768, scale, seed=seed) for seed in range(18)]
+        rows = []
+        for label, blocks in files.items():
+            book = HuffmanCodebook.from_frequencies(
+                pooled_symbol_frequencies(blocks), max_length=MAX_CODE_LENGTH
+            )
+            lookups = [book.lookup(block) for block in blocks]
+            entries = [book.entries(block, pad=block.size & 1) for block in blocks]
+
+            def reference():
+                return [_pack_codes(codes, lengths) for codes, lengths in lookups]
+
+            def writer():
+                return [_pack_codes_16(e) for e in entries]
+
+            written = writer()
+            assert [bytes(p) for p in written] == [bytes(p) for p in reference()]
+            assert [p.sync.tolist() for p in written] == [p.sync.tolist() for p in reference()]
+            reference_s, writer_s = interleaved_best([reference, writer])
+            rows.append({
+                "distribution": label,
+                "bits/symbol": 8 * sum(len(p) for p in written) / (18 * 32_768),
+                "reference ms": reference_s * 1e3,
+                "writer ms": writer_s * 1e3,
+                "speedup": reference_s / writer_s,
+            })
+        print_table("Huffman encode of one file: 18 blocks of 32^3 symbols, one shared book", rows)
+        for row in rows:
+            assert row["speedup"] >= MIN_PAIR_WRITER_SPEEDUP, (
+                f"{row['distribution']}: the pair writer only {row['speedup']:.1f}x "
+                f"the reference packer"
+            )
+
     def test_shared_codebook_amortises_encode(self):
         """(D) One file-wide book costs fewer bytes than a book per block."""
         stream = quantiser_stream(1_000_000, 2.0, seed=1)
@@ -318,29 +397,17 @@ class TestRansThroughput:
                 f"the Huffman payload — the fractional-bit packing regressed"
             )
 
-    @staticmethod
-    def _file_codes():
-        """One Miranda file's 18 block code streams (32^3 blocks, interpolation)."""
-        field = generate_field("miranda", "density", scale=0.25, seed=12).data
-        assert field.shape == (64, 96, 96)
-        eb = 1e-3 * float(field.max() - field.min())
-        return [
-            InterpolationPredictor().encode_block(field[i:i + 32, j:j + 32, k:k + 32], eb).codes
-            for i in range(0, 64, 32) for j in range(0, 96, 32) for k in range(0, 96, 32)
-        ]
-
     def test_file_of_block_streams_decodes_as_one_batch_2x(self):
         """A file's block streams, each with its own table, as one lockstep batch."""
         rans = RansCodec()
-        streams = [rans_encode(rans, codes) for codes in self._file_codes()]
+        streams = [rans_encode(rans, codes) for codes in file_codes()]
 
         def one_at_a_time():
             return [rans.decode(*stream) for stream in streams]
 
         for batched, alone in zip(rans.decode_streams(streams), one_at_a_time()):
             np.testing.assert_array_equal(batched, alone)
-        batch_s = best_of(lambda: rans.decode_streams(streams), repeats=9)
-        alone_s = best_of(one_at_a_time, repeats=5)
+        batch_s, alone_s = interleaved_best([lambda: rans.decode_streams(streams), one_at_a_time])
         lone_s = best_of(lambda: rans.decode(*streams[0]), repeats=9)
         print_table(
             "rANS decode of one file: 18 blocks of 32^3 symbols, a table each",
@@ -360,7 +427,7 @@ class TestRansThroughput:
         rans = RansCodec()
         streams = [
             (codes, RansFrequencyTable.try_from_frequencies(symbol_frequencies(codes)))
-            for codes in self._file_codes()
+            for codes in file_codes()
         ]
 
         def one_at_a_time():

@@ -16,13 +16,15 @@ final dictionary/LZ pass.  The model is arrays throughout:
   quality features read :meth:`HuffmanCodebook.zero_symbol_share` (the
   paper's ``P0``) off the unlimited lengths without encoding anything.
 
-Encoding gathers per-symbol codes and lengths through dense tables and
-packs the stream from cumulative bit offsets: three ``np.bincount`` byte
-sums for codes of <= 16 bits (:func:`_pack_codes_16`), ``np.repeat`` +
-``np.packbits`` otherwise (:func:`_pack_codes`, the general reference).
-The same offsets give the *sync index* — where symbols ``K, 2K, ...``
-start — that a stream of more than K symbols carries as a
-:class:`SyncedPayload`.  Decoding lives in :mod:`.huffman_decode`.
+Encoding gathers each symbol's ``code << 8 | length`` from one dense
+table (:meth:`HuffmanCodebook.entries`) and packs the stream from
+cumulative bit offsets.  Codes of <= 16 bits merge in pairs, and one
+weighted ``np.bincount`` sums the pairs' 48-bit windows into 16-bit output
+words (:func:`_pack_codes_16`); longer codes take ``np.repeat`` +
+``np.packbits`` (:func:`_pack_codes`, the general reference).  The same
+offsets give the *sync index* — where symbols ``K, 2K, ...`` start —
+that a stream of more than K symbols carries as a :class:`SyncedPayload`.
+Decoding lives in :mod:`.huffman_decode`.
 A codebook serialises densely: ``i64 lo``, then one ``u8`` code length
 per value of ``lo..hi`` (0: no code), from which the canonical codes
 follow (RFC 1951 §3.2.2); an alphabet too wide for that stores int64
@@ -69,11 +71,12 @@ MAX_CODE_LENGTH = 16
 #: 256 is the knee: halving it buys no speed, doubling it costs 18 %.
 #: The stream records the K it was written with, so this can change
 #: without stranding stored blobs; K times the longest code (<= 255 bits,
-#: lengths are uint8) must fit the uint16 a distance is stored in.
+#: lengths are uint8) must fit the uint16 a distance is stored in, and K is
+#: even: :func:`_pack_codes_16` reads the sync points off pair boundaries.
 SYNC_INTERVAL = 256
 
-#: Alphabets whose value span exceeds this fall back to ``np.unique``
-#: frequency counting instead of a dense ``np.bincount``.
+#: Alphabets whose value span exceeds this count with ``np.unique``, encode
+#: by searching the symbols and serialise as pairs, instead of densely.
 _DENSE_SPAN_LIMIT = 1 << 22
 
 
@@ -229,10 +232,8 @@ class HuffmanCodebook:
     symbols: np.ndarray
     lengths: np.ndarray
     codes: np.ndarray = field(init=False, repr=False)
-    #: Lazily built dense encode tables: (lo, code_table, length_table).
-    _dense: Optional[Tuple[int, np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False
-    )
+    #: Lazily built encode table, ``(lo - 1, entries)``: see :meth:`entries`.
+    _table: Optional[Tuple[int, np.ndarray]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.symbols = np.asarray(self.symbols, dtype=np.int64)
@@ -292,7 +293,7 @@ class HuffmanCodebook:
 
     def serialize(self) -> bytes:
         """``i64 lo`` then ``u8 length[hi - lo + 1]`` (0: absent); wider than the dense
-        tables, ``i64 lo``, a 0 byte (never ``lo``'s own length), then int64 pairs."""
+        table, ``i64 lo``, a 0 byte (never ``lo``'s own length), then int64 pairs."""
         lo = int(self.symbols[0]) if self.symbols.size else 0
         head = np.int64(lo).astype("<i8").tobytes()
         span = int(self.symbols[-1]) - lo + 1 if self.symbols.size else 0
@@ -332,45 +333,45 @@ class HuffmanCodebook:
         return cls(pairs[:, 0], pairs[:, 1])
 
     # ------------------------------------------------------------------ #
-    # Encode tables
+    # Encode table
     # ------------------------------------------------------------------ #
-    def dense_tables(self) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
-        """``(lo, code_table, length_table)`` spanning the symbol range.
+    def entries(self, arr: np.ndarray, pad: int = 0) -> np.ndarray:
+        """uint32 ``code << 8 | length`` of each symbol of ``arr`` (a book of codes <= 24
+        bits), then ``pad`` zero entries; :class:`EncodingError` if the book lacks one.
 
-        ``length_table`` is 0 for values with no code.  Returns ``None``
-        when the book is empty or its value span is too wide to densify.
+        The book keeps one such entry per value of ``lo - 1 .. hi + 1``: 0 at
+        both ends and in the gaps, a zero length.  So one ``take`` with
+        ``mode="clip"`` is the lookup, and one ``min()`` of the lengths rejects
+        a symbol below, above or inside the span.  A span too wide for the
+        table searches the symbols instead.
         """
-        if self._dense is None and self.symbols.size:
+        if self._table is None and self.symbols.size:
             lo = int(self.symbols[0])
-            span = int(self.symbols[-1]) - lo + 1
-            if span > _DENSE_SPAN_LIMIT:
-                return None
-            code_table = np.zeros(span, dtype=np.uint64)
-            length_table = np.zeros(span, dtype=np.uint8)
-            code_table[self.symbols - lo] = self.codes
-            length_table[self.symbols - lo] = self.lengths
-            self._dense = (lo, code_table, length_table)
-        return self._dense
+            if int(self.symbols[-1]) - lo + 1 <= _DENSE_SPAN_LIMIT and lo > -(1 << 63):
+                table = np.zeros(int(self.symbols[-1]) - lo + 3, dtype=np.uint32)
+                table[self.symbols - lo + 1] = self.codes.astype(np.uint32) << 8 | self.lengths
+                self._table = (lo - 1, table)
+        if self._table is None:
+            codes, lengths = self._sparse_lookup(arr)
+            return np.append(codes.astype(np.uint32) << 8 | lengths, np.zeros(pad, np.uint32))
+        base, table = self._table
+        index = np.zeros(arr.size + pad, dtype=np.int64)
+        np.subtract(arr, base, out=index[: arr.size])
+        entries = table.take(index, mode="clip")
+        if arr.size and int(entries[: arr.size].astype(np.uint8).min()) == 0:
+            raise _uncovered()
+        return entries
 
     def lookup(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised per-symbol ``(codes, lengths)`` for ``arr``;
-        :class:`EncodingError` if any symbol in ``arr`` has no code in this book."""
-        tables = self.dense_tables()
-        if tables is None:
+        """Vectorised per-symbol ``(codes uint64, lengths uint8)`` for ``arr``, read off
+        :meth:`entries`; :class:`EncodingError` if any symbol in ``arr`` has no code."""
+        if self.max_length() > 24:
             return self._sparse_lookup(arr)
-        lo, code_table, length_table = tables
-        shifted = arr - lo
-        if shifted.size and (
-            int(shifted.min()) < 0 or int(shifted.max()) >= length_table.size
-        ):
-            raise _uncovered()
-        lens = length_table[shifted]
-        if shifted.size and int(lens.min()) == 0:
-            raise _uncovered()
-        return code_table[shifted], lens
+        entries = self.entries(arr)
+        return (entries >> 8).astype(np.uint64), entries.astype(np.uint8)
 
     def _sparse_lookup(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``lookup`` for alphabets too wide for a dense value table."""
+        """``lookup`` for alphabets too wide for the dense table, or codes too long for it."""
         if not self.symbols.size:
             raise _uncovered()
         idx = np.minimum(np.searchsorted(self.symbols, arr), self.symbols.size - 1)
@@ -413,10 +414,9 @@ class HuffmanCodec:
         arr = np.asarray(symbols, dtype=np.int64).ravel()
         if arr.size == 0:
             return b""
-        codes, lens = book.lookup(arr)
-        if book.max_length() <= 16:
-            return _pack_codes_16(codes, lens)
-        return _pack_codes(codes, lens)
+        if book.max_length() > 16:
+            return _pack_codes(*book.lookup(arr))
+        return _pack_codes_16(book.entries(arr, pad=arr.size & 1))
 
     def decode(self, payload: bytes, codebook_bytes: bytes, count: int) -> np.ndarray:
         """Decode ``count`` symbols from ``payload`` using the codebook."""
@@ -477,13 +477,13 @@ class SyncedPayload(bytes):
     every: int
 
 
-def _with_sync(packed: np.ndarray, ends: np.ndarray) -> bytes:
-    """The ``packed`` bytes, with the sync index read off the packer's cumulative lengths."""
-    if ends.size <= SYNC_INTERVAL:
+def _with_sync(packed: np.ndarray, starts: np.ndarray) -> bytes:
+    """The ``packed`` bytes, indexed by the bit offsets where symbols K, 2K, ... start."""
+    if not starts.size:
         return packed.tobytes()
     synced = SyncedPayload(packed)
     synced.every = SYNC_INTERVAL
-    synced.sync = np.diff(ends[SYNC_INTERVAL - 1 : -1 : SYNC_INTERVAL], prepend=0)
+    synced.sync = np.diff(starts, prepend=0)
     if int(synced.sync.max()) > 0xFFFF:
         raise EncodingError("Huffman sync distance does not fit 16 bits")
     return synced
@@ -493,57 +493,44 @@ def _with_sync(packed: np.ndarray, ends: np.ndarray) -> bytes:
 #: ``np.repeat`` expansions to a few MB regardless of stream length.
 _PACK_CHUNK = 1 << 16
 
-#: Symbols per chunk in :func:`_pack_codes_16`; bounds the transient
-#: per-symbol arrays to a few tens of MB regardless of stream length.
+#: Symbols per chunk in :func:`_pack_codes_16`, whole pairs; bounds the
+#: transient per-pair arrays to a few tens of MB regardless of stream length.
 _PACK16_CHUNK = 1 << 21
 
 
-def _pack_codes_16(codes: np.ndarray, lengths: np.ndarray) -> bytes:
-    """:func:`_pack_codes` fast path for books with codes of <= 16 bits.
+def _pack_codes_16(entries: np.ndarray) -> bytes:
+    """:func:`_pack_codes`'s bytes and sync index from :meth:`HuffmanCodebook.entries`
+    of codes <= 16 bits, an even number of them (a zero entry pads an odd stream).
 
-    Works at byte granularity instead of expanding every bit: a 16-bit
-    code at an arbitrary bit phase spans at most three output bytes, so
-    each code is left-aligned into a 24-bit lane and its three byte
-    slices are summed into the output with ``np.bincount``.  Distinct
-    codes touch disjoint bits of a shared byte, so summation *is*
-    bitwise OR, and the float64 sums bincount produces are exact.  The
-    result is byte-identical to :func:`_pack_codes` at ~0.5 passes per
-    stream bit rather than ~6.
+    Symbols ``2i`` and ``2i + 1`` merge into one pair code ``c0 << l1 | c1`` of
+    <= 32 bits, so the cumulative sum of lengths and every pass after it run
+    over half as many items (Tian et al., IPDPS 2021).  A pair whose last bit
+    falls in 16-bit output word ``w`` lies inside the 48-bit window that ends
+    with that word (32 + 15 <= 48), and one weighted ``np.bincount`` sums the
+    windows by ``w``: codes own disjoint bits, so the sum is their bitwise OR,
+    and float64 holds it exactly below 2**48.  Word ``w`` of the output is the
+    low 16 bits of its own sum, the middle 16 of word ``w + 1``'s and the top
+    16 of word ``w + 2``'s.  K is even, so symbol ``jK`` starts where pair
+    ``jK / 2`` does.
     """
-    lens = np.asarray(lengths)
-    l64 = lens.astype(np.int64)
-    total_bits = int(l64.sum())
-    if total_bits == 0:
-        return b""
-    codes = np.asarray(codes)
-    ends = np.cumsum(l64)
-    total_bytes = (total_bits + 7) >> 3
-    mlen = total_bytes + 2
-    acc = np.zeros(mlen, dtype=np.float64)
-    m = codes.size
-    for start in range(0, m, _PACK16_CHUNK):
-        stop = min(start + _PACK16_CHUNK, m)
-        off = ends[start:stop] - l64[start:stop]
-        r = (off & 7).astype(np.uint32)
-        val = codes[start:stop].astype(np.uint32) << (
-            np.uint32(24) - lens[start:stop].astype(np.uint32) - r
-        )
-        byte0 = off >> 3
-        first = int(byte0[0])
-        span = int(byte0[-1]) + 3 - first
-        rel = byte0 - first
-        acc[first : first + span] += np.bincount(
-            rel, weights=(val >> np.uint32(16)).astype(np.float64), minlength=span
-        )
-        acc[first : first + span] += np.bincount(
-            rel + 1,
-            weights=((val >> np.uint32(8)) & np.uint32(255)).astype(np.float64),
-            minlength=span,
-        )
-        acc[first : first + span] += np.bincount(
-            rel + 2, weights=(val & np.uint32(255)).astype(np.float64), minlength=span
-        )
-    return _with_sync(acc[:total_bytes].astype(np.uint8), ends)
+    lengths = entries.astype(np.uint8).reshape(-1, 2)
+    codes = (entries >> 8).reshape(-1, 2)
+    ends = np.cumsum(lengths[:, 0] + lengths[:, 1], dtype=np.int64)
+    total_bits = int(ends[-1])
+    sums = np.zeros(((total_bits + 15) >> 4) + 2, dtype=np.float64)
+    for start in range(0, ends.size, _PACK16_CHUNK // 2):
+        stop = start + _PACK16_CHUNK // 2
+        pair = codes[start:stop, 0] << lengths[start:stop, 1] | codes[start:stop, 1]
+        last = ends[start:stop] - 1
+        word = last >> 4
+        window = pair.astype(np.uint64) << (~last.view(np.uint64) & np.uint64(15))  # 15 - last % 16
+        first = int(word[0])
+        word -= first
+        sums[first : first + int(word[-1]) + 1] += np.bincount(word, window.astype(np.float64))
+    thirds = sums.astype("<u8").view("<u2").reshape(-1, 4)  # low, middle, top, 0
+    words = thirds[:-2, 0] + thirds[1:-1, 1] + thirds[2:, 2]
+    packed = words.astype(">u2").view(np.uint8)[: (total_bits + 7) >> 3]
+    return _with_sync(packed, ends[SYNC_INTERVAL // 2 - 1 : -1 : SYNC_INTERVAL // 2])
 
 
 def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> bytes:
@@ -579,4 +566,4 @@ def _pack_codes(codes: np.ndarray, lengths: np.ndarray) -> bytes:
             np.uint8
         )
         base = int(ends[stop - 1])
-    return _with_sync(np.packbits(bits), ends)
+    return _with_sync(np.packbits(bits), ends[SYNC_INTERVAL - 1 : -1 : SYNC_INTERVAL])

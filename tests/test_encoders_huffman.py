@@ -6,13 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.compression.encoders import huffman_decode
+from repro.compression.encoders import huffman, huffman_decode
 from repro.compression.encoders.huffman import (
+    _DENSE_SPAN_LIMIT,
     MAX_CODE_LENGTH,
     SYNC_INTERVAL,
+    Histogram,
     HuffmanCodebook,
     HuffmanCodec,
     HuffmanStream,
@@ -671,6 +673,102 @@ class TestSharedBookEncoding:
         assert as_dict(*pooled) == merged
         assert list(pooled.symbols) == sorted(merged)
         assert pooled_symbol_frequencies([]).symbols.size == 0
+
+
+def _random_book(n: int, lo: int, seed: int, wide: bool) -> HuffmanCodebook:
+    """A length-limited book over ``n`` symbols from ``lo`` up, with an interior gap
+    whenever ``n > 1`` (past ``_DENSE_SPAN_LIMIT`` when ``wide``) and lengths up to 16."""
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(1, 4, n - 1)
+    if n > 1:
+        steps[rng.integers(n - 1)] = _DENSE_SPAN_LIMIT if wide else 2
+    symbols = lo + np.concatenate(([0], np.cumsum(steps)))
+    counts = np.left_shift(1, rng.integers(0, 40, n))  # skewed enough to hit the cap
+    book = HuffmanCodebook.from_frequencies(Histogram(symbols, counts), MAX_CODE_LENGTH)
+    assert book.max_length() <= 16
+    return book
+
+
+#: Stream lengths around the sync interval and the pair boundary, one
+#: block, and an odd count near 40 000.
+WRITER_COUNTS = [1, 2, 3, K - 1, K, K + 1, 2 * K, 2 * K + 1, 32_768, 39_999]
+
+
+class TestPairWriter:
+    """The <= 16-bit writer against the general reference packer."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 400),
+        lo=st.integers(-5000, 5000),
+        seed=st.integers(0, 2**16),
+        count=st.sampled_from(WRITER_COUNTS),
+    )
+    @example(n=1, lo=0, seed=0, count=K + 1)
+    @example(n=400, lo=-200, seed=1, count=39_999)
+    def test_bytes_and_sync_index_equal_the_reference(self, wide, n, lo, seed, count):
+        book = _random_book(n, lo, seed, wide and n > 1)
+        stream = np.random.default_rng(seed + 1).choice(book.symbols, size=count)
+        codes, lengths = book.lookup(stream)
+        payload = HuffmanCodec().encode_with_book(stream, book)
+        assert bytes(payload) == bytes(_pack_codes(codes, lengths))
+        if count > K:
+            starts = np.cumsum(lengths, dtype=np.int64)[K - 1 : -1 : K]
+            np.testing.assert_array_equal(payload.sync, np.diff(starts, prepend=0))
+            assert payload.every == K
+        else:
+            assert not hasattr(payload, "sync")
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("where", ["below", "above", "gap", "int64 min", "int64 max"])
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**16), count=st.sampled_from(WRITER_COUNTS))
+    def test_a_symbol_the_book_lacks_raises(self, wide, where, n, seed, count):
+        if where == "gap" and n == 1:
+            n = 2
+        book = _random_book(n, -100, seed, wide and n > 1)
+        rng = np.random.default_rng(seed + 1)
+        stream = rng.choice(book.symbols, size=count)
+        lacking = {
+            "below": lambda s: int(s[0]) - 1,
+            "above": lambda s: int(s[-1]) + 1,
+            "gap": lambda s: int(s[np.flatnonzero(np.diff(s) > 1)[0]]) + 1,
+            "int64 min": lambda s: np.iinfo(np.int64).min,
+            "int64 max": lambda s: np.iinfo(np.int64).max,
+        }[where]
+        stream[rng.integers(count)] = lacking(book.symbols)
+        with pytest.raises(EncodingError):
+            HuffmanCodec().encode_with_book(stream, book)
+        with pytest.raises(EncodingError):
+            book.lookup(stream)
+
+    @pytest.mark.parametrize(
+        "symbols, lacking",
+        [
+            (np.iinfo(np.int64).max - np.arange(4)[::-1], np.iinfo(np.int64).min),
+            (np.iinfo(np.int64).min + np.arange(1, 5), np.iinfo(np.int64).max),
+            (np.iinfo(np.int64).min + np.arange(4), np.iinfo(np.int64).max),
+        ],
+    )
+    def test_books_at_the_ends_of_int64_refuse_the_other_end(self, symbols, lacking):
+        """``symbol - (lo - 1)`` may wrap; it must never wrap into the table."""
+        book = HuffmanCodebook(symbols, np.full(4, 2))
+        codec = HuffmanCodec()
+        assert codec.encode_with_book(symbols, book) == _pack_codes(*book.lookup(symbols))
+        with pytest.raises(EncodingError):
+            codec.encode_with_book(np.append(symbols, lacking), book)
+
+    @pytest.mark.parametrize("chunk", [2, 6, 512])
+    def test_chunked_pairs_write_the_same_bytes(self, monkeypatch, chunk):
+        """Windows that straddle a chunk boundary sum into the same words."""
+        book = _random_book(300, -150, 7, wide=False)
+        stream = np.random.default_rng(8).choice(book.symbols, size=5 * K + 3)
+        whole = HuffmanCodec().encode_with_book(stream, book)
+        monkeypatch.setattr(huffman, "_PACK16_CHUNK", chunk)
+        chunked = HuffmanCodec().encode_with_book(stream, book)
+        assert bytes(chunked) == bytes(whole) == bytes(_pack_codes(*book.lookup(stream)))
+        np.testing.assert_array_equal(chunked.sync, whole.sync)
 
 
 class TestOldVsNewEquivalence:
