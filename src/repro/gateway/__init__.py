@@ -1,29 +1,13 @@
 """The Ocelot HTTP gateway: REST job control + live event streaming.
 
-``repro.gateway`` puts a network face on the job service so clients
-reach it over HTTP instead of in-process Python:
-
-* **REST job control** — ``POST /v1/jobs`` submits a JSON
-  :class:`~repro.service.spec.TransferSpec` (dataset as a generation
-  recipe), ``GET /v1/jobs[?tenant=]`` lists, ``GET /v1/jobs/{id}``
-  inspects, ``GET /v1/jobs/{id}/wait`` blocks, and
-  ``POST /v1/jobs/{id}/cancel`` stops a job mid-phase;
-* **plan groups** — ``POST /v1/plan-groups`` validates *every* spec of
-  a batch before admitting *any*, then fans the group out concurrently
-  through the scheduler (``GET /v1/plan-groups/{id}`` tracks it);
-* **live streaming** — ``GET /v1/jobs/{id}/events`` is a server-sent-
-  event stream of the job's :class:`~repro.service.events.JobEvent`
-  feed with ``Last-Event-ID`` resume;
-* **operations** — ``GET /healthz`` and a JSON ``GET /metricsz``
-  (queue depths, per-tenant in-flight, jobs/sec, bus stats).
-
-Everything is stdlib (``http.server`` + threads); the
-:class:`~repro.gateway.driver.GatewayDriver` serialises the
-multi-threaded front end onto the cooperative single-threaded
-scheduler.  Each job's own feed is the one event buffer and the
-:class:`~repro.gateway.bus.EventBus` the one wake-up signal: SSE
-streams, ``/wait`` and the idle stepper park on its counter and read
-the feed when it moves, so no subscriber keeps memory of its own.
+Submit (``POST /v1/jobs``, a JSON :class:`~repro.service.spec.TransferSpec`
+whose dataset is a generation recipe), list, inspect, wait on and cancel
+jobs; submit all-or-nothing plan groups; stream a job's feed as
+server-sent events with ``Last-Event-ID`` resume; ``/healthz`` and
+``/metricsz``.  All stdlib: one thread runs a ``selectors`` loop that
+serves every socket and steps the scheduler (:mod:`.server`,
+:mod:`.driver`), and each job's own feed is the one event buffer,
+followed through the :class:`~repro.gateway.bus.EventBus` counter.
 Start one with :func:`create_gateway` or ``ocelot serve --host --port``.
 """
 

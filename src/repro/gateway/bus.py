@@ -1,21 +1,17 @@
 """The gateway's one wake-up signal: a published-event counter.
 
-Jobs append :class:`~repro.service.events.JobEvent` records to their
-own feeds, numbered by a contiguous per-job ``seq``; that feed is the
-only event buffer the gateway has.  The :class:`EventBus` holds no
-events at all.  It counts what the scheduler publishes and wakes
-everyone parked on one :class:`threading.Condition`: the SSE streams,
-``/wait`` requests and the driver's idle stepper.  A woken reader reads
-the job's feed after the ``seq`` it has seen, so no subscriber keeps
-memory of its own and none can fall behind and lose an event.
-
-A reader reads :attr:`EventBus.published` *before* it reads the feed:
-an event appended after that read moves the counter, so the next
-:meth:`EventBus.wait` returns at once instead of sleeping past it.
+Each job's append-only feed, numbered by a contiguous ``seq``, is the only
+event buffer; the :class:`EventBus` holds none.  It counts what the
+scheduler publishes and wakes whoever parks: threads in :meth:`wait` on one
+:class:`threading.Condition`, and the gateway's loop, parked in ``select``,
+by a one-byte poke on a socketpair (:meth:`wake_on`) from a publish or close
+on another thread.  A reader reads :attr:`published` *before* its job's
+feed: an event appended later moves the counter, so no wait sleeps past it.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 from typing import Dict, List, Optional
 
@@ -29,16 +25,31 @@ class EventBus:
 
     def __init__(self) -> None:
         self._changed = threading.Condition()
+        self._poke: Optional[socket.socket] = None
+        self._loop_thread = 0
         #: Set by :meth:`close`; every wait returns at once from then on.
         self.closed = False
         #: Events published so far (also ``/metricsz``'s ``bus.published``).
         self.published = 0
 
+    def wake_on(self, poke: socket.socket) -> None:
+        """Send ``poke`` a byte on each later publish or close from any thread
+        but the caller (the loop, selecting on the pair's other end)."""
+        self._poke, self._loop_thread = poke, threading.get_ident()
+
+    def _wake(self) -> None:
+        self._changed.notify_all()
+        if self._poke is not None and threading.get_ident() != self._loop_thread:
+            try:
+                self._poke.send(b"\0")
+            except OSError:  # full: a wake is already pending (or the loop is gone)
+                pass
+
     def publish(self, event: JobEvent) -> None:
         """Count one event (already in its job's feed) and wake the waiters."""
         with self._changed:
             self.published += 1
-            self._changed.notify_all()
+            self._wake()
 
     def publish_all(self, events: List[JobEvent]) -> None:
         """Publish a batch in feed order."""
@@ -57,9 +68,8 @@ class EventBus:
         """Shut down: release every waiter now and every later one at once."""
         with self._changed:
             self.closed = True
-            self._changed.notify_all()
+            self._wake()
 
     def describe(self) -> Dict[str, object]:
-        """Metrics snapshot for ``/metricsz`` (nothing is buffered, so
-        nothing is ever dropped)."""
+        """``/metricsz``'s snapshot (nothing is buffered, so nothing drops)."""
         return {"published": self.published, "dropped": 0}

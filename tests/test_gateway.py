@@ -1,9 +1,9 @@
 """Live-server tests for the HTTP gateway.
 
 Every test that speaks HTTP boots a real :class:`~repro.gateway.Gateway`
-on an ephemeral port (stdlib ``ThreadingHTTPServer``) and drives it with
-stdlib ``urllib`` — the same path external clients use.  Covered
-contracts:
+on an ephemeral port (one ``selectors`` loop on one thread) and drives it
+with stdlib ``urllib`` or raw sockets — the paths external clients use.
+Covered contracts:
 
 * REST submit/list/status/cancel with reports identical to direct
   in-process ``OcelotService.submit()`` runs, including under
@@ -19,17 +19,24 @@ contracts:
   no scan of the retained jobs, whichever job a step, submit or cancel
   touched, and a reader of the job's feed woken by the bus loses none;
 * keep-alive connections answer without the delayed-ACK stall, and
-  oversized or malformed requests get typed 413/400 bodies.
+  oversized or malformed requests get typed 413/400 bodies;
+* one loop: stalled connections (half a request line, a body that never
+  comes, an SSE reader that never reads) hold up no other client, a
+  reader that fell behind still gets its whole feed, no request costs a
+  thread, and the server's annotations resolve.
 """
 
 from __future__ import annotations
 
 import http.client
+import inspect
 import json
+import socket
 import statistics
 import sys
 import threading
 import time
+import typing
 import urllib.error
 import urllib.request
 
@@ -42,6 +49,7 @@ from repro.errors import ConfigurationError, OrchestrationError
 from repro.gateway import EventBus, GatewayDriver, create_gateway, spec_from_payload
 from repro.gateway.app import MAX_BODY_BYTES, error_response
 from repro.gateway import driver as driver_module
+from repro.gateway import server as server_module
 from repro.gateway.driver import UnknownGroupError, UnknownJobError
 from repro.service import JobHandle, OcelotService, TransferSpec
 from repro.service.events import JobEvent
@@ -962,3 +970,141 @@ class TestGatewayCLI:
             ["serve", "--host", "0.0.0.0", "--port", "9000"])
         assert args.command == "serve"
         assert args.port == 9000
+
+
+# --------------------------------------------------------------------- #
+# One loop
+# --------------------------------------------------------------------- #
+#: A job whose feed (~500 events, ~90 KB of frames) outruns what a small
+#: socket buffer holds.
+BIG_SPEC_JSON = {**SPEC_JSON, "dataset": {
+    "application": "miranda", "snapshots": 60, "scale": 0.02, "seed": 4}}
+
+
+@pytest.fixture()
+def small_send_buffers(monkeypatch):
+    """Accepted sockets inherit the listener's 4 KiB send buffer, so the
+    server's writes to a reader that does not read soon stop going out."""
+    create_server = socket.create_server
+
+    def small(*args, **kwargs):
+        listener = create_server(*args, **kwargs)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        return listener
+
+    monkeypatch.setattr(socket, "create_server", small)
+
+
+def _timed(call):
+    started = time.monotonic()
+    return call(), time.monotonic() - started
+
+
+def _read_to_eof(sock) -> bytes:
+    """Everything the server sends until it closes the socket."""
+    sock.settimeout(10)
+    received = bytearray()
+    try:
+        while chunk := sock.recv(1 << 16):
+            received += chunk
+    except ConnectionResetError:
+        pass
+    return bytes(received)
+
+
+def _unread_stream(gw, job_id):
+    """An SSE request from a socket with a tiny receive window."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
+    sock.connect((gw.host, gw.port))
+    sock.sendall(f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\nHost: gw\r\n\r\n".encode())
+    return sock
+
+
+def _round_trip(base: str):
+    _, record = _post(base, "/v1/jobs", SPEC_JSON)
+    return _get(base, f"/v1/jobs/{record['job_id']}/wait?timeout=60")
+
+
+class TestOneLoop:
+    def test_stalled_connections_hold_up_no_other_client(self, small_send_buffers):
+        gw = create_gateway(config=_config()).start()
+        stalled = []
+        try:
+            gw.driver.pause()
+            _, big = _post(gw.url, "/v1/jobs", BIG_SPEC_JSON)
+            half_line = socket.create_connection((gw.host, gw.port), timeout=10)
+            half_line.sendall(b"POST /v1/jo")
+            no_body = socket.create_connection((gw.host, gw.port), timeout=10)
+            no_body.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: gw\r\n"
+                            b"Content-Type: application/json\r\nContent-Length: 1024\r\n\r\n")
+            stalled = [half_line, no_body, _unread_stream(gw, big["job_id"])]
+            time.sleep(0.1)  # let the loop read all three
+            gw.driver.resume()
+            # Every event of the big job is emitted; its stream reads none.
+            assert gw.driver.wait(big["job_id"], timeout=60)
+            (status, _), wall = _timed(lambda: _get(gw.url, "/healthz", timeout=5))
+            assert status == 200 and wall < 1
+            (status, record), wall = _timed(lambda: _post(gw.url, "/v1/jobs", SPEC_JSON))
+            assert status == 201 and wall < 1
+            (status, final), wall = _timed(lambda: _get(
+                gw.url, f"/v1/jobs/{record['job_id']}/wait?timeout=5", timeout=5))
+            assert status == 200 and final["status"] == "completed" and wall < 1
+        finally:
+            gw.stop()
+        # stop() closed all three: each read ends (no 10 s timeout).
+        assert [_read_to_eof(sock) for sock in stalled[:2]] == [b"", b""]
+        assert _read_to_eof(stalled[2]).startswith(b"HTTP/1.1 200 OK\r\n")
+        for sock in stalled:
+            sock.close()
+
+    def test_a_reader_that_fell_behind_gets_the_whole_feed(self, small_send_buffers):
+        gw = create_gateway(config=_config()).start()
+        try:
+            gw.driver.pause()
+            _, big = _post(gw.url, "/v1/jobs", BIG_SPEC_JSON)
+            sock = _unread_stream(gw, big["job_id"])
+            time.sleep(0.1)
+            gw.driver.resume()
+            assert gw.driver.wait(big["job_id"], timeout=60)
+            assert _get(gw.url, "/healthz", timeout=5)[0] == 200
+            body = _read_to_eof(sock).decode()  # the stream ends after its terminal event
+            sock.close()
+            feed = gw.driver.events_since(big["job_id"])
+        finally:
+            gw.stop()
+        assert len(body) > 64 * 1024  # more than the two socket buffers hold
+        ids = [int(line[4:]) for line in body.splitlines() if line.startswith("id: ")]
+        assert ids == [event.seq for event in feed] and feed[-1].is_terminal
+
+    def test_no_request_costs_a_thread(self, gateway):
+        _round_trip(gateway.url)
+        threads = threading.active_count()
+        for _ in range(49):
+            _round_trip(gateway.url)
+        assert threading.active_count() == threads
+
+    def test_expect_100_continue_is_answered_before_the_body(self, gateway):
+        body = json.dumps(SPEC_JSON).encode()
+        with socket.create_connection((gateway.host, gateway.port), timeout=10) as sock:
+            sock.sendall(f"POST /v1/jobs HTTP/1.1\r\nHost: gw\r\nContent-Length: "
+                         f"{len(body)}\r\nExpect: 100-continue\r\n\r\n".encode())
+            assert sock.recv(1024) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            assert sock.recv(1024).startswith(b"HTTP/1.1 201 Created\r\n")
+
+    @pytest.mark.parametrize("request_line", [b"GARBAGE", b"GET / SPDY/3"])
+    def test_a_malformed_request_line_is_400_and_closes(self, gateway, request_line):
+        with socket.create_connection((gateway.host, gateway.port), timeout=10) as sock:
+            sock.sendall(request_line + b"\r\nHost: gw\r\n\r\n")
+            response = _read_to_eof(sock)
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in response and b'"bad_request"' in response
+
+    def test_server_annotations_resolve(self):
+        functions = [function for owner in (server_module.Gateway, server_module._Conn)
+                     for _, function in inspect.getmembers(owner, inspect.isfunction)]
+        functions.append(server_module.create_gateway)
+        assert len(functions) > 20
+        for function in functions:
+            typing.get_type_hints(function)
